@@ -21,6 +21,7 @@ import (
 
 	"pequod/internal/core"
 	"pequod/internal/freshness"
+	"pequod/internal/keys"
 	"pequod/internal/rpc"
 )
 
@@ -73,6 +74,10 @@ type Future struct {
 	// wire. Like OnNotify, it must not block on this client's sync
 	// calls. Not called on transport failure.
 	onReply func(*rpc.Message)
+
+	// onFail, if set, runs when the connection fails with the request
+	// still pending, on whichever goroutine noticed the failure.
+	onFail func(error)
 }
 
 // Wait blocks until the reply arrives.
@@ -188,6 +193,19 @@ func (c *Client) sendCB(m *rpc.Message, onReply func(*rpc.Message)) *Future {
 		close(f.ch)
 		return f
 	}
+	err := c.enqueueLocked(m, f)
+	c.mu.Unlock()
+	if err != nil {
+		c.fail(err)
+		return f
+	}
+	c.kickFlush()
+	return f
+}
+
+// enqueueLocked registers f as m's pending reply and buffers m's frame.
+// The caller holds c.mu and has found the connection open.
+func (c *Client) enqueueLocked(m *rpc.Message, f *Future) error {
 	c.seq++
 	m.Seq = c.seq
 	f.seq = m.Seq
@@ -195,16 +213,15 @@ func (c *Client) sendCB(m *rpc.Message, onReply func(*rpc.Message)) *Future {
 	var err error
 	c.scratch, err = rpc.WriteMessage(c.bw, m, c.scratch)
 	c.dirty = true
-	c.mu.Unlock()
-	if err != nil {
-		c.fail(err)
-		return f
-	}
+	return err
+}
+
+// kickFlush wakes the flusher unless a wake-up is already queued.
+func (c *Client) kickFlush() {
 	select {
 	case c.kick <- struct{}{}:
 	default:
 	}
-	return f
 }
 
 // flushLoop flushes buffered writes when the pipeline goes momentarily
@@ -273,6 +290,9 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 	for _, f := range pend {
 		f.err = err
+		if f.onFail != nil {
+			f.onFail(err)
+		}
 		close(f.ch)
 	}
 	c.conn.Close()
@@ -400,6 +420,41 @@ func (c *Client) ScanAsync(lo, hi string, limit int, subscribe bool) *Future {
 // order with the subscription pushes that race it on the wire.
 func (c *Client) ScanSubAsync(lo, hi string, onReply func(*rpc.Message)) *Future {
 	return c.sendCB(&rpc.Message{Type: rpc.MsgScan, Lo: lo, Hi: hi, SubscribeFlag: true}, onReply)
+}
+
+// ScanSubBatch issues one subscribing scan per range as consecutive
+// frames behind a single flush — a server fetching every base range one
+// join execution found missing. done runs exactly once per range: with
+// the reply, on the reader goroutine, in order with this connection's
+// OnNotify deliveries (see Future.onReply); or with the transport error
+// if the connection fails first, on whichever goroutine noticed. It
+// must not block on this client's sync calls.
+func (c *Client) ScanSubBatch(ranges []keys.Range, done func(i int, m *rpc.Message, err error)) {
+	c.rpcs.Add(int64(len(ranges)))
+	c.mu.Lock()
+	err := c.closed
+	wasClosed := err != nil
+	sent := 0
+	for ; err == nil && sent < len(ranges); sent++ {
+		i := sent
+		f := &Future{c: c, ch: make(chan struct{}),
+			onReply: func(m *rpc.Message) { done(i, m, nil) },
+			onFail:  func(err error) { done(i, nil, err) },
+		}
+		m := &rpc.Message{Type: rpc.MsgScan, Lo: ranges[i].Lo, Hi: ranges[i].Hi, SubscribeFlag: true}
+		err = c.enqueueLocked(m, f)
+	}
+	c.mu.Unlock()
+	if err == nil {
+		c.kickFlush()
+		return
+	}
+	if !wasClosed {
+		c.fail(err) // fails the frames already enqueued through onFail
+	}
+	for i := sent; i < len(ranges); i++ {
+		done(i, nil, err)
+	}
 }
 
 // Send stamps ctx's remaining deadline budget and staleness budget
@@ -536,6 +591,17 @@ type StatSnapshot struct {
 		PartialInv int64 `json:"partial_inv"`
 		DirtyRecmp int64 `json:"dirty_recmp"`
 	} `json:"staleness"`
+	// Loads is the cold path's activity (§3.3): base ranges fetched, the
+	// loader calls that carried them, fetches given up on, and
+	// executions that found data missing and restarted. NSubs is the
+	// number of cross-server subscriptions the server holds as a home.
+	Loads struct {
+		Started  int64 `json:"started"`
+		Batched  int64 `json:"batched"`
+		Failed   int64 `json:"failed"`
+		Restarts int64 `json:"restarts"`
+	} `json:"loads"`
+	NSubs   int64 `json:"nsubs"`
 	Durable *struct {
 		Dir           string `json:"dir"`
 		LagBytes      int64  `json:"lag_bytes"`

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pequod/internal/keys"
 	"pequod/internal/rpc"
 )
 
@@ -343,5 +344,97 @@ func TestConcurrentMixedCallers(t *testing.T) {
 	wg.Wait()
 	if got := c.RPCs(); got != 16*50 {
 		t.Fatalf("RPCs = %d, want %d", got, 16*50)
+	}
+}
+
+// TestScanSubBatch: a batch's replies run its callback once per range,
+// in request order, on the reader goroutine — so after a push that
+// followed them on the wire has been delivered, all of them have run —
+// and a batch on a dead connection (or one that dies under it) reports
+// the transport error for every range instead of hanging.
+func TestScanSubBatch(t *testing.T) {
+	es, c := startEcho(t)
+	var mu sync.Mutex
+	var order []int
+	var got []string
+	c.OnNotify = func([]rpc.Change) {
+		mu.Lock()
+		order = append(order, -1)
+		mu.Unlock()
+	}
+	ranges := []keys.Range{{Lo: "p|a|", Hi: "p|a}"}, {Lo: "p|b|", Hi: "p|b}"}, {Lo: "p|c|", Hi: "p|c}"}}
+	done := make(chan struct{}, len(ranges))
+	c.ScanSubBatch(ranges, func(i int, m *rpc.Message, err error) {
+		mu.Lock()
+		order = append(order, i)
+		if err == nil && len(m.KVs) == 1 {
+			got = append(got, m.KVs[0].Key)
+		}
+		mu.Unlock()
+		done <- struct{}{}
+	})
+	for range ranges {
+		<-done
+	}
+	if err := es.push([]rpc.Change{{Key: "p|a|1", Value: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if fmt.Sprint(order) != "[0 1 2 -1]" || fmt.Sprint(got) != "[p|a| p|b| p|c|]" {
+		t.Fatalf("callbacks ran as %v with snapshots %v", order, got)
+	}
+	mu.Unlock()
+	if c.RPCs() != int64(len(ranges))+1 {
+		t.Fatalf("RPCs = %d", c.RPCs())
+	}
+
+	c.Close()
+	var errs []error
+	c.ScanSubBatch(ranges, func(i int, m *rpc.Message, err error) { errs = append(errs, err) })
+	if len(errs) != len(ranges) {
+		t.Fatalf("batch on a closed connection reported %d of %d ranges", len(errs), len(ranges))
+	}
+	for _, err := range errs {
+		if err == nil {
+			t.Fatal("batch on a closed connection reported success")
+		}
+	}
+}
+
+// TestScanSubBatchConnectionDies: replies that never come are reported
+// as transport failures when the connection goes.
+func TestScanSubBatchConnectionDies(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if cn, err := ln.Accept(); err == nil {
+			accepted <- cn // reads nothing, answers nothing
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	failed := make(chan error, 2)
+	c.ScanSubBatch([]keys.Range{{Lo: "a", Hi: "b"}, {Lo: "c", Hi: "d"}},
+		func(i int, m *rpc.Message, err error) { failed <- err })
+	(<-accepted).Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-failed:
+			if err == nil {
+				t.Fatal("range reported success on a dead connection")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("batch never resolved after the connection died")
+		}
 	}
 }

@@ -197,66 +197,116 @@ func TestClusterEqualsEmbeddedCache(t *testing.T) {
 	for seed := int64(1); seed <= nSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cl := newCluster(t, Config{Addrs: startServers(t, 4), Bounds: testBounds, Joins: shard.EquivJoins})
+			checkEqualsEmbedded(t, cl, seed, nOps)
+		})
+	}
+}
+
+// TestClusterEqualsEmbeddedUnderEviction is the same property with the
+// computing members short of memory: the limit of the two members that
+// own t| and z| is a fraction of what the workload materializes there,
+// so base ranges loaded from peers and computed timelines are evicted
+// and reloaded mid-workload, reads restart on missing data (§3.3), homes
+// are re-subscribed, and pushes arrive for ranges the subscriber no
+// longer holds. None of it may show in a single byte. (The members that
+// home p| and s| get no limit: what they hold is the data, not a cache
+// of it.)
+func TestClusterEqualsEmbeddedUnderEviction(t *testing.T) {
+	nSeeds := int64(3)
+	nOps := 400
+	if testing.Short() {
+		nSeeds, nOps = 1, 200
+	}
+	for seed := int64(1); seed <= nSeeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ctx := context.Background()
-			ops := shard.GenTwipOps(seed, nOps, 10)
-
-			single, err := shard.New(shard.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(single.Close)
-			if err := single.InstallText(shard.EquivJoins); err != nil {
-				t.Fatal(err)
-			}
-
-			addrs := startServers(t, 4)
-			cl := newCluster(t, Config{Addrs: addrs, Bounds: testBounds, Joins: shard.EquivJoins})
-
-			for _, o := range ops {
-				switch o.Kind {
-				case shard.OpPut:
-					single.Put(o.Key, o.Value)
-					if err := cl.Put(ctx, o.Key, o.Value); err != nil {
-						t.Fatal(err)
-					}
-				case shard.OpRemove:
-					single.Remove(o.Key)
-					if _, err := cl.Remove(ctx, o.Key); err != nil {
-						t.Fatal(err)
-					}
-				case shard.OpScan:
-					single.Scan(o.Lo, o.Hi, 0, nil, nil)
-					if err := cl.Quiesce(ctx); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cl.Scan(ctx, o.Lo, o.Hi, 0); err != nil {
-						t.Fatal(err)
-					}
+			addrs := make([]string, 4)
+			for i := range addrs {
+				cfg := server.Config{Name: fmt.Sprintf("e%d", i)}
+				if i >= 2 {
+					cfg.Engine = core.Options{MemLimit: 16 << 10}
 				}
-			}
-			if err := cl.Quiesce(ctx); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, r := range shard.EquivRanges(seed, 10) {
-				want := single.Scan(r[0], r[1], 0, nil, nil)
-				got, err := cl.Scan(ctx, r[0], r[1], 0)
+				s, err := server.New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(want) == 0 && len(got) == 0 {
-					continue
+				if addrs[i], err = s.Start(); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("scan [%q, %q) diverged:\nembedded %v\ncluster  %v", r[0], r[1], want, got)
-				}
-				wn := single.Count(r[0], r[1])
-				gn, err := cl.Count(ctx, r[0], r[1])
-				if err != nil || int64(wn) != gn {
-					t.Fatalf("count [%q, %q) = %d vs %d (%v)", r[0], r[1], wn, gn, err)
-				}
+				t.Cleanup(s.Close)
 			}
+			cl := newCluster(t, Config{Addrs: addrs, Bounds: testBounds, Joins: shard.EquivJoins})
+			checkEqualsEmbedded(t, cl, seed, nOps)
+			st, err := cl.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Evictions == 0 || st.Restarts == 0 {
+				t.Fatalf("the limit forced %d evictions and %d restarts; the variant must exercise both", st.Evictions, st.Restarts)
+			}
+			t.Logf("evictions=%d restarts=%d loads=%d in %d batches", st.Evictions, st.Restarts, st.LoadsStarted, st.LoadBatches)
 		})
+	}
+}
+
+// checkEqualsEmbedded drives the seed's randomized Twip workload through
+// cl and through one embedded single-engine pool, then requires
+// byte-identical scans and counts over the seed's check ranges.
+func checkEqualsEmbedded(t *testing.T, cl *Cluster, seed int64, nOps int) {
+	t.Helper()
+	ctx := context.Background()
+	single, err := shard.New(shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(single.Close)
+	if err := single.InstallText(shard.EquivJoins); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range shard.GenTwipOps(seed, nOps, 10) {
+		switch o.Kind {
+		case shard.OpPut:
+			single.Put(o.Key, o.Value)
+			if err := cl.Put(ctx, o.Key, o.Value); err != nil {
+				t.Fatal(err)
+			}
+		case shard.OpRemove:
+			single.Remove(o.Key)
+			if _, err := cl.Remove(ctx, o.Key); err != nil {
+				t.Fatal(err)
+			}
+		case shard.OpScan:
+			single.Scan(o.Lo, o.Hi, 0, nil, nil)
+			if err := cl.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Scan(ctx, o.Lo, o.Hi, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cl.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range shard.EquivRanges(seed, 10) {
+		want := single.Scan(r[0], r[1], 0, nil, nil)
+		got, err := cl.Scan(ctx, r[0], r[1], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 && len(got) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan [%q, %q) diverged:\nembedded %v\ncluster  %v", r[0], r[1], want, got)
+		}
+		wn := single.Count(r[0], r[1])
+		gn, err := cl.Count(ctx, r[0], r[1])
+		if err != nil || int64(wn) != gn {
+			t.Fatalf("count [%q, %q) = %d vs %d (%v)", r[0], r[1], wn, gn, err)
+		}
 	}
 }
 

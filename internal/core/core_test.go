@@ -472,19 +472,24 @@ type fakeLoader struct {
 	data    map[string]string
 	pending []func()
 	loads   int
+	batches int
 }
 
-func (f *fakeLoader) StartLoad(table string, r keys.Range) {
-	f.loads++
-	f.pending = append(f.pending, func() {
-		var kvs []KV
-		for k, v := range f.data {
-			if keys.Table(k) == table && r.Contains(k) {
-				kvs = append(kvs, KV{k, v})
+func (f *fakeLoader) StartLoads(loads []Load) {
+	f.batches++
+	for _, ld := range loads {
+		ld := ld
+		f.loads++
+		f.pending = append(f.pending, func() {
+			var kvs []KV
+			for k, v := range f.data {
+				if keys.Table(k) == ld.Table && ld.R.Contains(k) {
+					kvs = append(kvs, KV{k, v})
+				}
 			}
-		}
-		f.e.LoadComplete(table, r, kvs)
-	})
+			land(f.e, ld.Table, ld.R, kvs)
+		})
+	}
 }
 
 func (f *fakeLoader) drain() {
@@ -516,10 +521,12 @@ func TestRestartContexts(t *testing.T) {
 	if len(kvs) != 0 {
 		t.Fatalf("partial results: %v", kvs)
 	}
-	gen := e.LoadGen()
+	w := e.LoadWait()
 	fl.drain() // subscriptions arrive
-	if e.LoadGen() == gen {
-		t.Fatal("LoadGen should advance")
+	select {
+	case <-w.Done():
+	default:
+		t.Fatal("the read's restart context should resolve when its load lands")
 	}
 
 	// Retry: posts now missing -> second round of fetches ("in most

@@ -54,12 +54,21 @@ type Change struct {
 	Value string // new value for OpPut; previous value otherwise
 }
 
+// Load names one missing range of a loader-backed base table.
+type Load struct {
+	Table string
+	R     keys.Range
+}
+
 // BaseLoader loads missing base data from a backing database or a remote
-// home server (§3.3). StartLoad must eventually call the engine's
-// LoadComplete with the same table and range, from the same goroutine
-// that drives the engine (the server's command loop).
+// home server (§3.3). StartLoads receives every gap one execution
+// discovered, in one call, and must not block: it runs on the goroutine
+// driving the engine. Each load must eventually be resolved — LoadRows
+// with what was fetched, then LoadComplete with the same table and
+// range; or LoadFailed — under the same serialization as every other
+// engine entry point (the shard lock). The slice belongs to the loader.
 type BaseLoader interface {
-	StartLoad(table string, r keys.Range)
+	StartLoads(loads []Load)
 }
 
 // Options configure an Engine. The zero value enables every paper
@@ -81,7 +90,8 @@ type Options struct {
 type Stats struct {
 	Gets, Puts, Removes, Scans int64
 	ScannedKeys                int64
-	JoinExecs                  int64 // forward executions (Fig 5)
+	JoinExecs                  int64 // forward executions (Fig 5), restarted ones included
+	Restarts                   int64 // executions (forward, delta, dirty span) that found base data missing and installed nothing
 	PullExecs                  int64 // pull-join executions (§3.4)
 	UpdatersInstalled          int64
 	UpdatersMerged             int64 // §3.2 overlapping-updater merging
@@ -93,6 +103,8 @@ type Stats struct {
 	BoundedStaleServes         int64 // within-budget staleness served by bounded reads
 	Evictions                  int64
 	LoadsStarted               int64 // §3.3 async base-data fetches
+	LoadBatches                int64 // BaseLoader.StartLoads calls carrying them
+	LoadsFailed                int64 // fetches abandoned by the loader (LoadFailed)
 	NotifiedChanges            int64
 }
 
@@ -104,6 +116,7 @@ func (s *Stats) Add(o Stats) {
 	s.Scans += o.Scans
 	s.ScannedKeys += o.ScannedKeys
 	s.JoinExecs += o.JoinExecs
+	s.Restarts += o.Restarts
 	s.PullExecs += o.PullExecs
 	s.UpdatersInstalled += o.UpdatersInstalled
 	s.UpdatersMerged += o.UpdatersMerged
@@ -115,6 +128,8 @@ func (s *Stats) Add(o Stats) {
 	s.BoundedStaleServes += o.BoundedStaleServes
 	s.Evictions += o.Evictions
 	s.LoadsStarted += o.LoadsStarted
+	s.LoadBatches += o.LoadBatches
+	s.LoadsFailed += o.LoadsFailed
 	s.NotifiedChanges += o.NotifiedChanges
 }
 
@@ -130,7 +145,7 @@ type Engine struct {
 
 	presence map[string]*presenceTable // loader-backed base tables
 	loader   BaseLoader
-	loadGen  int64 // increments on every LoadComplete, for waiters
+	wait     *LoadWait // restart context of the read in progress (presence.go)
 
 	onChange func(Change)
 
@@ -173,6 +188,7 @@ func (e *Engine) SetLoader(l BaseLoader, tables ...string) {
 			e.presence[t] = newPresenceTable()
 		}
 	}
+	e.markProbes()
 }
 
 // SetSubtableDepth forwards to the store (§4.1).
@@ -187,6 +203,39 @@ type installedJoin struct {
 	// ranges are disjoint and cover exactly the materialized portions of
 	// the output space (§3.2).
 	status rbtree.Tree[*JoinStatus]
+	// probes is set when some source is loader-backed, directly or
+	// through a join feeding it: only then can an execution find base
+	// data missing, so only then does it run a discovery pass before
+	// emitting (exec.go). Joins over resident data pay nothing.
+	probes bool
+}
+
+// markProbes recomputes every join's probes flag; the join graph is
+// acyclic (Install rejects cycles), so the recursion terminates.
+func (e *Engine) markProbes() {
+	var backed func(table string) bool
+	backed = func(table string) bool {
+		if e.presence[table] != nil {
+			return true
+		}
+		for _, sub := range e.outJoins[table] {
+			for _, t := range sub.j.SourceTables() {
+				if backed(t) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, ij := range e.joins {
+		ij.probes = false
+		for _, t := range ij.j.SourceTables() {
+			if backed(t) {
+				ij.probes = true
+				break
+			}
+		}
+	}
 }
 
 // Install compiles bookkeeping for a parsed join and activates it. It
@@ -231,6 +280,7 @@ func (e *Engine) Install(j *join.Join) error {
 	ij := &installedJoin{j: j}
 	e.joins = append(e.joins, ij)
 	e.outJoins[j.Out.Table()] = append(e.outJoins[j.Out.Table()], ij)
+	e.markProbes()
 	return nil
 }
 
@@ -395,7 +445,7 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 			e.stats.ScannedKeys++
 			return limit == 0 || len(kvs) < limit
 		})
-		e.evictIfNeeded()
+		e.evictAfterRead(pending)
 		return kvs, pending
 	}
 
@@ -423,8 +473,18 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 		kvs = append(kvs, overlay[oi])
 		oi++
 	}
-	e.evictIfNeeded()
+	e.evictAfterRead(pending)
 	return kvs, pending
+}
+
+// evictAfterRead enforces the memory limit once a read has completed. A
+// read still waiting for loads installed nothing, and evicting on its
+// behalf could only take away ranges its retry is about to need — with
+// a limit below the read's working set, forever.
+func (e *Engine) evictAfterRead(pending int) {
+	if pending == 0 {
+		e.evictIfNeeded()
+	}
 }
 
 // Count returns the number of keys in [lo, hi) after join computation.
@@ -454,13 +514,16 @@ func (e *Engine) ensureRange(r keys.Range, overlay *[]KV) (pending int) {
 // rows are not stale rows), and pull joins recompute per read by
 // design.
 func (e *Engine) ensureRangeBounded(r keys.Range, overlay *[]KV, maxStale time.Duration) (pending int) {
+	e.wait = nil // a new read: a new restart context
+	var gaps []Load
 	for table, pt := range e.presence {
 		tr := keys.Range{Lo: table, Hi: keys.PrefixEnd(table + keys.SepString)}
 		rr := r.Intersect(tr)
 		if !rr.Empty() {
-			pending += e.ensurePresent(table, pt, rr)
+			pending += e.ensurePresent(table, pt, rr, &gaps)
 		}
 	}
+	e.startLoads(gaps)
 	for _, ij := range e.joins {
 		tr := ij.j.Out.TableRange()
 		rr := r.Intersect(tr)
@@ -510,10 +573,5 @@ func (e *Engine) StalenessDebt(now time.Time) (spans int, oldest time.Duration) 
 	}
 	return spans, oldest
 }
-
-// LoadGen returns a counter incremented whenever an asynchronous base-data
-// load completes; servers use it to wait for progress before retrying an
-// incomplete scan.
-func (e *Engine) LoadGen() int64 { return e.loadGen }
 
 func (e *Engine) now() time.Time { return e.opts.Clock() }

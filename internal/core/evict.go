@@ -72,36 +72,17 @@ func (e *Engine) lruTouch2(en *lruEntry, owner any) {
 // lruRemove unlinks a join status from the LRU.
 func (e *Engine) lruRemove(st *JoinStatus) { e.lru.remove(&st.lru) }
 
-// evictIfNeeded enforces the memory limit by evicting LRU ranges. Ranges
-// with loads in flight are skipped — but stay tracked: they are re-linked
-// at the front of the list (not silently dropped, which would let them
-// escape eviction forever once their loads land) and are not counted as
-// evictions. firstSkipped stops the sweep once every remaining range is
-// in flight, so the loop cannot spin moving the same entries to the
-// front.
+// evictIfNeeded enforces the memory limit by evicting LRU ranges. Every
+// tracked range is evictable: a join status exists only once computed,
+// and a presence range enters the list when its load lands.
 func (e *Engine) evictIfNeeded() {
 	if e.opts.MemLimit <= 0 {
 		return
 	}
-	var firstSkipped *lruEntry
 	for e.s.Bytes() > e.opts.MemLimit {
 		en := e.lru.back()
-		if en == nil || en == firstSkipped {
+		if en == nil {
 			return
-		}
-		inFlight := false
-		switch v := en.owner.(type) {
-		case *JoinStatus:
-			inFlight = v.pendingLoads > 0
-		case *presRange:
-			inFlight = v.loading
-		}
-		if inFlight {
-			e.lru.moveFront(en)
-			if firstSkipped == nil {
-				firstSkipped = en
-			}
-			continue
 		}
 		e.lru.remove(en)
 		e.stats.Evictions++

@@ -27,7 +27,13 @@ type exec struct {
 
 	installUpd bool // install updaters (push joins only, Fig 5)
 	skipIdx    int  // source to skip during log delta application (-1 none)
-	missing    int  // count of base-data loads started
+
+	// probe marks a discovery pass (see discover): nothing is emitted
+	// or installed; missing counts the in-flight loads the execution
+	// needs and gaps collects the ones to start.
+	probe   bool
+	missing int
+	gaps    *[]Load
 }
 
 // aggState folds one output group for count/sum/min/max.
@@ -69,27 +75,65 @@ func atoi(s string) int64 {
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
-// forwardExec materializes the join over gap, creating a join status
-// range, installing updaters as it goes (Fig 5), and emitting outputs
-// into the store. Returns the number of async loads started (the gap's
-// status stays invalid until they land and a retry recomputes it).
+// discover is the first half of every execution over loader-backed
+// sources (§3.3): it walks the nested loop the emitting pass will walk,
+// but only to make each source range readable — recursing into feeding
+// joins and collecting base gaps into *gaps — and emits nothing and
+// installs nothing. A source range with loads in flight cannot be
+// enumerated yet, so the walk stops there and the next round of
+// discovery (after those loads land) finds what lies below it. It
+// returns the number of in-flight loads the execution needs; zero means
+// everything is resident and the emitting pass runs to completion. The
+// invariant this buys: an execution that finds data missing leaves no
+// output row and no updater behind, so the restart has nothing to tear
+// down and the join's emitting pass runs exactly once per cold read.
+func (e *Engine) discover(ij *installedJoin, clip keys.Range, b pattern.Binding, skipIdx int, gaps *[]Load) (missing int) {
+	ex := &exec{e: e, ij: ij, clip: clip, skipIdx: skipIdx, probe: true, gaps: gaps}
+	ex.run(0, b, nil)
+	if ex.missing > 0 {
+		e.stats.Restarts++
+	}
+	return ex.missing
+}
+
+// probe is discover for one whole execution, starting its gaps' loads
+// as one batch. Joins with no loader-backed source skip it.
+func (e *Engine) probe(ij *installedJoin, clip keys.Range, b pattern.Binding, skipIdx int) (missing int) {
+	if !ij.probes {
+		return 0
+	}
+	var gaps []Load
+	missing = e.discover(ij, clip, b, skipIdx, &gaps)
+	e.startLoads(gaps)
+	return missing
+}
+
+// forwardExec materializes the join over gap: once everything it reads
+// is resident it creates a join status range, installs updaters as it
+// goes (Fig 5), and emits outputs into the store. While base data is
+// missing it only starts the loads and returns how many are in flight —
+// the restart context is the caller's LoadWait, nothing in the store.
 func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 	e.stats.JoinExecs++
 	b, clip := ij.j.Out.ScanBinding(gap)
-	st := &JoinStatus{ij: ij, r: gap, scanB: b}
+	if !clip.Empty() {
+		if pending = e.probe(ij, gap, b, -1); pending > 0 {
+			return pending
+		}
+	}
+	st := &JoinStatus{ij: ij, r: gap, scanB: b, valid: true}
 	n, _ := ij.status.Insert(gap.Lo, st)
 	n.Val = st
 	st.node = n
 	if ij.j.Maint == join.Snapshot {
 		st.expires = e.now().Add(ij.j.SnapshotT)
 	}
+	e.lruTouch(st)
 
 	if clip.Empty() {
 		// Nothing in this gap can match the output pattern (e.g. a scan
 		// over an interleaving literal the pattern doesn't produce); the
 		// range is trivially valid and stays empty.
-		st.valid = true
-		e.lruTouch(st)
 		return 0
 	}
 
@@ -106,15 +150,6 @@ func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 	}
 	ex.run(0, b, nil)
 	ex.flushAggs()
-
-	if ex.missing > 0 {
-		// Restart context (§3.3): fetches are in flight; the status
-		// remains invalid and the caller retries when loads complete.
-		st.pendingLoads = ex.missing
-		return ex.missing
-	}
-	st.valid = true
-	e.lruTouch(st)
 	return 0
 }
 
@@ -125,6 +160,9 @@ func (e *Engine) execPull(ij *installedJoin, rr keys.Range, overlay *[]KV) (pend
 	b, clip := ij.j.Out.ScanBinding(rr)
 	if clip.Empty() {
 		return 0
+	}
+	if pending = e.probe(ij, rr, b, -1); pending > 0 {
+		return pending
 	}
 	ex := &exec{e: e, ij: ij, clip: rr, overlay: overlay, skipIdx: -1}
 	if ij.j.IsAggregate() {
@@ -138,7 +176,7 @@ func (e *Engine) execPull(ij *installedJoin, rr keys.Range, overlay *[]KV) (pend
 	// group but not across groups; sort the fresh segment.
 	seg := (*overlay)[start:]
 	sort.Slice(seg, func(i, k int) bool { return seg[i].Key < seg[k].Key })
-	return ex.missing
+	return 0
 }
 
 // run is the nested-loop join (Fig 3): enumerate sources in user order,
@@ -162,10 +200,24 @@ func (ex *exec) run(idx int, b pattern.Binding, val *store.Value) {
 		return
 	}
 
-	// Resolve missing data before scanning (§3.3): the source range may
-	// be another join's output (recursive execution) or uncached base
-	// data (async fetch + restart context).
-	ex.missing += ex.e.ensureSource(src.Pat.Table(), cr)
+	switch {
+	case ex.probe:
+		// Resolve missing data (§3.3): the source range may be another
+		// join's output (recursive execution) or uncached base data
+		// (async fetch). Keys still on their way cannot be enumerated,
+		// and below the last source there is nothing left to discover.
+		if m := ex.e.ensureSource(src.Pat.Table(), cr, ex.gaps); m > 0 {
+			ex.missing += m
+			return
+		}
+		if !ex.sourcesAfter(idx) {
+			return
+		}
+	case !ex.ij.probes:
+		// No discovery pass ran (nothing upstream can be missing), so
+		// feeding joins are freshened here instead.
+		ex.e.ensureSourceJoins(src.Pat.Table(), cr, 0)
+	}
 
 	// Fig 5: add updater from the containing range to the join status,
 	// before enumerating.
@@ -205,9 +257,22 @@ func (ex *exec) run(idx int, b pattern.Binding, val *store.Value) {
 	})
 }
 
+// sourcesAfter reports whether the loop visits a source below idx.
+func (ex *exec) sourcesAfter(idx int) bool {
+	for i := idx + 1; i < len(ex.ij.j.Sources); i++ {
+		if i != ex.skipIdx {
+			return true
+		}
+	}
+	return false
+}
+
 // emit produces one output for the tuple bound by b. Aggregates fold into
 // groups; copies install (or overlay) the value.
 func (ex *exec) emit(b pattern.Binding, val *store.Value) {
+	if ex.probe {
+		return
+	}
 	j := ex.ij.j
 	outKey, ok := j.Out.BuildKey(b)
 	if !ok || !ex.clip.Contains(outKey) {
@@ -264,15 +329,16 @@ func (ex *exec) flushAggs() {
 }
 
 // ensureSource makes a source range readable: recursively computing any
-// joins that output into it, and starting async loads for loader-backed
-// base tables. Returns the number of loads started. Always fresh (zero
-// budget): it feeds forward executions and dirty recomputes, and newly
-// derived coverage is computed from current sources even on a bounded
-// read — the bounded win applies to already-materialized coverage.
-func (e *Engine) ensureSource(table string, cr keys.Range) (missing int) {
+// joins that output into it, and collecting the gaps of loader-backed
+// base tables into *gaps. Returns the number of loads in flight. Always
+// fresh (zero budget): it feeds forward executions and dirty
+// recomputes, and newly derived coverage is computed from current
+// sources even on a bounded read — the bounded win applies to
+// already-materialized coverage.
+func (e *Engine) ensureSource(table string, cr keys.Range, gaps *[]Load) (missing int) {
 	missing = e.ensureSourceJoins(table, cr, 0)
 	if pt := e.presence[table]; pt != nil {
-		missing += e.ensurePresent(table, pt, cr)
+		missing += e.ensurePresent(table, pt, cr, gaps)
 	}
 	return missing
 }
@@ -295,20 +361,34 @@ func (e *Engine) ensureSourceJoins(table string, cr keys.Range, maxStale time.Du
 	return missing
 }
 
-// applyLogs applies pending partial-invalidation entries to a valid
-// status (§3.2): each logged check-source modification is turned into
-// the minimal delta join. Entries whose shape the delta join cannot
+// applyLogs applies pending partial-invalidation entries to a status
+// (§3.2): each logged check-source modification is turned into the
+// minimal delta join. Discovery runs first over every entry, as one
+// batch of loads; if any delta needs base data that is not resident the
+// whole log stays pending, in order, and the status — still valid,
+// still readable under a staleness budget — retries it on the read
+// after the loads land. Entries whose shape the delta join cannot
 // handle (aggregates through check changes) fall back range-granularly:
 // only the output sub-interval the logged key can affect is marked
 // dirty — stamped at the write's landing time, so bounded reads age it
 // honestly — and the caller's dirty recompute re-derives it, leaving
 // the rest of the status's coverage warm.
-func (e *Engine) applyLogs(st *JoinStatus) {
+func (e *Engine) applyLogs(st *JoinStatus) (pending int) {
+	if st.ij.probes {
+		var gaps []Load
+		for _, le := range st.logs {
+			pending += e.discoverDelta(st, le, &gaps)
+		}
+		e.startLoads(gaps)
+		if pending > 0 {
+			return pending
+		}
+	}
 	logs := st.logs
 	st.logs = nil
 	for _, le := range logs {
 		e.stats.LogsApplied++
-		if e.applyCheckDelta(st, le.srcIdx, le.key, le.op, le.had) {
+		if e.applyCheckDelta(st, le) {
 			continue
 		}
 		src := st.ij.j.Sources[le.srcIdx]
@@ -316,23 +396,55 @@ func (e *Engine) applyLogs(st *JoinStatus) {
 			e.markDirty(st, outAffectedRange(st.ij.j, b2, st.r), le.at)
 		}
 	}
+	return 0
+}
+
+// deltaReads reports whether applying le runs a delta join over the
+// other sources — a fresh key on a non-aggregate join — and under which
+// binding. Every other shape only touches outputs already stored.
+func deltaReads(st *JoinStatus, le logEntry) (pattern.Binding, bool) {
+	j := st.ij.j
+	if le.op != OpPut || le.had || j.IsAggregate() {
+		return pattern.Binding{}, false
+	}
+	return j.Sources[le.srcIdx].Pat.Match(le.key, st.scanB)
+}
+
+// discoverDelta is the discovery pass of one logged modification's
+// delta join.
+func (e *Engine) discoverDelta(st *JoinStatus, le logEntry, gaps *[]Load) (missing int) {
+	bk, ok := deltaReads(st, le)
+	if !ok {
+		return 0
+	}
+	return e.discover(st.ij, st.r, bk, le.srcIdx, gaps)
+}
+
+// deltaBlocked runs the discovery of an eager check delta, starting the
+// loads it needs, and reports whether any are in flight.
+func (e *Engine) deltaBlocked(st *JoinStatus, le logEntry) bool {
+	bk, ok := deltaReads(st, le)
+	return ok && e.probe(st.ij, st.r, bk, le.srcIdx) > 0
 }
 
 // applyCheckDelta applies one check-source modification to a status:
 // the delta-join core shared by lazy log application and eager check
 // maintenance (§3.2 and the "more control over maintenance type" the
-// paper asks for). Returns false when the shape is unsupported (aggregate
-// joins through check changes) and the status must fully recompute.
-func (e *Engine) applyCheckDelta(st *JoinStatus, srcIdx int, key string, op ChangeOp, had bool) bool {
+// paper asks for). The caller has run its discovery: everything the
+// delta reads is resident. Returns false when the shape is unsupported
+// (aggregate joins through check changes) and the affected outputs must
+// recompute.
+func (e *Engine) applyCheckDelta(st *JoinStatus, le logEntry) bool {
 	j := st.ij.j
+	srcIdx := le.srcIdx
 	src := j.Sources[srcIdx]
-	bk, ok := src.Pat.Match(key, st.scanB)
+	bk, ok := src.Pat.Match(le.key, st.scanB)
 	if !ok {
 		return true // outside this status's slot context
 	}
-	switch op {
+	switch le.op {
 	case OpPut:
-		if had {
+		if le.had {
 			// Value update on a check source: key set unchanged, and
 			// check values are uninteresting — nothing to do.
 			return true
@@ -351,10 +463,6 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, srcIdx int, key string, op Chan
 			skipIdx:    srcIdx,
 		}
 		ex.run(0, bk, nil)
-		if ex.missing > 0 {
-			st.pendingLoads += ex.missing
-			st.valid = false
-		}
 	case OpRemove, OpEvict:
 		if j.IsAggregate() {
 			return false

@@ -91,10 +91,8 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePr
 	// side on the next read.
 	for idx, ij := range e.joins {
 		for _, st := range e.statusesOverlapping(ij, r) {
-			if st.valid {
-				if wr := st.r.Intersect(r); !wr.Empty() {
-					rs.Warm = append(rs.Warm, WarmRange{Join: idx, R: wr})
-				}
+			if wr := st.r.Intersect(r); !wr.Empty() {
+				rs.Warm = append(rs.Warm, WarmRange{Join: idx, R: wr})
 			}
 			e.stats.Invalidations++
 			e.detachStatus(st)
@@ -105,8 +103,9 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePr
 	// Loader-backed state: evict resident rows of presence tables inside
 	// r and clip the residency records. Records still loading are dropped
 	// whole (LoadComplete matches ranges exactly; a clipped record would
-	// never be marked resident) — their data lands unmarked and a retry
-	// refetches whatever the post-migration owner needs.
+	// never be marked resident) — the late result is discarded, and the
+	// reads parked on the load retry (re-routing if the range moved) and
+	// refetch whatever the post-migration owner needs.
 	for table, pt := range e.presence {
 		tr := keys.Range{Lo: table, Hi: keys.PrefixEnd(table + keys.SepString)}
 		rr := r.Intersect(tr)
@@ -131,8 +130,7 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePr
 			cut := pr.r.Intersect(rr)
 			rs.EvictedPresence = append(rs.EvictedPresence, PresenceRange{Table: table, R: cut})
 			if pr.loading {
-				pt.ranges.Delete(pr.node)
-				pr.node = nil
+				e.dropLoading(pt, pr)
 				continue
 			}
 			sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
@@ -156,10 +154,11 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePr
 				// Drop the evicted rows like memory-pressure eviction
 				// does (§2.5): OpEvict, dependents invalidated, replicas
 				// keep theirs.
-				e.evictRows(cut)
+				e.evictRows(cut, false)
 			}
 			// movePresence: leave the rows in place; the owned-row
 			// capture below moves them with the rest.
+			e.invalidateRangeDependents(table, cut)
 		}
 	}
 
@@ -210,10 +209,6 @@ func (e *Engine) SpliceRange(rs RangeState) {
 			e.ensure(ij, rr, 0)
 		}
 	}
-	// Spliced rows may satisfy readers blocked waiting for data; bump
-	// the load generation so they retry (and re-route if the wait began
-	// before the migration).
-	e.loadGen++
 	e.evictIfNeeded()
 }
 
@@ -236,7 +231,6 @@ func (e *Engine) RestoreRange(rs RangeState) {
 		restored++
 	}
 	if restored > 0 {
-		e.loadGen++
 		e.evictIfNeeded()
 	}
 }
@@ -285,8 +279,9 @@ func (e *Engine) DropRange(r keys.Range) {
 			if pr.loading {
 				// Abandon the in-flight load whole: LoadComplete matches
 				// ranges exactly, so the late result cannot re-mark it.
-				pt.ranges.Delete(pr.node)
-				pr.node = nil
+				// Reads parked on it retry (and re-route); their retry
+				// restarts the load against the new owner.
+				e.dropLoading(pt, pr)
 				continue
 			}
 			sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
@@ -306,12 +301,10 @@ func (e *Engine) DropRange(r keys.Range) {
 				np.node = n
 				e.lruTouch2(&np.lru, np)
 			}
+			e.invalidateRangeDependents(table, cut)
 		}
 	}
-	e.evictRows(r)
-	// Readers blocked on the abandoned loads must retry (and re-route);
-	// their retry restarts the load against the new owner.
-	e.loadGen++
+	e.evictRows(r, true)
 }
 
 // statusesOverlapping collects ij's join statuses overlapping r, in
@@ -336,8 +329,10 @@ func (e *Engine) statusesOverlapping(ij *installedJoin, r keys.Range) []*JoinSta
 
 // evictRows removes every stored row in r with eviction semantics:
 // OpEvict notification (ignored by replication and subscription
-// forwarding) and dependent invalidation.
-func (e *Engine) evictRows(r keys.Range) {
+// forwarding) and, with perRow, dependent invalidation key by key. A
+// caller retiring a whole presence range passes false: its
+// invalidateRangeDependents covers every row's dependents at once.
+func (e *Engine) evictRows(r keys.Range, perRow bool) {
 	var doomed []string
 	e.s.Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
 		doomed = append(doomed, k)
@@ -349,7 +344,9 @@ func (e *Engine) evictRows(r keys.Range) {
 			continue
 		}
 		e.notify(Change{Op: OpEvict, Key: k, Value: old.String()})
-		e.invalidateDependents(k)
+		if perRow {
+			e.invalidateDependents(k)
+		}
 	}
 }
 

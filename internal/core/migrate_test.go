@@ -108,7 +108,7 @@ func TestExtractClipsPresence(t *testing.T) {
 	if len(ld.loads) != 1 {
 		t.Fatalf("loads = %v", ld.loads)
 	}
-	e.LoadComplete("x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
+	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
 
 	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "x|p"}, keepNone, false)
 	if len(rs.KVs) != 0 {
@@ -136,11 +136,19 @@ func TestExtractClipsPresence(t *testing.T) {
 	}
 }
 
-// recordingLoader records StartLoad calls without completing them.
+// land resolves one load the way a loader does: its rows, then its mark.
+func land(e *Engine, table string, r keys.Range, kvs []KV) {
+	e.LoadRows(kvs)
+	e.LoadComplete(table, r)
+}
+
+// recordingLoader records started loads without completing them.
 type recordingLoader struct{ loads []keys.Range }
 
-func (l *recordingLoader) StartLoad(table string, r keys.Range) {
-	l.loads = append(l.loads, r)
+func (l *recordingLoader) StartLoads(loads []Load) {
+	for _, ld := range loads {
+		l.loads = append(l.loads, ld.R)
+	}
 }
 
 // TestExtractMovePresence: under movePresence (cluster migration — the
@@ -152,7 +160,7 @@ func TestExtractMovePresence(t *testing.T) {
 	ld := &recordingLoader{}
 	e.SetLoader(ld, "x")
 	e.Scan("x|a", "x|z", 0)
-	e.LoadComplete("x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
+	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
 	e.Put("y|m", "owned") // a plain owned row in the same range
 
 	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "y}"}, keepNone, true)
@@ -234,77 +242,55 @@ func TestDropRangeAbandonsLoads(t *testing.T) {
 	if len(ld.loads) != 1 {
 		t.Fatalf("loads = %v", ld.loads)
 	}
-	gen := e.LoadGen()
+	w := e.LoadWait()
 	e.DropRange(keys.Range{Lo: "x|g", Hi: "x|p"})
-	if e.LoadGen() == gen {
-		t.Fatal("drop did not advance the load generation")
+	if !resolved(w) {
+		t.Fatal("drop did not release the read parked on the abandoned load")
 	}
-	// The late result of the abandoned load: applied rows are fine (the
-	// range will be refetched) but nothing may be marked resident.
-	e.LoadComplete("x", ld.loads[0], nil)
+	// The late result of the abandoned load is discarded whole: nothing
+	// marked resident, no row planted outside a presence record.
+	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}})
+	if _, ok := e.Store().Get("x|b"); ok {
+		t.Fatal("abandoned load's row landed outside any presence record")
+	}
 	ld.loads = nil
 	if _, pending := e.Scan("x|a", "x|z", 0); pending == 0 || len(ld.loads) == 0 {
 		t.Fatalf("abandoned load left the range marked resident (loads=%v)", ld.loads)
 	}
 }
 
+// resolved reports whether a restart context's loads have all resolved.
+func resolved(w *LoadWait) bool {
+	select {
+	case <-w.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 // TestLoadFailed: a failed load drops its loading record (no false
-// residency) and advances the generation so waiters retry.
+// residency) and releases the reads parked on it so they retry.
 func TestLoadFailed(t *testing.T) {
 	e := New(Options{})
 	ld := &recordingLoader{}
 	e.SetLoader(ld, "x")
 	e.Scan("x|a", "x|z", 0)
-	gen := e.LoadGen()
+	w := e.LoadWait()
+	if resolved(w) {
+		t.Fatal("restart context resolved with its load in flight")
+	}
 	e.LoadFailed("x", ld.loads[0])
-	if e.LoadGen() == gen {
-		t.Fatal("LoadFailed did not advance the load generation")
+	if !resolved(w) {
+		t.Fatal("LoadFailed did not release the parked read")
 	}
 	ld.loads = nil
 	if _, pending := e.Scan("x|a", "x|z", 0); pending != 1 || len(ld.loads) != 1 {
 		t.Fatalf("failed load did not restart: pending=%d loads=%v", 1, ld.loads)
 	}
 	// Completing the restarted load works normally.
-	e.LoadComplete("x", ld.loads[0], []KV{{"x|m", "1"}})
+	land(e, "x", ld.loads[0], []KV{{"x|m", "1"}})
 	if kvs, pending := e.Scan("x|a", "x|z", 0); pending != 0 || len(kvs) != 1 {
 		t.Fatalf("restarted load did not land: pending=%d kvs=%v", pending, kvs)
-	}
-}
-
-// TestEvictSkipsInFlightRanges is the regression test for the eviction
-// sweep: a range with loads in flight must be skipped without escaping
-// the LRU (re-linked, still tracked by LRULen) and without being counted
-// as an eviction — and a sweep where every range is in flight must
-// terminate.
-func TestEvictSkipsInFlightRanges(t *testing.T) {
-	e := newTwipEngine(t, Options{})
-	e.Put("s|ann|bob", "1")
-	e.Put("p|bob|100", "Hi")
-	scanKeys(t, e, "t|ann|", "t|ann}")
-	if e.LRULen() != 1 {
-		t.Fatalf("LRULen = %d", e.LRULen())
-	}
-	e.opts.MemLimit = 1 // from here on any byte is over the limit
-	st := e.joins[0].status.First().Val
-	st.pendingLoads = 1 // loads in flight: unevictable for now
-
-	before := e.Stats().Evictions
-	e.evictIfNeeded()
-	if e.LRULen() != 1 {
-		t.Fatalf("in-flight range escaped the LRU: LRULen = %d", e.LRULen())
-	}
-	if got := e.Stats().Evictions; got != before {
-		t.Fatalf("skipped range counted as %d evictions", got-before)
-	}
-
-	// Once the loads land the same range must evict normally.
-	st.pendingLoads = 0
-	e.evictIfNeeded()
-	if e.LRULen() != 0 || e.Stats().Evictions != before+1 {
-		t.Fatalf("range did not evict after loads landed: LRULen=%d evictions=%d",
-			e.LRULen(), e.Stats().Evictions-before)
-	}
-	if _, ok := e.Store().Get("t|ann|100|bob"); ok {
-		t.Fatal("evicted output still stored")
 	}
 }

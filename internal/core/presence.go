@@ -21,17 +21,80 @@ type presRange struct {
 	table   string
 	r       keys.Range
 	loading bool
+	// waiters lists the reads parked until this load resolves — lands,
+	// fails, or is abandoned by a migration. Empty once resident.
+	waiters []*LoadWait
 	node    *rbtree.Node[*presRange]
 	lru     lruEntry
 }
 
-// ensurePresent checks residency of cr and starts asynchronous loads for
-// the gaps. It returns the number of ranges still in flight (both newly
-// started and previously outstanding) — the query's restart contexts.
-func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range) (pending int) {
+// LoadWait is a read's restart context (§3.3): the read found base data
+// missing, installed nothing, and retries when every load it is waiting
+// for has resolved. Each in-flight range counts the wait down once, so
+// a read blocked on k parallel loads wakes when the last one lands, not
+// k times. The engine mutates it under the caller's serialization; only
+// Done may be used outside it.
+type LoadWait struct {
+	n    int           // loads still outstanding
+	done chan struct{} // closed when n reaches zero
+}
+
+// Done is closed once every load the read waits for has resolved.
+func (w *LoadWait) Done() <-chan struct{} { return w.done }
+
+// LoadWait detaches and returns the restart context of the read that
+// just reported pending loads (nil if it reported none).
+func (e *Engine) LoadWait() *LoadWait {
+	w := e.wait
+	e.wait = nil
+	return w
+}
+
+// await parks the read in progress on pr's load.
+func (e *Engine) await(pr *presRange) {
+	if e.wait == nil || e.wait.n == 0 {
+		// None yet, or one whose loads all resolved already (a loader
+		// completing inline, or a context nobody collected).
+		e.wait = &LoadWait{done: make(chan struct{})}
+	}
+	for _, w := range pr.waiters {
+		if w == e.wait {
+			return // one read meets the same load in its discovery and in cascades
+		}
+	}
+	pr.waiters = append(pr.waiters, e.wait)
+	e.wait.n++
+}
+
+// release counts pr's resolved load down on every read parked on it:
+// work proportional to the waiters of this one range, whatever else the
+// engine has materialized.
+func (e *Engine) release(pr *presRange) {
+	for _, w := range pr.waiters {
+		if w.n--; w.n == 0 {
+			close(w.done)
+		}
+	}
+	pr.waiters = nil
+}
+
+// dropLoading abandons pr's in-flight load: the record goes (the late
+// result's rows are dropped and its LoadComplete matches nothing) and
+// parked reads retry, restarting the load if they still need it.
+func (e *Engine) dropLoading(pt *presenceTable, pr *presRange) {
+	pt.ranges.Delete(pr.node)
+	pr.node = nil
+	e.release(pr)
+}
+
+// ensurePresent checks residency of cr, appending the gaps to *gaps for
+// the caller to start in one batch (startLoads). It returns the number
+// of ranges still in flight (both the new gaps and loads already
+// outstanding) and parks the read in progress on each.
+func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range, gaps *[]Load) (pending int) {
 	// Walk overlapping presence records, accumulating gaps.
 	var overlapping []*presRange
-	start := pt.ranges.SeekBefore(cr.Lo + "\x00")
+	start := pt.ranges.SeekAtOrBefore(cr.Lo)
 	if start == nil {
 		start = pt.ranges.Seek(cr.Lo)
 	}
@@ -45,7 +108,7 @@ func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range) (
 		}
 	}
 	cursor := cr.Lo
-	startLoad := func(gap keys.Range) {
+	addGap := func(gap keys.Range) {
 		if gap.Empty() {
 			return
 		}
@@ -55,14 +118,16 @@ func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range) (
 		pr.node = n
 		e.stats.LoadsStarted++
 		pending++
-		e.loader.StartLoad(table, gap)
+		e.await(pr)
+		*gaps = append(*gaps, Load{Table: table, R: gap})
 	}
 	for _, pr := range overlapping {
 		if pr.r.Lo > cursor {
-			startLoad(keys.Range{Lo: cursor, Hi: pr.r.Lo}.Intersect(cr))
+			addGap(keys.Range{Lo: cursor, Hi: pr.r.Lo}.Intersect(cr))
 		}
 		if pr.loading {
 			pending++
+			e.await(pr)
 		} else {
 			e.lruTouch2(&pr.lru, pr)
 		}
@@ -74,61 +139,87 @@ func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range) (
 		}
 	}
 	if cursor != "" && (cr.Hi == "" || cursor < cr.Hi) {
-		startLoad(keys.Range{Lo: cursor, Hi: cr.Hi})
+		addGap(keys.Range{Lo: cursor, Hi: cr.Hi})
 	}
 	return pending
 }
 
-// LoadComplete delivers the result of a BaseLoader.StartLoad: the fetched
-// pairs are installed (running maintenance like any other base write) and
-// the range is marked resident. Must be called from the engine's driving
-// goroutine. Queries whose restart contexts reference this range succeed
-// on their next execution (§3.3: "the restarted query behaves as if
-// executed from scratch", and completed parts are simply re-used because
-// their join status ranges remained valid).
-func (e *Engine) LoadComplete(table string, r keys.Range, kvs []KV) {
-	pt := e.presence[table]
-	if pt == nil {
+// startLoads hands one execution's gaps to the loader in a single call.
+func (e *Engine) startLoads(gaps []Load) {
+	if len(gaps) == 0 {
 		return
 	}
-	for _, kv := range kvs {
-		e.applyValue(kv.Key, store.NewValue(kv.Value), nil)
-	}
-	if n := pt.ranges.Find(r.Lo); n != nil && n.Val.r == r {
-		pr := n.Val
-		pr.loading = false
-		e.lruTouch2(&pr.lru, pr)
-	}
-	// Any join status waiting on this load stays invalid; clear its
-	// pending counter so the retry recomputes it.
-	for _, ij := range e.joins {
-		for sn := ij.status.First(); sn != nil; sn = sn.Next() {
-			if sn.Val.pendingLoads > 0 {
-				sn.Val.pendingLoads = 0
-				sn.Val.valid = false
-			}
-		}
-	}
-	e.loadGen++
+	e.stats.LoadBatches++
+	e.loader.StartLoads(gaps)
 }
 
-// LoadFailed abandons a StartLoad that could not be satisfied (the
-// remote owner refused — e.g. the range migrated away mid-fetch — or the
-// transport died): the loading record is dropped so nothing is falsely
-// marked resident, and the load generation advances so blocked readers
-// retry, which restarts the load — by then against a refreshed owner
-// map. Must be called from the engine's driving goroutine, like
-// LoadComplete.
-func (e *Engine) LoadFailed(table string, r keys.Range) {
+// loadingRecord returns the in-flight presence record a loader's result
+// names, or nil when the load was abandoned meanwhile.
+func (e *Engine) loadingRecord(table string, r keys.Range) (*presenceTable, *presRange) {
 	pt := e.presence[table]
 	if pt == nil {
-		return
+		return nil, nil
 	}
 	if n := pt.ranges.Find(r.Lo); n != nil && n.Val.r == r && n.Val.loading {
-		pt.ranges.Delete(n)
-		n.Val.node = nil
+		return pt, n.Val
 	}
-	e.loadGen++
+	return nil, nil
+}
+
+// LoadRows installs the rows a loader fetched (running maintenance like
+// any other base write), ahead of the LoadComplete calls that mark
+// their ranges resident — how a load, or a batch of them, lands: all
+// the rows, then the marks. Rows whose load was abandoned meanwhile
+// (migration, failure) lie outside every presence record and are
+// dropped: there they would be unevictable and cut off from the
+// subscription that keeps them fresh.
+func (e *Engine) LoadRows(kvs []KV) {
+	for _, kv := range kvs {
+		if e.Tracks(kv.Key) {
+			e.applyValue(kv.Key, store.NewValue(kv.Value), nil)
+		}
+	}
+}
+
+// LoadComplete marks a load the loader was handed by StartLoads, and
+// whose rows LoadRows has installed, resident, and counts down the reads
+// parked on it. A restarted read then behaves as if executed from
+// scratch (§3.3) — and since it installed nothing while data was
+// missing, it executes its join exactly once. A load abandoned
+// meanwhile has no record left to mark.
+func (e *Engine) LoadComplete(table string, r keys.Range) {
+	if _, pr := e.loadingRecord(table, r); pr != nil {
+		pr.loading = false
+		e.lruTouch2(&pr.lru, pr)
+		e.release(pr)
+	}
+}
+
+// LoadFailed abandons a load that could not be satisfied (the remote
+// owner refused — e.g. the range migrated away mid-fetch — or the
+// transport died): the loading record is dropped so nothing is falsely
+// marked resident, and parked reads retry, which restarts the load — by
+// then against a refreshed owner map.
+func (e *Engine) LoadFailed(table string, r keys.Range) {
+	if pt, pr := e.loadingRecord(table, r); pr != nil {
+		e.stats.LoadsFailed++
+		e.dropLoading(pt, pr)
+	}
+}
+
+// Tracks reports whether a replicated change to key has somewhere to
+// land: its table is not loader-backed, or key lies inside a presence
+// record (resident, or loading — the snapshot in flight is older than
+// the change). A subscription push for a range this engine has evicted
+// must be dropped instead of applied; the row would be untracked by the
+// LRU and go stale once the subscription lapses.
+func (e *Engine) Tracks(key string) bool {
+	pt := e.presence[keys.Table(key)]
+	if pt == nil {
+		return true
+	}
+	n := pt.ranges.SeekAtOrBefore(key)
+	return n != nil && n.Val.r.Contains(key)
 }
 
 // evictPresence drops a resident base range under memory pressure: its
@@ -141,17 +232,6 @@ func (e *Engine) evictPresence(pr *presRange) {
 	}
 	pt.ranges.Delete(pr.node)
 	pr.node = nil
-	var doomed []string
-	e.s.Scan(pr.r.Lo, pr.r.Hi, func(k string, v *store.Value) bool {
-		doomed = append(doomed, k)
-		return true
-	})
-	for _, k := range doomed {
-		old, ok := e.s.Remove(k)
-		if !ok {
-			continue
-		}
-		e.notify(Change{Op: OpEvict, Key: k, Value: old.String()})
-		e.invalidateDependents(k)
-	}
+	e.evictRows(pr.r, false)
+	e.invalidateRangeDependents(pr.table, pr.r)
 }

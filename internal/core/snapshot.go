@@ -27,9 +27,7 @@ func (e *Engine) SnapshotWalk(skip func(table string) bool, emitKV func(k, v str
 	})
 	for idx, ij := range e.joins {
 		for n := ij.status.First(); n != nil; n = n.Next() {
-			if st := n.Val; st.valid {
-				emitWarm(WarmRange{Join: idx, R: st.r})
-			}
+			emitWarm(WarmRange{Join: idx, R: n.Val.r})
 		}
 	}
 }
@@ -41,7 +39,6 @@ func (e *Engine) SnapshotWalk(skip func(table string) bool, emitKV func(k, v str
 // set diverged from the snapshot's) are skipped — they recompute on
 // demand, which is only a cold start, never a correctness problem.
 func (e *Engine) RebuildWarm(ws []WarmRange) {
-	n := 0
 	for _, w := range ws {
 		if w.Join < 0 || w.Join >= len(e.joins) {
 			continue
@@ -49,10 +46,6 @@ func (e *Engine) RebuildWarm(ws []WarmRange) {
 		ij := e.joins[w.Join]
 		if rr := w.R.Intersect(ij.j.Out.TableRange()); !rr.Empty() {
 			e.ensure(ij, rr, 0)
-			n++
 		}
-	}
-	if n > 0 {
-		e.loadGen++
 	}
 }

@@ -19,6 +19,10 @@ type JoinStatus struct {
 	ij *installedJoin
 	r  keys.Range
 
+	// valid holds from creation — a status exists only once its whole
+	// range has been computed (§3.3 restarts install nothing) — until
+	// the status is detached; updater contexts and dirty marks that
+	// still reach a detached status are ignored.
 	valid   bool
 	expires time.Time // snapshot joins: recompute after this instant
 
@@ -47,10 +51,6 @@ type JoinStatus struct {
 	// invalidation can uninstall them.
 	updaters []*Updater
 
-	// pendingLoads counts outstanding base-data fetches whose restart
-	// contexts point here (§3.3).
-	pendingLoads int
-
 	node *rbtree.Node[*JoinStatus]
 	lru  lruEntry
 }
@@ -62,6 +62,16 @@ type logEntry struct {
 	op     ChangeOp
 	had    bool      // key existed before the change (update vs insert)
 	at     time.Time // when the modification landed (staleness bookkeeping)
+}
+
+// logged reports whether an entry of source srcIdx is pending.
+func (st *JoinStatus) logged(srcIdx int) bool {
+	for i := range st.logs {
+		if st.logs[i].srcIdx == srcIdx {
+			return true
+		}
+	}
+	return false
 }
 
 // dirtySpan is one stale sub-interval of a join status range.
@@ -81,7 +91,7 @@ const maxDirtySpans = 32
 func (e *Engine) markDirty(st *JoinStatus, r keys.Range, at time.Time) {
 	r = r.Intersect(st.r)
 	if r.Empty() || !st.valid {
-		return // invalid statuses recompute wholesale anyway
+		return // detached: its outputs are gone already
 	}
 	e.stats.PartialInvalidations++
 	out := st.dirty[:0]
@@ -127,9 +137,11 @@ func spanUnion(a, b keys.Range) keys.Range {
 // the read skip applying logs and recomputing dirty spans whose oldest
 // unapplied write is younger than the budget — the materialized rows
 // are served as they stand, stale by at most maxStale. Coverage gaps
-// and invalid ranges always compute fresh regardless of budget: a
-// bounded read may serve old state, never fabricate or lose rows. It
-// returns outstanding load count.
+// always compute fresh regardless of budget: a bounded read may serve
+// old state, never fabricate or lose rows. It returns the number of
+// base-data loads in flight that kept parts of rr from being brought up
+// to date; those parts are unchanged (gaps stay gaps, logs and dirty
+// spans stay pending) and the caller retries once the loads resolve.
 func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration) (pending int) {
 	// Pass 0: freshen cascaded sources. A valid status here may have been
 	// computed from another join's output whose own maintenance was
@@ -173,19 +185,8 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 	now := e.now()
 	var live []*JoinStatus
 	for _, st := range overlapping {
-		if st.valid && ij.j.Maint == join.Snapshot && !st.expires.IsZero() && now.After(st.expires) {
+		if ij.j.Maint == join.Snapshot && !st.expires.IsZero() && now.After(st.expires) {
 			e.invalidateStatus(st) // snapshot expired
-			continue
-		}
-		if !st.valid && st.pendingLoads > 0 {
-			// Restart context: data is still on the way; keep the status
-			// so the retry recomputes it, report pending.
-			pending += st.pendingLoads
-			live = append(live, st) // occupies its range; not recomputed yet
-			continue
-		}
-		if !st.valid {
-			e.invalidateStatus(st)
 			continue
 		}
 		if len(st.logs) > 0 {
@@ -195,7 +196,7 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 				// leave the log for a fresh (or over-budget) read.
 				e.stats.BoundedStaleServes++
 			} else {
-				e.applyLogs(st)
+				pending += e.applyLogs(st)
 			}
 		}
 		if len(st.dirty) > 0 {
@@ -264,7 +265,9 @@ func (e *Engine) detachStatus(st *JoinStatus) {
 // over-budget span has its outputs removed and re-derived in place — the
 // rest of the status's coverage stays untouched and warm. Spans within a
 // positive maxStale budget are served as they stand and stay dirty for
-// the next fresh read. Returns loads started.
+// the next fresh read. A span whose recompute needs base data that is
+// not resident stays dirty, outputs untouched, and is retried by the
+// read after the loads land. Returns loads in flight.
 func (e *Engine) recomputeDirty(st *JoinStatus, rr keys.Range, maxStale time.Duration, now time.Time) (pending int) {
 	var redo []dirtySpan
 	kept := st.dirty[:0]
@@ -283,7 +286,10 @@ func (e *Engine) recomputeDirty(st *JoinStatus, rr keys.Range, maxStale time.Dur
 	}
 	st.dirty = kept
 	for _, d := range redo {
-		pending += e.recomputeSpan(st, d.r)
+		if n := e.recomputeSpan(st, d.r); n > 0 {
+			pending += n
+			st.dirty = append(st.dirty, d)
+		}
 	}
 	return pending
 }
@@ -291,16 +297,23 @@ func (e *Engine) recomputeDirty(st *JoinStatus, rr keys.Range, maxStale time.Dur
 // recomputeSpan re-derives st's outputs inside r: the dirty-interval
 // twin of forwardExec, executing into the *existing* status so its
 // scanB-compressed updater contexts stay correct (installUpdater
-// deduplicates re-installations). Missing base data leaves the status
-// invalid with pending loads, exactly like a fresh forward execution.
+// deduplicates re-installations). Like forwardExec it discovers first:
+// with base data missing it touches nothing and returns the loads in
+// flight.
 func (e *Engine) recomputeSpan(st *JoinStatus, r keys.Range) (pending int) {
 	e.stats.DirtyRecomputes++
 	r = r.Intersect(st.r)
 	if r.Empty() {
 		return 0
 	}
-	e.removeOutputs(st.ij, r)
 	b, clip := st.ij.j.Out.ScanBinding(r)
+	if !clip.Empty() {
+		if pending = e.probe(st.ij, r, b, -1); pending > 0 {
+			return pending
+		}
+	}
+	e.removeOutputs(st.ij, r)
+	e.dropContextsWithin(st, r)
 	if clip.Empty() {
 		return 0 // nothing in the span can match the output pattern
 	}
@@ -317,12 +330,38 @@ func (e *Engine) recomputeSpan(st *JoinStatus, r keys.Range) (pending int) {
 	}
 	ex.run(0, b, nil)
 	ex.flushAggs()
-	if ex.missing > 0 {
-		st.pendingLoads += ex.missing
-		st.valid = false // the retry recomputes the whole range
-		return ex.missing
-	}
 	return 0
+}
+
+// dropContextsWithin uninstalls st's updater contexts that feed only
+// outputs inside r, ahead of re-deriving r: the execution re-installs
+// the ones that still hold. A span that went dirty because a source
+// range stopped being resident may have missed check-source removals
+// while it was away, and a context surviving from before them would
+// keep resurrecting their outputs.
+func (e *Engine) dropContextsWithin(st *JoinStatus, r keys.Range) {
+	j := st.ij.j
+	kept := st.updaters[:0]
+	for _, u := range st.updaters {
+		mine := 0
+		u.removeContextsMatching(st, func(c *updCtx) bool {
+			if r.ContainsRange(outAffectedRange(j, mergeBinding(st.scanB, c.extra), st.r)) {
+				return true
+			}
+			mine++
+			return false
+		})
+		if mine > 0 {
+			kept = append(kept, u)
+		}
+		if len(u.contexts) == 0 {
+			e.dropUpdater(u)
+		}
+	}
+	for i := len(kept); i < len(st.updaters); i++ {
+		st.updaters[i] = nil
+	}
+	st.updaters = kept
 }
 
 // removeOutputs deletes stored outputs of ij within r (only keys matching
@@ -384,7 +423,7 @@ func (e *Engine) invalidateDependents(key string) {
 		c := &hit[i]
 		js := c.js
 		if !js.valid {
-			continue // recomputes wholesale anyway
+			continue // detached while this loop ran
 		}
 		src := js.ij.j.Sources[c.srcIdx]
 		b2, ok := src.Pat.Match(key, mergeBinding(js.scanB, c.extra))
@@ -392,6 +431,31 @@ func (e *Engine) invalidateDependents(key string) {
 			continue
 		}
 		e.markDirty(js, outAffectedRange(js.ij.j, b2, js.r), now)
+	}
+}
+
+// invalidateRangeDependents is invalidateDependents for a whole range of
+// a loader-backed table that stops being resident: every status with an
+// updater over part of r goes dirty across the outputs that updater's
+// context feeds, whether or not r held any rows. Losing the range loses
+// the subscription that kept it fresh, so a key inserted there later
+// would never reach the status; the recompute of the dirty span is what
+// reloads — and re-subscribes — the whole source range it reads.
+func (e *Engine) invalidateRangeDependents(table string, r keys.Range) {
+	ut := e.updaters[table]
+	if ut == nil {
+		return
+	}
+	var hit []updCtx
+	ut.Overlap(r.Lo, r.Hi, func(en *interval.Entry[*Updater]) bool {
+		hit = append(hit, en.Val.contexts...)
+		return true
+	})
+	now := e.now()
+	for i := range hit {
+		if js := hit[i].js; js.valid {
+			e.markDirty(js, outAffectedRange(js.ij.j, mergeBinding(js.scanB, hit[i].extra), js.r), now)
+		}
 	}
 }
 

@@ -117,7 +117,9 @@ func (e *Engine) dropUpdater(u *Updater) {
 		e.updaterTree(u.table).Delete(u.entry)
 		u.entry = nil
 	}
-	delete(e.updIndex, u.indexKey)
+	if e.updIndex[u.indexKey] == u { // a status may still list an updater dropped earlier
+		delete(e.updIndex, u.indexKey)
+	}
 }
 
 // fireUpdaters runs incremental maintenance for a modification of key:
@@ -151,38 +153,34 @@ func (e *Engine) fireUpdaters(key string, old, new *store.Value) {
 func (e *Engine) fireContext(c *updCtx, key string, old, new *store.Value) {
 	js := c.js
 	if !js.valid {
-		// Invalid ranges recompute wholesale on next access; per-key
-		// maintenance would be wasted (and logs would be superseded).
-		return
+		return // detached while the firing loop ran; its outputs are gone
 	}
 	e.stats.UpdaterFires++
-	if c.lazy {
-		// Lazy maintenance for check sources: log a partial invalidation
-		// to be applied on the next read (§3.2). The stamp lets bounded
-		// reads age the unapplied entry against their budget.
-		op := OpPut
-		if new == nil {
-			op = OpRemove
-		}
-		js.logs = append(js.logs, logEntry{srcIdx: c.srcIdx, key: key, op: op, had: old != nil, at: e.now()})
-		return
-	}
-
 	j := js.ij.j
 	src := j.Sources[c.srcIdx]
-	if c.srcIdx != j.ValueSource {
-		// Eager maintenance of a check source: apply the delta join
-		// immediately instead of logging it (per-source eager mode).
+	if c.lazy || c.srcIdx != j.ValueSource {
 		op := OpPut
 		if new == nil {
 			op = OpRemove
 		}
-		if !e.applyCheckDelta(js, c.srcIdx, key, op, old != nil) {
+		le := logEntry{srcIdx: c.srcIdx, key: key, op: op, had: old != nil, at: e.now()}
+		// Lazy maintenance for check sources: log a partial invalidation
+		// to be applied on the next read (§3.2). The stamp lets bounded
+		// reads age the unapplied entry against their budget. An eager
+		// check source (per-source eager mode) applies the delta join
+		// now — unless the delta needs base data that is not resident,
+		// or an earlier entry of this source is still waiting for some:
+		// then it joins the log, in order, and the next read retries it.
+		if c.lazy || js.logged(c.srcIdx) || e.deltaBlocked(js, le) {
+			js.logs = append(js.logs, le)
+			return
+		}
+		if !e.applyCheckDelta(js, le) {
 			// Unsupported shape (aggregates through check deltas):
 			// range-granular fallback — only the output sub-interval the
 			// key can affect goes dirty, not the whole status.
 			if b2, ok := src.Pat.Match(key, js.scanB); ok {
-				e.markDirty(js, outAffectedRange(j, b2, js.r), e.now())
+				e.markDirty(js, outAffectedRange(j, b2, js.r), le.at)
 			}
 		}
 		return

@@ -2,10 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"pequod/internal/core"
+	"pequod/internal/server"
 )
 
 // TestDualCheckOracleRules pins the pairwise verdicts of the dual-read
@@ -129,4 +131,77 @@ func TestFreshnessOracleDualReads(t *testing.T) {
 	}
 	t.Logf("oracle: %d dual reads, %d rows verified, lag p99 %dµs",
 		rep.Checker.DualChecks, rep.Checker.RowsVerified, rep.Checker.LagP99us)
+}
+
+// TestFreshnessOracleUnderEviction is the dual-read oracle over timeline
+// members short of memory (connect mode, so the test owns the servers
+// and can set their limits): base ranges and timelines are evicted and
+// reloaded under the stream, reads restart on missing data and apply
+// subscription deltas they had to wait for, and a bound moves
+// mid-stream. The bounded side may still never trail the fresh side by
+// more than its budget, and neither may lose or fabricate a row.
+func TestFreshnessOracleUnderEviction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second cluster scenario")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	const users = 50_000
+	servers := make([]*server.Server, 3)
+	addrs := make([]string, len(servers))
+	for i := range servers {
+		cfg := server.Config{Name: fmt.Sprintf("ev%d", i)}
+		if i > 0 { // member 0 homes p| and s|: that is the data, not a cache
+			cfg.Engine = core.Options{MemLimit: 192 << 10}
+		}
+		s, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if addrs[i], err = s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = s
+	}
+	phaseDur := 500 * time.Millisecond
+	rep, err := Run(ctx, Config{
+		Users:       users,
+		ActiveUsers: 800,
+		Follows:     8,
+		TrackEvery:  4,
+		Rate:        350,
+		Seed:        12,
+		Workers:     8,
+		Budget:      10 * time.Second,
+		ReadStale:   25 * time.Millisecond,
+		DualRead:    true,
+		Phases: []Phase{
+			{Name: "steady", Duration: phaseDur},
+			{Name: "rebalance", Duration: phaseDur, Event: EventRebalance},
+			{Name: "settle", Duration: phaseDur},
+		},
+		Addrs:  addrs,
+		Bounds: boundsFor(len(addrs), users),
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checker.Violations != 0 {
+		t.Fatalf("oracle violations (%d): %v", rep.Checker.Violations, rep.Checker.Samples)
+	}
+	if rep.Checker.DualChecks == 0 || rep.Checker.RowsVerified == 0 {
+		t.Fatalf("oracle audited nothing: %+v", rep.Checker)
+	}
+	var st core.Stats
+	for _, s := range servers[1:] {
+		st.Add(s.Pool().Stats())
+	}
+	if st.Evictions == 0 || st.Restarts == 0 {
+		t.Fatalf("the limit forced %d evictions and %d restarts; the variant must exercise both", st.Evictions, st.Restarts)
+	}
+	t.Logf("oracle: %d dual reads, %d rows verified; %d evictions, %d restarts, %d loads in %d batches",
+		rep.Checker.DualChecks, rep.Checker.RowsVerified, st.Evictions, st.Restarts, st.LoadsStarted, st.LoadBatches)
 }

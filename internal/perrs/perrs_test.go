@@ -16,7 +16,7 @@ import (
 
 	"pequod/internal/client"
 	"pequod/internal/cluster"
-	"pequod/internal/keys"
+	"pequod/internal/core"
 	"pequod/internal/perrs"
 	"pequod/internal/rpc"
 	"pequod/internal/server"
@@ -150,7 +150,7 @@ func TestConflictWrapChain(t *testing.T) {
 // to hold a pool's read on its pending-load wait.
 type stubLoader struct{}
 
-func (stubLoader) StartLoad(table string, r keys.Range) {}
+func (stubLoader) StartLoads([]core.Load) {}
 
 // TestOverBudgetBoundedReads drives the shard pool's bounded read
 // forms onto ranges whose base data never loads: the read needs fresh

@@ -3,7 +3,6 @@ package server
 import (
 	"pequod/internal/backdb"
 	"pequod/internal/core"
-	"pequod/internal/keys"
 	"pequod/internal/shard"
 )
 
@@ -26,21 +25,25 @@ type dbLoader struct {
 	db *backdb.DB
 }
 
-// StartLoad implements core.BaseLoader over the database: snapshot +
-// subscription are installed atomically, and both the snapshot and all
-// later updates arrive through the database dispatcher in write order,
-// so the cache never applies an old value over a newer one.
-func (l *dbLoader) StartLoad(table string, r keys.Range) {
+// StartLoads implements core.BaseLoader over the database: for each
+// range, snapshot + subscription are installed atomically, and both the
+// snapshot and all later updates arrive through the database dispatcher
+// in write order, so the cache never applies an old value over a newer
+// one.
+func (l *dbLoader) StartLoads(loads []core.Load) {
 	sh := l.sh
-	l.db.ScanAndSubscribe(r.Lo, r.Hi,
-		func(kvs []core.KV) {
-			sh.LoadComplete(table, r, kvs)
-		},
-		func(u backdb.Update) {
-			op := core.OpPut
-			if u.Op == backdb.OpDelete {
-				op = core.OpRemove
-			}
-			sh.ApplyBatch([]core.Change{{Op: op, Key: u.Key, Value: u.Value}})
-		})
+	for _, ld := range loads {
+		ld := ld
+		l.db.ScanAndSubscribe(ld.R.Lo, ld.R.Hi,
+			func(kvs []core.KV) {
+				sh.LoadsDone(kvs, []core.Load{ld}, nil)
+			},
+			func(u backdb.Update) {
+				op := core.OpPut
+				if u.Op == backdb.OpDelete {
+					op = core.OpRemove
+				}
+				sh.ApplyBatch([]core.Change{{Op: op, Key: u.Key, Value: u.Value}})
+			})
+	}
 }

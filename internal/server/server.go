@@ -106,7 +106,7 @@ type Server struct {
 
 	pool *shard.Pool
 
-	smu   sync.Mutex // guards subs and conn.subEntries
+	smu   sync.Mutex // guards subs and conn.subs
 	subs  *interval.Tree[*subscription]
 	nsubs atomic.Int64 // == subs.Len(); lock-free no-subscriber fast path
 
@@ -392,11 +392,11 @@ func (s *Server) dropConn(cn *conn) {
 	delete(s.conns, cn)
 	s.cmu.Unlock()
 	s.smu.Lock()
-	for _, en := range cn.subEntries {
+	for _, en := range cn.subs {
 		s.subs.Delete(en)
 	}
-	s.nsubs.Add(int64(-len(cn.subEntries)))
-	cn.subEntries = nil
+	s.nsubs.Add(int64(-len(cn.subs)))
+	cn.subs = nil
 	s.smu.Unlock()
 }
 
@@ -407,6 +407,7 @@ func (s *Server) dropConn(cn *conn) {
 // on cluster members — the published cluster map this server serves
 // under.
 func (s *Server) statJSON() string {
+	st := s.pool.Stats()
 	snap := struct {
 		Name      string               `json:"name"`
 		ID        string               `json:"id,omitempty"`
@@ -418,13 +419,18 @@ func (s *Server) statJSON() string {
 		Load      shard.LoadInfo       `json:"load"`
 		Joins     string               `json:"joins,omitempty"`
 		Staleness staleStat            `json:"staleness"`
+		Loads     loadStat             `json:"loads"`
+		NSubs     int64                `json:"nsubs"`
 		Cluster   *clusterStat         `json:"cluster,omitempty"`
 		Durable   *durableStat         `json:"durable,omitempty"`
 	}{
 		Name: s.name, ID: s.id, Shards: s.pool.NumShards(), Entries: s.pool.Len(),
-		Bytes: s.pool.Bytes(), Stats: s.pool.Stats(),
+		Bytes: s.pool.Bytes(), Stats: st,
 		Rebalance: s.pool.RebalanceStats(), Load: s.pool.LoadInfo(),
-		Staleness: s.staleStat(),
+		Staleness: s.staleStat(st),
+		Loads: loadStat{Started: st.LoadsStarted, Batched: st.LoadBatches,
+			Failed: st.LoadsFailed, Restarts: st.Restarts},
+		NSubs: s.nsubs.Load(),
 		// The installed join set travels in stats so a coordinator that
 		// did not install the joins itself (a fresh pequod-cli run) can
 		// still replay them onto a joining member.
@@ -474,9 +480,8 @@ type staleStat struct {
 	DirtyRecmp int64 `json:"dirty_recmp"` // dirty sub-interval recomputes
 }
 
-func (s *Server) staleStat() staleStat {
+func (s *Server) staleStat(st core.Stats) staleStat {
 	spans, oldest := s.pool.StalenessDebt()
-	st := s.pool.Stats()
 	return staleStat{
 		LagUS:      s.pool.MaxLag(time.Now()).Microseconds(),
 		DebtSpans:  spans,
@@ -485,6 +490,22 @@ func (s *Server) staleStat() staleStat {
 		PartialInv: st.PartialInvalidations,
 		DirtyRecmp: st.DirtyRecomputes,
 	}
+}
+
+// loadStat is the stat RPC's view of the cold path (§3.3): base ranges
+// fetched, the loader calls that carried them (started/batched is the
+// mean batch size), fetches the loader gave up on, and executions that
+// found data missing and restarted — each installing nothing, so
+// restarts/started well above 1 means reads keep finding data evicted
+// between their rounds, not that work is being redone. NSubs beside it
+// counts the subscriptions this server holds as a home: at most one per
+// connection and range, so it plateaus at the subscribers' distinct
+// working set instead of growing with their reloads.
+type loadStat struct {
+	Started  int64 `json:"started"`
+	Batched  int64 `json:"batched"`
+	Failed   int64 `json:"failed"`
+	Restarts int64 `json:"restarts"`
 }
 
 // clusterStat is the stat RPC's view of a member's cluster position:
@@ -546,12 +567,20 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 			// Install one subscription per shard piece, while that
 			// piece's shard lock is still held: the snapshot the scan
 			// returned and the subscription's update stream meet with no
-			// gap (§2.4's atomic snapshot+subscribe).
+			// gap (§2.4's atomic snapshot+subscribe). A connection holds
+			// one subscription per range: a subscriber that evicted the
+			// range and reloads it is already subscribed, and a second
+			// entry would push every change to it twice.
 			sub = func(_ int, r keys.Range) {
 				s.smu.Lock()
-				en := s.subs.Insert(r.Lo, r.Hi, &subscription{cn: cn, r: r})
-				cn.subEntries = append(cn.subEntries, en)
-				s.smu.Unlock()
+				defer s.smu.Unlock()
+				if _, dup := cn.subs[r]; dup {
+					return
+				}
+				if cn.subs == nil {
+					cn.subs = make(map[keys.Range]*interval.Entry[*subscription])
+				}
+				cn.subs[r] = s.subs.Insert(r.Lo, r.Hi, &subscription{cn: cn, r: r})
 				// Published while the piece's shard lock is still held,
 				// so the owning shard's next change sees the subscriber
 				// (forwardChange's fast path reads this without smu).
@@ -773,7 +802,7 @@ type conn struct {
 	nbusy   bool
 	nclosed bool
 
-	subEntries []*interval.Entry[*subscription] // guarded by s.smu
+	subs map[keys.Range]*interval.Entry[*subscription] // guarded by s.smu
 }
 
 func newConn(s *Server, c net.Conn) *conn {
@@ -911,11 +940,12 @@ func (cn *conn) close() {
 // shifted owner indexes — routes to the range's current home. A fetch
 // that races a migration gets a StatusNotOwner reply carrying the newer
 // map; the loader adopts it and retries against the new owner, and if
-// pieces still cannot be fetched the load *fails* (shard.LoadFailed)
-// rather than marking an absent range resident — blocked readers retry
-// and re-route instead of silently seeing a gap. Connections to
-// members that left the mesh are closed by the resize that adopts the
-// shrunk view; connections to fresh members dial on demand.
+// pieces still cannot be fetched the load *fails* (Shard.LoadsDone's
+// failed list) rather than marking an absent range resident — blocked
+// readers retry and re-route instead of silently seeing a gap.
+// Connections to members that left the mesh are closed by the resize
+// that adopts the shrunk view; connections to fresh members dial on
+// demand.
 type remoteLoader struct {
 	sh   *shard.Shard
 	view *atomic.Pointer[meshView]
@@ -1155,21 +1185,30 @@ type subFeed struct {
 	pieces []*feedPiece
 }
 
-// feedPiece is one in-flight snapshot range and the pushes buffered
-// behind it.
+// feedPiece is one in-flight snapshot range — one home-server piece of
+// a load — with its outcome and the pushes buffered behind it.
 type feedPiece struct {
-	r   keys.Range
-	buf []core.Change
+	r      keys.Range
+	load   *loadFetch
+	kvs    []core.KV // the snapshot, once the reply arrives
+	failed bool      // refused, or the transport died
+	buf    []core.Change
+	landed bool // released from the feed (guarded by subFeed.mu)
 }
 
-// register enters a snapshot range before its scan is sent, so a push
-// racing ahead of the reply is buffered rather than applied early.
-func (fd *subFeed) register(r keys.Range) *feedPiece {
-	p := &feedPiece{r: r}
+// register enters snapshot ranges before their scans are sent, so a
+// push racing ahead of a reply is buffered rather than applied early.
+func (fd *subFeed) register(pieces []*feedPiece) {
 	fd.mu.Lock()
-	fd.pieces = append(fd.pieces, p)
+	fd.pieces = append(fd.pieces, pieces...)
 	fd.mu.Unlock()
-	return p
+}
+
+// owns reports whether the feed's peer still homes key under the
+// current view.
+func (fd *subFeed) owns(key string) bool {
+	v := fd.view.Load()
+	return v == nil || v.ownerAddr(key) == fd.addr
 }
 
 // notify is the connection's OnNotify: changes overlapping an in-flight
@@ -1178,15 +1217,12 @@ func (fd *subFeed) register(r keys.Range) *feedPiece {
 // the push was enqueued) are dropped — the new owner's replication
 // stream is the authority now.
 func (fd *subFeed) notify(changes []rpc.Change) {
-	out := coreChanges(changes)
-	if v := fd.view.Load(); v != nil {
-		fresh := out[:0]
-		for _, c := range out {
-			if v.ownerAddr(c.Key) == fd.addr {
-				fresh = append(fresh, c)
-			}
+	all := coreChanges(changes)
+	out := all[:0]
+	for _, c := range all {
+		if fd.owns(c.Key) {
+			out = append(out, c)
 		}
-		out = fresh
 	}
 	fd.mu.Lock()
 	if len(fd.pieces) > 0 {
@@ -1212,49 +1248,39 @@ func (fd *subFeed) notify(changes []rpc.Change) {
 	}
 }
 
-// complete lands a snapshot: apply its pairs, then the pushes buffered
-// behind it, and release the piece. kvs is nil when the scan failed —
-// buffered pushes (if any) still apply. Idempotent per piece. A
-// snapshot whose range migrated away from the peer while in flight is
-// discarded whole (pairs and buffered pushes): it describes the old
-// owner's state, and the loader refetches from the new home.
-func (fd *subFeed) complete(p *feedPiece, kvs []core.KV) {
+// release unregisters a batch's pieces once their snapshots have been
+// applied, returning the pushes that were buffered behind the ones that
+// landed, in arrival order. Pushes were filtered on arrival, but the map
+// may have moved since they were buffered — they are re-checked. A
+// failed piece's pushes are dropped with it: the retry re-snapshots.
+func (fd *subFeed) release(pieces []*feedPiece) []core.Change {
 	fd.mu.Lock()
-	found := false
-	for i, q := range fd.pieces {
-		if q == p {
-			fd.pieces = append(fd.pieces[:i], fd.pieces[i+1:]...)
-			found = true
-			break
+	for _, p := range pieces {
+		p.landed = true
+	}
+	kept := fd.pieces[:0]
+	for _, p := range fd.pieces {
+		if !p.landed {
+			kept = append(kept, p)
 		}
 	}
-	buf := p.buf
-	p.buf = nil
+	for i := len(kept); i < len(fd.pieces); i++ {
+		fd.pieces[i] = nil
+	}
+	fd.pieces = kept
 	fd.mu.Unlock()
-	if !found {
-		return
-	}
-	// Per-key staleness check: a migration completing mid-flight may
-	// have moved part (a bound landed inside the piece) or all of the
-	// snapshot's range away from this peer; only keys it still homes
-	// apply. Buffered pushes were filtered on arrival, but the map may
-	// have moved since they were buffered — re-check them too.
-	v := fd.view.Load()
-	owns := func(key string) bool { return v == nil || v.ownerAddr(key) == fd.addr }
-	changes := make([]core.Change, 0, len(kvs)+len(buf))
-	for _, kv := range kvs {
-		if owns(kv.Key) {
-			changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
+	var out []core.Change
+	for _, p := range pieces {
+		if p.failed {
+			continue
+		}
+		for _, c := range p.buf {
+			if fd.owns(c.Key) {
+				out = append(out, c)
+			}
 		}
 	}
-	for _, c := range buf {
-		if owns(c.Key) {
-			changes = append(changes, c)
-		}
-	}
-	if len(changes) > 0 {
-		fd.sh.ApplyBatch(changes)
-	}
+	return out
 }
 
 // ConnectPeers wires this server to its home servers: pmap maps key
@@ -1370,21 +1396,14 @@ func sameBounds(prev, next []string) error {
 	return nil
 }
 
-// StartLoad implements core.BaseLoader: fetch each home-server piece of
-// the range with a subscription. Snapshots apply through the peer
-// connection's subFeed — on its reader goroutine, ordered against the
-// subscription pushes — and the final LoadComplete only marks presence
-// (no data) once every piece has landed. If pieces cannot be fetched
-// even after adopting a newer map from NotOwner replies, the load fails
-// instead: marking an unfetched range resident would serve a silent gap.
-func (l *remoteLoader) StartLoad(table string, r keys.Range) {
-	go func() {
-		if l.fetch(r, loadAttempts) {
-			l.sh.LoadComplete(table, r, nil)
-		} else {
-			l.sh.LoadFailed(table, r)
-		}
-	}()
+// StartLoads implements core.BaseLoader: fetch every home-server piece
+// of every range with a subscription. The engine calls it under the
+// shard lock, so it only hands the batch to a goroutine, which may have
+// to dial; from there on nothing blocks — each home connection gets its
+// pieces as pipelined frames behind one flush, and the replies complete
+// the batch from the connection's reader goroutine.
+func (l *remoteLoader) StartLoads(loads []core.Load) {
+	go l.fetch(loads, loadAttempts)
 }
 
 // loadAttempts bounds re-splitting a load against refreshed maps; each
@@ -1392,72 +1411,164 @@ func (l *remoteLoader) StartLoad(table string, r keys.Range) {
 // racing a migration converges on the new owner.
 const loadAttempts = 4
 
-// fetch loads every home-server piece of r, retrying pieces whose owner
-// moved mid-fetch. It reports whether everything landed.
-func (l *remoteLoader) fetch(r keys.Range, attempts int) bool {
-	type wait struct {
-		p    *feedPiece
-		feed *subFeed
-		f    *client.Future
-		r    keys.Range
-	}
+// loadFetch tracks one load across the home-server pieces it split
+// into; the batch mutex guards it.
+type loadFetch struct {
+	core.Load
+	pieces int  // replies outstanding
+	failed bool // some piece could not be fetched
+}
+
+// fetchGroup is the part of one batch bound for one home connection.
+// Its replies arrive on that connection's reader goroutine, in order
+// with the connection's subscription pushes, and the last one lands the
+// whole group: the snapshots apply through one Shard.LoadsDone, ahead
+// of any push that followed them on the wire.
+type fetchGroup struct {
+	l        *remoteLoader
+	c        *client.Client
+	feed     *subFeed
+	attempts int
+	mu       *sync.Mutex // the batch's: loads may span groups
+	pieces   []*feedPiece
+	left     int  // replies outstanding
+	dead     bool // the connection failed under the batch
+}
+
+// fetch starts one batch of loads: pieces this server homes itself need
+// no fetch (only presence is missing), the rest go out grouped by home
+// connection.
+func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 	v := l.view.Load()
-	var waits []wait
-	var failed []keys.Range
-	for _, pc := range v.pmap.Split(r) {
-		addr := v.addrs[pc.Owner]
-		if v.self[addr] {
-			continue // already local; only presence is missing
+	mu := new(sync.Mutex)
+	groups := make(map[string]*fetchGroup) // by home address; nil = unreachable
+	var landed, failed []core.Load
+	for _, ld := range loads {
+		lf := &loadFetch{Load: ld}
+		for _, pc := range v.pmap.Split(ld.R) {
+			addr := v.addrs[pc.Owner]
+			if v.self[addr] {
+				continue // already local
+			}
+			g, tried := groups[addr]
+			if !tried {
+				if c, feed, err := l.conn(addr); err == nil {
+					g = &fetchGroup{l: l, c: c, feed: feed, attempts: attempts, mu: mu}
+				}
+				groups[addr] = g
+			}
+			if g == nil {
+				lf.failed = true // unreachable home
+				continue
+			}
+			lf.pieces++
+			g.pieces = append(g.pieces, &feedPiece{r: pc.R, load: lf})
 		}
-		c, feed, err := l.conn(addr)
-		if err != nil {
-			failed = append(failed, pc.R)
+		switch {
+		case lf.pieces > 0: // resolved by the groups' replies
+		case lf.failed:
+			failed = append(failed, ld)
+		default:
+			landed = append(landed, ld)
+		}
+	}
+	l.deliver(nil, landed, failed, attempts)
+	for _, g := range groups {
+		if g == nil {
 			continue
 		}
-		p := feed.register(pc.R)
-		fut := c.ScanSubAsync(pc.R.Lo, pc.R.Hi, func(m *rpc.Message) {
-			if m.Status == rpc.StatusOK {
-				feed.complete(p, m.KVs)
-			} else {
-				// Release the piece so later pushes aren't buffered
-				// forever; the range stays absent for now.
-				feed.complete(p, nil)
+		g.left = len(g.pieces)
+		ranges := make([]keys.Range, len(g.pieces))
+		for i, p := range g.pieces {
+			ranges[i] = p.r
+		}
+		g.feed.register(g.pieces)
+		g.c.ScanSubBatch(ranges, g.reply)
+	}
+}
+
+// reply records one piece's outcome and, on the group's last, lands it.
+func (g *fetchGroup) reply(i int, m *rpc.Message, err error) {
+	p := g.pieces[i]
+	switch {
+	case err != nil:
+		// Transport failure: the peer's process went away and took the
+		// group's subscriptions with it, landed pieces' included.
+		p.failed = true
+	case m.Status == rpc.StatusNotOwner:
+		// The piece migrated away from its home mid-fetch. Adopt the
+		// newer map the reply carries; the retry refetches from the new
+		// owner.
+		g.l.adopt(m.Epoch, m.MapVersion, m.Bounds, m.Peers)
+		p.failed = true
+	case m.Status != rpc.StatusOK:
+		p.failed = true
+	default:
+		p.kvs = m.KVs
+	}
+	g.mu.Lock()
+	g.dead = g.dead || err != nil
+	g.left--
+	last := g.left == 0
+	g.mu.Unlock()
+	if last {
+		g.land()
+	}
+}
+
+// land applies the group's snapshots and resolves the loads it
+// completes — a load whose pieces span connections is resolved by
+// whichever group finishes it last — then releases the pieces and
+// applies the pushes that were buffered behind them. Only keys the peer
+// still homes apply: a migration completing mid-flight may have moved
+// part (a bound landed inside a piece) or all of a snapshot's range
+// away, and the retry refetches that from the new home.
+func (g *fetchGroup) land() {
+	var rows []core.KV
+	var landed, failed []core.Load
+	g.mu.Lock()
+	for _, p := range g.pieces {
+		lf := p.load
+		if p.failed = p.failed || g.dead; p.failed {
+			lf.failed = true
+		}
+		for _, kv := range p.kvs {
+			if !p.failed && g.feed.owns(kv.Key) {
+				rows = append(rows, kv)
 			}
-		})
-		waits = append(waits, wait{p: p, feed: feed, f: fut, r: pc.R})
-	}
-	for _, w := range waits {
-		m, err := w.f.Wait()
-		switch {
-		case err != nil:
-			// Transport failure: the callback never ran. Release the
-			// piece and retry the fetch.
-			w.feed.complete(w.p, nil)
-			failed = append(failed, w.r)
-		case m.Status == rpc.StatusNotOwner:
-			// The piece migrated away from its home mid-fetch. Adopt the
-			// newer map the reply carries and refetch from the new owner.
-			l.adopt(m.Epoch, m.MapVersion, m.Bounds, m.Peers)
-			failed = append(failed, w.r)
-		case m.Status != rpc.StatusOK:
-			failed = append(failed, w.r)
+		}
+		p.kvs = nil
+		if lf.pieces--; lf.pieces > 0 {
+			continue
+		}
+		if lf.failed {
+			failed = append(failed, lf.Load)
+		} else {
+			landed = append(landed, lf.Load)
 		}
 	}
-	if len(failed) == 0 {
-		return true
+	g.mu.Unlock()
+	g.l.deliver(rows, landed, failed, g.attempts)
+	if pushes := g.feed.release(g.pieces); len(pushes) > 0 {
+		g.l.sh.ApplyBatch(pushes)
 	}
-	if attempts <= 1 {
-		return false
+}
+
+// deliver hands finished loads to the shard in one call. Failed loads
+// are refetched whole while attempts remain — after a moment, giving a
+// publishing coordinator time to finish its MapUpdate round before the
+// re-split against the (possibly adopted) map — and only then *fail*:
+// marking an unfetched range resident would serve a silent gap, so
+// blocked readers retry and re-route instead.
+func (l *remoteLoader) deliver(rows []core.KV, landed, failed []core.Load, attempts int) {
+	if len(failed) > 0 && attempts > 1 {
+		retry := failed
+		time.AfterFunc(2*time.Millisecond, func() { l.fetch(retry, attempts-1) })
+		failed = nil
 	}
-	// Give a publishing coordinator a moment to finish its MapUpdate
-	// round before re-splitting against the (possibly adopted) map.
-	time.Sleep(2 * time.Millisecond)
-	for _, fr := range failed {
-		if !l.fetch(fr, attempts-1) {
-			return false
-		}
+	if len(rows)+len(landed)+len(failed) > 0 {
+		l.sh.LoadsDone(rows, landed, failed)
 	}
-	return true
 }
 
 // adopt installs a newer cluster map into the mesh view (no-op when the

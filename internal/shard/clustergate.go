@@ -377,7 +377,6 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.Map, peers
 		sh.applyQueuedRange(pc.R)
 		sh.e.DropRange(pc.R)
 		sh.e.SpliceRange(clipState(rs, pc.R))
-		sh.loadCond.Broadcast()
 	}
 	// Arriving rows of internally forwarded source tables — and of
 	// external tables this member now self-owns — must reach this pool's
@@ -534,7 +533,6 @@ func (p *Pool) applyDiffsLocked(old, ng *Gate, exclude *keys.Range) []keys.Range
 			// a stale replica of data homed elsewhere.
 			for _, sh := range p.shards {
 				sh.e.DropRange(d)
-				sh.loadCond.Broadcast()
 			}
 			changed = append(changed, d)
 		}
@@ -590,7 +588,6 @@ func (p *Pool) DropRangeAll(r keys.Range) {
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		sh.e.DropRange(r)
-		sh.loadCond.Broadcast()
 		sh.mu.Unlock()
 	}
 }
@@ -703,7 +700,6 @@ func (p *Pool) reconcileRetained(ng *Gate) {
 			sh := p.shards[pc.Owner]
 			sh.mu.Lock()
 			sh.e.RestoreRange(clipState(e.rs, pc.R))
-			sh.loadCond.Broadcast()
 			sh.mu.Unlock()
 		}
 		// Restored source rows reach sibling shards through the same

@@ -321,10 +321,6 @@ func (p *Pool) MoveBound(i int, bound string) error {
 	p.reb.keysMoved += int64(len(rs.KVs))
 	p.reb.warmMoved += int64(len(rs.Warm))
 
-	// Readers blocked on dst waiting for data may now be satisfiable by
-	// the spliced rows.
-	b.loadCond.Broadcast()
-
 	hi.mu.Unlock()
 	lo.mu.Unlock()
 	return nil
@@ -351,7 +347,6 @@ func (sh *Shard) applyQueuedRange(r keys.Range) {
 		sh.applyChange(c)
 	}
 	if len(mine) > 0 {
-		sh.loadCond.Broadcast()
 		sh.qcond.Broadcast()
 	}
 }

@@ -119,14 +119,13 @@ type Pool struct {
 	wg sync.WaitGroup
 }
 
-// Shard is one engine plus its lock, load condition, and apply queue.
+// Shard is one engine plus its lock and apply queue.
 type Shard struct {
 	p   *Pool
 	idx int
 
-	mu       sync.Mutex
-	e        *core.Engine
-	loadCond *sync.Cond // signaled when an async load or replica apply lands
+	mu sync.Mutex
+	e  *core.Engine
 
 	qmu     sync.Mutex
 	qcond   *sync.Cond
@@ -219,7 +218,6 @@ func New(cfg Config) (*Pool, error) {
 	p.outs.Store(&empty)
 	for i := 0; i < n; i++ {
 		sh := &Shard{p: p, idx: i, e: core.New(opts)}
-		sh.loadCond = sync.NewCond(&sh.mu)
 		sh.qcond = sync.NewCond(&sh.qmu)
 		i := i
 		sh.e.SetChangeHook(func(c core.Change) { p.onChange(i, c) })
@@ -383,7 +381,6 @@ func (sh *Shard) applyLoop() {
 		for _, qc := range batch {
 			sh.applyChange(qc.c)
 		}
-		sh.loadCond.Broadcast()
 		sh.mu.Unlock()
 
 		sh.qmu.Lock()
@@ -810,7 +807,6 @@ func (p *Pool) apply(changes []core.Change, record bool) {
 				sh.applyReplicaChange(c)
 			}
 		}
-		sh.loadCond.Broadcast()
 		sh.mu.Unlock()
 		return
 	}
@@ -844,7 +840,6 @@ func (p *Pool) apply(changes []core.Change, record bool) {
 					sh.applyReplicaChange(c)
 				}
 			}
-			sh.loadCond.Broadcast()
 			sh.mu.Unlock()
 		}
 		changes = rerouted
@@ -1141,33 +1136,37 @@ func (sh *Shard) SetLoader(l core.BaseLoader, tables ...string) {
 	sh.mu.Unlock()
 }
 
-// LoadComplete delivers an asynchronous load result to this shard and
-// wakes requests blocked on it.
-func (sh *Shard) LoadComplete(table string, r keys.Range, kvs []core.KV) {
+// LoadsDone delivers the outcome of one batch of asynchronous loads
+// under a single lock acquisition: rows fetched for ranges still
+// loading are installed, the landed ranges are marked resident, the
+// failed ones (the remote owner refused, or the transport died) are
+// abandoned. Each read blocked on these loads is woken once, when the
+// last load it waits for resolves — to emit, or to retry and, if the
+// failure was a migration, re-route.
+func (sh *Shard) LoadsDone(rows []core.KV, landed, failed []core.Load) {
 	sh.mu.Lock()
-	sh.e.LoadComplete(table, r, kvs)
-	sh.loadCond.Broadcast()
+	sh.e.LoadRows(rows)
+	for _, ld := range landed {
+		sh.e.LoadComplete(ld.Table, ld.R)
+	}
+	for _, ld := range failed {
+		sh.e.LoadFailed(ld.Table, ld.R)
+	}
 	sh.mu.Unlock()
 }
 
-// LoadFailed abandons an asynchronous load on this shard (the remote
-// owner refused or the transport died) and wakes blocked requests so
-// they retry — and, if the failure was a migration, re-route.
-func (sh *Shard) LoadFailed(table string, r keys.Range) {
-	sh.mu.Lock()
-	sh.e.LoadFailed(table, r)
-	sh.loadCond.Broadcast()
-	sh.mu.Unlock()
-}
-
-// ApplyBatch applies replicated changes to this shard (database update
-// feeds, peer subscription pushes) and wakes blocked requests.
+// ApplyBatch applies subscription pushes (peer home servers, database
+// update feeds) to this shard. A push for a loader-backed range the
+// engine no longer holds — evicted since it subscribed — is dropped:
+// applied, the row would sit outside any presence record, invisible to
+// the LRU and stale as soon as the subscription lapses.
 func (sh *Shard) ApplyBatch(changes []core.Change) {
 	sh.mu.Lock()
 	for _, c := range changes {
-		sh.applyChange(c)
+		if sh.e.Tracks(c.Key) {
+			sh.applyChange(c)
+		}
 	}
-	sh.loadCond.Broadcast()
 	sh.mu.Unlock()
 }
 
@@ -1179,31 +1178,25 @@ func (sh *Shard) WithEngine(fn func(e *core.Engine)) {
 	sh.mu.Unlock()
 }
 
-// waitLoadsLocked blocks (holding sh.mu via the cond) until some async
-// load completes, then lets the caller retry — the iterative evaluation
-// of §3.3. A non-zero deadline bounds the wait; it reports false when
-// the deadline expired before any load landed. The timer's broadcast
-// cannot be lost: it needs sh.mu, which the waiter holds until it parks
-// on the cond.
+// waitLoadsLocked parks the read that just reported pending loads until
+// every load it needs has resolved, releasing sh.mu meanwhile, then
+// lets the caller retry — the iterative evaluation of §3.3. A non-zero
+// deadline bounds the wait; it reports false when the deadline expired
+// first.
 func (sh *Shard) waitLoadsLocked(dl time.Time) bool {
-	gen := sh.e.LoadGen()
+	w := sh.e.LoadWait()
+	sh.mu.Unlock()
+	defer sh.mu.Lock()
 	if dl.IsZero() {
-		for sh.e.LoadGen() == gen {
-			sh.loadCond.Wait()
-		}
+		<-w.Done()
 		return true
 	}
-	t := time.AfterFunc(time.Until(dl), func() {
-		sh.mu.Lock()
-		sh.loadCond.Broadcast()
-		sh.mu.Unlock()
-	})
+	t := time.NewTimer(time.Until(dl))
 	defer t.Stop()
-	for sh.e.LoadGen() == gen {
-		if !time.Now().Before(dl) {
-			return false
-		}
-		sh.loadCond.Wait()
+	select {
+	case <-w.Done():
+		return true
+	case <-t.C:
+		return false
 	}
-	return true
 }
