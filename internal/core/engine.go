@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -438,38 +439,42 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 	var overlay []KV
 	pending = e.ensureRangeBounded(r, &overlay, maxStale)
 
-	if len(overlay) == 0 {
-		// Fast path: no pull joins contributed; stream the store range.
-		e.s.Scan(lo, hi, func(k string, v *store.Value) bool {
-			kvs = append(kvs, KV{k, v.String()})
-			e.stats.ScannedKeys++
-			return limit == 0 || len(kvs) < limit
-		})
-		e.evictAfterRead(pending)
-		return kvs, pending
+	if len(overlay) > 1 {
+		// Each pull execution sorted its own segment; merge across joins.
+		sort.Slice(overlay, func(i, k int) bool { return overlay[i].Key < overlay[k].Key })
 	}
 
-	// Each pull execution sorted its own segment; merge across joins.
-	sort.Slice(overlay, func(i, k int) bool { return overlay[i].Key < overlay[k].Key })
-
-	// Merge the store contents with pull-join overlays (both sorted).
+	// Merge the store contents, a leaf-sized run at a time so the result
+	// makes room once, with the pull-join overlays (both sorted; usually
+	// there are none).
 	oi := 0
-	e.s.Scan(lo, hi, func(k string, v *store.Value) bool {
-		for oi < len(overlay) && overlay[oi].Key < k {
-			kvs = append(kvs, overlay[oi])
-			oi++
-			if limit > 0 && len(kvs) >= limit {
+	full := func() bool { return limit > 0 && len(kvs) >= limit }
+	e.s.ScanRuns(lo, hi, func(ks []string, vs []*store.Value, rest int) bool {
+		room := len(ks) + rest
+		if limit > 0 {
+			room = min(room, limit-len(kvs))
+		}
+		kvs = slices.Grow(kvs, room)
+		for i, k := range ks {
+			for oi < len(overlay) && overlay[oi].Key < k {
+				kvs = append(kvs, overlay[oi])
+				oi++
+				if full() {
+					return false
+				}
+			}
+			if oi < len(overlay) && overlay[oi].Key == k {
+				oi++ // store wins on duplicates
+			}
+			kvs = append(kvs, KV{k, vs[i].String()})
+			e.stats.ScannedKeys++
+			if full() {
 				return false
 			}
 		}
-		if oi < len(overlay) && overlay[oi].Key == k {
-			oi++ // store wins on duplicates
-		}
-		kvs = append(kvs, KV{k, v.String()})
-		e.stats.ScannedKeys++
-		return limit == 0 || len(kvs) < limit
+		return true
 	})
-	for oi < len(overlay) && (limit == 0 || len(kvs) < limit) {
+	for oi < len(overlay) && !full() {
 		kvs = append(kvs, overlay[oi])
 		oi++
 	}

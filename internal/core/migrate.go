@@ -333,21 +333,12 @@ func (e *Engine) statusesOverlapping(ij *installedJoin, r keys.Range) []*JoinSta
 // caller retiring a whole presence range passes false: its
 // invalidateRangeDependents covers every row's dependents at once.
 func (e *Engine) evictRows(r keys.Range, perRow bool) {
-	var doomed []string
-	e.s.Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
-		doomed = append(doomed, k)
-		return true
-	})
-	for _, k := range doomed {
-		old, ok := e.s.Remove(k)
-		if !ok {
-			continue
-		}
+	e.s.RemoveRange(r.Lo, r.Hi, func(k string, old *store.Value) {
 		e.notify(Change{Op: OpEvict, Key: k, Value: old.String()})
 		if perRow {
 			e.invalidateDependents(k)
 		}
-	}
+	})
 }
 
 // lruRemovePresence unlinks a presence range from the LRU.

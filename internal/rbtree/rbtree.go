@@ -1,6 +1,8 @@
-// Package rbtree implements the ordered map underlying the Pequod store
-// (the paper's §4 uses red-black trees for key-value pairs and
-// bookkeeping structures such as updaters and join status ranges).
+// Package rbtree implements the red-black tree Pequod keeps its
+// bookkeeping in: join status ranges, presence ranges, the interval
+// trees of updaters and subscriptions, and the order of a store's tables
+// and subtables (§4). The rows themselves live in the B+tree of package
+// btree.
 //
 // Three properties distinguish it from a textbook tree and are load-bearing
 // for Pequod:
@@ -8,18 +10,19 @@
 //   - Pointer-stable deletion. Deleting a node never moves another node's
 //     key or value between node objects (the CLRS transplant is done with
 //     pointers, not payload copies), so externally held node pointers —
-//     the paper's "output hints" (§4.2) — remain meaningful. A deleted
-//     node is marked Dead; hint holders check Dead and fall back to a
-//     normal lookup, which is the reference scheme the paper describes.
+//     an interval entry, a status range's neighbours — remain meaningful.
+//     A deleted node is marked Dead; holders check Dead and fall back to
+//     a normal lookup.
 //
 //   - Hinted insertion. InsertAfterHint attaches a new key in O(1)
-//     amortized time when it belongs immediately after a known node, the
-//     common case when appending fresh posts to a timeline (§4.2).
+//     amortized time when it belongs immediately after a known node.
 //
 //   - Augmentation. A tree may carry a user aggregate (e.g. the interval
 //     tree's max-high-endpoint) maintained through rotations and
 //     structural changes via the Augment callback.
 package rbtree
+
+import "strings"
 
 // Node is a tree node. Key is immutable for the node's lifetime; Val may
 // be replaced by the caller at any time.
@@ -128,10 +131,10 @@ func (t *Tree[V]) Last() *Node[V] {
 func (t *Tree[V]) Find(key string) *Node[V] {
 	n := t.root
 	for n != nil {
-		switch {
-		case key < n.key:
+		switch c := strings.Compare(key, n.key); {
+		case c < 0:
 			n = n.left
-		case key > n.key:
+		case c > 0:
 			n = n.right
 		default:
 			return n
@@ -257,10 +260,10 @@ func (t *Tree[V]) Insert(key string, v V) (n *Node[V], existed bool) {
 	cur := t.root
 	for cur != nil {
 		parent = cur
-		switch {
-		case key < cur.key:
+		switch c := strings.Compare(key, cur.key); {
+		case c < 0:
 			cur = cur.left
-		case key > cur.key:
+		case c > 0:
 			cur = cur.right
 		default:
 			return cur, true

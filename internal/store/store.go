@@ -1,13 +1,15 @@
 // Package store implements Pequod's ordered key-value store (§4): a
-// layered arrangement of red-black trees visible to clients as a single
-// ordered keyspace.
+// layered arrangement of ordered containers visible to clients as a
+// single ordered keyspace.
 //
 // The first layer separates logical tables (the prefix before the first
 // '|'), "separating concerns for different ranges" as Fig 6 shows. Tables
 // may be subdivided into subtables at developer-marked component
 // boundaries; a hash index lets operations that lie entirely within a
 // subtable jump to it in O(1) instead of O(log N), while cross-boundary
-// scans still execute in full key order (§4.1).
+// scans still execute in full key order (§4.1). Under a table or subtable
+// the rows themselves live in the leaves of one B+tree (internal/btree),
+// so a scan of a materialised timeline walks arrays.
 //
 // Values are reference-counted (§4.3): the copy operator can install the
 // same *Value under many output keys, and the store's memory accounting
@@ -21,18 +23,33 @@
 package store
 
 import (
+	"pequod/internal/btree"
 	"pequod/internal/keys"
 	"pequod/internal/rbtree"
 )
 
-// Approximate per-object memory overheads used for accounting, sized to
-// the real footprint of the Go structures (tree node + headers). Absolute
-// bytes matter less than relative movement for the §4 ablations.
+// Memory accounting charges what the Go heap holds for the rows: every
+// B+tree node at its allocation size class whether full or not, each
+// key's bytes, and each distinct value once. TestAccountingMatchesHeap
+// holds Bytes() to within 15 % of measured heap growth for Twip-shaped
+// rows, and btree.TestNodeSizeClasses pins the two node constants to
+// what the allocator hands out.
 const (
-	nodeOverhead     = 96  // tree node, pointers, color, key header
-	valueOverhead    = 24  // Value struct + string header
-	subtableOverhead = 512 // subtable tree + hash index slot + prefix copy
+	leafBytes        = 1536 // btree leaf: 61 × (string header + *Value) + fence, links, count
+	innerBytes       = 2048 // btree interior node: 61 × (separator + child) + count
+	valueOverhead    = 24   // Value struct: string header + refcount
+	subtableOverhead = 192  // subtable struct (80) + order-tree node (64) + hash index slot (~48)
 )
+
+// allocSize is what the heap spends on an n-byte key or value payload:
+// Go's size classes step by 8 up to 32 bytes and by 16 up to 256. Beyond
+// that they step wider and this under-counts by a few percent.
+func allocSize(n int) int64 {
+	if n <= 32 {
+		return int64(n+7) &^ 7
+	}
+	return int64(n+15) &^ 15
+}
 
 // Value is a reference-counted string value (§4.3). A Value may be
 // installed under many keys; the store counts its payload bytes once.
@@ -55,26 +72,21 @@ func (v *Value) Len() int { return len(v.s) }
 // Refs returns the current reference count (for tests and stats).
 func (v *Value) Refs() int { return int(v.refs) }
 
-// node is the concrete tree node type.
-type node = rbtree.Node[*Value]
+// tree is the row container under a table or subtable.
+type tree = btree.Tree[*Value]
 
-// Hint is an output hint (§4.2): a pointer to the last key a join status
-// range updated, enabling O(1) amortized inserts of the common
+// Hint is an output hint (§4.2): a finger on the leaf a join status
+// range last wrote to, enabling O(1) amortized inserts of the common
 // "immediately after the previous update" case. Hints stay usable across
-// deletions because the underlying tree never relocates payloads; a dead
-// node simply downgrades the hinted insert to a normal one.
-type Hint struct {
-	node *node
-	tree *rbtree.Tree[*Value]
-}
-
-// Valid reports whether the hint still points at a live node.
-func (h *Hint) Valid() bool { return h != nil && h.node != nil && !h.node.Dead() }
+// splits and deletions because a leaf keeps its identity until it
+// empties; a freed leaf, or one that no longer covers the key, simply
+// downgrades the hinted insert to a normal one.
+type Hint = btree.Hint[*Value]
 
 // subtable is one hash-indexed shard of a table.
 type subtable struct {
 	prefix string
-	tree   rbtree.Tree[*Value]
+	tree   tree
 }
 
 // Table is one logical table: a named subtree of the store.
@@ -82,7 +94,7 @@ type Table struct {
 	name  string
 	depth int // subtable boundary depth in components; 0 = no subtables
 
-	tree     rbtree.Tree[*Value]  // used when depth == 0
+	tree     tree                 // used when depth == 0
 	subs     map[string]*subtable // hash index over subtables (§4.1)
 	subOrder rbtree.Tree[*subtable]
 }
@@ -92,19 +104,16 @@ func (t *Table) Name() string { return t.name }
 
 // Len returns the number of keys in the table.
 func (t *Table) Len() int {
-	if t.depth == 0 {
-		return t.tree.Len()
-	}
 	n := 0
-	t.subOrder.Ascend("", "", func(sn *rbtree.Node[*subtable]) bool {
-		n += sn.Val.tree.Len()
+	t.trees("", "", func(tr *tree) bool {
+		n += tr.Len()
 		return true
 	})
 	return n
 }
 
 // treeFor returns the tree holding key, creating the subtable if asked.
-func (t *Table) treeFor(key string, create bool) *rbtree.Tree[*Value] {
+func (t *Table) treeFor(key string, create bool) *tree {
 	if t.depth == 0 {
 		return &t.tree
 	}
@@ -119,6 +128,39 @@ func (t *Table) treeFor(key string, create bool) *rbtree.Tree[*Value] {
 		t.subOrder.Insert(pfx, sub)
 	}
 	return &sub.tree
+}
+
+// trees calls fn for each of the table's trees that can hold keys of
+// [lo, hi), in key order, until fn returns false.
+func (t *Table) trees(lo, hi string, fn func(tr *tree) bool) bool {
+	if t.depth == 0 {
+		return fn(&t.tree)
+	}
+	ok := true
+	t.subOrder.Ascend(keys.Prefix(lo, t.depth), "", func(sn *rbtree.Node[*subtable]) bool {
+		if hi != "" && sn.Val.prefix >= hi {
+			return false
+		}
+		ok = fn(&sn.Val.tree)
+		return ok
+	})
+	return ok
+}
+
+// footprint is what the table's containers occupy beyond keys and values.
+func (t *Table) footprint() int64 {
+	b := int64(len(t.subs)) * subtableOverhead
+	t.trees("", "", func(tr *tree) bool {
+		b += nodeBytes(tr)
+		return true
+	})
+	return b
+}
+
+// nodeBytes is the heap a tree's nodes occupy.
+func nodeBytes(tr *tree) int64 {
+	leaves, inners := tr.Nodes()
+	return int64(leaves)*leafBytes + int64(inners)*innerBytes
 }
 
 // Store is the full layered store. It is not safe for concurrent use; the
@@ -156,30 +198,30 @@ func (s *Store) SetSubtableDepth(table string, depth int) {
 	if t == nil || t.depth == depth {
 		return
 	}
-	// Re-shard: collect and reinsert. Memory accounting for entries is
-	// unchanged (same keys and values); subtable overhead adjusts.
+	// Re-shard: cut every row out of the old trees — which also kills
+	// their leaves for any hint still pointing there — and reinsert.
+	// Keys and values are accounted as before; the containers change.
 	type kv struct {
 		k string
 		v *Value
 	}
 	var all []kv
-	s.scanTable(t, "", "", func(k string, v *Value) bool {
-		all = append(all, kv{k, v})
+	s.bytes -= t.footprint()
+	t.trees("", "", func(tr *tree) bool {
+		tr.DeleteRange("", "", func(k string, v *Value) { all = append(all, kv{k, v}) })
 		return true
 	})
-	s.bytes -= int64(len(t.subs)) * subtableOverhead
 	t.depth = depth
-	t.tree = rbtree.Tree[*Value]{}
 	t.subs = nil
 	t.subOrder = rbtree.Tree[*subtable]{}
 	if depth > 0 {
 		t.subs = make(map[string]*subtable)
 	}
-	before := len(t.subs)
+	var h Hint // rows arrive in key order
 	for _, e := range all {
-		t.treeFor(e.k, true).Insert(e.k, e.v)
+		t.treeFor(e.k, true).Set(e.k, e.v, &h)
 	}
-	s.bytes += int64(len(t.subs)-before) * subtableOverhead
+	s.bytes += t.footprint()
 }
 
 // table returns the Table for key, creating it if asked.
@@ -197,6 +239,15 @@ func (s *Store) table(key string, create bool) *Table {
 	return t
 }
 
+// lookup returns the tree that holds key if it exists, or nil.
+func (s *Store) lookup(key string) *tree {
+	t := s.table(key, false)
+	if t == nil {
+		return nil
+	}
+	return t.treeFor(key, false)
+}
+
 // Table returns the named table, or nil.
 func (s *Store) Table(name string) *Table { return s.tables[name] }
 
@@ -208,7 +259,7 @@ func (s *Store) Tables(fn func(t *Table) bool) {
 // retain/release maintain shared-value accounting (§4.3).
 func (s *Store) retain(v *Value) {
 	if v.refs == 0 {
-		s.bytes += int64(v.Len()) + valueOverhead
+		s.bytes += allocSize(v.Len()) + valueOverhead
 	}
 	v.refs++
 }
@@ -216,174 +267,127 @@ func (s *Store) retain(v *Value) {
 func (s *Store) release(v *Value) {
 	v.refs--
 	if v.refs == 0 {
-		s.bytes -= int64(v.Len()) + valueOverhead
+		s.bytes -= allocSize(v.Len()) + valueOverhead
 	}
 }
 
 // Get returns the value stored under key.
 func (s *Store) Get(key string) (*Value, bool) {
-	t := s.table(key, false)
-	if t == nil {
-		return nil, false
-	}
-	tr := t.treeFor(key, false)
+	tr := s.lookup(key)
 	if tr == nil {
 		return nil, false
 	}
-	n := tr.Find(key)
-	if n == nil {
-		return nil, false
-	}
-	return n.Val, true
+	return tr.Get(key)
 }
 
 // Put installs v under key, replacing and returning any previous value.
 // The store takes a reference on v and drops one on the replaced value.
 func (s *Store) Put(key string, v *Value) (old *Value) {
-	old, _ = s.putIn(key, v, nil)
-	return old
+	return s.PutHint(key, v, nil)
 }
 
-// PutHint is Put through an output hint (§4.2). The hint is updated to
-// point at the written node; pass the same Hint on consecutive calls to
-// get O(1) amortized appends. A nil hint behaves like Put.
+// PutHint is Put through an output hint (§4.2). The hint is left on the
+// leaf written; pass the same Hint on consecutive calls to get O(1)
+// amortized appends. A nil hint behaves like Put, and a hint that points
+// into another subtable or at a freed leaf is ignored.
 func (s *Store) PutHint(key string, v *Value, h *Hint) (old *Value) {
-	old, _ = s.putIn(key, v, h)
-	return old
-}
-
-func (s *Store) putIn(key string, v *Value, h *Hint) (old *Value, n *node) {
 	t := s.table(key, true)
-	var subsBefore int
-	if t.depth > 0 {
-		subsBefore = len(t.subs)
-	}
+	subs := len(t.subs)
 	tr := t.treeFor(key, true)
-	if t.depth > 0 && len(t.subs) != subsBefore {
-		s.bytes += subtableOverhead
-	}
-	var existed bool
-	if h != nil && h.tree == tr && h.Valid() {
-		n, existed = tr.InsertAfterHint(h.node, key, v)
-	} else {
-		// A hint pointing into a different subtable (or a dead node)
-		// cannot be used; the tree insert would corrupt structure.
-		n, existed = tr.Insert(key, v)
-	}
-	if h != nil {
-		h.node, h.tree = n, tr
-	}
-	if existed {
-		old = n.Val
-		n.Val = v
-	} else {
+	s.bytes += int64(len(t.subs)-subs) * subtableOverhead
+	nodes := nodeBytes(tr)
+	old, existed := tr.Set(key, v, h)
+	if !existed {
 		s.entries++
-		s.bytes += int64(len(key)) + nodeOverhead
+		s.bytes += allocSize(len(key)) + nodeBytes(tr) - nodes
 	}
 	// Retain before releasing so re-putting the same Value never drops
 	// its refcount to zero transiently.
 	s.retain(v)
-	if old != nil {
+	if existed {
 		s.release(old)
 	}
-	return old, n
+	return old
 }
 
 // Remove deletes key, returning the removed value.
 func (s *Store) Remove(key string) (*Value, bool) {
-	t := s.table(key, false)
-	if t == nil {
-		return nil, false
-	}
-	tr := t.treeFor(key, false)
+	tr := s.lookup(key)
 	if tr == nil {
 		return nil, false
 	}
-	n := tr.Find(key)
-	if n == nil {
+	nodes := nodeBytes(tr)
+	v, ok := tr.Delete(key)
+	if !ok {
 		return nil, false
 	}
-	v := n.Val
-	tr.Delete(n)
 	s.entries--
-	s.bytes -= int64(len(key)) + nodeOverhead
+	s.bytes -= allocSize(len(key)) + nodes - nodeBytes(tr)
 	s.release(v)
 	return v, true
 }
 
-// scanTable iterates one table's keys in [lo, hi).
-func (s *Store) scanTable(t *Table, lo, hi string, fn func(k string, v *Value) bool) bool {
-	if t.depth == 0 {
-		ok := true
-		t.tree.Ascend(lo, hi, func(n *node) bool {
-			ok = fn(n.Key(), n.Val)
-			return ok
-		})
-		return ok
-	}
-	start := keys.Prefix(lo, t.depth)
-	ok := true
-	t.subOrder.Ascend(start, "", func(sn *rbtree.Node[*subtable]) bool {
-		sub := sn.Val
-		if hi != "" && sub.prefix >= hi {
+// trees calls fn for each tree that can hold keys of [lo, hi), in key
+// order, until fn returns false.
+func (s *Store) trees(lo, hi string, fn func(tr *tree) bool) {
+	s.order.Ascend(keys.Table(lo), "", func(n *rbtree.Node[*Table]) bool {
+		if hi != "" && n.Val.name >= hi {
 			return false
 		}
-		sub.tree.Ascend(lo, hi, func(n *node) bool {
-			ok = fn(n.Key(), n.Val)
-			return ok
-		})
-		return ok
+		return n.Val.trees(lo, hi, fn)
 	})
-	return ok
 }
 
 // Scan calls fn for every key in [lo, hi) in ascending order (hi == ""
-// means unbounded), stopping early if fn returns false.
+// means unbounded), stopping early if fn returns false. fn may write to
+// the store; keys it adds behind the scan's position are not visited.
 func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
-	startTable := keys.Table(lo)
-	s.order.Ascend(startTable, "", func(n *rbtree.Node[*Table]) bool {
-		t := n.Val
-		if hi != "" && t.name >= hi {
-			return false
-		}
-		return s.scanTable(t, lo, hi, fn)
-	})
+	s.trees(lo, hi, func(tr *tree) bool { return tr.Ascend(lo, hi, fn) })
+}
+
+// ScanRuns is Scan a leaf at a time: fn receives consecutive runs of
+// [lo, hi) as parallel key and value slices, and how many pairs of the
+// range follow the run in the same table or subtable, so a caller
+// copying the range out can make room once. The slices alias the store:
+// fn must neither keep nor modify them, nor write to the store.
+func (s *Store) ScanRuns(lo, hi string, fn func(keys []string, vals []*Value, rest int) bool) {
+	s.trees(lo, hi, func(tr *tree) bool { return tr.AscendRuns(lo, hi, fn) })
 }
 
 // CountRange returns the number of keys in [lo, hi).
 func (s *Store) CountRange(lo, hi string) int {
 	c := 0
-	s.Scan(lo, hi, func(string, *Value) bool { c++; return true })
+	s.ScanRuns(lo, hi, func(ks []string, _ []*Value, _ int) bool { c += len(ks); return true })
 	return c
 }
 
 // RemoveRange deletes every key in [lo, hi), invoking fn (if non-nil) for
-// each removed pair, and returns the number removed. Used by eviction and
-// invalidation.
+// each removed pair in key order, and returns the number removed. It is
+// one cut through each tree the range touches, whole leaves at a time:
+// the eviction and invalidation path. fn must not use the store.
 func (s *Store) RemoveRange(lo, hi string, fn func(k string, v *Value)) int {
-	type kv struct {
-		k string
-		v *Value
-	}
-	var doomed []kv
-	s.Scan(lo, hi, func(k string, v *Value) bool {
-		doomed = append(doomed, kv{k, v})
+	n := 0
+	s.trees(lo, hi, func(tr *tree) bool {
+		nodes := nodeBytes(tr)
+		n += tr.DeleteRange(lo, hi, func(k string, v *Value) {
+			s.bytes -= allocSize(len(k))
+			s.release(v)
+			if fn != nil {
+				fn(k, v)
+			}
+		})
+		s.bytes -= nodes - nodeBytes(tr)
 		return true
 	})
-	for _, e := range doomed {
-		s.Remove(e.k)
-		if fn != nil {
-			fn(e.k, e.v)
-		}
-	}
-	return len(doomed)
+	s.entries -= n
+	return n
 }
 
 // Len returns the total number of keys.
 func (s *Store) Len() int { return s.entries }
 
-// Bytes returns the store's approximate memory footprint, counting shared
-// value payloads once (§4.3).
+// Bytes returns the store's memory footprint, counting shared value
+// payloads once (§4.3).
 func (s *Store) Bytes() int64 { return s.bytes }
 
 // SubtableCount reports the number of subtables in a table (0 if the

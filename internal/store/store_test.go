@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 )
@@ -271,74 +270,6 @@ func TestTablesIteration(t *testing.T) {
 	}
 	if s.Table("zzz") != nil {
 		t.Fatal("absent table")
-	}
-}
-
-// TestRandomizedAgainstModel compares the layered store (with subtables on
-// some tables) against a flat map reference model.
-func TestRandomizedAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := New()
-	s.SetSubtableDepth("t", 2)
-	model := map[string]string{}
-	tables := []string{"t", "p", "s"}
-	keyOf := func() string {
-		tb := tables[rng.Intn(len(tables))]
-		return fmt.Sprintf("%s|u%02d|%03d", tb, rng.Intn(20), rng.Intn(50))
-	}
-	for step := 0; step < 20000; step++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4:
-			k := keyOf()
-			v := fmt.Sprintf("v%d", step)
-			s.Put(k, NewValue(v))
-			model[k] = v
-		case 5, 6:
-			k := keyOf()
-			_, ok := s.Remove(k)
-			if _, mok := model[k]; mok != ok {
-				t.Fatalf("remove mismatch at %d", step)
-			}
-			delete(model, k)
-		case 7:
-			k := keyOf()
-			v, ok := s.Get(k)
-			mv, mok := model[k]
-			if ok != mok || (ok && v.String() != mv) {
-				t.Fatalf("get mismatch at %d", step)
-			}
-		default:
-			lo, hi := keyOf(), keyOf()
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			var got []string
-			s.Scan(lo, hi, func(k string, v *Value) bool {
-				got = append(got, k)
-				return true
-			})
-			var want []string
-			for k := range model {
-				if k >= lo && k < hi {
-					want = append(want, k)
-				}
-			}
-			sort.Strings(want)
-			if len(got) != len(want) {
-				t.Fatalf("scan size mismatch at %d: got %d want %d", step, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("scan order mismatch at step %d index %d", step, i)
-				}
-			}
-		}
-	}
-	if s.Len() != len(model) {
-		t.Fatalf("final length: %d vs %d", s.Len(), len(model))
-	}
-	if len(model) > 0 && s.Bytes() <= 0 {
-		t.Fatal("bytes accounting broken")
 	}
 }
 
