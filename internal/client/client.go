@@ -179,12 +179,9 @@ func (c *Client) Failed() bool {
 func (c *Client) RPCs() int64 { return c.rpcs.Load() }
 
 // send enqueues a request and returns its future.
-func (c *Client) send(m *rpc.Message) *Future { return c.sendCB(m, nil) }
-
-// sendCB is send with an optional reader-goroutine reply callback.
-func (c *Client) sendCB(m *rpc.Message, onReply func(*rpc.Message)) *Future {
+func (c *Client) send(m *rpc.Message) *Future {
 	c.rpcs.Add(1)
-	f := &Future{c: c, ch: make(chan struct{}), onReply: onReply}
+	f := &Future{c: c, ch: make(chan struct{})}
 	c.mu.Lock()
 	if c.closed != nil {
 		err := c.closed
@@ -413,13 +410,6 @@ func (c *Client) RemoveAsync(key string) *Future {
 // (server-to-server replication, §2.4).
 func (c *Client) ScanAsync(lo, hi string, limit int, subscribe bool) *Future {
 	return c.send(&rpc.Message{Type: rpc.MsgScan, Lo: lo, Hi: hi, Limit: limit, SubscribeFlag: subscribe})
-}
-
-// ScanSubAsync issues a subscribing scan whose onReply callback runs on
-// the reader goroutine (see Future.onReply): the snapshot is observed in
-// order with the subscription pushes that race it on the wire.
-func (c *Client) ScanSubAsync(lo, hi string, onReply func(*rpc.Message)) *Future {
-	return c.sendCB(&rpc.Message{Type: rpc.MsgScan, Lo: lo, Hi: hi, SubscribeFlag: true}, onReply)
 }
 
 // ScanSubBatch issues one subscribing scan per range as consecutive

@@ -453,7 +453,6 @@ func (cl *Cluster) RPCs() int64 {
 // owned by the cluster and keep running.
 func (cl *Cluster) Close() error {
 	cl.stopMonitor()
-	cl.StopRebalancer()
 	cl.cmu.Lock()
 	conns := cl.conns
 	cl.conns = nil

@@ -32,8 +32,8 @@
 // newer map and retries, so concurrent callers — even other, stale
 // clients — see no lost writes, gaps, or duplicates. A client-driven
 // rebalancer (rebalance.go) polls per-server load through the stat RPC
-// and moves hot ranges to cooler neighbors with the same hysteresis as
-// the in-process shard rebalancer.
+// and moves hot ranges to cooler neighbors, under the policy the
+// in-process shard rebalancer runs (partition.Balancer).
 //
 // # Elastic membership
 //

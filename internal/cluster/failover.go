@@ -312,7 +312,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 	// instead of nothing. Best-effort: a memory-only heir reports an
 	// error and the promotion stays empty, exactly as before.
 	for _, cp := range cold {
-		r := ownerRange(nv.pmap, cp.owner)
+		r := nv.pmap.OwnerRange(cp.owner)
 		c, err := cl.conn(ctx, cp.heir)
 		if err == nil {
 			var n int64

@@ -126,7 +126,7 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 	if err != nil {
 		return err
 	}
-	r := ownerRange(next, owner+1)
+	r := next.OwnerRange(owner + 1)
 	rs, err := cl.extract(ctx, donorA, r, nv)
 	if err != nil {
 		return fmt.Errorf("cluster: extracting the initial slice [%q, %q) from %s: %w", r.Lo, r.Hi, donorA, err)
@@ -175,7 +175,7 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 		owners := v.ownersOf(ml.Addr)
 		bestOwner, bestIn := -1, []string(nil)
 		for _, o := range owners {
-			or := ownerRange(v.pmap, o)
+			or := v.pmap.OwnerRange(o)
 			var in []string
 			for _, k := range ml.Samples {
 				if or.Contains(k) {
@@ -190,7 +190,7 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 			continue
 		}
 		sort.Strings(bestIn)
-		if b, ok := splitPoint(ownerRange(v.pmap, bestOwner), bestIn); ok {
+		if b, ok := splitPoint(v.pmap.OwnerRange(bestOwner), bestIn); ok {
 			return bestOwner, b, nil
 		}
 	}
@@ -198,7 +198,7 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 	// busiest member's first range) for keys and split at the middle.
 	for _, ml := range loads {
 		for _, o := range v.ownersOf(ml.Addr) {
-			or := ownerRange(v.pmap, o)
+			or := v.pmap.OwnerRange(o)
 			m, err := cl.do(ctx, ml.Addr, &rpc.Message{Type: rpc.MsgScan, Lo: or.Lo, Hi: or.Hi, Limit: joinScanLimit})
 			if err != nil {
 				continue
@@ -349,7 +349,7 @@ func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o in
 		}
 		return nil
 	}
-	r := ownerRange(v.pmap, o)
+	r := v.pmap.OwnerRange(o)
 	rs, err := cl.extract(ctx, addr, r, nv)
 	if err != nil {
 		return fmt.Errorf("cluster: draining [%q, %q) out of %s: %w", r.Lo, r.Hi, addr, err)
@@ -440,10 +440,10 @@ func (cl *Cluster) drainRevert(ctx context.Context, nv, old *view, addr, dstA st
 // skipVersion advances one extra version (past a re-offer map that may
 // or may not have been applied).
 func (cl *Cluster) regrowView(nv, old *view, addr string, o int, skipVersion bool) (*view, error) {
-	r := ownerRange(old.pmap, o)
+	r := old.pmap.OwnerRange(o)
 	m := nv.pmap
 	merged := m.Owner(r.Lo)
-	mr := ownerRange(m, merged)
+	mr := m.OwnerRange(merged)
 	var next *partition.Map
 	var insertAt int
 	var err error

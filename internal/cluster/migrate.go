@@ -289,15 +289,3 @@ type MemberLoad struct {
 	Units   int64
 	Samples []string
 }
-
-// ownerRange returns the key range owner index o serves under m.
-func ownerRange(m *partition.Map, o int) keys.Range {
-	var r keys.Range
-	if o > 0 {
-		r.Lo = m.Bound(o - 1)
-	}
-	if o < m.Servers()-1 {
-		r.Hi = m.Bound(o)
-	}
-	return r
-}

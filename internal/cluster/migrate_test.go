@@ -232,7 +232,7 @@ func TestClusterRebalancerCoolsHotServer(t *testing.T) {
 	if err := cl.PutBatch(ctx, pairs); err != nil {
 		t.Fatal(err)
 	}
-	cl.SetRebalanceConfig(Rebalance{Interval: time.Millisecond, Ratio: 1.2, MinOps: 32, HalfLife: 0.7})
+	cl.SetRebalanceConfig(Rebalance{Ratio: 1.2, MinOps: 32})
 
 	drive := func() {
 		var ks []string

@@ -1,64 +1,39 @@
 package cluster
 
-// Client-driven cluster rebalancing: the cross-server twin of the shard
-// pool's in-process rebalancer (internal/shard/rebalance.go), built on
-// the same knobs and hysteresis. The cluster client polls every
-// member's stat RPC for its cumulative load units and recent key
-// samples, folds the per-member deltas into an EWMA, and when one
-// server runs persistently hot migrates a slice of its range — through
+// Client-driven cluster rebalancing: the balancing policy the shard
+// pool runs in-process (partition.Balancer), applied across servers.
+// The cluster client polls every member's stat RPC for its cumulative
+// load units and recent key samples, and when the policy finds one
+// server persistently hot migrates a slice of its range — through
 // MoveBound's live transfer protocol — to the cooler server on the
 // other side of a partition bound. No server-side coordinator exists:
-// any client (or the pequod-cli rebalance subcommand) can drive it, and
-// concurrent coordinators serialize through map version conflicts.
+// any client (or the pequod-cli rebalance subcommand) drives it one
+// RebalanceTick at a time, and concurrent coordinators serialize
+// through map version conflicts.
 
 import (
 	"context"
-	"sort"
 	"sync"
-	"time"
 
-	"pequod/internal/shard"
+	"pequod/internal/partition"
 )
 
-// Rebalance re-exports the shard rebalancer's knob set: the same
-// Interval/Ratio/MinOps/HalfLife tuning applies at cluster scope.
-type Rebalance = shard.Rebalance
-
-// hotPersist and cooldownTicks mirror the in-process rebalancer's
-// hysteresis: a server must run hot for hotPersist consecutive ticks
-// before a move triggers, and after a move the rebalancer sits out
-// cooldownTicks ticks. Cluster moves are costlier than in-process ones
-// (a network transfer plus a map publish), so thrash damping matters
-// even more here.
-const (
-	hotPersist    = 2
-	cooldownTicks = 5
-)
-
-// minSamples is the fewest in-range key samples a bound pick trusts.
-const minSamples = 16
+// Rebalance is the rebalancing knob set, shared with the shard pool.
+type Rebalance = partition.Rebalance
 
 // rebState is the cluster rebalancer's bookkeeping. Load history is
 // keyed by member *address*, so a membership change (a joining or
 // draining server, owner indexes shifting) neither loses history for
-// the members that stay nor misattributes it: a fresh member simply
-// primes at zero and earns its EWMA over the next ticks.
+// the members that stay nor misattributes it.
 type rebState struct {
 	mu         sync.Mutex
-	running    bool
-	stop       chan struct{}
-	done       chan struct{}
 	cfg        Rebalance
-	ewma       map[string]float64 // per member address
-	last       map[string]int64   // per member address, previous cumulative units
+	bal        partition.Balancer[string]
 	migrations int64
-	hotStreak  int
-	cooldown   int
 }
 
 // RebalancerStats snapshots the cluster rebalancer's activity.
 type RebalancerStats struct {
-	Enabled    bool      `json:"enabled"`
 	Migrations int64     `json:"migrations"`
 	Epoch      int64     `json:"epoch"`
 	Version    int64     `json:"version"`
@@ -73,7 +48,6 @@ func (cl *Cluster) RebalancerStats() RebalancerStats {
 	defer cl.reb.mu.Unlock()
 	v := cl.v.Load()
 	st := RebalancerStats{
-		Enabled:    cl.reb.running,
 		Migrations: cl.reb.migrations,
 		Epoch:      v.pmap.Epoch(),
 		Version:    v.pmap.Version(),
@@ -81,249 +55,50 @@ func (cl *Cluster) RebalancerStats() RebalancerStats {
 	}
 	for _, m := range v.mbrs {
 		st.Addrs = append(st.Addrs, m.addr)
-		st.Loads = append(st.Loads, cl.reb.ewma[m.addr])
+		st.Loads = append(st.Loads, cl.reb.bal.Load(m.addr))
 	}
 	return st
 }
 
-// StartRebalancer launches the background rebalance loop (idempotent:
-// a second start while running is a no-op). Stop it with StopRebalancer
-// or Close.
-func (cl *Cluster) StartRebalancer(cfg Rebalance) {
-	cfg = withDefaults(cfg)
-	cl.reb.mu.Lock()
-	if cl.reb.running {
-		cl.reb.mu.Unlock()
-		return
-	}
-	cl.reb.running = true
-	cl.reb.cfg = cfg
-	cl.reb.stop = make(chan struct{})
-	cl.reb.done = make(chan struct{})
-	stop, done := cl.reb.stop, cl.reb.done
-	cl.reb.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), cfg.Interval*4+time.Second)
-				cl.RebalanceTick(ctx)
-				cancel()
-			}
-		}
-	}()
-}
-
-// SetRebalanceConfig sets the knobs RebalanceTick uses without starting
-// the background loop, for harnesses (tests, pequod-cli rebalance) that
-// drive ticks themselves.
+// SetRebalanceConfig sets the knobs RebalanceTick uses.
 func (cl *Cluster) SetRebalanceConfig(cfg Rebalance) {
 	cl.reb.mu.Lock()
 	cl.reb.cfg = cfg
 	cl.reb.mu.Unlock()
 }
 
-// StopRebalancer stops the background loop and waits for it
-// (idempotent).
-func (cl *Cluster) StopRebalancer() {
-	cl.reb.mu.Lock()
-	running := cl.reb.running
-	cl.reb.running = false
-	stop, done := cl.reb.stop, cl.reb.done
-	cl.reb.mu.Unlock()
-	if running {
-		close(stop)
-		<-done
-	}
-}
-
-// withDefaults mirrors shard.Rebalance's defaults with a cluster-scale
-// sampling interval (stat polls cost a network round per member).
-func withDefaults(r Rebalance) Rebalance {
-	if r.Interval <= 0 {
-		r.Interval = time.Second
-	}
-	if r.Ratio <= 1 {
-		r.Ratio = 1.5
-	}
-	if r.MinOps <= 0 {
-		r.MinOps = 128
-	}
-	if r.HalfLife <= 0 || r.HalfLife > 1 {
-		r.HalfLife = 0.5
-	}
-	return r
-}
-
 // RebalanceTick takes one load sample across the members and migrates
-// at most one range, reporting whether a migration ran. The background
-// loop calls it each interval; tests and the pequod-cli rebalance
-// subcommand drive it directly. Members that joined since the last
-// tick prime at zero load; members that drained fall out of the
-// bookkeeping.
+// at most one range, reporting whether a migration ran. Tests,
+// experiments and the pequod-cli rebalance subcommand drive it.
 func (cl *Cluster) RebalanceTick(ctx context.Context) (bool, error) {
 	loads, err := cl.MemberLoads(ctx)
 	if err != nil {
 		return false, err
 	}
-	n := len(loads)
-	if n == 0 {
-		return false, nil
+	units := make(map[string]int64, len(loads))
+	samples := make(map[string][]string, len(loads))
+	for _, ml := range loads {
+		units[ml.Addr], samples[ml.Addr] = ml.Units, ml.Samples
 	}
-
+	v := cl.v.Load()
+	for _, a := range v.addrs {
+		if _, polled := units[a]; !polled {
+			return false, nil // membership changed under the poll; the next tick sees it whole
+		}
+	}
 	cl.reb.mu.Lock()
-	cfg := withDefaults(cl.reb.cfg)
-	if cl.reb.ewma == nil {
-		cl.reb.ewma = make(map[string]float64)
-		cl.reb.last = make(map[string]int64)
-	}
-	var raw int64
-	hot, total := "", 0.0
-	ewma := make(map[string]float64, n)
-	current := make(map[string]bool, n)
-	for _, ml := range loads {
-		current[ml.Addr] = true
-		prev, seen := cl.reb.last[ml.Addr]
-		d := ml.Units - prev
-		cl.reb.last[ml.Addr] = ml.Units
-		if !seen {
-			d = 0 // first poll of this member: cumulative counter, not a delta
-		}
-		raw += d
-		cl.reb.ewma[ml.Addr] = (1-cfg.HalfLife)*cl.reb.ewma[ml.Addr] + cfg.HalfLife*float64(d)
-		ewma[ml.Addr] = cl.reb.ewma[ml.Addr]
-		total += ewma[ml.Addr]
-		if hot == "" || ewma[ml.Addr] > ewma[hot] {
-			hot = ml.Addr
-		}
-	}
-	for addr := range cl.reb.ewma {
-		if !current[addr] {
-			delete(cl.reb.ewma, addr) // drained out
-			delete(cl.reb.last, addr)
-		}
-	}
-	mean := total / float64(n)
-	idle := raw < cfg.MinOps || total == 0
-	over := !idle && ewma[hot] > cfg.Ratio*mean
-	if cl.reb.cooldown > 0 {
-		cl.reb.cooldown--
-		over = false
-	} else if over {
-		cl.reb.hotStreak++
-		over = cl.reb.hotStreak >= hotPersist
-	} else {
-		cl.reb.hotStreak = 0
-	}
+	i, bound, ok := cl.reb.bal.Decide(cl.reb.cfg, v.pmap, v.addrs, units,
+		func(hot string) []string { return samples[hot] })
 	cl.reb.mu.Unlock()
-
-	if !over {
-		return false, nil
-	}
-
-	var hotSamples []string
-	for _, ml := range loads {
-		if ml.Addr == hot {
-			hotSamples = ml.Samples
-		}
-	}
-	boundIdx, q, ok := cl.pickMove(hot, ewma, hotSamples)
 	if !ok {
 		return false, nil
 	}
-	if err := cl.MoveBound(ctx, boundIdx, q); err != nil {
+	if err := cl.MoveBound(ctx, i, bound); err != nil {
 		return false, err
 	}
 	cl.reb.mu.Lock()
 	cl.reb.migrations++
-	cl.reb.hotStreak = 0
-	cl.reb.cooldown = cooldownTicks
+	cl.reb.bal.Moved()
 	cl.reb.mu.Unlock()
 	return true, nil
-}
-
-// pickMove chooses the partition bound to move and its new split point:
-// among the bounds separating the hot member from a cooler one, the one
-// with the coolest neighbor, split at the load-weighted quantile of the
-// hot member's key samples that sheds half the imbalance. A member that
-// just joined (EWMA near zero) is the coolest neighbor by construction,
-// so the rebalancer naturally sheds hot ranges toward it. Returns false
-// when no eligible bound exists or too few samples fall in the hot
-// range to trust a quantile.
-func (cl *Cluster) pickMove(hot string, ewma map[string]float64, samples []string) (int, string, bool) {
-	v := cl.v.Load()
-	m := v.pmap
-	type cand struct {
-		boundIdx int
-		hotOwner int    // owner index on the hot member's side of the bound
-		nb       string // neighbor member address
-	}
-	best, bestLoad := cand{}, 0.0
-	found := false
-	for b := 0; b < m.Servers()-1; b++ {
-		l, r := v.addrs[b], v.addrs[b+1]
-		if l == r {
-			continue
-		}
-		if l == hot && ewma[r] < ewma[hot] {
-			if !found || ewma[r] < bestLoad {
-				best, bestLoad, found = cand{b, b, r}, ewma[r], true
-			}
-		}
-		if r == hot && ewma[l] < ewma[hot] {
-			if !found || ewma[l] < bestLoad {
-				best, bestLoad, found = cand{b, b + 1, l}, ewma[l], true
-			}
-		}
-	}
-	if !found || ewma[hot] == 0 {
-		return 0, "", false
-	}
-	hr := ownerRange(m, best.hotOwner)
-	var in []string
-	for _, k := range samples {
-		if hr.Contains(k) {
-			in = append(in, k)
-		}
-	}
-	if len(in) < minSamples {
-		return 0, "", false
-	}
-	sort.Strings(in)
-	frac := (ewma[hot] - ewma[best.nb]) / (2 * ewma[hot])
-	if frac <= 0 {
-		return 0, "", false
-	}
-	var q string
-	if best.hotOwner == best.boundIdx {
-		// Hot side is left of the bound: lower the bound to the (1-frac)
-		// quantile, shedding the top slice rightward.
-		q = in[clampIndex(int(float64(len(in))*(1-frac)), len(in))]
-	} else {
-		// Hot side is right: raise the bound to the frac quantile,
-		// shedding the bottom slice leftward.
-		q = in[clampIndex(int(float64(len(in))*frac), len(in))]
-	}
-	// The quantile can land on the current bound (a previous move's
-	// split point) or collide with a neighbor; a dry run against the map
-	// turns that into "no move this tick" instead of an error.
-	if _, err := m.MoveBound(best.boundIdx, q); err != nil {
-		return 0, "", false
-	}
-	return best.boundIdx, q, true
-}
-
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }

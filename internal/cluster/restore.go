@@ -92,7 +92,7 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 	// publish win. Best-effort: what the lineage lost, the replica
 	// re-sync below re-seeds.
 	for _, o := range nv.ownersOf(newAddr) {
-		r := ownerRange(nv.pmap, o)
+		r := nv.pmap.OwnerRange(o)
 		if n, err := c.RebuildRange(ctx, r.Lo, r.Hi); err != nil {
 			log.Printf("pequod cluster: restore: range %d: durable rebuild at %s failed: %v", o, newAddr, err)
 		} else if n > 0 {

@@ -36,4 +36,13 @@
 // including across joins and drains where owner indexes shift. Every
 // key is owned by exactly one range under every Map (fuzzed in
 // FuzzMapMoves).
+//
+// # Balancing
+//
+// Which bound to move, and when, is decided in one place (balance.go):
+// Balancer is the load-aware rebalancing policy — EWMA over cumulative
+// per-owner load, idle floor, hot-streak and cooldown hysteresis,
+// coolest-neighbor choice, load-weighted quantile split — that both the
+// shard pool (owners = shards) and the cluster client (owners = member
+// servers) run, each executing the named move with its own MoveBound.
 package partition

@@ -201,6 +201,32 @@ func (m *Map) RemoveBound(i int) (*Map, error) {
 // wire (the cluster client's ConnectPeers RPC).
 func (m *Map) Bounds() []string { return append([]string(nil), m.bounds...) }
 
+// SameBounds reports how o's split points differ from m's; nil when
+// they are identical.
+func (m *Map) SameBounds(o *Map) error {
+	if len(m.bounds) != len(o.bounds) {
+		return fmt.Errorf("partition has %d ranges, got %d", len(m.bounds)+1, len(o.bounds)+1)
+	}
+	for i := range m.bounds {
+		if m.bounds[i] != o.bounds[i] {
+			return fmt.Errorf("bound %d differs: %q vs %q", i, m.bounds[i], o.bounds[i])
+		}
+	}
+	return nil
+}
+
+// OwnerRange returns the key range owner index o serves.
+func (m *Map) OwnerRange(o int) keys.Range {
+	var r keys.Range
+	if o > 0 {
+		r.Lo = m.bounds[o-1]
+	}
+	if o < len(m.bounds) {
+		r.Hi = m.bounds[o]
+	}
+	return r
+}
+
 // Owner returns the home server index for key.
 func (m *Map) Owner(key string) int {
 	return sort.SearchStrings(m.bounds, key+"\x00")

@@ -4,7 +4,7 @@
 // and subtables (§4). The rows themselves live in the B+tree of package
 // btree.
 //
-// Three properties distinguish it from a textbook tree and are load-bearing
+// Two properties distinguish it from a textbook tree and are load-bearing
 // for Pequod:
 //
 //   - Pointer-stable deletion. Deleting a node never moves another node's
@@ -13,9 +13,6 @@
 //     an interval entry, a status range's neighbours — remain meaningful.
 //     A deleted node is marked Dead; holders check Dead and fall back to
 //     a normal lookup.
-//
-//   - Hinted insertion. InsertAfterHint attaches a new key in O(1)
-//     amortized time when it belongs immediately after a known node.
 //
 //   - Augmentation. A tree may carry a user aggregate (e.g. the interval
 //     tree's max-high-endpoint) maintained through rotations and
@@ -282,44 +279,6 @@ func (t *Tree[V]) Insert(key string, v V) (n *Node[V], existed bool) {
 	t.augPath(n)
 	t.insertFixup(n)
 	return n, false
-}
-
-// InsertAfterHint behaves like Insert but first tries to attach the new
-// key immediately after hint, which succeeds in O(1) amortized time when
-// hint.Key() < key and key precedes hint's successor — the paper's
-// output-hint fast path (§4.2). A nil or dead or mismatched hint falls
-// back to a normal insertion. Like Insert, it does not overwrite the
-// value of an existing key.
-func (t *Tree[V]) InsertAfterHint(hint *Node[V], key string, v V) (n *Node[V], existed bool) {
-	if hint == nil || hint.dead {
-		return t.Insert(key, v)
-	}
-	if hint.key == key {
-		return hint, true
-	}
-	if hint.key < key {
-		succ := hint.Next()
-		if succ == nil || key < succ.key {
-			n = &Node[V]{key: key, Val: v, red: true}
-			if hint.right == nil {
-				n.parent = hint
-				hint.right = n
-			} else {
-				// succ is the leftmost node of hint.right and has no left
-				// child, so the new node slots in beneath it.
-				n.parent = succ
-				succ.left = n
-			}
-			t.size++
-			t.augPath(n)
-			t.insertFixup(n)
-			return n, false
-		}
-		if succ.key == key {
-			return succ, true
-		}
-	}
-	return t.Insert(key, v)
 }
 
 func (t *Tree[V]) insertFixup(z *Node[V]) {

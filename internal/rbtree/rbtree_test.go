@@ -139,45 +139,6 @@ func TestDeletePointerStability(t *testing.T) {
 	}
 }
 
-func TestInsertAfterHint(t *testing.T) {
-	tr := &Tree[int]{}
-	hint, _ := tr.Insert("t|ann|100", 0)
-	tr.Insert("t|ann|999", 1)
-	// Monotone appends via hint.
-	for i := 101; i < 200; i++ {
-		n, existed := tr.InsertAfterHint(hint, fmt.Sprintf("t|ann|%03d", i), i)
-		if existed {
-			t.Fatalf("unexpected replace at %d", i)
-		}
-		hint = n
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := collect(tr)
-	if !sort.StringsAreSorted(got) || len(got) != 101 {
-		t.Fatalf("bad tree after hinted inserts: %d keys", len(got))
-	}
-	// Hint pointing at the wrong place still works (falls back).
-	n, _ := tr.InsertAfterHint(hint, "a|000", -1)
-	if n.Key() != "a|000" || tr.Find("a|000") == nil {
-		t.Fatal("fallback insert failed")
-	}
-	// Hint with equal key returns the existing node without overwriting.
-	n2, existed := tr.InsertAfterHint(n, "a|000", -2)
-	if !existed || n2 != n || n.Val != -1 {
-		t.Fatal("hint equal-key lookup failed")
-	}
-	// Dead hint falls back.
-	tr.Delete(n)
-	if _, existed := tr.InsertAfterHint(n, "a|001", 7); existed {
-		t.Fatal("dead hint insert failed")
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAscendAndCount(t *testing.T) {
 	tr := &Tree[int]{}
 	for i := 0; i < 20; i++ {
@@ -230,22 +191,14 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tr := &Tree[int]{}
 	model := map[string]int{}
-	var hint *Node[int]
 	keyOf := func() string { return fmt.Sprintf("k%04d", rng.Intn(3000)) }
 	for step := 0; step < 30000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 4: // insert (caller-side replacement on existing keys)
+		case op < 6: // insert (caller-side replacement on existing keys)
 			k := keyOf()
 			v := rng.Int()
 			n, _ := tr.Insert(k, v)
 			n.Val = v
-			model[k] = v
-		case op < 6: // hinted insert
-			k := keyOf()
-			v := rng.Int()
-			n, _ := tr.InsertAfterHint(hint, k, v)
-			n.Val = v
-			hint = n
 			model[k] = v
 		case op < 8: // delete
 			k := keyOf()
@@ -254,9 +207,6 @@ func TestRandomizedAgainstModel(t *testing.T) {
 				t.Fatalf("delete mismatch for %q at step %d", k, step)
 			}
 			delete(model, k)
-			if hint != nil && hint.Dead() {
-				hint = nil
-			}
 		case op < 9: // find
 			k := keyOf()
 			n := tr.Find(k)
@@ -359,19 +309,6 @@ func BenchmarkInsertSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(ks[i], i)
-	}
-}
-
-func BenchmarkInsertSequentialHinted(b *testing.B) {
-	tr := &Tree[int]{}
-	ks := make([]string, b.N)
-	for i := range ks {
-		ks[i] = fmt.Sprintf("k%09d", i)
-	}
-	var hint *Node[int]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hint, _ = tr.InsertAfterHint(hint, ks[i], i)
 	}
 }
 

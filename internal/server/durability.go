@@ -383,7 +383,7 @@ func recoveredKeyFilter(g *shard.Gate, meta *durable.Meta) func(key string) bool
 			}
 			for _, a := range partition.ReplicaAddrs(meta.Peers, o, meta.ReplicaCopies) {
 				if self[a] {
-					reps = append(reps, subRanges(ownerRange(g.Map, o), meta.ReplicaTables)...)
+					reps = append(reps, subRanges(g.Map.OwnerRange(o), meta.ReplicaTables)...)
 					break
 				}
 			}

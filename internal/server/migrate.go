@@ -200,22 +200,9 @@ func (s *Server) handleJoinCluster(m *rpc.Message) *rpc.Message {
 // carrying that map and re-route instead of failing. The process keeps
 // running; re-adding it later goes through JoinCluster again.
 func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
-	s.mmu.Lock()
-	mesh := s.mesh
-	s.mesh = nil
-	s.mmu.Unlock()
-	if mesh != nil {
-		mesh.closeAll()
-	}
 	// A drained member holds replicas for no one; re-adding it later
 	// publishes a fresh assignment through JoinCluster's publish round.
-	s.rmu.Lock()
-	repl := s.repl
-	s.repl = nil
-	s.rmu.Unlock()
-	if repl != nil {
-		repl.closeAll()
-	}
+	s.leaveCluster()
 	// Persist the post-drain position: a restarted drained member must
 	// still answer NotOwner with the current bounds, not serve stale
 	// data it no longer owns.
@@ -239,11 +226,7 @@ func (s *Server) fenceAddr(addr string, dl time.Time) error {
 	s.mmu.Lock()
 	var conns []*client.Client
 	if s.mesh != nil {
-		for _, l := range s.mesh.loaders {
-			if c := l.connTo(addr); c != nil {
-				conns = append(conns, c)
-			}
-		}
+		conns = s.mesh.allConns(addr)
 	}
 	s.mmu.Unlock()
 	if len(conns) == 0 {
@@ -292,6 +275,6 @@ func (s *Server) adoptMeshView(next *partition.Map, peers []string, self []int) 
 	// timeout whenever a published view still names an unreachable
 	// address (a revert after a member died does exactly that).
 	for _, l := range s.mesh.loaders {
-		l.retain(want)
+		l.up.retain(want)
 	}
 }

@@ -22,57 +22,54 @@ package server
 // (shard.Pool.ApplyMapUpdate's promotion case backfills sibling
 // shards' forwarded-source copies).
 //
-// Staleness discipline mirrors subFeed: pushes racing an in-flight
-// snapshot are buffered behind it, and both pushes and snapshot rows
-// are dropped when the current assignment no longer sources their keys
-// from this feed's home — or when the gate says this member now *owns*
-// them, so a late replica delivery can never clobber a post-promotion
-// write.
+// The copies ride the same upstream feed as mesh loads (upstream.go):
+// pushes racing an in-flight snapshot are buffered behind it, and both
+// pushes and snapshot rows are dropped when the current assignment no
+// longer sources their keys from the feed's home — or when the gate
+// says this member now *owns* them, so a late replica delivery can
+// never clobber a post-promotion write.
 //
 // A held range is confirmed *synced* only once a full snapshot+
 // subscribe pass lands. Unsynced ranges are re-scheduled by every
-// assignment apply and by a watchdog tick that also retires failed
-// home connections (their push feeds died with them), so neither a
-// republished assignment nor a home restart nor an exhausted retry
-// loop can leave a copy permanently empty or silently stale.
+// assignment apply and by the server's watchdog pass, which also
+// retires failed home connections (their push feeds died with them),
+// so neither a republished assignment nor a home restart nor an
+// exhausted retry loop can leave a copy permanently empty or silently
+// stale.
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"pequod/internal/client"
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
 )
 
-// replView is one generation of the replica assignment.
+// replView is one generation of the replica assignment: the cluster
+// view it derives placement from, plus what to copy.
 type replView struct {
-	pmap   *partition.Map
-	addrs  []string        // serving address per owner index
-	self   map[string]bool // addresses that are this process
-	copies int             // total copies per range, including the owner's
-	tables []string        // base tables replicated (empty = whole ranges)
+	meshView
+	copies int      // total copies per range, including the owner's
+	tables []string // base tables replicated (empty = whole ranges)
 }
-
-// homeAddr returns the address replica rows for key should come from.
-func (v *replView) homeAddr(key string) string { return v.addrs[v.pmap.Owner(key)] }
 
 // replicaState is a member's replication bookkeeping: its current
 // assignment, one connection+feed per home it copies from, and the
 // ranges it holds.
 type replicaState struct {
 	s    *Server
-	view atomicReplView
+	view atomic.Pointer[replView]
+	up   *upstream
 
-	stop     chan struct{} // closed by closeAll; ends the watchdog
-	stopOnce sync.Once
+	syncs sync.WaitGroup // in-flight syncRange goroutines
 
-	mu    sync.Mutex
-	conns map[string]*client.Client // by home address
-	feeds map[string]*replFeed      // parallel to conns
-	held  map[keys.Range]*replHold  // assigned replica range -> sync state
+	mu     sync.Mutex
+	closed bool                     // closeAll ran: no further syncs start
+	held   map[keys.Range]*replHold // assigned replica range -> sync state
 }
 
 // replHold is one assigned replica range's sync state. The home is
@@ -87,24 +84,6 @@ type replHold struct {
 	home    string
 	synced  bool
 	syncing bool
-}
-
-// atomicReplView avoids importing sync/atomic generics clutter inline.
-type atomicReplView struct {
-	mu sync.Mutex
-	v  *replView
-}
-
-func (a *atomicReplView) Load() *replView {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
-}
-
-func (a *atomicReplView) Store(v *replView) {
-	a.mu.Lock()
-	a.v = v
-	a.mu.Unlock()
 }
 
 // handleReplicate serves MsgReplicate: adopt a replica assignment and
@@ -136,14 +115,9 @@ func (s *Server) applyReplicaAssignment(next *partition.Map, peers []string, sel
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	if s.repl == nil {
-		s.repl = &replicaState{
-			s:     s,
-			stop:  make(chan struct{}),
-			conns: make(map[string]*client.Client),
-			feeds: make(map[string]*replFeed),
-			held:  make(map[keys.Range]*replHold),
-		}
-		go s.repl.watch()
+		st := &replicaState{s: s, held: make(map[keys.Range]*replHold)}
+		st.up = newUpstream(st.fresh, s.pool.ApplyReplica)
+		s.repl = st
 	}
 	st := s.repl
 	if cur := st.view.Load(); cur != nil &&
@@ -151,9 +125,9 @@ func (s *Server) applyReplicaAssignment(next *partition.Map, peers []string, sel
 		return
 	}
 	nv := &replView{
-		pmap: next, addrs: append([]string(nil), peers...),
-		self: selfAddrs(peers, self), copies: copies,
-		tables: append([]string(nil), tables...),
+		meshView: meshView{pmap: next, addrs: append([]string(nil), peers...), self: selfAddrs(peers, self)},
+		copies:   copies,
+		tables:   append([]string(nil), tables...),
 	}
 	// Publish the view before reshaping: feeds filter arrivals against
 	// it, so pushes from a home the new assignment demoted die here even
@@ -177,76 +151,59 @@ func (s *Server) applyReplicaAssignment(next *partition.Map, peers []string, sel
 			if !mine {
 				continue
 			}
-			desired[ownerRange(next, o)] = home
+			desired[next.OwnerRange(o)] = home
 		}
 	}
 
-	type syncJob struct {
-		h     *replHold
-		r     keys.Range
-		fresh bool
-	}
+	// Stale copies to drop before any sync starts: ranges assigned away,
+	// and ranges newly granted — ghost rows from an earlier stint as
+	// their replica (or subscriber) would shadow the fresh snapshot. A
+	// hold kept across assignments is spared: its possibly-stale copy is
+	// still the best available promotion source until a snapshot
+	// replaces it (land drops ghosts before applying). New holds enter
+	// held only after the drop, so a watchdog pass cannot sync one first
+	// and have the drop wipe what it landed.
+	drop := make(map[keys.Range]bool)
 	st.mu.Lock()
-	var drop []keys.Range
-	var jobs []syncJob
 	for r, h := range st.held {
 		if desired[r] != h.home {
 			delete(st.held, r)
-			drop = append(drop, r)
+			drop[r] = true
 		}
 	}
-	for r, home := range desired {
-		h := st.held[r]
-		fresh := h == nil
-		if fresh {
-			h = &replHold{home: home}
-			st.held[r] = h
-		}
-		// Schedule a sync for every desired range not yet confirmed
-		// synced — a fresh grant, an earlier sync that exhausted its
-		// attempts, or a copy marked stale by a failed home connection.
-		// An identical republish with a sync already in flight adopts it
-		// (the goroutine re-reads the view each attempt) instead of
-		// cancelling and re-counting held as done.
-		if !h.synced && !h.syncing {
-			h.syncing = true
-			jobs = append(jobs, syncJob{h: h, r: r, fresh: fresh})
+	var granted []keys.Range
+	for r := range desired {
+		if st.held[r] == nil {
+			granted = append(granted, r)
+			drop[r] = true
 		}
 	}
+	st.mu.Unlock()
 	// Retire connections to homes the new assignment no longer copies
 	// from.
 	want := make(map[string]bool, len(desired))
 	for _, home := range desired {
 		want[home] = true
 	}
-	for addr, c := range st.conns {
-		if !want[addr] {
-			c.Close()
-			delete(st.conns, addr)
-			delete(st.feeds, addr)
-		}
-	}
-	st.mu.Unlock()
-
-	for _, r := range drop {
-		// A range assigned away is a stale copy — except the pieces this
-		// member was just promoted to *serve*: those rows are the whole
-		// point of replication, and the gate already owns them.
+	st.up.retain(want)
+	for r := range drop {
+		// dropUnownedPieces spares the pieces this member serves: rows a
+		// promotion or a migration just made it the owner of are the
+		// whole point of replication, and the gate already owns them.
 		s.dropUnownedPieces(r)
 	}
-	for _, j := range jobs {
-		if j.fresh {
-			// Ghost rows from an earlier stint as this range's replica
-			// (or subscriber) would shadow the fresh snapshot; pieces the
-			// gate owns (a migration just landed part of this range
-			// here) are served data and must survive. Re-scheduled syncs
-			// skip this: their possibly-stale copy is still the best
-			// available promotion source until a snapshot replaces it
-			// (replFeed.complete drops ghosts before applying).
-			s.dropUnownedPieces(j.r)
-		}
-		go st.syncRange(j.h, j.r, j.h.home)
+	st.mu.Lock()
+	for _, r := range granted {
+		st.held[r] = &replHold{home: desired[r]}
 	}
+	st.mu.Unlock()
+	// Schedule a sync for every desired range not yet confirmed synced —
+	// a fresh grant, an earlier sync that exhausted its attempts, or a
+	// copy marked stale by a failed home connection. An identical
+	// republish with a sync already in flight adopts it (the goroutine
+	// re-reads the view each attempt) instead of cancelling and
+	// re-counting held as done.
+	st.startSyncs()
 }
 
 // dropUnownedPieces drops r from every shard, sparing the pieces the
@@ -267,19 +224,6 @@ func (s *Server) dropUnownedPieces(r keys.Range) {
 	}
 }
 
-// ownerRange returns the key range owner index o serves under m.
-func ownerRange(m *partition.Map, o int) keys.Range {
-	bounds := m.Bounds()
-	var r keys.Range
-	if o > 0 {
-		r.Lo = bounds[o-1]
-	}
-	if o < len(bounds) {
-		r.Hi = bounds[o]
-	}
-	return r
-}
-
 // subRanges restricts a replica range to the replicated tables (all of
 // it when the assignment names none).
 func subRanges(r keys.Range, tables []string) []keys.Range {
@@ -298,13 +242,26 @@ func subRanges(r keys.Range, tables []string) []keys.Range {
 
 // replicaAttempts bounds snapshot retries per scheduled sync; a range
 // still unsynced after them is re-scheduled by the next assignment
-// publish or the next watchdog tick, so a failing home is retried
+// publish or the next watchdog pass, so a failing home is retried
 // until it answers or a repair reassigns its ranges.
 const replicaAttempts = 4
 
-// replWatchEvery paces the watchdog that retires failed home
-// connections and re-schedules unsynced ranges.
-const replWatchEvery = 200 * time.Millisecond
+// startSyncs launches a sync for every held range that is neither
+// synced nor already syncing.
+func (st *replicaState) startSyncs() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return
+	}
+	for r, h := range st.held {
+		if !h.synced && !h.syncing {
+			h.syncing = true
+			st.syncs.Add(1)
+			go st.syncRange(h, r)
+		}
+	}
+}
 
 // syncRange snapshots+subscribes one assigned replica range at its
 // home. Runs on its own goroutine, at most one per held entry (the
@@ -312,21 +269,21 @@ const replWatchEvery = 200 * time.Millisecond
 // republished — even reshaped — assignment that still sources the
 // range from the same home is adopted mid-sync rather than cancelling
 // it; the range is confirmed synced only after a full pass lands.
-func (st *replicaState) syncRange(h *replHold, r keys.Range, home string) {
+func (st *replicaState) syncRange(h *replHold, r keys.Range) {
+	defer st.syncs.Done()
 	defer func() {
 		st.mu.Lock()
 		h.syncing = false
 		st.mu.Unlock()
 	}()
 	for attempt := 0; attempt < replicaAttempts; attempt++ {
-		v := st.view.Load()
 		st.mu.Lock()
 		live := st.held[r] == h && !h.synced
 		st.mu.Unlock()
-		if v == nil || !live {
-			return // reassigned (or already synced) while we slept
+		if !live {
+			return // reassigned, torn down (or already synced) while we slept
 		}
-		if st.fetchOnce(v, r, home) {
+		if st.fetch(r, h.home) {
 			st.mu.Lock()
 			if st.held[r] == h {
 				h.synced = true
@@ -338,145 +295,73 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range, home string) {
 	}
 }
 
-// watch is the replica watchdog: every tick it retires home
-// connections that failed (a home restart or TCP reset kills the push
-// feed silently — the copy would otherwise go stale while held still
-// matched the assignment) and re-schedules a sync for every assigned
-// range not confirmed synced, covering both the missed-pushes case and
-// syncs that exhausted their attempts between publishes.
-func (st *replicaState) watch() {
-	t := time.NewTicker(replWatchEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case <-t.C:
-		}
-		st.resync()
+// fetch runs one snapshot+subscribe round over the range's replicated
+// sub-ranges, reporting whether every piece landed.
+func (st *replicaState) fetch(r keys.Range, home string) bool {
+	var pieces []*piece
+	for _, sub := range subRanges(r, st.view.Load().tables) {
+		pieces = append(pieces, &piece{r: sub})
 	}
-}
-
-// resync does one watchdog pass; see watch.
-func (st *replicaState) resync() {
-	type syncJob struct {
-		h *replHold
-		r keys.Range
+	if len(pieces) == 0 {
+		return true
 	}
-	st.mu.Lock()
-	for addr, c := range st.conns {
-		if !c.Failed() {
-			continue
-		}
-		c.Close()
-		delete(st.conns, addr)
-		delete(st.feeds, addr)
-		for _, h := range st.held {
-			if h.home == addr {
-				h.synced = false // pushes were missed; re-snapshot
-			}
-		}
-	}
-	var jobs []syncJob
-	for r, h := range st.held {
-		if !h.synced && !h.syncing {
-			h.syncing = true
-			jobs = append(jobs, syncJob{h: h, r: r})
-		}
-	}
-	st.mu.Unlock()
-	for _, j := range jobs {
-		go st.syncRange(j.h, j.r, j.h.home)
-	}
-}
-
-// fetchOnce runs one snapshot+subscribe pass over the range's
-// replicated sub-ranges, reporting whether every piece landed.
-func (st *replicaState) fetchOnce(v *replView, r keys.Range, home string) bool {
-	c, feed, err := st.conn(home)
+	p, err := st.up.conn(home)
 	if err != nil {
 		return false
 	}
-	type wait struct {
-		p *replPiece
-		f *client.Future
-	}
-	var waits []wait
-	for _, sub := range subRanges(r, v.tables) {
-		p := feed.register(sub)
-		fut := c.ScanSubAsync(sub.Lo, sub.Hi, func(m *rpc.Message) {
-			if m.Status == rpc.StatusOK {
-				feed.complete(p, m.KVs, true)
-			} else {
-				feed.complete(p, nil, false)
-			}
-		})
-		waits = append(waits, wait{p: p, f: fut})
-	}
+	done := make(chan bool, 1)
+	p.fetch(pieces, func() { done <- st.land(p.feed, pieces) })
+	return <-done
+}
+
+// land applies a round's snapshots, reporting whether every piece
+// succeeded. A successful (possibly empty) snapshot is the home's full
+// state for the piece, so the old copy is dropped first — rows the
+// snapshot lacks are deletions this feed missed while unsubscribed (a
+// home restart, a resync) and must not survive as ghosts. A failed scan
+// keeps whatever copy exists: still the best promotion source until a
+// retry replaces it. Staleness is re-checked per key — the
+// assignment (or the gate) may have moved on while the snapshot was in
+// flight.
+func (st *replicaState) land(fd *feed, pieces []*piece) bool {
 	ok := true
-	for _, w := range waits {
-		m, err := w.f.Wait()
-		if err != nil {
-			// Transport failure: the callback never ran; release the
-			// piece so pushes stop buffering behind it.
-			feed.complete(w.p, nil, false)
+	var changes []core.Change
+	for _, pc := range pieces {
+		if pc.failed {
 			ok = false
 			continue
 		}
-		if m.Status != rpc.StatusOK {
-			ok = false
+		st.s.dropUnownedPieces(pc.r)
+		for _, kv := range pc.reply.KVs {
+			if fd.keep(kv.Key) {
+				changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
+			}
 		}
+	}
+	if len(changes) > 0 {
+		fd.apply(changes)
 	}
 	return ok
 }
 
-// conn returns the connection+feed to a home, dialing on first use and
-// redialing when the cached connection failed (the home restarted, or
-// the transport reset). A failed connection means its push feed died
-// with it, so every range sourced from the home is marked unsynced —
-// the caller's sync (and the watchdog, for ranges nobody is syncing)
-// re-snapshots them over the fresh connection.
-func (st *replicaState) conn(addr string) (*client.Client, *replFeed, error) {
+// resync is the replica half of a watchdog pass: holds sourced from a
+// home whose connection failed are marked unsynced (a home restart or
+// TCP reset kills the push feed silently — the copy would otherwise go
+// stale while held still matched the assignment), and every hold not
+// confirmed synced gets a sync. It returns the held ranges.
+func (st *replicaState) resync() []keys.Range {
+	lost := st.up.retireFailed()
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if c, ok := st.conns[addr]; ok {
-		if !c.Failed() {
-			return c, st.feeds[addr], nil
-		}
-		c.Close()
-		delete(st.conns, addr)
-		delete(st.feeds, addr)
-		for _, h := range st.held {
-			if h.home == addr {
-				h.synced = false
-			}
+	held := make([]keys.Range, 0, len(st.held))
+	for r, h := range st.held {
+		held = append(held, r)
+		if slices.Contains(lost, h.home) {
+			h.synced = false // pushes were missed; re-snapshot
 		}
 	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	feed := &replFeed{st: st, addr: addr}
-	c.OnNotify = feed.notify
-	st.conns[addr] = c
-	st.feeds[addr] = feed
-	return c, feed, nil
-}
-
-// upstreamConns returns the connections to every home this member
-// copies from. Quiesce fences them like mesh peers: the ping reply is
-// ordered after any replica pushes the home had queued on the socket,
-// so after the fence every held copy contains every write acknowledged
-// before the quiesce — which is what lets a post-quiesce failover
-// promote replicas without losing acknowledged writes.
-func (st *replicaState) upstreamConns() []*client.Client {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*client.Client, 0, len(st.conns))
-	for _, c := range st.conns {
-		out = append(out, c)
-	}
-	return out
+	st.mu.Unlock()
+	st.startSyncs()
+	return held
 }
 
 // snapshot reports the synced replica ranges (stats): copies actually
@@ -493,136 +378,25 @@ func (st *replicaState) snapshot() int {
 	return n
 }
 
-// closeAll tears down the replica machinery (server shutdown, drain).
+// closeAll tears down the replica machinery (server shutdown, drain),
+// returning once every sync goroutine has exited.
 func (st *replicaState) closeAll() {
-	st.stopOnce.Do(func() { close(st.stop) })
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	for addr, c := range st.conns {
-		c.Close()
-		delete(st.conns, addr)
-		delete(st.feeds, addr)
-	}
+	st.closed = true
 	st.held = make(map[keys.Range]*replHold)
+	st.mu.Unlock()
+	st.up.closeAll()
+	st.syncs.Wait()
 }
 
-// replFeed is subFeed's replica twin: it serializes one home
-// connection's pushes against the snapshot scans that install its
-// subscriptions, applying everything through the pool's replica path.
-type replFeed struct {
-	st     *replicaState
-	addr   string
-	mu     sync.Mutex
-	pieces []*replPiece
-}
-
-// replPiece is one in-flight snapshot range and the pushes buffered
-// behind it.
-type replPiece struct {
-	r   keys.Range
-	buf []core.Change
-}
-
-func (fd *replFeed) register(r keys.Range) *replPiece {
-	p := &replPiece{r: r}
-	fd.mu.Lock()
-	fd.pieces = append(fd.pieces, p)
-	fd.mu.Unlock()
-	return p
-}
-
-// fresh reports whether a key's replica rows should still come from
-// this feed's home: the current assignment sources it here, and the
-// gate does not say this member owns it (a promotion makes local
-// writes authoritative; a late replica delivery must not clobber
-// them).
-func (fd *replFeed) fresh(key string) bool {
-	v := fd.st.view.Load()
-	if v == nil || v.homeAddr(key) != fd.addr {
+// fresh reports whether key's replica rows should still come from the
+// home at addr: the current assignment sources it there, and the gate
+// does not say this member owns it (a promotion makes local writes
+// authoritative; a late replica delivery must not clobber them).
+func (st *replicaState) fresh(addr, key string) bool {
+	if st.view.Load().ownerAddr(key) != addr {
 		return false
 	}
-	if g := fd.st.s.pool.Gate(); g != nil && g.OwnsKey(key) {
-		return false
-	}
-	return true
-}
-
-// notify is the home connection's OnNotify: filter stale keys, buffer
-// behind in-flight snapshots, apply the rest.
-func (fd *replFeed) notify(changes []rpc.Change) {
-	out := coreChanges(changes)
-	fresh := out[:0]
-	for _, c := range out {
-		if fd.fresh(c.Key) {
-			fresh = append(fresh, c)
-		}
-	}
-	out = fresh
-	fd.mu.Lock()
-	if len(fd.pieces) > 0 {
-		direct := out[:0]
-		for _, c := range out {
-			buffered := false
-			for _, p := range fd.pieces {
-				if p.r.Contains(c.Key) {
-					p.buf = append(p.buf, c)
-					buffered = true
-					break
-				}
-			}
-			if !buffered {
-				direct = append(direct, c)
-			}
-		}
-		out = direct
-	}
-	fd.mu.Unlock()
-	if len(out) > 0 {
-		fd.st.s.pool.ApplyReplica(out)
-	}
-}
-
-// complete lands a snapshot: apply its rows, then the pushes buffered
-// behind it, and release the piece. Staleness is re-checked per key —
-// the assignment (or the gate) may have moved on while the snapshot
-// was in flight. ok distinguishes a successful (possibly empty)
-// snapshot from a failed scan: a successful one is the home's full
-// state for the piece, so the old copy is dropped first — rows the
-// snapshot lacks are deletions this feed missed while unsubscribed (a
-// home restart, a resync) and must not survive as ghosts. A failed
-// scan keeps whatever copy exists: still the best promotion source
-// until a retry replaces it.
-func (fd *replFeed) complete(p *replPiece, kvs []core.KV, ok bool) {
-	fd.mu.Lock()
-	found := false
-	for i, q := range fd.pieces {
-		if q == p {
-			fd.pieces = append(fd.pieces[:i], fd.pieces[i+1:]...)
-			found = true
-			break
-		}
-	}
-	buf := p.buf
-	p.buf = nil
-	fd.mu.Unlock()
-	if !found {
-		return
-	}
-	if ok {
-		fd.st.s.dropUnownedPieces(p.r)
-	}
-	changes := make([]core.Change, 0, len(kvs)+len(buf))
-	for _, kv := range kvs {
-		if fd.fresh(kv.Key) {
-			changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
-		}
-	}
-	for _, c := range buf {
-		if fd.fresh(c.Key) {
-			changes = append(changes, c)
-		}
-	}
-	if len(changes) > 0 {
-		fd.st.s.pool.ApplyReplica(changes)
-	}
+	g := st.s.pool.Gate()
+	return g == nil || !g.OwnsKey(key)
 }

@@ -126,6 +126,12 @@ type Server struct {
 	rmu  sync.Mutex
 	repl *replicaState
 
+	// The watchdog goroutine (watch): wmu is held across each pass, so
+	// a teardown can wait out one in flight.
+	wmu       sync.Mutex
+	watchStop chan struct{}
+	watchDone chan struct{}
+
 	// Durable range store (nil without Config.DataDir); see
 	// durability.go. recovery is written once in New, before serving.
 	dur      *durable.Store
@@ -148,16 +154,6 @@ type meshState struct {
 	view    atomic.Pointer[meshView]
 	loaders []*remoteLoader // one per shard
 	tables  map[string]bool
-
-	// Watchdog lifecycle (meshWatch): retires failed peer connections
-	// and invalidates the coverage loaded over them, so a peer that
-	// restarted in place — same address, new process, dead
-	// subscriptions — is re-fetched and re-subscribed instead of served
-	// stale forever. stop/done are nil for a mesh that failed wiring
-	// before the watchdog started.
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // meshView is one generation of the mesh's cluster view.
@@ -198,6 +194,9 @@ func New(cfg Config) (*Server, error) {
 		pool:  pool,
 		subs:  interval.New[*subscription](),
 		conns: make(map[*conn]struct{}),
+
+		watchStop: make(chan struct{}),
+		watchDone: make(chan struct{}),
 	}
 	if s.id == "" {
 		s.id = cfg.Name
@@ -213,6 +212,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DataDir == "" {
 		pool.SetHook(s.forwardChange)
+		go s.watch()
 		return s, nil
 	}
 	// Durable mode: recover rows/gate/joins from disk quietly, then set
@@ -226,6 +226,7 @@ func New(cfg Config) (*Server, error) {
 	s.durStop = make(chan struct{})
 	s.durDone = make(chan struct{})
 	pool.SetHook(s.durableHook)
+	go s.watch()
 	s.wireRecovered(meta, warm)
 	s.persistMeta()
 	every := cfg.SnapshotInterval
@@ -350,25 +351,11 @@ func (s *Server) Close() {
 	if s.dur != nil {
 		finalMeta = s.buildMeta()
 	}
-	s.mmu.Lock()
-	mesh := s.mesh
-	s.mesh = nil
-	s.mmu.Unlock()
-	if mesh != nil {
-		mesh.closeAll()
-		if mesh.done != nil {
-			// The watchdog may be mid-tick against the pool; it must be
-			// gone before pool.Close below.
-			<-mesh.done
-		}
-	}
-	s.rmu.Lock()
-	repl := s.repl
-	s.repl = nil
-	s.rmu.Unlock()
-	if repl != nil {
-		repl.closeAll()
-	}
+	// The watchdog may be mid-pass against the pool, and replica syncs
+	// apply to it; both must be gone before pool.Close below.
+	close(s.watchStop)
+	<-s.watchDone
+	s.leaveCluster()
 	if s.dur != nil {
 		// Stop the snapshot loop, persist the final cluster position (a
 		// drained member's post-drain map must survive restart; the
@@ -729,15 +716,17 @@ func (s *Server) quiesce(dl time.Time) error {
 	s.mmu.Lock()
 	var peers []*client.Client
 	if s.mesh != nil {
-		peers = s.mesh.allConns()
+		peers = s.mesh.allConns("")
 	}
 	s.mmu.Unlock()
 	s.rmu.Lock()
 	if s.repl != nil {
 		// Replica homes are upstream peers too: fencing them makes the
-		// post-quiesce replica copies complete, the property failover
-		// promotion relies on.
-		peers = append(peers, s.repl.upstreamConns()...)
+		// post-quiesce replica copies complete — every write acknowledged
+		// before the quiesce — the property failover promotion relies on.
+		for _, c := range s.repl.up.conns() {
+			peers = append(peers, c)
+		}
 	}
 	s.rmu.Unlock()
 	ctx := context.Background()
@@ -949,338 +938,135 @@ func (cn *conn) close() {
 type remoteLoader struct {
 	sh   *shard.Shard
 	view *atomic.Pointer[meshView]
-
-	mu    sync.Mutex
-	conns map[string]*client.Client // by peer address
-	feeds map[string]*subFeed       // parallel to conns
+	up   *upstream // this shard's peer connections: pushes apply to the shard that subscribed
 }
 
 func newRemoteLoader(sh *shard.Shard, view *atomic.Pointer[meshView]) *remoteLoader {
-	return &remoteLoader{
-		sh: sh, view: view,
-		conns: make(map[string]*client.Client),
-		feeds: make(map[string]*subFeed),
-	}
+	return &remoteLoader{sh: sh, view: view, up: newUpstream(
+		func(addr, key string) bool { return view.Load().ownerAddr(key) == addr },
+		sh.ApplyBatch)}
 }
 
-// conn returns this shard's connection to the peer at addr, dialing on
-// first use (a member that joined after the mesh was wired).
-func (l *remoteLoader) conn(addr string) (*client.Client, *subFeed, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c, ok := l.conns[addr]; ok {
-		if !c.Failed() {
-			return c, l.feeds[addr], nil
-		}
-		// The peer's process went away (restart, crash). Redial: the new
-		// process accepts fresh subscriptions; the watchdog invalidates
-		// whatever the dead connection's subscriptions were keeping
-		// fresh.
-		c.Close()
-		delete(l.conns, addr)
-		delete(l.feeds, addr)
-	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	feed := &subFeed{sh: l.sh, addr: addr, view: l.view}
-	c.OnNotify = feed.notify
-	l.conns[addr] = c
-	l.feeds[addr] = feed
-	return c, feed, nil
-}
-
-// retain keeps only the connections to addresses in want, closing the
-// rest (members that drained out of the mesh).
-func (l *remoteLoader) retain(want map[string]bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for addr, c := range l.conns {
-		if !want[addr] {
-			c.Close()
-			delete(l.conns, addr)
-			delete(l.feeds, addr)
-		}
-	}
-}
-
-// retireFailed closes and forgets connections whose peer process went
-// away, returning their addresses so the watchdog can invalidate the
-// coverage their subscriptions were keeping fresh.
-func (l *remoteLoader) retireFailed() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []string
-	for addr, c := range l.conns {
-		if c.Failed() {
-			c.Close()
-			delete(l.conns, addr)
-			delete(l.feeds, addr)
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// connsFor returns the current connections (quiesce fencing, drains).
-func (l *remoteLoader) connSnapshot() []*client.Client {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*client.Client, 0, len(l.conns))
-	for _, c := range l.conns {
-		out = append(out, c)
-	}
-	return out
-}
-
-// connTo returns the connection to addr if one exists (fencing).
-func (l *remoteLoader) connTo(addr string) *client.Client {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conns[addr]
-}
-
-func (l *remoteLoader) closeAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for addr, c := range l.conns {
-		c.Close()
-		delete(l.conns, addr)
-		delete(l.feeds, addr)
-	}
-}
-
-// allConns snapshots every loader's connections. Caller holds mmu.
-func (m *meshState) allConns() []*client.Client {
+// allConns snapshots every loader's connections to addr — to every
+// peer when addr is empty.
+func (m *meshState) allConns(addr string) []*client.Client {
 	var out []*client.Client
 	for _, l := range m.loaders {
-		out = append(out, l.connSnapshot()...)
-	}
-	return out
-}
-
-// closeAll tears down every loader connection and signals the watchdog
-// to exit. Caller holds mmu (or owns the mesh exclusively, as Close
-// does).
-func (m *meshState) closeAll() {
-	if m.stop != nil {
-		m.stopOnce.Do(func() { close(m.stop) })
-	}
-	for _, l := range m.loaders {
-		l.closeAll()
-	}
-}
-
-// meshWatch notices peers whose process went away — a connection a
-// restarted peer cannot resurrect — and drops the mesh-table coverage
-// this server loaded from them: the subscriptions keeping it fresh died
-// with the old process, so serving it would go silently stale. The drop
-// has eviction semantics; the next read re-fetches from (and
-// re-subscribes at) whatever process answers at the address now. The
-// replica manager runs the same protocol for its copies (replica.go);
-// this watchdog covers the load path.
-func (s *Server) meshWatch(m *meshState) {
-	defer close(m.done)
-	t := time.NewTicker(replWatchEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-t.C:
-		}
-		s.mmu.Lock()
-		if s.mesh != m {
-			s.mmu.Unlock()
-			return
-		}
-		tables := make([]string, 0, len(m.tables))
-		for tb := range m.tables {
-			tables = append(tables, tb)
-		}
-		s.mmu.Unlock()
-		failed := make(map[string]bool)
-		for _, l := range m.loaders {
-			for _, a := range l.retireFailed() {
-				failed[a] = true
-			}
-		}
-		if len(failed) == 0 {
-			continue
-		}
-		v := m.view.Load()
-		if v == nil {
-			continue
-		}
-		held := s.replicaHeldRanges()
-		for o, a := range v.addrs {
-			if !failed[a] || v.self[a] {
-				continue
-			}
-			for _, rr := range subRanges(ownerRange(v.pmap, o), tables) {
-				// A range held as a replica copy is the replica
-				// manager's to invalidate — it re-snapshots stale copies
-				// and they may be the only surviving data for a repair
-				// to promote. Likewise dropUnownedPieces spares pieces
-				// the gate already promoted this member to serve.
-				if overlapsAny(rr, held) {
-					continue
-				}
-				s.dropUnownedPieces(rr)
-			}
-		}
-	}
-}
-
-// replicaHeldRanges snapshots the ranges this member currently holds
-// replica copies of (empty when replication is off).
-func (s *Server) replicaHeldRanges() []keys.Range {
-	s.rmu.Lock()
-	st := s.repl
-	s.rmu.Unlock()
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]keys.Range, 0, len(st.held))
-	for r := range st.held {
-		out = append(out, r)
-	}
-	return out
-}
-
-func overlapsAny(r keys.Range, rs []keys.Range) bool {
-	for _, h := range rs {
-		if r.Overlaps(h) {
-			return true
-		}
-	}
-	return false
-}
-
-// subFeed serializes one peer connection's subscription stream against
-// the snapshot scans that install its subscriptions. A snapshot's reply
-// and the pushes for mutations after it race on the wire in either
-// order (the push queue and the reply path are separate writers at the
-// peer), so the subscriber buffers pushes that overlap an in-flight
-// snapshot and applies them after it: the snapshot — strictly older than
-// every push, because it is taken atomically with the subscription
-// install — can then never clobber a newer pushed value. Both notify
-// and the snapshot callback run on the peer client's reader goroutine;
-// the mutex covers registration from the loader goroutine.
-//
-// The feed also guards against stale deliveries from a peer that lost a
-// range to a live migration or a drain: pushes and snapshots are
-// discarded when the current view no longer homes their keys at this
-// feed's peer address, so an in-flight delivery from the old owner
-// cannot overwrite a newer value written at (and replicated from) the
-// new owner.
-type subFeed struct {
-	sh     *shard.Shard
-	addr   string // this feed's peer address
-	view   *atomic.Pointer[meshView]
-	mu     sync.Mutex
-	pieces []*feedPiece
-}
-
-// feedPiece is one in-flight snapshot range — one home-server piece of
-// a load — with its outcome and the pushes buffered behind it.
-type feedPiece struct {
-	r      keys.Range
-	load   *loadFetch
-	kvs    []core.KV // the snapshot, once the reply arrives
-	failed bool      // refused, or the transport died
-	buf    []core.Change
-	landed bool // released from the feed (guarded by subFeed.mu)
-}
-
-// register enters snapshot ranges before their scans are sent, so a
-// push racing ahead of a reply is buffered rather than applied early.
-func (fd *subFeed) register(pieces []*feedPiece) {
-	fd.mu.Lock()
-	fd.pieces = append(fd.pieces, pieces...)
-	fd.mu.Unlock()
-}
-
-// owns reports whether the feed's peer still homes key under the
-// current view.
-func (fd *subFeed) owns(key string) bool {
-	v := fd.view.Load()
-	return v == nil || v.ownerAddr(key) == fd.addr
-}
-
-// notify is the connection's OnNotify: changes overlapping an in-flight
-// snapshot are buffered behind it, the rest apply immediately. Changes
-// whose keys the peer no longer owns (migrated or drained away after
-// the push was enqueued) are dropped — the new owner's replication
-// stream is the authority now.
-func (fd *subFeed) notify(changes []rpc.Change) {
-	all := coreChanges(changes)
-	out := all[:0]
-	for _, c := range all {
-		if fd.owns(c.Key) {
-			out = append(out, c)
-		}
-	}
-	fd.mu.Lock()
-	if len(fd.pieces) > 0 {
-		direct := out[:0]
-		for _, c := range out {
-			buffered := false
-			for _, p := range fd.pieces {
-				if p.r.Contains(c.Key) {
-					p.buf = append(p.buf, c)
-					buffered = true
-					break
-				}
-			}
-			if !buffered {
-				direct = append(direct, c)
-			}
-		}
-		out = direct
-	}
-	fd.mu.Unlock()
-	if len(out) > 0 {
-		fd.sh.ApplyBatch(out)
-	}
-}
-
-// release unregisters a batch's pieces once their snapshots have been
-// applied, returning the pushes that were buffered behind the ones that
-// landed, in arrival order. Pushes were filtered on arrival, but the map
-// may have moved since they were buffered — they are re-checked. A
-// failed piece's pushes are dropped with it: the retry re-snapshots.
-func (fd *subFeed) release(pieces []*feedPiece) []core.Change {
-	fd.mu.Lock()
-	for _, p := range pieces {
-		p.landed = true
-	}
-	kept := fd.pieces[:0]
-	for _, p := range fd.pieces {
-		if !p.landed {
-			kept = append(kept, p)
-		}
-	}
-	for i := len(kept); i < len(fd.pieces); i++ {
-		fd.pieces[i] = nil
-	}
-	fd.pieces = kept
-	fd.mu.Unlock()
-	var out []core.Change
-	for _, p := range pieces {
-		if p.failed {
-			continue
-		}
-		for _, c := range p.buf {
-			if fd.owns(c.Key) {
+		for a, c := range l.up.conns() {
+			if addr == "" || a == addr {
 				out = append(out, c)
 			}
 		}
 	}
 	return out
+}
+
+// closeAll tears down every loader connection.
+func (m *meshState) closeAll() {
+	for _, l := range m.loaders {
+		l.up.closeAll()
+	}
+}
+
+// watchEvery paces the watchdog.
+const watchEvery = 200 * time.Millisecond
+
+// watch is the server's one watchdog goroutine, from New until Close.
+func (s *Server) watch() {
+	defer close(s.watchDone)
+	t := time.NewTicker(watchEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.watchStop:
+			return
+		case <-t.C:
+			s.watchPass()
+		}
+	}
+}
+
+// watchPass notices upstream peers whose process went away — a
+// connection a restarted peer cannot resurrect — and invalidates what
+// the subscriptions that died with it were keeping fresh, which would
+// otherwise go silently stale. Replica holds sourced from the peer are
+// marked unsynced and re-snapshot, along with any hold whose earlier
+// sync exhausted its attempts; mesh-table coverage loaded from the peer
+// is dropped with eviction semantics, so the next read re-fetches from
+// (and re-subscribes at) whatever process answers at the address now.
+func (s *Server) watchPass() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.rmu.Lock()
+	repl := s.repl
+	s.rmu.Unlock()
+	var held []keys.Range
+	if repl != nil {
+		held = repl.resync()
+	}
+	s.mmu.Lock()
+	m := s.mesh
+	var tables []string
+	if m != nil {
+		for tb := range m.tables {
+			tables = append(tables, tb)
+		}
+	}
+	s.mmu.Unlock()
+	if m == nil {
+		return
+	}
+	failed := make(map[string]bool)
+	for _, l := range m.loaders {
+		for _, a := range l.up.retireFailed() {
+			failed[a] = true
+		}
+	}
+	if len(failed) == 0 {
+		return
+	}
+	v := m.view.Load()
+	for o, a := range v.addrs {
+		if !failed[a] || v.self[a] {
+			continue
+		}
+	next:
+		for _, rr := range subRanges(v.pmap.OwnerRange(o), tables) {
+			// A range held as a replica copy is the replica half's to
+			// invalidate — it re-snapshots stale copies and they may be
+			// the only surviving data for a repair to promote. Likewise
+			// dropUnownedPieces spares pieces the gate already promoted
+			// this member to serve.
+			for _, h := range held {
+				if rr.Overlaps(h) {
+					continue next
+				}
+			}
+			s.dropUnownedPieces(rr)
+		}
+	}
+}
+
+// leaveCluster tears down the mesh wiring and the replica machinery
+// (shutdown, drain), returning only once no watchdog pass or replica
+// sync that could still touch the pool on their behalf is running.
+func (s *Server) leaveCluster() {
+	s.mmu.Lock()
+	mesh := s.mesh
+	s.mesh = nil
+	s.mmu.Unlock()
+	if mesh != nil {
+		mesh.closeAll()
+	}
+	s.rmu.Lock()
+	repl := s.repl
+	s.repl = nil
+	s.rmu.Unlock()
+	if repl != nil {
+		repl.closeAll()
+	}
+	s.wmu.Lock() // wait out a pass that snapshotted them before the teardown
+	s.wmu.Unlock()
 }
 
 // ConnectPeers wires this server to its home servers: pmap maps key
@@ -1309,7 +1095,7 @@ func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, ta
 		// gate), that is the authority: the wire bounds must agree, and
 		// the mesh adopts the gate's map so its position survives.
 		if g := s.pool.Gate(); g != nil {
-			if err := sameBounds(g.Map.Bounds(), pmap.Bounds()); err != nil {
+			if err := g.Map.SameBounds(pmap); err != nil {
 				return fmt.Errorf("pequod server: mesh bounds disagree with the published cluster map (e%d v%d): %w",
 					g.Map.Epoch(), g.Map.Version(), err)
 			}
@@ -1328,15 +1114,12 @@ func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, ta
 				if view.self[a] {
 					continue // no connection to ourselves
 				}
-				if _, _, err := l.conn(a); err != nil {
+				if _, err := l.up.conn(a); err != nil {
 					mesh.closeAll()
 					return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
 				}
 			}
 		}
-		mesh.stop = make(chan struct{})
-		mesh.done = make(chan struct{})
-		go s.meshWatch(mesh)
 		s.mesh = mesh
 	} else if err := s.mesh.sameTopology(pmap, addrs); err != nil {
 		// A stale caller re-wiring with outdated bounds is harmless when
@@ -1369,7 +1152,7 @@ func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, ta
 // set.
 func (m *meshState) sameTopology(pmap *partition.Map, addrs []string) error {
 	v := m.view.Load()
-	if err := sameBounds(v.pmap.Bounds(), pmap.Bounds()); err != nil {
+	if err := v.pmap.SameBounds(pmap); err != nil {
 		return fmt.Errorf("pequod server: already meshed: %w", err)
 	}
 	if len(v.addrs) != len(addrs) {
@@ -1378,19 +1161,6 @@ func (m *meshState) sameTopology(pmap *partition.Map, addrs []string) error {
 	for i := range v.addrs {
 		if v.addrs[i] != addrs[i] {
 			return fmt.Errorf("pequod server: mesh member %d differs: %q vs %q", i, v.addrs[i], addrs[i])
-		}
-	}
-	return nil
-}
-
-// sameBounds compares two split-point lists.
-func sameBounds(prev, next []string) error {
-	if len(prev) != len(next) {
-		return fmt.Errorf("partition has %d ranges, got %d", len(prev)+1, len(next)+1)
-	}
-	for i := range prev {
-		if prev[i] != next[i] {
-			return fmt.Errorf("bound %d differs: %q vs %q", i, prev[i], next[i])
 		}
 	}
 	return nil
@@ -1419,20 +1189,13 @@ type loadFetch struct {
 	failed bool // some piece could not be fetched
 }
 
-// fetchGroup is the part of one batch bound for one home connection.
-// Its replies arrive on that connection's reader goroutine, in order
-// with the connection's subscription pushes, and the last one lands the
-// whole group: the snapshots apply through one Shard.LoadsDone, ahead
-// of any push that followed them on the wire.
+// fetchGroup is the part of one batch bound for one home connection:
+// the pieces of one snapshot round (peer.fetch) and the load each
+// belongs to.
 type fetchGroup struct {
-	l        *remoteLoader
-	c        *client.Client
-	feed     *subFeed
-	attempts int
-	mu       *sync.Mutex // the batch's: loads may span groups
-	pieces   []*feedPiece
-	left     int  // replies outstanding
-	dead     bool // the connection failed under the batch
+	p      *peer
+	pieces []*piece
+	loads  []*loadFetch // parallel to pieces
 }
 
 // fetch starts one batch of loads: pieces this server homes itself need
@@ -1440,7 +1203,7 @@ type fetchGroup struct {
 // connection.
 func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 	v := l.view.Load()
-	mu := new(sync.Mutex)
+	mu := new(sync.Mutex)                  // guards the loadFetches: loads may span groups
 	groups := make(map[string]*fetchGroup) // by home address; nil = unreachable
 	var landed, failed []core.Load
 	for _, ld := range loads {
@@ -1452,8 +1215,8 @@ func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 			}
 			g, tried := groups[addr]
 			if !tried {
-				if c, feed, err := l.conn(addr); err == nil {
-					g = &fetchGroup{l: l, c: c, feed: feed, attempts: attempts, mu: mu}
+				if p, err := l.up.conn(addr); err == nil {
+					g = &fetchGroup{p: p}
 				}
 				groups[addr] = g
 			}
@@ -1462,7 +1225,8 @@ func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 				continue
 			}
 			lf.pieces++
-			g.pieces = append(g.pieces, &feedPiece{r: pc.R, load: lf})
+			g.pieces = append(g.pieces, &piece{r: pc.R})
+			g.loads = append(g.loads, lf)
 		}
 		switch {
 		case lf.pieces > 0: // resolved by the groups' replies
@@ -1474,70 +1238,34 @@ func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 	}
 	l.deliver(nil, landed, failed, attempts)
 	for _, g := range groups {
-		if g == nil {
-			continue
+		if g != nil {
+			g.p.fetch(g.pieces, func() { l.land(g, mu, attempts) })
 		}
-		g.left = len(g.pieces)
-		ranges := make([]keys.Range, len(g.pieces))
-		for i, p := range g.pieces {
-			ranges[i] = p.r
-		}
-		g.feed.register(g.pieces)
-		g.c.ScanSubBatch(ranges, g.reply)
 	}
 }
 
-// reply records one piece's outcome and, on the group's last, lands it.
-func (g *fetchGroup) reply(i int, m *rpc.Message, err error) {
-	p := g.pieces[i]
-	switch {
-	case err != nil:
-		// Transport failure: the peer's process went away and took the
-		// group's subscriptions with it, landed pieces' included.
-		p.failed = true
-	case m.Status == rpc.StatusNotOwner:
-		// The piece migrated away from its home mid-fetch. Adopt the
-		// newer map the reply carries; the retry refetches from the new
-		// owner.
-		g.l.adopt(m.Epoch, m.MapVersion, m.Bounds, m.Peers)
-		p.failed = true
-	case m.Status != rpc.StatusOK:
-		p.failed = true
-	default:
-		p.kvs = m.KVs
-	}
-	g.mu.Lock()
-	g.dead = g.dead || err != nil
-	g.left--
-	last := g.left == 0
-	g.mu.Unlock()
-	if last {
-		g.land()
-	}
-}
-
-// land applies the group's snapshots and resolves the loads it
-// completes — a load whose pieces span connections is resolved by
-// whichever group finishes it last — then releases the pieces and
-// applies the pushes that were buffered behind them. Only keys the peer
-// still homes apply: a migration completing mid-flight may have moved
-// part (a bound landed inside a piece) or all of a snapshot's range
-// away, and the retry refetches that from the new home.
-func (g *fetchGroup) land() {
+// land applies a group's snapshots and resolves the loads it completes
+// — a load whose pieces span connections is resolved by whichever group
+// finishes it last. Only keys the peer still homes apply: a migration
+// completing mid-flight may have moved part (a bound landed inside a
+// piece) or all of a snapshot's range away, and the retry refetches
+// that from the new home.
+func (l *remoteLoader) land(g *fetchGroup, mu *sync.Mutex, attempts int) {
 	var rows []core.KV
 	var landed, failed []core.Load
-	g.mu.Lock()
-	for _, p := range g.pieces {
-		lf := p.load
-		if p.failed = p.failed || g.dead; p.failed {
+	mu.Lock()
+	for i, pc := range g.pieces {
+		lf := g.loads[i]
+		if pc.failed {
 			lf.failed = true
-		}
-		for _, kv := range p.kvs {
-			if !p.failed && g.feed.owns(kv.Key) {
-				rows = append(rows, kv)
+			if m := pc.reply; m != nil && m.Status == rpc.StatusNotOwner {
+				// The piece migrated away from its home mid-fetch. Adopt
+				// the newer map the reply carries; the retry refetches
+				// from the new owner.
+				l.adopt(m.Epoch, m.MapVersion, m.Bounds, m.Peers)
 			}
 		}
-		p.kvs = nil
+		rows = g.p.feed.rows(rows, pc)
 		if lf.pieces--; lf.pieces > 0 {
 			continue
 		}
@@ -1547,11 +1275,8 @@ func (g *fetchGroup) land() {
 			landed = append(landed, lf.Load)
 		}
 	}
-	g.mu.Unlock()
-	g.l.deliver(rows, landed, failed, g.attempts)
-	if pushes := g.feed.release(g.pieces); len(pushes) > 0 {
-		g.l.sh.ApplyBatch(pushes)
-	}
+	mu.Unlock()
+	l.deliver(rows, landed, failed, attempts)
 }
 
 // deliver hands finished loads to the shard in one call. Failed loads

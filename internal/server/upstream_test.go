@@ -1,0 +1,436 @@
+package server
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pequod/internal/client"
+	"pequod/internal/core"
+	"pequod/internal/keys"
+	"pequod/internal/partition"
+	"pequod/internal/rpc"
+)
+
+// sinkLog records what a feed delivers, in delivery order.
+type sinkLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *sinkLog) add(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+// apply is the recording sink for pushes.
+func (l *sinkLog) apply(cs []core.Change) {
+	for _, c := range cs {
+		l.add("push " + c.Key + "=" + c.Value)
+	}
+}
+
+func (l *sinkLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.events...)
+}
+
+// fakeHome is a scripted peer: it reads the subscribing scans a round
+// sends and answers with replies and pushes in whatever wire order the
+// scenario wants.
+type fakeHome struct {
+	t  *testing.T
+	ln net.Listener
+	c  net.Conn
+	br *bufio.Reader
+}
+
+func newFakeHome(t *testing.T) *fakeHome {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return &fakeHome{t: t, ln: ln}
+}
+
+func (h *fakeHome) addr() string { return h.ln.Addr().String() }
+
+func (h *fakeHome) accept() {
+	c, err := h.ln.Accept()
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(func() { c.Close() })
+	h.c, h.br = c, bufio.NewReader(c)
+}
+
+func (h *fakeHome) read(want rpc.MsgType) *rpc.Message {
+	h.t.Helper()
+	m, _, err := rpc.ReadMessage(h.br, nil)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if m.Type != want {
+		h.t.Fatalf("home read message type %v, want %v", m.Type, want)
+	}
+	return m
+}
+
+func (h *fakeHome) send(m *rpc.Message) {
+	h.t.Helper()
+	if _, err := rpc.WriteMessage(h.c, m, nil); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// kvs parses "key=value" pairs.
+func kvs(pairs []string) []core.KV {
+	out := make([]core.KV, len(pairs))
+	for i, p := range pairs {
+		k, v, _ := strings.Cut(p, "=")
+		out[i] = core.KV{Key: k, Value: v}
+	}
+	return out
+}
+
+func (h *fakeHome) reply(req *rpc.Message, pairs ...string) {
+	r := rpc.OKReply(req.Seq)
+	r.KVs = kvs(pairs)
+	h.send(r)
+}
+
+func (h *fakeHome) refuse(req *rpc.Message) {
+	h.send(rpc.ErrReply(req.Seq, errors.New("refused")))
+}
+
+func (h *fakeHome) push(pairs ...string) {
+	m := &rpc.Message{Type: rpc.MsgNotify}
+	for _, kv := range kvs(pairs) {
+		m.Changes = append(m.Changes, rpc.Change{Op: rpc.ChangePut, Key: kv.Key, Value: kv.Value})
+	}
+	h.send(m)
+}
+
+// fence returns once the subscriber has processed everything sent so
+// far: a ping reply is handled on the same reader goroutine, after it.
+func (h *fakeHome) fence(c *client.Client) {
+	h.t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- c.Ping(context.Background()) }()
+	h.send(rpc.OKReply(h.read(rpc.MsgPing).Seq))
+	if err := <-done; err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// feedRig is one feed under test, wired to a fakeHome.
+type feedRig struct {
+	t       *testing.T
+	h       *fakeHome
+	p       *peer
+	log     *sinkLog
+	setHome func(addr string) // re-home every key at addr
+	landed  chan struct{}     // one token per landed round
+}
+
+// fetch starts a round over ranges and returns the scans the home
+// received for it. The round's land records the snapshot rows the feed
+// still wants, and a failed piece by its low key.
+func (x *feedRig) fetch(ranges ...keys.Range) []*rpc.Message {
+	x.t.Helper()
+	pieces := make([]*piece, len(ranges))
+	for i, r := range ranges {
+		pieces[i] = &piece{r: r}
+	}
+	x.p.fetch(pieces, func() {
+		for _, pc := range pieces {
+			if pc.failed {
+				x.log.add("fail " + pc.r.Lo)
+			}
+			for _, kv := range x.p.feed.rows(nil, pc) {
+				x.log.add("snap " + kv.Key + "=" + kv.Value)
+			}
+		}
+		x.landed <- struct{}{}
+	})
+	reqs := make([]*rpc.Message, len(ranges))
+	for i, r := range ranges {
+		reqs[i] = x.h.read(rpc.MsgScan)
+		if m := reqs[i]; !m.SubscribeFlag || m.Lo != r.Lo || m.Hi != r.Hi {
+			x.t.Fatalf("scan %d = [%q, %q) subscribe=%v, want subscribing [%q, %q)", i, m.Lo, m.Hi, m.SubscribeFlag, r.Lo, r.Hi)
+		}
+	}
+	return reqs
+}
+
+func (x *feedRig) fence() { x.t.Helper(); x.h.fence(x.p.c) }
+
+var (
+	rangeA = keys.Range{Lo: "a", Hi: "b"}
+	rangeC = keys.Range{Lo: "c", Hi: "d"}
+)
+
+// feedCases script the orderings the feed exists for. Every case runs
+// against both instantiations of upstream.
+var feedCases = []struct {
+	name string
+	run  func(x *feedRig)
+	want []string
+}{
+	{"push before reply", func(x *feedRig) {
+		reqs := x.fetch(rangeA)
+		x.h.push("a1=new", "z1=outside")
+		x.h.reply(reqs[0], "a1=old", "a2=only")
+		x.fence()
+	}, []string{"push z1=outside", "snap a1=old", "snap a2=only", "push a1=new"}},
+
+	{"reply before push", func(x *feedRig) {
+		reqs := x.fetch(rangeA)
+		x.h.reply(reqs[0], "a1=old")
+		x.h.push("a1=new")
+		x.fence()
+	}, []string{"snap a1=old", "push a1=new"}},
+
+	{"two rounds in flight, one released", func(x *feedRig) {
+		ra, rc := x.fetch(rangeA), x.fetch(rangeC)
+		x.h.push("a1=new", "c1=new")
+		x.h.reply(ra[0], "a1=old")
+		x.fence()
+		x.log.add("-- round A landed")
+		x.h.reply(rc[0])
+		x.fence()
+	}, []string{"snap a1=old", "push a1=new", "-- round A landed", "push c1=new"}},
+
+	{"failed piece drops its buffered pushes", func(x *feedRig) {
+		reqs := x.fetch(rangeA, rangeC)
+		x.h.push("a1=new", "c1=new")
+		x.h.reply(reqs[0], "a1=old")
+		x.h.refuse(reqs[1])
+		x.fence()
+	}, []string{"snap a1=old", "fail c", "push a1=new"}},
+
+	{"connection dies under the round", func(x *feedRig) {
+		reqs := x.fetch(rangeA, rangeC)
+		x.h.push("a1=new")
+		x.h.reply(reqs[0], "a1=old")
+		x.h.c.Close()
+		<-x.landed
+	}, []string{"fail a", "fail c"}},
+
+	{"owner moved while buffered", func(x *feedRig) {
+		reqs := x.fetch(rangeA)
+		x.h.push("a1=new")
+		x.fence() // buffered behind the snapshot
+		x.setHome("elsewhere:1")
+		x.h.reply(reqs[0], "a1=old")
+		x.h.push("z1=late")
+		x.fence()
+	}, nil},
+
+	{"keep flips between notify and release", func(x *feedRig) {
+		reqs := x.fetch(rangeA)
+		x.setHome("elsewhere:1")
+		x.h.push("a1=while-away")
+		x.fence() // dropped on arrival, not buffered
+		x.setHome(x.h.addr())
+		x.h.push("a2=back")
+		x.h.reply(reqs[0], "a1=old")
+		x.fence()
+	}, []string{"snap a1=old", "push a2=back"}},
+}
+
+func TestFeedOrdering(t *testing.T) {
+	oneOwner := func(addr string) meshView {
+		return meshView{pmap: partition.MustNew(), addrs: []string{addr}, self: map[string]bool{}}
+	}
+	insts := []struct {
+		name string
+		mk   func(s *Server, apply func([]core.Change)) (*upstream, func(addr string))
+	}{
+		{"mesh load", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
+			view := new(atomic.Pointer[meshView])
+			l := newRemoteLoader(s.pool.Shard(0), view)
+			l.up.apply = apply
+			return l.up, func(addr string) { v := oneOwner(addr); view.Store(&v) }
+		}},
+		{"replica", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
+			st := &replicaState{s: s}
+			st.up = newUpstream(st.fresh, apply)
+			return st.up, func(addr string) { st.view.Store(&replView{meshView: oneOwner(addr), copies: 2}) }
+		}},
+	}
+	for _, inst := range insts {
+		for _, tc := range feedCases {
+			t.Run(inst.name+"/"+tc.name, func(t *testing.T) {
+				s, err := New(Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+				x := &feedRig{t: t, h: newFakeHome(t), log: new(sinkLog), landed: make(chan struct{}, 4)}
+				up, setHome := inst.mk(s, x.log.apply)
+				t.Cleanup(up.closeAll)
+				x.setHome = setHome
+				setHome(x.h.addr())
+				if x.p, err = up.conn(x.h.addr()); err != nil {
+					t.Fatal(err)
+				}
+				x.h.accept()
+				tc.run(x)
+				if got := x.log.take(); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("delivered\n  %q\nwant\n  %q", got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// startHome starts a plain server and returns it with its address.
+func startHome(t *testing.T) (h struct {
+	s    *Server
+	addr string
+}) {
+	t.Helper()
+	var err error
+	if h.s, err = New(Config{Name: "home"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.s.Close)
+	if h.addr, err = h.s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestUpstreamRemembersLostPeers: a redial hides a failed connection
+// from the next caller, but not from the watchdog — the subscriptions
+// it carried are gone either way.
+func TestUpstreamRemembersLostPeers(t *testing.T) {
+	addr := startHome(t).addr
+	up := newUpstream(func(string, string) bool { return true }, func([]core.Change) {})
+	defer up.closeAll()
+	p, err := up.conn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost := up.retireFailed(); len(lost) != 0 {
+		t.Fatalf("healthy peer retired: %v", lost)
+	}
+	p.c.Close()
+	p2, err := up.conn(addr)
+	if err != nil || p2 == p || p2.c.Failed() {
+		t.Fatalf("conn after failure = %v, %v; want a fresh connection", p2, err)
+	}
+	if lost := up.retireFailed(); !reflect.DeepEqual(lost, []string{addr}) {
+		t.Fatalf("retireFailed after a redial = %v, want [%s]", lost, addr)
+	}
+	if lost := up.retireFailed(); len(lost) != 0 {
+		t.Fatalf("loss reported twice: %v", lost)
+	}
+	up.closeAll()
+	if _, err := up.conn(addr); !errors.Is(err, errUpstreamClosed) {
+		t.Fatalf("conn after closeAll: %v, want errUpstreamClosed", err)
+	}
+}
+
+// TestTeardownJoinsWatchdogAndSyncs closes (or drains) a replica holder
+// while its holds are being re-snapshotted over and over: once the
+// teardown returns, the watchdog and every sync goroutine are gone, and
+// nothing applies a replica row (each landed snapshot drops the old
+// copy, then applies the new one) to the pool afterwards.
+func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
+	home := startHome(t)
+	for i := 0; i < 64; i++ {
+		home.s.pool.Put(fmt.Sprintf("b|%03d", i), "v")
+	}
+	for round := 0; round < 12; round++ {
+		drain := round%2 == 1
+		s, err := New(Config{Name: "holder"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Owner 0 (everything below "m") is the home; this member owns the
+		// rest and, with two copies, holds a replica of owner 0's range.
+		pmap := partition.MustNew("m")
+		s.applyReplicaAssignment(pmap, []string{home.addr, addr}, []int{1}, 2, nil)
+		st := s.repl
+		for deadline := time.Now().Add(5 * time.Second); st.snapshot() != 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("replica never synced")
+			}
+		}
+		// Route replica rows through a probe, on fresh connections (a feed
+		// binds its sink when it dials).
+		var down atomic.Bool
+		var late atomic.Int64
+		st.up.mu.Lock()
+		st.up.apply = func(cs []core.Change) {
+			if down.Load() {
+				late.Add(1)
+			}
+			s.pool.ApplyReplica(cs)
+		}
+		st.up.mu.Unlock()
+		st.up.retain(nil)
+
+		stop := make(chan struct{})
+		var kicker sync.WaitGroup
+		kicker.Add(1)
+		go func() {
+			defer kicker.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st.mu.Lock()
+				for _, h := range st.held {
+					h.synced = false
+				}
+				st.mu.Unlock()
+				s.watchPass()
+			}
+		}()
+		time.Sleep(time.Duration(1+round) * time.Millisecond)
+		if drain {
+			s.handleDrain(&rpc.Message{})
+		} else {
+			s.Close()
+		}
+		down.Store(true)
+		close(stop)
+		kicker.Wait()
+		s.watchPass() // after a teardown a pass finds nothing to do
+		time.Sleep(10 * time.Millisecond)
+		if n := late.Load(); n != 0 {
+			t.Fatalf("round %d: %d replica applies after the teardown returned", round, n)
+		}
+		if s.repl != nil {
+			t.Fatalf("round %d: replica state survived the teardown", round)
+		}
+		if drain {
+			s.Close()
+		}
+		select {
+		case <-s.watchDone:
+		default:
+			t.Fatalf("round %d: Close returned with the watchdog still running", round)
+		}
+	}
+}

@@ -233,18 +233,15 @@ func newGate(next *partition.Map, peers []string, self map[int]bool) *Gate {
 	return &Gate{Map: next, Peers: append([]string(nil), peers...), Self: self}
 }
 
-// selfSet builds a Gate self map from owner indexes.
-func selfSet(idx []int) map[int]bool {
+// SelfSet builds a Gate self map from owner indexes (the server's RPC
+// handlers decode owner-index lists off the wire).
+func SelfSet(idx []int) map[int]bool {
 	s := make(map[int]bool, len(idx))
 	for _, i := range idx {
 		s[i] = true
 	}
 	return s
 }
-
-// SelfSet is selfSet for callers outside the package (the server's RPC
-// handlers decode owner-index lists off the wire).
-func SelfSet(idx []int) map[int]bool { return selfSet(idx) }
 
 // ExtractClusterRange removes range r's state from this pool so it can
 // move to another server, atomically flipping cluster ownership: next
@@ -358,7 +355,7 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.Map, peers
 		// concurrent coordinator that lost the race — succeeding here
 		// would silently drop its extracted rows; the conflict error
 		// sends them back up the coordinator's failure path instead.
-		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && sameBounds(next, g.Map) {
+		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && next.SameBounds(g.Map) == nil {
 			return nil
 		}
 		return g.notOwner()
@@ -418,20 +415,6 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.Map, peers
 	return nil
 }
 
-// sameBounds reports whether two maps carry identical split points.
-func sameBounds(a, b *partition.Map) bool {
-	ab, bb := a.Bounds(), b.Bounds()
-	if len(ab) != len(bb) {
-		return false
-	}
-	for i := range ab {
-		if ab[i] != bb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // clipState restricts an extracted range state to one shard piece.
 func clipState(rs core.RangeState, r keys.Range) core.RangeState {
 	out := core.RangeState{R: r}
@@ -471,7 +454,7 @@ func (p *Pool) ApplyMapUpdate(next *partition.Map, peers []string, self map[int]
 	}
 	ng := newGate(next, peers, self)
 	if !next.NewerThan(g.Map.Epoch(), g.Map.Version()) {
-		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && sameBounds(next, g.Map) {
+		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && next.SameBounds(g.Map) == nil {
 			// The coordinator republished the map we already hold: its
 			// splice landed, so retained copies it confirms can go.
 			p.reconcileRetained(g)
@@ -739,13 +722,7 @@ func (p *Pool) LoadInfo() LoadInfo {
 	var li LoadInfo
 	for _, sh := range p.shards {
 		li.Units += sh.unitsTotal.Load()
-		sh.mu.Lock()
-		for _, k := range sh.samples {
-			if k != "" {
-				li.Samples = append(li.Samples, k)
-			}
-		}
-		sh.mu.Unlock()
+		li.Samples = append(li.Samples, sh.sampleKeys()...)
 	}
 	return li
 }

@@ -30,10 +30,11 @@
 // The partition is self-adjusting at both scopes the pool serves:
 //
 //   - Within the process (rebalance.go): per-shard load accounting
-//     feeds a rebalancer goroutine that migrates hot key ranges live
-//     between neighboring shards (Pool.MoveBound), publishing a
-//     versioned successor partition.Map. Every routed operation
-//     re-validates shard ownership under the shard lock it holds.
+//     feeds a rebalancer goroutine (policy: partition.Balancer) that
+//     migrates hot key ranges live between neighboring shards
+//     (Pool.MoveBound), publishing a versioned successor
+//     partition.Map. Every routed operation re-validates shard
+//     ownership under the shard lock it holds.
 //   - Between servers (clustergate.go): a mesh-wired cluster member
 //     holds a Gate — the versioned cluster map plus its own owner
 //     indexes — and the same under-lock re-validation makes

@@ -5,10 +5,11 @@ package shard
 // bounds the operator picked, a hot shard stays hot (the paper's §2.4
 // deployment assumes well-chosen bounds up front). The rebalancer
 // closes that gap inside the process: every shard accounts the work it
-// serves, a background goroutine folds the counts into an EWMA, and
-// when one shard runs hot it migrates a slice of that shard's range —
-// live, under both shards' locks, without stopping reads elsewhere — to
-// a cooler neighbor by moving the partition bound between them.
+// serves, a background goroutine feeds the counts to the balancing
+// policy (partition.Balancer, shared with the cluster client), and when
+// one shard runs hot it migrates a slice of that shard's range — live,
+// under both shards' locks, without stopping reads elsewhere — to a
+// cooler neighbor by moving the partition bound between them.
 //
 // Migration protocol (MoveBound), for a range r moving src -> dst:
 //
@@ -40,45 +41,17 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"pequod/internal/core"
 	"pequod/internal/keys"
+	"pequod/internal/partition"
 )
 
-// Rebalance configures the load-aware rebalancer.
-type Rebalance struct {
-	// Interval between load samples / rebalance decisions.
-	// Default 100ms.
-	Interval time.Duration
-	// Ratio is how far above the mean per-shard load the hottest shard
-	// must run before a migration triggers. Default 1.5.
-	Ratio float64
-	// MinOps is the per-interval pool-wide load floor below which the
-	// pool is considered idle and no move happens. Default 128.
-	MinOps int64
-	// HalfLife weights the EWMA: the fraction of each new sample folded
-	// in per interval, in (0, 1]. Default 0.5.
-	HalfLife float64
-}
-
-// withDefaults fills unset knobs.
-func (r Rebalance) withDefaults() Rebalance {
-	if r.Interval <= 0 {
-		r.Interval = 100 * time.Millisecond
-	}
-	if r.Ratio <= 1 {
-		r.Ratio = 1.5
-	}
-	if r.MinOps <= 0 {
-		r.MinOps = 128
-	}
-	if r.HalfLife <= 0 || r.HalfLife > 1 {
-		r.HalfLife = 0.5
-	}
-	return r
-}
+// Rebalance configures the load-aware rebalancer; the knobs and the
+// policy they tune are shared with the cluster-level rebalancer
+// (partition.Balancer).
+type Rebalance = partition.Rebalance
 
 // RebalanceStats snapshots the rebalancer's activity.
 type RebalanceStats struct {
@@ -91,9 +64,9 @@ type RebalanceStats struct {
 	Loads      []float64 `json:"loads"`      // per-shard EWMA load (ops + rows per interval)
 }
 
-// rebState is the pool's rebalancer bookkeeping. Counters update on
-// every MoveBound, including manual ones, so tests and operators see
-// forced moves too.
+// rebState is the pool's rebalancer bookkeeping, guarded by imu.
+// Counters update on every MoveBound, including manual ones, so tests
+// and operators see forced moves too.
 type rebState struct {
 	running    bool
 	stop       chan struct{}
@@ -101,30 +74,13 @@ type rebState struct {
 	migrations int64
 	keysMoved  int64
 	warmMoved  int64
-	ewma       []float64
-
-	// Hysteresis: a shard must run hot for hotPersist consecutive ticks
-	// before a migration triggers, and after a migration the rebalancer
-	// sits out cooldownTicks ticks. Without this, transient skew — a
-	// burst draining, closed-loop workers finishing at different times —
-	// causes migration thrash that costs more than the imbalance it
-	// chases.
-	hotStreak int
-	cooldown  int
+	bal        partition.Balancer[int] // owner identity = shard index
 }
-
-// hotPersist and cooldownTicks are the hysteresis constants (see
-// rebState). A migration can run at most once every
-// cooldownTicks+hotPersist intervals.
-const (
-	hotPersist    = 2
-	cooldownTicks = 5
-)
 
 // startRebalancer launches the rebalance goroutine (called from New for
 // multi-shard pools with Config.Rebalance set).
 func (p *Pool) startRebalancer(cfg Rebalance) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	p.reb.running = true
 	p.reb.stop = make(chan struct{})
 	p.reb.done = make(chan struct{})
@@ -157,117 +113,39 @@ func (p *Pool) rebalanceLoop(cfg Rebalance) {
 	}
 }
 
-// rebalanceTick takes one load sample and migrates at most one range.
-// It reports whether a migration ran (tests poll it indirectly through
-// RebalanceStats).
+// rebalanceTick takes one load sample and migrates at most one range,
+// reporting whether a migration ran.
 func (p *Pool) rebalanceTick(cfg Rebalance) bool {
-	n := len(p.shards)
-	p.imu.Lock()
-	if p.reb.ewma == nil {
-		p.reb.ewma = make([]float64, n)
-	}
-	var raw int64
-	hot, total := 0, 0.0
+	owners := make([]int, len(p.shards))
+	units := make(map[int]int64, len(p.shards))
 	for i, sh := range p.shards {
-		d := sh.units.Swap(0)
-		raw += d
-		p.reb.ewma[i] = (1-cfg.HalfLife)*p.reb.ewma[i] + cfg.HalfLife*float64(d)
-		total += p.reb.ewma[i]
-		if p.reb.ewma[i] > p.reb.ewma[hot] {
-			hot = i
-		}
+		owners[i] = i
+		units[i] = sh.unitsTotal.Load()
 	}
-	ewma := append([]float64(nil), p.reb.ewma...)
-	mean := total / float64(n)
-	idle := raw < cfg.MinOps || total == 0
-	over := !idle && ewma[hot] > cfg.Ratio*mean
-	if p.reb.cooldown > 0 {
-		p.reb.cooldown--
-		over = false
-	} else if over {
-		p.reb.hotStreak++
-		over = p.reb.hotStreak >= hotPersist
-	} else {
-		// Idle ticks break the streak too: two hot bursts separated by
-		// hours of idleness are not "persistently hot", and the key
-		// samples from the first burst would be stale by the second.
-		p.reb.hotStreak = 0
-	}
+	p.imu.Lock()
+	i, bound, ok := p.reb.bal.Decide(cfg, p.pmap.Load(), owners, units,
+		func(hot int) []string { return p.shards[hot].sampleKeys() })
 	p.imu.Unlock()
-
-	if !over {
+	if !ok || p.MoveBound(i, bound) != nil {
 		return false
 	}
-
-	// Shed load to the cooler neighbor: enough to meet it halfway.
-	nb := hot + 1
-	if hot == n-1 || (hot > 0 && ewma[hot-1] < ewma[nb]) {
-		nb = hot - 1
-	}
-	frac := (ewma[hot] - ewma[nb]) / (2 * ewma[hot])
-	if frac <= 0 {
-		return false
-	}
-
-	bound, ok := p.pickBound(hot, nb, frac)
-	if !ok {
-		return false
-	}
-	boundIdx := hot
-	if nb < hot {
-		boundIdx = hot - 1
-	}
-	moved := p.MoveBound(boundIdx, bound) == nil
-	if moved {
-		p.imu.Lock()
-		p.reb.hotStreak = 0
-		p.reb.cooldown = cooldownTicks
-		p.imu.Unlock()
-	}
-	return moved
+	p.imu.Lock()
+	p.reb.bal.Moved()
+	p.imu.Unlock()
+	return true
 }
 
-// pickBound chooses the new split point between the hot shard and its
-// neighbor from the hot shard's recent key samples: the quantile that
-// sheds roughly frac of the hot shard's load. Returns false when there
-// are too few samples in the hot shard's current range to trust.
-func (p *Pool) pickBound(hot, nb int, frac float64) (string, bool) {
-	const minSamples = 16
-	m := p.pmap.Load()
-	sh := p.shards[hot]
-	var keysIn []string
+// sampleKeys snapshots the shard's ring of recently served keys.
+func (sh *Shard) sampleKeys() []string {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []string
 	for _, k := range sh.samples {
-		if k != "" && m.Owner(k) == hot {
-			keysIn = append(keysIn, k)
+		if k != "" {
+			out = append(out, k)
 		}
 	}
-	sh.mu.Unlock()
-	if len(keysIn) < minSamples {
-		return "", false
-	}
-	sort.Strings(keysIn)
-	var q string
-	if nb > hot {
-		// Move the top frac of the hot shard's keys right: the new
-		// bound is the (1-frac) quantile.
-		q = keysIn[clampIndex(int(float64(len(keysIn))*(1-frac)), len(keysIn))]
-	} else {
-		// Move the bottom frac left: the bound above the neighbor rises
-		// to the frac quantile.
-		q = keysIn[clampIndex(int(float64(len(keysIn))*frac), len(keysIn))]
-	}
-	return q, true
-}
-
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
+	return out
 }
 
 // MoveBound executes one live migration: bound i of the partition map
@@ -366,13 +244,16 @@ func (p *Pool) RebalanceStats() RebalanceStats {
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	m := p.pmap.Load()
-	return RebalanceStats{
+	st := RebalanceStats{
 		Enabled:    p.reb.running,
 		Migrations: p.reb.migrations,
 		KeysMoved:  p.reb.keysMoved,
 		WarmMoved:  p.reb.warmMoved,
 		Version:    m.Version(),
 		Bounds:     m.Bounds(),
-		Loads:      append([]float64(nil), p.reb.ewma...),
 	}
+	for i := range p.shards {
+		st.Loads = append(st.Loads, p.reb.bal.Load(i))
+	}
+	return st
 }

@@ -134,13 +134,12 @@ type Shard struct {
 	batchAt time.Time // oldest stamp of the in-flight batch (valid while busy)
 	closed  bool
 
-	// Load accounting for the rebalancer: units counts work served
-	// (one per op plus one per row scanned) since the last rebalancer
-	// sample, unitsTotal the same since the pool started (experiments
-	// and stats read it; nothing resets it); samples is a ring of
-	// recently served keys (guarded by mu, which every recording path
-	// already holds) from which boundary moves pick their split points.
-	units      atomic.Int64
+	// Load accounting for the rebalancers: unitsTotal counts work served
+	// (one per op plus one per row scanned) since the pool started —
+	// nothing resets it; the balancer differences successive readings;
+	// samples is a ring of recently served keys (guarded by mu, which
+	// every recording path already holds) from which boundary moves
+	// pick their split points.
 	unitsTotal atomic.Int64
 	samples    [loadSampleRing]string
 	samplePos  int
@@ -177,7 +176,6 @@ func (sh *Shard) applyReplicaChange(c core.Change) {
 // record notes one served operation for load accounting. Called with
 // sh.mu held.
 func (sh *Shard) record(key string, units int64) {
-	sh.units.Add(units)
 	sh.unitsTotal.Add(units)
 	sh.samples[sh.samplePos&(loadSampleRing-1)] = key
 	sh.samplePos++

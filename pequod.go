@@ -32,8 +32,8 @@
 //     base-data subscriptions with asynchronous update notification
 //     (eventually consistent; Quiesce settles it). The partition is
 //     live: Cluster.MoveBound migrates a key range between servers
-//     without downtime, and Cluster.StartRebalancer watches per-server
-//     load and moves hot ranges itself — servers publish a versioned
+//     without downtime, and Cluster.RebalanceTick samples per-server
+//     load and moves a hot range itself — servers publish a versioned
 //     cluster map and re-validate ownership per request, so clients
 //     (even stale ones) re-route and retry instead of losing writes.
 //
@@ -192,9 +192,10 @@ func WithBounds(bounds ...string) CacheOption {
 	return func(c *shard.Config) { c.Bounds = append([]string(nil), bounds...) }
 }
 
-// Rebalance configures the load-aware shard rebalancer; the zero value
-// picks sensible defaults for every knob (100ms sampling interval, a
-// 1.5x hot/mean trigger ratio).
+// Rebalance configures load-aware rebalancing, of a cache's shards
+// (WithRebalance) or a cluster's servers (Cluster.SetRebalanceConfig);
+// the zero value picks sensible defaults for every knob (100ms sampling
+// interval, a 1.5x hot/mean trigger ratio).
 type Rebalance = shard.Rebalance
 
 // RebalanceStats snapshots rebalancer activity: migrations run, rows
@@ -234,18 +235,6 @@ func NewCache(opts Options, extra ...CacheOption) (*Cache, error) {
 		return nil, err
 	}
 	return &Cache{p: p}, nil
-}
-
-// New returns an embedded cache, panicking on invalid shard options.
-//
-// Deprecated: use NewCache, which returns the configuration error
-// instead of panicking.
-func New(opts Options, extra ...CacheOption) *Cache {
-	c, err := NewCache(opts, extra...)
-	if err != nil {
-		panic("pequod: " + err.Error())
-	}
-	return c
 }
 
 // Shards returns the number of partitioned engines serving this cache.
@@ -417,18 +406,6 @@ func (c *Cache) Pool() *shard.Pool { return c.p }
 // leaving the connection usable.
 type Client struct {
 	raw *client.Client
-}
-
-// Dial connects to a server, bounding the attempt by a default connect
-// timeout.
-//
-// Deprecated: use DialContext, which makes the bound explicit.
-func Dial(addr string) (*Client, error) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{raw: c}, nil
 }
 
 // DialContext connects to a server under ctx: cancellation or deadline

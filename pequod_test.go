@@ -59,13 +59,9 @@ func TestNewCacheError(t *testing.T) {
 	if _, err := NewCache(Options{}, WithShards(3), WithBounds("m")); err == nil {
 		t.Fatal("mismatched shards/bounds accepted")
 	}
-	// The deprecated constructor preserves its panicking contract.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New did not panic on invalid bounds")
-		}
-	}()
-	New(Options{}, WithBounds("b", "a"))
+	if _, err := NewCache(Options{}, WithBounds("b", "a")); err == nil {
+		t.Fatal("decreasing bounds accepted")
+	}
 }
 
 func TestInstallError(t *testing.T) {
