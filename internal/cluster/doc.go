@@ -53,7 +53,7 @@
 // client mints successors at its own epoch, so two clients racing from
 // the same parent produce comparable maps — members adopt exactly one
 // winner and the loser's transfer fails with a conflict it recovers
-// from by adopting and re-deriving. See DESIGN.md ("Cluster-level live
-// re-partitioning", "Membership & epochs") for the full protocol and
-// docs/OPERATIONS.md for the operator runbook.
+// from by adopting and re-deriving. See DESIGN.md ("Moving a range",
+// "Cluster-level live re-partitioning", "Membership & epochs") for the
+// full protocol and docs/OPERATIONS.md for the operator runbook.
 package cluster

@@ -291,11 +291,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 			return nil, fmt.Errorf("cluster: repair: no survivor for owner %d (%s): %w", o, a, perrs.ErrMemberDown)
 		}
 	}
-	next, err := partition.NewEpochVersioned(cl.mintEpoch(v.pmap.Epoch()), v.pmap.Version()+1, v.pmap.Bounds()...)
-	if err != nil {
-		return nil, err
-	}
-	nv, err := newView(next, heirs)
+	nv, err := cl.successor(v, v.pmap.Bounds(), heirs, 0)
 	if err != nil {
 		return nil, err
 	}

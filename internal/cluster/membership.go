@@ -2,36 +2,26 @@ package cluster
 
 // Elastic cluster membership: AddServer splices a fresh server into the
 // mesh live, DrainServer streams every range a member owns to its
-// neighbors and removes it — both under traffic, reusing the MoveBound
-// transfer machinery (extract → fence+splice → publish) with maps that
-// change *shape* (partition.InsertBound / RemoveBound) instead of just
-// moving a bound.
+// neighbors and removes it — both under traffic, both the transfer of
+// migrate.go (which tells the protocol) under a map that changes
+// *shape* (partition.InsertBound / RemoveBound) instead of moving a
+// bound.
 //
-// A join runs:
+// A join first wires the fresh server with one JoinCluster RPC — the
+// current map as its gate (owning nothing, so it answers NotOwner until
+// granted a range), the subscription mesh, the cluster's join set —
+// then transfers the upper slice of a donor's range, split at a bound
+// picked from its load samples (or given explicitly), under the grown
+// map. Every member's MapUpdate resizes its mesh to include the new
+// peer; clients that never heard of it learn its address from the
+// peers carried on NotOwner replies.
 //
-//  1. JoinCluster at the fresh server: one RPC installs the current
-//     cluster map as its gate (owning nothing, so it answers NotOwner
-//     until granted a range), wires it into the subscription mesh, and
-//     installs the cluster's join set.
-//  2. The grown map is minted: the donor's range splits at a bound
-//     picked from its load samples (or given explicitly), the new
-//     member taking the upper slice.
-//  3. ExtractRange at the donor, SpliceRange at the new member,
-//     MapUpdate everywhere — the ordinary transfer, under the grown
-//     map. Every member's MapUpdate resizes its mesh to include the
-//     new peer; clients that never heard of it learn its address from
-//     the peers carried on NotOwner replies.
-//
-// A drain runs the transfer in reverse, once per owned range: a shrunk
-// map merges the departing member's range into a neighbor's, the range
-// extracts from the departing member and splices into that neighbor,
-// and the publish (which includes the departing member) retires it from
-// everyone's mesh. When the last range is out, a Drain RPC tears down
-// the departed server's own mesh wiring — its gate stays, so stale
-// clients still get NotOwner replies carrying the post-drain map. If a
-// neighbor dies mid-drain the range is re-offered to the other
-// neighbor, and if that fails too it splices back into the draining
-// member (which is alive — drains are graceful), so no state strands.
+// A drain transfers once per owned range: a shrunk map merges the
+// departing member's range into a neighbor's, with the other neighbor
+// as the alternative destination should the first have died. When the
+// last range is out, a Drain RPC tears down the departed server's own
+// mesh wiring — its gate stays, so stale clients still get NotOwner
+// replies carrying the post-drain map.
 
 import (
 	"context"
@@ -39,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/perrs"
@@ -115,48 +104,15 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 	if err != nil {
 		return err
 	}
-	if next, err = next.WithEpoch(cl.mintEpoch(v.pmap.Epoch())); err != nil {
-		return err
-	}
 	grownAddrs := make([]string, 0, len(v.addrs)+1)
 	grownAddrs = append(grownAddrs, v.addrs[:owner+1]...)
 	grownAddrs = append(grownAddrs, addr)
 	grownAddrs = append(grownAddrs, v.addrs[owner+1:]...)
-	nv, err := newView(next, grownAddrs)
+	nv, err := cl.successor(v, next.Bounds(), grownAddrs, 0)
 	if err != nil {
 		return err
 	}
-	r := next.OwnerRange(owner + 1)
-	rs, err := cl.extract(ctx, donorA, r, nv)
-	if err != nil {
-		return fmt.Errorf("cluster: extracting the initial slice [%q, %q) from %s: %w", r.Lo, r.Hi, donorA, err)
-	}
-	if serr := cl.splice(ctx, addr, donorA, rs, nv); serr != nil {
-		// The fresh member never accepted its slice: revert by merging
-		// the slice back into the donor under a further successor.
-		back, err := next.RemoveBound(owner)
-		if err == nil {
-			back, err = back.WithEpoch(cl.mintEpoch(next.Epoch()))
-		}
-		var bv *view
-		if err == nil {
-			bv, err = newView(back, v.addrs)
-		}
-		if err == nil {
-			err = cl.splice(ctx, donorA, addr, rs, bv)
-		}
-		if err == nil {
-			// Best-effort: the slice is back at the donor; the failed
-			// joiner and any unreachable member converge via NotOwner.
-			cl.publish(ctx, bv, []string{addr}) //nolint:errcheck
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: splicing the initial slice into %s failed (%v) and the revert also failed — slice retained at %s, see its stat RPC: %w",
-				addr, serr, donorA, err)
-		}
-		return fmt.Errorf("cluster: splicing the initial slice into %s failed; join reverted: %w", addr, serr)
-	}
-	return cl.publish(ctx, nv, nil)
+	return cl.transfer(ctx, v, nv, next.OwnerRange(owner+1), donorA, addr, "")
 }
 
 // pickJoinSplit chooses the donor owner index and split bound for a
@@ -292,19 +248,11 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	return nil
 }
 
-// publishError marks a drain step whose data transfer succeeded but
-// whose map publish could not reach every member.
-type publishError struct{ err error }
-
-func (e *publishError) Error() string { return e.err.Error() }
-
 // drainOneRange moves the range at owner index o off addr: a shrunk map
-// merges it into a neighbor, the range extracts and splices, and the
-// result is published to everyone including the draining member. A
-// neighbor that is addr itself (the member owns adjacent ranges) merges
-// with no transfer at all. A dead first neighbor re-offers to the other
-// neighbor; if that fails too the range splices back into the draining
-// member and the drain aborts with the cluster consistent.
+// merges it into a neighbor — the other neighbor standing by as the
+// alternative — and the transfer publishes to everyone including the
+// draining member. A neighbor that is addr itself (the member owns
+// adjacent ranges) merges with no transfer at all.
 func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o int) error {
 	// Shrinking at owner o: RemoveBound(o) merges o into its right
 	// neighbor; RemoveBound(o-1) into its left. Either way the new
@@ -331,52 +279,19 @@ func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o in
 			break
 		}
 	}
-	first := offers[0]
-	next, err := v.pmap.RemoveBound(first.boundIdx)
+	next, err := v.pmap.RemoveBound(offers[0].boundIdx)
 	if err != nil {
 		return err
 	}
-	if next, err = next.WithEpoch(cl.mintEpoch(v.pmap.Epoch())); err != nil {
-		return err
-	}
-	nv, err := newView(next, shrunkAddrs)
+	nv, err := cl.successor(v, next.Bounds(), shrunkAddrs, 0)
 	if err != nil {
 		return err
 	}
-	if first.dst == addr {
-		if err := cl.publish(ctx, nv, []string{addr}); err != nil {
-			return &publishError{err}
-		}
-		return nil
+	alt := ""
+	if len(offers) > 1 {
+		alt = offers[1].dst
 	}
-	r := v.pmap.OwnerRange(o)
-	rs, err := cl.extract(ctx, addr, r, nv)
-	if err != nil {
-		return fmt.Errorf("cluster: draining [%q, %q) out of %s: %w", r.Lo, r.Hi, addr, err)
-	}
-	serr := cl.splice(ctx, first.dst, addr, rs, nv)
-	if serr == nil {
-		if err := cl.publish(ctx, nv, []string{addr}); err != nil {
-			return &publishError{err}
-		}
-		return nil
-	}
-	reoffered := false
-	if len(offers) > 1 && offers[1].dst != first.dst {
-		// Re-offer to the other neighbor: under the shrunk map the range
-		// merged into the (dead) first neighbor's owner index; a further
-		// successor moves it over to the live one.
-		reoffered = true
-		if nv2, err2 := cl.reofferView(nv, r, offers[1].dst); err2 == nil {
-			if serr2 := cl.splice(ctx, offers[1].dst, addr, rs, nv2); serr2 == nil {
-				if err := cl.publish(ctx, nv2, []string{addr}); err != nil {
-					return &publishError{err}
-				}
-				return nil
-			}
-		}
-	}
-	return cl.drainRevert(ctx, nv, v, addr, first.dst, o, r, rs, serr, reoffered)
+	return cl.transfer(ctx, v, nv, v.pmap.OwnerRange(o), addr, offers[0].dst, alt)
 }
 
 // reofferView derives a successor of nv assigning range r (currently
@@ -404,76 +319,5 @@ func (cl *Cluster) reofferView(nv *view, r keys.Range, dst string) (*view, error
 	if err != nil {
 		return nil, err
 	}
-	if next2, err = next2.WithEpoch(cl.mintEpoch(m.Epoch())); err != nil {
-		return nil, err
-	}
-	return newView(next2, nv.addrs)
-}
-
-// drainRevert undoes a failed drain step: the draining member rejoins
-// the map at its old position (a successor of the shrunk map re-grows
-// its owner slot) and the extracted state splices back into it. When a
-// re-offer was attempted first, the revert's version jumps past the
-// re-offer's — a lost reply could mean its map was applied after all,
-// and the revert must supersede it everywhere.
-func (cl *Cluster) drainRevert(ctx context.Context, nv, old *view, addr, dstA string, o int, r keys.Range, rs core.RangeState, serr error, reoffered bool) error {
-	bv, err := cl.regrowView(nv, old, addr, o, reoffered)
-	if err == nil {
-		err = cl.splice(ctx, addr, dstA, rs, bv)
-	}
-	if err == nil {
-		// Best-effort: the splice-back restored the data; the dead
-		// neighbor cannot acknowledge, and other members converge
-		// through NotOwner adoption.
-		cl.publish(ctx, bv, nil) //nolint:errcheck
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: draining [%q, %q) into %s failed (%v) and the revert also failed — range retained at %s, see its stat RPC: %w",
-			r.Lo, r.Hi, dstA, serr, addr, err)
-	}
-	return fmt.Errorf("cluster: draining [%q, %q) into %s failed; drain aborted, %s still serves the range: %w",
-		r.Lo, r.Hi, dstA, addr, serr)
-}
-
-// regrowView derives a successor of the shrunk view nv that restores
-// the draining member's owner slot o with the bounds it had under old.
-// skipVersion advances one extra version (past a re-offer map that may
-// or may not have been applied).
-func (cl *Cluster) regrowView(nv, old *view, addr string, o int, skipVersion bool) (*view, error) {
-	r := old.pmap.OwnerRange(o)
-	m := nv.pmap
-	merged := m.Owner(r.Lo)
-	mr := m.OwnerRange(merged)
-	var next *partition.Map
-	var insertAt int
-	var err error
-	if mr.Lo == r.Lo {
-		// The merge was rightward: the merged owner starts where the
-		// drained range did. Split the range back off its lower side.
-		if r.Hi == "" {
-			return nil, errors.New("cluster: cannot regrow an open-tailed range")
-		}
-		next, err = m.InsertBound(merged, r.Hi)
-		insertAt = merged
-	} else {
-		// Leftward merge: split at the drained range's lower edge; the
-		// regrown slot is the upper part.
-		next, err = m.InsertBound(merged, r.Lo)
-		insertAt = merged + 1
-	}
-	if err != nil {
-		return nil, err
-	}
-	version := next.Version()
-	if skipVersion {
-		version++
-	}
-	if next, err = partition.NewEpochVersioned(cl.mintEpoch(m.Epoch()), version, next.Bounds()...); err != nil {
-		return nil, err
-	}
-	addrs := make([]string, 0, len(nv.addrs)+1)
-	addrs = append(addrs, nv.addrs[:insertAt]...)
-	addrs = append(addrs, addr)
-	addrs = append(addrs, nv.addrs[insertAt:]...)
-	return newView(next, addrs)
+	return cl.successor(nv, next2.Bounds(), nv.addrs, 0)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,56 +250,165 @@ func TestStaleClientDuringDrain(t *testing.T) {
 	}
 }
 
-// TestDrainReoffersWhenNeighborDies: the destination neighbor dying
-// between extract and splice must not strand the range — it re-offers
-// to the other neighbor, and every row survives.
-func TestDrainReoffersWhenNeighborDies(t *testing.T) {
+// deadDestination is one row of the dead-destination family: a member
+// dies, a change then tries to move a range onto it, and whichever way
+// the transfer resolves — re-offered, or rolled back — the cluster must
+// end settled (see run).
+type deadDestination struct {
+	bounds []string // initial split points; members m0, m1, … serve the ranges in order
+	dead   int      // member killed before the change; -1 = none (the joiner dies mid-change)
+	// change drives the coordinator; joiner is a fresh server that dies
+	// right after answering its first RPC.
+	change func(ctx context.Context, cl *Cluster, addrs []string, joiner string) error
+	// outcome checks the error's shape and who ended up a member.
+	outcome func(t *testing.T, err error, cl *Cluster, addrs []string)
+}
+
+// run executes the row and asserts the family's shared post-conditions:
+// every row is readable at its surviving owner, the range that was on
+// the move takes writes, every live member sits on one (epoch, version)
+// — the coordinator's — and none still retains an extraction.
+func (d deadDestination) run(t *testing.T) {
 	ctx := context.Background()
-	addrA, _ := startServer(t, "a")
-	addrB, _ := startServer(t, "b")
-	addrC, killC := startServer(t, "c")
-	cl := newCluster(t, Config{Addrs: []string{addrA, addrB, addrC}, Bounds: []string{"h", "q"}})
+	addrs := make([]string, len(d.bounds)+1)
+	kills := make([]func(), len(addrs))
+	for i := range addrs {
+		addrs[i], kills[i] = startServer(t, fmt.Sprintf("m%d", i))
+	}
+	cl := newCluster(t, Config{Addrs: addrs, Bounds: d.bounds})
+	// Rows in a..l: below every "q" bound, so none is homed at a member
+	// that dies owning the top range.
 	var want []core.KV
 	for i := 0; i < 12; i++ {
-		kv := core.KV{Key: fmt.Sprintf("%c%02d", 'a'+byte(i%26), i), Value: fmt.Sprintf("v%d", i)}
+		kv := core.KV{Key: fmt.Sprintf("%c%02d", 'a'+byte(i), i), Value: fmt.Sprintf("v%d", i)}
 		want = append(want, kv)
 		if err := cl.Put(ctx, kv.Key, kv.Value); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Kill C, then drain B: the drain first offers B's range [h, q) to
-	// its right neighbor C (dead), must fall back to A.
-	killC()
-	err := cl.DrainServer(ctx, addrB)
-	// The drain itself may report the unreachable member (the final
-	// publish cannot reach C), but B must be out of the map and no row
-	// may be lost.
-	if err != nil && !strings.Contains(err.Error(), addrC) {
-		t.Fatalf("drain failed for an unexpected reason: %v", err)
+	live := map[string]bool{}
+	for i, a := range addrs {
+		live[a] = i != d.dead
 	}
-	if owners := cl.v.Load().ownersOf(addrB); owners != nil {
-		t.Fatalf("drained member still owns %v", owners)
+	joiner := ""
+	if d.dead >= 0 {
+		kills[d.dead]() // and it never comes back
+	} else {
+		backend, kill := startServer(t, "joiner")
+		joiner = dyingProxy(t, backend, kill)
 	}
-	// Every row is still served (C's range is gone with C, but the test
-	// data lives in [a, h) and [h, q), now on A).
+	d.outcome(t, d.change(ctx, cl, addrs, joiner), cl, addrs)
+
 	for _, kv := range want {
-		if cl.v.Load().ownerAddr(kv.Key) == addrC {
+		if v, ok, err := cl.Get(ctx, kv.Key); err != nil || !ok || v != kv.Value {
+			t.Fatalf("row %s lost: %q %v %v", kv.Key, v, ok, err)
+		}
+	}
+	if err := cl.Put(ctx, "h99", "after"); err != nil {
+		t.Fatalf("write into the range that was on the move: %v", err)
+	}
+	m := cl.Map()
+	for _, a := range cl.MemberAddrs() {
+		if !live[a] {
 			continue
 		}
-		v, ok, err := cl.Get(ctx, kv.Key)
-		if err != nil || !ok || v != kv.Value {
-			t.Fatalf("row %s lost in re-offered drain: %q %v %v", kv.Key, v, ok, err)
+		c, err := client.Dial(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.StatSnapshot(ctx)
+		c.Close()
+		if err != nil || st.Cluster == nil {
+			t.Fatalf("stat from %s: %+v, %v", a, st, err)
+		}
+		if st.Cluster.Epoch != m.Epoch() || st.Cluster.Version != m.Version() {
+			t.Fatalf("%s sits on e%d v%d, the coordinator on e%d v%d", a, st.Cluster.Epoch, st.Cluster.Version, m.Epoch(), m.Version())
+		}
+		if st.Cluster.Retained != 0 {
+			t.Fatalf("%s still retains %d extraction(s) after the publish", a, st.Cluster.Retained)
 		}
 	}
-	// The re-offered range landed on A.
-	raw, err := client.Dial(addrA)
+}
+
+// dyingProxy fronts the server at backend and, once that server's first
+// reply has gone back through it, kills the server and itself: a member
+// that answers one RPC and dies before the next.
+func dyingProxy(t *testing.T, backend string, kill func()) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	if v, found, err := raw.Get("h07"); err != nil || !found || v != "v7" {
-		t.Fatalf("A does not serve the re-offered range: %q %v %v", v, found, err)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		front, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer front.Close()
+		back, err := net.Dial("tcp", backend)
+		if err != nil {
+			return
+		}
+		defer back.Close()
+		go io.Copy(back, front) //nolint:errcheck // ends when front closes
+		buf := make([]byte, 64<<10)
+		n, _ := back.Read(buf)
+		front.Write(buf[:n]) //nolint:errcheck // the test fails on the lost reply
+		ln.Close()
+		kill()
+	}()
+	return ln.Addr().String()
+}
+
+// reverted is the outcome of a change whose only destination is dead:
+// it fails with ErrMemberDown, says it reverted, and leaves exactly the
+// original members.
+func reverted(t *testing.T, err error, cl *Cluster, addrs []string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("a change onto a dead destination reported success")
 	}
+	if !errors.Is(err, perrs.ErrMemberDown) || !strings.Contains(err.Error(), "reverted") {
+		t.Fatalf("change did not revert with ErrMemberDown: %v", err)
+	}
+	if got := cl.MemberAddrs(); !reflect.DeepEqual(got, addrs) {
+		t.Fatalf("members after the revert = %v, want %v", got, addrs)
+	}
+}
+
+// TestDrainReoffersWhenNeighborDies: the destination neighbor dying
+// between extract and splice must not strand the range — it re-offers
+// to the other neighbor, and every row survives.
+func TestDrainReoffersWhenNeighborDies(t *testing.T) {
+	deadDestination{
+		bounds: []string{"h", "q"},
+		dead:   2,
+		// Drain m1: its range [h, q) is first offered to its right
+		// neighbor m2 (dead) and must fall back to m0.
+		change: func(ctx context.Context, cl *Cluster, addrs []string, _ string) error {
+			return cl.DrainServer(ctx, addrs[1])
+		},
+		outcome: func(t *testing.T, err error, cl *Cluster, addrs []string) {
+			// The drain itself may report the unreachable member (the
+			// final publish cannot reach m2), but m1 must be out of the
+			// map and its range on m0.
+			if err != nil && !strings.Contains(err.Error(), addrs[2]) {
+				t.Fatalf("drain failed for an unexpected reason: %v", err)
+			}
+			if owners := cl.v.Load().ownersOf(addrs[1]); owners != nil {
+				t.Fatalf("drained member still owns %v", owners)
+			}
+			raw, err := client.Dial(addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if v, found, err := raw.Get("h07"); err != nil || !found || v != "v7" {
+				t.Fatalf("m0 does not serve the re-offered range: %q %v %v", v, found, err)
+			}
+		},
+	}.run(t)
 }
 
 // TestDrainRevertsWhenNeighborPermanentlyDead: when the draining
@@ -305,41 +416,18 @@ func TestDrainReoffersWhenNeighborDies(t *testing.T) {
 // the drain must revert — the member stays in the map, keeps serving
 // every row, and the failure is matchable as ErrMemberDown.
 func TestDrainRevertsWhenNeighborPermanentlyDead(t *testing.T) {
-	ctx := context.Background()
-	addrA, _ := startServer(t, "a")
-	addrB, killB := startServer(t, "b")
-	cl := newCluster(t, Config{Addrs: []string{addrA, addrB}, Bounds: []string{"m"}})
-	var want []core.KV
-	for i := 0; i < 10; i++ {
-		kv := core.KV{Key: fmt.Sprintf("c%02d", i), Value: fmt.Sprintf("v%d", i)}
-		want = append(want, kv)
-		if err := cl.Put(ctx, kv.Key, kv.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	killB() // B never comes back: every offer of A's range must fail
-	err := cl.DrainServer(ctx, addrA)
-	if err == nil {
-		t.Fatal("draining with a permanently dead neighbor reported success")
-	}
-	if !errors.Is(err, perrs.ErrMemberDown) {
-		t.Fatalf("drain failure is not ErrMemberDown: %v", err)
-	}
-	// The drain aborted: A is still a member and still serves its range.
-	if owners := cl.v.Load().ownersOf(addrA); owners == nil {
-		t.Fatalf("reverted drain removed %s from the map", addrA)
-	}
-	for _, kv := range want {
-		v, ok, gerr := cl.Get(ctx, kv.Key)
-		if gerr != nil || !ok || v != kv.Value {
-			t.Fatalf("row %s lost in reverted drain: %q %v %v", kv.Key, v, ok, gerr)
-		}
-	}
-	// And the refusal to drain the last member is a typed error too
-	// (on a fresh server: A still carries the two-member map above).
+	deadDestination{
+		bounds: []string{"m"},
+		dead:   1,
+		change: func(ctx context.Context, cl *Cluster, addrs []string, _ string) error {
+			return cl.DrainServer(ctx, addrs[0])
+		},
+		outcome: reverted,
+	}.run(t)
+	// And the refusal to drain the last member is a typed error too.
 	addrS, _ := startServer(t, "solo")
 	solo := newCluster(t, Config{Addrs: []string{addrS}})
-	if derr := solo.DrainServer(ctx, addrS); !errors.Is(derr, perrs.ErrDraining) {
+	if derr := solo.DrainServer(context.Background(), addrS); !errors.Is(derr, perrs.ErrDraining) {
 		t.Fatalf("last-member drain refusal is not ErrDraining: %v", derr)
 	}
 }
@@ -348,37 +436,30 @@ func TestDrainRevertsWhenNeighborPermanentlyDead(t *testing.T) {
 // destination died reverts — the source serves the range again, no row
 // is lost, and the failure is reported.
 func TestMoveBoundRevertsOnDeadDestination(t *testing.T) {
-	ctx := context.Background()
-	addrA, _ := startServer(t, "a")
-	addrB, killB := startServer(t, "b")
-	cl := newCluster(t, Config{Addrs: []string{addrA, addrB}, Bounds: []string{"m"}})
-	for i := 0; i < 10; i++ {
-		if err := cl.Put(ctx, fmt.Sprintf("c%02d", i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	killB()
-	// Move [g, m) from A to B: extract at A succeeds, splice at dead B
-	// fails, the move reverts.
-	err := cl.MoveBound(ctx, 0, "g")
-	if err == nil {
-		t.Fatal("move to a dead destination reported success")
-	}
-	if !strings.Contains(err.Error(), "reverted") {
-		t.Fatalf("move did not revert: %v", err)
-	}
-	// Every row is still served by A under the reverted map.
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("c%02d", i)
-		v, ok, gerr := cl.Get(ctx, key)
-		if gerr != nil || !ok || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("row %s lost after revert: %q %v %v", key, v, ok, gerr)
-		}
-	}
-	// And writes into the reverted range work.
-	if err := cl.Put(ctx, "g99", "after"); err != nil {
-		t.Fatalf("write after revert: %v", err)
-	}
+	deadDestination{
+		bounds: []string{"m"},
+		dead:   1,
+		// Move [g, m) from m0 to m1: extract at m0 succeeds, splice at
+		// dead m1 fails.
+		change: func(ctx context.Context, cl *Cluster, _ []string, _ string) error {
+			return cl.MoveBound(ctx, 0, "g")
+		},
+		outcome: reverted,
+	}.run(t)
+}
+
+// TestAddServerRevertsWhenJoinerDies: a fresh member that dies between
+// JoinCluster and its first splice never becomes a member — its slice
+// goes back to the donor and both original members agree on the map.
+func TestAddServerRevertsWhenJoinerDies(t *testing.T) {
+	deadDestination{
+		bounds: []string{"m"},
+		dead:   -1,
+		change: func(ctx context.Context, cl *Cluster, _ []string, joiner string) error {
+			return cl.AddServerAt(ctx, joiner, 0, "g")
+		},
+		outcome: reverted,
+	}.run(t)
 }
 
 // TestConcurrentCoordinatorsEpochTieBreak: two coordinators with

@@ -1,39 +1,51 @@
 package cluster
 
-// Client-driven cluster migration: MoveBound relocates a key range
-// between the servers on either side of a partition bound, live, with
-// no lost writes, gaps, or duplicates. The cluster client is the
-// coordinator — it drives three RPCs in order and publishes the result:
+// Moving a range, told once. Every layer moves a key range the same
+// way — cut the owned rows, invalidate what was derived from them,
+// paste, recompute warm (§2.5: everything but the base rows is a cache
+// that is always safe to evict) — as three verbs:
 //
-//  1. ExtractRange at the source. The source atomically stops serving
-//     the range (its pool swaps the ownership gate under the owning
-//     shards' locks), retains a recovery copy, and returns the owned
-//     rows plus the warm computed coverage. Writes that raced the
-//     extraction either landed before it (and are in the returned rows)
-//     or bounce with NotOwner and retry at the destination.
-//  2. SpliceRange at the destination. The destination fences in-flight
-//     subscription pushes from the source (a ping; the reply follows
-//     every queued push), drops its own subscriber-era cached copies of
-//     the range, installs the moved rows, rebuilds the previously valid
-//     computed coverage warm, and atomically starts serving the range.
-//  3. MapUpdate at every member. Each member adopts the new map,
-//     fences the old owner, and drops (with §2.5 eviction semantics)
-//     its cached replicas of the moved range, so the next read
-//     re-fetches from — and re-subscribes at — the new home. The
-//     publish also confirms the source's retained copy.
+//   - extract at the source: atomically stop serving the range and cut
+//     its state out — the owned rows move, computed coverage and
+//     loader-backed residency drop with eviction semantics, and the
+//     coverage that was valid is recorded so the destination rebuilds
+//     it warm (core.ExtractRange; shard.MoveBound under the two shard
+//     locks; shard.ExtractClusterRange swapping the server's ownership
+//     gate under the owning shards' locks and retaining a recovery
+//     copy). A write that raced the cut either landed before it (and is
+//     in the cut) or bounces with NotOwner and retries at the
+//     destination.
+//   - fence: nothing stale may land after the flip. In-process that is
+//     the shard locks plus settling the forwards queued for the range;
+//     between servers the destination pings the source — the reply
+//     follows every queued subscription push — before it splices, and
+//     every member fences the old owner before it drops.
+//   - splice at the destination: drop its own subscriber-era copies of
+//     the range (between servers only — inside a pool the forwarded
+//     replicas are already everywhere and are not re-sent), install the
+//     moved rows, rebuild the previously valid coverage, start serving.
 //
-// Between steps 1 and 2 the range is owned by nobody reachable:
+// Between servers the cluster client is the coordinator: transfer
+// drives ExtractRange at the source and SpliceRange at the destination
+// under a successor map, then publishes it (MapUpdate) to every member,
+// which adopts it, drops its cached replicas of the moved range — the
+// next read re-fetches from, and re-subscribes at, the new home — and
+// so confirms the source's retained copy. MoveBound, AddServerAt and
+// DrainServer (membership.go) differ only in the successor they mint:
+// a bound moved, inserted or removed.
+//
+// Between extract and splice the range is owned by nobody reachable:
 // operations on it get NotOwner from both sides and retry with a short
 // pause until the splice lands. That window is the transfer itself —
 // bounded by one round trip carrying the range's rows.
 //
-// If step 2 fails (the destination died mid-transfer), the coordinator
-// *reverts*: it mints a further successor assigning the range back to
-// the source, splices the extracted state back in, and publishes — the
-// cluster converges on a consistent map with no range stranded, and the
-// failed move surfaces as an error. Elastic membership (membership.go)
-// reuses every piece of this machinery, re-offering a drained range to
-// the other neighbor before falling back to a revert.
+// If the splice fails (the destination died mid-transfer) the range is
+// first re-offered to the caller's alternative destination, if it named
+// one; otherwise the transfer rolls back, and there is one rollback:
+// the old view's bounds and addresses at a newer (epoch, version), the
+// extracted state spliced back into the source, published best-effort.
+// The cluster converges on a consistent map with no range stranded, and
+// the failed move surfaces as an error.
 
 import (
 	"context"
@@ -98,43 +110,93 @@ func (cl *Cluster) moveBoundOnce(ctx context.Context, i int, bound string) error
 	if err != nil {
 		return err
 	}
-	if next, err = next.WithEpoch(cl.mintEpoch(v.pmap.Epoch())); err != nil {
-		return err
-	}
-	nv, err := newView(next, v.addrs)
+	nv, err := cl.successor(v, next.Bounds(), v.addrs, 0)
 	if err != nil {
 		return err
 	}
 	old := v.pmap.Bound(i)
-	var src, dst int
-	var r keys.Range
-	if bound < old {
-		src, dst, r = i, i+1, keys.Range{Lo: bound, Hi: old}
-	} else {
+	src, dst, r := i, i+1, keys.Range{Lo: bound, Hi: old}
+	if bound > old {
 		src, dst, r = i+1, i, keys.Range{Lo: old, Hi: bound}
 	}
-	srcA, dstA := v.addrs[src], v.addrs[dst]
-	if srcA != dstA {
-		rs, err := cl.extract(ctx, srcA, r, nv)
+	return cl.transfer(ctx, v, nv, r, v.addrs[src], v.addrs[dst], "")
+}
+
+// successor mints the view that follows v — bounds served by addrs —
+// at an epoch minted past v's and one version on, plus skip versions to
+// supersede maps that may or may not have been applied in between.
+func (cl *Cluster) successor(v *view, bounds, addrs []string, skip int64) (*view, error) {
+	m, err := partition.NewEpochVersioned(cl.mintEpoch(v.pmap.Epoch()), v.pmap.Version()+1+skip, bounds...)
+	if err != nil {
+		return nil, err
+	}
+	return newView(m, addrs)
+}
+
+// transfer moves range r from the member at src to the one at dst under
+// nv, a successor of old, and publishes nv — to old's members too, so a
+// member that just drained out holds the final map (for its NotOwner
+// replies, and to confirm its retained extraction). src == dst moves no
+// rows: only the map changes. When dst cannot take the range it is
+// re-offered to alt ("" = nobody), which must own a range adjacent to r
+// under nv; failing that the transfer rolls back to old. A publish that
+// did not reach every member is reported as *publishError: the move
+// itself took effect.
+func (cl *Cluster) transfer(ctx context.Context, old, nv *view, r keys.Range, src, dst, alt string) error {
+	if src != dst {
+		rs, err := cl.extract(ctx, src, r, nv)
 		if err != nil {
-			return fmt.Errorf("cluster: extracting [%q, %q) from %s: %w", r.Lo, r.Hi, srcA, err)
+			return fmt.Errorf("cluster: extracting [%q, %q) from %s: %w", r.Lo, r.Hi, src, err)
 		}
-		if serr := cl.splice(ctx, dstA, srcA, rs, nv); serr != nil {
-			// The source no longer serves the range and the destination
-			// never accepted it. Revert: assign the range back to the
-			// source under a further successor and splice the extracted
-			// state back in, so nothing is stranded.
-			rerr := cl.revert(ctx, nv, i, old, srcA, dstA, rs)
-			if rerr != nil {
-				return fmt.Errorf("cluster: splicing [%q, %q) into %s failed (%v) and the revert to %s also failed — range retained at the source, see its stat RPC: %w",
-					r.Lo, r.Hi, dstA, serr, srcA, rerr)
+		serr := cl.splice(ctx, dst, src, rs, nv)
+		var skip int64
+		if serr != nil && alt != "" && alt != dst {
+			// Under nv the range merged into the (dead) first destination's
+			// owner index; a further successor moves it over to alt. The
+			// reply to a re-offer can be lost with its map applied, so a
+			// rollback after one skips past its version.
+			skip = 1
+			if nv2, err := cl.reofferView(nv, r, alt); err == nil && cl.splice(ctx, alt, src, rs, nv2) == nil {
+				nv, serr = nv2, nil
 			}
-			return fmt.Errorf("cluster: splicing [%q, %q) into %s failed; move reverted, %s still serves the range: %w",
-				r.Lo, r.Hi, dstA, srcA, serr)
+		}
+		if serr != nil {
+			return cl.rollback(ctx, old, nv, skip, r, src, dst, rs, serr)
 		}
 	}
-	return cl.publish(ctx, nv, nil)
+	if err := cl.publish(ctx, nv, old.addrs); err != nil {
+		return &publishError{err}
+	}
+	return nil
 }
+
+// rollback recovers from a failed splice: the source no longer serves r
+// and no destination accepted it, so a successor of nv restores old's
+// bounds and addresses, the extracted state splices back into src, and
+// the result is published. The publish is best-effort: the splice-back
+// is what restores the data, the dead destination obviously cannot
+// acknowledge a map, and every other member converges through NotOwner
+// adoption. Always returns an error — the move failed either way.
+func (cl *Cluster) rollback(ctx context.Context, old, nv *view, skip int64, r keys.Range, src, dst string, rs core.RangeState, serr error) error {
+	bv, err := cl.successor(nv, old.pmap.Bounds(), old.addrs, skip)
+	if err == nil {
+		err = cl.splice(ctx, src, dst, rs, bv)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: splicing [%q, %q) into %s failed (%v) and the revert to %s also failed — range retained at the source, see its stat RPC: %w",
+			r.Lo, r.Hi, dst, serr, src, err)
+	}
+	cl.publish(ctx, bv, nv.addrs) //nolint:errcheck // best-effort; see above
+	return fmt.Errorf("cluster: splicing [%q, %q) into %s failed; move reverted, %s still serves the range: %w",
+		r.Lo, r.Hi, dst, src, serr)
+}
+
+// publishError marks a transfer whose data moved but whose map publish
+// could not reach every member.
+type publishError struct{ err error }
+
+func (e *publishError) Error() string { return e.err.Error() }
+func (e *publishError) Unwrap() error { return e.err }
 
 // extract runs the ExtractRange RPC at addr for r under the successor
 // view, adopting the newer map on a version conflict.
@@ -177,38 +239,11 @@ func (cl *Cluster) splice(ctx context.Context, addr, src string, rs core.RangeSt
 	return wrapDown(addr, serr)
 }
 
-// revert recovers from a failed splice of a plain bound move: a further
-// successor (version +1) puts bound i back at old, the extracted state
-// splices back into the source, and the result is published — the
-// cluster converges with the source serving the range again. The
-// publish is best-effort: the splice-back is what restores the data,
-// the dead destination obviously cannot acknowledge a map, and every
-// other member converges through NotOwner adoption.
-func (cl *Cluster) revert(ctx context.Context, nv *view, i int, old, srcA, dstA string, rs core.RangeState) error {
-	back, err := nv.pmap.MoveBound(i, old)
-	if err != nil {
-		return err
-	}
-	if back, err = back.WithEpoch(cl.mintEpoch(nv.pmap.Epoch())); err != nil {
-		return err
-	}
-	bv, err := newView(back, nv.addrs)
-	if err != nil {
-		return err
-	}
-	if err := cl.splice(ctx, srcA, dstA, rs, bv); err != nil {
-		return err
-	}
-	cl.publish(ctx, bv, nil) //nolint:errcheck // best-effort; see above
-	return nil
-}
-
 // publish broadcasts a successor view to every member (one concurrent
-// RPC each, the Scan fan-out pattern) plus any extra addresses (a
-// member that just drained out still needs the final map: the publish
-// both updates its NotOwner replies and confirms its retained
-// extraction). Transfer participants already hold the map (the
-// transfer RPCs install it), so for them this is the confirming no-op.
+// RPC each, the Scan fan-out pattern) plus whichever of the extra
+// addresses are not members under it. Transfer participants already
+// hold the map (the transfer RPCs install it), so for them this is the
+// confirming no-op.
 // The view is adopted locally even if some member could not be reached
 // — the map took effect at the transfer participants, so routing must
 // follow it; the error reports the first failed publish.

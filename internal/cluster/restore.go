@@ -20,8 +20,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-
-	"pequod/internal/partition"
 )
 
 // Restore substitutes newAddr for the confirmed-dead member oldAddr in
@@ -73,11 +71,7 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 			addrs[i] = a
 		}
 	}
-	next, err := partition.NewEpochVersioned(cl.mintEpoch(v.pmap.Epoch()), v.pmap.Version()+1, v.pmap.Bounds()...)
-	if err != nil {
-		return err
-	}
-	nv, err := newView(next, addrs)
+	nv, err := cl.successor(v, v.pmap.Bounds(), addrs, 0)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,11 @@
 package core
 
-// Live range migration (the shard pool's rebalancer): ExtractRange pulls
-// one key range's state out of an engine and SpliceRange folds it into a
-// neighbor, so a partition boundary can move without a stop-the-world
-// rebuild. The contract divides an engine's state in a range into three
-// kinds, each handled differently:
+// Live range migration, the engine's share (DESIGN.md "Moving a range"):
+// ExtractRange pulls one key range's state out of an engine and
+// SpliceRange folds it into another — a neighboring shard, or a shard
+// of another server — so a partition boundary can move without a
+// stop-the-world rebuild. The contract divides an engine's state in a
+// range into three kinds, each handled differently:
 //
 //   - Owned rows — tables that are neither replicated join sources nor
 //     loader-backed (plain client data, including hand-written rows in
@@ -12,7 +13,8 @@ package core
 //
 //   - Replicated rows — join source tables forwarded to every shard.
 //     Both sides already hold them; ownership flips in the partition map
-//     and nothing moves (the pool's keep predicate excludes them).
+//     and nothing moves (the pool's keep predicate excludes them — a
+//     range leaving the process has no such tables: everything moves).
 //
 //   - Derived and loader-backed state — computed join ranges (statuses +
 //     outputs) and presence-tracked base ranges. These are caches over
@@ -26,7 +28,7 @@ package core
 //     during the splice — hot ranges arrive hot, they are not re-derived
 //     from a cold start by the first unlucky reader.
 //
-// Both calls must run on the engine's driving goroutine (under the
+// Every call here must run on the engine's driving goroutine (under the
 // shard's lock, like every other engine entry point).
 
 import (
@@ -64,120 +66,51 @@ type RangeState struct {
 }
 
 // ExtractRange removes range r's state from the engine and returns the
-// portion a destination engine needs. keep reports tables whose rows are
-// replicated on every shard (the pool's forwarded source set) — those
-// rows stay in place and are not captured. Owned rows are removed
-// silently (no change notification, no updater cascade: the data is
+// portion a destination engine needs: computed coverage is dropped and
+// reported as Warm, presence records are clipped, and owned rows are cut
+// out silently (no change notification, no updater cascade: the data is
 // moving, not being deleted; dependent computed ranges are invalidated
 // so they recompute against post-migration state).
 //
-// movePresence selects what loader-backed (presence-tracked) rows in r
-// mean. In-process migration passes false: the rows are a cache over a
-// remote home or a backing database, so they are evicted and the
-// destination shard reloads its own (per-shard subscriptions cannot
-// transfer). Cluster-level migration passes true: the extracting server
-// IS the range's home — in a symmetric mesh its own tables are presence-
-// tracked too — so those rows are the authoritative copy and move
-// physically like owned rows. Presence records are clipped either way;
-// the destination re-marks residency through its own loader (self-owned
-// pieces mark without fetching).
-func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePresence bool) RangeState {
-	rs := RangeState{R: r}
-
-	// Computed state: drop every join status overlapping r, recording the
-	// valid coverage for the destination's warm rebuild. A status
-	// straddling r's edge is dropped whole — its outputs outside r would
-	// otherwise linger uncovered — and the source recomputes its retained
-	// side on the next read.
-	for idx, ij := range e.joins {
-		for _, st := range e.statusesOverlapping(ij, r) {
-			if wr := st.r.Intersect(r); !wr.Empty() {
-				rs.Warm = append(rs.Warm, WarmRange{Join: idx, R: wr})
-			}
-			e.stats.Invalidations++
-			e.detachStatus(st)
-			e.removeOutputsOp(ij, st.r, OpEvict)
+// keep reports tables whose rows are replicated on every shard of the
+// pool (its forwarded source set): an in-process move leaves those in
+// place, and evicts loader-backed rows — a cache over a remote home or a
+// backing database that the destination shard reloads through its own
+// subscriptions. A nil keep means the range leaves this process: the
+// extracting server IS its home — in a symmetric mesh its own tables are
+// presence-tracked too — so every row in r is the authoritative copy and
+// moves. The destination re-marks residency through its own loader
+// (self-owned pieces mark without fetching).
+func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool) RangeState {
+	rs := RangeState{R: r, Warm: e.dropComputed(r)}
+	e.clipPresence(r, func(table string, cut keys.Range) {
+		rs.EvictedPresence = append(rs.EvictedPresence, PresenceRange{Table: table, R: cut})
+		if keep != nil {
+			e.evictRows(cut, false)
 		}
+	})
+	move := func(k string, v *store.Value) {
+		rs.KVs = append(rs.KVs, KV{Key: k, Value: v.String()})
+		e.invalidateDependents(k)
 	}
-
-	// Loader-backed state: evict resident rows of presence tables inside
-	// r and clip the residency records. Records still loading are dropped
-	// whole (LoadComplete matches ranges exactly; a clipped record would
-	// never be marked resident) — the late result is discarded, and the
-	// reads parked on the load retry (re-routing if the range moved) and
-	// refetch whatever the post-migration owner needs.
-	for table, pt := range e.presence {
-		tr := keys.Range{Lo: table, Hi: keys.PrefixEnd(table + keys.SepString)}
-		rr := r.Intersect(tr)
-		if rr.Empty() {
-			continue
-		}
-		var overlapping []*presRange
-		start := pt.ranges.SeekAtOrBefore(rr.Lo)
-		if start == nil {
-			start = pt.ranges.Seek(rr.Lo)
-		}
-		for n := start; n != nil; n = n.Next() {
-			pr := n.Val
-			if rr.Hi != "" && pr.r.Lo >= rr.Hi {
-				break
-			}
-			if pr.r.Overlaps(rr) {
-				overlapping = append(overlapping, pr)
-			}
-		}
-		for _, pr := range overlapping {
-			cut := pr.r.Intersect(rr)
-			rs.EvictedPresence = append(rs.EvictedPresence, PresenceRange{Table: table, R: cut})
-			if pr.loading {
-				e.dropLoading(pt, pr)
-				continue
-			}
-			sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
-			if cut.Hi != "" { // a cut to +inf leaves nothing above
-				sides = append(sides, keys.Range{Lo: cut.Hi, Hi: pr.r.Hi})
-			}
-			e.lruRemovePresence(pr)
-			pt.ranges.Delete(pr.node)
-			pr.node = nil
-			for _, side := range sides {
-				if side.Empty() {
-					continue
-				}
-				np := &presRange{table: table, r: side}
-				n, _ := pt.ranges.Insert(side.Lo, np)
-				n.Val = np
-				np.node = n
-				e.lruTouch2(&np.lru, np)
-			}
-			if !movePresence {
-				// Drop the evicted rows like memory-pressure eviction
-				// does (§2.5): OpEvict, dependents invalidated, replicas
-				// keep theirs.
-				e.evictRows(cut, false)
-			}
-			// movePresence: leave the rows in place; the owned-row
-			// capture below moves them with the rest.
-			e.invalidateRangeDependents(table, cut)
-		}
+	if keep == nil {
+		e.s.RemoveRange(r.Lo, r.Hi, move)
+		return rs
 	}
-
-	// Owned rows: capture and silently remove everything left in r that
-	// is not replicated (kept) and not loader-backed (just evicted) —
-	// plus, under movePresence, the authoritative presence-table rows.
-	e.s.Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
-		t := keys.Table(k)
-		if keep(t) || (!movePresence && e.presence[t] != nil) {
+	e.s.Tables(func(t *store.Table) bool {
+		name := t.Name()
+		if keep(name) || e.presence[name] != nil {
 			return true
 		}
-		rs.KVs = append(rs.KVs, KV{Key: k, Value: v.String()})
+		// A table's keys are its bare name and everything under "name|";
+		// a wider cut would reach into tables whose names extend it.
+		for _, piece := range []keys.Range{{Lo: name, Hi: name + "\x00"}, keys.RangeOf(name)} {
+			if piece = piece.Intersect(r); !piece.Empty() {
+				e.s.RemoveRange(piece.Lo, piece.Hi, move)
+			}
+		}
 		return true
 	})
-	for _, kv := range rs.KVs {
-		if _, ok := e.s.Remove(kv.Key); ok {
-			e.invalidateDependents(kv.Key)
-		}
-	}
 	return rs
 }
 
@@ -189,13 +122,7 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool, movePr
 // valid computed coverage is rebuilt eagerly from this engine's own
 // replicated sources so the range arrives warm.
 func (e *Engine) SpliceRange(rs RangeState) {
-	for _, ij := range e.joins {
-		for _, st := range e.statusesOverlapping(ij, rs.R) {
-			e.stats.Invalidations++
-			e.detachStatus(st)
-			e.removeOutputsOp(ij, st.r, OpEvict)
-		}
-	}
+	e.dropComputed(rs.R)
 	for _, kv := range rs.KVs {
 		e.s.Put(kv.Key, store.NewValue(kv.Value))
 		e.invalidateDependents(kv.Key)
@@ -221,18 +148,13 @@ func (e *Engine) SpliceRange(rs RangeState) {
 // retained rows are the freshest surviving copy, but any row the engine
 // does hold is newer still.
 func (e *Engine) RestoreRange(rs RangeState) {
-	restored := 0
 	for _, kv := range rs.KVs {
-		if _, ok := e.s.Get(kv.Key); ok {
-			continue
+		if _, ok := e.s.Get(kv.Key); !ok {
+			e.s.Put(kv.Key, store.NewValue(kv.Value))
+			e.invalidateDependents(kv.Key)
 		}
-		e.s.Put(kv.Key, store.NewValue(kv.Value))
-		e.invalidateDependents(kv.Key)
-		restored++
 	}
-	if restored > 0 {
-		e.evictIfNeeded()
-	}
+	e.evictIfNeeded()
 }
 
 // DropRange discards every cached trace of range r with §2.5 eviction
@@ -247,16 +169,40 @@ func (e *Engine) RestoreRange(rs RangeState) {
 // recomputed — is exactly the invalidation-correct way to retire it.
 // The next read re-loads from, and re-subscribes at, the new owner.
 func (e *Engine) DropRange(r keys.Range) {
-	for _, ij := range e.joins {
+	e.dropComputed(r)
+	e.clipPresence(r, nil)
+	e.evictRows(r, true)
+}
+
+// dropComputed drops every join status overlapping r — outputs removed
+// as OpEvict — and returns the coverage that was valid inside r. A
+// status straddling r's edge is dropped whole (its outputs outside r
+// would otherwise linger uncovered); the next read of the retained side
+// recomputes it.
+func (e *Engine) dropComputed(r keys.Range) []WarmRange {
+	var warm []WarmRange
+	for idx, ij := range e.joins {
 		for _, st := range e.statusesOverlapping(ij, r) {
+			warm = append(warm, WarmRange{Join: idx, R: st.r.Intersect(r)})
 			e.stats.Invalidations++
 			e.detachStatus(st)
 			e.removeOutputsOp(ij, st.r, OpEvict)
 		}
 	}
+	return warm
+}
+
+// clipPresence retires the residency of loader-backed tables inside r,
+// calling each (if non-nil) with every cut it makes. A resident record
+// is clipped to its sides outside r and the dependents of the cut are
+// invalidated; rows are the caller's to evict or move. A record still
+// loading is dropped whole (LoadComplete matches ranges exactly; a
+// clipped record would never be marked resident): the late result is
+// discarded, and the reads parked on the load retry — re-routing if the
+// range moved — and refetch whatever the post-migration owner needs.
+func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Range)) {
 	for table, pt := range e.presence {
-		tr := keys.Range{Lo: table, Hi: keys.PrefixEnd(table + keys.SepString)}
-		rr := r.Intersect(tr)
+		rr := r.Intersect(keys.Range{Lo: table, Hi: keys.RangeEnd(table)})
 		if rr.Empty() {
 			continue
 		}
@@ -265,46 +211,39 @@ func (e *Engine) DropRange(r keys.Range) {
 		if start == nil {
 			start = pt.ranges.Seek(rr.Lo)
 		}
-		for n := start; n != nil; n = n.Next() {
-			pr := n.Val
-			if rr.Hi != "" && pr.r.Lo >= rr.Hi {
-				break
-			}
-			if pr.r.Overlaps(rr) {
-				overlapping = append(overlapping, pr)
+		for n := start; n != nil && (rr.Hi == "" || n.Val.r.Lo < rr.Hi); n = n.Next() {
+			if n.Val.r.Overlaps(rr) {
+				overlapping = append(overlapping, n.Val)
 			}
 		}
 		for _, pr := range overlapping {
 			cut := pr.r.Intersect(rr)
 			if pr.loading {
-				// Abandon the in-flight load whole: LoadComplete matches
-				// ranges exactly, so the late result cannot re-mark it.
-				// Reads parked on it retry (and re-route); their retry
-				// restarts the load against the new owner.
 				e.dropLoading(pt, pr)
-				continue
-			}
-			sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
-			if cut.Hi != "" {
-				sides = append(sides, keys.Range{Lo: cut.Hi, Hi: pr.r.Hi})
-			}
-			e.lruRemovePresence(pr)
-			pt.ranges.Delete(pr.node)
-			pr.node = nil
-			for _, side := range sides {
-				if side.Empty() {
-					continue
+			} else {
+				e.lru.remove(&pr.lru)
+				pt.ranges.Delete(pr.node)
+				pr.node = nil
+				sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
+				if cut.Hi != "" { // a cut to +inf leaves nothing above
+					sides = append(sides, keys.Range{Lo: cut.Hi, Hi: pr.r.Hi})
 				}
-				np := &presRange{table: table, r: side}
-				n, _ := pt.ranges.Insert(side.Lo, np)
-				n.Val = np
-				np.node = n
-				e.lruTouch2(&np.lru, np)
+				for _, side := range sides {
+					if side.Empty() {
+						continue
+					}
+					np := &presRange{table: table, r: side}
+					np.node, _ = pt.ranges.Insert(side.Lo, np)
+					np.node.Val = np
+					e.lruTouch2(&np.lru, np)
+				}
+				e.invalidateRangeDependents(table, cut)
 			}
-			e.invalidateRangeDependents(table, cut)
+			if each != nil {
+				each(table, cut)
+			}
 		}
 	}
-	e.evictRows(r, true)
 }
 
 // statusesOverlapping collects ij's join statuses overlapping r, in
@@ -315,13 +254,9 @@ func (e *Engine) statusesOverlapping(ij *installedJoin, r keys.Range) []*JoinSta
 	if start == nil {
 		start = ij.status.Seek(r.Lo)
 	}
-	for n := start; n != nil; n = n.Next() {
-		st := n.Val
-		if r.Hi != "" && st.r.Lo >= r.Hi {
-			break
-		}
-		if st.r.Overlaps(r) {
-			out = append(out, st)
+	for n := start; n != nil && (r.Hi == "" || n.Val.r.Lo < r.Hi); n = n.Next() {
+		if n.Val.r.Overlaps(r) {
+			out = append(out, n.Val)
 		}
 	}
 	return out
@@ -340,6 +275,3 @@ func (e *Engine) evictRows(r keys.Range, perRow bool) {
 		}
 	})
 }
-
-// lruRemovePresence unlinks a presence range from the LRU.
-func (e *Engine) lruRemovePresence(pr *presRange) { e.lru.remove(&pr.lru) }

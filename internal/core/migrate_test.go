@@ -1,13 +1,18 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"pequod/internal/keys"
+	"pequod/internal/store"
 )
 
-// keepNone is the keep predicate of a pool with no replicated tables.
-func keepNone(string) bool { return false }
+// ownAll is the keep predicate of a pool with no replicated tables.
+func ownAll(string) bool { return false }
 
 // TestExtractSpliceMovesOwnedRows: plain rows inside the range move to
 // the destination; rows outside stay; nothing is notified as a logical
@@ -21,7 +26,7 @@ func TestExtractSpliceMovesOwnedRows(t *testing.T) {
 	src.Put("a|9", "v9")
 	changes = nil
 
-	rs := src.ExtractRange(keys.Range{Lo: "a|3", Hi: "a|7"}, keepNone, false)
+	rs := src.ExtractRange(keys.Range{Lo: "a|3", Hi: "a|7"}, ownAll)
 	if len(rs.KVs) != 1 || rs.KVs[0] != (KV{Key: "a|5", Value: "v5"}) {
 		t.Fatalf("extracted %v", rs.KVs)
 	}
@@ -65,7 +70,7 @@ func TestExtractDropsComputedAndRecordsWarm(t *testing.T) {
 	})
 	rs := src.ExtractRange(keys.Range{Lo: "t|", Hi: "t}"}, func(table string) bool {
 		return table == "s" || table == "p" // the pool's forwarded sources
-	}, false)
+	})
 	if len(rs.Warm) != 1 || rs.Warm[0].Join != 0 {
 		t.Fatalf("warm ranges = %+v", rs.Warm)
 	}
@@ -110,7 +115,7 @@ func TestExtractClipsPresence(t *testing.T) {
 	}
 	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
 
-	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "x|p"}, keepNone, false)
+	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "x|p"}, ownAll)
 	if len(rs.KVs) != 0 {
 		t.Fatalf("loader-backed rows captured as owned: %v", rs.KVs)
 	}
@@ -151,7 +156,7 @@ func (l *recordingLoader) StartLoads(loads []Load) {
 	}
 }
 
-// TestExtractMovePresence: under movePresence (cluster migration — the
+// TestExtractMovePresence: with a nil keep (cluster migration — the
 // extracting server is the range's home), loader-backed rows inside the
 // range are captured and moved instead of evicted, and presence records
 // are still clipped.
@@ -163,7 +168,7 @@ func TestExtractMovePresence(t *testing.T) {
 	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
 	e.Put("y|m", "owned") // a plain owned row in the same range
 
-	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "y}"}, keepNone, true)
+	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "y}"}, nil)
 	want := map[string]string{"x|m": "2", "x|y": "3", "y|m": "owned"}
 	if len(rs.KVs) != len(want) {
 		t.Fatalf("extracted %v, want %v", rs.KVs, want)
@@ -292,5 +297,160 @@ func TestLoadFailed(t *testing.T) {
 	land(e, "x", ld.loads[0], []KV{{"x|m", "1"}})
 	if kvs, pending := e.Scan("x|a", "x|z", 0); pending != 0 || len(kvs) != 1 {
 		t.Fatalf("restarted load did not land: pending=%d kvs=%v", pending, kvs)
+	}
+}
+
+// dumpEngine renders everything ExtractRange and DropRange both touch:
+// join statuses with their dirty spans, presence records, the LRU's
+// length and the store's rows.
+func dumpEngine(e *Engine) string {
+	var b strings.Builder
+	for i, ij := range e.joins {
+		for n := ij.status.First(); n != nil; n = n.Next() {
+			st := n.Val
+			var dirty []string
+			for _, d := range st.dirty {
+				dirty = append(dirty, d.r.String())
+			}
+			sort.Strings(dirty)
+			fmt.Fprintf(&b, "join %d status %v valid=%v logs=%d updaters=%d dirty=%v\n", i, st.r, st.valid, len(st.logs), len(st.updaters), dirty)
+		}
+	}
+	var tables []string
+	for tb := range e.presence {
+		tables = append(tables, tb)
+	}
+	sort.Strings(tables)
+	for _, tb := range tables {
+		for n := e.presence[tb].ranges.First(); n != nil; n = n.Next() {
+			fmt.Fprintf(&b, "presence %s %v loading=%v waiters=%d\n", tb, n.Val.r, n.Val.loading, len(n.Val.waiters))
+		}
+	}
+	fmt.Fprintf(&b, "lru %d\n", e.LRULen())
+	e.s.Scan("", "", func(k string, v *store.Value) bool {
+		fmt.Fprintf(&b, "row %s=%s\n", k, v.String())
+		return true
+	})
+	return b.String()
+}
+
+// TestExtractEqualsDropPlusRows pins the primitives ExtractRange and
+// DropRange are both built from: over random join sets, rows, presence
+// records and in-flight loads, ExtractRange(r, nil) on one engine and
+// DropRange(r) on its twin leave identical statuses, presence records,
+// LRU length and store contents — extraction is a drop that hands back
+// the rows (and the warm coverage) instead of evicting them.
+func TestExtractEqualsDropPlusRows(t *testing.T) {
+	joinPool := []string{
+		timelineJoin,
+		"z|<user>|<time>|<poster> = copy t|<user>|<time>|<poster>",
+		"k|<poster> = count p|<poster>|<time>",
+	}
+	users := []string{"u0", "u1", "u2", "u3"}
+	posters := []string{"a0", "a1", "a2", "a3", "a4"}
+	for seed := int64(1); seed <= 60; seed++ {
+		// build replays one seeded history, so two calls make twins.
+		build := func() (*Engine, keys.Range) {
+			rng := rand.New(rand.NewSource(seed))
+			pick := func(ss []string) string { return ss[rng.Intn(len(ss))] }
+			e := New(Options{})
+			for _, text := range joinPool[:rng.Intn(len(joinPool)+1)] {
+				if err := e.InstallText(text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ld := &recordingLoader{}
+			backed := map[string]bool{}
+			for _, tb := range []string{"s", "p", "x"} {
+				if rng.Intn(2) == 0 {
+					backed[tb] = true
+					e.SetLoader(ld, tb)
+				}
+			}
+			row := func(tb string) KV {
+				switch tb {
+				case "s":
+					return KV{keys.Join("s", pick(users), pick(posters)), "1"}
+				case "p":
+					return KV{keys.Join("p", pick(posters), fmt.Sprintf("%03d", rng.Intn(40))), fmt.Sprint("v", rng.Intn(100))}
+				}
+				return KV{keys.Join(tb, pick(posters), fmt.Sprint(rng.Intn(9))), "w"}
+			}
+			started := 0 // loads of ld.loads already landed, failed or left in flight for good
+			for step := 0; step < 120; step++ {
+				switch tb := pick([]string{"s", "p", "x", "y", "read", "read", "land"}); tb {
+				case "read":
+					u, a := pick(users), pick(posters)
+					r := [][2]string{{"t|" + u + "|", "t|" + u + "}"}, {"z|" + u + "|", "z|" + u + "}"},
+						{"k|", "k}"}, {"x|" + a + "|", "x|" + a + "}"}, {"p|" + a + "|", "p|" + a + "}"}, {"s|", "s|u2"}}[rng.Intn(6)]
+					e.Scan(r[0], r[1], 0)
+					e.LoadWait()
+				case "land":
+					// Resolve the oldest unresolved load: rows inside it, then
+					// the mark — or a failure, or leave it in flight.
+					if started == len(ld.loads) {
+						continue
+					}
+					r := ld.loads[started]
+					started++
+					tb := keys.Table(r.Lo)
+					switch rng.Intn(5) {
+					case 0: // stays in flight
+					case 1:
+						e.LoadFailed(tb, r)
+					default:
+						var kvs []KV
+						for i := 0; i < 6; i++ {
+							if kv := row(tb); r.Contains(kv.Key) {
+								kvs = append(kvs, kv)
+							}
+						}
+						land(e, tb, r, kvs)
+					}
+				default:
+					if !backed[tb] { // backed tables fill through loads only
+						kv := row(tb)
+						e.Put(kv.Key, kv.Value)
+					}
+				}
+			}
+			a, b := pick(posters), pick(users)
+			return e, []keys.Range{
+				{Lo: "p|" + a + "|", Hi: "p|" + a + "}"}, {Lo: "p|a1", Hi: "p|a3|02"}, {Lo: "s|", Hi: "s}"},
+				{Lo: "s|" + b + "|", Hi: "t|" + b + "|"}, {Lo: "t|" + b + "|", Hi: "t|" + b + "}"},
+				{Lo: "p|a2", Hi: "y|a2"}, {Lo: "x|a1", Hi: ""}, {Lo: "", Hi: ""}, {Lo: "k|", Hi: "p|a2}"},
+			}[rng.Intn(9)]
+		}
+		ex, r := build()
+		dr, _ := build()
+		if a, b := dumpEngine(ex), dumpEngine(dr); a != b {
+			t.Fatalf("seed %d: the twins differ before the cut:\n%s\nvs\n%s", seed, a, b)
+		}
+		var inside []KV
+		dr.s.Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
+			inside = append(inside, KV{k, v.String()})
+			return true
+		})
+		rs := ex.ExtractRange(r, nil)
+		dr.DropRange(r)
+		if a, b := dumpEngine(ex), dumpEngine(dr); a != b {
+			t.Fatalf("seed %d, range %v: extract and drop disagree:\nextract left\n%s\ndrop left\n%s", seed, r, a, b)
+		}
+		// The rows handed back are exactly what the range held: nothing
+		// derived (statuses drop their outputs first), nothing outside.
+		var derived int
+		for _, kv := range inside {
+			if tb := keys.Table(kv.Key); tb == "t" || tb == "z" || tb == "k" {
+				derived++
+			}
+		}
+		if len(rs.KVs)+derived != len(inside) {
+			t.Fatalf("seed %d, range %v: extracted %d rows of the %d (%d derived) the range held", seed, r, len(rs.KVs), len(inside), derived)
+		}
+		for _, kv := range rs.KVs {
+			if !r.Contains(kv.Key) {
+				t.Fatalf("seed %d: extracted %q from outside %v", seed, kv.Key, r)
+			}
+		}
 	}
 }

@@ -186,14 +186,14 @@ func TestOverBudgetBoundedReads(t *testing.T) {
 
 	// Fresh reads on the same stuck range: deadline only, never
 	// over-budget.
-	_, _, err = p.GetDeadline("t|ann|100|bob", dl())
+	_, _, err = p.GetBounded("t|ann|100|bob", 0, dl())
 	if !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
 		t.Fatalf("fresh Get = %v, want plain ErrDeadline", err)
 	}
-	if _, err = p.ScanDeadline("t|ann|", "t|ann}", 0, nil, nil, dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
+	if _, err = p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
 		t.Fatalf("fresh Scan = %v, want plain ErrDeadline", err)
 	}
-	if _, err = p.CountDeadline("t|ann|", "t|ann}", dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
+	if _, err = p.CountBounded("t|ann|", "t|ann}", 0, dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
 		t.Fatalf("fresh Count = %v, want plain ErrDeadline", err)
 	}
 }

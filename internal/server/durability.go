@@ -25,6 +25,7 @@ package server
 //     is wired, so coverage is never marked valid over partial sources.
 
 import (
+	"context"
 	"log"
 	"sort"
 	"strings"
@@ -328,7 +329,9 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 	}
 	if err := s.ConnectMesh(pmap, meta.Peers, meta.Self, meta.MeshTables...); err != nil {
 		log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
-		go s.retryMesh(meta, warm)
+		ctx, cancel := context.WithCancel(context.Background())
+		s.rewireStop, s.rewireDone = cancel, make(chan struct{})
+		go s.retryMesh(ctx, meta, warm)
 		return
 	}
 	s.pool.RebuildWarm(warm)
@@ -336,14 +339,16 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 }
 
 // retryMesh keeps attempting the post-restart mesh rewire until it
-// lands or the server closes — a whole-cluster restart converges as
-// soon as enough peers are back to dial.
-func (s *Server) retryMesh(meta *durable.Meta, warm []core.WarmRange) {
+// lands or the server leaves the cluster (Close, Drain) — a
+// whole-cluster restart converges as soon as enough peers are back to
+// dial.
+func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.WarmRange) {
+	defer close(s.rewireDone)
 	t := time.NewTicker(500 * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.durStop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 		}

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"pequod/internal/client"
+	"pequod/internal/partition"
+	"pequod/internal/rpc"
+	"pequod/internal/shard"
 )
 
 // durableConfig returns a server config with the durable store rooted
@@ -110,6 +113,68 @@ func TestWarmRestartRecoversRows(t *testing.T) {
 	rec := st.Durable.Recovery
 	if rec.SnapshotRows == 0 || rec.LogRecords == 0 || rec.RestoredRows == 0 {
 		t.Fatalf("recovery stats = %+v", rec)
+	}
+}
+
+// TestRetryMeshStopsAtTeardown: a durable member restarted while its
+// mesh peer is down keeps retrying the rewire in the background; leaving
+// the cluster — Close, or a Drain, after which the process keeps
+// running — must stop that goroutine and wait for it before the mesh is
+// torn down, so it can neither wire a mesh behind the teardown nor
+// rebuild warm coverage into a closed pool.
+func TestRetryMeshStopsAtTeardown(t *testing.T) {
+	for _, drain := range []bool{false, true} {
+		dir := t.TempDir()
+		peer, err := New(Config{Name: "peer"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paddr, err := peer.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(durableConfig("rm", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmap, peers := partition.MustNew("m"), []string{addr, paddr}
+		s.pool.ApplyMapUpdate(pmap, peers, shard.SelfSet([]int{0}))
+		if err := s.ConnectMesh(pmap, peers, []int{0}, "p"); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		peer.Close() // and never comes back
+
+		s2, err := New(durableConfig("rm2", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.rewireDone == nil {
+			t.Fatal("restart with a dead peer left no rewire running")
+		}
+		if drain {
+			s2.handleDrain(&rpc.Message{})
+		} else {
+			s2.Close()
+		}
+		select {
+		case <-s2.rewireDone:
+		default:
+			t.Fatalf("drain=%v: teardown returned with the rewire still running", drain)
+		}
+		s2.mmu.Lock()
+		mesh := s2.mesh
+		s2.mmu.Unlock()
+		if mesh != nil {
+			t.Fatalf("drain=%v: a mesh exists after the teardown", drain)
+		}
+		if drain {
+			s2.Close()
+		}
 	}
 }
 

@@ -11,24 +11,15 @@ package server
 //	Drain         (at a drained server) tear down its mesh wiring
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
-// rebalance / add / drain subcommands — drives them; see
-// internal/cluster. The correctness-critical parts live in the layers
-// below: the shard pool swaps its ownership gate under the affected
-// shards' locks (internal/shard/clustergate.go), and every routed
-// operation re-validates ownership under the lock it holds, so a racing
-// client gets a NotOwner reply (and retries at the new owner) instead of
-// a lost write or a gap. Every map-bearing message carries the map's
-// total-order position (epoch, version), its bounds, the member address
-// per owner index, and the recipient's self set — membership changes
-// reshape all of them, and they swap atomically with the data transfer.
-//
-// This file contributes the network-level fences: before the
-// destination splices, and before a member drops a moved range,
-// in-flight subscription pushes from the range's old owner are fenced
-// with a ping — the reply follows every queued push on that connection,
-// so nothing stale can be applied afterwards and overwrite a newer
-// value. Fences are addressed by member address, which stays meaningful
-// when a join or drain shifts owner indexes.
+// rebalance / add / drain subcommands — drives them;
+// internal/cluster/migrate.go tells the protocol and DESIGN.md "Moving a
+// range" what each layer adds. This layer adds the network-level
+// fences: before the destination splices, and before a member drops a
+// moved range, in-flight subscription pushes from the range's old owner
+// are fenced with a ping — the reply follows every queued push on that
+// connection, so nothing stale can be applied afterwards and overwrite
+// a newer value. Fences are addressed by member address, which stays
+// meaningful when a join or drain shifts owner indexes.
 
 import (
 	"context"
@@ -44,6 +35,32 @@ import (
 	"pequod/internal/shard"
 )
 
+// handleMapBearing serves the control-plane messages that carry a
+// cluster map — its total-order position (epoch, version) and bounds,
+// beside the member address per owner index and the recipient's self
+// set; membership changes reshape all of them, and they swap atomically
+// with the data transfer. The map is decoded here, once.
+func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
+	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
+	if err != nil {
+		return rpc.ErrReply(m.Seq, err)
+	}
+	switch m.Type {
+	case rpc.MsgExtractRange:
+		return s.handleExtractRange(m, next)
+	case rpc.MsgSpliceRange:
+		return s.handleSpliceRange(m, next, dl)
+	case rpc.MsgMapUpdate:
+		return s.handleMapUpdate(m, next, dl)
+	case rpc.MsgJoinCluster:
+		return s.handleJoinCluster(m, next)
+	default: // rpc.MsgReplicate
+		r := s.handleReplicate(m, next)
+		s.persistMeta()
+		return r
+	}
+}
+
 // handleExtractRange serves MsgExtractRange: remove [m.Lo, m.Hi) from
 // this server and return its owned rows and warm computed coverage,
 // atomically ceasing to serve the range. The request carries the
@@ -51,11 +68,7 @@ import (
 // and self under it; a stale coordinator gets StatusNotOwner with the
 // current map. The extracted state is retained pool-side until a
 // published map confirms the destination serves the range.
-func (s *Server) handleExtractRange(m *rpc.Message) *rpc.Message {
-	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
-	if err != nil {
-		return rpc.ErrReply(m.Seq, err)
-	}
+func (s *Server) handleExtractRange(m *rpc.Message, next *partition.Map) *rpc.Message {
 	rs, err := s.pool.ExtractClusterRange(keys.Range{Lo: m.Lo, Hi: m.Hi}, next, m.Peers, shard.SelfSet(m.Self))
 	if err != nil {
 		return errReply(m.Seq, err)
@@ -77,11 +90,7 @@ func (s *Server) handleExtractRange(m *rpc.Message) *rpc.Message {
 // range came from; pushes in flight from that peer are fenced first so a
 // stale replicated write cannot land after the splice and overwrite a
 // newer owner write here.
-func (s *Server) handleSpliceRange(m *rpc.Message, dl time.Time) *rpc.Message {
-	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
-	if err != nil {
-		return rpc.ErrReply(m.Seq, err)
-	}
+func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.Map, dl time.Time) *rpc.Message {
 	if m.Src != "" {
 		if err := s.fenceAddr(m.Src, dl); err != nil {
 			return rpc.ErrReply(m.Seq, err)
@@ -108,11 +117,7 @@ func (s *Server) handleSpliceRange(m *rpc.Message, dl time.Time) *rpc.Message {
 // pool reconcile its cached state (drop stale replicas, demote ranges
 // lost without an extraction, restore retained ranges handed back) so
 // the next read re-fetches from — and re-subscribes at — the new home.
-func (s *Server) handleMapUpdate(m *rpc.Message, dl time.Time) *rpc.Message {
-	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
-	if err != nil {
-		return rpc.ErrReply(m.Seq, err)
-	}
+func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.Map, dl time.Time) *rpc.Message {
 	if g := s.pool.Gate(); g != nil && next.NewerThan(g.Map.Epoch(), g.Map.Version()) &&
 		len(g.Peers) == g.Map.Servers() && len(m.Peers) == next.Servers() {
 		// Fence before the drop: every change the old owners pushed for
@@ -136,12 +141,17 @@ func (s *Server) handleMapUpdate(m *rpc.Message, dl time.Time) *rpc.Message {
 	s.pool.ApplyMapUpdate(next, m.Peers, shard.SelfSet(m.Self))
 	s.adoptMeshView(next, m.Peers, m.Self)
 	s.persistMeta()
-	r := rpc.OKReply(m.Seq)
 	// Teach the publisher the map this server actually holds: a client
 	// that starts from the deployment's original bounds (version 0)
 	// after migrations have run publishes a stale map, which the pool
 	// ignores — the reply carries the newer one so the client adopts it
 	// instead of discovering it through NotOwner bounces.
+	return s.gateReply(m.Seq)
+}
+
+// gateReply is an OK reply carrying the cluster map this server holds.
+func (s *Server) gateReply(seq uint64) *rpc.Message {
+	r := rpc.OKReply(seq)
 	if g := s.pool.Gate(); g != nil {
 		r.Epoch = g.Map.Epoch()
 		r.MapVersion = g.Map.Version()
@@ -158,11 +168,7 @@ func (s *Server) handleMapUpdate(m *rpc.Message, dl time.Time) *rpc.Message {
 // coordinator then grants it an initial slice through the ordinary
 // extract/splice/publish protocol — by the time any client routes to
 // the new member, it is gated, meshed, and computing.
-func (s *Server) handleJoinCluster(m *rpc.Message) *rpc.Message {
-	pmap, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
-	if err != nil {
-		return rpc.ErrReply(m.Seq, err)
-	}
+func (s *Server) handleJoinCluster(m *rpc.Message, pmap *partition.Map) *rpc.Message {
 	if len(m.Peers) != pmap.Servers() {
 		return rpc.ErrReply(m.Seq, fmt.Errorf("pequod server: %d bounds need %d peers, have %d",
 			len(m.Bounds), pmap.Servers(), len(m.Peers)))
@@ -207,14 +213,7 @@ func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
 	// still answer NotOwner with the current bounds, not serve stale
 	// data it no longer owns.
 	s.persistMeta()
-	r := rpc.OKReply(m.Seq)
-	if g := s.pool.Gate(); g != nil {
-		r.Epoch = g.Map.Epoch()
-		r.MapVersion = g.Map.Version()
-		r.Bounds = g.Map.Bounds()
-		r.Peers = g.Peers
-	}
-	return r
+	return s.gateReply(m.Seq)
 }
 
 // fenceAddr pings this server's connections to the peer at addr, if

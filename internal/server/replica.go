@@ -91,11 +91,7 @@ type replHold struct {
 // snapshot+subscribe ranges gained. Idempotent: republishing the same
 // assignment diffs to nothing. Assignments older than the one held are
 // ignored (a slow coordinator losing to a repair).
-func (s *Server) handleReplicate(m *rpc.Message) *rpc.Message {
-	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
-	if err != nil {
-		return rpc.ErrReply(m.Seq, err)
-	}
+func (s *Server) handleReplicate(m *rpc.Message, next *partition.Map) *rpc.Message {
 	if len(m.Peers) != next.Servers() {
 		return rpc.ErrReply(m.Seq, errReplicatePeers)
 	}

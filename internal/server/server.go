@@ -138,6 +138,11 @@ type Server struct {
 	durStop  chan struct{}
 	durDone  chan struct{}
 	recovery *recoveryStats
+
+	// The post-restart mesh rewire (retryMesh), when recovery had to
+	// leave one running: leaveCluster stops it and waits for it.
+	rewireStop context.CancelFunc
+	rewireDone chan struct{}
 }
 
 // meshState records a server's position in a partitioned mesh so later
@@ -647,25 +652,11 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		s.persistMeta()
 		return rpc.OKReply(m.Seq)
 
-	case rpc.MsgExtractRange:
-		return s.handleExtractRange(m)
-
-	case rpc.MsgSpliceRange:
-		return s.handleSpliceRange(m, dl)
-
-	case rpc.MsgMapUpdate:
-		return s.handleMapUpdate(m, dl)
-
-	case rpc.MsgJoinCluster:
-		return s.handleJoinCluster(m)
+	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate:
+		return s.handleMapBearing(m, dl)
 
 	case rpc.MsgDrain:
 		return s.handleDrain(m)
-
-	case rpc.MsgReplicate:
-		r := s.handleReplicate(m)
-		s.persistMeta()
-		return r
 
 	case rpc.MsgSnapshot:
 		return s.handleSnapshot(m)
@@ -1048,9 +1039,14 @@ func (s *Server) watchPass() {
 }
 
 // leaveCluster tears down the mesh wiring and the replica machinery
-// (shutdown, drain), returning only once no watchdog pass or replica
-// sync that could still touch the pool on their behalf is running.
+// (shutdown, drain), returning only once no watchdog pass, replica sync
+// or post-restart rewire that could still touch the pool — or wire a
+// mesh behind the teardown — on their behalf is running.
 func (s *Server) leaveCluster() {
+	if s.rewireStop != nil {
+		s.rewireStop()
+		<-s.rewireDone
+	}
 	s.mmu.Lock()
 	mesh := s.mesh
 	s.mesh = nil

@@ -1,36 +1,21 @@
 package shard
 
-// Cluster-level live migration: the pool-side half of moving a key range
-// between *servers* (the in-process half, moving ranges between shards,
-// is rebalance.go). A mesh-wired server installs a Gate — its view of
-// the cluster's versioned partition map, the member address serving each
-// owner index, and the owner indexes that are this process — and from
-// then on every routed operation re-validates cluster ownership under
-// the shard lock it already holds, exactly the way pool-internal
-// migration re-validates the shard map. An operation whose range has
-// migrated to another server fails with *NotOwnerError carrying the
-// current map, which travels back to the client as a StatusNotOwner
-// reply; the client adopts the newer map and retries against the new
-// owner. The same lock-ordered swap discipline as MoveBound makes the
-// ownership flip atomic with the data transfer:
-//
-//   - ExtractClusterRange (at the source) locks every shard overlapping
-//     the range, swaps the gate to the successor map, settles queued
-//     forwarded writes, and extracts the range's state. A write that
-//     held a shard lock first is captured in the extracted rows; one
-//     that acquires the lock afterwards re-checks the gate and bounces.
-//     The extracted state is also retained in a bounded side buffer
-//     until the transfer is confirmed (see "Retained extractions").
-//   - SpliceClusterRange (at the destination) locks the shards, swaps
-//     the gate, drops its own stale cached copies of the range (it may
-//     have loaded and computed over it as a subscriber), and installs
-//     the moved rows plus the source's warm computed coverage — all
-//     before any reader under those locks can observe the new map.
-//   - ApplyMapUpdate (at every other member) adopts the new map and
-//     drops, with §2.5 eviction semantics, the cached state for ranges
-//     that changed hands, so the next read re-fetches from and
-//     re-subscribes at the new home. The server fences in-flight
-//     subscription pushes from the old owner before calling it.
+// Cluster-level live migration, the pool-side half of moving a key range
+// between *servers* (between shards of one pool it is rebalance.go);
+// internal/cluster/migrate.go tells the protocol once and DESIGN.md
+// "Moving a range" says what each layer adds. This layer adds the Gate:
+// a mesh-wired server's view of the cluster's versioned partition map,
+// the member address serving each owner index, and the owner indexes
+// that are this process. Every routed operation re-validates cluster
+// ownership under the shard lock it already holds, exactly the way it
+// re-validates the shard map, and one whose range has migrated away
+// fails with *NotOwnerError carrying the current map — a StatusNotOwner
+// reply on the wire, which the client adopts before retrying at the new
+// owner. ExtractClusterRange and SpliceClusterRange swap the gate under
+// the shard locks before they touch the range, so the ownership flip is
+// atomic with the data transfer; ApplyMapUpdate, at every other member,
+// adopts the new map and drops (§2.5) its cached state for ranges that
+// changed hands.
 //
 // Membership changes ride the same machinery: a successor map may have
 // more owners (a join split one owner's range for a fresh server) or
@@ -56,27 +41,20 @@ package shard
 // published map (MapUpdate) under which the intended destination serves
 // the range means the splice landed, and the copy is dropped. If a
 // later map instead hands the range *back* to this server without an
-// accompanying splice — the coordinator reverted a failed transfer, or
-// a competing coordinator's older-epoch map lost and the winner never
+// accompanying splice — the coordinator rolled a failed transfer back,
+// or a competing coordinator's older-epoch map lost and the winner never
 // knew about the move — the retained rows are restored (without
 // clobbering anything written since). The buffer is bounded; entries
 // beyond the cap evict oldest-first and are visible in RetainedStats
 // and the stat RPC so operators can see stranded state.
-//
-// Readers never observe a gap or duplicate for the same reason as
-// in-process migration: every key is owned by exactly one server under
-// every published map, state moves while the owning shards are locked,
-// and every operation re-checks ownership under the lock it holds.
 
 import (
 	"fmt"
-	"time"
 
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/perrs"
-	"pequod/internal/store"
 )
 
 // Gate is a pool's view of the cluster partition: the versioned map,
@@ -149,18 +127,6 @@ func (e *NotOwnerError) Is(target error) bool { return target == perrs.ErrNotOwn
 // Gate returns the pool's current cluster view (nil when the pool is
 // not part of a gated cluster).
 func (p *Pool) Gate() *Gate { return p.gate.Load() }
-
-// SetGate installs or replaces the pool's cluster view wholesale —
-// initial wiring (ConnectMesh, a cluster client publishing its map), not
-// migration, which swaps the gate under shard locks itself. A nil map
-// clears the gate.
-func (p *Pool) SetGate(g *Gate) {
-	if g == nil {
-		p.gate.Store(nil)
-		return
-	}
-	p.gate.Store(g)
-}
 
 // gateCheckKey validates key against the cluster gate. Called with the
 // owning shard's lock held, so a concurrent migration either completed
@@ -292,25 +258,20 @@ func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.Map, peers []st
 // caller already holds every shard lock).
 func (p *Pool) extractLocked(r keys.Range, pieces []partition.Shard, lockSiblings bool) core.RangeState {
 	rs := core.RangeState{R: r}
-	// Nothing is kept: unlike an in-process bound move, the range is
-	// leaving this server entirely, so even rows of internally
-	// forwarded source tables — whose authoritative copy lives on the
-	// owning shard — are captured and moved. (The destination
-	// re-replicates them to its own sibling shards during the splice.)
-	keepNone := func(string) bool { return false }
 	for _, pc := range pieces {
-		sh := p.shards[pc.Owner]
-		// Settle forwarded writes queued for the departing range so the
-		// extraction captures them (in-process replication order).
-		sh.applyQueuedRange(pc.R)
-		one := sh.e.ExtractRange(pc.R, keepNone, true)
+		// Nothing is kept: unlike an in-process bound move, the range is
+		// leaving this server entirely, so even rows of internally
+		// forwarded source tables — whose authoritative copy lives on the
+		// owning shard — are captured and moved. (The destination
+		// re-replicates them to its own sibling shards during the splice.)
+		one := p.shards[pc.Owner].extract(pc.R, nil)
 		rs.KVs = append(rs.KVs, one.KVs...)
 		rs.Warm = append(rs.Warm, one.Warm...)
 		rs.EvictedPresence = append(rs.EvictedPresence, one.EvictedPresence...)
 	}
 	// Sibling shards may hold forwarded (or self-replicated external)
-	// copies of departing source rows; those are stale the moment the
-	// range is homed elsewhere.
+	// copies of departing source rows — applied, or still queued; those
+	// are stale the moment the range is homed elsewhere.
 	if len(*p.fwd.Load())+len(*p.extRep.Load()) > 0 {
 		owns := make(map[int]bool, len(pieces))
 		for _, pc := range pieces {
@@ -321,6 +282,7 @@ func (p *Pool) extractLocked(r keys.Range, pieces []partition.Shard, lockSibling
 				if lockSiblings {
 					sh.mu.Lock()
 				}
+				sh.applyQueuedRange(r)
 				sh.e.DropRange(r)
 				if lockSiblings {
 					sh.mu.Unlock()
@@ -366,38 +328,8 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.Map, peers
 	}
 	locked := p.lockAllShards()
 	p.gate.Store(ng)
-	pieces := p.pmap.Load().Split(rs.R)
-	for _, pc := range pieces {
-		sh := p.shards[pc.Owner]
-		// Stale queued forwards and subscriber-era cached state for the
-		// range must not shadow the moved rows.
-		sh.applyQueuedRange(pc.R)
-		sh.e.DropRange(pc.R)
-		sh.e.SpliceRange(clipState(rs, pc.R))
-	}
-	// Arriving rows of internally forwarded source tables — and of
-	// external tables this member now self-owns — must reach this pool's
-	// sibling shards too (every shard computes joins from its own
-	// replica of the sources). Enqueued while the owning shards are
-	// still locked, so later owner writes forward in order behind this
-	// backfill.
-	fwdSet, extSet := *p.fwd.Load(), *p.extRep.Load()
-	if len(fwdSet)+len(extSet) > 0 {
-		m := p.pmap.Load()
-		at := time.Now()
-		for _, kv := range rs.KVs {
-			t := keys.Table(kv.Key)
-			if !fwdSet[t] && !extSet[t] {
-				continue
-			}
-			owner := m.Owner(kv.Key)
-			c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
-			for j, sh := range p.shards {
-				if j != owner {
-					sh.enqueue(c, at)
-				}
-			}
-		}
+	for _, pc := range p.pmap.Load().Split(rs.R) {
+		p.shards[pc.Owner].splice(clipState(rs, pc.R), true)
 	}
 	// A splice that jumped versions (a re-offer) may also move ranges
 	// between other members; reconcile them exactly as a map update
@@ -508,9 +440,11 @@ func (p *Pool) applyDiffsLocked(old, ng *Gate, exclude *keys.Range) []keys.Range
 			// the locks drop. Nothing to drop: we held at most a replica,
 			// which is now authoritative-in-waiting. Replica feeds apply
 			// rows only to their internally owning shard, though, so the
-			// forwarded source tables sibling shards compute joins from
-			// must be backfilled the way a splice would have done.
-			p.promoteBackfillLocked(d)
+			// source rows sibling shards compute joins from must be
+			// replicated the way a splice would have done.
+			for _, pc := range p.pmap.Load().Split(d) {
+				p.replicate(pc.Owner, p.shards[pc.Owner].heldSources(pc.R))
+			}
 		case !ownedOld && !ownedNew:
 			// Changed hands between two other servers: our cached copy is
 			// a stale replica of data homed elsewhere.
@@ -521,46 +455,6 @@ func (p *Pool) applyDiffsLocked(old, ng *Gate, exclude *keys.Range) []keys.Range
 		}
 	}
 	return changed
-}
-
-// promoteBackfillLocked re-replicates the forwarded/external-source
-// rows of a range this member was just promoted to own: replica feeds
-// land rows only on the internally owning shard, while sibling shards'
-// joins read their own copies of the source tables. Caller holds imu
-// and every shard lock; enqueued changes apply once the locks drop,
-// ordered ahead of any later owner write (the owner forwards under the
-// same locks).
-func (p *Pool) promoteBackfillLocked(d keys.Range) {
-	if len(p.shards) == 1 {
-		return
-	}
-	fwdSet, extSet := *p.fwd.Load(), *p.extRep.Load()
-	if len(fwdSet)+len(extSet) == 0 {
-		return
-	}
-	m := p.pmap.Load()
-	for _, pc := range m.Split(d) {
-		sh := p.shards[pc.Owner]
-		// Raw store walk: a demand scan would block on loads; the
-		// backfill wants only the replica rows already here.
-		sh.e.Store().Scan(pc.R.Lo, pc.R.Hi, func(k string, v *store.Value) bool {
-			t := keys.Table(k)
-			if !fwdSet[t] && !extSet[t] {
-				return true
-			}
-			if m.Owner(k) != pc.Owner {
-				return true
-			}
-			c := core.Change{Op: core.OpPut, Key: k, Value: v.String()}
-			at := time.Now()
-			for j, dst := range p.shards {
-				if j != pc.Owner {
-					dst.enqueue(c, at)
-				}
-			}
-			return true
-		})
-	}
 }
 
 // DropRangeAll drops every shard's cached rows of r with eviction
@@ -680,31 +574,13 @@ func (p *Pool) reconcileRetained(ng *Gate) {
 	p.retmu.Unlock()
 	for _, e := range restore {
 		for _, pc := range p.pmap.Load().Split(e.rs.R) {
-			sh := p.shards[pc.Owner]
+			sh, st := p.shards[pc.Owner], clipState(e.rs, pc.R)
 			sh.mu.Lock()
-			sh.e.RestoreRange(clipState(e.rs, pc.R))
+			sh.e.RestoreRange(st)
+			// Restored source rows reach sibling shards the way spliced
+			// ones do.
+			p.replicate(pc.Owner, st.KVs)
 			sh.mu.Unlock()
-		}
-		// Restored source rows reach sibling shards through the same
-		// replication path as a splice.
-		fwdSet, extSet := *p.fwd.Load(), *p.extRep.Load()
-		if len(fwdSet)+len(extSet) == 0 {
-			continue
-		}
-		m := p.pmap.Load()
-		at := time.Now()
-		for _, kv := range e.rs.KVs {
-			t := keys.Table(kv.Key)
-			if !fwdSet[t] && !extSet[t] {
-				continue
-			}
-			owner := m.Owner(kv.Key)
-			c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
-			for j, sh := range p.shards {
-				if j != owner {
-					sh.enqueue(c, at)
-				}
-			}
 		}
 	}
 }

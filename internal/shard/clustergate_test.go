@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pequod/internal/core"
 	"pequod/internal/keys"
@@ -180,4 +181,99 @@ func TestMapUpdateDemotesLostRange(t *testing.T) {
 // coreRangeState builds an empty extracted state for [lo, hi).
 func coreRangeState(lo, hi string) core.RangeState {
 	return core.RangeState{R: keys.Range{Lo: lo, Hi: hi}}
+}
+
+// TestReplicateReachesEverySibling: however source rows arrive in bulk
+// on the shard that owns them — a splice from another server, a
+// promotion of replica-fed rows, a retained extraction restored, or a
+// table that turns external late — they are replicated to the sibling
+// shard, so a join computed there (timelines live on shard 1, their
+// sources on shard 0) sees them. Live writes take onChange; these are
+// the paths that take Pool.replicate.
+func TestReplicateReachesEverySibling(t *testing.T) {
+	const join = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
+	src := keys.Range{Lo: "", Hi: "t|"} // cluster owner 0: both source tables
+	rows := []core.KV{{Key: "p|bob|100", Value: "Hi"}, {Key: "s|ann|bob", Value: "1"}}
+	mine, theirs := []string{"me:1", "me:1"}, []string{"other:1", "me:1"}
+	all, upper := map[int]bool{0: true, 1: true}, map[int]bool{1: true}
+	at := func(version int64) *partition.Map {
+		m, err := partition.NewEpochVersioned(1, version, "t|")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// meshed builds a two-shard member gated at version 0, with the
+	// timeline join over external sources when early is set.
+	meshed := func(t *testing.T, peers []string, self map[int]bool, early bool) *Pool {
+		p, err := New(Config{Shards: 2, Bounds: []string{"t|"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		p.ApplyMapUpdate(at(0), peers, self)
+		if early {
+			if err := p.InstallText(join); err != nil {
+				t.Fatal(err)
+			}
+			p.SetExternalTables("s", "p")
+		}
+		return p
+	}
+	cases := map[string]func(t *testing.T) *Pool{
+		"splice": func(t *testing.T) *Pool {
+			p := meshed(t, theirs, upper, true)
+			if err := p.SpliceClusterRange(core.RangeState{R: src, KVs: rows}, at(1), mine, all); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		"promotion": func(t *testing.T) *Pool {
+			p := meshed(t, theirs, upper, true)
+			// A replica feed lands rows on their owning shard only.
+			p.ApplyReplica([]core.Change{{Op: core.OpPut, Key: rows[0].Key, Value: rows[0].Value}, {Op: core.OpPut, Key: rows[1].Key, Value: rows[1].Value}})
+			p.ApplyMapUpdate(at(1), mine, all)
+			return p
+		},
+		"retained restore": func(t *testing.T) *Pool {
+			p := meshed(t, mine, all, true)
+			for _, kv := range rows {
+				p.Put(kv.Key, kv.Value)
+			}
+			if _, err := p.ExtractClusterRange(src, at(1), theirs, upper); err != nil {
+				t.Fatal(err)
+			}
+			p.ApplyMapUpdate(at(2), mine, all) // handed back with no splice
+			if st := p.RetainedStats(); st.Entries != 0 {
+				t.Fatalf("retained entry not consumed by the restore: %+v", st)
+			}
+			return p
+		},
+		"late SetExternalTables": func(t *testing.T) *Pool {
+			p := meshed(t, mine, all, false)
+			for _, kv := range rows {
+				p.Put(kv.Key, kv.Value) // no join reads them yet: not forwarded
+			}
+			p.SetExternalTables("s", "p")
+			if err := p.InstallText(join); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+	}
+	for name, arrive := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := arrive(t)
+			p.Quiesce()
+			for _, kv := range rows {
+				if v, ok := p.shards[1].e.Store().Get(kv.Key); !ok || v.String() != kv.Value {
+					t.Fatalf("source row %s did not reach the sibling shard", kv.Key)
+				}
+			}
+			kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Time{})
+			if err != nil || len(kvs) != 1 || kvs[0].Key != "t|ann|100|bob" || kvs[0].Value != "Hi" {
+				t.Fatalf("timeline computed on the sibling shard = %v, %v", kvs, err)
+			}
+		})
+	}
 }

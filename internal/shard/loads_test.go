@@ -61,7 +61,7 @@ func TestBlockedReadWakesOncePerBatch(t *testing.T) {
 	read := func(dl time.Time) chan result {
 		out := make(chan result, 1)
 		go func() {
-			kvs, err := p.ScanDeadline("t|ann|", "t|ann}", 0, nil, nil, dl)
+			kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, dl)
 			out <- result{kvs, err}
 		}()
 		return out
@@ -101,7 +101,7 @@ func TestBlockedReadWakesOncePerBatch(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	kvs, err := p.ScanDeadline("t|cat|", "t|cat}", 0, nil, nil, time.Now().Add(30*time.Millisecond))
+	kvs, err := p.ScanBounded("t|cat|", "t|cat}", 0, nil, nil, 0, time.Now().Add(30*time.Millisecond))
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("read past its deadline = %v, %v", kvs, err)
 	}

@@ -1,43 +1,23 @@
 package shard
 
-// Load-aware shard rebalancing with live range migration. The static
-// partition PR 1 introduced caps read scaling under skew: whatever
-// bounds the operator picked, a hot shard stays hot (the paper's §2.4
-// deployment assumes well-chosen bounds up front). The rebalancer
-// closes that gap inside the process: every shard accounts the work it
-// serves, a background goroutine feeds the counts to the balancing
-// policy (partition.Balancer, shared with the cluster client), and when
-// one shard runs hot it migrates a slice of that shard's range — live,
+// Load-aware shard rebalancing with live range migration. A static
+// partition caps read scaling under skew: whatever bounds the operator
+// picked, a hot shard stays hot (the paper's §2.4 deployment assumes
+// well-chosen bounds up front). The rebalancer closes that gap inside
+// the process: every shard accounts the work it serves, a background
+// goroutine feeds the counts to the balancing policy
+// (partition.Balancer, shared with the cluster client), and when one
+// shard runs hot it migrates a slice of that shard's range — live,
 // under both shards' locks, without stopping reads elsewhere — to a
 // cooler neighbor by moving the partition bound between them.
 //
-// Migration protocol (MoveBound), for a range r moving src -> dst:
-//
-//  1. Take imu: migrations serialize with each other and with join
-//     installation/backfill, so the forwarded-table set and the map are
-//     stable.
-//  2. Lock both shards (in index order; scans lock one shard at a time,
-//     so the pool-wide hierarchy stays acyclic).
-//  3. Drain dst's queued replica writes for r into its engine, in
-//     order. dst is about to become r's owner: a stale forwarded write
-//     replayed after the flip would clobber newer owner writes and
-//     re-forward the stale value. applyLoop's pop-under-lock guarantees
-//     every unapplied forward is still in the queue here.
-//  4. ExtractRange at src / SpliceRange at dst (internal/core): owned
-//     rows move; replicated source-table rows stay put on both sides
-//     (ownership alone flips); computed and loader-backed ranges drop
-//     with eviction semantics and the previously valid computed
-//     coverage is rebuilt eagerly at dst, so the hot range arrives
-//     warm.
-//  5. Publish the successor partition map. Routed operations
-//     re-validate ownership after locking a shard, so a request that
-//     raced the migration reroutes instead of reading a gap or writing
-//     to the old owner.
-//
-// Readers never observe a gap or duplicate: every key is owned by
-// exactly one shard under every published map (fuzzed in
-// internal/partition), data moves while both owners are locked, and
-// every read path re-checks ownership under the lock it holds.
+// MoveBound is the in-process instance of the one extract → fence →
+// splice protocol (internal/cluster/migrate.go tells it once; DESIGN.md
+// "Moving a range" says what each layer adds). Here the fence is the
+// pair of shard locks held across the move, and every routed operation
+// re-validates ownership after locking a shard, so a request that raced
+// the migration reroutes instead of reading a gap or writing to the old
+// owner.
 
 import (
 	"fmt"
@@ -181,18 +161,14 @@ func (p *Pool) MoveBound(i int, bound string) error {
 	lo.mu.Lock()
 	hi.mu.Lock()
 
-	// Step 3: settle dst's pending forwarded writes for r before it
-	// becomes owner (see the protocol comment at the top of this file).
-	b.applyQueuedRange(r)
-
-	// Step 4: move state. Replicated source tables stay in place on
-	// both sides; imu (held) keeps the forwarded set stable.
+	// Replicated source tables stay in place on both sides; imu (held)
+	// keeps the forwarded set stable.
 	fwdSet := *p.fwd.Load()
-	rs := a.e.ExtractRange(r, func(table string) bool { return fwdSet[table] }, false)
-	b.e.SpliceRange(rs)
+	rs := a.extract(r, func(table string) bool { return fwdSet[table] })
+	b.splice(rs, false)
 
-	// Step 5: publish. From here every routed operation that locks
-	// either shard re-validates against this map.
+	// Publish. From here every routed operation that locks either shard
+	// re-validates against this map.
 	p.pmap.Store(next)
 
 	p.reb.migrations++
@@ -202,6 +178,38 @@ func (p *Pool) MoveBound(i int, bound string) error {
 	hi.mu.Unlock()
 	lo.mu.Unlock()
 	return nil
+}
+
+// extract cuts r's state out of the shard, which stops owning it: the
+// forwards queued for r settle first, so the cut captures them in
+// replication order. keep is core.ExtractRange's — nil when the range
+// leaves the process. Called with sh.mu held.
+func (sh *Shard) extract(r keys.Range, keep func(table string) bool) core.RangeState {
+	sh.applyQueuedRange(r)
+	return sh.e.ExtractRange(r, keep)
+}
+
+// splice folds rs into the shard, which becomes rs.R's owner: the
+// forwards queued for the range settle first — replayed after the flip a
+// stale one would clobber newer owner writes and re-forward the stale
+// value (applyLoop's pop-under-lock guarantees every unapplied forward
+// is still in the queue here). fromPeer marks a range arriving from
+// another server: this pool may have loaded and computed over it as a
+// subscriber, and those copies are dropped (§2.5) before the rows land
+// so they cannot shadow them; and no sibling shard holds the arriving
+// source rows, so they are replicated. A range moving between two shards
+// of one pool needs neither — its forwarded replicas are on every shard
+// already and are not re-sent. Called with sh.mu held, so later owner
+// writes forward behind the replicated rows.
+func (sh *Shard) splice(rs core.RangeState, fromPeer bool) {
+	sh.applyQueuedRange(rs.R)
+	if fromPeer {
+		sh.e.DropRange(rs.R)
+	}
+	sh.e.SpliceRange(rs)
+	if fromPeer {
+		sh.p.replicate(sh.idx, rs.KVs)
+	}
 }
 
 // applyQueuedRange applies (in queue order) and removes every queued

@@ -489,22 +489,17 @@ func (p *Pool) RemoveGated(key string) (bool, error) {
 // outstanding base-data loads (§3.3 restart contexts) like the server's
 // command loop.
 func (p *Pool) Get(key string) (string, bool) {
-	v, ok, _ := p.GetDeadline(key, time.Time{})
+	v, ok, _ := p.GetBounded(key, 0, time.Time{})
 	return v, ok
 }
 
-// GetDeadline is Get bounded by a deadline (zero = none): if base-data
-// loads are still outstanding at dl, it returns ErrDeadline instead of
-// blocking further. Waiting for loads releases the shard lock, so the
-// key may migrate away mid-wait; the read then reroutes to the new
-// owner.
-func (p *Pool) GetDeadline(key string, dl time.Time) (string, bool, error) {
-	return p.GetBounded(key, 0, dl)
-}
-
-// GetBounded is GetDeadline carrying a staleness budget (zero = fully
-// fresh, today's semantics). A bounded read may serve the current view
-// without applying outstanding maintenance whose age fits the budget:
+// GetBounded is Get bounded by a deadline (zero = none) — if base-data
+// loads are still outstanding at dl it returns ErrDeadline instead of
+// blocking further; waiting for loads releases the shard lock, so the
+// key may migrate away mid-wait and the read then reroutes to the new
+// owner — and carrying a staleness budget (zero = fully fresh, today's
+// semantics). A bounded read may serve the current view without
+// applying outstanding maintenance whose age fits the budget:
 // both the shard's forwarded-write queue lag and the engine's per-range
 // debt (unapplied lazy logs, dirty sub-intervals) must be within
 // maxStale, checked under the same shard lock the fresh path holds. A
@@ -563,7 +558,7 @@ func deadlineErr(maxStale time.Duration) error {
 // piece's final (complete) scan — the atomic snapshot+subscribe window
 // cross-server subscriptions need (§2.4).
 func (p *Pool) Scan(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range)) []core.KV {
-	kvs, _ := p.ScanDeadline(lo, hi, limit, buf, sub, time.Time{})
+	kvs, _ := p.ScanBounded(lo, hi, limit, buf, sub, 0, time.Time{})
 	return kvs
 }
 
@@ -574,17 +569,12 @@ func (p *Pool) Scan(lo, hi string, limit int, buf []core.KV, sub func(shard int,
 // it.
 var errMoved = errors.New("shard: range migrated mid-scan")
 
-// ScanDeadline is Scan bounded by a deadline (zero = none); an expired
-// deadline while waiting on base-data loads yields ErrDeadline.
-func (p *Pool) ScanDeadline(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), dl time.Time) ([]core.KV, error) {
-	return p.ScanBounded(lo, hi, limit, buf, sub, 0, dl)
-}
-
-// ScanBounded is ScanDeadline carrying a staleness budget (zero =
-// fully fresh); see GetBounded for the serving condition. Subscribing
-// scans (sub != nil) always run fresh — the subscription snapshot must
-// be exact or the subscriber would permanently miss the writes the
-// budget skipped.
+// ScanBounded is Scan bounded by a deadline (zero = none; an expired
+// deadline while waiting on base-data loads yields ErrDeadline) and
+// carrying a staleness budget (zero = fully fresh); see GetBounded for
+// the serving condition. Subscribing scans (sub != nil) always run
+// fresh — the subscription snapshot must be exact or the subscriber
+// would permanently miss the writes the budget skipped.
 func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), maxStale time.Duration, dl time.Time) ([]core.KV, error) {
 	if sub != nil {
 		maxStale = 0
@@ -704,17 +694,13 @@ func (p *Pool) scanPiece(pc partition.Shard, limit int, buf []core.KV, sub func(
 // Count returns the number of keys in [lo, hi) after join computation,
 // summing concurrent per-shard counts.
 func (p *Pool) Count(lo, hi string) int {
-	n, _ := p.CountDeadline(lo, hi, time.Time{})
+	n, _ := p.CountBounded(lo, hi, 0, time.Time{})
 	return n
 }
 
-// CountDeadline is Count bounded by a deadline (zero = none).
-func (p *Pool) CountDeadline(lo, hi string, dl time.Time) (int, error) {
-	return p.CountBounded(lo, hi, 0, dl)
-}
-
-// CountBounded is CountDeadline carrying a staleness budget (zero =
-// fully fresh); see GetBounded for the serving condition.
+// CountBounded is Count bounded by a deadline (zero = none) and carrying
+// a staleness budget (zero = fully fresh); see GetBounded for the
+// serving condition.
 func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration, dl time.Time) (int, error) {
 retry:
 	for {
@@ -948,39 +934,10 @@ func (p *Pool) SetExternalTables(tables ...string) {
 	}
 	p.extRep.Store(&extRep)
 	p.refreshForwardingLocked()
-	if g := p.gate.Load(); g != nil && len(p.shards) > 1 {
+	if p.gate.Load() != nil {
 		for _, t := range fresh {
-			p.backfillSelfOwned(t, g)
+			p.backfill(t)
 		}
-	}
-}
-
-// backfillSelfOwned replicates the self-owned rows of a newly external
-// table from their owning shards to every sibling — the in-process
-// subscription a multi-shard mesh member needs for source rows it is
-// itself the home of. Caller holds imu.
-func (p *Pool) backfillSelfOwned(table string, g *Gate) {
-	m := p.pmap.Load()
-	tr := keys.Range{Lo: table + keys.SepString, Hi: keys.PrefixEnd(table + keys.SepString)}
-	for _, pc := range m.Split(tr) {
-		sh := p.shards[pc.Owner]
-		sh.mu.Lock()
-		// Raw store walk: a demand scan would try to load the (external)
-		// table remotely; the backfill wants only rows already here.
-		sh.e.Store().Scan(pc.R.Lo, pc.R.Hi, func(k string, v *store.Value) bool {
-			if m.Owner(k) != pc.Owner || !g.OwnsKey(k) {
-				return true
-			}
-			c := core.Change{Op: core.OpPut, Key: k, Value: v.String()}
-			at := time.Now()
-			for j, dst := range p.shards {
-				if j != pc.Owner {
-					dst.enqueue(c, at)
-				}
-			}
-			return true
-		})
-		sh.mu.Unlock()
 	}
 }
 
@@ -1014,31 +971,64 @@ func (p *Pool) refreshForwardingLocked() {
 	}
 }
 
-// backfill replicates the current contents of a newly forwarded table
-// from each owner to every sibling. Enqueueing happens under the owner's
-// lock so concurrent writes forward in order behind the snapshot. The
-// caller holds imu, which migration also takes, so the partition map is
-// stable for the whole pass.
+// backfill replicates the current contents of a table siblings just
+// started reading — newly forwarded, or newly external on a mesh member
+// that homes part of it — from each owner to every sibling. Enqueueing
+// happens under the owner's lock so concurrent writes forward in order
+// behind the snapshot. The caller holds imu, which migration also takes,
+// so the partition map is stable for the whole pass.
 func (p *Pool) backfill(table string) {
-	m := p.pmap.Load()
-	tr := keys.Range{Lo: table + keys.SepString, Hi: keys.PrefixEnd(table + keys.SepString)}
-	for _, pc := range m.Split(tr) {
+	for _, pc := range p.pmap.Load().Split(keys.RangeOf(table)) {
 		sh := p.shards[pc.Owner]
 		sh.mu.Lock()
-		kvs, _ := sh.e.Scan(pc.R.Lo, pc.R.Hi, 0)
-		for _, kv := range kvs {
-			if m.Owner(kv.Key) != pc.Owner {
-				continue // a stray replica; its owner backfills it
-			}
-			c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
-			at := time.Now()
-			for j, dst := range p.shards {
-				if j != pc.Owner {
-					dst.enqueue(c, at)
-				}
+		p.replicate(pc.Owner, sh.heldSources(pc.R))
+		sh.mu.Unlock()
+	}
+}
+
+// heldSources returns the rows of r already in the shard's store whose
+// tables sibling shards keep copies of (none on a single-shard pool). A
+// raw store walk: a demand scan would start, and block on, loads of an
+// external table. Called with sh.mu held.
+func (sh *Shard) heldSources(r keys.Range) []core.KV {
+	fwd, ext := *sh.p.fwd.Load(), *sh.p.extRep.Load()
+	if len(sh.p.shards) == 1 || len(fwd)+len(ext) == 0 {
+		return nil
+	}
+	var rows []core.KV
+	sh.e.Store().Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
+		if t := keys.Table(k); fwd[t] || ext[t] {
+			rows = append(rows, core.KV{Key: k, Value: v.String()})
+		}
+		return true
+	})
+	return rows
+}
+
+// replicate fans rows held by shard owner out to its siblings, each of
+// which computes joins from its own copy of the sources: rows of
+// forwarded tables, and of external tables this member is the cluster
+// home of (no peer will push those) — onChange's rule for live writes,
+// applied to rows that arrive in bulk (a splice, a promotion, a restore,
+// a backfill). Called with owner's lock held, so later owner writes
+// forward in order behind these.
+func (p *Pool) replicate(owner int, rows []core.KV) {
+	if len(p.shards) == 1 {
+		return
+	}
+	fwd, ext, g := *p.fwd.Load(), *p.extRep.Load(), p.gate.Load()
+	at := time.Now()
+	for _, kv := range rows {
+		t := keys.Table(kv.Key)
+		if !fwd[t] && !(ext[t] && g != nil && g.OwnsKey(kv.Key)) {
+			continue
+		}
+		c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
+		for j, sh := range p.shards {
+			if j != owner {
+				sh.enqueue(c, at)
 			}
 		}
-		sh.mu.Unlock()
 	}
 }
 
