@@ -22,6 +22,7 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/freshness"
 	"pequod/internal/keys"
+	"pequod/internal/partition"
 	"pequod/internal/rpc"
 )
 
@@ -295,29 +296,16 @@ func (c *Client) fail(err error) {
 	c.conn.Close()
 }
 
-// NotOwnerError reports that the server does not (or no longer does)
-// own the request's keys in the cluster partition — a live migration or
-// membership change moved them. It carries the server's current map —
-// total-order position (Epoch, Version), Bounds, and member addresses
-// (Peers) — so the caller can adopt it, re-route, and retry, even when
-// the member set itself changed.
-type NotOwnerError struct {
-	Epoch   int64
-	Version int64
-	Bounds  []string
-	Peers   []string
-}
-
-func (e *NotOwnerError) Error() string {
-	return fmt.Sprintf("pequod: not the owner of the requested range (cluster map e%d v%d)", e.Epoch, e.Version)
-}
-
 func replyErr(m *rpc.Message, err error) error {
 	if err != nil {
 		return err
 	}
 	if m.Status == rpc.StatusNotOwner {
-		return &NotOwnerError{Epoch: m.Epoch, Version: m.MapVersion, Bounds: m.Bounds, Peers: m.Peers}
+		v, err := m.Map.View()
+		if err != nil {
+			return fmt.Errorf("pequod: not-owner reply carries an unusable map: %w", err)
+		}
+		return &partition.NotOwnerError{View: v}
 	}
 	if m.Status != rpc.StatusOK {
 		return fmt.Errorf("pequod: %s", m.Err)
@@ -651,12 +639,6 @@ func (c *Client) StatSnapshot(ctx context.Context) (*StatSnapshot, error) {
 	return &s, nil
 }
 
-// Flush clears the server's store (benchmark support).
-func (c *Client) Flush() error {
-	m, err := c.send(&rpc.Message{Type: rpc.MsgFlush}).Wait()
-	return replyErr(m, err)
-}
-
 // SetSubtableDepth configures a table's subtable boundary (§4.1).
 func (c *Client) SetSubtableDepth(table string, depth int) error {
 	m, err := c.send(&rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}).Wait()
@@ -682,18 +664,12 @@ func (c *Client) Ping(ctx context.Context) error {
 	return err
 }
 
-// ConnectPeers asks the server to wire itself into a partitioned mesh:
-// dial the peer at addrs[i] for each owner range i it does not itself
-// own (self lists the owner indexes that are the recipient), and load +
+// ConnectPeers asks the server to wire itself into a partitioned mesh
+// under view v (whose self set is the recipient's owner indexes): dial
+// the peer serving each owner range it does not itself own, and load +
 // subscribe to the listed base tables remotely (§2.4).
-func (c *Client) ConnectPeers(ctx context.Context, bounds, addrs []string, self []int, tables []string) error {
-	_, err := c.Do(ctx, &rpc.Message{
-		Type:   rpc.MsgConnectPeers,
-		Bounds: bounds,
-		Peers:  addrs,
-		Self:   self,
-		Tables: tables,
-	})
+func (c *Client) ConnectPeers(ctx context.Context, v *partition.View, tables []string) error {
+	_, err := c.Do(ctx, &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.Wire(), Tables: tables})
 	return err
 }
 

@@ -9,14 +9,6 @@ import (
 	"pequod/internal/perrs"
 )
 
-// Is makes NotOwnerError match the public sentinel via errors.Is:
-// errors.Is(err, pequod.ErrNotOwner) holds for every NotOwner reply
-// while the richer type (with the server's current map position) stays
-// reachable through errors.As.
-func (e *NotOwnerError) Is(target error) bool {
-	return target == perrs.ErrNotOwner
-}
-
 // IsUnavailable reports whether err means the server could not be
 // reached at all — the connection failed to dial, died mid-request, or
 // was already marked failed — as opposed to the server answering with
@@ -28,8 +20,7 @@ func IsUnavailable(err error) bool {
 	if err == nil {
 		return false
 	}
-	var noe *NotOwnerError
-	if errors.As(err, &noe) {
+	if errors.Is(err, perrs.ErrNotOwner) {
 		return false
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -62,57 +62,6 @@ type Config struct {
 	FailoverMisses int
 }
 
-// view is one immutable generation of the cluster's shape: the
-// versioned partition map, the serving address per owner index, and the
-// distinct members. Operations route against a snapshot; migrations and
-// membership changes publish a successor and swap it atomically.
-type view struct {
-	pmap  *partition.Map
-	addrs []string  // serving address per owner index
-	mbrs  []*member // distinct members, in first-appearance order
-}
-
-// member is one distinct server and the partition ranges it owns under
-// the enclosing view.
-type member struct {
-	addr   string
-	owners []int
-}
-
-// newView assembles a view from a map and its per-owner addresses.
-func newView(pmap *partition.Map, addrs []string) (*view, error) {
-	if len(addrs) != pmap.Servers() {
-		return nil, fmt.Errorf("cluster: %d ranges need %d addresses, have %d",
-			pmap.Servers(), pmap.Servers(), len(addrs))
-	}
-	v := &view{pmap: pmap, addrs: append([]string(nil), addrs...)}
-	byAddr := make(map[string]*member)
-	for i, a := range v.addrs {
-		m := byAddr[a]
-		if m == nil {
-			m = &member{addr: a}
-			byAddr[a] = m
-			v.mbrs = append(v.mbrs, m)
-		}
-		m.owners = append(m.owners, i)
-	}
-	return v, nil
-}
-
-// ownerAddr returns the serving address for key.
-func (v *view) ownerAddr(key string) string { return v.addrs[v.pmap.Owner(key)] }
-
-// ownersOf returns the owner indexes addr serves under this view (nil
-// when it is not a member).
-func (v *view) ownersOf(addr string) []int {
-	for _, m := range v.mbrs {
-		if m.addr == addr {
-			return m.owners
-		}
-	}
-	return nil
-}
-
 // Cluster is a client for a partitioned set of Pequod servers. It is
 // also the coordinator for live re-partitioning (migrate.go) and
 // elastic membership (membership.go): servers never coordinate among
@@ -125,7 +74,7 @@ type Cluster struct {
 	// server that has moved on. Operations route against a snapshot and
 	// retry on NotOwner, so a stale view costs a round trip, never a
 	// wrong result.
-	v atomic.Pointer[view]
+	v atomic.Pointer[partition.View]
 
 	// coordID is this client's coordinator identity: the low bits of
 	// every epoch it mints, making concurrent coordinators' maps
@@ -180,17 +129,13 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no addresses")
 	}
-	if len(cfg.Addrs) != len(cfg.Bounds)+1 {
-		return nil, fmt.Errorf("cluster: %d bounds need %d addresses, have %d",
-			len(cfg.Bounds), len(cfg.Bounds)+1, len(cfg.Addrs))
-	}
 	pmap, err := partition.New(cfg.Bounds...)
 	if err != nil {
 		return nil, err
 	}
-	v, err := newView(pmap, cfg.Addrs)
+	v, err := partition.NewView(pmap, cfg.Addrs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	cl := &Cluster{
 		coordID:    cfg.CoordinatorID,
@@ -233,9 +178,9 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	// ErrMemberDown until a repair promotes them elsewhere.
 	alive := 0
 	var dialErr error
-	for _, m := range v.mbrs {
-		if _, err := cl.conn(ctx, m.addr); err != nil {
-			dialErr = fmt.Errorf("cluster: dial %s: %w", m.addr, wrapDown("", err))
+	for _, m := range v.Members() {
+		if _, err := cl.conn(ctx, m.Addr); err != nil {
+			dialErr = fmt.Errorf("cluster: dial %s: %w", m.Addr, wrapDown("", err))
 			continue
 		}
 		alive++
@@ -251,8 +196,8 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	// a newer map already (another client migrated) keep it; the reply
 	// teaches this client the newer map. Unreachable members miss the
 	// publish (they converge through NotOwner adoption if they return).
-	for _, m := range v.mbrs {
-		if err := cl.publishView(ctx, v, m.addr); err != nil {
+	for _, m := range v.Members() {
+		if err := cl.publishView(ctx, v, m.Addr); err != nil {
 			if client.IsUnavailable(err) || errors.Is(err, perrs.ErrMemberDown) {
 				continue
 			}
@@ -397,45 +342,38 @@ func (cl *Cluster) do(ctx context.Context, addr string, m *rpc.Message) (*rpc.Me
 // reply carries the map the member actually holds; when that is newer —
 // this client started from the deployment's original bounds after
 // migrations had already run — the newer map is adopted.
-func (cl *Cluster) publishView(ctx context.Context, v *view, addr string) error {
-	r, err := cl.do(ctx, addr, &rpc.Message{
-		Type:       rpc.MsgMapUpdate,
-		Epoch:      v.pmap.Epoch(),
-		MapVersion: v.pmap.Version(),
-		Bounds:     v.pmap.Bounds(),
-		Peers:      v.addrs,
-		Self:       v.ownersOf(addr),
-	})
+func (cl *Cluster) publishView(ctx context.Context, v *partition.View, addr string) error {
+	r, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(addr).Wire()})
 	if err != nil {
 		return fmt.Errorf("cluster: publishing map to %s: %w", addr, err)
 	}
-	if r.MapVersion != 0 || r.Epoch != 0 || len(r.Bounds) > 0 {
-		cl.adopt(r.Epoch, r.MapVersion, r.Bounds, r.Peers)
+	if held, err := r.Map.View(); err == nil {
+		cl.adopt(held)
 	}
 	return nil
 }
 
 // Members returns the number of distinct servers in the cluster.
-func (cl *Cluster) Members() int { return len(cl.v.Load().mbrs) }
+func (cl *Cluster) Members() int { return len(cl.v.Load().Members()) }
 
 // MemberAddrs returns the distinct member addresses under the current
 // view, in first-appearance order.
 func (cl *Cluster) MemberAddrs() []string {
-	v := cl.v.Load()
-	out := make([]string, len(v.mbrs))
-	for i, m := range v.mbrs {
-		out[i] = m.addr
+	mbrs := cl.v.Load().Members()
+	out := make([]string, len(mbrs))
+	for i, m := range mbrs {
+		out[i] = m.Addr
 	}
 	return out
 }
 
 // Map returns the cluster's current partition map (immutable; live
 // migration replaces it).
-func (cl *Cluster) Map() *partition.Map { return cl.v.Load().pmap }
+func (cl *Cluster) Map() *partition.Map { return cl.v.Load().Map() }
 
 // Addrs returns the serving address per owner index under the current
 // view.
-func (cl *Cluster) Addrs() []string { return append([]string(nil), cl.v.Load().addrs...) }
+func (cl *Cluster) Addrs() []string { return append([]string(nil), cl.v.Load().Addrs()...) }
 
 // RPCs sums the requests sent across all member connections, including
 // connections retired by a redial.
@@ -475,52 +413,12 @@ const opRetries = 16
 // retryPause is the wait before retrying when no newer map was learned.
 const retryPause = 2 * time.Millisecond
 
-// adopt installs a newer map learned from a NotOwner reply or a
-// MapUpdate response. peers gives the serving address per owner index;
-// when the reply omitted them (a legacy gate), the current addresses
-// are reused if the owner count still matches — otherwise the map
-// cannot be placed and is ignored (the next NotOwner bounce carries the
-// full identity).
-func (cl *Cluster) adopt(epoch, version int64, bounds, peers []string) {
-	next, err := partition.NewEpochVersioned(epoch, version, bounds...)
-	if err != nil {
-		return
-	}
-	cl.noteEpoch(epoch)
-	for {
-		cur := cl.v.Load()
-		if !next.NewerThan(cur.pmap.Epoch(), cur.pmap.Version()) {
-			return
-		}
-		addrs := peers
-		if len(addrs) != next.Servers() {
-			if len(cur.addrs) != next.Servers() {
-				return
-			}
-			addrs = cur.addrs
-		}
-		nv, err := newView(next, addrs)
-		if err != nil {
-			return
-		}
-		if cl.v.CompareAndSwap(cur, nv) {
-			return
-		}
-	}
-}
-
-// adoptView installs a view this client itself published.
-func (cl *Cluster) adoptView(nv *view) {
-	cl.noteEpoch(nv.pmap.Epoch())
-	for {
-		cur := cl.v.Load()
-		if !nv.pmap.NewerThan(cur.pmap.Epoch(), cur.pmap.Version()) {
-			return
-		}
-		if cl.v.CompareAndSwap(cur, nv) {
-			return
-		}
-	}
+// adopt advances the client's view to nv if it is newer — one learned
+// from a NotOwner reply or a MapUpdate response, or one this client
+// itself published — reporting whether it did.
+func (cl *Cluster) adopt(nv *partition.View) bool {
+	cl.noteEpoch(nv.Map().Epoch())
+	return partition.Advance(&cl.v, nv)
 }
 
 // failPause is the minimum wait before retrying an operation that
@@ -543,15 +441,9 @@ func (cl *Cluster) retryOp(ctx context.Context, err error, attempt int) bool {
 	if attempt >= opRetries-1 {
 		return false
 	}
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if errors.As(err, &noe) {
-		before := cl.v.Load().pmap
-		cl.adopt(noe.Epoch, noe.Version, noe.Bounds, noe.Peers)
-		after := cl.v.Load().pmap
-		if after.Epoch() == before.Epoch() && after.Version() == before.Version() {
-			return cl.pause(ctx, retryPause)
-		}
-		return true
+		return cl.adopt(noe.View) || cl.pause(ctx, retryPause)
 	}
 	if client.IsUnavailable(err) {
 		return cl.pause(ctx, cl.downPause)
@@ -590,7 +482,7 @@ func wrapDown(addr string, err error) error {
 // died (the retry budget spans an automatic failover).
 func (cl *Cluster) doKey(ctx context.Context, key string, m *rpc.Message) (*rpc.Message, error) {
 	for attempt := 0; ; attempt++ {
-		addr := cl.v.Load().ownerAddr(key)
+		addr := cl.v.Load().OwnerAddr(key)
 		r, err := cl.do(ctx, addr, m)
 		if err == nil || !cl.retryOp(ctx, err, attempt) {
 			return r, wrapDown(addr, err)
@@ -643,7 +535,7 @@ func (cl *Cluster) Scan(ctx context.Context, lo, hi string, limit int) ([]core.K
 // scanOnce runs one scan attempt against a snapshot of the map.
 func (cl *Cluster) scanOnce(ctx context.Context, lo, hi string, limit int) ([]core.KV, error) {
 	v := cl.v.Load()
-	pieces := v.pmap.Split(keys.Range{Lo: lo, Hi: hi})
+	pieces := v.Map().Split(keys.Range{Lo: lo, Hi: hi})
 	switch {
 	case len(pieces) == 0:
 		return nil, nil
@@ -685,8 +577,8 @@ func (cl *Cluster) scanOnce(ctx context.Context, lo, hi string, limit int) ([]co
 	return out, nil
 }
 
-func (cl *Cluster) scanPiece(ctx context.Context, v *view, pc partition.Shard, limit int) ([]core.KV, error) {
-	m, err := cl.do(ctx, v.addrs[pc.Owner], &rpc.Message{Type: rpc.MsgScan, Lo: pc.R.Lo, Hi: pc.R.Hi, Limit: limit})
+func (cl *Cluster) scanPiece(ctx context.Context, v *partition.View, pc partition.Shard, limit int) ([]core.KV, error) {
+	m, err := cl.do(ctx, v.Addrs()[pc.Owner], &rpc.Message{Type: rpc.MsgScan, Lo: pc.R.Lo, Hi: pc.R.Hi, Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -707,7 +599,7 @@ func (cl *Cluster) Count(ctx context.Context, lo, hi string) (int64, error) {
 
 func (cl *Cluster) countOnce(ctx context.Context, lo, hi string) (int64, error) {
 	v := cl.v.Load()
-	pieces := v.pmap.Split(keys.Range{Lo: lo, Hi: hi})
+	pieces := v.Map().Split(keys.Range{Lo: lo, Hi: hi})
 	counts := make([]int64, len(pieces))
 	errs := make([]error, len(pieces))
 	var wg sync.WaitGroup
@@ -716,7 +608,7 @@ func (cl *Cluster) countOnce(ctx context.Context, lo, hi string) (int64, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, err := cl.do(ctx, v.addrs[pc.Owner], &rpc.Message{Type: rpc.MsgCount, Lo: pc.R.Lo, Hi: pc.R.Hi})
+			m, err := cl.do(ctx, v.Addrs()[pc.Owner], &rpc.Message{Type: rpc.MsgCount, Lo: pc.R.Lo, Hi: pc.R.Hi})
 			if err != nil {
 				errs[i] = err
 				return
@@ -735,93 +627,71 @@ func (cl *Cluster) countOnce(ctx context.Context, lo, hi string) (int64, error) 
 	return total, nil
 }
 
-// GetBatch fetches many keys with one pipelined round per server: all
-// requests are sent before any reply is awaited. Results align with
-// keys; Found distinguishes missing keys. Elements whose key migrated
-// mid-batch (NotOwner), or whose member died, are retried individually
-// against the adopted map — like independent doKey callers.
-func (cl *Cluster) GetBatch(ctx context.Context, getKeys []string) ([]core.Lookup, error) {
+// batch sends one request per element — pipelined, one round per server,
+// all sent before any reply is awaited — and settles each in turn: an
+// element whose key migrated mid-batch (NotOwner, after adopting the
+// view the bounce carries), or whose member died, is re-sent
+// individually through doKey, like an independent caller. each sees the
+// replies that settled, in order; the first error is returned after
+// every element has.
+func (cl *Cluster) batch(ctx context.Context, n int, req func(i int) *rpc.Message, each func(i int, r *rpc.Message)) error {
 	v := cl.v.Load()
-	futs := make([]*client.Future, len(getKeys))
-	for i, k := range getKeys {
-		c, err := cl.conn(ctx, v.ownerAddr(k))
-		if err != nil {
-			continue // a dead member's elements retry individually below
-		}
-		futs[i] = c.Send(ctx, &rpc.Message{Type: rpc.MsgGet, Key: k})
+	futs := make([]*client.Future, n)
+	for i := range futs {
+		m := req(i)
+		if c, err := cl.conn(ctx, v.OwnerAddr(m.Key)); err == nil {
+			futs[i] = c.Send(ctx, m)
+		} // else: a dead member's elements retry individually below
 	}
-	out := make([]core.Lookup, len(getKeys))
 	var firstErr error
 	for i, f := range futs {
-		var m *rpc.Message
-		var err error
+		var r *rpc.Message
+		err := client.ErrClosed
 		if f != nil {
-			m, err = client.ReplyWaitCtx(ctx, f)
-		} else {
-			err = client.ErrClosed
+			r, err = client.ReplyWaitCtx(ctx, f)
 		}
-		if err != nil {
-			var noe *client.NotOwnerError
-			if errors.As(err, &noe) {
-				cl.adopt(noe.Epoch, noe.Version, noe.Bounds, noe.Peers)
-			}
-			if noe != nil || client.IsUnavailable(err) {
-				m, err = cl.doKey(ctx, getKeys[i], &rpc.Message{Type: rpc.MsgGet, Key: getKeys[i]})
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
+		var noe *partition.NotOwnerError
+		if errors.As(err, &noe) {
+			cl.adopt(noe.View)
 		}
-		out[i] = core.Lookup{Value: m.Value, Found: m.Found}
+		if noe != nil || client.IsUnavailable(err) {
+			m := req(i)
+			r, err = cl.doKey(ctx, m.Key, m)
+		}
+		if err == nil {
+			each(i, r)
+		} else if firstErr == nil {
+			firstErr = err
+		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	return firstErr
+}
+
+// GetBatch fetches many keys with one pipelined round per server.
+// Results align with keys; Found distinguishes missing keys.
+func (cl *Cluster) GetBatch(ctx context.Context, getKeys []string) ([]core.Lookup, error) {
+	out := make([]core.Lookup, len(getKeys))
+	err := cl.batch(ctx, len(getKeys),
+		func(i int) *rpc.Message { return &rpc.Message{Type: rpc.MsgGet, Key: getKeys[i]} },
+		func(i int, r *rpc.Message) { out[i] = core.Lookup{Value: r.Value, Found: r.Found} })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // PutBatch stores many pairs with one pipelined round per server.
 // Writes to the same server apply in slice order; writes to different
-// servers are concurrent, like independent callers. Pairs whose key
-// migrated mid-batch (NotOwner), or whose member died, are retried
-// individually against the adopted map — a retried write can land after
-// a later same-key write in the batch, the same last-writer-wins race
-// as two independent callers.
+// servers are concurrent, like independent callers. A pair re-sent after
+// its key migrated or its member died can land after a later same-key
+// write in the batch, the same last-writer-wins race as two independent
+// callers.
 func (cl *Cluster) PutBatch(ctx context.Context, pairs []core.KV) error {
-	v := cl.v.Load()
-	futs := make([]*client.Future, len(pairs))
-	for i, kv := range pairs {
-		c, err := cl.conn(ctx, v.ownerAddr(kv.Key))
-		if err != nil {
-			continue // a dead member's elements retry individually below
-		}
-		futs[i] = c.Send(ctx, &rpc.Message{Type: rpc.MsgPut, Key: kv.Key, Value: kv.Value})
-	}
-	var firstErr error
-	for i, f := range futs {
-		var err error
-		if f != nil {
-			_, err = client.ReplyWaitCtx(ctx, f)
-		} else {
-			err = client.ErrClosed
-		}
-		if err != nil {
-			var noe *client.NotOwnerError
-			if errors.As(err, &noe) {
-				cl.adopt(noe.Epoch, noe.Version, noe.Bounds, noe.Peers)
-			}
-			if noe != nil || client.IsUnavailable(err) {
-				_, err = cl.doKey(ctx, pairs[i].Key, &rpc.Message{Type: rpc.MsgPut, Key: pairs[i].Key, Value: pairs[i].Value})
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
+	return cl.batch(ctx, len(pairs),
+		func(i int) *rpc.Message {
+			return &rpc.Message{Type: rpc.MsgPut, Key: pairs[i].Key, Value: pairs[i].Value}
+		},
+		func(int, *rpc.Message) {})
 }
 
 // ScanBatch runs several range scans concurrently, each with its own
@@ -861,19 +731,18 @@ func (cl *Cluster) Install(ctx context.Context, text string) error {
 	all := append(append([]*join.Join(nil), cl.installed...), js...)
 	tables := sourceTables(all)
 	v := cl.v.Load()
-	bounds := v.pmap.Bounds()
-	for _, m := range v.mbrs {
-		c, err := cl.conn(ctx, m.addr)
+	for _, m := range v.Members() {
+		c, err := cl.conn(ctx, m.Addr)
 		if err != nil {
-			return fmt.Errorf("cluster: wiring %s: %w", m.addr, err)
+			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
 		}
-		if err := c.ConnectPeers(ctx, bounds, v.addrs, m.owners, tables); err != nil {
-			return fmt.Errorf("cluster: wiring %s: %w", m.addr, err)
+		if err := c.ConnectPeers(ctx, v.For(m.Addr), tables); err != nil {
+			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
 		}
 	}
-	for _, m := range v.mbrs {
-		if _, err := cl.do(ctx, m.addr, &rpc.Message{Type: rpc.MsgAddJoin, Text: text}); err != nil {
-			return fmt.Errorf("cluster: installing joins on %s: %w", m.addr, err)
+	for _, m := range v.Members() {
+		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgAddJoin, Text: text}); err != nil {
+			return fmt.Errorf("cluster: installing joins on %s: %w", m.Addr, err)
 		}
 	}
 	cl.installed = all
@@ -941,8 +810,8 @@ func sourceTables(js []*join.Join) []string {
 func (cl *Cluster) Stats(ctx context.Context) (core.Stats, error) {
 	var total core.Stats
 	var firstErr error
-	for _, m := range cl.v.Load().mbrs {
-		c, err := cl.conn(ctx, m.addr)
+	for _, m := range cl.v.Load().Members() {
+		c, err := cl.conn(ctx, m.Addr)
 		if err == nil {
 			var st core.Stats
 			st, err = c.Stats(ctx)
@@ -952,7 +821,7 @@ func (cl *Cluster) Stats(ctx context.Context) (core.Stats, error) {
 			}
 		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("cluster: stats from %s: %w", m.addr, wrapDown("", err))
+			firstErr = fmt.Errorf("cluster: stats from %s: %w", m.Addr, wrapDown("", err))
 		}
 	}
 	return total, firstErr
@@ -964,7 +833,7 @@ func (cl *Cluster) Stats(ctx context.Context) (core.Stats, error) {
 // client.Quiesce). After it returns, reads anywhere in the cluster see
 // every write acknowledged before the call.
 func (cl *Cluster) Quiesce(ctx context.Context) error {
-	mbrs := cl.v.Load().mbrs
+	mbrs := cl.v.Load().Members()
 	errs := make([]error, len(mbrs))
 	var wg sync.WaitGroup
 	for i, m := range mbrs {
@@ -972,12 +841,12 @@ func (cl *Cluster) Quiesce(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := cl.conn(ctx, m.addr)
+			c, err := cl.conn(ctx, m.Addr)
 			if err == nil {
 				err = c.Quiesce(ctx)
 			}
 			if err != nil {
-				errs[i] = fmt.Errorf("cluster: quiesce at %s: %w", m.addr, wrapDown("", err))
+				errs[i] = fmt.Errorf("cluster: quiesce at %s: %w", m.Addr, wrapDown("", err))
 			}
 		}()
 	}
@@ -992,8 +861,8 @@ func (cl *Cluster) Quiesce(ctx context.Context) error {
 
 // SetSubtableDepth marks a §4.1 natural key boundary on every member.
 func (cl *Cluster) SetSubtableDepth(ctx context.Context, table string, depth int) error {
-	for _, m := range cl.v.Load().mbrs {
-		if _, err := cl.do(ctx, m.addr, &rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}); err != nil {
+	for _, m := range cl.v.Load().Members() {
+		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}); err != nil {
 			return err
 		}
 	}

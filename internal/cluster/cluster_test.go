@@ -75,7 +75,7 @@ func TestRoutingAndPointOps(t *testing.T) {
 			t.Fatalf("Get(%q) = %q %v %v", key, v, found, err)
 		}
 		// The key landed on exactly its owning member.
-		c, err := cl.conn(ctx, cl.v.Load().addrs[i])
+		c, err := cl.conn(ctx, cl.v.Load().Addrs()[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,8 @@
 // applications previously hand-rolled with partition.Map, plus the
 // coordination of cluster-level live re-partitioning.
 //
-// A Cluster holds a versioned partition map. Point operations
+// A Cluster holds the cluster's partition.View (DESIGN.md "The versioned
+// cluster map and the ownership gate"). Point operations
 // (Get/Put/Remove) go to the key's home server; range operations
 // (Scan/Count) split the range by owner, fan the pieces out concurrently
 // over the per-server pipelined connections, and concatenate the sorted
@@ -25,12 +26,11 @@
 // The partition is not static: MoveBound (migrate.go) relocates the key
 // range on one side of a partition bound between the two servers
 // serving it, live — extract at the source, splice at the destination,
-// then a MapUpdate publishing the successor map to every member. Every
-// server re-validates ownership per request under its shard locks and
-// answers NotOwner (carrying its current map, member addresses
-// included) when a range has moved; the cluster client adopts the
-// newer map and retries, so concurrent callers — even other, stale
-// clients — see no lost writes, gaps, or duplicates. A client-driven
+// then a MapUpdate publishing the successor view to every member. A
+// server answers NotOwner, carrying its view, when a range has moved;
+// the cluster client adopts it if newer and retries, so concurrent
+// callers — even other, stale clients — see no lost writes, gaps, or
+// duplicates. A client-driven
 // rebalancer (rebalance.go) polls per-server load through the stat RPC
 // and moves hot ranges to cooler neighbors, under the policy the
 // in-process shard rebalancer runs (partition.Balancer).
@@ -49,11 +49,8 @@
 // retained-extraction buffer (internal/shard) as the backstop — no
 // range is ever stranded in just a coordinator's error message.
 //
-// Maps are totally ordered by (epoch, version): each coordinating
-// client mints successors at its own epoch, so two clients racing from
-// the same parent produce comparable maps — members adopt exactly one
-// winner and the loser's transfer fails with a conflict it recovers
-// from by adopting and re-deriving. See DESIGN.md ("Moving a range",
+// Concurrent coordinators serialize through the (epoch, version) order
+// of the maps they mint (package partition). See DESIGN.md ("Moving a range",
 // "Cluster-level live re-partitioning", "Membership & epochs") for the
 // full protocol and docs/OPERATIONS.md for the operator runbook.
 package cluster

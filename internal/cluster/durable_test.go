@@ -12,6 +12,7 @@ import (
 
 	"pequod/internal/client"
 	"pequod/internal/durable"
+	"pequod/internal/partition"
 	"pequod/internal/perrs"
 	"pequod/internal/server"
 	"pequod/internal/shard"
@@ -493,13 +494,13 @@ func TestDrainedMemberRestartStillBounces(t *testing.T) {
 	}
 	defer c.Close()
 	err = c.Put("z|2", "stale-route")
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if !errors.As(err, &noe) {
 		t.Fatalf("drained+restarted member answered a write: %v", err)
 	}
 	m := cl.Map()
-	if noe.Epoch != m.Epoch() || !reflect.DeepEqual(noe.Bounds, m.Bounds()) {
-		t.Fatalf("bounce carries stale map: e%d %v, cluster holds e%d %v", noe.Epoch, noe.Bounds, m.Epoch(), m.Bounds())
+	if held := noe.View.Map(); held.Epoch() != m.Epoch() || !reflect.DeepEqual(held.Bounds(), m.Bounds()) {
+		t.Fatalf("bounce carries stale map: e%d %v, cluster holds e%d %v", held.Epoch(), held.Bounds(), m.Epoch(), m.Bounds())
 	}
 	// And the row never landed anywhere.
 	if _, found, _ := c.Get("z|2"); found {

@@ -7,7 +7,7 @@ package cluster
 // MsgReplicate carrying the view plus two scalars — the total copies
 // per range and the base tables to mirror. Which member holds which
 // replica is never listed: both sides derive it from the same ring walk
-// (partition.ReplicaAddrs over the view's distinct members), so the
+// (partition.View.ReplicaAddrs over the view's distinct members), so the
 // coordinator and the members cannot disagree about placement. Members
 // keep their replicas fresh through the ordinary subscription feed
 // protocol against each range's owner (internal/server/replica.go).
@@ -110,17 +110,17 @@ type MemberHealth struct {
 // of asking.
 func (cl *Cluster) Health(ctx context.Context) []MemberHealth {
 	v := cl.v.Load()
-	out := make([]MemberHealth, len(v.mbrs))
+	out := make([]MemberHealth, len(v.Members()))
 	var wg sync.WaitGroup
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := MemberHealth{Addr: m.addr, Owners: len(m.owners)}
+			h := MemberHealth{Addr: m.Addr, Owners: len(m.Owners)}
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			c, err := cl.conn(pctx, m.addr)
+			c, err := cl.conn(pctx, m.Addr)
 			if err == nil {
 				var st *client.StatSnapshot
 				if st, err = c.StatSnapshot(pctx); err == nil {
@@ -164,19 +164,19 @@ func (cl *Cluster) Health(ctx context.Context) []MemberHealth {
 // member that could not comply while the rest still snapshot.
 func (cl *Cluster) Snapshot(ctx context.Context) error {
 	v := cl.v.Load()
-	errs := make([]error, len(v.mbrs))
+	errs := make([]error, len(v.Members()))
 	var wg sync.WaitGroup
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := cl.conn(ctx, m.addr)
+			c, err := cl.conn(ctx, m.Addr)
 			if err == nil {
 				_, err = c.SnapshotNow(ctx)
 			}
 			if err != nil {
-				errs[i] = fmt.Errorf("cluster: snapshot at %s: %w", m.addr, err)
+				errs[i] = fmt.Errorf("cluster: snapshot at %s: %w", m.Addr, err)
 			}
 		}()
 	}
@@ -229,48 +229,48 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 	cl.mvmu.Lock()
 	defer cl.mvmu.Unlock()
 	v := cl.v.Load()
-	probeErrs := make([]error, len(v.mbrs))
+	probeErrs := make([]error, len(v.Members()))
 	var wg sync.WaitGroup
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			probeErrs[i] = cl.confirmDead(ctx, m.addr)
+			probeErrs[i] = cl.confirmDead(ctx, m.Addr)
 		}()
 	}
 	wg.Wait()
 	dead := make(map[string]bool)
 	var deadAddrs []string
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		if probeErrs[i] != nil {
-			dead[m.addr] = true
-			deadAddrs = append(deadAddrs, m.addr)
+			dead[m.Addr] = true
+			deadAddrs = append(deadAddrs, m.Addr)
 		}
 	}
 	if len(deadAddrs) == 0 {
 		return nil, nil
 	}
-	if len(deadAddrs) == len(v.mbrs) {
-		return nil, fmt.Errorf("cluster: repair: all %d members unreachable: %w", len(v.mbrs), perrs.ErrMemberDown)
+	if len(deadAddrs) == len(v.Members()) {
+		return nil, fmt.Errorf("cluster: repair: all %d members unreachable: %w", len(v.Members()), perrs.ErrMemberDown)
 	}
 	// Substitute each dead owner with its first live ring successor.
 	// ReplicaAddrs over the full ring yields every other member starting
 	// just past the owner; the first copies-1 of them are exactly where
 	// the replicas live, so walking in that order hands the range to a
 	// member that already holds it warm whenever one survives.
-	heirs := make([]string, len(v.addrs))
+	heirs := make([]string, len(v.Addrs()))
 	type coldPromo struct {
 		owner int
 		heir  string
 	}
 	var cold []coldPromo
-	for o, a := range v.addrs {
+	for o, a := range v.Addrs() {
 		if !dead[a] {
 			heirs[o] = a
 			continue
 		}
-		for i, s := range partition.ReplicaAddrs(v.addrs, o, len(v.mbrs)) {
+		for i, s := range v.ReplicaAddrs(o, len(v.Members())) {
 			if dead[s] {
 				continue
 			}
@@ -291,11 +291,11 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 			return nil, fmt.Errorf("cluster: repair: no survivor for owner %d (%s): %w", o, a, perrs.ErrMemberDown)
 		}
 	}
-	nv, err := cl.successor(v, v.pmap.Bounds(), heirs, 0)
+	nv, err := cl.successor(v, v.Map().Bounds(), heirs, 0)
 	if err != nil {
 		return nil, err
 	}
-	// The dead members are not in nv.mbrs, so the publish (and the
+	// The dead members are not in nv.Members(), so the publish (and the
 	// replica republish riding it) only contacts survivors. Member-side,
 	// fences toward a dead peer resolve vacuously — a dead peer owes
 	// nothing — and the heirs' gates promote instead of re-fetching.
@@ -308,7 +308,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 	// instead of nothing. Best-effort: a memory-only heir reports an
 	// error and the promotion stays empty, exactly as before.
 	for _, cp := range cold {
-		r := nv.pmap.OwnerRange(cp.owner)
+		r := nv.Map().OwnerRange(cp.owner)
 		c, err := cl.conn(ctx, cp.heir)
 		if err == nil {
 			var n int64
@@ -375,7 +375,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 // view itself, the total copies per range (Limit), and the base tables
 // mirrored (empty = whole ranges). Placement is not in the message —
 // each member derives the ranges it must hold from the same ring walk
-// the coordinator uses (partition.ReplicaAddrs), so the two sides
+// the coordinator uses (partition.View.ReplicaAddrs), so the two sides
 // cannot disagree. Best-effort: it returns the addresses that did not
 // acknowledge (nil when all did) instead of failing — the assignment
 // rides every map publish, Repair retries it, and the monitor
@@ -384,34 +384,27 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 // already holds diffs to nothing, which is what makes all three rounds
 // safe to overlap. No-op when replication is off or the cluster has a
 // single member.
-func (cl *Cluster) publishReplicas(ctx context.Context, v *view, tables []string) []string {
-	if cl.copies <= 1 || len(v.mbrs) < 2 {
+func (cl *Cluster) publishReplicas(ctx context.Context, v *partition.View, tables []string) []string {
+	if cl.copies <= 1 || len(v.Members()) < 2 {
 		return nil
 	}
-	errs := make([]error, len(v.mbrs))
+	errs := make([]error, len(v.Members()))
 	var wg sync.WaitGroup
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = cl.do(ctx, m.addr, &rpc.Message{
-				Type:       rpc.MsgReplicate,
-				Epoch:      v.pmap.Epoch(),
-				MapVersion: v.pmap.Version(),
-				Bounds:     v.pmap.Bounds(),
-				Peers:      v.addrs,
-				Self:       v.ownersOf(m.addr),
-				Limit:      cl.copies,
-				Tables:     tables,
+			_, errs[i] = cl.do(ctx, m.Addr, &rpc.Message{
+				Type: rpc.MsgReplicate, Map: v.For(m.Addr).Wire(), Limit: cl.copies, Tables: tables,
 			})
 		}()
 	}
 	wg.Wait()
 	var failed []string
-	for i, m := range v.mbrs {
+	for i, m := range v.Members() {
 		if errs[i] != nil {
-			failed = append(failed, m.addr)
+			failed = append(failed, m.Addr)
 		}
 	}
 	return failed
@@ -443,30 +436,30 @@ func (cl *Cluster) monitor() {
 		case <-t.C:
 		}
 		v := cl.v.Load()
-		probeErrs := make([]error, len(v.mbrs))
+		probeErrs := make([]error, len(v.Members()))
 		var wg sync.WaitGroup
-		for i, m := range v.mbrs {
+		for i, m := range v.Members() {
 			i, m := i, m
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				probeErrs[i] = cl.probe(context.Background(), m.addr)
+				probeErrs[i] = cl.probe(context.Background(), m.Addr)
 			}()
 		}
 		wg.Wait()
 		confirmed := false
-		for i, m := range v.mbrs {
+		for i, m := range v.Members() {
 			if probeErrs[i] == nil {
-				delete(misses, m.addr)
+				delete(misses, m.Addr)
 				continue
 			}
-			misses[m.addr]++
-			if misses[m.addr] >= cl.failMisses {
+			misses[m.Addr]++
+			if misses[m.Addr] >= cl.failMisses {
 				confirmed = true
 			}
 		}
 		for a := range misses {
-			if v.ownersOf(a) == nil {
+			if v.OwnersOf(a) == nil {
 				delete(misses, a) // drained or repaired out since
 			}
 		}

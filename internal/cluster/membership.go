@@ -72,17 +72,17 @@ func (cl *Cluster) AddServerAt(ctx context.Context, addr string, owner int, boun
 // addServerAt runs the join under mvmu.
 func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, bound string) error {
 	v := cl.v.Load()
-	if v.ownersOf(addr) != nil {
+	if v.OwnersOf(addr) != nil {
 		return fmt.Errorf("cluster: %s is already a member", addr)
 	}
-	if owner < 0 || owner >= v.pmap.Servers() {
-		return fmt.Errorf("cluster: donor owner %d out of range [0,%d)", owner, v.pmap.Servers())
+	if owner < 0 || owner >= v.Map().Servers() {
+		return fmt.Errorf("cluster: donor owner %d out of range [0,%d)", owner, v.Map().Servers())
 	}
-	donorA := v.addrs[owner]
+	donorA := v.Addrs()[owner]
 	// Validate the grant before touching the fresh server: JoinCluster
 	// gates and meshes it irreversibly, so a bad bound must fail here,
 	// not after.
-	if _, err := v.pmap.InsertBound(owner, bound); err != nil {
+	if _, err := v.Map().InsertBound(owner, bound); err != nil {
 		return err
 	}
 	// Wire the fresh server first: gate (owning nothing), mesh, joins.
@@ -91,23 +91,20 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 	// coordinator may never have installed anything itself).
 	text, tables := cl.joinState(ctx, donorA)
 	if _, err := cl.do(ctx, addr, &rpc.Message{
-		Type:  rpc.MsgJoinCluster,
-		Epoch: v.pmap.Epoch(), MapVersion: v.pmap.Version(),
-		Bounds: v.pmap.Bounds(), Peers: v.addrs, Self: nil,
-		Tables: tables, Text: text,
+		Type: rpc.MsgJoinCluster, Map: v.For(addr).Wire(), Tables: tables, Text: text,
 	}); err != nil {
 		return fmt.Errorf("cluster: joining %s: %w", addr, err)
 	}
 	// Mint the grown map: donor keeps [lo, bound), the new member (owner
 	// index owner+1; higher indexes shift up) takes [bound, hi).
-	next, err := v.pmap.InsertBound(owner, bound)
+	next, err := v.Map().InsertBound(owner, bound)
 	if err != nil {
 		return err
 	}
-	grownAddrs := make([]string, 0, len(v.addrs)+1)
-	grownAddrs = append(grownAddrs, v.addrs[:owner+1]...)
+	grownAddrs := make([]string, 0, len(v.Addrs())+1)
+	grownAddrs = append(grownAddrs, v.Addrs()[:owner+1]...)
 	grownAddrs = append(grownAddrs, addr)
-	grownAddrs = append(grownAddrs, v.addrs[owner+1:]...)
+	grownAddrs = append(grownAddrs, v.Addrs()[owner+1:]...)
 	nv, err := cl.successor(v, next.Bounds(), grownAddrs, 0)
 	if err != nil {
 		return err
@@ -128,10 +125,10 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].Units > loads[j].Units })
 	for _, ml := range loads {
-		owners := v.ownersOf(ml.Addr)
+		owners := v.OwnersOf(ml.Addr)
 		bestOwner, bestIn := -1, []string(nil)
 		for _, o := range owners {
-			or := v.pmap.OwnerRange(o)
+			or := v.Map().OwnerRange(o)
 			var in []string
 			for _, k := range ml.Samples {
 				if or.Contains(k) {
@@ -146,15 +143,15 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 			continue
 		}
 		sort.Strings(bestIn)
-		if b, ok := splitPoint(v.pmap.OwnerRange(bestOwner), bestIn); ok {
+		if b, ok := splitPoint(v.Map().OwnerRange(bestOwner), bestIn); ok {
 			return bestOwner, b, nil
 		}
 	}
 	// Quiet cluster: scan each owner range (cheapest first attempt: the
 	// busiest member's first range) for keys and split at the middle.
 	for _, ml := range loads {
-		for _, o := range v.ownersOf(ml.Addr) {
-			or := v.pmap.OwnerRange(o)
+		for _, o := range v.OwnersOf(ml.Addr) {
+			or := v.Map().OwnerRange(o)
 			m, err := cl.do(ctx, ml.Addr, &rpc.Message{Type: rpc.MsgScan, Lo: or.Lo, Hi: or.Hi, Limit: joinScanLimit})
 			if err != nil {
 				continue
@@ -201,7 +198,7 @@ func splitPoint(r keys.Range, sorted []string) (string, bool) {
 func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	cl.mvmu.Lock()
 	defer cl.mvmu.Unlock()
-	if cl.v.Load().ownersOf(addr) == nil {
+	if cl.v.Load().OwnersOf(addr) == nil {
 		return fmt.Errorf("cluster: %s is not a member", addr)
 	}
 	// One owned range leaves per iteration; owner indexes shift under
@@ -213,11 +210,11 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	var pubErr error
 	for {
 		v := cl.v.Load()
-		owners := v.ownersOf(addr)
+		owners := v.OwnersOf(addr)
 		if owners == nil {
 			break
 		}
-		if len(v.mbrs) == 1 {
+		if len(v.Members()) == 1 {
 			return fmt.Errorf("cluster: cannot drain %s: it is the last member: %w", addr, perrs.ErrDraining)
 		}
 		err := cl.drainOneRange(ctx, v, addr, owners[0])
@@ -253,23 +250,23 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 // alternative — and the transfer publishes to everyone including the
 // draining member. A neighbor that is addr itself (the member owns
 // adjacent ranges) merges with no transfer at all.
-func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o int) error {
+func (cl *Cluster) drainOneRange(ctx context.Context, v *partition.View, addr string, o int) error {
 	// Shrinking at owner o: RemoveBound(o) merges o into its right
 	// neighbor; RemoveBound(o-1) into its left. Either way the new
 	// address list simply drops entry o.
-	shrunkAddrs := make([]string, 0, len(v.addrs)-1)
-	shrunkAddrs = append(shrunkAddrs, v.addrs[:o]...)
-	shrunkAddrs = append(shrunkAddrs, v.addrs[o+1:]...)
+	shrunkAddrs := make([]string, 0, len(v.Addrs())-1)
+	shrunkAddrs = append(shrunkAddrs, v.Addrs()[:o]...)
+	shrunkAddrs = append(shrunkAddrs, v.Addrs()[o+1:]...)
 	type offer struct {
-		boundIdx int    // bound removed from v.pmap
+		boundIdx int    // bound removed from v.Map()
 		dst      string // neighbor receiving the range
 	}
 	var offers []offer
-	if o+1 < v.pmap.Servers() {
-		offers = append(offers, offer{o, v.addrs[o+1]})
+	if o+1 < v.Map().Servers() {
+		offers = append(offers, offer{o, v.Addrs()[o+1]})
 	}
 	if o > 0 {
-		offers = append(offers, offer{o - 1, v.addrs[o-1]})
+		offers = append(offers, offer{o - 1, v.Addrs()[o-1]})
 	}
 	// The member owning an adjacent range too: merge within itself, no
 	// data moves.
@@ -279,7 +276,7 @@ func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o in
 			break
 		}
 	}
-	next, err := v.pmap.RemoveBound(offers[0].boundIdx)
+	next, err := v.Map().RemoveBound(offers[0].boundIdx)
 	if err != nil {
 		return err
 	}
@@ -291,26 +288,26 @@ func (cl *Cluster) drainOneRange(ctx context.Context, v *view, addr string, o in
 	if len(offers) > 1 {
 		alt = offers[1].dst
 	}
-	return cl.transfer(ctx, v, nv, v.pmap.OwnerRange(o), addr, offers[0].dst, alt)
+	return cl.transfer(ctx, v, nv, v.Map().OwnerRange(o), addr, offers[0].dst, alt)
 }
 
 // reofferView derives a successor of nv assigning range r (currently
 // merged into a dead neighbor's owner) to dst, which must own an
 // adjacent range under nv.
-func (cl *Cluster) reofferView(nv *view, r keys.Range, dst string) (*view, error) {
-	m := nv.pmap
+func (cl *Cluster) reofferView(nv *partition.View, r keys.Range, dst string) (*partition.View, error) {
+	m := nv.Map()
 	deadOwner := m.Owner(r.Lo)
 	var next2 *partition.Map
 	var err error
 	switch {
-	case deadOwner > 0 && nv.addrs[deadOwner-1] == dst:
+	case deadOwner > 0 && nv.Addrs()[deadOwner-1] == dst:
 		// dst is left of the dead owner: raise the bound between them to
 		// r.Hi, handing [r.Lo, r.Hi) leftward.
 		if r.Hi == "" {
 			return nil, fmt.Errorf("cluster: cannot re-offer an open tail leftward")
 		}
 		next2, err = m.MoveBound(deadOwner-1, r.Hi)
-	case deadOwner < m.Servers()-1 && nv.addrs[deadOwner+1] == dst:
+	case deadOwner < m.Servers()-1 && nv.Addrs()[deadOwner+1] == dst:
 		// dst is right of the dead owner: lower the bound to r.Lo.
 		next2, err = m.MoveBound(deadOwner, r.Lo)
 	default:
@@ -319,5 +316,5 @@ func (cl *Cluster) reofferView(nv *view, r keys.Range, dst string) (*view, error
 	if err != nil {
 		return nil, err
 	}
-	return cl.successor(nv, next2.Bounds(), nv.addrs, 0)
+	return cl.successor(nv, next2.Bounds(), nv.Addrs(), 0)
 }

@@ -12,6 +12,7 @@ import (
 
 	"pequod/internal/client"
 	"pequod/internal/core"
+	"pequod/internal/partition"
 	"pequod/internal/perrs"
 	"pequod/internal/server"
 	"pequod/internal/shard"
@@ -77,7 +78,7 @@ func TestAddServerGrowsMap(t *testing.T) {
 		t.Fatalf("new member does not serve its slice: %q %v %v", v, found, err)
 	}
 	// ...and bounces keys outside it with the grown map.
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if err := raw.Put("x|k05", "nope"); !errors.As(err, &noe) {
 		t.Fatalf("new member accepted a key outside its slice: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestAddServerAutoPick(t *testing.T) {
 	if cl.Members() != 3 {
 		t.Fatalf("Members = %d", cl.Members())
 	}
-	if cl.v.Load().ownersOf(fresh) == nil {
+	if cl.v.Load().OwnersOf(fresh) == nil {
 		t.Fatal("joined member owns nothing")
 	}
 	if n, err := cl.Count(ctx, "e|", "e}"); err != nil || n != 300 {
@@ -186,13 +187,13 @@ func TestDrainServerStreamsRanges(t *testing.T) {
 	raw, err := client.Dial(addrs[2])
 	must(err)
 	defer raw.Close()
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if err := raw.Put("t|u2|zzz", "stale"); !errors.As(err, &noe) {
 		t.Fatalf("drained member accepted a write: %v", err)
 	}
-	if noe.Version != cl.Map().Version() || noe.Epoch != cl.Map().Epoch() {
+	if held := noe.View.Map(); held.Version() != cl.Map().Version() || held.Epoch() != cl.Map().Epoch() {
 		t.Fatalf("drained member's map = e%d v%d, cluster at e%d v%d",
-			noe.Epoch, noe.Version, cl.Map().Epoch(), cl.Map().Version())
+			noe.View.Map().Epoch(), noe.View.Map().Version(), cl.Map().Epoch(), cl.Map().Version())
 	}
 	// Incremental maintenance still flows to the timelines' new home.
 	must(cl.Put(ctx, "p|u8|150", "again"))
@@ -396,7 +397,7 @@ func TestDrainReoffersWhenNeighborDies(t *testing.T) {
 			if err != nil && !strings.Contains(err.Error(), addrs[2]) {
 				t.Fatalf("drain failed for an unexpected reason: %v", err)
 			}
-			if owners := cl.v.Load().ownersOf(addrs[1]); owners != nil {
+			if owners := cl.v.Load().OwnersOf(addrs[1]); owners != nil {
 				t.Fatalf("drained member still owns %v", owners)
 			}
 			raw, err := client.Dial(addrs[0])

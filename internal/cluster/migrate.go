@@ -54,7 +54,6 @@ import (
 	"sync"
 	"time"
 
-	"pequod/internal/client"
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
@@ -80,10 +79,9 @@ func (cl *Cluster) MoveBound(ctx context.Context, i int, bound string) error {
 	cl.mvmu.Lock()
 	defer cl.mvmu.Unlock()
 	err := cl.moveBoundOnce(ctx, i, bound)
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if errors.As(err, &noe) {
-		cur := cl.v.Load().pmap
-		if partition.Compare(cur.Epoch(), cur.Version(), noe.Epoch, noe.Version) >= 0 {
+		if !noe.View.Newer(cl.v.Load()) {
 			// Version conflict: the source holds a newer map than we
 			// proposed against (another coordinator moved first, or this
 			// client started from the deployment's original bounds). The
@@ -106,31 +104,27 @@ func (cl *Cluster) MoveBound(ctx context.Context, i int, bound string) error {
 // moveBoundOnce runs one migration attempt against the current view.
 func (cl *Cluster) moveBoundOnce(ctx context.Context, i int, bound string) error {
 	v := cl.v.Load()
-	next, err := v.pmap.MoveBound(i, bound)
+	next, err := v.Map().MoveBound(i, bound)
 	if err != nil {
 		return err
 	}
-	nv, err := cl.successor(v, next.Bounds(), v.addrs, 0)
+	nv, err := cl.successor(v, next.Bounds(), v.Addrs(), 0)
 	if err != nil {
 		return err
 	}
-	old := v.pmap.Bound(i)
+	old := v.Map().Bound(i)
 	src, dst, r := i, i+1, keys.Range{Lo: bound, Hi: old}
 	if bound > old {
 		src, dst, r = i+1, i, keys.Range{Lo: old, Hi: bound}
 	}
-	return cl.transfer(ctx, v, nv, r, v.addrs[src], v.addrs[dst], "")
+	return cl.transfer(ctx, v, nv, r, v.Addrs()[src], v.Addrs()[dst], "")
 }
 
 // successor mints the view that follows v — bounds served by addrs —
 // at an epoch minted past v's and one version on, plus skip versions to
 // supersede maps that may or may not have been applied in between.
-func (cl *Cluster) successor(v *view, bounds, addrs []string, skip int64) (*view, error) {
-	m, err := partition.NewEpochVersioned(cl.mintEpoch(v.pmap.Epoch()), v.pmap.Version()+1+skip, bounds...)
-	if err != nil {
-		return nil, err
-	}
-	return newView(m, addrs)
+func (cl *Cluster) successor(v *partition.View, bounds, addrs []string, skip int64) (*partition.View, error) {
+	return v.Successor(cl.mintEpoch(v.Map().Epoch()), skip, bounds, addrs)
 }
 
 // transfer moves range r from the member at src to the one at dst under
@@ -142,7 +136,7 @@ func (cl *Cluster) successor(v *view, bounds, addrs []string, skip int64) (*view
 // under nv; failing that the transfer rolls back to old. A publish that
 // did not reach every member is reported as *publishError: the move
 // itself took effect.
-func (cl *Cluster) transfer(ctx context.Context, old, nv *view, r keys.Range, src, dst, alt string) error {
+func (cl *Cluster) transfer(ctx context.Context, old, nv *partition.View, r keys.Range, src, dst, alt string) error {
 	if src != dst {
 		rs, err := cl.extract(ctx, src, r, nv)
 		if err != nil {
@@ -164,7 +158,7 @@ func (cl *Cluster) transfer(ctx context.Context, old, nv *view, r keys.Range, sr
 			return cl.rollback(ctx, old, nv, skip, r, src, dst, rs, serr)
 		}
 	}
-	if err := cl.publish(ctx, nv, old.addrs); err != nil {
+	if err := cl.publish(ctx, nv, old.Addrs()); err != nil {
 		return &publishError{err}
 	}
 	return nil
@@ -177,8 +171,8 @@ func (cl *Cluster) transfer(ctx context.Context, old, nv *view, r keys.Range, sr
 // is what restores the data, the dead destination obviously cannot
 // acknowledge a map, and every other member converges through NotOwner
 // adoption. Always returns an error — the move failed either way.
-func (cl *Cluster) rollback(ctx context.Context, old, nv *view, skip int64, r keys.Range, src, dst string, rs core.RangeState, serr error) error {
-	bv, err := cl.successor(nv, old.pmap.Bounds(), old.addrs, skip)
+func (cl *Cluster) rollback(ctx context.Context, old, nv *partition.View, skip int64, r keys.Range, src, dst string, rs core.RangeState, serr error) error {
+	bv, err := cl.successor(nv, old.Map().Bounds(), old.Addrs(), skip)
 	if err == nil {
 		err = cl.splice(ctx, src, dst, rs, bv)
 	}
@@ -186,7 +180,7 @@ func (cl *Cluster) rollback(ctx context.Context, old, nv *view, skip int64, r ke
 		return fmt.Errorf("cluster: splicing [%q, %q) into %s failed (%v) and the revert to %s also failed — range retained at the source, see its stat RPC: %w",
 			r.Lo, r.Hi, dst, serr, src, err)
 	}
-	cl.publish(ctx, bv, nv.addrs) //nolint:errcheck // best-effort; see above
+	cl.publish(ctx, bv, nv.Addrs()) //nolint:errcheck // best-effort; see above
 	return fmt.Errorf("cluster: splicing [%q, %q) into %s failed; move reverted, %s still serves the range: %w",
 		r.Lo, r.Hi, dst, src, serr)
 }
@@ -200,16 +194,12 @@ func (e *publishError) Unwrap() error { return e.err }
 
 // extract runs the ExtractRange RPC at addr for r under the successor
 // view, adopting the newer map on a version conflict.
-func (cl *Cluster) extract(ctx context.Context, addr string, r keys.Range, nv *view) (core.RangeState, error) {
-	em, err := cl.do(ctx, addr, &rpc.Message{
-		Type: rpc.MsgExtractRange, Lo: r.Lo, Hi: r.Hi,
-		Epoch: nv.pmap.Epoch(), MapVersion: nv.pmap.Version(),
-		Bounds: nv.pmap.Bounds(), Peers: nv.addrs, Self: nv.ownersOf(addr),
-	})
+func (cl *Cluster) extract(ctx context.Context, addr string, r keys.Range, nv *partition.View) (core.RangeState, error) {
+	em, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgExtractRange, Lo: r.Lo, Hi: r.Hi, Map: nv.For(addr).Wire()})
 	if err != nil {
-		var noe *client.NotOwnerError
+		var noe *partition.NotOwnerError
 		if errors.As(err, &noe) {
-			cl.adopt(noe.Epoch, noe.Version, noe.Bounds, noe.Peers)
+			cl.adopt(noe.View)
 		}
 		return core.RangeState{}, wrapDown(addr, err)
 	}
@@ -219,11 +209,9 @@ func (cl *Cluster) extract(ctx context.Context, addr string, r keys.Range, nv *v
 // splice retries the SpliceRange RPC at addr, installing rs under the
 // successor view; src is the member address the range came from (fenced
 // by the destination before the splice; "" = none).
-func (cl *Cluster) splice(ctx context.Context, addr, src string, rs core.RangeState, nv *view) error {
+func (cl *Cluster) splice(ctx context.Context, addr, src string, rs core.RangeState, nv *partition.View) error {
 	sm := &rpc.Message{
-		Type: rpc.MsgSpliceRange, Lo: rs.R.Lo, Hi: rs.R.Hi,
-		Epoch: nv.pmap.Epoch(), MapVersion: nv.pmap.Version(),
-		Bounds: nv.pmap.Bounds(), Peers: nv.addrs, Self: nv.ownersOf(addr),
+		Type: rpc.MsgSpliceRange, Lo: rs.R.Lo, Hi: rs.R.Hi, Map: nv.For(addr).Wire(),
 		KVs: rs.KVs, Warm: rs.Warm, Src: src,
 	}
 	var serr error
@@ -247,13 +235,13 @@ func (cl *Cluster) splice(ctx context.Context, addr, src string, rs core.RangeSt
 // The view is adopted locally even if some member could not be reached
 // — the map took effect at the transfer participants, so routing must
 // follow it; the error reports the first failed publish.
-func (cl *Cluster) publish(ctx context.Context, nv *view, extra []string) error {
-	targets := make([]string, 0, len(nv.mbrs)+len(extra))
-	for _, m := range nv.mbrs {
-		targets = append(targets, m.addr)
+func (cl *Cluster) publish(ctx context.Context, nv *partition.View, extra []string) error {
+	targets := make([]string, 0, len(nv.Members())+len(extra))
+	for _, m := range nv.Members() {
+		targets = append(targets, m.Addr)
 	}
 	for _, a := range extra {
-		if nv.ownersOf(a) == nil {
+		if nv.OwnersOf(a) == nil {
 			targets = append(targets, a)
 		}
 	}
@@ -268,7 +256,7 @@ func (cl *Cluster) publish(ctx context.Context, nv *view, extra []string) error 
 		}()
 	}
 	wg.Wait()
-	cl.adoptView(nv)
+	cl.adopt(nv)
 	// Replica assignments follow the map: every member re-derives its
 	// replica set from the view just published (strictly after the map,
 	// so a promoted owner's gate already owns its ranges when the
@@ -287,7 +275,7 @@ func (cl *Cluster) publish(ctx context.Context, nv *view, extra []string) error 
 // cumulative load units and recent key samples — the cluster
 // rebalancer's input, exported for tools and tests.
 func (cl *Cluster) MemberLoads(ctx context.Context) ([]MemberLoad, error) {
-	mbrs := cl.v.Load().mbrs
+	mbrs := cl.v.Load().Members()
 	out := make([]MemberLoad, len(mbrs))
 	errs := make([]error, len(mbrs))
 	var wg sync.WaitGroup
@@ -296,17 +284,17 @@ func (cl *Cluster) MemberLoads(ctx context.Context) ([]MemberLoad, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := cl.conn(ctx, m.addr)
+			c, err := cl.conn(ctx, m.Addr)
 			if err != nil {
-				errs[i] = fmt.Errorf("cluster: stat from %s: %w", m.addr, err)
+				errs[i] = fmt.Errorf("cluster: stat from %s: %w", m.Addr, err)
 				return
 			}
 			st, err := c.StatSnapshot(ctx)
 			if err != nil {
-				errs[i] = fmt.Errorf("cluster: stat from %s: %w", m.addr, err)
+				errs[i] = fmt.Errorf("cluster: stat from %s: %w", m.Addr, err)
 				return
 			}
-			out[i] = MemberLoad{Addr: m.addr, Units: st.Load.Units, Samples: st.Load.Samples}
+			out[i] = MemberLoad{Addr: m.Addr, Units: st.Load.Units, Samples: st.Load.Samples}
 		}()
 	}
 	wg.Wait()

@@ -11,6 +11,7 @@ import (
 
 	"pequod/internal/client"
 	"pequod/internal/core"
+	"pequod/internal/partition"
 	"pequod/internal/perrs"
 	"pequod/internal/server"
 	"pequod/internal/shard"
@@ -81,8 +82,8 @@ func TestMoveBoundMovesData(t *testing.T) {
 	}
 	defer raw.Close()
 	err = raw.Put("t|u4|raw", "lost?")
-	var noe *client.NotOwnerError
-	if !errors.As(err, &noe) || noe.Version != 1 {
+	var noe *partition.NotOwnerError
+	if !errors.As(err, &noe) || noe.View.Map().Version() != 1 {
 		t.Fatalf("direct write to old owner: err = %v, want NotOwnerError v1", err)
 	}
 

@@ -49,13 +49,13 @@ func (cl *Cluster) RebalancerStats() RebalancerStats {
 	v := cl.v.Load()
 	st := RebalancerStats{
 		Migrations: cl.reb.migrations,
-		Epoch:      v.pmap.Epoch(),
-		Version:    v.pmap.Version(),
-		Bounds:     v.pmap.Bounds(),
+		Epoch:      v.Map().Epoch(),
+		Version:    v.Map().Version(),
+		Bounds:     v.Map().Bounds(),
 	}
-	for _, m := range v.mbrs {
-		st.Addrs = append(st.Addrs, m.addr)
-		st.Loads = append(st.Loads, cl.reb.bal.Load(m.addr))
+	for _, m := range v.Members() {
+		st.Addrs = append(st.Addrs, m.Addr)
+		st.Loads = append(st.Loads, cl.reb.bal.Load(m.Addr))
 	}
 	return st
 }
@@ -81,13 +81,13 @@ func (cl *Cluster) RebalanceTick(ctx context.Context) (bool, error) {
 		units[ml.Addr], samples[ml.Addr] = ml.Units, ml.Samples
 	}
 	v := cl.v.Load()
-	for _, a := range v.addrs {
+	for _, a := range v.Addrs() {
 		if _, polled := units[a]; !polled {
 			return false, nil // membership changed under the poll; the next tick sees it whole
 		}
 	}
 	cl.reb.mu.Lock()
-	i, bound, ok := cl.reb.bal.Decide(cl.reb.cfg, v.pmap, v.addrs, units,
+	i, bound, ok := cl.reb.bal.Decide(cl.reb.cfg, v.Map(), v.Addrs(), units,
 		func(hot string) []string { return samples[hot] })
 	cl.reb.mu.Unlock()
 	if !ok {

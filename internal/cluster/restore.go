@@ -38,10 +38,10 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 	cl.mvmu.Lock()
 	defer cl.mvmu.Unlock()
 	v := cl.v.Load()
-	if v.ownersOf(oldAddr) == nil {
+	if v.OwnersOf(oldAddr) == nil {
 		return fmt.Errorf("cluster: restore: %s is not in the current map — a repair may have moved its ranges already; join %s with AddServer instead", oldAddr, newAddr)
 	}
-	if v.ownersOf(newAddr) != nil {
+	if v.OwnersOf(newAddr) != nil {
 		return fmt.Errorf("cluster: restore: %s is already a member", newAddr)
 	}
 	if err := cl.confirmDead(ctx, oldAddr); err == nil {
@@ -63,15 +63,15 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 	// usual coordination currency, so a restore racing a migration or a
 	// repair serializes through the epoch-ordered versions like any
 	// other map change.
-	addrs := make([]string, len(v.addrs))
-	for i, a := range v.addrs {
+	addrs := make([]string, len(v.Addrs()))
+	for i, a := range v.Addrs() {
 		if a == oldAddr {
 			addrs[i] = newAddr
 		} else {
 			addrs[i] = a
 		}
 	}
-	nv, err := cl.successor(v, v.pmap.Bounds(), addrs, 0)
+	nv, err := cl.successor(v, v.Map().Bounds(), addrs, 0)
 	if err != nil {
 		return err
 	}
@@ -85,8 +85,8 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 	// again — absent keys only, so live writes accepted since the
 	// publish win. Best-effort: what the lineage lost, the replica
 	// re-sync below re-seeds.
-	for _, o := range nv.ownersOf(newAddr) {
-		r := nv.pmap.OwnerRange(o)
+	for _, o := range nv.OwnersOf(newAddr) {
+		r := nv.Map().OwnerRange(o)
 		if n, err := c.RebuildRange(ctx, r.Lo, r.Hi); err != nil {
 			log.Printf("pequod cluster: restore: range %d: durable rebuild at %s failed: %v", o, newAddr, err)
 		} else if n > 0 {

@@ -504,20 +504,15 @@ func (e *Engine) CountBounded(lo, hi string, maxStale time.Duration) (n int, pen
 	return len(kvs), pending
 }
 
-// ensureRange computes every installed join overlapping r and resolves
-// direct reads of loader-backed base ranges ("If a request is made for a
-// database-sourced key, Pequod will query the database and cache the
-// result", §2). Pull-join results are appended to *overlay (sorted per
-// join; merged by caller). It returns the number of outstanding loads.
-func (e *Engine) ensureRange(r keys.Range, overlay *[]KV) (pending int) {
-	return e.ensureRangeBounded(r, overlay, 0)
-}
-
-// ensureRangeBounded is ensureRange carrying a bounded read's staleness
-// budget into each join's ensure pass. Loader-backed presence and pull
-// joins are budget-blind: presence gaps must load regardless (absent
-// rows are not stale rows), and pull joins recompute per read by
-// design.
+// ensureRangeBounded computes every installed join overlapping r and
+// resolves direct reads of loader-backed base ranges ("If a request is
+// made for a database-sourced key, Pequod will query the database and
+// cache the result", §2). Pull-join results are appended to *overlay
+// (sorted per join; merged by caller). It returns the number of
+// outstanding loads. A bounded read's staleness budget rides into each
+// join's ensure pass; loader-backed presence and pull joins are
+// budget-blind: presence gaps must load regardless (absent rows are not
+// stale rows), and pull joins recompute per read by design.
 func (e *Engine) ensureRangeBounded(r keys.Range, overlay *[]KV, maxStale time.Duration) (pending int) {
 	e.wait = nil // a new read: a new restart context
 	var gaps []Load

@@ -152,6 +152,11 @@ func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
 		baseAddrs[i] = addr
 	}
 	c.pmap, c.ownerAddr = basePartition(users, nBase, baseAddrs)
+	homes, err := partition.NewView(c.pmap, c.ownerAddr)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
 	for i := 0; i < nCompute; i++ {
 		s, err := server.New(server.Config{
 			Name:           fmt.Sprintf("compute%d", i),
@@ -162,7 +167,7 @@ func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		if err := s.ConnectPeers(c.pmap, c.ownerAddr, "p", "s"); err != nil {
+		if err := s.ConnectMesh(homes, "p", "s"); err != nil {
 			c.Close()
 			return nil, err
 		}

@@ -28,14 +28,23 @@
 // every deployment starts from; the in-process shard pool, which has a
 // single coordinator by construction, stays at epoch 0 forever.
 //
-// NewEpochVersioned rebuilds a Map shipped over the wire at its exact
-// position, Diff reports the ranges that changed owner index between
-// two same-shape generations, and DiffAddrs reports the ranges that
-// changed serving *address* between any two generations — what a
-// cluster member must drop and re-fetch when it adopts a successor map,
-// including across joins and drains where owner indexes shift. Every
-// key is owned by exactly one range under every Map (fuzzed in
-// FuzzMapMoves).
+// Diff reports the ranges that changed owner index between two
+// same-shape generations. Every key is owned by exactly one range under
+// every Map (fuzzed in FuzzMapMoves).
+//
+// # Views
+//
+// Between servers a Map alone does not route: View (view.go) pairs it
+// with the serving address of every owner index and the owner indexes
+// that are the holding process — the one value the ownership gate, the
+// mesh loaders, the replica assignment, the cluster client, a
+// NotOwnerError and every map-bearing frame carry. Wire is its tuple
+// form (frames, meta.json), Advance the one adopt-if-newer rule its
+// holders share, DiffAddrs the ranges whose serving *address* changed
+// between two views — what a member must drop and re-fetch when it
+// adopts a successor, including across joins and drains where owner
+// indexes shift — and ReplicaAddrs / ReplicaHolds the replica placement
+// both the coordinator and the members derive from it.
 //
 // # Balancing
 //

@@ -197,8 +197,7 @@ func (m *Map) RemoveBound(i int) (*Map, error) {
 	return &Map{bounds: next, epoch: m.epoch, version: m.version + 1}, nil
 }
 
-// Bounds returns a copy of the split points, for shipping a Map over the
-// wire (the cluster client's ConnectPeers RPC).
+// Bounds returns a copy of the split points.
 func (m *Map) Bounds() []string { return append([]string(nil), m.bounds...) }
 
 // SameBounds reports how o's split points differ from m's; nil when
@@ -274,54 +273,6 @@ func Diff(old, new *Map) []keys.Range {
 		}
 		if old.Owner(lo) != new.Owner(lo) {
 			out = append(out, keys.Range{Lo: lo, Hi: hi})
-		}
-		if hi == "" {
-			break
-		}
-		lo = hi
-	}
-	return out
-}
-
-// DiffAddrs returns the key ranges whose owner *address* differs
-// between two maps, in key order — the shape-change-tolerant Diff.
-// oldAddrs and newAddrs give the serving address per owner index
-// (len = Servers()), so a membership change (different owner counts, or
-// owner indexes shifted by an insert/remove) compares what actually
-// matters: which process serves each key. Members adopting a successor
-// map drop (with eviction semantics) exactly the returned ranges they
-// neither extracted nor spliced.
-func DiffAddrs(old *Map, oldAddrs []string, new *Map, newAddrs []string) []keys.Range {
-	if len(oldAddrs) != old.Servers() || len(newAddrs) != new.Servers() {
-		// Caller error; treat everything as changed rather than guess.
-		return []keys.Range{{}}
-	}
-	points := append(append([]string(nil), old.bounds...), new.bounds...)
-	sort.Strings(points)
-	var out []keys.Range
-	lo, prevOld, prevNew := "", "", ""
-	for i := 0; i <= len(points); i++ {
-		hi := ""
-		if i < len(points) {
-			hi = points[i]
-			if hi == lo { // duplicate split point
-				continue
-			}
-		}
-		oa, na := oldAddrs[old.Owner(lo)], newAddrs[new.Owner(lo)]
-		if oa != na {
-			// Merge with the previous segment only when it is contiguous
-			// and has the same owner addresses on both sides, so each
-			// returned range still has a single serving address under
-			// either map (consumers inspect only d.Lo).
-			if n := len(out); n > 0 && out[n-1].Hi == lo && prevOld == oa && prevNew == na {
-				out[n-1].Hi = hi
-			} else {
-				out = append(out, keys.Range{Lo: lo, Hi: hi})
-			}
-			prevOld, prevNew = oa, na
-		} else {
-			prevOld, prevNew = "", ""
 		}
 		if hi == "" {
 			break

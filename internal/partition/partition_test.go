@@ -127,44 +127,6 @@ func TestInsertRemoveBound(t *testing.T) {
 	}
 }
 
-func TestDiffAddrs(t *testing.T) {
-	old := MustNew("g", "p")
-	oldA := []string{"a", "b", "c"}
-	// Same shape, one bound lowered: same as Diff.
-	d := DiffAddrs(old, oldA, MustNew("d", "p"), oldA)
-	if len(d) != 1 || d[0] != (keys.Range{Lo: "d", Hi: "g"}) {
-		t.Fatalf("lowered-bound DiffAddrs = %v", d)
-	}
-	// A join: owner 2's range split at t, new server d takes the top.
-	grown, _ := old.InsertBound(2, "t")
-	d = DiffAddrs(old, oldA, grown, []string{"a", "b", "c", "d"})
-	if len(d) != 1 || d[0] != (keys.Range{Lo: "t", Hi: ""}) {
-		t.Fatalf("join DiffAddrs = %v", d)
-	}
-	// A drain: middle owner b removed, its range merged into c; owner
-	// indexes above shift down but c's address still serves its range —
-	// only b's old range changes hands.
-	shrunk, _ := old.RemoveBound(1)
-	d = DiffAddrs(old, oldA, shrunk, []string{"a", "c"})
-	if len(d) != 1 || d[0] != (keys.Range{Lo: "g", Hi: "p"}) {
-		t.Fatalf("drain DiffAddrs = %v", d)
-	}
-	// No change at all.
-	if d := DiffAddrs(old, oldA, old, oldA); len(d) != 0 {
-		t.Fatalf("identical DiffAddrs = %v", d)
-	}
-	// Mis-sized addr lists: everything reported changed.
-	if d := DiffAddrs(old, oldA[:2], old, oldA); len(d) != 1 || d[0] != (keys.Range{}) {
-		t.Fatalf("mis-sized DiffAddrs = %v", d)
-	}
-	// Adjacent segments changing to different destinations stay separate
-	// ranges (consumers inspect only Lo).
-	d = DiffAddrs(old, oldA, MustNew("g", "p"), []string{"x", "y", "c"})
-	if len(d) != 2 {
-		t.Fatalf("two-destination DiffAddrs = %v", d)
-	}
-}
-
 func TestDiff(t *testing.T) {
 	old := MustNew("g", "p")
 	if d := Diff(old, MustNew("g", "p")); len(d) != 0 {

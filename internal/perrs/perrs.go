@@ -8,7 +8,7 @@
 // The sentinels classify failures; they never travel alone. Producers
 // wrap them with context (`fmt.Errorf("cluster: member %s: %w: %v",
 // addr, perrs.ErrMemberDown, cause)`) or attach them through an Is
-// method on a richer type (client.NotOwnerError, shard.NotOwnerError),
+// method on a richer type (partition.NotOwnerError),
 // so callers match with errors.Is and still read a useful message.
 package perrs
 

@@ -17,6 +17,7 @@ import (
 	"pequod/internal/client"
 	"pequod/internal/cluster"
 	"pequod/internal/core"
+	"pequod/internal/partition"
 	"pequod/internal/perrs"
 	"pequod/internal/rpc"
 	"pequod/internal/server"
@@ -111,11 +112,11 @@ func TestNotOwnerThroughRawClient(t *testing.T) {
 	if !errors.Is(err, perrs.ErrNotOwner) {
 		t.Fatalf("raw Get at wrong member = %v, want ErrNotOwner", err)
 	}
-	var noe *client.NotOwnerError
+	var noe *partition.NotOwnerError
 	if !errors.As(err, &noe) {
 		t.Fatalf("NotOwner reply lost its typed form: %v", err)
 	}
-	if len(noe.Peers) == 0 {
+	if len(noe.View.Addrs()) == 0 {
 		t.Fatalf("NotOwnerError carries no peers (map position missing): %+v", noe)
 	}
 }

@@ -27,11 +27,10 @@
 //     key range between servers and publish the versioned cluster
 //     partition map; JoinCluster wires a fresh member into the mesh and
 //     Drain tears a departing member's wiring down. Every map-bearing
-//     message carries the map's total-order position (Epoch,
-//     MapVersion) with its Bounds and member addresses (Peers), so a
-//     membership change — which reshapes the map — travels with the
-//     transfer performing it. Replies may carry StatusNotOwner plus the
-//     server's current map (Epoch, MapVersion, Bounds, Peers) so
-//     clients re-route and retry after a live migration, a join, or a
-//     drain.
+//     message carries one partition.View as the tuple (epoch, version,
+//     bounds, peers, self) — Message.Map — so a membership change, which
+//     reshapes the map, travels with the transfer performing it.
+//     Replies may carry StatusNotOwner plus the server's view (no self)
+//     so clients re-route and retry after a live migration, a join, or
+//     a drain.
 package rpc

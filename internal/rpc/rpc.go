@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"pequod/internal/core"
+	"pequod/internal/partition"
 )
 
 // MsgType identifies a frame's meaning.
@@ -22,26 +23,25 @@ const (
 	MsgAddJoin                         // Text
 	MsgNotify                          // Changes (server push; no reply)
 	MsgStat                            // -> Value (JSON)
-	MsgFlush                           // clear store (test/bench support)
+	_                                  // 9: was Flush; number reserved
 	MsgSetSubtable                     // Table, Depth
 	MsgReply                           // Status, reply fields
 	MsgCommand                         // Args (generic command; baseline engines)
 	MsgQuiesce                         // settle replication (in-process + subscriptions)
 	MsgPing                            // drain this connection's pushes, then reply
-	MsgConnectPeers                    // Bounds, Peers, Self, Tables: wire the §2.4 mesh
+	MsgConnectPeers                    // Map (position-less), Tables: wire the §2.4 mesh
 
 	// Cluster-level live migration (server-to-server range transfer).
-	// Every map-bearing message carries the map's full total-order
-	// position (Epoch, MapVersion) plus the member addresses (Peers) and
-	// the recipient's owner indexes (Self), so a membership change —
-	// which reshapes the map and shifts owner indexes — travels with the
-	// transfer that performs it.
-	MsgExtractRange // Epoch, MapVersion, Bounds, Peers, Self, Lo, Hi -> KVs, Warm: extract + flip ownership at src
-	MsgSpliceRange  // Epoch, MapVersion, Bounds, Peers, Self, Lo, Hi, Src, KVs, Warm: install at dst
-	MsgMapUpdate    // Epoch, MapVersion, Bounds, Peers, Self: publish the new cluster map
+	// Every map-bearing message carries the recipient's whole view (Map:
+	// position, bounds, member addresses, the recipient's owner
+	// indexes), so a membership change — which reshapes the map and
+	// shifts owner indexes — travels with the transfer that performs it.
+	MsgExtractRange // Map, Lo, Hi -> KVs, Warm: extract + flip ownership at src
+	MsgSpliceRange  // Map, Lo, Hi, Src, KVs, Warm: install at dst
+	MsgMapUpdate    // Map: publish the new cluster map
 
 	// Elastic membership (server join/drain).
-	MsgJoinCluster // Epoch, MapVersion, Bounds, Peers, Self, Tables, Text: wire a fresh member into the mesh
+	MsgJoinCluster // Map, Tables, Text: wire a fresh member into the mesh
 	MsgDrain       // tear down the recipient's mesh wiring after its last range left
 
 	// Per-range replication (failover). The coordinator publishes the
@@ -51,7 +51,7 @@ const (
 	// ring order of member addresses, so the assignment needs no
 	// explicit range list and can never disagree with the map it rode
 	// in on.
-	MsgReplicate // Epoch, MapVersion, Bounds, Peers, Self, Limit (copies), Tables
+	MsgReplicate // Map, Limit (copies), Tables
 
 	// Durable store (warm restarts and last-resort recovery).
 	MsgSnapshot     // force a durable snapshot now -> Count (rows captured)
@@ -65,7 +65,7 @@ const (
 	// StatusNotOwner reports that the serving process does not (or no
 	// longer does) own the request's keys in the cluster partition: a
 	// live migration moved them. The reply carries the server's current
-	// map (MapVersion, Bounds) so the client re-routes and retries.
+	// view (Map) so the client re-routes and retries.
 	StatusNotOwner byte = 2
 )
 
@@ -126,29 +126,26 @@ type Message struct {
 	Changes       []Change
 	Args          []string // MsgCommand
 
-	// MsgConnectPeers fields: the partition map (Bounds), the member
-	// address per owner index (Peers), the owner indexes that are the
-	// recipient itself (Self), and the base tables to load remotely and
-	// subscribe to (Tables).
-	Bounds []string
-	Peers  []string
-	Self   []int
+	// Map is the cluster view a control-plane frame carries: the view
+	// the message installs at its recipient (ExtractRange, SpliceRange,
+	// MapUpdate, JoinCluster, Replicate; ConnectPeers sends it without a
+	// position), or the view the server holds (StatusNotOwner replies and
+	// the replies to MapUpdate and Drain, which have no self field). It
+	// stays the raw tuple here so a malformed one is answered with an
+	// error reply rather than a dropped connection; Map.View validates.
+	Map partition.Wire
+	// Tables lists base tables: the ones to load remotely and subscribe
+	// to (ConnectPeers, JoinCluster) or to replicate (Replicate).
 	Tables []string
 
-	// Cluster migration fields. (Epoch, MapVersion) and Bounds carry the
-	// versioned cluster partition map the message publishes (requests)
-	// or the server's current map (StatusNotOwner replies), with Peers
-	// giving the serving address per owner index so membership changes
-	// travel with the map. Warm is the extracted computed coverage to
-	// rebuild at the destination; Src is the address of the member
+	// Cluster migration fields. Warm is the extracted computed coverage
+	// to rebuild at the destination; Src is the address of the member
 	// losing the range in a MsgSpliceRange ("" = none), which the
 	// destination fences before splicing — an address, not an owner
 	// index, because a membership change shifts indexes and a draining
 	// member is absent from the new map entirely.
-	Epoch      int64
-	MapVersion int64
-	Warm       []WarmRange
-	Src        string
+	Warm []WarmRange
+	Src  string
 
 	// Reply fields.
 	Status byte
@@ -207,6 +204,21 @@ func appendInts(b []byte, is []int) []byte {
 	return b
 }
 
+// appendView writes a view's wire tuple: position (unless the frame
+// type has none), bounds, peers, and — on requests — self.
+func appendView(b []byte, w partition.Wire, position, self bool) []byte {
+	if position {
+		b = binary.AppendUvarint(b, uint64(w.Epoch))
+		b = binary.AppendUvarint(b, uint64(w.Version))
+	}
+	b = appendStrings(b, w.Bounds)
+	b = appendStrings(b, w.Peers)
+	if self {
+		b = appendInts(b, w.Self)
+	}
+	return b
+}
+
 // Encode appends the message's frame (including length prefix) to buf and
 // returns the extended slice. The caller may reuse buf across calls.
 func (m *Message) Encode(buf []byte) []byte {
@@ -243,7 +255,7 @@ func (m *Message) Encode(buf []byte) []byte {
 			buf = appendString(buf, c.Key)
 			buf = appendString(buf, c.Value)
 		}
-	case MsgStat, MsgFlush, MsgQuiesce, MsgPing:
+	case MsgStat, MsgQuiesce, MsgPing, MsgDrain, MsgSnapshot:
 		// no payload
 	case MsgSetSubtable:
 		buf = appendString(buf, m.Table)
@@ -254,55 +266,27 @@ func (m *Message) Encode(buf []byte) []byte {
 			buf = appendString(buf, a)
 		}
 	case MsgConnectPeers:
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
+		buf = appendView(buf, m.Map, false, true)
 		buf = appendStrings(buf, m.Tables)
-	case MsgExtractRange:
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
-		buf = appendString(buf, m.Lo)
-		buf = appendString(buf, m.Hi)
-	case MsgSpliceRange:
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
-		buf = appendString(buf, m.Lo)
-		buf = appendString(buf, m.Hi)
-		buf = appendString(buf, m.Src) // "" = no fence target
-		buf = appendKVs(buf, m.KVs)
-		buf = appendWarm(buf, m.Warm)
-	case MsgMapUpdate:
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
-	case MsgJoinCluster:
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
-		buf = appendStrings(buf, m.Tables)
-		buf = appendString(buf, m.Text)
-	case MsgDrain:
-		// no payload
-	case MsgReplicate:
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
-		buf = appendInts(buf, m.Self)
-		buf = appendUvarint(buf, uint64(m.Limit))
-		buf = appendStrings(buf, m.Tables)
-	case MsgSnapshot:
-		// no payload
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgReplicate:
+		buf = appendView(buf, m.Map, true, true)
+		switch m.Type {
+		case MsgExtractRange:
+			buf = appendString(buf, m.Lo)
+			buf = appendString(buf, m.Hi)
+		case MsgSpliceRange:
+			buf = appendString(buf, m.Lo)
+			buf = appendString(buf, m.Hi)
+			buf = appendString(buf, m.Src) // "" = no fence target
+			buf = appendKVs(buf, m.KVs)
+			buf = appendWarm(buf, m.Warm)
+		case MsgJoinCluster:
+			buf = appendStrings(buf, m.Tables)
+			buf = appendString(buf, m.Text)
+		case MsgReplicate:
+			buf = appendUvarint(buf, uint64(m.Limit))
+			buf = appendStrings(buf, m.Tables)
+		}
 	case MsgRebuildRange:
 		buf = appendString(buf, m.Lo)
 		buf = appendString(buf, m.Hi)
@@ -317,13 +301,10 @@ func (m *Message) Encode(buf []byte) []byte {
 		buf = appendString(buf, m.Err)
 		buf = appendUvarint(buf, uint64(m.Count))
 		buf = appendKVs(buf, m.KVs)
-		// Migration extensions: the current map (epoch, version, bounds,
-		// peers) on NotOwner replies, the extracted warm coverage on
-		// ExtractRange replies. Empty (five bytes) on every other reply.
-		buf = appendUvarint(buf, uint64(m.Epoch))
-		buf = appendUvarint(buf, uint64(m.MapVersion))
-		buf = appendStrings(buf, m.Bounds)
-		buf = appendStrings(buf, m.Peers)
+		// Migration extensions: the server's view on NotOwner replies,
+		// the extracted warm coverage on ExtractRange replies. Empty
+		// (five bytes) on every other reply.
+		buf = appendView(buf, m.Map, true, false)
 		buf = appendWarm(buf, m.Warm)
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
@@ -377,17 +358,28 @@ func (d *decoder) strs() ([]string, error) {
 	return out, nil
 }
 
-// mapPos decodes a map's total-order position (epoch, version).
-func (d *decoder) mapPos() (epoch, version int64, err error) {
-	e, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
+// view decodes a view's wire tuple, the mirror of appendView.
+func (d *decoder) view(position, self bool) (w partition.Wire, err error) {
+	if position {
+		var e, v uint64
+		if e, err = d.uvarint(); err != nil {
+			return w, err
+		}
+		if v, err = d.uvarint(); err != nil {
+			return w, err
+		}
+		w.Epoch, w.Version = int64(e), int64(v)
 	}
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
+	if w.Bounds, err = d.strs(); err != nil {
+		return w, err
 	}
-	return int64(e), int64(v), nil
+	if w.Peers, err = d.strs(); err != nil {
+		return w, err
+	}
+	if self {
+		w.Self, err = d.ints()
+	}
+	return w, err
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -536,7 +528,7 @@ func Decode(payload []byte) (*Message, error) {
 			}
 			m.Changes = append(m.Changes, Change{Op: ChangeOp(op), Key: k, Value: v})
 		}
-	case MsgStat, MsgFlush, MsgQuiesce, MsgPing:
+	case MsgStat, MsgQuiesce, MsgPing, MsgDrain, MsgSnapshot:
 		// no payload
 	case MsgSetSubtable:
 		if m.Table, err = d.str(); err != nil {
@@ -547,112 +539,47 @@ func Decode(payload []byte) (*Message, error) {
 			m.Depth = int(depth)
 		}
 	case MsgConnectPeers:
-		if m.Bounds, err = d.strs(); err != nil {
+		if m.Map, err = d.view(false, true); err != nil {
 			return nil, err
 		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Self, err = d.ints(); err != nil {
-			return nil, err
-		}
-		if m.Tables, err = d.strs(); err != nil {
-			return nil, err
-		}
-	case MsgExtractRange:
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Self, err = d.ints(); err != nil {
-			return nil, err
-		}
-		if m.Lo, err = d.str(); err != nil {
-			return nil, err
-		}
-		m.Hi, err = d.str()
-	case MsgSpliceRange:
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Self, err = d.ints(); err != nil {
-			return nil, err
-		}
-		if m.Lo, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Hi, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Src, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.KVs, err = d.kvs(); err != nil {
-			return nil, err
-		}
-		m.Warm, err = d.warm()
-	case MsgMapUpdate:
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		m.Self, err = d.ints()
-	case MsgJoinCluster:
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Self, err = d.ints(); err != nil {
-			return nil, err
-		}
-		if m.Tables, err = d.strs(); err != nil {
-			return nil, err
-		}
-		m.Text, err = d.str()
-	case MsgDrain:
-		// no payload
-	case MsgReplicate:
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Self, err = d.ints(); err != nil {
-			return nil, err
-		}
-		var lim uint64
-		if lim, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		m.Limit = int(lim)
 		m.Tables, err = d.strs()
-	case MsgSnapshot:
-		// no payload
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgReplicate:
+		if m.Map, err = d.view(true, true); err != nil {
+			return nil, err
+		}
+		switch m.Type {
+		case MsgExtractRange:
+			if m.Lo, err = d.str(); err != nil {
+				return nil, err
+			}
+			m.Hi, err = d.str()
+		case MsgSpliceRange:
+			if m.Lo, err = d.str(); err != nil {
+				return nil, err
+			}
+			if m.Hi, err = d.str(); err != nil {
+				return nil, err
+			}
+			if m.Src, err = d.str(); err != nil {
+				return nil, err
+			}
+			if m.KVs, err = d.kvs(); err != nil {
+				return nil, err
+			}
+			m.Warm, err = d.warm()
+		case MsgJoinCluster:
+			if m.Tables, err = d.strs(); err != nil {
+				return nil, err
+			}
+			m.Text, err = d.str()
+		case MsgReplicate:
+			var lim uint64
+			if lim, err = d.uvarint(); err != nil {
+				return nil, err
+			}
+			m.Limit = int(lim)
+			m.Tables, err = d.strs()
+		}
 	case MsgRebuildRange:
 		if m.Lo, err = d.str(); err != nil {
 			return nil, err
@@ -694,13 +621,7 @@ func Decode(payload []byte) (*Message, error) {
 		if m.KVs, err = d.kvs(); err != nil {
 			return nil, err
 		}
-		if m.Epoch, m.MapVersion, err = d.mapPos(); err != nil {
-			return nil, err
-		}
-		if m.Bounds, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if m.Peers, err = d.strs(); err != nil {
+		if m.Map, err = d.view(true, false); err != nil {
 			return nil, err
 		}
 		m.Warm, err = d.warm()
@@ -756,15 +677,12 @@ func ErrReply(seq uint64, err error) *Message {
 }
 
 // NotOwnerReply builds a StatusNotOwner reply carrying the server's
-// current cluster map — position, bounds, and member addresses — so the
-// client can re-route and retry, even across a membership change.
-func NotOwnerReply(seq uint64, epoch, version int64, bounds, peers []string) *Message {
+// current view so the client can re-route and retry, even across a
+// membership change.
+func NotOwnerReply(seq uint64, v *partition.View) *Message {
 	return &Message{
 		Type: MsgReply, Seq: seq, Status: StatusNotOwner,
-		Err:        "not the owner of the requested range",
-		Epoch:      epoch,
-		MapVersion: version,
-		Bounds:     bounds,
-		Peers:      peers,
+		Err: "not the owner of the requested range",
+		Map: v.Wire(),
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"pequod/internal/partition"
 )
 
 func roundTrip(t *testing.T, m *Message) *Message {
@@ -37,58 +39,46 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{Op: ChangeRemove, Key: "k2", Value: ""},
 		}},
 		{Type: MsgStat, Seq: 8},
-		{Type: MsgFlush, Seq: 9},
 		{Type: MsgSetSubtable, Seq: 10, Table: "t", Depth: 2},
 		{Type: MsgGet, Seq: 13, Key: "k", TimeoutMS: 1500},
 		{Type: MsgQuiesce, Seq: 14},
 		{Type: MsgPing, Seq: 15},
 		{Type: MsgConnectPeers, Seq: 16,
-			Bounds: []string{"p|n", "s|"},
-			Peers:  []string{"a:1", "a:2", "a:1"},
-			Self:   []int{1},
+			Map:    partition.Wire{Bounds: []string{"p|n", "s|"}, Peers: []string{"a:1", "a:2", "a:1"}, Self: []int{1}},
 			Tables: []string{"p", "s"}},
 		{Type: MsgReply, Seq: 11, Status: StatusOK, Found: true, Value: "v",
 			Count: 42, KVs: []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}},
 		{Type: MsgReply, Seq: 12, Status: StatusError, Err: "boom"},
-		{Type: MsgExtractRange, Seq: 17, Epoch: 2, MapVersion: 3,
-			Bounds: []string{"m", "t|"},
-			Peers:  []string{"a:1", "a:2", "a:3"},
-			Self:   []int{0}, Lo: "t|", Hi: "t|u5"},
-		{Type: MsgSpliceRange, Seq: 18, Epoch: 5, MapVersion: 4, Src: "a:3",
-			Bounds: []string{"m", "t|u3"},
-			Peers:  []string{"a:1", "a:2", "a:3"},
-			Self:   []int{2}, Lo: "t|u3", Hi: "t|u5",
+		{Type: MsgExtractRange, Seq: 17,
+			Map: partition.Wire{Epoch: 2, Version: 3, Bounds: []string{"m", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{0}},
+			Lo:  "t|", Hi: "t|u5"},
+		{Type: MsgSpliceRange, Seq: 18, Src: "a:3",
+			Map: partition.Wire{Epoch: 5, Version: 4, Bounds: []string{"m", "t|u3"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{2}},
+			Lo:  "t|u3", Hi: "t|u5",
 			KVs:  []KV{{Key: "t|u4|1", Value: "x"}},
 			Warm: warm(0, "t|u3|", "t|u4|")},
-		{Type: MsgSpliceRange, Seq: 19, MapVersion: 1,
-			Lo: "a", Hi: "b"},
-		{Type: MsgMapUpdate, Seq: 20, Epoch: 1, MapVersion: 7,
-			Bounds: []string{"p|", "t|"},
-			Peers:  []string{"a:1", "a:2", "a:3"},
-			Self:   []int{1}},
-		{Type: MsgJoinCluster, Seq: 23, Epoch: 4, MapVersion: 9,
-			Bounds: []string{"p|", "t|"},
-			Peers:  []string{"a:1", "a:2", "a:3"},
-			Self:   []int{2},
+		// A tuple no view can be built from still round-trips: the server
+		// answers it with an error reply, not a dropped connection.
+		{Type: MsgSpliceRange, Seq: 19, Map: partition.Wire{Version: 1}, Lo: "a", Hi: "b"},
+		{Type: MsgMapUpdate, Seq: 20,
+			Map: partition.Wire{Epoch: 1, Version: 7, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{1}}},
+		{Type: MsgJoinCluster, Seq: 23,
+			Map:    partition.Wire{Epoch: 4, Version: 9, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{2}},
 			Tables: []string{"p", "s"},
 			Text:   "t|<u> = copy p|<u>"},
 		{Type: MsgDrain, Seq: 24},
-		{Type: MsgReplicate, Seq: 25, Epoch: 6, MapVersion: 2,
-			Bounds: []string{"p|", "t|"},
-			Peers:  []string{"a:1", "a:2", "a:3"},
-			Self:   []int{0, 2},
+		{Type: MsgReplicate, Seq: 25,
+			Map:    partition.Wire{Epoch: 6, Version: 2, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{0, 2}},
 			Limit:  2,
 			Tables: []string{"p", "s"}},
-		{Type: MsgReplicate, Seq: 26, Epoch: 1, MapVersion: 1,
-			Bounds: []string{"m"},
-			Peers:  []string{"a:1", "a:2"},
-			Limit:  3},
+		{Type: MsgReplicate, Seq: 26,
+			Map:   partition.Wire{Epoch: 1, Version: 1, Bounds: []string{"m"}, Peers: []string{"a:1", "a:2"}},
+			Limit: 3},
 		{Type: MsgSnapshot, Seq: 27},
 		{Type: MsgRebuildRange, Seq: 28, Lo: "t|u3", Hi: "t|u5"},
 		{Type: MsgRebuildRange, Seq: 29, Lo: "m", Hi: ""},
 		{Type: MsgReply, Seq: 21, Status: StatusNotOwner, Err: "moved",
-			Epoch: 3, MapVersion: 9, Bounds: []string{"q|"},
-			Peers: []string{"a:1", "a:2"}},
+			Map: partition.Wire{Epoch: 3, Version: 9, Bounds: []string{"q|"}, Peers: []string{"a:1", "a:2"}}},
 		{Type: MsgReply, Seq: 22, Status: StatusOK,
 			Warm: warm(1, "t|", "t|u5")},
 	}
@@ -102,14 +92,14 @@ func TestRoundTripAllTypes(t *testing.T) {
 			got.Changes = m.Changes
 		}
 		for _, p := range [][2]*[]string{
-			{&got.Bounds, &m.Bounds}, {&got.Peers, &m.Peers}, {&got.Tables, &m.Tables},
+			{&got.Map.Bounds, &m.Map.Bounds}, {&got.Map.Peers, &m.Map.Peers}, {&got.Tables, &m.Tables},
 		} {
 			if len(*p[0]) == 0 {
 				*p[0] = *p[1]
 			}
 		}
-		if len(got.Self) == 0 {
-			got.Self = m.Self
+		if len(got.Map.Self) == 0 {
+			got.Map.Self = m.Map.Self
 		}
 		if len(got.Warm) == 0 {
 			got.Warm = m.Warm

@@ -37,7 +37,7 @@ func coldPair(tb testing.TB) (home, compute *Server, hc, cc *client.Client) {
 	}
 	home, hc, haddr := start(Config{Name: "home"})
 	compute, cc, _ = start(Config{Name: "compute", Joins: timelineJoin})
-	if err := compute.ConnectPeers(partition.MustNew(), []string{haddr}, "p", "s"); err != nil {
+	if err := compute.ConnectMesh(mustView(tb, partition.MustNew(), []string{haddr}), "p", "s"); err != nil {
 		tb.Fatal(err)
 	}
 	return home, compute, hc, cc

@@ -26,6 +26,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"log"
 	"sort"
 	"strings"
@@ -36,7 +37,6 @@ import (
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
-	"pequod/internal/shard"
 )
 
 // DefaultSnapshotInterval paces the periodic snapshot loop when the
@@ -159,14 +159,9 @@ func (s *Server) persistMeta() {
 func (s *Server) buildMeta() *durable.Meta {
 	m := &durable.Meta{Name: s.name, ID: s.id, Joins: s.pool.InstalledText()}
 	if g := s.pool.Gate(); g != nil {
+		w := g.Wire()
 		m.HasGate = true
-		m.Epoch, m.Version = g.Map.Epoch(), g.Map.Version()
-		m.Bounds, m.Peers = g.Map.Bounds(), g.Peers
-		for i := 0; i < g.Map.Servers(); i++ {
-			if g.Self[i] {
-				m.Self = append(m.Self, i)
-			}
-		}
+		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
 	s.mmu.Lock()
 	if s.mesh != nil {
@@ -271,18 +266,13 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	// Gate: re-install the last published map, so the member — drained
 	// members included (Self empty) — answers with current bounds from
 	// its first served byte.
-	var g *shard.Gate
+	var g *partition.View
 	if meta != nil && meta.HasGate {
-		pmap, err := partition.NewEpochVersioned(meta.Epoch, meta.Version, meta.Bounds...)
-		if err != nil || len(meta.Peers) != pmap.Servers() {
-			log.Printf("pequod server %s: recovered cluster map unusable; starting ungated", s.name)
+		w := partition.Wire{Epoch: meta.Epoch, Version: meta.Version, Bounds: meta.Bounds, Peers: meta.Peers, Self: meta.Self}
+		if g, err = w.View(); err != nil {
+			log.Printf("pequod server %s: recovered cluster map unusable (%v); starting ungated", s.name, err)
 		} else {
-			self := make(map[int]bool, len(meta.Self))
-			for _, i := range meta.Self {
-				self[i] = true
-			}
-			s.pool.ApplyMapUpdate(pmap, meta.Peers, self)
-			g = s.pool.Gate()
+			s.pool.ApplyMapUpdate(g)
 		}
 	}
 
@@ -315,19 +305,16 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 		s.recovery.RestoredWarm = len(warm)
 		return
 	}
-	var pmap *partition.Map
-	if g := s.pool.Gate(); g != nil {
-		pmap = g.Map
+	g := s.pool.Gate()
+	if meta.ReplicaCopies > 1 && g != nil {
+		s.applyReplicaAssignment(g, meta.ReplicaCopies, meta.ReplicaTables)
 	}
-	if meta.ReplicaCopies > 1 && pmap != nil {
-		s.applyReplicaAssignment(pmap, meta.Peers, meta.Self, meta.ReplicaCopies, meta.ReplicaTables)
-	}
-	if !meta.HasMesh || pmap == nil {
+	if !meta.HasMesh || g == nil {
 		s.pool.RebuildWarm(warm)
 		s.recovery.RestoredWarm = len(warm)
 		return
 	}
-	if err := s.ConnectMesh(pmap, meta.Peers, meta.Self, meta.MeshTables...); err != nil {
+	if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
 		log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
 		ctx, cancel := context.WithCancel(context.Background())
 		s.rewireStop, s.rewireDone = cancel, make(chan struct{})
@@ -356,7 +343,7 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 		if g == nil {
 			return
 		}
-		if err := s.ConnectMesh(g.Map, meta.Peers, meta.Self, meta.MeshTables...); err != nil {
+		if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
 			continue
 		}
 		s.pool.RebuildWarm(warm)
@@ -374,28 +361,16 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 // and the re-applied assignment re-syncs them against their homes
 // (ghost rows and staleness are the sync's problem, exactly as after a
 // home restart).
-func recoveredKeyFilter(g *shard.Gate, meta *durable.Meta) func(key string) bool {
+func recoveredKeyFilter(g *partition.View, meta *durable.Meta) func(key string) bool {
 	if g == nil {
 		return func(string) bool { return true }
 	}
 	var reps []keys.Range
-	if meta != nil && meta.ReplicaCopies > 1 && len(meta.Peers) == g.Map.Servers() {
-		self := selfAddrs(meta.Peers, meta.Self)
-		for o := 0; o < g.Map.Servers(); o++ {
-			home := meta.Peers[o]
-			if self[home] {
-				continue
-			}
-			for _, a := range partition.ReplicaAddrs(meta.Peers, o, meta.ReplicaCopies) {
-				if self[a] {
-					reps = append(reps, subRanges(g.Map.OwnerRange(o), meta.ReplicaTables)...)
-					break
-				}
-			}
-		}
+	for _, o := range g.ReplicaHolds(meta.ReplicaCopies) {
+		reps = append(reps, subRanges(g.Map().OwnerRange(o), meta.ReplicaTables)...)
 	}
 	return func(key string) bool {
-		if g.OwnsKey(key) {
+		if g.Owns(key) {
 			return true
 		}
 		for _, r := range reps {
@@ -410,14 +385,14 @@ func recoveredKeyFilter(g *shard.Gate, meta *durable.Meta) func(key string) bool
 // clipWarm restricts recovered warm coverage to the ranges the gate
 // says this member serves — coverage over ranges owned elsewhere would
 // be recomputed only to be dropped.
-func clipWarm(ws []core.WarmRange, g *shard.Gate) []core.WarmRange {
+func clipWarm(ws []core.WarmRange, g *partition.View) []core.WarmRange {
 	if g == nil || len(ws) == 0 {
 		return ws
 	}
 	var out []core.WarmRange
 	for _, w := range ws {
-		for _, pc := range g.Map.Split(w.R) {
-			if g.Self[pc.Owner] && !pc.R.Empty() {
+		for _, pc := range g.Map().Split(w.R) {
+			if g.IsSelf(pc.Owner) && !pc.R.Empty() {
 				out = append(out, core.WarmRange{Join: w.Join, R: pc.R})
 			}
 		}
@@ -475,4 +450,4 @@ func (s *Server) handleRebuildRange(m *rpc.Message) *rpc.Message {
 	return r
 }
 
-var errNoDataDir = &replError{"no data dir configured; durability is off"}
+var errNoDataDir = errors.New("pequod server: no data dir configured; durability is off")

@@ -9,7 +9,6 @@ import (
 	"pequod/internal/client"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
-	"pequod/internal/shard"
 )
 
 // durableConfig returns a server config with the durable store rooted
@@ -141,9 +140,9 @@ func TestRetryMeshStopsAtTeardown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pmap, peers := partition.MustNew("m"), []string{addr, paddr}
-		s.pool.ApplyMapUpdate(pmap, peers, shard.SelfSet([]int{0}))
-		if err := s.ConnectMesh(pmap, peers, []int{0}, "p"); err != nil {
+		v := mustView(t, partition.MustNew("m"), []string{addr, paddr}, 0)
+		s.pool.ApplyMapUpdate(v)
+		if err := s.ConnectMesh(v, "p"); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()

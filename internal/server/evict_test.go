@@ -34,7 +34,7 @@ func TestComputeServerEvictionRefetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compute.ConnectPeers(partition.MustNew(), []string{haddr}, "p", "s"); err != nil {
+	if err := compute.ConnectMesh(mustView(t, partition.MustNew(), []string{haddr}), "p", "s"); err != nil {
 		t.Fatal(err)
 	}
 	caddr, _ := compute.Start()

@@ -32,53 +32,92 @@ import (
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
-	"pequod/internal/shard"
 )
 
 // handleMapBearing serves the control-plane messages that carry a
-// cluster map — its total-order position (epoch, version) and bounds,
-// beside the member address per owner index and the recipient's self
-// set; membership changes reshape all of them, and they swap atomically
-// with the data transfer. The map is decoded here, once.
+// cluster view — position, bounds, the member address per owner index
+// and the recipient's self set; membership changes reshape all of them,
+// and they swap atomically with the data transfer. The view is decoded
+// and validated here, once, before any state moves: a frame whose peers
+// do not match its owner count, or whose self indexes fall outside it,
+// gets an error reply and changes nothing.
 func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
-	next, err := partition.NewEpochVersioned(m.Epoch, m.MapVersion, m.Bounds...)
+	next, err := m.Map.View()
 	if err != nil {
 		return rpc.ErrReply(m.Seq, err)
 	}
 	switch m.Type {
+	case rpc.MsgConnectPeers:
+		err = s.advance(next, func() error { return s.ConnectMesh(next, m.Tables...) })
 	case rpc.MsgExtractRange:
 		return s.handleExtractRange(m, next)
 	case rpc.MsgSpliceRange:
-		return s.handleSpliceRange(m, next, dl)
+		err = s.handleSpliceRange(m, next, dl)
 	case rpc.MsgMapUpdate:
 		return s.handleMapUpdate(m, next, dl)
 	case rpc.MsgJoinCluster:
-		return s.handleJoinCluster(m, next)
+		err = s.advance(next, func() error { return s.joinCluster(next, m.Tables, m.Text) })
 	default: // rpc.MsgReplicate
-		r := s.handleReplicate(m, next)
-		s.persistMeta()
-		return r
+		err = s.advance(next, func() error { s.applyReplicaAssignment(next, m.Limit, m.Tables); return nil })
 	}
+	if err != nil {
+		return errReply(m.Seq, err)
+	}
+	return rpc.OKReply(m.Seq)
+}
+
+// advance is the one way this server's view moves. apply runs the
+// transition of the holder the message addresses — the pool's gate swap
+// (extract, splice, map update), the replica assignment, the mesh
+// wiring; if it took, the mesh's loaders and feeds follow to next (a
+// no-op when not meshed or not newer), the peer connection set is
+// resized when the member list changed, and the position is persisted.
+func (s *Server) advance(next *partition.View, apply func() error) error {
+	if err := apply(); err != nil {
+		return err
+	}
+	s.mmu.Lock()
+	if s.mesh != nil && partition.Advance(&s.mesh.view, next) {
+		want := make(map[string]bool, len(next.Addrs()))
+		for o, a := range next.Addrs() {
+			if !next.IsSelf(o) {
+				want[a] = true
+			}
+		}
+		// Only close departed members' connections here; fresh members dial
+		// lazily on the load path. An eager dial under mmu would stall this
+		// server's quiesce/fence/map-update handling for the full connect
+		// timeout whenever a published view still names an unreachable
+		// address (a revert after a member died does exactly that).
+		for _, l := range s.mesh.loaders {
+			l.up.retain(want)
+		}
+	}
+	s.mmu.Unlock()
+	s.persistMeta()
+	return nil
 }
 
 // handleExtractRange serves MsgExtractRange: remove [m.Lo, m.Hi) from
 // this server and return its owned rows and warm computed coverage,
 // atomically ceasing to serve the range. The request carries the
-// successor map (exactly one version ahead) with this member's peers
-// and self under it; a stale coordinator gets StatusNotOwner with the
-// current map. The extracted state is retained pool-side until a
-// published map confirms the destination serves the range.
-func (s *Server) handleExtractRange(m *rpc.Message, next *partition.Map) *rpc.Message {
-	rs, err := s.pool.ExtractClusterRange(keys.Range{Lo: m.Lo, Hi: m.Hi}, next, m.Peers, shard.SelfSet(m.Self))
-	if err != nil {
-		return errReply(m.Seq, err)
-	}
-	s.adoptMeshView(next, m.Peers, m.Self)
+// successor view (exactly one version ahead); a stale coordinator gets
+// StatusNotOwner with the current one. The extracted state is retained
+// pool-side until a published map confirms the destination serves the
+// range.
+func (s *Server) handleExtractRange(m *rpc.Message, next *partition.View) *rpc.Message {
+	var rs core.RangeState
 	// The extracted rows are NOT logged as removes: they linger in the
 	// durable lineage until the next snapshot, which is what makes this
 	// member a last-resort rebuild source if the destination dies before
 	// anyone else holds a copy (see handleRebuildRange).
-	s.persistMeta()
+	err := s.advance(next, func() (err error) {
+		rs, err = s.pool.ExtractClusterRange(keys.Range{Lo: m.Lo, Hi: m.Hi}, next)
+		return err
+	})
+	if err != nil {
+		return errReply(m.Seq, err)
+	}
 	r := rpc.OKReply(m.Seq)
 	r.KVs = rs.KVs
 	r.Warm = rs.Warm
@@ -90,46 +129,41 @@ func (s *Server) handleExtractRange(m *rpc.Message, next *partition.Map) *rpc.Me
 // range came from; pushes in flight from that peer are fenced first so a
 // stale replicated write cannot land after the splice and overwrite a
 // newer owner write here.
-func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.Map, dl time.Time) *rpc.Message {
+func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time.Time) error {
 	if m.Src != "" {
 		if err := s.fenceAddr(m.Src, dl); err != nil {
-			return rpc.ErrReply(m.Seq, err)
+			return err
 		}
 	}
 	rs := core.RangeState{R: keys.Range{Lo: m.Lo, Hi: m.Hi}, KVs: m.KVs, Warm: m.Warm}
-	if err := s.pool.SpliceClusterRange(rs, next, m.Peers, shard.SelfSet(m.Self)); err != nil {
-		return errReply(m.Seq, err)
+	if err := s.advance(next, func() error { return s.pool.SpliceClusterRange(rs, next) }); err != nil {
+		return err
 	}
-	s.adoptMeshView(next, m.Peers, m.Self)
 	// A splice installs rows silently (no change notifications, so
 	// subscribers don't see them as fresh writes), which also bypasses
 	// the write-behind hook — log them explicitly or the migrated range
 	// would not survive a restart here.
 	s.durableLogKVs(m.KVs)
-	s.persistMeta()
-	return rpc.OKReply(m.Seq)
+	return nil
 }
 
-// handleMapUpdate serves MsgMapUpdate: adopt a newer cluster map. On
-// first contact it installs the member's view (map + peers + self set);
-// on a migration or membership change it fences the old owners of every
-// range that changed hands between two other servers, then lets the
-// pool reconcile its cached state (drop stale replicas, demote ranges
-// lost without an extraction, restore retained ranges handed back) so
-// the next read re-fetches from — and re-subscribes at — the new home.
-func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.Map, dl time.Time) *rpc.Message {
-	if g := s.pool.Gate(); g != nil && next.NewerThan(g.Map.Epoch(), g.Map.Version()) &&
-		len(g.Peers) == g.Map.Servers() && len(m.Peers) == next.Servers() {
+// handleMapUpdate serves MsgMapUpdate: adopt a newer cluster view. On
+// first contact it installs the member's gate; on a migration or
+// membership change it fences the old owners of every range that
+// changed hands between two other servers, then lets the pool reconcile
+// its cached state (drop stale replicas, demote ranges lost without an
+// extraction, restore retained ranges handed back) so the next read
+// re-fetches from — and re-subscribes at — the new home.
+func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.Time) *rpc.Message {
+	if g := s.pool.Gate(); g != nil && next.Newer(g) {
 		// Fence before the drop: every change the old owners pushed for
 		// the departing ranges must be applied (or discarded as stale by
 		// the feeds) before the local copies go, or a late push would
 		// resurrect dropped data.
-		selfA := selfAddrs(m.Peers, m.Self)
 		fenced := map[string]bool{}
-		for _, d := range partition.DiffAddrs(g.Map, g.Peers, next, m.Peers) {
-			oldA := g.Peers[g.Map.Owner(d.Lo)]
-			newA := m.Peers[next.Owner(d.Lo)]
-			if selfA[oldA] || selfA[newA] || fenced[oldA] {
+		for _, d := range partition.DiffAddrs(g, next) {
+			oldA, newA := g.OwnerAddr(d.Lo), next.OwnerAddr(d.Lo)
+			if next.SelfAddr(oldA) || next.SelfAddr(newA) || fenced[oldA] {
 				continue
 			}
 			fenced[oldA] = true
@@ -138,9 +172,7 @@ func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.Map, dl time.Ti
 			}
 		}
 	}
-	s.pool.ApplyMapUpdate(next, m.Peers, shard.SelfSet(m.Self))
-	s.adoptMeshView(next, m.Peers, m.Self)
-	s.persistMeta()
+	_ = s.advance(next, func() error { s.pool.ApplyMapUpdate(next); return nil }) // this apply cannot fail
 	// Teach the publisher the map this server actually holds: a client
 	// that starts from the deployment's original bounds (version 0)
 	// after migrations have run publishes a stale map, which the pool
@@ -149,54 +181,43 @@ func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.Map, dl time.Ti
 	return s.gateReply(m.Seq)
 }
 
-// gateReply is an OK reply carrying the cluster map this server holds.
+// gateReply is an OK reply carrying the cluster view this server holds.
 func (s *Server) gateReply(seq uint64) *rpc.Message {
 	r := rpc.OKReply(seq)
 	if g := s.pool.Gate(); g != nil {
-		r.Epoch = g.Map.Epoch()
-		r.MapVersion = g.Map.Version()
-		r.Bounds = g.Map.Bounds()
-		r.Peers = g.Peers
+		r.Map = g.Wire()
 	}
 	return r
 }
 
-// handleJoinCluster serves MsgJoinCluster at a fresh server: one call
-// installs the current cluster map as its gate (owning nothing yet, so
-// it answers NotOwner until a splice grants it a range), wires it into
-// the subscription mesh, and installs the cluster's join set. The
+// joinCluster serves MsgJoinCluster at a fresh server: one call installs
+// the current cluster view as its gate (owning nothing yet, so it
+// answers NotOwner until a splice grants it a range), wires it into the
+// subscription mesh, and installs the cluster's join set. The
 // coordinator then grants it an initial slice through the ordinary
 // extract/splice/publish protocol — by the time any client routes to
 // the new member, it is gated, meshed, and computing.
-func (s *Server) handleJoinCluster(m *rpc.Message, pmap *partition.Map) *rpc.Message {
-	if len(m.Peers) != pmap.Servers() {
-		return rpc.ErrReply(m.Seq, fmt.Errorf("pequod server: %d bounds need %d peers, have %d",
-			len(m.Bounds), pmap.Servers(), len(m.Peers)))
-	}
+func (s *Server) joinCluster(v *partition.View, tables []string, text string) error {
 	// Gate first: from this point every operation outside the (empty)
 	// self set bounces with NotOwner instead of landing on an unwired
 	// server.
-	s.pool.ApplyMapUpdate(pmap, m.Peers, shard.SelfSet(m.Self))
-	if err := s.ConnectMesh(pmap, m.Peers, m.Self, m.Tables...); err != nil {
-		return rpc.ErrReply(m.Seq, err)
+	s.pool.ApplyMapUpdate(v)
+	if err := s.ConnectMesh(v, tables...); err != nil {
+		return err
 	}
 	// Install the cluster's join set — idempotently, so a drained member
 	// re-joining with the joins already installed (or holding a prefix
 	// of a join set that grew since) does not fail on duplicates.
-	if have := s.pool.InstalledText(); m.Text != "" && m.Text != have {
-		text := m.Text
+	if have := s.pool.InstalledText(); text != "" && text != have {
 		if have != "" {
-			if !strings.HasPrefix(m.Text, have+"\n") {
-				return rpc.ErrReply(m.Seq, fmt.Errorf("pequod server: joining with a conflicting join set already installed"))
+			if !strings.HasPrefix(text, have+"\n") {
+				return fmt.Errorf("pequod server: joining with a conflicting join set already installed")
 			}
-			text = m.Text[len(have)+1:]
+			text = text[len(have)+1:]
 		}
-		if err := s.pool.InstallText(text); err != nil {
-			return rpc.ErrReply(m.Seq, err)
-		}
+		return s.pool.InstallText(text)
 	}
-	s.persistMeta()
-	return rpc.OKReply(m.Seq)
+	return nil
 }
 
 // handleDrain serves MsgDrain at a member whose last range has moved
@@ -243,37 +264,4 @@ func (s *Server) fenceAddr(addr string, dl time.Time) error {
 		}
 	}
 	return nil
-}
-
-// adoptMeshView publishes a newer cluster view to the mesh's loaders
-// and feeds (no-op when not meshed or not newer) and resizes the peer
-// connection set when the member list changed: connections to members
-// that left close, and members that joined dial on demand (eagerly
-// here, lazily in the load path if this attempt fails).
-func (s *Server) adoptMeshView(next *partition.Map, peers []string, self []int) {
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	if s.mesh == nil || len(peers) != next.Servers() {
-		return
-	}
-	cur := s.mesh.view.Load()
-	if cur != nil && !next.NewerThan(cur.pmap.Epoch(), cur.pmap.Version()) {
-		return
-	}
-	nv := &meshView{pmap: next, addrs: append([]string(nil), peers...), self: selfAddrs(peers, self)}
-	s.mesh.view.Store(nv)
-	want := make(map[string]bool, len(nv.addrs))
-	for _, a := range nv.addrs {
-		if !nv.self[a] {
-			want[a] = true
-		}
-	}
-	// Only close departed members' connections here; fresh members dial
-	// lazily on the load path. An eager dial under mmu would stall this
-	// server's quiesce/fence/map-update handling for the full connect
-	// timeout whenever a published view still names an unreachable
-	// address (a revert after a member died does exactly that).
-	for _, l := range s.mesh.loaders {
-		l.up.retain(want)
-	}
 }

@@ -8,8 +8,8 @@ package server
 // The coordinator publishes a replica *assignment* (MsgReplicate): the
 // cluster view itself plus the replica count and the base tables worth
 // copying. Placement is derived, not listed — each member walks the
-// ring of distinct member addresses (partition.ReplicaAddrs) and keeps
-// a copy of every range whose owner it directly succeeds, so the
+// ring of distinct member addresses (partition.View.ReplicaHolds) and
+// keeps a copy of every range whose owner it directly succeeds, so the
 // coordinator and every member always agree on who holds what without
 // a second source of truth that could drift from the map.
 //
@@ -46,13 +46,12 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
-	"pequod/internal/rpc"
 )
 
 // replView is one generation of the replica assignment: the cluster
 // view it derives placement from, plus what to copy.
 type replView struct {
-	meshView
+	*partition.View
 	copies int      // total copies per range, including the owner's
 	tables []string // base tables replicated (empty = whole ranges)
 }
@@ -86,28 +85,12 @@ type replHold struct {
 	syncing bool
 }
 
-// handleReplicate serves MsgReplicate: adopt a replica assignment and
-// reshape the held replica set to match — drop ranges assigned away,
-// snapshot+subscribe ranges gained. Idempotent: republishing the same
-// assignment diffs to nothing. Assignments older than the one held are
-// ignored (a slow coordinator losing to a repair).
-func (s *Server) handleReplicate(m *rpc.Message, next *partition.Map) *rpc.Message {
-	if len(m.Peers) != next.Servers() {
-		return rpc.ErrReply(m.Seq, errReplicatePeers)
-	}
-	s.applyReplicaAssignment(next, m.Peers, m.Self, m.Limit, m.Tables)
-	return rpc.OKReply(m.Seq)
-}
-
-var errReplicatePeers = &replError{"replica assignment peer count does not match its map"}
-
-type replError struct{ msg string }
-
-func (e *replError) Error() string { return "pequod server: " + e.msg }
-
-// applyReplicaAssignment installs an assignment and reconciles held
-// replicas against it.
-func (s *Server) applyReplicaAssignment(next *partition.Map, peers []string, self []int, copies int, tables []string) {
+// applyReplicaAssignment serves MsgReplicate: adopt a replica assignment
+// and reshape the held replica set to match — drop ranges assigned
+// away, snapshot+subscribe ranges gained. Idempotent: republishing the
+// same assignment diffs to nothing. Assignments older than the one held
+// are ignored (a slow coordinator losing to a repair).
+func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables []string) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	if s.repl == nil {
@@ -116,39 +99,17 @@ func (s *Server) applyReplicaAssignment(next *partition.Map, peers []string, sel
 		s.repl = st
 	}
 	st := s.repl
-	if cur := st.view.Load(); cur != nil &&
-		partition.Compare(next.Epoch(), next.Version(), cur.pmap.Epoch(), cur.pmap.Version()) < 0 {
+	if cur := st.view.Load(); cur != nil && cur.Newer(next) {
 		return
-	}
-	nv := &replView{
-		meshView: meshView{pmap: next, addrs: append([]string(nil), peers...), self: selfAddrs(peers, self)},
-		copies:   copies,
-		tables:   append([]string(nil), tables...),
 	}
 	// Publish the view before reshaping: feeds filter arrivals against
 	// it, so pushes from a home the new assignment demoted die here even
 	// while the teardown below is still running.
-	st.view.Store(nv)
+	st.view.Store(&replView{View: next, copies: copies, tables: append([]string(nil), tables...)})
 
 	desired := make(map[keys.Range]string)
-	if copies > 1 {
-		for o := 0; o < next.Servers(); o++ {
-			home := peers[o]
-			if nv.self[home] {
-				continue // we serve it; nothing to copy
-			}
-			mine := false
-			for _, a := range partition.ReplicaAddrs(peers, o, copies) {
-				if nv.self[a] {
-					mine = true
-					break
-				}
-			}
-			if !mine {
-				continue
-			}
-			desired[next.OwnerRange(o)] = home
-		}
+	for _, o := range next.ReplicaHolds(copies) {
+		desired[next.Map().OwnerRange(o)] = next.Addrs()[o]
 	}
 
 	// Stale copies to drop before any sync starts: ranges assigned away,
@@ -213,8 +174,8 @@ func (s *Server) dropUnownedPieces(r keys.Range) {
 		s.pool.DropRangeAll(r)
 		return
 	}
-	for _, pc := range g.Map.Split(r) {
-		if !g.Self[pc.Owner] {
+	for _, pc := range g.Map().Split(r) {
+		if !g.IsSelf(pc.Owner) {
 			s.pool.DropRangeAll(pc.R)
 		}
 	}
@@ -390,9 +351,9 @@ func (st *replicaState) closeAll() {
 // does not say this member owns it (a promotion makes local writes
 // authoritative; a late replica delivery must not clobber them).
 func (st *replicaState) fresh(addr, key string) bool {
-	if st.view.Load().ownerAddr(key) != addr {
+	if st.view.Load().OwnerAddr(key) != addr {
 		return false
 	}
 	g := st.s.pool.Gate()
-	return g == nil || !g.OwnsKey(key)
+	return g == nil || !g.Owns(key)
 }

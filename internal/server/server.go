@@ -148,38 +148,15 @@ type Server struct {
 // meshState records a server's position in a partitioned mesh so later
 // ConnectMesh calls (a join installed at runtime adding source tables)
 // can reuse the dialed peer connections. view is the mesh's current
-// cluster partition — map, member address per owner index, and the
-// addresses that are this process — shared with every loader and
-// atomically replaced when a live migration or membership change
-// publishes a successor. Peer connections are keyed by *address* (one
-// per shard per peer), so they survive owner indexes shifting when a
-// member joins or drains; adoptMeshView resizes the connection set when
-// the member list itself changes.
+// cluster view, shared with every loader and advanced when a live
+// migration or membership change publishes a successor. Peer connections
+// are keyed by *address* (one per shard per peer), so they survive owner
+// indexes shifting when a member joins or drains; advance resizes the
+// connection set when the member list itself changes.
 type meshState struct {
-	view    atomic.Pointer[meshView]
+	view    atomic.Pointer[partition.View]
 	loaders []*remoteLoader // one per shard
 	tables  map[string]bool
-}
-
-// meshView is one generation of the mesh's cluster view.
-type meshView struct {
-	pmap  *partition.Map
-	addrs []string        // serving address per owner index
-	self  map[string]bool // addresses that are this process
-}
-
-// ownerAddr returns the serving address for key under this view.
-func (v *meshView) ownerAddr(key string) string { return v.addrs[v.pmap.Owner(key)] }
-
-// selfAddrs derives the address set {addrs[i] : i in self}.
-func selfAddrs(addrs []string, self []int) map[string]bool {
-	out := make(map[string]bool, len(self))
-	for _, i := range self {
-		if i >= 0 && i < len(addrs) {
-			out[addrs[i]] = true
-		}
-	}
-	return out
 }
 
 // New creates a server.
@@ -429,9 +406,9 @@ func (s *Server) statJSON() string {
 		Joins: s.pool.InstalledText(),
 	}
 	if g := s.pool.Gate(); g != nil {
+		w := g.Wire()
 		cs := &clusterStat{
-			Epoch: g.Map.Epoch(), Version: g.Map.Version(),
-			Bounds: g.Map.Bounds(), Peers: g.Peers,
+			Epoch: w.Epoch, Version: w.Version, Bounds: w.Bounds, Peers: w.Peers, Self: w.Self,
 			Retained: s.pool.RetainedStats().Entries,
 		}
 		s.rmu.Lock()
@@ -439,11 +416,6 @@ func (s *Server) statJSON() string {
 			cs.Replicas = s.repl.snapshot()
 		}
 		s.rmu.Unlock()
-		for i := 0; i < g.Map.Servers(); i++ {
-			if g.Self[i] {
-				cs.Self = append(cs.Self, i)
-			}
-		}
 		snap.Cluster = cs
 	}
 	if s.dur != nil {
@@ -615,9 +587,6 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		r.Value = s.statJSON()
 		return r
 
-	case rpc.MsgFlush:
-		return rpc.ErrReply(m.Seq, errors.New("flush unsupported; restart the server"))
-
 	case rpc.MsgSetSubtable:
 		s.pool.SetSubtableDepth(m.Table, m.Depth)
 		return rpc.OKReply(m.Seq)
@@ -637,22 +606,7 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		}
 		return rpc.OKReply(m.Seq)
 
-	case rpc.MsgConnectPeers:
-		pmap, err := partition.New(m.Bounds...)
-		if err != nil {
-			return rpc.ErrReply(m.Seq, err)
-		}
-		if len(m.Peers) != pmap.Servers() {
-			return rpc.ErrReply(m.Seq, fmt.Errorf("pequod server: %d bounds need %d peers, have %d",
-				len(m.Bounds), pmap.Servers(), len(m.Peers)))
-		}
-		if err := s.ConnectMesh(pmap, m.Peers, m.Self, m.Tables...); err != nil {
-			return rpc.ErrReply(m.Seq, err)
-		}
-		s.persistMeta()
-		return rpc.OKReply(m.Seq)
-
-	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate:
+	case rpc.MsgConnectPeers, rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate:
 		return s.handleMapBearing(m, dl)
 
 	case rpc.MsgDrain:
@@ -671,9 +625,9 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 // become StatusNotOwner replies carrying the server's current map, so
 // clients re-route and retry instead of failing.
 func errReply(seq uint64, err error) *rpc.Message {
-	var noe *shard.NotOwnerError
+	var noe *partition.NotOwnerError
 	if errors.As(err, &noe) {
-		return rpc.NotOwnerReply(seq, noe.Epoch, noe.Version, noe.Bounds, noe.Peers)
+		return rpc.NotOwnerReply(seq, noe.View)
 	}
 	return rpc.ErrReply(seq, err)
 }
@@ -928,13 +882,13 @@ func (cn *conn) close() {
 // demand.
 type remoteLoader struct {
 	sh   *shard.Shard
-	view *atomic.Pointer[meshView]
+	view *atomic.Pointer[partition.View]
 	up   *upstream // this shard's peer connections: pushes apply to the shard that subscribed
 }
 
-func newRemoteLoader(sh *shard.Shard, view *atomic.Pointer[meshView]) *remoteLoader {
+func newRemoteLoader(sh *shard.Shard, view *atomic.Pointer[partition.View]) *remoteLoader {
 	return &remoteLoader{sh: sh, view: view, up: newUpstream(
-		func(addr, key string) bool { return view.Load().ownerAddr(key) == addr },
+		func(addr, key string) bool { return view.Load().OwnerAddr(key) == addr },
 		sh.ApplyBatch)}
 }
 
@@ -1017,12 +971,12 @@ func (s *Server) watchPass() {
 		return
 	}
 	v := m.view.Load()
-	for o, a := range v.addrs {
-		if !failed[a] || v.self[a] {
+	for o, a := range v.Addrs() {
+		if !failed[a] || v.IsSelf(o) {
 			continue
 		}
 	next:
-		for _, rr := range subRanges(v.pmap.OwnerRange(o), tables) {
+		for _, rr := range subRanges(v.Map().OwnerRange(o), tables) {
 			// A range held as a replica copy is the replica half's to
 			// invalidate — it re-snapshots stale copies and they may be
 			// the only surviving data for a repair to promote. Likewise
@@ -1065,49 +1019,42 @@ func (s *Server) leaveCluster() {
 	s.wmu.Unlock()
 }
 
-// ConnectPeers wires this server to its home servers: pmap maps key
-// ranges to indexes in addrs, and tables lists the loader-backed base
-// tables. Each shard dials its own peer connections, so incoming
-// subscription pushes apply to the shard that subscribed.
-func (s *Server) ConnectPeers(pmap *partition.Map, addrs []string, tables ...string) error {
-	return s.ConnectMesh(pmap, addrs, nil, tables...)
-}
-
-// ConnectMesh is ConnectPeers for symmetric meshes: self lists the owner
-// indexes that are this server itself, whose ranges it serves from
-// direct writes instead of remote fetches. Calling it again with the
-// same topology extends the loader-backed table set (a join installed at
-// runtime adding source tables) reusing the dialed connections; a
-// different topology is rejected unless the server already holds a
-// newer published cluster map (the caller is stale; the tables still
+// ConnectMesh wires this server to the home servers of the loader-backed
+// base tables under view v, whose self set names the ranges it serves
+// itself from direct writes instead of remote fetches (none on a
+// compute-only server). Each shard dials its own peer connections, so
+// incoming subscription pushes apply to the shard that subscribed.
+// Calling it again with the same topology extends the table set (a join
+// installed at runtime adding source tables) reusing the dialed
+// connections; a different topology is rejected unless the server
+// already holds a newer view (the caller is stale; the tables still
 // extend). Wiring is atomic: if any peer dial fails, the connections
 // dialed for this call are closed and the server is left exactly as
 // before, so a retry does not leak or duplicate.
-func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, tables ...string) error {
+func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
 	if s.mesh == nil {
 		// If a cluster client already published a versioned view (the
 		// gate), that is the authority: the wire bounds must agree, and
-		// the mesh adopts the gate's map so its position survives.
+		// the mesh starts from the gate so its position survives.
 		if g := s.pool.Gate(); g != nil {
-			if err := g.Map.SameBounds(pmap); err != nil {
+			if err := g.Map().SameBounds(v.Map()); err != nil {
 				return fmt.Errorf("pequod server: mesh bounds disagree with the published cluster map (e%d v%d): %w",
-					g.Map.Epoch(), g.Map.Version(), err)
+					g.Map().Epoch(), g.Map().Version(), err)
 			}
-			pmap = g.Map
+			v = g
 		}
-		view := &meshView{pmap: pmap, addrs: append([]string(nil), addrs...), self: selfAddrs(addrs, self)}
 		mesh := &meshState{tables: make(map[string]bool)}
-		mesh.view.Store(view)
+		mesh.view.Store(v)
 		for i := 0; i < s.pool.NumShards(); i++ {
 			mesh.loaders = append(mesh.loaders, newRemoteLoader(s.pool.Shard(i), &mesh.view))
 		}
 		// Eager dial so a bad member address fails the wiring visibly
 		// (and atomically) instead of surfacing later as load timeouts.
 		for _, l := range mesh.loaders {
-			for _, a := range view.addrs {
-				if view.self[a] {
+			for o, a := range v.Addrs() {
+				if v.IsSelf(o) {
 					continue // no connection to ourselves
 				}
 				if _, err := l.up.conn(a); err != nil {
@@ -1117,15 +1064,14 @@ func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, ta
 			}
 		}
 		s.mesh = mesh
-	} else if err := s.mesh.sameTopology(pmap, addrs); err != nil {
+	} else if cur := s.mesh.view.Load(); !cur.Newer(v) {
 		// A stale caller re-wiring with outdated bounds is harmless when
 		// this server already follows a newer published map — the tables
 		// below still extend. A genuinely different topology at the same
 		// generation is rejected: silently keeping the old map would
 		// route remote loads to the wrong owners.
-		v := s.mesh.view.Load()
-		if !v.pmap.NewerThan(pmap.Epoch(), pmap.Version()) {
-			return err
+		if err := cur.SameShape(v); err != nil {
+			return fmt.Errorf("pequod server: already meshed: %w", err)
 		}
 	}
 	var fresh []string
@@ -1139,24 +1085,6 @@ func (s *Server) ConnectMesh(pmap *partition.Map, addrs []string, self []int, ta
 		s.pool.SetExternalTables(fresh...)
 		for i, l := range s.mesh.loaders {
 			s.pool.Shard(i).SetLoader(l, fresh...)
-		}
-	}
-	return nil
-}
-
-// sameTopology rejects re-wiring under a different partition or member
-// set.
-func (m *meshState) sameTopology(pmap *partition.Map, addrs []string) error {
-	v := m.view.Load()
-	if err := v.pmap.SameBounds(pmap); err != nil {
-		return fmt.Errorf("pequod server: already meshed: %w", err)
-	}
-	if len(v.addrs) != len(addrs) {
-		return fmt.Errorf("pequod server: already meshed over %d owners, got %d", len(v.addrs), len(addrs))
-	}
-	for i := range v.addrs {
-		if v.addrs[i] != addrs[i] {
-			return fmt.Errorf("pequod server: mesh member %d differs: %q vs %q", i, v.addrs[i], addrs[i])
 		}
 	}
 	return nil
@@ -1204,11 +1132,11 @@ func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 	var landed, failed []core.Load
 	for _, ld := range loads {
 		lf := &loadFetch{Load: ld}
-		for _, pc := range v.pmap.Split(ld.R) {
-			addr := v.addrs[pc.Owner]
-			if v.self[addr] {
+		for _, pc := range v.Map().Split(ld.R) {
+			if v.IsSelf(pc.Owner) {
 				continue // already local
 			}
+			addr := v.Addrs()[pc.Owner]
 			g, tried := groups[addr]
 			if !tried {
 				if p, err := l.up.conn(addr); err == nil {
@@ -1256,9 +1184,12 @@ func (l *remoteLoader) land(g *fetchGroup, mu *sync.Mutex, attempts int) {
 			lf.failed = true
 			if m := pc.reply; m != nil && m.Status == rpc.StatusNotOwner {
 				// The piece migrated away from its home mid-fetch. Adopt
-				// the newer map the reply carries; the retry refetches
+				// the newer view the reply carries — every loader and feed
+				// sharing the mesh view learns it — and the retry refetches
 				// from the new owner.
-				l.adopt(m.Epoch, m.MapVersion, m.Bounds, m.Peers)
+				if nv, err := m.Map.View(); err == nil {
+					partition.Advance(l.view, nv)
+				}
 			}
 		}
 		rows = g.p.feed.rows(rows, pc)
@@ -1289,39 +1220,5 @@ func (l *remoteLoader) deliver(rows []core.KV, landed, failed []core.Load, attem
 	}
 	if len(rows)+len(landed)+len(failed) > 0 {
 		l.sh.LoadsDone(rows, landed, failed)
-	}
-}
-
-// adopt installs a newer cluster map into the mesh view (no-op when the
-// view is already as new) — freshness learned from a NotOwner reply
-// propagating to every loader and feed sharing the view. The reply's
-// peer addresses come along so a membership change the reply describes
-// re-routes loads too; a reply without them (legacy wiring) only
-// adopts when the owner count is unchanged.
-func (l *remoteLoader) adopt(epoch, version int64, bounds, peers []string) {
-	next, err := partition.NewEpochVersioned(epoch, version, bounds...)
-	if err != nil {
-		return
-	}
-	for {
-		cur := l.view.Load()
-		if cur != nil && !next.NewerThan(cur.pmap.Epoch(), cur.pmap.Version()) {
-			return
-		}
-		addrs := peers
-		if len(addrs) != next.Servers() {
-			if cur == nil || len(cur.addrs) != next.Servers() {
-				return // cannot place owners; wait for a full MapUpdate
-			}
-			addrs = cur.addrs
-		}
-		var self map[string]bool
-		if cur != nil {
-			self = cur.self
-		}
-		nv := &meshView{pmap: next, addrs: append([]string(nil), addrs...), self: self}
-		if l.view.CompareAndSwap(cur, nv) {
-			return
-		}
 	}
 }

@@ -227,7 +227,7 @@ func TestDistributedSubscriptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compute.ConnectPeers(pmap, addrs, "p", "s"); err != nil {
+	if err := compute.ConnectMesh(mustView(t, pmap, addrs), "p", "s"); err != nil {
 		t.Fatal(err)
 	}
 	caddr, _ := compute.Start()
@@ -335,4 +335,18 @@ func TestNotifyAppliesChanges(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// mustView pairs a map with its addresses as the view held by the
+// process serving the self owner indexes.
+func mustView(tb testing.TB, m *partition.Map, addrs []string, self ...int) *partition.View {
+	tb.Helper()
+	v, err := partition.NewView(m, addrs)
+	if err == nil {
+		v, err = v.WithSelf(self)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
 }

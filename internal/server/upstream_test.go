@@ -251,23 +251,23 @@ var feedCases = []struct {
 }
 
 func TestFeedOrdering(t *testing.T) {
-	oneOwner := func(addr string) meshView {
-		return meshView{pmap: partition.MustNew(), addrs: []string{addr}, self: map[string]bool{}}
+	oneOwner := func(addr string) *partition.View {
+		return mustView(t, partition.MustNew(), []string{addr})
 	}
 	insts := []struct {
 		name string
 		mk   func(s *Server, apply func([]core.Change)) (*upstream, func(addr string))
 	}{
 		{"mesh load", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
-			view := new(atomic.Pointer[meshView])
+			view := new(atomic.Pointer[partition.View])
 			l := newRemoteLoader(s.pool.Shard(0), view)
 			l.up.apply = apply
-			return l.up, func(addr string) { v := oneOwner(addr); view.Store(&v) }
+			return l.up, func(addr string) { view.Store(oneOwner(addr)) }
 		}},
 		{"replica", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
 			st := &replicaState{s: s}
 			st.up = newUpstream(st.fresh, apply)
-			return st.up, func(addr string) { st.view.Store(&replView{meshView: oneOwner(addr), copies: 2}) }
+			return st.up, func(addr string) { st.view.Store(&replView{View: oneOwner(addr), copies: 2}) }
 		}},
 	}
 	for _, inst := range insts {
@@ -366,8 +366,7 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		}
 		// Owner 0 (everything below "m") is the home; this member owns the
 		// rest and, with two copies, holds a replica of owner 0's range.
-		pmap := partition.MustNew("m")
-		s.applyReplicaAssignment(pmap, []string{home.addr, addr}, []int{1}, 2, nil)
+		s.applyReplicaAssignment(mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1), 2, nil)
 		st := s.repl
 		for deadline := time.Now().Add(5 * time.Second); st.snapshot() != 1; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {

@@ -2,35 +2,16 @@ package shard
 
 // Cluster-level live migration, the pool-side half of moving a key range
 // between *servers* (between shards of one pool it is rebalance.go);
-// internal/cluster/migrate.go tells the protocol once and DESIGN.md
-// "Moving a range" says what each layer adds. This layer adds the Gate:
-// a mesh-wired server's view of the cluster's versioned partition map,
-// the member address serving each owner index, and the owner indexes
-// that are this process. Every routed operation re-validates cluster
-// ownership under the shard lock it already holds, exactly the way it
-// re-validates the shard map, and one whose range has migrated away
-// fails with *NotOwnerError carrying the current map — a StatusNotOwner
-// reply on the wire, which the client adopts before retrying at the new
-// owner. ExtractClusterRange and SpliceClusterRange swap the gate under
-// the shard locks before they touch the range, so the ownership flip is
-// atomic with the data transfer; ApplyMapUpdate, at every other member,
-// adopts the new map and drops (§2.5) its cached state for ranges that
-// changed hands.
-//
-// Membership changes ride the same machinery: a successor map may have
-// more owners (a join split one owner's range for a fresh server) or
-// fewer (a drain merged the departing owner's range into a neighbor's),
-// so every swap carries the successor's full identity — map, peer
-// addresses, and the recipient's new self set. Ownership comparisons
-// across generations are by serving *address* (partition.DiffAddrs),
-// which stays meaningful when owner indexes shift.
-//
-// Maps are totally ordered by (epoch, version) — see partition. A
-// transfer must be the direct successor of the map the member holds
-// (version exactly one ahead, epoch not older); anything else is a
-// concurrent coordinator that lost the race, rejected with a version
-// conflict carrying the current map. Adoption (ApplyMapUpdate, splices
-// ahead of the member's version) takes strictly-newer maps only.
+// internal/cluster/migrate.go tells the protocol once, DESIGN.md "Moving
+// a range" says what each layer adds, and DESIGN.md "Membership &
+// epochs" says what a view is and how its holders advance. This layer
+// adds the gate: the pool's *partition.View, checked by every routed
+// operation under the shard lock it already holds, exactly the way it
+// re-validates the shard map. An operation whose range has migrated away
+// fails with *partition.NotOwnerError carrying the gate. The three swaps
+// below — extract (direct successor), splice and map update (strictly
+// newer) — replace the gate under the shard locks before they touch the
+// range, so the ownership flip is atomic with the data transfer.
 //
 // # Retained extractions
 //
@@ -54,87 +35,19 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
-	"pequod/internal/perrs"
 )
-
-// Gate is a pool's view of the cluster partition: the versioned map,
-// the member address serving each owner index, and the owner indexes
-// this process serves. A Gate is immutable; migration replaces it
-// (under the affected shards' locks) like the pool's own partition map.
-type Gate struct {
-	Map   *partition.Map
-	Peers []string // serving address per owner index; may be nil (legacy wiring)
-	Self  map[int]bool
-}
-
-// OwnsKey reports whether this process is key's home under the gate's
-// map.
-func (g *Gate) OwnsKey(key string) bool { return g.Self[g.Map.Owner(key)] }
-
-// OwnsRange reports whether every key of r is homed at this process.
-func (g *Gate) OwnsRange(r keys.Range) bool {
-	if r.Empty() {
-		return true
-	}
-	for _, pc := range g.Map.Split(r) {
-		if !g.Self[pc.Owner] {
-			return false
-		}
-	}
-	return true
-}
-
-// addr returns the serving address for owner index i ("" when the gate
-// carries no peer addresses).
-func (g *Gate) addr(i int) string {
-	if i < 0 || i >= len(g.Peers) {
-		return ""
-	}
-	return g.Peers[i]
-}
-
-// notOwner builds the error for an operation outside the gate.
-func (g *Gate) notOwner() *NotOwnerError {
-	return &NotOwnerError{
-		Epoch:   g.Map.Epoch(),
-		Version: g.Map.Version(),
-		Bounds:  g.Map.Bounds(),
-		Peers:   append([]string(nil), g.Peers...),
-	}
-}
-
-// NotOwnerError reports that an operation's keys are not homed at this
-// process under the current cluster map (a live migration or membership
-// change moved them). It carries that map — position, bounds, and
-// member addresses — so the caller, ultimately the cluster client, can
-// re-route and retry instead of failing.
-type NotOwnerError struct {
-	Epoch   int64
-	Version int64
-	Bounds  []string
-	Peers   []string
-}
-
-func (e *NotOwnerError) Error() string {
-	return fmt.Sprintf("shard: not the owner of the requested range (cluster map e%d v%d)", e.Epoch, e.Version)
-}
-
-// Is makes NotOwnerError match the public sentinel via errors.Is
-// (pequod.ErrNotOwner) while the carried map position stays reachable
-// through errors.As.
-func (e *NotOwnerError) Is(target error) bool { return target == perrs.ErrNotOwner }
 
 // Gate returns the pool's current cluster view (nil when the pool is
 // not part of a gated cluster).
-func (p *Pool) Gate() *Gate { return p.gate.Load() }
+func (p *Pool) Gate() *partition.View { return p.gate.Load() }
 
 // gateCheckKey validates key against the cluster gate. Called with the
 // owning shard's lock held, so a concurrent migration either completed
 // before this check (new gate visible) or will lock this shard after the
 // caller releases it.
 func (p *Pool) gateCheckKey(key string) error {
-	if g := p.gate.Load(); g != nil && !g.OwnsKey(key) {
-		return g.notOwner()
+	if g := p.gate.Load(); g != nil && !g.Owns(key) {
+		return &partition.NotOwnerError{View: g}
 	}
 	return nil
 }
@@ -143,7 +56,7 @@ func (p *Pool) gateCheckKey(key string) error {
 // under the owning shard's lock.
 func (p *Pool) gateCheckRange(r keys.Range) error {
 	if g := p.gate.Load(); g != nil && !g.OwnsRange(r) {
-		return g.notOwner()
+		return &partition.NotOwnerError{View: g}
 	}
 	return nil
 }
@@ -190,23 +103,8 @@ func unlockShards(locked []*Shard) {
 // proves the coordinator derived next from the map this member holds,
 // so a concurrent coordinator working from a stale parent conflicts
 // here instead of silently forking the partition.
-func directSuccessor(cur, next *partition.Map) bool {
-	return next.Version() == cur.Version()+1 && next.Epoch() >= cur.Epoch()
-}
-
-// newGate assembles the successor gate for a swap.
-func newGate(next *partition.Map, peers []string, self map[int]bool) *Gate {
-	return &Gate{Map: next, Peers: append([]string(nil), peers...), Self: self}
-}
-
-// SelfSet builds a Gate self map from owner indexes (the server's RPC
-// handlers decode owner-index lists off the wire).
-func SelfSet(idx []int) map[int]bool {
-	s := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		s[i] = true
-	}
-	return s
+func directSuccessor(cur, next *partition.View) bool {
+	return next.Map().Version() == cur.Map().Version()+1 && next.Map().Epoch() >= cur.Map().Epoch()
 }
 
 // ExtractClusterRange removes range r's state from this pool so it can
@@ -221,31 +119,27 @@ func SelfSet(idx []int) map[int]bool {
 // the package comment). On a version conflict or if r is not wholly
 // self-owned, *NotOwnerError carries the current map and nothing
 // changes.
-func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.Map, peers []string, self map[int]bool) (core.RangeState, error) {
+func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.View) (core.RangeState, error) {
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
 	if g == nil {
 		return core.RangeState{}, fmt.Errorf("shard: no cluster view installed")
 	}
-	if !directSuccessor(g.Map, next) || !g.OwnsRange(r) {
-		return core.RangeState{}, g.notOwner()
+	if !directSuccessor(g, next) || !g.OwnsRange(r) {
+		return core.RangeState{}, &partition.NotOwnerError{View: g}
 	}
-	ng := newGate(next, peers, self)
 	locked, pieces := p.lockShardsOverlapping(r)
 	defer unlockShards(locked)
 	// Publish first: every operation that acquires one of the locked
 	// shards' locks after us re-validates against this gate and bounces.
-	p.gate.Store(ng)
+	p.gate.Store(next)
 
 	rs := p.extractLocked(r, pieces, true)
 	// Retain a copy until a published map shows the destination serving
 	// the range: the extracted rows otherwise live only in the
 	// coordinator's memory between extract and splice.
-	p.addRetained(retainedEntry{
-		rs: rs, epoch: next.Epoch(), version: next.Version(),
-		dst: ng.addr(next.Owner(r.Lo)), confirmable: true,
-	})
+	p.addRetained(retainedEntry{rs: rs, at: next, dst: next.OwnerAddr(r.Lo), confirmable: true})
 	p.reb.migrations++
 	p.reb.keysMoved += int64(len(rs.KVs))
 	return rs, nil
@@ -295,8 +189,7 @@ func (p *Pool) extractLocked(r keys.Range, pieces []partition.Shard, lockSibling
 
 // SpliceClusterRange folds a range extracted at another server into this
 // pool, atomically flipping cluster ownership to us: next must be a
-// strictly newer map under which we own rs.R (peers/self position us
-// under it). The pool's own cached traces of the range — loaded source
+// strictly newer view under which we own rs.R. The pool's own cached traces of the range — loaded source
 // rows, computed coverage, presence records from its time as a
 // subscriber — are dropped first (§2.5), then the moved rows land and
 // the source's previously valid computed coverage rebuilds warm. A
@@ -304,44 +197,43 @@ func (p *Pool) extractLocked(r keys.Range, pieces []partition.Shard, lockSibling
 // range whose first destination died); ranges that changed hands
 // elsewhere between the member's map and next are reconciled like a map
 // update.
-func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.Map, peers []string, self map[int]bool) error {
+func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.View) error {
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
 	if g == nil {
 		return fmt.Errorf("shard: no cluster view installed")
 	}
-	if !next.NewerThan(g.Map.Epoch(), g.Map.Version()) {
+	if !next.Newer(g) {
 		// Only a retry of the exact splice already applied is an
 		// idempotent success. A *different* map at the same position is a
 		// concurrent coordinator that lost the race — succeeding here
 		// would silently drop its extracted rows; the conflict error
 		// sends them back up the coordinator's failure path instead.
-		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && next.SameBounds(g.Map) == nil {
+		if next.Same(g) {
 			return nil
 		}
-		return g.notOwner()
+		return &partition.NotOwnerError{View: g}
 	}
-	ng := newGate(next, peers, self)
-	if !ng.OwnsRange(rs.R) {
-		return g.notOwner()
+	if !next.OwnsRange(rs.R) {
+		return &partition.NotOwnerError{View: g}
 	}
 	locked := p.lockAllShards()
-	p.gate.Store(ng)
+	p.gate.Store(next)
 	for _, pc := range p.pmap.Load().Split(rs.R) {
 		p.shards[pc.Owner].splice(clipState(rs, pc.R), true)
 	}
 	// A splice that jumped versions (a re-offer) may also move ranges
 	// between other members; reconcile them exactly as a map update
 	// would, excluding the spliced range itself.
-	if !directSuccessor(g.Map, next) {
-		p.applyDiffsLocked(g, ng, &rs.R)
+	if !directSuccessor(g, next) {
+		p.applyDiffsLocked(g, next, &rs.R)
 	}
 	unlockShards(locked)
 	// The spliced data is authoritative for rs.R: retained copies of it
 	// are obsolete, and the new map may confirm (or return) others.
 	p.dropRetainedOverlapping(rs.R)
-	p.reconcileRetained(ng)
+	p.reconcileRetained(next)
 	p.reb.migrations++
 	p.reb.warmMoved += int64(len(rs.Warm))
 	return nil
@@ -376,17 +268,16 @@ func clipState(rs core.RangeState, r keys.Range) core.RangeState {
 // old owners before calling. A first call (no gate yet) just installs
 // the view; republishing the map already held confirms retained
 // extractions (the coordinator only publishes after the splice landed).
-func (p *Pool) ApplyMapUpdate(next *partition.Map, peers []string, self map[int]bool) []keys.Range {
+func (p *Pool) ApplyMapUpdate(next *partition.View) []keys.Range {
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
 	if g == nil {
-		p.gate.Store(newGate(next, peers, self))
+		p.gate.Store(next)
 		return nil
 	}
-	ng := newGate(next, peers, self)
-	if !next.NewerThan(g.Map.Epoch(), g.Map.Version()) {
-		if next.Epoch() == g.Map.Epoch() && next.Version() == g.Map.Version() && next.SameBounds(g.Map) == nil {
+	if !next.Newer(g) {
+		if next.Same(g) {
 			// The coordinator republished the map we already hold: its
 			// splice landed, so retained copies it confirms can go.
 			p.reconcileRetained(g)
@@ -394,10 +285,10 @@ func (p *Pool) ApplyMapUpdate(next *partition.Map, peers []string, self map[int]
 		return nil
 	}
 	locked := p.lockAllShards()
-	p.gate.Store(ng)
-	changed := p.applyDiffsLocked(g, ng, nil)
+	p.gate.Store(next)
+	changed := p.applyDiffsLocked(g, next, nil)
 	unlockShards(locked)
-	p.reconcileRetained(ng)
+	p.reconcileRetained(next)
 	return changed
 }
 
@@ -409,17 +300,15 @@ func (p *Pool) ApplyMapUpdate(next *partition.Map, peers []string, self map[int]
 // (reconcileRetained finishes that after the locks drop), or dropped as
 // a stale replica otherwise. Caller holds imu and every shard lock.
 // Reports the ranges that changed hands locally (demoted or dropped).
-func (p *Pool) applyDiffsLocked(old, ng *Gate, exclude *keys.Range) []keys.Range {
-	oldAddrs, newAddrs := gateAddrs(old), gateAddrs(ng)
+func (p *Pool) applyDiffsLocked(old, ng *partition.View, exclude *keys.Range) []keys.Range {
 	var changed []keys.Range
-	for _, d := range partition.DiffAddrs(old.Map, oldAddrs, ng.Map, newAddrs) {
+	for _, d := range partition.DiffAddrs(old, ng) {
 		if exclude != nil {
 			if rr := d.Intersect(*exclude); !rr.Empty() && rr == d {
 				continue // wholly the spliced range; caller handled it
 			}
 		}
-		ownedOld := old.Self[old.Map.Owner(d.Lo)]
-		ownedNew := ng.Self[ng.Map.Owner(d.Lo)]
+		ownedOld, ownedNew := old.Owns(d.Lo), ng.Owns(d.Lo)
 		switch {
 		case ownedOld && !ownedNew:
 			// Lost without an extraction: a newer map overruled a local
@@ -428,10 +317,7 @@ func (p *Pool) applyDiffsLocked(old, ng *Gate, exclude *keys.Range) []keys.Range
 			pieces := p.pmap.Load().Split(d)
 			rs := p.extractLocked(d, pieces, false)
 			if len(rs.KVs) > 0 || len(rs.Warm) > 0 {
-				p.addRetained(retainedEntry{
-					rs: rs, epoch: ng.Map.Epoch(), version: ng.Map.Version(),
-					dst: ng.addr(ng.Map.Owner(d.Lo)),
-				})
+				p.addRetained(retainedEntry{rs: rs, at: ng, dst: ng.OwnerAddr(d.Lo)})
 			}
 			changed = append(changed, d)
 		case ownedNew && !ownedOld:
@@ -469,22 +355,6 @@ func (p *Pool) DropRangeAll(r keys.Range) {
 	}
 }
 
-// gateAddrs returns the gate's serving address per owner index, synthesizing
-// positional placeholders when the gate was wired without addresses
-// (legacy ConnectMesh paths) so DiffAddrs still compares identities.
-func gateAddrs(g *Gate) []string {
-	n := g.Map.Servers()
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		if i < len(g.Peers) && g.Peers[i] != "" {
-			out[i] = g.Peers[i]
-		} else {
-			out[i] = fmt.Sprintf("\x00owner-%d", i)
-		}
-	}
-	return out
-}
-
 // --- retained extractions ---
 
 // retainedCap bounds the retained-extraction buffer; beyond it the
@@ -494,10 +364,9 @@ const retainedCap = 16
 // retainedEntry is one extraction awaiting confirmation.
 type retainedEntry struct {
 	rs          core.RangeState
-	epoch       int64 // position of the map that moved the range out
-	version     int64
-	dst         string // serving address the range moved to ("" unknown)
-	confirmable bool   // true when a coordinator drove this extraction
+	at          *partition.View // the view that moved the range out
+	dst         string          // serving address the range moved to
+	confirmable bool            // true when a coordinator drove this extraction
 }
 
 // RetainedStats snapshots the retained-extraction buffer for stats and
@@ -553,17 +422,15 @@ func (p *Pool) dropRetainedOverlapping(r keys.Range) {
 // a map at or beyond theirs are confirmed and dropped; everything else
 // waits. Callers hold imu (so the pool map is stable) but not shard
 // locks.
-func (p *Pool) reconcileRetained(ng *Gate) {
+func (p *Pool) reconcileRetained(ng *partition.View) {
 	p.retmu.Lock()
 	var restore []retainedEntry
 	kept := p.retained[:0]
 	for _, e := range p.retained {
-		owner := ng.Map.Owner(e.rs.R.Lo)
 		switch {
-		case ng.Self[owner] && ng.OwnsRange(e.rs.R):
+		case ng.Owns(e.rs.R.Lo) && ng.OwnsRange(e.rs.R):
 			restore = append(restore, e)
-		case e.confirmable && e.dst != "" && ng.addr(owner) == e.dst &&
-			partition.Compare(ng.Map.Epoch(), ng.Map.Version(), e.epoch, e.version) >= 0:
+		case e.confirmable && ng.OwnerAddr(e.rs.R.Lo) == e.dst && !e.at.Newer(ng):
 			// The destination serves the range under a published map at or
 			// past the transfer: the splice landed.
 		default:

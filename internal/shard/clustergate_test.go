@@ -20,9 +20,19 @@ func gatedPool(t *testing.T, self int, peers []string) *Pool {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	pmap := partition.MustNew("m")
-	p.ApplyMapUpdate(pmap, peers, map[int]bool{self: true})
+	p.ApplyMapUpdate(viewAt(t, 0, 0, "m", peers, self))
 	return p
+}
+
+// viewAt builds the view of a two-owner cluster split at bound, held by
+// the process serving the self owner indexes.
+func viewAt(t *testing.T, epoch, version int64, bound string, peers []string, self ...int) *partition.View {
+	t.Helper()
+	v, err := partition.Wire{Epoch: epoch, Version: version, Bounds: []string{bound}, Peers: peers, Self: self}.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestGateEpochTieBreak: two same-version maps minted by different
@@ -36,35 +46,29 @@ func TestGateEpochTieBreak(t *testing.T) {
 
 	// Winner: epoch 20, version 1 — a direct successor of the gate's
 	// (0, 0) map, accepted.
-	winner, err := partition.NewEpochVersioned(20, 1, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ExtractClusterRange(keys.Range{Lo: "m", Hi: "q"}, winner, peers, map[int]bool{1: true}); err != nil {
+	winner := viewAt(t, 20, 1, "q", peers, 1)
+	if _, err := p.ExtractClusterRange(keys.Range{Lo: "m", Hi: "q"}, winner); err != nil {
 		t.Fatalf("winner's extract: %v", err)
 	}
 	// Loser: epoch 10, version 1, different bounds — older in the total
 	// order, so the splice is a version conflict carrying the winner's
 	// map.
-	loser, err := partition.NewEpochVersioned(10, 1, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.SpliceClusterRange(coreRangeState("m", "t"), loser, peers, map[int]bool{1: true})
-	var noe *NotOwnerError
+	loser := viewAt(t, 10, 1, "t", peers, 1)
+	err := p.SpliceClusterRange(coreRangeState("m", "t"), loser)
+	var noe *partition.NotOwnerError
 	if !errors.As(err, &noe) {
 		t.Fatalf("loser's splice = %v, want NotOwnerError", err)
 	}
-	if noe.Epoch != 20 || noe.Version != 1 {
-		t.Fatalf("conflict carries e%d v%d, want e20 v1", noe.Epoch, noe.Version)
+	if m := noe.View.Map(); m.Epoch() != 20 || m.Version() != 1 {
+		t.Fatalf("conflict carries e%d v%d, want e20 v1", m.Epoch(), m.Version())
 	}
 	// An exact retry of the winner's own map is idempotent, a different
 	// same-position map is not.
-	if err := p.SpliceClusterRange(coreRangeState("m", "q"), winner, peers, map[int]bool{1: true}); err != nil {
+	if err := p.SpliceClusterRange(coreRangeState("m", "q"), winner); err != nil {
 		t.Fatalf("exact same-map splice retry: %v", err)
 	}
-	tie, _ := partition.NewEpochVersioned(20, 1, "r")
-	if err := p.SpliceClusterRange(coreRangeState("m", "r"), tie, peers, map[int]bool{1: true}); !errors.As(err, &noe) {
+	tie := viewAt(t, 20, 1, "r", peers, 1)
+	if err := p.SpliceClusterRange(coreRangeState("m", "r"), tie); !errors.As(err, &noe) {
 		t.Fatalf("same-position different-bounds splice accepted: %v", err)
 	}
 }
@@ -79,8 +83,8 @@ func TestRetainedExtractionLifecycle(t *testing.T) {
 		p.Put(fmt.Sprintf("b%d", i), fmt.Sprintf("v%d", i))
 	}
 	// Extract [b0, m): the rows leave the engine but a copy is retained.
-	next, _ := partition.NewEpochVersioned(5, 1, "b0")
-	rs, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next, peers, map[int]bool{0: true})
+	next := viewAt(t, 5, 1, "b0", peers, 0)
+	rs, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestRetainedExtractionLifecycle(t *testing.T) {
 	}
 	// Republishing the exact map (the coordinator's post-splice publish)
 	// confirms and drops the copy.
-	p.ApplyMapUpdate(next, peers, map[int]bool{0: true})
+	p.ApplyMapUpdate(next)
 	if st := p.RetainedStats(); st.Entries != 0 {
 		t.Fatalf("retained not confirmed by exact publish: %+v", st)
 	}
@@ -102,22 +106,22 @@ func TestRetainedExtractionLifecycle(t *testing.T) {
 	// never confirmed: a newer map hands the range straight back (the
 	// coordinator reverted, or a competing coordinator won), and the
 	// retained rows must be restored.
-	ret, _ := partition.NewEpochVersioned(5, 2, "m")
-	if err := p.SpliceClusterRange(coreRangeState("b0", "m"), ret, peers, map[int]bool{0: true}); err != nil {
+	ret := viewAt(t, 5, 2, "m", peers, 0)
+	if err := p.SpliceClusterRange(coreRangeState("b0", "m"), ret); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		p.Put(fmt.Sprintf("b%d", i), fmt.Sprintf("v%d", i))
 	}
-	next2, _ := partition.NewEpochVersioned(5, 3, "b0")
-	if _, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next2, peers, map[int]bool{0: true}); err != nil {
+	next2 := viewAt(t, 5, 3, "b0", peers, 0)
+	if _, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next2); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.Get("b3"); ok {
 		t.Fatal("extracted row still readable at the source")
 	}
-	back, _ := partition.NewEpochVersioned(5, 4, "m")
-	p.ApplyMapUpdate(back, peers, map[int]bool{0: true})
+	back := viewAt(t, 5, 4, "m", peers, 0)
+	p.ApplyMapUpdate(back)
 	if st := p.RetainedStats(); st.Entries != 0 {
 		t.Fatalf("retained entry not consumed by the restore: %+v", st)
 	}
@@ -135,15 +139,15 @@ func TestRetainedRestoreKeepsNewerWrites(t *testing.T) {
 	peers := []string{"a:1", "a:2"}
 	p := gatedPool(t, 0, peers)
 	p.Put("b1", "old")
-	next, _ := partition.NewEpochVersioned(5, 1, "b0")
-	if _, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next, peers, map[int]bool{0: true}); err != nil {
+	next := viewAt(t, 5, 1, "b0", peers, 0)
+	if _, err := p.ExtractClusterRange(keys.Range{Lo: "b0", Hi: "m"}, next); err != nil {
 		t.Fatal(err)
 	}
 	// A fresher value arrives while the range is away (a splice-back of
 	// newer data, simulated via a direct engine write).
 	p.shards[0].ApplyBatch([]core.Change{{Op: core.OpPut, Key: "b1", Value: "newer"}})
-	back, _ := partition.NewEpochVersioned(5, 2, "m")
-	p.ApplyMapUpdate(back, peers, map[int]bool{0: true})
+	back := viewAt(t, 5, 2, "m", peers, 0)
+	p.ApplyMapUpdate(back)
 	if v, ok := p.Get("b1"); !ok || v != "newer" {
 		t.Fatalf("restore clobbered a newer write: %q %v", v, ok)
 	}
@@ -159,8 +163,8 @@ func TestMapUpdateDemotesLostRange(t *testing.T) {
 	p.Put("c1", "v1")
 	p.Put("c2", "v2")
 	// A newer map moves [c0, m) to the other member, with no extraction.
-	taken, _ := partition.NewEpochVersioned(7, 1, "c0")
-	p.ApplyMapUpdate(taken, peers, map[int]bool{0: true})
+	taken := viewAt(t, 7, 1, "c0", peers, 0)
+	p.ApplyMapUpdate(taken)
 	if st := p.RetainedStats(); st.Entries != 1 || st.Rows != 2 {
 		t.Fatalf("lost range not demoted: %+v", st)
 	}
@@ -169,8 +173,8 @@ func TestMapUpdateDemotesLostRange(t *testing.T) {
 		t.Fatal("write accepted for a range this map lost")
 	}
 	// A later map hands it back: restored.
-	back, _ := partition.NewEpochVersioned(7, 2, "m")
-	p.ApplyMapUpdate(back, peers, map[int]bool{0: true})
+	back := viewAt(t, 7, 2, "m", peers, 0)
+	p.ApplyMapUpdate(back)
 	for _, k := range []string{"c1", "c2"} {
 		if v, ok := p.Get(k); !ok || v == "" {
 			t.Fatalf("demoted row %s not restored: %q %v", k, v, ok)
@@ -195,23 +199,19 @@ func TestReplicateReachesEverySibling(t *testing.T) {
 	src := keys.Range{Lo: "", Hi: "t|"} // cluster owner 0: both source tables
 	rows := []core.KV{{Key: "p|bob|100", Value: "Hi"}, {Key: "s|ann|bob", Value: "1"}}
 	mine, theirs := []string{"me:1", "me:1"}, []string{"other:1", "me:1"}
-	all, upper := map[int]bool{0: true, 1: true}, map[int]bool{1: true}
-	at := func(version int64) *partition.Map {
-		m, err := partition.NewEpochVersioned(1, version, "t|")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	all, upper := []int{0, 1}, []int{1}
+	at := func(version int64, peers []string, self []int) *partition.View {
+		return viewAt(t, 1, version, "t|", peers, self...)
 	}
 	// meshed builds a two-shard member gated at version 0, with the
 	// timeline join over external sources when early is set.
-	meshed := func(t *testing.T, peers []string, self map[int]bool, early bool) *Pool {
+	meshed := func(t *testing.T, peers []string, self []int, early bool) *Pool {
 		p, err := New(Config{Shards: 2, Bounds: []string{"t|"}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
-		p.ApplyMapUpdate(at(0), peers, self)
+		p.ApplyMapUpdate(at(0, peers, self))
 		if early {
 			if err := p.InstallText(join); err != nil {
 				t.Fatal(err)
@@ -223,7 +223,7 @@ func TestReplicateReachesEverySibling(t *testing.T) {
 	cases := map[string]func(t *testing.T) *Pool{
 		"splice": func(t *testing.T) *Pool {
 			p := meshed(t, theirs, upper, true)
-			if err := p.SpliceClusterRange(core.RangeState{R: src, KVs: rows}, at(1), mine, all); err != nil {
+			if err := p.SpliceClusterRange(core.RangeState{R: src, KVs: rows}, at(1, mine, all)); err != nil {
 				t.Fatal(err)
 			}
 			return p
@@ -232,7 +232,7 @@ func TestReplicateReachesEverySibling(t *testing.T) {
 			p := meshed(t, theirs, upper, true)
 			// A replica feed lands rows on their owning shard only.
 			p.ApplyReplica([]core.Change{{Op: core.OpPut, Key: rows[0].Key, Value: rows[0].Value}, {Op: core.OpPut, Key: rows[1].Key, Value: rows[1].Value}})
-			p.ApplyMapUpdate(at(1), mine, all)
+			p.ApplyMapUpdate(at(1, mine, all))
 			return p
 		},
 		"retained restore": func(t *testing.T) *Pool {
@@ -240,10 +240,10 @@ func TestReplicateReachesEverySibling(t *testing.T) {
 			for _, kv := range rows {
 				p.Put(kv.Key, kv.Value)
 			}
-			if _, err := p.ExtractClusterRange(src, at(1), theirs, upper); err != nil {
+			if _, err := p.ExtractClusterRange(src, at(1, theirs, upper)); err != nil {
 				t.Fatal(err)
 			}
-			p.ApplyMapUpdate(at(2), mine, all) // handed back with no splice
+			p.ApplyMapUpdate(at(2, mine, all)) // handed back with no splice
 			if st := p.RetainedStats(); st.Entries != 0 {
 				t.Fatalf("retained entry not consumed by the restore: %+v", st)
 			}
@@ -275,5 +275,39 @@ func TestReplicateReachesEverySibling(t *testing.T) {
 				t.Fatalf("timeline computed on the sibling shard = %v, %v", kvs, err)
 			}
 		})
+	}
+}
+
+// TestGateChecksDoNotAllocate: the per-operation ownership check — one
+// atomic load, one Owner lookup, one slice index — costs an owned
+// operation no allocation, for a key and for a range spanning several
+// self-owned owner indexes.
+func TestGateChecksDoNotAllocate(t *testing.T) {
+	p, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	v, err := partition.Wire{Bounds: []string{"g", "p", "t|"}, Peers: []string{"a:1", "a:2", "a:2", "a:1"}, Self: []int{1, 2}}.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ApplyMapUpdate(v)
+	key, r := "p|bob|0000000100", keys.Range{Lo: "h", Hi: "s|zed}"}
+	if err := p.gateCheckKey(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.gateCheckRange(r); err != nil {
+		t.Fatal(err)
+	}
+	if p.gateCheckKey("a") == nil || p.gateCheckRange(keys.Range{Lo: "h", Hi: "u"}) == nil {
+		t.Fatal("gate let through what it does not own")
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if p.gateCheckKey(key) != nil || p.gateCheckRange(r) != nil {
+			panic("owned operation bounced")
+		}
+	}); n != 0 {
+		t.Fatalf("gate checks allocate %v times per operation", n)
 	}
 }

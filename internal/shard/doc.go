@@ -35,13 +35,8 @@
 //     (Pool.MoveBound), publishing a versioned successor
 //     partition.Map. Every routed operation re-validates shard
 //     ownership under the shard lock it holds.
-//   - Between servers (clustergate.go): a mesh-wired cluster member
-//     holds a Gate — the versioned cluster map plus its own owner
-//     indexes — and the same under-lock re-validation makes
-//     server-to-server migration loss-free: ExtractClusterRange
-//     atomically stops serving a departing range (later operations fail
-//     with NotOwnerError carrying the current map), SpliceClusterRange
-//     atomically starts serving an arriving one, and ApplyMapUpdate
-//     retires stale replicas of ranges that moved between other
-//     servers.
+//   - Between servers (clustergate.go): a cluster member's pool holds
+//     the cluster's partition.View as its gate, and the same under-lock
+//     re-validation makes server-to-server migration loss-free (DESIGN.md
+//     "The versioned cluster map and the ownership gate").
 package shard

@@ -71,7 +71,7 @@ type Pool struct {
 	// cluster ownership under their shard lock exactly as they re-validate
 	// pmap, so a server-to-server migration can atomically stop this
 	// process serving a range.
-	gate atomic.Pointer[Gate]
+	gate atomic.Pointer[partition.View]
 
 	// reb is the load-aware rebalancer (rebalance.go); zero-valued and
 	// inert unless Config.Rebalance was set.
@@ -287,7 +287,7 @@ func (p *Pool) onChange(i int, c core.Change) {
 			// is itself the cluster home for arrive as direct writes to
 			// one shard and must replicate to siblings whose joins read
 			// them (no peer pushes them to us).
-			if g := p.gate.Load(); g != nil && g.OwnsKey(c.Key) {
+			if g := p.gate.Load(); g != nil && g.Owns(c.Key) {
 				rep = true
 			}
 		}
@@ -445,7 +445,7 @@ func (p *Pool) Put(key, value string) {
 }
 
 // PutGated is Put that first re-validates cluster ownership under the
-// shard lock, failing with *NotOwnerError when a server-to-server
+// shard lock, failing with *partition.NotOwnerError when a server-to-server
 // migration has moved the key — the write path network servers use, so
 // a racing client cannot land a write on a server that just gave the
 // range away (the write would be silently lost). Identical to Put on
@@ -1020,7 +1020,7 @@ func (p *Pool) replicate(owner int, rows []core.KV) {
 	at := time.Now()
 	for _, kv := range rows {
 		t := keys.Table(kv.Key)
-		if !fwd[t] && !(ext[t] && g != nil && g.OwnsKey(kv.Key)) {
+		if !fwd[t] && !(ext[t] && g != nil && g.Owns(kv.Key)) {
 			continue
 		}
 		c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
