@@ -26,7 +26,7 @@ import (
 	"strings"
 	"sync"
 
-	"pequod/internal/rbtree"
+	"pequod/internal/btree"
 )
 
 // Row is a tuple of column values (ints as decimal strings).
@@ -53,7 +53,7 @@ type tuple struct {
 // Table is one relation with its primary B-tree index.
 type Table struct {
 	schema Schema
-	index  rbtree.Tree[*tuple]
+	index  btree.Tree[*tuple]
 }
 
 // Trigger runs after an insert into its table, inside the same
@@ -151,10 +151,8 @@ func (db *DB) insertLocked(table string, row Row, stmt bool) error {
 	copy(vals, row)
 	tp := &tuple{xmin: db.xid, vals: vals}
 	key := t.keyOf(vals)
-	n, existed := t.index.Insert(key, tp)
-	if existed {
-		n.Val.xmax = db.xid // dead version; replaced in place
-		n.Val = tp
+	if old, existed := t.index.Set(key, tp, nil); existed {
+		old.xmax = db.xid // dead version; replaced in place
 	}
 	db.walRecord('I', table, vals)
 	for _, tr := range db.triggers[table] {
@@ -179,13 +177,12 @@ func (db *DB) Delete(table string, keyParts ...string) bool {
 	}
 	db.xid++
 	db.Deletes++
-	n := t.index.Find(EncodeKey(keyParts...))
-	if n == nil {
+	tp, ok := t.index.Delete(EncodeKey(keyParts...))
+	if !ok {
 		return false
 	}
-	n.Val.xmax = db.xid
-	t.index.Delete(n)
-	db.walRecord('D', table, n.Val.vals)
+	tp.xmax = db.xid
+	db.walRecord('D', table, tp.vals)
 	return true
 }
 
@@ -205,8 +202,7 @@ func (db *DB) selectRangeLocked(table, lo, hi string) ([]Row, error) {
 	db.Selects++
 	snapshot := db.xid
 	var out []Row
-	t.index.Ascend(lo, hi, func(n *rbtree.Node[*tuple]) bool {
-		tp := n.Val
+	t.index.Ascend(lo, hi, func(_ string, tp *tuple) bool {
 		// Visibility: committed before our snapshot and not deleted.
 		if tp.xmin <= snapshot && (tp.xmax == 0 || tp.xmax > snapshot) {
 			row := make(Row, len(tp.vals))

@@ -3,7 +3,9 @@
 // order, and interior nodes hold separators only. A timeline scan
 // therefore walks a few arrays instead of chasing one pointer per row,
 // and the garbage collector marks one object per leaf instead of one per
-// row.
+// row. The same tree orders a store's tables and subtables and, probed
+// from the floor (AscendFloor), indexes the engine's disjoint ranges:
+// join statuses and presence records.
 //
 // Four properties are load-bearing for Pequod:
 //
@@ -468,6 +470,28 @@ func (lf *leaf[V]) end(hi string) (int, bool) {
 // continues from the first key after the one fn was given.
 func (t *Tree[V]) Ascend(lo, hi string, fn func(k string, v V) bool) bool {
 	lf, i := t.seek(lo)
+	return t.ascend(lf, i, hi, fn)
+}
+
+// AscendFloor is Ascend started one pair early when lo itself is not a
+// key: at the last key below lo, if there is one. In a tree of disjoint
+// ranges keyed by where they start, that is the one range starting
+// outside [lo, hi) that can still reach into it.
+func (t *Tree[V]) AscendFloor(lo, hi string, fn func(k string, v V) bool) bool {
+	lf, i := t.seek(lo)
+	switch {
+	case lf == nil || (i < lf.n && lf.keys[i] == lo):
+	case i > 0:
+		i--
+	case lf.prev != nil:
+		lf = lf.prev
+		i = lf.n - 1
+	}
+	return t.ascend(lf, i, hi, fn)
+}
+
+// ascend is the scan both Ascends run, from slot i of lf.
+func (t *Tree[V]) ascend(lf *leaf[V], i int, hi string, fn func(k string, v V) bool) bool {
 	gen := t.gen
 scan:
 	for lf != nil {

@@ -76,6 +76,23 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 		runs = append(runs, ks...)
 		return true
 	})
+	// AscendFloor is the same scan started at the last key below lo,
+	// unless lo is itself a key.
+	f, end := i, len(m.keys)
+	if f > 0 && (f == len(m.keys) || m.keys[f] != lo) {
+		f--
+	}
+	if hi != "" {
+		end = max(f, sort.SearchStrings(m.keys, hi))
+	}
+	var floor []string
+	tr.AscendFloor(lo, hi, func(k string, v int) bool {
+		floor = append(floor, k)
+		return true
+	})
+	if fmt.Sprint(floor) != fmt.Sprint(m.keys[f:end]) {
+		t.Fatalf("%s: AscendFloor [%q,%q) gave %q, model %q", when, lo, hi, floor, m.keys[f:end])
+	}
 	for name, g := range map[string][]string{"Ascend": got, "AscendRuns": runs} {
 		if len(g) != len(want) {
 			t.Fatalf("%s: %s [%q,%q) gave %d keys, model %d", when, name, lo, hi, len(g), len(want))

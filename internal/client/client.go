@@ -313,11 +313,6 @@ func replyErr(m *rpc.Message, err error) error {
 	return nil
 }
 
-// ReplyErr folds a (reply, transport error) pair into one error,
-// surfacing server-reported failures — the shared error path for callers
-// driving the async API directly.
-func ReplyErr(m *rpc.Message, err error) error { return replyErr(m, err) }
-
 // CollectReplies waits out every future under ctx — the second half of
 // a pipelined batch (many Sends, then one CollectReplies). All futures
 // are waited even after a failure, so sibling requests settle rather
@@ -388,11 +383,6 @@ func (c *Client) PutAsync(key, value string) *Future {
 	return c.send(&rpc.Message{Type: rpc.MsgPut, Key: key, Value: value})
 }
 
-// RemoveAsync deletes a key.
-func (c *Client) RemoveAsync(key string) *Future {
-	return c.send(&rpc.Message{Type: rpc.MsgRemove, Key: key})
-}
-
 // ScanAsync reads [lo, hi) up to limit pairs (0 = unlimited). subscribe
 // asks the server to install a base-data subscription for the range
 // (server-to-server replication, §2.4).
@@ -452,22 +442,6 @@ func (c *Client) Send(ctx context.Context, m *rpc.Message) *Future {
 	return c.send(m)
 }
 
-// CountAsync counts keys in [lo, hi).
-func (c *Client) CountAsync(lo, hi string) *Future {
-	return c.send(&rpc.Message{Type: rpc.MsgCount, Lo: lo, Hi: hi})
-}
-
-// AddJoinAsync installs cache joins from their textual form.
-func (c *Client) AddJoinAsync(text string) *Future {
-	return c.send(&rpc.Message{Type: rpc.MsgAddJoin, Text: text})
-}
-
-// NotifyAsync pushes a change batch (used by peers and the write-around
-// database feed).
-func (c *Client) NotifyAsync(changes []rpc.Change) *Future {
-	return c.send(&rpc.Message{Type: rpc.MsgNotify, Changes: changes})
-}
-
 // --- Sync API ---
 
 // Get returns the value for key.
@@ -487,7 +461,7 @@ func (c *Client) Put(key, value string) error {
 
 // Remove deletes key, reporting whether it existed.
 func (c *Client) Remove(key string) (bool, error) {
-	m, err := c.RemoveAsync(key).Wait()
+	m, err := c.send(&rpc.Message{Type: rpc.MsgRemove, Key: key}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return false, err
 	}
@@ -505,17 +479,11 @@ func (c *Client) Scan(lo, hi string, limit int) ([]rpc.KV, error) {
 
 // Count returns the number of keys in [lo, hi).
 func (c *Client) Count(lo, hi string) (int64, error) {
-	m, err := c.CountAsync(lo, hi).Wait()
+	m, err := c.send(&rpc.Message{Type: rpc.MsgCount, Lo: lo, Hi: hi}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return 0, err
 	}
 	return m.Count, nil
-}
-
-// AddJoin installs cache joins ("add-join" RPC, §3).
-func (c *Client) AddJoin(text string) error {
-	m, err := c.AddJoinAsync(text).Wait()
-	return replyErr(m, err)
 }
 
 // Stat returns the server's JSON statistics snapshot.
@@ -527,103 +495,13 @@ func (c *Client) Stat() (string, error) {
 	return m.Value, nil
 }
 
-// Stats fetches and decodes the server's engine counters (summed across
-// its shards).
+// Stats fetches the server's engine counters (summed across its shards).
 func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
-	m, err := c.Do(ctx, &rpc.Message{Type: rpc.MsgStat})
+	s, err := c.StatSnapshot(ctx)
 	if err != nil {
 		return core.Stats{}, err
 	}
-	var snap struct {
-		Stats core.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal([]byte(m.Value), &snap); err != nil {
-		return core.Stats{}, fmt.Errorf("pequod client: bad stat reply: %w", err)
-	}
-	return snap.Stats, nil
-}
-
-// StatSnapshot is the decoded form of the server's stat JSON: identity,
-// footprint, engine counters, the load block a cluster rebalancer
-// polls, and (on cluster members) the published cluster map.
-type StatSnapshot struct {
-	Name    string     `json:"name"`
-	ID      string     `json:"id"`
-	Shards  int        `json:"shards"`
-	Entries int        `json:"entries"`
-	Bytes   int64      `json:"bytes"`
-	Stats   core.Stats `json:"stats"`
-	Load    struct {
-		Units   int64    `json:"units"`
-		Samples []string `json:"samples"`
-	} `json:"load"`
-	Joins string `json:"joins"`
-	// Staleness is the member's deferred-maintenance debt: the
-	// forwarded-write queue lag, the deferred spans bounded reads trade
-	// against their budgets, and the bounded-read activity counters.
-	Staleness struct {
-		LagUS      int64 `json:"lag_us"`
-		DebtSpans  int   `json:"debt_spans"`
-		DebtOldUS  int64 `json:"debt_old_us"`
-		BoundedSrv int64 `json:"bounded_srv"`
-		PartialInv int64 `json:"partial_inv"`
-		DirtyRecmp int64 `json:"dirty_recmp"`
-	} `json:"staleness"`
-	// Loads is the cold path's activity (§3.3): base ranges fetched, the
-	// loader calls that carried them, fetches given up on, and
-	// executions that found data missing and restarted. NSubs is the
-	// number of cross-server subscriptions the server holds as a home.
-	Loads struct {
-		Started  int64 `json:"started"`
-		Batched  int64 `json:"batched"`
-		Failed   int64 `json:"failed"`
-		Restarts int64 `json:"restarts"`
-	} `json:"loads"`
-	NSubs   int64 `json:"nsubs"`
-	Durable *struct {
-		Dir           string `json:"dir"`
-		LagBytes      int64  `json:"lag_bytes"`
-		Segment       int64  `json:"segment"`
-		SegmentBytes  int64  `json:"segment_bytes"`
-		Snapshot      int64  `json:"snapshot"`
-		SnapshotAgeMS int64  `json:"snapshot_age_ms"`
-		Dropped       int64  `json:"dropped_records,omitempty"`
-		Err           string `json:"error,omitempty"`
-
-		// Failure and damage surfaces: records held for flush retry,
-		// segments rotated away after failed writes, and the lineage
-		// damage set maintained by recovery replay and the background
-		// scrub (corrupt entries mean fsynced data was lost mid-lineage
-		// — unlike a torn recovery tail, which is the expected crash
-		// window).
-		PendingRecords   int64   `json:"pending_records,omitempty"`
-		FailedRotations  int64   `json:"failed_rotations,omitempty"`
-		ScrubRuns        int64   `json:"scrub_runs,omitempty"`
-		CorruptSegments  []int64 `json:"corrupt_segments,omitempty"`
-		CorruptSnapshots []int64 `json:"corrupt_snapshots,omitempty"`
-		Compactions      int64   `json:"compactions,omitempty"`
-		ReclaimedBytes   int64   `json:"reclaimed_bytes,omitempty"`
-
-		Recovery *struct {
-			SnapshotRows     int     `json:"snapshot_rows"`
-			LogSegments      int     `json:"log_segments"`
-			LogRecords       int     `json:"log_records"`
-			RestoredRows     int     `json:"restored_rows"`
-			RestoredWarm     int     `json:"restored_warm"`
-			Torn             bool    `json:"torn,omitempty"`
-			CorruptSegments  []int64 `json:"corrupt_segments,omitempty"`
-			CorruptSnapshots []int64 `json:"corrupt_snapshots,omitempty"`
-		} `json:"recovery,omitempty"`
-	} `json:"durable,omitempty"`
-	Cluster *struct {
-		Epoch    int64    `json:"epoch"`
-		Version  int64    `json:"version"`
-		Bounds   []string `json:"bounds"`
-		Peers    []string `json:"peers"`
-		Self     []int    `json:"self"`
-		Retained int      `json:"retained"`
-		Replicas int      `json:"replicas"`
-	} `json:"cluster"`
+	return s.Stats, nil
 }
 
 // StatSnapshot fetches and decodes the server's statistics snapshot.

@@ -123,6 +123,11 @@ func (es *echoServer) push(changes []rpc.Change) error {
 	return es.conns[0].write(&rpc.Message{Type: rpc.MsgNotify, Changes: changes})
 }
 
+func addJoin(c *Client, text string) error {
+	_, err := c.Do(context.Background(), &rpc.Message{Type: rpc.MsgAddJoin, Text: text})
+	return err
+}
+
 func TestSyncOps(t *testing.T) {
 	_, c := startEcho(t)
 	v, found, err := c.Get("k1")
@@ -145,10 +150,10 @@ func TestSyncOps(t *testing.T) {
 		t.Fatalf("Stat = %q %v", st, err)
 	}
 	// Server-reported errors surface as Go errors.
-	if err := c.AddJoin("bad"); err == nil {
+	if err := addJoin(c, "bad"); err == nil {
 		t.Fatal("error reply not surfaced")
 	}
-	if err := c.AddJoin("good"); err != nil {
+	if err := addJoin(c, "good"); err != nil {
 		t.Fatal(err)
 	}
 	if c.RPCs() == 0 {

@@ -514,117 +514,46 @@ func (cl *Cluster) Remove(ctx context.Context, key string) (bool, error) {
 	return m.Found, nil
 }
 
-// Scan returns up to limit (0 = all) pairs in [lo, hi), splitting the
-// range by home server, fetching the pieces concurrently, and
-// concatenating the sorted pieces in key order — shard.Pool's fan-out
-// on the wire. Limited scans visit pieces sequentially with the
-// remaining limit, like the pool, so servers whose rows would be
-// truncated anyway are not forced to materialize joins. A piece whose
-// range migrated mid-scan fails with NotOwner; the scan adopts the
-// newer map, re-splits, and retries whole, so no piece is ever served
-// by a server that owns only part of it.
+// gather is partition.Gather over the cluster: each piece goes to the
+// member homing its low end under the view current when it is sent — a
+// member that does not own all of it answers NotOwner — and a failed
+// piece starts the whole request over if retryOp says so.
+func gather[T any](ctx context.Context, cl *Cluster, lo, hi string, limit int,
+	piece func(addr string, pc partition.Shard, limit int) ([]T, error)) ([]T, error) {
+	out, err := partition.Gather(cl.Map, keys.Range{Lo: lo, Hi: hi}, limit, false, nil,
+		func(pc partition.Shard, limit int, _ []T) ([]T, error) {
+			return piece(cl.v.Load().OwnerAddr(pc.R.Lo), pc, limit)
+		},
+		func(err error, attempt int) bool { return cl.retryOp(ctx, err, attempt) })
+	return out, wrapDown("", err)
+}
+
+// Scan returns up to limit (0 = all) pairs in [lo, hi) across the
+// members homing it (DESIGN.md "A read, end to end").
 func (cl *Cluster) Scan(ctx context.Context, lo, hi string, limit int) ([]core.KV, error) {
-	for attempt := 0; ; attempt++ {
-		kvs, err := cl.scanOnce(ctx, lo, hi, limit)
-		if err == nil || !cl.retryOp(ctx, err, attempt) {
-			return kvs, wrapDown("", err)
+	return gather(ctx, cl, lo, hi, limit, func(addr string, pc partition.Shard, limit int) ([]core.KV, error) {
+		m, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgScan, Lo: pc.R.Lo, Hi: pc.R.Hi, Limit: limit})
+		if err != nil {
+			return nil, err
 		}
-	}
+		return m.KVs, nil
+	})
 }
 
-// scanOnce runs one scan attempt against a snapshot of the map.
-func (cl *Cluster) scanOnce(ctx context.Context, lo, hi string, limit int) ([]core.KV, error) {
-	v := cl.v.Load()
-	pieces := v.Map().Split(keys.Range{Lo: lo, Hi: hi})
-	switch {
-	case len(pieces) == 0:
-		return nil, nil
-	case len(pieces) == 1:
-		return cl.scanPiece(ctx, v, pieces[0], limit)
-	case limit > 0:
-		var out []core.KV
-		for _, pc := range pieces {
-			kvs, err := cl.scanPiece(ctx, v, pc, limit-len(out))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, kvs...)
-			if len(out) >= limit {
-				break
-			}
+// Count returns the number of keys in [lo, hi): the sum of the members'
+// counts of their pieces.
+func (cl *Cluster) Count(ctx context.Context, lo, hi string) (total int64, err error) {
+	counts, err := gather(ctx, cl, lo, hi, 0, func(addr string, pc partition.Shard, _ int) ([]int64, error) {
+		m, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgCount, Lo: pc.R.Lo, Hi: pc.R.Hi})
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	results := make([][]core.KV, len(pieces))
-	errs := make([]error, len(pieces))
-	var wg sync.WaitGroup
-	for i, pc := range pieces {
-		i, pc := i, pc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = cl.scanPiece(ctx, v, pc, limit)
-		}()
-	}
-	wg.Wait()
-	var out []core.KV
-	for i, r := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, r...)
-	}
-	return out, nil
-}
-
-func (cl *Cluster) scanPiece(ctx context.Context, v *partition.View, pc partition.Shard, limit int) ([]core.KV, error) {
-	m, err := cl.do(ctx, v.Addrs()[pc.Owner], &rpc.Message{Type: rpc.MsgScan, Lo: pc.R.Lo, Hi: pc.R.Hi, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return m.KVs, nil
-}
-
-// Count returns the number of keys in [lo, hi), summing concurrent
-// per-server counts. Like Scan, it re-splits and retries whole when a
-// piece migrated mid-count.
-func (cl *Cluster) Count(ctx context.Context, lo, hi string) (int64, error) {
-	for attempt := 0; ; attempt++ {
-		n, err := cl.countOnce(ctx, lo, hi)
-		if err == nil || !cl.retryOp(ctx, err, attempt) {
-			return n, wrapDown("", err)
-		}
-	}
-}
-
-func (cl *Cluster) countOnce(ctx context.Context, lo, hi string) (int64, error) {
-	v := cl.v.Load()
-	pieces := v.Map().Split(keys.Range{Lo: lo, Hi: hi})
-	counts := make([]int64, len(pieces))
-	errs := make([]error, len(pieces))
-	var wg sync.WaitGroup
-	for i, pc := range pieces {
-		i, pc := i, pc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := cl.do(ctx, v.Addrs()[pc.Owner], &rpc.Message{Type: rpc.MsgCount, Lo: pc.R.Lo, Hi: pc.R.Hi})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			counts[i] = m.Count
-		}()
-	}
-	wg.Wait()
-	var total int64
-	for i, n := range counts {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
+		return []int64{m.Count}, nil
+	})
+	for _, n := range counts {
 		total += n
 	}
-	return total, nil
+	return total, err
 }
 
 // batch sends one request per element — pipelined, one round per server,

@@ -369,3 +369,69 @@ func TestCancellation(t *testing.T) {
 		t.Fatalf("Get after cancellation = %q %v %v", v, found, err)
 	}
 }
+
+// TestGatherOverCluster: the three things the split–gather–re-split
+// helper promises (partition's TestGather scripts it; shard's
+// TestGatherOverPool shows them inside a server), seen through
+// Cluster.Scan and Cluster.Count on the wire.
+func TestGatherOverCluster(t *testing.T) {
+	ctx := context.Background()
+	addrs := startServers(t, 2)
+	cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"k"}})
+	for _, k := range []string{"a1", "a2", "a3", "x1", "x2"} {
+		if err := cl.Put(ctx, k, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(kvs []core.KV) (ks []string) {
+		for _, kv := range kvs {
+			ks = append(ks, kv.Key)
+		}
+		return ks
+	}
+
+	// A limit the first piece meets visits no second piece: one RPC.
+	before := cl.RPCs()
+	kvs, err := cl.Scan(ctx, "", "", 2)
+	if err != nil || !reflect.DeepEqual(key(kvs), []string{"a1", "a2"}) || cl.RPCs() != before+1 {
+		t.Fatalf("limited scan = %v, %v in %d RPCs", key(kvs), err, cl.RPCs()-before)
+	}
+	// One that runs over asks the next piece for what is left.
+	if kvs, err = cl.Scan(ctx, "", "", 4); err != nil || !reflect.DeepEqual(key(kvs), []string{"a1", "a2", "a3", "x1"}) {
+		t.Fatalf("scan limited across members = %v, %v", key(kvs), err)
+	}
+	// Unlimited fans out: one RPC per member, results in key order.
+	before = cl.RPCs()
+	kvs, err = cl.Scan(ctx, "", "", 0)
+	if err != nil || !reflect.DeepEqual(key(kvs), []string{"a1", "a2", "a3", "x1", "x2"}) || cl.RPCs() != before+2 {
+		t.Fatalf("unlimited scan = %v, %v in %d RPCs", key(kvs), err, cl.RPCs()-before)
+	}
+	before = cl.RPCs()
+	if n, err := cl.Count(ctx, "", ""); err != nil || n != 5 || cl.RPCs() != before+2 {
+		t.Fatalf("count = %d, %v in %d RPCs", n, err, cl.RPCs()-before)
+	}
+
+	// A piece refused because its range moved re-splits against the map
+	// the refusal carried: a second coordinator moves the bound, and the
+	// first client's next scan and count still see every row once.
+	other := newCluster(t, Config{Addrs: addrs, Bounds: []string{"k"}})
+	if err := other.MoveBound(ctx, 0, "a3"); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Map().Version() != 0 {
+		t.Fatalf("the stale client already holds v%d", cl.Map().Version())
+	}
+	if n, err := cl.Count(ctx, "", ""); err != nil || n != 5 {
+		t.Fatalf("count through a stale map = %d, %v", n, err)
+	}
+	if cl.Map().Version() != 1 || cl.Map().Bound(0) != "a3" {
+		t.Fatalf("after the bounce the client holds v%d %v", cl.Map().Version(), cl.Map().Bounds())
+	}
+	if err := other.MoveBound(ctx, 0, "b"); err != nil {
+		t.Fatal(err)
+	}
+	kvs, err = cl.Scan(ctx, "", "", 0)
+	if err != nil || !reflect.DeepEqual(key(kvs), []string{"a1", "a2", "a3", "x1", "x2"}) || cl.Map().Bound(0) != "b" {
+		t.Fatalf("scan through a stale map = %v, %v (bounds %v)", key(kvs), err, cl.Map().Bounds())
+	}
+}

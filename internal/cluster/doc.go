@@ -6,12 +6,10 @@
 // A Cluster holds the cluster's partition.View (DESIGN.md "The versioned
 // cluster map and the ownership gate"). Point operations
 // (Get/Put/Remove) go to the key's home server; range operations
-// (Scan/Count) split the range by owner, fan the pieces out concurrently
-// over the per-server pipelined connections, and concatenate the sorted
-// pieces — the same merge the in-process shard.Pool performs, lifted
-// onto the wire. Batch operations pipeline every element before waiting
-// on any, so a batch costs one network round trip per server touched,
-// not per element.
+// (Scan/Count) are gathered over the per-server pipelined connections
+// (DESIGN.md "A read, end to end"). Batch operations pipeline every
+// element before waiting on any, so a batch costs one network round trip
+// per server touched, not per element.
 //
 // Installing joins through the cluster also wires the mesh: every
 // member receives the join set, and each member is told (via the

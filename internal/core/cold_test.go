@@ -58,8 +58,8 @@ func (r *coldRig) StartLoads(loads []Load) {
 // load lands, so it already contains them.)
 func (r *coldRig) resident(key string) bool {
 	pt := r.cold.presence[keys.Table(key)]
-	n := pt.ranges.SeekAtOrBefore(key)
-	return n != nil && n.Val.r.Contains(key) && !n.Val.loading
+	pr, ok := pt.at(key)
+	return ok && !pr.loading
 }
 
 func (r *coldRig) put(k, v string) {
@@ -178,9 +178,9 @@ func TestColdReadExecutesJoinOnce(t *testing.T) {
 		if pending != want || len(r.inflight) != want {
 			t.Fatalf("round %d: pending=%d, %d loads in flight, want %d", round, pending, len(r.inflight), want)
 		}
-		if len(kvs) != 0 || r.outputs() != 0 || r.updaters() != 0 || r.cold.joins[0].status.Len() != 0 {
+		if len(kvs) != 0 || r.outputs() != 0 || r.updaters() != 0 || r.cold.joins[0].status.t.Len() != 0 {
 			t.Fatalf("round %d installed state before its loads landed: %d rows returned, %d stored, %d updater contexts, %d statuses",
-				round, len(kvs), r.outputs(), r.updaters(), r.cold.joins[0].status.Len())
+				round, len(kvs), r.outputs(), r.updaters(), r.cold.joins[0].status.t.Len())
 		}
 		w := r.cold.LoadWait()
 		for len(r.inflight) > 0 {
@@ -358,7 +358,7 @@ func TestEagerDeltaMissJoinsTheLog(t *testing.T) {
 	if len(r.inflight) != 1 || r.inflight[0].R.Lo != "p|liz|" {
 		t.Fatalf("the blocked delta started %v", r.inflight)
 	}
-	st := r.cold.joins[0].status.First().Val
+	st, _ := r.cold.joins[0].status.at("t|ann|")
 	if len(st.logs) != 1 || r.outputs() != 1 {
 		t.Fatalf("blocked delta: %d log entries, %d outputs", len(st.logs), r.outputs())
 	}

@@ -84,18 +84,6 @@ func TestGetThroughLoader(t *testing.T) {
 	}
 }
 
-func TestCountComputesJoins(t *testing.T) {
-	e := newTwipEngine(t, Options{})
-	e.Put("s|ann|bob", "1")
-	for i := 0; i < 7; i++ {
-		e.Put(fmt.Sprintf("p|bob|%03d", i), "x")
-	}
-	n, pending := e.Count("t|ann|", "t|ann}")
-	if n != 7 || pending != 0 {
-		t.Fatalf("Count = %d, %d", n, pending)
-	}
-}
-
 func TestInterleavedLiteralGapsStayEmpty(t *testing.T) {
 	// Scanning a tag subrange that the join never produces must be cheap
 	// and correct (empty), and must not corrupt later full scans.

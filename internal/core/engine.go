@@ -17,7 +17,6 @@ import (
 	"pequod/internal/interval"
 	"pequod/internal/join"
 	"pequod/internal/keys"
-	"pequod/internal/rbtree"
 	"pequod/internal/store"
 )
 
@@ -186,7 +185,7 @@ func (e *Engine) SetLoader(l BaseLoader, tables ...string) {
 	e.loader = l
 	for _, t := range tables {
 		if e.presence[t] == nil {
-			e.presence[t] = newPresenceTable()
+			e.presence[t] = &presenceTable{}
 		}
 	}
 	e.markProbes()
@@ -203,7 +202,7 @@ type installedJoin struct {
 	// status holds this join's join status ranges keyed by range start;
 	// ranges are disjoint and cover exactly the materialized portions of
 	// the output space (§3.2).
-	status rbtree.Tree[*JoinStatus]
+	status cover[*JoinStatus]
 	// probes is set when some source is loader-backed, directly or
 	// through a join feeding it: only then can an execution find base
 	// data missing, so only then does it run a discovery pass before
@@ -492,18 +491,6 @@ func (e *Engine) evictAfterRead(pending int) {
 	}
 }
 
-// Count returns the number of keys in [lo, hi) after join computation.
-func (e *Engine) Count(lo, hi string) (n int, pending int) {
-	kvs, pending := e.Scan(lo, hi, 0)
-	return len(kvs), pending
-}
-
-// CountBounded is Count with a staleness budget (see GetBounded).
-func (e *Engine) CountBounded(lo, hi string, maxStale time.Duration) (n int, pending int) {
-	kvs, pending := e.ScanIntoBounded(lo, hi, 0, nil, maxStale)
-	return len(kvs), pending
-}
-
 // ensureRangeBounded computes every installed join overlapping r and
 // resolves direct reads of loader-backed base ranges ("If a request is
 // made for a database-sourced key, Pequod will query the database and
@@ -555,8 +542,7 @@ func (e *Engine) ensureRangeBounded(r keys.Range, overlay *[]KV, maxStale time.D
 // not per read (reads age their own ranges inside ensure).
 func (e *Engine) StalenessDebt(now time.Time) (spans int, oldest time.Duration) {
 	for _, ij := range e.joins {
-		for n := ij.status.First(); n != nil; n = n.Next() {
-			st := n.Val
+		ij.status.all(func(st *JoinStatus) {
 			for _, d := range st.dirty {
 				spans++
 				if a := now.Sub(d.at); a > oldest {
@@ -569,7 +555,7 @@ func (e *Engine) StalenessDebt(now time.Time) (spans int, oldest time.Duration) 
 					oldest = a
 				}
 			}
-		}
+		})
 	}
 	return spans, oldest
 }

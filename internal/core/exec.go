@@ -122,9 +122,7 @@ func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 		}
 	}
 	st := &JoinStatus{ij: ij, r: gap, scanB: b, valid: true}
-	n, _ := ij.status.Insert(gap.Lo, st)
-	n.Val = st
-	st.node = n
+	ij.status.add(st)
 	if ij.j.Maint == join.Snapshot {
 		st.expires = e.now().Add(ij.j.SnapshotT)
 	}

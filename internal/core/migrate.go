@@ -182,12 +182,13 @@ func (e *Engine) DropRange(r keys.Range) {
 func (e *Engine) dropComputed(r keys.Range) []WarmRange {
 	var warm []WarmRange
 	for idx, ij := range e.joins {
-		for _, st := range e.statusesOverlapping(ij, r) {
+		ij.status.walk(r, func(st *JoinStatus) bool {
 			warm = append(warm, WarmRange{Join: idx, R: st.r.Intersect(r)})
 			e.stats.Invalidations++
 			e.detachStatus(st)
 			e.removeOutputsOp(ij, st.r, OpEvict)
-		}
+			return false
+		}, nil)
 	}
 	return warm
 }
@@ -206,24 +207,13 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 		if rr.Empty() {
 			continue
 		}
-		var overlapping []*presRange
-		start := pt.ranges.SeekAtOrBefore(rr.Lo)
-		if start == nil {
-			start = pt.ranges.Seek(rr.Lo)
-		}
-		for n := start; n != nil && (rr.Hi == "" || n.Val.r.Lo < rr.Hi); n = n.Next() {
-			if n.Val.r.Overlaps(rr) {
-				overlapping = append(overlapping, n.Val)
-			}
-		}
-		for _, pr := range overlapping {
+		pt.walk(rr, func(pr *presRange) bool {
 			cut := pr.r.Intersect(rr)
 			if pr.loading {
 				e.dropLoading(pt, pr)
 			} else {
 				e.lru.remove(&pr.lru)
-				pt.ranges.Delete(pr.node)
-				pr.node = nil
+				pt.drop(pr)
 				sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
 				if cut.Hi != "" { // a cut to +inf leaves nothing above
 					sides = append(sides, keys.Range{Lo: cut.Hi, Hi: pr.r.Hi})
@@ -233,8 +223,7 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 						continue
 					}
 					np := &presRange{table: table, r: side}
-					np.node, _ = pt.ranges.Insert(side.Lo, np)
-					np.node.Val = np
+					pt.add(np)
 					e.lruTouch2(&np.lru, np)
 				}
 				e.invalidateRangeDependents(table, cut)
@@ -242,24 +231,9 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 			if each != nil {
 				each(table, cut)
 			}
-		}
+			return false
+		}, nil)
 	}
-}
-
-// statusesOverlapping collects ij's join statuses overlapping r, in
-// range order.
-func (e *Engine) statusesOverlapping(ij *installedJoin, r keys.Range) []*JoinStatus {
-	var out []*JoinStatus
-	start := ij.status.SeekAtOrBefore(r.Lo)
-	if start == nil {
-		start = ij.status.Seek(r.Lo)
-	}
-	for n := start; n != nil && (r.Hi == "" || n.Val.r.Lo < r.Hi); n = n.Next() {
-		if n.Val.r.Overlaps(r) {
-			out = append(out, n.Val)
-		}
-	}
-	return out
 }
 
 // evictRows removes every stored row in r with eviction semantics:

@@ -306,15 +306,14 @@ func TestLoadFailed(t *testing.T) {
 func dumpEngine(e *Engine) string {
 	var b strings.Builder
 	for i, ij := range e.joins {
-		for n := ij.status.First(); n != nil; n = n.Next() {
-			st := n.Val
+		ij.status.all(func(st *JoinStatus) {
 			var dirty []string
 			for _, d := range st.dirty {
 				dirty = append(dirty, d.r.String())
 			}
 			sort.Strings(dirty)
 			fmt.Fprintf(&b, "join %d status %v valid=%v logs=%d updaters=%d dirty=%v\n", i, st.r, st.valid, len(st.logs), len(st.updaters), dirty)
-		}
+		})
 	}
 	var tables []string
 	for tb := range e.presence {
@@ -322,9 +321,9 @@ func dumpEngine(e *Engine) string {
 	}
 	sort.Strings(tables)
 	for _, tb := range tables {
-		for n := e.presence[tb].ranges.First(); n != nil; n = n.Next() {
-			fmt.Fprintf(&b, "presence %s %v loading=%v waiters=%d\n", tb, n.Val.r, n.Val.loading, len(n.Val.waiters))
-		}
+		e.presence[tb].all(func(pr *presRange) {
+			fmt.Fprintf(&b, "presence %s %v loading=%v waiters=%d\n", tb, pr.r, pr.loading, len(pr.waiters))
+		})
 	}
 	fmt.Fprintf(&b, "lru %d\n", e.LRULen())
 	e.s.Scan("", "", func(k string, v *store.Value) bool {

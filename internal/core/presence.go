@@ -2,19 +2,13 @@ package core
 
 import (
 	"pequod/internal/keys"
-	"pequod/internal/rbtree"
 	"pequod/internal/store"
 )
 
 // presenceTable tracks which ranges of a loader-backed base table are
 // resident in the cache (§3.3: "the data is loaded and metadata is
-// installed to indicate its presence").
-type presenceTable struct {
-	// ranges holds disjoint presence records keyed by range start.
-	ranges rbtree.Tree[*presRange]
-}
-
-func newPresenceTable() *presenceTable { return &presenceTable{} }
+// installed to indicate its presence"): disjoint presence records.
+type presenceTable = cover[*presRange]
 
 // presRange is one resident (or in-flight) base range.
 type presRange struct {
@@ -24,9 +18,10 @@ type presRange struct {
 	// waiters lists the reads parked until this load resolves — lands,
 	// fails, or is abandoned by a migration. Empty once resident.
 	waiters []*LoadWait
-	node    *rbtree.Node[*presRange]
 	lru     lruEntry
 }
+
+func (pr *presRange) span() keys.Range { return pr.r }
 
 // LoadWait is a read's restart context (§3.3): the read found base data
 // missing, installed nothing, and retries when every load it is waiting
@@ -82,8 +77,7 @@ func (e *Engine) release(pr *presRange) {
 // result's rows are dropped and its LoadComplete matches nothing) and
 // parked reads retry, restarting the load if they still need it.
 func (e *Engine) dropLoading(pt *presenceTable, pr *presRange) {
-	pt.ranges.Delete(pr.node)
-	pr.node = nil
+	pt.drop(pr)
 	e.release(pr)
 }
 
@@ -92,55 +86,22 @@ func (e *Engine) dropLoading(pt *presenceTable, pr *presRange) {
 // of ranges still in flight (both the new gaps and loads already
 // outstanding) and parks the read in progress on each.
 func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range, gaps *[]Load) (pending int) {
-	// Walk overlapping presence records, accumulating gaps.
-	var overlapping []*presRange
-	start := pt.ranges.SeekAtOrBefore(cr.Lo)
-	if start == nil {
-		start = pt.ranges.Seek(cr.Lo)
-	}
-	for n := start; n != nil; n = n.Next() {
-		pr := n.Val
-		if cr.Hi != "" && pr.r.Lo >= cr.Hi {
-			break
-		}
-		if pr.r.Overlaps(cr) {
-			overlapping = append(overlapping, pr)
-		}
-	}
-	cursor := cr.Lo
-	addGap := func(gap keys.Range) {
-		if gap.Empty() {
-			return
-		}
-		pr := &presRange{table: table, r: gap, loading: true}
-		n, _ := pt.ranges.Insert(gap.Lo, pr)
-		n.Val = pr
-		pr.node = n
-		e.stats.LoadsStarted++
-		pending++
-		e.await(pr)
-		*gaps = append(*gaps, Load{Table: table, R: gap})
-	}
-	for _, pr := range overlapping {
-		if pr.r.Lo > cursor {
-			addGap(keys.Range{Lo: cursor, Hi: pr.r.Lo}.Intersect(cr))
-		}
+	pt.walk(cr, func(pr *presRange) bool {
 		if pr.loading {
 			pending++
 			e.await(pr)
 		} else {
 			e.lruTouch2(&pr.lru, pr)
 		}
-		if keys.HiLess(cursor, pr.r.Hi) {
-			cursor = pr.r.Hi
-			if cursor == "" {
-				break
-			}
-		}
-	}
-	if cursor != "" && (cr.Hi == "" || cursor < cr.Hi) {
-		addGap(keys.Range{Lo: cursor, Hi: cr.Hi})
-	}
+		return true
+	}, func(gap keys.Range) {
+		pr := &presRange{table: table, r: gap, loading: true}
+		pt.add(pr)
+		e.stats.LoadsStarted++
+		pending++
+		e.await(pr)
+		*gaps = append(*gaps, Load{Table: table, R: gap})
+	})
 	return pending
 }
 
@@ -160,8 +121,8 @@ func (e *Engine) loadingRecord(table string, r keys.Range) (*presenceTable, *pre
 	if pt == nil {
 		return nil, nil
 	}
-	if n := pt.ranges.Find(r.Lo); n != nil && n.Val.r == r && n.Val.loading {
-		return pt, n.Val
+	if pr, ok := pt.at(r.Lo); ok && pr.r == r && pr.loading {
+		return pt, pr
 	}
 	return nil, nil
 }
@@ -218,8 +179,8 @@ func (e *Engine) Tracks(key string) bool {
 	if pt == nil {
 		return true
 	}
-	n := pt.ranges.SeekAtOrBefore(key)
-	return n != nil && n.Val.r.Contains(key)
+	_, ok := pt.at(key)
+	return ok
 }
 
 // evictPresence drops a resident base range under memory pressure: its
@@ -227,11 +188,9 @@ func (e *Engine) Tracks(key string) bool {
 // and dependent computed ranges are invalidated (§2.5).
 func (e *Engine) evictPresence(pr *presRange) {
 	pt := e.presence[pr.table]
-	if pt == nil || pr.node == nil {
+	if pt == nil || !pt.drop(pr) {
 		return
 	}
-	pt.ranges.Delete(pr.node)
-	pr.node = nil
 	e.evictRows(pr.r, false)
 	e.invalidateRangeDependents(pr.table, pr.r)
 }

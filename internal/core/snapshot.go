@@ -26,9 +26,7 @@ func (e *Engine) SnapshotWalk(skip func(table string) bool, emitKV func(k, v str
 		return true
 	})
 	for idx, ij := range e.joins {
-		for n := ij.status.First(); n != nil; n = n.Next() {
-			emitWarm(WarmRange{Join: idx, R: n.Val.r})
-		}
+		ij.status.all(func(st *JoinStatus) { emitWarm(WarmRange{Join: idx, R: st.r}) })
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"pequod/internal/join"
 	"pequod/internal/keys"
 	"pequod/internal/pattern"
-	"pequod/internal/rbtree"
 	"pequod/internal/store"
 )
 
@@ -51,9 +50,10 @@ type JoinStatus struct {
 	// invalidation can uninstall them.
 	updaters []*Updater
 
-	node *rbtree.Node[*JoinStatus]
-	lru  lruEntry
+	lru lruEntry
 }
+
+func (st *JoinStatus) span() keys.Range { return st.r }
 
 // logEntry records one modification to a lazily-maintained (check) source.
 type logEntry struct {
@@ -164,30 +164,13 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 		}
 	}
 
-	// Pass 1: collect overlapping statuses; decide their fate.
-	var overlapping []*JoinStatus
-	// The only status that can straddle rr.Lo is the last one starting at
-	// or before it; everything earlier ends before that one starts.
-	start := ij.status.SeekAtOrBefore(rr.Lo)
-	if start == nil {
-		start = ij.status.Seek(rr.Lo)
-	}
-	for n := start; n != nil; n = n.Next() {
-		st := n.Val
-		if rr.Hi != "" && st.r.Lo >= rr.Hi {
-			break
-		}
-		if st.r.Overlaps(rr) {
-			overlapping = append(overlapping, st)
-		}
-	}
-
+	// One walk over the join's cover of rr: bring each status up to date
+	// (or drop it, expired), and forward-execute what no status covers.
 	now := e.now()
-	var live []*JoinStatus
-	for _, st := range overlapping {
+	ij.status.walk(rr, func(st *JoinStatus) bool {
 		if ij.j.Maint == join.Snapshot && !st.expires.IsZero() && now.After(st.expires) {
 			e.invalidateStatus(st) // snapshot expired
-			continue
+			return false
 		}
 		if len(st.logs) > 0 {
 			if maxStale > 0 && now.Sub(st.logs[0].at) <= maxStale {
@@ -203,32 +186,10 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 			pending += e.recomputeDirty(st, rr, maxStale, now)
 		}
 		e.lruTouch(st)
-		live = append(live, st)
-	}
-
-	// Pass 2: fill gaps in rr not covered by surviving statuses. live is
-	// sorted by range start (status tree order preserved the order).
-	cursor := rr.Lo
-	for _, st := range live {
-		if st.r.Lo > cursor {
-			gap := keys.Range{Lo: cursor, Hi: st.r.Lo}.Intersect(rr)
-			if !gap.Empty() {
-				pending += e.forwardExec(ij, gap)
-			}
-		}
-		if keys.HiLess(cursor, st.r.Hi) {
-			cursor = st.r.Hi
-			if cursor == "" {
-				break
-			}
-		}
-	}
-	if cursor != "" && (rr.Hi == "" || cursor < rr.Hi) {
-		gap := keys.Range{Lo: cursor, Hi: rr.Hi}
-		if !gap.Empty() {
-			pending += e.forwardExec(ij, gap)
-		}
-	}
+		return true
+	}, func(gap keys.Range) {
+		pending += e.forwardExec(ij, gap)
+	})
 	return pending
 }
 
@@ -244,10 +205,7 @@ func (e *Engine) invalidateStatus(st *JoinStatus) {
 // detachStatus removes bookkeeping (status node, updater contexts, LRU)
 // without touching output data.
 func (e *Engine) detachStatus(st *JoinStatus) {
-	if st.node != nil {
-		st.ij.status.Delete(st.node)
-		st.node = nil
-	}
+	st.ij.status.drop(st)
 	for _, u := range st.updaters {
 		u.removeContextsOf(st)
 		if len(u.contexts) == 0 {

@@ -18,7 +18,7 @@
 //
 // Versions alone order one coordinator's successive maps; the epoch
 // orders maps from different coordinators. Each coordinator mints
-// successors at its own epoch (WithEpoch), chosen strictly above every
+// successors at its own epoch (View.Successor), chosen strictly above every
 // epoch it has observed, so two coordinators racing from the same
 // parent produce maps at the same version but different epochs — the
 // total order (Compare, NewerThan: epoch first, version second) picks

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
 
 	"pequod/internal/keys"
 )
@@ -23,7 +24,7 @@ import (
 // Maps are totally ordered by (epoch, version). The version counter
 // orders one coordinator's successive maps; the epoch orders maps from
 // different coordinators. A coordinator mints successors at its own
-// epoch (WithEpoch), chosen strictly above every epoch it has observed,
+// epoch (View.Successor), chosen strictly above every epoch it has observed,
 // so two coordinators racing from the same parent produce maps at the
 // same version but different epochs — one of them is strictly newer,
 // members adopt only strictly-newer maps, and the loser's transfer is
@@ -55,14 +56,6 @@ func MustNew(bounds ...string) *Map {
 	return m
 }
 
-// NewVersioned is New at an explicit version (epoch 0) — rebuilding a
-// Map that was shipped over the wire (the cluster migration RPCs carry
-// version + bounds, and both sides must agree on the generation, not
-// just the split points).
-func NewVersioned(version int64, bounds ...string) (*Map, error) {
-	return NewEpochVersioned(0, version, bounds...)
-}
-
 // NewEpochVersioned is New at an explicit (epoch, version) — rebuilding
 // a Map shipped over the wire with its full total-order position.
 func NewEpochVersioned(epoch, version int64, bounds ...string) (*Map, error) {
@@ -83,7 +76,7 @@ func (m *Map) Servers() int { return len(m.bounds) + 1 }
 func (m *Map) Version() int64 { return m.version }
 
 // Epoch returns the map's coordinator epoch: 0 for a fresh deployment,
-// re-stamped by WithEpoch when a coordinator mints a successor.
+// re-stamped when a coordinator mints a successor (View.Successor).
 func (m *Map) Epoch() int64 { return m.epoch }
 
 // Compare orders two (epoch, version) pairs: -1, 0, or +1 as a is
@@ -107,21 +100,6 @@ func Compare(aEpoch, aVersion, bEpoch, bVersion int64) int {
 // in the total order — the adoption test members and clients apply.
 func (m *Map) NewerThan(epoch, version int64) bool {
 	return Compare(m.epoch, m.version, epoch, version) > 0
-}
-
-// WithEpoch returns a copy of m re-stamped at the coordinator epoch e,
-// which must not order the map backwards (e >= m.Epoch()). Coordinators
-// call it on a freshly derived successor so concurrent coordinators
-// racing from the same parent cannot mint two maps at the same
-// position: each mints at its own distinct epoch, and the total order
-// picks the winner.
-func (m *Map) WithEpoch(e int64) (*Map, error) {
-	if e < m.epoch {
-		return nil, fmt.Errorf("partition: epoch %d would order map (e%d v%d) backwards", e, m.epoch, m.version)
-	}
-	next := *m
-	next.epoch = e
-	return &next, nil
 }
 
 // Bound returns the i'th split point (the lower edge of server i+1's
@@ -244,44 +222,6 @@ func (m *Map) OwnsRange(owner int, r keys.Range) bool {
 	return r.Hi != "" && r.Hi <= m.bounds[owner]
 }
 
-// Diff returns the key ranges whose owner differs between two Maps over
-// the same number of servers, in key order. Each returned range has a
-// single owner under both maps (segments are cut at every split point of
-// either map, never merged across one). Members use it when a new
-// cluster map is published: the returned ranges are exactly the state
-// that changed hands and must be dropped (with eviction semantics) so it
-// is re-fetched from — and re-subscribed at — its new home.
-func Diff(old, new *Map) []keys.Range {
-	if old.Servers() != new.Servers() {
-		// Caller error; treat everything as changed rather than guess.
-		return []keys.Range{{}}
-	}
-	// Segment the key space at every split point of either map; within a
-	// segment both maps assign one owner, so comparing the owners of the
-	// segment's low edge decides the whole segment.
-	points := append(append([]string(nil), old.bounds...), new.bounds...)
-	sort.Strings(points)
-	var out []keys.Range
-	lo := ""
-	for i := 0; i <= len(points); i++ {
-		hi := ""
-		if i < len(points) {
-			hi = points[i]
-			if hi == lo { // duplicate split point
-				continue
-			}
-		}
-		if old.Owner(lo) != new.Owner(lo) {
-			out = append(out, keys.Range{Lo: lo, Hi: hi})
-		}
-		if hi == "" {
-			break
-		}
-		lo = hi
-	}
-	return out
-}
-
 // Shard is one piece of a range split across owners.
 type Shard struct {
 	R     keys.Range
@@ -308,6 +248,75 @@ func (m *Map) Split(r keys.Range) []Shard {
 	}
 	out = append(out, Shard{R: keys.Range{Lo: lo, Hi: r.Hi}, Owner: owner})
 	return out
+}
+
+// Gather answers a request over r that may span owners (§2.4): it splits
+// r by the map cur returns, has piece serve each owner's part, and
+// returns the parts concatenated, which is key order. With a limit the
+// parts are visited in turn, each asked for what is left of the limit,
+// until it is met, so an owner whose rows would be cut off anyway never
+// computes them; without one — or when every part must be visited
+// regardless (all) — they are served concurrently. piece fills the buffer
+// it is handed from the start (the caller's buf for the first part) and
+// returns it. When a part fails, again says whether to start over from a
+// fresh split: a part whose range moved after the split is refused by
+// its owner, never served by a holder of only some of it.
+func Gather[T any](cur func() *Map, r keys.Range, limit int, all bool, buf []T,
+	piece func(pc Shard, limit int, buf []T) ([]T, error),
+	again func(err error, attempt int) bool) ([]T, error) {
+	for attempt := 0; ; attempt++ {
+		out, err := gather(cur().Split(r), limit, all, buf[:0], piece)
+		if err == nil || !again(err, attempt) {
+			return out, err
+		}
+	}
+}
+
+func gather[T any](pieces []Shard, limit int, all bool, out []T, piece func(Shard, int, []T) ([]T, error)) ([]T, error) {
+	if len(pieces) <= 1 || (limit > 0 && !all) {
+		var part []T
+		for i, pc := range pieces {
+			var err error
+			if i == 0 {
+				out, err = piece(pc, limit, out)
+			} else {
+				part, err = piece(pc, limit-len(out), part)
+				out = append(out, part...)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if limit > 0 && len(out) >= limit {
+				break
+			}
+		}
+		return out, nil
+	}
+	parts := make([][]T, len(pieces))
+	errs := make([]error, len(pieces))
+	parts[0] = out
+	var wg sync.WaitGroup
+	for i, pc := range pieces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i], errs[i] = piece(pc, limit, parts[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	out = parts[0]
+	for _, part := range parts[1:] {
+		out = append(out, part...)
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out, nil
 }
 
 // UserBounds builds split points that spread fixed-width user IDs of the

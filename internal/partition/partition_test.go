@@ -1,6 +1,10 @@
 package partition
 
 import (
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
 	"testing"
 
 	"pequod/internal/keys"
@@ -21,21 +25,6 @@ func TestOwner(t *testing.T) {
 	}
 	if m.Servers() != 3 {
 		t.Fatalf("Servers = %d", m.Servers())
-	}
-}
-
-func TestNewVersioned(t *testing.T) {
-	m, err := NewVersioned(7, "g", "p")
-	if err != nil || m.Version() != 7 || m.Servers() != 3 {
-		t.Fatalf("NewVersioned = %v, %v", m, err)
-	}
-	if _, err := NewVersioned(1, "b", "a"); err == nil {
-		t.Fatal("unsorted bounds accepted")
-	}
-	// A successor of a rebuilt map continues the generation.
-	n, err := m.MoveBound(0, "h")
-	if err != nil || n.Version() != 8 {
-		t.Fatalf("MoveBound from rebuilt map: %v, %v", n, err)
 	}
 }
 
@@ -67,22 +56,6 @@ func TestEpochOrdering(t *testing.T) {
 	}
 	if !n.NewerThan(3, 7) || n.NewerThan(3, 8) || n.NewerThan(4, 0) {
 		t.Fatalf("NewerThan inconsistent at e%d v%d", n.Epoch(), n.Version())
-	}
-	// WithEpoch ratchets forward only.
-	w, err := n.WithEpoch(5)
-	if err != nil || w.Epoch() != 5 || w.Version() != 8 || len(w.Bounds()) != 2 {
-		t.Fatalf("WithEpoch = %v, %v", w, err)
-	}
-	if _, err := n.WithEpoch(2); err == nil {
-		t.Fatal("epoch moved backwards")
-	}
-	// Two coordinators racing from one parent mint comparable maps.
-	a, _ := m.MoveBound(0, "d")
-	b, _ := m.MoveBound(0, "k")
-	a, _ = a.WithEpoch(10)
-	b, _ = b.WithEpoch(11)
-	if Compare(a.Epoch(), a.Version(), b.Epoch(), b.Version()) == 0 {
-		t.Fatal("concurrent mints tied")
 	}
 }
 
@@ -124,40 +97,6 @@ func TestInsertRemoveBound(t *testing.T) {
 	}
 	if _, err := shrunk.RemoveBound(2); err == nil {
 		t.Fatal("out-of-range bound removal accepted")
-	}
-}
-
-func TestDiff(t *testing.T) {
-	old := MustNew("g", "p")
-	if d := Diff(old, MustNew("g", "p")); len(d) != 0 {
-		t.Fatalf("identical maps diff = %v", d)
-	}
-	// One bound lowered: exactly the shifted slice changes owner.
-	if d := Diff(old, MustNew("d", "p")); len(d) != 1 || d[0] != (keys.Range{Lo: "d", Hi: "g"}) {
-		t.Fatalf("lowered-bound diff = %v", d)
-	}
-	// One bound raised.
-	if d := Diff(old, MustNew("g", "t")); len(d) != 1 || d[0] != (keys.Range{Lo: "p", Hi: "t"}) {
-		t.Fatalf("raised-bound diff = %v", d)
-	}
-	// Both bounds moved: two changed ranges, each with one owner per
-	// side (never merged across a split point).
-	d := Diff(old, MustNew("d", "t"))
-	if len(d) != 2 || d[0] != (keys.Range{Lo: "d", Hi: "g"}) || d[1] != (keys.Range{Lo: "p", Hi: "t"}) {
-		t.Fatalf("double-move diff = %v", d)
-	}
-	for _, r := range d {
-		if old.Owner(r.Lo) == MustNew("d", "t").Owner(r.Lo) {
-			t.Fatalf("diff range %v did not change owner", r)
-		}
-	}
-	// Last bound raised toward +inf keeps the open tail intact.
-	if d := Diff(MustNew("g"), MustNew("x")); len(d) != 1 || d[0] != (keys.Range{Lo: "g", Hi: "x"}) {
-		t.Fatalf("tail diff = %v", d)
-	}
-	// Mismatched shapes: everything reported changed.
-	if d := Diff(MustNew("g"), MustNew("g", "p")); len(d) != 1 || d[0] != (keys.Range{}) {
-		t.Fatalf("shape-mismatch diff = %v", d)
 	}
 }
 
@@ -272,5 +211,95 @@ func TestUserShardStable(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("no spread")
+	}
+}
+
+// TestGather drives the split–gather–re-split helper with scripted
+// pieces: which parts are visited, with what limit, in what order the
+// results come back, and what a failed part does.
+func TestGather(t *testing.T) {
+	m := MustNew("g", "p") // [ ,g) [g,p) [p, )
+	all := keys.Range{Lo: "a", Hi: "z"}
+	var mu sync.Mutex
+	var visits []string // "owner:limit", in call order
+	rows := func(pc Shard, limit int, buf []string) ([]string, error) {
+		mu.Lock()
+		visits = append(visits, fmt.Sprintf("%d:%d", pc.Owner, limit))
+		mu.Unlock()
+		buf = buf[:0]
+		for i := 0; i < 3 && (limit == 0 || i < limit); i++ {
+			buf = append(buf, fmt.Sprintf("%s+%d", pc.R.Lo, i))
+		}
+		return buf, nil
+	}
+	never := func(error, int) bool { return false }
+	cur := func() *Map { return m }
+
+	// A limit the first part satisfies: no second part is visited.
+	out, err := Gather(cur, all, 2, false, nil, rows, never)
+	if err != nil || fmt.Sprint(out) != "[a+0 a+1]" || fmt.Sprint(visits) != "[0:2]" {
+		t.Fatalf("limit met by the first part: %v, %v, visits %v", out, err, visits)
+	}
+	// A limit that runs over: each next part is asked for what is left.
+	visits = nil
+	out, err = Gather(cur, all, 7, false, nil, rows, never)
+	if err != nil || len(out) != 7 || out[6] != "p+0" || fmt.Sprint(visits) != "[0:7 1:4 2:1]" {
+		t.Fatalf("limit across parts: %v, %v, visits %v", out, err, visits)
+	}
+	// No limit — or every part wanted regardless — fans out, and the
+	// parts still come back in key order, cut to the limit at the end.
+	visits = nil
+	out, err = Gather(cur, all, 0, false, make([]string, 0, 16), rows, never)
+	if err != nil || len(out) != 9 || out[0] != "a+0" || out[3] != "g+0" || out[8] != "p+2" || len(visits) != 3 {
+		t.Fatalf("unlimited: %v, %v, visits %v", out, err, visits)
+	}
+	visits = nil
+	out, err = Gather(cur, all, 4, true, nil, rows, never)
+	sort.Strings(visits)
+	if err != nil || fmt.Sprint(out) != "[a+0 a+1 a+2 g+0]" || fmt.Sprint(visits) != "[0:4 1:4 2:4]" {
+		t.Fatalf("limited but visiting all: %v, %v, visits %v", out, err, visits)
+	}
+	// An empty range has no parts; one inside a single owner has one.
+	if out, err := Gather(cur, keys.Range{Lo: "b", Hi: "b"}, 0, false, nil, rows, never); err != nil || len(out) != 0 {
+		t.Fatalf("empty range: %v, %v", out, err)
+	}
+	visits = nil
+	if out, err := Gather(cur, keys.Range{Lo: "h", Hi: "k"}, 0, false, nil, rows, never); err != nil || len(out) != 3 || fmt.Sprint(visits) != "[1:0]" {
+		t.Fatalf("single part: %v, %v, visits %v", out, err, visits)
+	}
+
+	// A part that reports its range moved: the request starts over from
+	// a fresh split of the map current by then; any other failure, or a
+	// refusal to retry, is the request's.
+	moved := errors.New("moved")
+	for _, c := range []struct {
+		limit int
+		last  string
+	}{{0, "k+2"}, {5, "k+1"}} {
+		cur := MustNew("g")
+		next, _ := cur.MoveBound(0, "k")
+		out, err = Gather(func() *Map { return cur }, all, c.limit, false, nil,
+			func(pc Shard, limit int, buf []string) ([]string, error) {
+				if pc.R.Lo == "g" {
+					cur = next // the bound moved under this split
+					return nil, moved
+				}
+				return rows(pc, limit, buf)
+			},
+			func(err error, attempt int) bool { return err == moved && attempt == 0 })
+		if err != nil || out[0] != "a+0" || out[len(out)-1] != c.last {
+			t.Fatalf("limit %d: re-split after a move: %v, %v", c.limit, out, err)
+		}
+	}
+	boom := errors.New("boom")
+	fail := func(Shard, int, []string) ([]string, error) { return nil, boom }
+	for _, limit := range []int{0, 1} {
+		attempts := 0
+		if out, err := Gather(cur, all, limit, false, nil, fail, func(err error, attempt int) bool {
+			attempts++
+			return attempt < 2
+		}); err != boom || out != nil || attempts != 3 {
+			t.Fatalf("limit %d: a failing part gave %v, %v after %d retry decisions", limit, out, err, attempts)
+		}
 	}
 }

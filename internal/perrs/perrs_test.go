@@ -1,9 +1,9 @@
 // Proves the sentinel contract end to end: each sentinel is matched
 // with errors.Is through the real wrap chains the producing layers
 // build — the cluster client's routing retries (doKey), pipelined
-// batches, the Stats/Quiesce fan-outs, membership drains, and the
-// shard pool's bounded-read fallback — not through hand-built
-// stand-ins. The package under test is a leaf, so the external test
+// batches, the Stats/Quiesce fan-outs and membership drains — not
+// through hand-built stand-ins (the shard pool's ErrOverBudget chain is
+// in shard's TestStepTable, with the step that builds it). The package under test is a leaf, so the external test
 // package is what lets it look upward at its consumers.
 package perrs_test
 
@@ -16,12 +16,10 @@ import (
 
 	"pequod/internal/client"
 	"pequod/internal/cluster"
-	"pequod/internal/core"
 	"pequod/internal/partition"
 	"pequod/internal/perrs"
 	"pequod/internal/rpc"
 	"pequod/internal/server"
-	"pequod/internal/shard"
 )
 
 // startServers launches n single-shard servers and returns their
@@ -144,57 +142,5 @@ func TestConflictWrapChain(t *testing.T) {
 	}
 	if !errors.Is(err, cause) {
 		t.Fatalf("wrapped conflict lost its cause: %v", err)
-	}
-}
-
-// stubLoader starts loads that never complete — the deterministic way
-// to hold a pool's read on its pending-load wait.
-type stubLoader struct{}
-
-func (stubLoader) StartLoads([]core.Load) {}
-
-// TestOverBudgetBoundedReads drives the shard pool's bounded read
-// forms onto ranges whose base data never loads: the read needs fresh
-// computation regardless of budget, the deadline expires on the load
-// wait, and the failure must carry BOTH sentinels — ErrOverBudget (the
-// budget was unservable in time) and the pool's ErrDeadline (what
-// actually gave out). The same failure without a budget stays a plain
-// deadline: over-budget attribution marks bounded reads only.
-func TestOverBudgetBoundedReads(t *testing.T) {
-	p, err := shard.New(shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	p.Shard(0).SetLoader(stubLoader{}, "s", "p")
-	const timelineJoin = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
-	if err := p.InstallText(timelineJoin); err != nil {
-		t.Fatal(err)
-	}
-	const budget = 50 * time.Millisecond
-	dl := func() time.Time { return time.Now().Add(5 * time.Millisecond) }
-
-	_, _, err = p.GetBounded("t|ann|100|bob", budget, dl())
-	if !errors.Is(err, perrs.ErrOverBudget) || !errors.Is(err, shard.ErrDeadline) {
-		t.Fatalf("bounded Get = %v, want ErrOverBudget and ErrDeadline", err)
-	}
-	if _, err = p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, budget, dl()); !errors.Is(err, perrs.ErrOverBudget) || !errors.Is(err, shard.ErrDeadline) {
-		t.Fatalf("bounded Scan = %v, want ErrOverBudget and ErrDeadline", err)
-	}
-	if _, err = p.CountBounded("t|ann|", "t|ann}", budget, dl()); !errors.Is(err, perrs.ErrOverBudget) || !errors.Is(err, shard.ErrDeadline) {
-		t.Fatalf("bounded Count = %v, want ErrOverBudget and ErrDeadline", err)
-	}
-
-	// Fresh reads on the same stuck range: deadline only, never
-	// over-budget.
-	_, _, err = p.GetBounded("t|ann|100|bob", 0, dl())
-	if !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
-		t.Fatalf("fresh Get = %v, want plain ErrDeadline", err)
-	}
-	if _, err = p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
-		t.Fatalf("fresh Scan = %v, want plain ErrDeadline", err)
-	}
-	if _, err = p.CountBounded("t|ann|", "t|ann}", 0, dl()); !errors.Is(err, shard.ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
-		t.Fatalf("fresh Count = %v, want plain ErrDeadline", err)
 	}
 }

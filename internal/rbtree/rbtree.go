@@ -1,18 +1,16 @@
-// Package rbtree implements the red-black tree Pequod keeps its
-// bookkeeping in: join status ranges, presence ranges, the interval
-// trees of updaters and subscriptions, and the order of a store's tables
-// and subtables (§4). The rows themselves live in the B+tree of package
-// btree.
+// Package rbtree implements the red-black tree under package interval's
+// trees of overlapping ranges: updaters, subscriptions, the backing
+// database's (§3.2). Everything else ordered — rows, join status ranges,
+// presence ranges, a store's tables and subtables — lives in the B+tree
+// of package btree.
 //
 // Two properties distinguish it from a textbook tree and are load-bearing
 // for Pequod:
 //
 //   - Pointer-stable deletion. Deleting a node never moves another node's
 //     key or value between node objects (the CLRS transplant is done with
-//     pointers, not payload copies), so externally held node pointers —
-//     an interval entry, a status range's neighbours — remain meaningful.
-//     A deleted node is marked Dead; holders check Dead and fall back to
-//     a normal lookup.
+//     pointers, not payload copies), so the node pointer an interval
+//     entry holds stays meaningful until that entry is deleted.
 //
 //   - Augmentation. A tree may carry a user aggregate (e.g. the interval
 //     tree's max-high-endpoint) maintained through rotations and
@@ -31,15 +29,8 @@ type Node[V any] struct {
 	dead                bool
 }
 
-// Key returns the node's key.
-func (n *Node[V]) Key() string { return n.key }
-
-// Dead reports whether the node has been deleted from its tree. A dead
-// node's Key and Val remain readable, but Next/Prev must not be used.
-func (n *Node[V]) Dead() bool { return n.dead }
-
 // Next returns the in-order successor, or nil. It must not be called on a
-// dead node.
+// deleted node.
 func (n *Node[V]) Next() *Node[V] {
 	if n.right != nil {
 		return minimum(n.right)
@@ -47,21 +38,6 @@ func (n *Node[V]) Next() *Node[V] {
 	p := n.parent
 	c := n
 	for p != nil && c == p.right {
-		c = p
-		p = p.parent
-	}
-	return p
-}
-
-// Prev returns the in-order predecessor, or nil. It must not be called on
-// a dead node.
-func (n *Node[V]) Prev() *Node[V] {
-	if n.left != nil {
-		return maximum(n.left)
-	}
-	p := n.parent
-	c := n
-	for p != nil && c == p.left {
 		c = p
 		p = p.parent
 	}
@@ -101,29 +77,6 @@ func minimum[V any](n *Node[V]) *Node[V] {
 	return n
 }
 
-func maximum[V any](n *Node[V]) *Node[V] {
-	for n.right != nil {
-		n = n.right
-	}
-	return n
-}
-
-// First returns the smallest node, or nil.
-func (t *Tree[V]) First() *Node[V] {
-	if t.root == nil {
-		return nil
-	}
-	return minimum(t.root)
-}
-
-// Last returns the largest node, or nil.
-func (t *Tree[V]) Last() *Node[V] {
-	if t.root == nil {
-		return nil
-	}
-	return maximum(t.root)
-}
-
 // Find returns the node with exactly the given key, or nil.
 func (t *Tree[V]) Find(key string) *Node[V] {
 	n := t.root
@@ -151,36 +104,6 @@ func (t *Tree[V]) Seek(key string) *Node[V] {
 			n = n.left
 		} else {
 			n = n.right
-		}
-	}
-	return best
-}
-
-// SeekBefore returns the last node with key < the argument, or nil.
-func (t *Tree[V]) SeekBefore(key string) *Node[V] {
-	var best *Node[V]
-	n := t.root
-	for n != nil {
-		if n.key < key {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	return best
-}
-
-// SeekAtOrBefore returns the last node with key <= the argument, or nil.
-func (t *Tree[V]) SeekAtOrBefore(key string) *Node[V] {
-	var best *Node[V]
-	n := t.root
-	for n != nil {
-		if n.key <= key {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
 		}
 	}
 	return best
@@ -382,15 +305,6 @@ func (t *Tree[V]) Delete(z *Node[V]) {
 	}
 }
 
-// DeleteKey removes the node with the given key if present, returning it.
-func (t *Tree[V]) DeleteKey(key string) *Node[V] {
-	n := t.Find(key)
-	if n != nil {
-		t.Delete(n)
-	}
-	return n
-}
-
 func (t *Tree[V]) deleteFixup(x, parent *Node[V]) {
 	for x != t.root && !isRed(x) {
 		if parent == nil {
@@ -471,11 +385,4 @@ func (t *Tree[V]) Ascend(lo, hi string, fn func(n *Node[V]) bool) {
 			return
 		}
 	}
-}
-
-// CountRange returns the number of keys in [lo, hi).
-func (t *Tree[V]) CountRange(lo, hi string) int {
-	c := 0
-	t.Ascend(lo, hi, func(*Node[V]) bool { c++; return true })
-	return c
 }

@@ -9,10 +9,18 @@ import (
 
 func collect(t *Tree[int]) []string {
 	var out []string
-	for n := t.First(); n != nil; n = n.Next() {
-		out = append(out, n.Key())
-	}
+	t.Ascend("", "", func(n *Node[int]) bool {
+		out = append(out, n.key)
+		return true
+	})
 	return out
+}
+
+// deleteKey removes key if present, returning its node.
+func deleteKey[V any](t *Tree[V], key string) *Node[V] {
+	n := t.Find(key)
+	t.Delete(n)
+	return n
 }
 
 func TestBasicInsertFind(t *testing.T) {
@@ -23,7 +31,7 @@ func TestBasicInsertFind(t *testing.T) {
 		if existed {
 			t.Fatalf("unexpected existing key %q", k)
 		}
-		if n.Key() != k || n.Val != i {
+		if n.key != k || n.Val != i {
 			t.Fatalf("bad node for %q", k)
 		}
 	}
@@ -80,26 +88,11 @@ func TestSeek(t *testing.T) {
 		n := tr.Seek(c.in)
 		got := ""
 		if n != nil {
-			got = n.Key()
+			got = n.key
 		}
 		if got != c.want {
 			t.Errorf("Seek(%q) = %q, want %q", c.in, got, c.want)
 		}
-	}
-	if n := tr.SeekBefore("d"); n == nil || n.Key() != "b" {
-		t.Error("SeekBefore(d)")
-	}
-	if n := tr.SeekBefore("b"); n != nil {
-		t.Error("SeekBefore(b) should be nil")
-	}
-	if n := tr.SeekAtOrBefore("d"); n == nil || n.Key() != "d" {
-		t.Error("SeekAtOrBefore(d)")
-	}
-	if n := tr.SeekAtOrBefore("e"); n == nil || n.Key() != "d" {
-		t.Error("SeekAtOrBefore(e)")
-	}
-	if n := tr.SeekAtOrBefore("a"); n != nil {
-		t.Error("SeekAtOrBefore(a) should be nil")
 	}
 }
 
@@ -114,16 +107,16 @@ func TestDeletePointerStability(t *testing.T) {
 	// key/value bindings (pointer-stable deletion for output hints).
 	for i := 0; i < 100; i += 2 {
 		tr.Delete(nodes[i])
-		if !nodes[i].Dead() {
+		if !nodes[i].dead {
 			t.Fatalf("node %d not marked dead", i)
 		}
 	}
 	for i := 1; i < 100; i += 2 {
-		if nodes[i].Dead() {
+		if nodes[i].dead {
 			t.Fatalf("live node %d marked dead", i)
 		}
-		if nodes[i].Key() != fmt.Sprintf("k%03d", i) || nodes[i].Val != i {
-			t.Fatalf("node %d payload moved: %q=%d", i, nodes[i].Key(), nodes[i].Val)
+		if nodes[i].key != fmt.Sprintf("k%03d", i) || nodes[i].Val != i {
+			t.Fatalf("node %d payload moved: %q=%d", i, nodes[i].key, nodes[i].Val)
 		}
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -139,48 +132,30 @@ func TestDeletePointerStability(t *testing.T) {
 	}
 }
 
-func TestAscendAndCount(t *testing.T) {
+func TestAscend(t *testing.T) {
 	tr := &Tree[int]{}
 	for i := 0; i < 20; i++ {
 		tr.Insert(fmt.Sprintf("%02d", i), i)
 	}
 	var got []string
 	tr.Ascend("05", "10", func(n *Node[int]) bool {
-		got = append(got, n.Key())
+		got = append(got, n.key)
 		return true
 	})
 	if len(got) != 5 || got[0] != "05" || got[4] != "09" {
 		t.Fatalf("Ascend = %v", got)
 	}
-	if c := tr.CountRange("05", "10"); c != 5 {
-		t.Fatalf("CountRange = %d", c)
-	}
 	// Unbounded hi.
-	if c := tr.CountRange("15", ""); c != 5 {
-		t.Fatalf("unbounded CountRange = %d", c)
+	tail := 0
+	tr.Ascend("15", "", func(*Node[int]) bool { tail++; return true })
+	if tail != 5 {
+		t.Fatalf("unbounded Ascend visited %d", tail)
 	}
 	// Early stop.
 	calls := 0
 	tr.Ascend("", "", func(n *Node[int]) bool { calls++; return calls < 3 })
 	if calls != 3 {
 		t.Fatalf("early stop: %d calls", calls)
-	}
-}
-
-func TestPrevIteration(t *testing.T) {
-	tr := &Tree[int]{}
-	for i := 0; i < 50; i++ {
-		tr.Insert(fmt.Sprintf("%02d", i), i)
-	}
-	n := tr.Last()
-	for i := 49; i >= 0; i-- {
-		if n == nil || n.Val != i {
-			t.Fatalf("Prev iteration broke at %d", i)
-		}
-		n = n.Prev()
-	}
-	if n != nil {
-		t.Fatal("Prev past First should be nil")
 	}
 }
 
@@ -202,7 +177,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			model[k] = v
 		case op < 8: // delete
 			k := keyOf()
-			n := tr.DeleteKey(k)
+			n := deleteKey(tr, k)
 			if _, ok := model[k]; ok != (n != nil) {
 				t.Fatalf("delete mismatch for %q at step %d", k, step)
 			}
@@ -225,7 +200,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			got := ""
 			if n != nil {
-				got = n.Key()
+				got = n.key
 			}
 			if got != want {
 				t.Fatalf("seek mismatch for %q: got %q want %q", k, got, want)
@@ -275,7 +250,7 @@ func TestAugmentMaintained(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		k := fmt.Sprintf("%04d", rng.Intn(2000))
 		if rng.Intn(3) == 0 {
-			tr.DeleteKey(k)
+			deleteKey(tr, k)
 			delete(live, k)
 		} else {
 			if !live[k] {
@@ -291,7 +266,7 @@ func TestAugmentMaintained(t *testing.T) {
 		}
 		s := 1 + check(n.Left()) + check(n.Right())
 		if n.Val.sub != s {
-			t.Fatalf("augment stale at %q: have %d want %d", n.Key(), n.Val.sub, s)
+			t.Fatalf("augment stale at %q: have %d want %d", n.key, n.Val.sub, s)
 		}
 		return s
 	}

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"pequod/internal/client"
 	"pequod/internal/core"
 	"pequod/internal/durable"
 	"pequod/internal/keys"
@@ -50,30 +51,6 @@ const (
 	DefaultScrubInterval   = time.Minute
 	DefaultCompactInterval = 10 * time.Second
 )
-
-// recoveryStats records what the last startup recovered, surfaced
-// through statJSON so tests and operators can verify a restart was
-// warm (rows came from disk) rather than cold. Torn is the expected
-// crash tail on the previously newest segment; CorruptSegments and
-// CorruptSnapshots are mid-lineage damage — fsynced data lost — which
-// health surfaces report distinctly.
-type recoveryStats struct {
-	SnapshotRows     int     `json:"snapshot_rows"`
-	LogSegments      int     `json:"log_segments"`
-	LogRecords       int     `json:"log_records"`
-	RestoredRows     int     `json:"restored_rows"`
-	RestoredWarm     int     `json:"restored_warm"`
-	Torn             bool    `json:"torn,omitempty"`
-	CorruptSegments  []int64 `json:"corrupt_segments,omitempty"`
-	CorruptSnapshots []int64 `json:"corrupt_snapshots,omitempty"`
-}
-
-// durableStat is statJSON's durability block.
-type durableStat struct {
-	Dir string `json:"dir"`
-	durable.Stats
-	Recovery *recoveryStats `json:"recovery,omitempty"`
-}
 
 // durableHook is the pool change hook with durability on: log the
 // change (write-behind — enqueue only, the shard lock is held), then
@@ -164,12 +141,18 @@ func (s *Server) buildMeta() *durable.Meta {
 		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
 	s.mmu.Lock()
-	if s.mesh != nil {
+	switch {
+	case s.mesh != nil:
 		m.HasMesh = true
 		for t := range s.mesh.tables {
 			m.MeshTables = append(m.MeshTables, t)
 		}
 		sort.Strings(m.MeshTables)
+	case s.rewire != nil:
+		// Recovered from disk and not dialed yet (retryMesh): still this
+		// member's mesh. Saving "none" here would leave a second restart
+		// with no loader for its join sources.
+		m.HasMesh, m.MeshTables = true, s.rewire.MeshTables
 	}
 	s.mmu.Unlock()
 	s.rmu.Lock()
@@ -225,7 +208,7 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 		meta = nil
 	}
 	s.dur = st
-	rs := &recoveryStats{
+	rs := &client.RecoveryStat{
 		SnapshotRows:     rec.SnapshotRows,
 		LogSegments:      rec.LogSegments,
 		LogRecords:       rec.LogRecords,
@@ -318,6 +301,9 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 		log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
 		ctx, cancel := context.WithCancel(context.Background())
 		s.rewireStop, s.rewireDone = cancel, make(chan struct{})
+		s.mmu.Lock()
+		s.rewire = meta
+		s.mmu.Unlock()
 		go s.retryMesh(ctx, meta, warm)
 		return
 	}

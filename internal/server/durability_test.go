@@ -3,10 +3,14 @@ package server
 import (
 	"context"
 	"fmt"
+	"net"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"pequod/internal/client"
+	"pequod/internal/core"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
 )
@@ -43,7 +47,7 @@ func TestWarmRestartRecoversRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddJoin(timelineJoin); err != nil {
+	if err := addJoin(c, timelineJoin); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("s|ann|bob", "1"); err != nil {
@@ -249,5 +253,87 @@ func BenchmarkDurableWriteBehind(b *testing.B) {
 			}
 			b.StopTimer()
 		})
+	}
+}
+
+// TestMetaKeepsMeshWhileRewirePending: a compute member restarted while
+// its peer is down cannot dial its mesh yet, but every meta.json it
+// saves meanwhile still names the mesh tables — so when it crashes again
+// before the rewire lands (a copy of the data dir taken mid-wait stands
+// in for the crash) and restarts with the peer back, its loaders are
+// wired and a cold timeline read fetches its sources.
+func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
+	home := func(addr string) (*Server, string) {
+		t.Helper()
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := New(Config{Name: "home"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go h.Serve(ln)
+		h.pool.Put("s|ann|bob", "1")
+		h.pool.Put("p|bob|100", "Hi")
+		return h, ln.Addr().String()
+	}
+	timeline := func(s *Server) ([]core.KV, error) {
+		return s.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(5*time.Second))
+	}
+	dir := t.TempDir()
+	cfg := durableConfig("compute", dir)
+	cfg.Joins = timelineJoin
+
+	h, haddr := home("127.0.0.1:0")
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mustView(t, partition.MustNew("t"), []string{haddr, "127.0.0.1:1"}, 1) // self owns the timelines
+	s.pool.ApplyMapUpdate(v)
+	if err := s.ConnectMesh(v, "p", "s"); err != nil {
+		t.Fatal(err)
+	}
+	if kvs, err := timeline(s); err != nil || len(kvs) != 1 {
+		t.Fatalf("timeline before any restart = %v, %v", kvs, err)
+	}
+	s.Close()
+	h.Close()
+
+	s2, err := New(cfg) // the home is down: the rewire keeps retrying
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.rewireDone == nil {
+		t.Fatal("restart with a dead peer left no rewire running")
+	}
+	s2.persistMeta() // as every advance and snapshot tick does during the wait
+	meta, ok, err := s2.dur.LoadMeta()
+	if err != nil || !ok || !meta.HasMesh || !reflect.DeepEqual(meta.MeshTables, []string{"p", "s"}) {
+		t.Fatalf("meta saved while the rewire is pending = %+v, %v", meta, err)
+	}
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+
+	h, _ = home(haddr)
+	defer h.Close()
+	cfg.DataDir = crashed
+	s3, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	s3.mmu.Lock()
+	wired := s3.mesh != nil && s3.mesh.tables["p"] && s3.mesh.tables["s"] && len(s3.mesh.loaders) == 1
+	s3.mmu.Unlock()
+	if !wired || s3.rewireDone != nil {
+		t.Fatalf("restart with the peer back: mesh wired %v, rewire pending %v", wired, s3.rewireDone != nil)
+	}
+	if kvs, err := timeline(s3); err != nil || len(kvs) != 1 || kvs[0].Key != "t|ann|100|bob" || kvs[0].Value != "Hi" {
+		t.Fatalf("cold timeline read after the second restart = %v, %v", kvs, err)
 	}
 }

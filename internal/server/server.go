@@ -137,12 +137,15 @@ type Server struct {
 	dur      *durable.Store
 	durStop  chan struct{}
 	durDone  chan struct{}
-	recovery *recoveryStats
+	recovery *client.RecoveryStat
 
 	// The post-restart mesh rewire (retryMesh), when recovery had to
-	// leave one running: leaveCluster stops it and waits for it.
+	// leave one running: leaveCluster stops it and waits for it. rewire
+	// (guarded by mmu) is the recovered record it is wiring from, which
+	// buildMeta keeps saving until the mesh exists or the member leaves.
 	rewireStop context.CancelFunc
 	rewireDone chan struct{}
+	rewire     *durable.Meta
 }
 
 // meshState records a server's position in a partitioned mesh so later
@@ -369,45 +372,31 @@ func (s *Server) dropConn(cn *conn) {
 	s.smu.Unlock()
 }
 
-// statJSON renders server statistics aggregated across shards, plus the
-// rebalancer's view of the partition (migrations run, current bounds,
-// per-shard load), the server's cumulative load snapshot (a cluster
-// rebalancer polls it to find hot servers and pick split points), and —
-// on cluster members — the published cluster map this server serves
-// under.
+// statJSON renders the stat RPC's reply (client.StatSnapshot, the one
+// declaration of its schema).
 func (s *Server) statJSON() string {
 	st := s.pool.Stats()
-	snap := struct {
-		Name      string               `json:"name"`
-		ID        string               `json:"id,omitempty"`
-		Shards    int                  `json:"shards"`
-		Entries   int                  `json:"entries"`
-		Bytes     int64                `json:"bytes"`
-		Stats     core.Stats           `json:"stats"`
-		Rebalance shard.RebalanceStats `json:"rebalance"`
-		Load      shard.LoadInfo       `json:"load"`
-		Joins     string               `json:"joins,omitempty"`
-		Staleness staleStat            `json:"staleness"`
-		Loads     loadStat             `json:"loads"`
-		NSubs     int64                `json:"nsubs"`
-		Cluster   *clusterStat         `json:"cluster,omitempty"`
-		Durable   *durableStat         `json:"durable,omitempty"`
-	}{
+	spans, oldest := s.pool.StalenessDebt()
+	snap := client.StatSnapshot{
 		Name: s.name, ID: s.id, Shards: s.pool.NumShards(), Entries: s.pool.Len(),
 		Bytes: s.pool.Bytes(), Stats: st,
 		Rebalance: s.pool.RebalanceStats(), Load: s.pool.LoadInfo(),
-		Staleness: s.staleStat(st),
-		Loads: loadStat{Started: st.LoadsStarted, Batched: st.LoadBatches,
+		Staleness: client.StaleStat{
+			LagUS:      s.pool.MaxLag(time.Now()).Microseconds(),
+			DebtSpans:  spans,
+			DebtOldUS:  oldest.Microseconds(),
+			BoundedSrv: st.BoundedStaleServes,
+			PartialInv: st.PartialInvalidations,
+			DirtyRecmp: st.DirtyRecomputes,
+		},
+		Loads: client.LoadStat{Started: st.LoadsStarted, Batched: st.LoadBatches,
 			Failed: st.LoadsFailed, Restarts: st.Restarts},
 		NSubs: s.nsubs.Load(),
-		// The installed join set travels in stats so a coordinator that
-		// did not install the joins itself (a fresh pequod-cli run) can
-		// still replay them onto a joining member.
 		Joins: s.pool.InstalledText(),
 	}
 	if g := s.pool.Gate(); g != nil {
 		w := g.Wire()
-		cs := &clusterStat{
+		cs := &client.ClusterStat{
 			Epoch: w.Epoch, Version: w.Version, Bounds: w.Bounds, Peers: w.Peers, Self: w.Self,
 			Retained: s.pool.RetainedStats().Entries,
 		}
@@ -419,7 +408,7 @@ func (s *Server) statJSON() string {
 		snap.Cluster = cs
 	}
 	if s.dur != nil {
-		snap.Durable = &durableStat{
+		snap.Durable = &client.DurableStat{
 			Dir:      s.dur.Dir(),
 			Stats:    s.dur.Stats(),
 			Recovery: s.recovery,
@@ -427,64 +416,6 @@ func (s *Server) statJSON() string {
 	}
 	out, _ := json.Marshal(snap)
 	return string(out)
-}
-
-// staleStat is the stat RPC's view of this member's staleness debt: the
-// forwarded-write queue lag and the deferred-maintenance backlog
-// (unapplied lazy logs plus dirty sub-intervals) that bounded reads
-// trade against their budget. Operators compare lag_us against the
-// budgets clients carry — a member whose lag exceeds every budget in
-// use serves only fresh-path reads and gets none of the latency win.
-type staleStat struct {
-	LagUS      int64 `json:"lag_us"`      // max forwarded-write queue lag across shards
-	DebtSpans  int   `json:"debt_spans"`  // deferred-maintenance spans (dirty + lazy logs)
-	DebtOldUS  int64 `json:"debt_old_us"` // age of the oldest deferred maintenance (incl. queue lag)
-	BoundedSrv int64 `json:"bounded_srv"` // reads served within a staleness budget
-	PartialInv int64 `json:"partial_inv"` // range-granular (sub-interval) invalidations
-	DirtyRecmp int64 `json:"dirty_recmp"` // dirty sub-interval recomputes
-}
-
-func (s *Server) staleStat(st core.Stats) staleStat {
-	spans, oldest := s.pool.StalenessDebt()
-	return staleStat{
-		LagUS:      s.pool.MaxLag(time.Now()).Microseconds(),
-		DebtSpans:  spans,
-		DebtOldUS:  oldest.Microseconds(),
-		BoundedSrv: st.BoundedStaleServes,
-		PartialInv: st.PartialInvalidations,
-		DirtyRecmp: st.DirtyRecomputes,
-	}
-}
-
-// loadStat is the stat RPC's view of the cold path (§3.3): base ranges
-// fetched, the loader calls that carried them (started/batched is the
-// mean batch size), fetches the loader gave up on, and executions that
-// found data missing and restarted — each installing nothing, so
-// restarts/started well above 1 means reads keep finding data evicted
-// between their rounds, not that work is being redone. NSubs beside it
-// counts the subscriptions this server holds as a home: at most one per
-// connection and range, so it plateaus at the subscribers' distinct
-// working set instead of growing with their reloads.
-type loadStat struct {
-	Started  int64 `json:"started"`
-	Batched  int64 `json:"batched"`
-	Failed   int64 `json:"failed"`
-	Restarts int64 `json:"restarts"`
-}
-
-// clusterStat is the stat RPC's view of a member's cluster position:
-// the published map it serves under (position, bounds, member
-// addresses), the owner indexes that are this process, and how many
-// extracted-but-unconfirmed range copies it retains (non-zero outside a
-// migration window means a stranded transfer — see docs/OPERATIONS.md).
-type clusterStat struct {
-	Epoch    int64    `json:"epoch"`
-	Version  int64    `json:"version"`
-	Bounds   []string `json:"bounds"`
-	Peers    []string `json:"peers,omitempty"`
-	Self     []int    `json:"self"`
-	Retained int      `json:"retained"`
-	Replicas int      `json:"replicas,omitempty"` // replica ranges held for peers
 }
 
 // handle processes one request message, returning the reply (nil for
@@ -511,13 +442,13 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		return r
 
 	case rpc.MsgPut:
-		if err := s.pool.PutGated(m.Key, m.Value); err != nil {
+		if err := s.pool.Put(m.Key, m.Value); err != nil {
 			return errReply(m.Seq, err)
 		}
 		return rpc.OKReply(m.Seq)
 
 	case rpc.MsgRemove:
-		found, err := s.pool.RemoveGated(m.Key)
+		found, err := s.pool.Remove(m.Key)
 		if err != nil {
 			return errReply(m.Seq, err)
 		}
@@ -1003,7 +934,7 @@ func (s *Server) leaveCluster() {
 	}
 	s.mmu.Lock()
 	mesh := s.mesh
-	s.mesh = nil
+	s.mesh, s.rewire = nil, nil
 	s.mmu.Unlock()
 	if mesh != nil {
 		mesh.closeAll()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,6 +35,12 @@ func startServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 		s.Close()
 	})
 	return s, c
+}
+
+// addJoin installs cache joins over c ("add-join" RPC, §3).
+func addJoin(c *client.Client, text string) error {
+	_, err := c.Do(context.Background(), &rpc.Message{Type: rpc.MsgAddJoin, Text: text})
+	return err
 }
 
 func TestBasicOps(t *testing.T) {
@@ -80,10 +87,10 @@ func TestScanAndCount(t *testing.T) {
 
 func TestJoinOverRPC(t *testing.T) {
 	_, c := startServer(t, Config{})
-	if err := c.AddJoin(timelineJoin); err != nil {
+	if err := addJoin(c, timelineJoin); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddJoin("garbage"); err == nil {
+	if err := addJoin(c, "garbage"); err == nil {
 		t.Fatal("bad join accepted")
 	}
 	c.Put("s|ann|bob", "1")
@@ -317,12 +324,11 @@ func TestConnCloseCleansSubscriptions(t *testing.T) {
 
 func TestNotifyAppliesChanges(t *testing.T) {
 	_, c := startServer(t, Config{})
-	f := c.NotifyAsync([]rpc.Change{
+	c.Send(context.Background(), &rpc.Message{Type: rpc.MsgNotify, Changes: []rpc.Change{
 		{Op: rpc.ChangePut, Key: "n|1", Value: "a"},
 		{Op: rpc.ChangePut, Key: "n|2", Value: "b"},
 		{Op: rpc.ChangeRemove, Key: "n|1"},
-	})
-	_ = f // one-way: no reply
+	}}) // one-way: no reply
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		_, found1, _ := c.Get("n|1")

@@ -41,26 +41,6 @@ import (
 // not part of a gated cluster).
 func (p *Pool) Gate() *partition.View { return p.gate.Load() }
 
-// gateCheckKey validates key against the cluster gate. Called with the
-// owning shard's lock held, so a concurrent migration either completed
-// before this check (new gate visible) or will lock this shard after the
-// caller releases it.
-func (p *Pool) gateCheckKey(key string) error {
-	if g := p.gate.Load(); g != nil && !g.Owns(key) {
-		return &partition.NotOwnerError{View: g}
-	}
-	return nil
-}
-
-// gateCheckRange validates a scanned range against the cluster gate,
-// under the owning shard's lock.
-func (p *Pool) gateCheckRange(r keys.Range) error {
-	if g := p.gate.Load(); g != nil && !g.OwnsRange(r) {
-		return &partition.NotOwnerError{View: g}
-	}
-	return nil
-}
-
 // lockShardsOverlapping locks (in index order) every shard whose range
 // overlaps r under the pool's current map, returning the locked shards
 // and the per-shard pieces of r. Caller holds imu, so the pool map is

@@ -169,7 +169,7 @@ func TestMapUpdateDemotesLostRange(t *testing.T) {
 		t.Fatalf("lost range not demoted: %+v", st)
 	}
 	// Operations on the demoted range bounce.
-	if err := p.PutGated("c1", "x"); err == nil {
+	if err := p.Put("c1", "x"); err == nil {
 		t.Fatal("write accepted for a range this map lost")
 	}
 	// A later map hands it back: restored.
@@ -293,18 +293,16 @@ func TestGateChecksDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ApplyMapUpdate(v)
+	g := p.Gate()
 	key, r := "p|bob|0000000100", keys.Range{Lo: "h", Hi: "s|zed}"}
-	if err := p.gateCheckKey(key); err != nil {
-		t.Fatal(err)
+	if !g.Owns(key) || !g.OwnsRange(r) {
+		t.Fatal("gate bounced what it owns")
 	}
-	if err := p.gateCheckRange(r); err != nil {
-		t.Fatal(err)
-	}
-	if p.gateCheckKey("a") == nil || p.gateCheckRange(keys.Range{Lo: "h", Hi: "u"}) == nil {
+	if g.Owns("a") || g.OwnsRange(keys.Range{Lo: "h", Hi: "u"}) {
 		t.Fatal("gate let through what it does not own")
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		if p.gateCheckKey(key) != nil || p.gateCheckRange(r) != nil {
+		if g := p.Gate(); !g.Owns(key) || !g.OwnsRange(r) {
 			panic("owned operation bounced")
 		}
 	}); n != 0 {

@@ -5,10 +5,8 @@
 // server" and many single-threaded engines divide the key space.
 //
 // Routing: Get/Put/Remove go to the shard owning the key
-// (partition.Map); Scans and Counts that straddle shards fan out
-// concurrently, one goroutine per owning shard, and concatenate the
-// per-shard sorted results (pieces arrive in key order, so
-// concatenation is a merge).
+// (partition.Map); a Scan or Count is gathered piece by piece, each
+// piece one locked step at its shard (DESIGN.md "A read, end to end").
 //
 // Joins are installed on every shard. Each shard computes the join
 // outputs it owns locally — cascaded source joins recursively, exactly
@@ -34,7 +32,7 @@
 //     migrates hot key ranges live between neighboring shards
 //     (Pool.MoveBound), publishing a versioned successor
 //     partition.Map. Every routed operation re-validates shard
-//     ownership under the shard lock it holds.
+//     ownership under the shard lock it holds (Pool.step, lockOwner).
 //   - Between servers (clustergate.go): a cluster member's pool holds
 //     the cluster's partition.View as its gate, and the same under-lock
 //     re-validation makes server-to-server migration loss-free (DESIGN.md

@@ -435,25 +435,25 @@ func (p *Pool) lockOwner(key string) *Shard {
 	}
 }
 
-// Put stores value under key at its owning shard and runs incremental
-// maintenance there (forwarding to siblings via the change hook).
-func (p *Pool) Put(key, value string) {
+// lockServing is lockOwner for a client write: under the lock it also
+// re-validates cluster ownership, failing with *partition.NotOwnerError
+// when a server-to-server migration has moved the key, so a racing
+// client cannot land a write on a server that just gave the range away
+// (it would be silently lost). Ungated pools have nothing to check.
+func (p *Pool) lockServing(key string) (*Shard, error) {
 	sh := p.lockOwner(key)
-	sh.e.Put(key, value)
-	sh.record(key, 1)
-	sh.mu.Unlock()
+	if g := p.gate.Load(); g != nil && !g.Owns(key) {
+		sh.mu.Unlock()
+		return nil, &partition.NotOwnerError{View: g}
+	}
+	return sh, nil
 }
 
-// PutGated is Put that first re-validates cluster ownership under the
-// shard lock, failing with *partition.NotOwnerError when a server-to-server
-// migration has moved the key — the write path network servers use, so
-// a racing client cannot land a write on a server that just gave the
-// range away (the write would be silently lost). Identical to Put on
-// ungated pools.
-func (p *Pool) PutGated(key, value string) error {
-	sh := p.lockOwner(key)
-	if err := p.gateCheckKey(key); err != nil {
-		sh.mu.Unlock()
+// Put stores value under key at its owning shard and runs incremental
+// maintenance there (forwarding to siblings via the change hook).
+func (p *Pool) Put(key, value string) error {
+	sh, err := p.lockServing(key)
+	if err != nil {
 		return err
 	}
 	sh.e.Put(key, value)
@@ -463,20 +463,9 @@ func (p *Pool) PutGated(key, value string) error {
 }
 
 // Remove deletes key at its owning shard, reporting whether it existed.
-func (p *Pool) Remove(key string) bool {
-	sh := p.lockOwner(key)
-	found := sh.e.Remove(key)
-	sh.record(key, 1)
-	sh.mu.Unlock()
-	return found
-}
-
-// RemoveGated is Remove with the cluster-ownership re-validation of
-// PutGated.
-func (p *Pool) RemoveGated(key string) (bool, error) {
-	sh := p.lockOwner(key)
-	if err := p.gateCheckKey(key); err != nil {
-		sh.mu.Unlock()
+func (p *Pool) Remove(key string) (bool, error) {
+	sh, err := p.lockServing(key)
+	if err != nil {
 		return false, err
 	}
 	found := sh.e.Remove(key)
@@ -485,55 +474,45 @@ func (p *Pool) RemoveGated(key string) (bool, error) {
 	return found, nil
 }
 
-// Get returns the value under key from its owning shard, blocking on
-// outstanding base-data loads (§3.3 restart contexts) like the server's
-// command loop.
-func (p *Pool) Get(key string) (string, bool) {
-	v, ok, _ := p.GetBounded(key, 0, time.Time{})
-	return v, ok
-}
+// errMoved reports that a read's range changed shards between routing
+// and locking the shard (a live migration completed in between): the
+// caller routes again against the fresh map, so no read is ever served
+// by a shard that owns only part of it.
+var errMoved = errors.New("shard: range migrated mid-read")
 
-// GetBounded is Get bounded by a deadline (zero = none) — if base-data
-// loads are still outstanding at dl it returns ErrDeadline instead of
-// blocking further; waiting for loads releases the shard lock, so the
-// key may migrate away mid-wait and the read then reroutes to the new
-// owner — and carrying a staleness budget (zero = fully fresh, today's
-// semantics). A bounded read may serve the current view without
-// applying outstanding maintenance whose age fits the budget:
-// both the shard's forwarded-write queue lag and the engine's per-range
-// debt (unapplied lazy logs, dirty sub-intervals) must be within
-// maxStale, checked under the same shard lock the fresh path holds. A
-// shard whose queue lag already exceeds the budget falls back to the
-// fresh path — serving its applied view could be arbitrarily stale
-// relative to the budget the caller asked for. Coverage gaps always
-// compute fresh regardless of budget: bounded staleness may serve old
-// state, never absent state.
-func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (string, bool, error) {
+// step is the one locked attempt every read makes at a shard (DESIGN.md
+// "A read, end to end"): under owner's lock, and again after every wait
+// for base data — which releases it — [lo, hi) must still be wholly this
+// shard's (else errMoved) and this process's (else NotOwner carrying the
+// gate); then the engine call op runs with the staleness budget, cut to
+// zero when the shard's forwarded-write queue already lags past it, and
+// either completes (units of work are recorded) or reports loads in
+// flight, which the step waits out, to dl at the latest, before trying
+// again.
+func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration, dl time.Time,
+	op func(e *core.Engine, budget time.Duration) (units int64, pending int)) error {
+	r := keys.Range{Lo: lo, Hi: hi}
+	sh := p.shards[owner]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for {
-		sh := p.lockOwner(key)
-		for {
-			if err := p.gateCheckKey(key); err != nil {
-				sh.mu.Unlock()
-				return "", false, err
-			}
-			budget := maxStale
-			if budget > 0 && sh.Lag(time.Now()) > budget {
-				budget = 0 // queue already over budget: fresh fallback
-			}
-			v, ok, pending := sh.e.GetBounded(key, budget)
-			if pending == 0 {
-				sh.record(key, 1)
-				sh.mu.Unlock()
-				return v, ok, nil
-			}
-			if !sh.waitLoadsLocked(dl) {
-				sh.mu.Unlock()
-				return "", false, deadlineErr(maxStale)
-			}
-			if p.pmap.Load().Owner(key) != sh.idx {
-				sh.mu.Unlock()
-				break // migrated away while waiting; reroute
-			}
+		if !p.pmap.Load().OwnsRange(owner, r) {
+			return errMoved
+		}
+		if g := p.gate.Load(); g != nil && !g.OwnsRange(r) {
+			return &partition.NotOwnerError{View: g}
+		}
+		budget := maxStale
+		if budget > 0 && sh.Lag(time.Now()) > budget {
+			budget = 0 // queue already over budget: fresh fallback
+		}
+		units, pending := op(sh.e, budget)
+		if pending == 0 {
+			sh.record(lo, units)
+			return nil
+		}
+		if !sh.waitLoadsLocked(dl) {
+			return deadlineErr(maxStale)
 		}
 	}
 }
@@ -550,217 +529,79 @@ func deadlineErr(maxStale time.Duration) error {
 	return ErrDeadline
 }
 
-// Scan returns up to limit (0 = all) pairs in [lo, hi), fanning
-// cross-shard ranges out concurrently and concatenating the per-shard
-// sorted pieces (which arrive in key order). buf's capacity is reused
-// for the first piece. If sub is non-nil it is invoked for each piece
-// while the owning shard's lock is still held, immediately after that
-// piece's final (complete) scan — the atomic snapshot+subscribe window
-// cross-server subscriptions need (§2.4).
+// Get returns the value under key from its owning shard, blocking on
+// outstanding base-data loads.
+func (p *Pool) Get(key string) (string, bool) {
+	v, ok, _ := p.GetBounded(key, 0, time.Time{})
+	return v, ok
+}
+
+// GetBounded is Get bounded by a deadline (zero = none; ErrDeadline if
+// base-data loads are still outstanding at dl) and carrying a staleness
+// budget (zero = fully fresh): one step, routed again if the key changed
+// shards meanwhile.
+func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (v string, ok bool, err error) {
+	for {
+		err = p.step(p.pmap.Load().Owner(key), key, key+"\x00", maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+			var pending int
+			v, ok, pending = e.GetBounded(key, budget)
+			return 1, pending
+		})
+		switch err {
+		case nil:
+			return v, ok, nil
+		case errMoved:
+		default:
+			return "", false, err
+		}
+	}
+}
+
+// Scan returns up to limit (0 = all) pairs in [lo, hi). buf's capacity
+// is reused for the first piece. If sub is non-nil it is invoked for
+// each piece while the owning shard's lock is still held, immediately
+// after that piece's final (complete) scan — the atomic
+// snapshot+subscribe window cross-server subscriptions need (§2.4).
 func (p *Pool) Scan(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range)) []core.KV {
 	kvs, _ := p.ScanBounded(lo, hi, limit, buf, sub, 0, time.Time{})
 	return kvs
 }
 
-// errMoved reports that a scan piece's ownership changed between
-// computing the piece list and locking the shard (a live migration
-// completed in between): the caller re-splits against the fresh map and
-// retries, so no piece is ever served by a shard that owns only part of
-// it.
-var errMoved = errors.New("shard: range migrated mid-scan")
-
-// ScanBounded is Scan bounded by a deadline (zero = none; an expired
-// deadline while waiting on base-data loads yields ErrDeadline) and
-// carrying a staleness budget (zero = fully fresh); see GetBounded for
-// the serving condition. Subscribing scans (sub != nil) always run
-// fresh — the subscription snapshot must be exact or the subscriber
-// would permanently miss the writes the budget skipped.
+// ScanBounded is Scan bounded by a deadline and carrying a staleness
+// budget, as GetBounded: partition.Gather over the pool's map, one step
+// per piece. Subscribing scans (sub != nil) always run fresh — the
+// subscription snapshot must be exact or the subscriber would
+// permanently miss the writes the budget skipped — and visit every
+// piece, each subscription needing its piece's complete snapshot.
 func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), maxStale time.Duration, dl time.Time) ([]core.KV, error) {
 	if sub != nil {
 		maxStale = 0
 	}
-	for {
-		kvs, err := p.scanOnce(lo, hi, limit, buf, sub, maxStale, dl)
-		if err == errMoved {
-			continue
-		}
-		return kvs, err
-	}
+	return partition.Gather(p.Map, keys.Range{Lo: lo, Hi: hi}, limit, sub != nil, buf,
+		func(pc partition.Shard, limit int, buf []core.KV) ([]core.KV, error) {
+			err := p.step(pc.Owner, pc.R.Lo, pc.R.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+				var pending int
+				buf, pending = e.ScanIntoBounded(pc.R.Lo, pc.R.Hi, limit, buf, budget)
+				if pending == 0 && sub != nil {
+					sub(pc.Owner, pc.R)
+				}
+				return 1 + int64(len(buf)), pending
+			})
+			return buf, err
+		},
+		func(err error, _ int) bool { return err == errMoved })
 }
 
-// scanOnce runs one scan attempt against a snapshot of the partition
-// map, failing with errMoved if a migration invalidated a piece.
-func (p *Pool) scanOnce(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), maxStale time.Duration, dl time.Time) ([]core.KV, error) {
-	pieces := p.pmap.Load().Split(keys.Range{Lo: lo, Hi: hi})
-	if len(pieces) == 0 {
-		return buf[:0], nil
-	}
-	if len(pieces) == 1 {
-		return p.scanPiece(pieces[0], limit, buf, sub, maxStale, dl)
-	}
-	if limit > 0 && sub == nil {
-		// A limited scan stops at the first piece that satisfies it:
-		// visiting pieces sequentially with the remaining limit avoids
-		// forcing join materialization (and the cache state it creates)
-		// in pieces whose rows would be truncated anyway. Subscribing
-		// scans still fan out to every piece — each subscription needs
-		// its piece's complete snapshot.
-		out, err := p.scanPiece(pieces[0], limit, buf, nil, maxStale, dl)
-		if err != nil {
-			return nil, err
-		}
-		var scratch []core.KV
-		for _, pc := range pieces[1:] {
-			if len(out) >= limit {
-				break
-			}
-			var err error
-			scratch, err = p.scanPiece(pc, limit-len(out), scratch[:0], nil, maxStale, dl)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, scratch...)
-		}
-		return out, nil
-	}
-	results := make([][]core.KV, len(pieces))
-	errs := make([]error, len(pieces))
-	var wg sync.WaitGroup
-	for i, pc := range pieces {
-		i, pc := i, pc
-		var b []core.KV
-		if i == 0 {
-			b = buf
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = p.scanPiece(pc, limit, b, sub, maxStale, dl)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := results[0]
-	for _, r := range results[1:] {
-		out = append(out, r...)
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
-}
-
-// scanPiece scans one owner's piece, retrying until no loads are
-// pending. After taking the shard lock (and after every load wait,
-// which releases it) the piece must still be wholly owned by this
-// shard; a migration in between fails the attempt with errMoved.
-func (p *Pool) scanPiece(pc partition.Shard, limit int, buf []core.KV, sub func(int, keys.Range), maxStale time.Duration, dl time.Time) ([]core.KV, error) {
-	sh := p.shards[pc.Owner]
-	sh.mu.Lock()
-	for {
-		if !p.pmap.Load().OwnsRange(pc.Owner, pc.R) {
-			sh.mu.Unlock()
-			return nil, errMoved
-		}
-		if err := p.gateCheckRange(pc.R); err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		budget := maxStale
-		if budget > 0 && sh.Lag(time.Now()) > budget {
-			budget = 0 // queue already over budget: fresh fallback
-		}
-		kvs, pending := sh.e.ScanIntoBounded(pc.R.Lo, pc.R.Hi, limit, buf, budget)
-		buf = kvs
-		if pending == 0 {
-			if sub != nil {
-				sub(pc.Owner, pc.R)
-			}
-			sh.record(pc.R.Lo, 1+int64(len(kvs)))
-			sh.mu.Unlock()
-			return kvs, nil
-		}
-		if !sh.waitLoadsLocked(dl) {
-			sh.mu.Unlock()
-			return nil, deadlineErr(maxStale)
-		}
-	}
-}
-
-// Count returns the number of keys in [lo, hi) after join computation,
-// summing concurrent per-shard counts.
+// Count returns the number of keys in [lo, hi) after join computation.
 func (p *Pool) Count(lo, hi string) int {
 	n, _ := p.CountBounded(lo, hi, 0, time.Time{})
 	return n
 }
 
-// CountBounded is Count bounded by a deadline (zero = none) and carrying
-// a staleness budget (zero = fully fresh); see GetBounded for the
-// serving condition.
+// CountBounded is the length of ScanBounded.
 func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration, dl time.Time) (int, error) {
-retry:
-	for {
-		pieces := p.pmap.Load().Split(keys.Range{Lo: lo, Hi: hi})
-		if len(pieces) == 0 {
-			return 0, nil
-		}
-		counts := make([]int, len(pieces))
-		errs := make([]error, len(pieces))
-		var wg sync.WaitGroup
-		for i, pc := range pieces {
-			i, pc := i, pc
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sh := p.shards[pc.Owner]
-				sh.mu.Lock()
-				for {
-					if !p.pmap.Load().OwnsRange(pc.Owner, pc.R) {
-						sh.mu.Unlock()
-						errs[i] = errMoved
-						return
-					}
-					if err := p.gateCheckRange(pc.R); err != nil {
-						sh.mu.Unlock()
-						errs[i] = err
-						return
-					}
-					budget := maxStale
-					if budget > 0 && sh.Lag(time.Now()) > budget {
-						budget = 0 // queue already over budget: fresh fallback
-					}
-					n, pending := sh.e.CountBounded(pc.R.Lo, pc.R.Hi, budget)
-					if pending == 0 {
-						counts[i] = n
-						sh.record(pc.R.Lo, 1+int64(n))
-						sh.mu.Unlock()
-						return
-					}
-					if !sh.waitLoadsLocked(dl) {
-						sh.mu.Unlock()
-						errs[i] = deadlineErr(maxStale)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		total := 0
-		for i, n := range counts {
-			if errs[i] == errMoved {
-				continue retry
-			}
-			if errs[i] != nil {
-				return 0, errs[i]
-			}
-			total += n
-		}
-		return total, nil
-	}
+	kvs, err := p.ScanBounded(lo, hi, 0, nil, nil, maxStale, dl)
+	return len(kvs), err
 }
 
 // Apply routes a batch of replicated changes (peer pushes, database

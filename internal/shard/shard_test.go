@@ -57,7 +57,10 @@ func TestRoutingAndOwnership(t *testing.T) {
 			}
 		})
 	}
-	if !p.Remove("t|u7|5") || p.Remove("t|u7|5") {
+	if had, _ := p.Remove("t|u7|5"); !had {
+		t.Fatal("Remove of an existing key")
+	}
+	if had, _ := p.Remove("t|u7|5"); had {
 		t.Fatal("Remove")
 	}
 	if n := p.Count("", ""); n != 3 {

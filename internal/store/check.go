@@ -14,9 +14,12 @@ import (
 func (s *Store) Check() error {
 	entries, bytes := 0, int64(0)
 	refs := map[*Value]int32{}
+	if err := s.order.Check(); err != nil || s.order.Len() != len(s.tables) {
+		return fmt.Errorf("table order: %d of %d tables ordered, %v", s.order.Len(), len(s.tables), err)
+	}
 	for name, t := range s.tables {
-		if t.subOrder.Len() != len(t.subs) {
-			return fmt.Errorf("table %q: %d subtables indexed, %d ordered", name, len(t.subs), t.subOrder.Len())
+		if err := t.subOrder.Check(); err != nil || t.subOrder.Len() != len(t.subs) {
+			return fmt.Errorf("table %q: %d subtables indexed, %d ordered, %v", name, len(t.subs), t.subOrder.Len(), err)
 		}
 		bytes += t.footprint()
 		var err error

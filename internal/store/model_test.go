@@ -48,8 +48,8 @@ var opTables = [...]string{"p", "s", "t"}
 
 // runStoreOps interprets data as a stream of store operations, applies
 // each to a Store and to the model, and after every one checks the
-// store's structure and counters (Store.Check) and its size; reads
-// compare contents. Four hints are used and reused throughout, whatever
+// store's structure and counters (Store.Check) and its size; reads and
+// floor probes compare contents. Four hints are used and reused throughout, whatever
 // has happened to the leaves they point at: splits, the leaf's deletion,
 // a re-shard of its table.
 func runStoreOps(t testing.TB, data []byte) {
@@ -133,12 +133,38 @@ func runStoreOps(t testing.TB, data []byte) {
 			if v, ok := s.Get(k); v != m.vals[k] || ok != (v != nil) {
 				t.Fatalf("step %d: get %q gave %v, %v; model %v", step, k, v, ok, m.vals[k])
 			}
-		case 12, 13:
+		case 12:
 			lo, hi := pick(), pick()
 			if hi < lo {
 				lo, hi = hi, lo
 			}
 			equalStoreScan(t, s, m, lo, hi, step)
+		case 13: // the floor probe, on the tree that would hold k
+			k := pick()
+			tr := s.lookup(k)
+			if tr == nil {
+				break
+			}
+			// It starts at the tree's last key at or below k, else at its
+			// first above.
+			want := ""
+			for _, mk := range m.keys {
+				if s.lookup(mk) != tr {
+					continue
+				}
+				if mk > k {
+					if want == "" {
+						want = mk
+					}
+					break
+				}
+				want = mk
+			}
+			got := ""
+			tr.AscendFloor(k, "", func(fk string, _ *Value) bool { got = fk; return false })
+			if got != want {
+				t.Fatalf("step %d: floor probe at %q starts at %q, model %q", step, k, got, want)
+			}
 		case 14:
 			s.SetSubtableDepth(opTables[next()%3], next()%4)
 		case 15:

@@ -25,7 +25,6 @@ package store
 import (
 	"pequod/internal/btree"
 	"pequod/internal/keys"
-	"pequod/internal/rbtree"
 )
 
 // Memory accounting charges what the Go heap holds for the rows: every
@@ -38,7 +37,7 @@ const (
 	leafBytes        = 1536 // btree leaf: 61 × (string header + *Value) + fence, links, count
 	innerBytes       = 2048 // btree interior node: 61 × (separator + child) + count
 	valueOverhead    = 24   // Value struct: string header + refcount
-	subtableOverhead = 192  // subtable struct (80) + order-tree node (64) + hash index slot (~48)
+	subtableOverhead = 168  // subtable struct (80) + its slot in the order tree (24 in a full leaf, ~40 typical) + hash index slot (~48)
 )
 
 // allocSize is what the heap spends on an n-byte key or value payload:
@@ -96,7 +95,7 @@ type Table struct {
 
 	tree     tree                 // used when depth == 0
 	subs     map[string]*subtable // hash index over subtables (§4.1)
-	subOrder rbtree.Tree[*subtable]
+	subOrder btree.Tree[*subtable]
 }
 
 // Name returns the table name.
@@ -125,7 +124,7 @@ func (t *Table) treeFor(key string, create bool) *tree {
 		}
 		sub = &subtable{prefix: pfx}
 		t.subs[pfx] = sub
-		t.subOrder.Insert(pfx, sub)
+		t.subOrder.Set(pfx, sub, nil)
 	}
 	return &sub.tree
 }
@@ -136,15 +135,9 @@ func (t *Table) trees(lo, hi string, fn func(tr *tree) bool) bool {
 	if t.depth == 0 {
 		return fn(&t.tree)
 	}
-	ok := true
-	t.subOrder.Ascend(keys.Prefix(lo, t.depth), "", func(sn *rbtree.Node[*subtable]) bool {
-		if hi != "" && sn.Val.prefix >= hi {
-			return false
-		}
-		ok = fn(&sn.Val.tree)
-		return ok
+	return t.subOrder.Ascend(keys.Prefix(lo, t.depth), hi, func(_ string, sub *subtable) bool {
+		return fn(&sub.tree)
 	})
-	return ok
 }
 
 // footprint is what the table's containers occupy beyond keys and values.
@@ -167,7 +160,7 @@ func nodeBytes(tr *tree) int64 {
 // engine (like the paper's single-threaded server) serializes access.
 type Store struct {
 	tables map[string]*Table
-	order  rbtree.Tree[*Table]
+	order  btree.Tree[*Table]
 
 	bytes   int64
 	entries int
@@ -213,7 +206,7 @@ func (s *Store) SetSubtableDepth(table string, depth int) {
 	})
 	t.depth = depth
 	t.subs = nil
-	t.subOrder = rbtree.Tree[*subtable]{}
+	t.subOrder = btree.Tree[*subtable]{}
 	if depth > 0 {
 		t.subs = make(map[string]*subtable)
 	}
@@ -234,7 +227,7 @@ func (s *Store) table(key string, create bool) *Table {
 			t.subs = make(map[string]*subtable)
 		}
 		s.tables[name] = t
-		s.order.Insert(name, t)
+		s.order.Set(name, t, nil)
 	}
 	return t
 }
@@ -253,7 +246,7 @@ func (s *Store) Table(name string) *Table { return s.tables[name] }
 
 // Tables calls fn for each table in name order.
 func (s *Store) Tables(fn func(t *Table) bool) {
-	s.order.Ascend("", "", func(n *rbtree.Node[*Table]) bool { return fn(n.Val) })
+	s.order.Ascend("", "", func(_ string, t *Table) bool { return fn(t) })
 }
 
 // retain/release maintain shared-value accounting (§4.3).
@@ -330,12 +323,7 @@ func (s *Store) Remove(key string) (*Value, bool) {
 // trees calls fn for each tree that can hold keys of [lo, hi), in key
 // order, until fn returns false.
 func (s *Store) trees(lo, hi string, fn func(tr *tree) bool) {
-	s.order.Ascend(keys.Table(lo), "", func(n *rbtree.Node[*Table]) bool {
-		if hi != "" && n.Val.name >= hi {
-			return false
-		}
-		return n.Val.trees(lo, hi, fn)
-	})
+	s.order.Ascend(keys.Table(lo), hi, func(_ string, t *Table) bool { return t.trees(lo, hi, fn) })
 }
 
 // Scan calls fn for every key in [lo, hi) in ascending order (hi == ""

@@ -255,8 +255,7 @@ func (c *Cache) Put(ctx context.Context, key, value string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.p.Put(key, value)
-	return nil
+	return c.p.Put(key, value)
 }
 
 // Remove deletes key, reporting whether it existed.
@@ -264,7 +263,7 @@ func (c *Cache) Remove(ctx context.Context, key string) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	return c.p.Remove(key), nil
+	return c.p.Remove(key)
 }
 
 // Get returns the value under key, computing covering joins on demand.

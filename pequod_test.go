@@ -308,3 +308,46 @@ func TestDialContextCancellation(t *testing.T) {
 		t.Fatalf("dial hung %v despite canceled context", elapsed)
 	}
 }
+
+// TestWarmReadAllocations pins what a warm embedded read allocates: a
+// timeline Scan and a Get of one of its rows, Twip-shaped keys, a
+// four-shard cache. The counts are the commit's before the read path was
+// told once (cover, step, gather); a closure that starts escaping on
+// that path shows here, not first in the benchmark.
+func TestWarmReadAllocations(t *testing.T) {
+	const maxScanAllocs, maxGetAllocs = 13, 14
+	ctx := context.Background()
+	c, err := NewCache(Options{}, WithBounds("p|", "s|", "t|"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Install(ctx, timelineJoin); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 8; f++ {
+		c.Put(ctx, fmt.Sprintf("s|u0000007|u%07d", f), "1")
+		for p := 0; p < 5; p++ {
+			c.Put(ctx, fmt.Sprintf("p|u%07d|%010d", f, 100*p+f), "a tweet of the usual length, more or less")
+		}
+	}
+	c.Quiesce(ctx)
+	const lo, hi, key = "t|u0000007|", "t|u0000007}", "t|u0000007|0000000203|u0000003"
+	if kvs, err := c.Scan(ctx, lo, hi, 0); err != nil || len(kvs) != 40 {
+		t.Fatalf("timeline = %d rows, %v", len(kvs), err)
+	}
+	scan := testing.AllocsPerRun(200, func() {
+		if kvs, err := c.Scan(ctx, lo, hi, 0); err != nil || len(kvs) != 40 {
+			panic("warm scan")
+		}
+	})
+	get := testing.AllocsPerRun(200, func() {
+		if _, ok, err := c.Get(ctx, key); err != nil || !ok {
+			panic("warm get")
+		}
+	})
+	t.Logf("warm Scan %v allocs, warm Get %v", scan, get)
+	if scan > maxScanAllocs || get > maxGetAllocs {
+		t.Fatalf("warm Scan allocates %v times (was %d), warm Get %v (was %d)", scan, maxScanAllocs, get, maxGetAllocs)
+	}
+}
