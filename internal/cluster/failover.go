@@ -260,11 +260,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 	// the replicas live, so walking in that order hands the range to a
 	// member that already holds it warm whenever one survives.
 	heirs := make([]string, len(v.Addrs()))
-	type coldPromo struct {
-		owner int
-		heir  string
-	}
-	var cold []coldPromo
+	var cold []int
 	for o, a := range v.Addrs() {
 		if !dead[a] {
 			heirs[o] = a
@@ -283,7 +279,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 				// (rows from an earlier replica assignment or ownership
 				// stint linger there until its next snapshot).
 				log.Printf("pequod cluster: repair: range %d (owner %s): no replica holder survives; promoting %s without a warm copy", o, a, s)
-				cold = append(cold, coldPromo{owner: o, heir: s})
+				cold = append(cold, o)
 			}
 			break
 		}
@@ -291,61 +287,63 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 			return nil, fmt.Errorf("cluster: repair: no survivor for owner %d (%s): %w", o, a, perrs.ErrMemberDown)
 		}
 	}
-	nv, err := cl.successor(v, v.Map().Bounds(), heirs, 0)
+	// The dead members are not in the successor's members, so the
+	// publish (and the replica republish riding it) only contacts
+	// survivors. Member-side, fences toward a dead peer resolve vacuously
+	// — a dead peer owes nothing — and the heirs' gates promote instead
+	// of re-fetching. A memory-only cold heir's rebuild fails and its
+	// promotion stays empty: acknowledged writes in that range are lost.
+	return deadAddrs, cl.settle(ctx, "repair", v, heirs, cold, deadAddrs)
+}
+
+// settle finishes a same-bounds substitution of v's serving addresses
+// by addrs — Repair's heirs, Restore's new address — on behalf of verb,
+// the caller named in errors and logs. It publishes the successor view;
+// asks the new owner of each of the rebuild owner indexes to restore
+// that range from its own durable lineage — behind live writes, absent
+// keys only, best-effort; re-spreads the replica assignments, retrying
+// until every member has acknowledged (the monitor's anti-entropy
+// republish backstops a spent budget); and fences each removed address:
+// a falsely-dead member (slow, paused, briefly partitioned, or its
+// machine resurrected) must learn it owns nothing under the new map, or
+// it would keep acknowledging writes from clients holding the old one —
+// writes silently lost once traffic routes elsewhere. A truly dead one
+// just misses the message. Its connection is then retired, so no later
+// routing decision waits out a connect timeout to an address known to
+// be gone.
+func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, addrs []string, rebuild []int, removed []string) error {
+	nv, err := cl.successor(v, v.Map().Bounds(), addrs, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The dead members are not in nv.Members(), so the publish (and the
-	// replica republish riding it) only contacts survivors. Member-side,
-	// fences toward a dead peer resolve vacuously — a dead peer owes
-	// nothing — and the heirs' gates promote instead of re-fetching.
 	if err := cl.publish(ctx, nv, nil); err != nil {
-		return deadAddrs, fmt.Errorf("cluster: repair published, but not to every survivor (they converge via NotOwner): %w", err)
+		return fmt.Errorf("cluster: %s published, but not to every member (they converge via NotOwner): %w", verb, err)
 	}
-	// Cold promotions: the heir owns the range now (the publish landed),
-	// so disk-recovered rows restore behind live writes — absent keys
-	// only — and whatever its durable lineage still holds comes back
-	// instead of nothing. Best-effort: a memory-only heir reports an
-	// error and the promotion stays empty, exactly as before.
-	for _, cp := range cold {
-		r := nv.Map().OwnerRange(cp.owner)
-		c, err := cl.conn(ctx, cp.heir)
+	for _, o := range rebuild {
+		r, at := nv.Map().OwnerRange(o), nv.Addrs()[o]
+		c, err := cl.conn(ctx, at)
+		var n int64
 		if err == nil {
-			var n int64
-			if n, err = c.RebuildRange(ctx, r.Lo, r.Hi); err == nil {
-				log.Printf("pequod cluster: repair: range %d: rebuilt %d rows from %s's durable store", cp.owner, n, cp.heir)
-				continue
-			}
+			n, err = c.RebuildRange(ctx, r.Lo, r.Hi)
 		}
-		log.Printf("pequod cluster: repair: range %d: durable rebuild at %s failed (%v) — acknowledged writes in this range are lost", cp.owner, cp.heir, err)
+		if err != nil {
+			log.Printf("pequod cluster: %s: range %d: durable rebuild at %s failed: %v", verb, o, at, err)
+		} else if n > 0 {
+			log.Printf("pequod cluster: %s: range %d: rebuilt %d rows at %s from its durable store", verb, o, n, at)
+		}
 	}
-	// The repaired ranges changed homes, so the replica placement walk
-	// lands their copies on new members. The assignment that rode the
-	// publish above is one best-effort shot; a member that missed it
-	// would leave the repaired ranges a copy short until the next map
-	// event, so retry here until every survivor has acknowledged (the
-	// monitor's anti-entropy republish backstops a retry budget spent
-	// against a flaky member).
 	for attempt := 0; cl.copies > 1; attempt++ {
 		failed := cl.publishReplicas(ctx, nv, cl.replicaTables())
 		if len(failed) == 0 {
 			break
 		}
 		if attempt >= 4 || !cl.pause(ctx, probeTimeout/2) {
-			log.Printf("pequod cluster: repair: replica assignment not acknowledged by %v; monitor anti-entropy will converge them", failed)
+			log.Printf("pequod cluster: %s: replica assignment not acknowledged by %v; monitor anti-entropy will converge them", verb, failed)
 			break
 		}
 	}
-	// Best-effort fence toward the removed members: a falsely-dead one
-	// (slow, paused, briefly partitioned) must learn it owns nothing
-	// under the repaired map, or it would keep acknowledging writes from
-	// clients still holding the old map — writes silently lost once
-	// traffic routes to the heirs. Its gate flips to NotOwner-bouncing
-	// everything on adoption; a truly dead member just misses the
-	// message.
 	var fwg sync.WaitGroup
-	for _, a := range deadAddrs {
-		a := a
+	for _, a := range removed {
 		fwg.Add(1)
 		go func() {
 			defer fwg.Done()
@@ -355,20 +353,16 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 		}()
 	}
 	fwg.Wait()
-	// Retire the dead members' connections so no later routing decision
-	// waits out a connect timeout to an address known to be gone.
 	cl.cmu.Lock()
-	if cl.conns != nil {
-		for _, a := range deadAddrs {
-			if c := cl.conns[a]; c != nil {
-				cl.retiredRPCs += c.RPCs()
-				c.Close()
-				delete(cl.conns, a)
-			}
+	defer cl.cmu.Unlock()
+	for _, a := range removed {
+		if c := cl.conns[a]; c != nil {
+			cl.retiredRPCs += c.RPCs()
+			c.Close()
+			delete(cl.conns, a)
 		}
 	}
-	cl.cmu.Unlock()
-	return deadAddrs, nil
+	return nil
 }
 
 // publishReplicas sends every member of v its replica assignment: the

@@ -19,7 +19,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"log"
 )
 
 // Restore substitutes newAddr for the confirmed-dead member oldAddr in
@@ -62,7 +61,11 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 	// Publish the substitution as a same-bounds epoch successor: the
 	// usual coordination currency, so a restore racing a migration or a
 	// repair serializes through the epoch-ordered versions like any
-	// other map change.
+	// other map change. Then backfill from the restored member's own
+	// lineage: rows its startup gate filtered out (the recovered meta
+	// predates every map change since the death) restore now that the
+	// member owns the ranges again. What the lineage lost, the replica
+	// re-spread re-seeds.
 	addrs := make([]string, len(v.Addrs()))
 	for i, a := range v.Addrs() {
 		if a == oldAddr {
@@ -71,58 +74,5 @@ func (cl *Cluster) Restore(ctx context.Context, oldAddr, newAddr string) error {
 			addrs[i] = a
 		}
 	}
-	nv, err := cl.successor(v, v.Map().Bounds(), addrs, 0)
-	if err != nil {
-		return err
-	}
-	if err := cl.publish(ctx, nv, nil); err != nil {
-		return fmt.Errorf("cluster: restore published, but not to every member (they converge via NotOwner): %w", err)
-	}
-
-	// Backfill from the restored member's own lineage: rows its startup
-	// gate filtered out (the recovered meta predates every map change
-	// since the death) restore now that the member owns the ranges
-	// again — absent keys only, so live writes accepted since the
-	// publish win. Best-effort: what the lineage lost, the replica
-	// re-sync below re-seeds.
-	for _, o := range nv.OwnersOf(newAddr) {
-		r := nv.Map().OwnerRange(o)
-		if n, err := c.RebuildRange(ctx, r.Lo, r.Hi); err != nil {
-			log.Printf("pequod cluster: restore: range %d: durable rebuild at %s failed: %v", o, newAddr, err)
-		} else if n > 0 {
-			log.Printf("pequod cluster: restore: range %d: rebuilt %d rows at %s from its lineage", o, n, newAddr)
-		}
-	}
-
-	// Re-spread replica assignments over the substituted membership,
-	// with Repair's retry budget (the monitor's anti-entropy republish
-	// backstops a budget spent against a flaky member).
-	for attempt := 0; cl.copies > 1; attempt++ {
-		failed := cl.publishReplicas(ctx, nv, cl.replicaTables())
-		if len(failed) == 0 {
-			break
-		}
-		if attempt >= 4 || !cl.pause(ctx, probeTimeout/2) {
-			log.Printf("pequod cluster: restore: replica assignment not acknowledged by %v; monitor anti-entropy will converge them", failed)
-			break
-		}
-	}
-
-	// Best-effort fence toward the old address: if it was falsely dead
-	// (or its machine resurrects later), it must learn it owns nothing
-	// under the restored map rather than acknowledge writes from
-	// clients holding the old one.
-	fctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	cl.publishView(fctx, nv, oldAddr) //nolint:errcheck // best-effort fence
-	cancel()
-	cl.cmu.Lock()
-	if cl.conns != nil {
-		if old := cl.conns[oldAddr]; old != nil {
-			cl.retiredRPCs += old.RPCs()
-			old.Close()
-			delete(cl.conns, oldAddr)
-		}
-	}
-	cl.cmu.Unlock()
-	return nil
+	return cl.settle(ctx, "restore", v, addrs, v.OwnersOf(oldAddr), []string{oldAddr})
 }

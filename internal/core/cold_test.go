@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pequod/internal/interval"
 	"pequod/internal/keys"
 	"pequod/internal/store"
 )
@@ -119,9 +120,10 @@ func (r *coldRig) outputs() int {
 // updaters counts the cold engine's installed updater contexts.
 func (r *coldRig) updaters() int {
 	n := 0
-	for _, u := range r.cold.updIndex {
-		n += len(u.contexts)
-	}
+	r.cold.updaters.Overlap("", "", func(en *interval.Entry[*Updater]) bool {
+		n += len(en.Val.contexts)
+		return true
+	})
 	return n
 }
 

@@ -139,9 +139,8 @@ type Engine struct {
 	opts Options
 
 	joins    []*installedJoin
-	outJoins map[string][]*installedJoin         // by output table
-	updaters map[string]*interval.Tree[*Updater] // by source table
-	updIndex map[string]*Updater                 // exact-range merge index
+	outJoins map[string][]*installedJoin // by output table
+	updaters interval.Tree[*Updater]     // over every source table (§3.2)
 
 	presence map[string]*presenceTable // loader-backed base tables
 	loader   BaseLoader
@@ -162,8 +161,6 @@ func New(opts Options) *Engine {
 		s:        store.New(),
 		opts:     opts,
 		outJoins: make(map[string][]*installedJoin),
-		updaters: make(map[string]*interval.Tree[*Updater]),
-		updIndex: make(map[string]*Updater),
 		presence: make(map[string]*presenceTable),
 	}
 }
@@ -305,16 +302,6 @@ func (e *Engine) Joins() []string {
 		out = append(out, ij.j.Text)
 	}
 	return out
-}
-
-// updaterTree returns (creating) the updater interval tree for a table.
-func (e *Engine) updaterTree(table string) *interval.Tree[*Updater] {
-	t := e.updaters[table]
-	if t == nil {
-		t = interval.New[*Updater]()
-		e.updaters[table] = t
-	}
-	return t
 }
 
 // Put installs value under key (client write or database notification)

@@ -485,7 +485,7 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, le logEntry) bool {
 		vs := j.Sources[j.ValueSource]
 		rmRange := pattern.ContainingRange(vs.Pat, j.Out, bk, st.r)
 		for _, u := range st.updaters {
-			if u.table != vs.Pat.Table() || u.entry == nil || !rmRange.ContainsRange(u.entry.Range()) {
+			if !rmRange.ContainsRange(u.entry.Range()) {
 				continue
 			}
 			u.removeContextsMatching(st, func(c *updCtx) bool {

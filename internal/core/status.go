@@ -364,12 +364,8 @@ var st0 pattern.Binding
 // A context whose binding conflicts with the key is skipped outright —
 // the key cannot contribute tuples through it.
 func (e *Engine) invalidateDependents(key string) {
-	ut := e.updaters[keys.Table(key)]
-	if ut == nil {
-		return
-	}
 	var hit []updCtx
-	ut.Stab(key, func(en *interval.Entry[*Updater]) bool {
+	e.updaters.Stab(key, func(en *interval.Entry[*Updater]) bool {
 		hit = append(hit, en.Val.contexts...)
 		return true
 	})
@@ -400,12 +396,9 @@ func (e *Engine) invalidateDependents(key string) {
 // would never reach the status; the recompute of the dirty span is what
 // reloads — and re-subscribes — the whole source range it reads.
 func (e *Engine) invalidateRangeDependents(table string, r keys.Range) {
-	ut := e.updaters[table]
-	if ut == nil {
-		return
-	}
+	r = r.Intersect(keys.RangeOf(table)) // a direct scan's presence range can reach past the table
 	var hit []updCtx
-	ut.Overlap(r.Lo, r.Hi, func(en *interval.Entry[*Updater]) bool {
+	e.updaters.Overlap(r.Lo, r.Hi, func(en *interval.Entry[*Updater]) bool {
 		hit = append(hit, en.Val.contexts...)
 		return true
 	})

@@ -23,11 +23,10 @@ type updCtx struct {
 // Updater links a range of source keys with one or more contexts.
 // Overlapping installations against the same source range merge into a
 // single Updater by appending contexts — the paper's updater-merging
-// optimization.
+// optimization. A source range lies inside its table, so the range alone
+// names the updater.
 type Updater struct {
 	entry    *interval.Entry[*Updater]
-	table    string
-	indexKey string
 	contexts []updCtx
 }
 
@@ -45,10 +44,6 @@ func (u *Updater) removeContextsMatching(js *JoinStatus, pred func(*updCtx) bool
 		out = append(out, *c)
 	}
 	u.contexts = out
-}
-
-func updaterIndexKey(table string, r keys.Range) string {
-	return table + "\x00" + r.Lo + "\x00" + r.Hi
 }
 
 // installUpdater attaches an updater covering cr for source srcIdx of
@@ -84,15 +79,14 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 		}
 	}
 
-	ik := updaterIndexKey(src.Pat.Table(), cr)
-	u := e.updIndex[ik]
-	if u == nil {
-		u = &Updater{table: src.Pat.Table(), indexKey: ik}
-		u.entry = e.updaterTree(u.table).Insert(cr.Lo, cr.Hi, u)
-		e.updIndex[ik] = u
-		e.stats.UpdatersInstalled++
-	} else {
+	var u *Updater
+	if en := e.updaters.Find(cr.Lo, cr.Hi); en != nil {
+		u = en.Val
 		e.stats.UpdatersMerged++
+	} else {
+		u = &Updater{}
+		u.entry = e.updaters.Insert(cr.Lo, cr.Hi, u)
+		e.stats.UpdatersInstalled++
 	}
 	// Deduplicate identical contexts (re-ensures of the same status).
 	for i := range u.contexts {
@@ -111,16 +105,9 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 	st.updaters = append(st.updaters, u)
 }
 
-// dropUpdater removes an updater with no live contexts.
-func (e *Engine) dropUpdater(u *Updater) {
-	if u.entry != nil {
-		e.updaterTree(u.table).Delete(u.entry)
-		u.entry = nil
-	}
-	if e.updIndex[u.indexKey] == u { // a status may still list an updater dropped earlier
-		delete(e.updIndex, u.indexKey)
-	}
-}
+// dropUpdater removes an updater with no live contexts. A status may
+// still list an updater dropped earlier; dropping it again is a no-op.
+func (e *Engine) dropUpdater(u *Updater) { e.updaters.Delete(u.entry) }
 
 // fireUpdaters runs incremental maintenance for a modification of key:
 // "Whenever Pequod modifies its store, it finds all updaters applicable
@@ -128,14 +115,10 @@ func (e *Engine) dropUpdater(u *Updater) {
 // each" (§3.2). old/new describe the change (nil old = insert, nil new =
 // remove).
 func (e *Engine) fireUpdaters(key string, old, new *store.Value) {
-	ut := e.updaters[keys.Table(key)]
-	if ut == nil {
-		return
-	}
-	// Collect first: firing may mutate the tree (aggregate outputs
+	// Collect first: firing may mutate the index (aggregate outputs
 	// cascading, context uninstalls).
 	var hits []*Updater
-	ut.Stab(key, func(en *interval.Entry[*Updater]) bool {
+	e.updaters.Stab(key, func(en *interval.Entry[*Updater]) bool {
 		hits = append(hits, en.Val)
 		return true
 	})

@@ -98,6 +98,12 @@ func (r Range) Empty() bool {
 	return r.Hi != "" && r.Lo >= r.Hi
 }
 
+// IsPoint reports whether r holds exactly one key, its Lo: r is
+// [k, k+"\x00").
+func (r Range) IsPoint() bool {
+	return len(r.Hi) == len(r.Lo)+1 && r.Hi[len(r.Lo)] == 0 && r.Hi[:len(r.Lo)] == r.Lo
+}
+
 // Overlaps reports whether r and s share at least one key.
 func (r Range) Overlaps(s Range) bool {
 	if r.Empty() || s.Empty() {

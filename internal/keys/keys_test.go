@@ -101,6 +101,23 @@ func TestRangeContains(t *testing.T) {
 	}
 }
 
+func TestRangeIsPoint(t *testing.T) {
+	for r, want := range map[Range]bool{
+		{"t|ann", "t|ann\x00"}:  true,
+		{"", "\x00"}:            true,
+		{"t|ann", "t|ann\x01"}:  false,
+		{"t|ann", "t|anm\x00"}:  false,
+		{"t|ann", "t|ann"}:      false,
+		{"t|ann", ""}:           false,
+		{"t|ann|", "t|ann}"}:    false,
+		{"t|ann", "t|ann\x00x"}: false,
+	} {
+		if r.IsPoint() != want {
+			t.Errorf("%q.IsPoint() = %v", r, !want)
+		}
+	}
+}
+
 func TestRangeOf(t *testing.T) {
 	r := RangeOf("t", "ann")
 	if r.Lo != "t|ann|" || r.Hi != "t|ann}" {

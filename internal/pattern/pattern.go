@@ -311,7 +311,8 @@ func PointRange(key string) keys.Range {
 
 // ScanBinding derives a slot set from a requested scan range over the
 // output pattern (Fig 3's "ss := join.slotset(t, first, last)"): every
-// output slot whose value is completely pinned by the range is bound.
+// output slot whose value is completely pinned by the range is bound —
+// all of them for a point on a whole key.
 // The second return value is the portion of the scan range that can
 // possibly contain keys matching the pattern.
 func (p *Pattern) ScanBinding(scan keys.Range) (Binding, keys.Range) {
@@ -323,20 +324,21 @@ func (p *Pattern) ScanBinding(scan keys.Range) (Binding, keys.Range) {
 	pfx := ""
 	for i, seg := range p.segs {
 		// The scan must lie entirely inside the keyspace of a single
-		// component value c at this position for the binding to be exact.
+		// component value c at this position for the binding to be exact,
+		// or be a point on a key whose last component c is.
 		if !strings.HasPrefix(clip.Lo, pfx) {
 			break
 		}
-		rest := clip.Lo[len(pfx):]
-		j := strings.IndexByte(rest, keys.Sep)
-		if j < 0 {
-			break // component incomplete in the lower bound
-		}
-		c := rest[:j]
-		next := pfx + c + keys.SepString
-		cr := keys.Range{Lo: next, Hi: keys.PrefixEnd(next)}
-		if !cr.ContainsRange(clip) {
-			break
+		c, _, more := strings.Cut(clip.Lo[len(pfx):], keys.SepString)
+		switch {
+		case more:
+			next := pfx + c + keys.SepString
+			if !(keys.Range{Lo: next, Hi: keys.PrefixEnd(next)}).ContainsRange(clip) {
+				return b, clip
+			}
+			pfx = next
+		case i < len(p.segs)-1 || !clip.IsPoint():
+			return b, clip // component incomplete in the lower bound
 		}
 		if seg.Slot < 0 {
 			if c != seg.Literal {
@@ -348,10 +350,6 @@ func (p *Pattern) ScanBinding(scan keys.Range) (Binding, keys.Range) {
 				return b, keys.Range{Lo: clip.Lo, Hi: clip.Lo}
 			}
 			b = b.With(seg.Slot, c)
-		}
-		pfx = next
-		if i == len(p.segs)-1 {
-			break
 		}
 	}
 	return b, clip

@@ -198,6 +198,27 @@ func TestScanBinding(t *testing.T) {
 	if v, ok := b.Get(1); !ok || v != "100" {
 		t.Fatal("time should be bound for point scans")
 	}
+	// ...the last component included: a point holds one whole key. So a
+	// count join's group over a point reads one source prefix, not a
+	// range that starts mid-component and reaches past it.
+	if v, ok := b.Get(2); !ok || v != "bob" {
+		t.Fatal("poster should be bound for point scans")
+	}
+	rank := mustParse(t, "rank|<author>|<id>", &st)
+	votes := mustParse(t, "vote|<author>|<id>|<voter>", &st)
+	point := keys.Range{Lo: "rank|bob|101", Hi: "rank|bob|101\x00"}
+	b, _ = rank.ScanBinding(point)
+	if cr := ContainingRange(votes, rank, b, point); cr != keys.RangeOf("vote", "bob", "101") {
+		t.Fatalf("votes for one rank read %v, want %v", cr, keys.RangeOf("vote", "bob", "101"))
+	}
+	// A point on a key with the wrong last literal matches nothing, and a
+	// range ending mid-component binds nothing there.
+	if _, clip := mustParse(t, "page|<author>|a", &st).ScanBinding(keys.Range{Lo: "page|bob|r", Hi: "page|bob|r\x00"}); !clip.Empty() {
+		t.Fatalf("clip = %v, want empty", clip)
+	}
+	if b, _ := p.ScanBinding(keys.Range{Lo: "t|ann|100|bob", Hi: "t|ann|100|bob}"}); b.Has(2) {
+		t.Fatal("poster bound by a range that holds other posters")
+	}
 }
 
 func TestContainingRangePaperExamples(t *testing.T) {

@@ -3,29 +3,18 @@ package rbtree
 import "fmt"
 
 // CheckInvariants validates the red-black and BST invariants plus parent
-// pointer and size consistency. It is exported for tests (including
-// property-based tests in dependent packages); it is O(n).
-func (t *Tree[V]) CheckInvariants() error {
-	if t.root == nil {
-		if t.size != 0 {
-			return fmt.Errorf("empty tree with size %d", t.size)
-		}
-		return nil
+// pointers, and returns the number of nodes. It is O(n).
+func (t *Tree[V]) CheckInvariants() (nodes int, err error) {
+	switch {
+	case t.root == nil:
+		return 0, nil
+	case t.root.parent != nil:
+		return 0, fmt.Errorf("root has a parent")
+	case t.root.red:
+		return 0, fmt.Errorf("root is red")
 	}
-	if t.root.parent != nil {
-		return fmt.Errorf("root has a parent")
-	}
-	if t.root.red {
-		return fmt.Errorf("root is red")
-	}
-	count := 0
-	if _, err := checkNode(t.root, "", "", &count); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("size %d but %d nodes", t.size, count)
-	}
-	return nil
+	_, err = checkNode(t.root, "", "", &nodes)
+	return nodes, err
 }
 
 // checkNode verifies the subtree at n and returns its black height.
@@ -35,9 +24,6 @@ func checkNode[V any](n *Node[V], lo, hi string, count *int) (int, error) {
 		return 1, nil
 	}
 	*count++
-	if n.dead {
-		return 0, fmt.Errorf("dead node %q still linked", n.key)
-	}
 	if lo != "" && n.key <= lo {
 		return 0, fmt.Errorf("key %q violates lower bound %q", n.key, lo)
 	}

@@ -7,20 +7,19 @@ import (
 	"testing"
 )
 
+// collect returns the keys in order.
 func collect(t *Tree[int]) []string {
 	var out []string
-	t.Ascend("", "", func(n *Node[int]) bool {
-		out = append(out, n.key)
-		return true
-	})
+	var walk func(n *Node[int])
+	walk = func(n *Node[int]) {
+		if n != nil {
+			walk(n.left)
+			out = append(out, n.key)
+			walk(n.right)
+		}
+	}
+	walk(t.root)
 	return out
-}
-
-// deleteKey removes key if present, returning its node.
-func deleteKey[V any](t *Tree[V], key string) *Node[V] {
-	n := t.Find(key)
-	t.Delete(n)
-	return n
 }
 
 func TestBasicInsertFind(t *testing.T) {
@@ -35,9 +34,6 @@ func TestBasicInsertFind(t *testing.T) {
 			t.Fatalf("bad node for %q", k)
 		}
 	}
-	if tr.Len() != len(keysIn) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
 	for i, k := range keysIn {
 		n := tr.Find(k)
 		if n == nil || n.Val != i {
@@ -47,8 +43,8 @@ func TestBasicInsertFind(t *testing.T) {
 	if tr.Find("nope") != nil {
 		t.Fatal("Find of absent key")
 	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if n, err := tr.CheckInvariants(); err != nil || n != len(keysIn) {
+		t.Fatalf("%d nodes: %v", n, err)
 	}
 	got := collect(tr)
 	want := append([]string(nil), keysIn...)
@@ -64,7 +60,7 @@ func TestInsertExisting(t *testing.T) {
 	tr := &Tree[int]{}
 	tr.Insert("k", 1)
 	n, existed := tr.Insert("k", 2)
-	if !existed || tr.Len() != 1 {
+	if n2, _ := tr.CheckInvariants(); !existed || n2 != 1 {
 		t.Fatal("existing key not detected")
 	}
 	if n.Val != 1 {
@@ -76,147 +72,35 @@ func TestInsertExisting(t *testing.T) {
 	}
 }
 
-func TestSeek(t *testing.T) {
-	tr := &Tree[int]{}
-	for _, k := range []string{"b", "d", "f", "h"} {
-		tr.Insert(k, 0)
-	}
-	cases := []struct{ in, want string }{
-		{"a", "b"}, {"b", "b"}, {"c", "d"}, {"h", "h"}, {"i", ""},
-	}
-	for _, c := range cases {
-		n := tr.Seek(c.in)
-		got := ""
-		if n != nil {
-			got = n.key
-		}
-		if got != c.want {
-			t.Errorf("Seek(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestDeletePointerStability(t *testing.T) {
-	tr := &Tree[int]{}
-	var nodes []*Node[int]
-	for i := 0; i < 100; i++ {
-		n, _ := tr.Insert(fmt.Sprintf("k%03d", i), i)
-		nodes = append(nodes, n)
-	}
-	// Delete every other node; surviving node objects must keep their
-	// key/value bindings (pointer-stable deletion for output hints).
-	for i := 0; i < 100; i += 2 {
-		tr.Delete(nodes[i])
-		if !nodes[i].dead {
-			t.Fatalf("node %d not marked dead", i)
-		}
-	}
-	for i := 1; i < 100; i += 2 {
-		if nodes[i].dead {
-			t.Fatalf("live node %d marked dead", i)
-		}
-		if nodes[i].key != fmt.Sprintf("k%03d", i) || nodes[i].Val != i {
-			t.Fatalf("node %d payload moved: %q=%d", i, nodes[i].key, nodes[i].Val)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 50 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// Deleting a dead node is a no-op.
-	tr.Delete(nodes[0])
-	if tr.Len() != 50 {
-		t.Fatal("double delete changed size")
-	}
-}
-
-func TestAscend(t *testing.T) {
-	tr := &Tree[int]{}
-	for i := 0; i < 20; i++ {
-		tr.Insert(fmt.Sprintf("%02d", i), i)
-	}
-	var got []string
-	tr.Ascend("05", "10", func(n *Node[int]) bool {
-		got = append(got, n.key)
-		return true
-	})
-	if len(got) != 5 || got[0] != "05" || got[4] != "09" {
-		t.Fatalf("Ascend = %v", got)
-	}
-	// Unbounded hi.
-	tail := 0
-	tr.Ascend("15", "", func(*Node[int]) bool { tail++; return true })
-	if tail != 5 {
-		t.Fatalf("unbounded Ascend visited %d", tail)
-	}
-	// Early stop.
-	calls := 0
-	tr.Ascend("", "", func(n *Node[int]) bool { calls++; return calls < 3 })
-	if calls != 3 {
-		t.Fatalf("early stop: %d calls", calls)
-	}
-}
-
-// TestRandomizedAgainstModel is the package's main property test: a long
-// random op sequence compared against a map + sorted-slice reference model,
-// with RB invariants checked throughout.
+// TestRandomizedAgainstModel is the package's property test: a long
+// random insert and lookup sequence compared against a map, with the
+// red-black invariants checked throughout.
 func TestRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tr := &Tree[int]{}
 	model := map[string]int{}
 	keyOf := func() string { return fmt.Sprintf("k%04d", rng.Intn(3000)) }
 	for step := 0; step < 30000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6: // insert (caller-side replacement on existing keys)
-			k := keyOf()
+		if step%997 == 0 {
+			if _, err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		k := keyOf()
+		if rng.Intn(2) == 0 { // insert, replacing through the node
 			v := rng.Int()
 			n, _ := tr.Insert(k, v)
 			n.Val = v
 			model[k] = v
-		case op < 8: // delete
-			k := keyOf()
-			n := deleteKey(tr, k)
-			if _, ok := model[k]; ok != (n != nil) {
-				t.Fatalf("delete mismatch for %q at step %d", k, step)
-			}
-			delete(model, k)
-		case op < 9: // find
-			k := keyOf()
-			n := tr.Find(k)
-			v, ok := model[k]
-			if ok != (n != nil) || (ok && n.Val != v) {
-				t.Fatalf("find mismatch for %q at step %d", k, step)
-			}
-		default: // seek
-			k := keyOf()
-			n := tr.Seek(k)
-			var want string
-			for mk := range model {
-				if mk >= k && (want == "" || mk < want) {
-					want = mk
-				}
-			}
-			got := ""
-			if n != nil {
-				got = n.key
-			}
-			if got != want {
-				t.Fatalf("seek mismatch for %q: got %q want %q", k, got, want)
-			}
+			continue
 		}
-		if step%997 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+		n := tr.Find(k)
+		if v, ok := model[k]; ok != (n != nil) || ok && n.Val != v {
+			t.Fatalf("find mismatch for %q at step %d", k, step)
 		}
 	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != len(model) {
-		t.Fatalf("size mismatch: tree %d model %d", tr.Len(), len(model))
+	if n, err := tr.CheckInvariants(); err != nil || n != len(model) {
+		t.Fatalf("%d nodes, model %d: %v", n, len(model), err)
 	}
 	var want []string
 	for k := range model {
@@ -231,47 +115,32 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-func TestAugmentMaintained(t *testing.T) {
-	// Aggregate: subtree size stored in Val; verified after heavy churn.
-	type agg struct{ sub int }
-	tr := &Tree[*agg]{}
-	tr.Augment = func(n *Node[*agg]) {
-		s := 1
-		if n.Left() != nil {
-			s += n.Left().Val.sub
+// TestCheckInvariantsCatchesDamage breaks a sound tree one way at a time.
+func TestCheckInvariantsCatchesDamage(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		damage func(tr *Tree[int])
+	}{
+		{"red root", func(tr *Tree[int]) { tr.root.red = true }},
+		{"root with a parent", func(tr *Tree[int]) { tr.root.parent = tr.root.left }},
+		{"key out of order", func(tr *Tree[int]) { tr.root.left.key = "zz" }},
+		{"key below its bound", func(tr *Tree[int]) { tr.root.right.key = "" }},
+		{"bad parent link", func(tr *Tree[int]) { tr.root.left.parent = nil }},
+		{"bad right parent link", func(tr *Tree[int]) { tr.root.right.parent = nil }},
+		{"red under red", func(tr *Tree[int]) { tr.root.left.red, tr.root.left.left.red = true, true }},
+		{"black heights differ", func(tr *Tree[int]) { tr.root.left.left.red = true }},
+	} {
+		tr := &Tree[int]{}
+		for i := 0; i < 15; i++ {
+			tr.Insert(fmt.Sprintf("k%02d", i), i)
 		}
-		if n.Right() != nil {
-			s += n.Right().Val.sub
+		if _, err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-		n.Val.sub = s
-	}
-	rng := rand.New(rand.NewSource(7))
-	live := map[string]bool{}
-	for i := 0; i < 20000; i++ {
-		k := fmt.Sprintf("%04d", rng.Intn(2000))
-		if rng.Intn(3) == 0 {
-			deleteKey(tr, k)
-			delete(live, k)
-		} else {
-			if !live[k] {
-				tr.Insert(k, &agg{})
-				live[k] = true
-			}
+		c.damage(tr)
+		if _, err := tr.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected", c.name)
 		}
-	}
-	var check func(n *Node[*agg]) int
-	check = func(n *Node[*agg]) int {
-		if n == nil {
-			return 0
-		}
-		s := 1 + check(n.Left()) + check(n.Right())
-		if n.Val.sub != s {
-			t.Fatalf("augment stale at %q: have %d want %d", n.key, n.Val.sub, s)
-		}
-		return s
-	}
-	if got := check(tr.Root()); got != tr.Len() {
-		t.Fatalf("total %d != len %d", got, tr.Len())
 	}
 }
 

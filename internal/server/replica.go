@@ -240,7 +240,7 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 		if !live {
 			return // reassigned, torn down (or already synced) while we slept
 		}
-		if st.fetch(r, h.home) {
+		if st.fetch(h, r) {
 			st.mu.Lock()
 			if st.held[r] == h {
 				h.synced = true
@@ -252,9 +252,9 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	}
 }
 
-// fetch runs one snapshot+subscribe round over the range's replicated
-// sub-ranges, reporting whether every piece landed.
-func (st *replicaState) fetch(r keys.Range, home string) bool {
+// fetch runs one snapshot+subscribe round over hold h's replicated
+// sub-ranges of r, reporting whether every piece landed.
+func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
 	var pieces []*piece
 	for _, sub := range subRanges(r, st.view.Load().tables) {
 		pieces = append(pieces, &piece{r: sub})
@@ -262,25 +262,36 @@ func (st *replicaState) fetch(r keys.Range, home string) bool {
 	if len(pieces) == 0 {
 		return true
 	}
-	p, err := st.up.conn(home)
+	p, err := st.up.conn(h.home)
 	if err != nil {
 		return false
 	}
 	done := make(chan bool, 1)
-	p.fetch(pieces, func() { done <- st.land(p.feed, pieces) })
+	p.fetch(pieces, func() { done <- st.land(p.feed, h, r, pieces) })
 	return <-done
 }
 
-// land applies a round's snapshots, reporting whether every piece
-// succeeded. A successful (possibly empty) snapshot is the home's full
-// state for the piece, so the old copy is dropped first — rows the
-// snapshot lacks are deletions this feed missed while unsubscribed (a
-// home restart, a resync) and must not survive as ghosts. A failed scan
-// keeps whatever copy exists: still the best promotion source until a
-// retry replaces it. Staleness is re-checked per key — the
-// assignment (or the gate) may have moved on while the snapshot was in
-// flight.
-func (st *replicaState) land(fd *feed, pieces []*piece) bool {
+// land applies a round's snapshots for hold h of r, reporting whether
+// every piece succeeded. A round whose hold was replaced while it was in
+// flight — r reassigned to another home, its copy dropped and perhaps
+// already re-synced from there — applies nothing and drops nothing: the
+// late snapshot is no longer the copy's source. A successful (possibly
+// empty) snapshot is the home's full state for the piece, so the old
+// copy is dropped first — rows the snapshot lacks are deletions this
+// feed missed while unsubscribed (a home restart, a resync) and must not
+// survive as ghosts. A failed scan keeps whatever copy exists: still the
+// best promotion source until a retry replaces it. Staleness is
+// re-checked per key — the assignment (or the gate) may have moved on
+// while the snapshot was in flight. The hold check, the drop and the
+// apply run under st.mu, so a reassignment (which replaces holds under
+// st.mu before dropping their copies) orders wholly before or after
+// them: the lock order is s.rmu, then st.mu, then the pool's.
+func (st *replicaState) land(fd *feed, h *replHold, r keys.Range, pieces []*piece) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.held[r] != h {
+		return false
+	}
 	ok := true
 	var changes []core.Change
 	for _, pc := range pieces {

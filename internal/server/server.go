@@ -285,11 +285,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Register under cmu, and not after Close took its snapshot of the
+		// connections: one it never closes would hang its connWG.Wait.
 		cn := newConn(s, c)
 		s.cmu.Lock()
+		if s.closed {
+			s.cmu.Unlock()
+			c.Close()
+			return nil
+		}
 		s.conns[cn] = struct{}{}
-		s.cmu.Unlock()
 		s.connWG.Add(1)
+		s.cmu.Unlock()
 		go cn.serve()
 	}
 }

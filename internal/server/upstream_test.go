@@ -296,6 +296,57 @@ func TestFeedOrdering(t *testing.T) {
 	}
 }
 
+// TestLateSnapshotFromPreviousHome moves a replica hold from home A to
+// home B while A's snapshot for it is still in flight, A's connection
+// kept open by a second hold A still homes. B's copy lands first; A's
+// late reply must then drop nothing and apply nothing, so the copy stays
+// B's and still counts as synced in the stat Health reads.
+func TestLateSnapshotFromPreviousHome(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	a, b := newFakeHome(t), newFakeHome(t)
+	bounds := partition.MustNew("g", "m")
+	// Owners 0 [, g) and 1 [g, m) are homed at A, owner 2 here: with two
+	// copies this member holds both of A's ranges.
+	s.applyReplicaAssignment(mustView(t, bounds, []string{a.addr(), a.addr(), "holder:1"}, 2), 2, nil)
+	a.accept()
+	scans := map[string]*rpc.Message{}
+	for len(scans) < 2 {
+		m := a.read(rpc.MsgScan)
+		scans[m.Lo] = m
+	}
+	a.reply(scans[""], "a|1=kept")
+	// Owner 1 moves to B; with three copies this member still holds
+	// owner 0's range from A.
+	s.applyReplicaAssignment(mustView(t, bounds, []string{a.addr(), b.addr(), "holder:1"}, 2), 3, nil)
+	b.accept()
+	b.reply(b.read(rpc.MsgScan), "h|1=fresh")
+	for deadline := time.Now().Add(5 * time.Second); s.repl.snapshot() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replicas never synced")
+		}
+	}
+	a.reply(scans["g"], "h|1=stale", "h|2=stale")
+	p, err := s.repl.up.conn(a.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.fence(p.c)
+	var got []string
+	for _, kv := range s.pool.Scan("", "", 0, nil, nil) {
+		got = append(got, kv.Key+"="+kv.Value)
+	}
+	if want := []string{"a|1=kept", "h|1=fresh"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica rows after the late snapshot = %q, want %q", got, want)
+	}
+	if n := s.repl.snapshot(); n != 2 {
+		t.Fatalf("%d synced copies, want 2", n)
+	}
+}
+
 // startHome starts a plain server and returns it with its address.
 func startHome(t *testing.T) (h struct {
 	s    *Server
