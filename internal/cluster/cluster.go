@@ -76,6 +76,14 @@ type Cluster struct {
 	// wrong result.
 	v atomic.Pointer[partition.View]
 
+	// pub is the newest view this client has published with MapUpdate:
+	// the configured one at New, then every map it mints. Replica
+	// assignments carry only pub, because a member moves its gate on one:
+	// a view merely learned from a bounce (v may hold one) can be a
+	// transfer source's map from before the splice, which must not reach
+	// the destination first.
+	pub atomic.Pointer[partition.View]
+
 	// coordID is this client's coordinator identity: the low bits of
 	// every epoch it mints, making concurrent coordinators' maps
 	// comparable instead of tied (see partition). epoch is the epoch of
@@ -83,13 +91,14 @@ type Cluster struct {
 	coordID int64
 	epoch   atomic.Int64
 
-	// cmu guards conns: one persistent connection per member address,
-	// shared across view generations and dialed on first use. A failed
-	// connection is redialed on the next routing decision that needs
-	// it; its request count rolls into retiredRPCs so RPCs() stays
-	// cumulative across redials.
+	// cmu guards conns: two persistent connections per member address —
+	// operations, and the control plane (see do) — shared across view
+	// generations and dialed on first use. A failed connection is
+	// redialed on the next routing decision that needs it; its request
+	// count rolls into retiredRPCs so RPCs() stays cumulative across
+	// redials.
 	cmu         sync.Mutex
-	conns       map[string]*client.Client
+	conns       map[connKey]*client.Client
 	retiredRPCs int64
 
 	// imu guards the installed-join bookkeeping (Install derives the
@@ -139,7 +148,7 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	}
 	cl := &Cluster{
 		coordID:    cfg.CoordinatorID,
-		conns:      make(map[string]*client.Client),
+		conns:      make(map[connKey]*client.Client),
 		copies:     cfg.Replicas,
 		failEvery:  cfg.FailoverInterval,
 		failMisses: cfg.FailoverMisses,
@@ -195,7 +204,10 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	// precondition for live migration to be loss-free. Members that saw
 	// a newer map already (another client migrated) keep it; the reply
 	// teaches this client the newer map. Unreachable members miss the
-	// publish (they converge through NotOwner adoption if they return).
+	// publish; if they return, they converge at the next map-bearing frame
+	// that reaches them — a later publish, or the failure detector's
+	// anti-entropy Replicate.
+	cl.pub.Store(v)
 	for _, m := range v.Members() {
 		if err := cl.publishView(ctx, v, m.Addr); err != nil {
 			if client.IsUnavailable(err) || errors.Is(err, perrs.ErrMemberDown) {
@@ -213,7 +225,7 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	} else if cl.copies > 1 {
 		// Install publishes replica assignments itself; without joins,
 		// seed them here so base tables replicate from the start.
-		cl.publishReplicas(ctx, cl.v.Load(), nil)
+		cl.publishReplicas(ctx, v, nil)
 	}
 	if cl.failEvery > 0 {
 		cl.monStop = make(chan struct{})
@@ -290,28 +302,40 @@ func (cl *Cluster) noteEpoch(e int64) {
 	}
 }
 
-// conn returns the connection to addr, dialing on first use and
+// connKey names a cached connection: a member address, and whether it
+// carries the control plane.
+type connKey struct {
+	addr string
+	ctl  bool
+}
+
+// conn returns the operations connection to addr (connAt).
+func (cl *Cluster) conn(ctx context.Context, addr string) (*client.Client, error) {
+	return cl.connAt(ctx, connKey{addr: addr})
+}
+
+// connAt returns the connection k names, dialing on first use and
 // redialing if a previous connection failed (a member restarted, or a
 // drain-test killed it and a later test target reuses the address).
 // The dial happens outside cmu — one dead member must not serialize
 // every operation to healthy members behind its connect timeout — so
 // concurrent callers may race a dial; the loser's connection closes.
-func (cl *Cluster) conn(ctx context.Context, addr string) (*client.Client, error) {
+func (cl *Cluster) connAt(ctx context.Context, k connKey) (*client.Client, error) {
 	cl.cmu.Lock()
 	if cl.conns == nil {
 		cl.cmu.Unlock()
 		return nil, client.ErrClosed
 	}
-	if c, ok := cl.conns[addr]; ok {
+	if c, ok := cl.conns[k]; ok {
 		if !c.Failed() {
 			cl.cmu.Unlock()
 			return c, nil
 		}
-		delete(cl.conns, addr)
+		delete(cl.conns, k)
 		cl.retiredRPCs += c.RPCs()
 	}
 	cl.cmu.Unlock()
-	c, err := client.DialContext(ctx, addr)
+	c, err := client.DialContext(ctx, k.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -321,17 +345,27 @@ func (cl *Cluster) conn(ctx context.Context, addr string) (*client.Client, error
 		c.Close()
 		return nil, client.ErrClosed
 	}
-	if cur, ok := cl.conns[addr]; ok && !cur.Failed() {
+	if cur, ok := cl.conns[k]; ok && !cur.Failed() {
 		c.Close() // lost a dial race; use the winner
 		return cur, nil
 	}
-	cl.conns[addr] = c
+	cl.conns[k] = c
 	return c, nil
 }
 
-// do sends one request to the member at addr.
+// do sends one request to the member at addr. A frame that moves the
+// member's view goes on its control connection, as the failure
+// detector's probes do: a member serves one connection's frames in
+// order, and an operation there may be waiting for base data that only
+// the view's move lets the member load — a frame queued behind it would
+// wait out the operation's deadline, and a probe read the wait as death.
 func (cl *Cluster) do(ctx context.Context, addr string, m *rpc.Message) (*rpc.Message, error) {
-	c, err := cl.conn(ctx, addr)
+	ctl := false
+	switch m.Type {
+	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate, rpc.MsgDrain:
+		ctl = true
+	}
+	c, err := cl.connAt(ctx, connKey{addr, ctl})
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +713,7 @@ func (cl *Cluster) Install(ctx context.Context, text string) error {
 	// Re-seed replica assignments: the replicated table set just grew.
 	// Best-effort — every later map publish re-sends the assignment.
 	if cl.copies > 1 {
-		cl.publishReplicas(ctx, v, tables)
+		cl.publishReplicas(ctx, cl.pub.Load(), tables)
 	}
 	return nil
 }

@@ -188,7 +188,7 @@ func (cl *Cluster) Snapshot(ctx context.Context) error {
 func (cl *Cluster) probe(ctx context.Context, addr string) error {
 	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	c, err := cl.conn(pctx, addr)
+	c, err := cl.connAt(pctx, connKey{addr, true})
 	if err != nil {
 		return err
 	}
@@ -308,7 +308,7 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 // machine resurrected) must learn it owns nothing under the new map, or
 // it would keep acknowledging writes from clients holding the old one —
 // writes silently lost once traffic routes elsewhere. A truly dead one
-// just misses the message. Its connection is then retired, so no later
+// just misses the message. Its connections are then retired, so no later
 // routing decision waits out a connect timeout to an address known to
 // be gone.
 func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, addrs []string, rebuild []int, removed []string) error {
@@ -317,7 +317,7 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 		return err
 	}
 	if err := cl.publish(ctx, nv, nil); err != nil {
-		return fmt.Errorf("cluster: %s published, but not to every member (they converge via NotOwner): %w", verb, err)
+		return fmt.Errorf("cluster: %s published, but not to every member (they converge at the next map-bearing frame): %w", verb, err)
 	}
 	for _, o := range rebuild {
 		r, at := nv.Map().OwnerRange(o), nv.Addrs()[o]
@@ -356,10 +356,12 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 	cl.cmu.Lock()
 	defer cl.cmu.Unlock()
 	for _, a := range removed {
-		if c := cl.conns[a]; c != nil {
-			cl.retiredRPCs += c.RPCs()
-			c.Close()
-			delete(cl.conns, a)
+		for _, k := range []connKey{{a, false}, {a, true}} {
+			if c := cl.conns[k]; c != nil {
+				cl.retiredRPCs += c.RPCs()
+				c.Close()
+				delete(cl.conns, k)
+			}
 		}
 	}
 	return nil
@@ -458,14 +460,15 @@ func (cl *Cluster) monitor() {
 			}
 		}
 		if !confirmed {
-			// Anti-entropy: re-send the current replica assignment while
-			// the cluster is healthy. A member that missed the assignment
-			// when it was first published (a repair's retry budget ran
-			// out, a restart raced a publish) converges here; members
-			// already holding it diff the republish to nothing.
+			// Anti-entropy: re-send the current replica assignment, with
+			// the last map this client published, while the cluster is
+			// healthy. A member that missed the assignment or the map when
+			// it was first published (a repair's retry budget ran out, a
+			// restart raced a publish) converges here; members already
+			// holding both diff the republish to nothing.
 			if cl.copies > 1 {
 				actx, cancel := context.WithTimeout(context.Background(), probeTimeout*2)
-				cl.publishReplicas(actx, v, cl.replicaTables())
+				cl.publishReplicas(actx, cl.pub.Load(), cl.replicaTables())
 				cancel()
 			}
 			continue

@@ -204,9 +204,10 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	// One owned range leaves per iteration; owner indexes shift under
 	// us, so re-derive from the current view each round. A publish that
 	// could not reach some third member does not stop the drain — the
-	// map is already effective at the transfer participants and stale
-	// members converge through NotOwner adoption — but it is reported
-	// once the drain completes, so the operator knows who missed it.
+	// map is already effective at the transfer participants, and a stale
+	// member converges at the next map-bearing frame that reaches it —
+	// but it is reported once the drain completes, so the operator knows
+	// who missed it.
 	var pubErr error
 	for {
 		v := cl.v.Load()
@@ -232,15 +233,11 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	// The final publish already reached the drained member (it needs the
 	// post-drain map for NotOwner replies, and the publish confirms its
 	// retained extraction); now its own mesh wiring can go.
-	c, err := cl.conn(ctx, addr)
-	if err != nil {
-		return fmt.Errorf("cluster: draining %s: %w", addr, err)
-	}
-	if err := c.Drain(ctx); err != nil {
+	if _, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgDrain}); err != nil {
 		return fmt.Errorf("cluster: tearing down %s's mesh: %w", addr, err)
 	}
 	if pubErr != nil {
-		return fmt.Errorf("cluster: %s drained, but publishing the map did not reach every member (they will converge via NotOwner): %w", addr, pubErr)
+		return fmt.Errorf("cluster: %s drained, but publishing the map did not reach every member (they converge at the next map-bearing frame): %w", addr, pubErr)
 	}
 	return nil
 }

@@ -169,8 +169,9 @@ func (cl *Cluster) transfer(ctx context.Context, old, nv *partition.View, r keys
 // bounds and addresses, the extracted state splices back into src, and
 // the result is published. The publish is best-effort: the splice-back
 // is what restores the data, the dead destination obviously cannot
-// acknowledge a map, and every other member converges through NotOwner
-// adoption. Always returns an error — the move failed either way.
+// acknowledge a map, and a member the publish missed converges at the
+// next map-bearing frame that reaches it. Always returns an error — the
+// move failed either way.
 func (cl *Cluster) rollback(ctx context.Context, old, nv *partition.View, skip int64, r keys.Range, src, dst string, rs core.RangeState, serr error) error {
 	bv, err := cl.successor(nv, old.Map().Bounds(), old.Addrs(), skip)
 	if err == nil {
@@ -257,6 +258,7 @@ func (cl *Cluster) publish(ctx context.Context, nv *partition.View, extra []stri
 	}
 	wg.Wait()
 	cl.adopt(nv)
+	partition.Advance(&cl.pub, nv)
 	// Replica assignments follow the map: every member re-derives its
 	// replica set from the view just published (strictly after the map,
 	// so a promoted owner's gate already owns its ranges when the

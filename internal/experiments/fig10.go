@@ -58,21 +58,18 @@ func Fig10(sc Scale, computeCounts []int, baseServers int, out io.Writer) ([]Fig
 	return rows, nil
 }
 
-// fig10Cluster is the §5.5 topology.
+// fig10Cluster is the §5.5 topology. view places every key: the base
+// tables at the base servers, each user's timeline at one compute
+// server; clients route by it and the compute servers' loaders read it.
 type fig10Cluster struct {
 	baseServers    []*server.Server
-	baseClients    []*client.Client
 	computeServers []*server.Server
-	computeClients []*client.Client
-	pmap           *partition.Map
-	ownerAddr      []string
+	clients        map[string]*client.Client // by server address
+	view           *partition.View
 }
 
 func (c *fig10Cluster) Close() {
-	for _, cl := range c.baseClients {
-		cl.Close()
-	}
-	for _, cl := range c.computeClients {
+	for _, cl := range c.clients {
 		cl.Close()
 	}
 	for _, s := range c.computeServers {
@@ -81,6 +78,11 @@ func (c *fig10Cluster) Close() {
 	for _, s := range c.baseServers {
 		s.Close()
 	}
+}
+
+// clientFor returns the connection to key's home under the view.
+func (c *fig10Cluster) clientFor(key string) *client.Client {
+	return c.clients[c.view.OwnerAddr(key)]
 }
 
 // basePartition builds the home-server map for the Twip base tables and
@@ -128,61 +130,72 @@ func shardOfBound(bound string, users, nBase int) int {
 	return s
 }
 
-func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
-	c := &fig10Cluster{}
-	baseAddrs := make([]string, nBase)
-	for i := 0; i < nBase; i++ {
-		s, err := server.New(server.Config{Name: fmt.Sprintf("base%d", i)})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		addr, err := s.Start()
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		cl, err := client.Dial(addr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.baseServers = append(c.baseServers, s)
-		c.baseClients = append(c.baseClients, cl)
-		baseAddrs[i] = addr
-	}
-	c.pmap, c.ownerAddr = basePartition(users, nBase, baseAddrs)
-	homes, err := partition.NewView(c.pmap, c.ownerAddr)
+// fig10View is the §5.5 topology as one cluster view: basePartition's
+// ranges at the base servers, then the timeline table split by user
+// across the compute servers, each the home of its users' timelines.
+func fig10View(users int, baseAddrs, computeAddrs []string) (*partition.View, error) {
+	pmap, ownerAddr := basePartition(users, len(baseAddrs), baseAddrs)
+	bounds := append(pmap.Bounds(), "t|")
+	bounds = append(bounds, partition.UserBounds(len(computeAddrs), users, 7, "u", "t")...)
+	m, err := partition.New(bounds...)
 	if err != nil {
+		return nil, err
+	}
+	return partition.NewView(m, append(ownerAddr, computeAddrs...))
+}
+
+func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
+	c := &fig10Cluster{clients: make(map[string]*client.Client)}
+	fail := func(err error) (*fig10Cluster, error) {
 		c.Close()
 		return nil, err
 	}
+	start := func(cfg server.Config) (*server.Server, string, error) {
+		s, err := server.New(cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		addr, err := s.Start()
+		var cl *client.Client
+		if err == nil {
+			cl, err = client.Dial(addr)
+		}
+		if err != nil {
+			s.Close()
+			return nil, "", err
+		}
+		c.clients[addr] = cl
+		return s, addr, nil
+	}
+	var baseAddrs, computeAddrs []string
+	for i := 0; i < nBase; i++ {
+		s, addr, err := start(server.Config{Name: fmt.Sprintf("base%d", i)})
+		if err != nil {
+			return fail(err)
+		}
+		c.baseServers, baseAddrs = append(c.baseServers, s), append(baseAddrs, addr)
+	}
 	for i := 0; i < nCompute; i++ {
-		s, err := server.New(server.Config{
+		s, addr, err := start(server.Config{
 			Name:           fmt.Sprintf("compute%d", i),
 			Joins:          twip.Joins,
 			SubtableDepths: map[string]int{"t": 2},
 		})
 		if err != nil {
-			c.Close()
-			return nil, err
+			return fail(err)
 		}
-		if err := s.ConnectMesh(homes, "p", "s"); err != nil {
-			c.Close()
-			return nil, err
+		c.computeServers, computeAddrs = append(c.computeServers, s), append(computeAddrs, addr)
+	}
+	var err error
+	if c.view, err = fig10View(users, baseAddrs, computeAddrs); err != nil {
+		return fail(err)
+	}
+	// Each compute server's gate is the view as that server holds it: it
+	// serves its users' timelines and loads p| and s| from the bases.
+	for i, s := range c.computeServers {
+		if err := s.ConnectMesh(c.view.For(computeAddrs[i]), "p", "s"); err != nil {
+			return fail(err)
 		}
-		addr, err := s.Start()
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		cl, err := client.Dial(addr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.computeServers = append(c.computeServers, s)
-		c.computeClients = append(c.computeClients, cl)
 	}
 	return c, nil
 }
@@ -199,16 +212,11 @@ func runFig10(g *twip.Graph, posts []twip.Op, w *twip.Workload, sc Scale, nBase,
 	workers := sc.Workers * 4
 	sc.Workers = workers
 
-	// Base-table keys ("p|uNNNNNNN|..." / "s|uNNNNNNN|...") route to
-	// their home server by the same shard arithmetic that built the
-	// partition map, so client writes and the compute servers' remote
-	// loader agree on every key's home.
-	baseFor := func(key string) *client.Client {
-		return c.baseClients[shardOfBound(key, g.Users, nBase)]
-	}
-	computeFor := func(u int32) *client.Client {
-		return c.computeClients[partition.UserShard(twip.UserID(u), nCompute)]
-	}
+	// Base writes and timeline reads route by the view the compute
+	// servers' gates hold, so client routing and their remote loaders
+	// agree on every key's home by construction.
+	baseFor := c.clientFor
+	computeFor := func(u int32) *client.Client { return c.clientFor("t|" + twip.UserID(u) + "|") }
 
 	// Base data: subscriptions and historical posts to home servers.
 	err = parallel(sc.Workers, len(w.Active), func(i int) error {

@@ -36,11 +36,11 @@
 //
 // Between servers a Map alone does not route: View (view.go) pairs it
 // with the serving address of every owner index and the owner indexes
-// that are the holding process — the one value the ownership gate, the
-// mesh loaders, the replica assignment, the cluster client, a
-// NotOwnerError and every map-bearing frame carry. Wire is its tuple
-// form (frames, meta.json), Advance the one adopt-if-newer rule its
-// holders share, DiffAddrs the ranges whose serving *address* changed
+// that are the holding process — the one value a server's ownership
+// gate (which its mesh loaders and replica placement read), the cluster
+// client, a NotOwnerError and every map-bearing frame carry. Wire is its
+// tuple form (frames, meta.json), Advance the client's adopt-if-newer
+// rule, DiffAddrs the ranges whose serving *address* changed
 // between two views — what a member must drop and re-fetch when it
 // adopts a successor, including across joins and drains where owner
 // indexes shift — and ReplicaAddrs / ReplicaHolds the replica placement

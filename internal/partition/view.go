@@ -13,10 +13,10 @@ import (
 // partition Map, the serving address of every owner index, and which
 // owner indexes are the process holding the view. It is the one fact
 // every process must agree on (§2.4's partition function), so it is
-// modelled once: the ownership gate of a shard pool, a server's mesh
-// loaders and replica assignment, the cluster client's routing table, a
-// NotOwner error and every map-bearing frame all carry a *View, and
-// successors replace it atomically.
+// modelled once and each process holds one: a server its shard pool's
+// ownership gate, which its mesh loaders, feeds and replica placement
+// read too; a client its routing table. A NotOwner error and every
+// map-bearing frame carry a *View, and successors replace it atomically.
 //
 // A view that names no self set (the coordinator's own, or one decoded
 // from a reply, which has no self field) owns nothing; WithSelf and For
@@ -187,33 +187,17 @@ func (v *View) Successor(epoch, skip int64, bounds, addrs []string) (*View, erro
 }
 
 // Advance installs next in p if it is strictly newer than the view p
-// holds (or p holds none), reporting whether it did — the one
-// adopt-if-newer rule every holder of a learned or published view
-// applies. Who the holder is follows the better-informed side: a next
-// that names no self set was learned from a reply, which carries none,
-// so it inherits self from the addresses that were self in the view it
-// replaces; and a next that does name one also replaces the same map
-// held without (a loader can learn a position from a NotOwner bounce
-// before the publish that places this process in it arrives).
+// holds (or p holds none), reporting whether it did: the adopt-if-newer
+// rule of a holder that follows views it publishes and views it learns
+// from replies — the cluster client's routing view. A server's gate
+// never learns from a reply (see shard.Pool.ApplyMapUpdate).
 func Advance(p *atomic.Pointer[View], next *View) bool {
 	for {
 		cur := p.Load()
-		nv := next
-		switch {
-		case cur == nil:
-		case next.self == nil && next.Newer(cur):
-			if cur.self != nil {
-				self := make([]bool, len(next.addrs))
-				for i, a := range next.addrs {
-					self[i] = cur.SelfAddr(a)
-				}
-				nv = &View{m: next.m, addrs: next.addrs, self: self, mbrs: next.mbrs}
-			}
-		case next.self != nil && (next.Newer(cur) || next.Same(cur)):
-		default:
+		if cur != nil && !next.Newer(cur) {
 			return false
 		}
-		if p.CompareAndSwap(cur, nv) {
+		if p.CompareAndSwap(cur, next) {
 			return true
 		}
 	}
@@ -250,8 +234,8 @@ func (w Wire) View() (*View, error) {
 // NotOwnerError reports that an operation's keys are not homed at the
 // serving process under the current cluster map (a live migration,
 // membership change or repair moved them). It carries that process's
-// view, so the caller — ultimately the cluster client or a mesh loader
-// — adopts it, re-routes and retries instead of failing.
+// view, so the caller — ultimately the cluster client — adopts it,
+// re-routes and retries instead of failing.
 type NotOwnerError struct{ View *View }
 
 func (e *NotOwnerError) Error() string {

@@ -165,26 +165,6 @@ func TestAdvance(t *testing.T) {
 			t.Errorf("%s: holder has e%d v%d", tc.name, p.Load().Map().Epoch(), p.Load().Map().Version())
 		}
 	}
-
-	// A view learned from a reply names no self: the holder stays the
-	// addresses it was, across a membership change that shifts indexes.
-	var p atomic.Pointer[View]
-	Advance(&p, at(t, 1, 1, []string{"g"}, []string{"a", "b"}, 1))
-	Advance(&p, at(t, 1, 2, []string{"d", "g"}, []string{"a", "c", "b"}))
-	if got := p.Load().Self(); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("learned view's self = %v, want [2]", got)
-	}
-	// One that names its self is taken at its word — also when a bounce
-	// taught the holder that very map first, self only inherited; a
-	// self-less view at the position held never is.
-	named := at(t, 1, 2, []string{"d", "g"}, []string{"a", "c", "b"}, 1)
-	if !Advance(&p, named) || p.Load() != named {
-		t.Fatal("the publish naming this process lost to the same map learned from a bounce")
-	}
-	if Advance(&p, at(t, 1, 2, []string{"d", "g"}, []string{"a", "c", "b"})) ||
-		Advance(&p, at(t, 1, 2, []string{"e", "g"}, []string{"a", "c", "b"}, 0)) {
-		t.Fatal("a same-position view with nothing new, or another map, was adopted")
-	}
 }
 
 // TestAdvanceConcurrent: callers racing Advance with distinct positions

@@ -12,8 +12,8 @@ import (
 )
 
 // coldPair starts a home server (owner of p| and s|) and a compute
-// server that loads both tables from it over the mesh and runs the
-// timeline join.
+// server that owns the timelines, loads both base tables from the home
+// over the mesh and runs the timeline join.
 func coldPair(tb testing.TB) (home, compute *Server, hc, cc *client.Client) {
 	tb.Helper()
 	start := func(cfg Config) (*Server, *client.Client, string) {
@@ -36,8 +36,8 @@ func coldPair(tb testing.TB) (home, compute *Server, hc, cc *client.Client) {
 		return s, c, addr
 	}
 	home, hc, haddr := start(Config{Name: "home"})
-	compute, cc, _ = start(Config{Name: "compute", Joins: timelineJoin})
-	if err := compute.ConnectMesh(mustView(tb, partition.MustNew(), []string{haddr}), "p", "s"); err != nil {
+	compute, cc, caddr := start(Config{Name: "compute", Joins: timelineJoin})
+	if err := compute.ConnectMesh(mustView(tb, partition.MustNew("t|"), []string{haddr, caddr}, 1), "p", "s"); err != nil {
 		tb.Fatal(err)
 	}
 	return home, compute, hc, cc

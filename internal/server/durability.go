@@ -28,8 +28,8 @@ import (
 	"context"
 	"errors"
 	"log"
+	"reflect"
 	"sort"
-	"strings"
 	"time"
 
 	"pequod/internal/client"
@@ -117,16 +117,30 @@ func (s *Server) snapshotLoop(every time.Duration) {
 }
 
 // persistMeta saves the member's current cluster position — gate,
-// joins, mesh tables, replica assignment — to the durable store.
-// Called after every control-plane event that changes any of them, and
-// from the snapshot loop as a backstop. No-op without a data dir.
+// joins, mesh tables, replica assignment — to the durable store when it
+// differs from the last one saved (a save is a rename and a directory
+// fsync; the failure detector's anti-entropy republishes an unchanged
+// assignment every tick). Called after every control-plane event that
+// may change any of them, and from the snapshot loop as a backstop.
+// No-op without a data dir.
 func (s *Server) persistMeta() {
 	if s.dur == nil {
 		return
 	}
-	if err := s.dur.SaveMeta(s.buildMeta()); err != nil {
-		log.Printf("pequod server %s: persist meta: %v", s.name, err)
+	s.metaMu.Lock()
+	defer s.metaMu.Unlock()
+	m := s.buildMeta()
+	if s.saved != nil {
+		m.SavedUnixNano = s.saved.SavedUnixNano
+		if reflect.DeepEqual(m, s.saved) {
+			return
+		}
 	}
+	if err := s.dur.SaveMeta(m); err != nil {
+		log.Printf("pequod server %s: persist meta: %v", s.name, err)
+		return
+	}
+	s.saved = m
 }
 
 // buildMeta snapshots the member's cluster position. Close captures it
@@ -156,11 +170,10 @@ func (s *Server) buildMeta() *durable.Meta {
 	}
 	s.mmu.Unlock()
 	s.rmu.Lock()
-	if s.repl != nil {
-		if v := s.repl.view.Load(); v != nil {
-			m.ReplicaCopies = v.copies
-			m.ReplicaTables = append([]string(nil), v.tables...)
-		}
+	if st := s.repl; st != nil {
+		st.mu.Lock()
+		m.ReplicaCopies, m.ReplicaTables = st.copies, st.tables
+		st.mu.Unlock()
 	}
 	s.rmu.Unlock()
 	return m
@@ -224,25 +237,10 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	// operator reconfigured the server, so the configured joins win and
 	// the recovered computed coverage — indexed against the old set —
 	// is dropped. Rows are unaffected either way.
-	if meta != nil && meta.Joins != "" {
-		have := s.pool.InstalledText()
-		text := meta.Joins
-		switch {
-		case text == have:
-			text = ""
-		case have == "":
-			// install the whole recovered set
-		case strings.HasPrefix(text, have+"\n"):
-			text = text[len(have)+1:]
-		default:
-			log.Printf("pequod server %s: recovered join set conflicts with configured joins; recomputing coverage cold", s.name)
-			text, warm = "", nil
-		}
-		if text != "" {
-			if err := s.pool.InstallText(text); err != nil {
-				log.Printf("pequod server %s: recovered join set no longer installs (%v); recomputing coverage cold", s.name, err)
-				warm = nil
-			}
+	if meta != nil {
+		if err := s.extendJoins(meta.Joins); err != nil {
+			log.Printf("pequod server %s: recovered join set: %v; recomputing coverage cold", s.name, err)
+			warm = nil
 		}
 	}
 
@@ -283,29 +281,23 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 // rebuild waits for the mesh, so coverage is never computed over
 // partial sources.
 func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
-	if meta == nil {
-		s.pool.RebuildWarm(warm)
-		s.recovery.RestoredWarm = len(warm)
-		return
-	}
+	// A recovered gate came from meta, so g != nil implies meta != nil.
 	g := s.pool.Gate()
-	if meta.ReplicaCopies > 1 && g != nil {
-		s.applyReplicaAssignment(g, meta.ReplicaCopies, meta.ReplicaTables)
+	if g != nil && meta.ReplicaCopies > 1 {
+		s.assignReplicas(meta.ReplicaCopies, meta.ReplicaTables)
+		s.reshapeReplicas()
 	}
-	if !meta.HasMesh || g == nil {
-		s.pool.RebuildWarm(warm)
-		s.recovery.RestoredWarm = len(warm)
-		return
-	}
-	if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
-		log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
-		ctx, cancel := context.WithCancel(context.Background())
-		s.rewireStop, s.rewireDone = cancel, make(chan struct{})
-		s.mmu.Lock()
-		s.rewire = meta
-		s.mmu.Unlock()
-		go s.retryMesh(ctx, meta, warm)
-		return
+	if g != nil && meta.HasMesh {
+		if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
+			log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
+			ctx, cancel := context.WithCancel(context.Background())
+			s.rewireStop, s.rewireDone = cancel, make(chan struct{})
+			s.mmu.Lock()
+			s.rewire = meta
+			s.mmu.Unlock()
+			go s.retryMesh(ctx, meta, warm)
+			return
+		}
 	}
 	s.pool.RebuildWarm(warm)
 	s.recovery.RestoredWarm = len(warm)
@@ -325,11 +317,7 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 			return
 		case <-t.C:
 		}
-		g := s.pool.Gate()
-		if g == nil {
-			return
-		}
-		if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
+		if err := s.ConnectMesh(s.pool.Gate(), meta.MeshTables...); err != nil {
 			continue
 		}
 		s.pool.RebuildWarm(warm)
@@ -341,19 +329,19 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 // recoveredKeyFilter decides which recovered rows a member restores
 // into memory. Without a gate everything is local data. With one, the
 // member restores rows it serves (gate-owned) and rows it holds as a
-// replica for peers — derived from the persisted assignment with the
-// same ring walk the replica manager uses, so the two can never
-// disagree. The restored replica copies are promotion-warm immediately
-// and the re-applied assignment re-syncs them against their homes
-// (ghost rows and staleness are the sync's problem, exactly as after a
-// home restart).
+// replica for peers — derived from the gate and the persisted
+// assignment by heldRanges, as the replica manager's reshape is, so the
+// two can never disagree. The restored replica copies are
+// promotion-warm immediately and the re-applied assignment re-syncs
+// them against their homes (ghost rows and staleness are the sync's
+// problem, exactly as after a home restart).
 func recoveredKeyFilter(g *partition.View, meta *durable.Meta) func(key string) bool {
 	if g == nil {
 		return func(string) bool { return true }
 	}
 	var reps []keys.Range
-	for _, o := range g.ReplicaHolds(meta.ReplicaCopies) {
-		reps = append(reps, subRanges(g.Map().OwnerRange(o), meta.ReplicaTables)...)
+	for r := range heldRanges(g, meta.ReplicaCopies) {
+		reps = append(reps, subRanges(r, meta.ReplicaTables)...)
 	}
 	return func(key string) bool {
 		if g.Owns(key) {

@@ -337,3 +337,37 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 		t.Fatalf("cold timeline read after the second restart = %v, %v", kvs, err)
 	}
 }
+
+// TestMetaSavedOnlyWhenChanged: meta.json is rewritten — a rename and a
+// directory fsync — when the member's position changes, not on every
+// Replicate the failure detector re-sends while nothing moves.
+func TestMetaSavedOnlyWhenChanged(t *testing.T) {
+	s, err := New(durableConfig("m", t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	saved := func() int64 {
+		t.Helper()
+		meta, ok, err := s.dur.LoadMeta()
+		if err != nil || !ok {
+			t.Fatalf("meta.json = %+v, %v", meta, err)
+		}
+		return meta.SavedUnixNano
+	}
+	const self = "member:1"
+	v := at(t, 1, []string{"m"}, "127.0.0.1:1", self).For(self)
+	replicate(t, s, v, 1)
+	first := saved()
+	replicate(t, s, v, 1)
+	if saved() != first {
+		t.Fatal("an unchanged Replicate rewrote meta.json")
+	}
+	next := at(t, 2, []string{"g", "m"}, "127.0.0.1:1", "127.0.0.1:1", self).For(self)
+	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: next.Wire()}); r.Status != rpc.StatusOK {
+		t.Fatal(r.Err)
+	}
+	if saved() == first {
+		t.Fatal("a MapUpdate that moved the gate left meta.json as it was")
+	}
+}

@@ -34,11 +34,11 @@ func TestComputeServerEvictionRefetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compute.ConnectMesh(mustView(t, partition.MustNew(), []string{haddr}), "p", "s"); err != nil {
-		t.Fatal(err)
-	}
 	caddr, _ := compute.Start()
 	defer compute.Close()
+	if err := compute.ConnectMesh(mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1), "p", "s"); err != nil {
+		t.Fatal(err)
+	}
 
 	hc, _ := client.Dial(haddr)
 	cc, _ := client.Dial(caddr)

@@ -7,8 +7,13 @@ package server
 //	ExtractRange  (at the source)       capture the range + flip ownership
 //	SpliceRange   (at the destination)  fence stale pushes + install
 //	MapUpdate     (at every member)     adopt the map, drop stale replicas
+//	Replicate     (at every member)     a MapUpdate that also sets copies
 //	JoinCluster   (at a fresh server)   wire mesh + joins + gate in one call
 //	Drain         (at a drained server) tear down its mesh wiring
+//
+// Each moves the one cluster view a member holds, its pool's gate,
+// through Server.advance; the mesh's peer connections, the replica
+// holds and meta.json are derived from the gate and follow it there.
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
 // rebalance / add / drain subcommands — drives them;
@@ -23,7 +28,7 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"strings"
 	"time"
 
@@ -48,17 +53,15 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 	}
 	switch m.Type {
 	case rpc.MsgConnectPeers:
-		err = s.advance(next, func() error { return s.ConnectMesh(next, m.Tables...) })
+		err = s.advance(func() error { return s.ConnectMesh(next, m.Tables...) })
 	case rpc.MsgExtractRange:
 		return s.handleExtractRange(m, next)
 	case rpc.MsgSpliceRange:
 		err = s.handleSpliceRange(m, next, dl)
-	case rpc.MsgMapUpdate:
-		return s.handleMapUpdate(m, next, dl)
 	case rpc.MsgJoinCluster:
-		err = s.advance(next, func() error { return s.joinCluster(next, m.Tables, m.Text) })
-	default: // rpc.MsgReplicate
-		err = s.advance(next, func() error { s.applyReplicaAssignment(next, m.Limit, m.Tables); return nil })
+		err = s.advance(func() error { return s.joinCluster(next, m.Tables, m.Text) })
+	default: // rpc.MsgMapUpdate, rpc.MsgReplicate
+		return s.handleMapUpdate(m, next, dl)
 	}
 	if err != nil {
 		return errReply(m.Seq, err)
@@ -66,23 +69,23 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 	return rpc.OKReply(m.Seq)
 }
 
-// advance is the one way this server's view moves. apply runs the
-// transition of the holder the message addresses — the pool's gate swap
-// (extract, splice, map update), the replica assignment, the mesh
-// wiring; if it took, the mesh's loaders and feeds follow to next (a
-// no-op when not meshed or not newer), the peer connection set is
-// resized when the member list changed, and the position is persisted.
-func (s *Server) advance(next *partition.View, apply func() error) error {
+// advance is the one way this server's view — the pool's gate — moves.
+// apply runs the transition the message asks for: a gate swap (extract,
+// splice, map update), the mesh wiring, a join. If it took, what derives
+// from the gate follows it: the mesh's peer connections shrink to the
+// gate's members, the replica holds are reshaped to its ring walk, and
+// the position is persisted when it changed. The gate is read under the
+// locks, so the last to run sees the newest gate.
+func (s *Server) advance(apply func() error) error {
 	if err := apply(); err != nil {
 		return err
 	}
 	s.mmu.Lock()
-	if s.mesh != nil && partition.Advance(&s.mesh.view, next) {
-		want := make(map[string]bool, len(next.Addrs()))
-		for o, a := range next.Addrs() {
-			if !next.IsSelf(o) {
-				want[a] = true
-			}
+	if s.mesh != nil {
+		g := s.pool.Gate()
+		want := make(map[string]bool)
+		for _, m := range g.Members() {
+			want[m.Addr] = !g.SelfAddr(m.Addr)
 		}
 		// Only close departed members' connections here; fresh members dial
 		// lazily on the load path. An eager dial under mmu would stall this
@@ -94,6 +97,7 @@ func (s *Server) advance(next *partition.View, apply func() error) error {
 		}
 	}
 	s.mmu.Unlock()
+	s.reshapeReplicas()
 	s.persistMeta()
 	return nil
 }
@@ -111,7 +115,7 @@ func (s *Server) handleExtractRange(m *rpc.Message, next *partition.View) *rpc.M
 	// durable lineage until the next snapshot, which is what makes this
 	// member a last-resort rebuild source if the destination dies before
 	// anyone else holds a copy (see handleRebuildRange).
-	err := s.advance(next, func() (err error) {
+	err := s.advance(func() (err error) {
 		rs, err = s.pool.ExtractClusterRange(keys.Range{Lo: m.Lo, Hi: m.Hi}, next)
 		return err
 	})
@@ -136,7 +140,7 @@ func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time
 		}
 	}
 	rs := core.RangeState{R: keys.Range{Lo: m.Lo, Hi: m.Hi}, KVs: m.KVs, Warm: m.Warm}
-	if err := s.advance(next, func() error { return s.pool.SpliceClusterRange(rs, next) }); err != nil {
+	if err := s.advance(func() error { return s.pool.SpliceClusterRange(rs, next) }); err != nil {
 		return err
 	}
 	// A splice installs rows silently (no change notifications, so
@@ -147,13 +151,18 @@ func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time
 	return nil
 }
 
-// handleMapUpdate serves MsgMapUpdate: adopt a newer cluster view. On
-// first contact it installs the member's gate; on a migration or
-// membership change it fences the old owners of every range that
-// changed hands between two other servers, then lets the pool reconcile
-// its cached state (drop stale replicas, demote ranges lost without an
-// extraction, restore retained ranges handed back) so the next read
-// re-fetches from — and re-subscribes at — the new home.
+// handleMapUpdate serves MsgMapUpdate and MsgReplicate, the one path
+// by which a coordinator frame without a transfer moves the gate: adopt
+// a newer cluster view. On first contact it installs the member's gate;
+// on a migration or membership change it fences the old owners of every
+// range that changed hands between two other servers, then lets the pool
+// reconcile its cached state (drop stale replicas, demote ranges lost
+// without an extraction, restore retained ranges handed back) so the
+// next read re-fetches from — and re-subscribes at — the new home. A
+// Replicate frame also sets the replica assignment, unless its view is
+// older than the gate (a slow coordinator losing to a repair); so a
+// member that missed a publish converges at the coordinator's next
+// anti-entropy round.
 func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.Time) *rpc.Message {
 	if g := s.pool.Gate(); g != nil && next.Newer(g) {
 		// Fence before the drop: every change the old owners pushed for
@@ -172,7 +181,16 @@ func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.T
 			}
 		}
 	}
-	_ = s.advance(next, func() error { s.pool.ApplyMapUpdate(next); return nil }) // this apply cannot fail
+	_ = s.advance(func() error { // this apply cannot fail
+		s.pool.ApplyMapUpdate(next)
+		if m.Type == rpc.MsgReplicate && !s.pool.Gate().Newer(next) {
+			s.assignReplicas(m.Limit, m.Tables)
+		}
+		return nil
+	})
+	if m.Type == rpc.MsgReplicate {
+		return rpc.OKReply(m.Seq)
+	}
 	// Teach the publisher the map this server actually holds: a client
 	// that starts from the deployment's original bounds (version 0)
 	// after migrations have run publishes a stale map, which the pool
@@ -208,16 +226,28 @@ func (s *Server) joinCluster(v *partition.View, tables []string, text string) er
 	// Install the cluster's join set — idempotently, so a drained member
 	// re-joining with the joins already installed (or holding a prefix
 	// of a join set that grew since) does not fail on duplicates.
-	if have := s.pool.InstalledText(); text != "" && text != have {
-		if have != "" {
-			if !strings.HasPrefix(text, have+"\n") {
-				return fmt.Errorf("pequod server: joining with a conflicting join set already installed")
-			}
-			text = text[len(have)+1:]
-		}
-		return s.pool.InstallText(text)
+	return s.extendJoins(text)
+}
+
+// errJoinConflict refuses a join set that neither equals nor extends the
+// one installed.
+var errJoinConflict = errors.New("pequod server: a conflicting join set is already installed")
+
+// extendJoins installs the part of join set text beyond the installed
+// one, which it must equal or extend: a cluster's join set only grows,
+// appended to in install order.
+func (s *Server) extendJoins(text string) error {
+	have := s.pool.InstalledText()
+	switch {
+	case text == "" || text == have:
+		return nil
+	case have == "":
+	case strings.HasPrefix(text, have+"\n"):
+		text = text[len(have)+1:]
+	default:
+		return errJoinConflict
 	}
-	return nil
+	return s.pool.InstallText(text)
 }
 
 // handleDrain serves MsgDrain at a member whose last range has moved
@@ -237,11 +267,8 @@ func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
 	return s.gateReply(m.Seq)
 }
 
-// fenceAddr pings this server's connections to the peer at addr, if
-// any: the replies follow every subscription push the peer had queued
-// for us, and our readers apply pushes in order, so afterwards nothing
-// sent before the fence is still in flight. A dead peer owes us
-// nothing.
+// fenceAddr fences this server's connections to the peer at addr, if
+// any.
 func (s *Server) fenceAddr(addr string, dl time.Time) error {
 	s.mmu.Lock()
 	var conns []*client.Client
@@ -249,9 +276,15 @@ func (s *Server) fenceAddr(addr string, dl time.Time) error {
 		conns = s.mesh.allConns(addr)
 	}
 	s.mmu.Unlock()
-	if len(conns) == 0 {
-		return nil
-	}
+	return fence(conns, dl)
+}
+
+// fence pings conns, bounded by dl (zero = none): each reply follows
+// every subscription push the peer had queued for us, and our readers
+// apply pushes in order, so afterwards nothing sent before the fence is
+// still in flight. A transport error means a dead peer, which owes us
+// nothing; a context error means the deadline cut the fence short.
+func fence(conns []*client.Client, dl time.Time) error {
 	ctx := context.Background()
 	if !dl.IsZero() {
 		var cancel context.CancelFunc

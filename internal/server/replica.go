@@ -5,13 +5,18 @@ package server
 // uses for join sources, so a repair can promote this member to serve
 // a dead peer's range without re-fetching anything.
 //
-// The coordinator publishes a replica *assignment* (MsgReplicate): the
-// cluster view itself plus the replica count and the base tables worth
-// copying. Placement is derived, not listed — each member walks the
-// ring of distinct member addresses (partition.View.ReplicaHolds) and
-// keeps a copy of every range whose owner it directly succeeds, so the
-// coordinator and every member always agree on who holds what without
-// a second source of truth that could drift from the map.
+// The coordinator publishes a replica *assignment* (MsgReplicate): a
+// cluster view plus the replica count and the base tables worth
+// copying. The view is handled exactly like a MapUpdate's — it moves
+// the gate, the one view this member holds — so a member that missed a
+// publish catches up at the coordinator's next anti-entropy round. The
+// two scalars are kept; placement is derived, not listed — each member
+// walks the gate's ring of distinct member addresses
+// (partition.View.ReplicaHolds) and keeps a copy of every range whose
+// owner it directly succeeds, so the coordinator and every member always
+// agree on who holds what without a second source of truth that could
+// drift from the map. Server.advance reshapes the holds after every gate
+// move, so a MapUpdate reshapes them before the Replicate that follows.
 //
 // Replica rows are applied through the pool's replica path (no gate
 // check, no load accounting) and land on the shard that would own them
@@ -22,25 +27,23 @@ package server
 // (shard.Pool.ApplyMapUpdate's promotion case backfills sibling
 // shards' forwarded-source copies).
 //
-// The copies ride the same upstream feed as mesh loads (upstream.go):
-// pushes racing an in-flight snapshot are buffered behind it, and both
-// pushes and snapshot rows are dropped when the current assignment no
-// longer sources their keys from the feed's home — or when the gate
-// says this member now *owns* them, so a late replica delivery can
+// The copies ride the same upstream feed as mesh loads (upstream.go),
+// with the same keep rule: pushes racing an in-flight snapshot are
+// buffered behind it, and both pushes and snapshot rows are dropped
+// once the gate no longer names the feed's home as their keys' home — a
+// promotion makes this member the home, so a late replica delivery can
 // never clobber a post-promotion write.
 //
 // A held range is confirmed *synced* only once a full snapshot+
 // subscribe pass lands. Unsynced ranges are re-scheduled by every
-// assignment apply and by the server's watchdog pass, which also
-// retires failed home connections (their push feeds died with them),
-// so neither a republished assignment nor a home restart nor an
-// exhausted retry loop can leave a copy permanently empty or silently
-// stale.
+// reshape and by the server's watchdog pass, which also retires failed
+// home connections (their push feeds died with them), so neither a
+// republished assignment nor a home restart nor an exhausted retry loop
+// can leave a copy permanently empty or silently stale.
 
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pequod/internal/core"
@@ -48,26 +51,21 @@ import (
 	"pequod/internal/partition"
 )
 
-// replView is one generation of the replica assignment: the cluster
-// view it derives placement from, plus what to copy.
-type replView struct {
-	*partition.View
-	copies int      // total copies per range, including the owner's
-	tables []string // base tables replicated (empty = whole ranges)
-}
-
-// replicaState is a member's replication bookkeeping: its current
-// assignment, one connection+feed per home it copies from, and the
-// ranges it holds.
+// replicaState is a member's replication bookkeeping: the assignment
+// the coordinator last published — copies per range and the tables to
+// copy — one connection+feed per home it copies from, and the ranges it
+// holds. Where the copies live is not stored: it is the gate's ring walk
+// for copies (heldRanges), reshaped after every gate move.
 type replicaState struct {
-	s    *Server
-	view atomic.Pointer[replView]
-	up   *upstream
+	s  *Server
+	up *upstream
 
 	syncs sync.WaitGroup // in-flight syncRange goroutines
 
 	mu     sync.Mutex
 	closed bool                     // closeAll ran: no further syncs start
+	copies int                      // total copies per range, including the owner's
+	tables []string                 // base tables replicated (empty = whole ranges)
 	held   map[keys.Range]*replHold // assigned replica range -> sync state
 }
 
@@ -77,40 +75,55 @@ type replicaState struct {
 // identity alone. synced flips true only after a full snapshot+subscribe
 // pass lands, and back to false when the home connection fails (pushes
 // were missed; the copy must re-snapshot). An unsynced entry is
-// re-scheduled by every assignment apply and by the watchdog, so no
-// failure mode leaves a replica permanently empty or stale.
+// re-scheduled by every reshape and by the watchdog, so no failure mode
+// leaves a replica permanently empty or stale.
 type replHold struct {
 	home    string
 	synced  bool
 	syncing bool
 }
 
-// applyReplicaAssignment serves MsgReplicate: adopt a replica assignment
-// and reshape the held replica set to match — drop ranges assigned
-// away, snapshot+subscribe ranges gained. Idempotent: republishing the
-// same assignment diffs to nothing. Assignments older than the one held
-// are ignored (a slow coordinator losing to a repair).
-func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables []string) {
+// assignReplicas records the replica assignment a Replicate frame (or
+// the meta.json a restart recovers) carries. The holds follow from it
+// and the gate: Server.advance reshapes them next.
+func (s *Server) assignReplicas(copies int, tables []string) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	if s.repl == nil {
-		st := &replicaState{s: s, held: make(map[keys.Range]*replHold)}
-		st.up = newUpstream(st.fresh, s.pool.ApplyReplica)
-		s.repl = st
+		s.repl = &replicaState{s: s, up: newUpstream(s.homedAt, s.pool.ApplyReplica), held: make(map[keys.Range]*replHold)}
 	}
 	st := s.repl
-	if cur := st.view.Load(); cur != nil && cur.Newer(next) {
+	st.mu.Lock()
+	st.copies, st.tables = copies, append([]string(nil), tables...)
+	st.mu.Unlock()
+}
+
+// heldRanges is where a member keeps copies under gate g with copies per
+// range: every range whose owner it directly succeeds on the ring of
+// distinct member addresses, mapped to that owner's address.
+func heldRanges(g *partition.View, copies int) map[keys.Range]string {
+	out := make(map[keys.Range]string)
+	for _, o := range g.ReplicaHolds(copies) {
+		out[g.Map().OwnerRange(o)] = g.Addrs()[o]
+	}
+	return out
+}
+
+// reshapeReplicas makes the held replica set match the gate and the
+// assignment — drop ranges assigned away, snapshot+subscribe ranges
+// gained. Holds are a function of (gate, copies, tables), so a MapUpdate
+// reshapes them without waiting for the Replicate frame that follows it.
+// Idempotent: an unchanged gate and assignment diff to nothing. The gate
+// is read under rmu, so whichever reshape runs last saw the newest gate.
+func (s *Server) reshapeReplicas() {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	st := s.repl
+	if st == nil {
 		return
 	}
-	// Publish the view before reshaping: feeds filter arrivals against
-	// it, so pushes from a home the new assignment demoted die here even
-	// while the teardown below is still running.
-	st.view.Store(&replView{View: next, copies: copies, tables: append([]string(nil), tables...)})
-
-	desired := make(map[keys.Range]string)
-	for _, o := range next.ReplicaHolds(copies) {
-		desired[next.Map().OwnerRange(o)] = next.Addrs()[o]
-	}
+	st.mu.Lock()
+	desired := heldRanges(s.pool.Gate(), st.copies)
 
 	// Stale copies to drop before any sync starts: ranges assigned away,
 	// and ranges newly granted — ghost rows from an earlier stint as
@@ -121,7 +134,6 @@ func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables
 	// held only after the drop, so a watchdog pass cannot sync one first
 	// and have the drop wipe what it landed.
 	drop := make(map[keys.Range]bool)
-	st.mu.Lock()
 	for r, h := range st.held {
 		if desired[r] != h.home {
 			delete(st.held, r)
@@ -136,8 +148,7 @@ func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables
 		}
 	}
 	st.mu.Unlock()
-	// Retire connections to homes the new assignment no longer copies
-	// from.
+	// Retire connections to homes the assignment no longer copies from.
 	want := make(map[string]bool, len(desired))
 	for _, home := range desired {
 		want[home] = true
@@ -156,10 +167,10 @@ func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables
 	st.mu.Unlock()
 	// Schedule a sync for every desired range not yet confirmed synced —
 	// a fresh grant, an earlier sync that exhausted its attempts, or a
-	// copy marked stale by a failed home connection. An identical
-	// republish with a sync already in flight adopts it (the goroutine
-	// re-reads the view each attempt) instead of cancelling and
-	// re-counting held as done.
+	// copy marked stale by a failed home connection. A reshape with a
+	// sync already in flight adopts it (the goroutine re-reads the
+	// tables each attempt) instead of cancelling and re-counting held as
+	// done.
 	st.startSyncs()
 }
 
@@ -170,10 +181,6 @@ func (s *Server) applyReplicaAssignment(next *partition.View, copies int, tables
 // freshly spliced served rows along with the stale copy.
 func (s *Server) dropUnownedPieces(r keys.Range) {
 	g := s.pool.Gate()
-	if g == nil {
-		s.pool.DropRangeAll(r)
-		return
-	}
 	for _, pc := range g.Map().Split(r) {
 		if !g.IsSelf(pc.Owner) {
 			s.pool.DropRangeAll(pc.R)
@@ -198,8 +205,8 @@ func subRanges(r keys.Range, tables []string) []keys.Range {
 }
 
 // replicaAttempts bounds snapshot retries per scheduled sync; a range
-// still unsynced after them is re-scheduled by the next assignment
-// publish or the next watchdog pass, so a failing home is retried
+// still unsynced after them is re-scheduled by the next reshape or the
+// next watchdog pass, so a failing home is retried
 // until it answers or a repair reassigns its ranges.
 const replicaAttempts = 4
 
@@ -222,10 +229,10 @@ func (st *replicaState) startSyncs() {
 
 // syncRange snapshots+subscribes one assigned replica range at its
 // home. Runs on its own goroutine, at most one per held entry (the
-// syncing flag). It re-reads the current view each attempt, so a
-// republished — even reshaped — assignment that still sources the
-// range from the same home is adopted mid-sync rather than cancelling
-// it; the range is confirmed synced only after a full pass lands.
+// syncing flag). It re-reads the replicated tables each attempt, so a
+// reshape that still sources the range from the same home is adopted
+// mid-sync rather than cancelling it; the range is confirmed synced only
+// after a full pass lands.
 func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	defer st.syncs.Done()
 	defer func() {
@@ -255,8 +262,11 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 // fetch runs one snapshot+subscribe round over hold h's replicated
 // sub-ranges of r, reporting whether every piece landed.
 func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
+	st.mu.Lock()
+	tables := st.tables
+	st.mu.Unlock()
 	var pieces []*piece
-	for _, sub := range subRanges(r, st.view.Load().tables) {
+	for _, sub := range subRanges(r, tables) {
 		pieces = append(pieces, &piece{r: sub})
 	}
 	if len(pieces) == 0 {
@@ -281,8 +291,8 @@ func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
 // feed missed while unsubscribed (a home restart, a resync) and must not
 // survive as ghosts. A failed scan keeps whatever copy exists: still the
 // best promotion source until a retry replaces it. Staleness is
-// re-checked per key — the assignment (or the gate) may have moved on
-// while the snapshot was in flight. The hold check, the drop and the
+// re-checked per key — the gate may have moved on while the snapshot was
+// in flight. The hold check, the drop and the
 // apply run under st.mu, so a reassignment (which replaces holds under
 // st.mu before dropping their copies) orders wholly before or after
 // them: the lock order is s.rmu, then st.mu, then the pool's.
@@ -355,16 +365,4 @@ func (st *replicaState) closeAll() {
 	st.mu.Unlock()
 	st.up.closeAll()
 	st.syncs.Wait()
-}
-
-// fresh reports whether key's replica rows should still come from the
-// home at addr: the current assignment sources it there, and the gate
-// does not say this member owns it (a promotion makes local writes
-// authoritative; a late replica delivery must not clobber them).
-func (st *replicaState) fresh(addr, key string) bool {
-	if st.view.Load().OwnerAddr(key) != addr {
-		return false
-	}
-	g := st.s.pool.Gate()
-	return g == nil || !g.Owns(key)
 }

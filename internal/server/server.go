@@ -19,7 +19,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
 	"net"
 	"sync"
@@ -117,7 +116,9 @@ type Server struct {
 	closed bool
 
 	// Distributed mode: the mesh wiring installed by ConnectMesh or a
-	// JoinCluster RPC (guarded by mmu).
+	// JoinCluster RPC (guarded by mmu; see mesh.go). The cluster view it
+	// and the replicas route by is the pool's gate, the only one this
+	// server holds.
 	mmu  sync.Mutex
 	mesh *meshState
 
@@ -134,10 +135,13 @@ type Server struct {
 
 	// Durable range store (nil without Config.DataDir); see
 	// durability.go. recovery is written once in New, before serving.
+	// metaMu serializes persistMeta; saved is the meta it last wrote.
 	dur      *durable.Store
 	durStop  chan struct{}
 	durDone  chan struct{}
 	recovery *client.RecoveryStat
+	metaMu   sync.Mutex
+	saved    *durable.Meta
 
 	// The post-restart mesh rewire (retryMesh), when recovery had to
 	// leave one running: leaveCluster stops it and waits for it. rewire
@@ -146,20 +150,6 @@ type Server struct {
 	rewireStop context.CancelFunc
 	rewireDone chan struct{}
 	rewire     *durable.Meta
-}
-
-// meshState records a server's position in a partitioned mesh so later
-// ConnectMesh calls (a join installed at runtime adding source tables)
-// can reuse the dialed peer connections. view is the mesh's current
-// cluster view, shared with every loader and advanced when a live
-// migration or membership change publishes a successor. Peer connections
-// are keyed by *address* (one per shard per peer), so they survive owner
-// indexes shifting when a member joins or drains; advance resizes the
-// connection set when the member list itself changes.
-type meshState struct {
-	view    atomic.Pointer[partition.View]
-	loaders []*remoteLoader // one per shard
-	tables  map[string]bool
 }
 
 // New creates a server.
@@ -333,15 +323,16 @@ func (s *Server) Close() {
 		cn.close()
 	}
 	s.connWG.Wait()
-	// Snapshot the cluster position now, while the mesh and replica
-	// assignment are still live: the meta persisted at close is what a
-	// warm restart rewires from, and capturing it after the teardown
-	// below would record HasMesh=false — leaving the restarted member's
-	// join sources loader-less (cold compute would silently serve empty
-	// ranges).
-	var finalMeta *durable.Meta
 	if s.dur != nil {
-		finalMeta = s.buildMeta()
+		// Stop the snapshot loop and persist the cluster position now,
+		// while the mesh and replica assignment are still live: the meta
+		// a warm restart rewires from must not record the teardown below
+		// — HasMesh=false would leave the restarted member's join sources
+		// loader-less (cold compute would silently serve empty ranges).
+		// A drained member's post-drain map is already saved.
+		close(s.durStop)
+		<-s.durDone
+		s.persistMeta()
 	}
 	// The watchdog may be mid-pass against the pool, and replica syncs
 	// apply to it; both must be gone before pool.Close below.
@@ -349,15 +340,7 @@ func (s *Server) Close() {
 	<-s.watchDone
 	s.leaveCluster()
 	if s.dur != nil {
-		// Stop the snapshot loop, persist the final cluster position (a
-		// drained member's post-drain map must survive restart; the
-		// pre-teardown snapshot keeps the mesh and replica record), flush
-		// the tail of the log, and let go of the directory.
-		close(s.durStop)
-		<-s.durDone
-		if err := s.dur.SaveMeta(finalMeta); err != nil {
-			log.Printf("pequod server %s: persist meta: %v", s.name, err)
-		}
+		// Flush the tail of the log and let go of the directory.
 		if err := s.dur.Close(); err != nil {
 			log.Printf("pequod server %s: durable close: %v", s.name, err)
 		}
@@ -612,19 +595,8 @@ func (s *Server) quiesce(dl time.Time) error {
 		}
 	}
 	s.rmu.Unlock()
-	ctx := context.Background()
-	if !dl.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, dl)
-		defer cancel()
-	}
-	for _, p := range peers {
-		// A transport error means a dead peer, which cannot owe us
-		// pushes; a context error means the deadline cut the fence
-		// short, which quiesce must report.
-		if err := p.Ping(ctx); err != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
+	if err := fence(peers, dl); err != nil {
+		return err
 	}
 	s.pool.Quiesce()
 	return nil
@@ -794,369 +766,4 @@ func (cn *conn) close() {
 	cn.nmu.Unlock()
 	cn.ncond.Broadcast()
 	cn.c.Close()
-}
-
-// --- remote loader (distributed deployments) ---
-
-// remoteLoader fetches missing base ranges for one shard from home
-// servers over peer connections, subscribing for future updates (§2.4,
-// §3.3). Pieces whose owner is this server itself (a symmetric mesh,
-// where every member is home for part of each table) are skipped: their
-// data arrives as direct writes, is replicated across the pool's
-// internal shards, and a network self-fetch would recurse into this
-// same loader.
-//
-// Connections are keyed by peer *address* and shared across the mesh's
-// generations: ownership is read through the mesh's current view, so a
-// load started after a live migration — or after a membership change
-// shifted owner indexes — routes to the range's current home. A fetch
-// that races a migration gets a StatusNotOwner reply carrying the newer
-// map; the loader adopts it and retries against the new owner, and if
-// pieces still cannot be fetched the load *fails* (Shard.LoadsDone's
-// failed list) rather than marking an absent range resident — blocked
-// readers retry and re-route instead of silently seeing a gap.
-// Connections to members that left the mesh are closed by the resize
-// that adopts the shrunk view; connections to fresh members dial on
-// demand.
-type remoteLoader struct {
-	sh   *shard.Shard
-	view *atomic.Pointer[partition.View]
-	up   *upstream // this shard's peer connections: pushes apply to the shard that subscribed
-}
-
-func newRemoteLoader(sh *shard.Shard, view *atomic.Pointer[partition.View]) *remoteLoader {
-	return &remoteLoader{sh: sh, view: view, up: newUpstream(
-		func(addr, key string) bool { return view.Load().OwnerAddr(key) == addr },
-		sh.ApplyBatch)}
-}
-
-// allConns snapshots every loader's connections to addr — to every
-// peer when addr is empty.
-func (m *meshState) allConns(addr string) []*client.Client {
-	var out []*client.Client
-	for _, l := range m.loaders {
-		for a, c := range l.up.conns() {
-			if addr == "" || a == addr {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-// closeAll tears down every loader connection.
-func (m *meshState) closeAll() {
-	for _, l := range m.loaders {
-		l.up.closeAll()
-	}
-}
-
-// watchEvery paces the watchdog.
-const watchEvery = 200 * time.Millisecond
-
-// watch is the server's one watchdog goroutine, from New until Close.
-func (s *Server) watch() {
-	defer close(s.watchDone)
-	t := time.NewTicker(watchEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.watchStop:
-			return
-		case <-t.C:
-			s.watchPass()
-		}
-	}
-}
-
-// watchPass notices upstream peers whose process went away — a
-// connection a restarted peer cannot resurrect — and invalidates what
-// the subscriptions that died with it were keeping fresh, which would
-// otherwise go silently stale. Replica holds sourced from the peer are
-// marked unsynced and re-snapshot, along with any hold whose earlier
-// sync exhausted its attempts; mesh-table coverage loaded from the peer
-// is dropped with eviction semantics, so the next read re-fetches from
-// (and re-subscribes at) whatever process answers at the address now.
-func (s *Server) watchPass() {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.rmu.Lock()
-	repl := s.repl
-	s.rmu.Unlock()
-	var held []keys.Range
-	if repl != nil {
-		held = repl.resync()
-	}
-	s.mmu.Lock()
-	m := s.mesh
-	var tables []string
-	if m != nil {
-		for tb := range m.tables {
-			tables = append(tables, tb)
-		}
-	}
-	s.mmu.Unlock()
-	if m == nil {
-		return
-	}
-	failed := make(map[string]bool)
-	for _, l := range m.loaders {
-		for _, a := range l.up.retireFailed() {
-			failed[a] = true
-		}
-	}
-	if len(failed) == 0 {
-		return
-	}
-	v := m.view.Load()
-	for o, a := range v.Addrs() {
-		if !failed[a] || v.IsSelf(o) {
-			continue
-		}
-	next:
-		for _, rr := range subRanges(v.Map().OwnerRange(o), tables) {
-			// A range held as a replica copy is the replica half's to
-			// invalidate — it re-snapshots stale copies and they may be
-			// the only surviving data for a repair to promote. Likewise
-			// dropUnownedPieces spares pieces the gate already promoted
-			// this member to serve.
-			for _, h := range held {
-				if rr.Overlaps(h) {
-					continue next
-				}
-			}
-			s.dropUnownedPieces(rr)
-		}
-	}
-}
-
-// leaveCluster tears down the mesh wiring and the replica machinery
-// (shutdown, drain), returning only once no watchdog pass, replica sync
-// or post-restart rewire that could still touch the pool — or wire a
-// mesh behind the teardown — on their behalf is running.
-func (s *Server) leaveCluster() {
-	if s.rewireStop != nil {
-		s.rewireStop()
-		<-s.rewireDone
-	}
-	s.mmu.Lock()
-	mesh := s.mesh
-	s.mesh, s.rewire = nil, nil
-	s.mmu.Unlock()
-	if mesh != nil {
-		mesh.closeAll()
-	}
-	s.rmu.Lock()
-	repl := s.repl
-	s.repl = nil
-	s.rmu.Unlock()
-	if repl != nil {
-		repl.closeAll()
-	}
-	s.wmu.Lock() // wait out a pass that snapshotted them before the teardown
-	s.wmu.Unlock()
-}
-
-// ConnectMesh wires this server to the home servers of the loader-backed
-// base tables under view v, whose self set names the ranges it serves
-// itself from direct writes instead of remote fetches (none on a
-// compute-only server). Each shard dials its own peer connections, so
-// incoming subscription pushes apply to the shard that subscribed.
-// Calling it again with the same topology extends the table set (a join
-// installed at runtime adding source tables) reusing the dialed
-// connections; a different topology is rejected unless the server
-// already holds a newer view (the caller is stale; the tables still
-// extend). Wiring is atomic: if any peer dial fails, the connections
-// dialed for this call are closed and the server is left exactly as
-// before, so a retry does not leak or duplicate.
-func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	if s.mesh == nil {
-		// If a cluster client already published a versioned view (the
-		// gate), that is the authority: the wire bounds must agree, and
-		// the mesh starts from the gate so its position survives.
-		if g := s.pool.Gate(); g != nil {
-			if err := g.Map().SameBounds(v.Map()); err != nil {
-				return fmt.Errorf("pequod server: mesh bounds disagree with the published cluster map (e%d v%d): %w",
-					g.Map().Epoch(), g.Map().Version(), err)
-			}
-			v = g
-		}
-		mesh := &meshState{tables: make(map[string]bool)}
-		mesh.view.Store(v)
-		for i := 0; i < s.pool.NumShards(); i++ {
-			mesh.loaders = append(mesh.loaders, newRemoteLoader(s.pool.Shard(i), &mesh.view))
-		}
-		// Eager dial so a bad member address fails the wiring visibly
-		// (and atomically) instead of surfacing later as load timeouts.
-		for _, l := range mesh.loaders {
-			for o, a := range v.Addrs() {
-				if v.IsSelf(o) {
-					continue // no connection to ourselves
-				}
-				if _, err := l.up.conn(a); err != nil {
-					mesh.closeAll()
-					return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
-				}
-			}
-		}
-		s.mesh = mesh
-	} else if cur := s.mesh.view.Load(); !cur.Newer(v) {
-		// A stale caller re-wiring with outdated bounds is harmless when
-		// this server already follows a newer published map — the tables
-		// below still extend. A genuinely different topology at the same
-		// generation is rejected: silently keeping the old map would
-		// route remote loads to the wrong owners.
-		if err := cur.SameShape(v); err != nil {
-			return fmt.Errorf("pequod server: already meshed: %w", err)
-		}
-	}
-	var fresh []string
-	for _, t := range tables {
-		if !s.mesh.tables[t] {
-			s.mesh.tables[t] = true
-			fresh = append(fresh, t)
-		}
-	}
-	if len(fresh) > 0 {
-		s.pool.SetExternalTables(fresh...)
-		for i, l := range s.mesh.loaders {
-			s.pool.Shard(i).SetLoader(l, fresh...)
-		}
-	}
-	return nil
-}
-
-// StartLoads implements core.BaseLoader: fetch every home-server piece
-// of every range with a subscription. The engine calls it under the
-// shard lock, so it only hands the batch to a goroutine, which may have
-// to dial; from there on nothing blocks — each home connection gets its
-// pieces as pipelined frames behind one flush, and the replies complete
-// the batch from the connection's reader goroutine.
-func (l *remoteLoader) StartLoads(loads []core.Load) {
-	go l.fetch(loads, loadAttempts)
-}
-
-// loadAttempts bounds re-splitting a load against refreshed maps; each
-// retry follows either an adopted newer map or a short pause, so a load
-// racing a migration converges on the new owner.
-const loadAttempts = 4
-
-// loadFetch tracks one load across the home-server pieces it split
-// into; the batch mutex guards it.
-type loadFetch struct {
-	core.Load
-	pieces int  // replies outstanding
-	failed bool // some piece could not be fetched
-}
-
-// fetchGroup is the part of one batch bound for one home connection:
-// the pieces of one snapshot round (peer.fetch) and the load each
-// belongs to.
-type fetchGroup struct {
-	p      *peer
-	pieces []*piece
-	loads  []*loadFetch // parallel to pieces
-}
-
-// fetch starts one batch of loads: pieces this server homes itself need
-// no fetch (only presence is missing), the rest go out grouped by home
-// connection.
-func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
-	v := l.view.Load()
-	mu := new(sync.Mutex)                  // guards the loadFetches: loads may span groups
-	groups := make(map[string]*fetchGroup) // by home address; nil = unreachable
-	var landed, failed []core.Load
-	for _, ld := range loads {
-		lf := &loadFetch{Load: ld}
-		for _, pc := range v.Map().Split(ld.R) {
-			if v.IsSelf(pc.Owner) {
-				continue // already local
-			}
-			addr := v.Addrs()[pc.Owner]
-			g, tried := groups[addr]
-			if !tried {
-				if p, err := l.up.conn(addr); err == nil {
-					g = &fetchGroup{p: p}
-				}
-				groups[addr] = g
-			}
-			if g == nil {
-				lf.failed = true // unreachable home
-				continue
-			}
-			lf.pieces++
-			g.pieces = append(g.pieces, &piece{r: pc.R})
-			g.loads = append(g.loads, lf)
-		}
-		switch {
-		case lf.pieces > 0: // resolved by the groups' replies
-		case lf.failed:
-			failed = append(failed, ld)
-		default:
-			landed = append(landed, ld)
-		}
-	}
-	l.deliver(nil, landed, failed, attempts)
-	for _, g := range groups {
-		if g != nil {
-			g.p.fetch(g.pieces, func() { l.land(g, mu, attempts) })
-		}
-	}
-}
-
-// land applies a group's snapshots and resolves the loads it completes
-// — a load whose pieces span connections is resolved by whichever group
-// finishes it last. Only keys the peer still homes apply: a migration
-// completing mid-flight may have moved part (a bound landed inside a
-// piece) or all of a snapshot's range away, and the retry refetches
-// that from the new home.
-func (l *remoteLoader) land(g *fetchGroup, mu *sync.Mutex, attempts int) {
-	var rows []core.KV
-	var landed, failed []core.Load
-	mu.Lock()
-	for i, pc := range g.pieces {
-		lf := g.loads[i]
-		if pc.failed {
-			lf.failed = true
-			if m := pc.reply; m != nil && m.Status == rpc.StatusNotOwner {
-				// The piece migrated away from its home mid-fetch. Adopt
-				// the newer view the reply carries — every loader and feed
-				// sharing the mesh view learns it — and the retry refetches
-				// from the new owner.
-				if nv, err := m.Map.View(); err == nil {
-					partition.Advance(l.view, nv)
-				}
-			}
-		}
-		rows = g.p.feed.rows(rows, pc)
-		if lf.pieces--; lf.pieces > 0 {
-			continue
-		}
-		if lf.failed {
-			failed = append(failed, lf.Load)
-		} else {
-			landed = append(landed, lf.Load)
-		}
-	}
-	mu.Unlock()
-	l.deliver(rows, landed, failed, attempts)
-}
-
-// deliver hands finished loads to the shard in one call. Failed loads
-// are refetched whole while attempts remain — after a moment, giving a
-// publishing coordinator time to finish its MapUpdate round before the
-// re-split against the (possibly adopted) map — and only then *fail*:
-// marking an unfetched range resident would serve a silent gap, so
-// blocked readers retry and re-route instead.
-func (l *remoteLoader) deliver(rows []core.KV, landed, failed []core.Load, attempts int) {
-	if len(failed) > 0 && attempts > 1 {
-		retry := failed
-		time.AfterFunc(2*time.Millisecond, func() { l.fetch(retry, attempts-1) })
-		failed = nil
-	}
-	if len(rows)+len(landed)+len(failed) > 0 {
-		l.sh.LoadsDone(rows, landed, failed)
-	}
 }

@@ -234,11 +234,14 @@ func TestDistributedSubscriptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compute.ConnectMesh(mustView(t, pmap, addrs), "p", "s"); err != nil {
-		t.Fatal(err)
-	}
 	caddr, _ := compute.Start()
 	defer compute.Close()
+	// The compute server's view adds one range, the timelines, which it
+	// serves itself.
+	bounds := append(pmap.Bounds(), "t|")
+	if err := compute.ConnectMesh(mustView(t, partition.MustNew(bounds...), append(addrs, caddr), 4), "p", "s"); err != nil {
+		t.Fatal(err)
+	}
 
 	h0, _ := client.Dial(addr0)
 	h1, _ := client.Dial(addr1)
@@ -355,4 +358,25 @@ func mustView(tb testing.TB, m *partition.Map, addrs []string, self ...int) *par
 		tb.Fatal(err)
 	}
 	return v
+}
+
+// at is the view over bounds served by addrs at version, naming no self
+// (View.For gives a member's form).
+func at(tb testing.TB, version int64, bounds []string, addrs ...string) *partition.View {
+	tb.Helper()
+	v, err := partition.Wire{Version: version, Bounds: bounds, Peers: addrs}.View()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// replicate hands s the Replicate frame a coordinator sends: view v,
+// copies per range, tables to copy.
+func replicate(tb testing.TB, s *Server, v *partition.View, copies int, tables ...string) {
+	tb.Helper()
+	m := &rpc.Message{Type: rpc.MsgReplicate, Map: v.Wire(), Limit: copies, Tables: tables}
+	if r := s.handle(nil, m); r.Status != rpc.StatusOK {
+		tb.Fatalf("Replicate: %s", r.Err)
+	}
 }

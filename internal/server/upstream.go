@@ -3,9 +3,10 @@ package server
 // One way to keep a remote copy fresh (§2.4): a subscription installed
 // atomically with the snapshot it follows. A join-source range loaded
 // over the mesh and a failover replica of a peer's range are both that
-// copy; they differ only in which keys they still want (keep) and where
-// rows land (apply). upstream is the connection cache, feed the
-// snapshot/push ordering, and peer.fetch the snapshot round they share.
+// copy; they keep the same keys (Server.homedAt: those the gate still
+// homes at the feed's peer) and differ only in where rows land (apply).
+// upstream is the connection cache, feed the snapshot/push ordering,
+// and peer.fetch the snapshot round they share.
 
 import (
 	"errors"
@@ -16,6 +17,14 @@ import (
 	"pequod/internal/keys"
 	"pequod/internal/rpc"
 )
+
+// homedAt is the keep rule of both feed sinks: the gate names addr as
+// key's home. A peer address is never this member's own, so a key the
+// gate makes this member's — a promotion, a splice — stops flowing from
+// the old home at once, and a late delivery cannot clobber a local
+// write. Feeds exist only on a gated member: a mesh implies a gate, and
+// replica holds derive from it.
+func (s *Server) homedAt(addr, key string) bool { return s.pool.Gate().OwnerAddr(key) == addr }
 
 // upstream caches one connection and feed per peer address.
 type upstream struct {

@@ -18,6 +18,7 @@ import (
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
+	"pequod/internal/store"
 )
 
 // sinkLog records what a feed delivers, in delivery order.
@@ -140,7 +141,7 @@ type feedRig struct {
 	h       *fakeHome
 	p       *peer
 	log     *sinkLog
-	setHome func(addr string) // re-home every key at addr
+	setHome func(addr string) // move the gate: every key homed at addr
 	landed  chan struct{}     // one token per landed round
 }
 
@@ -251,24 +252,12 @@ var feedCases = []struct {
 }
 
 func TestFeedOrdering(t *testing.T) {
-	oneOwner := func(addr string) *partition.View {
-		return mustView(t, partition.MustNew(), []string{addr})
-	}
 	insts := []struct {
 		name string
-		mk   func(s *Server, apply func([]core.Change)) (*upstream, func(addr string))
+		mk   func(s *Server) *upstream
 	}{
-		{"mesh load", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
-			view := new(atomic.Pointer[partition.View])
-			l := newRemoteLoader(s.pool.Shard(0), view)
-			l.up.apply = apply
-			return l.up, func(addr string) { view.Store(oneOwner(addr)) }
-		}},
-		{"replica", func(s *Server, apply func([]core.Change)) (*upstream, func(string)) {
-			st := &replicaState{s: s}
-			st.up = newUpstream(st.fresh, apply)
-			return st.up, func(addr string) { st.view.Store(&replView{View: oneOwner(addr), copies: 2}) }
-		}},
+		{"mesh load", func(s *Server) *upstream { return newRemoteLoader(s, s.pool.Shard(0)).up }},
+		{"replica", func(s *Server) *upstream { return newUpstream(s.homedAt, s.pool.ApplyReplica) }},
 	}
 	for _, inst := range insts {
 		for _, tc := range feedCases {
@@ -279,10 +268,17 @@ func TestFeedOrdering(t *testing.T) {
 				}
 				t.Cleanup(s.Close)
 				x := &feedRig{t: t, h: newFakeHome(t), log: new(sinkLog), landed: make(chan struct{}, 4)}
-				up, setHome := inst.mk(s, x.log.apply)
+				up := inst.mk(s)
+				up.apply = x.log.apply
 				t.Cleanup(up.closeAll)
-				x.setHome = setHome
-				setHome(x.h.addr())
+				// Keep flips the way it does in a server: the gate moves to
+				// a newer map homing every key at addr.
+				var version int64
+				x.setHome = func(addr string) {
+					version++
+					s.pool.ApplyMapUpdate(at(t, version, nil, addr))
+				}
+				x.setHome(x.h.addr())
 				if x.p, err = up.conn(x.h.addr()); err != nil {
 					t.Fatal(err)
 				}
@@ -308,10 +304,10 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	a, b := newFakeHome(t), newFakeHome(t)
-	bounds := partition.MustNew("g", "m")
+	bounds := []string{"g", "m"}
 	// Owners 0 [, g) and 1 [g, m) are homed at A, owner 2 here: with two
 	// copies this member holds both of A's ranges.
-	s.applyReplicaAssignment(mustView(t, bounds, []string{a.addr(), a.addr(), "holder:1"}, 2), 2, nil)
+	replicate(t, s, at(t, 1, bounds, a.addr(), a.addr(), "holder:1").For("holder:1"), 2)
 	a.accept()
 	scans := map[string]*rpc.Message{}
 	for len(scans) < 2 {
@@ -321,7 +317,7 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 	a.reply(scans[""], "a|1=kept")
 	// Owner 1 moves to B; with three copies this member still holds
 	// owner 0's range from A.
-	s.applyReplicaAssignment(mustView(t, bounds, []string{a.addr(), b.addr(), "holder:1"}, 2), 3, nil)
+	replicate(t, s, at(t, 2, bounds, a.addr(), b.addr(), "holder:1").For("holder:1"), 3)
 	b.accept()
 	b.reply(b.read(rpc.MsgScan), "h|1=fresh")
 	for deadline := time.Now().Add(5 * time.Second); s.repl.snapshot() != 2; time.Sleep(time.Millisecond) {
@@ -336,9 +332,12 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 	}
 	a.fence(p.c)
 	var got []string
-	for _, kv := range s.pool.Scan("", "", 0, nil, nil) {
-		got = append(got, kv.Key+"="+kv.Value)
-	}
+	s.pool.Shard(0).WithEngine(func(e *core.Engine) {
+		e.Store().Scan("", "", func(k string, v *store.Value) bool {
+			got = append(got, k+"="+v.String())
+			return true
+		})
+	})
 	if want := []string{"a|1=kept", "h|1=fresh"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica rows after the late snapshot = %q, want %q", got, want)
 	}
@@ -417,7 +416,7 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		}
 		// Owner 0 (everything below "m") is the home; this member owns the
 		// rest and, with two copies, holds a replica of owner 0's range.
-		s.applyReplicaAssignment(mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1), 2, nil)
+		replicate(t, s, mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1), 2)
 		st := s.repl
 		for deadline := time.Now().Add(5 * time.Second); st.snapshot() != 1; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {

@@ -14,14 +14,16 @@ import (
 	"time"
 
 	"pequod/internal/cluster"
+	"pequod/internal/core"
+	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
 )
 
 // TestMalformedViewChangesNothing: a map-bearing frame whose peers do
 // not match its owner count, or whose self indexes fall outside it, is
-// answered with an error reply before any state moves — gate, mesh view
-// and replica assignment stay exactly the values they were.
+// answered with an error reply before any state moves — the gate and the
+// replica assignment stay exactly the values they were.
 func TestMalformedViewChangesNothing(t *testing.T) {
 	s, err := New(Config{Name: "member"})
 	if err != nil {
@@ -33,12 +35,11 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := mustView(t, partition.MustNew("m"), []string{addr, addr}, 0, 1)
-	s.pool.ApplyMapUpdate(v)
 	if err := s.ConnectMesh(v, "p"); err != nil {
 		t.Fatal(err)
 	}
-	s.applyReplicaAssignment(v, 2, nil)
-	gate, mesh, repl := s.pool.Gate(), s.mesh.view.Load(), s.repl.view.Load()
+	replicate(t, s, v, 2)
+	gate := s.pool.Gate()
 
 	bad := map[string]partition.Wire{
 		"short peers":       {Epoch: 9, Version: 1, Bounds: []string{"g", "m"}, Peers: []string{addr, addr}, Self: []int{0}},
@@ -64,8 +65,8 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 			}
 		}
 	}
-	if s.pool.Gate() != gate || s.mesh.view.Load() != mesh || s.repl.view.Load() != repl {
-		t.Fatal("a rejected frame moved the gate, the mesh view or the replica assignment")
+	if s.pool.Gate() != gate || s.repl.copies != 2 {
+		t.Fatal("a rejected frame moved the gate or the replica assignment")
 	}
 	if s.mesh.tables["q"] || s.pool.InstalledText() != "" {
 		t.Fatal("a rejected frame wired a table or installed a join")
@@ -107,8 +108,8 @@ func TestRecoverGoldenMeta(t *testing.T) {
 	if !g.Owns("p|a") || g.Owns("p|m") || !g.Owns("t|x") {
 		t.Fatal("recovered gate owns the wrong ranges")
 	}
-	if rv := s.repl.view.Load(); rv == nil || rv.copies != 2 || !rv.Same(g) || !reflect.DeepEqual(rv.tables, []string{"s", "p"}) {
-		t.Fatalf("recovered replica assignment = %+v", rv)
+	if st := s.repl; st == nil || st.copies != 2 || !reflect.DeepEqual(st.tables, []string{"s", "p"}) {
+		t.Fatalf("recovered replica assignment = %+v", st)
 	}
 	s.Close()
 	saved, err := os.ReadFile(filepath.Join(dir, "meta.json"))
@@ -122,13 +123,15 @@ func TestRecoverGoldenMeta(t *testing.T) {
 	}
 }
 
-// bouncer is a scripted member: it answers every data request with a
-// NotOwner reply — the first carrying views[0], every later one
-// views[1] — and acknowledges everything else.
+// bouncer is a scripted member: once armed with views it answers every
+// data request with a NotOwner reply — the first carrying views[0],
+// every later one views[1] — and it acknowledges everything else,
+// counting pings.
 type bouncer struct {
 	addr    string
 	views   atomic.Pointer[[2]*partition.View]
 	bounces atomic.Int64
+	pings   atomic.Int64
 }
 
 func newBouncer(t *testing.T) *bouncer {
@@ -159,9 +162,13 @@ func (b *bouncer) serve(c net.Conn) {
 			return
 		}
 		r := rpc.OKReply(m.Seq)
-		switch m.Type {
+		switch vs := b.views.Load(); m.Type {
 		case rpc.MsgGet, rpc.MsgPut, rpc.MsgScan:
-			r = rpc.NotOwnerReply(m.Seq, b.views.Load()[min(b.bounces.Add(1)-1, 1)])
+			if vs != nil {
+				r = rpc.NotOwnerReply(m.Seq, vs[min(b.bounces.Add(1)-1, 1)])
+			}
+		case rpc.MsgPing:
+			b.pings.Add(1)
 		}
 		if _, err := rpc.WriteMessage(c, r, nil); err != nil {
 			return
@@ -170,11 +177,13 @@ func (b *bouncer) serve(c net.Conn) {
 }
 
 // TestAdoptLearnedView runs one table of views carried on NotOwner
-// replies against both holders that learn from them — the cluster
-// client's routing view and a server's mesh loaders. Each holder starts
-// at the deployment's (0, 0) map over [bouncer, second member], learns
-// base (e5 v2) from its first bounce, and meets the row's view on every
-// later one.
+// replies against a holder that learns from them and one that must not.
+// Each starts at the deployment's (0, 0) map over [bouncer, second
+// member]. The cluster client's routing view learns base (e5 v2) from
+// its first bounce and adopts the row's view, met on every later one,
+// by the adopt-if-newer rule. A server's mesh loader adopts nothing: its
+// load fails and the gate — which only a coordinator's frame moves,
+// with the splice or promotion an ownership flip needs — stays put.
 func TestAdoptLearnedView(t *testing.T) {
 	const third = "127.0.0.1:1" // a member nothing ever needs to dial
 	cases := []struct {
@@ -192,13 +201,14 @@ func TestAdoptLearnedView(t *testing.T) {
 		{"membership change", 5, 3, []string{"t", "u"}, true, true},
 	}
 	holders := []struct {
-		name string
+		name   string
+		learns bool
 		// run starts the second member, arms the bouncer at home with it,
 		// drives one operation into the bouncer's range and returns the
 		// view the holder ends on.
 		run func(t *testing.T, home string, arm func(second string)) *partition.View
 	}{
-		{"cluster client", func(t *testing.T, home string, arm func(string)) *partition.View {
+		{"cluster client", true, func(t *testing.T, home string, arm func(string)) *partition.View {
 			second := newBouncer(t).addr // only ever acknowledges
 			arm(second)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -217,7 +227,7 @@ func TestAdoptLearnedView(t *testing.T) {
 			}
 			return v
 		}},
-		{"mesh loader", func(t *testing.T, home string, arm func(string)) *partition.View {
+		{"mesh loader", false, func(t *testing.T, home string, arm func(string)) *partition.View {
 			s, err := New(Config{Name: "compute", Joins: timelineJoin})
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +244,10 @@ func TestAdoptLearnedView(t *testing.T) {
 			if _, err := s.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(200*time.Millisecond)); err == nil {
 				t.Fatal("a timeline whose sources their home bounces was computed")
 			}
-			return s.mesh.view.Load()
+			if s.pool.Stats().LoadsFailed == 0 {
+				t.Fatal("no load failed against a home that bounces every fetch")
+			}
+			return s.pool.Gate()
 		}},
 	}
 	for _, h := range holders {
@@ -259,19 +272,151 @@ func TestAdoptLearnedView(t *testing.T) {
 					}
 					b.views.Store(&views)
 				})
-				want := b.views.Load()[0]
-				if tc.adopted {
+				want := mustView(t, partition.MustNew("t"), []string{b.addr, second}, 1)
+				switch {
+				case !h.learns:
+				case tc.adopted:
 					want = b.views.Load()[1]
+				default:
+					want = b.views.Load()[0]
 				}
 				if !got.Same(want) || got.SameShape(want) != nil {
 					t.Fatalf("holder ended on %+v, want %+v (after %d bounces)", got.Wire(), want.Wire(), b.bounces.Load())
 				}
-				// The loader's server is the second member, whichever owner
-				// index that has become; the client is nobody.
-				if wantSelf := want.For(second).Self(); h.name == "mesh loader" && !reflect.DeepEqual(got.Self(), wantSelf) {
-					t.Fatalf("loader's self = %v, want %v", got.Self(), wantSelf)
+				// The loader's server is the second member, owner 1 of the
+				// gate it started with; the client is nobody.
+				if !h.learns && !reflect.DeepEqual(got.Self(), []int{1}) {
+					t.Fatalf("loader's self = %v, want [1]", got.Self())
 				}
 			})
 		}
+	}
+}
+
+// TestExtractSourceLoadsFromNewHome: an extract swaps the source's gate
+// before the advance that follows it runs, and in that window the
+// source's loaders already route by the swapped gate. A timeline read
+// there that needs the moved posts loads them from the destination,
+// which has spliced them, instead of marking the range resident with
+// no rows.
+func TestExtractSourceLoadsFromNewHome(t *testing.T) {
+	start := func(name string) (*Server, string) {
+		s, err := New(Config{Name: name, Joins: timelineJoin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, addr
+	}
+	src, srcAddr := start("src")
+	dst, dstAddr := start("dst")
+	// Owner 1, [p|b, p|m), moves from src to dst; src keeps the rest of
+	// p| and everything from q on, s| and t| included.
+	bounds := []string{"p|b", "p|m", "q"}
+	v := at(t, 1, bounds, srcAddr, srcAddr, dstAddr, srcAddr)
+	next := at(t, 2, bounds, srcAddr, dstAddr, dstAddr, srcAddr)
+	for _, m := range []struct {
+		s    *Server
+		addr string
+	}{{src, srcAddr}, {dst, dstAddr}} {
+		if r := m.s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(m.addr).Wire()}); r.Status != rpc.StatusOK {
+			t.Fatal(r.Err)
+		}
+		if err := m.s.ConnectMesh(v.For(m.addr), "p", "s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kv := range [][2]string{{"s|ann|bob", "1"}, {"p|bob|100", "Hi"}} {
+		if err := src.pool.Put(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := src.pool.ExtractClusterRange(keys.Range{Lo: "p|b", Hi: "p|m"}, next.For(srcAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.pool.SpliceClusterRange(rs, next.For(dstAddr)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.pool.Put("p|bob|200", "again"); err != nil {
+		t.Fatal(err)
+	}
+	kvs, err := src.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(5*time.Second))
+	want := []core.KV{{Key: "t|ann|100|bob", Value: "Hi"}, {Key: "t|ann|200|bob", Value: "again"}}
+	if err != nil || !reflect.DeepEqual(kvs, want) {
+		t.Fatalf("timeline at the source = %v, %v; want %v", kvs, err, want)
+	}
+}
+
+// TestReplicateFrameCatchesUpGate: a member that missed the MapUpdate
+// for v+1 catches up from the coordinator's next Replicate carrying
+// v+1, which gets the fence and gate swap a MapUpdate gets before the
+// assignment is taken.
+func TestReplicateFrameCatchesUpGate(t *testing.T) {
+	s, err := New(Config{Name: "member"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newBouncer(t), newBouncer(t)
+	bounds := []string{"g", "m"}
+	v := at(t, 1, bounds, a.addr, b.addr, addr).For(addr)
+	next := at(t, 2, bounds, b.addr, b.addr, addr).For(addr) // [, g) moves from a to b
+	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire()}); r.Status != rpc.StatusOK {
+		t.Fatal(r.Err)
+	}
+	if err := s.ConnectMesh(v, "p"); err != nil {
+		t.Fatal(err)
+	}
+	replicate(t, s, next, 2)
+	if g := s.pool.Gate(); !g.Same(next) || g.SameShape(next) != nil {
+		t.Fatalf("gate after the Replicate = %+v, want %+v", g.Wire(), next.Wire())
+	}
+	if a.pings.Load() == 0 {
+		t.Fatal("the range's old owner was not fenced")
+	}
+	if n := s.buildMeta().ReplicaCopies; n != 2 {
+		t.Fatalf("replica copies = %d, want 2", n)
+	}
+}
+
+// TestReplicaHoldsFollowGate: replica holds are a function of the gate
+// and the assignment, so a MapUpdate that changes ring placement
+// reshapes them at once, before any Replicate follows it.
+func TestReplicaHoldsFollowGate(t *testing.T) {
+	s, err := New(Config{Name: "member"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const self, p, q = "member:1", "127.0.0.1:1", "127.0.0.1:2" // peers nothing can dial
+	// Ring p, self: self copies p's [, m).
+	replicate(t, s, at(t, 1, []string{"m"}, p, self).For(self), 2)
+	// q joins at [g, m): on the ring p, q, self, self copies q's range.
+	next := at(t, 2, []string{"g", "m"}, p, q, self).For(self)
+	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: next.Wire()}); r.Status != rpc.StatusOK {
+		t.Fatal(r.Err)
+	}
+	g := s.pool.Gate()
+	want := map[keys.Range]bool{}
+	for _, o := range g.ReplicaHolds(2) {
+		want[g.Map().OwnerRange(o)] = true
+	}
+	s.repl.mu.Lock()
+	got := map[keys.Range]bool{}
+	for r := range s.repl.held {
+		got[r] = true
+	}
+	s.repl.mu.Unlock()
+	if !reflect.DeepEqual(got, want) || !want[keys.Range{Lo: "g", Hi: "m"}] {
+		t.Fatalf("held after the MapUpdate = %v, want %v", got, want)
 	}
 }
