@@ -542,25 +542,6 @@ func (c *Client) Ping(ctx context.Context) error {
 	return err
 }
 
-// ConnectPeers asks the server to wire itself into a partitioned mesh
-// under view v (whose self set is the recipient's owner indexes): dial
-// the peer serving each owner range it does not itself own, and load +
-// subscribe to the listed base tables remotely (§2.4).
-func (c *Client) ConnectPeers(ctx context.Context, v *partition.View, tables []string) error {
-	_, err := c.Do(ctx, &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.Wire(), Tables: tables})
-	return err
-}
-
-// Drain asks the server to tear down its cluster mesh wiring — the last
-// step of DrainServer, sent after the member's final range has moved
-// out and the shrunk map has been published. The server keeps its gate
-// (so stale clients still get NotOwner replies carrying the post-drain
-// map) but closes its peer connections and stops loading remotely.
-func (c *Client) Drain(ctx context.Context) error {
-	_, err := c.Do(ctx, &rpc.Message{Type: rpc.MsgDrain})
-	return err
-}
-
 // SnapshotNow asks the server to commit one durable snapshot before
 // returning, reporting the rows it captured. Errors when the server
 // has no data dir configured.

@@ -81,7 +81,9 @@ type Cluster struct {
 	// assignments carry only pub, because a member moves its gate on one:
 	// a view merely learned from a bounce (v may hold one) can be a
 	// transfer source's map from before the splice, which must not reach
-	// the destination first.
+	// the destination first. pub may be older than every member's gate; a
+	// member then keeps its gate but still takes the assignment's copies
+	// and tables.
 	pub atomic.Pointer[partition.View]
 
 	// coordID is this client's coordinator identity: the low bits of
@@ -354,18 +356,13 @@ func (cl *Cluster) connAt(ctx context.Context, k connKey) (*client.Client, error
 }
 
 // do sends one request to the member at addr. A frame that moves the
-// member's view goes on its control connection, as the failure
+// member's view (rpc.MovesView) goes on its control connection, as the failure
 // detector's probes do: a member serves one connection's frames in
 // order, and an operation there may be waiting for base data that only
 // the view's move lets the member load — a frame queued behind it would
 // wait out the operation's deadline, and a probe read the wait as death.
 func (cl *Cluster) do(ctx context.Context, addr string, m *rpc.Message) (*rpc.Message, error) {
-	ctl := false
-	switch m.Type {
-	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate, rpc.MsgDrain:
-		ctl = true
-	}
-	c, err := cl.connAt(ctx, connKey{addr, ctl})
+	c, err := cl.connAt(ctx, connKey{addr, rpc.MovesView(m.Type)})
 	if err != nil {
 		return nil, err
 	}
@@ -695,11 +692,8 @@ func (cl *Cluster) Install(ctx context.Context, text string) error {
 	tables := sourceTables(all)
 	v := cl.v.Load()
 	for _, m := range v.Members() {
-		c, err := cl.conn(ctx, m.Addr)
-		if err != nil {
-			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
-		}
-		if err := c.ConnectPeers(ctx, v.For(m.Addr), tables); err != nil {
+		wire := &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.For(m.Addr).Wire(), Tables: tables}
+		if _, err := cl.do(ctx, m.Addr, wire); err != nil {
 			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
 		}
 	}

@@ -367,9 +367,14 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 	return nil
 }
 
-// publishReplicas sends every member of v its replica assignment: the
-// view itself, the total copies per range (Limit), and the base tables
-// mirrored (empty = whole ranges). Placement is not in the message —
+// publishReplicas sends every member this client knows of its replica
+// assignment: view v — the last map this client published, which a
+// member whose gate is newer ignores — plus the total copies per range
+// (Limit) and the base tables mirrored (empty = whole ranges), which
+// every member takes whatever v's age. The recipients are the members
+// of the client's current view, which every caller has advanced to v or
+// past it, so a member this client only learned of (another coordinator
+// added it) gets the assignment too. Placement is not in the message —
 // each member derives the ranges it must hold from the same ring walk
 // the coordinator uses (partition.View.ReplicaAddrs), so the two sides
 // cannot disagree. Best-effort: it returns the addresses that did not
@@ -381,12 +386,13 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 // safe to overlap. No-op when replication is off or the cluster has a
 // single member.
 func (cl *Cluster) publishReplicas(ctx context.Context, v *partition.View, tables []string) []string {
-	if cl.copies <= 1 || len(v.Members()) < 2 {
+	mbrs := cl.v.Load().Members()
+	if cl.copies <= 1 || len(mbrs) < 2 {
 		return nil
 	}
-	errs := make([]error, len(v.Members()))
+	errs := make([]error, len(mbrs))
 	var wg sync.WaitGroup
-	for i, m := range v.Members() {
+	for i, m := range mbrs {
 		i, m := i, m
 		wg.Add(1)
 		go func() {
@@ -398,7 +404,7 @@ func (cl *Cluster) publishReplicas(ctx context.Context, v *partition.View, table
 	}
 	wg.Wait()
 	var failed []string
-	for i, m := range v.Members() {
+	for i, m := range mbrs {
 		if errs[i] != nil {
 			failed = append(failed, m.Addr)
 		}

@@ -184,6 +184,9 @@ func TestHelpers(t *testing.T) {
 	if er.Status != StatusError || er.Err != "nope" {
 		t.Fatal("ErrReply")
 	}
+	if !MovesView(MsgReplicate) || !MovesView(MsgConnectPeers) || !MovesView(MsgDrain) || MovesView(MsgGet) || MovesView(MsgPing) {
+		t.Fatal("MovesView")
+	}
 }
 
 // Property: encode/decode round-trips arbitrary string content, including

@@ -159,10 +159,12 @@ func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time
 // reconcile its cached state (drop stale replicas, demote ranges lost
 // without an extraction, restore retained ranges handed back) so the
 // next read re-fetches from — and re-subscribes at — the new home. A
-// Replicate frame also sets the replica assignment, unless its view is
-// older than the gate (a slow coordinator losing to a repair); so a
-// member that missed a publish converges at the coordinator's next
-// anti-entropy round.
+// Replicate frame also sets the replica assignment (copies and tables),
+// whatever its view's age: placement derives from the gate, so an older
+// view — a coordinator started from the deployment's original bounds
+// replicates with the last map it published — still carries a current
+// assignment. A member that missed a publish converges at the
+// coordinator's next anti-entropy round.
 func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.Time) *rpc.Message {
 	if g := s.pool.Gate(); g != nil && next.Newer(g) {
 		// Fence before the drop: every change the old owners pushed for
@@ -183,7 +185,7 @@ func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.T
 	}
 	_ = s.advance(func() error { // this apply cannot fail
 		s.pool.ApplyMapUpdate(next)
-		if m.Type == rpc.MsgReplicate && !s.pool.Gate().Newer(next) {
+		if m.Type == rpc.MsgReplicate {
 			s.assignReplicas(m.Limit, m.Tables)
 		}
 		return nil

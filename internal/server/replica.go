@@ -10,8 +10,8 @@ package server
 // copying. The view is handled exactly like a MapUpdate's — it moves
 // the gate, the one view this member holds — so a member that missed a
 // publish catches up at the coordinator's next anti-entropy round. The
-// two scalars are kept; placement is derived, not listed — each member
-// walks the gate's ring of distinct member addresses
+// two scalars are kept whatever the view's age; placement is derived,
+// not listed — each member walks the gate's ring of distinct member addresses
 // (partition.View.ReplicaHolds) and keeps a copy of every range whose
 // owner it directly succeeds, so the coordinator and every member always
 // agree on who holds what without a second source of truth that could

@@ -527,9 +527,6 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		}
 		return rpc.OKReply(m.Seq)
 
-	case rpc.MsgConnectPeers, rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster, rpc.MsgReplicate:
-		return s.handleMapBearing(m, dl)
-
 	case rpc.MsgDrain:
 		return s.handleDrain(m)
 
@@ -538,6 +535,9 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 
 	case rpc.MsgRebuildRange:
 		return s.handleRebuildRange(m)
+	}
+	if rpc.MovesView(m.Type) { // the map-bearing frames; Drain is served above
+		return s.handleMapBearing(m, dl)
 	}
 	return rpc.ErrReply(m.Seq, errors.New("unknown request"))
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -385,6 +386,65 @@ func TestReplicateFrameCatchesUpGate(t *testing.T) {
 	}
 	if n := s.buildMeta().ReplicaCopies; n != 2 {
 		t.Fatalf("replica copies = %d, want 2", n)
+	}
+}
+
+// TestStaleCoordinatorAssignsReplicas: a coordinator started from the
+// deployment's original bounds after another one moved a bound and added
+// a member replicates with the stale map it published, which no gate
+// adopts. Every member still takes its assignment — the one it only
+// learned of included — and the joins Install adds extend the tables.
+func TestStaleCoordinatorAssignsReplicas(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var members []*Server
+	var addrs []string
+	for _, name := range []string{"m0", "m1", "m2"} {
+		s, err := New(Config{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		members, addrs = append(members, s), append(addrs, addr)
+	}
+	first, err := cluster.New(ctx, cluster.Config{Addrs: addrs[:2], Bounds: []string{"m"}, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := first.MoveBound(ctx, 0, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.AddServerAt(ctx, addrs[2], 1, "t"); err != nil {
+		t.Fatal(err)
+	}
+	moved := members[0].pool.Gate()
+
+	stale, err := cluster.New(ctx, cluster.Config{Addrs: addrs[:2], Bounds: []string{"m"}, Replicas: 2, Joins: timelineJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	for i, s := range members {
+		if g := s.pool.Gate(); !g.Same(moved) {
+			t.Fatalf("member %d gate moved back to %+v", i, g.Wire())
+		}
+		s.rmu.Lock()
+		st := s.repl
+		s.rmu.Unlock()
+		if st == nil {
+			t.Fatalf("member %d holds no replica assignment", i)
+		}
+		st.mu.Lock()
+		copies, tables := st.copies, slices.Sorted(slices.Values(st.tables))
+		st.mu.Unlock()
+		if copies != 2 || !reflect.DeepEqual(tables, []string{"p", "s"}) {
+			t.Fatalf("member %d assignment = %d copies of %v, want 2 of [p s]", i, copies, tables)
+		}
 	}
 }
 
