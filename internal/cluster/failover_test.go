@@ -352,27 +352,17 @@ func TestHealthAndManualRepair(t *testing.T) {
 	}
 	// With 2 total copies over 2 members, each member replicates the
 	// other's range. A copy counts once its first snapshot+subscribe pass
-	// lands, which Quiesce does not wait for, so poll until both have.
-	var rows []MemberHealth
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if err := cl.Quiesce(ctx); err != nil {
-			t.Fatal(err)
-		}
-		rows = cl.Health(ctx)
-		synced := len(rows) == 2
-		for _, h := range rows {
-			synced = synced && h.Replicas > 0
-		}
-		if synced {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicas never synced: %+v", rows)
-		}
+	// lands, which Quiesce waits for.
+	if err := cl.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rows := cl.Health(ctx)
+	if len(rows) != 2 {
+		t.Fatalf("health rows = %+v", rows)
 	}
 	for _, h := range rows {
-		if !h.Alive || h.ID == "" || h.Owners == 0 {
-			t.Fatalf("healthy member row = %+v", h)
+		if !h.Alive || h.ID == "" || h.Owners == 0 || h.Replicas == 0 {
+			t.Fatalf("healthy member row after Quiesce = %+v", h)
 		}
 	}
 

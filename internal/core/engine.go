@@ -148,8 +148,9 @@ type Engine struct {
 
 	onChange func(Change)
 
-	lru   lruList
-	stats Stats
+	statusLRU lruList[*JoinStatus] // computed: evicted first (evict.go)
+	presLRU   lruList[*presRange]  // fetched base ranges: evicted last
+	stats     Stats
 }
 
 // New returns an engine over a fresh store.

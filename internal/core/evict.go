@@ -2,36 +2,35 @@ package core
 
 // Eviction (§2.5): "an overloaded Pequod server simply evicts the least
 // recently used data ranges." Evictable units are join status ranges
-// (computed data) and presence ranges (cached base / remote data); both
-// carry an intrusive lruEntry. Eviction removes the range's data,
-// uninstalls its bookkeeping, and invalidates dependents transitively.
+// (computed data) and presence ranges (cached base / remote data), and
+// they differ in what they cost to get back: a status is one local
+// re-execution over inputs that stay resident, while a presence range is
+// a round trip to its home plus a dirty recompute of every status that
+// read it. So each kind has its own LRU list, and eviction takes the
+// least recently used status while any is tracked, reaching for presence
+// ranges only once none is left: cost class first, then recency.
+// Eviction removes the range's data, uninstalls its bookkeeping, and
+// invalidates dependents transitively.
 
-// lruEntry is an intrusive doubly-linked list node.
-type lruEntry struct {
-	prev, next *lruEntry
-	owner      any // *JoinStatus or *presRange
+// lruEntry is an intrusive doubly-linked list node naming its owner.
+type lruEntry[T any] struct {
+	prev, next *lruEntry[T]
+	owner      T
 }
 
 // lruList is a doubly-linked LRU list with sentinel; front = most recent.
-type lruList struct {
-	head lruEntry // sentinel
+type lruList[T any] struct {
+	head lruEntry[T] // sentinel
 	n    int
 }
 
-func (l *lruList) init() {
+// touch moves en, owned by owner, to the front (most recently used).
+func (l *lruList[T]) touch(en *lruEntry[T], owner T) {
 	if l.head.next == nil {
-		l.head.next = &l.head
-		l.head.prev = &l.head
+		l.head.next, l.head.prev = &l.head, &l.head
 	}
-}
-
-func (l *lruList) moveFront(en *lruEntry) {
-	l.init()
-	if en.next != nil { // linked: unlink first
-		en.prev.next = en.next
-		en.next.prev = en.prev
-		l.n--
-	}
+	en.owner = owner
+	l.remove(en)
 	en.next = l.head.next
 	en.prev = &l.head
 	l.head.next.prev = en
@@ -39,7 +38,7 @@ func (l *lruList) moveFront(en *lruEntry) {
 	l.n++
 }
 
-func (l *lruList) remove(en *lruEntry) {
+func (l *lruList[T]) remove(en *lruEntry[T]) {
 	if en.next == nil {
 		return
 	}
@@ -49,51 +48,42 @@ func (l *lruList) remove(en *lruEntry) {
 	l.n--
 }
 
-func (l *lruList) back() *lruEntry {
-	l.init()
-	if l.head.prev == &l.head {
+// back returns the least recently used entry, or nil.
+func (l *lruList[T]) back() *lruEntry[T] {
+	if l.n == 0 {
 		return nil
 	}
 	return l.head.prev
 }
 
 // lruTouch marks a join status as recently used.
-func (e *Engine) lruTouch(st *JoinStatus) {
-	st.lru.owner = st
-	e.lru.moveFront(&st.lru)
-}
+func (e *Engine) lruTouch(st *JoinStatus) { e.statusLRU.touch(&st.lru, st) }
 
-// lruTouch2 marks any evictable as recently used.
-func (e *Engine) lruTouch2(en *lruEntry, owner any) {
-	en.owner = owner
-	e.lru.moveFront(en)
-}
+// presTouch marks a resident presence range as recently used.
+func (e *Engine) presTouch(pr *presRange) { e.presLRU.touch(&pr.lru, pr) }
 
-// lruRemove unlinks a join status from the LRU.
-func (e *Engine) lruRemove(st *JoinStatus) { e.lru.remove(&st.lru) }
-
-// evictIfNeeded enforces the memory limit by evicting LRU ranges. Every
-// tracked range is evictable: a join status exists only once computed,
-// and a presence range enters the list when its load lands.
+// evictIfNeeded enforces the memory limit: the least recently used join
+// status goes first, and a presence range only once no status is left.
+// Every tracked range is evictable: a join status exists only once
+// computed, and a presence range enters its list when its load lands.
 func (e *Engine) evictIfNeeded() {
 	if e.opts.MemLimit <= 0 {
 		return
 	}
 	for e.s.Bytes() > e.opts.MemLimit {
-		en := e.lru.back()
-		if en == nil {
+		if en := e.statusLRU.back(); en != nil {
+			e.stats.Evictions++
+			e.invalidateStatus(en.owner) // detaching unlinks it
+		} else if en := e.presLRU.back(); en != nil {
+			e.presLRU.remove(en)
+			e.stats.Evictions++
+			e.evictPresence(en.owner)
+		} else {
 			return
-		}
-		e.lru.remove(en)
-		e.stats.Evictions++
-		switch v := en.owner.(type) {
-		case *JoinStatus:
-			e.invalidateStatus(v)
-		case *presRange:
-			e.evictPresence(v)
 		}
 	}
 }
 
-// LRULen reports the number of evictable ranges tracked (for tests).
-func (e *Engine) LRULen() int { return e.lru.n }
+// LRULen reports the number of evictable ranges tracked, of both kinds
+// (for tests).
+func (e *Engine) LRULen() int { return e.statusLRU.n + e.presLRU.n }

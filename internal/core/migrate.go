@@ -212,7 +212,7 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 			if pr.loading {
 				e.dropLoading(pt, pr)
 			} else {
-				e.lru.remove(&pr.lru)
+				e.presLRU.remove(&pr.lru)
 				pt.drop(pr)
 				sides := []keys.Range{{Lo: pr.r.Lo, Hi: cut.Lo}}
 				if cut.Hi != "" { // a cut to +inf leaves nothing above
@@ -224,7 +224,7 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 					}
 					np := &presRange{table: table, r: side}
 					pt.add(np)
-					e.lruTouch2(&np.lru, np)
+					e.presTouch(np)
 				}
 				e.invalidateRangeDependents(table, cut)
 			}

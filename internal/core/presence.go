@@ -18,7 +18,7 @@ type presRange struct {
 	// waiters lists the reads parked until this load resolves — lands,
 	// fails, or is abandoned by a migration. Empty once resident.
 	waiters []*LoadWait
-	lru     lruEntry
+	lru     lruEntry[*presRange]
 }
 
 func (pr *presRange) span() keys.Range { return pr.r }
@@ -91,7 +91,7 @@ func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range, g
 			pending++
 			e.await(pr)
 		} else {
-			e.lruTouch2(&pr.lru, pr)
+			e.presTouch(pr)
 		}
 		return true
 	}, func(gap keys.Range) {
@@ -151,7 +151,7 @@ func (e *Engine) LoadRows(kvs []KV) {
 func (e *Engine) LoadComplete(table string, r keys.Range) {
 	if _, pr := e.loadingRecord(table, r); pr != nil {
 		pr.loading = false
-		e.lruTouch2(&pr.lru, pr)
+		e.presTouch(pr)
 		e.release(pr)
 	}
 }

@@ -50,7 +50,7 @@ type JoinStatus struct {
 	// invalidation can uninstall them.
 	updaters []*Updater
 
-	lru lruEntry
+	lru lruEntry[*JoinStatus]
 }
 
 func (st *JoinStatus) span() keys.Range { return st.r }
@@ -216,7 +216,7 @@ func (e *Engine) detachStatus(st *JoinStatus) {
 	st.valid = false
 	st.logs = nil
 	st.dirty = nil
-	e.lruRemove(st)
+	e.statusLRU.remove(&st.lru)
 }
 
 // recomputeDirty refreshes st's dirty sub-intervals overlapping rr: each
@@ -332,22 +332,36 @@ func (e *Engine) removeOutputs(ij *installedJoin, r keys.Range) {
 
 // removeOutputsOp is removeOutputs notifying the given op: migration
 // drops computed ranges with OpEvict, which subscription forwarding
-// ignores — the data stays valid, it just stops being cached here.
+// ignores — the data stays valid, it just stops being cached here. When
+// every row in r is ij's output — no other join or client row is
+// interleaved with them (§2.3) — the rows leave in one Store.RemoveRange
+// cut; otherwise they leave key by key.
 func (e *Engine) removeOutputsOp(ij *installedJoin, r keys.Range, op ChangeOp) {
+	gone := func(k string, old *store.Value) {
+		e.notify(Change{Op: op, Key: k, Value: old.String()})
+		e.invalidateDependents(k)
+	}
+	mine := func(k string) bool { _, ok := ij.j.Out.Match(k, st0); return ok }
+	interleaved := false
+	e.s.Scan(r.Lo, r.Hi, func(k string, _ *store.Value) bool {
+		interleaved = !mine(k)
+		return !interleaved
+	})
+	if !interleaved {
+		e.s.RemoveRange(r.Lo, r.Hi, gone)
+		return
+	}
 	var doomed []string
-	e.s.Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
-		if _, ok := ij.j.Out.Match(k, st0); ok {
+	e.s.Scan(r.Lo, r.Hi, func(k string, _ *store.Value) bool {
+		if mine(k) {
 			doomed = append(doomed, k)
 		}
 		return true
 	})
 	for _, k := range doomed {
-		old, ok := e.s.Remove(k)
-		if !ok {
-			continue
+		if old, ok := e.s.Remove(k); ok {
+			gone(k, old)
 		}
-		e.notify(Change{Op: op, Key: k, Value: old.String()})
-		e.invalidateDependents(k)
 	}
 }
 

@@ -34,16 +34,23 @@ func (u *Updater) removeContextsOf(js *JoinStatus) {
 	u.removeContextsMatching(js, func(*updCtx) bool { return true })
 }
 
+// removeContextsMatching removes js's contexts that pred accepts. A
+// removed context is replaced by the last one (an updater's context order
+// carries no meaning), so a detach moves at most one context per removal
+// instead of copying every survivor.
 func (u *Updater) removeContextsMatching(js *JoinStatus, pred func(*updCtx) bool) {
-	out := u.contexts[:0]
-	for i := range u.contexts {
-		c := &u.contexts[i]
-		if c.js == js && pred(c) {
+	cs := u.contexts
+	for i := 0; i < len(cs); {
+		if c := &cs[i]; c.js == js && pred(c) {
+			last := len(cs) - 1
+			cs[i] = cs[last]
+			cs[last] = updCtx{} // drop the pointers it held
+			cs = cs[:last]
 			continue
 		}
-		out = append(out, *c)
+		i++
 	}
-	u.contexts = out
+	u.contexts = cs
 }
 
 // installUpdater attaches an updater covering cr for source srcIdx of

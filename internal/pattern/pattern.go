@@ -258,12 +258,22 @@ func (p *Pattern) Match(key string, b Binding) (Binding, bool) {
 }
 
 // BuildKey constructs the concrete key for b; ok is false if any slot in
-// the pattern is unbound.
+// the pattern is unbound. It makes one allocation of exactly the key's
+// size: a stored key pins no slack bytes.
 func (p *Pattern) BuildKey(b Binding) (string, bool) {
 	if !b.Covers(p.slotof) {
 		return "", false
 	}
+	n := len(p.segs) - 1 // separators
+	for _, seg := range p.segs {
+		if seg.Slot < 0 {
+			n += len(seg.Literal)
+		} else {
+			n += len(b.vals[seg.Slot])
+		}
+	}
 	var sb strings.Builder
+	sb.Grow(n)
 	for i, seg := range p.segs {
 		if i > 0 {
 			sb.WriteByte(keys.Sep)
@@ -271,8 +281,7 @@ func (p *Pattern) BuildKey(b Binding) (string, bool) {
 		if seg.Slot < 0 {
 			sb.WriteString(seg.Literal)
 		} else {
-			v, _ := b.Get(seg.Slot)
-			sb.WriteString(v)
+			sb.WriteString(b.vals[seg.Slot])
 		}
 	}
 	return sb.String(), true

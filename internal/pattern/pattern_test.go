@@ -156,6 +156,21 @@ func TestBuildKeyAndPrefix(t *testing.T) {
 	}
 }
 
+// TestBuildKeyAllocatesOnce: a built key is one allocation of exactly
+// its own size, not a builder grown three or four times.
+func TestBuildKeyAllocatesOnce(t *testing.T) {
+	var st SlotTable
+	p := mustParse(t, "t|<user>|<time>|<poster>", &st)
+	b := Binding{}.With(0, "ann").With(1, "0000000100").With(2, "bob")
+	var k string
+	if n := testing.AllocsPerRun(100, func() { k, _ = p.BuildKey(b) }); n != 1 {
+		t.Fatalf("BuildKey made %v allocations, want 1", n)
+	}
+	if k != "t|ann|0000000100|bob" {
+		t.Fatalf("BuildKey = %q", k)
+	}
+}
+
 func TestScanBinding(t *testing.T) {
 	var st SlotTable
 	p := mustParse(t, "t|<user>|<time>|<poster>", &st)

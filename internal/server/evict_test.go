@@ -12,10 +12,22 @@ import (
 )
 
 // TestComputeServerEvictionRefetches exercises §2.5 in the distributed
-// setting: a memory-limited compute server evicts computed timelines and
-// cached base data under pressure, and later reads transparently refetch
-// from the home server and recompute.
+// setting: a memory-limited compute server evicts under pressure, and
+// later reads transparently refetch from the home server and recompute.
+// Computed timelines leave before fetched base ranges: with the limit
+// above the fetched base copy only timelines are evicted and nothing is
+// fetched twice; below it the base ranges go too and are fetched again.
 func TestComputeServerEvictionRefetches(t *testing.T) {
+	// Materialized state is ~700KB in all, the fetched base copy ~50KB.
+	t.Run("limit above the fetched base copy", func(t *testing.T) {
+		runComputeServerEviction(t, 256<<10, false)
+	})
+	t.Run("limit below the fetched base copy", func(t *testing.T) {
+		runComputeServerEviction(t, 24<<10, true)
+	})
+}
+
+func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
 	home, err := New(Config{Name: "home"})
 	if err != nil {
 		t.Fatal(err)
@@ -23,13 +35,10 @@ func TestComputeServerEvictionRefetches(t *testing.T) {
 	haddr, _ := home.Start()
 	defer home.Close()
 
-	// The limit holds a handful of timelines plus hot base ranges (total
-	// materialized state is ~700KB), forcing steady eviction without
-	// starving any single scan.
 	compute, err := New(Config{
 		Name:   "compute",
 		Joins:  timelineJoin,
-		Engine: core.Options{MemLimit: 256 * 1024},
+		Engine: core.Options{MemLimit: limit},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,37 +71,39 @@ func TestComputeServerEvictionRefetches(t *testing.T) {
 		}
 	}
 
-	// Materialize every timeline; the limit forces evictions.
-	for u := 0; u < users; u++ {
-		pfx := fmt.Sprintf("t|u%02d|", u)
-		kvs, err := cc.Scan(pfx, pfx[:len(pfx)-1]+"}", 0)
+	// Each pass materializes every timeline; the limit forces evictions.
+	pass := func() core.Stats {
+		t.Helper()
+		for u := 0; u < users; u++ {
+			pfx := fmt.Sprintf("t|u%02d|", u)
+			kvs, err := cc.Scan(pfx, pfx[:len(pfx)-1]+"}", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(kvs) != 3*posts {
+				t.Fatalf("timeline u%02d = %d entries, want %d", u, len(kvs), 3*posts)
+			}
+		}
+		stat, err := cc.Stat()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(kvs) != 3*posts {
-			t.Fatalf("timeline u%02d = %d entries, want %d", u, len(kvs), 3*posts)
+		var parsed struct {
+			Stats core.Stats `json:"stats"`
 		}
+		if err := json.Unmarshal([]byte(stat), &parsed); err != nil {
+			t.Fatal(err)
+		}
+		return parsed.Stats
 	}
-
-	stat, err := cc.Stat()
-	if err != nil {
-		t.Fatal(err)
+	first := pass()
+	if first.Evictions == 0 {
+		t.Fatalf("no evictions under a %d B limit: %+v", limit, first)
 	}
-	var parsed struct {
-		Stats core.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal([]byte(stat), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Stats.Evictions == 0 {
-		t.Fatalf("no evictions under 64KB limit: %s", stat)
-	}
-
-	// Evicted timelines recompute correctly (refetching base data from
-	// the home server where needed).
-	kvs, err := cc.Scan("t|u00|", "t|u00}", 0)
-	if err != nil || len(kvs) != 3*posts {
-		t.Fatalf("recomputed timeline = %d entries, %v", len(kvs), err)
+	second := pass()
+	if refetched := second.LoadsStarted > first.LoadsStarted; refetched != fetchedEvicted {
+		t.Fatalf("limit %d B: loads.started %d -> %d over a second pass, want fetched ranges evicted = %v",
+			limit, first.LoadsStarted, second.LoadsStarted, fetchedEvicted)
 	}
 
 	// Fresh writes at the home still reach whatever is currently cached

@@ -42,6 +42,7 @@ package server
 // can leave a copy permanently empty or silently stale.
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"time"
@@ -76,11 +77,14 @@ type replicaState struct {
 // pass lands, and back to false when the home connection fails (pushes
 // were missed; the copy must re-snapshot). An unsynced entry is
 // re-scheduled by every reshape and by the watchdog, so no failure mode
-// leaves a replica permanently empty or stale.
+// leaves a replica permanently empty or stale. done is made when a sync
+// starts and closed when it exits, so quiesce can wait for a sync still
+// dialing its home.
 type replHold struct {
 	home    string
 	synced  bool
 	syncing bool
+	done    chan struct{}
 }
 
 // assignReplicas records the replica assignment a Replicate frame (or
@@ -220,7 +224,7 @@ func (st *replicaState) startSyncs() {
 	}
 	for r, h := range st.held {
 		if !h.synced && !h.syncing {
-			h.syncing = true
+			h.syncing, h.done = true, make(chan struct{})
 			st.syncs.Add(1)
 			go st.syncRange(h, r)
 		}
@@ -238,6 +242,7 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	defer func() {
 		st.mu.Lock()
 		h.syncing = false
+		close(h.done)
 		st.mu.Unlock()
 	}()
 	for attempt := 0; attempt < replicaAttempts; attempt++ {
@@ -320,6 +325,33 @@ func (st *replicaState) land(fd *feed, h *replHold, r keys.Range, pieces []*piec
 		fd.apply(changes)
 	}
 	return ok
+}
+
+// awaitSyncs waits until every sync running now has exited, or until dl
+// (zero: no bound) passes.
+func (st *replicaState) awaitSyncs(dl time.Time) error {
+	st.mu.Lock()
+	var running []chan struct{}
+	for _, h := range st.held {
+		if h.syncing {
+			running = append(running, h.done)
+		}
+	}
+	st.mu.Unlock()
+	var expired <-chan time.Time
+	if !dl.IsZero() {
+		t := time.NewTimer(time.Until(dl))
+		defer t.Stop()
+		expired = t.C
+	}
+	for _, done := range running {
+		select {
+		case <-done:
+		case <-expired:
+			return context.DeadlineExceeded
+		}
+	}
+	return nil
 }
 
 // resync is the replica half of a watchdog pass: holds sourced from a

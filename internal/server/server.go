@@ -563,8 +563,9 @@ var errDrainDeadline = errors.New("pequod server: deadline exceeded draining sub
 // the ping reply follows any pushes the peer had queued for us, and our
 // reader applies pushes in order). After it returns nil, reads here see
 // every write acknowledged before the quiesce request. A deadline
-// bounds the socket drains and peer fences (a subscriber that stopped
-// reading would otherwise wedge quiesce forever); the in-process
+// bounds the socket drains, replica syncs and peer fences (a
+// subscriber that stopped reading would otherwise wedge quiesce
+// forever); the in-process
 // pool.Quiesce is not network-dependent and settles on its own.
 func (s *Server) quiesce(dl time.Time) error {
 	s.pool.Quiesce()
@@ -586,15 +587,21 @@ func (s *Server) quiesce(dl time.Time) error {
 	}
 	s.mmu.Unlock()
 	s.rmu.Lock()
-	if s.repl != nil {
+	repl := s.repl
+	s.rmu.Unlock()
+	if repl != nil {
 		// Replica homes are upstream peers too: fencing them makes the
 		// post-quiesce replica copies complete — every write acknowledged
 		// before the quiesce — the property failover promotion relies on.
-		for _, c := range s.repl.up.conns() {
+		// A sync still dialing its home has no connection to fence yet, so
+		// the running syncs land first.
+		if err := repl.awaitSyncs(dl); err != nil {
+			return err
+		}
+		for _, c := range repl.up.conns() {
 			peers = append(peers, c)
 		}
 	}
-	s.rmu.Unlock()
 	if err := fence(peers, dl); err != nil {
 		return err
 	}

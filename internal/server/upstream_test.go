@@ -346,6 +346,75 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 	}
 }
 
+// TestQuiesceWaitsForReplicaSync: a replica sync that has not landed —
+// still dialing its home, or, as scripted here, waiting for the home's
+// snapshot — holds quiesce, so the copies a failover promotes from are
+// complete once quiesce returns. The home answers every fence at once;
+// only the snapshot is late.
+func TestQuiesceWaitsForReplicaSync(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	home := newFakeHome(t)
+	// Owner 0 [, m) is homed at the scripted home, owner 1 here: with two
+	// copies this member holds owner 0's range.
+	replicate(t, s, at(t, 1, []string{"m"}, home.addr(), "holder:1").For("holder:1"), 2)
+	home.accept()
+	scan := home.read(rpc.MsgScan)
+	msgs := make(chan *rpc.Message, 4)
+	go func() {
+		defer close(msgs)
+		for {
+			m, _, err := rpc.ReadMessage(home.br, nil)
+			if err != nil {
+				return
+			}
+			msgs <- m
+		}
+	}()
+	quiesced := make(chan error, 1)
+	go func() { quiesced <- s.quiesce(time.Now().Add(5 * time.Second)) }()
+	// answer serves the home's fences until quiesce returns (true) or
+	// wait fires (false).
+	answer := func(wait <-chan time.Time) (bool, error) {
+		for {
+			select {
+			case err := <-quiesced:
+				return true, err
+			case m, ok := <-msgs:
+				if !ok {
+					t.Fatal("home connection closed")
+				}
+				if m.Type != rpc.MsgPing {
+					t.Fatalf("home read message type %v, want a fence ping", m.Type)
+				}
+				home.send(rpc.OKReply(m.Seq))
+			case <-wait:
+				return false, nil
+			}
+		}
+	}
+	if returned, err := answer(time.After(100 * time.Millisecond)); returned {
+		t.Fatalf("quiesce returned (err %v) before the replica snapshot landed", err)
+	}
+	home.reply(scan, "a|1=copied")
+	if _, err := answer(nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	s.pool.Shard(0).WithEngine(func(e *core.Engine) {
+		e.Store().Scan("", "", func(k string, v *store.Value) bool {
+			got = append(got, k+"="+v.String())
+			return true
+		})
+	})
+	if want := []string{"a|1=copied"}; !reflect.DeepEqual(got, want) || s.repl.snapshot() != 1 {
+		t.Fatalf("after quiesce: replica rows %q, %d synced copies; want %q, 1", got, s.repl.snapshot(), want)
+	}
+}
+
 // startHome starts a plain server and returns it with its address.
 func startHome(t *testing.T) (h struct {
 	s    *Server
