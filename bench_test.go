@@ -11,16 +11,13 @@ package pequod
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"pequod/internal/core"
 	"pequod/internal/experiments"
 	"pequod/internal/loadgen"
 )
@@ -327,8 +324,8 @@ func BenchmarkEmbeddedOps(b *testing.B) {
 // restart, member kill + automatic repair — with the online checker
 // auditing sampled timelines throughout. Reported metrics: steady-state
 // p50/p99/p999 and achieved vs offered throughput. Any checker
-// violation fails the benchmark. The full-scale run's report is
-// committed as BENCH_9.json (regenerate with cmd/pequod-load).
+// violation fails the benchmark. cmd/pequod-load runs the same harness
+// at full scale.
 func BenchmarkOpenLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -379,8 +376,7 @@ func BenchmarkOpenLoop(b *testing.B) {
 // than the budget, keeping the apply off its critical path entirely.
 // Both modes run the identical workload; reported metrics are each
 // mode's scan p50/p99 plus the engine counter that proves the bounded
-// path actually engaged (bounded_srv > 0). Set
-// PEQUOD_BOUNDED_BENCH_OUT=BENCH_10.json to commit the comparison.
+// path actually engaged (bounded_srv > 0).
 func BenchmarkBoundedStaleness(b *testing.B) {
 	ctx := context.Background()
 	const (
@@ -492,51 +488,7 @@ func BenchmarkBoundedStaleness(b *testing.B) {
 		if st.BoundedStaleServes == 0 {
 			b.Fatal("bounded reads never engaged the budget path")
 		}
-		if out := os.Getenv("PEQUOD_BOUNDED_BENCH_OUT"); out != "" {
-			writeBoundedBenchReport(b, out, budget, fs, bs, st)
-		}
 	}
-}
-
-// writeBoundedBenchReport commits the fresh-vs-bounded comparison as a
-// JSON artifact (BENCH_10.json), regenerable with the command recorded
-// inside it.
-func writeBoundedBenchReport(b *testing.B, path string, budget time.Duration, fresh, bounded *loadgen.HistSnapshot, st core.Stats) {
-	rep := struct {
-		Command      string  `json:"command"`
-		BudgetMs     int64   `json:"read_stale_ms"`
-		FreshP50us   int64   `json:"fresh_p50_us"`
-		FreshP99us   int64   `json:"fresh_p99_us"`
-		FreshMeanUs  float64 `json:"fresh_mean_us"`
-		BoundP50us   int64   `json:"bounded_p50_us"`
-		BoundP99us   int64   `json:"bounded_p99_us"`
-		BoundMeanUs  float64 `json:"bounded_mean_us"`
-		BoundedSrv   int64   `json:"bounded_srv"`
-		BoundedWins  bool    `json:"bounded_beats_fresh_p99"`
-		P99SpeedupX  float64 `json:"p99_speedup_x"`
-		MeanSpeedupX float64 `json:"mean_speedup_x"`
-	}{
-		Command:     "PEQUOD_BOUNDED_BENCH_OUT=BENCH_10.json go test -bench BenchmarkBoundedStaleness -run '^$' -benchtime 1x .",
-		BudgetMs:    budget.Milliseconds(),
-		FreshP50us:  fresh.Quantile(0.50),
-		FreshP99us:  fresh.Quantile(0.99),
-		FreshMeanUs: fresh.Mean(),
-		BoundP50us:  bounded.Quantile(0.50),
-		BoundP99us:  bounded.Quantile(0.99),
-		BoundMeanUs: bounded.Mean(),
-		BoundedSrv:  st.BoundedStaleServes,
-	}
-	rep.BoundedWins = rep.BoundP99us < rep.FreshP99us
-	rep.P99SpeedupX = float64(rep.FreshP99us) / float64(rep.BoundP99us)
-	rep.MeanSpeedupX = rep.FreshMeanUs / rep.BoundMeanUs
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %s (bounded p99 %dµs vs fresh p99 %dµs)", path, rep.BoundP99us, rep.FreshP99us)
 }
 
 // BenchmarkClusterScan measures networked scan fan-out: warm timeline

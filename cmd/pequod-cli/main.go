@@ -388,11 +388,11 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 						durable += fmt.Sprintf("\tpending %d record(s) on flush retry", h.PendingRecords)
 					}
 				}
-				lag := fmt.Sprintf("lag=%s", time.Duration(h.LagUS)*time.Microsecond)
+				stale := ""
 				if h.StaleSpans > 0 {
-					lag += fmt.Sprintf("\tstale-spans=%d\tstale-oldest=%s", h.StaleSpans, time.Duration(h.StaleOldUS)*time.Microsecond)
+					stale = fmt.Sprintf("\tstale-spans=%d\tstale-oldest=%s", h.StaleSpans, time.Duration(h.StaleOldUS)*time.Microsecond)
 				}
-				fmt.Printf("%s\talive\tid=%s\towners=%d\treplicas=%d\t%s\t%s\n", h.Addr, h.ID, h.Owners, h.Replicas, lag, durable)
+				fmt.Printf("%s\talive\tid=%s\towners=%d\treplicas=%d%s\t%s\n", h.Addr, h.ID, h.Owners, h.Replicas, stale, durable)
 				continue
 			}
 			down++

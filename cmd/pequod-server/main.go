@@ -5,27 +5,17 @@
 //	pequod-server [-addr :7744] [-name pequod] [-id node-a]
 //	              [-joins file.pql] [-subtable t=2]...
 //	              [-mem bytes] [-no-hints] [-no-sharing]
-//	              [-shards n] [-bounds k1,k2,...]
-//	              [-rebalance 100ms] [-rebalance-ratio 1.5]
 //	              [-data-dir dir] [-sync-interval 25ms] [-snapshot-interval 30s]
 //	              [-scrub-interval 1m] [-compact-interval 10s]
 //
-// -shards runs n partitioned engines served concurrently (§2.4 scaled
-// into one process); -bounds sets the n-1 split points between them
-// (comma-separated keys, e.g. -bounds "p|u0000500,s|,t|"). With -shards
-// alone the key space is split evenly by key prefix. -name labels the
-// server in stats; -id sets its durable member identity (shown by
-// `pequod-cli health` and the stat RPC, so operators can tell a
-// restarted member from a fresh one; defaults to the name); -mem sets
-// the §2.5 eviction threshold; -no-hints and -no-sharing disable the
-// §4.2/§4.3 optimizations (ablations).
-//
-// -rebalance enables load-aware *in-process* rebalancing at the given
-// sampling interval (0 disables): hot key ranges migrate live between
-// neighboring shards, so -bounds need not anticipate the workload's
-// skew; -rebalance-ratio sets how far above the mean a shard's load
-// must run to trigger a migration. The stat RPC reports migrations,
-// the live bounds, and per-shard load.
+// A server is one single-writer engine, as in the paper: to use more
+// cores, run more servers and let a cluster client partition the keys
+// between them (see below). -name labels the server in stats; -id sets
+// its durable member identity (shown by `pequod-cli health` and the
+// stat RPC, so operators can tell a restarted member from a fresh one;
+// defaults to the name); -mem sets the §2.5 eviction threshold;
+// -no-hints and -no-sharing disable the §4.2/§4.3 optimizations
+// (ablations).
 //
 // -data-dir enables the durable range store: base writes stream to a
 // write-behind log under the directory (fsynced in batches every
@@ -45,10 +35,10 @@
 // recovery triage.
 //
 // Cluster deployments need no flags here: a pequod cluster client (or
-// pequod-cli -addrs ... move/rebalance) publishes the cluster partition
-// map to each member and drives *server-to-server* live migration over
-// the wire; the stat RPC's cluster block shows this member's current
-// map and owned ranges.
+// pequod-cli -addrs ... add/drain/move/rebalance) publishes the cluster
+// partition map to each member, adds and drains members, and drives
+// server-to-server live migration over the wire; the stat RPC's cluster
+// block shows this member's current map and owned ranges.
 //
 // The joins file holds cache-join specifications, one per line or
 // semicolon-separated (// comments allowed), e.g. the Twip timeline join:
@@ -67,7 +57,6 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/join"
 	"pequod/internal/server"
-	"pequod/internal/shard"
 )
 
 type subtableFlags map[string]int
@@ -87,14 +76,6 @@ func (s subtableFlags) Set(v string) error {
 	return nil
 }
 
-// splitBounds parses the -bounds flag ("" means none).
-func splitBounds(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
 func main() {
 	log.SetPrefix("pequod-server: ")
 	log.SetFlags(0)
@@ -106,10 +87,6 @@ func main() {
 	noSharing := flag.Bool("no-sharing", false, "disable value sharing (§4.3)")
 	name := flag.String("name", "pequod", "server name for stats")
 	id := flag.String("id", "", "durable member identity, stable across restarts and address changes (default: the name)")
-	shards := flag.Int("shards", 0, "number of partitioned in-process engines (0 = derived from -bounds, else 1); without -bounds the raw byte space is split evenly, which clusters ASCII-prefixed keys")
-	bounds := flag.String("bounds", "", "comma-separated partition split points (shards-1 keys)")
-	rebalance := flag.Duration("rebalance", 0, "load sampling interval for live shard rebalancing (0 = static bounds)")
-	rebalanceRatio := flag.Float64("rebalance-ratio", 0, "hot-shard load ratio over the mean that triggers a migration (0 = default 1.5)")
 	dataDir := flag.String("data-dir", "", "durable range store directory (empty = in-memory only)")
 	syncInterval := flag.Duration("sync-interval", 0, "write-behind log fsync batching interval (0 = default 25ms; needs -data-dir)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "durable snapshot interval (0 = default 30s; needs -data-dir)")
@@ -131,16 +108,6 @@ func main() {
 	if *dataDir == "" && (*syncInterval != 0 || *snapshotInterval != 0 || *scrubInterval != 0 || *compactInterval != 0) {
 		log.Fatal("-sync-interval, -snapshot-interval, -scrub-interval, and -compact-interval tune the durable store; pass -data-dir to enable it")
 	}
-	if *shards > 1 && *bounds == "" && *rebalance == 0 {
-		log.Printf("warning: -shards without -bounds splits the raw byte space evenly;" +
-			" keys with ASCII table prefixes (p|, s|, t|, ...) all land on one shard" +
-			" — pass -bounds matched to your key distribution, or -rebalance to" +
-			" let the server migrate hot ranges itself")
-	}
-	var reb *shard.Rebalance
-	if *rebalance > 0 {
-		reb = &shard.Rebalance{Interval: *rebalance, Ratio: *rebalanceRatio}
-	}
 	s, err := server.New(server.Config{
 		Name: *name,
 		ID:   *id,
@@ -151,9 +118,6 @@ func main() {
 		},
 		Joins:            joins,
 		SubtableDepths:   subtables,
-		Shards:           *shards,
-		Bounds:           splitBounds(*bounds),
-		Rebalance:        reb,
 		DataDir:          *dataDir,
 		SyncInterval:     *syncInterval,
 		SnapshotInterval: *snapshotInterval,
@@ -171,7 +135,7 @@ func main() {
 	if *dataDir != "" {
 		durably = fmt.Sprintf(", durable in %s", *dataDir)
 	}
-	log.Printf("listening on %s (%d joins installed, %d shards%s)", *addr, len(installed), s.Pool().NumShards(), durably)
+	log.Printf("listening on %s (%d joins installed%s)", *addr, len(installed), durably)
 	if err := s.ListenAndServe(*addr); err != nil {
 		log.Fatal(err)
 	}

@@ -31,16 +31,16 @@ type StatSnapshot struct {
 	Durable   *DurableStat         `json:"durable,omitempty"`
 }
 
-// StaleStat is a member's staleness debt: the forwarded-write queue lag
-// and the deferred-maintenance backlog (unapplied lazy logs plus dirty
-// sub-intervals) that bounded reads trade against their budget.
-// Operators compare lag_us against the budgets clients carry — a member
-// whose lag exceeds every budget in use serves only fresh-path reads and
-// gets none of the latency win.
+// StaleStat is a member's staleness debt: the deferred-maintenance
+// backlog (unapplied lazy logs plus dirty sub-intervals) that bounded
+// reads trade against their budget. Operators compare debt_old_us
+// against the budgets clients carry — a member whose debt is older than
+// every budget in use serves only fresh-path reads and gets none of the
+// latency win.
 type StaleStat struct {
-	LagUS      int64 `json:"lag_us"`      // max forwarded-write queue lag across shards
+	LagUS      int64 `json:"lag_us"`      // always 0: a server is one engine, with no forwarded-write queue
 	DebtSpans  int   `json:"debt_spans"`  // deferred-maintenance spans (dirty + lazy logs)
-	DebtOldUS  int64 `json:"debt_old_us"` // age of the oldest deferred maintenance (incl. queue lag)
+	DebtOldUS  int64 `json:"debt_old_us"` // age of the oldest deferred maintenance
 	BoundedSrv int64 `json:"bounded_srv"` // reads served within a staleness budget
 	PartialInv int64 `json:"partial_inv"` // range-granular (sub-interval) invalidations
 	DirtyRecmp int64 `json:"dirty_recmp"` // dirty sub-interval recomputes

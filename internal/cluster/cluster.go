@@ -33,17 +33,13 @@ type Config struct {
 	// cross-server subscription mesh for its base source tables is
 	// wired before New returns.
 	Joins string
-	// CoordinatorID, if non-zero, fixes this client's coordinator
-	// identity (the low bits of the epochs it mints — see
-	// partition's epoch ordering). Distinct coordinators must use
-	// distinct IDs; the default is a random 31-bit value, which tests
-	// override for determinism.
-	CoordinatorID int64
-	// CoordinatorName, if non-empty and CoordinatorID is zero, derives
-	// the coordinator identity by hashing the name: a restarted
-	// coordinator with the same name mints epochs in the same identity
-	// lane, so its repaired maps order against its own earlier maps by
-	// version instead of racing a fresh random identity.
+	// CoordinatorName, if non-empty, derives this client's coordinator
+	// identity (the low bits of the epochs it mints — see partition's
+	// epoch ordering) by hashing the name: a restarted coordinator with
+	// the same name mints epochs in the same identity lane, so its
+	// repaired maps order against its own earlier maps by version
+	// instead of racing a fresh random identity. Concurrent coordinators
+	// need distinct names; the default is a random 31-bit identity.
 	CoordinatorName string
 	// Replicas is the total number of copies of each range kept across
 	// the cluster, counting the serving owner. 0 means the default (2);
@@ -149,7 +145,6 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	cl := &Cluster{
-		coordID:    cfg.CoordinatorID,
 		conns:      make(map[connKey]*client.Client),
 		copies:     cfg.Replicas,
 		failEvery:  cfg.FailoverInterval,
@@ -174,7 +169,7 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 			cl.downPause = p
 		}
 	}
-	if cl.coordID == 0 && cfg.CoordinatorName != "" {
+	if cfg.CoordinatorName != "" {
 		cl.coordID = nameCoordID(cfg.CoordinatorName)
 	}
 	if cl.coordID == 0 {

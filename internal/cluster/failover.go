@@ -70,14 +70,12 @@ type MemberHealth struct {
 	// copies of for other members.
 	Owners   int `json:"owners"`
 	Replicas int `json:"replicas"`
-	// LagUS is the member's forwarded-write queue lag in microseconds
-	// (the age of the oldest accepted-but-unapplied replicated change);
-	// StaleSpans/StaleOldUS its deferred-maintenance backlog — the spans
-	// a bounded read (WithFreshness) trades against its budget, and the
-	// age of the oldest. An operator picks read budgets above the
-	// steady-state StaleOldUS to get the bounded fast path, and watches
-	// for a member whose lag outgrows every budget in use.
-	LagUS      int64 `json:"lag_us,omitempty"`
+	// StaleSpans/StaleOldUS are the member's deferred-maintenance
+	// backlog — the spans a bounded read (WithFreshness) trades against
+	// its budget, and the age of the oldest. An operator picks read
+	// budgets above the steady-state StaleOldUS to get the bounded fast
+	// path, and watches for a member whose backlog outgrows every budget
+	// in use.
 	StaleSpans int   `json:"stale_spans,omitempty"`
 	StaleOldUS int64 `json:"stale_old_us,omitempty"`
 	// Durable reports whether the member runs with a durable range
@@ -126,7 +124,6 @@ func (cl *Cluster) Health(ctx context.Context) []MemberHealth {
 				if st, err = c.StatSnapshot(pctx); err == nil {
 					h.Alive = true
 					h.ID = st.ID
-					h.LagUS = st.Staleness.LagUS
 					h.StaleSpans = st.Staleness.DebtSpans
 					h.StaleOldUS = st.Staleness.DebtOldUS
 					if st.Cluster != nil {

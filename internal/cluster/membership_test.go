@@ -464,15 +464,16 @@ func TestAddServerRevertsWhenJoinerDies(t *testing.T) {
 }
 
 // TestConcurrentCoordinatorsEpochTieBreak: two coordinators with
-// distinct identities racing from the same parent map cannot publish
-// distinct maps at the same position. The loser's transfer fails with a
-// version conflict, and its MoveBound retry-after-adopt succeeds
-// against the winner's map.
+// distinct identities (distinct names) racing from the same parent map
+// cannot publish distinct maps at the same position. The loser's
+// transfer fails with a version conflict, its MoveBound
+// retry-after-adopt succeeds against the winner's map, and exactly one
+// map survives: the first coordinator adopts the second's.
 func TestConcurrentCoordinatorsEpochTieBreak(t *testing.T) {
 	ctx := context.Background()
 	addrs := startServers(t, 2)
-	a := newCluster(t, Config{Addrs: addrs, Bounds: []string{"m"}, CoordinatorID: 7})
-	b := newCluster(t, Config{Addrs: addrs, Bounds: []string{"m"}, CoordinatorID: 9})
+	a := newCluster(t, Config{Addrs: addrs, Bounds: []string{"m"}, CoordinatorName: "tie-break-a"})
+	b := newCluster(t, Config{Addrs: addrs, Bounds: []string{"m"}, CoordinatorName: "tie-break-b"})
 	for i := 0; i < 6; i++ {
 		if err := a.Put(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
@@ -497,79 +498,12 @@ func TestConcurrentCoordinatorsEpochTieBreak(t *testing.T) {
 	if n, err := a.Count(ctx, "", ""); err != nil || n != 6 {
 		t.Fatalf("count after racing coordinators = %d (%v)", n, err)
 	}
-	// A touching the moved range adopts B's map.
+	// A touching the moved range adopts B's map: one map wins.
 	if _, _, err := a.Get(ctx, "k4"); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Map(); !got.NewerThan(am.Epoch()-1, am.Version()) {
-		t.Fatalf("a did not adopt: e%d v%d", got.Epoch(), got.Version())
-	}
-}
-
-// TestMultiShardMemberMeshSeesSelfOwnedSources is the regression test
-// for the PR 2 mesh gap: a *multi-shard* member whose join output
-// computes on a different internal shard than the one holding its
-// self-owned source rows must still see them — the pool replicates
-// self-owned rows of external tables across its internal shards.
-func TestMultiShardMemberMeshSeesSelfOwnedSources(t *testing.T) {
-	ctx := context.Background()
-	// Member A: two internal shards split at t| — sources (p|, s|) land
-	// on shard 0, computed timelines (t|) on shard 1. It serves cluster
-	// ranges [p|, t|) and [t|, t|u5). Member B serves the rest.
-	a, err := server.New(server.Config{Name: "A", Shards: 2, Bounds: []string{"t|"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrA, err := a.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	addrB, _ := startServer(t, "B")
-	cl := newCluster(t, Config{
-		Addrs:  []string{addrB, addrA, addrA, addrB},
-		Bounds: testBounds,
-		Joins:  shard.EquivJoins,
-	})
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Source rows homed at A (owner 1, internal shard 0): u2's timeline
-	// is computed at A too (owner 2, internal shard 1) — before the fix
-	// the join there missed these rows.
-	must(cl.Put(ctx, "s|u2|u8", "1"))
-	must(cl.Put(ctx, "s|u7|u8", "1"))
-	must(cl.Put(ctx, "p|u8|100", "Hi"))
-	must(cl.Quiesce(ctx))
-	kvs, err := cl.Scan(ctx, "t|u2|", "t|u2}", 0)
-	must(err)
-	if len(kvs) != 1 || kvs[0].Key != "t|u2|100|u8" || kvs[0].Value != "Hi" {
-		t.Fatalf("multi-shard member's own timeline missed self-owned sources: %v", kvs)
-	}
-	// A timeline on the other member still works too (the ordinary
-	// cross-server path).
-	kvs, err = cl.Scan(ctx, "t|u7|", "t|u7}", 0)
-	must(err)
-	if len(kvs) != 1 || kvs[0].Key != "t|u7|100|u8" {
-		t.Fatalf("remote timeline = %v", kvs)
-	}
-	// Incremental maintenance across the internal shards: a new post
-	// reaches the sibling shard's computed timeline.
-	must(cl.Put(ctx, "p|u8|150", "again"))
-	must(cl.Quiesce(ctx))
-	if v, ok, err := cl.Get(ctx, "t|u2|150|u8"); err != nil || !ok || v != "again" {
-		t.Fatalf("sibling shard missed the new post: %q %v %v", v, ok, err)
-	}
-	// Removal propagates too.
-	if _, err := cl.Remove(ctx, "p|u8|100"); err != nil {
-		t.Fatal(err)
-	}
-	must(cl.Quiesce(ctx))
-	if _, ok, _ := cl.Get(ctx, "t|u2|100|u8"); ok {
-		t.Fatal("removed post still on the sibling shard's timeline")
+	if got := a.Map(); got.Epoch() != bm.Epoch() || got.Version() != bm.Version() || !reflect.DeepEqual(got.Bounds(), bm.Bounds()) {
+		t.Fatalf("two maps survive: a=e%d v%d %v, b=e%d v%d %v", got.Epoch(), got.Version(), got.Bounds(), bm.Epoch(), bm.Version(), bm.Bounds())
 	}
 }
 

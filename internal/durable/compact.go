@@ -26,7 +26,7 @@ package durable
 //   - Damaged segments are left alone. scanRecords stops at the first
 //     bad frame, so rewriting a corrupt segment would silently discard
 //     the walled-off suffix and destroy the evidence the scrub reports.
-//   - One pass rewrites at most the configured byte budget, so
+//   - One pass rewrites at most defaultCompactBudget bytes, so
 //     compaction I/O never competes with the hot path for long.
 
 import (
@@ -36,6 +36,9 @@ import (
 )
 
 const (
+	// defaultCompactRatio is the live-record fraction below which a
+	// sealed segment is rewritten without its dead records;
+	// defaultCompactBudget bounds the bytes one pass may rewrite.
 	defaultCompactRatio  = 0.5
 	defaultCompactBudget = int64(8 << 20)
 	// minCompactBytes leaves tiny segments alone: the rewrite costs a
@@ -112,7 +115,7 @@ func (s *Store) compactLocked() (int, int64, error) {
 
 	// Pass 2: rewrite segments under the live threshold, oldest first,
 	// within the byte budget.
-	budget := s.compactBudget
+	budget := defaultCompactBudget
 	var done int
 	var saved int64
 	for _, idx := range sealed {
@@ -128,7 +131,7 @@ func (s *Store) compactLocked() (int, int64, error) {
 			}
 			i++
 		})
-		if float64(live) >= s.compactRatio*float64(si.records) {
+		if float64(live) >= defaultCompactRatio*float64(si.records) {
 			continue
 		}
 		n, err := s.rewriteSegment(idx, func(rec int, key string) bool {

@@ -95,12 +95,6 @@ type Options struct {
 	// CompactEvery paces background log compaction (0 = no compaction).
 	// See Compact.
 	CompactEvery time.Duration
-	// CompactRatio is the live-record fraction below which a sealed
-	// segment is rewritten without its dead records (0 = default 0.5).
-	CompactRatio float64
-	// CompactBudget bounds the bytes one compaction pass may rewrite
-	// (0 = default 8 MiB) so compaction never monopolizes the disk.
-	CompactBudget int64
 
 	// wrapSeg, when non-nil (fault-injection tests), wraps every segment
 	// file the store opens for appending.
@@ -112,9 +106,6 @@ type Store struct {
 	dir       string
 	syncEvery time.Duration
 	wrapSeg   func(idx int64, f *os.File) segFile
-
-	compactRatio  float64
-	compactBudget int64
 
 	// Records are framed into buf at Append time: a pointer-free byte
 	// buffer costs the GC nothing to scan and, unlike holding the
@@ -220,21 +211,13 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		next = snaps[n-1] + 1
 	}
 	s := &Store{
-		dir:           dir,
-		syncEvery:     syncEvery,
-		wrapSeg:       opts.wrapSeg,
-		compactRatio:  opts.CompactRatio,
-		compactBudget: opts.CompactBudget,
-		corruptSegs:   make(map[int64]bool),
-		corruptSnaps:  make(map[int64]bool),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-	}
-	if s.compactRatio <= 0 || s.compactRatio >= 1 {
-		s.compactRatio = defaultCompactRatio
-	}
-	if s.compactBudget <= 0 {
-		s.compactBudget = defaultCompactBudget
+		dir:          dir,
+		syncEvery:    syncEvery,
+		wrapSeg:      opts.wrapSeg,
+		corruptSegs:  make(map[int64]bool),
+		corruptSnaps: make(map[int64]bool),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	if n := len(snaps); n > 0 {
 		s.snapIdx = snaps[n-1]

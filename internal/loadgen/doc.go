@@ -27,8 +27,8 @@
 //   - Runner: drives the phase script (steady, join, drain,
 //     rebalance, member kill + automatic repair, warm restart) over a
 //     self-contained cluster it owns, or pure load against a live
-//     deployment, and emits the per-phase Report that becomes
-//     BENCH_9.json.
+//     deployment, and emits the per-phase Report (cmd/pequod-load
+//     -out writes it as JSON).
 //
 // cmd/pequod-load is the CLI; TestOpenLoopUnderChaos runs the whole
 // scenario scaled down under the race detector in CI.

@@ -9,8 +9,7 @@ import (
 
 // Report is the machine-readable result of one open-loop run: the
 // configuration that produced it (seed first — any run replays from
-// it), per-phase latency/throughput, and the checker's verdict. The
-// full-scale run's report is committed as BENCH_9.json.
+// it), per-phase latency/throughput, and the checker's verdict.
 type Report struct {
 	Seed        int64    `json:"seed"`
 	Users       int      `json:"users"`

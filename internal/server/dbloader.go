@@ -9,15 +9,12 @@ import (
 // AttachDB configures the server as a write-around cache over db (§2):
 // the listed tables load on demand from the database, and the database
 // pushes updates for loaded ranges back into the cache, keeping base data
-// fresh without any application cache-maintenance code. Each shard loads
-// and subscribes to the ranges it needs (its owned pieces for client
-// reads, plus any source ranges its joins scan).
+// fresh without any application cache-maintenance code. The engine
+// loads and subscribes to the ranges it needs (client reads, plus any
+// source ranges its joins scan).
 func (s *Server) AttachDB(db *backdb.DB, tables ...string) {
-	s.pool.SetExternalTables(tables...)
-	for i := 0; i < s.pool.NumShards(); i++ {
-		sh := s.pool.Shard(i)
-		sh.SetLoader(&dbLoader{sh: sh, db: db}, tables...)
-	}
+	sh := s.pool.Shard(0)
+	sh.SetLoader(&dbLoader{sh: sh, db: db}, tables...)
 }
 
 type dbLoader struct {

@@ -53,9 +53,9 @@ const (
 )
 
 // durableHook is the pool change hook with durability on: log the
-// change (write-behind — enqueue only, the shard lock is held), then
+// change (write-behind — enqueue only, the engine's lock is held), then
 // forward to subscribers exactly as forwardChange would.
-func (s *Server) durableHook(i int, c core.Change) {
+func (s *Server) durableHook(c core.Change) {
 	// Evictions drop a cached copy, not the data's validity (§2.5), and
 	// join outputs are derived — both recompute at recovery, neither is
 	// logged.
@@ -66,7 +66,7 @@ func (s *Server) durableHook(i int, c core.Change) {
 			s.dur.Append(durable.OpPut, c.Key, c.Value)
 		}
 	}
-	s.forwardChange(i, c)
+	s.forwardChange(c)
 }
 
 // durableLogKVs logs rows that entered the pool without a change
@@ -269,7 +269,7 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 			kept = append(kept, core.KV{Key: kv.Key, Value: kv.Value})
 		}
 	}
-	rs.RestoredRows = s.pool.RestoreDurableParallel(kept)
+	rs.RestoredRows = s.pool.RestoreDurable(kept)
 	warm = clipWarm(warm, g)
 	return meta, warm, nil
 }

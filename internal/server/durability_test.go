@@ -328,7 +328,7 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 	}
 	defer s3.Close()
 	s3.mmu.Lock()
-	wired := s3.mesh != nil && s3.mesh.tables["p"] && s3.mesh.tables["s"] && len(s3.mesh.loaders) == 1
+	wired := s3.mesh != nil && s3.mesh.tables["p"] && s3.mesh.tables["s"] && s3.mesh.loader != nil
 	s3.mmu.Unlock()
 	if !wired || s3.rewireDone != nil {
 		t.Fatalf("restart with the peer back: mesh wired %v, rewire pending %v", wired, s3.rewireDone != nil)

@@ -1,8 +1,8 @@
 package server
 
-// The subscription mesh, member side (§2.4, §3.3): the remote loaders
-// that fetch join-source ranges from their home servers over per-shard
-// peer connections, the wiring that installs them, the watchdog that
+// The subscription mesh, member side (§2.4, §3.3): the remote loader
+// that fetches join-source ranges from their home servers over peer
+// connections, the wiring that installs it, the watchdog that
 // notices a peer process went away, and the teardown. Every routing
 // decision here reads the pool's gate — the one cluster view a member
 // holds — so a load started after an extract, a splice or a published
@@ -23,21 +23,20 @@ import (
 // meshState records a server's position in a partitioned mesh so later
 // ConnectMesh calls (a join installed at runtime adding source tables)
 // can reuse the dialed peer connections. Peer connections are keyed by
-// *address* (one per shard per peer), so they survive owner indexes
-// shifting when a member joins or drains; advance resizes the
-// connection set to the gate's members after every gate move.
+// *address* (one per peer), so they survive owner indexes shifting when
+// a member joins or drains; advance resizes the connection set to the
+// gate's members after every gate move.
 type meshState struct {
-	loaders []*remoteLoader // one per shard
-	tables  map[string]bool
+	loader *remoteLoader
+	tables map[string]bool
 }
 
-// remoteLoader fetches missing base ranges for one shard from home
+// remoteLoader fetches missing base ranges for the engine from home
 // servers over peer connections, subscribing for future updates (§2.4,
 // §3.3). Pieces whose owner is this server itself (a symmetric mesh,
 // where every member is home for part of each table) are skipped: their
-// data arrives as direct writes, is replicated across the pool's
-// internal shards, and a network self-fetch would recurse into this
-// same loader.
+// data arrives as direct writes, and a network self-fetch would recurse
+// into this same loader.
 //
 // Connections are keyed by peer *address*: ownership is read through
 // the pool's gate, so a load started after a live migration — or after
@@ -53,32 +52,24 @@ type meshState struct {
 type remoteLoader struct {
 	sh   *shard.Shard
 	pool *shard.Pool // routing reads its gate
-	up   *upstream   // this shard's peer connections: pushes apply to the shard that subscribed
+	up   *upstream   // peer connections, whose pushes apply to the engine
 }
 
-func newRemoteLoader(s *Server, sh *shard.Shard) *remoteLoader {
+func newRemoteLoader(s *Server) *remoteLoader {
+	sh := s.pool.Shard(0)
 	return &remoteLoader{sh: sh, pool: s.pool, up: newUpstream(s.homedAt, sh.ApplyBatch)}
 }
 
-// allConns snapshots every loader's connections to addr — to every
-// peer when addr is empty.
+// allConns snapshots the loader's connections to addr — to every peer
+// when addr is empty.
 func (m *meshState) allConns(addr string) []*client.Client {
 	var out []*client.Client
-	for _, l := range m.loaders {
-		for a, c := range l.up.conns() {
-			if addr == "" || a == addr {
-				out = append(out, c)
-			}
+	for a, c := range m.loader.up.conns() {
+		if addr == "" || a == addr {
+			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// closeAll tears down every loader connection.
-func (m *meshState) closeAll() {
-	for _, l := range m.loaders {
-		l.up.closeAll()
-	}
 }
 
 // watchEvery paces the watchdog.
@@ -130,10 +121,8 @@ func (s *Server) watchPass() {
 		return
 	}
 	failed := make(map[string]bool)
-	for _, l := range m.loaders {
-		for _, a := range l.up.retireFailed() {
-			failed[a] = true
-		}
+	for _, a := range m.loader.up.retireFailed() {
+		failed[a] = true
 	}
 	if len(failed) == 0 {
 		return
@@ -174,7 +163,7 @@ func (s *Server) leaveCluster() {
 	s.mesh, s.rewire = nil, nil
 	s.mmu.Unlock()
 	if mesh != nil {
-		mesh.closeAll()
+		mesh.loader.up.closeAll()
 	}
 	s.rmu.Lock()
 	repl := s.repl
@@ -194,13 +183,11 @@ func (s *Server) leaveCluster() {
 // its position with another shape is rejected, on the first wiring and
 // on later ones alike. Loads route by the gate, whose self set names the
 // ranges this server serves itself from direct writes instead of remote
-// fetches. Each shard dials its own peer connections, so incoming
-// subscription pushes apply to the shard that subscribed. Calling it
-// again extends the table set (a join installed at runtime adding source
-// tables) reusing the dialed connections. Wiring is atomic: if any peer
-// dial fails, the connections dialed for this call are closed and the
-// server is left exactly as before, so a retry does not leak or
-// duplicate.
+// fetches. Calling it again extends the table set (a join installed at
+// runtime adding source tables) reusing the dialed connections. Wiring
+// is atomic: if any peer dial fails, the connections dialed for this
+// call are closed and the server is left exactly as before, so a retry
+// does not leak or duplicate.
 func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
@@ -214,21 +201,16 @@ func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
 		}
 	}
 	if s.mesh == nil {
-		mesh := &meshState{tables: make(map[string]bool)}
-		for i := 0; i < s.pool.NumShards(); i++ {
-			mesh.loaders = append(mesh.loaders, newRemoteLoader(s, s.pool.Shard(i)))
-		}
+		mesh := &meshState{loader: newRemoteLoader(s), tables: make(map[string]bool)}
 		// Eager dial so a bad member address fails the wiring visibly
 		// (and atomically) instead of surfacing later as load timeouts.
-		for _, l := range mesh.loaders {
-			for o, a := range g.Addrs() {
-				if g.IsSelf(o) {
-					continue // no connection to ourselves
-				}
-				if _, err := l.up.conn(a); err != nil {
-					mesh.closeAll()
-					return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
-				}
+		for o, a := range g.Addrs() {
+			if g.IsSelf(o) {
+				continue // no connection to ourselves
+			}
+			if _, err := mesh.loader.up.conn(a); err != nil {
+				mesh.loader.up.closeAll()
+				return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
 			}
 		}
 		if install {
@@ -244,10 +226,7 @@ func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
 		}
 	}
 	if len(fresh) > 0 {
-		s.pool.SetExternalTables(fresh...)
-		for i, l := range s.mesh.loaders {
-			s.pool.Shard(i).SetLoader(l, fresh...)
-		}
+		s.mesh.loader.sh.SetLoader(s.mesh.loader, fresh...)
 	}
 	return nil
 }

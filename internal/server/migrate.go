@@ -92,9 +92,7 @@ func (s *Server) advance(apply func() error) error {
 		// server's quiesce/fence/map-update handling for the full connect
 		// timeout whenever a published view still names an unreachable
 		// address (a revert after a member died does exactly that).
-		for _, l := range s.mesh.loaders {
-			l.up.retain(want)
-		}
+		s.mesh.loader.up.retain(want)
 	}
 	s.mmu.Unlock()
 	s.reshapeReplicas()

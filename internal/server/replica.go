@@ -19,13 +19,11 @@ package server
 // move, so a MapUpdate reshapes them before the Replicate that follows.
 //
 // Replica rows are applied through the pool's replica path (no gate
-// check, no load accounting) and land on the shard that would own them
-// if this member served the range. They are invisible to clients —
-// every serving operation re-validates cluster ownership and bounces
-// with NotOwner — until a repaired map promotes this member, at which
-// point the gate swap alone makes them authoritative
-// (shard.Pool.ApplyMapUpdate's promotion case backfills sibling
-// shards' forwarded-source copies).
+// check, no load accounting) to the member's one engine. They are
+// invisible to clients — every serving operation re-validates cluster
+// ownership and bounces with NotOwner — until a repaired map promotes
+// this member, at which point the gate swap alone makes them
+// authoritative.
 //
 // The copies ride the same upstream feed as mesh loads (upstream.go),
 // with the same keep rule: pushes racing an in-flight snapshot are

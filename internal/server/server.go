@@ -1,17 +1,15 @@
 // Package server implements the networked Pequod cache server: the RPC
-// surface over a sharded pool of core engines, cross-server base-data
-// subscriptions with asynchronous update notification (§2.4), and
-// remote/database loaders that drive the engines' restart contexts
-// (§3.3).
+// surface over one core engine, cross-server base-data subscriptions
+// with asynchronous update notification (§2.4), and remote/database
+// loaders that drive the engine's restart contexts (§3.3).
 //
-// Concurrency model: each engine is single-writer like the paper's
-// event-driven server, but the server hosts Config.Shards of them,
-// partitioned by key range (internal/shard). Requests lock only the
-// shard owning their key; cross-shard scans fan out concurrently, so a
-// multi-core machine serves reads from all cores instead of behind one
-// global mutex. Per-connection goroutines handle framing, and
-// per-connection notifier goroutines drain subscription pushes so slow
-// subscribers never block an engine.
+// Concurrency model: a server is one single-writer engine, like the
+// paper's event-driven server (internal/shard's one-engine pool holds
+// its lock and cluster gate). More cores means more servers, which the
+// cluster adds, drains and rebalances live (§2.4, Fig 10).
+// Per-connection goroutines handle framing, and per-connection notifier
+// goroutines drain subscription pushes so slow subscribers never block
+// the engine.
 package server
 
 import (
@@ -44,25 +42,12 @@ type Config struct {
 	// and operators can tell a restarted member from a fresh one.
 	// Defaults to Name.
 	ID string
-	// Engine options (optimization toggles, memory limit). A MemLimit is
-	// split evenly across the shards.
+	// Engine options (optimization toggles, memory limit).
 	Engine core.Options
 	// Joins, if non-empty, is installed at startup.
 	Joins string
 	// SubtableDepths configures §4.1 boundaries at startup.
 	SubtableDepths map[string]int
-	// Shards is the number of in-process engines (default 1). Serving
-	// scales with shards when Bounds matches the workload's key
-	// distribution.
-	Shards int
-	// Bounds are the partition split points between shards
-	// (len = Shards-1); see shard.Config.
-	Bounds []string
-	// Rebalance, when non-nil, enables load-aware shard rebalancing:
-	// hot key ranges migrate live between neighboring shards, so the
-	// initial Bounds need not anticipate the workload's skew. See
-	// shard.Rebalance for the knobs.
-	Rebalance *shard.Rebalance
 	// DataDir, if non-empty, enables the durable range store: base
 	// writes stream to a write-behind log under this directory,
 	// periodic snapshots truncate it, and a restart recovers rows, the
@@ -154,12 +139,7 @@ type Server struct {
 
 // New creates a server.
 func New(cfg Config) (*Server, error) {
-	pool, err := shard.New(shard.Config{
-		Shards:    cfg.Shards,
-		Bounds:    cfg.Bounds,
-		Engine:    cfg.Engine,
-		Rebalance: cfg.Rebalance,
-	})
+	pool, err := shard.New(shard.Config{Engine: cfg.Engine})
 	if err != nil {
 		return nil, err
 	}
@@ -215,21 +195,21 @@ func New(cfg Config) (*Server, error) {
 // Pool exposes the shard pool for embedded use (stats, tests, warm-up).
 func (s *Server) Pool() *shard.Pool { return s.pool }
 
-// Bytes returns the approximate memory footprint across all shards.
+// Bytes returns the approximate memory footprint of the engine.
 func (s *Server) Bytes() int64 { return s.pool.Bytes() }
 
 // forwardChange pushes an owner-authoritative change to subscribed
-// peers. Called with the owning shard's lock held (from inside engine
-// mutation), so it only enqueues.
-func (s *Server) forwardChange(_ int, c core.Change) {
+// peers. Called with the engine's lock held (from inside mutation), so
+// it only enqueues.
+func (s *Server) forwardChange(c core.Change) {
 	if c.Op == core.OpEvict {
 		// Eviction drops this server's cache, not the data's validity;
 		// replicas keep their copies (§2.5).
 		return
 	}
 	if s.nsubs.Load() == 0 {
-		// No subscribers: skip the subscription tree entirely so shards'
-		// write paths don't re-serialize on one mutex. A subscription
+		// No subscribers: skip the subscription tree entirely so the
+		// write path doesn't serialize on a second mutex. A subscription
 		// racing in here was installed after this change's snapshot
 		// scan, which already included the change.
 		return
@@ -372,7 +352,6 @@ func (s *Server) statJSON() string {
 		Bytes: s.pool.Bytes(), Stats: st,
 		Rebalance: s.pool.RebalanceStats(), Load: s.pool.LoadInfo(),
 		Staleness: client.StaleStat{
-			LagUS:      s.pool.MaxLag(time.Now()).Microseconds(),
 			DebtSpans:  spans,
 			DebtOldUS:  oldest.Microseconds(),
 			BoundedSrv: st.BoundedStaleServes,
@@ -410,7 +389,7 @@ func (s *Server) statJSON() string {
 
 // handle processes one request message, returning the reply (nil for
 // one-way messages). Blocking on outstanding base-data loads (§3.3)
-// happens inside the pool, per shard; a request carrying a deadline
+// happens inside the pool; a request carrying a deadline
 // budget (TimeoutMS) bounds that blocking and gets an error reply
 // instead of holding a doomed request open.
 func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
@@ -449,8 +428,8 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 	case rpc.MsgScan:
 		var sub func(int, keys.Range)
 		if m.SubscribeFlag {
-			// Install one subscription per shard piece, while that
-			// piece's shard lock is still held: the snapshot the scan
+			// Install the subscription while the engine's lock is
+			// still held: the snapshot the scan
 			// returned and the subscription's update stream meet with no
 			// gap (§2.4's atomic snapshot+subscribe). A connection holds
 			// one subscription per range: a subscriber that evicted the
@@ -466,9 +445,9 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 					cn.subs = make(map[keys.Range]*interval.Entry[*subscription])
 				}
 				cn.subs[r] = s.subs.Insert(r.Lo, r.Hi, &subscription{cn: cn, r: r})
-				// Published while the piece's shard lock is still held,
-				// so the owning shard's next change sees the subscriber
-				// (forwardChange's fast path reads this without smu).
+				// Published while the engine's lock is still held, so
+				// its next change sees the subscriber (forwardChange's
+				// fast path reads this without smu).
 				s.nsubs.Add(1)
 			}
 		}
@@ -557,18 +536,16 @@ func errReply(seq uint64, err error) *rpc.Message {
 // in time — typically a subscriber that has stopped reading its socket.
 var errDrainDeadline = errors.New("pequod server: deadline exceeded draining subscription pushes")
 
-// quiesce settles replication visible to this server: in-process shard
-// forwarding, outbound subscription pushes (drained into the sockets),
+// quiesce settles replication visible to this server: outbound
+// subscription pushes (drained into the sockets),
 // and inbound pushes from upstream peers (fenced by pinging each peer —
 // the ping reply follows any pushes the peer had queued for us, and our
 // reader applies pushes in order). After it returns nil, reads here see
 // every write acknowledged before the quiesce request. A deadline
 // bounds the socket drains, replica syncs and peer fences (a
 // subscriber that stopped reading would otherwise wedge quiesce
-// forever); the in-process
-// pool.Quiesce is not network-dependent and settles on its own.
+// forever).
 func (s *Server) quiesce(dl time.Time) error {
-	s.pool.Quiesce()
 	s.cmu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for cn := range s.conns {
@@ -602,15 +579,10 @@ func (s *Server) quiesce(dl time.Time) error {
 			peers = append(peers, c)
 		}
 	}
-	if err := fence(peers, dl); err != nil {
-		return err
-	}
-	s.pool.Quiesce()
-	return nil
+	return fence(peers, dl)
 }
 
-// ApplyChanges applies replicated changes to their owning shards
-// (thread-safe).
+// ApplyChanges applies replicated changes to the engine (thread-safe).
 func (s *Server) ApplyChanges(changes []rpc.Change) {
 	s.pool.Apply(coreChanges(changes))
 }
@@ -703,8 +675,8 @@ func (cn *conn) write(m *rpc.Message, flush bool) error {
 	return nil
 }
 
-// pushNotify enqueues a subscription push (called with a shard lock
-// held; must not block). Broadcast, not Signal: the cond is shared with
+// pushNotify enqueues a subscription push (called with the engine's
+// lock held; must not block). Broadcast, not Signal: the cond is shared with
 // drainNotify waiters, and a Signal could wake one of those instead of
 // the notifier goroutine.
 func (cn *conn) pushNotify(c rpc.Change) {

@@ -43,6 +43,23 @@ func addJoin(c *client.Client, text string) error {
 	return err
 }
 
+// TestServerIsOneEngine: whatever it is configured with, a server is one
+// engine — more cores means more members — so its stat reply reports one
+// shard and a forwarded-write lag that is always zero.
+func TestServerIsOneEngine(t *testing.T) {
+	s, c := startServer(t, Config{
+		Name: "one", Joins: timelineJoin, SubtableDepths: map[string]int{"t": 2},
+		DataDir: t.TempDir(), ScrubInterval: -1, CompactInterval: -1,
+	})
+	if n := s.Pool().NumShards(); n != 1 {
+		t.Fatalf("server pool has %d engines, want 1", n)
+	}
+	st, err := c.StatSnapshot(context.Background())
+	if err != nil || st.Shards != 1 || st.Staleness.LagUS != 0 {
+		t.Fatalf("stat = %+v, %v; want one shard and zero lag", st, err)
+	}
+}
+
 func TestBasicOps(t *testing.T) {
 	_, c := startServer(t, Config{Name: "basic"})
 	if err := c.Put("p|bob|100", "Hi"); err != nil {

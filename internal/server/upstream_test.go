@@ -256,7 +256,7 @@ func TestFeedOrdering(t *testing.T) {
 		name string
 		mk   func(s *Server) *upstream
 	}{
-		{"mesh load", func(s *Server) *upstream { return newRemoteLoader(s, s.pool.Shard(0)).up }},
+		{"mesh load", func(s *Server) *upstream { return newRemoteLoader(s).up }},
 		{"replica", func(s *Server) *upstream { return newUpstream(s.homedAt, s.pool.ApplyReplica) }},
 	}
 	for _, inst := range insts {

@@ -8,10 +8,12 @@ package shard
 // adds the gate: the pool's *partition.View, checked by every routed
 // operation under the shard lock it already holds, exactly the way it
 // re-validates the shard map. An operation whose range has migrated away
-// fails with *partition.NotOwnerError carrying the gate. The three swaps
-// below — extract (direct successor), splice and map update (strictly
-// newer) — replace the gate under the shard locks before they touch the
-// range, so the ownership flip is atomic with the data transfer.
+// fails with *partition.NotOwnerError carrying the gate. Only a server
+// member holds a gate, and a member is one engine (Pool.member), so the
+// three swaps below — extract (direct successor), splice and map update
+// (strictly newer) — replace the gate under that engine's lock before
+// they touch the range, and the ownership flip is atomic with the data
+// transfer.
 //
 // # Retained extractions
 //
@@ -41,42 +43,6 @@ import (
 // not part of a gated cluster).
 func (p *Pool) Gate() *partition.View { return p.gate.Load() }
 
-// lockShardsOverlapping locks (in index order) every shard whose range
-// overlaps r under the pool's current map, returning the locked shards
-// and the per-shard pieces of r. Caller holds imu, so the pool map is
-// stable.
-func (p *Pool) lockShardsOverlapping(r keys.Range) ([]*Shard, []partition.Shard) {
-	pieces := p.pmap.Load().Split(r)
-	locked := make([]*Shard, 0, len(p.shards))
-	seen := make(map[int]bool, len(pieces))
-	for _, pc := range pieces {
-		seen[pc.Owner] = true
-	}
-	for i, sh := range p.shards { // index order: the pool's lock hierarchy
-		if seen[i] {
-			sh.mu.Lock()
-			locked = append(locked, sh)
-		}
-	}
-	return locked, pieces
-}
-
-// lockAllShards locks every shard in index order — the shape-change
-// paths (splice with an ownership jump, map updates) touch ranges that
-// may land anywhere.
-func (p *Pool) lockAllShards() []*Shard {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-	}
-	return p.shards
-}
-
-func unlockShards(locked []*Shard) {
-	for i := len(locked) - 1; i >= 0; i-- {
-		locked[i].mu.Unlock()
-	}
-}
-
 // directSuccessor reports whether next is the direct successor of the
 // gate's current map: version exactly one ahead and epoch not moving
 // backwards. Transfers (extract, in-order splices) require it — it
@@ -87,7 +53,7 @@ func directSuccessor(cur, next *partition.View) bool {
 	return next.Map().Version() == cur.Map().Version()+1 && next.Map().Epoch() >= cur.Map().Epoch()
 }
 
-// ExtractClusterRange removes range r's state from this pool so it can
+// ExtractClusterRange removes range r's state from a member so it can
 // move to another server, atomically flipping cluster ownership: next
 // must be the direct successor of the gate's map (version exactly one
 // ahead), with peers and self giving this member's position under it —
@@ -100,6 +66,7 @@ func directSuccessor(cur, next *partition.View) bool {
 // self-owned, *NotOwnerError carries the current map and nothing
 // changes.
 func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.View) (core.RangeState, error) {
+	sh := p.member("ExtractClusterRange")
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
@@ -109,13 +76,14 @@ func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.View) (core.Ran
 	if !directSuccessor(g, next) || !g.OwnsRange(r) {
 		return core.RangeState{}, &partition.NotOwnerError{View: g}
 	}
-	locked, pieces := p.lockShardsOverlapping(r)
-	defer unlockShards(locked)
-	// Publish first: every operation that acquires one of the locked
-	// shards' locks after us re-validates against this gate and bounces.
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// Publish first: every operation that acquires the engine's lock
+	// after us re-validates against this gate and bounces.
 	p.gate.Store(next)
 
-	rs := p.extractLocked(r, pieces, true)
+	// Nothing is kept: the range is leaving this server entirely.
+	rs := sh.e.ExtractRange(r, nil)
 	// Retain a copy until a published map shows the destination serving
 	// the range: the extracted rows otherwise live only in the
 	// coordinator's memory between extract and splice.
@@ -125,59 +93,18 @@ func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.View) (core.Ran
 	return rs, nil
 }
 
-// extractLocked captures and removes r's state from the owning shards
-// and drops sibling replicas. Caller holds imu and the owning shards'
-// locks (pieces is r split by the pool map); lockSiblings says whether
-// the non-owning shards' locks must still be taken (false when the
-// caller already holds every shard lock).
-func (p *Pool) extractLocked(r keys.Range, pieces []partition.Shard, lockSiblings bool) core.RangeState {
-	rs := core.RangeState{R: r}
-	for _, pc := range pieces {
-		// Nothing is kept: unlike an in-process bound move, the range is
-		// leaving this server entirely, so even rows of internally
-		// forwarded source tables — whose authoritative copy lives on the
-		// owning shard — are captured and moved. (The destination
-		// re-replicates them to its own sibling shards during the splice.)
-		one := p.shards[pc.Owner].extract(pc.R, nil)
-		rs.KVs = append(rs.KVs, one.KVs...)
-		rs.Warm = append(rs.Warm, one.Warm...)
-		rs.EvictedPresence = append(rs.EvictedPresence, one.EvictedPresence...)
-	}
-	// Sibling shards may hold forwarded (or self-replicated external)
-	// copies of departing source rows — applied, or still queued; those
-	// are stale the moment the range is homed elsewhere.
-	if len(*p.fwd.Load())+len(*p.extRep.Load()) > 0 {
-		owns := make(map[int]bool, len(pieces))
-		for _, pc := range pieces {
-			owns[pc.Owner] = true
-		}
-		for i, sh := range p.shards {
-			if !owns[i] {
-				if lockSiblings {
-					sh.mu.Lock()
-				}
-				sh.applyQueuedRange(r)
-				sh.e.DropRange(r)
-				if lockSiblings {
-					sh.mu.Unlock()
-				}
-			}
-		}
-	}
-	return rs
-}
-
-// SpliceClusterRange folds a range extracted at another server into this
-// pool, atomically flipping cluster ownership to us: next must be a
-// strictly newer view under which we own rs.R. The pool's own cached traces of the range — loaded source
-// rows, computed coverage, presence records from its time as a
-// subscriber — are dropped first (§2.5), then the moved rows land and
-// the source's previously valid computed coverage rebuilds warm. A
-// splice may jump several versions ahead (a coordinator re-offering a
-// range whose first destination died); ranges that changed hands
-// elsewhere between the member's map and next are reconciled like a map
-// update.
+// SpliceClusterRange folds a range extracted at another server into a
+// member, atomically flipping cluster ownership to us: next must be a
+// strictly newer view under which we own rs.R. The member's own cached
+// traces of the range — loaded source rows, computed coverage, presence
+// records from its time as a subscriber — are dropped first (§2.5), so
+// they cannot shadow the moved rows; then the rows land and the source's
+// previously valid computed coverage rebuilds warm. A splice may jump
+// several versions ahead (a coordinator re-offering a range whose first
+// destination died); ranges that changed hands elsewhere between the
+// member's map and next are reconciled like a map update.
 func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.View) error {
+	sh := p.member("SpliceClusterRange")
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
@@ -198,41 +125,24 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.View) erro
 	if !next.OwnsRange(rs.R) {
 		return &partition.NotOwnerError{View: g}
 	}
-	locked := p.lockAllShards()
+	sh.mu.Lock()
 	p.gate.Store(next)
-	for _, pc := range p.pmap.Load().Split(rs.R) {
-		p.shards[pc.Owner].splice(clipState(rs, pc.R), true)
-	}
+	sh.e.DropRange(rs.R)
+	sh.e.SpliceRange(rs)
 	// A splice that jumped versions (a re-offer) may also move ranges
 	// between other members; reconcile them exactly as a map update
 	// would, excluding the spliced range itself.
 	if !directSuccessor(g, next) {
-		p.applyDiffsLocked(g, next, &rs.R)
+		p.applyDiffsLocked(sh, g, next, &rs.R)
 	}
-	unlockShards(locked)
+	sh.mu.Unlock()
 	// The spliced data is authoritative for rs.R: retained copies of it
 	// are obsolete, and the new map may confirm (or return) others.
 	p.dropRetainedOverlapping(rs.R)
-	p.reconcileRetained(next)
+	p.reconcileRetained(sh, next)
 	p.reb.migrations++
 	p.reb.warmMoved += int64(len(rs.Warm))
 	return nil
-}
-
-// clipState restricts an extracted range state to one shard piece.
-func clipState(rs core.RangeState, r keys.Range) core.RangeState {
-	out := core.RangeState{R: r}
-	for _, kv := range rs.KVs {
-		if r.Contains(kv.Key) {
-			out.KVs = append(out.KVs, kv)
-		}
-	}
-	for _, w := range rs.Warm {
-		if rr := w.R.Intersect(r); !rr.Empty() {
-			out.Warm = append(out.Warm, core.WarmRange{Join: w.Join, R: rr})
-		}
-	}
-	return out
 }
 
 // ApplyMapUpdate adopts a newer cluster map published after a migration
@@ -249,6 +159,7 @@ func clipState(rs core.RangeState, r keys.Range) core.RangeState {
 // the view; republishing the map already held confirms retained
 // extractions (the coordinator only publishes after the splice landed).
 func (p *Pool) ApplyMapUpdate(next *partition.View) []keys.Range {
+	sh := p.member("ApplyMapUpdate")
 	p.imu.Lock()
 	defer p.imu.Unlock()
 	g := p.gate.Load()
@@ -260,15 +171,15 @@ func (p *Pool) ApplyMapUpdate(next *partition.View) []keys.Range {
 		if next.Same(g) {
 			// The coordinator republished the map we already hold: its
 			// splice landed, so retained copies it confirms can go.
-			p.reconcileRetained(g)
+			p.reconcileRetained(sh, g)
 		}
 		return nil
 	}
-	locked := p.lockAllShards()
+	sh.mu.Lock()
 	p.gate.Store(next)
-	changed := p.applyDiffsLocked(g, next, nil)
-	unlockShards(locked)
-	p.reconcileRetained(next)
+	changed := p.applyDiffsLocked(sh, g, next, nil)
+	sh.mu.Unlock()
+	p.reconcileRetained(sh, next)
 	return changed
 }
 
@@ -276,11 +187,13 @@ func (p *Pool) ApplyMapUpdate(next *partition.View) []keys.Range {
 // range whose serving address changed between old and ng (excluding
 // exclude when non-nil — the caller handled that range with real
 // data), the range is demoted to the retained buffer if this process
-// owned it under old, restored from the buffer if it owns it under ng
-// (reconcileRetained finishes that after the locks drop), or dropped as
-// a stale replica otherwise. Caller holds imu and every shard lock.
-// Reports the ranges that changed hands locally (demoted or dropped).
-func (p *Pool) applyDiffsLocked(old, ng *partition.View, exclude *keys.Range) []keys.Range {
+// owned it under old, or dropped as a stale replica if it owns it under
+// neither. A range handed to it without a splice — a failover promotion,
+// or a revert — keeps what it held (at most a replica, now
+// authoritative-in-waiting), and reconcileRetained restores any retained
+// copy after the lock drops. Caller holds imu and sh's lock. Reports the
+// ranges that changed hands locally (demoted or dropped).
+func (p *Pool) applyDiffsLocked(sh *Shard, old, ng *partition.View, exclude *keys.Range) []keys.Range {
 	var changed []keys.Range
 	for _, d := range partition.DiffAddrs(old, ng) {
 		if exclude != nil {
@@ -294,45 +207,30 @@ func (p *Pool) applyDiffsLocked(old, ng *partition.View, exclude *keys.Range) []
 			// Lost without an extraction: a newer map overruled a local
 			// move. Keep the rows recoverable instead of destroying the
 			// only copy.
-			pieces := p.pmap.Load().Split(d)
-			rs := p.extractLocked(d, pieces, false)
+			rs := sh.e.ExtractRange(d, nil)
 			if len(rs.KVs) > 0 || len(rs.Warm) > 0 {
 				p.addRetained(retainedEntry{rs: rs, at: ng, dst: ng.OwnerAddr(d.Lo)})
 			}
 			changed = append(changed, d)
-		case ownedNew && !ownedOld:
-			// Handed to us without a splice — a failover promotion, or a
-			// revert; reconcileRetained restores any retained copy after
-			// the locks drop. Nothing to drop: we held at most a replica,
-			// which is now authoritative-in-waiting. Replica feeds apply
-			// rows only to their internally owning shard, though, so the
-			// source rows sibling shards compute joins from must be
-			// replicated the way a splice would have done.
-			for _, pc := range p.pmap.Load().Split(d) {
-				p.replicate(pc.Owner, p.shards[pc.Owner].heldSources(pc.R))
-			}
 		case !ownedOld && !ownedNew:
 			// Changed hands between two other servers: our cached copy is
 			// a stale replica of data homed elsewhere.
-			for _, sh := range p.shards {
-				sh.e.DropRange(d)
-			}
+			sh.e.DropRange(d)
 			changed = append(changed, d)
 		}
 	}
 	return changed
 }
 
-// DropRangeAll drops every shard's cached rows of r with eviction
+// DropRangeAll drops a member's cached rows of r with eviction
 // semantics — the replica manager's teardown when an assignment moves
 // a replica elsewhere (the manager never calls it for self-owned
 // ranges).
 func (p *Pool) DropRangeAll(r keys.Range) {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.e.DropRange(r)
-		sh.mu.Unlock()
-	}
+	sh := p.member("DropRangeAll")
+	sh.mu.Lock()
+	sh.e.DropRange(r)
+	sh.mu.Unlock()
 }
 
 // --- retained extractions ---
@@ -397,12 +295,11 @@ func (p *Pool) dropRetainedOverlapping(r keys.Range) {
 
 // reconcileRetained applies the adopted gate ng to the retained buffer:
 // entries whose range ng hands back to this process are restored into
-// the owning shards (without clobbering fresher rows) and dropped;
-// confirmable entries whose intended destination serves the range under
-// a map at or beyond theirs are confirmed and dropped; everything else
-// waits. Callers hold imu (so the pool map is stable) but not shard
-// locks.
-func (p *Pool) reconcileRetained(ng *partition.View) {
+// the engine (without clobbering fresher rows) and dropped; confirmable
+// entries whose intended destination serves the range under a map at or
+// beyond theirs are confirmed and dropped; everything else waits.
+// Callers hold imu but not sh's lock.
+func (p *Pool) reconcileRetained(sh *Shard, ng *partition.View) {
 	p.retmu.Lock()
 	var restore []retainedEntry
 	kept := p.retained[:0]
@@ -419,17 +316,11 @@ func (p *Pool) reconcileRetained(ng *partition.View) {
 	}
 	p.retained = kept
 	p.retmu.Unlock()
+	sh.mu.Lock()
 	for _, e := range restore {
-		for _, pc := range p.pmap.Load().Split(e.rs.R) {
-			sh, st := p.shards[pc.Owner], clipState(e.rs, pc.R)
-			sh.mu.Lock()
-			sh.e.RestoreRange(st)
-			// Restored source rows reach sibling shards the way spliced
-			// ones do.
-			p.replicate(pc.Owner, st.KVs)
-			sh.mu.Unlock()
-		}
+		sh.e.RestoreRange(e.rs)
 	}
+	sh.mu.Unlock()
 }
 
 // LoadInfo snapshots the pool's cumulative served load and recent key

@@ -3,8 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"pequod/internal/core"
 	"pequod/internal/keys"
@@ -187,93 +187,52 @@ func coreRangeState(lo, hi string) core.RangeState {
 	return core.RangeState{R: keys.Range{Lo: lo, Hi: hi}}
 }
 
-// TestReplicateReachesEverySibling: however source rows arrive in bulk
-// on the shard that owns them — a splice from another server, a
-// promotion of replica-fed rows, a retained extraction restored, or a
-// table that turns external late — they are replicated to the sibling
-// shard, so a join computed there (timelines live on shard 1, their
-// sources on shard 0) sees them. Live writes take onChange; these are
-// the paths that take Pool.replicate.
-func TestReplicateReachesEverySibling(t *testing.T) {
-	const join = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
-	src := keys.Range{Lo: "", Hi: "t|"} // cluster owner 0: both source tables
-	rows := []core.KV{{Key: "p|bob|100", Value: "Hi"}, {Key: "s|ann|bob", Value: "1"}}
-	mine, theirs := []string{"me:1", "me:1"}, []string{"other:1", "me:1"}
-	all, upper := []int{0, 1}, []int{1}
-	at := func(version int64, peers []string, self []int) *partition.View {
-		return viewAt(t, 1, version, "t|", peers, self...)
-	}
-	// meshed builds a two-shard member gated at version 0, with the
-	// timeline join over external sources when early is set.
-	meshed := func(t *testing.T, peers []string, self []int, early bool) *Pool {
-		p, err := New(Config{Shards: 2, Bounds: []string{"t|"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		p.ApplyMapUpdate(at(0, peers, self))
-		if early {
-			if err := p.InstallText(join); err != nil {
-				t.Fatal(err)
-			}
-			p.SetExternalTables("s", "p")
-		}
-		return p
-	}
-	cases := map[string]func(t *testing.T) *Pool{
-		"splice": func(t *testing.T) *Pool {
-			p := meshed(t, theirs, upper, true)
-			if err := p.SpliceClusterRange(core.RangeState{R: src, KVs: rows}, at(1, mine, all)); err != nil {
-				t.Fatal(err)
-			}
-			return p
+// TestMemberNeedsOneEngine: the entry points only a server member calls
+// — its gate, loaders, feeds and durable store — panic with a message
+// naming the call on a multi-engine pool (an embedded Cache has none of
+// them), and work on the one engine every member is.
+func TestMemberNeedsOneEngine(t *testing.T) {
+	peers := []string{"a:1", "a:2"}
+	kv := []core.KV{{Key: "a", Value: "1"}}
+	put := []core.Change{{Op: core.OpPut, Key: "a", Value: "1"}}
+	// Each call runs against a member gated as owner 0 of [-inf, m).
+	calls := map[string]func(p *Pool) error{
+		"ApplyMapUpdate": func(p *Pool) error { p.ApplyMapUpdate(viewAt(t, 1, 1, "m", peers, 0)); return nil },
+		"ExtractClusterRange": func(p *Pool) error {
+			_, err := p.ExtractClusterRange(keys.Range{Lo: "b", Hi: "m"}, viewAt(t, 0, 1, "b", peers, 0))
+			return err
 		},
-		"promotion": func(t *testing.T) *Pool {
-			p := meshed(t, theirs, upper, true)
-			// A replica feed lands rows on their owning shard only.
-			p.ApplyReplica([]core.Change{{Op: core.OpPut, Key: rows[0].Key, Value: rows[0].Value}, {Op: core.OpPut, Key: rows[1].Key, Value: rows[1].Value}})
-			p.ApplyMapUpdate(at(1, mine, all))
-			return p
+		"SpliceClusterRange": func(p *Pool) error {
+			return p.SpliceClusterRange(coreRangeState("m", "t"), viewAt(t, 0, 1, "t", peers, 0))
 		},
-		"retained restore": func(t *testing.T) *Pool {
-			p := meshed(t, mine, all, true)
-			for _, kv := range rows {
-				p.Put(kv.Key, kv.Value)
-			}
-			if _, err := p.ExtractClusterRange(src, at(1, theirs, upper)); err != nil {
-				t.Fatal(err)
-			}
-			p.ApplyMapUpdate(at(2, mine, all)) // handed back with no splice
-			if st := p.RetainedStats(); st.Entries != 0 {
-				t.Fatalf("retained entry not consumed by the restore: %+v", st)
-			}
-			return p
+		"DropRangeAll":    func(p *Pool) error { p.DropRangeAll(keys.Range{Lo: "a", Hi: "b"}); return nil },
+		"Shard.SetLoader": func(p *Pool) error { p.Shard(0).SetLoader(&homeLoader{}, "s"); return nil },
+		"Apply":           func(p *Pool) error { p.Apply(put); return nil },
+		"ApplyReplica":    func(p *Pool) error { p.ApplyReplica(put); return nil },
+		"SnapshotDurable": func(p *Pool) error {
+			p.SnapshotDurable(func(k, v string) {}, func(int, string, string) {})
+			return nil
 		},
-		"late SetExternalTables": func(t *testing.T) *Pool {
-			p := meshed(t, mine, all, false)
-			for _, kv := range rows {
-				p.Put(kv.Key, kv.Value) // no join reads them yet: not forwarded
-			}
-			p.SetExternalTables("s", "p")
-			if err := p.InstallText(join); err != nil {
-				t.Fatal(err)
-			}
-			return p
+		"RestoreDurable": func(p *Pool) error { p.RestoreDurable(kv); return nil },
+		"StalenessDebt":  func(p *Pool) error { p.StalenessDebt(); return nil },
+		"RebuildWarm": func(p *Pool) error {
+			p.RebuildWarm([]core.WarmRange{{R: keys.Range{Lo: "a", Hi: "b"}}})
+			return nil
 		},
 	}
-	for name, arrive := range cases {
+	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
-			p := arrive(t)
-			p.Quiesce()
-			for _, kv := range rows {
-				if v, ok := p.shards[1].e.Store().Get(kv.Key); !ok || v.String() != kv.Value {
-					t.Fatalf("source row %s did not reach the sibling shard", kv.Key)
+			if err := call(gatedPool(t, 0, peers)); err != nil {
+				t.Fatalf("on one engine: %v", err)
+			}
+			multi := newPool(t, Config{Shards: 2})
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "shard: " + name + " is member-only and needs a one-engine pool"; !strings.HasPrefix(msg, want) {
+					t.Fatalf("on two engines: panic %q, want %q", msg, want)
 				}
-			}
-			kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Time{})
-			if err != nil || len(kvs) != 1 || kvs[0].Key != "t|ann|100|bob" || kvs[0].Value != "Hi" {
-				t.Fatalf("timeline computed on the sibling shard = %v, %v", kvs, err)
-			}
+			}()
+			call(multi)
 		})
 	}
 }

@@ -18,23 +18,25 @@
 // queue. Appliers drain the queues asynchronously, so sibling replicas
 // are eventually consistent — the same freshness model as the paper's
 // asynchronous update notification. Quiesce waits for the queues to
-// drain. Tables backed by an external loader (a backing database or a
-// remote home server) are excluded from forwarding: each shard loads
-// and subscribes to those ranges itself through the §3.3 presence
-// machinery.
+// drain.
 //
-// # Live migration, at two scopes
+// # One engine per member, many per Cache
 //
-// The partition is self-adjusting at both scopes the pool serves:
+// A pool plays one of two roles, never both:
 //
-//   - Within the process (rebalance.go): per-shard load accounting
-//     feeds a rebalancer goroutine (policy: partition.Balancer) that
-//     migrates hot key ranges live between neighboring shards
-//     (Pool.MoveBound), publishing a versioned successor
-//     partition.Map. Every routed operation re-validates shard
-//     ownership under the shard lock it holds (Pool.step, lockOwner).
-//   - Between servers (clustergate.go): a cluster member's pool holds
-//     the cluster's partition.View as its gate, and the same under-lock
-//     re-validation makes server-to-server migration loss-free (DESIGN.md
-//     "The versioned cluster map and the ownership gate").
+//   - An embedded Cache may run many engines. Per-shard load accounting
+//     feeds a rebalancer goroutine (rebalance.go; policy:
+//     partition.Balancer) that migrates hot key ranges live between
+//     neighboring shards (Pool.MoveBound), publishing a versioned
+//     successor partition.Map. Every routed operation re-validates
+//     shard ownership under the shard lock it holds (Pool.step,
+//     lockOwner).
+//   - A server member is one engine: more cores means more members,
+//     which the cluster adds, drains and rebalances live. Only a member
+//     has a cluster gate (clustergate.go: the cluster's partition.View,
+//     re-validated under the same lock, makes server-to-server migration
+//     loss-free — DESIGN.md "The versioned cluster map and the
+//     ownership gate"), §3.3 loaders, peer and replica feeds, or a
+//     durable store, and those entry points panic on a multi-engine
+//     pool (Pool.member).
 package shard

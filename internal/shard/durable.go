@@ -1,134 +1,68 @@
 package shard
 
-// Pool-level durable store support: the snapshot walk the server's
-// durable subsystem drives, the recovery-side restore, and the warm
-// rebuild. The pool's job here is placement — which rows are
-// owner-authoritative (logged and snapshotted exactly once) and which
-// shard a recovered row routes to — while internal/durable owns the
+// Member durable store support: the snapshot walk the server's durable
+// subsystem drives, the recovery-side restore, and the warm rebuild. A
+// member is one engine, so every row it holds is owner-authoritative —
+// logged and snapshotted exactly once — while internal/durable owns the
 // disk format and internal/server owns when any of this runs.
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"pequod/internal/core"
-)
+import "pequod/internal/core"
 
 // JoinOutput reports whether table is some installed join's output.
 // Safe from change hooks: the set is copy-on-write.
 func (p *Pool) JoinOutput(table string) bool { return (*p.outs.Load())[table] }
 
-// SnapshotDurable walks the pool's durable state for one snapshot:
-// every owner-authoritative base row (join outputs are skipped — they
-// are derived, captured as warm coverage instead) and every valid
-// computed range per join. It holds imu for the duration, which
-// serializes against migrations and join installs so the partition map
-// and join indexes are stable across the whole walk; each shard is
-// scanned under its own lock, so writes keep flowing to every shard
-// not currently being walked.
+// SnapshotDurable walks a member's durable state for one snapshot:
+// every base row (join outputs are skipped — they are derived, captured
+// as warm coverage instead) and every valid computed range per join. It
+// holds imu for the duration, which serializes against migrations and
+// join installs so the join indexes are stable across the whole walk;
+// the engine is scanned under its lock.
 func (p *Pool) SnapshotDurable(emitKV func(k, v string), emitWarm func(join int, lo, hi string)) {
+	sh := p.member("SnapshotDurable")
 	p.imu.Lock()
 	defer p.imu.Unlock()
-	m := p.pmap.Load()
 	outs := *p.outs.Load()
-	skip := func(t string) bool { return outs[t] }
-	for i, sh := range p.shards {
-		owner := i
-		sh.mu.Lock()
-		sh.e.SnapshotWalk(skip,
-			func(k, v string) {
-				// Sibling shards hold forwarded replicas of source tables;
-				// only the owning shard's copy is authoritative.
-				if m.Owner(k) == owner {
-					emitKV(k, v)
-				}
-			},
-			func(w core.WarmRange) { emitWarm(w.Join, w.R.Lo, w.R.Hi) })
-		sh.mu.Unlock()
-	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.e.SnapshotWalk(func(t string) bool { return outs[t] }, emitKV,
+		func(w core.WarmRange) { emitWarm(w.Join, w.R.Lo, w.R.Hi) })
 }
 
-// RestoreDurable folds recovered rows back into the pool, each routed
-// to its owning shard, installing only keys the store does not already
-// hold — a write that landed after recovery began is newer than
-// anything on disk and must win. The quiet path still notifies, so
-// forwarded source tables replicate to sibling shards exactly as a
-// live write would; call it before the server's change hook is set, or
-// every restored row would be re-logged. Returns the number of rows
-// installed.
+// RestoreDurable folds recovered rows back into a member, installing
+// only keys the store does not already hold — a write that landed after
+// recovery began is newer than anything on disk and must win. Each row
+// takes the lock on its own, so writes keep flowing through a big
+// restore. Call it before the server's change hook is set, or every
+// restored row would be re-logged. Returns the number of rows installed.
 func (p *Pool) RestoreDurable(kvs []core.KV) int {
+	sh := p.member("RestoreDurable")
 	n := 0
 	for _, kv := range kvs {
-		sh := p.lockOwner(kv.Key)
-		if _, ok := sh.e.Store().Get(kv.Key); ok {
-			sh.mu.Unlock()
-			continue
+		sh.mu.Lock()
+		if _, ok := sh.e.Store().Get(kv.Key); !ok {
+			sh.e.PutQuiet(kv.Key, kv.Value)
+			n++
 		}
-		sh.e.PutQuiet(kv.Key, kv.Value)
 		sh.mu.Unlock()
-		n++
 	}
 	return n
 }
 
-// restoreParallelMin is the recovered-row count below which the
-// bucketed fan-out isn't worth its setup; small restores stay serial.
-const restoreParallelMin = 4096
-
-// RestoreDurableParallel is RestoreDurable fanned out across the
-// pool's shards: recovered rows are bucketed by owning shard and the
-// buckets restore concurrently, so a restart with a big data dir stops
-// serializing server startup behind one goroutine's store walk. Each
-// row still goes through the same per-key lockOwner/Get/PutQuiet path
-// — lockOwner re-checks ownership under the shard lock, so a
-// concurrent migration moves the row's bucket worker to the right
-// shard exactly as it would a live write — which keeps the fan-out a
-// pure scheduling change, not a second restore semantics.
-func (p *Pool) RestoreDurableParallel(kvs []core.KV) int {
-	if len(kvs) < restoreParallelMin || len(p.shards) < 2 {
-		return p.RestoreDurable(kvs)
-	}
-	m := p.pmap.Load()
-	buckets := make([][]core.KV, len(p.shards))
-	for _, kv := range kvs {
-		o := m.Owner(kv.Key)
-		buckets[o] = append(buckets[o], kv)
-	}
-	var n int64
-	var wg sync.WaitGroup
-	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(b []core.KV) {
-			defer wg.Done()
-			atomic.AddInt64(&n, int64(p.RestoreDurable(b)))
-		}(b)
-	}
-	wg.Wait()
-	return int(n)
-}
-
-// RebuildWarm eagerly re-derives previously valid computed coverage on
-// the owning shards, so ranges that were hot before a restart come
-// back hot. Call it only once the pool's sources are wired (joins
-// installed, mesh loaders connected): ensure() computes from whatever
-// sources exist, and coverage computed before a loader is attached
-// would be marked valid over partial data.
+// RebuildWarm eagerly re-derives previously valid computed coverage on a
+// member, so ranges that were hot before a restart come back hot. Call
+// it only once the member's sources are wired (joins installed, mesh
+// loaders connected): ensure() computes from whatever sources exist, and
+// coverage computed before a loader is attached would be marked valid
+// over partial data.
 func (p *Pool) RebuildWarm(ws []core.WarmRange) {
+	sh := p.member("RebuildWarm")
 	if len(ws) == 0 {
 		return
 	}
 	p.imu.Lock()
 	defer p.imu.Unlock()
-	m := p.pmap.Load()
-	for _, w := range ws {
-		for _, pc := range m.Split(w.R) {
-			sh := p.shards[pc.Owner]
-			sh.mu.Lock()
-			sh.e.RebuildWarm([]core.WarmRange{{Join: w.Join, R: pc.R}})
-			sh.mu.Unlock()
-		}
-	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.e.RebuildWarm(ws)
 }

@@ -51,7 +51,6 @@ func TestBlockedReadWakesOncePerBatch(t *testing.T) {
 	}
 	sh := p.Shard(0)
 	ld := &heldLoader{started: make(chan struct{}, 16)}
-	p.SetExternalTables("s", "p")
 	sh.SetLoader(ld, "s", "p")
 
 	type result struct {

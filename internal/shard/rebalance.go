@@ -161,11 +161,18 @@ func (p *Pool) MoveBound(i int, bound string) error {
 	lo.mu.Lock()
 	hi.mu.Lock()
 
-	// Replicated source tables stay in place on both sides; imu (held)
-	// keeps the forwarded set stable.
+	// The forwards queued for r settle on both sides first, so the cut
+	// captures them in replication order, and none replays after the flip
+	// to clobber newer owner writes and re-forward a stale value
+	// (applyLoop's pop-under-lock guarantees every unapplied forward is
+	// still queued here). Replicated source tables stay in place on both
+	// sides — every shard holds them already; imu (held) keeps the
+	// forwarded set stable.
 	fwdSet := *p.fwd.Load()
-	rs := a.extract(r, func(table string) bool { return fwdSet[table] })
-	b.splice(rs, false)
+	a.applyQueuedRange(r)
+	rs := a.e.ExtractRange(r, func(table string) bool { return fwdSet[table] })
+	b.applyQueuedRange(r)
+	b.e.SpliceRange(rs)
 
 	// Publish. From here every routed operation that locks either shard
 	// re-validates against this map.
@@ -178,38 +185,6 @@ func (p *Pool) MoveBound(i int, bound string) error {
 	hi.mu.Unlock()
 	lo.mu.Unlock()
 	return nil
-}
-
-// extract cuts r's state out of the shard, which stops owning it: the
-// forwards queued for r settle first, so the cut captures them in
-// replication order. keep is core.ExtractRange's — nil when the range
-// leaves the process. Called with sh.mu held.
-func (sh *Shard) extract(r keys.Range, keep func(table string) bool) core.RangeState {
-	sh.applyQueuedRange(r)
-	return sh.e.ExtractRange(r, keep)
-}
-
-// splice folds rs into the shard, which becomes rs.R's owner: the
-// forwards queued for the range settle first — replayed after the flip a
-// stale one would clobber newer owner writes and re-forward the stale
-// value (applyLoop's pop-under-lock guarantees every unapplied forward
-// is still in the queue here). fromPeer marks a range arriving from
-// another server: this pool may have loaded and computed over it as a
-// subscriber, and those copies are dropped (§2.5) before the rows land
-// so they cannot shadow them; and no sibling shard holds the arriving
-// source rows, so they are replicated. A range moving between two shards
-// of one pool needs neither — its forwarded replicas are on every shard
-// already and are not re-sent. Called with sh.mu held, so later owner
-// writes forward behind the replicated rows.
-func (sh *Shard) splice(rs core.RangeState, fromPeer bool) {
-	sh.applyQueuedRange(rs.R)
-	if fromPeer {
-		sh.e.DropRange(rs.R)
-	}
-	sh.e.SpliceRange(rs)
-	if fromPeer {
-		sh.p.replicate(sh.idx, rs.KVs)
-	}
 }
 
 // applyQueuedRange applies (in queue order) and removes every queued

@@ -22,8 +22,8 @@ var ErrDeadline = errors.New("shard: deadline exceeded waiting for base data")
 
 // Config configures a Pool.
 type Config struct {
-	// Shards is the number of engines; <= 1 means a single unsharded
-	// engine (identical behavior to the pre-pool server).
+	// Shards is the number of engines; <= 1 means one engine, which is
+	// what every server member is (more engines are an embedded Cache's).
 	Shards int
 	// Bounds are explicit partition split points (len = Shards-1). When
 	// empty and Shards > 1, DefaultBounds splits the raw byte space
@@ -67,10 +67,10 @@ type Pool struct {
 	shards []*Shard
 
 	// gate is the cluster-ownership view (clustergate.go): nil except on
-	// mesh-wired cluster members. When set, routed operations re-validate
-	// cluster ownership under their shard lock exactly as they re-validate
-	// pmap, so a server-to-server migration can atomically stop this
-	// process serving a range.
+	// cluster members, which are one-engine pools. When set, routed
+	// operations re-validate cluster ownership under their shard lock
+	// exactly as they re-validate pmap, so a server-to-server migration
+	// can atomically stop this process serving a range.
 	gate atomic.Pointer[partition.View]
 
 	// reb is the load-aware rebalancer (rebalance.go); zero-valued and
@@ -79,20 +79,11 @@ type Pool struct {
 
 	// hook observes owner-authoritative changes (for cross-server
 	// subscription forwarding at the network layer). Set before serving.
-	hook func(shard int, c core.Change)
+	hook func(c core.Change)
 
 	// fwd is the set of base source tables replicated to sibling shards;
 	// copy-on-write so the change hook reads it without extra locking.
 	fwd atomic.Pointer[map[string]bool]
-
-	// extRep mirrors ext copy-on-write for the change hook: external
-	// (loader-backed) tables whose *self-owned* rows must still
-	// replicate to sibling shards on a gated multi-shard member —
-	// remote-owned rows of those tables arrive per shard through each
-	// shard's own subscription, but self-owned rows arrive as direct
-	// writes to one shard and would otherwise never reach the siblings
-	// whose joins read them.
-	extRep atomic.Pointer[map[string]bool]
 
 	// outs is the installed joins' output-table set, copy-on-write for
 	// the durable write-behind hook (durable.go): derived rows travel
@@ -100,13 +91,12 @@ type Pool struct {
 	// the hook must classify tables without taking imu.
 	outs atomic.Pointer[map[string]bool]
 
-	// imu serializes install/loader bookkeeping (join set, fwd/ext
-	// recomputation, backfill) and live migrations (rebalance.go), so
+	// imu serializes install bookkeeping (join set, fwd recomputation,
+	// backfill), live migrations (rebalance.go) and the gate's swaps, so
 	// the forwarded-table set and partition map are stable across each.
 	imu       sync.Mutex
 	installed []*join.Join
-	texts     []string        // install texts, replayed to dry-run new ones
-	ext       map[string]bool // externally loader-backed tables
+	texts     []string // install texts, replayed to dry-run new ones
 
 	// retained is the bounded buffer of extracted-but-unconfirmed range
 	// states (clustergate.go); retmu guards it. Lock order: shard locks
@@ -208,11 +198,10 @@ func New(cfg Config) (*Pool, error) {
 	if opts.MemLimit > 0 && n > 1 {
 		opts.MemLimit = (opts.MemLimit + int64(n) - 1) / int64(n)
 	}
-	p := &Pool{ext: make(map[string]bool)}
+	p := &Pool{}
 	p.pmap.Store(pmap)
 	empty := map[string]bool{}
 	p.fwd.Store(&empty)
-	p.extRep.Store(&empty)
 	p.outs.Store(&empty)
 	for i := 0; i < n; i++ {
 		sh := &Shard{p: p, idx: i, e: core.New(opts)}
@@ -257,6 +246,17 @@ func (p *Pool) Owner(key string) int { return p.pmap.Load().Owner(key) }
 // Shard returns the i'th shard handle (loader wiring, tests).
 func (p *Pool) Shard(i int) *Shard { return p.shards[i] }
 
+// member returns the pool's one engine for an entry point only a server
+// member calls — the cluster gate, loaders, peer and replica feeds, the
+// durable store. A member is one engine; a multi-engine pool is an
+// embedded Cache, which has none of these, so a call there is a bug.
+func (p *Pool) member(op string) *Shard {
+	if len(p.shards) != 1 {
+		panic(fmt.Sprintf("shard: %s is member-only and needs a one-engine pool, not %d engines", op, len(p.shards)))
+	}
+	return p.shards[0]
+}
+
 // Map returns the pool's current partition map (immutable; rebalancing
 // replaces it).
 func (p *Pool) Map() *partition.Map { return p.pmap.Load() }
@@ -264,7 +264,7 @@ func (p *Pool) Map() *partition.Map { return p.pmap.Load() }
 // SetHook registers the observer of owner-authoritative changes, called
 // with the owning shard's lock held (it must only enqueue, like the
 // server's subscription forwarding). Set before serving traffic.
-func (p *Pool) SetHook(fn func(shard int, c core.Change)) { p.hook = fn }
+func (p *Pool) SetHook(fn func(c core.Change)) { p.hook = fn }
 
 // onChange is every engine's change hook, called during mutation with
 // shard i's lock held. Only owner-authoritative changes propagate:
@@ -273,25 +273,13 @@ func (p *Pool) SetHook(fn func(shard int, c core.Change)) { p.hook = fn }
 // logical change is forwarded by exactly one shard, in that shard's
 // mutation order.
 func (p *Pool) onChange(i int, c core.Change) {
-	if len(p.shards) > 1 && p.pmap.Load().Owner(c.Key) != i {
-		return
-	}
-	// Evictions drop this shard's cached copy, not the data's validity;
-	// siblings keep their replicas (§2.5).
-	if c.Op != core.OpEvict && len(p.shards) > 1 {
-		t := keys.Table(c.Key)
-		rep := (*p.fwd.Load())[t]
-		if !rep && (*p.extRep.Load())[t] {
-			// External tables are loaded and subscribed per shard, so
-			// remote-owned rows need no forwarding — but rows this member
-			// is itself the cluster home for arrive as direct writes to
-			// one shard and must replicate to siblings whose joins read
-			// them (no peer pushes them to us).
-			if g := p.gate.Load(); g != nil && g.Owns(c.Key) {
-				rep = true
-			}
+	if len(p.shards) > 1 {
+		if p.pmap.Load().Owner(c.Key) != i {
+			return
 		}
-		if rep {
+		// Evictions drop this shard's cached copy, not the data's
+		// validity; siblings keep their replicas (§2.5).
+		if c.Op != core.OpEvict && (*p.fwd.Load())[keys.Table(c.Key)] {
 			at := time.Now() // one stamp per change, shared by every sibling
 			for j, sh := range p.shards {
 				if j != i {
@@ -301,7 +289,7 @@ func (p *Pool) onChange(i int, c core.Change) {
 		}
 	}
 	if p.hook != nil {
-		p.hook(i, c)
+		p.hook(c)
 	}
 }
 
@@ -604,71 +592,27 @@ func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration, dl time.Time)
 	return len(kvs), err
 }
 
-// Apply routes a batch of replicated changes (peer pushes, database
-// feeds) to their owning shards. Ownership is re-checked under each
-// shard's lock; changes whose keys migrated between routing and locking
-// are rerouted, so a concurrent boundary move cannot strand a feed's
-// write on a shard that no longer owns it.
+// Apply applies a batch of replicated changes (peer pushes, database
+// feeds) to a member's engine under one lock acquisition.
 func (p *Pool) Apply(changes []core.Change) {
-	p.apply(changes, true)
+	sh := p.member("Apply")
+	sh.mu.Lock()
+	for _, c := range changes {
+		sh.applyChange(c)
+	}
+	sh.mu.Unlock()
 }
 
-// ApplyReplica is Apply without load accounting: replica-range
-// maintenance (failover warm copies) is not served work, and counting
-// it would make the cluster rebalancer chase replica write traffic
-// instead of client load.
+// ApplyReplica is Apply through the engine's quiet path: replica-range
+// maintenance (failover warm copies) mirrors writes counted at their
+// owning member.
 func (p *Pool) ApplyReplica(changes []core.Change) {
-	p.apply(changes, false)
-}
-
-func (p *Pool) apply(changes []core.Change, record bool) {
-	if len(p.shards) == 1 {
-		sh := p.shards[0]
-		sh.mu.Lock()
-		for _, c := range changes {
-			if record {
-				sh.applyChange(c)
-			} else {
-				sh.applyReplicaChange(c)
-			}
-		}
-		sh.mu.Unlock()
-		return
+	sh := p.member("ApplyReplica")
+	sh.mu.Lock()
+	for _, c := range changes {
+		sh.applyReplicaChange(c)
 	}
-	for len(changes) > 0 {
-		byOwner := make([][]core.Change, len(p.shards))
-		m := p.pmap.Load()
-		for _, c := range changes {
-			o := m.Owner(c.Key)
-			byOwner[o] = append(byOwner[o], c)
-		}
-		var rerouted []core.Change
-		for i, mine := range byOwner {
-			if len(mine) == 0 {
-				continue
-			}
-			sh := p.shards[i]
-			sh.mu.Lock()
-			cur := p.pmap.Load()
-			for _, c := range mine {
-				if cur.Owner(c.Key) != i {
-					rerouted = append(rerouted, c)
-					continue
-				}
-				if record {
-					sh.applyChange(c)
-					// Feed-driven writes are owner work like any Put; without
-					// accounting them a database-fed hot shard would look
-					// idle to the rebalancer.
-					sh.record(c.Key, 1)
-				} else {
-					sh.applyReplicaChange(c)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		changes = rerouted
-	}
+	sh.mu.Unlock()
 }
 
 // InstallText parses a join specification and installs it on every shard
@@ -751,42 +695,10 @@ func (p *Pool) InstalledText() string {
 	return out
 }
 
-// SetExternalTables marks tables as backed by an external loader (a
-// database or remote home server): each shard loads and subscribes to
-// those ranges itself, so the pool stops replicating them — except for
-// rows this member is itself the cluster home for (a symmetric mesh),
-// which no peer will ever push to us: those keep replicating to sibling
-// shards (onChange's extRep path), and the current self-owned contents
-// are backfilled here so joins computed on a sibling shard see them.
-// Call under the same setup phase as Shard.SetLoader.
-func (p *Pool) SetExternalTables(tables ...string) {
-	p.imu.Lock()
-	defer p.imu.Unlock()
-	var fresh []string
-	for _, t := range tables {
-		if !p.ext[t] {
-			p.ext[t] = true
-			fresh = append(fresh, t)
-		}
-	}
-	extRep := make(map[string]bool, len(p.ext))
-	for t := range p.ext {
-		extRep[t] = true
-	}
-	p.extRep.Store(&extRep)
-	p.refreshForwardingLocked()
-	if p.gate.Load() != nil {
-		for _, t := range fresh {
-			p.backfill(t)
-		}
-	}
-}
-
 // refreshForwardingLocked recomputes the forwarded-table set — base
-// source tables of installed joins that are neither some join's output
-// (each shard computes those locally, recursively) nor externally
-// loaded — and backfills tables that just became forwarded. Caller holds
-// imu.
+// source tables of installed joins that are not some join's output
+// (each shard computes those locally, recursively) — and backfills
+// tables that just became forwarded. Caller holds imu.
 func (p *Pool) refreshForwardingLocked() {
 	if len(p.shards) == 1 {
 		return
@@ -798,7 +710,7 @@ func (p *Pool) refreshForwardingLocked() {
 	next := map[string]bool{}
 	for _, j := range p.installed {
 		for _, t := range j.SourceTables() {
-			if !outputs[t] && !p.ext[t] {
+			if !outputs[t] {
 				next[t] = true
 			}
 		}
@@ -812,64 +724,26 @@ func (p *Pool) refreshForwardingLocked() {
 	}
 }
 
-// backfill replicates the current contents of a table siblings just
-// started reading — newly forwarded, or newly external on a mesh member
-// that homes part of it — from each owner to every sibling. Enqueueing
-// happens under the owner's lock so concurrent writes forward in order
-// behind the snapshot. The caller holds imu, which migration also takes,
-// so the partition map is stable for the whole pass.
+// backfill replicates the current contents of a newly forwarded table
+// from each owner to every sibling, walking the owner's store directly.
+// Enqueueing happens under the owner's lock so concurrent writes forward
+// in order behind the snapshot. The caller holds imu, which migration
+// also takes, so the partition map is stable for the whole pass.
 func (p *Pool) backfill(table string) {
+	at := time.Now()
 	for _, pc := range p.pmap.Load().Split(keys.RangeOf(table)) {
 		sh := p.shards[pc.Owner]
 		sh.mu.Lock()
-		p.replicate(pc.Owner, sh.heldSources(pc.R))
-		sh.mu.Unlock()
-	}
-}
-
-// heldSources returns the rows of r already in the shard's store whose
-// tables sibling shards keep copies of (none on a single-shard pool). A
-// raw store walk: a demand scan would start, and block on, loads of an
-// external table. Called with sh.mu held.
-func (sh *Shard) heldSources(r keys.Range) []core.KV {
-	fwd, ext := *sh.p.fwd.Load(), *sh.p.extRep.Load()
-	if len(sh.p.shards) == 1 || len(fwd)+len(ext) == 0 {
-		return nil
-	}
-	var rows []core.KV
-	sh.e.Store().Scan(r.Lo, r.Hi, func(k string, v *store.Value) bool {
-		if t := keys.Table(k); fwd[t] || ext[t] {
-			rows = append(rows, core.KV{Key: k, Value: v.String()})
-		}
-		return true
-	})
-	return rows
-}
-
-// replicate fans rows held by shard owner out to its siblings, each of
-// which computes joins from its own copy of the sources: rows of
-// forwarded tables, and of external tables this member is the cluster
-// home of (no peer will push those) — onChange's rule for live writes,
-// applied to rows that arrive in bulk (a splice, a promotion, a restore,
-// a backfill). Called with owner's lock held, so later owner writes
-// forward in order behind these.
-func (p *Pool) replicate(owner int, rows []core.KV) {
-	if len(p.shards) == 1 {
-		return
-	}
-	fwd, ext, g := *p.fwd.Load(), *p.extRep.Load(), p.gate.Load()
-	at := time.Now()
-	for _, kv := range rows {
-		t := keys.Table(kv.Key)
-		if !fwd[t] && !(ext[t] && g != nil && g.Owns(kv.Key)) {
-			continue
-		}
-		c := core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value}
-		for j, sh := range p.shards {
-			if j != owner {
-				sh.enqueue(c, at)
+		sh.e.Store().Scan(pc.R.Lo, pc.R.Hi, func(k string, v *store.Value) bool {
+			c := core.Change{Op: core.OpPut, Key: k, Value: v.String()}
+			for j, sib := range p.shards {
+				if j != pc.Owner {
+					sib.enqueue(c, at)
+				}
 			}
-		}
+			return true
+		})
+		sh.mu.Unlock()
 	}
 }
 
@@ -915,51 +789,24 @@ func (p *Pool) Len() int {
 	return total
 }
 
-// MaxLag returns the largest forwarded-write queue lag across shards —
-// the age of the oldest replicated change some shard has accepted but
-// not yet applied. It is the pool half of the staleness a bounded read
-// tolerates (the engine half is per-range debt; see StalenessDebt).
-func (p *Pool) MaxLag(now time.Time) time.Duration {
-	var max time.Duration
-	for _, sh := range p.shards {
-		if l := sh.Lag(now); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// StalenessDebt aggregates staleness debt across shards for health
+// StalenessDebt reports a member's staleness debt for health
 // reporting: the number of deferred-maintenance spans (dirty
-// sub-intervals plus unapplied lazy logs) and the age of the oldest,
-// folded together with the forwarded-write queue lag so the result is
-// the worst staleness any bounded read could currently observe.
+// sub-intervals plus unapplied lazy logs) and the age of the oldest —
+// the worst staleness a bounded read could currently observe, since a
+// member has no forwarded-write queue.
 func (p *Pool) StalenessDebt() (spans int, oldest time.Duration) {
-	now := time.Now()
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		s, o := sh.e.StalenessDebt(now)
-		sh.mu.Unlock()
-		spans += s
-		if o > oldest {
-			oldest = o
-		}
-	}
-	if l := p.MaxLag(now); l > oldest {
-		oldest = l
-	}
-	return spans, oldest
+	sh := p.member("StalenessDebt")
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.e.StalenessDebt(time.Now())
 }
 
 // --- shard handle (loader wiring) ---
 
-// Index returns this shard's position in the pool.
-func (sh *Shard) Index() int { return sh.idx }
-
-// SetLoader registers a base-data loader on this shard's engine for the
-// given tables (§3.3). Callers must also mark the tables external on the
-// pool so replication skips them.
+// SetLoader registers a base-data loader on a member's engine for the
+// given tables (§3.3).
 func (sh *Shard) SetLoader(l core.BaseLoader, tables ...string) {
+	sh.p.member("Shard.SetLoader")
 	sh.mu.Lock()
 	sh.e.SetLoader(l, tables...)
 	sh.mu.Unlock()

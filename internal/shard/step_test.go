@@ -65,26 +65,21 @@ func (l *homeLoader) StartLoads(loads []core.Load) {
 	}()
 }
 
-// coldPool builds a pool whose join sources are loader-backed: one
-// homeLoader per shard, all behind the returned release.
-func coldPool(t *testing.T, cfg Config, home []core.KV) (*Pool, []*homeLoader, func()) {
+// coldPool builds a member pool whose join sources are loader-backed:
+// one homeLoader, behind the returned release.
+func coldPool(t *testing.T, home []core.KV) (*Pool, *homeLoader, func()) {
 	t.Helper()
-	p := newPool(t, cfg)
+	p := newPool(t, Config{})
 	if err := p.InstallText(timelineJoin); err != nil {
 		t.Fatal(err)
 	}
-	p.SetExternalTables("s", "p")
 	release := make(chan struct{})
-	var lds []*homeLoader
-	for i := 0; i < p.NumShards(); i++ {
-		ld := &homeLoader{sh: p.Shard(i), home: home, started: make(chan struct{}, 16), release: release}
-		p.Shard(i).SetLoader(ld, "s", "p")
-		lds = append(lds, ld)
-	}
+	ld := &homeLoader{sh: p.Shard(0), home: home, started: make(chan struct{}, 16), release: release}
+	p.Shard(0).SetLoader(ld, "s", "p")
 	var once sync.Once
 	open := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(open)
-	return p, lds, open
+	return p, ld, open
 }
 
 // TestStepTable runs the locked retry step's outcomes — everything that
@@ -103,30 +98,12 @@ func TestStepTable(t *testing.T) {
 			return res
 		}
 
-		t.Run(f.name+"/moved during a load wait re-routes", func(t *testing.T) {
-			p, lds, release := coldPool(t, Config{Shards: 2, Bounds: []string{"t|m"}}, home)
-			res := start(p, bobs, 0, time.Time{})
-			<-lds[0].started // shard 0 owns t|ann| and waits for its sources
-			if err := p.MoveBound(0, "t|a"); err != nil {
-				t.Fatal(err)
-			}
-			release() // wakes the read: not shard 0's any more
-			if r := <-res; r.err != nil || r.n != 1 {
-				t.Fatalf("re-routed read = %d rows, %v", r.n, r.err)
-			}
-			var rows int
-			p.Shard(1).WithEngine(func(e *core.Engine) { rows = e.Store().CountRange("t|", "t}") })
-			if p.Owner(bobs) != 1 || rows != 1 {
-				t.Fatalf("timeline computed at shard %d's sibling (%d rows at the owner)", p.Owner(bobs), rows)
-			}
-		})
-
 		t.Run(f.name+"/gate bounce carries the view", func(t *testing.T) {
 			peers := []string{"a:1", "a:2"}
-			p, lds, _ := coldPool(t, Config{}, home)
+			p, ld, _ := coldPool(t, home)
 			p.ApplyMapUpdate(viewAt(t, 0, 0, "m", peers, 1)) // owns [m, +inf): s|, p| and t|
 			res := start(p, bobs, 0, time.Time{})
-			<-lds[0].started
+			<-ld.started
 			// The range leaves while the read waits; the extraction abandons
 			// the load, and the woken read must bounce with the new view.
 			next := viewAt(t, 0, 1, "u", peers, 1)
@@ -144,7 +121,7 @@ func TestStepTable(t *testing.T) {
 		})
 
 		t.Run(f.name+"/deadline", func(t *testing.T) {
-			p, _, _ := coldPool(t, Config{}, home) // loads start and do not land
+			p, _, _ := coldPool(t, home) // loads start and do not land
 			dl := func() time.Time { return time.Now().Add(5 * time.Millisecond) }
 			if _, err := f.read(p, bobs, 0, dl()); !errors.Is(err, ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
 				t.Fatalf("fresh read past its deadline = %v, want plain ErrDeadline", err)
@@ -242,28 +219,37 @@ func TestGatherOverPool(t *testing.T) {
 	})
 
 	t.Run("a moved piece re-splits against the new map", func(t *testing.T) {
-		p, lds, release := coldPool(t, Config{Shards: 2, Bounds: []string{"t|m"}}, home)
-		res := make(chan []core.KV, 1)
-		go func() {
-			kvs, _ := p.ScanBounded("t|", "t}", 0, nil, nil, 0, time.Time{})
-			res <- kvs
-		}()
-		<-lds[0].started // both pieces are parked on their sources
-		<-lds[1].started
-		if err := p.MoveBound(0, "t|zz"); err != nil { // zed's timeline joins ann's at shard 0
+		// ann's timeline | nobody's | zed's. A limit keeps the pieces in
+		// order, and computing ann's timeline in the first one moves zed's
+		// range into the middle shard — the hook runs under shard 0's
+		// lock, the move takes shards 1 and 2 — so the third piece finds
+		// its range gone and the scan re-splits.
+		p := newPool(t, Config{Bounds: []string{"t|g", "t|m"}})
+		if err := p.InstallText(timelineJoin); err != nil {
 			t.Fatal(err)
 		}
-		release()
-		kvs := <-res
-		if len(kvs) != 4 || kvs[0].Key != "t|ann|100|bob" || kvs[3].Key != "t|zed|200|bob" {
-			t.Fatalf("scan across a bound that moved under it = %v", kvs)
+		for _, kv := range home {
+			p.Put(kv.Key, kv.Value)
 		}
-		var rows [2]int
+		p.Quiesce()
+		var once sync.Once
+		p.SetHook(func(core.Change) {
+			once.Do(func() {
+				if err := p.MoveBound(1, "t|zz"); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+		kvs, err := p.ScanBounded("t|", "t}", len(home)+1, nil, nil, 0, time.Time{})
+		if err != nil || len(kvs) != 4 || kvs[0].Key != "t|ann|100|bob" || kvs[3].Key != "t|zed|200|bob" {
+			t.Fatalf("scan across a bound that moved under it = %v, %v", kvs, err)
+		}
+		var rows [3]int
 		for i := range rows {
 			p.Shard(i).WithEngine(func(e *core.Engine) { rows[i] = e.Store().CountRange("t|", "t}") })
 		}
-		if rows != [2]int{4, 0} {
-			t.Fatalf("timeline rows per shard after the re-split = %v, want all at the new owner", rows)
+		if rows != [3]int{2, 2, 0} {
+			t.Fatalf("timeline rows per shard after the re-split = %v, want zed's at its new owner", rows)
 		}
 	})
 }

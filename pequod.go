@@ -40,16 +40,18 @@
 // # Concurrency
 //
 // Each core engine is single-writer, like the paper's event-driven
-// server, but a Cache or Server hosts a pool of them partitioned by key
-// range (§2.4, §5.5 scaled down into one process): pass WithShards /
-// WithBounds to NewCache, or set ServerConfig.Shards/Bounds. Operations
-// lock only the shard owning their key, and cross-shard scans fan out
-// concurrently, so read throughput scales with shards on a multi-core
-// machine. Joins run on every shard; base writes to join source tables
-// are forwarded between shards asynchronously, in owner order — the same
-// eventual-consistency model as the paper's cross-server subscriptions.
-// Quiesce waits for that propagation to settle. The default is one
-// shard, which is fully synchronous.
+// server. A Server is one engine: to use more cores, run more servers
+// and join them into a Cluster, which adds, drains and rebalances them
+// live. A Cache may be many engines partitioned by key range (§2.4,
+// §5.5 scaled down into one process): pass WithShards / WithBounds to
+// NewCache. Operations lock only the shard owning their key, and
+// cross-shard scans fan out concurrently, so read throughput scales
+// with shards on a multi-core machine. Joins run on every shard; base
+// writes to join source tables are forwarded between shards
+// asynchronously, in owner order — the same eventual-consistency model
+// as the paper's cross-server subscriptions. Quiesce waits for that
+// propagation to settle. The default is one shard, which is fully
+// synchronous.
 //
 // To verify a checkout, run the tier-1 gate:
 //
@@ -88,7 +90,7 @@ type Options = core.Options
 // Stats are engine activity counters.
 type Stats = core.Stats
 
-// ServerConfig configures a networked server.
+// ServerConfig configures a networked server, which is one engine.
 type ServerConfig = server.Config
 
 // Server is a networked Pequod cache server.

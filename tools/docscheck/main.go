@@ -1,12 +1,14 @@
 // Command docscheck is the CI docs gate: it fails on broken relative
 // links in the given markdown files, on Go code snippets that do not
-// parse, and — when -cli points at the pequod-cli source — on
-// pequod-cli subcommands named in the docs that the CLI's usage text
-// does not actually offer.
+// parse, when -cli points at the pequod-cli source on pequod-cli
+// subcommands named in the docs that the CLI's usage text does not
+// actually offer, and when -server points at the pequod-server source
+// on pequod-server flags named in the docs that the server does not
+// define.
 //
 // Usage:
 //
-//	go run ./tools/docscheck [-cli cmd/pequod-cli/main.go] README.md DESIGN.md docs
+//	go run ./tools/docscheck [-cli cmd/pequod-cli/main.go] [-server cmd/pequod-server/main.go] README.md DESIGN.md docs
 //
 // A directory argument expands to every .md file under it, so new
 // documents under docs/ are linted without touching CI.
@@ -19,7 +21,9 @@
 // CLI commands: every `pequod-cli <subcommand>` invocation in a checked
 // document (prose or shell block) must name a subcommand present in the
 // usageText constant of the CLI source, so runbooks cannot drift from
-// the tool they describe.
+// the tool they describe. Server flags: every -flag following a
+// `pequod-server` invocation must be one the server source defines with
+// a flag.* call, so a removed flag cannot live on in a quickstart.
 package main
 
 import (
@@ -30,6 +34,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -38,22 +43,29 @@ import (
 )
 
 var (
-	linkRE   = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
-	cmdShape = regexp.MustCompile(`^[a-z][a-z-]*$`)
+	linkRE    = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
+	cmdShape  = regexp.MustCompile(`^[a-z][a-z-]*$`)
+	flagShape = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 )
 
 func main() {
 	cliSrc := flag.String("cli", "", "path to the pequod-cli source; its usageText subcommands validate `pequod-cli ...` mentions in the docs")
+	serverSrc := flag.String("server", "", "path to the pequod-server source; its flag definitions validate `pequod-server -flag` mentions in the docs")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: docscheck [-cli cmd/pequod-cli/main.go] FILE.md|DIR ...")
+		fmt.Fprintln(os.Stderr, "usage: docscheck [-cli cmd/pequod-cli/main.go] [-server cmd/pequod-server/main.go] FILE.md|DIR ...")
 		os.Exit(2)
 	}
-	var cliCmds map[string]bool
+	var cliCmds, srvFlags map[string]bool
+	var err error
 	if *cliSrc != "" {
-		var err error
-		cliCmds, err = usageCommands(*cliSrc)
-		if err != nil {
+		if cliCmds, err = usageCommands(*cliSrc); err != nil {
+			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	if *serverSrc != "" {
+		if srvFlags, err = definedFlags(*serverSrc); err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(1)
 		}
@@ -71,7 +83,7 @@ func main() {
 			failed = true
 			continue
 		}
-		for _, problem := range check(path, string(data), cliCmds) {
+		for _, problem := range check(path, string(data), cliCmds, srvFlags) {
 			fmt.Fprintf(os.Stderr, "docscheck: %s\n", problem)
 			failed = true
 		}
@@ -112,8 +124,9 @@ func expand(args []string) ([]string, error) {
 	return out, nil
 }
 
-// check returns every problem found in one document.
-func check(path, doc string, cliCmds map[string]bool) []string {
+// check returns every problem found in one document. A nil cliCmds or
+// srvFlags skips that check.
+func check(path, doc string, cliCmds, srvFlags map[string]bool) []string {
 	var problems []string
 	dir := filepath.Dir(path)
 	for _, m := range linkRE.FindAllStringSubmatch(stripCodeBlocks(doc), -1) {
@@ -140,6 +153,13 @@ func check(path, doc string, cliCmds map[string]bool) []string {
 		for _, cmd := range cliMentions(doc) {
 			if !cliCmds[cmd] {
 				problems = append(problems, fmt.Sprintf("%s: pequod-cli subcommand %q is not in the CLI's usage text", path, cmd))
+			}
+		}
+	}
+	if srvFlags != nil {
+		for _, f := range serverMentions(doc) {
+			if !srvFlags[f] {
+				problems = append(problems, fmt.Sprintf("%s: pequod-server flag -%s is not defined by the server", path, f))
 			}
 		}
 	}
@@ -283,6 +303,80 @@ func cliMentions(doc string) []string {
 					}
 				}
 				break
+			}
+		}
+	}
+	return out
+}
+
+// definedFlags parses the server source and collects the names of the
+// flags its flag.* calls define: the first argument of flag.String,
+// flag.Int and the like, the second of flag.Var and the *Var forms.
+// -h and -help, which the flag package answers itself, count too.
+func definedFlags(path string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		i := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			i = 1
+		}
+		if i >= len(call.Args) {
+			return true
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil && flagShape.MatchString(name) {
+				flags[name] = true
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		return nil, fmt.Errorf("%s: defines no flags", path)
+	}
+	flags["h"], flags["help"] = true, true
+	return flags, nil
+}
+
+// serverMentions extracts every flag named after a `pequod-server`
+// invocation in the document (prose and code blocks alike, the binary
+// under any directory): each following -flag or --flag=value token,
+// skipping the value after a flag, until a word that is neither.
+// Dash-led values such as -1 are not flag-shaped and count as values.
+func serverMentions(doc string) []string {
+	var out []string
+	for _, line := range strings.Split(doc, "\n") {
+		fields := strings.Fields(line)
+		for i, f := range fields {
+			if path.Base(cleanToken(f)) != "pequod-server" {
+				continue
+			}
+			value := false // the previous token was a flag, so this may be its value
+			for _, tok := range fields[i+1:] {
+				name, _, _ := strings.Cut(strings.TrimLeft(cleanToken(tok), "-"), "=")
+				if strings.HasPrefix(cleanToken(tok), "-") && flagShape.MatchString(name) {
+					out = append(out, name)
+					value = true
+					continue
+				}
+				if !value {
+					break
+				}
+				value = false
 			}
 		}
 	}

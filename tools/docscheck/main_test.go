@@ -65,7 +65,7 @@ Run ` + "`pequod-cli -addrs a:1,a:2 -bounds 'm' frobnicate 1`" + ` to proceed.
 	if err := os.WriteFile(redPath, []byte(red), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	problems := check(redPath, red, cmds)
+	problems := check(redPath, red, cmds, nil)
 	if len(problems) != 3 {
 		t.Fatalf("red fixture: got %d problems, want 3: %v", len(problems), problems)
 	}
@@ -81,8 +81,64 @@ Run ` + "`pequod-cli -addrs a:1,a:2 -bounds 'm' frobnicate 1`" + ` to proceed.
 	if err := os.WriteFile(filepath.Join(dir, "design.md"), []byte("# design\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if problems := check(redPath, green, cmds); len(problems) != 0 {
+	if problems := check(redPath, green, cmds, nil); len(problems) != 0 {
 		t.Fatalf("green fixture still fails: %v", problems)
+	}
+}
+
+// serverFixture is a minimal pequod-server source: flags of each
+// definition shape docscheck reads, plus calls that define nothing.
+const serverFixture = `package main
+
+import "flag"
+
+func main() {
+	addr := flag.String("addr", ":7744", "listen address")
+	mem := flag.Int64("mem", 0, "eviction threshold")
+	var noHints bool
+	flag.BoolVar(&noHints, "no-hints", false, "disable output hints")
+	flag.Var(nil, "subtable", "subtable boundary")
+	flag.Parse()
+	_ = flag.Lookup(*addr)
+	_, _ = mem, noHints
+}
+`
+
+// TestServerFlagsRedToGreen: a quickstart that still passes a removed
+// server flag fails with one problem naming it (red); the same line
+// with only defined flags passes (green). Values, dash-led ones
+// included, and prose after the invocation are not flags.
+func TestServerFlagsRedToGreen(t *testing.T) {
+	dir := t.TempDir()
+	srcPath := filepath.Join(dir, "server.go")
+	if err := os.WriteFile(srcPath, []byte(serverFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flags, err := definedFlags(srcPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"addr", "mem", "no-hints", "subtable", "h"} {
+		if !flags[want] {
+			t.Fatalf("definedFlags missed -%s: %v", want, flags)
+		}
+	}
+	if len(flags) != 6 {
+		t.Fatalf("definedFlags = %v, want the four defined plus -h/-help", flags)
+	}
+
+	red := "Start it: `./bin/pequod-server -addr :7799 -shards 4 -no-hints -subtable t=2`.\n" +
+		"Then go run ./cmd/pequod-server --mem=-1 and read the log.\n"
+	problems := check(filepath.Join(dir, "ops.md"), red, nil, flags)
+	if len(problems) != 1 || !strings.Contains(problems[0], "flag -shards") {
+		t.Fatalf("red fixture: got %v, want one problem naming -shards", problems)
+	}
+	green := strings.ReplaceAll(red, "-shards 4", "-mem 4")
+	if problems := check(filepath.Join(dir, "ops.md"), green, nil, flags); len(problems) != 0 {
+		t.Fatalf("green fixture still fails: %v", problems)
+	}
+	if got := serverMentions(green); strings.Join(got, " ") != "addr mem no-hints subtable mem" {
+		t.Fatalf("serverMentions = %v", got)
 	}
 }
 
