@@ -4,7 +4,10 @@
 // processes that keep many RPCs outstanding").
 //
 // Every operation has an async form returning a *Future and a sync
-// wrapper. Unsolicited Notify frames (cross-server subscription pushes,
+// wrapper. A sync call writes its own frame to the socket before it
+// waits; async frames are left to a flusher goroutine that writes once
+// the pipeline goes momentarily idle, so a burst shares one syscall.
+// Unsolicited Notify frames (cross-server subscription pushes,
 // §2.4) are delivered to the OnNotify callback.
 package client
 
@@ -179,8 +182,18 @@ func (c *Client) Failed() bool {
 // comparison uses it to show client-managed systems' RPC amplification.
 func (c *Client) RPCs() int64 { return c.rpcs.Load() }
 
-// send enqueues a request and returns its future.
-func (c *Client) send(m *rpc.Message) *Future {
+// send enqueues a request for the flusher and returns its future. Its
+// callers (Send, the *Async forms) may be queueing a burst, so the frame
+// waits to share one syscall with whatever they queue behind it.
+func (c *Client) send(m *rpc.Message) *Future { return c.enqueue(m, false) }
+
+// call enqueues a request and flushes it on the caller's goroutine. Its
+// callers (Do, the sync wrappers) block on this reply next, so nothing
+// will queue behind the frame, and a hand-off to the flusher would only
+// add a goroutine wake-up to the round trip.
+func (c *Client) call(m *rpc.Message) *Future { return c.enqueue(m, true) }
+
+func (c *Client) enqueue(m *rpc.Message, flush bool) *Future {
 	c.rpcs.Add(1)
 	f := &Future{c: c, ch: make(chan struct{})}
 	c.mu.Lock()
@@ -192,12 +205,17 @@ func (c *Client) send(m *rpc.Message) *Future {
 		return f
 	}
 	err := c.enqueueLocked(m, f)
+	if err == nil && flush {
+		err = c.flushLocked()
+	}
 	c.mu.Unlock()
 	if err != nil {
 		c.fail(err)
 		return f
 	}
-	c.kickFlush()
+	if !flush {
+		c.kickFlush()
+	}
 	return f
 }
 
@@ -212,6 +230,15 @@ func (c *Client) enqueueLocked(m *rpc.Message, f *Future) error {
 	c.scratch, err = rpc.WriteMessage(c.bw, m, c.scratch)
 	c.dirty = true
 	return err
+}
+
+// flushLocked writes out every buffered frame. The caller holds c.mu.
+func (c *Client) flushLocked() error {
+	if !c.dirty {
+		return nil
+	}
+	c.dirty = false
+	return c.bw.Flush()
 }
 
 // kickFlush wakes the flusher unless a wake-up is already queued.
@@ -232,15 +259,12 @@ func (c *Client) flushLoop() {
 			return
 		}
 		c.mu.Lock()
-		if c.dirty {
-			c.dirty = false
-			if err := c.bw.Flush(); err != nil {
-				c.mu.Unlock()
-				c.fail(err)
-				return
-			}
-		}
+		err := c.flushLocked()
 		c.mu.Unlock()
+		if err != nil {
+			c.fail(err)
+			return
+		}
 	}
 }
 
@@ -359,12 +383,13 @@ func WaitAll(ctx context.Context, futs []*Future) error {
 // Do sends m and waits for its reply under ctx, stamping the remaining
 // deadline budget onto the frame so the server can bound blocking work.
 // It returns an error for transport failures, cancellation, and
-// server-reported errors alike.
+// server-reported errors alike. The frame is flushed before Do waits.
 func (c *Client) Do(ctx context.Context, m *rpc.Message) (*rpc.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r, err := c.Send(ctx, m).WaitCtx(ctx)
+	stamp(ctx, m)
+	r, err := c.call(m).WaitCtx(ctx)
 	if err := replyErr(r, err); err != nil {
 		return nil, err
 	}
@@ -431,6 +456,13 @@ func (c *Client) ScanSubBatch(ranges []keys.Range, done func(i int, m *rpc.Messa
 // Sends, then WaitCtx each). Stamping happens per attempt, so a retry
 // through a fresh Send re-derives both budgets from the same ctx.
 func (c *Client) Send(ctx context.Context, m *rpc.Message) *Future {
+	stamp(ctx, m)
+	return c.send(m)
+}
+
+// stamp writes ctx's remaining deadline budget and staleness budget onto
+// m, rounded up to whole milliseconds.
+func stamp(ctx context.Context, m *rpc.Message) {
 	if dl, ok := ctx.Deadline(); ok {
 		if remain := time.Until(dl); remain > 0 {
 			m.TimeoutMS = uint64((remain + time.Millisecond - 1) / time.Millisecond)
@@ -439,14 +471,13 @@ func (c *Client) Send(ctx context.Context, m *rpc.Message) *Future {
 	if b := freshness.Budget(ctx); b > 0 {
 		m.StaleMS = uint64((b + time.Millisecond - 1) / time.Millisecond)
 	}
-	return c.send(m)
 }
 
 // --- Sync API ---
 
 // Get returns the value for key.
 func (c *Client) Get(key string) (string, bool, error) {
-	m, err := c.GetAsync(key).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgGet, Key: key}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return "", false, err
 	}
@@ -455,13 +486,13 @@ func (c *Client) Get(key string) (string, bool, error) {
 
 // Put stores value under key.
 func (c *Client) Put(key, value string) error {
-	m, err := c.PutAsync(key, value).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgPut, Key: key, Value: value}).Wait()
 	return replyErr(m, err)
 }
 
 // Remove deletes key, reporting whether it existed.
 func (c *Client) Remove(key string) (bool, error) {
-	m, err := c.send(&rpc.Message{Type: rpc.MsgRemove, Key: key}).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgRemove, Key: key}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return false, err
 	}
@@ -470,7 +501,7 @@ func (c *Client) Remove(key string) (bool, error) {
 
 // Scan returns up to limit pairs from [lo, hi).
 func (c *Client) Scan(lo, hi string, limit int) ([]rpc.KV, error) {
-	m, err := c.ScanAsync(lo, hi, limit, false).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgScan, Lo: lo, Hi: hi, Limit: limit}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return nil, err
 	}
@@ -479,7 +510,7 @@ func (c *Client) Scan(lo, hi string, limit int) ([]rpc.KV, error) {
 
 // Count returns the number of keys in [lo, hi).
 func (c *Client) Count(lo, hi string) (int64, error) {
-	m, err := c.send(&rpc.Message{Type: rpc.MsgCount, Lo: lo, Hi: hi}).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgCount, Lo: lo, Hi: hi}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return 0, err
 	}
@@ -488,7 +519,7 @@ func (c *Client) Count(lo, hi string) (int64, error) {
 
 // Stat returns the server's JSON statistics snapshot.
 func (c *Client) Stat() (string, error) {
-	m, err := c.send(&rpc.Message{Type: rpc.MsgStat}).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgStat}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return "", err
 	}
@@ -519,7 +550,7 @@ func (c *Client) StatSnapshot(ctx context.Context) (*StatSnapshot, error) {
 
 // SetSubtableDepth configures a table's subtable boundary (§4.1).
 func (c *Client) SetSubtableDepth(table string, depth int) error {
-	m, err := c.send(&rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}).Wait()
 	return replyErr(m, err)
 }
 
@@ -575,7 +606,7 @@ func (c *Client) CommandAsync(args ...string) *Future {
 
 // Command issues a generic command and returns the raw reply.
 func (c *Client) Command(args ...string) (*rpc.Message, error) {
-	m, err := c.CommandAsync(args...).Wait()
+	m, err := c.call(&rpc.Message{Type: rpc.MsgCommand, Args: args}).Wait()
 	if err := replyErr(m, err); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +350,64 @@ func TestConcurrentMixedCallers(t *testing.T) {
 	wg.Wait()
 	if got := c.RPCs(); got != 16*50 {
 		t.Fatalf("RPCs = %d, want %d", got, 16*50)
+	}
+}
+
+// countingConn counts the Write calls a client makes on its connection,
+// and the bytes it reads back.
+type countingConn struct {
+	net.Conn
+	writes, read atomic.Int64
+}
+
+func (cc *countingConn) Write(b []byte) (int, error) {
+	cc.writes.Add(1)
+	return cc.Conn.Write(b)
+}
+
+func (cc *countingConn) Read(b []byte) (int, error) {
+	n, err := cc.Conn.Read(b)
+	cc.read.Add(int64(n))
+	return n, err
+}
+
+// TestSyncCallFlushesInline: a sync call's frame is on the socket when
+// its send returns — written by the caller, not handed to the flusher —
+// while a ScanSubBatch burst still leaves in one write.
+func TestSyncCallFlushesInline(t *testing.T) {
+	es, _ := startEcho(t)
+	raw, err := net.Dial("tcp", es.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: raw}
+	c := NewClient(cc)
+	defer c.Close()
+
+	// "slow:" holds the reply back, so none is read before the check.
+	f := c.call(&rpc.Message{Type: rpc.MsgGet, Key: "slow:k"})
+	if w, r := cc.writes.Load(), cc.read.Load(); w != 1 || r != 0 {
+		t.Fatalf("after a sync call's send: %d writes, %d bytes read; want 1 write, nothing read", w, r)
+	}
+	if m, err := f.Wait(); err != nil || m.Value != "value-of-slow:k" {
+		t.Fatalf("sync call = %v, %v", m, err)
+	}
+
+	ranges := make([]keys.Range, 16)
+	for i := range ranges {
+		ranges[i] = keys.Range{Lo: fmt.Sprintf("p|%02d|", i), Hi: fmt.Sprintf("p|%02d}", i)}
+	}
+	var done sync.WaitGroup
+	done.Add(len(ranges))
+	c.ScanSubBatch(ranges, func(i int, m *rpc.Message, err error) {
+		if err != nil {
+			t.Errorf("range %d: %v", i, err)
+		}
+		done.Done()
+	})
+	done.Wait()
+	if w := cc.writes.Load() - 1; w != 1 {
+		t.Fatalf("a %d-range ScanSubBatch took %d writes, want 1", len(ranges), w)
 	}
 }
 

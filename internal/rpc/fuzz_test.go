@@ -24,6 +24,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x01, 0x02})
+	for _, payload := range hostileFrames() {
+		f.Add(payload)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := Decode(payload)

@@ -322,9 +322,12 @@ func (m *Message) Encode(buf []byte) []byte {
 	return buf
 }
 
-// decoder walks a frame payload.
+// decoder walks a frame payload. On a reply frame s is the payload as
+// one string and every decoded string is a substring of it; on a
+// request frame s is empty and each string gets its own copy.
 type decoder struct {
 	b   []byte
+	s   string
 	pos int
 }
 
@@ -337,26 +340,47 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// rest is the number of payload bytes not yet decoded.
+func (d *decoder) rest() uint64 { return uint64(len(d.b) - d.pos) }
+
 func (d *decoder) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.b) {
+	// Compared as uint64: a wire length past MaxInt must not wrap negative.
+	if n > d.rest() {
 		return "", fmt.Errorf("rpc: truncated string")
 	}
-	s := string(d.b[d.pos : d.pos+int(n)])
-	d.pos += int(n)
+	end := d.pos + int(n)
+	var s string
+	if d.s != "" {
+		s = d.s[d.pos:end]
+	} else {
+		s = string(d.b[d.pos:end])
+	}
+	d.pos = end
 	return s, nil
 }
 
-func (d *decoder) strs() ([]string, error) {
+// count reads a list length. Every element takes at least one byte, so
+// a count the rest of the payload cannot hold is refused before it can
+// size an allocation.
+func (d *decoder) count(what string) (uint64, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("rpc: string-list count %d exceeds payload", n)
+	if n > d.rest() {
+		return 0, fmt.Errorf("rpc: %s count %d exceeds payload", what, n)
+	}
+	return n, nil
+}
+
+func (d *decoder) strs() ([]string, error) {
+	n, err := d.count("string-list")
+	if err != nil {
+		return nil, err
 	}
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -403,12 +427,9 @@ func (d *decoder) byte() (byte, error) {
 }
 
 func (d *decoder) ints() ([]int, error) {
-	n, err := d.uvarint()
+	n, err := d.count("int-list")
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("rpc: int-list count %d exceeds payload", n)
 	}
 	out := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -422,12 +443,9 @@ func (d *decoder) ints() ([]int, error) {
 }
 
 func (d *decoder) kvs() ([]KV, error) {
-	n, err := d.uvarint()
+	n, err := d.count("kv")
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("rpc: kv count %d exceeds payload", n)
 	}
 	out := make([]KV, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -445,12 +463,9 @@ func (d *decoder) kvs() ([]KV, error) {
 }
 
 func (d *decoder) warm() ([]WarmRange, error) {
-	n, err := d.uvarint()
+	n, err := d.count("warm")
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("rpc: warm count %d exceeds payload", n)
 	}
 	out := make([]WarmRange, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -473,7 +488,15 @@ func (d *decoder) warm() ([]WarmRange, error) {
 	return out, nil
 }
 
-// Decode parses a frame payload (without the length prefix).
+// Decode parses a frame payload (without the length prefix). The
+// message never aliases payload, so the caller may reuse it.
+//
+// A reply's strings — Value, Err, every KVs row, Map, Warm — are
+// substrings of one copy of the payload: three allocations per reply
+// (the message, that copy, the row slice) however many rows it carries.
+// A caller that keeps a row past the reply keeps the whole frame alive,
+// so a row bound for a store is copied where it lands. A request's
+// strings go into the engine, so each is copied on its own here.
 func Decode(payload []byte) (*Message, error) {
 	d := &decoder{b: payload}
 	t, err := d.byte()
@@ -481,6 +504,9 @@ func Decode(payload []byte) (*Message, error) {
 		return nil, err
 	}
 	m := &Message{Type: MsgType(t)}
+	if m.Type == MsgReply {
+		d.s = string(payload)
+	}
 	if m.Seq, err = d.uvarint(); err != nil {
 		return nil, err
 	}
@@ -521,7 +547,7 @@ func Decode(payload []byte) (*Message, error) {
 		m.Text, err = d.str()
 	case MsgNotify:
 		var n uint64
-		if n, err = d.uvarint(); err != nil {
+		if n, err = d.count("change"); err != nil {
 			return nil, err
 		}
 		m.Changes = make([]Change, 0, n)
@@ -598,7 +624,7 @@ func Decode(payload []byte) (*Message, error) {
 		m.Hi, err = d.str()
 	case MsgCommand:
 		var n uint64
-		if n, err = d.uvarint(); err != nil {
+		if n, err = d.count("arg"); err != nil {
 			return nil, err
 		}
 		m.Args = make([]string, 0, n)

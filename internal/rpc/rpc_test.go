@@ -3,7 +3,9 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -160,6 +162,66 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// hostileFrames are payloads whose lengths and counts come from a peer
+// that lies: a string length past MaxInt, and list counts far beyond
+// what the payload holds. Each must be refused with an error — a panic
+// or an allocation sized by the count would let one peer end the server.
+func hostileFrames() map[string][]byte {
+	head := func(t MsgType) []byte { return []byte{byte(t), 0, 0, 0} }
+	huge := binary.AppendUvarint(nil, 1<<40)
+	return map[string][]byte{
+		"string length 2^63": append(head(MsgGet), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"reply string length 2^63": append(head(MsgReply), StatusOK, 0,
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"notify count 2^40":                 append(head(MsgNotify), huge...),
+		"command count 2^40":                append(head(MsgCommand), huge...),
+		"kv count 2^40":                     append(append(head(MsgReply), StatusOK, 0, 0, 0, 0), huge...),
+		"notify count one past the payload": append(head(MsgNotify), 2, byte(ChangePut)),
+	}
+}
+
+func TestDecodeRejectsHostileLengths(t *testing.T) {
+	for name, payload := range hostileFrames() {
+		t.Run(name, func(t *testing.T) {
+			if m, err := Decode(payload); err == nil {
+				t.Fatalf("decoded %+v, want an error", m)
+			}
+		})
+	}
+}
+
+// TestReplyDecodeAllocations: a reply's strings share one copy of the
+// frame, so a 100-row scan reply costs the message, that copy and the
+// row slice — not two allocations per row.
+func TestReplyDecodeAllocations(t *testing.T) {
+	payload := scanReply(100).Encode(nil)[4:]
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 3 {
+		t.Fatalf("a 100-row reply decodes in %v allocations, want at most 3", got)
+	}
+}
+
+// TestDecodeDoesNotAliasPayload: decoded strings, shared or not, never
+// point into the payload buffer, which a reader reuses for its next frame.
+func TestDecodeDoesNotAliasPayload(t *testing.T) {
+	reply, put := scanReply(3), &Message{Type: MsgPut, Key: "k", Value: "v"}
+	for _, m := range []*Message{reply, put} {
+		payload := m.Encode(nil)[4:]
+		got, err := Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(payload)
+		if !reflect.DeepEqual(got.KVs, m.KVs) || got.Key != m.Key || got.Value != m.Value {
+			t.Fatalf("decoded type %d changed with its payload buffer: %+v", got.Type, got)
+		}
+	}
+}
+
 func TestOversizeFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB length
@@ -216,12 +278,18 @@ func BenchmarkEncodePut(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeScanReply(b *testing.B) {
+// scanReply is a timeline scan's reply carrying n rows.
+func scanReply(n int) *Message {
 	m := &Message{Type: MsgReply, Seq: 1, Status: StatusOK}
-	for i := 0; i < 100; i++ {
-		m.KVs = append(m.KVs, KV{Key: "t|u0001234|0000005678|u0004321", Value: "tweet tweet"})
+	for i := 0; i < n; i++ {
+		m.KVs = append(m.KVs, KV{Key: fmt.Sprintf("t|u0001234|%010d|u0004321", i), Value: "tweet tweet"})
 	}
-	payload := m.Encode(nil)[4:]
+	return m
+}
+
+func BenchmarkDecodeScanReply(b *testing.B) {
+	payload := scanReply(100).Encode(nil)[4:]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(payload); err != nil {

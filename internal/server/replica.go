@@ -313,10 +313,8 @@ func (st *replicaState) land(fd *feed, h *replHold, r keys.Range, pieces []*piec
 			continue
 		}
 		st.s.dropUnownedPieces(pc.r)
-		for _, kv := range pc.reply.KVs {
-			if fd.keep(kv.Key) {
-				changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
-			}
+		for _, kv := range fd.rows(nil, pc) {
+			changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
 		}
 	}
 	if len(changes) > 0 {

@@ -10,6 +10,7 @@ package server
 
 import (
 	"errors"
+	"strings"
 	"sync"
 
 	"pequod/internal/client"
@@ -176,14 +177,16 @@ type piece struct {
 }
 
 // rows appends to dst the snapshot rows keep still wants (none from a
-// failed piece).
+// failed piece), each copied out of the reply: a decoded reply's rows
+// share one string, and a row kept in the store must not keep the whole
+// frame alive.
 func (fd *feed) rows(dst []core.KV, p *piece) []core.KV {
 	if p.failed {
 		return dst
 	}
 	for _, kv := range p.reply.KVs {
 		if fd.keep(kv.Key) {
-			dst = append(dst, kv)
+			dst = append(dst, core.KV{Key: strings.Clone(kv.Key), Value: strings.Clone(kv.Value)})
 		}
 	}
 	return dst

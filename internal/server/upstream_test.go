@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pequod/internal/client"
 	"pequod/internal/core"
@@ -290,6 +291,57 @@ func TestFeedOrdering(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestLandedRowsOwnTheirBytes: a decoded reply's rows are substrings of
+// one copy of its frame, so rows landing in the store — a mesh load
+// through feed.rows, a replica snapshot through replicaState.land — are
+// copied out of it, and a kept row never pins a whole frame.
+func TestLandedRowsOwnTheirBytes(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.pool.ApplyMapUpdate(at(t, 1, nil, "home:1"))
+	frame := rpc.OKReply(1)
+	frame.KVs = kvs([]string{"a|1=x", "a|2=y", "a|3=z"})
+	reply, err := rpc.Decode(frame.Encode(nil)[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[*byte]bool{}
+	for _, kv := range reply.KVs {
+		shared[unsafe.StringData(kv.Key)], shared[unsafe.StringData(kv.Value)] = true, true
+	}
+	check := func(path string, landed []core.KV) {
+		t.Helper()
+		if got := fmt.Sprint(landed); got != fmt.Sprint(reply.KVs) {
+			t.Fatalf("%s landed %s, want %s", path, got, fmt.Sprint(reply.KVs))
+		}
+		for _, kv := range landed {
+			if shared[unsafe.StringData(kv.Key)] || shared[unsafe.StringData(kv.Value)] {
+				t.Fatalf("%s landed row %s=%s still shares the reply's bytes", path, kv.Key, kv.Value)
+			}
+		}
+	}
+
+	r := keys.Range{Lo: "a|", Hi: "a}"}
+	var applied []core.KV
+	fd := &feed{keep: func(string) bool { return true }, apply: func(cs []core.Change) {
+		for _, c := range cs {
+			applied = append(applied, core.KV{Key: c.Key, Value: c.Value})
+		}
+	}}
+	pc := &piece{r: r, reply: reply}
+	check("feed.rows", fd.rows(nil, pc))
+
+	h := &replHold{home: "home:1"}
+	st := &replicaState{s: s, held: map[keys.Range]*replHold{r: h}}
+	if !st.land(fd, h, r, []*piece{pc}) {
+		t.Fatal("replica snapshot did not land")
+	}
+	check("replicaState.land", applied)
 }
 
 // TestLateSnapshotFromPreviousHome moves a replica hold from home A to

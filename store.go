@@ -42,6 +42,9 @@ type Store interface {
 	// Scan returns up to limit (0 = all) pairs in [lo, hi) in key
 	// order, computing overlapping joins on demand. An empty hi means
 	// "to the end of the keyspace"; use PrefixEnd for prefix scans.
+	// A networked store's rows share one allocation per reply: keeping
+	// any row keeps the whole reply alive, so a caller that holds on to
+	// a few rows long-term should copy them (strings.Clone).
 	Scan(ctx context.Context, lo, hi string, limit int) ([]KV, error)
 	// Count returns the number of keys in [lo, hi) after join
 	// computation.
