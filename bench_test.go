@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,8 @@ import (
 
 	"pequod/internal/experiments"
 	"pequod/internal/loadgen"
+	"pequod/internal/partition"
+	"pequod/internal/twip"
 )
 
 // metricName makes a label safe as a testing.B metric unit (no spaces).
@@ -566,4 +569,54 @@ func BenchmarkClusterScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkWarmCheck is the warm read alone, on the embedded benchmark's
+// shape: 2 000 users, 40 000 subscriptions, 10 000 popularity-skewed
+// posts, a two-shard Cache, every active timeline materialised. check
+// reads a timeline from a recent time on, login reads all of it. Keys
+// are built before the timer starts, so allocs/op counts the read.
+func BenchmarkWarmCheck(b *testing.B) {
+	const users, edges, posts, recent = 2000, 40000, 10000, 100
+	ctx := context.Background()
+	c, err := NewCache(Options{}, WithShards(2), WithBounds(partition.UserBounds(2, users, 7, "u", "t")...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Install(ctx, twip.Joins); err != nil {
+		b.Fatal(err)
+	}
+	g := twip.Generate(users, edges, 2014)
+	for u, ps := range g.Following {
+		for _, p := range ps {
+			c.Put(ctx, "s|"+twip.UserID(int32(u))+"|"+twip.UserID(p), "1")
+		}
+	}
+	rng := rand.New(rand.NewSource(2015))
+	for t := int64(1); t <= posts; t++ {
+		c.Put(ctx, "p|"+twip.UserID(g.SamplePoster(rng))+"|"+twip.TimeID(t), strings.Repeat("x", 100))
+	}
+	c.Quiesce(ctx)
+	type read struct{ login, check, hi string }
+	reads := make([]read, 0, users*7/10)
+	for _, u := range rng.Perm(users)[:cap(reads)] {
+		id := twip.UserID(int32(u))
+		r := read{login: "t|" + id + "|", check: "t|" + id + "|" + twip.TimeID(posts-recent), hi: "t|" + id + "}"}
+		if _, err := c.Scan(ctx, r.login, r.hi, 0); err != nil {
+			b.Fatal(err)
+		}
+		reads = append(reads, r)
+	}
+	run := func(b *testing.B, lo func(read) string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := reads[i%len(reads)]
+			if _, err := c.Scan(ctx, lo(r), r.hi, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("check", func(b *testing.B) { run(b, func(r read) string { return r.check }) })
+	b.Run("login", func(b *testing.B) { run(b, func(r read) string { return r.login }) })
 }

@@ -15,7 +15,9 @@
 // stat RPC, so operators can tell a restarted member from a fresh one;
 // defaults to the name); -mem sets the §2.5 eviction threshold;
 // -no-hints and -no-sharing disable the §4.2/§4.3 optimizations
-// (ablations).
+// (ablations). Output hints both place a join's writes and start a warm
+// scan of its status at the leaf it last wrote, so -no-hints turns off
+// both.
 //
 // -data-dir enables the durable range store: base writes stream to a
 // write-behind log under the directory (fsynced in batches every
@@ -83,7 +85,7 @@ func main() {
 	addr := flag.String("addr", ":7744", "listen address")
 	joinsFile := flag.String("joins", "", "file of cache-join specifications to install at startup")
 	memLimit := flag.Int64("mem", 0, "eviction threshold in bytes (0 = never evict)")
-	noHints := flag.Bool("no-hints", false, "disable output hints (§4.2)")
+	noHints := flag.Bool("no-hints", false, "disable output hints (§4.2), for writes and for warm scan starts")
 	noSharing := flag.Bool("no-sharing", false, "disable value sharing (§4.3)")
 	name := flag.String("name", "pequod", "server name for stats")
 	id := flag.String("id", "", "durable member identity, stable across restarts and address changes (default: the name)")

@@ -10,11 +10,12 @@
 // Four properties are load-bearing for Pequod:
 //
 //   - Leaf fingers. A Hint remembers the leaf its last write landed in
-//     (the paper's output hints, §4.2). The next write through the hint
-//     skips the descent when that leaf still covers its key, which two
-//     comparisons against the leaf's fences decide. A leaf is freed only
-//     when it empties and is then marked dead, so a stale finger is
-//     detected and downgrades the write to a normal one.
+//     (the paper's output hints, §4.2). The next write through the hint,
+//     or a run scan started from it, skips the descent when that leaf
+//     still covers its key, which two comparisons against the leaf's
+//     fences decide. A leaf is freed only when it empties and is then
+//     marked dead, and a hint knows its tree, so a stale or foreign
+//     finger is detected and downgrades the operation to a descent.
 //
 //   - Split at the insertion point. A write that arrives through a valid
 //     hint, or at the very end of a leaf, splits a full leaf where the
@@ -183,6 +184,15 @@ type Hint[V any] struct {
 // Valid reports whether the hint points at a live leaf.
 func (h *Hint[V]) Valid() bool { return h != nil && h.lf != nil && !h.lf.dead }
 
+// leafFor returns the hinted leaf when it is a live leaf of t that covers
+// key, and nil when the caller must descend instead.
+func (h *Hint[V]) leafFor(t *Tree[V], key string) *leaf[V] {
+	if h != nil && h.t == t && h.lf != nil && h.lf.covers(key) {
+		return h.lf
+	}
+	return nil
+}
+
 // Len returns the number of pairs.
 func (t *Tree[V]) Len() int { return t.size }
 
@@ -226,11 +236,10 @@ func (t *Tree[V]) Get(key string) (v V, ok bool) {
 // the leaf written.
 func (t *Tree[V]) Set(key string, v V, h *Hint[V]) (old V, existed bool) {
 	var p path[V]
-	var lf *leaf[V]
-	hinted := h != nil && h.t == t && h.lf != nil && h.lf.covers(key)
+	lf := h.leafFor(t, key)
+	hinted := lf != nil
 	switch {
 	case hinted:
-		lf = h.lf
 	case t.height == 0:
 		lf = &leaf[V]{}
 		t.root, t.first, t.height, t.leaves = kid[V]{lf: lf}, lf, 1, 1
@@ -522,8 +531,19 @@ scan:
 // rest, the number of pairs of the range that follow the run, so a
 // caller copying the range out can make room once. fn must not keep or
 // modify the slices, nor write to the tree.
-func (t *Tree[V]) AscendRuns(lo, hi string, fn func(keys []string, vals []V, rest int) bool) bool {
-	lf, i := t.seek(lo)
+//
+// A non-nil h is where the scan may start: when its leaf is a live leaf
+// of t covering lo, the scan begins there instead of descending from the
+// root. Any other hint is ignored, so a hint can never change what the
+// scan returns, only how it finds its first key. The hint is not moved.
+func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys []string, vals []V, rest int) bool) bool {
+	var i int
+	lf := h.leafFor(t, lo)
+	if lf != nil {
+		i = lf.lowerBound(lo)
+	} else {
+		lf, i = t.seek(lo)
+	}
 	rest := 0
 	for l, from := lf, i; l != nil; l, from = l.next, 0 {
 		end, last := l.end(hi)

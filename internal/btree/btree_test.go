@@ -69,7 +69,7 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 		got = append(got, k)
 		return true
 	})
-	tr.AscendRuns(lo, hi, func(ks []string, vs []int, rest int) bool {
+	tr.AscendRuns(lo, hi, nil, func(ks []string, vs []int, rest int) bool {
 		if len(ks) == 0 || len(ks) != len(vs) || len(runs)+len(ks)+rest != len(want) {
 			t.Fatalf("%s: run of %d keys, %d values, %d to follow %d of %d", when, len(ks), len(vs), rest, len(runs), len(want))
 		}
@@ -106,6 +106,57 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 }
 
 func key(i int) string { return fmt.Sprintf("k%06d", i) }
+
+// hintUse classifies a hint a scan is handed: which of the ways it can
+// be unusable, if any.
+type hintUse int
+
+const (
+	hintStart   hintUse = iota // a live leaf of the tree covering lo: the scan starts there
+	hintDead                   // its leaf was freed
+	hintForeign                // a leaf of another tree
+	hintAside                  // a live leaf of the tree that does not cover lo
+	hintUnset
+)
+
+func classify(tr *Tree[int], h *Hint[int], lo string) hintUse {
+	switch {
+	case h.lf == nil:
+		return hintUnset
+	case h.lf.dead:
+		return hintDead
+	case h.t != tr:
+		return hintForeign
+	case !h.lf.covers(lo):
+		return hintAside
+	}
+	return hintStart
+}
+
+// equalHintedScan checks that AscendRuns started from h returns exactly
+// the model's rows of [lo, hi), whatever h points at, and says what h was.
+func equalHintedScan(t testing.TB, tr *Tree[int], m *model, lo, hi string, h *Hint[int], when string) hintUse {
+	t.Helper()
+	i, j := m.rng(lo, hi)
+	want := m.keys[i:j]
+	var got []string
+	tr.AscendRuns(lo, hi, h, func(ks []string, vs []int, rest int) bool {
+		for x, k := range ks {
+			if mv, ok := m.vals[k]; !ok || vs[x] != mv {
+				t.Fatalf("%s: hinted scan [%q,%q) gives %q = %d, model %d, %v", when, lo, hi, k, vs[x], mv, ok)
+			}
+		}
+		if len(got)+len(ks)+rest != len(want) {
+			t.Fatalf("%s: hinted scan [%q,%q): run of %d with %d to follow after %d, model %d", when, lo, hi, len(ks), rest, len(got), len(want))
+		}
+		got = append(got, ks...)
+		return true
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: hinted scan [%q,%q) gave %d keys, model %d", when, lo, hi, len(got), len(want))
+	}
+	return classify(tr, h, lo)
+}
 
 func TestEmptyTree(t *testing.T) {
 	var tr Tree[int]
@@ -162,7 +213,7 @@ func TestSetGetDelete(t *testing.T) {
 		t.Fatalf("early stop visited %d", n)
 	}
 	n = 0
-	if tr.AscendRuns("", "", func([]string, []int, int) bool { n++; return false }) || n != 1 {
+	if tr.AscendRuns("", "", nil, func([]string, []int, int) bool { n++; return false }) || n != 1 {
 		t.Fatalf("early stop visited %d runs", n)
 	}
 	for _, i := range rand.New(rand.NewSource(2)).Perm(5000) {
@@ -395,12 +446,18 @@ func TestAscendSurvivesWrites(t *testing.T) {
 
 // TestRandomOpsAgainstModel drives every operation, hints held across
 // whatever happens to their leaves, with Check after every step.
+//
+// Scans also start from every hint, and from fingers into a second tree
+// over the same keys, and must return what a descent finds: the finger
+// is honoured only on a live leaf of the tree that covers lo.
 func TestRandomOpsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tr Tree[int]
+		var tr, other Tree[int]
 		m := newModel()
 		hints := make([]Hint[int], 8)
+		foreign := make([]Hint[int], 2)
+		var uses [hintUnset + 1]int
 		space := 400 << (2 * uint(seed-1)) // 400 .. 25 600 keys: one to three levels
 		steps := 6000
 		for step := 0; step < steps; step++ {
@@ -458,14 +515,36 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				if mv, mok := m.vals[k]; ok != mok || v != mv {
 					t.Fatalf("%s: Get(%q) = %d, %v; model %d, %v", when, k, v, ok, mv, mok)
 				}
-			default:
+			case op < 19:
 				lo, hi := k, key(rng.Intn(space))
 				if hi < lo {
 					lo, hi = hi, lo
 				}
 				equalScan(t, &tr, m, lo, hi, when)
+			default:
+				// A hinted scan, from every finger, the foreign ones after
+				// a write that lands them on a leaf of other covering k.
+				for i := range foreign {
+					other.Set(key(rng.Intn(space)), -1, &foreign[i])
+				}
+				other.Set(k, -1, &foreign[0])
+				hi := ""
+				if rng.Intn(4) > 0 {
+					hi = key(rng.Intn(space/8+1) + rng.Intn(space))
+				}
+				for i := range hints {
+					uses[equalHintedScan(t, &tr, m, k, hi, &hints[i], when)]++
+				}
+				for i := range foreign {
+					uses[equalHintedScan(t, &tr, m, k, hi, &foreign[i], when)]++
+				}
 			}
 			mustCheck(t, &tr, m, when)
+		}
+		for u, n := range uses[:hintUnset] {
+			if n == 0 {
+				t.Fatalf("seed %d: no hinted scan saw a hint of kind %d", seed, u)
+			}
 		}
 		equalScan(t, &tr, m, "", "", "final")
 		tr.DeleteRange("", "", nil)

@@ -641,3 +641,35 @@ func TestUpdaterMergingStats(t *testing.T) {
 		t.Fatalf("no updater merging: %+v", st)
 	}
 }
+
+// TestWarmReadAllocatesNothing: a warm read of a join over base tables
+// builds no strings and lets nothing escape, so a ScanInto with room in
+// buf and a GetBounded of a prebuilt point allocate nothing.
+func TestWarmReadAllocatesNothing(t *testing.T) {
+	e := newTwipEngine(t, Options{})
+	for f := 0; f < 8; f++ {
+		e.Put(fmt.Sprintf("s|ann|u%d", f), "1")
+		for p := 0; p < 5; p++ {
+			e.Put(fmt.Sprintf("p|u%d|%04d", f, 100*p+f), "a tweet")
+		}
+	}
+	buf := make([]KV, 0, 64)
+	if kvs, _ := e.ScanInto("t|ann|", "t|ann}", 0, buf); len(kvs) != 40 {
+		t.Fatalf("timeline holds %d rows", len(kvs))
+	}
+	point := keys.Range{Lo: "t|ann|0203|u3", Hi: "t|ann|0203|u3\x00"}
+	reads := map[string]func(){
+		"login": func() { buf, _ = e.ScanInto("t|ann|", "t|ann}", 0, buf) },
+		"check": func() { buf, _ = e.ScanInto("t|ann|0300", "t|ann}", 0, buf) },
+		"get": func() {
+			if _, ok, _ := e.GetBounded(point, 0); !ok {
+				panic("warm get missed")
+			}
+		},
+	}
+	for name, read := range reads {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("warm %s allocates %v times", name, n)
+		}
+	}
+}

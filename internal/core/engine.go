@@ -17,6 +17,7 @@ import (
 	"pequod/internal/interval"
 	"pequod/internal/join"
 	"pequod/internal/keys"
+	"pequod/internal/pattern"
 	"pequod/internal/store"
 )
 
@@ -74,7 +75,9 @@ type BaseLoader interface {
 // Options configure an Engine. The zero value enables every paper
 // optimization; the ablation benchmarks switch them off individually.
 type Options struct {
-	// DisableOutputHints turns off §4.2 output hints.
+	// DisableOutputHints turns off §4.2 output hints: join outputs are
+	// written by descent, and a warm scan no longer starts at its
+	// status's hint either, so the ablation removes both.
 	DisableOutputHints bool
 	// DisableValueSharing turns off §4.3 value sharing for copy outputs.
 	DisableValueSharing bool
@@ -183,10 +186,10 @@ func (e *Engine) SetLoader(l BaseLoader, tables ...string) {
 	e.loader = l
 	for _, t := range tables {
 		if e.presence[t] == nil {
-			e.presence[t] = &presenceTable{}
+			e.presence[t] = &presenceTable{tr: keys.Range{Lo: t, Hi: keys.PrefixEnd(t + keys.SepString)}}
 		}
 	}
-	e.markProbes()
+	e.markJoins()
 }
 
 // SetSubtableDepth forwards to the store (§4.1).
@@ -206,11 +209,16 @@ type installedJoin struct {
 	// data missing, so only then does it run a discovery pass before
 	// emitting (exec.go). Joins over resident data pay nothing.
 	probes bool
+	// cascaded is set when some source table is another installed join's
+	// output: only then does a read freshen source joins first (ensure's
+	// pass 0). Joins over base tables alone pay nothing.
+	cascaded bool
 }
 
-// markProbes recomputes every join's probes flag; the join graph is
-// acyclic (Install rejects cycles), so the recursion terminates.
-func (e *Engine) markProbes() {
+// markJoins recomputes every join's probes and cascaded flags; the
+// join graph is acyclic (Install rejects cycles), so the recursion
+// terminates.
+func (e *Engine) markJoins() {
 	var backed func(table string) bool
 	backed = func(table string) bool {
 		if e.presence[table] != nil {
@@ -226,12 +234,10 @@ func (e *Engine) markProbes() {
 		return false
 	}
 	for _, ij := range e.joins {
-		ij.probes = false
+		ij.probes, ij.cascaded = false, false
 		for _, t := range ij.j.SourceTables() {
-			if backed(t) {
-				ij.probes = true
-				break
-			}
+			ij.probes = ij.probes || backed(t)
+			ij.cascaded = ij.cascaded || len(e.outJoins[t]) > 0
 		}
 	}
 }
@@ -278,7 +284,7 @@ func (e *Engine) Install(j *join.Join) error {
 	ij := &installedJoin{j: j}
 	e.joins = append(e.joins, ij)
 	e.outJoins[j.Out.Table()] = append(e.outJoins[j.Out.Table()], ij)
-	e.markProbes()
+	e.markJoins()
 	return nil
 }
 
@@ -382,18 +388,20 @@ func (e *Engine) notify(c Change) {
 // nonzero the result may be incomplete and the caller should retry after
 // the loads finish (§3.3).
 func (e *Engine) Get(key string) (val string, ok bool, pending int) {
-	return e.GetBounded(key, 0)
+	return e.GetBounded(pattern.PointRange(key), 0)
 }
 
-// GetBounded is Get with a staleness budget: maxStale zero reads fresh;
-// a positive budget may serve key from a dirty span or ahead of
-// unapplied lazy logs whose age is within the budget, skipping their
-// recomputation. Coverage gaps still compute (and load) fresh — a
-// bounded read serves old state, never absent state.
-func (e *Engine) GetBounded(key string, maxStale time.Duration) (val string, ok bool, pending int) {
+// GetBounded is Get of the key point holds — [key, key+"\x00"), which
+// its caller has already built to route the read — with a staleness
+// budget: maxStale zero reads fresh; a positive budget may serve key
+// from a dirty span or ahead of unapplied lazy logs whose age is within
+// the budget, skipping their recomputation. Coverage gaps still compute
+// (and load) fresh — a bounded read serves old state, never absent
+// state.
+func (e *Engine) GetBounded(point keys.Range, maxStale time.Duration) (val string, ok bool, pending int) {
 	e.stats.Gets++
-	var overlay []KV
-	pending = e.ensureRangeBounded(keys.Range{Lo: key, Hi: key + "\x00"}, &overlay, maxStale)
+	key := point.Lo
+	overlay, _, pending := e.ensureRangeBounded(point, maxStale)
 	if v, ok := e.s.Get(key); ok {
 		return v.String(), true, pending
 	}
@@ -412,8 +420,11 @@ func (e *Engine) Scan(lo, hi string, limit int) (kvs []KV, pending int) {
 	return e.ScanInto(lo, hi, limit, nil)
 }
 
-// ScanInto is Scan appending into buf (reusing its capacity), the
-// zero-steady-state-garbage path servers use for large timeline reads.
+// ScanInto is Scan appending into buf (reusing its capacity), the path
+// servers use for large timeline reads. A warm read of joins over base
+// tables allocates only when buf must grow to hold the result; a pull
+// join's overlay, or a join fed by another join's output (whose sources
+// are freshened first), allocates on top of that.
 func (e *Engine) ScanInto(lo, hi string, limit int, buf []KV) (kvs []KV, pending int) {
 	return e.ScanIntoBounded(lo, hi, limit, buf, 0)
 }
@@ -422,9 +433,10 @@ func (e *Engine) ScanInto(lo, hi string, limit int, buf []KV) (kvs []KV, pending
 func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale time.Duration) (kvs []KV, pending int) {
 	e.stats.Scans++
 	kvs = buf[:0]
-	r := keys.Range{Lo: lo, Hi: hi}
-	var overlay []KV
-	pending = e.ensureRangeBounded(r, &overlay, maxStale)
+	overlay, start, pending := e.ensureRangeBounded(keys.Range{Lo: lo, Hi: hi}, maxStale)
+	if e.opts.DisableOutputHints {
+		start = nil // the §4.2 ablation: no finger for reads either
+	}
 
 	if len(overlay) > 1 {
 		// Each pull execution sorted its own segment; merge across joins.
@@ -433,10 +445,11 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 
 	// Merge the store contents, a leaf-sized run at a time so the result
 	// makes room once, with the pull-join overlays (both sorted; usually
-	// there are none).
+	// there are none). The scan starts at the covering status's output
+	// hint when that leaf still holds lo.
 	oi := 0
 	full := func() bool { return limit > 0 && len(kvs) >= limit }
-	e.s.ScanRuns(lo, hi, func(ks []string, vs []*store.Value, rest int) bool {
+	e.s.ScanRuns(lo, hi, start, func(ks []string, vs []*store.Value, rest int) bool {
 		room := len(ks) + rest
 		if limit > 0 {
 			room = min(room, limit-len(kvs))
@@ -482,44 +495,41 @@ func (e *Engine) evictAfterRead(pending int) {
 // ensureRangeBounded computes every installed join overlapping r and
 // resolves direct reads of loader-backed base ranges ("If a request is
 // made for a database-sourced key, Pequod will query the database and
-// cache the result", §2). Pull-join results are appended to *overlay
-// (sorted per join; merged by caller). It returns the number of
-// outstanding loads. A bounded read's staleness budget rides into each
-// join's ensure pass; loader-backed presence and pull joins are
-// budget-blind: presence gaps must load regardless (absent rows are not
-// stale rows), and pull joins recompute per read by design.
-func (e *Engine) ensureRangeBounded(r keys.Range, overlay *[]KV, maxStale time.Duration) (pending int) {
+// cache the result", §2). Pull-join results come back as the overlay
+// (sorted per join; merged by caller), nil when no pull join overlaps r.
+// start is the output hint of a join status containing r, for the
+// caller's store scan to begin at (nil when there is none), and pending
+// the number of outstanding loads. A bounded read's staleness budget
+// rides into each join's ensure pass; loader-backed presence and pull
+// joins are budget-blind: presence gaps must load regardless (absent
+// rows are not stale rows), and pull joins recompute per read by design.
+func (e *Engine) ensureRangeBounded(r keys.Range, maxStale time.Duration) (overlay []KV, start *store.Hint, pending int) {
 	e.wait = nil // a new read: a new restart context
 	var gaps []Load
 	for table, pt := range e.presence {
-		tr := keys.Range{Lo: table, Hi: keys.PrefixEnd(table + keys.SepString)}
-		rr := r.Intersect(tr)
-		if !rr.Empty() {
+		if rr := r.Intersect(pt.tr); !rr.Empty() {
 			pending += e.ensurePresent(table, pt, rr, &gaps)
 		}
 	}
 	e.startLoads(gaps)
 	for _, ij := range e.joins {
-		tr := ij.j.Out.TableRange()
-		rr := r.Intersect(tr)
+		rr := r.Intersect(ij.j.Out.TableRange())
 		if rr.Empty() {
 			continue
 		}
-		switch ij.j.Maint {
-		case join.Pull:
-			if overlay != nil {
-				pending += e.execPull(ij, rr, overlay)
-			} else {
-				// Point lookups on pull joins still need the overlay to
-				// be visible; Get handles pull joins via Scan instead.
-				var tmp []KV
-				pending += e.execPull(ij, rr, &tmp)
-			}
-		default:
-			pending += e.ensure(ij, rr, maxStale)
+		if ij.j.Maint == join.Pull {
+			var n int
+			overlay, n = e.execPull(ij, rr, overlay)
+			pending += n
+			continue
+		}
+		n, h := e.ensure(ij, rr, maxStale)
+		pending += n
+		if start == nil {
+			start = h
 		}
 	}
-	return pending
+	return overlay, start, pending
 }
 
 // StalenessDebt reports the engine's lazy-maintenance backlog: the

@@ -151,30 +151,30 @@ func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 	return 0
 }
 
-// execPull computes a pull join over rr into the overlay (§3.4): from
-// scratch, no caching, no updaters.
-func (e *Engine) execPull(ij *installedJoin, rr keys.Range, overlay *[]KV) (pending int) {
+// execPull computes a pull join over rr, appending to overlay (§3.4):
+// from scratch, no caching, no updaters. It returns the grown overlay.
+func (e *Engine) execPull(ij *installedJoin, rr keys.Range, overlay []KV) ([]KV, int) {
 	e.stats.PullExecs++
 	b, clip := ij.j.Out.ScanBinding(rr)
 	if clip.Empty() {
-		return 0
+		return overlay, 0
 	}
-	if pending = e.probe(ij, rr, b, -1); pending > 0 {
-		return pending
+	if pending := e.probe(ij, rr, b, -1); pending > 0 {
+		return overlay, pending
 	}
-	ex := &exec{e: e, ij: ij, clip: rr, overlay: overlay, skipIdx: -1}
+	ex := &exec{e: e, ij: ij, clip: rr, overlay: &overlay, skipIdx: -1}
 	if ij.j.IsAggregate() {
 		ex.aggs = make(map[string]*aggState)
 	}
-	start := len(*overlay)
+	start := len(overlay)
 	ex.run(0, b, nil)
 	ex.flushAggs()
 	// Keep the overlay sorted: each pull execution emits in source order,
 	// which for a single value source follows output order per binding
 	// group but not across groups; sort the fresh segment.
-	seg := (*overlay)[start:]
+	seg := overlay[start:]
 	sort.Slice(seg, func(i, k int) bool { return seg[i].Key < seg[k].Key })
-	return 0
+	return overlay, 0
 }
 
 // run is the nested-loop join (Fig 3): enumerate sources in user order,
@@ -354,7 +354,8 @@ func (e *Engine) ensureSourceJoins(table string, cr keys.Range, maxStale time.Du
 			// push or snapshot joins. Documented limitation.
 			continue
 		}
-		missing += e.ensure(sub, cr, maxStale)
+		n, _ := e.ensure(sub, cr, maxStale)
+		missing += n
 	}
 	return missing
 }

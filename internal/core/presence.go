@@ -8,7 +8,10 @@ import (
 // presenceTable tracks which ranges of a loader-backed base table are
 // resident in the cache (§3.3: "the data is loaded and metadata is
 // installed to indicate its presence"): disjoint presence records.
-type presenceTable = cover[*presRange]
+type presenceTable struct {
+	cover[*presRange]
+	tr keys.Range // the keys a read of the table can reach, built once
+}
 
 // presRange is one resident (or in-flight) base range.
 type presRange struct {

@@ -142,25 +142,31 @@ func spanUnion(a, b keys.Range) keys.Range {
 // base-data loads in flight that kept parts of rr from being brought up
 // to date; those parts are unchanged (gaps stay gaps, logs and dirty
 // spans stay pending) and the caller retries once the loads resolve.
-func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration) (pending int) {
+// It also returns the output hint of the status that contains rr, if
+// one does: the leaf that status last wrote, where a scan of rr may
+// start (§4.2). The hint is a start position only, one the store checks
+// before using, so it needs no invalidation of its own.
+func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration) (pending int, start *store.Hint) {
 	// Pass 0: freshen cascaded sources. A valid status here may have been
 	// computed from another join's output whose own maintenance was
 	// lazily logged (check sources, §3.2); reading only this join would
 	// otherwise serve results the pending log entries invalidate. Ensure
 	// source joins over their containing ranges first — their eager
 	// updaters then propagate any late changes into this range before we
-	// trust it. Base-table sources skip this entirely.
-	if b, clip := ij.j.Out.ScanBinding(rr); !clip.Empty() {
-		for _, src := range ij.j.Sources {
-			table := src.Pat.Table()
-			if len(e.outJoins[table]) == 0 {
-				continue
+	// trust it. Joins over base tables alone (cascaded unset) skip this.
+	if ij.cascaded {
+		if b, clip := ij.j.Out.ScanBinding(rr); !clip.Empty() {
+			for _, src := range ij.j.Sources {
+				table := src.Pat.Table()
+				if len(e.outJoins[table]) == 0 {
+					continue
+				}
+				cr := pattern.ContainingRange(src.Pat, ij.j.Out, b, rr)
+				if cr.Empty() {
+					continue
+				}
+				pending += e.ensureSourceJoins(table, cr, maxStale)
 			}
-			cr := pattern.ContainingRange(src.Pat, ij.j.Out, b, rr)
-			if cr.Empty() {
-				continue
-			}
-			pending += e.ensureSourceJoins(table, cr, maxStale)
 		}
 	}
 
@@ -185,12 +191,15 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 		if len(st.dirty) > 0 {
 			pending += e.recomputeDirty(st, rr, maxStale, now)
 		}
+		if st.r.ContainsRange(rr) {
+			start = &st.hint
+		}
 		e.lruTouch(st)
 		return true
 	}, func(gap keys.Range) {
 		pending += e.forwardExec(ij, gap)
 	})
-	return pending
+	return pending, start
 }
 
 // invalidateStatus completely invalidates a status range: outputs matching

@@ -141,6 +141,37 @@ func (r Range) ContainsRange(s Range) bool {
 	return s.Hi != "" && s.Hi <= r.Hi
 }
 
+// UnderPrefix reports whether every key of r begins with p: whether
+// [p, PrefixEnd(p)) contains r. It decides that by comparing in place,
+// without building PrefixEnd(p), so a read path can ask it for free.
+func (r Range) UnderPrefix(p string) bool {
+	if r.Empty() {
+		return true
+	}
+	if r.Lo < p {
+		return false
+	}
+	q := strings.TrimRight(p, "\xff")
+	if q == "" {
+		return true // PrefixEnd(p) is +infinity
+	}
+	if r.Hi == "" {
+		return false
+	}
+	// PrefixEnd(p) is q's head followed by q's last byte plus one.
+	hi, n := r.Hi, len(q)-1
+	if len(hi) <= n {
+		return hi <= q[:len(hi)]
+	}
+	if hi[:n] != q[:n] {
+		return hi[:n] < q[:n]
+	}
+	if c := q[n] + 1; hi[n] != c {
+		return hi[n] < c
+	}
+	return len(hi) == n+1
+}
+
 // String renders the range in the paper's half-open notation.
 func (r Range) String() string {
 	hi := r.Hi

@@ -170,6 +170,28 @@ func TestRangeContainsRange(t *testing.T) {
 	}
 }
 
+// UnderPrefix agrees with containment in the built prefix range, and
+// allocates nothing.
+func TestRangeUnderPrefix(t *testing.T) {
+	parts := []string{"", "a", "b", "t|", "t}", "t|ann|", "t|ann}", "t|ann|1", "t|ano", "t|ann",
+		"\xff", "a\xff", "a\xff\xff", "b\x00", "\x00", "t|ann|\xff", "t|ann}\x00"}
+	for _, p := range parts {
+		want := Range{Lo: p, Hi: PrefixEnd(p)}
+		for _, lo := range parts {
+			for _, hi := range parts {
+				r := Range{Lo: lo, Hi: hi}
+				if got := r.UnderPrefix(p); got != want.ContainsRange(r) {
+					t.Errorf("%v.UnderPrefix(%q) = %v, want %v", r, p, got, !got)
+				}
+			}
+		}
+	}
+	r := Range{Lo: "t|ann|0000000100", Hi: "t|ann}"}
+	if n := testing.AllocsPerRun(100, func() { r.UnderPrefix(r.Lo[:6]) }); n != 0 {
+		t.Errorf("UnderPrefix allocates %v times", n)
+	}
+}
+
 func TestOverlapsIsSymmetricAndConsistent(t *testing.T) {
 	// Property: Overlaps(a,b) iff some generated point is in both.
 	pts := []string{"", "a", "b", "c", "d", "e", "f", "zz"}

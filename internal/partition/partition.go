@@ -204,9 +204,18 @@ func (m *Map) OwnerRange(o int) keys.Range {
 	return r
 }
 
-// Owner returns the home server index for key.
+// Owner returns the home server index for key: the number of bounds at
+// or below it.
 func (m *Map) Owner(key string) int {
-	return sort.SearchStrings(m.bounds, key+"\x00")
+	lo, hi := 0, len(m.bounds)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); m.bounds[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // OwnsRange reports whether server owner holds every key of r — the
@@ -230,11 +239,14 @@ type Shard struct {
 
 // Split divides r into per-owner shards in key order. Containing ranges
 // that straddle home servers become one fetch per owner.
-func (m *Map) Split(r keys.Range) []Shard {
+func (m *Map) Split(r keys.Range) []Shard { return m.split(r, nil) }
+
+// split is Split appending to out, so a caller can hand it room on its
+// stack for the usual one piece.
+func (m *Map) split(r keys.Range, out []Shard) []Shard {
 	if r.Empty() {
-		return nil
+		return out
 	}
-	var out []Shard
 	lo := r.Lo
 	owner := m.Owner(lo)
 	for owner < len(m.bounds) {
@@ -265,7 +277,8 @@ func Gather[T any](cur func() *Map, r keys.Range, limit int, all bool, buf []T,
 	piece func(pc Shard, limit int, buf []T) ([]T, error),
 	again func(err error, attempt int) bool) ([]T, error) {
 	for attempt := 0; ; attempt++ {
-		out, err := gather(cur().Split(r), limit, all, buf[:0], piece)
+		var one [1]Shard
+		out, err := gather(cur().split(r, one[:0]), limit, all, buf[:0], piece)
 		if err == nil || !again(err, attempt) {
 			return out, err
 		}

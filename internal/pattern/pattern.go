@@ -84,6 +84,7 @@ type Seg struct {
 type Pattern struct {
 	raw    string
 	table  string
+	tr     keys.Range // the table's key range, built once: patterns are read concurrently
 	segs   []Seg
 	slotof uint16 // bitmask of slots referenced
 	widths []int  // shared with the join's SlotTable
@@ -143,6 +144,7 @@ func Parse(raw string, st *SlotTable) (*Pattern, error) {
 		}
 	}
 	p.widths = st.Widths
+	p.tr = keys.RangeOf(p.table)
 	return p, nil
 }
 
@@ -159,9 +161,7 @@ func (p *Pattern) Segs() []Seg { return p.segs }
 func (p *Pattern) Slots() uint16 { return p.slotof }
 
 // TableRange returns the key range spanned by the pattern's table.
-func (p *Pattern) TableRange() keys.Range {
-	return keys.Range{Lo: p.table + keys.SepString, Hi: keys.PrefixEnd(p.table + keys.SepString)}
-}
+func (p *Pattern) TableRange() keys.Range { return p.tr }
 
 // Binding is a slot set: an immutable-by-convention set of slot
 // assignments. It has value semantics; With returns an extended copy, so
@@ -323,29 +323,27 @@ func PointRange(key string) keys.Range {
 // output slot whose value is completely pinned by the range is bound —
 // all of them for a point on a whole key.
 // The second return value is the portion of the scan range that can
-// possibly contain keys matching the pattern.
+// possibly contain keys matching the pattern. Every bound value and
+// prefix is a substring of the scan's lower bound, so it allocates
+// nothing.
 func (p *Pattern) ScanBinding(scan keys.Range) (Binding, keys.Range) {
 	var b Binding
-	clip := scan.Intersect(p.TableRange())
+	clip := scan.Intersect(p.tr)
 	if clip.Empty() {
 		return b, clip
 	}
-	pfx := ""
+	n := 0 // clip.Lo[:n] is the prefix pinned so far, up to a separator
 	for i, seg := range p.segs {
 		// The scan must lie entirely inside the keyspace of a single
 		// component value c at this position for the binding to be exact,
 		// or be a point on a key whose last component c is.
-		if !strings.HasPrefix(clip.Lo, pfx) {
-			break
-		}
-		c, _, more := strings.Cut(clip.Lo[len(pfx):], keys.SepString)
+		c, _, more := strings.Cut(clip.Lo[n:], keys.SepString)
 		switch {
 		case more:
-			next := pfx + c + keys.SepString
-			if !(keys.Range{Lo: next, Hi: keys.PrefixEnd(next)}).ContainsRange(clip) {
+			n += len(c) + 1
+			if !clip.UnderPrefix(clip.Lo[:n]) {
 				return b, clip
 			}
-			pfx = next
 		case i < len(p.segs)-1 || !clip.IsPoint():
 			return b, clip // component incomplete in the lower bound
 		}

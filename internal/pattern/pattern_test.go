@@ -236,6 +236,127 @@ func TestScanBinding(t *testing.T) {
 	}
 }
 
+// scanBindingModel is ScanBinding as it was before it stopped building
+// strings: every pinned prefix concatenated and its PrefixEnd built to
+// test containment. ScanBinding must agree with it on every range.
+func scanBindingModel(p *Pattern, scan keys.Range) (Binding, keys.Range) {
+	var b Binding
+	tr := keys.Range{Lo: p.table + keys.SepString, Hi: keys.PrefixEnd(p.table + keys.SepString)}
+	clip := scan.Intersect(tr)
+	if clip.Empty() {
+		return b, clip
+	}
+	pfx := ""
+	for i, seg := range p.segs {
+		if !strings.HasPrefix(clip.Lo, pfx) {
+			break
+		}
+		c, _, more := strings.Cut(clip.Lo[len(pfx):], keys.SepString)
+		switch {
+		case more:
+			next := pfx + c + keys.SepString
+			if !(keys.Range{Lo: next, Hi: keys.PrefixEnd(next)}).ContainsRange(clip) {
+				return b, clip
+			}
+			pfx = next
+		case i < len(p.segs)-1 || !clip.IsPoint():
+			return b, clip
+		}
+		if seg.Slot < 0 {
+			if c != seg.Literal {
+				return b, keys.Range{Lo: clip.Lo, Hi: clip.Lo}
+			}
+		} else {
+			if w := p.widths[seg.Slot]; w != 0 && len(c) != w {
+				return b, keys.Range{Lo: clip.Lo, Hi: clip.Lo}
+			}
+			b = b.With(seg.Slot, c)
+		}
+	}
+	return b, clip
+}
+
+// scanBindingPatterns are the output shapes FuzzScanBinding draws from:
+// all slots, a fixed width, a trailing and a middle literal, a bare table.
+var scanBindingPatterns = []string{
+	"t|<user>|<time>|<poster>",
+	"t|<user>|<time:4>|<poster>",
+	"page|<author>|<id>|a",
+	"page|<author>|k|<cid>",
+	"x",
+}
+
+func checkScanBinding(t *testing.T, raw string, r keys.Range) {
+	t.Helper()
+	var st SlotTable
+	p := mustParse(t, raw, &st)
+	b, clip := p.ScanBinding(r)
+	wb, wclip := scanBindingModel(p, r)
+	if b != wb || clip != wclip {
+		t.Fatalf("%s over %q: binding %s clip %q, model %s clip %q", raw, r, b.String(&st), clip, wb.String(&st), wclip)
+	}
+}
+
+// scanBindingCases: points, ranges ending exactly at a separator,
+// unbounded ranges, width and literal mismatches, and keys holding '}',
+// NUL and 0xff bytes.
+var scanBindingCases = []struct {
+	pat    int
+	lo, hi string
+}{
+	{0, "t|ann|100|bob", "t|ann|100|bob\x00"},
+	{0, "t|ann|", "t|ann}"},
+	{0, "t|ann|100|", "t|ann|100}"},
+	{0, "t|ann|100", "t|ann|"},
+	{0, "t|ann|100", "t|ann|100|"},
+	{0, "t|ann|100|", ""},
+	{0, "t|ann|", ""},
+	{0, "t|a}n|1|b", "t|a}n|1|b\x00"},
+	{0, "t|a\x00|", "t|a\x00}"},
+	{0, "t|\xff|", "t|\xff}"},
+	{0, "t|\xff\xff|1|", "t}"},
+	{0, "t|ann|\xff|", "t|ann|\xff}"},
+	{0, "s|ann|", "u|"},
+	{1, "t|ann|0100|bob", "t|ann|0100|bob\x00"},
+	{1, "t|ann|100|bob", "t|ann|100|bob\x00"},
+	{1, "t|ann|01000|", "t|ann|01000}"},
+	{2, "page|bob|101|a", "page|bob|101|a\x00"},
+	{2, "page|bob|101|r", "page|bob|101|r\x00"},
+	{2, "page|bob|101|a", "page|bob|101|b"},
+	{3, "page|bob|k|", "page|bob|k}"},
+	{3, "page|bob|j|", "page|bob|j}"},
+	{3, "page|bob|k|c1", "page|bob|k|c1\x00"},
+	{4, "x", "x\x00"},
+	{4, "x|", "x}"},
+	{4, "x|y|", ""},
+}
+
+// TestScanBindingMatchesModel holds the string-free ScanBinding to the
+// string-building one over the shapes that decide a binding, and to
+// allocating nothing.
+func TestScanBindingMatchesModel(t *testing.T) {
+	for _, c := range scanBindingCases {
+		checkScanBinding(t, scanBindingPatterns[c.pat], keys.Range{Lo: c.lo, Hi: c.hi})
+	}
+	var st SlotTable
+	p := mustParse(t, "t|<user>|<time:10>|<poster>", &st)
+	point := keys.Range{Lo: "t|u0000007|0000000203|u0000003", Hi: "t|u0000007|0000000203|u0000003\x00"}
+	check := keys.Range{Lo: "t|u0000007|0000000203", Hi: "t|u0000007}"}
+	if n := testing.AllocsPerRun(100, func() { p.ScanBinding(point); p.ScanBinding(check) }); n != 0 {
+		t.Fatalf("ScanBinding allocates %v times", n)
+	}
+}
+
+// FuzzScanBinding lets the fuzzer pick the pattern and the range.
+func FuzzScanBinding(f *testing.F) {
+	for _, c := range scanBindingCases {
+		f.Add(uint8(c.pat), c.lo, c.hi)
+	}
+	f.Fuzz(func(t *testing.T, pat uint8, lo, hi string) {
+		checkScanBinding(t, scanBindingPatterns[int(pat)%len(scanBindingPatterns)], keys.Range{Lo: lo, Hi: hi})
+	})
+}
+
 func TestContainingRangePaperExamples(t *testing.T) {
 	var st SlotTable
 	out := mustParse(t, "t|<user>|<time>|<poster>", &st)

@@ -529,10 +529,11 @@ func (p *Pool) Get(key string) (string, bool) {
 // budget (zero = fully fresh): one step, routed again if the key changed
 // shards meanwhile.
 func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (v string, ok bool, err error) {
+	point := keys.Range{Lo: key, Hi: key + "\x00"}
 	for {
-		err = p.step(p.pmap.Load().Owner(key), key, key+"\x00", maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+		err = p.step(p.pmap.Load().Owner(key), point.Lo, point.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
 			var pending int
-			v, ok, pending = e.GetBounded(key, budget)
+			v, ok, pending = e.GetBounded(point, budget)
 			return 1, pending
 		})
 		switch err {

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"pequod/internal/keys"
 )
 
 // storeModel is the sorted-slice reference a Store is compared with: the
@@ -56,6 +59,7 @@ func runStoreOps(t testing.TB, data []byte) {
 	s := New()
 	m := &storeModel{vals: map[string]*Value{}}
 	var hints [4]Hint
+	other, foreign := New(), Hint{}
 	shared := [...]*Value{NewValue("a shared tweet"), NewValue("another"), NewValue("")}
 
 	next := func() int {
@@ -93,7 +97,7 @@ func runStoreOps(t testing.TB, data []byte) {
 	}
 
 	for step := 0; len(data) > 0; step++ {
-		switch op := next() % 16; op {
+		switch op := next() % 17; op {
 		case 0, 1:
 			put(step, pick(), value(step), nil)
 		case 2, 3:
@@ -171,6 +175,25 @@ func runStoreOps(t testing.TB, data []byte) {
 			// A table that does not exist yet, configured ahead.
 			s.SetSubtableDepth("zz", next()%3)
 			put(step, fmt.Sprintf("zz|%d|%d", next()%3, next()), value(step), &hints[0])
+		case 16:
+			// A scan started from a hint — live or freed, in this table or
+			// subtable or a neighbour, covering lo or not — or from a
+			// finger into another store, to the end of lo's user or to
+			// another key: the same rows as a descent.
+			lo := pick()
+			hi := keys.PrefixEnd(lo[:strings.LastIndexByte(lo, '|')+1])
+			if b := next(); b%2 == 0 {
+				hi = pick()
+			}
+			var h *Hint
+			switch b := next() % 6; {
+			case b < 4:
+				h = &hints[b]
+			case b == 4:
+				h = &foreign
+				other.PutHint(lo, NewValue("elsewhere"), h)
+			}
+			equalHintedScan(t, s, m, lo, hi, h, step)
 		}
 		if err := s.Check(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -203,7 +226,7 @@ func equalStoreScan(t testing.TB, s *Store, m *storeModel, lo, hi string, step i
 		got = append(got, k)
 		return true
 	})
-	s.ScanRuns(lo, hi, func(ks []string, vs []*Value, _ int) bool {
+	s.ScanRuns(lo, hi, nil, func(ks []string, vs []*Value, _ int) bool {
 		for x, k := range ks {
 			if vs[x] != m.vals[k] {
 				t.Fatalf("step %d: run gives %q the wrong value", step, k)
@@ -224,6 +247,26 @@ func equalStoreScan(t testing.TB, s *Store, m *storeModel, lo, hi string, step i
 				t.Fatalf("step %d: %s(%q, %q) key %d is %q, model %q", step, name, lo, hi, x, g[x], want[x])
 			}
 		}
+	}
+}
+
+// equalHintedScan checks ScanRuns from h against the model.
+func equalHintedScan(t testing.TB, s *Store, m *storeModel, lo, hi string, h *Hint, step int) {
+	t.Helper()
+	i, j := m.rng(lo, hi)
+	want := m.keys[i:j]
+	var got []string
+	s.ScanRuns(lo, hi, h, func(ks []string, vs []*Value, _ int) bool {
+		for x, k := range ks {
+			if vs[x] != m.vals[k] {
+				t.Fatalf("step %d: hinted run gives %q the wrong value", step, k)
+			}
+		}
+		got = append(got, ks...)
+		return true
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("step %d: ScanRuns(%q, %q) from a hint gave %d keys %q, model %d %q", step, lo, hi, len(got), got, len(want), want)
 	}
 }
 
@@ -256,6 +299,16 @@ func FuzzStoreOps(f *testing.F) {
 		append(append(burst(3, 90), 14, 2, 2, 2, 4, 0, 8, 0, 3), 14, 2, 0, 2, 4, 0, 8, 0, 3),
 		// Per-key subtables, a cross-table range cut, a configured-ahead table.
 		{14, 2, 3, 4, 4, 0, 1, 0, 0, 40, 15, 1, 2, 3, 0, 10, 0, 0, 0, 5, 255, 255, 0, 12, 0, 0, 0, 5, 255, 255},
+		// Scans from a hint: one on the leaf holding lo, one behind it, a
+		// finger into another store, and none.
+		append(burst(1, 255), 16, 5, 0, 250, 1, 1, 16, 4, 0, 7, 1, 1, 16, 5, 0, 250, 1, 4, 16, 5, 0, 3, 0, 5, 0, 200, 5),
+		// ...from a hint whose leaf was freed.
+		append(append(burst(2, 200), 9, 0, 0, 0, 0, 0, 0, 0), 4, 4, 0, 9, 1, 0, 40, 16, 5, 0, 20, 1, 2),
+		// ...from a hint in the neighbouring subtable (t|u0| beside t|u1|).
+		append(append([]byte{14, 2, 2}, burst(3, 120)...), 4, 10, 0, 5, 1, 0, 100, 16, 10, 0, 0, 1, 3, 16, 11, 0, 151, 1, 3),
+		// ...from a live hint covering lo, over a range that reaches past
+		// its tree (s|u0| rows, then t|u0| rows).
+		append(append([]byte{4, 2, 0, 7, 1, 1, 100}, burst(2, 50)...), 16, 3, 0, 95, 0, 4, 0, 9, 1),
 	}
 	rng := rand.New(rand.NewSource(7))
 	random := make([]byte, 600)

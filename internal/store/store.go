@@ -338,14 +338,42 @@ func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
 // range follow the run in the same table or subtable, so a caller
 // copying the range out can make room once. The slices alias the store:
 // fn must neither keep nor modify them, nor write to the store.
-func (s *Store) ScanRuns(lo, hi string, fn func(keys []string, vals []*Value, rest int) bool) {
-	s.trees(lo, hi, func(tr *tree) bool { return tr.AscendRuns(lo, hi, fn) })
+//
+// h, if non-nil, is an output hint to start the scan from (§4.2): a join
+// status's hint sits on the leaf its newest rows went to, which is where
+// a timeline check starts. It is used only when one tree holds all of
+// [lo, hi) — a table without subtables, or a range inside one subtable —
+// and its leaf is a live leaf of that tree covering lo; otherwise the
+// scan descends as it would without one.
+func (s *Store) ScanRuns(lo, hi string, h *Hint, fn func(keys []string, vals []*Value, rest int) bool) {
+	if h != nil {
+		if tr := s.holder(lo, hi); tr != nil {
+			tr.AscendRuns(lo, hi, h, fn)
+			return
+		}
+	}
+	s.trees(lo, hi, func(tr *tree) bool { return tr.AscendRuns(lo, hi, nil, fn) })
+}
+
+// holder returns the one tree that holds every key of [lo, hi), or nil
+// when the range may reach past one table or subtable. It builds no
+// strings: the table's or subtable's prefix is a prefix of lo.
+func (s *Store) holder(lo, hi string) *tree {
+	t := s.tables[keys.Table(lo)]
+	if t == nil {
+		return nil
+	}
+	pfx := keys.Prefix(lo, max(t.depth, 1))
+	if pfx == "" || pfx[len(pfx)-1] != keys.Sep || !(keys.Range{Lo: lo, Hi: hi}).UnderPrefix(pfx) {
+		return nil
+	}
+	return t.treeFor(pfx, false)
 }
 
 // CountRange returns the number of keys in [lo, hi).
 func (s *Store) CountRange(lo, hi string) int {
 	c := 0
-	s.ScanRuns(lo, hi, func(ks []string, _ []*Value, _ int) bool { c += len(ks); return true })
+	s.ScanRuns(lo, hi, nil, func(ks []string, _ []*Value, _ int) bool { c += len(ks); return true })
 	return c
 }
 

@@ -311,11 +311,13 @@ func TestDialContextCancellation(t *testing.T) {
 
 // TestWarmReadAllocations pins what a warm embedded read allocates: a
 // timeline Scan and a Get of one of its rows, Twip-shaped keys, a
-// four-shard cache. The counts are the commit's before the read path was
-// told once (cover, step, gather); a closure that starts escaping on
-// that path shows here, not first in the benchmark.
+// four-shard cache. A warm Scan allocates its result and the closure
+// the gather hands its pieces; a warm Get the upper bound of its point,
+// key+"\x00", built once to route it and handed to the engine. Nothing
+// else on the read path builds a string, so a closure or a key that
+// starts escaping there shows here, not first in the benchmark.
 func TestWarmReadAllocations(t *testing.T) {
-	const maxScanAllocs, maxGetAllocs = 13, 14
+	const maxScanAllocs, maxGetAllocs = 2, 1
 	ctx := context.Background()
 	c, err := NewCache(Options{}, WithBounds("p|", "s|", "t|"))
 	if err != nil {
