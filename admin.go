@@ -81,8 +81,7 @@ type Admin interface {
 type MemberHealth = cluster.MemberHealth
 
 // ClusterRebalancerStats snapshots the cluster rebalancer's activity;
-// see Admin.RebalancerStats. (RebalanceStats, without the "r", is the
-// embedded Cache's shard-level equivalent.)
+// see Admin.RebalancerStats.
 type ClusterRebalancerStats = cluster.RebalancerStats
 
 // RekeyDataDir rewrites the meta.json identity of a dead member's data

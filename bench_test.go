@@ -144,30 +144,6 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalance measures load-aware rebalancing under skew:
-// Zipf-distributed timeline checks against a 4-shard pool whose default
-// bounds cluster every key onto one shard. Reported metrics: steady-
-// state checks/s with the static partition, with live rebalancing, the
-// speedup, and how many boundary migrations the rebalancer ran. Both
-// configurations' timelines are verified byte-identical to a single
-// engine inside the experiment.
-func BenchmarkRebalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RebalanceScale(benchScale, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rows[0].QPS, "qps_static")
-			b.ReportMetric(rows[1].QPS, "qps_rebalance")
-			b.ReportMetric(rows[1].Speedup, "speedup_x")
-			b.ReportMetric(float64(rows[1].Migrations), "migrations")
-			b.ReportMetric(rows[0].HotShare, "hotshare_static")
-			b.ReportMetric(rows[1].HotShare, "hotshare_rebalance")
-		}
-	}
-}
-
 // BenchmarkClusterRebalance measures cluster-level live re-partitioning
 // under skew: Zipf timeline checks against four networked servers whose
 // bounds cram every key onto one member. The client-driven rebalancer

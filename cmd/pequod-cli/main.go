@@ -38,7 +38,7 @@
 // Commands (single-server mode only):
 //
 //	statjson                 print the raw per-server stats JSON
-//	                         (entries, bytes, rebalancer state, load,
+//	                         (entries, bytes, migrations, load,
 //	                         cluster map) — cluster members each have
 //	                         their own; point -addr at one to inspect it
 //

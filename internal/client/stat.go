@@ -8,12 +8,12 @@ import (
 
 // StatSnapshot is the stat RPC's reply, declared once: the server
 // marshals this type and every reader unmarshals it. Identity and
-// footprint, the engine counters summed across shards, the in-process
-// rebalancer's view of the partition, the cumulative load a cluster
-// rebalancer polls to find hot servers and pick split points, the
-// installed join set (so a coordinator that did not install the joins
-// itself — a fresh pequod-cli run — can replay them onto a joining
-// member), and on cluster members the published map they serve under.
+// footprint, the engine counters, the cluster migrations the member
+// took part in, the cumulative load a cluster rebalancer polls to find
+// hot servers and pick split points, the installed join set (so a
+// coordinator that did not install the joins itself — a fresh
+// pequod-cli run — can replay them onto a joining member), and on
+// cluster members the published map they serve under.
 type StatSnapshot struct {
 	Name      string               `json:"name"`
 	ID        string               `json:"id,omitempty"`
@@ -21,7 +21,7 @@ type StatSnapshot struct {
 	Entries   int                  `json:"entries"`
 	Bytes     int64                `json:"bytes"`
 	Stats     core.Stats           `json:"stats"`
-	Rebalance shard.RebalanceStats `json:"rebalance"`
+	Rebalance shard.MigrationStats `json:"rebalance"`
 	Load      shard.LoadInfo       `json:"load"`
 	Joins     string               `json:"joins,omitempty"`
 	Staleness StaleStat            `json:"staleness"`
@@ -38,7 +38,6 @@ type StatSnapshot struct {
 // every budget in use serves only fresh-path reads and gets none of the
 // latency win.
 type StaleStat struct {
-	LagUS      int64 `json:"lag_us"`      // always 0: a server is one engine, with no forwarded-write queue
 	DebtSpans  int   `json:"debt_spans"`  // deferred-maintenance spans (dirty + lazy logs)
 	DebtOldUS  int64 `json:"debt_old_us"` // age of the oldest deferred maintenance
 	BoundedSrv int64 `json:"bounded_srv"` // reads served within a staleness budget

@@ -39,7 +39,7 @@ func TestStatSnapshotGolden(t *testing.T) {
 	}
 	if m.Cluster == nil || m.Cluster.Replicas != 1 || len(m.Cluster.Peers) != 2 ||
 		m.Durable == nil || m.Durable.SegmentIndex != 3 || m.Durable.Recovery == nil ||
-		m.Durable.Recovery.RestoredRows != 3 || !m.Rebalance.Enabled || m.Load.Units != 7 ||
+		m.Durable.Recovery.RestoredRows != 3 || m.Load.Units != 7 ||
 		m.Loads.Started != 3 || m.NSubs != 3 || m.Joins == "" || m.ID != "member-one" {
 		t.Fatalf("member capture decoded to %+v", m)
 	}

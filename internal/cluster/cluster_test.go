@@ -372,7 +372,7 @@ func TestCancellation(t *testing.T) {
 
 // TestGatherOverCluster: the three things the split–gather–re-split
 // helper promises (partition's TestGather scripts it; shard's
-// TestGatherOverPool shows them inside a server), seen through
+// TestGatherOverPool shows the two a fixed map can), seen through
 // Cluster.Scan and Cluster.Count on the wire.
 func TestGatherOverCluster(t *testing.T) {
 	ctx := context.Background()

@@ -1,31 +1,29 @@
 package cluster
 
-// Moving a range, told once. Every layer moves a key range the same
-// way — cut the owned rows, invalidate what was derived from them,
-// paste, recompute warm (§2.5: everything but the base rows is a cache
-// that is always safe to evict) — as three verbs:
+// Moving a range, told once. Load moves only between servers (an
+// embedded Cache's shard bounds are fixed), and every layer of that
+// move does the same thing — cut the rows, invalidate what was derived
+// from them, paste, recompute warm (§2.5: everything but the base rows
+// is a cache that is always safe to evict) — as three verbs:
 //
 //   - extract at the source: atomically stop serving the range and cut
-//     its state out — the owned rows move, computed coverage and
-//     loader-backed residency drop with eviction semantics, and the
+//     its state out — the rows move, computed coverage drops with
+//     eviction semantics, loader-backed residency is clipped, and the
 //     coverage that was valid is recorded so the destination rebuilds
-//     it warm (core.ExtractRange; shard.MoveBound under the two shard
-//     locks; shard.ExtractClusterRange swapping the server's ownership
-//     gate under the owning shards' locks and retaining a recovery
-//     copy). A write that raced the cut either landed before it (and is
-//     in the cut) or bounces with NotOwner and retries at the
-//     destination.
-//   - fence: nothing stale may land after the flip. In-process that is
-//     the shard locks plus settling the forwards queued for the range;
-//     between servers the destination pings the source — the reply
-//     follows every queued subscription push — before it splices, and
-//     every member fences the old owner before it drops.
+//     it warm (core.ExtractRange; shard.ExtractClusterRange swapping
+//     the server's ownership gate under the engine's lock and retaining
+//     a recovery copy). A write that raced the cut either landed before
+//     it (and is in the cut) or bounces with NotOwner and retries at
+//     the destination.
+//   - fence: nothing stale may land after the flip. The destination
+//     pings the source — the reply follows every queued subscription
+//     push — before it splices, and every member fences the old owner
+//     before it drops.
 //   - splice at the destination: drop its own subscriber-era copies of
-//     the range (between servers only — inside a pool the forwarded
-//     replicas are already everywhere and are not re-sent), install the
-//     moved rows, rebuild the previously valid coverage, start serving.
+//     the range, install the moved rows, rebuild the previously valid
+//     coverage, start serving.
 //
-// Between servers the cluster client is the coordinator: transfer
+// The cluster client is the coordinator: transfer
 // drives ExtractRange at the source and SpliceRange at the destination
 // under a successor map, then publishes it (MapUpdate) to every member,
 // which adopts it, drops its cached replicas of the moved range — the

@@ -1,15 +1,16 @@
 package cluster
 
-// Client-driven cluster rebalancing: the balancing policy the shard
-// pool runs in-process (partition.Balancer), applied across servers.
-// The cluster client polls every member's stat RPC for its cumulative
-// load units and recent key samples, and when the policy finds one
-// server persistently hot migrates a slice of its range — through
-// MoveBound's live transfer protocol — to the cooler server on the
-// other side of a partition bound. No server-side coordinator exists:
-// any client (or the pequod-cli rebalance subcommand) drives it one
-// RebalanceTick at a time, and concurrent coordinators serialize
-// through map version conflicts.
+// Client-driven cluster rebalancing: the one balancing policy
+// (partition.Balancer), applied across servers — the only load mover,
+// since an embedded Cache's shard bounds are fixed. The cluster client
+// polls every member's stat RPC for its cumulative load units and recent
+// key samples, and when the policy finds one server persistently hot
+// migrates a slice of its range — through MoveBound's live transfer
+// protocol — to the cooler server on the other side of a partition
+// bound. No server-side coordinator exists: any client (or the
+// pequod-cli rebalance subcommand) drives it one RebalanceTick at a
+// time, and concurrent coordinators serialize through map version
+// conflicts.
 
 import (
 	"context"
@@ -18,7 +19,7 @@ import (
 	"pequod/internal/partition"
 )
 
-// Rebalance is the rebalancing knob set, shared with the shard pool.
+// Rebalance is the rebalancing knob set.
 type Rebalance = partition.Rebalance
 
 // rebState is the cluster rebalancer's bookkeeping. Load history is
@@ -28,7 +29,7 @@ type Rebalance = partition.Rebalance
 type rebState struct {
 	mu         sync.Mutex
 	cfg        Rebalance
-	bal        partition.Balancer[string]
+	bal        partition.Balancer
 	migrations int64
 }
 

@@ -2,29 +2,23 @@ package core
 
 // Live range migration, the engine's share (DESIGN.md "Moving a range"):
 // ExtractRange pulls one key range's state out of an engine and
-// SpliceRange folds it into another — a neighboring shard, or a shard
-// of another server — so a partition boundary can move without a
-// stop-the-world rebuild. The contract divides an engine's state in a
-// range into three kinds, each handled differently:
+// SpliceRange folds it into another server's, so a partition boundary
+// can move without a stop-the-world rebuild. The contract divides an
+// engine's state in a range into two kinds, each handled differently:
 //
-//   - Owned rows — tables that are neither replicated join sources nor
-//     loader-backed (plain client data, including hand-written rows in
-//     output tables). These exist only at the owner and move physically.
+//   - Rows — plain client data, hand-written rows in output tables, and
+//     loader-backed rows alike. A range leaves a server only from its
+//     home, so every stored row in it is the authoritative copy and
+//     moves physically.
 //
-//   - Replicated rows — join source tables forwarded to every shard.
-//     Both sides already hold them; ownership flips in the partition map
-//     and nothing moves (the pool's keep predicate excludes them — a
-//     range leaving the process has no such tables: everything moves).
-//
-//   - Derived and loader-backed state — computed join ranges (statuses +
-//     outputs) and presence-tracked base ranges. These are caches over
-//     data that survives elsewhere (sibling replicas, the backing
-//     database, a remote home server), so migration drops them with
-//     eviction semantics (§2.5: evicting cached ranges is always safe,
-//     notified as OpEvict so subscribers and siblings keep their copies)
-//     and the destination recomputes or reloads on demand. The ranges
-//     that were materialized and valid at the source are recorded in
-//     RangeState.Warm so the destination can recompute them eagerly
+//   - Derived state — computed join ranges (statuses + outputs) and the
+//     residency records of loader-backed tables. Computed ranges are
+//     dropped with eviction semantics (§2.5: evicting cached ranges is
+//     always safe, notified as OpEvict so subscribers keep their copies)
+//     and the destination recomputes them; residency is clipped, and the
+//     destination re-marks it through its own loader. The computed
+//     ranges that were materialized and valid at the source are recorded
+//     in RangeState.Warm so the destination can recompute them eagerly
 //     during the splice — hot ranges arrive hot, they are not re-derived
 //     from a cold start by the first unlucky reader.
 //
@@ -37,79 +31,37 @@ import (
 )
 
 // WarmRange records one previously-valid computed range: Join indexes
-// the engine's installed joins (identical order on every shard — the
-// pool installs join texts in lockstep).
+// the engine's installed joins (identical order on every member — the
+// cluster installs join texts in lockstep).
 type WarmRange struct {
 	Join int
 	R    keys.Range
-}
-
-// PresenceRange records one evicted loader-backed range, for stats and
-// tests.
-type PresenceRange struct {
-	Table string
-	R     keys.Range
 }
 
 // RangeState is the extracted state of one key range, produced by
 // ExtractRange and consumed by SpliceRange on the destination engine.
 type RangeState struct {
 	R    keys.Range
-	KVs  []KV        // physically moved owned rows
+	KVs  []KV        // physically moved rows
 	Warm []WarmRange // computed coverage to rebuild eagerly at the destination
-
-	// EvictedPresence lists the loader-backed ranges dropped at the
-	// source; the destination loads its own (per-shard subscriptions and
-	// write-around feeds are wired per engine, so residency metadata
-	// cannot transfer with its freshness guarantees).
-	EvictedPresence []PresenceRange
 }
 
 // ExtractRange removes range r's state from the engine and returns the
 // portion a destination engine needs: computed coverage is dropped and
-// reported as Warm, presence records are clipped, and owned rows are cut
-// out silently (no change notification, no updater cascade: the data is
-// moving, not being deleted; dependent computed ranges are invalidated
-// so they recompute against post-migration state).
-//
-// keep reports tables whose rows are replicated on every shard of the
-// pool (its forwarded source set): an in-process move leaves those in
-// place, and evicts loader-backed rows — a cache over a remote home or a
-// backing database that the destination shard reloads through its own
-// subscriptions. A nil keep means the range leaves this process: the
-// extracting server IS its home — in a symmetric mesh its own tables are
-// presence-tracked too — so every row in r is the authoritative copy and
-// moves. The destination re-marks residency through its own loader
+// reported as Warm, presence records are clipped, and every row in r is
+// cut out silently (no change notification, no updater cascade: the data
+// is moving, not being deleted; dependent computed ranges are
+// invalidated so they recompute against post-migration state). The
+// extracting server is the range's home — in a symmetric mesh its own
+// tables are presence-tracked too — so every row is the authoritative
+// copy. The destination re-marks residency through its own loader
 // (self-owned pieces mark without fetching).
-func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool) RangeState {
+func (e *Engine) ExtractRange(r keys.Range) RangeState {
 	rs := RangeState{R: r, Warm: e.dropComputed(r)}
-	e.clipPresence(r, func(table string, cut keys.Range) {
-		rs.EvictedPresence = append(rs.EvictedPresence, PresenceRange{Table: table, R: cut})
-		if keep != nil {
-			e.evictRows(cut, false)
-		}
-	})
-	move := func(k string, v *store.Value) {
+	e.clipPresence(r)
+	e.s.RemoveRange(r.Lo, r.Hi, func(k string, v *store.Value) {
 		rs.KVs = append(rs.KVs, KV{Key: k, Value: v.String()})
 		e.invalidateDependents(k)
-	}
-	if keep == nil {
-		e.s.RemoveRange(r.Lo, r.Hi, move)
-		return rs
-	}
-	e.s.Tables(func(t *store.Table) bool {
-		name := t.Name()
-		if keep(name) || e.presence[name] != nil {
-			return true
-		}
-		// A table's keys are its bare name and everything under "name|";
-		// a wider cut would reach into tables whose names extend it.
-		for _, piece := range []keys.Range{{Lo: name, Hi: name + "\x00"}, keys.RangeOf(name)} {
-			if piece = piece.Intersect(r); !piece.Empty() {
-				e.s.RemoveRange(piece.Lo, piece.Hi, move)
-			}
-		}
-		return true
 	})
 	return rs
 }
@@ -120,7 +72,7 @@ func (e *Engine) ExtractRange(r keys.Range, keep func(table string) bool) RangeS
 // now the authority and stale local replicas must not shadow them — then
 // the moved rows are installed silently, and the source's previously
 // valid computed coverage is rebuilt eagerly from this engine's own
-// replicated sources so the range arrives warm.
+// sources so the range arrives warm.
 func (e *Engine) SpliceRange(rs RangeState) {
 	e.dropComputed(rs.R)
 	for _, kv := range rs.KVs {
@@ -170,7 +122,7 @@ func (e *Engine) RestoreRange(rs RangeState) {
 // The next read re-loads from, and re-subscribes at, the new owner.
 func (e *Engine) DropRange(r keys.Range) {
 	e.dropComputed(r)
-	e.clipPresence(r, nil)
+	e.clipPresence(r)
 	e.evictRows(r, true)
 }
 
@@ -193,15 +145,15 @@ func (e *Engine) dropComputed(r keys.Range) []WarmRange {
 	return warm
 }
 
-// clipPresence retires the residency of loader-backed tables inside r,
-// calling each (if non-nil) with every cut it makes. A resident record
-// is clipped to its sides outside r and the dependents of the cut are
-// invalidated; rows are the caller's to evict or move. A record still
-// loading is dropped whole (LoadComplete matches ranges exactly; a
-// clipped record would never be marked resident): the late result is
-// discarded, and the reads parked on the load retry — re-routing if the
-// range moved — and refetch whatever the post-migration owner needs.
-func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Range)) {
+// clipPresence retires the residency of loader-backed tables inside r.
+// A resident record is clipped to its sides outside r and the
+// dependents of the cut are invalidated; rows are the caller's to evict
+// or move. A record still loading is dropped whole (LoadComplete matches
+// ranges exactly; a clipped record would never be marked resident): the
+// late result is discarded, and the reads parked on the load retry —
+// bouncing if the range left the server — and refetch whatever the
+// post-migration owner needs.
+func (e *Engine) clipPresence(r keys.Range) {
 	for table, pt := range e.presence {
 		rr := r.Intersect(keys.Range{Lo: table, Hi: keys.RangeEnd(table)})
 		if rr.Empty() {
@@ -227,9 +179,6 @@ func (e *Engine) clipPresence(r keys.Range, each func(table string, cut keys.Ran
 					e.presTouch(np)
 				}
 				e.invalidateRangeDependents(table, cut)
-			}
-			if each != nil {
-				each(table, cut)
 			}
 			return false
 		}, nil)

@@ -11,9 +11,6 @@ import (
 	"pequod/internal/store"
 )
 
-// ownAll is the keep predicate of a pool with no replicated tables.
-func ownAll(string) bool { return false }
-
 // TestExtractSpliceMovesOwnedRows: plain rows inside the range move to
 // the destination; rows outside stay; nothing is notified as a logical
 // removal.
@@ -26,7 +23,7 @@ func TestExtractSpliceMovesOwnedRows(t *testing.T) {
 	src.Put("a|9", "v9")
 	changes = nil
 
-	rs := src.ExtractRange(keys.Range{Lo: "a|3", Hi: "a|7"}, ownAll)
+	rs := src.ExtractRange(keys.Range{Lo: "a|3", Hi: "a|7"})
 	if len(rs.KVs) != 1 || rs.KVs[0] != (KV{Key: "a|5", Value: "v5"}) {
 		t.Fatalf("extracted %v", rs.KVs)
 	}
@@ -68,9 +65,7 @@ func TestExtractDropsComputedAndRecordsWarm(t *testing.T) {
 			removes++
 		}
 	})
-	rs := src.ExtractRange(keys.Range{Lo: "t|", Hi: "t}"}, func(table string) bool {
-		return table == "s" || table == "p" // the pool's forwarded sources
-	})
+	rs := src.ExtractRange(keys.Range{Lo: "t|", Hi: "t}"})
 	if len(rs.Warm) != 1 || rs.Warm[0].Join != 0 {
 		t.Fatalf("warm ranges = %+v", rs.Warm)
 	}
@@ -81,14 +76,14 @@ func TestExtractDropsComputedAndRecordsWarm(t *testing.T) {
 		t.Fatalf("drop notified evicts=%d removes=%d", evicts, removes)
 	}
 	if got := scanKeys(t, src, "p|", "p}"); len(got) != 1 {
-		t.Fatalf("replicated source rows left the source: %v", got)
+		t.Fatalf("source rows outside the range left the source: %v", got)
 	}
 	if n := src.LRULen(); n != 0 {
 		t.Fatalf("status still tracked after extraction: LRULen=%d", n)
 	}
 
-	// A destination holding the same replicated sources rebuilds the
-	// warm coverage during the splice: the first read is already warm.
+	// A destination holding the same sources rebuilds the warm coverage
+	// during the splice: the first read is already warm.
 	dst := newTwipEngine(t, Options{})
 	dst.Put("s|ann|bob", "1")
 	dst.Put("p|bob|100", "Hi")
@@ -98,46 +93,6 @@ func TestExtractDropsComputedAndRecordsWarm(t *testing.T) {
 	wantKeys(t, got, "t|ann|100|bob")
 	if dst.Stats().JoinExecs != execs {
 		t.Fatal("read after warm splice re-executed the join")
-	}
-}
-
-// TestExtractClipsPresence: a resident loader-backed range straddling
-// the migrated range is clipped — the evicted middle reloads on demand,
-// the survivors stay resident — and rows under it are evicted, not
-// moved.
-func TestExtractClipsPresence(t *testing.T) {
-	e := New(Options{})
-	ld := &recordingLoader{}
-	e.SetLoader(ld, "x")
-	e.Scan("x|a", "x|z", 0) // one gap load for [x|a, x|z)
-	if len(ld.loads) != 1 {
-		t.Fatalf("loads = %v", ld.loads)
-	}
-	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
-
-	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "x|p"}, ownAll)
-	if len(rs.KVs) != 0 {
-		t.Fatalf("loader-backed rows captured as owned: %v", rs.KVs)
-	}
-	if len(rs.EvictedPresence) != 1 || rs.EvictedPresence[0].R != (keys.Range{Lo: "x|g", Hi: "x|p"}) {
-		t.Fatalf("evicted presence = %+v", rs.EvictedPresence)
-	}
-	if _, ok := e.Store().Get("x|m"); ok {
-		t.Fatal("row inside the migrated range survived")
-	}
-	for _, k := range []string{"x|b", "x|y"} {
-		if _, ok := e.Store().Get(k); !ok {
-			t.Fatalf("row %q under a surviving presence clip was evicted", k)
-		}
-	}
-	// Reads over the survivors stay resident (no new load); the evicted
-	// middle triggers a reload.
-	ld.loads = nil
-	if _, pending := e.Scan("x|a", "x|g", 0); pending != 0 || len(ld.loads) != 0 {
-		t.Fatalf("left clip not resident: pending=%d loads=%v", pending, ld.loads)
-	}
-	if _, pending := e.Scan("x|g", "x|p", 0); pending != 1 || len(ld.loads) != 1 {
-		t.Fatalf("evicted middle did not reload: loads=%v", ld.loads)
 	}
 }
 
@@ -156,42 +111,67 @@ func (l *recordingLoader) StartLoads(loads []Load) {
 	}
 }
 
-// TestExtractMovePresence: with a nil keep (cluster migration — the
-// extracting server is the range's home), loader-backed rows inside the
-// range are captured and moved instead of evicted, and presence records
-// are still clipped.
+// TestExtractMovePresence: the extracting server is the range's home, so
+// loader-backed rows inside the range are captured and moved like plain
+// owned rows, and presence records are clipped — a record straddling
+// the range keeps both sides resident, and the cut middle reloads.
 func TestExtractMovePresence(t *testing.T) {
 	e := New(Options{})
 	ld := &recordingLoader{}
 	e.SetLoader(ld, "x")
-	e.Scan("x|a", "x|z", 0)
-	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
-	e.Put("y|m", "owned") // a plain owned row in the same range
-
-	rs := e.ExtractRange(keys.Range{Lo: "x|g", Hi: "y}"}, nil)
-	want := map[string]string{"x|m": "2", "x|y": "3", "y|m": "owned"}
-	if len(rs.KVs) != len(want) {
-		t.Fatalf("extracted %v, want %v", rs.KVs, want)
+	e.Scan("x|a", "x|z", 0) // one gap load for [x|a, x|z)
+	if len(ld.loads) != 1 {
+		t.Fatalf("loads = %v", ld.loads)
 	}
-	for _, kv := range rs.KVs {
-		if want[kv.Key] != kv.Value {
+	land(e, "x", ld.loads[0], []KV{{"x|b", "1"}, {"x|m", "2"}, {"x|y", "3"}})
+	e.Put("y|m", "owned") // a plain owned row past the loader-backed table
+
+	moved := func(rs RangeState, want map[string]string) {
+		t.Helper()
+		if len(rs.KVs) != len(want) {
 			t.Fatalf("extracted %v, want %v", rs.KVs, want)
 		}
-	}
-	for k := range want {
-		if _, ok := e.Store().Get(k); ok {
-			t.Fatalf("moved row %q still at source", k)
+		for _, kv := range rs.KVs {
+			if want[kv.Key] != kv.Value {
+				t.Fatalf("extracted %v, want %v", rs.KVs, want)
+			}
+		}
+		for k := range want {
+			if _, ok := e.Store().Get(k); ok {
+				t.Fatalf("moved row %q still at source", k)
+			}
 		}
 	}
+	// A cut inside the record: its row moves, the rows under both
+	// surviving sides stay, both sides stay resident (no new load), and
+	// the cut middle reloads.
+	moved(e.ExtractRange(keys.Range{Lo: "x|g", Hi: "x|p"}), map[string]string{"x|m": "2"})
+	for _, k := range []string{"x|b", "x|y"} {
+		if _, ok := e.Store().Get(k); !ok {
+			t.Fatalf("row %q under a surviving presence clip left the source", k)
+		}
+	}
+	ld.loads = nil
+	for _, side := range []keys.Range{{Lo: "x|a", Hi: "x|g"}, {Lo: "x|p", Hi: "x|z"}} {
+		if _, pending := e.Scan(side.Lo, side.Hi, 0); pending != 0 || len(ld.loads) != 0 {
+			t.Fatalf("clip %v not resident: pending=%d loads=%v", side, pending, ld.loads)
+		}
+	}
+	if _, pending := e.Scan("x|g", "x|p", 0); pending != 1 || len(ld.loads) != 1 {
+		t.Fatalf("cut middle did not reload: loads=%v", ld.loads)
+	}
+
+	// A cut from inside the record past the table: the loader-backed row
+	// and the plain row both move; the left side stays resident.
+	moved(e.ExtractRange(keys.Range{Lo: "x|p", Hi: "y}"}), map[string]string{"x|y": "3", "y|m": "owned"})
 	if _, ok := e.Store().Get("x|b"); !ok {
 		t.Fatal("row outside the range left the source")
 	}
-	// The clipped left side stays resident; the extracted side reloads.
 	ld.loads = nil
 	if _, pending := e.Scan("x|a", "x|g", 0); pending != 0 || len(ld.loads) != 0 {
 		t.Fatalf("left clip not resident: loads=%v", ld.loads)
 	}
-	if _, pending := e.Scan("x|g", "x|o", 0); pending != 1 {
+	if _, pending := e.Scan("x|p", "x|z", 0); pending != 1 {
 		t.Fatal("extracted side did not reload")
 	}
 }
@@ -335,7 +315,7 @@ func dumpEngine(e *Engine) string {
 
 // TestExtractEqualsDropPlusRows pins the primitives ExtractRange and
 // DropRange are both built from: over random join sets, rows, presence
-// records and in-flight loads, ExtractRange(r, nil) on one engine and
+// records and in-flight loads, ExtractRange(r) on one engine and
 // DropRange(r) on its twin leave identical statuses, presence records,
 // LRU length and store contents — extraction is a drop that hands back
 // the rows (and the warm coverage) instead of evicting them.
@@ -430,7 +410,7 @@ func TestExtractEqualsDropPlusRows(t *testing.T) {
 			inside = append(inside, KV{k, v.String()})
 			return true
 		})
-		rs := ex.ExtractRange(r, nil)
+		rs := ex.ExtractRange(r)
 		dr.DropRange(r)
 		if a, b := dumpEngine(ex), dumpEngine(dr); a != b {
 			t.Fatalf("seed %d, range %v: extract and drop disagree:\nextract left\n%s\ndrop left\n%s", seed, r, a, b)

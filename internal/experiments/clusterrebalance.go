@@ -25,16 +25,16 @@ type ClusterRebalanceRow struct {
 }
 
 // ClusterRebalance measures what client-driven cluster rebalancing buys
-// under skew — the cross-server twin of RebalanceScale. Four networked
-// servers are partitioned with the worst realistic bounds (every real
-// key lands on the last member); a Zipf-skewed closed-loop timeline-
-// check stream hammers the cluster with rebalancing off, then on. The
-// static cluster funnels every check through one server; the rebalancer
-// polls per-server load through the stat RPC, migrates hot timeline
-// ranges live between servers (ExtractRange/SpliceRange/MapUpdate on
-// the wire) under the same traffic, and the hottest server's served
-// share — near 100% statically — drops toward 1/members. Timelines are
-// verified byte-identical to a reference before anything is timed.
+// under skew. Four networked servers are partitioned with the worst
+// realistic bounds (every real key lands on the last member); a
+// Zipf-skewed closed-loop timeline-check stream hammers the cluster with
+// rebalancing off, then on. The static cluster funnels every check
+// through one server; the rebalancer polls per-server load through the
+// stat RPC, migrates hot timeline ranges live between servers
+// (ExtractRange/SpliceRange/MapUpdate on the wire) under the same
+// traffic, and the hottest server's served share — near 100% statically
+// — drops toward 1/members. Timelines are verified byte-identical to a
+// reference before anything is timed.
 func ClusterRebalance(sc Scale, out io.Writer) ([]ClusterRebalanceRow, error) {
 	const nServers = 4
 	users := sc.Users
@@ -80,9 +80,7 @@ func ClusterRebalance(sc Scale, out io.Writer) ([]ClusterRebalanceRow, error) {
 			return nil, err
 		}
 		if reb {
-			cl.SetRebalanceConfig(pcluster.Rebalance{
-				Interval: 3 * time.Millisecond, Ratio: 1.25, MinOps: 64,
-			})
+			cl.SetRebalanceConfig(pcluster.Rebalance{Ratio: 1.25, MinOps: 64})
 			// Adaptation phase: serve the skewed stream and tick the
 			// rebalancer until it stops moving ranges (the quiet window
 			// outlasts the post-migration cooldown).
@@ -202,6 +200,23 @@ func driveClusterChecks(ctx context.Context, cl *pcluster.Cluster, users []int32
 	}
 	wg.Wait()
 	return time.Since(start)
+}
+
+// hotUnitShare returns the hottest member's fraction of the load served
+// between two cumulative load snapshots.
+func hotUnitShare(before, after []float64) float64 {
+	total, hot := 0.0, 0.0
+	for i := range after {
+		d := after[i] - before[i]
+		total += d
+		if d > hot {
+			hot = d
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return hot / total
 }
 
 // unitsOf projects member loads onto the float slice hotUnitShare wants.

@@ -83,13 +83,7 @@ func warmShardPool(g *twip.Graph, posts []twip.Op, n int) (*shard.Pool, error) {
 	if n > 1 {
 		bounds = partition.UserBounds(n, g.Users, 7, "u", "t")
 	}
-	return warmPool(g, posts, shard.Config{Shards: n, Bounds: bounds})
-}
-
-// warmPool is warmShardPool for any shard configuration (the rebalance
-// experiment passes deliberately bad bounds plus a rebalancer).
-func warmPool(g *twip.Graph, posts []twip.Op, cfg shard.Config) (*shard.Pool, error) {
-	p, err := shard.New(cfg)
+	p, err := shard.New(shard.Config{Shards: n, Bounds: bounds})
 	if err != nil {
 		return nil, err
 	}

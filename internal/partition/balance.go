@@ -1,19 +1,11 @@
 package partition
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
-// Rebalance configures load-aware rebalancing. The shard pool (owners =
-// shards, moves = in-process migrations) and the cluster client (owners
-// = member servers, moves = server-to-server transfers) take the same
-// knobs and run the same policy, Balancer.
+// Rebalance configures load-aware rebalancing of a cluster's member
+// servers: the knobs of Balancer, the policy the cluster client runs.
+// How often a sample is taken is its caller's pacing, not a knob.
 type Rebalance struct {
-	// Interval between load samples / rebalance decisions, for drivers
-	// that tick on a clock (the shard pool's background loop).
-	// Default 100ms.
-	Interval time.Duration
 	// Ratio is how far above the mean per-owner load the hottest owner
 	// must run before a move triggers. Default 1.5.
 	Ratio float64
@@ -25,9 +17,6 @@ type Rebalance struct {
 
 // WithDefaults fills unset knobs.
 func (r Rebalance) WithDefaults() Rebalance {
-	if r.Interval <= 0 {
-		r.Interval = 100 * time.Millisecond
-	}
 	if r.Ratio <= 1 {
 		r.Ratio = 1.5
 	}
@@ -53,25 +42,25 @@ const (
 	minSamples = 16
 )
 
-// Balancer is the rebalancing policy: fed each owner's cumulative load
+// Balancer is the rebalancing policy: fed each member's cumulative load
 // once per sample, it keeps an EWMA of the per-sample deltas and, when
-// one owner runs persistently hot, names the partition bound to move
-// and where to. ID identifies an owner across samples — a shard index,
-// a member address — so history survives owner indexes shifting under a
-// membership change. Not safe for concurrent use.
-type Balancer[ID comparable] struct {
-	ewma      map[ID]float64
-	last      map[ID]int64 // previous cumulative units
+// one member runs persistently hot, names the partition bound to move
+// and where to. Members are identified by address across samples, so
+// history survives owner indexes shifting under a membership change.
+// Not safe for concurrent use.
+type Balancer struct {
+	ewma      map[string]float64
+	last      map[string]int64 // previous cumulative units
 	hotStreak int
 	cooldown  int
 }
 
-// Load returns id's current load average (zero for an unknown owner).
-func (b *Balancer[ID]) Load(id ID) float64 { return b.ewma[id] }
+// Load returns id's current load average (zero for an unknown member).
+func (b *Balancer) Load(id string) float64 { return b.ewma[id] }
 
 // Moved tells the balancer the move Decide named was executed: the hot
 // streak resets and the cooldown starts.
-func (b *Balancer[ID]) Moved() {
+func (b *Balancer) Moved() {
 	b.hotStreak = 0
 	b.cooldown = cooldownSamples
 }
@@ -83,16 +72,16 @@ func (b *Balancer[ID]) Moved() {
 // of the identity found hot. An identity seen for the first time primes
 // at zero load (its counter is cumulative, not a delta), one no longer
 // in owners is forgotten.
-func (b *Balancer[ID]) Decide(cfg Rebalance, m *Map, owners []ID, units map[ID]int64, samples func(ID) []string) (i int, key string, ok bool) {
+func (b *Balancer) Decide(cfg Rebalance, m *Map, owners []string, units map[string]int64, samples func(string) []string) (i int, key string, ok bool) {
 	cfg = cfg.WithDefaults()
 	if b.ewma == nil {
-		b.ewma = make(map[ID]float64)
-		b.last = make(map[ID]int64)
+		b.ewma = make(map[string]float64)
+		b.last = make(map[string]int64)
 	}
 	var raw int64
-	var hot ID
+	var hot string
 	total, n := 0.0, 0
-	current := make(map[ID]bool, len(owners))
+	current := make(map[string]bool, len(owners))
 	for _, id := range owners {
 		if current[id] {
 			continue

@@ -9,7 +9,7 @@ import (
 // the test bumps by per-sample deltas, and a fixed sample set per owner.
 type balRig struct {
 	t       *testing.T
-	b       Balancer[string]
+	b       Balancer
 	cfg     Rebalance
 	m       *Map
 	owners  []string

@@ -6,13 +6,14 @@
 //
 // The central type is Map: an immutable assignment of contiguous key
 // ranges to owner indexes (shards in a pool, servers in a cluster),
-// carrying an (epoch, version) position in a total order. Rebalancing
+// carrying an (epoch, version) position in a total order. A pool's Map
+// is fixed when the pool is built; a cluster's changes. Rebalancing
 // never mutates a Map; it derives a successor through MoveBound — or,
 // for membership changes, InsertBound (a joining server splits an
 // owner's range) and RemoveBound (a draining server's range merges into
 // a neighbor's) — one version higher, and publishes it atomically.
-// Concurrent readers holding the old Map detect that ownership moved on
-// by re-validating (Owner, OwnsRange) against the current one.
+// Members holding the old Map detect that ownership moved on by
+// checking their View (Owns, OwnsRange) under the lock they serve from.
 //
 // # Epochs
 //
@@ -25,8 +26,8 @@
 // one winner, members and clients adopt strictly-newer maps only, and
 // the loser's transfer fails with a version conflict it recovers from
 // by adopting and re-deriving. Epoch 0 is the unversioned initial epoch
-// every deployment starts from; the in-process shard pool, which has a
-// single coordinator by construction, stays at epoch 0 forever.
+// every deployment starts from, and where a shard pool's fixed Map
+// stays.
 //
 // Diff reports the ranges that changed owner index between two
 // same-shape generations. Every key is owned by exactly one range under
@@ -50,8 +51,7 @@
 //
 // Which bound to move, and when, is decided in one place (balance.go):
 // Balancer is the load-aware rebalancing policy — EWMA over cumulative
-// per-owner load, idle floor, hot-streak and cooldown hysteresis,
-// coolest-neighbor choice, load-weighted quantile split — that both the
-// shard pool (owners = shards) and the cluster client (owners = member
-// servers) run, each executing the named move with its own MoveBound.
+// per-member load, idle floor, hot-streak and cooldown hysteresis,
+// coolest-neighbor choice, load-weighted quantile split — that the
+// cluster client runs, executing the named move with Cluster.MoveBound.
 package partition

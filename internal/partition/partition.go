@@ -16,10 +16,10 @@ import (
 //
 // A Map is immutable. Rebalancing produces successor Maps through
 // MoveBound (and membership changes through InsertBound/RemoveBound),
-// each carrying a version one higher than its parent, so concurrent
-// readers holding an old Map can detect that ownership has moved on
-// (the shard pool's live migration swaps Maps atomically and
-// re-validates ownership under shard locks).
+// each carrying a version one higher than its parent, so a member or
+// client holding an old Map can detect that ownership has moved on (a
+// member's View is checked under the lock it serves from). A shard
+// pool's Map never changes.
 //
 // Maps are totally ordered by (epoch, version). The version counter
 // orders one coordinator's successive maps; the epoch orders maps from
@@ -216,19 +216,6 @@ func (m *Map) Owner(key string) int {
 		}
 	}
 	return lo
-}
-
-// OwnsRange reports whether server owner holds every key of r — the
-// shard pool's post-lock validation that a scan piece computed against
-// an older Map is still wholly served by the locked shard.
-func (m *Map) OwnsRange(owner int, r keys.Range) bool {
-	if m.Owner(r.Lo) != owner {
-		return false
-	}
-	if owner == len(m.bounds) {
-		return true // last server: owns up to +inf
-	}
-	return r.Hi != "" && r.Hi <= m.bounds[owner]
 }
 
 // Shard is one piece of a range split across owners.

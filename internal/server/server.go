@@ -350,7 +350,7 @@ func (s *Server) statJSON() string {
 	snap := client.StatSnapshot{
 		Name: s.name, ID: s.id, Shards: s.pool.NumShards(), Entries: s.pool.Len(),
 		Bytes: s.pool.Bytes(), Stats: st,
-		Rebalance: s.pool.RebalanceStats(), Load: s.pool.LoadInfo(),
+		Rebalance: s.pool.MigrationStats(), Load: s.pool.LoadInfo(),
 		Staleness: client.StaleStat{
 			DebtSpans:  spans,
 			DebtOldUS:  oldest.Microseconds(),

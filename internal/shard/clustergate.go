@@ -1,14 +1,14 @@
 package shard
 
 // Cluster-level live migration, the pool-side half of moving a key range
-// between *servers* (between shards of one pool it is rebalance.go);
-// internal/cluster/migrate.go tells the protocol once, DESIGN.md "Moving
-// a range" says what each layer adds, and DESIGN.md "Membership &
-// epochs" says what a view is and how its holders advance. This layer
+// between servers — the only way load moves (a pool's shard map is fixed
+// at New); internal/cluster/migrate.go tells the protocol once, DESIGN.md
+// "Moving a range" says what each layer adds, and DESIGN.md "Membership
+// & epochs" says what a view is and how its holders advance. This layer
 // adds the gate: the pool's *partition.View, checked by every routed
-// operation under the shard lock it already holds, exactly the way it
-// re-validates the shard map. An operation whose range has migrated away
-// fails with *partition.NotOwnerError carrying the gate. Only a server
+// operation under the shard lock it already holds. An operation whose
+// range has migrated away fails with *partition.NotOwnerError carrying
+// the gate. Only a server
 // member holds a gate, and a member is one engine (Pool.member), so the
 // three swaps below — extract (direct successor), splice and map update
 // (strictly newer) — replace the gate under that engine's lock before
@@ -82,14 +82,13 @@ func (p *Pool) ExtractClusterRange(r keys.Range, next *partition.View) (core.Ran
 	// after us re-validates against this gate and bounces.
 	p.gate.Store(next)
 
-	// Nothing is kept: the range is leaving this server entirely.
-	rs := sh.e.ExtractRange(r, nil)
+	rs := sh.e.ExtractRange(r)
 	// Retain a copy until a published map shows the destination serving
 	// the range: the extracted rows otherwise live only in the
 	// coordinator's memory between extract and splice.
 	p.addRetained(retainedEntry{rs: rs, at: next, dst: next.OwnerAddr(r.Lo), confirmable: true})
-	p.reb.migrations++
-	p.reb.keysMoved += int64(len(rs.KVs))
+	p.mig.Migrations++
+	p.mig.KeysMoved += int64(len(rs.KVs))
 	return rs, nil
 }
 
@@ -140,8 +139,8 @@ func (p *Pool) SpliceClusterRange(rs core.RangeState, next *partition.View) erro
 	// are obsolete, and the new map may confirm (or return) others.
 	p.dropRetainedOverlapping(rs.R)
 	p.reconcileRetained(sh, next)
-	p.reb.migrations++
-	p.reb.warmMoved += int64(len(rs.Warm))
+	p.mig.Migrations++
+	p.mig.WarmMoved += int64(len(rs.Warm))
 	return nil
 }
 
@@ -207,7 +206,7 @@ func (p *Pool) applyDiffsLocked(sh *Shard, old, ng *partition.View, exclude *key
 			// Lost without an extraction: a newer map overruled a local
 			// move. Keep the rows recoverable instead of destroying the
 			// only copy.
-			rs := sh.e.ExtractRange(d, nil)
+			rs := sh.e.ExtractRange(d)
 			if len(rs.KVs) > 0 || len(rs.Warm) > 0 {
 				p.addRetained(retainedEntry{rs: rs, at: ng, dst: ng.OwnerAddr(d.Lo)})
 			}
@@ -339,4 +338,33 @@ func (p *Pool) LoadInfo() LoadInfo {
 		li.Samples = append(li.Samples, sh.sampleKeys()...)
 	}
 	return li
+}
+
+// sampleKeys snapshots the shard's ring of recently served keys.
+func (sh *Shard) sampleKeys() []string {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []string
+	for _, k := range sh.samples {
+		if k != "" {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// MigrationStats counts the cluster migrations a member took part in:
+// extractions it served as the source, splices it took as the
+// destination, and what moved through them.
+type MigrationStats struct {
+	Migrations int64 `json:"migrations"` // extractions plus splices
+	KeysMoved  int64 `json:"keys_moved"` // rows extracted from this member
+	WarmMoved  int64 `json:"warm_moved"` // computed ranges spliced in to rebuild warm
+}
+
+// MigrationStats returns the member's migration counters.
+func (p *Pool) MigrationStats() MigrationStats {
+	p.imu.Lock()
+	defer p.imu.Unlock()
+	return p.mig
 }

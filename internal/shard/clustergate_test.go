@@ -75,12 +75,21 @@ func TestGateEpochTieBreak(t *testing.T) {
 
 // TestRetainedExtractionLifecycle: extracted rows are retained until a
 // published map confirms the destination serves them; a map that hands
-// the range back without a splice restores them instead.
+// the range back without a splice restores them instead. Each side of a
+// transfer counts it in the stat's migration block.
 func TestRetainedExtractionLifecycle(t *testing.T) {
+	const copyJoin = "c|<x> = copy a|<x>" // output inside [b0, m), source below it
 	peers := []string{"a:1", "a:2"}
 	p := gatedPool(t, 0, peers)
+	if err := p.InstallText(copyJoin); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		p.Put(fmt.Sprintf("b%d", i), fmt.Sprintf("v%d", i))
+	}
+	p.Put("a|1", "x")
+	if n := p.Count("c|", "c}"); n != 1 { // a computed range to arrive warm
+		t.Fatalf("computed %d rows", n)
 	}
 	// Extract [b0, m): the rows leave the engine but a copy is retained.
 	next := viewAt(t, 5, 1, "b0", peers, 0)
@@ -88,11 +97,31 @@ func TestRetainedExtractionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.KVs) != 5 {
-		t.Fatalf("extracted %d rows", len(rs.KVs))
+	if len(rs.KVs) != 5 || len(rs.Warm) != 1 {
+		t.Fatalf("extracted %d rows and %d warm ranges", len(rs.KVs), len(rs.Warm))
 	}
 	if st := p.RetainedStats(); st.Entries != 1 || st.Rows != 5 {
 		t.Fatalf("retained stats after extract = %+v", st)
+	}
+	// The destination splices it: one migration on each side, the rows
+	// counted where they left, the warm ranges where they were rebuilt.
+	dst := gatedPool(t, 1, peers)
+	if err := dst.InstallText(copyJoin); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.SpliceClusterRange(rs, viewAt(t, 5, 1, "b0", peers, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		side      string
+		got, want MigrationStats
+	}{
+		{"source", p.MigrationStats(), MigrationStats{Migrations: 1, KeysMoved: int64(len(rs.KVs))}},
+		{"destination", dst.MigrationStats(), MigrationStats{Migrations: 1, WarmMoved: int64(len(rs.Warm))}},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s migration stats = %+v, want %+v", c.side, c.got, c.want)
+		}
 	}
 	// Republishing the exact map (the coordinator's post-splice publish)
 	// confirms and drops the copy.

@@ -24,19 +24,15 @@
 //
 // A pool plays one of two roles, never both:
 //
-//   - An embedded Cache may run many engines. Per-shard load accounting
-//     feeds a rebalancer goroutine (rebalance.go; policy:
-//     partition.Balancer) that migrates hot key ranges live between
-//     neighboring shards (Pool.MoveBound), publishing a versioned
-//     successor partition.Map. Every routed operation re-validates
-//     shard ownership under the shard lock it holds (Pool.step,
-//     lockOwner).
+//   - An embedded Cache may run many engines. Its partition.Map is fixed
+//     at New, so a key's shard, looked up before its lock is taken, is
+//     still its owner once the lock is held (Pool.step, lockOwner).
 //   - A server member is one engine: more cores means more members,
-//     which the cluster adds, drains and rebalances live. Only a member
-//     has a cluster gate (clustergate.go: the cluster's partition.View,
-//     re-validated under the same lock, makes server-to-server migration
-//     loss-free — DESIGN.md "The versioned cluster map and the
-//     ownership gate"), §3.3 loaders, peer and replica feeds, or a
-//     durable store, and those entry points panic on a multi-engine
-//     pool (Pool.member).
+//     which the cluster adds, drains and rebalances live — the only
+//     place load moves. Only a member has a cluster gate
+//     (clustergate.go: the cluster's partition.View, checked under the
+//     shard lock, makes server-to-server migration loss-free — DESIGN.md
+//     "The versioned cluster map and the ownership gate"), §3.3
+//     loaders, peer and replica feeds, or a durable store, and those
+//     entry points panic on a multi-engine pool (Pool.member).
 package shard

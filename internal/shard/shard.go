@@ -35,10 +35,6 @@ type Config struct {
 	// Engine holds per-engine options. A MemLimit is divided evenly
 	// across the shards so the configured total is preserved.
 	Engine core.Options
-	// Rebalance, when non-nil, runs the load-aware rebalancer: per-shard
-	// load is sampled into an EWMA and hot ranges migrate live between
-	// neighboring shards (rebalance.go). Ignored for single-shard pools.
-	Rebalance *Rebalance
 }
 
 // DefaultBounds returns n-1 split points dividing the 16-bit key-prefix
@@ -55,27 +51,23 @@ func DefaultBounds(n int) []string {
 
 // Pool is a set of partitioned engines served concurrently.
 type Pool struct {
-	// pmap is the current partition of the key space. It is replaced —
-	// never mutated — by live migration (MoveBound), which holds both
-	// affected shards' locks across the state transfer and the swap.
-	// Every routed operation therefore re-validates ownership after
-	// acquiring a shard lock: if the key (or scan piece) is no longer
-	// owned by the locked shard, the operation reroutes against the
-	// fresh map, so readers never observe a gap or duplicate and writes
-	// can never land on a shard that has given the range away.
-	pmap   atomic.Pointer[partition.Map]
+	// pmap partitions the key space among the shards. It is fixed at
+	// New: load moves between servers of a cluster, never between the
+	// shards of one pool, so a routed operation's shard is still the
+	// key's owner once it holds that shard's lock.
+	pmap   *partition.Map
 	shards []*Shard
 
 	// gate is the cluster-ownership view (clustergate.go): nil except on
 	// cluster members, which are one-engine pools. When set, routed
-	// operations re-validate cluster ownership under their shard lock
-	// exactly as they re-validate pmap, so a server-to-server migration
-	// can atomically stop this process serving a range.
+	// operations check cluster ownership under their shard lock, so a
+	// server-to-server migration can atomically stop this process
+	// serving a range.
 	gate atomic.Pointer[partition.View]
 
-	// reb is the load-aware rebalancer (rebalance.go); zero-valued and
-	// inert unless Config.Rebalance was set.
-	reb rebState
+	// mig counts the cluster migrations this member took part in
+	// (clustergate.go); guarded by imu.
+	mig MigrationStats
 
 	// hook observes owner-authoritative changes (for cross-server
 	// subscription forwarding at the network layer). Set before serving.
@@ -92,8 +84,8 @@ type Pool struct {
 	outs atomic.Pointer[map[string]bool]
 
 	// imu serializes install bookkeeping (join set, fwd recomputation,
-	// backfill), live migrations (rebalance.go) and the gate's swaps, so
-	// the forwarded-table set and partition map are stable across each.
+	// backfill) and the gate's swaps, so the forwarded-table set and the
+	// cluster view are stable across each.
 	imu       sync.Mutex
 	installed []*join.Join
 	texts     []string // install texts, replayed to dry-run new ones
@@ -111,8 +103,7 @@ type Pool struct {
 
 // Shard is one engine plus its lock and apply queue.
 type Shard struct {
-	p   *Pool
-	idx int
+	p *Pool
 
 	mu sync.Mutex
 	e  *core.Engine
@@ -124,12 +115,12 @@ type Shard struct {
 	batchAt time.Time // oldest stamp of the in-flight batch (valid while busy)
 	closed  bool
 
-	// Load accounting for the rebalancers: unitsTotal counts work served
-	// (one per op plus one per row scanned) since the pool started —
-	// nothing resets it; the balancer differences successive readings;
-	// samples is a ring of recently served keys (guarded by mu, which
-	// every recording path already holds) from which boundary moves
-	// pick their split points.
+	// Load accounting for the cluster rebalancer (LoadInfo): unitsTotal
+	// counts work served (one per op plus one per row scanned) since the
+	// pool started — nothing resets it; the balancer differences
+	// successive readings; samples is a ring of recently served keys
+	// (guarded by mu, which every recording path already holds) from
+	// which boundary moves pick their split points.
 	unitsTotal atomic.Int64
 	samples    [loadSampleRing]string
 	samplePos  int
@@ -198,13 +189,12 @@ func New(cfg Config) (*Pool, error) {
 	if opts.MemLimit > 0 && n > 1 {
 		opts.MemLimit = (opts.MemLimit + int64(n) - 1) / int64(n)
 	}
-	p := &Pool{}
-	p.pmap.Store(pmap)
+	p := &Pool{pmap: pmap}
 	empty := map[string]bool{}
 	p.fwd.Store(&empty)
 	p.outs.Store(&empty)
 	for i := 0; i < n; i++ {
-		sh := &Shard{p: p, idx: i, e: core.New(opts)}
+		sh := &Shard{p: p, e: core.New(opts)}
 		sh.qcond = sync.NewCond(&sh.qmu)
 		i := i
 		sh.e.SetChangeHook(func(c core.Change) { p.onChange(i, c) })
@@ -215,17 +205,12 @@ func New(cfg Config) (*Pool, error) {
 			p.wg.Add(1)
 			go sh.applyLoop()
 		}
-		if cfg.Rebalance != nil {
-			p.startRebalancer(*cfg.Rebalance)
-		}
 	}
 	return p, nil
 }
 
-// Close stops the rebalancer and the apply goroutines (after draining
-// their queues).
+// Close stops the apply goroutines (after draining their queues).
 func (p *Pool) Close() {
-	p.stopRebalancer()
 	for _, sh := range p.shards {
 		sh.qmu.Lock()
 		sh.closed = true
@@ -238,10 +223,8 @@ func (p *Pool) Close() {
 // NumShards returns the number of engines in the pool.
 func (p *Pool) NumShards() int { return len(p.shards) }
 
-// Owner returns the index of the shard currently owning key. With the
-// rebalancer running the answer may be stale by the time it is used;
-// the routed operations re-validate under the shard lock.
-func (p *Pool) Owner(key string) int { return p.pmap.Load().Owner(key) }
+// Owner returns the index of the shard owning key.
+func (p *Pool) Owner(key string) int { return p.pmap.Owner(key) }
 
 // Shard returns the i'th shard handle (loader wiring, tests).
 func (p *Pool) Shard(i int) *Shard { return p.shards[i] }
@@ -257,9 +240,8 @@ func (p *Pool) member(op string) *Shard {
 	return p.shards[0]
 }
 
-// Map returns the pool's current partition map (immutable; rebalancing
-// replaces it).
-func (p *Pool) Map() *partition.Map { return p.pmap.Load() }
+// Map returns the pool's partition map, fixed at New.
+func (p *Pool) Map() *partition.Map { return p.pmap }
 
 // SetHook registers the observer of owner-authoritative changes, called
 // with the owning shard's lock held (it must only enqueue, like the
@@ -274,7 +256,7 @@ func (p *Pool) SetHook(fn func(c core.Change)) { p.hook = fn }
 // mutation order.
 func (p *Pool) onChange(i int, c core.Change) {
 	if len(p.shards) > 1 {
-		if p.pmap.Load().Owner(c.Key) != i {
+		if p.pmap.Owner(c.Key) != i {
 			return
 		}
 		// Evictions drop this shard's cached copy, not the data's
@@ -335,13 +317,9 @@ func (sh *Shard) Lag(now time.Time) time.Duration {
 }
 
 // applyLoop drains forwarded base-data changes into the engine — the
-// in-process twin of the server's MsgNotify path. The batch is popped
-// only once the shard lock is held: a pending forwarded write is either
-// still in the queue or already applied, never in limbo in between.
-// Live migration depends on that invariant — holding the shard lock, it
-// drains the queued writes for the moving range and knows none are
-// hiding in a half-popped batch that would replay stale values after
-// ownership flips.
+// in-process twin of the server's MsgNotify path. Each batch is popped
+// and applied under the shard lock; busy marks it in flight, so Lag and
+// Quiesce count it until it is visible.
 func (sh *Shard) applyLoop() {
 	defer sh.p.wg.Done()
 	for {
@@ -407,24 +385,15 @@ func (p *Pool) Quiesce() {
 
 // --- routed operations ---
 
-// lockOwner locks and returns the shard owning key, re-validating
-// ownership after acquiring the lock: a migration that moved the key
-// completed while we waited (it held this shard's lock), so routing
-// retries against the fresh map. Terminates because each retry follows
-// an observed map change and migrations are finite.
+// lockOwner locks and returns the shard owning key.
 func (p *Pool) lockOwner(key string) *Shard {
-	for {
-		sh := p.shards[p.pmap.Load().Owner(key)]
-		sh.mu.Lock()
-		if p.pmap.Load().Owner(key) == sh.idx {
-			return sh
-		}
-		sh.mu.Unlock()
-	}
+	sh := p.shards[p.pmap.Owner(key)]
+	sh.mu.Lock()
+	return sh
 }
 
 // lockServing is lockOwner for a client write: under the lock it also
-// re-validates cluster ownership, failing with *partition.NotOwnerError
+// checks cluster ownership, failing with *partition.NotOwnerError
 // when a server-to-server migration has moved the key, so a racing
 // client cannot land a write on a server that just gave the range away
 // (it would be silently lost). Ungated pools have nothing to check.
@@ -462,21 +431,15 @@ func (p *Pool) Remove(key string) (bool, error) {
 	return found, nil
 }
 
-// errMoved reports that a read's range changed shards between routing
-// and locking the shard (a live migration completed in between): the
-// caller routes again against the fresh map, so no read is ever served
-// by a shard that owns only part of it.
-var errMoved = errors.New("shard: range migrated mid-read")
-
 // step is the one locked attempt every read makes at a shard (DESIGN.md
 // "A read, end to end"): under owner's lock, and again after every wait
-// for base data — which releases it — [lo, hi) must still be wholly this
-// shard's (else errMoved) and this process's (else NotOwner carrying the
-// gate); then the engine call op runs with the staleness budget, cut to
-// zero when the shard's forwarded-write queue already lags past it, and
-// either completes (units of work are recorded) or reports loads in
-// flight, which the step waits out, to dl at the latest, before trying
-// again.
+// for base data — which releases it — [lo, hi) must still be this
+// process's (else NotOwner carrying the gate); then the engine call op
+// runs with the staleness budget, cut to zero when the shard's
+// forwarded-write queue already lags past it, and either completes
+// (units of work are recorded) or reports loads in flight, which the
+// step waits out, to dl at the latest, before trying again. The shard
+// needs no such check: the pool's map never changes.
 func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration, dl time.Time,
 	op func(e *core.Engine, budget time.Duration) (units int64, pending int)) error {
 	r := keys.Range{Lo: lo, Hi: hi}
@@ -484,9 +447,6 @@ func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration, dl time.Ti
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for {
-		if !p.pmap.Load().OwnsRange(owner, r) {
-			return errMoved
-		}
 		if g := p.gate.Load(); g != nil && !g.OwnsRange(r) {
 			return &partition.NotOwnerError{View: g}
 		}
@@ -526,24 +486,18 @@ func (p *Pool) Get(key string) (string, bool) {
 
 // GetBounded is Get bounded by a deadline (zero = none; ErrDeadline if
 // base-data loads are still outstanding at dl) and carrying a staleness
-// budget (zero = fully fresh): one step, routed again if the key changed
-// shards meanwhile.
+// budget (zero = fully fresh): one step at the key's shard.
 func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (v string, ok bool, err error) {
 	point := keys.Range{Lo: key, Hi: key + "\x00"}
-	for {
-		err = p.step(p.pmap.Load().Owner(key), point.Lo, point.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
-			var pending int
-			v, ok, pending = e.GetBounded(point, budget)
-			return 1, pending
-		})
-		switch err {
-		case nil:
-			return v, ok, nil
-		case errMoved:
-		default:
-			return "", false, err
-		}
+	err = p.step(p.pmap.Owner(key), point.Lo, point.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+		var pending int
+		v, ok, pending = e.GetBounded(point, budget)
+		return 1, pending
+	})
+	if err != nil {
+		return "", false, err
 	}
+	return v, ok, nil
 }
 
 // Scan returns up to limit (0 = all) pairs in [lo, hi). buf's capacity
@@ -578,7 +532,7 @@ func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(sha
 			})
 			return buf, err
 		},
-		func(err error, _ int) bool { return err == errMoved })
+		func(error, int) bool { return false })
 }
 
 // Count returns the number of keys in [lo, hi) after join computation.
@@ -728,11 +682,10 @@ func (p *Pool) refreshForwardingLocked() {
 // backfill replicates the current contents of a newly forwarded table
 // from each owner to every sibling, walking the owner's store directly.
 // Enqueueing happens under the owner's lock so concurrent writes forward
-// in order behind the snapshot. The caller holds imu, which migration
-// also takes, so the partition map is stable for the whole pass.
+// in order behind the snapshot.
 func (p *Pool) backfill(table string) {
 	at := time.Now()
-	for _, pc := range p.pmap.Load().Split(keys.RangeOf(table)) {
+	for _, pc := range p.pmap.Split(keys.RangeOf(table)) {
 		sh := p.shards[pc.Owner]
 		sh.mu.Lock()
 		sh.e.Store().Scan(pc.R.Lo, pc.R.Hi, func(k string, v *store.Value) bool {
@@ -819,7 +772,7 @@ func (sh *Shard) SetLoader(l core.BaseLoader, tables ...string) {
 // failed ones (the remote owner refused, or the transport died) are
 // abandoned. Each read blocked on these loads is woken once, when the
 // last load it waits for resolves — to emit, or to retry and, if the
-// failure was a migration, re-route.
+// range migrated away, bounce with NotOwner.
 func (sh *Shard) LoadsDone(rows []core.KV, landed, failed []core.Load) {
 	sh.mu.Lock()
 	sh.e.LoadRows(rows)

@@ -44,9 +44,11 @@
 // and join them into a Cluster, which adds, drains and rebalances them
 // live. A Cache may be many engines partitioned by key range (§2.4,
 // §5.5 scaled down into one process): pass WithShards / WithBounds to
-// NewCache. Operations lock only the shard owning their key, and
-// cross-shard scans fan out concurrently, so read throughput scales
-// with shards on a multi-core machine. Joins run on every shard; base
+// NewCache. Its bounds are fixed at NewCache — moving load between
+// partitions is what servers in a Cluster do. Operations lock only the
+// shard owning their key, and cross-shard scans fan out concurrently,
+// so read throughput scales with shards on a multi-core machine, as
+// far as the bounds match the workload. Joins run on every shard; base
 // writes to join source tables are forwarded between shards
 // asynchronously, in owner order — the same eventual-consistency model
 // as the paper's cross-server subscriptions. Quiesce waits for that
@@ -194,25 +196,10 @@ func WithBounds(bounds ...string) CacheOption {
 	return func(c *shard.Config) { c.Bounds = append([]string(nil), bounds...) }
 }
 
-// Rebalance configures load-aware rebalancing, of a cache's shards
-// (WithRebalance) or a cluster's servers (Cluster.SetRebalanceConfig);
-// the zero value picks sensible defaults for every knob (100ms sampling
-// interval, a 1.5x hot/mean trigger ratio).
-type Rebalance = shard.Rebalance
-
-// RebalanceStats snapshots rebalancer activity: migrations run, rows
-// moved, the live partition bounds, and each shard's recent load.
-type RebalanceStats = shard.RebalanceStats
-
-// WithRebalance enables load-aware rebalancing on a multi-shard cache:
-// per-shard load is sampled into a moving average and hot key ranges
-// migrate live to cooler neighboring shards, with readers and writers
-// rerouting seamlessly. The initial bounds then need not anticipate the
-// workload — a skewed (Zipf-like) read mix no longer pins one shard at
-// its ceiling. No-op for single-shard caches.
-func WithRebalance(rb Rebalance) CacheOption {
-	return func(c *shard.Config) { c.Rebalance = &rb }
-}
+// Rebalance configures load-aware rebalancing of a cluster's servers
+// (Cluster.SetRebalanceConfig); the zero value picks sensible defaults
+// for every knob (a 1.5x hot/mean trigger ratio).
+type Rebalance = cluster.Rebalance
 
 // Cache is an embedded, thread-safe Pequod cache: the full cache-join
 // machinery without the network, over a pool of one or more partitioned
@@ -338,20 +325,6 @@ func (c *Cache) ScanBatch(ctx context.Context, ranges []Range, limit int) ([][]K
 // SetSubtableDepth marks a natural key boundary for a table (§4.1).
 func (c *Cache) SetSubtableDepth(table string, depth int) {
 	c.p.SetSubtableDepth(table, depth)
-}
-
-// RebalanceStats snapshots the rebalancer's activity and the current
-// partition. Meaningful on multi-shard caches built WithRebalance, but
-// always safe to call (Enabled reports whether the rebalancer runs).
-func (c *Cache) RebalanceStats() RebalanceStats {
-	return c.p.RebalanceStats()
-}
-
-// MoveBound forces one live boundary migration (operators and tests;
-// the rebalancer normally decides moves itself). Bound index i divides
-// shard i from shard i+1.
-func (c *Cache) MoveBound(i int, bound string) error {
-	return c.p.MoveBound(i, bound)
 }
 
 // Stats snapshots the engine counters, summed across shards.
