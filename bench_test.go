@@ -2,9 +2,9 @@ package pequod
 
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (§5), plus the §4 optimization ablations. Each regenerates
-// the corresponding result at a laptop scale; EXPERIMENTS.md records
-// paper-vs-measured values. cmd/repro runs the same experiments with
-// nicer output and configurable scales.
+// the corresponding result at a laptop scale (DESIGN.md "Evaluation"
+// lists them); cmd/repro runs the same experiments with nicer output and
+// configurable scales, and its output is the paper-vs-measured record.
 //
 // Run all:   go test -bench=. -benchmem
 // One table: go test -bench=BenchmarkFig7 -benchtime=1x

@@ -9,7 +9,8 @@
 // Absolute numbers differ from the paper (the authors ran 32-core EC2
 // instances against the 2009 Twitter crawl); the shape — which system
 // wins, by roughly what factor, where crossovers fall — is the
-// reproduction target. EXPERIMENTS.md records paper-vs-measured.
+// reproduction target: compare its rows with the paper's (DESIGN.md
+// "Evaluation" lists the experiments).
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,13 +74,13 @@ type Cluster struct {
 	v atomic.Pointer[partition.View]
 
 	// pub is the newest view this client has published with MapUpdate:
-	// the configured one at New, then every map it mints. Replica
-	// assignments carry only pub, because a member moves its gate on one:
-	// a view merely learned from a bounce (v may hold one) can be a
-	// transfer source's map from before the splice, which must not reach
-	// the destination first. pub may be older than every member's gate; a
-	// member then keeps its gate but still takes the assignment's copies
-	// and tables.
+	// the configured one at New, then every map it mints. The monitor's
+	// anti-entropy round re-publishes only pub, because a member moves
+	// its gate on it: a view merely learned from a bounce (v may hold
+	// one) can be a transfer source's map from before the splice, which
+	// must not reach the destination first. pub may be older than every
+	// member's gate; a member then keeps its gate but still takes the
+	// frame's copy count.
 	pub atomic.Pointer[partition.View]
 
 	// coordID is this client's coordinator identity: the low bits of
@@ -99,12 +100,10 @@ type Cluster struct {
 	conns       map[connKey]*client.Client
 	retiredRPCs int64
 
-	// imu guards the installed-join bookkeeping (Install derives the
-	// source-table set from everything installed so far; AddServer
-	// replays the texts onto joining members).
-	imu       sync.Mutex
-	installed []*join.Join
-	texts     []string
+	// imu guards the install texts, which AddServer replays onto a
+	// joining member when no member can tell it the cluster's join set.
+	imu   sync.Mutex
+	texts []string
 
 	// mvmu serializes migrations and membership changes driven through
 	// this client.
@@ -200,13 +199,25 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	// rejects operations outside its ranges with NotOwner — the
 	// precondition for live migration to be loss-free. Members that saw
 	// a newer map already (another client migrated) keep it; the reply
-	// teaches this client the newer map. Unreachable members miss the
-	// publish; if they return, they converge at the next map-bearing frame
-	// that reaches them — a later publish, or the failure detector's
-	// anti-entropy Replicate.
+	// teaches this client the newer map, and the members it names are
+	// published to in turn, so each takes the copy count too. Unreachable
+	// members miss the publish; if they return, they converge at the next
+	// map-bearing frame that reaches them — a later publish, or the
+	// failure detector's anti-entropy round.
 	cl.pub.Store(v)
-	for _, m := range v.Members() {
-		if err := cl.publishView(ctx, v, m.Addr); err != nil {
+	for sent := make(map[string]bool); ; {
+		addr := ""
+		for _, m := range cl.v.Load().Members() {
+			if !sent[m.Addr] {
+				addr = m.Addr
+				break
+			}
+		}
+		if addr == "" {
+			break
+		}
+		sent[addr] = true
+		if err := cl.publishView(ctx, v, addr); err != nil {
 			if client.IsUnavailable(err) || errors.Is(err, perrs.ErrMemberDown) {
 				continue
 			}
@@ -219,10 +230,6 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 			cl.Close()
 			return nil, err
 		}
-	} else if cl.copies > 1 {
-		// Install publishes replica assignments itself; without joins,
-		// seed them here so base tables replicate from the start.
-		cl.publishReplicas(ctx, v, nil)
 	}
 	if cl.failEvery > 0 {
 		cl.monStop = make(chan struct{})
@@ -364,12 +371,18 @@ func (cl *Cluster) do(ctx context.Context, addr string, m *rpc.Message) (*rpc.Me
 	return c.Do(ctx, m)
 }
 
-// publishView sends member addr the cluster map and its self set. The
-// reply carries the map the member actually holds; when that is newer —
-// this client started from the deployment's original bounds after
-// migrations had already run — the newer map is adopted.
+// publishView sends member addr the cluster map, its self set and the
+// copies per range — none when replication is off here, which leaves
+// the member's count as it was. The reply carries the map the member
+// actually holds; when that is newer — this client started from the
+// deployment's original bounds after migrations had already run — the
+// newer map is adopted.
 func (cl *Cluster) publishView(ctx context.Context, v *partition.View, addr string) error {
-	r, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(addr).Wire()})
+	m := &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(addr).Wire()}
+	if cl.copies > 1 {
+		m.Limit = cl.copies
+	}
+	r, err := cl.do(ctx, addr, m)
 	if err != nil {
 		return fmt.Errorf("cluster: publishing map to %s: %w", addr, err)
 	}
@@ -672,23 +685,20 @@ func (cl *Cluster) ScanBatch(ctx context.Context, ranges []keys.Range, limit int
 	return out, nil
 }
 
-// Install parses joins, wires the subscription mesh for their base
-// source tables, and installs the joins on every member. Wiring comes
-// first so no member computes a join before its remote sources are
-// loader-backed.
+// Install wires every member into the subscription mesh and installs
+// the joins on every member. Each member works out the base source
+// tables it loads from its peers from its own joins, and wires the ones
+// a join adds before installing it, so no member computes a join over
+// sources it does not fetch.
 func (cl *Cluster) Install(ctx context.Context, text string) error {
-	js, err := join.ParseAll(text)
-	if err != nil {
+	if _, err := join.ParseAll(text); err != nil {
 		return err
 	}
 	cl.imu.Lock()
 	defer cl.imu.Unlock()
-	all := append(append([]*join.Join(nil), cl.installed...), js...)
-	tables := sourceTables(all)
 	v := cl.v.Load()
 	for _, m := range v.Members() {
-		wire := &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.For(m.Addr).Wire(), Tables: tables}
-		if _, err := cl.do(ctx, m.Addr, wire); err != nil {
+		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.For(m.Addr).Wire()}); err != nil {
 			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
 		}
 	}
@@ -697,62 +707,25 @@ func (cl *Cluster) Install(ctx context.Context, text string) error {
 			return fmt.Errorf("cluster: installing joins on %s: %w", m.Addr, err)
 		}
 	}
-	cl.installed = all
 	cl.texts = append(cl.texts, text)
-	// Re-seed replica assignments: the replicated table set just grew.
-	// Best-effort — every later map publish re-sends the assignment.
-	if cl.copies > 1 {
-		cl.publishReplicas(ctx, cl.pub.Load(), tables)
-	}
 	return nil
 }
 
-// joinState snapshots the installed joins for a joining member: the
-// concatenated install texts (replayed verbatim, so join indexes agree
-// across members) and the base source tables to wire. The cluster
-// itself is the authority — a coordinator that never called Install
-// (a fresh pequod-cli run driving `add`) asks the member at from for
-// the join set its pool reports in stats; the client-local bookkeeping
-// is the fallback when that member is unreachable.
-func (cl *Cluster) joinState(ctx context.Context, from string) (text string, tables []string) {
+// joinText is the installed join set for a joining member: the
+// concatenated install texts, replayed verbatim so join indexes agree
+// across members. The cluster itself is the authority — a coordinator
+// that never called Install (a fresh pequod-cli run driving `add`) asks
+// the member at from for the join set its pool reports in stats; the
+// client-local texts are the fallback when that member is unreachable.
+func (cl *Cluster) joinText(ctx context.Context, from string) string {
 	if c, err := cl.conn(ctx, from); err == nil {
 		if st, err := c.StatSnapshot(ctx); err == nil && st.Joins != "" {
-			if js, err := join.ParseAll(st.Joins); err == nil {
-				return st.Joins, sourceTables(js)
-			}
+			return st.Joins
 		}
 	}
 	cl.imu.Lock()
 	defer cl.imu.Unlock()
-	for i, t := range cl.texts {
-		if i > 0 {
-			text += "\n"
-		}
-		text += t
-	}
-	return text, sourceTables(cl.installed)
-}
-
-// sourceTables returns the base source tables of a join set: sources
-// that are not themselves some join's output (those are computed
-// locally, recursively, wherever they are needed) — the same rule
-// shard.Pool uses to pick its forwarded tables.
-func sourceTables(js []*join.Join) []string {
-	outputs := map[string]bool{}
-	for _, j := range js {
-		outputs[j.Out.Table()] = true
-	}
-	seen := map[string]bool{}
-	var tables []string
-	for _, j := range js {
-		for _, t := range j.SourceTables() {
-			if !outputs[t] && !seen[t] {
-				seen[t] = true
-				tables = append(tables, t)
-			}
-		}
-	}
-	return tables
+	return strings.Join(cl.texts, "\n")
 }
 
 // Stats sums the engine counters across all members. A member that

@@ -3,12 +3,12 @@ package cluster
 // Per-range replication and automatic failover, coordinator side.
 //
 // Replication piggybacks on the machinery the cluster already has:
-// after every map publish the coordinator sends each member a
-// MsgReplicate carrying the view plus two scalars — the total copies
-// per range and the base tables to mirror. Which member holds which
-// replica is never listed: both sides derive it from the same ring walk
+// every MapUpdate the coordinator publishes carries one more integer,
+// the total copies per range. Which member holds which replica is never
+// listed: both sides derive it from the same ring walk
 // (partition.View.ReplicaAddrs over the view's distinct members), so the
-// coordinator and the members cannot disagree about placement. Members
+// coordinator and the members cannot disagree about placement; which
+// tables a copy holds each member derives from its own joins. Members
 // keep their replicas fresh through the ordinary subscription feed
 // protocol against each range's owner (internal/server/replica.go).
 //
@@ -43,7 +43,6 @@ import (
 	"pequod/internal/client"
 	"pequod/internal/partition"
 	"pequod/internal/perrs"
-	"pequod/internal/rpc"
 )
 
 // probeTimeout bounds one health probe: long enough for a loaded
@@ -285,29 +284,28 @@ func (cl *Cluster) Repair(ctx context.Context) ([]string, error) {
 		}
 	}
 	// The dead members are not in the successor's members, so the
-	// publish (and the replica republish riding it) only contacts
-	// survivors. Member-side, fences toward a dead peer resolve vacuously
-	// — a dead peer owes nothing — and the heirs' gates promote instead
-	// of re-fetching. A memory-only cold heir's rebuild fails and its
+	// publish (and the copy count riding it) only reaches survivors.
+	// Member-side, fences toward a dead peer resolve vacuously — a dead
+	// peer owes nothing — and the heirs' gates promote instead of
+	// re-fetching. A memory-only cold heir's rebuild fails and its
 	// promotion stays empty: acknowledged writes in that range are lost.
 	return deadAddrs, cl.settle(ctx, "repair", v, heirs, cold, deadAddrs)
 }
 
 // settle finishes a same-bounds substitution of v's serving addresses
 // by addrs — Repair's heirs, Restore's new address — on behalf of verb,
-// the caller named in errors and logs. It publishes the successor view;
-// asks the new owner of each of the rebuild owner indexes to restore
-// that range from its own durable lineage — behind live writes, absent
-// keys only, best-effort; re-spreads the replica assignments, retrying
-// until every member has acknowledged (the monitor's anti-entropy
-// republish backstops a spent budget); and fences each removed address:
-// a falsely-dead member (slow, paused, briefly partitioned, or its
-// machine resurrected) must learn it owns nothing under the new map, or
-// it would keep acknowledging writes from clients holding the old one —
-// writes silently lost once traffic routes elsewhere. A truly dead one
-// just misses the message. Its connections are then retired, so no later
-// routing decision waits out a connect timeout to an address known to
-// be gone.
+// the caller named in errors and logs. It publishes the successor view,
+// whose copy count re-spreads the replicas (a member the publish missed
+// converges at the monitor's anti-entropy round); asks the new owner of
+// each of the rebuild owner indexes to restore that range from its own
+// durable lineage — behind live writes, absent keys only, best-effort;
+// and fences each removed address: a falsely-dead member (slow, paused,
+// briefly partitioned, or its machine resurrected) must learn it owns
+// nothing under the new map, or it would keep acknowledging writes from
+// clients holding the old one — writes silently lost once traffic
+// routes elsewhere. A truly dead one just misses the message. Its
+// connections are then retired, so no later routing decision waits out
+// a connect timeout to an address known to be gone.
 func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, addrs []string, rebuild []int, removed []string) error {
 	nv, err := cl.successor(v, v.Map().Bounds(), addrs, 0)
 	if err != nil {
@@ -329,27 +327,9 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 			log.Printf("pequod cluster: %s: range %d: rebuilt %d rows at %s from its durable store", verb, o, n, at)
 		}
 	}
-	for attempt := 0; cl.copies > 1; attempt++ {
-		failed := cl.publishReplicas(ctx, nv, cl.replicaTables())
-		if len(failed) == 0 {
-			break
-		}
-		if attempt >= 4 || !cl.pause(ctx, probeTimeout/2) {
-			log.Printf("pequod cluster: %s: replica assignment not acknowledged by %v; monitor anti-entropy will converge them", verb, failed)
-			break
-		}
-	}
-	var fwg sync.WaitGroup
-	for _, a := range removed {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			fctx, cancel := context.WithTimeout(ctx, probeTimeout)
-			defer cancel()
-			cl.publishView(fctx, nv, a) //nolint:errcheck // best-effort fence
-		}()
-	}
-	fwg.Wait()
+	fctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	cl.publishTo(fctx, nv, removed) //nolint:errcheck // best-effort fence
+	cancel()
 	cl.cmu.Lock()
 	defer cl.cmu.Unlock()
 	for _, a := range removed {
@@ -362,61 +342,6 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 		}
 	}
 	return nil
-}
-
-// publishReplicas sends every member this client knows of its replica
-// assignment: view v — the last map this client published, which a
-// member whose gate is newer ignores — plus the total copies per range
-// (Limit) and the base tables mirrored (empty = whole ranges), which
-// every member takes whatever v's age. The recipients are the members
-// of the client's current view, which every caller has advanced to v or
-// past it, so a member this client only learned of (another coordinator
-// added it) gets the assignment too. Placement is not in the message —
-// each member derives the ranges it must hold from the same ring walk
-// the coordinator uses (partition.View.ReplicaAddrs), so the two sides
-// cannot disagree. Best-effort: it returns the addresses that did not
-// acknowledge (nil when all did) instead of failing — the assignment
-// rides every map publish, Repair retries it, and the monitor
-// republishes it as anti-entropy, so a missed member converges at
-// whichever round reaches it next. Re-applying an assignment a member
-// already holds diffs to nothing, which is what makes all three rounds
-// safe to overlap. No-op when replication is off or the cluster has a
-// single member.
-func (cl *Cluster) publishReplicas(ctx context.Context, v *partition.View, tables []string) []string {
-	mbrs := cl.v.Load().Members()
-	if cl.copies <= 1 || len(mbrs) < 2 {
-		return nil
-	}
-	errs := make([]error, len(mbrs))
-	var wg sync.WaitGroup
-	for i, m := range mbrs {
-		i, m := i, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = cl.do(ctx, m.Addr, &rpc.Message{
-				Type: rpc.MsgReplicate, Map: v.For(m.Addr).Wire(), Limit: cl.copies, Tables: tables,
-			})
-		}()
-	}
-	wg.Wait()
-	var failed []string
-	for i, m := range mbrs {
-		if errs[i] != nil {
-			failed = append(failed, m.Addr)
-		}
-	}
-	return failed
-}
-
-// replicaTables returns the base tables replication mirrors: the
-// installed joins' source tables (computed tables are rebuilt from them
-// at promotion), or nil — replicate whole ranges — when no joins are
-// installed through this client.
-func (cl *Cluster) replicaTables() []string {
-	cl.imu.Lock()
-	defer cl.imu.Unlock()
-	return sourceTables(cl.installed)
 }
 
 // monitor is the failure detector: every failEvery it pings each
@@ -463,15 +388,15 @@ func (cl *Cluster) monitor() {
 			}
 		}
 		if !confirmed {
-			// Anti-entropy: re-send the current replica assignment, with
-			// the last map this client published, while the cluster is
-			// healthy. A member that missed the assignment or the map when
-			// it was first published (a repair's retry budget ran out, a
-			// restart raced a publish) converges here; members already
-			// holding both diff the republish to nothing.
+			// Anti-entropy: re-publish the last map this client published,
+			// with its copy count, to every member it knows of while the
+			// cluster is healthy. A member that missed either when it was
+			// first published (a restart raced a publish) converges here;
+			// members already holding both diff the republish to nothing,
+			// and a reply holding a newer map teaches it to this client.
 			if cl.copies > 1 {
 				actx, cancel := context.WithTimeout(context.Background(), probeTimeout*2)
-				cl.publishReplicas(actx, cl.pub.Load(), cl.replicaTables())
+				cl.publishTo(actx, cl.pub.Load(), cl.MemberAddrs()) //nolint:errcheck // converges at the next round
 				cancel()
 			}
 			continue

@@ -89,9 +89,8 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 	// Until the grown map publishes, no client routes to it. The join
 	// set comes from the donor (the cluster is the authority; this
 	// coordinator may never have installed anything itself).
-	text, tables := cl.joinState(ctx, donorA)
 	if _, err := cl.do(ctx, addr, &rpc.Message{
-		Type: rpc.MsgJoinCluster, Map: v.For(addr).Wire(), Tables: tables, Text: text,
+		Type: rpc.MsgJoinCluster, Map: v.For(addr).Wire(), Text: cl.joinText(ctx, donorA),
 	}); err != nil {
 		return fmt.Errorf("cluster: joining %s: %w", addr, err)
 	}

@@ -226,14 +226,15 @@ func (cl *Cluster) splice(ctx context.Context, addr, src string, rs core.RangeSt
 	return wrapDown(addr, serr)
 }
 
-// publish broadcasts a successor view to every member (one concurrent
-// RPC each, the Scan fan-out pattern) plus whichever of the extra
-// addresses are not members under it. Transfer participants already
+// publish broadcasts a successor view to every member plus whichever of
+// the extra addresses are not members under it, in one round of
+// MapUpdates that also carry the copy count: every member re-derives its
+// replica holds from the view it adopts. Transfer participants already
 // hold the map (the transfer RPCs install it), so for them this is the
-// confirming no-op.
-// The view is adopted locally even if some member could not be reached
-// — the map took effect at the transfer participants, so routing must
-// follow it; the error reports the first failed publish.
+// confirming no-op. The view is adopted locally even if some member
+// could not be reached — the map took effect at the transfer
+// participants, so routing must follow it; the error reports the first
+// failed publish.
 func (cl *Cluster) publish(ctx context.Context, nv *partition.View, extra []string) error {
 	targets := make([]string, 0, len(nv.Members())+len(extra))
 	for _, m := range nv.Members() {
@@ -244,25 +245,25 @@ func (cl *Cluster) publish(ctx context.Context, nv *partition.View, extra []stri
 			targets = append(targets, a)
 		}
 	}
+	err := cl.publishTo(ctx, nv, targets)
+	cl.adopt(nv)
+	partition.Advance(&cl.pub, nv)
+	return err
+}
+
+// publishTo sends v to every address in targets (one concurrent RPC
+// each, the Scan fan-out pattern), returning the first failure.
+func (cl *Cluster) publishTo(ctx context.Context, v *partition.View, targets []string) error {
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, addr := range targets {
-		i, addr := i, addr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = cl.publishView(ctx, nv, addr)
+			errs[i] = cl.publishView(ctx, v, addr)
 		}()
 	}
 	wg.Wait()
-	cl.adopt(nv)
-	partition.Advance(&cl.pub, nv)
-	// Replica assignments follow the map: every member re-derives its
-	// replica set from the view just published (strictly after the map,
-	// so a promoted owner's gate already owns its ranges when the
-	// assignment arrives). Best-effort — the assignment rides every
-	// publish, so a missed member converges at the next round.
-	cl.publishReplicas(ctx, nv, cl.replicaTables())
 	for _, err := range errs {
 		if err != nil {
 			return err

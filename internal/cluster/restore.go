@@ -11,8 +11,8 @@ package cluster
 // epoch successor in which the new address owns everything the dead
 // one did. The restored member recovered its rows, gate, and mesh
 // wiring from the lineage before the publish; the publish re-gates it
-// under the current epoch, the replica assignment riding it re-syncs
-// its copies, and a per-range durable rebuild backfills whatever its
+// under the current epoch, the copy count riding it re-syncs its
+// copies, and a per-range durable rebuild backfills whatever its
 // startup gate filtered out. Deltas it missed while dead converge
 // through the mesh and replica feeds exactly as after a warm restart.
 

@@ -41,7 +41,7 @@
 //
 // Alongside log and snapshots sits meta.json (atomic tmp+rename): the
 // member's cluster position — partition map, peers, self set, installed
-// join text, mesh tables, replica assignment — persisted on every
+// join text, mesh, replica copy count — persisted on every
 // membership event and on drain, so a restarted member re-gates and
 // re-wires itself before serving a single key. Rekey rewrites that
 // identity in place, the first step of restoring a dead member's
@@ -554,9 +554,11 @@ func (s *Store) openSegment(idx int64) error {
 // "not part of a cluster" — an embedded or standalone server persists
 // only Joins. Epoch/Version/Bounds/Peers/Self mirror the gate map the
 // member last applied (Self empty but Peers set = drained: the member
-// keeps answering NotOwner with these bounds). ReplicaCopies/Tables
-// mirror the last replica assignment, MeshTables the subscription mesh
-// wiring.
+// keeps answering NotOwner with these bounds). ReplicaCopies is the
+// last published copy count and HasMesh the subscription mesh wiring.
+// MeshTables and ReplicaTables are the joins' source tables: a member
+// derives them from Joins at recovery, and writes them so a binary that
+// still reads them can restart from the file.
 type Meta struct {
 	Name          string   `json:"name,omitempty"`
 	ID            string   `json:"id,omitempty"`

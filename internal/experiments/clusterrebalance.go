@@ -175,7 +175,8 @@ func startCluster(ctx context.Context, n int) (*pcluster.Cluster, func(), error)
 
 // driveClusterChecks serves the check stream closed-loop with the given
 // worker count and returns the elapsed wall time. Each check is one
-// timeline scan through the cluster client (pipelined per server).
+// timeline scan through the cluster client (pipelined per server). The
+// rebalance and elasticity runs share it.
 func driveClusterChecks(ctx context.Context, cl *pcluster.Cluster, users []int32, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1

@@ -114,8 +114,8 @@ func ElasticScale(sc Scale, out io.Writer) ([]ElasticScaleRow, error) {
 		}
 		// One warm pass so every member's coverage is materialized before
 		// the timed pass.
-		driveElasticChecks(ctx, cl, checks[:min(len(checks), 2048)], sc.Workers)
-		qps := float64(totalChecks) / driveElasticChecks(ctx, cl, checks, sc.Workers).Seconds()
+		driveClusterChecks(ctx, cl, checks[:min(len(checks), 2048)], sc.Workers)
+		qps := float64(totalChecks) / driveClusterChecks(ctx, cl, checks, sc.Workers).Seconds()
 		row := ElasticScaleRow{Phase: phase, Members: cl.Members(), QPS: qps, Speedup: 1}
 		if len(rows) > 0 {
 			row.Speedup = qps / rows[0].QPS
@@ -138,7 +138,7 @@ func ElasticScale(sc Scale, out io.Writer) ([]ElasticScaleRow, error) {
 		time.Sleep(2 * time.Millisecond) // land mid-stream
 		joinErr = cl.AddServer(ctx, freshAddr)
 	}()
-	driveElasticChecks(ctx, cl, checks, sc.Workers)
+	driveClusterChecks(ctx, cl, checks, sc.Workers)
 	wg.Wait()
 	if joinErr != nil {
 		return nil, fmt.Errorf("joining %s: %w", freshAddr, joinErr)
@@ -154,7 +154,7 @@ func ElasticScale(sc Scale, out io.Writer) ([]ElasticScaleRow, error) {
 		time.Sleep(2 * time.Millisecond)
 		drainErr = cl.DrainServer(ctx, freshAddr)
 	}()
-	driveElasticChecks(ctx, cl, checks, sc.Workers)
+	driveClusterChecks(ctx, cl, checks, sc.Workers)
 	wg.Wait()
 	if drainErr != nil {
 		return nil, fmt.Errorf("draining %s: %w", freshAddr, drainErr)
@@ -163,32 +163,4 @@ func ElasticScale(sc Scale, out io.Writer) ([]ElasticScaleRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// driveElasticChecks serves the check stream closed-loop with the given
-// worker count and returns the elapsed wall time.
-func driveElasticChecks(ctx context.Context, cl *pcluster.Cluster, users []int32, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	chunk := (len(users) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(users) {
-			break
-		}
-		hi := min(lo+chunk, len(users))
-		wg.Add(1)
-		go func(mine []int32) {
-			defer wg.Done()
-			for _, u := range mine {
-				lo := fmt.Sprintf("t|u%07d|", u)
-				cl.Scan(ctx, lo, lo[:len(lo)-1]+"}", 0)
-			}
-		}(users[lo:hi])
-	}
-	wg.Wait()
-	return time.Since(start)
 }

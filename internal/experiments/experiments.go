@@ -6,7 +6,8 @@
 // Scales: the paper ran 1.8M-user graphs and 62M timeline checks on
 // 32-core EC2 machines; the reproduction runs laptop-scale versions whose
 // *shape* — which system wins, rough factors, where crossovers fall — is
-// the comparison target (see EXPERIMENTS.md for paper-vs-measured).
+// the comparison target (DESIGN.md "Evaluation"; cmd/repro prints the
+// rows to compare with the paper's).
 package experiments
 
 import (

@@ -33,16 +33,16 @@ func TestFig7Shape(t *testing.T) {
 		byName[r.System] = r
 	}
 	// Robust shape assertions at tiny scale (runtimes of the three fast
-	// caches are within transport noise of each other here; see
-	// EXPERIMENTS.md). Runtime-based assertions are skipped under the
-	// race detector, whose slowdown is non-uniform across systems.
+	// caches are within transport noise of each other here; see DESIGN.md
+	// "Evaluation"). Runtime-based assertions are skipped under the race
+	// detector, whose slowdown is non-uniform across systems.
 	if perfShape {
 		// 1. "Pequod performs no worse than widely available key-value
 		//    caches" — within a noise margin of the fastest system. The
 		// margin is generous because the full test suite runs packages in
 		// parallel and tiny-scale runtimes are ~100ms; `cmd/repro -scale
-		// small` on an idle machine gives the meaningful ratios
-		// (EXPERIMENTS.md).
+		// small` on an idle machine gives the meaningful ratios (its
+		// output is the record to compare with the paper's).
 		fastest := rows[0].Runtime
 		for _, r := range rows {
 			if r.Runtime < fastest {

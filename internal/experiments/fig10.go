@@ -191,9 +191,10 @@ func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
 		return fail(err)
 	}
 	// Each compute server's gate is the view as that server holds it: it
-	// serves its users' timelines and loads p| and s| from the bases.
+	// serves its users' timelines and loads its joins' sources, p| and
+	// s|, from the bases.
 	for i, s := range c.computeServers {
-		if err := s.ConnectMesh(c.view.For(computeAddrs[i]), "p", "s"); err != nil {
+		if err := s.ConnectMesh(c.view.For(computeAddrs[i])); err != nil {
 			return fail(err)
 		}
 	}

@@ -28,6 +28,7 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -362,6 +363,27 @@ func (j *Join) SourceTables() []string {
 		if !seen[s.Pat.Table()] {
 			seen[s.Pat.Table()] = true
 			out = append(out, s.Pat.Table())
+		}
+	}
+	return out
+}
+
+// SourceTables returns the base tables a join set reads, in order of
+// first appearance: sources that are not some join's output (those are
+// computed wherever they are needed, recursively). It is the set a
+// cluster member loads from its peers and replicates, and an embedded
+// pool forwards between its shards.
+func SourceTables(js []*Join) []string {
+	outputs := map[string]bool{}
+	for _, j := range js {
+		outputs[j.Out.Table()] = true
+	}
+	var out []string
+	for _, j := range js {
+		for _, t := range j.SourceTables() {
+			if !outputs[t] && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
 		}
 	}
 	return out

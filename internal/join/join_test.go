@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -193,6 +194,33 @@ func TestOpString(t *testing.T) {
 	}{{Push, "push"}, {Pull, "pull"}, {Snapshot, "snapshot"}} {
 		if c.m.String() != c.want {
 			t.Errorf("Maintenance String = %q", c.m.String())
+		}
+	}
+}
+
+// TestSourceTablesSkipOutputs: a join set's source tables are the
+// tables its joins read that no join computes, in order of first
+// appearance — a join reading another's output (Newp's karma and rank,
+// the celebrity ct|) pulls in that join's sources, not its output.
+func TestSourceTablesSkipOutputs(t *testing.T) {
+	for text, want := range map[string][]string{
+		"t|<u>|<t>|<p> = check s|<u>|<p> copy p|<p>|<t>": {"s", "p"},
+		`ct|<t>|<p> = copy cp|<p>|<t>;
+		 t|<u>|<t>|<p> = check s|<u>|<p> copy p|<p>|<t>;
+		 t|<u>|<t>|<p> = pull copy ct|<t>|<p> check s|<u>|<p>`: {"cp", "s", "p"},
+		`karma|<a> = count vote|<a>|<id>|<v>;
+		 rank|<a>|<id> = count vote|<a>|<id>|<v>;
+		 page|<a>|<id>|a = copy article|<a>|<id>;
+		 page|<a>|<id>|r = copy rank|<a>|<id>;
+		 page|<a>|<id>|k|<c>|<v> = check comment|<a>|<id>|<c>|<v> copy karma|<v>`: {"vote", "article", "comment"},
+		"": nil,
+	} {
+		js, err := ParseAll(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SourceTables(js); !slices.Equal(got, want) {
+			t.Errorf("SourceTables(%q) = %v, want %v", text, got, want)
 		}
 	}
 }

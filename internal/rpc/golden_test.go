@@ -13,9 +13,11 @@ import (
 // TestGoldenFrames pins the wire. testdata/golden_frames.txt holds the
 // frames the commit before partition.View existed encoded — each
 // map-bearing request, a NotOwner reply and an ordinary reply — built
-// from that commit's five separate Message fields. The same messages
-// built from views must encode to the same bytes, and those bytes must
-// decode to the same views.
+// from that commit's five separate Message fields, except ConnectPeers,
+// JoinCluster and MapUpdate, re-pinned when the table lists left the
+// wire and the copy count moved onto MapUpdate. The same messages built
+// from views must encode to the same bytes, and those bytes must decode
+// to the same views.
 func TestGoldenFrames(t *testing.T) {
 	view := func(epoch, version int64, bounds, peers []string, self ...int) partition.Wire {
 		v, err := partition.Wire{Epoch: epoch, Version: version, Bounds: bounds, Peers: peers, Self: self}.View()
@@ -31,19 +33,15 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	msgs := map[string]*Message{
 		"ConnectPeers": {Type: MsgConnectPeers, Seq: 16,
-			Map:    view(0, 0, []string{"p|n", "s|"}, []string{"a:1", "a:2", "a:1"}, 0, 2),
-			Tables: []string{"p", "s"}},
+			Map: view(0, 0, []string{"p|n", "s|"}, []string{"a:1", "a:2", "a:1"}, 0, 2)},
 		"ExtractRange": {Type: MsgExtractRange, Seq: 17, TimeoutMS: 1500,
 			Map: view(2, 3, []string{"m", "t|"}, three, 0), Lo: "t|", Hi: "t|u5"},
 		"SpliceRange": {Type: MsgSpliceRange, Seq: 18, Src: "a:3",
 			Map: view(5<<31, 4, []string{"m", "t|u3"}, three, 2), Lo: "t|u3", Hi: "t|u5",
 			KVs: []KV{{Key: "t|u4|1", Value: "x"}}, Warm: warm(0, "t|u3|", "t|u4|")},
-		"MapUpdate": {Type: MsgMapUpdate, Seq: 20, Map: view(1, 7, []string{"p|", "t|"}, three, 1)},
+		"MapUpdate": {Type: MsgMapUpdate, Seq: 20, Map: view(1, 7, []string{"p|", "t|"}, three, 1), Limit: 2},
 		"JoinCluster": {Type: MsgJoinCluster, Seq: 23, Map: view(4, 9, []string{"p|", "t|"}, three),
-			Tables: []string{"p", "s"}, Text: "t|<u> = copy p|<u>"},
-		"Replicate": {Type: MsgReplicate, Seq: 25,
-			Map:   view(6, 2, []string{"p|", "t|"}, []string{"a:1", "a:2", "a:1"}, 0, 2),
-			Limit: 2, Tables: []string{"p", "s"}},
+			Text: "t|<u> = copy p|<u>"},
 		"NotOwnerReply": NotOwnerReply(21, notOwner),
 		"OKReply": {Type: MsgReply, Seq: 11, Status: StatusOK, Found: true, Value: "v",
 			Count: 42, KVs: []KV{{Key: "a", Value: "1"}}},

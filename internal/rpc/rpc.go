@@ -29,7 +29,7 @@ const (
 	MsgCommand                         // Args (generic command; baseline engines)
 	MsgQuiesce                         // settle replication (in-process + subscriptions)
 	MsgPing                            // drain this connection's pushes, then reply
-	MsgConnectPeers                    // Map (position-less), Tables: wire the §2.4 mesh
+	MsgConnectPeers                    // Map (position-less): wire the §2.4 mesh
 
 	// Cluster-level live migration (server-to-server range transfer).
 	// Every map-bearing message carries the recipient's whole view (Map:
@@ -38,20 +38,18 @@ const (
 	// shifts owner indexes — travels with the transfer that performs it.
 	MsgExtractRange // Map, Lo, Hi -> KVs, Warm: extract + flip ownership at src
 	MsgSpliceRange  // Map, Lo, Hi, Src, KVs, Warm: install at dst
-	MsgMapUpdate    // Map: publish the new cluster map
+	// MapUpdate publishes the new cluster map and, in Limit, the total
+	// copies of each range (0 = no change). Per-range replication
+	// (failover) needs nothing more: each member derives the ranges it
+	// holds from the ring order of member addresses and the tables to
+	// copy from its own joins, so the assignment can never disagree with
+	// the map it rides on.
+	MsgMapUpdate // Map, Limit (copies) -> Map (the recipient's)
 
 	// Elastic membership (server join/drain).
-	MsgJoinCluster // Map, Tables, Text: wire a fresh member into the mesh
+	MsgJoinCluster // Map, Text: wire a fresh member into the mesh
 	MsgDrain       // tear down the recipient's mesh wiring after its last range left
-
-	// Per-range replication (failover). The coordinator publishes the
-	// replica assignment as the cluster view itself plus the replica
-	// count (Limit) and the base tables to replicate (Tables; empty =
-	// whole ranges): each member derives its own replica set from the
-	// ring order of member addresses, so the assignment needs no
-	// explicit range list and can never disagree with the map it rode
-	// in on.
-	MsgReplicate // Map, Limit (copies), Tables
+	_              // 21: was Replicate; number reserved
 
 	// Durable store (warm restarts and last-resort recovery).
 	MsgSnapshot     // force a durable snapshot now -> Count (rows captured)
@@ -63,7 +61,7 @@ const (
 // control frames and Drain.
 func MovesView(t MsgType) bool {
 	switch t {
-	case MsgConnectPeers, MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgReplicate, MsgDrain:
+	case MsgConnectPeers, MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgDrain:
 		return true
 	}
 	return false
@@ -139,15 +137,12 @@ type Message struct {
 
 	// Map is the cluster view a control-plane frame carries: the view
 	// the message installs at its recipient (ExtractRange, SpliceRange,
-	// MapUpdate, JoinCluster, Replicate; ConnectPeers sends it without a
-	// position), or the view the server holds (StatusNotOwner replies and
-	// the replies to MapUpdate and Drain, which have no self field). It
-	// stays the raw tuple here so a malformed one is answered with an
-	// error reply rather than a dropped connection; Map.View validates.
+	// MapUpdate, JoinCluster; ConnectPeers sends it without a position),
+	// or the view the server holds (StatusNotOwner replies and the
+	// replies to MapUpdate and Drain, which have no self field). It stays
+	// the raw tuple here so a malformed one is answered with an error
+	// reply rather than a dropped connection; Map.View validates.
 	Map partition.Wire
-	// Tables lists base tables: the ones to load remotely and subscribe
-	// to (ConnectPeers, JoinCluster) or to replicate (Replicate).
-	Tables []string
 
 	// Cluster migration fields. Warm is the extracted computed coverage
 	// to rebuild at the destination; Src is the address of the member
@@ -278,8 +273,7 @@ func (m *Message) Encode(buf []byte) []byte {
 		}
 	case MsgConnectPeers:
 		buf = appendView(buf, m.Map, false, true)
-		buf = appendStrings(buf, m.Tables)
-	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgReplicate:
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
 		buf = appendView(buf, m.Map, true, true)
 		switch m.Type {
 		case MsgExtractRange:
@@ -291,12 +285,10 @@ func (m *Message) Encode(buf []byte) []byte {
 			buf = appendString(buf, m.Src) // "" = no fence target
 			buf = appendKVs(buf, m.KVs)
 			buf = appendWarm(buf, m.Warm)
-		case MsgJoinCluster:
-			buf = appendStrings(buf, m.Tables)
-			buf = appendString(buf, m.Text)
-		case MsgReplicate:
+		case MsgMapUpdate:
 			buf = appendUvarint(buf, uint64(m.Limit))
-			buf = appendStrings(buf, m.Tables)
+		case MsgJoinCluster:
+			buf = appendString(buf, m.Text)
 		}
 	case MsgRebuildRange:
 		buf = appendString(buf, m.Lo)
@@ -576,11 +568,8 @@ func Decode(payload []byte) (*Message, error) {
 			m.Depth = int(depth)
 		}
 	case MsgConnectPeers:
-		if m.Map, err = d.view(false, true); err != nil {
-			return nil, err
-		}
-		m.Tables, err = d.strs()
-	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgReplicate:
+		m.Map, err = d.view(false, true)
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
 		if m.Map, err = d.view(true, true); err != nil {
 			return nil, err
 		}
@@ -604,18 +593,12 @@ func Decode(payload []byte) (*Message, error) {
 				return nil, err
 			}
 			m.Warm, err = d.warm()
-		case MsgJoinCluster:
-			if m.Tables, err = d.strs(); err != nil {
-				return nil, err
-			}
-			m.Text, err = d.str()
-		case MsgReplicate:
+		case MsgMapUpdate:
 			var lim uint64
-			if lim, err = d.uvarint(); err != nil {
-				return nil, err
-			}
+			lim, err = d.uvarint()
 			m.Limit = int(lim)
-			m.Tables, err = d.strs()
+		case MsgJoinCluster:
+			m.Text, err = d.str()
 		}
 	case MsgRebuildRange:
 		if m.Lo, err = d.str(); err != nil {

@@ -46,8 +46,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: MsgQuiesce, Seq: 14},
 		{Type: MsgPing, Seq: 15},
 		{Type: MsgConnectPeers, Seq: 16,
-			Map:    partition.Wire{Bounds: []string{"p|n", "s|"}, Peers: []string{"a:1", "a:2", "a:1"}, Self: []int{1}},
-			Tables: []string{"p", "s"}},
+			Map: partition.Wire{Bounds: []string{"p|n", "s|"}, Peers: []string{"a:1", "a:2", "a:1"}, Self: []int{1}}},
 		{Type: MsgReply, Seq: 11, Status: StatusOK, Found: true, Value: "v",
 			Count: 42, KVs: []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}},
 		{Type: MsgReply, Seq: 12, Status: StatusError, Err: "boom"},
@@ -65,15 +64,13 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: MsgMapUpdate, Seq: 20,
 			Map: partition.Wire{Epoch: 1, Version: 7, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{1}}},
 		{Type: MsgJoinCluster, Seq: 23,
-			Map:    partition.Wire{Epoch: 4, Version: 9, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{2}},
-			Tables: []string{"p", "s"},
-			Text:   "t|<u> = copy p|<u>"},
+			Map:  partition.Wire{Epoch: 4, Version: 9, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{2}},
+			Text: "t|<u> = copy p|<u>"},
 		{Type: MsgDrain, Seq: 24},
-		{Type: MsgReplicate, Seq: 25,
-			Map:    partition.Wire{Epoch: 6, Version: 2, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{0, 2}},
-			Limit:  2,
-			Tables: []string{"p", "s"}},
-		{Type: MsgReplicate, Seq: 26,
+		{Type: MsgMapUpdate, Seq: 25,
+			Map:   partition.Wire{Epoch: 6, Version: 2, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{0, 2}},
+			Limit: 2},
+		{Type: MsgMapUpdate, Seq: 26,
 			Map:   partition.Wire{Epoch: 1, Version: 1, Bounds: []string{"m"}, Peers: []string{"a:1", "a:2"}},
 			Limit: 3},
 		{Type: MsgSnapshot, Seq: 27},
@@ -94,7 +91,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 			got.Changes = m.Changes
 		}
 		for _, p := range [][2]*[]string{
-			{&got.Map.Bounds, &m.Map.Bounds}, {&got.Map.Peers, &m.Map.Peers}, {&got.Tables, &m.Tables},
+			{&got.Map.Bounds, &m.Map.Bounds}, {&got.Map.Peers, &m.Map.Peers},
 		} {
 			if len(*p[0]) == 0 {
 				*p[0] = *p[1]
@@ -246,7 +243,7 @@ func TestHelpers(t *testing.T) {
 	if er.Status != StatusError || er.Err != "nope" {
 		t.Fatal("ErrReply")
 	}
-	if !MovesView(MsgReplicate) || !MovesView(MsgConnectPeers) || !MovesView(MsgDrain) || MovesView(MsgGet) || MovesView(MsgPing) {
+	if !MovesView(MsgMapUpdate) || !MovesView(MsgConnectPeers) || !MovesView(MsgDrain) || MovesView(MsgGet) || MovesView(MsgPing) {
 		t.Fatal("MovesView")
 	}
 }

@@ -19,8 +19,9 @@ package server
 //     plus its derived replica-held ranges), quietly, BEFORE the write
 //     hook is set — restored rows must not be re-logged.
 //  5. Set the write hook; from here every write is durable again.
-//  6. Re-wire the mesh and replica assignment from meta; peers that are
-//     still down are retried in the background.
+//  6. Re-wire the mesh and the replica copy count from meta (the tables
+//     both cover are the joins' sources, installed in step 2); peers
+//     that are still down are retried in the background.
 //  7. Rebuild previously valid computed coverage — only once the mesh
 //     is wired, so coverage is never marked valid over partial sources.
 
@@ -29,7 +30,7 @@ import (
 	"errors"
 	"log"
 	"reflect"
-	"sort"
+	"slices"
 	"time"
 
 	"pequod/internal/client"
@@ -117,10 +118,10 @@ func (s *Server) snapshotLoop(every time.Duration) {
 }
 
 // persistMeta saves the member's current cluster position — gate,
-// joins, mesh tables, replica assignment — to the durable store when it
+// joins, mesh, replica copy count — to the durable store when it
 // differs from the last one saved (a save is a rename and a directory
 // fsync; the failure detector's anti-entropy republishes an unchanged
-// assignment every tick). Called after every control-plane event that
+// map and count every tick). Called after every control-plane event that
 // may change any of them, and from the snapshot loop as a backstop.
 // No-op without a data dir.
 func (s *Server) persistMeta() {
@@ -154,25 +155,23 @@ func (s *Server) buildMeta() *durable.Meta {
 		m.HasGate = true
 		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
+	// The table lists are the member's join sources. Recovery derives
+	// them from Joins and reads neither; they are written so an older
+	// binary can still restart from this file.
+	tables := s.pool.SourceTables()
 	s.mmu.Lock()
-	switch {
-	case s.mesh != nil:
+	// A mesh recovered from disk and not dialed yet (retryMesh) is still
+	// this member's: saving "none" would leave a second restart with no
+	// loader for its join sources.
+	if s.mesh != nil || s.rewire {
 		m.HasMesh = true
-		for t := range s.mesh.tables {
-			m.MeshTables = append(m.MeshTables, t)
-		}
-		sort.Strings(m.MeshTables)
-	case s.rewire != nil:
-		// Recovered from disk and not dialed yet (retryMesh): still this
-		// member's mesh. Saving "none" here would leave a second restart
-		// with no loader for its join sources.
-		m.HasMesh, m.MeshTables = true, s.rewire.MeshTables
+		m.MeshTables = slices.Sorted(slices.Values(tables))
 	}
 	s.mmu.Unlock()
 	s.rmu.Lock()
 	if st := s.repl; st != nil {
 		st.mu.Lock()
-		m.ReplicaCopies, m.ReplicaTables = st.copies, st.tables
+		m.ReplicaCopies, m.ReplicaTables = st.copies, tables
 		st.mu.Unlock()
 	}
 	s.rmu.Unlock()
@@ -262,7 +261,7 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	// its derived replica-held ranges. Rows outside both linger on disk
 	// only (they are the last-resort Repair rebuild source) and would
 	// be stale to serve.
-	keep := recoveredKeyFilter(g, meta)
+	keep := recoveredKeyFilter(g, meta, s.pool.SourceTables())
 	kept := make([]core.KV, 0, len(rec.KVs))
 	for _, kv := range rec.KVs {
 		if keep(kv.Key) {
@@ -274,8 +273,8 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	return meta, warm, nil
 }
 
-// wireRecovered runs recovery steps 6-7: mesh, replica assignment, and
-// the warm rebuild. The write hook is already set, so everything from
+// wireRecovered runs recovery steps 6-7: mesh, replica copies, and the
+// warm rebuild. The write hook is already set, so everything from
 // here is durable again. Mesh peers that have not come back yet (a
 // whole-cluster restart) are retried in the background; the warm
 // rebuild waits for the mesh, so coverage is never computed over
@@ -284,18 +283,18 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 	// A recovered gate came from meta, so g != nil implies meta != nil.
 	g := s.pool.Gate()
 	if g != nil && meta.ReplicaCopies > 1 {
-		s.assignReplicas(meta.ReplicaCopies, meta.ReplicaTables)
-		s.reshapeReplicas()
+		s.assignReplicas(meta.ReplicaCopies)
+		s.reshapeReplicas(false)
 	}
 	if g != nil && meta.HasMesh {
-		if err := s.ConnectMesh(g, meta.MeshTables...); err != nil {
+		if err := s.ConnectMesh(g); err != nil {
 			log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
 			ctx, cancel := context.WithCancel(context.Background())
 			s.rewireStop, s.rewireDone = cancel, make(chan struct{})
 			s.mmu.Lock()
-			s.rewire = meta
+			s.rewire = true
 			s.mmu.Unlock()
-			go s.retryMesh(ctx, meta, warm)
+			go s.retryMesh(ctx, warm)
 			return
 		}
 	}
@@ -307,7 +306,7 @@ func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 // lands or the server leaves the cluster (Close, Drain) — a
 // whole-cluster restart converges as soon as enough peers are back to
 // dial.
-func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.WarmRange) {
+func (s *Server) retryMesh(ctx context.Context, warm []core.WarmRange) {
 	defer close(s.rewireDone)
 	t := time.NewTicker(500 * time.Millisecond)
 	defer t.Stop()
@@ -317,7 +316,7 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 			return
 		case <-t.C:
 		}
-		if err := s.ConnectMesh(s.pool.Gate(), meta.MeshTables...); err != nil {
+		if err := s.ConnectMesh(s.pool.Gate()); err != nil {
 			continue
 		}
 		s.pool.RebuildWarm(warm)
@@ -329,19 +328,20 @@ func (s *Server) retryMesh(ctx context.Context, meta *durable.Meta, warm []core.
 // recoveredKeyFilter decides which recovered rows a member restores
 // into memory. Without a gate everything is local data. With one, the
 // member restores rows it serves (gate-owned) and rows it holds as a
-// replica for peers — derived from the gate and the persisted
-// assignment by heldRanges, as the replica manager's reshape is, so the
-// two can never disagree. The restored replica copies are
-// promotion-warm immediately and the re-applied assignment re-syncs
-// them against their homes (ghost rows and staleness are the sync's
-// problem, exactly as after a home restart).
-func recoveredKeyFilter(g *partition.View, meta *durable.Meta) func(key string) bool {
+// replica for peers — derived from the gate, the persisted copy count
+// and the recovered joins' source tables by heldRanges and subRanges, as
+// the replica manager's syncs are, so the two can never disagree. The
+// restored replica copies are promotion-warm immediately and the
+// re-applied assignment re-syncs them against their homes (ghost rows
+// and staleness are the sync's problem, exactly as after a home
+// restart).
+func recoveredKeyFilter(g *partition.View, meta *durable.Meta, tables []string) func(key string) bool {
 	if g == nil {
 		return func(string) bool { return true }
 	}
 	var reps []keys.Range
 	for r := range heldRanges(g, meta.ReplicaCopies) {
-		reps = append(reps, subRanges(r, meta.ReplicaTables)...)
+		reps = append(reps, subRanges(r, tables)...)
 	}
 	return func(key string) bool {
 		if g.Owns(key) {

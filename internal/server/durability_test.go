@@ -146,7 +146,7 @@ func TestRetryMeshStopsAtTeardown(t *testing.T) {
 		}
 		v := mustView(t, partition.MustNew("m"), []string{addr, paddr}, 0)
 		s.pool.ApplyMapUpdate(v)
-		if err := s.ConnectMesh(v, "p"); err != nil {
+		if err := s.ConnectMesh(v); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()
@@ -292,7 +292,7 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 	}
 	v := mustView(t, partition.MustNew("t"), []string{haddr, "127.0.0.1:1"}, 1) // self owns the timelines
 	s.pool.ApplyMapUpdate(v)
-	if err := s.ConnectMesh(v, "p", "s"); err != nil {
+	if err := s.ConnectMesh(v); err != nil {
 		t.Fatal(err)
 	}
 	if kvs, err := timeline(s); err != nil || len(kvs) != 1 {
@@ -328,7 +328,7 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 	}
 	defer s3.Close()
 	s3.mmu.Lock()
-	wired := s3.mesh != nil && s3.mesh.tables["p"] && s3.mesh.tables["s"] && s3.mesh.loader != nil
+	wired := s3.mesh != nil
 	s3.mmu.Unlock()
 	if !wired || s3.rewireDone != nil {
 		t.Fatalf("restart with the peer back: mesh wired %v, rewire pending %v", wired, s3.rewireDone != nil)
@@ -340,7 +340,8 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 
 // TestMetaSavedOnlyWhenChanged: meta.json is rewritten — a rename and a
 // directory fsync — when the member's position changes, not on every
-// Replicate the failure detector re-sends while nothing moves.
+// anti-entropy MapUpdate the failure detector re-sends while nothing
+// moves.
 func TestMetaSavedOnlyWhenChanged(t *testing.T) {
 	s, err := New(durableConfig("m", t.TempDir()))
 	if err != nil {
@@ -361,7 +362,7 @@ func TestMetaSavedOnlyWhenChanged(t *testing.T) {
 	first := saved()
 	replicate(t, s, v, 1)
 	if saved() != first {
-		t.Fatal("an unchanged Replicate rewrote meta.json")
+		t.Fatal("an unchanged MapUpdate rewrote meta.json")
 	}
 	next := at(t, 2, []string{"g", "m"}, "127.0.0.1:1", "127.0.0.1:1", self).For(self)
 	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: next.Wire()}); r.Status != rpc.StatusOK {

@@ -7,29 +7,23 @@ package server
 // decision here reads the pool's gate — the one cluster view a member
 // holds — so a load started after an extract, a splice or a published
 // map routes to the range's current home with no second view to follow.
+// Which tables load remotely is the member's own joins' business too:
+// their base source tables (join.SourceTables, read off the pool), wired
+// when the mesh is and extended by every join install.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"pequod/internal/client"
 	"pequod/internal/core"
+	"pequod/internal/join"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/shard"
 )
-
-// meshState records a server's position in a partitioned mesh so later
-// ConnectMesh calls (a join installed at runtime adding source tables)
-// can reuse the dialed peer connections. Peer connections are keyed by
-// *address* (one per peer), so they survive owner indexes shifting when
-// a member joins or drains; advance resizes the connection set to the
-// gate's members after every gate move.
-type meshState struct {
-	loader *remoteLoader
-	tables map[string]bool
-}
 
 // remoteLoader fetches missing base ranges for the engine from home
 // servers over peer connections, subscribing for future updates (§2.4,
@@ -47,8 +41,8 @@ type meshState struct {
 // fetched the load *fails* (Shard.LoadsDone's failed list) rather than
 // marking an absent range resident — blocked readers retry and re-route
 // instead of silently seeing a gap. Connections to members that left
-// are closed by the resize that follows the gate; connections to fresh
-// members dial on demand.
+// are closed by the resize that follows the gate (Server.advance);
+// connections to fresh members dial on demand.
 type remoteLoader struct {
 	sh   *shard.Shard
 	pool *shard.Pool // routing reads its gate
@@ -62,9 +56,9 @@ func newRemoteLoader(s *Server) *remoteLoader {
 
 // allConns snapshots the loader's connections to addr — to every peer
 // when addr is empty.
-func (m *meshState) allConns(addr string) []*client.Client {
+func (l *remoteLoader) allConns(addr string) []*client.Client {
 	var out []*client.Client
-	for a, c := range m.loader.up.conns() {
+	for a, c := range l.up.conns() {
 		if addr == "" || a == addr {
 			out = append(out, c)
 		}
@@ -110,24 +104,18 @@ func (s *Server) watchPass() {
 	}
 	s.mmu.Lock()
 	m := s.mesh
-	var tables []string
-	if m != nil {
-		for tb := range m.tables {
-			tables = append(tables, tb)
-		}
-	}
 	s.mmu.Unlock()
 	if m == nil {
 		return
 	}
 	failed := make(map[string]bool)
-	for _, a := range m.loader.up.retireFailed() {
+	for _, a := range m.up.retireFailed() {
 		failed[a] = true
 	}
 	if len(failed) == 0 {
 		return
 	}
-	v := s.pool.Gate()
+	v, tables := s.pool.Gate(), s.pool.SourceTables()
 	for o, a := range v.Addrs() {
 		if !failed[a] || v.IsSelf(o) {
 			continue
@@ -160,10 +148,10 @@ func (s *Server) leaveCluster() {
 	}
 	s.mmu.Lock()
 	mesh := s.mesh
-	s.mesh, s.rewire = nil, nil
+	s.mesh, s.rewire = nil, false
 	s.mmu.Unlock()
 	if mesh != nil {
-		mesh.loader.up.closeAll()
+		mesh.up.closeAll()
 	}
 	s.rmu.Lock()
 	repl := s.repl
@@ -176,19 +164,19 @@ func (s *Server) leaveCluster() {
 	s.wmu.Unlock()
 }
 
-// ConnectMesh wires this server to the home servers of the loader-backed
-// base tables. A mesh implies a gate: v becomes the pool's gate when it
-// has none, and otherwise the gate stays the authority — a v older than
-// it is harmless (a stale caller; the tables still extend), and a v at
-// its position with another shape is rejected, on the first wiring and
-// on later ones alike. Loads route by the gate, whose self set names the
-// ranges this server serves itself from direct writes instead of remote
-// fetches. Calling it again extends the table set (a join installed at
-// runtime adding source tables) reusing the dialed connections. Wiring
-// is atomic: if any peer dial fails, the connections dialed for this
-// call are closed and the server is left exactly as before, so a retry
-// does not leak or duplicate.
-func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
+// ConnectMesh wires this server to the home servers of its joins' base
+// source tables. A mesh implies a gate: v becomes the pool's gate when
+// it has none, and otherwise the gate stays the authority — a v older
+// than it is harmless (a stale caller), and a v at its position with
+// another shape is rejected, on the first wiring and on later ones
+// alike. Loads route by the gate, whose self set names the ranges this
+// server serves itself from direct writes instead of remote fetches.
+// Calling it again on a meshed member changes nothing: a join installed
+// later wires the source tables it adds itself (installJoins). Wiring is
+// atomic: if any peer dial fails, the connections dialed for this call
+// are closed and the server is left exactly as before, so a retry does
+// not leak or duplicate.
+func (s *Server) ConnectMesh(v *partition.View) error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
 	g, install := s.pool.Gate(), false
@@ -200,35 +188,50 @@ func (s *Server) ConnectMesh(v *partition.View, tables ...string) error {
 				g.Map().Epoch(), g.Map().Version(), err)
 		}
 	}
-	if s.mesh == nil {
-		mesh := &meshState{loader: newRemoteLoader(s), tables: make(map[string]bool)}
-		// Eager dial so a bad member address fails the wiring visibly
-		// (and atomically) instead of surfacing later as load timeouts.
-		for o, a := range g.Addrs() {
-			if g.IsSelf(o) {
-				continue // no connection to ourselves
-			}
-			if _, err := mesh.loader.up.conn(a); err != nil {
-				mesh.loader.up.closeAll()
-				return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
-			}
-		}
-		if install {
-			s.pool.ApplyMapUpdate(g)
-		}
-		s.mesh = mesh
+	if s.mesh != nil {
+		return nil
 	}
-	var fresh []string
-	for _, t := range tables {
-		if !s.mesh.tables[t] {
-			s.mesh.tables[t] = true
-			fresh = append(fresh, t)
+	mesh := newRemoteLoader(s)
+	// Eager dial so a bad member address fails the wiring visibly (and
+	// atomically) instead of surfacing later as load timeouts.
+	for o, a := range g.Addrs() {
+		if g.IsSelf(o) {
+			continue // no connection to ourselves
+		}
+		if _, err := mesh.up.conn(a); err != nil {
+			mesh.up.closeAll()
+			return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
 		}
 	}
-	if len(fresh) > 0 {
-		s.mesh.loader.sh.SetLoader(s.mesh.loader, fresh...)
+	if install {
+		s.pool.ApplyMapUpdate(g)
 	}
+	mesh.sh.SetLoader(mesh, s.pool.SourceTables()...)
+	s.mesh = mesh
 	return nil
+}
+
+// installJoins installs join set text on this member. A meshed member
+// first wires the base source tables the text adds to its mesh loader,
+// so no join computes over a source nobody fetches; when the source set
+// changed, every replica hold starts over on the new set (reshapeReplicas).
+func (s *Server) installJoins(text string) error {
+	s.mmu.Lock()
+	before := s.pool.SourceTables()
+	all, err := join.ParseAll(s.pool.InstalledText() + "\n" + text)
+	if err != nil {
+		s.mmu.Unlock()
+		return err
+	}
+	if s.mesh != nil {
+		s.mesh.sh.SetLoader(s.mesh, join.SourceTables(all)...)
+	}
+	err = s.pool.InstallText(text)
+	s.mmu.Unlock()
+	if err == nil && !slices.Equal(before, s.pool.SourceTables()) {
+		s.reshapeReplicas(true)
+	}
+	return err
 }
 
 // StartLoads implements core.BaseLoader: fetch every home-server piece

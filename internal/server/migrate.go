@@ -6,8 +6,7 @@ package server
 //
 //	ExtractRange  (at the source)       capture the range + flip ownership
 //	SpliceRange   (at the destination)  fence stale pushes + install
-//	MapUpdate     (at every member)     adopt the map, drop stale replicas
-//	Replicate     (at every member)     a MapUpdate that also sets copies
+//	MapUpdate     (at every member)     adopt the map and copies, reshape replicas
 //	JoinCluster   (at a fresh server)   wire mesh + joins + gate in one call
 //	Drain         (at a drained server) tear down its mesh wiring
 //
@@ -53,14 +52,14 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 	}
 	switch m.Type {
 	case rpc.MsgConnectPeers:
-		err = s.advance(func() error { return s.ConnectMesh(next, m.Tables...) })
+		err = s.advance(func() error { return s.ConnectMesh(next) })
 	case rpc.MsgExtractRange:
 		return s.handleExtractRange(m, next)
 	case rpc.MsgSpliceRange:
 		err = s.handleSpliceRange(m, next, dl)
 	case rpc.MsgJoinCluster:
-		err = s.advance(func() error { return s.joinCluster(next, m.Tables, m.Text) })
-	default: // rpc.MsgMapUpdate, rpc.MsgReplicate
+		err = s.advance(func() error { return s.joinCluster(next, m.Text) })
+	default: // rpc.MsgMapUpdate
 		return s.handleMapUpdate(m, next, dl)
 	}
 	if err != nil {
@@ -92,10 +91,10 @@ func (s *Server) advance(apply func() error) error {
 		// server's quiesce/fence/map-update handling for the full connect
 		// timeout whenever a published view still names an unreachable
 		// address (a revert after a member died does exactly that).
-		s.mesh.loader.up.retain(want)
+		s.mesh.up.retain(want)
 	}
 	s.mmu.Unlock()
-	s.reshapeReplicas()
+	s.reshapeReplicas(false)
 	s.persistMeta()
 	return nil
 }
@@ -149,20 +148,19 @@ func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time
 	return nil
 }
 
-// handleMapUpdate serves MsgMapUpdate and MsgReplicate, the one path
-// by which a coordinator frame without a transfer moves the gate: adopt
-// a newer cluster view. On first contact it installs the member's gate;
-// on a migration or membership change it fences the old owners of every
-// range that changed hands between two other servers, then lets the pool
+// handleMapUpdate serves MsgMapUpdate, the one path by which a
+// coordinator frame without a transfer moves the gate: adopt a newer
+// cluster view. On first contact it installs the member's gate; on a
+// migration or membership change it fences the old owners of every range
+// that changed hands between two other servers, then lets the pool
 // reconcile its cached state (drop stale replicas, demote ranges lost
 // without an extraction, restore retained ranges handed back) so the
 // next read re-fetches from — and re-subscribes at — the new home. A
-// Replicate frame also sets the replica assignment (copies and tables),
-// whatever its view's age: placement derives from the gate, so an older
-// view — a coordinator started from the deployment's original bounds
-// replicates with the last map it published — still carries a current
-// assignment. A member that missed a publish converges at the
-// coordinator's next anti-entropy round.
+// non-zero Limit also sets the copies per range, whatever the view's
+// age: placement derives from the gate, so an older view — a coordinator
+// started from the deployment's original bounds publishes the last map
+// it minted — still carries a current copy count. A member that missed a
+// publish converges at the coordinator's next anti-entropy round.
 func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.Time) *rpc.Message {
 	if g := s.pool.Gate(); g != nil && next.Newer(g) {
 		// Fence before the drop: every change the old owners pushed for
@@ -183,14 +181,11 @@ func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.T
 	}
 	_ = s.advance(func() error { // this apply cannot fail
 		s.pool.ApplyMapUpdate(next)
-		if m.Type == rpc.MsgReplicate {
-			s.assignReplicas(m.Limit, m.Tables)
+		if m.Limit > 0 {
+			s.assignReplicas(m.Limit)
 		}
 		return nil
 	})
-	if m.Type == rpc.MsgReplicate {
-		return rpc.OKReply(m.Seq)
-	}
 	// Teach the publisher the map this server actually holds: a client
 	// that starts from the deployment's original bounds (version 0)
 	// after migrations have run publishes a stale map, which the pool
@@ -215,12 +210,12 @@ func (s *Server) gateReply(seq uint64) *rpc.Message {
 // coordinator then grants it an initial slice through the ordinary
 // extract/splice/publish protocol — by the time any client routes to
 // the new member, it is gated, meshed, and computing.
-func (s *Server) joinCluster(v *partition.View, tables []string, text string) error {
+func (s *Server) joinCluster(v *partition.View, text string) error {
 	// Gate first: from this point every operation outside the (empty)
 	// self set bounces with NotOwner instead of landing on an unwired
 	// server.
 	s.pool.ApplyMapUpdate(v)
-	if err := s.ConnectMesh(v, tables...); err != nil {
+	if err := s.ConnectMesh(v); err != nil {
 		return err
 	}
 	// Install the cluster's join set — idempotently, so a drained member
@@ -247,7 +242,7 @@ func (s *Server) extendJoins(text string) error {
 	default:
 		return errJoinConflict
 	}
-	return s.pool.InstallText(text)
+	return s.installJoins(text)
 }
 
 // handleDrain serves MsgDrain at a member whose last range has moved
@@ -258,7 +253,7 @@ func (s *Server) extendJoins(text string) error {
 // running; re-adding it later goes through JoinCluster again.
 func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
 	// A drained member holds replicas for no one; re-adding it later
-	// publishes a fresh assignment through JoinCluster's publish round.
+	// gives it copies again with the grown map's publish.
 	s.leaveCluster()
 	// Persist the post-drain position: a restarted drained member must
 	// still answer NotOwner with the current bounds, not serve stale

@@ -5,18 +5,21 @@ package server
 // uses for join sources, so a repair can promote this member to serve
 // a dead peer's range without re-fetching anything.
 //
-// The coordinator publishes a replica *assignment* (MsgReplicate): a
-// cluster view plus the replica count and the base tables worth
-// copying. The view is handled exactly like a MapUpdate's — it moves
-// the gate, the one view this member holds — so a member that missed a
-// publish catches up at the coordinator's next anti-entropy round. The
-// two scalars are kept whatever the view's age; placement is derived,
-// not listed — each member walks the gate's ring of distinct member addresses
+// The coordinator's part is one integer: the copies per range, riding
+// every MapUpdate it publishes (Limit) and kept whatever the view's age,
+// so a member that missed a publish catches up at the coordinator's next
+// anti-entropy round. Everything else is derived, not listed. Placement:
+// each member walks the gate's ring of distinct member addresses
 // (partition.View.ReplicaHolds) and keeps a copy of every range whose
 // owner it directly succeeds, so the coordinator and every member always
 // agree on who holds what without a second source of truth that could
-// drift from the map. Server.advance reshapes the holds after every gate
-// move, so a MapUpdate reshapes them before the Replicate that follows.
+// drift from the map; Server.advance reshapes the holds after every gate
+// move. Tables: a copy holds the base source tables of the member's own
+// joins (join.SourceTables, read off the pool) — computed tables are
+// rebuilt from them at promotion — or whole ranges while no join is
+// installed. A join install that changes the set starts every hold over
+// on a fresh connection, so the home drops the subscriptions the old set
+// took out, and the replica feed's keep rule drops keys outside the set.
 //
 // Replica rows are applied through the pool's replica path (no gate
 // check, no load accounting) to the member's one engine. They are
@@ -50,11 +53,11 @@ import (
 	"pequod/internal/partition"
 )
 
-// replicaState is a member's replication bookkeeping: the assignment
-// the coordinator last published — copies per range and the tables to
-// copy — one connection+feed per home it copies from, and the ranges it
-// holds. Where the copies live is not stored: it is the gate's ring walk
-// for copies (heldRanges), reshaped after every gate move.
+// replicaState is a member's replication bookkeeping: the copies per
+// range the coordinator last published, one connection+feed per home it
+// copies from, and the ranges it holds. Where the copies live is not
+// stored: it is the gate's ring walk for copies (heldRanges), reshaped
+// after every gate move.
 type replicaState struct {
 	s  *Server
 	up *upstream
@@ -64,7 +67,6 @@ type replicaState struct {
 	mu     sync.Mutex
 	closed bool                     // closeAll ran: no further syncs start
 	copies int                      // total copies per range, including the owner's
-	tables []string                 // base tables replicated (empty = whole ranges)
 	held   map[keys.Range]*replHold // assigned replica range -> sync state
 }
 
@@ -85,19 +87,27 @@ type replHold struct {
 	done    chan struct{}
 }
 
-// assignReplicas records the replica assignment a Replicate frame (or
-// the meta.json a restart recovers) carries. The holds follow from it
-// and the gate: Server.advance reshapes them next.
-func (s *Server) assignReplicas(copies int, tables []string) {
+// assignReplicas records the copies per range a MapUpdate (or the
+// meta.json a restart recovers) carries. The holds follow from it and
+// the gate: Server.advance reshapes them next.
+func (s *Server) assignReplicas(copies int) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	if s.repl == nil {
-		s.repl = &replicaState{s: s, up: newUpstream(s.homedAt, s.pool.ApplyReplica), held: make(map[keys.Range]*replHold)}
+		s.repl = &replicaState{s: s, up: newUpstream(s.replicaKeep, s.pool.ApplyReplica), held: make(map[keys.Range]*replHold)}
 	}
 	st := s.repl
 	st.mu.Lock()
-	st.copies, st.tables = copies, append([]string(nil), tables...)
+	st.copies = copies
 	st.mu.Unlock()
+}
+
+// replicaKeep is the replica feed's keep rule: the gate still homes key
+// at addr (homedAt), and key's table is one a copy holds — a join
+// source, or any table while no join is installed.
+func (s *Server) replicaKeep(addr, key string) bool {
+	tables := s.pool.SourceTables()
+	return s.homedAt(addr, key) && (len(tables) == 0 || slices.Contains(tables, keys.Table(key)))
 }
 
 // heldRanges is where a member keeps copies under gate g with copies per
@@ -112,12 +122,14 @@ func heldRanges(g *partition.View, copies int) map[keys.Range]string {
 }
 
 // reshapeReplicas makes the held replica set match the gate and the
-// assignment — drop ranges assigned away, snapshot+subscribe ranges
-// gained. Holds are a function of (gate, copies, tables), so a MapUpdate
-// reshapes them without waiting for the Replicate frame that follows it.
-// Idempotent: an unchanged gate and assignment diff to nothing. The gate
-// is read under rmu, so whichever reshape runs last saw the newest gate.
-func (s *Server) reshapeReplicas() {
+// copy count — drop ranges assigned away, snapshot+subscribe ranges
+// gained. Holds are a function of (gate, copies), so a MapUpdate reshapes
+// them at once. Idempotent: an unchanged gate and count diff to nothing.
+// The gate is read under rmu, so whichever reshape runs last saw the
+// newest gate. regrant starts every hold over, as if newly granted, on
+// fresh connections: the replicated table set changed, and closing the
+// old connections makes each home drop the subscriptions they carried.
+func (s *Server) reshapeReplicas(regrant bool) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	st := s.repl
@@ -137,7 +149,7 @@ func (s *Server) reshapeReplicas() {
 	// and have the drop wipe what it landed.
 	drop := make(map[keys.Range]bool)
 	for r, h := range st.held {
-		if desired[r] != h.home {
+		if regrant || desired[r] != h.home {
 			delete(st.held, r)
 			drop[r] = true
 		}
@@ -150,10 +162,11 @@ func (s *Server) reshapeReplicas() {
 		}
 	}
 	st.mu.Unlock()
-	// Retire connections to homes the assignment no longer copies from.
+	// Retire connections to homes the assignment no longer copies from
+	// (on a regrant, every connection).
 	want := make(map[string]bool, len(desired))
 	for _, home := range desired {
-		want[home] = true
+		want[home] = !regrant
 	}
 	st.up.retain(want)
 	for r := range drop {
@@ -170,9 +183,8 @@ func (s *Server) reshapeReplicas() {
 	// Schedule a sync for every desired range not yet confirmed synced —
 	// a fresh grant, an earlier sync that exhausted its attempts, or a
 	// copy marked stale by a failed home connection. A reshape with a
-	// sync already in flight adopts it (the goroutine re-reads the
-	// tables each attempt) instead of cancelling and re-counting held as
-	// done.
+	// sync already in flight for a kept hold adopts it instead of
+	// cancelling and re-counting held as done.
 	st.startSyncs()
 }
 
@@ -190,8 +202,8 @@ func (s *Server) dropUnownedPieces(r keys.Range) {
 	}
 }
 
-// subRanges restricts a replica range to the replicated tables (all of
-// it when the assignment names none).
+// subRanges restricts a range to the given tables (all of it when there
+// are none): the join sources a replica copies or the mesh loads.
 func subRanges(r keys.Range, tables []string) []keys.Range {
 	if len(tables) == 0 {
 		return []keys.Range{r}
@@ -231,10 +243,9 @@ func (st *replicaState) startSyncs() {
 
 // syncRange snapshots+subscribes one assigned replica range at its
 // home. Runs on its own goroutine, at most one per held entry (the
-// syncing flag). It re-reads the replicated tables each attempt, so a
-// reshape that still sources the range from the same home is adopted
-// mid-sync rather than cancelling it; the range is confirmed synced only
-// after a full pass lands.
+// syncing flag), so a reshape that still sources the range from the
+// same home is adopted mid-sync rather than cancelling it; the range is
+// confirmed synced only after a full pass lands.
 func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	defer st.syncs.Done()
 	defer func() {
@@ -265,11 +276,8 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 // fetch runs one snapshot+subscribe round over hold h's replicated
 // sub-ranges of r, reporting whether every piece landed.
 func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
-	st.mu.Lock()
-	tables := st.tables
-	st.mu.Unlock()
 	var pieces []*piece
-	for _, sub := range subRanges(r, tables) {
+	for _, sub := range subRanges(r, st.s.pool.SourceTables()) {
 		pieces = append(pieces, &piece{r: sub})
 	}
 	if len(pieces) == 0 {

@@ -100,15 +100,15 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 
-	// Distributed mode: the mesh wiring installed by ConnectMesh or a
+	// Distributed mode: the mesh loader installed by ConnectMesh or a
 	// JoinCluster RPC (guarded by mmu; see mesh.go). The cluster view it
 	// and the replicas route by is the pool's gate, the only one this
 	// server holds.
 	mmu  sync.Mutex
-	mesh *meshState
+	mesh *remoteLoader
 
-	// Replica assignment installed by MsgReplicate (guarded by rmu);
-	// nil until a coordinator publishes one. See replica.go.
+	// Replica assignment set by a MapUpdate carrying copies (guarded by
+	// rmu); nil until a coordinator publishes one. See replica.go.
 	rmu  sync.Mutex
 	repl *replicaState
 
@@ -130,11 +130,11 @@ type Server struct {
 
 	// The post-restart mesh rewire (retryMesh), when recovery had to
 	// leave one running: leaveCluster stops it and waits for it. rewire
-	// (guarded by mmu) is the recovered record it is wiring from, which
-	// buildMeta keeps saving until the mesh exists or the member leaves.
+	// (guarded by mmu) marks it pending, so buildMeta keeps saving the
+	// mesh record until the mesh exists or the member leaves.
 	rewireStop context.CancelFunc
 	rewireDone chan struct{}
-	rewire     *durable.Meta
+	rewire     bool
 }
 
 // New creates a server.
@@ -470,17 +470,11 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		return r
 
 	case rpc.MsgAddJoin:
-		if err := s.pool.InstallText(m.Text); err != nil {
+		if err := s.installJoins(m.Text); err != nil {
 			return rpc.ErrReply(m.Seq, err)
 		}
 		s.persistMeta()
 		return rpc.OKReply(m.Seq)
-
-	case rpc.MsgNotify:
-		// Change batch from a peer (home-server subscription push) or
-		// from a write-around database feed: apply as base writes.
-		s.ApplyChanges(m.Changes)
-		return nil // one-way
 
 	case rpc.MsgStat:
 		r := rpc.OKReply(m.Seq)
@@ -580,11 +574,6 @@ func (s *Server) quiesce(dl time.Time) error {
 		}
 	}
 	return fence(peers, dl)
-}
-
-// ApplyChanges applies replicated changes to the engine (thread-safe).
-func (s *Server) ApplyChanges(changes []rpc.Change) {
-	s.pool.Apply(coreChanges(changes))
 }
 
 // coreChanges converts wire changes to engine changes.

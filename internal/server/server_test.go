@@ -256,7 +256,7 @@ func TestDistributedSubscriptions(t *testing.T) {
 	// The compute server's view adds one range, the timelines, which it
 	// serves itself.
 	bounds := append(pmap.Bounds(), "t|")
-	if err := compute.ConnectMesh(mustView(t, partition.MustNew(bounds...), append(addrs, caddr), 4), "p", "s"); err != nil {
+	if err := compute.ConnectMesh(mustView(t, partition.MustNew(bounds...), append(addrs, caddr), 4)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,6 +312,44 @@ func TestDistributedSubscriptions(t *testing.T) {
 	}
 }
 
+// TestJoinInstallWiresMeshSources: a member meshed before it has any
+// join learns which tables to load remotely from the joins it installs
+// later — the install wires the sources it adds before any join can
+// compute over them, so the first timeline read fetches them from
+// their home instead of computing over nothing.
+func TestJoinInstallWiresMeshSources(t *testing.T) {
+	start := func(name string) (*Server, *client.Client, string) {
+		s, err := New(Config{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return s, c, addr
+	}
+	_, hc, haddr := start("home")
+	compute, cc, caddr := start("compute")
+	if err := compute.ConnectMesh(mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	hc.Put("s|ann|bob", "1")
+	hc.Put("p|bob|100", "Hi")
+	if err := addJoin(cc, timelineJoin); err != nil {
+		t.Fatal(err)
+	}
+	if kvs, err := cc.Scan("t|ann|", "t|ann}", 0); err != nil || len(kvs) != 1 || kvs[0].Value != "Hi" {
+		t.Fatalf("timeline after the join install = %v, %v", kvs, err)
+	}
+}
+
 func TestConnCloseCleansSubscriptions(t *testing.T) {
 	s, c := startServer(t, Config{})
 	c.Put("p|x|1", "v")
@@ -342,24 +380,29 @@ func TestConnCloseCleansSubscriptions(t *testing.T) {
 	}
 }
 
-func TestNotifyAppliesChanges(t *testing.T) {
-	_, c := startServer(t, Config{})
+// TestNotifyFrameWritesNothing: a Notify frame is a server's push to
+// its subscribers, never a request. Sent to a gated member, it writes
+// nothing — not even over keys the member owns, which a client's Put
+// passes the gate for — and the connection goes on serving.
+func TestNotifyFrameWritesNothing(t *testing.T) {
+	s, c := startServer(t, Config{})
+	s.pool.ApplyMapUpdate(mustView(t, partition.MustNew("m"), []string{"member:1", "127.0.0.1:1"}, 0))
+	if err := c.Put("a|2", "kept"); err != nil {
+		t.Fatal(err)
+	}
 	c.Send(context.Background(), &rpc.Message{Type: rpc.MsgNotify, Changes: []rpc.Change{
-		{Op: rpc.ChangePut, Key: "n|1", Value: "a"},
-		{Op: rpc.ChangePut, Key: "n|2", Value: "b"},
-		{Op: rpc.ChangeRemove, Key: "n|1"},
-	}}) // one-way: no reply
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, found1, _ := c.Get("n|1")
-		v2, found2, _ := c.Get("n|2")
-		if !found1 && found2 && v2 == "b" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("notify not applied: n|1 found=%v n|2=%q", found1, v2)
-		}
-		time.Sleep(time.Millisecond)
+		{Op: rpc.ChangePut, Key: "a|1", Value: "forged"},
+		{Op: rpc.ChangeRemove, Key: "a|2"},
+	}})
+	// The connection serves requests in order, so these follow the frame.
+	if _, found, err := c.Get("a|1"); err != nil || found {
+		t.Fatalf("Get a|1 after the Notify: found %v, err %v; want absent", found, err)
+	}
+	if v, found, err := c.Get("a|2"); err != nil || !found || v != "kept" {
+		t.Fatalf("Get a|2 after the Notify = %q, %v, %v; want kept", v, found, err)
+	}
+	if n := s.pool.Len(); n != 1 {
+		t.Fatalf("%d rows after the Notify, want 1", n)
 	}
 }
 
@@ -388,12 +431,12 @@ func at(tb testing.TB, version int64, bounds []string, addrs ...string) *partiti
 	return v
 }
 
-// replicate hands s the Replicate frame a coordinator sends: view v,
-// copies per range, tables to copy.
-func replicate(tb testing.TB, s *Server, v *partition.View, copies int, tables ...string) {
+// replicate hands s the MapUpdate a replicating coordinator publishes:
+// view v and the copies per range.
+func replicate(tb testing.TB, s *Server, v *partition.View, copies int) {
 	tb.Helper()
-	m := &rpc.Message{Type: rpc.MsgReplicate, Map: v.Wire(), Limit: copies, Tables: tables}
+	m := &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire(), Limit: copies}
 	if r := s.handle(nil, m); r.Status != rpc.StatusOK {
-		tb.Fatalf("Replicate: %s", r.Err)
+		tb.Fatalf("MapUpdate: %s", r.Err)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // TestMalformedViewChangesNothing: a map-bearing frame whose peers do
 // not match its owner count, or whose self indexes fall outside it, is
 // answered with an error reply before any state moves — the gate and the
-// replica assignment stay exactly the values they were.
+// copy count stay exactly the values they were.
 func TestMalformedViewChangesNothing(t *testing.T) {
 	s, err := New(Config{Name: "member"})
 	if err != nil {
@@ -36,7 +36,7 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := mustView(t, partition.MustNew("m"), []string{addr, addr}, 0, 1)
-	if err := s.ConnectMesh(v, "p"); err != nil {
+	if err := s.ConnectMesh(v); err != nil {
 		t.Fatal(err)
 	}
 	replicate(t, s, v, 2)
@@ -51,10 +51,9 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 	frames := []*rpc.Message{
 		{Type: rpc.MsgExtractRange, Lo: "a", Hi: "b"},
 		{Type: rpc.MsgSpliceRange, Lo: "a", Hi: "b", KVs: []rpc.KV{{Key: "a1", Value: "x"}}},
-		{Type: rpc.MsgMapUpdate},
-		{Type: rpc.MsgJoinCluster, Tables: []string{"q"}, Text: timelineJoin},
-		{Type: rpc.MsgReplicate, Limit: 3},
-		{Type: rpc.MsgConnectPeers, Tables: []string{"q"}},
+		{Type: rpc.MsgMapUpdate, Limit: 3},
+		{Type: rpc.MsgJoinCluster, Text: timelineJoin},
+		{Type: rpc.MsgConnectPeers},
 	}
 	for name, w := range bad {
 		for _, f := range frames {
@@ -67,10 +66,10 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 		}
 	}
 	if s.pool.Gate() != gate || s.repl.copies != 2 {
-		t.Fatal("a rejected frame moved the gate or the replica assignment")
+		t.Fatal("a rejected frame moved the gate or the copy count")
 	}
-	if s.mesh.tables["q"] || s.pool.InstalledText() != "" {
-		t.Fatal("a rejected frame wired a table or installed a join")
+	if s.pool.InstalledText() != "" {
+		t.Fatal("a rejected frame installed a join")
 	}
 	if _, ok := s.pool.Get("a1"); ok {
 		t.Fatal("a rejected splice installed its rows")
@@ -80,10 +79,11 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 // TestRecoverGoldenMeta: testdata/golden_meta.json is a meta.json the
 // commit before partition.View existed wrote (a member owning ranges 0
 // and 3 of four, meshed, holding replicas). recoverDurable rebuilds the
-// same gate and replica assignment from it, and what the server saves
-// back is the same file but for its timestamp — the mesh record
-// included, though the golden file's peers are long gone and the rewire
-// is still retrying at Close.
+// same gate and copy count from it, and the same replicated tables from
+// its joins, and what the server saves back is the same file but for
+// its timestamp — the mesh record and both table lists included, though
+// the golden file's peers are long gone and the rewire is still retrying
+// at Close.
 func TestRecoverGoldenMeta(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden_meta.json")
 	if err != nil {
@@ -109,8 +109,8 @@ func TestRecoverGoldenMeta(t *testing.T) {
 	if !g.Owns("p|a") || g.Owns("p|m") || !g.Owns("t|x") {
 		t.Fatal("recovered gate owns the wrong ranges")
 	}
-	if st := s.repl; st == nil || st.copies != 2 || !reflect.DeepEqual(st.tables, []string{"s", "p"}) {
-		t.Fatalf("recovered replica assignment = %+v", st)
+	if st := s.repl; st == nil || st.copies != 2 || !reflect.DeepEqual(s.pool.SourceTables(), []string{"s", "p"}) {
+		t.Fatalf("recovered replica assignment = %+v of %v", st, s.pool.SourceTables())
 	}
 	s.Close()
 	saved, err := os.ReadFile(filepath.Join(dir, "meta.json"))
@@ -239,7 +239,7 @@ func TestAdoptLearnedView(t *testing.T) {
 				t.Fatal(err)
 			}
 			arm(second)
-			if err := s.ConnectMesh(mustView(t, partition.MustNew("t"), []string{home, second}, 1), "p", "s"); err != nil {
+			if err := s.ConnectMesh(mustView(t, partition.MustNew("t"), []string{home, second}, 1)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(200*time.Millisecond)); err == nil {
@@ -327,7 +327,7 @@ func TestExtractSourceLoadsFromNewHome(t *testing.T) {
 		if r := m.s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(m.addr).Wire()}); r.Status != rpc.StatusOK {
 			t.Fatal(r.Err)
 		}
-		if err := m.s.ConnectMesh(v.For(m.addr), "p", "s"); err != nil {
+		if err := m.s.ConnectMesh(v.For(m.addr)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,11 +353,11 @@ func TestExtractSourceLoadsFromNewHome(t *testing.T) {
 	}
 }
 
-// TestReplicateFrameCatchesUpGate: a member that missed the MapUpdate
-// for v+1 catches up from the coordinator's next Replicate carrying
-// v+1, which gets the fence and gate swap a MapUpdate gets before the
-// assignment is taken.
-func TestReplicateFrameCatchesUpGate(t *testing.T) {
+// TestAntiEntropyCatchesUpGate: a member that missed the MapUpdate for
+// v+1 catches up from the coordinator's next anti-entropy MapUpdate
+// carrying v+1 and the copy count, which gets the fence and gate swap
+// before the count is taken.
+func TestAntiEntropyCatchesUpGate(t *testing.T) {
 	s, err := New(Config{Name: "member"})
 	if err != nil {
 		t.Fatal(err)
@@ -374,12 +374,12 @@ func TestReplicateFrameCatchesUpGate(t *testing.T) {
 	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire()}); r.Status != rpc.StatusOK {
 		t.Fatal(r.Err)
 	}
-	if err := s.ConnectMesh(v, "p"); err != nil {
+	if err := s.ConnectMesh(v); err != nil {
 		t.Fatal(err)
 	}
 	replicate(t, s, next, 2)
 	if g := s.pool.Gate(); !g.Same(next) || g.SameShape(next) != nil {
-		t.Fatalf("gate after the Replicate = %+v, want %+v", g.Wire(), next.Wire())
+		t.Fatalf("gate after the anti-entropy round = %+v, want %+v", g.Wire(), next.Wire())
 	}
 	if a.pings.Load() == 0 {
 		t.Fatal("the range's old owner was not fenced")
@@ -389,12 +389,13 @@ func TestReplicateFrameCatchesUpGate(t *testing.T) {
 	}
 }
 
-// TestStaleCoordinatorAssignsReplicas: a coordinator started from the
+// TestStaleCoordinatorAssignsCopies: a coordinator started from the
 // deployment's original bounds after another one moved a bound and added
-// a member replicates with the stale map it published, which no gate
-// adopts. Every member still takes its assignment — the one it only
-// learned of included — and the joins Install adds extend the tables.
-func TestStaleCoordinatorAssignsReplicas(t *testing.T) {
+// a member publishes the stale map it was configured with, which no gate
+// adopts. Every member still takes its copy count — the one it only
+// learned of included — and the tables its copies hold are the sources
+// of the joins Install adds.
+func TestStaleCoordinatorAssignsCopies(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var members []*Server
@@ -433,24 +434,16 @@ func TestStaleCoordinatorAssignsReplicas(t *testing.T) {
 		if g := s.pool.Gate(); !g.Same(moved) {
 			t.Fatalf("member %d gate moved back to %+v", i, g.Wire())
 		}
-		s.rmu.Lock()
-		st := s.repl
-		s.rmu.Unlock()
-		if st == nil {
-			t.Fatalf("member %d holds no replica assignment", i)
-		}
-		st.mu.Lock()
-		copies, tables := st.copies, slices.Sorted(slices.Values(st.tables))
-		st.mu.Unlock()
-		if copies != 2 || !reflect.DeepEqual(tables, []string{"p", "s"}) {
-			t.Fatalf("member %d assignment = %d copies of %v, want 2 of [p s]", i, copies, tables)
+		m := s.buildMeta()
+		if tables := slices.Sorted(slices.Values(m.ReplicaTables)); m.ReplicaCopies != 2 || !reflect.DeepEqual(tables, []string{"p", "s"}) {
+			t.Fatalf("member %d assignment = %d copies of %v, want 2 of [p s]", i, m.ReplicaCopies, tables)
 		}
 	}
 }
 
 // TestReplicaHoldsFollowGate: replica holds are a function of the gate
-// and the assignment, so a MapUpdate that changes ring placement
-// reshapes them at once, before any Replicate follows it.
+// and the copy count, so a MapUpdate that changes ring placement
+// reshapes them at once, though it carries no count of its own.
 func TestReplicaHoldsFollowGate(t *testing.T) {
 	s, err := New(Config{Name: "member"})
 	if err != nil {

@@ -236,7 +236,6 @@ func TestMemberNeedsOneEngine(t *testing.T) {
 		},
 		"DropRangeAll":    func(p *Pool) error { p.DropRangeAll(keys.Range{Lo: "a", Hi: "b"}); return nil },
 		"Shard.SetLoader": func(p *Pool) error { p.Shard(0).SetLoader(&homeLoader{}, "s"); return nil },
-		"Apply":           func(p *Pool) error { p.Apply(put); return nil },
 		"ApplyReplica":    func(p *Pool) error { p.ApplyReplica(put); return nil },
 		"SnapshotDurable": func(p *Pool) error {
 			p.SnapshotDurable(func(k, v string) {}, func(int, string, string) {})

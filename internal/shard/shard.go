@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +74,11 @@ type Pool struct {
 	// subscription forwarding at the network layer). Set before serving.
 	hook func(c core.Change)
 
-	// fwd is the set of base source tables replicated to sibling shards;
-	// copy-on-write so the change hook reads it without extra locking.
-	fwd atomic.Pointer[map[string]bool]
+	// srcs is the installed joins' base source tables (join.SourceTables),
+	// copy-on-write so the change hook reads it without extra locking: a
+	// multi-engine pool forwards them to sibling shards, and a member's
+	// server loads them from its peers and replicates them.
+	srcs atomic.Pointer[[]string]
 
 	// outs is the installed joins' output-table set, copy-on-write for
 	// the durable write-behind hook (durable.go): derived rows travel
@@ -83,8 +86,8 @@ type Pool struct {
 	// the hook must classify tables without taking imu.
 	outs atomic.Pointer[map[string]bool]
 
-	// imu serializes install bookkeeping (join set, fwd recomputation,
-	// backfill) and the gate's swaps, so the forwarded-table set and the
+	// imu serializes install bookkeeping (join set, source tables,
+	// backfill) and the gate's swaps, so the source-table set and the
 	// cluster view are stable across each.
 	imu       sync.Mutex
 	installed []*join.Join
@@ -191,7 +194,7 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{pmap: pmap}
 	empty := map[string]bool{}
-	p.fwd.Store(&empty)
+	p.srcs.Store(new([]string))
 	p.outs.Store(&empty)
 	for i := 0; i < n; i++ {
 		sh := &Shard{p: p, e: core.New(opts)}
@@ -261,7 +264,7 @@ func (p *Pool) onChange(i int, c core.Change) {
 		}
 		// Evictions drop this shard's cached copy, not the data's
 		// validity; siblings keep their replicas (§2.5).
-		if c.Op != core.OpEvict && (*p.fwd.Load())[keys.Table(c.Key)] {
+		if c.Op != core.OpEvict && slices.Contains(*p.srcs.Load(), keys.Table(c.Key)) {
 			at := time.Now() // one stamp per change, shared by every sibling
 			for j, sh := range p.shards {
 				if j != i {
@@ -317,9 +320,9 @@ func (sh *Shard) Lag(now time.Time) time.Duration {
 }
 
 // applyLoop drains forwarded base-data changes into the engine — the
-// in-process twin of the server's MsgNotify path. Each batch is popped
-// and applied under the shard lock; busy marks it in flight, so Lag and
-// Quiesce count it until it is visible.
+// in-process twin of a member's peer feeds (server/upstream.go). Each
+// batch is popped and applied under the shard lock; busy marks it in
+// flight, so Lag and Quiesce count it until it is visible.
 func (sh *Shard) applyLoop() {
 	defer sh.p.wg.Done()
 	for {
@@ -547,20 +550,9 @@ func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration, dl time.Time)
 	return len(kvs), err
 }
 
-// Apply applies a batch of replicated changes (peer pushes, database
-// feeds) to a member's engine under one lock acquisition.
-func (p *Pool) Apply(changes []core.Change) {
-	sh := p.member("Apply")
-	sh.mu.Lock()
-	for _, c := range changes {
-		sh.applyChange(c)
-	}
-	sh.mu.Unlock()
-}
-
-// ApplyReplica is Apply through the engine's quiet path: replica-range
-// maintenance (failover warm copies) mirrors writes counted at their
-// owning member.
+// ApplyReplica applies a batch of replica changes (failover warm
+// copies) to a member's engine under one lock acquisition, through the
+// engine's quiet path: the writes are counted at their owning member.
 func (p *Pool) ApplyReplica(changes []core.Change) {
 	sh := p.member("ApplyReplica")
 	sh.mu.Lock()
@@ -628,7 +620,7 @@ func (p *Pool) InstallText(text string) error {
 		outs[j.Out.Table()] = true
 	}
 	p.outs.Store(&outs)
-	p.refreshForwardingLocked()
+	p.refreshSourcesLocked()
 	return nil
 }
 
@@ -650,30 +642,23 @@ func (p *Pool) InstalledText() string {
 	return out
 }
 
-// refreshForwardingLocked recomputes the forwarded-table set — base
-// source tables of installed joins that are not some join's output
-// (each shard computes those locally, recursively) — and backfills
-// tables that just became forwarded. Caller holds imu.
-func (p *Pool) refreshForwardingLocked() {
+// SourceTables returns the installed joins' base source tables in
+// order of first appearance (join.SourceTables). The slice is shared:
+// callers must not modify it.
+func (p *Pool) SourceTables() []string { return *p.srcs.Load() }
+
+// refreshSourcesLocked recomputes the source-table set and, on a
+// multi-engine pool, backfills the tables that just became forwarded.
+// Caller holds imu.
+func (p *Pool) refreshSourcesLocked() {
+	next := join.SourceTables(p.installed)
+	prev := *p.srcs.Load()
+	p.srcs.Store(&next)
 	if len(p.shards) == 1 {
 		return
 	}
-	outputs := map[string]bool{}
-	for _, j := range p.installed {
-		outputs[j.Out.Table()] = true
-	}
-	next := map[string]bool{}
-	for _, j := range p.installed {
-		for _, t := range j.SourceTables() {
-			if !outputs[t] {
-				next[t] = true
-			}
-		}
-	}
-	prev := *p.fwd.Load()
-	p.fwd.Store(&next)
-	for t := range next {
-		if !prev[t] {
+	for _, t := range next {
+		if !slices.Contains(prev, t) {
 			p.backfill(t)
 		}
 	}

@@ -90,16 +90,12 @@ type subtable struct {
 
 // Table is one logical table: a named subtree of the store.
 type Table struct {
-	name  string
 	depth int // subtable boundary depth in components; 0 = no subtables
 
 	tree     tree                 // used when depth == 0
 	subs     map[string]*subtable // hash index over subtables (§4.1)
 	subOrder btree.Tree[*subtable]
 }
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
 
 // Len returns the number of keys in the table.
 func (t *Table) Len() int {
@@ -222,7 +218,7 @@ func (s *Store) table(key string, create bool) *Table {
 	name := keys.Table(key)
 	t := s.tables[name]
 	if t == nil && create {
-		t = &Table{name: name, depth: s.depths[name]}
+		t = &Table{depth: s.depths[name]}
 		if t.depth > 0 {
 			t.subs = make(map[string]*subtable)
 		}
@@ -243,11 +239,6 @@ func (s *Store) lookup(key string) *tree {
 
 // Table returns the named table, or nil.
 func (s *Store) Table(name string) *Table { return s.tables[name] }
-
-// Tables calls fn for each table in name order.
-func (s *Store) Tables(fn func(t *Table) bool) {
-	s.order.Ascend("", "", func(_ string, t *Table) bool { return fn(t) })
-}
 
 // retain/release maintain shared-value accounting (§4.3).
 func (s *Store) retain(v *Value) {

@@ -2,8 +2,11 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
+
+	"pequod/internal/keys"
 )
 
 func TestPutGetRemove(t *testing.T) {
@@ -257,13 +260,14 @@ func TestTablesIteration(t *testing.T) {
 	s.Put("b|1", NewValue(""))
 	s.Put("a|1", NewValue(""))
 	s.Put("c|1", NewValue(""))
+	// A whole-store scan visits the tables in name order.
 	var names []string
-	s.Tables(func(tb *Table) bool {
-		names = append(names, tb.Name())
+	s.Scan("", "", func(k string, _ *Value) bool {
+		names = append(names, keys.Table(k))
 		return true
 	})
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("Tables = %v", names)
+	if !slices.Equal(names, []string{"a", "b", "c"}) {
+		t.Fatalf("tables scanned = %v", names)
 	}
 	if tb := s.Table("b"); tb == nil || tb.Len() != 1 {
 		t.Fatal("Table lookup")
