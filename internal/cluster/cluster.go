@@ -90,14 +90,15 @@ type Cluster struct {
 	coordID int64
 	epoch   atomic.Int64
 
-	// cmu guards conns: two persistent connections per member address —
-	// operations, and the control plane (see do) — shared across view
-	// generations and dialed on first use. A failed connection is
-	// redialed on the next routing decision that needs it; its request
-	// count rolls into retiredRPCs so RPCs() stays cumulative across
-	// redials.
+	// cmu guards conns: one persistent connection per member address,
+	// carrying its operations, the frames that move its view and the
+	// failure detector's probes alike (a member never parks a read on
+	// its connection), shared across view generations and dialed on
+	// first use. A failed connection is redialed on the next routing
+	// decision that needs it; its request count rolls into retiredRPCs
+	// so RPCs() stays cumulative across redials.
 	cmu         sync.Mutex
-	conns       map[connKey]*client.Client
+	conns       map[string]*client.Client
 	retiredRPCs int64
 
 	// imu guards the install texts, which AddServer replays onto a
@@ -144,7 +145,7 @@ func New(ctx context.Context, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	cl := &Cluster{
-		conns:      make(map[connKey]*client.Client),
+		conns:      make(map[string]*client.Client),
 		copies:     cfg.Replicas,
 		failEvery:  cfg.FailoverInterval,
 		failMisses: cfg.FailoverMisses,
@@ -306,40 +307,28 @@ func (cl *Cluster) noteEpoch(e int64) {
 	}
 }
 
-// connKey names a cached connection: a member address, and whether it
-// carries the control plane.
-type connKey struct {
-	addr string
-	ctl  bool
-}
-
-// conn returns the operations connection to addr (connAt).
-func (cl *Cluster) conn(ctx context.Context, addr string) (*client.Client, error) {
-	return cl.connAt(ctx, connKey{addr: addr})
-}
-
-// connAt returns the connection k names, dialing on first use and
+// conn returns the connection to addr, dialing on first use and
 // redialing if a previous connection failed (a member restarted, or a
 // drain-test killed it and a later test target reuses the address).
 // The dial happens outside cmu — one dead member must not serialize
 // every operation to healthy members behind its connect timeout — so
 // concurrent callers may race a dial; the loser's connection closes.
-func (cl *Cluster) connAt(ctx context.Context, k connKey) (*client.Client, error) {
+func (cl *Cluster) conn(ctx context.Context, addr string) (*client.Client, error) {
 	cl.cmu.Lock()
 	if cl.conns == nil {
 		cl.cmu.Unlock()
 		return nil, client.ErrClosed
 	}
-	if c, ok := cl.conns[k]; ok {
+	if c, ok := cl.conns[addr]; ok {
 		if !c.Failed() {
 			cl.cmu.Unlock()
 			return c, nil
 		}
-		delete(cl.conns, k)
+		delete(cl.conns, addr)
 		cl.retiredRPCs += c.RPCs()
 	}
 	cl.cmu.Unlock()
-	c, err := client.DialContext(ctx, k.addr)
+	c, err := client.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -349,22 +338,17 @@ func (cl *Cluster) connAt(ctx context.Context, k connKey) (*client.Client, error
 		c.Close()
 		return nil, client.ErrClosed
 	}
-	if cur, ok := cl.conns[k]; ok && !cur.Failed() {
+	if cur, ok := cl.conns[addr]; ok && !cur.Failed() {
 		c.Close() // lost a dial race; use the winner
 		return cur, nil
 	}
-	cl.conns[k] = c
+	cl.conns[addr] = c
 	return c, nil
 }
 
-// do sends one request to the member at addr. A frame that moves the
-// member's view (rpc.MovesView) goes on its control connection, as the failure
-// detector's probes do: a member serves one connection's frames in
-// order, and an operation there may be waiting for base data that only
-// the view's move lets the member load — a frame queued behind it would
-// wait out the operation's deadline, and a probe read the wait as death.
+// do sends one request to the member at addr.
 func (cl *Cluster) do(ctx context.Context, addr string, m *rpc.Message) (*rpc.Message, error) {
-	c, err := cl.connAt(ctx, connKey{addr, rpc.MovesView(m.Type)})
+	c, err := cl.conn(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

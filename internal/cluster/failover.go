@@ -184,7 +184,7 @@ func (cl *Cluster) Snapshot(ctx context.Context) error {
 func (cl *Cluster) probe(ctx context.Context, addr string) error {
 	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	c, err := cl.connAt(pctx, connKey{addr, true})
+	c, err := cl.conn(pctx, addr)
 	if err != nil {
 		return err
 	}
@@ -333,12 +333,10 @@ func (cl *Cluster) settle(ctx context.Context, verb string, v *partition.View, a
 	cl.cmu.Lock()
 	defer cl.cmu.Unlock()
 	for _, a := range removed {
-		for _, k := range []connKey{{a, false}, {a, true}} {
-			if c := cl.conns[k]; c != nil {
-				cl.retiredRPCs += c.RPCs()
-				c.Close()
-				delete(cl.conns, k)
-			}
+		if c := cl.conns[a]; c != nil {
+			cl.retiredRPCs += c.RPCs()
+			c.Close()
+			delete(cl.conns, a)
 		}
 	}
 	return nil

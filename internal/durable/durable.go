@@ -555,10 +555,10 @@ func (s *Store) openSegment(idx int64) error {
 // only Joins. Epoch/Version/Bounds/Peers/Self mirror the gate map the
 // member last applied (Self empty but Peers set = drained: the member
 // keeps answering NotOwner with these bounds). ReplicaCopies is the
-// last published copy count and HasMesh the subscription mesh wiring.
-// MeshTables and ReplicaTables are the joins' source tables: a member
-// derives them from Joins at recovery, and writes them so a binary that
-// still reads them can restart from the file.
+// last published copy count and HasMesh the subscription mesh wiring;
+// the tables both cover are Joins' source tables, derived at recovery.
+// A file that still lists them (mesh_tables, replica_tables) loads: the
+// unknown keys are ignored.
 type Meta struct {
 	Name          string   `json:"name,omitempty"`
 	ID            string   `json:"id,omitempty"`
@@ -569,10 +569,8 @@ type Meta struct {
 	Self          []int    `json:"self,omitempty"`
 	HasGate       bool     `json:"has_gate,omitempty"`
 	Joins         string   `json:"joins,omitempty"`
-	MeshTables    []string `json:"mesh_tables,omitempty"`
 	HasMesh       bool     `json:"has_mesh,omitempty"`
 	ReplicaCopies int      `json:"replica_copies,omitempty"`
-	ReplicaTables []string `json:"replica_tables,omitempty"`
 	SavedUnixNano int64    `json:"saved_unix_nano,omitempty"`
 }
 

@@ -56,17 +56,6 @@ const (
 	MsgRebuildRange // Lo, Hi: rebuild a range from the recipient's durable store -> Count (rows restored)
 )
 
-// MovesView reports whether a request of type t moves the recipient's
-// cluster view or the mesh wiring derived from it: the map-bearing
-// control frames and Drain.
-func MovesView(t MsgType) bool {
-	switch t {
-	case MsgConnectPeers, MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster, MsgDrain:
-		return true
-	}
-	return false
-}
-
 // Status codes in replies.
 const (
 	StatusOK    byte = 0

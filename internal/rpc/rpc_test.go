@@ -243,9 +243,6 @@ func TestHelpers(t *testing.T) {
 	if er.Status != StatusError || er.Err != "nope" {
 		t.Fatal("ErrReply")
 	}
-	if !MovesView(MsgMapUpdate) || !MovesView(MsgConnectPeers) || !MovesView(MsgDrain) || MovesView(MsgGet) || MovesView(MsgPing) {
-		t.Fatal("MovesView")
-	}
 }
 
 // Property: encode/decode round-trips arbitrary string content, including

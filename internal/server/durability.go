@@ -30,7 +30,6 @@ import (
 	"errors"
 	"log"
 	"reflect"
-	"slices"
 	"time"
 
 	"pequod/internal/client"
@@ -155,23 +154,16 @@ func (s *Server) buildMeta() *durable.Meta {
 		m.HasGate = true
 		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
-	// The table lists are the member's join sources. Recovery derives
-	// them from Joins and reads neither; they are written so an older
-	// binary can still restart from this file.
-	tables := s.pool.SourceTables()
 	s.mmu.Lock()
 	// A mesh recovered from disk and not dialed yet (retryMesh) is still
 	// this member's: saving "none" would leave a second restart with no
 	// loader for its join sources.
-	if s.mesh != nil || s.rewire {
-		m.HasMesh = true
-		m.MeshTables = slices.Sorted(slices.Values(tables))
-	}
+	m.HasMesh = s.mesh != nil || s.rewire
 	s.mmu.Unlock()
 	s.rmu.Lock()
 	if st := s.repl; st != nil {
 		st.mu.Lock()
-		m.ReplicaCopies, m.ReplicaTables = st.copies, tables
+		m.ReplicaCopies = st.copies
 		st.mu.Unlock()
 	}
 	s.rmu.Unlock()

@@ -279,7 +279,7 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 		return h, ln.Addr().String()
 	}
 	timeline := func(s *Server) ([]core.KV, error) {
-		return s.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(5*time.Second))
+		return scanPool(s, "t|ann|", "t|ann}", 5*time.Second)
 	}
 	dir := t.TempDir()
 	cfg := durableConfig("compute", dir)
@@ -310,8 +310,8 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 	}
 	s2.persistMeta() // as every advance and snapshot tick does during the wait
 	meta, ok, err := s2.dur.LoadMeta()
-	if err != nil || !ok || !meta.HasMesh || !reflect.DeepEqual(meta.MeshTables, []string{"p", "s"}) {
-		t.Fatalf("meta saved while the rewire is pending = %+v, %v", meta, err)
+	if err != nil || !ok || !meta.HasMesh || !reflect.DeepEqual(s2.pool.SourceTables(), []string{"s", "p"}) {
+		t.Fatalf("meta saved while the rewire is pending = %+v, %v; mesh tables %v", meta, err, s2.pool.SourceTables())
 	}
 	crashed := t.TempDir()
 	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {

@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"pequod/internal/client"
 	"pequod/internal/cluster"
 	"pequod/internal/core"
 	"pequod/internal/interval"
@@ -56,9 +58,10 @@ func replicaOutputs(s *Server) []string {
 // sources of their own joins whoever coordinates them. After a
 // coordinator that installed the timeline join, a second one that never
 // installed anything — a fresh pequod-cli run — moves a bound, which
-// re-grants a replica range over the computed timelines. The replicated
-// tables every member records are unchanged, and no member holds a
-// timeline row as a replica copy.
+// re-grants a replica range over the computed timelines. Every member's
+// source tables — the tables its copies hold — are unchanged, its stats
+// report its replica range synced, and no member holds a timeline row
+// as a replica copy.
 func TestJoinlessCoordinatorKeepsReplicaTables(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -81,10 +84,20 @@ func TestJoinlessCoordinatorKeepsReplicaTables(t *testing.T) {
 	if err := installing.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	synced := func(s *Server) int {
+		var st client.StatSnapshot
+		if err := json.Unmarshal([]byte(s.statJSON()), &st); err != nil || st.Cluster == nil {
+			t.Fatalf("stat = %+v, %v", st, err)
+		}
+		return st.Cluster.Replicas
+	}
 	want := make([][]string, len(members))
 	for i, s := range members {
-		if want[i] = s.buildMeta().ReplicaTables; len(want[i]) == 0 {
+		if want[i] = s.pool.SourceTables(); len(want[i]) == 0 {
 			t.Fatalf("member %d replicates whole ranges under the timeline join", i)
+		}
+		if n := synced(s); n != 1 {
+			t.Fatalf("member %d holds %d synced replica ranges, want 1", i, n)
 		}
 	}
 
@@ -102,8 +115,11 @@ func TestJoinlessCoordinatorKeepsReplicaTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range members {
-		if got := s.buildMeta().ReplicaTables; !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("member %d replica_tables = %q, want %q", i, got, want[i])
+		if got := s.pool.SourceTables(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("member %d source tables = %q, want %q", i, got, want[i])
+		}
+		if n := synced(s); n != 1 {
+			t.Errorf("member %d holds %d synced replica ranges, want 1", i, n)
 		}
 		if rows := replicaOutputs(s); len(rows) != 0 {
 			t.Errorf("member %d holds join output as a replica copy: %q", i, rows)

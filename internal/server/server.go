@@ -6,14 +6,15 @@
 // Concurrency model: a server is one single-writer engine, like the
 // paper's event-driven server (internal/shard's one-engine pool holds
 // its lock and cluster gate). More cores means more servers, which the
-// cluster adds, drains and rebalances live (§2.4, Fig 10).
-// Per-connection goroutines handle framing, and per-connection notifier
-// goroutines drain subscription pushes so slow subscribers never block
-// the engine.
+// cluster adds, drains and rebalances live (§2.4, Fig 10). Each
+// connection's goroutine serves its frames in arrival order (conn.go);
+// a read that finds base data loading never holds it — the read's
+// continuation waits on its restart context (§3.3) and answers by Seq.
+// Per-connection notifier goroutines drain subscription pushes so slow
+// subscribers never block the engine.
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -95,7 +96,7 @@ type Server struct {
 	nsubs atomic.Int64 // == subs.Len(); lock-free no-subscriber fast path
 
 	ln     net.Listener
-	connWG sync.WaitGroup
+	connWG sync.WaitGroup // serve goroutines and their continuations (conn.later)
 	cmu    sync.Mutex
 	conns  map[*conn]struct{}
 	closed bool
@@ -387,27 +388,27 @@ func (s *Server) statJSON() string {
 	return string(out)
 }
 
-// handle processes one request message, returning the reply (nil for
-// one-way messages). Blocking on outstanding base-data loads (§3.3)
-// happens inside the pool; a request carrying a deadline
-// budget (TimeoutMS) bounds that blocking and gets an error reply
-// instead of holding a doomed request open.
+// handle processes one request message, returning the reply: nil for
+// one-way messages and for the requests a continuation answers
+// (conn.later) — a read that found base data loading, once the data
+// lands (conn.park), and a quiesce. A request carrying a deadline
+// budget (TimeoutMS) bounds that wait, and the quiesce and ping drains,
+// and gets an error reply instead of holding a doomed request open.
 func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 	var dl time.Time // zero = no deadline
 	if m.TimeoutMS > 0 {
 		dl = time.Now().Add(time.Duration(m.TimeoutMS) * time.Millisecond)
 	}
-	// Staleness budget for bounded reads (0 = fully fresh). Decoded once
-	// here; only the read handlers below consume it.
-	maxStale := time.Duration(m.StaleMS) * time.Millisecond
 	switch m.Type {
-	case rpc.MsgGet:
-		v, found, err := s.pool.GetBounded(m.Key, maxStale, dl)
-		if err != nil {
-			return errReply(m.Seq, err)
+	case rpc.MsgGet, rpc.MsgScan, rpc.MsgCount:
+		r, w := s.read(cn, m, cn.kvBuf)
+		if w != nil {
+			cn.park(m, dl, w)
+			return nil
 		}
-		r := rpc.OKReply(m.Seq)
-		r.Value, r.Found = v, found
+		if r.KVs != nil {
+			cn.kvBuf = r.KVs // reuse capacity on the next request
+		}
 		return r
 
 	case rpc.MsgPut:
@@ -423,50 +424,6 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		}
 		r := rpc.OKReply(m.Seq)
 		r.Found = found
-		return r
-
-	case rpc.MsgScan:
-		var sub func(int, keys.Range)
-		if m.SubscribeFlag {
-			// Install the subscription while the engine's lock is
-			// still held: the snapshot the scan
-			// returned and the subscription's update stream meet with no
-			// gap (§2.4's atomic snapshot+subscribe). A connection holds
-			// one subscription per range: a subscriber that evicted the
-			// range and reloads it is already subscribed, and a second
-			// entry would push every change to it twice.
-			sub = func(_ int, r keys.Range) {
-				s.smu.Lock()
-				defer s.smu.Unlock()
-				if _, dup := cn.subs[r]; dup {
-					return
-				}
-				if cn.subs == nil {
-					cn.subs = make(map[keys.Range]*interval.Entry[*subscription])
-				}
-				cn.subs[r] = s.subs.Insert(r.Lo, r.Hi, &subscription{cn: cn, r: r})
-				// Published while the engine's lock is still held, so
-				// its next change sees the subscriber (forwardChange's
-				// fast path reads this without smu).
-				s.nsubs.Add(1)
-			}
-		}
-		kvs, err := s.pool.ScanBounded(m.Lo, m.Hi, m.Limit, cn.kvBuf, sub, maxStale, dl)
-		if err != nil {
-			return errReply(m.Seq, err)
-		}
-		cn.kvBuf = kvs // reuse capacity on the next request
-		r := rpc.OKReply(m.Seq)
-		r.KVs = kvs // rpc.KV aliases core.KV; no per-element conversion
-		return r
-
-	case rpc.MsgCount:
-		n, err := s.pool.CountBounded(m.Lo, m.Hi, maxStale, dl)
-		if err != nil {
-			return errReply(m.Seq, err)
-		}
-		r := rpc.OKReply(m.Seq)
-		r.Count = int64(n)
 		return r
 
 	case rpc.MsgAddJoin:
@@ -486,10 +443,15 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		return rpc.OKReply(m.Seq)
 
 	case rpc.MsgQuiesce:
-		if err := s.quiesce(dl); err != nil {
-			return rpc.ErrReply(m.Seq, err)
-		}
-		return rpc.OKReply(m.Seq)
+		// It may wait out peer fences and replica syncs: a continuation
+		// keeps the failure detector's probes behind it answered.
+		cn.later(func() *rpc.Message {
+			if err := s.quiesce(dl); err != nil {
+				return rpc.ErrReply(m.Seq, err)
+			}
+			return rpc.OKReply(m.Seq)
+		})
+		return nil
 
 	case rpc.MsgPing:
 		// Drain this connection's queued subscription pushes before
@@ -508,11 +470,70 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 
 	case rpc.MsgRebuildRange:
 		return s.handleRebuildRange(m)
-	}
-	if rpc.MovesView(m.Type) { // the map-bearing frames; Drain is served above
+
+	case rpc.MsgConnectPeers, rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster:
 		return s.handleMapBearing(m, dl)
 	}
 	return rpc.ErrReply(m.Seq, errors.New("unknown request"))
+}
+
+// read makes a Get, Scan or Count request's one attempt at the pool:
+// its reply, or — when base data it needs is still loading — nil and
+// the restart context to retry on. buf lends a scan its result capacity.
+func (s *Server) read(cn *conn, m *rpc.Message, buf []core.KV) (*rpc.Message, *core.LoadWait) {
+	maxStale := time.Duration(m.StaleMS) * time.Millisecond // 0 = fully fresh
+	r := rpc.OKReply(m.Seq)
+	var err error
+	switch m.Type {
+	case rpc.MsgGet:
+		r.Value, r.Found, err = s.pool.GetBounded(m.Key, maxStale)
+	case rpc.MsgScan:
+		var sub func(int, keys.Range)
+		if m.SubscribeFlag {
+			sub = func(_ int, r keys.Range) { s.subscribe(cn, r) }
+		}
+		r.KVs, err = s.pool.ScanBounded(m.Lo, m.Hi, m.Limit, buf, sub, maxStale)
+	default: // MsgCount
+		var n int
+		n, err = s.pool.CountBounded(m.Lo, m.Hi, maxStale)
+		r.Count = int64(n)
+	}
+	if err == nil {
+		return r, nil
+	}
+	if lp, ok := err.(*shard.LoadPending); ok {
+		return nil, lp.W
+	}
+	return errReply(m.Seq, err), nil
+}
+
+// subscribe installs cn's subscription to r while the engine's lock is
+// still held: the snapshot the scan returned and the subscription's
+// update stream meet with no gap (§2.4's atomic snapshot+subscribe). A
+// connection holds one subscription per range: a subscriber that
+// evicted the range and reloads it is already subscribed, and a second
+// entry would push every change to it twice. A closed connection gets
+// none: a parked scan's continuation may retry after dropConn, which
+// would never remove what it installed.
+func (s *Server) subscribe(cn *conn, r keys.Range) {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	select {
+	case <-cn.done:
+		return
+	default:
+	}
+	if _, dup := cn.subs[r]; dup {
+		return
+	}
+	if cn.subs == nil {
+		cn.subs = make(map[keys.Range]*interval.Entry[*subscription])
+	}
+	cn.subs[r] = s.subs.Insert(r.Lo, r.Hi, &subscription{cn: cn, r: r})
+	// Published while the engine's lock is still held, so its next
+	// change sees the subscriber (forwardChange's fast path reads this
+	// without smu).
+	s.nsubs.Add(1)
 }
 
 // errReply maps an error onto the wire: cluster-ownership failures
@@ -587,151 +608,4 @@ func coreChanges(changes []rpc.Change) []core.Change {
 		out[i] = core.Change{Op: op, Key: c.Key, Value: c.Value}
 	}
 	return out
-}
-
-// --- connection ---
-
-type conn struct {
-	s  *Server
-	c  net.Conn
-	bw *bufio.Writer
-
-	wmu     sync.Mutex // guards bw
-	scratch []byte
-
-	// Scan result buffer, reused across this connection's requests:
-	// request handling is sequential per connection and the reply is
-	// fully encoded before the next request is read, so reuse is safe
-	// (the reply aliases it directly — rpc.KV is core.KV).
-	kvBuf []core.KV
-
-	// notify queue drained by the notifier goroutine; nbusy marks a
-	// batch mid-write so drainNotify can wait for bytes to reach the
-	// socket, not just the queue to empty
-	nmu     sync.Mutex
-	ncond   *sync.Cond
-	nqueue  []rpc.Change
-	nbusy   bool
-	nclosed bool
-
-	subs map[keys.Range]*interval.Entry[*subscription] // guarded by s.smu
-}
-
-func newConn(s *Server, c net.Conn) *conn {
-	cn := &conn{s: s, c: c, bw: bufio.NewWriterSize(c, 64<<10)}
-	cn.ncond = sync.NewCond(&cn.nmu)
-	return cn
-}
-
-func (cn *conn) serve() {
-	defer cn.s.connWG.Done()
-	defer cn.s.dropConn(cn)
-	defer cn.close()
-	go cn.notifyLoop()
-	br := bufio.NewReaderSize(cn.c, 64<<10)
-	var scratch []byte
-	for {
-		m, sc, err := rpc.ReadMessage(br, scratch)
-		if err != nil {
-			return
-		}
-		scratch = sc
-		if r := cn.s.handle(cn, m); r != nil {
-			// Batch flushes across pipelined requests: only force bytes
-			// out when the input buffer has drained, so a burst of
-			// pipelined requests costs one write syscall, not one per
-			// reply.
-			if err := cn.write(r, br.Buffered() == 0); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// write sends a frame, flushing when requested (end of a pipelined
-// burst) — the notifier goroutine always flushes its own pushes.
-func (cn *conn) write(m *rpc.Message, flush bool) error {
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	var err error
-	cn.scratch, err = rpc.WriteMessage(cn.bw, m, cn.scratch)
-	if err != nil {
-		return err
-	}
-	if flush {
-		return cn.bw.Flush()
-	}
-	return nil
-}
-
-// pushNotify enqueues a subscription push (called with the engine's
-// lock held; must not block). Broadcast, not Signal: the cond is shared with
-// drainNotify waiters, and a Signal could wake one of those instead of
-// the notifier goroutine.
-func (cn *conn) pushNotify(c rpc.Change) {
-	cn.nmu.Lock()
-	cn.nqueue = append(cn.nqueue, c)
-	cn.nmu.Unlock()
-	cn.ncond.Broadcast()
-}
-
-// notifyLoop drains the notify queue into batched MsgNotify frames —
-// asynchronous update propagation, the source of Pequod's eventual
-// consistency (§2.4).
-func (cn *conn) notifyLoop() {
-	for {
-		cn.nmu.Lock()
-		for len(cn.nqueue) == 0 && !cn.nclosed {
-			cn.ncond.Wait()
-		}
-		if cn.nclosed && len(cn.nqueue) == 0 {
-			cn.nmu.Unlock()
-			return
-		}
-		batch := cn.nqueue
-		cn.nqueue = nil
-		cn.nbusy = true
-		cn.nmu.Unlock()
-		err := cn.write(&rpc.Message{Type: rpc.MsgNotify, Changes: batch}, true)
-		cn.nmu.Lock()
-		cn.nbusy = false
-		cn.nmu.Unlock()
-		cn.ncond.Broadcast()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// drainNotify blocks until this connection's queued pushes are written
-// out (or the connection is closed), reporting false when a non-zero
-// deadline expired first. Called by the quiesce and ping paths; the
-// notifier goroutine does the writing. The timer's broadcast cannot be
-// lost: it needs nmu, which the waiter holds until it parks.
-func (cn *conn) drainNotify(dl time.Time) bool {
-	cn.nmu.Lock()
-	defer cn.nmu.Unlock()
-	if !dl.IsZero() {
-		t := time.AfterFunc(time.Until(dl), func() {
-			cn.nmu.Lock()
-			cn.ncond.Broadcast()
-			cn.nmu.Unlock()
-		})
-		defer t.Stop()
-	}
-	for (len(cn.nqueue) > 0 || cn.nbusy) && !cn.nclosed {
-		if !dl.IsZero() && !time.Now().Before(dl) {
-			return false
-		}
-		cn.ncond.Wait()
-	}
-	return true
-}
-
-func (cn *conn) close() {
-	cn.nmu.Lock()
-	cn.nclosed = true
-	cn.nmu.Unlock()
-	cn.ncond.Broadcast()
-	cn.c.Close()
 }

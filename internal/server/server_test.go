@@ -10,8 +10,10 @@ import (
 
 	"pequod/internal/backdb"
 	"pequod/internal/client"
+	"pequod/internal/core"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
+	"pequod/internal/shard"
 )
 
 const timelineJoin = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
@@ -403,6 +405,25 @@ func TestNotifyFrameWritesNothing(t *testing.T) {
 	}
 	if n := s.pool.Len(); n != 1 {
 		t.Fatalf("%d rows after the Notify, want 1", n)
+	}
+}
+
+// scanPool scans [lo, hi) at s's pool the way a parked request is
+// served: retried on each restart context until it completes, or fails
+// with errDeadline once d has passed.
+func scanPool(s *Server, lo, hi string, d time.Duration) ([]core.KV, error) {
+	expired := time.After(d)
+	for {
+		kvs, err := s.pool.ScanBounded(lo, hi, 0, nil, nil, 0)
+		lp, ok := err.(*shard.LoadPending)
+		if !ok {
+			return kvs, err
+		}
+		select {
+		case <-lp.W.Done():
+		case <-expired:
+			return nil, errDeadline
+		}
 	}
 }
 

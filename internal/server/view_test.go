@@ -76,51 +76,61 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 	}
 }
 
-// TestRecoverGoldenMeta: testdata/golden_meta.json is a meta.json the
-// commit before partition.View existed wrote (a member owning ranges 0
-// and 3 of four, meshed, holding replicas). recoverDurable rebuilds the
-// same gate and copy count from it, and the same replicated tables from
-// its joins, and what the server saves back is the same file but for
-// its timestamp — the mesh record and both table lists included, though
-// the golden file's peers are long gone and the rewire is still retrying
-// at Close.
+// TestRecoverGoldenMeta: testdata/golden_meta.json is the meta.json a
+// member owning ranges 0 and 3 of four, meshed and holding replicas,
+// writes; testdata/meta_with_tables.json is the same position as the
+// commits before the table lists were dropped wrote it (mesh_tables and
+// replica_tables, first written before partition.View existed).
+// recoverDurable rebuilds the same gate and copy count from either, and
+// the same replicated tables from its joins, and what the server saves
+// back is the golden file but for its timestamp — the mesh record
+// included, though the files' peers are long gone and the rewire is
+// still retrying at Close.
 func TestRecoverGoldenMeta(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden_meta.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(durableConfig("m0", dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := s.pool.Gate()
-	if g == nil {
-		t.Fatal("no gate recovered from the golden meta")
-	}
-	w := g.Wire()
-	if w.Epoch != 2147483655 || w.Version != 2 || !reflect.DeepEqual(w.Bounds, []string{"p|k", "p|x", "s|"}) ||
-		len(w.Peers) != 4 || w.Peers[0] != w.Peers[3] || !reflect.DeepEqual(w.Self, []int{0, 3}) {
-		t.Fatalf("recovered gate = %+v", w)
-	}
-	if !g.Owns("p|a") || g.Owns("p|m") || !g.Owns("t|x") {
-		t.Fatal("recovered gate owns the wrong ranges")
-	}
-	if st := s.repl; st == nil || st.copies != 2 || !reflect.DeepEqual(s.pool.SourceTables(), []string{"s", "p"}) {
-		t.Fatalf("recovered replica assignment = %+v of %v", st, s.pool.SourceTables())
-	}
-	s.Close()
-	saved, err := os.ReadFile(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	varies := regexp.MustCompile(`"saved_unix_nano": \d+`)
-	strip := func(b []byte) string { return strings.TrimSpace(varies.ReplaceAllString(string(b), "")) }
-	if got, want := strip(saved), strip(golden); got != want {
-		t.Fatalf("meta.json saved back differs from the golden file:\n%s\nwant\n%s", got, want)
+	for _, in := range []string{"golden_meta.json", "meta_with_tables.json"} {
+		t.Run(in, func(t *testing.T) {
+			meta, err := os.ReadFile(filepath.Join("testdata", in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(durableConfig("m0", dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := s.pool.Gate()
+			if g == nil {
+				t.Fatal("no gate recovered")
+			}
+			w := g.Wire()
+			if w.Epoch != 2147483655 || w.Version != 2 || !reflect.DeepEqual(w.Bounds, []string{"p|k", "p|x", "s|"}) ||
+				len(w.Peers) != 4 || w.Peers[0] != w.Peers[3] || !reflect.DeepEqual(w.Self, []int{0, 3}) {
+				t.Fatalf("recovered gate = %+v", w)
+			}
+			if !g.Owns("p|a") || g.Owns("p|m") || !g.Owns("t|x") {
+				t.Fatal("recovered gate owns the wrong ranges")
+			}
+			if st := s.repl; st == nil || st.copies != 2 || !reflect.DeepEqual(s.pool.SourceTables(), []string{"s", "p"}) {
+				t.Fatalf("recovered replica assignment = %+v of %v", st, s.pool.SourceTables())
+			}
+			s.Close()
+			saved, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			varies := regexp.MustCompile(`"saved_unix_nano": \d+`)
+			strip := func(b []byte) string { return strings.TrimSpace(varies.ReplaceAllString(string(b), "")) }
+			if got, want := strip(saved), strip(golden); got != want {
+				t.Fatalf("meta.json saved back differs from the golden file:\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -242,7 +252,7 @@ func TestAdoptLearnedView(t *testing.T) {
 			if err := s.ConnectMesh(mustView(t, partition.MustNew("t"), []string{home, second}, 1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(200*time.Millisecond)); err == nil {
+			if _, err := scanPool(s, "t|ann|", "t|ann}", 200*time.Millisecond); err == nil {
 				t.Fatal("a timeline whose sources their home bounces was computed")
 			}
 			if s.pool.Stats().LoadsFailed == 0 {
@@ -346,7 +356,7 @@ func TestExtractSourceLoadsFromNewHome(t *testing.T) {
 	if err := dst.pool.Put("p|bob|200", "again"); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := src.pool.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, time.Now().Add(5*time.Second))
+	kvs, err := scanPool(src, "t|ann|", "t|ann}", 5*time.Second)
 	want := []core.KV{{Key: "t|ann|100|bob", Value: "Hi"}, {Key: "t|ann|200|bob", Value: "again"}}
 	if err != nil || !reflect.DeepEqual(kvs, want) {
 		t.Fatalf("timeline at the source = %v, %v; want %v", kvs, err, want)
@@ -434,9 +444,9 @@ func TestStaleCoordinatorAssignsCopies(t *testing.T) {
 		if g := s.pool.Gate(); !g.Same(moved) {
 			t.Fatalf("member %d gate moved back to %+v", i, g.Wire())
 		}
-		m := s.buildMeta()
-		if tables := slices.Sorted(slices.Values(m.ReplicaTables)); m.ReplicaCopies != 2 || !reflect.DeepEqual(tables, []string{"p", "s"}) {
-			t.Fatalf("member %d assignment = %d copies of %v, want 2 of [p s]", i, m.ReplicaCopies, tables)
+		n, tables := s.buildMeta().ReplicaCopies, slices.Sorted(slices.Values(s.pool.SourceTables()))
+		if n != 2 || !reflect.DeepEqual(tables, []string{"p", "s"}) {
+			t.Fatalf("member %d assignment = %d copies of %v, want 2 of [p s]", i, n, tables)
 		}
 	}
 }

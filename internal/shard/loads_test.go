@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -41,9 +40,10 @@ func (l *heldLoader) next(t *testing.T) []core.Load {
 }
 
 // TestBlockedReadWakesOncePerBatch: a timeline read over loader-backed
-// sources blocks in the pool until LoadsDone lands its batch — rows and
-// residency marks together — then emits; a failed load makes it retry;
-// and a deadline turns the wait into ErrDeadline.
+// sources returns its restart context while loads are in flight, and
+// the context resolves once, when the last load of the batch lands —
+// rows and residency marks together — for the retry to emit; a failed
+// load resolves it too, and the retry starts that load again.
 func TestBlockedReadWakesOncePerBatch(t *testing.T) {
 	p := newPool(t, Config{})
 	if err := p.InstallText(timelineJoin); err != nil {
@@ -52,57 +52,44 @@ func TestBlockedReadWakesOncePerBatch(t *testing.T) {
 	sh := p.Shard(0)
 	ld := &heldLoader{started: make(chan struct{}, 16)}
 	sh.SetLoader(ld, "s", "p")
-
-	type result struct {
-		kvs []core.KV
-		err error
-	}
-	read := func(dl time.Time) chan result {
-		out := make(chan result, 1)
-		go func() {
-			kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0, dl)
-			out <- result{kvs, err}
-		}()
-		return out
+	read := func() *core.LoadWait {
+		t.Helper()
+		kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0)
+		return pendingWait(t, len(kvs), err)
 	}
 
-	// No deadline: round one (s|ann|) fails once and is retried, round
-	// two lands both posters' ranges in one LoadsDone.
-	res := read(time.Time{})
+	// Round one (s|ann|) fails once and is retried, round two lands both
+	// posters' ranges, the context resolving only with the second.
+	w := read()
 	round1 := ld.next(t)
 	sh.LoadsDone(nil, nil, round1)
+	resolves(t, w)
+	w = read()
 	round1 = ld.next(t)
 	if len(round1) != 1 || round1[0].Table != "s" {
 		t.Fatalf("retry after the failed load started %v", round1)
 	}
 	sh.LoadsDone([]core.KV{{Key: "s|ann|bob", Value: "1"}, {Key: "s|ann|liz", Value: "1"}}, round1, nil)
+	resolves(t, w)
+	w = read()
 	round2 := ld.next(t)
 	if len(round2) != 2 {
 		t.Fatalf("second round = %v, want both posters in one batch", round2)
 	}
+	sh.LoadsDone([]core.KV{{Key: "p|bob|100", Value: "b"}, {Key: "p|liz|150", Value: "l"}}, round2[:1], nil)
 	select {
-	case r := <-res:
-		t.Fatalf("read returned with loads in flight: %v %v", r.kvs, r.err)
-	case <-time.After(20 * time.Millisecond):
+	case <-w.Done():
+		t.Fatal("restart context resolved with a load still in flight")
+	default:
 	}
-	sh.LoadsDone([]core.KV{{Key: "p|bob|100", Value: "b"}, {Key: "p|liz|150", Value: "l"}}, round2, nil)
-	r := <-res
-	if r.err != nil || len(r.kvs) != 2 {
-		t.Fatalf("read = %v, %v", r.kvs, r.err)
+	sh.LoadsDone(nil, round2[1:], nil)
+	resolves(t, w)
+	kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, 0)
+	if err != nil || len(kvs) != 2 {
+		t.Fatalf("read = %v, %v", kvs, err)
 	}
 	st := p.Stats()
 	if st.JoinExecs-st.Restarts != 1 || st.LoadsFailed != 1 || st.LoadBatches != 3 {
 		t.Fatalf("emits=%d failed=%d batches=%d", st.JoinExecs-st.Restarts, st.LoadsFailed, st.LoadBatches)
 	}
-
-	// A deadline bounds the wait.
-	r = <-read(time.Now().Add(30 * time.Millisecond)) // t|ann| is warm: no wait at all
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	kvs, err := p.ScanBounded("t|cat|", "t|cat}", 0, nil, nil, 0, time.Now().Add(30*time.Millisecond))
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("read past its deadline = %v, %v", kvs, err)
-	}
-	ld.next(t) // the abandoned read's load is still the loader's to resolve
 }

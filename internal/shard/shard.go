@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -12,14 +11,17 @@ import (
 	"pequod/internal/join"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
-	"pequod/internal/perrs"
 	"pequod/internal/store"
 )
 
-// ErrDeadline is returned by the deadline-taking operations when the
-// deadline expires while blocked on outstanding base-data loads (§3.3
-// restart contexts that never complete in time).
-var ErrDeadline = errors.New("shard: deadline exceeded waiting for base data")
+// LoadPending is a read's outcome when base data it needs is still
+// loading (§3.3): W is its restart context, closed once every load the
+// read met has resolved, when the read is worth retrying. The pool
+// never waits for it; only a member can see one (a loader is
+// member-only), and its server parks the request off the connection.
+type LoadPending struct{ W *core.LoadWait }
+
+func (*LoadPending) Error() string { return "shard: base data loading" }
 
 // Config configures a Pool.
 type Config struct {
@@ -435,64 +437,46 @@ func (p *Pool) Remove(key string) (bool, error) {
 }
 
 // step is the one locked attempt every read makes at a shard (DESIGN.md
-// "A read, end to end"): under owner's lock, and again after every wait
-// for base data — which releases it — [lo, hi) must still be this
+// "A read, end to end"): under owner's lock, [lo, hi) must be this
 // process's (else NotOwner carrying the gate); then the engine call op
 // runs with the staleness budget, cut to zero when the shard's
 // forwarded-write queue already lags past it, and either completes
-// (units of work are recorded) or reports loads in flight, which the
-// step waits out, to dl at the latest, before trying again. The shard
-// needs no such check: the pool's map never changes.
-func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration, dl time.Time,
+// (units of work are recorded) or reports loads in flight, which step
+// returns as *LoadPending for the caller to retry on. The shard needs
+// no ownership check: the pool's map never changes.
+func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration,
 	op func(e *core.Engine, budget time.Duration) (units int64, pending int)) error {
-	r := keys.Range{Lo: lo, Hi: hi}
 	sh := p.shards[owner]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for {
-		if g := p.gate.Load(); g != nil && !g.OwnsRange(r) {
-			return &partition.NotOwnerError{View: g}
-		}
-		budget := maxStale
-		if budget > 0 && sh.Lag(time.Now()) > budget {
-			budget = 0 // queue already over budget: fresh fallback
-		}
-		units, pending := op(sh.e, budget)
-		if pending == 0 {
-			sh.record(lo, units)
-			return nil
-		}
-		if !sh.waitLoadsLocked(dl) {
-			return deadlineErr(maxStale)
-		}
+	if g := p.gate.Load(); g != nil && !g.OwnsRange(keys.Range{Lo: lo, Hi: hi}) {
+		return &partition.NotOwnerError{View: g}
 	}
+	budget := maxStale
+	if budget > 0 && sh.Lag(time.Now()) > budget {
+		budget = 0 // queue already over budget: fresh fallback
+	}
+	units, pending := op(sh.e, budget)
+	if pending > 0 {
+		return &LoadPending{W: sh.e.LoadWait()}
+	}
+	sh.record(lo, units)
+	return nil
 }
 
-// deadlineErr attributes a deadline failure. A read that carried a
-// staleness budget and still timed out could not be served even with
-// the latitude the budget granted (the range needed base data, or the
-// shard fell back to the fresh path), so the error carries both
-// sentinels and callers can match either.
-func deadlineErr(maxStale time.Duration) error {
-	if maxStale > 0 {
-		return fmt.Errorf("%w: %w", perrs.ErrOverBudget, ErrDeadline)
-	}
-	return ErrDeadline
-}
-
-// Get returns the value under key from its owning shard, blocking on
-// outstanding base-data loads.
+// Get returns the value under key from its owning shard: GetBounded
+// with no budget and the error dropped, for pools that cannot fail a
+// read (an embedded Cache's: no gate, no loader).
 func (p *Pool) Get(key string) (string, bool) {
-	v, ok, _ := p.GetBounded(key, 0, time.Time{})
+	v, ok, _ := p.GetBounded(key, 0)
 	return v, ok
 }
 
-// GetBounded is Get bounded by a deadline (zero = none; ErrDeadline if
-// base-data loads are still outstanding at dl) and carrying a staleness
-// budget (zero = fully fresh): one step at the key's shard.
-func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (v string, ok bool, err error) {
+// GetBounded is Get carrying a staleness budget (zero = fully fresh):
+// one step at the key's shard.
+func (p *Pool) GetBounded(key string, maxStale time.Duration) (v string, ok bool, err error) {
 	point := keys.Range{Lo: key, Hi: key + "\x00"}
-	err = p.step(p.pmap.Owner(key), point.Lo, point.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+	err = p.step(p.pmap.Owner(key), point.Lo, point.Hi, maxStale, func(e *core.Engine, budget time.Duration) (int64, int) {
 		var pending int
 		v, ok, pending = e.GetBounded(point, budget)
 		return 1, pending
@@ -503,29 +487,30 @@ func (p *Pool) GetBounded(key string, maxStale time.Duration, dl time.Time) (v s
 	return v, ok, nil
 }
 
-// Scan returns up to limit (0 = all) pairs in [lo, hi). buf's capacity
-// is reused for the first piece. If sub is non-nil it is invoked for
-// each piece while the owning shard's lock is still held, immediately
-// after that piece's final (complete) scan — the atomic
-// snapshot+subscribe window cross-server subscriptions need (§2.4).
+// Scan returns up to limit (0 = all) pairs in [lo, hi), as Get drops
+// ScanBounded's error. buf's capacity is reused for the first piece. If
+// sub is non-nil it is invoked for each piece while the owning shard's
+// lock is still held, immediately after that piece's final (complete)
+// scan — the atomic snapshot+subscribe window cross-server
+// subscriptions need (§2.4).
 func (p *Pool) Scan(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range)) []core.KV {
-	kvs, _ := p.ScanBounded(lo, hi, limit, buf, sub, 0, time.Time{})
+	kvs, _ := p.ScanBounded(lo, hi, limit, buf, sub, 0)
 	return kvs
 }
 
-// ScanBounded is Scan bounded by a deadline and carrying a staleness
-// budget, as GetBounded: partition.Gather over the pool's map, one step
-// per piece. Subscribing scans (sub != nil) always run fresh — the
-// subscription snapshot must be exact or the subscriber would
-// permanently miss the writes the budget skipped — and visit every
-// piece, each subscription needing its piece's complete snapshot.
-func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), maxStale time.Duration, dl time.Time) ([]core.KV, error) {
+// ScanBounded is Scan carrying a staleness budget, as GetBounded:
+// partition.Gather over the pool's map, one step per piece. Subscribing
+// scans (sub != nil) always run fresh — the subscription snapshot must
+// be exact or the subscriber would permanently miss the writes the
+// budget skipped — and visit every piece, each subscription needing its
+// piece's complete snapshot.
+func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(shard int, r keys.Range), maxStale time.Duration) ([]core.KV, error) {
 	if sub != nil {
 		maxStale = 0
 	}
 	return partition.Gather(p.Map, keys.Range{Lo: lo, Hi: hi}, limit, sub != nil, buf,
 		func(pc partition.Shard, limit int, buf []core.KV) ([]core.KV, error) {
-			err := p.step(pc.Owner, pc.R.Lo, pc.R.Hi, maxStale, dl, func(e *core.Engine, budget time.Duration) (int64, int) {
+			err := p.step(pc.Owner, pc.R.Lo, pc.R.Hi, maxStale, func(e *core.Engine, budget time.Duration) (int64, int) {
 				var pending int
 				buf, pending = e.ScanIntoBounded(pc.R.Lo, pc.R.Hi, limit, buf, budget)
 				if pending == 0 && sub != nil {
@@ -538,15 +523,16 @@ func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(sha
 		func(error, int) bool { return false })
 }
 
-// Count returns the number of keys in [lo, hi) after join computation.
+// Count returns the number of keys in [lo, hi) after join computation,
+// as Get drops CountBounded's error.
 func (p *Pool) Count(lo, hi string) int {
-	n, _ := p.CountBounded(lo, hi, 0, time.Time{})
+	n, _ := p.CountBounded(lo, hi, 0)
 	return n
 }
 
 // CountBounded is the length of ScanBounded.
-func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration, dl time.Time) (int, error) {
-	kvs, err := p.ScanBounded(lo, hi, 0, nil, nil, maxStale, dl)
+func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration) (int, error) {
+	kvs, err := p.ScanBounded(lo, hi, 0, nil, nil, maxStale)
 	return len(kvs), err
 }
 
@@ -755,9 +741,9 @@ func (sh *Shard) SetLoader(l core.BaseLoader, tables ...string) {
 // under a single lock acquisition: rows fetched for ranges still
 // loading are installed, the landed ranges are marked resident, the
 // failed ones (the remote owner refused, or the transport died) are
-// abandoned. Each read blocked on these loads is woken once, when the
-// last load it waits for resolves — to emit, or to retry and, if the
-// range migrated away, bounce with NotOwner.
+// abandoned. Each read parked on these loads has its restart context
+// resolved once, when the last load it waits for resolves — to retry
+// and emit or, if the range migrated away, bounce with NotOwner.
 func (sh *Shard) LoadsDone(rows []core.KV, landed, failed []core.Load) {
 	sh.mu.Lock()
 	sh.e.LoadRows(rows)
@@ -791,27 +777,4 @@ func (sh *Shard) WithEngine(fn func(e *core.Engine)) {
 	sh.mu.Lock()
 	fn(sh.e)
 	sh.mu.Unlock()
-}
-
-// waitLoadsLocked parks the read that just reported pending loads until
-// every load it needs has resolved, releasing sh.mu meanwhile, then
-// lets the caller retry — the iterative evaluation of §3.3. A non-zero
-// deadline bounds the wait; it reports false when the deadline expired
-// first.
-func (sh *Shard) waitLoadsLocked(dl time.Time) bool {
-	w := sh.e.LoadWait()
-	sh.mu.Unlock()
-	defer sh.mu.Lock()
-	if dl.IsZero() {
-		<-w.Done()
-		return true
-	}
-	t := time.NewTimer(time.Until(dl))
-	defer t.Stop()
-	select {
-	case <-w.Done():
-		return true
-	case <-t.C:
-		return false
-	}
 }

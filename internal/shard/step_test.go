@@ -9,39 +9,54 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
-	"pequod/internal/perrs"
 )
 
 // readForms are the three reads that share the step: each reads ann's
 // timeline (Get: one key of it) and reports how many rows it saw.
 var readForms = []struct {
 	name string
-	read func(p *Pool, key string, maxStale time.Duration, dl time.Time) (int, error)
+	read func(p *Pool, key string, maxStale time.Duration) (int, error)
 }{
-	{"Get", func(p *Pool, key string, maxStale time.Duration, dl time.Time) (int, error) {
-		_, ok, err := p.GetBounded(key, maxStale, dl)
+	{"Get", func(p *Pool, key string, maxStale time.Duration) (int, error) {
+		_, ok, err := p.GetBounded(key, maxStale)
 		if ok {
 			return 1, err
 		}
 		return 0, err
 	}},
-	{"Scan", func(p *Pool, _ string, maxStale time.Duration, dl time.Time) (int, error) {
-		kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, maxStale, dl)
+	{"Scan", func(p *Pool, _ string, maxStale time.Duration) (int, error) {
+		kvs, err := p.ScanBounded("t|ann|", "t|ann}", 0, nil, nil, maxStale)
 		return len(kvs), err
 	}},
-	{"Count", func(p *Pool, _ string, maxStale time.Duration, dl time.Time) (int, error) {
-		return p.CountBounded("t|ann|", "t|ann}", maxStale, dl)
+	{"Count", func(p *Pool, _ string, maxStale time.Duration) (int, error) {
+		return p.CountBounded("t|ann|", "t|ann}", maxStale)
 	}},
 }
 
-type stepResult struct {
-	n   int
-	err error
+// pendingWait returns the restart context a read that found base data
+// loading reports, failing the test on any other outcome.
+func pendingWait(t *testing.T, n int, err error) *core.LoadWait {
+	t.Helper()
+	var lp *LoadPending
+	if !errors.As(err, &lp) || lp.W == nil {
+		t.Fatalf("cold read = %d rows, %v; want its restart context", n, err)
+	}
+	return lp.W
+}
+
+// resolves waits for w's loads to resolve.
+func resolves(t *testing.T, w *core.LoadWait) {
+	t.Helper()
+	select {
+	case <-w.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("restart context never resolved")
+	}
 }
 
 // homeLoader lands every load it is handed with the rows of home that
-// fall in it — once released; until then the reads that started them
-// stay parked.
+// fall in it — once released; until then the restart contexts of the
+// reads that started them stay unresolved.
 type homeLoader struct {
 	sh      *Shard
 	home    []core.KV
@@ -82,52 +97,60 @@ func coldPool(t *testing.T, home []core.KV) (*Pool, *homeLoader, func()) {
 	return p, ld, open
 }
 
-// TestStepTable runs the locked retry step's outcomes — everything that
-// can happen to a read between routing and its reply — against each of
-// the reads built on it.
+// TestStepTable runs the locked step's outcomes — everything that can
+// happen to one attempt of a read — against each of the reads built on
+// it: a read that finds base data loading gets its restart context,
+// which resolves when the loads do (or are abandoned), and the retry
+// completes (or bounces).
 func TestStepTable(t *testing.T) {
 	home := []core.KV{{Key: "s|ann|bob", Value: "1"}, {Key: "p|bob|100", Value: "Hi"}}
 	const bobs = "t|ann|100|bob"
 	for _, f := range readForms {
-		start := func(p *Pool, key string, maxStale time.Duration, dl time.Time) chan stepResult {
-			res := make(chan stepResult, 1)
-			go func() {
-				n, err := f.read(p, key, maxStale, dl)
-				res <- stepResult{n, err}
-			}()
-			return res
-		}
-
 		t.Run(f.name+"/gate bounce carries the view", func(t *testing.T) {
 			peers := []string{"a:1", "a:2"}
 			p, ld, _ := coldPool(t, home)
 			p.ApplyMapUpdate(viewAt(t, 0, 0, "m", peers, 1)) // owns [m, +inf): s|, p| and t|
-			res := start(p, bobs, 0, time.Time{})
+			n, err := f.read(p, bobs, 0)
+			w := pendingWait(t, n, err)
 			<-ld.started
-			// The range leaves while the read waits; the extraction abandons
-			// the load, and the woken read must bounce with the new view.
+			// The range leaves while the read is parked; the extraction
+			// abandons the load, and the retry must bounce with the new view.
 			next := viewAt(t, 0, 1, "u", peers, 1)
 			if _, err := p.ExtractClusterRange(keys.Range{Lo: "m", Hi: "u"}, next); err != nil {
 				t.Fatal(err)
 			}
+			resolves(t, w)
 			var noe *partition.NotOwnerError
-			if r := <-res; !errors.As(r.err, &noe) || noe.View != next {
-				t.Fatalf("read woken after the range left = %d rows, %v", r.n, r.err)
-			}
-			// ...as does one that arrives afterwards.
-			if _, err := f.read(p, bobs, 0, time.Time{}); !errors.As(err, &noe) || noe.View != next {
-				t.Fatalf("read of a range homed elsewhere = %v", err)
+			if n, err = f.read(p, bobs, 0); !errors.As(err, &noe) || noe.View != next {
+				t.Fatalf("retry after the range left = %d rows, %v", n, err)
 			}
 		})
 
-		t.Run(f.name+"/deadline", func(t *testing.T) {
-			p, _, _ := coldPool(t, home) // loads start and do not land
-			dl := func() time.Time { return time.Now().Add(5 * time.Millisecond) }
-			if _, err := f.read(p, bobs, 0, dl()); !errors.Is(err, ErrDeadline) || errors.Is(err, perrs.ErrOverBudget) {
-				t.Fatalf("fresh read past its deadline = %v, want plain ErrDeadline", err)
+		t.Run(f.name+"/load pending resolves and the retry completes", func(t *testing.T) {
+			p, ld, open := coldPool(t, home)
+			n, err := f.read(p, bobs, 0)
+			w := pendingWait(t, n, err)
+			<-ld.started
+			select {
+			case <-w.Done():
+				t.Fatal("restart context resolved with its load still held")
+			default:
 			}
-			if _, err := f.read(p, bobs, 50*time.Millisecond, dl()); !errors.Is(err, ErrDeadline) || !errors.Is(err, perrs.ErrOverBudget) {
-				t.Fatalf("bounded read past its deadline = %v, want ErrOverBudget and ErrDeadline", err)
+			open()
+			// s|ann| lands first; a retry then finds p|bob| missing and
+			// parks once more, and the one after that emits.
+			for round := 0; ; round++ {
+				resolves(t, w)
+				if n, err = f.read(p, bobs, 0); err == nil {
+					break
+				}
+				if round == 2 {
+					t.Fatalf("retry %d still pending: %v", round, err)
+				}
+				w = pendingWait(t, n, err)
+			}
+			if n != 1 {
+				t.Fatalf("completed retry = %d rows, want 1", n)
 			}
 		})
 
@@ -149,7 +172,7 @@ func TestStepTable(t *testing.T) {
 			if f.name == "Get" {
 				stale = 0 // liz's row is not there yet
 			}
-			if n, err := f.read(p, lizs, budget, time.Time{}); err != nil || n != stale {
+			if n, err := f.read(p, lizs, budget); err != nil || n != stale {
 				t.Fatalf("bounded read with an idle queue = %d rows, %v; want the stale %d", n, err, stale)
 			}
 			// The forwarded-write queue now lags an hour: what the shard has
@@ -158,7 +181,7 @@ func TestStepTable(t *testing.T) {
 			sh.qmu.Lock()
 			sh.busy, sh.batchAt = true, time.Now().Add(-time.Hour)
 			sh.qmu.Unlock()
-			n, err := f.read(p, lizs, budget, time.Time{})
+			n, err := f.read(p, lizs, budget)
 			sh.qmu.Lock()
 			sh.busy = false
 			sh.qmu.Unlock()
@@ -199,7 +222,7 @@ func TestGatherOverPool(t *testing.T) {
 	t.Run("a limit the first piece meets visits no second piece", func(t *testing.T) {
 		p := warm(t)
 		before := scans(p)
-		kvs, err := p.ScanBounded("t|", "t}", 2, nil, nil, 0, time.Time{})
+		kvs, err := p.ScanBounded("t|", "t}", 2, nil, nil, 0)
 		after := scans(p)
 		if err != nil || len(kvs) != 2 || kvs[1].Key != "t|ann|200|bob" || after[0] != before[0]+1 || after[1] != before[1] {
 			t.Fatalf("limited scan = %v, %v; engine scans %v -> %v", kvs, err, before, after)
@@ -209,13 +232,13 @@ func TestGatherOverPool(t *testing.T) {
 	t.Run("unlimited fans out", func(t *testing.T) {
 		p := warm(t)
 		before := scans(p)
-		kvs, err := p.ScanBounded("t|", "t}", 0, nil, nil, 0, time.Time{})
+		kvs, err := p.ScanBounded("t|", "t}", 0, nil, nil, 0)
 		after := scans(p)
 		if err != nil || len(kvs) != 4 || kvs[0].Key != "t|ann|100|bob" || kvs[3].Key != "t|zed|200|bob" ||
 			after[0] != before[0]+1 || after[1] != before[1]+1 {
 			t.Fatalf("unlimited scan = %v, %v; engine scans %v -> %v", kvs, err, before, after)
 		}
-		if n, err := p.CountBounded("t|", "t}", 0, time.Time{}); err != nil || n != 4 {
+		if n, err := p.CountBounded("t|", "t}", 0); err != nil || n != 4 {
 			t.Fatalf("count = %d, %v", n, err)
 		}
 	})

@@ -66,8 +66,6 @@ package pequod
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"pequod/internal/backdb"
@@ -76,7 +74,6 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/freshness"
 	"pequod/internal/join"
-	"pequod/internal/perrs"
 	"pequod/internal/rpc"
 	"pequod/internal/server"
 	"pequod/internal/shard"
@@ -148,29 +145,6 @@ func FreshnessOf(ctx context.Context) time.Duration {
 	return freshness.Budget(ctx)
 }
 
-// ctxDeadline extracts a context's deadline as the zero-able time the
-// shard pool understands.
-func ctxDeadline(ctx context.Context) time.Time {
-	dl, _ := ctx.Deadline()
-	return dl
-}
-
-// ctxErr maps a pool deadline failure back onto the context's own error
-// when the deadline came from the context, preserving the over-budget
-// sentinel so bounded-read failures stay matchable.
-func ctxErr(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		if errors.Is(err, perrs.ErrOverBudget) {
-			return fmt.Errorf("%w: %w", perrs.ErrOverBudget, cerr)
-		}
-		return cerr
-	}
-	return err
-}
-
 // ---------------------------------------------------------------------
 // Embedded deployment: Cache
 // ---------------------------------------------------------------------
@@ -205,8 +179,8 @@ type Rebalance = cluster.Rebalance
 // machinery without the network, over a pool of one or more partitioned
 // engines. A Cache is what one server process hosts; applications
 // embedding Pequod use it directly. It implements Store with thin
-// adapters over the shard pool; context deadlines bound the waits on
-// outstanding base-data loads.
+// adapters over the shard pool. It has no base-data loader (§3.3), so
+// no read ever waits for one: a context is checked as a call starts.
 type Cache struct {
 	p *shard.Pool
 }
@@ -262,8 +236,7 @@ func (c *Cache) Get(ctx context.Context, key string) (string, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return "", false, err
 	}
-	v, ok, err := c.p.GetBounded(key, freshness.Budget(ctx), ctxDeadline(ctx))
-	return v, ok, ctxErr(ctx, err)
+	return c.p.GetBounded(key, freshness.Budget(ctx))
 }
 
 // Scan returns up to limit (0 = all) pairs in [lo, hi), computing
@@ -273,8 +246,7 @@ func (c *Cache) Scan(ctx context.Context, lo, hi string, limit int) ([]KV, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	kvs, err := c.p.ScanBounded(lo, hi, limit, nil, nil, freshness.Budget(ctx), ctxDeadline(ctx))
-	return kvs, ctxErr(ctx, err)
+	return c.p.ScanBounded(lo, hi, limit, nil, nil, freshness.Budget(ctx))
 }
 
 // Count returns the number of keys in [lo, hi) after join computation.
@@ -282,8 +254,8 @@ func (c *Cache) Count(ctx context.Context, lo, hi string) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	n, err := c.p.CountBounded(lo, hi, freshness.Budget(ctx), ctxDeadline(ctx))
-	return int64(n), ctxErr(ctx, err)
+	n, err := c.p.CountBounded(lo, hi, freshness.Budget(ctx))
+	return int64(n), err
 }
 
 // GetBatch fetches many keys; results align with keys.
