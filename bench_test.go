@@ -144,56 +144,6 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRebalance measures cluster-level live re-partitioning
-// under skew: Zipf timeline checks against four networked servers whose
-// bounds cram every key onto one member. The client-driven rebalancer
-// migrates hot ranges between servers live (ExtractRange/SpliceRange/
-// MapUpdate on the wire); the headline metric is the hottest server's
-// share of the served load — ~1.0 statically, dropping toward
-// 1/servers once ranges have moved. Timelines are verified
-// byte-identical to a reference inside the experiment.
-func BenchmarkClusterRebalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ClusterRebalance(benchScale, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rows[0].QPS, "qps_static")
-			b.ReportMetric(rows[1].QPS, "qps_rebalance")
-			b.ReportMetric(rows[1].Speedup, "speedup_x")
-			b.ReportMetric(float64(rows[1].Migrations), "migrations")
-			b.ReportMetric(rows[0].HotShare, "hotshare_static")
-			b.ReportMetric(rows[1].HotShare, "hotshare_rebalance")
-		}
-	}
-}
-
-// BenchmarkElasticScale measures elastic cluster membership: a uniform
-// closed-loop timeline-check stream against three networked servers, a
-// fourth joining live under that traffic (Cluster.AddServer: mesh
-// wiring, an extract/splice granting it the busiest member's upper
-// slice, a published grown map), and a drain shrinking back to three.
-// The headline metrics are the per-phase aggregate throughputs —
-// qps_joined rises above qps_static when cores are available, since
-// each single-shard member serializes its reads — plus the join's
-// speedup. Timelines are verified byte-identical to a reference before
-// every timed phase inside the experiment.
-func BenchmarkElasticScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ElasticScale(benchScale, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rows[0].QPS, "qps_static")
-			b.ReportMetric(rows[1].QPS, "qps_joined")
-			b.ReportMetric(rows[2].QPS, "qps_drained")
-			b.ReportMetric(rows[1].Speedup, "join_speedup_x")
-		}
-	}
-}
-
 // BenchmarkAblationSubtables regenerates the §4.1 measurement (paper:
 // 1.55x faster, 1.17x memory with subtables).
 func BenchmarkAblationSubtables(b *testing.B) {

@@ -17,7 +17,8 @@
 //   - Connect (-addrs with -bounds, as for pequod-cli): the harness
 //     drives load at an existing deployment. Events that need to own
 //     the server processes (join/drain/kill/restart) are rejected;
-//     steady and rebalance phases work.
+//     steady phases work, and rebalance phases when -bounds holds a
+//     t|u<n> bound for them to move.
 //
 // The run is fully determined by -seed (printed at start): the social
 // graph, the celebrity skew, the arrival schedule, and the operation
@@ -28,8 +29,9 @@
 //	pequod-load [flags]
 //	pequod-load -addrs a:1,a:2 -bounds 't|' -phases steady [flags]
 //
-// The per-phase report — offered vs achieved throughput and latency
-// quantiles (p50/p99/p999/max, measured from scheduled arrival) plus
+// The per-phase report — offered vs achieved throughput, latency
+// quantiles (p50/p99/p999/max, measured from scheduled arrival), the
+// member count and the hottest member's share of the served load, plus
 // the checker's verdict — is written as JSON to -out ("-" = stdout).
 // The process exits 1 if the checker found any violation, so a CI
 // smoke step is just: pequod-load -rate 300 -phase-dur 500ms.

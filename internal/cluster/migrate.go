@@ -313,3 +313,29 @@ type MemberLoad struct {
 	Units   int64
 	Samples []string
 }
+
+// HotShare returns the hottest member's share of the load units served
+// between two MemberLoads polls. Members are matched by address, so a
+// membership change between the polls is handled: a member absent from
+// before, or whose counter went down (a warm restart resets it), counts
+// from zero, and one present only in before is dropped. It is 0 when
+// nothing was served.
+func HotShare(before, after []MemberLoad) float64 {
+	prev := make(map[string]int64, len(before))
+	for _, l := range before {
+		prev[l.Addr] = l.Units
+	}
+	var total, hot int64
+	for _, l := range after {
+		d := l.Units - prev[l.Addr]
+		if d < 0 {
+			d = l.Units
+		}
+		total += d
+		hot = max(hot, d)
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hot) / float64(total)
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,9 +218,9 @@ func TestClusterEqualsEmbeddedUnderMigration(t *testing.T) {
 }
 
 // TestClusterRebalancerCoolsHotServer: with every real key crammed onto
-// one member, skewed reads pin that server; rebalance ticks must move
-// ranges to its neighbor and spread the served load, without losing a
-// row.
+// one member, skewed reads pin that server — it serves at least 95% of
+// the load; rebalance ticks must move ranges to its neighbor until it
+// serves at most 85%, without losing or changing a row.
 func TestClusterRebalancerCoolsHotServer(t *testing.T) {
 	ctx := context.Background()
 	addrs := startServers(t, 2)
@@ -227,22 +228,37 @@ func TestClusterRebalancerCoolsHotServer(t *testing.T) {
 	cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"b|"}})
 	const rows = 400
 	var pairs []core.KV
+	var ks []string
 	for i := 0; i < rows; i++ {
-		pairs = append(pairs, core.KV{Key: fmt.Sprintf("e|k%04d", i), Value: "v"})
+		k := fmt.Sprintf("e|k%04d", i)
+		pairs = append(pairs, core.KV{Key: k, Value: "v"})
+		ks = append(ks, k)
 	}
 	if err := cl.PutBatch(ctx, pairs); err != nil {
 		t.Fatal(err)
 	}
-	cl.SetRebalanceConfig(Rebalance{Ratio: 1.2, MinOps: 32})
 
 	drive := func() {
-		var ks []string
-		for i := 0; i < rows; i++ {
-			ks = append(ks, fmt.Sprintf("e|k%04d", i))
-		}
 		if _, err := cl.GetBatch(ctx, ks); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// hotShare is the hottest member's share of one drive's load.
+	hotShare := func() float64 {
+		before, err := cl.MemberLoads(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive()
+		after, err := cl.MemberLoads(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return HotShare(before, after)
+	}
+	hot := hotShare()
+	if hot < 0.95 {
+		t.Fatalf("hot share before rebalancing = %.3f, want >= 0.95 (not hot to begin with)", hot)
 	}
 	moved := 0
 	for tick := 0; tick < 40 && moved == 0; tick++ {
@@ -262,25 +278,48 @@ func TestClusterRebalancerCoolsHotServer(t *testing.T) {
 	if st.Migrations == 0 || st.Version == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Both members now serve part of the load.
-	before, err := cl.MemberLoads(ctx)
+	cooled := hotShare()
+	if cooled > 0.85 {
+		t.Fatalf("hot share after rebalancing = %.3f, want <= 0.85 (hot server did not cool off)", cooled)
+	}
+	t.Logf("hot share %.3f before rebalancing, %.3f after", hot, cooled)
+	// The moves lost and changed no row.
+	got, err := cl.Scan(ctx, "", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive()
-	after, err := cl.MemberLoads(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, pairs) {
+		t.Fatalf("scan after rebalance = %d rows, want the %d written", len(got), rows)
 	}
-	for i := range after {
-		if after[i].Units <= before[i].Units {
-			t.Fatalf("member %d served nothing after rebalance (units %d -> %d)",
-				i, before[i].Units, after[i].Units)
+}
+
+// TestHotShare: members are matched by address across the two polls,
+// so a membership change or a warm restart between them neither
+// misattributes load nor counts it negative.
+func TestHotShare(t *testing.T) {
+	ml := func(addr string, units int64) MemberLoad { return MemberLoad{Addr: addr, Units: units} }
+	cases := []struct {
+		name          string
+		before, after []MemberLoad
+		want          float64
+	}{
+		{"steady", []MemberLoad{ml("a", 10), ml("b", 20)}, []MemberLoad{ml("a", 40), ml("b", 30)}, 0.75},
+		{"join between polls counts the joiner from zero",
+			[]MemberLoad{ml("a", 100), ml("b", 100)},
+			[]MemberLoad{ml("a", 110), ml("c", 30), ml("b", 160)}, 0.6},
+		{"restart reset counts from zero",
+			[]MemberLoad{ml("a", 500), ml("b", 100)},
+			[]MemberLoad{ml("a", 20), ml("b", 180)}, 0.8},
+		{"departed member is dropped",
+			[]MemberLoad{ml("a", 10), ml("b", 10), ml("gone", 900)},
+			[]MemberLoad{ml("a", 40), ml("b", 20)}, 0.75},
+		{"idle cluster", []MemberLoad{ml("a", 7), ml("b", 7)}, []MemberLoad{ml("a", 7), ml("b", 7)}, 0},
+		{"no members", nil, nil, 0},
+	}
+	for _, tc := range cases {
+		if got := HotShare(tc.before, tc.after); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%s: HotShare = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-	// No rows were lost in the moves.
-	if n, err := cl.Count(ctx, "e|", "e}"); err != nil || n != rows {
-		t.Fatalf("count after rebalance = %d (%v), want %d", n, err, rows)
 	}
 }
 

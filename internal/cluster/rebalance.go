@@ -19,16 +19,12 @@ import (
 	"pequod/internal/partition"
 )
 
-// Rebalance is the rebalancing knob set.
-type Rebalance = partition.Rebalance
-
 // rebState is the cluster rebalancer's bookkeeping. Load history is
 // keyed by member *address*, so a membership change (a joining or
 // draining server, owner indexes shifting) neither loses history for
 // the members that stay nor misattributes it.
 type rebState struct {
 	mu         sync.Mutex
-	cfg        Rebalance
 	bal        partition.Balancer
 	migrations int64
 }
@@ -61,16 +57,9 @@ func (cl *Cluster) RebalancerStats() RebalancerStats {
 	return st
 }
 
-// SetRebalanceConfig sets the knobs RebalanceTick uses.
-func (cl *Cluster) SetRebalanceConfig(cfg Rebalance) {
-	cl.reb.mu.Lock()
-	cl.reb.cfg = cfg
-	cl.reb.mu.Unlock()
-}
-
 // RebalanceTick takes one load sample across the members and migrates
-// at most one range, reporting whether a migration ran. Tests,
-// experiments and the pequod-cli rebalance subcommand drive it.
+// at most one range, reporting whether a migration ran. Tests and the
+// pequod-cli rebalance subcommand drive it.
 func (cl *Cluster) RebalanceTick(ctx context.Context) (bool, error) {
 	loads, err := cl.MemberLoads(ctx)
 	if err != nil {
@@ -88,7 +77,7 @@ func (cl *Cluster) RebalanceTick(ctx context.Context) (bool, error) {
 		}
 	}
 	cl.reb.mu.Lock()
-	i, bound, ok := cl.reb.bal.Decide(cl.reb.cfg, v.Map(), v.Addrs(), units,
+	i, bound, ok := cl.reb.bal.Decide(v.Map(), v.Addrs(), units,
 		func(hot string) []string { return samples[hot] })
 	cl.reb.mu.Unlock()
 	if !ok {

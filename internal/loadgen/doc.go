@@ -28,7 +28,9 @@
 //     rebalance, member kill + automatic repair, warm restart) over a
 //     self-contained cluster it owns, or pure load against a live
 //     deployment, and emits the per-phase Report (cmd/pequod-load
-//     -out writes it as JSON).
+//     -out writes it as JSON). Member loads polled at each phase
+//     boundary give every phase its member count and hot share, so
+//     elasticity and rebalancing are measured here, under the checker.
 //
 // cmd/pequod-load is the CLI; TestOpenLoopUnderChaos runs the whole
 // scenario scaled down under the race detector in CI.

@@ -80,6 +80,20 @@ func TestOpenLoopUnderChaos(t *testing.T) {
 			t.Fatalf("phase %q: duration %.3fs below scripted %.3fs", ph.Name, ph.DurationSec, phaseDur.Seconds())
 		}
 	}
+	// Each membership change landed in its phase's member count — a
+	// join adds a member, a drain and a kill take one away — and every
+	// phase reports the hottest member's share of what it served.
+	prev := rep.Servers
+	for _, ph := range rep.Phases {
+		if d := map[string]int{EventJoin: 1, EventDrain: -1, EventKill: -1}[ph.Event]; d != 0 && ph.Members != prev+d {
+			t.Fatalf("phase %q: members %d -> %d, want %+d", ph.Name, prev, ph.Members, d)
+		}
+		prev = ph.Members
+		if ph.HotShare <= 0 || ph.HotShare > 1 {
+			t.Fatalf("phase %q: hot_share %.3f outside (0, 1]", ph.Name, ph.HotShare)
+		}
+		t.Logf("phase %q: %d members, hot_share %.3f", ph.Name, ph.Members, ph.HotShare)
+	}
 	// The arrival clock must not have slackened: total offered over the
 	// run tracks rate × time (it can exceed it slightly — phases extend
 	// when an event outlasts the script — never collapse below it).
@@ -129,6 +143,11 @@ func TestOpenLoopUnderChaos(t *testing.T) {
 	if brep.Checker.BoundedChecks == 0 {
 		t.Fatalf("bounded phase audited no bounded reads: %+v", brep.Checker)
 	}
+	for _, ph := range brep.Phases {
+		if ph.HotShare <= 0 || ph.HotShare > 1 {
+			t.Fatalf("bounded phase %q: hot_share %.3f outside (0, 1]", ph.Name, ph.HotShare)
+		}
+	}
 	if brep.ReadStaleMs != empirical.Milliseconds() {
 		t.Fatalf("bounded-phase report echo wrong: %d != %d", brep.ReadStaleMs, empirical.Milliseconds())
 	}
@@ -136,9 +155,9 @@ func TestOpenLoopUnderChaos(t *testing.T) {
 		brep.Checker.BoundedChecks, brep.Checker.RowsVerified, brep.Checker.LagP99us)
 }
 
-// Config validation must reject scripts the runner can't honor.
+// Config validation must reject scripts the runner can't honor, up
+// front: before a cluster is built or a phase runs.
 func TestRunnerConfigValidation(t *testing.T) {
-	ctx := context.Background()
 	cases := []struct {
 		name string
 		cfg  Config
@@ -151,10 +170,31 @@ func TestRunnerConfigValidation(t *testing.T) {
 		{"join in connect mode", Config{
 			Addrs:  []string{"127.0.0.1:1"},
 			Phases: []Phase{{Name: "x", Event: EventJoin}}}},
+		// Two members split at t| alone: no t|u<n> bound to move.
+		{"rebalance with 2 servers", Config{
+			Servers: 2,
+			Phases:  []Phase{{Name: "x", Event: EventRebalance}}}},
+		{"rebalance in connect mode without a t|u bound", Config{
+			Addrs:  []string{"127.0.0.1:1", "127.0.0.1:2"},
+			Bounds: []string{"m"},
+			Phases: []Phase{{Name: "x", Event: EventRebalance}}}},
 	}
 	for _, tc := range cases {
-		if _, err := Run(ctx, tc.cfg); err == nil {
+		if err := tc.cfg.withDefaults().validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// ...and accept the scripts it can: the default chaos script, and a
+	// connect-mode rebalance over bounds that carry a t|u<n> bound.
+	for name, cfg := range map[string]Config{
+		"standard script": {DataDir: "d"},
+		"connect-mode rebalance": {
+			Addrs:  []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+			Bounds: []string{"t|", "t|u0050000"},
+			Phases: []Phase{{Name: "x", Event: EventRebalance}}},
+	} {
+		if err := cfg.withDefaults().validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
 }

@@ -37,7 +37,10 @@ type Report struct {
 // the dispatch queue was full — under overload the harness sheds
 // rather than silently turning closed-loop. Latency is measured from
 // the scheduled arrival time, not the dequeue time, so queueing delay
-// is charged to the operation (no coordinated omission).
+// is charged to the operation (no coordinated omission). Members is the
+// cluster's member count at the phase's end; HotShare is the hottest
+// member's share of the load units served during the phase, from the
+// member loads polled at its two boundaries (0 when a poll failed).
 type PhaseReport struct {
 	Name         string  `json:"name"`
 	Event        string  `json:"event,omitempty"`
@@ -53,6 +56,8 @@ type PhaseReport struct {
 	P999us       int64   `json:"p999_us"`
 	MaxUs        int64   `json:"max_us"`
 	MeanUs       float64 `json:"mean_us"`
+	Members      int     `json:"members"`
+	HotShare     float64 `json:"hot_share"`
 }
 
 // phaseReport folds one phase's counters and histogram.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,9 +165,19 @@ func (c Config) withDefaults() Config {
 
 func (c Config) validate() error {
 	connect := len(c.Addrs) > 0
+	// A rebalance moves a t|u<n> bound, so the run must start with one.
+	bounds := c.Bounds
+	if !connect {
+		bounds = boundsFor(c.Servers, c.Users)
+	}
+	movable := slices.ContainsFunc(bounds, func(b string) bool { _, ok := parseUserBound(b); return ok })
 	for _, ph := range c.Phases {
 		switch ph.Event {
-		case "", EventRebalance:
+		case "":
+		case EventRebalance:
+			if !movable {
+				return fmt.Errorf("loadgen: event %q needs a t|u<n> bound to move; the run starts from %q", ph.Event, bounds)
+			}
 		case EventJoin, EventDrain, EventKill, EventRestart:
 			if connect {
 				return fmt.Errorf("loadgen: event %q needs server ownership; not available in connect mode", ph.Event)
@@ -183,7 +194,7 @@ func (c Config) validate() error {
 	}
 	if !connect && c.Servers < 2 {
 		for _, ph := range c.Phases {
-			if ph.Event == EventKill || ph.Event == EventRestart || ph.Event == EventRebalance {
+			if ph.Event == EventKill || ph.Event == EventRestart {
 				return fmt.Errorf("loadgen: event %q needs at least 2 servers", ph.Event)
 			}
 		}
@@ -243,6 +254,8 @@ type Runner struct {
 	shed      []atomic.Int64
 	hists     []*ShardedHist
 	elapsed   []time.Duration
+	members   []int
+	hotShare  []float64
 }
 
 // Run executes the configured scenario end to end and returns the
@@ -265,6 +278,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		errs:      make([]atomic.Int64, len(cfg.Phases)),
 		shed:      make([]atomic.Int64, len(cfg.Phases)),
 		elapsed:   make([]time.Duration, len(cfg.Phases)),
+		members:   make([]int, len(cfg.Phases)),
+		hotShare:  make([]float64, len(cfg.Phases)),
 	}
 	r.hists = make([]*ShardedHist, len(cfg.Phases))
 	for i := range r.hists {
@@ -331,16 +346,20 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Checker:     r.checker.Report(),
 	}
 	for i, ph := range cfg.Phases {
-		rep.Phases = append(rep.Phases, phaseReport(ph.Name, ph.Event, r.elapsed[i],
-			r.offered[i].Load(), r.completed[i].Load(), r.errs[i].Load(), r.shed[i].Load(), r.hists[i]))
+		pr := phaseReport(ph.Name, ph.Event, r.elapsed[i],
+			r.offered[i].Load(), r.completed[i].Load(), r.errs[i].Load(), r.shed[i].Load(), r.hists[i])
+		pr.Members, pr.HotShare = r.members[i], r.hotShare[i]
+		rep.Phases = append(rep.Phases, pr)
 	}
 	return rep, nil
 }
 
 // runPhases walks the script: each phase pins the attribution index,
 // fires its event concurrently with traffic, and lasts
-// max(Duration, event time).
+// max(Duration, event time). Member loads are polled at every phase
+// boundary, giving each phase its member count and hot share.
 func (r *Runner) runPhases(ctx context.Context) error {
+	loads := r.pollLoads(ctx)
 	for i, ph := range r.cfg.Phases {
 		r.phaseIdx.Store(int32(i))
 		start := time.Now()
@@ -353,13 +372,30 @@ func (r *Runner) runPhases(ctx context.Context) error {
 			<-evErr
 			return ctx.Err()
 		}
-		err := <-evErr
-		r.elapsed[i] = time.Since(start)
-		if err != nil {
+		if err := <-evErr; err != nil {
 			return fmt.Errorf("loadgen: phase %q event %q: %w", ph.Name, ph.Event, err)
 		}
+		next := r.pollLoads(ctx)
+		r.elapsed[i] = time.Since(start)
+		r.members[i] = r.cl.Members()
+		if loads != nil && next != nil {
+			r.hotShare[i] = cluster.HotShare(loads, next)
+		}
+		loads = next
 	}
 	return nil
+}
+
+// pollLoads reads every member's cumulative load units. A failed poll
+// is logged and returns nil, leaving the hot share of the phases on
+// either side at 0; it never fails the run.
+func (r *Runner) pollLoads(ctx context.Context) []cluster.MemberLoad {
+	loads, err := r.cl.MemberLoads(ctx)
+	if err != nil {
+		r.cfg.Logf("loadgen: polling member loads (hot_share reads 0): %v", err)
+		return nil
+	}
+	return loads
 }
 
 // dispatch is the open-loop arrival clock: exponential inter-arrival

@@ -2,31 +2,13 @@ package partition
 
 import "sort"
 
-// Rebalance configures load-aware rebalancing of a cluster's member
-// servers: the knobs of Balancer, the policy the cluster client runs.
-// How often a sample is taken is its caller's pacing, not a knob.
-type Rebalance struct {
-	// Ratio is how far above the mean per-owner load the hottest owner
-	// must run before a move triggers. Default 1.5.
-	Ratio float64
-	// MinOps is the per-sample load floor, summed over all owners, below
-	// which the system is considered idle and no move happens.
-	// Default 128.
-	MinOps int64
-}
-
-// WithDefaults fills unset knobs.
-func (r Rebalance) WithDefaults() Rebalance {
-	if r.Ratio <= 1 {
-		r.Ratio = 1.5
-	}
-	if r.MinOps <= 0 {
-		r.MinOps = 128
-	}
-	return r
-}
-
 const (
+	// ratio is how far above the mean per-owner load the hottest owner
+	// must run before a move triggers.
+	ratio = 1.5
+	// minOps is the per-sample load floor, summed over all owners, below
+	// which the system is considered idle and no move happens.
+	minOps = 128
 	// ewmaWeight is the fraction of each new sample folded into an
 	// owner's load average.
 	ewmaWeight = 0.5
@@ -72,8 +54,7 @@ func (b *Balancer) Moved() {
 // of the identity found hot. An identity seen for the first time primes
 // at zero load (its counter is cumulative, not a delta), one no longer
 // in owners is forgotten.
-func (b *Balancer) Decide(cfg Rebalance, m *Map, owners []string, units map[string]int64, samples func(string) []string) (i int, key string, ok bool) {
-	cfg = cfg.WithDefaults()
+func (b *Balancer) Decide(m *Map, owners []string, units map[string]int64, samples func(string) []string) (i int, key string, ok bool) {
 	if b.ewma == nil {
 		b.ewma = make(map[string]float64)
 		b.last = make(map[string]int64)
@@ -106,8 +87,8 @@ func (b *Balancer) Decide(cfg Rebalance, m *Map, owners []string, units map[stri
 			delete(b.last, id)
 		}
 	}
-	idle := raw < cfg.MinOps || total == 0
-	over := !idle && b.ewma[hot] > cfg.Ratio*total/float64(n)
+	idle := raw < minOps || total == 0
+	over := !idle && b.ewma[hot] > ratio*total/float64(n)
 	if b.cooldown > 0 {
 		b.cooldown--
 		over = false

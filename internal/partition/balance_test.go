@@ -10,7 +10,6 @@ import (
 type balRig struct {
 	t       *testing.T
 	b       Balancer
-	cfg     Rebalance
 	m       *Map
 	owners  []string
 	units   map[string]int64
@@ -18,7 +17,7 @@ type balRig struct {
 }
 
 func newBalRig(t *testing.T, m *Map, owners ...string) *balRig {
-	return &balRig{t: t, cfg: Rebalance{Ratio: 1.2, MinOps: 32}, m: m, owners: owners,
+	return &balRig{t: t, m: m, owners: owners,
 		units: map[string]int64{}, samples: map[string][]string{}}
 }
 
@@ -27,7 +26,7 @@ func (r *balRig) sample(deltas map[string]int64) (int, string, bool) {
 	for id, d := range deltas {
 		r.units[id] += d
 	}
-	return r.b.Decide(r.cfg, r.m, r.owners, r.units, func(id string) []string { return r.samples[id] })
+	return r.b.Decide(r.m, r.owners, r.units, func(id string) []string { return r.samples[id] })
 }
 
 // quiet asserts n samples in a row name no move.

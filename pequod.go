@@ -170,11 +170,6 @@ func WithBounds(bounds ...string) CacheOption {
 	return func(c *shard.Config) { c.Bounds = append([]string(nil), bounds...) }
 }
 
-// Rebalance configures load-aware rebalancing of a cluster's servers
-// (Cluster.SetRebalanceConfig); the zero value picks sensible defaults
-// for every knob (a 1.5x hot/mean trigger ratio).
-type Rebalance = cluster.Rebalance
-
 // Cache is an embedded, thread-safe Pequod cache: the full cache-join
 // machinery without the network, over a pool of one or more partitioned
 // engines. A Cache is what one server process hosts; applications
