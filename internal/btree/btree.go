@@ -235,6 +235,17 @@ func (t *Tree[V]) Get(key string) (v V, ok bool) {
 // a non-nil hint it first tries the hinted leaf and leaves the hint on
 // the leaf written.
 func (t *Tree[V]) Set(key string, v V, h *Hint[V]) (old V, existed bool) {
+	old, existed, _ = t.SetUnless(key, v, h, nil)
+	return old, existed
+}
+
+// SetUnless is Set, except that when key already holds a value same
+// reports equal to v, that value stays: nothing is written and kept is
+// set. The one descent that finds key's slot makes the test, so a kept
+// write costs a lookup and nothing more. The hint moves as for Set, to
+// the leaf holding key, where the next key of a run goes. A nil same
+// never keeps.
+func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) bool) (old V, existed, kept bool) {
 	var p path[V]
 	lf := h.leafFor(t, key)
 	hinted := lf != nil
@@ -249,7 +260,9 @@ func (t *Tree[V]) Set(key string, v V, h *Hint[V]) (old V, existed bool) {
 	i := lf.lowerBound(key)
 	if i < lf.n && lf.keys[i] == key {
 		old, existed = lf.vals[i], true
-		lf.vals[i] = v
+		if kept = same != nil && same(old, v); !kept {
+			lf.vals[i] = v
+		}
 	} else {
 		if lf.n < fanout {
 			lf.insertAt(i, key, v)
@@ -265,7 +278,7 @@ func (t *Tree[V]) Set(key string, v V, h *Hint[V]) (old V, existed bool) {
 	if h != nil {
 		h.lf, h.t = lf, t
 	}
-	return old, existed
+	return old, existed, kept
 }
 
 // split splits the full leaf lf, which p leads to, around the new pair

@@ -444,6 +444,64 @@ func TestAscendSurvivesWrites(t *testing.T) {
 	}
 }
 
+func sameInt(a, b int) bool { return a == b }
+
+// SetUnless with an equal value is a lookup: the value, the pair count,
+// the node counts and the generation a scan re-seeks on all stay put,
+// and the hint moves to the leaf holding the key, as a write's would.
+// An unequal value, or a nil test, writes as Set does.
+func TestSetUnless(t *testing.T) {
+	var tr Tree[int]
+	const n = 10 * fanout
+	for i := 0; i < n; i++ {
+		tr.Set(key(i), i, nil)
+	}
+	leaves, inners := tr.Nodes()
+	var h Hint[int]
+	tr.Set(key(0), 0, &h)
+	gen := tr.gen
+	if old, existed, kept := tr.SetUnless(key(n-1), n-1, &h, sameInt); !existed || !kept || old != n-1 {
+		t.Fatalf("equal SetUnless = %d, %v, %v", old, existed, kept)
+	}
+	if l, in := tr.Nodes(); tr.gen != gen || tr.Len() != n || l != leaves || in != inners {
+		t.Fatalf("a kept write changed the tree: gen %d → %d, %d pairs, %d/%d nodes", gen, tr.gen, tr.Len(), l, in)
+	}
+	if !h.lf.covers(key(n-1)) || h.lf.keys[h.lf.lowerBound(key(n-1))] != key(n-1) {
+		t.Fatalf("the hint stayed on leaf %q, not the one holding the key", h.lf.lo)
+	}
+	if _, _, kept := tr.SetUnless(key(3), -3, nil, sameInt); kept {
+		t.Fatal("an unequal value was kept")
+	}
+	if _, _, kept := tr.SetUnless(key(4), 4, nil, nil); kept {
+		t.Fatal("a nil test kept a value")
+	}
+	if v, _ := tr.Get(key(3)); v != -3 {
+		t.Fatalf("unequal SetUnless left %d", v)
+	}
+	if _, existed, kept := tr.SetUnless(key(n), n, nil, sameInt); existed || kept || tr.Len() != n+1 {
+		t.Fatalf("a fresh key: existed %v, kept %v, %d pairs", existed, kept, tr.Len())
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A scan whose callback re-puts each value it is given never sees
+	// the generation move, so it never seeks again.
+	visited := 0
+	tr.Ascend("", "", func(k string, v int) bool {
+		before := tr.gen
+		tr.SetUnless(k, v, &h, sameInt)
+		if tr.gen != before {
+			t.Fatalf("re-putting %q moved the generation", k)
+		}
+		visited++
+		return true
+	})
+	if visited != n+1 {
+		t.Fatalf("scan visited %d of %d keys", visited, n+1)
+	}
+}
+
 // TestRandomOpsAgainstModel drives every operation, hints held across
 // whatever happens to their leaves, with Check after every step.
 //
@@ -512,8 +570,15 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				}
 			case op < 18:
 				v, ok := tr.Get(k)
-				if mv, mok := m.vals[k]; ok != mok || v != mv {
+				mv, mok := m.vals[k]
+				if ok != mok || v != mv {
 					t.Fatalf("%s: Get(%q) = %d, %v; model %d, %v", when, k, v, ok, mv, mok)
+				}
+				if mok && rng.Intn(2) == 0 { // re-put the value it holds
+					h := &hints[rng.Intn(len(hints))]
+					if old, existed, kept := tr.SetUnless(k, mv, h, sameInt); !existed || !kept || old != mv || !h.lf.covers(k) {
+						t.Fatalf("%s: equal SetUnless(%q) = %d, %v, %v; hint covers it %v", when, k, old, existed, kept, h.lf.covers(k))
+					}
 				}
 			case op < 19:
 				lo, hi := k, key(rng.Intn(space))

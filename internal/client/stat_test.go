@@ -14,7 +14,8 @@ import (
 // commit: a two-shard durable cluster member after a warm restart, and a
 // single-shard one): each decodes into StatSnapshot and marshals back
 // byte for byte, so no field was lost or renamed on either side, and the
-// counters print as `pequod-cli stat` printed them then.
+// counters print as `pequod-cli stat` printed them then. Counters added
+// since (UnchangedWrites) are pinned into the captures at 0.
 func TestStatSnapshotGolden(t *testing.T) {
 	decoded := map[string]StatSnapshot{}
 	for _, name := range []string{"stat_member", "stat_single"} {

@@ -109,6 +109,7 @@ type Stats struct {
 	LoadBatches                int64 // BaseLoader.StartLoads calls carrying them
 	LoadsFailed                int64 // fetches abandoned by the loader (LoadFailed)
 	NotifiedChanges            int64
+	UnchangedWrites            int64 // writes that found their value already stored, and so did nothing
 }
 
 // Add accumulates o into s — aggregation across shards and servers.
@@ -134,6 +135,7 @@ func (s *Stats) Add(o Stats) {
 	s.LoadBatches += o.LoadBatches
 	s.LoadsFailed += o.LoadsFailed
 	s.NotifiedChanges += o.NotifiedChanges
+	s.UnchangedWrites += o.UnchangedWrites
 }
 
 // Engine is a single Pequod cache engine.
@@ -351,15 +353,21 @@ func (e *Engine) RemoveQuiet(key string) bool {
 	return true
 }
 
-// applyValue is the single mutation path shared by client puts and join
-// emission: store write (optionally hinted, §4.2), change notification,
-// then updater firing so downstream joins cascade.
+// applyValue is the single mutation path shared by client puts, applied
+// batches and replica copies, and join emission: store write (optionally
+// hinted, §4.2), change notification, then updater firing so downstream
+// joins cascade — unless the key already held an equal value. Such a
+// write changes nothing, so it invalidates nothing: no notification, no
+// updater, and a cascade stops there. A replicated member meets it once
+// per base row, which its home's mesh and replica feeds both deliver.
 func (e *Engine) applyValue(key string, v *store.Value, hint *store.Hint) {
-	var old *store.Value
-	if hint != nil && !e.opts.DisableOutputHints {
-		old = e.s.PutHint(key, v, hint)
-	} else {
-		old = e.s.Put(key, v)
+	if e.opts.DisableOutputHints {
+		hint = nil
+	}
+	old, changed := e.s.PutHint(key, v, hint)
+	if !changed {
+		e.stats.UnchangedWrites++
+		return
 	}
 	e.notify(Change{Op: OpPut, Key: key, Value: v.String()})
 	e.fireUpdaters(key, old, v)

@@ -4,16 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"pequod/internal/client"
 	"pequod/internal/cluster"
 	"pequod/internal/core"
+	"pequod/internal/durable"
 	"pequod/internal/interval"
 	"pequod/internal/keys"
+	"pequod/internal/shard"
 	"pequod/internal/store"
+	"pequod/internal/twip"
 )
 
 // startMembers starts n plain servers and returns them with their
@@ -194,4 +200,114 @@ func TestReplicaKeepFollowsJoinSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(map[string]bool{"a|1": false, "s|ann|bob": true, "p|bob|100": true, "t|ann|100|bob": false, "v|1": false})
+}
+
+// TestReplicatedBaseWriteFansOutOnce: in a cluster keeping two copies,
+// the member that computes timelines receives each base row of its home
+// twice — over the mesh feed its joins load through, and over the
+// replica feed that copies the home's join sources. The second copy
+// finds its value already stored and does nothing: one post fires one
+// fan-out there, as on an embedded engine, counts one unchanged write,
+// and adds one record to the member's write-behind log, not two; the
+// timeline it computes is the embedded engine's, byte for byte.
+func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var members []*Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		cfg := durableConfig(fmt.Sprintf("m%d", i), t.TempDir())
+		cfg.ScrubInterval, cfg.CompactInterval = -1, -1
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		members, addrs = append(members, s), append(addrs, addr)
+	}
+	// Member 0 homes the posts and subscriptions, member 1 the timelines
+	// and a copy of member 0's range.
+	cl, err := cluster.New(ctx, cluster.Config{Addrs: addrs, Bounds: []string{"t|"}, Replicas: 2, Joins: twip.Joins})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	embedded, err := shard.New(shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer embedded.Close()
+	if err := embedded.InstallText(twip.Joins); err != nil {
+		t.Fatal(err)
+	}
+	put := func(k, v string) {
+		t.Helper()
+		if err := embedded.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Put(ctx, k, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeline := func() (want, got []core.KV) {
+		t.Helper()
+		want = embedded.Scan("t|ann|", "t|ann}", 0, nil, nil)
+		got, err := cl.Scan(ctx, "t|ann|", "t|ann}", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want, got
+	}
+	put("s|ann|bob", "1")
+	put("p|bob|0000000100", "hello")
+	if want, got := timeline(); len(want) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("timeline before the post: cluster %v, embedded %v", got, want)
+	}
+	tm := members[1]
+	if _, err := tm.snapshotDurable(); err != nil { // the log from here on holds the post alone
+		t.Fatal(err)
+	}
+	before, embBefore := tm.pool.Stats(), embedded.Stats()
+
+	const post = "p|bob|0000000200"
+	put(post, "again")
+	after, embAfter := tm.pool.Stats(), embedded.Stats()
+	if fanout := embAfter.UpdaterFires - embBefore.UpdaterFires; fanout != 1 || after.UpdaterFires-before.UpdaterFires != fanout {
+		t.Errorf("the post fired %d updaters on the timeline member; one fan-out is %d", after.UpdaterFires-before.UpdaterFires, fanout)
+	}
+	if n := after.UnchangedWrites - before.UnchangedWrites; n != 1 {
+		t.Errorf("the timeline member counted %d unchanged writes for the post, want 1", n)
+	}
+	if want, got := timeline(); len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("timeline after the post: cluster %v, embedded %v", got, want)
+	}
+
+	// Read the log back from a copy of the member's directory.
+	if err := tm.dur.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "copy")
+	if err := os.CopyFS(dir, os.DirFS(tm.dur.Dir())); err != nil {
+		t.Fatal(err)
+	}
+	d, err := durable.Open(dir, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec, err := d.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := slices.ContainsFunc(rec.KVs, func(kv durable.KV) bool { return kv.Key == post })
+	if rec.LogRecords != 1 || !logged {
+		t.Errorf("the post left %d log records on the timeline member (recovered: %v), want 1", rec.LogRecords, logged)
+	}
 }

@@ -19,6 +19,9 @@ type storeModel struct {
 
 func (m *storeModel) put(k string, v *Value) *Value {
 	old := m.vals[k]
+	if old != nil && old.String() == v.String() {
+		return old // equal contents: the store keeps the value it holds
+	}
 	if old == nil {
 		i := sort.SearchStrings(m.keys, k)
 		m.keys = append(m.keys, "")
@@ -87,8 +90,8 @@ func runStoreOps(t testing.TB, data []byte) {
 	}
 	put := func(step int, k string, v *Value, h *Hint) {
 		t.Helper()
-		old, want := s.PutHint(k, v, h), m.put(k, v)
-		if old != want {
+		old, _ := s.PutHint(k, v, h)
+		if want := m.put(k, v); old != want {
 			t.Fatalf("step %d: put %q replaced %v, model %v", step, k, old, want)
 		}
 		if h != nil && !h.Valid() {
@@ -97,7 +100,7 @@ func runStoreOps(t testing.TB, data []byte) {
 	}
 
 	for step := 0; len(data) > 0; step++ {
-		switch op := next() % 17; op {
+		switch op := next() % 18; op {
 		case 0, 1:
 			put(step, pick(), value(step), nil)
 		case 2, 3:
@@ -194,6 +197,26 @@ func runStoreOps(t testing.TB, data []byte) {
 				other.PutHint(lo, NewValue("elsewhere"), h)
 			}
 			equalHintedScan(t, s, m, lo, hi, h, step)
+		case 17:
+			// An equal value re-put — the value itself or a copy of it —
+			// leaves the stored *Value, its references and Bytes() alone.
+			k := pick()
+			cur := m.vals[k]
+			if cur == nil {
+				break
+			}
+			v := cur
+			if next()%2 == 0 {
+				v = NewValue(cur.String())
+			}
+			h := &hints[next()%len(hints)]
+			refs, bytes := cur.Refs(), s.Bytes()
+			if old, changed := s.PutHint(k, v, h); old != cur || changed || !h.Valid() {
+				t.Fatalf("step %d: equal re-put of %q gave %v, changed %v, hint valid %v; model %v", step, k, old, changed, h.Valid(), cur)
+			}
+			if cur.Refs() != refs || s.Bytes() != bytes || (v != cur && v.Refs() != 0) {
+				t.Fatalf("step %d: equal re-put of %q moved refs %d → %d, bytes %d → %d", step, k, refs, cur.Refs(), bytes, s.Bytes())
+			}
 		}
 		if err := s.Check(); err != nil {
 			t.Fatalf("step %d: %v", step, err)

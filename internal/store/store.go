@@ -266,33 +266,42 @@ func (s *Store) Get(key string) (*Value, bool) {
 
 // Put installs v under key, replacing and returning any previous value.
 // The store takes a reference on v and drops one on the replaced value.
-func (s *Store) Put(key string, v *Value) (old *Value) {
+// A key that already holds a value with v's contents keeps it: the store
+// stays exactly as it was — the stored *Value, its references, Bytes() —
+// v is not retained, and changed is false.
+func (s *Store) Put(key string, v *Value) (old *Value, changed bool) {
 	return s.PutHint(key, v, nil)
 }
 
 // PutHint is Put through an output hint (§4.2). The hint is left on the
-// leaf written; pass the same Hint on consecutive calls to get O(1)
-// amortized appends. A nil hint behaves like Put, and a hint that points
-// into another subtable or at a freed leaf is ignored.
-func (s *Store) PutHint(key string, v *Value, h *Hint) (old *Value) {
+// leaf holding key, whether or not the value changed; pass the same Hint
+// on consecutive calls to get O(1) amortized appends. A nil hint behaves
+// like Put, and a hint that points into another subtable or at a freed
+// leaf is ignored. Telling an unchanged value apart costs nothing beyond
+// the descent the write makes anyway.
+func (s *Store) PutHint(key string, v *Value, h *Hint) (old *Value, changed bool) {
 	t := s.table(key, true)
 	subs := len(t.subs)
 	tr := t.treeFor(key, true)
 	s.bytes += int64(len(t.subs)-subs) * subtableOverhead
 	nodes := nodeBytes(tr)
-	old, existed := tr.Set(key, v, h)
+	old, existed, kept := tr.SetUnless(key, v, h, sameValue)
+	if kept {
+		return old, false
+	}
 	if !existed {
 		s.entries++
 		s.bytes += allocSize(len(key)) + nodeBytes(tr) - nodes
 	}
-	// Retain before releasing so re-putting the same Value never drops
-	// its refcount to zero transiently.
 	s.retain(v)
 	if existed {
 		s.release(old)
 	}
-	return old
+	return old, true
 }
+
+// sameValue reports whether two values have the same contents.
+func sameValue(a, b *Value) bool { return a == b || a.s == b.s }
 
 // Remove deletes key, returning the removed value.
 func (s *Store) Remove(key string) (*Value, bool) {

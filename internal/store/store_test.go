@@ -19,7 +19,7 @@ func TestPutGetRemove(t *testing.T) {
 	if !ok || v.String() != "Hi" {
 		t.Fatal("get after put")
 	}
-	old := s.Put("p|bob|100", NewValue("Hello"))
+	old, _ := s.Put("p|bob|100", NewValue("Hello"))
 	if old == nil || old.String() != "Hi" {
 		t.Fatal("replace should return old value")
 	}
@@ -189,13 +189,40 @@ func TestValueSharingAccounting(t *testing.T) {
 	}
 }
 
+// A put of the contents a key already holds — the same *Value or a copy
+// — keeps the stored value: its references and the store's bytes stay,
+// the offered value is not retained, and the hint lands where the write
+// would have put it. Other contents, or a new key, write.
 func TestReplaceSameValueKeepsRefs(t *testing.T) {
 	s := New()
-	v := NewValue("x")
-	s.Put("k|1", v)
-	old := s.Put("k|1", v) // re-put same value object
-	if old != v || v.Refs() != 1 {
-		t.Fatalf("re-put: old=%v refs=%d", old, v.Refs())
+	v := NewValue("a tweet")
+	s.Put("t|ann|100|bob", v)
+	s.Put("t|liz|100|bob", v)
+	for i := 0; i < 200; i++ {
+		s.Put(fmt.Sprintf("t|ann|%03d|cat", i), NewValue("other"))
+	}
+	var h Hint
+	s.PutHint("t|ann|000|cat", NewValue("other"), &h) // a finger on the first leaf
+	bytes := s.Bytes()
+	copyOf := NewValue("a tweet")
+	for _, offered := range []*Value{v, copyOf} {
+		if old, changed := s.PutHint("t|liz|100|bob", offered, &h); changed || old != v {
+			t.Fatalf("equal put: old %v, changed %v", old, changed)
+		}
+	}
+	if got, _ := s.Get("t|liz|100|bob"); got != v || v.Refs() != 2 || copyOf.Refs() != 0 || s.Bytes() != bytes {
+		t.Fatalf("equal put stored %p (want %p), refs %d and %d, bytes %d → %d", got, v, v.Refs(), copyOf.Refs(), bytes, s.Bytes())
+	}
+	var probe Hint
+	s.PutHint("t|liz|100|bob", v, &probe)
+	if h != probe {
+		t.Fatal("the hint is not on the leaf holding the key")
+	}
+	if old, changed := s.Put("t|liz|100|bob", NewValue("edited")); !changed || old != v || v.Refs() != 1 {
+		t.Fatalf("unequal put: old %v, changed %v, refs %d", old, changed, v.Refs())
+	}
+	if old, changed := s.Put("t|pat|100|bob", v); !changed || old != nil || v.Refs() != 2 {
+		t.Fatalf("fresh put: old %v, changed %v, refs %d", old, changed, v.Refs())
 	}
 }
 
