@@ -211,7 +211,9 @@ func TestClusterEqualsEmbeddedCache(t *testing.T) {
 // are re-subscribed, and pushes arrive for ranges the subscriber no
 // longer holds. None of it may show in a single byte. (The members that
 // home p| and s| get no limit: what they hold is the data, not a cache
-// of it.)
+// of it.) A limited member also holds a replica copy of a home's range,
+// and the limit must evict only caches: the home then dies, a repair
+// promotes the copy, and the scans stay byte-identical.
 func TestClusterEqualsEmbeddedUnderEviction(t *testing.T) {
 	nSeeds := int64(3)
 	nOps := 400
@@ -223,6 +225,7 @@ func TestClusterEqualsEmbeddedUnderEviction(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ctx := context.Background()
 			addrs := make([]string, 4)
+			members := make([]*server.Server, 4)
 			for i := range addrs {
 				cfg := server.Config{Name: fmt.Sprintf("e%d", i)}
 				if i >= 2 {
@@ -236,9 +239,10 @@ func TestClusterEqualsEmbeddedUnderEviction(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(s.Close)
+				members[i] = s
 			}
 			cl := newCluster(t, Config{Addrs: addrs, Bounds: testBounds, Joins: shard.EquivJoins})
-			checkEqualsEmbedded(t, cl, seed, nOps)
+			single := checkEqualsEmbedded(t, cl, seed, nOps)
 			st, err := cl.Stats(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -247,14 +251,23 @@ func TestClusterEqualsEmbeddedUnderEviction(t *testing.T) {
 				t.Fatalf("the limit forced %d evictions and %d restarts; the variant must exercise both", st.Evictions, st.Restarts)
 			}
 			t.Logf("evictions=%d restarts=%d loads=%d in %d batches", st.Evictions, st.Restarts, st.LoadsStarted, st.LoadBatches)
+
+			// e1 homes [p|, t|) unlimited; e2, limited, directly succeeds it
+			// on the ring and so holds its copy.
+			members[1].Close()
+			if dead, err := cl.Repair(ctx); err != nil || len(dead) != 1 || dead[0] != addrs[1] {
+				t.Fatalf("Repair = %v, %v; want %s repaired", dead, err, addrs[1])
+			}
+			requireEqualsEmbedded(t, cl, single, seed)
 		})
 	}
 }
 
 // checkEqualsEmbedded drives the seed's randomized Twip workload through
 // cl and through one embedded single-engine pool, then requires
-// byte-identical scans and counts over the seed's check ranges.
-func checkEqualsEmbedded(t *testing.T, cl *Cluster, seed int64, nOps int) {
+// byte-identical scans and counts over the seed's check ranges. It
+// returns the embedded pool, for a later requireEqualsEmbedded.
+func checkEqualsEmbedded(t *testing.T, cl *Cluster, seed int64, nOps int) *shard.Pool {
 	t.Helper()
 	ctx := context.Background()
 	single, err := shard.New(shard.Config{})
@@ -290,6 +303,15 @@ func checkEqualsEmbedded(t *testing.T, cl *Cluster, seed int64, nOps int) {
 	if err := cl.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	requireEqualsEmbedded(t, cl, single, seed)
+	return single
+}
+
+// requireEqualsEmbedded requires byte-identical scans and counts from cl
+// and the embedded pool single over the seed's check ranges.
+func requireEqualsEmbedded(t *testing.T, cl *Cluster, single *shard.Pool, seed int64) {
+	t.Helper()
+	ctx := context.Background()
 	for _, r := range shard.EquivRanges(seed, 10) {
 		want := single.Scan(r[0], r[1], 0, nil, nil)
 		got, err := cl.Scan(ctx, r[0], r[1], 0)

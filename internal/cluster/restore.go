@@ -14,7 +14,7 @@ package cluster
 // under the current epoch, the copy count riding it re-syncs its
 // copies, and a per-range durable rebuild backfills whatever its
 // startup gate filtered out. Deltas it missed while dead converge
-// through the mesh and replica feeds exactly as after a warm restart.
+// through its feeds exactly as after a warm restart.
 
 import (
 	"context"

@@ -388,8 +388,9 @@ func TestEagerDeltaMissJoinsTheLog(t *testing.T) {
 
 // TestPushesAndRowsNeedAPresenceRecord: rows a loader delivers ahead of
 // its residency marks (LoadRows) land only inside ranges still loading
-// or resident, and Tracks — the filter subscription pushes go through —
-// says the same.
+// — a resident range's rows are newer than a late snapshot — and
+// Tracks, the filter subscription pushes go through, admits loading and
+// resident ranges alike.
 func TestPushesAndRowsNeedAPresenceRecord(t *testing.T) {
 	e := New(Options{})
 	ld := &recordingLoader{}
@@ -408,6 +409,10 @@ func TestPushesAndRowsNeedAPresenceRecord(t *testing.T) {
 	e.LoadComplete("x", ld.loads[0])
 	if kvs, pending := e.Scan("x|a", "x|m", 0); pending != 0 || len(kvs) != 1 {
 		t.Fatalf("after the mark: pending=%d kvs=%v", pending, kvs)
+	}
+	e.LoadRows([]KV{{"x|b", "late"}})
+	if v, _ := e.Store().Get("x|b"); v.String() != "1" || !e.Tracks("x|b") {
+		t.Fatalf("a late row over a resident range: x|b = %q, tracked %v", v.String(), e.Tracks("x|b"))
 	}
 	e.DropRange(keys.Range{Lo: "x|a", Hi: "x|m"})
 	if e.Tracks("x|b") {

@@ -317,13 +317,12 @@ func (e *Engine) Joins() []string {
 // and runs incremental maintenance.
 func (e *Engine) Put(key, value string) {
 	e.stats.Puts++
-	e.applyValue(key, store.NewValue(value), nil)
-	e.evictIfNeeded()
+	e.PutQuiet(key, value)
 }
 
-// PutQuiet is Put without the served-operation counter: cluster replica
-// maintenance mirrors a write already counted at its owning member, so
-// counting it again would double the cluster's apparent work.
+// PutQuiet is Put without the served-operation counter: a subscription
+// push or a replica snapshot mirrors a write already counted at its
+// home, so counting it again would double the cluster's apparent work.
 func (e *Engine) PutQuiet(key, value string) {
 	e.applyValue(key, store.NewValue(value), nil)
 	e.evictIfNeeded()
@@ -332,13 +331,7 @@ func (e *Engine) PutQuiet(key, value string) {
 // Remove deletes key and runs incremental maintenance.
 func (e *Engine) Remove(key string) bool {
 	e.stats.Removes++
-	old, ok := e.s.Remove(key)
-	if !ok {
-		return false
-	}
-	e.notify(Change{Op: OpRemove, Key: key, Value: old.String()})
-	e.fireUpdaters(key, old, nil)
-	return true
+	return e.RemoveQuiet(key)
 }
 
 // RemoveQuiet is Remove without the served-operation counter; see
@@ -354,12 +347,11 @@ func (e *Engine) RemoveQuiet(key string) bool {
 }
 
 // applyValue is the single mutation path shared by client puts, applied
-// batches and replica copies, and join emission: store write (optionally
+// pushes and replica copies, and join emission: store write (optionally
 // hinted, §4.2), change notification, then updater firing so downstream
 // joins cascade — unless the key already held an equal value. Such a
 // write changes nothing, so it invalidates nothing: no notification, no
-// updater, and a cascade stops there. A replicated member meets it once
-// per base row, which its home's mesh and replica feeds both deliver.
+// updater, and a cascade stops there.
 func (e *Engine) applyValue(key string, v *store.Value, hint *store.Hint) {
 	if e.opts.DisableOutputHints {
 		hint = nil

@@ -59,13 +59,20 @@ func (l *lruList[T]) back() *lruEntry[T] {
 // lruTouch marks a join status as recently used.
 func (e *Engine) lruTouch(st *JoinStatus) { e.statusLRU.touch(&st.lru, st) }
 
-// presTouch marks a resident presence range as recently used.
-func (e *Engine) presTouch(pr *presRange) { e.presLRU.touch(&pr.lru, pr) }
+// presTouch marks a resident presence range as recently used. A held
+// range is not evictable, so it stays out of the list.
+func (e *Engine) presTouch(pr *presRange) {
+	if !pr.held {
+		e.presLRU.touch(&pr.lru, pr)
+	}
+}
 
 // evictIfNeeded enforces the memory limit: the least recently used join
 // status goes first, and a presence range only once no status is left.
 // Every tracked range is evictable: a join status exists only once
 // computed, and a presence range enters its list when its load lands.
+// A held range (Hold) is never tracked: a limit below the held copies
+// evicts only what can be fetched or recomputed.
 func (e *Engine) evictIfNeeded() {
 	if e.opts.MemLimit <= 0 {
 		return

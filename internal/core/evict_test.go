@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pequod/internal/keys"
 	"pequod/internal/store"
 )
 
@@ -356,5 +357,54 @@ func BenchmarkEvictStatus(b *testing.B) {
 		st, _ := e.joins[0].status.at("t|ann|")
 		b.StartTimer()
 		e.invalidateStatus(st)
+	}
+}
+
+// TestHeldRangeIsNeverEvicted: a held range — a replica hold's copy —
+// takes over a load in flight over it, is resident without a load,
+// admits pushes, and stays out of the LRU, so a limit below it evicts
+// only what can be fetched or recomputed. A clip keeps the pin on its
+// sides; dropping is the only way out.
+func TestHeldRangeIsNeverEvicted(t *testing.T) {
+	e := New(Options{})
+	ld := &recordingLoader{}
+	e.SetLoader(ld, "s", "p")
+	if err := e.InstallText(timelineJoin); err != nil {
+		t.Fatal(err)
+	}
+	e.Scan("s|ann|", "s|ann}", 0) // a load in flight over part of the copy
+	copyOf := keys.Range{Lo: "p|", Hi: "t|"}
+	e.Hold(copyOf)
+	if _, pr := e.loadingRecord("s", ld.loads[0]); pr != nil {
+		t.Fatal("the load under the hold is still in flight")
+	}
+	for _, k := range []string{"s|ann|bob", "p|bob|100", "p|cat|100"} {
+		if !e.Tracks(k) {
+			t.Fatalf("held key %s not tracked", k)
+		}
+		e.PutQuiet(k, "1")
+	}
+	e.LoadRows([]KV{{"s|ann|bob", "stale"}}) // the abandoned load lands late
+	if v, _ := e.Store().Get("s|ann|bob"); v.String() != "1" {
+		t.Fatalf("a late load row overwrote the held copy: %q", v.String())
+	}
+	loads := len(ld.loads)
+	if kvs, pending := e.Scan("t|ann|", "t|ann}", 0); pending != 0 || len(kvs) != 1 || len(ld.loads) != loads {
+		t.Fatalf("timeline over the held copy: %v, %d pending, %d loads started", kvs, pending, len(ld.loads)-loads)
+	}
+	if statuses, fetched := e.statusLRU.n, e.presLRU.n; statuses != 1 || fetched != 0 {
+		t.Fatalf("LRU tracks %d statuses and %d fetched ranges, want 1 and 0", statuses, fetched)
+	}
+	e.opts.MemLimit = 1
+	e.evictIfNeeded()
+	if e.LRULen() != 0 || e.s.Len() != 3 {
+		t.Fatalf("under a limit below the copy: %d ranges tracked, %d rows kept; want 0, the 3 held", e.LRULen(), e.s.Len())
+	}
+	e.DropRange(keys.Range{Lo: "p|bob|", Hi: "p|bob}"})
+	if _, ok := e.Store().Get("p|bob|100"); ok || e.Tracks("p|bob|100") {
+		t.Fatal("the dropped piece of the copy survived")
+	}
+	if !e.Tracks("p|cat|100") || e.presLRU.n != 0 {
+		t.Fatalf("the clipped copy's side: tracked %v, %d fetched ranges in the LRU", e.Tracks("p|cat|100"), e.presLRU.n)
 	}
 }

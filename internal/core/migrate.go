@@ -174,7 +174,7 @@ func (e *Engine) clipPresence(r keys.Range) {
 					if side.Empty() {
 						continue
 					}
-					np := &presRange{table: table, r: side}
+					np := &presRange{table: table, r: side, held: pr.held}
 					pt.add(np)
 					e.presTouch(np)
 				}

@@ -13,11 +13,13 @@ type presenceTable struct {
 	tr keys.Range // the keys a read of the table can reach, built once
 }
 
-// presRange is one resident (or in-flight) base range.
+// presRange is one resident (or in-flight) base range. A held record
+// (Hold) is resident for good: the LRU never sees it.
 type presRange struct {
 	table   string
 	r       keys.Range
 	loading bool
+	held    bool
 	// waiters lists the reads parked until this load resolves — lands,
 	// fails, or is abandoned by a migration. Empty once resident.
 	waiters []*LoadWait
@@ -133,14 +135,38 @@ func (e *Engine) loadingRecord(table string, r keys.Range) (*presenceTable, *pre
 // LoadRows installs the rows a loader fetched (running maintenance like
 // any other base write), ahead of the LoadComplete calls that mark
 // their ranges resident — how a load, or a batch of them, lands: all
-// the rows, then the marks. Rows whose load was abandoned meanwhile
-// (migration, failure) lie outside every presence record and are
-// dropped: there they would be unevictable and cut off from the
-// subscription that keeps them fresh.
+// the rows, then the marks. Only rows inside a loading record land.
+// Rows whose load was abandoned meanwhile (migration, failure) lie
+// outside every presence record, where they would be unevictable and
+// cut off from the subscription that keeps them fresh; rows of a load a
+// hold took over (Hold) lie in a resident record, whose copy is newer
+// than the late snapshot. Both are dropped.
 func (e *Engine) LoadRows(kvs []KV) {
 	for _, kv := range kvs {
-		if e.Tracks(kv.Key) {
-			e.applyValue(kv.Key, store.NewValue(kv.Value), nil)
+		if pt := e.presence[keys.Table(kv.Key)]; pt != nil {
+			if pr, ok := pt.at(kv.Key); ok && pr.loading {
+				e.applyValue(kv.Key, store.NewValue(kv.Value), nil)
+			}
+		}
+	}
+}
+
+// Hold makes r a member's replica copy of a range homed elsewhere,
+// kept fresh by its hold's subscription: whatever the engine had in r
+// is dropped (DropRange — an in-flight load is abandoned, its late rows
+// dropped by LoadRows), then r is marked resident for good in every
+// loader-backed table it reaches, for the copy's rows to land in. A
+// held record never enters the LRU, so evictIfNeeded cannot reach the
+// copy; joins find it resident and start no load for it, and Tracks
+// admits the hold's pushes. DropRange and clipPresence remove it as
+// they remove any record; a clipped record's sides stay held. Tables
+// that are not loader-backed need no record: their rows are never
+// evicted and Tracks admits them anyway.
+func (e *Engine) Hold(r keys.Range) {
+	e.DropRange(r)
+	for table, pt := range e.presence {
+		if rr := r.Intersect(pt.tr); !rr.Empty() {
+			pt.add(&presRange{table: table, r: rr, held: true})
 		}
 	}
 }

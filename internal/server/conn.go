@@ -49,7 +49,8 @@ type conn struct {
 	nclosed bool
 	done    chan struct{}
 
-	subs map[keys.Range]*interval.Entry[*subscription] // guarded by s.smu
+	subs   map[keys.Range]*interval.Entry[*subscription] // guarded by s.smu
+	pushed uint64                                        // Server.pushes at the last change pushed here; guarded by s.smu
 }
 
 func newConn(s *Server, c net.Conn) *conn {

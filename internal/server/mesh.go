@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"pequod/internal/client"
 	"pequod/internal/core"
 	"pequod/internal/join"
 	"pequod/internal/keys"
@@ -42,28 +41,16 @@ import (
 // marking an absent range resident — blocked readers retry and re-route
 // instead of silently seeing a gap. Connections to members that left
 // are closed by the resize that follows the gate (Server.advance);
-// connections to fresh members dial on demand.
+// connections to fresh members dial on demand. The connections are the
+// server's one upstream, which its replica holds share: a range a hold
+// keeps is resident for good, so no load starts for it.
 type remoteLoader struct {
-	sh   *shard.Shard
-	pool *shard.Pool // routing reads its gate
-	up   *upstream   // peer connections, whose pushes apply to the engine
+	s  *Server // routing reads its pool's gate; fetches ride its upstream
+	sh *shard.Shard
 }
 
 func newRemoteLoader(s *Server) *remoteLoader {
-	sh := s.pool.Shard(0)
-	return &remoteLoader{sh: sh, pool: s.pool, up: newUpstream(s.homedAt, sh.ApplyBatch)}
-}
-
-// allConns snapshots the loader's connections to addr — to every peer
-// when addr is empty.
-func (l *remoteLoader) allConns(addr string) []*client.Client {
-	var out []*client.Client
-	for a, c := range l.up.conns() {
-		if addr == "" || a == addr {
-			out = append(out, c)
-		}
-	}
-	return out
+	return &remoteLoader{s: s, sh: s.pool.Shard(0)}
 }
 
 // watchEvery paces the watchdog.
@@ -95,44 +82,41 @@ func (s *Server) watch() {
 func (s *Server) watchPass() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	lost := s.up.retireFailed()
 	s.rmu.Lock()
 	repl := s.repl
 	s.rmu.Unlock()
 	var held []keys.Range
 	if repl != nil {
-		held = repl.resync()
+		held = repl.resync(lost)
 	}
-	s.mmu.Lock()
-	m := s.mesh
-	s.mmu.Unlock()
-	if m == nil {
-		return
+	if len(lost) > 0 {
+		s.dropFedBy(lost, held)
 	}
-	failed := make(map[string]bool)
-	for _, a := range m.up.retireFailed() {
-		failed[a] = true
-	}
-	if len(failed) == 0 {
-		return
-	}
+}
+
+// dropFedBy drops, with eviction semantics, the join-source coverage
+// this member loaded from the peers at addrs, whose subscriptions died
+// with their connections: the next read re-fetches from, and
+// re-subscribes at, whatever answers there now. Ranges in spare — held
+// replica copies — are their holds' to invalidate: they re-snapshot
+// stale copies, which may be the only surviving data for a repair to
+// promote. Likewise DropRangeAll spares pieces the gate already
+// promoted this member to serve.
+func (s *Server) dropFedBy(addrs []string, spare []keys.Range) {
 	v, tables := s.pool.Gate(), s.pool.SourceTables()
 	for o, a := range v.Addrs() {
-		if !failed[a] || v.IsSelf(o) {
+		if v.IsSelf(o) || !slices.Contains(addrs, a) {
 			continue
 		}
 	next:
 		for _, rr := range subRanges(v.Map().OwnerRange(o), tables) {
-			// A range held as a replica copy is the replica half's to
-			// invalidate — it re-snapshots stale copies and they may be
-			// the only surviving data for a repair to promote. Likewise
-			// dropUnownedPieces spares pieces the gate already promoted
-			// this member to serve.
-			for _, h := range held {
+			for _, h := range spare {
 				if rr.Overlaps(h) {
 					continue next
 				}
 			}
-			s.dropUnownedPieces(rr)
+			s.pool.DropRangeAll(rr)
 		}
 	}
 }
@@ -147,18 +131,20 @@ func (s *Server) leaveCluster() {
 		<-s.rewireDone
 	}
 	s.mmu.Lock()
-	mesh := s.mesh
 	s.mesh, s.rewire = nil, false
 	s.mmu.Unlock()
-	if mesh != nil {
-		mesh.up.closeAll()
-	}
 	s.rmu.Lock()
 	repl := s.repl
 	s.repl = nil
 	s.rmu.Unlock()
 	if repl != nil {
-		repl.closeAll()
+		repl.stop()
+	}
+	// In-flight rounds fail with their connections, so the syncs waiting
+	// on them exit.
+	s.up.closeAll()
+	if repl != nil {
+		repl.syncs.Wait()
 	}
 	s.wmu.Lock() // wait out a pass that snapshotted them before the teardown
 	s.wmu.Unlock()
@@ -172,10 +158,13 @@ func (s *Server) leaveCluster() {
 // alike. Loads route by the gate, whose self set names the ranges this
 // server serves itself from direct writes instead of remote fetches.
 // Calling it again on a meshed member changes nothing: a join installed
-// later wires the source tables it adds itself (installJoins). Wiring is
-// atomic: if any peer dial fails, the connections dialed for this call
-// are closed and the server is left exactly as before, so a retry does
-// not leak or duplicate.
+// later wires the source tables it adds itself (installJoins). If any
+// peer dial fails, the server is left unwired and a retry starts over;
+// the connections dialed so far stay in the server's upstream, which a
+// retry, a replica hold or a load reuses. Once the loader backs any
+// table, every replica hold lands again (reland): one that landed
+// first — a restart's, while a peer was down — has no residency record
+// in the tables the loader just made loader-backed.
 func (s *Server) ConnectMesh(v *partition.View) error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
@@ -192,22 +181,29 @@ func (s *Server) ConnectMesh(v *partition.View) error {
 		return nil
 	}
 	mesh := newRemoteLoader(s)
-	// Eager dial so a bad member address fails the wiring visibly (and
-	// atomically) instead of surfacing later as load timeouts.
+	s.up.reopen()
+	// Eager dial so a bad member address fails the wiring visibly
+	// instead of surfacing later as load timeouts.
 	for o, a := range g.Addrs() {
 		if g.IsSelf(o) {
 			continue // no connection to ourselves
 		}
-		if _, err := mesh.up.conn(a); err != nil {
-			mesh.up.closeAll()
+		if _, err := s.up.conn(a); err != nil {
 			return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
 		}
 	}
 	if install {
 		s.pool.ApplyMapUpdate(g)
 	}
-	mesh.sh.SetLoader(mesh, s.pool.SourceTables()...)
+	tables := s.pool.SourceTables()
+	mesh.sh.SetLoader(mesh, tables...)
 	s.mesh = mesh
+	s.rmu.Lock()
+	repl := s.repl
+	s.rmu.Unlock()
+	if repl != nil && len(tables) > 0 {
+		repl.reland()
+	}
 	return nil
 }
 
@@ -270,7 +266,7 @@ type fetchGroup struct {
 // no fetch (only presence is missing), the rest go out grouped by home
 // connection.
 func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
-	v := l.pool.Gate()
+	v := l.s.pool.Gate()
 	mu := new(sync.Mutex)                  // guards the loadFetches: loads may span groups
 	groups := make(map[string]*fetchGroup) // by home address; nil = unreachable
 	var landed, failed []core.Load
@@ -283,7 +279,7 @@ func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 			addr := v.Addrs()[pc.Owner]
 			g, tried := groups[addr]
 			if !tried {
-				if p, err := l.up.conn(addr); err == nil {
+				if p, err := l.s.up.conn(addr); err == nil {
 					g = &fetchGroup{p: p}
 				}
 				groups[addr] = g

@@ -11,8 +11,8 @@ package server
 //	Drain         (at a drained server) tear down its mesh wiring
 //
 // Each moves the one cluster view a member holds, its pool's gate,
-// through Server.advance; the mesh's peer connections, the replica
-// holds and meta.json are derived from the gate and follow it there.
+// through Server.advance; the peer connections, the replica holds and
+// meta.json are derived from the gate and follow it there.
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
 // rebalance / add / drain subcommands — drives them;
@@ -71,29 +71,26 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 // advance is the one way this server's view — the pool's gate — moves.
 // apply runs the transition the message asks for: a gate swap (extract,
 // splice, map update), the mesh wiring, a join. If it took, what derives
-// from the gate follows it: the mesh's peer connections shrink to the
-// gate's members, the replica holds are reshaped to its ring walk, and
-// the position is persisted when it changed. The gate is read under the
+// from the gate follows it: the peer connections shrink to the gate's
+// members, the replica holds are reshaped to its ring walk, and the
+// position is persisted when it changed. The gate is read under the
 // locks, so the last to run sees the newest gate.
 func (s *Server) advance(apply func() error) error {
 	if err := apply(); err != nil {
 		return err
 	}
-	s.mmu.Lock()
-	if s.mesh != nil {
-		g := s.pool.Gate()
+	if g := s.pool.Gate(); g != nil {
 		want := make(map[string]bool)
 		for _, m := range g.Members() {
 			want[m.Addr] = !g.SelfAddr(m.Addr)
 		}
 		// Only close departed members' connections here; fresh members dial
-		// lazily on the load path. An eager dial under mmu would stall this
+		// lazily on the load and sync paths. An eager dial would stall this
 		// server's quiesce/fence/map-update handling for the full connect
 		// timeout whenever a published view still names an unreachable
 		// address (a revert after a member died does exactly that).
-		s.mesh.up.retain(want)
+		s.up.retain(want)
 	}
-	s.mmu.Unlock()
 	s.reshapeReplicas(false)
 	s.persistMeta()
 	return nil
@@ -262,16 +259,10 @@ func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
 	return s.gateReply(m.Seq)
 }
 
-// fenceAddr fences this server's connections to the peer at addr, if
+// fenceAddr fences this server's connection to the peer at addr, if
 // any.
 func (s *Server) fenceAddr(addr string, dl time.Time) error {
-	s.mmu.Lock()
-	var conns []*client.Client
-	if s.mesh != nil {
-		conns = s.mesh.allConns(addr)
-	}
-	s.mmu.Unlock()
-	return fence(conns, dl)
+	return fence(s.up.conns(addr), dl)
 }
 
 // fence pings conns, bounded by dl (zero = none): each reply follows

@@ -1,9 +1,9 @@
 package server
 
 // Per-range replication, member side: warm copies of other members'
-// ranges kept fresh through the same subscription machinery the mesh
-// uses for join sources, so a repair can promote this member to serve
-// a dead peer's range without re-fetching anything.
+// ranges kept fresh through the subscription machinery the mesh uses
+// for join sources, so a repair can promote this member to serve a dead
+// peer's range without re-fetching anything.
 //
 // The coordinator's part is one integer: the copies per range, riding
 // every MapUpdate it publishes (Limit) and kept whatever the view's age,
@@ -17,19 +17,23 @@ package server
 // move. Tables: a copy holds the base source tables of the member's own
 // joins (join.SourceTables, read off the pool) — computed tables are
 // rebuilt from them at promotion — or whole ranges while no join is
-// installed. A join install that changes the set starts every hold over
-// on a fresh connection, so the home drops the subscriptions the old set
-// took out, and the replica feed's keep rule drops keys outside the set.
+// installed. A join install that changes the set starts every hold over,
+// and closes the connections to their homes so each drops the
+// subscriptions the old set took out; the keep rule drops keys outside
+// the set meanwhile.
 //
-// Replica rows are applied through the pool's replica path (no gate
-// check, no load accounting) to the member's one engine. They are
-// invisible to clients — every serving operation re-validates cluster
-// ownership and bounces with NotOwner — until a repaired map promotes
-// this member, at which point the gate swap alone makes them
+// A copy is the member's one copy of those rows: the joins that read
+// them and the hold share it. A landed snapshot replaces the copy and
+// marks it resident for good (Pool.Hold), so joins read it without
+// loading it, eviction never reaches it, and pushes land through the
+// one sink, Shard.ApplyBatch — the quiet path, counted at the home. The
+// rows are invisible to clients — every serving operation re-validates
+// cluster ownership and bounces with NotOwner — until a repaired map
+// promotes this member, at which point the gate swap alone makes them
 // authoritative.
 //
-// The copies ride the same upstream feed as mesh loads (upstream.go),
-// with the same keep rule: pushes racing an in-flight snapshot are
+// The copies ride the server's one upstream (upstream.go), beside mesh
+// loads, with one keep rule: pushes racing an in-flight snapshot are
 // buffered behind it, and both pushes and snapshot rows are dropped
 // once the gate no longer names the feed's home as their keys' home — a
 // promotion makes this member the home, so a late replica delivery can
@@ -48,24 +52,21 @@ import (
 	"sync"
 	"time"
 
-	"pequod/internal/core"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
 )
 
 // replicaState is a member's replication bookkeeping: the copies per
-// range the coordinator last published, one connection+feed per home it
-// copies from, and the ranges it holds. Where the copies live is not
-// stored: it is the gate's ring walk for copies (heldRanges), reshaped
-// after every gate move.
+// range the coordinator last published and the ranges it holds. Where
+// the copies live is not stored: it is the gate's ring walk for copies
+// (heldRanges), reshaped after every gate move.
 type replicaState struct {
-	s  *Server
-	up *upstream
+	s *Server
 
 	syncs sync.WaitGroup // in-flight syncRange goroutines
 
 	mu     sync.Mutex
-	closed bool                     // closeAll ran: no further syncs start
+	closed bool                     // stop ran: no further syncs start
 	copies int                      // total copies per range, including the owner's
 	held   map[keys.Range]*replHold // assigned replica range -> sync state
 }
@@ -94,7 +95,8 @@ func (s *Server) assignReplicas(copies int) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	if s.repl == nil {
-		s.repl = &replicaState{s: s, up: newUpstream(s.replicaKeep, s.pool.ApplyReplica), held: make(map[keys.Range]*replHold)}
+		s.up.reopen()
+		s.repl = &replicaState{s: s, held: make(map[keys.Range]*replHold)}
 	}
 	st := s.repl
 	st.mu.Lock()
@@ -102,12 +104,15 @@ func (s *Server) assignReplicas(copies int) {
 	st.mu.Unlock()
 }
 
-// replicaKeep is the replica feed's keep rule: the gate still homes key
-// at addr (homedAt), and key's table is one a copy holds — a join
-// source, or any table while no join is installed.
+// replicaKeep is the upstream's one keep rule: the gate still names addr
+// as key's home, and key's table is one a copy holds — a join source, or
+// any table while no join is installed — which covers every mesh load.
+// A peer address is never this member's own, so a key the gate makes
+// this member's — a promotion, a splice — stops flowing from the old
+// home at once, and a late delivery cannot clobber a local write.
 func (s *Server) replicaKeep(addr, key string) bool {
 	tables := s.pool.SourceTables()
-	return s.homedAt(addr, key) && (len(tables) == 0 || slices.Contains(tables, keys.Table(key)))
+	return s.pool.Gate().OwnerAddr(key) == addr && (len(tables) == 0 || slices.Contains(tables, keys.Table(key)))
 }
 
 // heldRanges is where a member keeps copies under gate g with copies per
@@ -126,9 +131,10 @@ func heldRanges(g *partition.View, copies int) map[keys.Range]string {
 // gained. Holds are a function of (gate, copies), so a MapUpdate reshapes
 // them at once. Idempotent: an unchanged gate and count diff to nothing.
 // The gate is read under rmu, so whichever reshape runs last saw the
-// newest gate. regrant starts every hold over, as if newly granted, on
-// fresh connections: the replicated table set changed, and closing the
-// old connections makes each home drop the subscriptions they carried.
+// newest gate. regrant starts every hold over, as if newly granted: the
+// replicated table set changed. It restarts every feed too: closing a
+// connection is how a home drops the subscriptions the old set took
+// out, and the mesh coverage they carried goes with them (dropFedBy).
 func (s *Server) reshapeReplicas(regrant bool) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
@@ -162,18 +168,12 @@ func (s *Server) reshapeReplicas(regrant bool) {
 		}
 	}
 	st.mu.Unlock()
-	// Retire connections to homes the assignment no longer copies from
-	// (on a regrant, every connection).
-	want := make(map[string]bool, len(desired))
-	for _, home := range desired {
-		want[home] = !regrant
+	if regrant {
+		s.up.retain(nil)
+		s.dropFedBy(s.pool.Gate().Addrs(), nil)
 	}
-	st.up.retain(want)
 	for r := range drop {
-		// dropUnownedPieces spares the pieces this member serves: rows a
-		// promotion or a migration just made it the owner of are the
-		// whole point of replication, and the gate already owns them.
-		s.dropUnownedPieces(r)
+		s.pool.DropRangeAll(r) // sparing the pieces this member serves
 	}
 	st.mu.Lock()
 	for _, r := range granted {
@@ -186,20 +186,6 @@ func (s *Server) reshapeReplicas(regrant bool) {
 	// sync already in flight for a kept hold adopts it instead of
 	// cancelling and re-counting held as done.
 	st.startSyncs()
-}
-
-// dropUnownedPieces drops r from every shard, sparing the pieces the
-// ownership gate says this member serves. The split matters: after a
-// bound move, a replica range and an owned range can overlap — a
-// whole-range ownership test would see "not (fully) owned" and drop
-// freshly spliced served rows along with the stale copy.
-func (s *Server) dropUnownedPieces(r keys.Range) {
-	g := s.pool.Gate()
-	for _, pc := range g.Map().Split(r) {
-		if !g.IsSelf(pc.Owner) {
-			s.pool.DropRangeAll(pc.R)
-		}
-	}
 }
 
 // subRanges restricts a range to the given tables (all of it when there
@@ -245,7 +231,8 @@ func (st *replicaState) startSyncs() {
 // home. Runs on its own goroutine, at most one per held entry (the
 // syncing flag), so a reshape that still sources the range from the
 // same home is adopted mid-sync rather than cancelling it; the range is
-// confirmed synced only after a full pass lands.
+// confirmed synced only once a full pass lands (land), and a copy
+// marked unsynced meanwhile (reland) lands again.
 func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	defer st.syncs.Done()
 	defer func() {
@@ -261,15 +248,9 @@ func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 		if !live {
 			return // reassigned, torn down (or already synced) while we slept
 		}
-		if st.fetch(h, r) {
-			st.mu.Lock()
-			if st.held[r] == h {
-				h.synced = true
-			}
-			st.mu.Unlock()
-			return
+		if !st.fetch(h, r) {
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -281,9 +262,9 @@ func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
 		pieces = append(pieces, &piece{r: sub})
 	}
 	if len(pieces) == 0 {
-		return true
+		return st.land(nil, h, r, nil)
 	}
-	p, err := st.up.conn(h.home)
+	p, err := st.s.up.conn(h.home)
 	if err != nil {
 		return false
 	}
@@ -292,21 +273,22 @@ func (st *replicaState) fetch(h *replHold, r keys.Range) bool {
 	return <-done
 }
 
-// land applies a round's snapshots for hold h of r, reporting whether
-// every piece succeeded. A round whose hold was replaced while it was in
-// flight — r reassigned to another home, its copy dropped and perhaps
-// already re-synced from there — applies nothing and drops nothing: the
-// late snapshot is no longer the copy's source. A successful (possibly
-// empty) snapshot is the home's full state for the piece, so the old
-// copy is dropped first — rows the snapshot lacks are deletions this
-// feed missed while unsubscribed (a home restart, a resync) and must not
-// survive as ghosts. A failed scan keeps whatever copy exists: still the
-// best promotion source until a retry replaces it. Staleness is
-// re-checked per key — the gate may have moved on while the snapshot was
-// in flight. The hold check, the drop and the
-// apply run under st.mu, so a reassignment (which replaces holds under
-// st.mu before dropping their copies) orders wholly before or after
-// them: the lock order is s.rmu, then st.mu, then the pool's.
+// land applies a round's snapshots for hold h of r, reporting — and
+// recording as h.synced — whether every piece succeeded. A round
+// whose hold was replaced while it was in flight — r reassigned to
+// another home, its copy dropped and perhaps already re-synced from
+// there — applies nothing and drops nothing: the late snapshot is no
+// longer the copy's source. A successful (possibly empty) snapshot is
+// the home's full state for the piece, so it replaces the copy and
+// marks it held (Pool.Hold) — rows the snapshot lacks are deletions
+// this feed missed while unsubscribed (a home restart, a resync) and
+// must not survive as ghosts. A failed scan keeps whatever copy
+// exists: still the best promotion source until a retry replaces it.
+// Staleness is re-checked per key — the gate may have moved on while
+// the snapshot was in flight. The hold check and the landing run
+// under st.mu, so a reassignment (which replaces holds under st.mu
+// before dropping their copies) orders wholly before or after them:
+// the lock order is s.rmu, then st.mu, then the pool's.
 func (st *replicaState) land(fd *feed, h *replHold, r keys.Range, pieces []*piece) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -314,20 +296,14 @@ func (st *replicaState) land(fd *feed, h *replHold, r keys.Range, pieces []*piec
 		return false
 	}
 	ok := true
-	var changes []core.Change
 	for _, pc := range pieces {
 		if pc.failed {
 			ok = false
 			continue
 		}
-		st.s.dropUnownedPieces(pc.r)
-		for _, kv := range fd.rows(nil, pc) {
-			changes = append(changes, core.Change{Op: core.OpPut, Key: kv.Key, Value: kv.Value})
-		}
+		st.s.pool.Hold(pc.r, fd.rows(nil, pc))
 	}
-	if len(changes) > 0 {
-		fd.apply(changes)
-	}
+	h.synced = ok
 	return ok
 }
 
@@ -359,12 +335,12 @@ func (st *replicaState) awaitSyncs(dl time.Time) error {
 }
 
 // resync is the replica half of a watchdog pass: holds sourced from a
-// home whose connection failed are marked unsynced (a home restart or
-// TCP reset kills the push feed silently — the copy would otherwise go
-// stale while held still matched the assignment), and every hold not
-// confirmed synced gets a sync. It returns the held ranges.
-func (st *replicaState) resync() []keys.Range {
-	lost := st.up.retireFailed()
+// home in lost, whose connection failed, are marked unsynced (a home
+// restart or TCP reset kills the push feed silently — the copy would
+// otherwise go stale while held still matched the assignment), and
+// every hold not confirmed synced gets a sync. It returns the held
+// ranges.
+func (st *replicaState) resync(lost []string) []keys.Range {
 	st.mu.Lock()
 	held := make([]keys.Range, 0, len(st.held))
 	for r, h := range st.held {
@@ -376,6 +352,22 @@ func (st *replicaState) resync() []keys.Range {
 	st.mu.Unlock()
 	st.startSyncs()
 	return held
+}
+
+// reland marks every hold unsynced and syncs it again. A loader just
+// made tables loader-backed (ConnectMesh), and a copy that landed
+// before has no residency record in them: Tracks would drop its
+// pushes, and a join read would load over it as an evictable cache.
+// Landing again (Pool.Hold) records it. land sets h.synced under st.mu,
+// so a round that landed before the reland cannot mark its copy synced
+// after it.
+func (st *replicaState) reland() {
+	st.mu.Lock()
+	for _, h := range st.held {
+		h.synced = false
+	}
+	st.mu.Unlock()
+	st.startSyncs()
 }
 
 // snapshot reports the synced replica ranges (stats): copies actually
@@ -392,13 +384,11 @@ func (st *replicaState) snapshot() int {
 	return n
 }
 
-// closeAll tears down the replica machinery (server shutdown, drain),
-// returning once every sync goroutine has exited.
-func (st *replicaState) closeAll() {
+// stop ends the replica machinery (server shutdown, drain): no sync
+// starts from here, and none in flight lands — every hold is gone.
+func (st *replicaState) stop() {
 	st.mu.Lock()
 	st.closed = true
 	st.held = make(map[keys.Range]*replHold)
 	st.mu.Unlock()
-	st.up.closeAll()
-	st.syncs.Wait()
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,13 +205,12 @@ func TestReplicaKeepFollowsJoinSources(t *testing.T) {
 }
 
 // TestReplicatedBaseWriteFansOutOnce: in a cluster keeping two copies,
-// the member that computes timelines receives each base row of its home
-// twice — over the mesh feed its joins load through, and over the
-// replica feed that copies the home's join sources. The second copy
-// finds its value already stored and does nothing: one post fires one
-// fan-out there, as on an embedded engine, counts one unchanged write,
-// and adds one record to the member's write-behind log, not two; the
-// timeline it computes is the embedded engine's, byte for byte.
+// the member that computes timelines keeps one copy of its home's join
+// sources — its replica hold, which its joins read too — on one
+// connection to the home. One post reaches it once: the home pushes it
+// once, it fires one fan-out there, as on an embedded engine, counts no
+// unchanged write, and adds one record to the member's write-behind
+// log; the timeline it computes is the embedded engine's, byte for byte.
 func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -230,7 +231,22 @@ func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
 		members, addrs = append(members, s), append(addrs, addr)
 	}
 	// Member 0 homes the posts and subscriptions, member 1 the timelines
-	// and a copy of member 0's range.
+	// and a copy of member 0's range. Count the post's pushes into member
+	// 1 at its one sink, bound before any feed dials.
+	tm := members[1]
+	const post = "p|bob|0000000200"
+	var pushes atomic.Int64
+	tm.up.mu.Lock()
+	sink := tm.up.apply
+	tm.up.apply = func(cs []core.Change) {
+		for _, c := range cs {
+			if c.Key == post {
+				pushes.Add(1)
+			}
+		}
+		sink(cs)
+	}
+	tm.up.mu.Unlock()
 	cl, err := cluster.New(ctx, cluster.Config{Addrs: addrs, Bounds: []string{"t|"}, Replicas: 2, Joins: twip.Joins})
 	if err != nil {
 		t.Fatal(err)
@@ -270,20 +286,24 @@ func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
 	if want, got := timeline(); len(want) != 1 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("timeline before the post: cluster %v, embedded %v", got, want)
 	}
-	tm := members[1]
 	if _, err := tm.snapshotDurable(); err != nil { // the log from here on holds the post alone
 		t.Fatal(err)
 	}
 	before, embBefore := tm.pool.Stats(), embedded.Stats()
 
-	const post = "p|bob|0000000200"
 	put(post, "again")
 	after, embAfter := tm.pool.Stats(), embedded.Stats()
 	if fanout := embAfter.UpdaterFires - embBefore.UpdaterFires; fanout != 1 || after.UpdaterFires-before.UpdaterFires != fanout {
 		t.Errorf("the post fired %d updaters on the timeline member; one fan-out is %d", after.UpdaterFires-before.UpdaterFires, fanout)
 	}
-	if n := after.UnchangedWrites - before.UnchangedWrites; n != 1 {
-		t.Errorf("the timeline member counted %d unchanged writes for the post, want 1", n)
+	if n := after.UnchangedWrites - before.UnchangedWrites; n != 0 {
+		t.Errorf("the timeline member counted %d unchanged writes for the post, want 0", n)
+	}
+	if n := pushes.Load(); n != 1 {
+		t.Errorf("the home pushed the post to the timeline member %d times, want 1", n)
+	}
+	if conns := tm.up.conns(""); len(conns) != 1 || len(tm.up.conns(addrs[0])) != 1 {
+		t.Errorf("the timeline member holds %d connections, want 1, to its home", len(conns))
 	}
 	if want, got := timeline(); len(want) != 2 || !reflect.DeepEqual(got, want) {
 		t.Errorf("timeline after the post: cluster %v, embedded %v", got, want)
@@ -310,4 +330,217 @@ func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
 	if rec.LogRecords != 1 || !logged {
 		t.Errorf("the post left %d log records on the timeline member (recovered: %v), want 1", rec.LogRecords, logged)
 	}
+}
+
+// heldCopyLoad is the workload the held-copy tests drive through a
+// cluster whose first member homes the posts and subscriptions and
+// whose second, short of memory, computes the timelines and copies the
+// first's range: 30 users following 5 each, then posts.
+type heldCopyLoad struct {
+	t         *testing.T
+	ctx       context.Context
+	cl        *cluster.Cluster
+	acked     int            // acknowledged base rows
+	timelines map[string]int // rows per timeline
+}
+
+const heldCopyUsers, heldCopyFollows = 30, 5
+
+func heldCopyUser(i int) string { return fmt.Sprintf("u%02d", i%heldCopyUsers) }
+
+func newHeldCopyLoad(ctx context.Context, t *testing.T, cl *cluster.Cluster, posts int) *heldCopyLoad {
+	w := &heldCopyLoad{t: t, ctx: ctx, cl: cl, timelines: make(map[string]int)}
+	for u := 0; u < heldCopyUsers; u++ {
+		for f := 1; f <= heldCopyFollows; f++ {
+			w.put("s|"+heldCopyUser(u)+"|"+heldCopyUser(u+f), "1")
+		}
+	}
+	for i := 0; i < posts; i++ {
+		w.post(i)
+	}
+	if err := cl.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func (w *heldCopyLoad) put(k, v string) {
+	w.t.Helper()
+	if err := w.cl.Put(w.ctx, k, v); err != nil {
+		w.t.Fatal(err)
+	}
+	w.acked++
+}
+
+// post writes post i, by user i, which reaches its followers' timelines.
+func (w *heldCopyLoad) post(i int) {
+	w.t.Helper()
+	w.put(fmt.Sprintf("p|%s|%010d", heldCopyUser(i), 1000+i), fmt.Sprintf("post %d", i))
+	for f := 1; f <= heldCopyFollows; f++ {
+		w.timelines[heldCopyUser(i-f+heldCopyUsers)]++
+	}
+}
+
+// copied counts the base rows s stores.
+func copied(s *Server) (n int) {
+	s.pool.Shard(0).WithEngine(func(e *core.Engine) {
+		e.Store().Scan("p|", "t|", func(string, *store.Value) bool { n++; return true })
+	})
+	return n
+}
+
+// readThenFailOver reads every timeline through the cluster, requiring
+// tm's copy to hold every acknowledged row after each read and the
+// reads to have evicted something, then closes the home, repairs, and
+// requires the cluster to count every acknowledged row.
+func (w *heldCopyLoad) readThenFailOver(home, tm *Server) {
+	w.t.Helper()
+	for u := 0; u < heldCopyUsers; u++ {
+		user := heldCopyUser(u)
+		kvs, err := w.cl.Scan(w.ctx, "t|"+user+"|", "t|"+user+"}", 0)
+		if err != nil || len(kvs) != w.timelines[user] {
+			w.t.Fatalf("timeline of %s = %d rows (%v), want %d", user, len(kvs), err, w.timelines[user])
+		}
+		if n := copied(tm); n != w.acked {
+			w.t.Fatalf("after reading %d timelines the copy holds %d of %d acknowledged rows", u+1, n, w.acked)
+		}
+	}
+	if tm.pool.Stats().Evictions == 0 {
+		w.t.Fatal("the limit forced no eviction; the test must exercise it")
+	}
+	home.Close()
+	if dead, err := w.cl.Repair(w.ctx); err != nil || len(dead) != 1 {
+		w.t.Fatalf("Repair = %v, %v; want the home repaired", dead, err)
+	}
+	if n, err := w.cl.Count(w.ctx, "p|", "t|"); err != nil || n != int64(w.acked) {
+		w.t.Fatalf("after failover the cluster counts %d rows (%v), want %d acknowledged", n, err, w.acked)
+	}
+}
+
+// heldCopyMemLimit holds the timeline member well below what its
+// timelines and its copy take.
+const heldCopyMemLimit = 24 << 10
+
+// TestHeldCopySurvivesEvictionAndFailover: a member short of memory
+// keeps its replica copy whole. The timeline member of a 2-copy cluster
+// is limited well below what its timelines and its copy of the home's
+// posts and subscriptions take; reading every timeline evicts computed
+// timelines, never a copied row, so once the home dies and a repair
+// promotes the member every acknowledged row is still there.
+func TestHeldCopySurvivesEvictionAndFailover(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var members []*Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		cfg := Config{Name: fmt.Sprintf("m%d", i)}
+		if i == 1 {
+			cfg.Engine = core.Options{MemLimit: heldCopyMemLimit}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		members, addrs = append(members, s), append(addrs, addr)
+	}
+	// Member 0 homes the posts and subscriptions, member 1 the timelines
+	// and a copy of member 0's range.
+	cl, err := cluster.New(ctx, cluster.Config{Addrs: addrs, Bounds: []string{"t|"}, Replicas: 2, Joins: timelineJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	w := newHeldCopyLoad(ctx, t, cl, 340)
+	if n := copied(members[1]); n != w.acked {
+		t.Fatalf("the timeline member's copy holds %d of %d acknowledged rows before any read", n, w.acked)
+	}
+	w.readThenFailOver(members[0], members[1])
+}
+
+// TestHoldLandedBeforeTheMeshStaysResident: a restarted member's replica
+// hold can land before its mesh is wired — here a peer it loads from is
+// still down, so the rewire retries in the background. Once the mesh
+// wires, its loader makes the copied tables loader-backed, and the copy
+// is still the member's one copy: the home's pushes reach it, eviction
+// spares it, and a repair promotes it whole.
+func TestHoldLandedBeforeTheMeshStaysResident(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cfgs := make([]Config, 3)
+	members := make([]*Server, 3)
+	addrs := make([]string, 3)
+	for i := range members {
+		cfgs[i] = durableConfig(fmt.Sprintf("m%d", i), t.TempDir())
+		if i == 1 {
+			cfgs[i].Engine = core.Options{MemLimit: heldCopyMemLimit}
+		}
+		s, err := New(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if addrs[i], err = s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		members[i] = s
+	}
+	restart := func(i int) *Server {
+		t.Helper()
+		members[i].Close()
+		s, err := New(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		ln, err := net.Listen("tcp", addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve(ln)
+		members[i] = s
+		return s
+	}
+	// Member 0 homes the posts and subscriptions, member 1 the timelines
+	// and a copy of member 0's range, member 2 nothing.
+	cl, err := cluster.New(ctx, cluster.Config{Addrs: addrs, Bounds: []string{"t|", "u"}, Replicas: 2, Joins: timelineJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	w := newHeldCopyLoad(ctx, t, cl, 300)
+
+	members[2].Close()
+	tm := restart(1)
+	meshed := func() bool {
+		tm.mmu.Lock()
+		defer tm.mmu.Unlock()
+		return tm.mesh != nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); tm.repl.snapshot() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted member's hold never synced")
+		}
+	}
+	if meshed() {
+		t.Fatal("the mesh wired with a peer down; the test must land the hold first")
+	}
+	restart(2)
+	for deadline := time.Now().Add(10 * time.Second); !meshed() || tm.repl.snapshot() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("meshed %v, %d holds synced; want the mesh wired and the hold synced", meshed(), tm.repl.snapshot())
+		}
+	}
+	w.post(300)
+	if err := cl.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := copied(tm); n != w.acked {
+		t.Fatalf("the restarted member's copy holds %d of %d acknowledged rows: a push was dropped", n, w.acked)
+	}
+	w.readThenFailOver(members[0], tm)
 }

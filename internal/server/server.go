@@ -91,9 +91,12 @@ type Server struct {
 
 	pool *shard.Pool
 
-	smu   sync.Mutex // guards subs and conn.subs
-	subs  *interval.Tree[*subscription]
-	nsubs atomic.Int64 // == subs.Len(); lock-free no-subscriber fast path
+	smu  sync.Mutex // guards subs, pushes, conn.subs and conn.pushed
+	subs *interval.Tree[*subscription]
+	// pushes counts forwardChange calls that reached the subscription
+	// tree; a conn stamped with the current count has the change.
+	pushes uint64
+	nsubs  atomic.Int64 // == subs.Len(); lock-free no-subscriber fast path
 
 	ln     net.Listener
 	connWG sync.WaitGroup // serve goroutines and their continuations (conn.later)
@@ -107,6 +110,10 @@ type Server struct {
 	// server holds.
 	mmu  sync.Mutex
 	mesh *remoteLoader
+
+	// up is the one connection and feed per peer that mesh loads and
+	// replica holds share (upstream.go), from New until Close.
+	up *upstream
 
 	// Replica assignment set by a MapUpdate carrying copies (guarded by
 	// rmu); nil until a coordinator publishes one. See replica.go.
@@ -157,6 +164,7 @@ func New(cfg Config) (*Server, error) {
 	if s.id == "" {
 		s.id = cfg.Name
 	}
+	s.up = newUpstream(s.replicaKeep, pool.Shard(0).ApplyBatch)
 	for t, d := range cfg.SubtableDepths {
 		pool.SetSubtableDepth(t, d)
 	}
@@ -200,8 +208,10 @@ func (s *Server) Pool() *shard.Pool { return s.pool }
 func (s *Server) Bytes() int64 { return s.pool.Bytes() }
 
 // forwardChange pushes an owner-authoritative change to subscribed
-// peers. Called with the engine's lock held (from inside mutation), so
-// it only enqueues.
+// peers, once per connection however many of its subscriptions the key
+// stabs: loads a member made before its replica hold synced leave
+// subscriptions behind that overlap the hold's. Called with the
+// engine's lock held (from inside mutation), so it only enqueues.
 func (s *Server) forwardChange(c core.Change) {
 	if c.Op == core.OpEvict {
 		// Eviction drops this server's cache, not the data's validity;
@@ -221,8 +231,12 @@ func (s *Server) forwardChange(c core.Change) {
 	if c.Op == core.OpRemove {
 		op = rpc.ChangeRemove
 	}
+	s.pushes++
 	s.subs.Stab(c.Key, func(en *interval.Entry[*subscription]) bool {
-		en.Val.cn.pushNotify(rpc.Change{Op: op, Key: c.Key, Value: c.Value})
+		if cn := en.Val.cn; cn.pushed != s.pushes {
+			cn.pushed = s.pushes
+			cn.pushNotify(rpc.Change{Op: op, Key: c.Key, Value: c.Value})
+		}
 		return true
 	})
 }
@@ -552,12 +566,12 @@ func errReply(seq uint64, err error) *rpc.Message {
 var errDrainDeadline = errors.New("pequod server: deadline exceeded draining subscription pushes")
 
 // quiesce settles replication visible to this server: outbound
-// subscription pushes (drained into the sockets),
-// and inbound pushes from upstream peers (fenced by pinging each peer —
-// the ping reply follows any pushes the peer had queued for us, and our
-// reader applies pushes in order). After it returns nil, reads here see
-// every write acknowledged before the quiesce request. A deadline
-// bounds the socket drains, replica syncs and peer fences (a
+// subscription pushes (drained into the sockets), replica syncs still
+// landing, and inbound pushes from upstream peers (fenced by pinging
+// each peer — the ping reply follows any pushes the peer had queued for
+// us, and our reader applies pushes in order). After it returns nil,
+// reads here see every write acknowledged before the quiesce request. A
+// deadline bounds the socket drains, replica syncs and peer fences (a
 // subscriber that stopped reading would otherwise wedge quiesce
 // forever).
 func (s *Server) quiesce(dl time.Time) error {
@@ -572,29 +586,20 @@ func (s *Server) quiesce(dl time.Time) error {
 			return errDrainDeadline
 		}
 	}
-	s.mmu.Lock()
-	var peers []*client.Client
-	if s.mesh != nil {
-		peers = s.mesh.allConns("")
-	}
-	s.mmu.Unlock()
 	s.rmu.Lock()
 	repl := s.repl
 	s.rmu.Unlock()
 	if repl != nil {
-		// Replica homes are upstream peers too: fencing them makes the
-		// post-quiesce replica copies complete — every write acknowledged
-		// before the quiesce — the property failover promotion relies on.
-		// A sync still dialing its home has no connection to fence yet, so
-		// the running syncs land first.
+		// Fencing the homes makes the post-quiesce replica copies
+		// complete — every write acknowledged before the quiesce — the
+		// property failover promotion relies on. A sync still dialing its
+		// home has no connection to fence yet, so the running syncs land
+		// first.
 		if err := repl.awaitSyncs(dl); err != nil {
 			return err
 		}
-		for _, c := range repl.up.conns() {
-			peers = append(peers, c)
-		}
 	}
-	return fence(peers, dl)
+	return fence(s.up.conns(""), dl)
 }
 
 // coreChanges converts wire changes to engine changes.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pequod/internal/backdb"
 	"pequod/internal/client"
 	"pequod/internal/core"
+	"pequod/internal/keys"
 	"pequod/internal/partition"
 	"pequod/internal/rpc"
 	"pequod/internal/shard"
@@ -459,5 +461,46 @@ func replicate(tb testing.TB, s *Server, v *partition.View, copies int) {
 	m := &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire(), Limit: copies}
 	if r := s.handle(nil, m); r.Status != rpc.StatusOK {
 		tb.Fatalf("MapUpdate: %s", r.Err)
+	}
+}
+
+// TestOnePushPerConnection: a connection whose subscriptions overlap —
+// a member that loaded a range before its replica hold over it synced —
+// is pushed a change to their common keys once.
+func TestOnePushPerConnection(t *testing.T) {
+	home := startHome(t)
+	c, err := client.Dial(home.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var mu sync.Mutex
+	var got []string
+	c.OnNotify = func(cs []rpc.Change) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, ch := range cs {
+			got = append(got, ch.Key+"="+ch.Value)
+		}
+	}
+	for _, r := range []keys.Range{{Lo: "p|", Hi: "p}"}, {Lo: "p|bob|", Hi: "p|bob}"}} {
+		if m, err := c.ScanAsync(r.Lo, r.Hi, 0, true).Wait(); err != nil || m.Status != rpc.StatusOK {
+			t.Fatalf("subscribing scan of %v = %+v, %v", r, m, err)
+		}
+	}
+	if n := home.s.nsubs.Load(); n != 2 {
+		t.Fatalf("home holds %d subscriptions, want the two overlapping ones", n)
+	}
+	if err := home.s.pool.Put("p|bob|100", "hi"); err != nil {
+		t.Fatal(err)
+	}
+	// The ping's reply follows every push queued for the connection.
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"p|bob|100=hi"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pushed %q, want %q", got, want)
 	}
 }

@@ -3,10 +3,15 @@ package server
 // One way to keep a remote copy fresh (§2.4): a subscription installed
 // atomically with the snapshot it follows. A join-source range loaded
 // over the mesh and a failover replica of a peer's range are both that
-// copy; they keep the same keys (Server.homedAt: those the gate still
-// homes at the feed's peer) and differ only in where rows land (apply).
-// upstream is the connection cache, feed the snapshot/push ordering,
-// and peer.fetch the snapshot round they share.
+// copy, and a member keeps one copy of a home's rows: one connection
+// and one feed per peer address (the server's upstream), one keep rule
+// (Server.replicaKeep), one sink (Shard.ApplyBatch). Feeds exist only
+// on a gated member: a mesh implies a gate, and replica holds derive
+// from it. What differs is how a snapshot round lands: a mesh load
+// through Shard.LoadsDone, marking an evictable cache resident; a
+// replica hold through Pool.Hold, marking its copy resident for good.
+// feed is the snapshot/push ordering, and peer.fetch the snapshot round
+// both share.
 
 import (
 	"errors"
@@ -19,15 +24,8 @@ import (
 	"pequod/internal/rpc"
 )
 
-// homedAt is the keep rule of both feed sinks: the gate names addr as
-// key's home. A peer address is never this member's own, so a key the
-// gate makes this member's — a promotion, a splice — stops flowing from
-// the old home at once, and a late delivery cannot clobber a local
-// write. Feeds exist only on a gated member: a mesh implies a gate, and
-// replica holds derive from it.
-func (s *Server) homedAt(addr, key string) bool { return s.pool.Gate().OwnerAddr(key) == addr }
-
-// upstream caches one connection and feed per peer address.
+// upstream caches one connection and feed per peer address: a server's
+// one way in for remote rows, from New until Close.
 type upstream struct {
 	keep  func(addr, key string) bool // is addr still this copy's source for key?
 	apply func([]core.Change)         // sink for pushed changes
@@ -88,7 +86,9 @@ func (u *upstream) dropLocked(addr string) {
 }
 
 // retain keeps only the connections to addresses in want, closing the
-// rest (members that left, homes no longer copied from).
+// rest: members that left the gate, or, when a join install changes
+// the tables the copies hold, every one (closing the connection is how
+// a home drops the subscriptions the old set took out).
 func (u *upstream) retain(want map[string]bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -120,20 +120,25 @@ func (u *upstream) retireFailed() []string {
 	return out
 }
 
-// conns snapshots the live connections by address, for fences: a ping
-// reply is ordered after any pushes the peer had queued on the socket.
-func (u *upstream) conns() map[string]*client.Client {
+// conns snapshots the live connections to addr — to every peer when
+// addr is empty — for fences: a ping reply is ordered after any pushes
+// the peer had queued on the socket.
+func (u *upstream) conns(addr string) []*client.Client {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	out := make(map[string]*client.Client, len(u.peers))
-	for addr, p := range u.peers {
-		out[addr] = p.c
+	var out []*client.Client
+	for a, p := range u.peers {
+		if addr == "" || a == addr {
+			out = append(out, p.c)
+		}
 	}
 	return out
 }
 
-// closeAll closes every connection for good: later conn calls fail
-// instead of redialing behind a teardown.
+// closeAll closes every connection (server shutdown, drain) and
+// forgets the losses not yet reported, as nothing is fed any more:
+// later conn calls fail instead of redialing behind the teardown, until
+// reopen.
 func (u *upstream) closeAll() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -141,6 +146,15 @@ func (u *upstream) closeAll() {
 	for addr := range u.peers {
 		u.dropLocked(addr)
 	}
+	clear(u.lost)
+}
+
+// reopen lets conn dial again: a drained member wired back into a
+// cluster.
+func (u *upstream) reopen() {
+	u.mu.Lock()
+	u.closed = false
+	u.mu.Unlock()
 }
 
 // feed serializes one peer connection's subscription stream against the
@@ -201,8 +215,12 @@ func (fd *feed) register(pieces []*piece) {
 }
 
 // notify is the connection's OnNotify: changes keep rejects are
-// dropped, changes overlapping an in-flight snapshot are buffered
-// behind it, the rest apply immediately.
+// dropped, changes overlapping in-flight snapshots are buffered behind
+// every one of them, the rest apply immediately. A mesh load and a
+// replica hold can be in flight over the same keys on the one feed;
+// each landing then replays every push since it registered, so the
+// later of the two snapshots cannot roll back a push the earlier one's
+// release applied.
 func (fd *feed) notify(changes []rpc.Change) {
 	all := coreChanges(changes)
 	out := all[:0]
@@ -214,15 +232,17 @@ func (fd *feed) notify(changes []rpc.Change) {
 	fd.mu.Lock()
 	if len(fd.pieces) > 0 {
 		direct := out[:0]
-	next:
 		for _, c := range out {
+			buffered := false
 			for _, p := range fd.pieces {
 				if p.r.Contains(c.Key) {
 					p.buf = append(p.buf, c)
-					continue next
+					buffered = true
 				}
 			}
-			direct = append(direct, c)
+			if !buffered {
+				direct = append(direct, c)
+			}
 		}
 		out = direct
 	}

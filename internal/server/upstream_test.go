@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -184,7 +183,7 @@ var (
 )
 
 // feedCases script the orderings the feed exists for. Every case runs
-// against both instantiations of upstream.
+// for both roles whose rounds share the server's one upstream.
 var feedCases = []struct {
 	name string
 	run  func(x *feedRig)
@@ -250,15 +249,36 @@ var feedCases = []struct {
 		x.h.reply(reqs[0], "a1=old")
 		x.fence()
 	}, []string{"snap a1=old", "push a2=back"}},
+
+	// A mesh load and a replica hold in flight over the same keys: each
+	// landing replays every push since its round registered, so the
+	// second snapshot (older than the push here) cannot roll it back.
+	{"overlapping rounds each replay the push", func(x *feedRig) {
+		load, hold := x.fetch(rangeA), x.fetch(keys.Range{Lo: "a", Hi: "c"})
+		x.h.push("a1=new")
+		x.h.reply(load[0], "a1=old")
+		x.fence()
+		x.log.add("-- load landed")
+		x.h.reply(hold[0], "a1=older", "b1=only")
+		x.fence()
+	}, []string{"snap a1=old", "push a1=new", "-- load landed", "snap a1=older", "snap b1=only", "push a1=new"}},
 }
 
+// TestFeedOrdering runs every case once per role whose rounds ride the
+// server's one upstream: a mesh load, its connection dialed eagerly by
+// ConnectMesh, and a replica hold, its connection dialed by the round
+// itself.
 func TestFeedOrdering(t *testing.T) {
 	insts := []struct {
 		name string
-		mk   func(s *Server) *upstream
+		wire func(t *testing.T, s *Server, home string) // before the round's conn
 	}{
-		{"mesh load", func(s *Server) *upstream { return newRemoteLoader(s).up }},
-		{"replica", func(s *Server) *upstream { return newUpstream(s.homedAt, s.pool.ApplyReplica) }},
+		{"mesh load", func(t *testing.T, s *Server, home string) {
+			if err := s.ConnectMesh(at(t, 1, nil, home)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"replica", func(*testing.T, *Server, string) {}},
 	}
 	for _, inst := range insts {
 		for _, tc := range feedCases {
@@ -269,9 +289,7 @@ func TestFeedOrdering(t *testing.T) {
 				}
 				t.Cleanup(s.Close)
 				x := &feedRig{t: t, h: newFakeHome(t), log: new(sinkLog), landed: make(chan struct{}, 4)}
-				up := inst.mk(s)
-				up.apply = x.log.apply
-				t.Cleanup(up.closeAll)
+				s.up.apply = x.log.apply // before the dial: a feed binds its sink then
 				// Keep flips the way it does in a server: the gate moves to
 				// a newer map homing every key at addr.
 				var version int64
@@ -280,7 +298,8 @@ func TestFeedOrdering(t *testing.T) {
 					s.pool.ApplyMapUpdate(at(t, version, nil, addr))
 				}
 				x.setHome(x.h.addr())
-				if x.p, err = up.conn(x.h.addr()); err != nil {
+				inst.wire(t, s, x.h.addr())
+				if x.p, err = s.up.conn(x.h.addr()); err != nil {
 					t.Fatal(err)
 				}
 				x.h.accept()
@@ -295,8 +314,9 @@ func TestFeedOrdering(t *testing.T) {
 
 // TestLandedRowsOwnTheirBytes: a decoded reply's rows are substrings of
 // one copy of its frame, so rows landing in the store — a mesh load
-// through feed.rows, a replica snapshot through replicaState.land — are
-// copied out of it, and a kept row never pins a whole frame.
+// through feed.rows, a replica snapshot through replicaState.land into
+// the pool — are copied out of it, and a kept row never pins a whole
+// frame.
 func TestLandedRowsOwnTheirBytes(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
@@ -327,12 +347,7 @@ func TestLandedRowsOwnTheirBytes(t *testing.T) {
 	}
 
 	r := keys.Range{Lo: "a|", Hi: "a}"}
-	var applied []core.KV
-	fd := &feed{keep: func(string) bool { return true }, apply: func(cs []core.Change) {
-		for _, c := range cs {
-			applied = append(applied, core.KV{Key: c.Key, Value: c.Value})
-		}
-	}}
+	fd := &feed{keep: func(string) bool { return true }}
 	pc := &piece{r: r, reply: reply}
 	check("feed.rows", fd.rows(nil, pc))
 
@@ -341,7 +356,14 @@ func TestLandedRowsOwnTheirBytes(t *testing.T) {
 	if !st.land(fd, h, r, []*piece{pc}) {
 		t.Fatal("replica snapshot did not land")
 	}
-	check("replicaState.land", applied)
+	var stored []core.KV
+	s.pool.Shard(0).WithEngine(func(e *core.Engine) {
+		e.Store().Scan("", "", func(k string, v *store.Value) bool {
+			stored = append(stored, core.KV{Key: k, Value: v.String()})
+			return true
+		})
+	})
+	check("replicaState.land", stored)
 }
 
 // TestLateSnapshotFromPreviousHome moves a replica hold from home A to
@@ -368,8 +390,17 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 	}
 	a.reply(scans[""], "a|1=kept")
 	// Owner 1 moves to B; with three copies this member still holds
-	// owner 0's range from A.
-	replicate(t, s, at(t, 2, bounds, a.addr(), b.addr(), "holder:1").For("holder:1"), 3)
+	// owner 0's range from A. The map update first fences A, the moved
+	// range's old home, on the one connection the holds share.
+	moved := make(chan *rpc.Message, 1)
+	go func() {
+		v := at(t, 2, bounds, a.addr(), b.addr(), "holder:1").For("holder:1")
+		moved <- s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire(), Limit: 3})
+	}()
+	a.send(rpc.OKReply(a.read(rpc.MsgPing).Seq))
+	if r := <-moved; r.Status != rpc.StatusOK {
+		t.Fatalf("MapUpdate: %s", r.Err)
+	}
 	b.accept()
 	b.reply(b.read(rpc.MsgScan), "h|1=fresh")
 	for deadline := time.Now().Add(5 * time.Second); s.repl.snapshot() != 2; time.Sleep(time.Millisecond) {
@@ -378,7 +409,7 @@ func TestLateSnapshotFromPreviousHome(t *testing.T) {
 		}
 	}
 	a.reply(scans["g"], "h|1=stale", "h|2=stale")
-	p, err := s.repl.up.conn(a.addr())
+	p, err := s.up.conn(a.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +526,9 @@ func TestUpstreamRemembersLostPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if again, _ := up.conn(addr); again != p {
+		t.Fatal("second conn dialed again")
+	}
 	if lost := up.retireFailed(); len(lost) != 0 {
 		t.Fatalf("healthy peer retired: %v", lost)
 	}
@@ -513,13 +547,18 @@ func TestUpstreamRemembersLostPeers(t *testing.T) {
 	if _, err := up.conn(addr); !errors.Is(err, errUpstreamClosed) {
 		t.Fatalf("conn after closeAll: %v, want errUpstreamClosed", err)
 	}
+	up.reopen()
+	if p3, err := up.conn(addr); err != nil || p3 == p2 {
+		t.Fatalf("conn after reopen = %v, %v; want a new connection", p3, err)
+	}
 }
 
 // TestTeardownJoinsWatchdogAndSyncs closes (or drains) a replica holder
-// while its holds are being re-snapshotted over and over: once the
-// teardown returns, the watchdog and every sync goroutine are gone, and
-// nothing applies a replica row (each landed snapshot drops the old
-// copy, then applies the new one) to the pool afterwards.
+// while its holds are being re-snapshotted over the one upstream over
+// and over: once the teardown returns, the watchdog and every sync
+// goroutine are gone, and nothing lands a replica snapshot (each drops
+// the old copy, then holds the new one) in the pool afterwards — the
+// engine's counters stand still.
 func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 	home := startHome(t)
 	for i := 0; i < 64; i++ {
@@ -544,19 +583,6 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 				t.Fatal("replica never synced")
 			}
 		}
-		// Route replica rows through a probe, on fresh connections (a feed
-		// binds its sink when it dials).
-		var down atomic.Bool
-		var late atomic.Int64
-		st.up.mu.Lock()
-		st.up.apply = func(cs []core.Change) {
-			if down.Load() {
-				late.Add(1)
-			}
-			s.pool.ApplyReplica(cs)
-		}
-		st.up.mu.Unlock()
-		st.up.retain(nil)
 
 		stop := make(chan struct{})
 		var kicker sync.WaitGroup
@@ -583,13 +609,13 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		} else {
 			s.Close()
 		}
-		down.Store(true)
+		before := s.pool.Stats()
 		close(stop)
 		kicker.Wait()
 		s.watchPass() // after a teardown a pass finds nothing to do
 		time.Sleep(10 * time.Millisecond)
-		if n := late.Load(); n != 0 {
-			t.Fatalf("round %d: %d replica applies after the teardown returned", round, n)
+		if after := s.pool.Stats(); after != before {
+			t.Fatalf("round %d: the pool moved after the teardown returned:\n  %+v\nthen\n  %+v", round, before, after)
 		}
 		if s.repl != nil {
 			t.Fatalf("round %d: replica state survived the teardown", round)

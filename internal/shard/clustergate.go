@@ -221,15 +221,51 @@ func (p *Pool) applyDiffsLocked(sh *Shard, old, ng *partition.View, exclude *key
 	return changed
 }
 
-// DropRangeAll drops a member's cached rows of r with eviction
-// semantics — the replica manager's teardown when an assignment moves
-// a replica elsewhere (the manager never calls it for self-owned
-// ranges).
+// DropRangeAll drops a member's cached copy of r with eviction
+// semantics: a replica copy assigned elsewhere, or join sources fetched
+// from a peer whose connection died. The pieces the gate says this
+// member serves are spared: rows a promotion or a migration just made
+// its own are the whole point of replication. The split matters: after
+// a bound move, a copied range and an owned one can overlap, and a
+// whole-range test would drop freshly spliced served rows with the
+// stale copy.
 func (p *Pool) DropRangeAll(r keys.Range) {
 	sh := p.member("DropRangeAll")
 	sh.mu.Lock()
-	sh.e.DropRange(r)
+	p.unowned(r, sh.e.DropRange)
 	sh.mu.Unlock()
+}
+
+// Hold replaces a member's copy of r — a range homed elsewhere that one
+// of its replica holds keeps — with rows, a full snapshot of it, under
+// one lock acquisition: the old copy is dropped and r marked resident
+// for good (core.Engine.Hold), then the rows land through the quiet
+// path, as ApplyBatch's pushes do. Joins then read the copy without
+// loading it, and eviction never reaches it. Pieces the gate says this
+// member serves are spared, as DropRangeAll spares them, rows in them
+// included: the gate swaps under the lock held here.
+func (p *Pool) Hold(r keys.Range, rows []core.KV) {
+	sh := p.member("Hold")
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p.unowned(r, sh.e.Hold)
+	g := p.gate.Load()
+	for _, kv := range rows {
+		if !g.Owns(kv.Key) {
+			sh.e.PutQuiet(kv.Key, kv.Value)
+		}
+	}
+}
+
+// unowned hands fn each piece of r the gate does not name this
+// member's.
+func (p *Pool) unowned(r keys.Range, fn func(keys.Range)) {
+	g := p.gate.Load()
+	for _, pc := range g.Map().Split(r) {
+		if !g.IsSelf(pc.Owner) {
+			fn(pc.R)
+		}
+	}
 }
 
 // --- retained extractions ---

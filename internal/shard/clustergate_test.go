@@ -223,7 +223,6 @@ func coreRangeState(lo, hi string) core.RangeState {
 func TestMemberNeedsOneEngine(t *testing.T) {
 	peers := []string{"a:1", "a:2"}
 	kv := []core.KV{{Key: "a", Value: "1"}}
-	put := []core.Change{{Op: core.OpPut, Key: "a", Value: "1"}}
 	// Each call runs against a member gated as owner 0 of [-inf, m).
 	calls := map[string]func(p *Pool) error{
 		"ApplyMapUpdate": func(p *Pool) error { p.ApplyMapUpdate(viewAt(t, 1, 1, "m", peers, 0)); return nil },
@@ -236,7 +235,10 @@ func TestMemberNeedsOneEngine(t *testing.T) {
 		},
 		"DropRangeAll":    func(p *Pool) error { p.DropRangeAll(keys.Range{Lo: "a", Hi: "b"}); return nil },
 		"Shard.SetLoader": func(p *Pool) error { p.Shard(0).SetLoader(&homeLoader{}, "s"); return nil },
-		"ApplyReplica":    func(p *Pool) error { p.ApplyReplica(put); return nil },
+		"Hold": func(p *Pool) error {
+			p.Hold(keys.Range{Lo: "n", Hi: "t"}, []core.KV{{Key: "n1", Value: "1"}})
+			return nil
+		},
 		"SnapshotDurable": func(p *Pool) error {
 			p.SnapshotDurable(func(k, v string) {}, func(int, string, string) {})
 			return nil

@@ -33,6 +33,6 @@
 //     (clustergate.go: the cluster's partition.View, checked under the
 //     shard lock, makes server-to-server migration loss-free — DESIGN.md
 //     "The versioned cluster map and the ownership gate"), §3.3
-//     loaders, peer and replica feeds, or a durable store, and those
+//     loaders, replica holds, or a durable store, and those
 //     entry points panic on a multi-engine pool (Pool.member).
 package shard

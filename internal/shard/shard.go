@@ -134,31 +134,6 @@ type Shard struct {
 // loadSampleRing is the per-shard key-sample capacity (a power of two).
 const loadSampleRing = 256
 
-// applyChange applies one replicated or forwarded change to the engine.
-// Called with sh.mu held. Every non-remove op applies as a put: evict
-// ops never reach these paths (both the pool's forwarding and the
-// server's subscription push filter them out), and treating an unknown
-// op as a put in four call sites beats four diverging switches.
-func (sh *Shard) applyChange(c core.Change) {
-	if c.Op == core.OpRemove {
-		sh.e.Remove(c.Key)
-	} else {
-		sh.e.Put(c.Key, c.Value)
-	}
-}
-
-// applyReplicaChange is applyChange via the engine's quiet path:
-// replica-range maintenance mirrors writes already counted at their
-// owning member, so it must not inflate this member's op counters.
-// Called with sh.mu held.
-func (sh *Shard) applyReplicaChange(c core.Change) {
-	if c.Op == core.OpRemove {
-		sh.e.RemoveQuiet(c.Key)
-	} else {
-		sh.e.PutQuiet(c.Key, c.Value)
-	}
-}
-
 // record notes one served operation for load accounting. Called with
 // sh.mu held.
 func (sh *Shard) record(key string, units int64) {
@@ -235,8 +210,8 @@ func (p *Pool) Owner(key string) int { return p.pmap.Owner(key) }
 func (p *Pool) Shard(i int) *Shard { return p.shards[i] }
 
 // member returns the pool's one engine for an entry point only a server
-// member calls — the cluster gate, loaders, peer and replica feeds, the
-// durable store. A member is one engine; a multi-engine pool is an
+// member calls — the cluster gate, loaders, replica holds, the durable
+// store. A member is one engine; a multi-engine pool is an
 // embedded Cache, which has none of these, so a call there is a bug.
 func (p *Pool) member(op string) *Shard {
 	if len(p.shards) != 1 {
@@ -348,7 +323,12 @@ func (sh *Shard) applyLoop() {
 		}
 		sh.qmu.Unlock()
 		for _, qc := range batch {
-			sh.applyChange(qc.c)
+			// Evict ops never arrive: onChange forwards none.
+			if qc.c.Op == core.OpRemove {
+				sh.e.Remove(qc.c.Key)
+			} else {
+				sh.e.Put(qc.c.Key, qc.c.Value)
+			}
 		}
 		sh.mu.Unlock()
 
@@ -534,18 +514,6 @@ func (p *Pool) Count(lo, hi string) int {
 func (p *Pool) CountBounded(lo, hi string, maxStale time.Duration) (int, error) {
 	kvs, err := p.ScanBounded(lo, hi, 0, nil, nil, maxStale)
 	return len(kvs), err
-}
-
-// ApplyReplica applies a batch of replica changes (failover warm
-// copies) to a member's engine under one lock acquisition, through the
-// engine's quiet path: the writes are counted at their owning member.
-func (p *Pool) ApplyReplica(changes []core.Change) {
-	sh := p.member("ApplyReplica")
-	sh.mu.Lock()
-	for _, c := range changes {
-		sh.applyReplicaChange(c)
-	}
-	sh.mu.Unlock()
 }
 
 // InstallText parses a join specification and installs it on every shard
@@ -757,15 +725,23 @@ func (sh *Shard) LoadsDone(rows []core.KV, landed, failed []core.Load) {
 }
 
 // ApplyBatch applies subscription pushes (peer home servers, database
-// update feeds) to this shard. A push for a loader-backed range the
-// engine no longer holds — evicted since it subscribed — is dropped:
-// applied, the row would sit outside any presence record, invisible to
-// the LRU and stale as soon as the subscription lapses.
+// update feeds) to this shard under one lock acquisition. It counts no
+// served operation — a shard counts only the writes its own clients
+// make — so the engine's quiet path applies it: a peer's push was
+// counted at its home, a database's update by no server. A push for a
+// loader-backed range the engine does not hold — evicted since it
+// subscribed, or a replica copy dropped since — is dropped: applied,
+// the row would sit outside any presence record, invisible to the LRU
+// and stale as soon as the subscription lapses.
 func (sh *Shard) ApplyBatch(changes []core.Change) {
 	sh.mu.Lock()
 	for _, c := range changes {
-		if sh.e.Tracks(c.Key) {
-			sh.applyChange(c)
+		switch {
+		case !sh.e.Tracks(c.Key):
+		case c.Op == core.OpRemove:
+			sh.e.RemoveQuiet(c.Key)
+		default:
+			sh.e.PutQuiet(c.Key, c.Value)
 		}
 	}
 	sh.mu.Unlock()
