@@ -57,7 +57,7 @@
 //	                         omitted), and publish the grown map
 //	drain ADDR               stream every range the member at ADDR
 //	                         owns to its neighbors, remove it from the
-//	                         map, and tear down its mesh wiring — then
+//	                         map, and close its mesh connections — then
 //	                         it is safe to stop the process
 //	health                   probe every member and print one line each:
 //	                         liveness, durable ID, owned ranges, replicas

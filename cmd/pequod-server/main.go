@@ -23,8 +23,8 @@
 // write-behind log under the directory (fsynced in batches every
 // -sync-interval), periodic snapshots (every -snapshot-interval)
 // truncate the log, and a restart with the same -data-dir recovers the
-// member's rows, cluster position, and mesh wiring from disk before it
-// serves — warm restarts, and the last-resort rebuild source for
+// member's rows and cluster position — its gate, which wires its mesh —
+// from disk before it serves — warm restarts, and the last-resort rebuild source for
 // `pequod-cli` repairs when no live replica holder survives. Without
 // the flag the server is purely in-memory, exactly as before. Two
 // background loops ride along: a CRC scrub over the committed lineage

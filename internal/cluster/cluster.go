@@ -129,9 +129,10 @@ type Cluster struct {
 	monOnce    sync.Once
 }
 
-// New dials every member and, if cfg.Joins is set, installs the joins
-// and wires the subscription mesh. On error, connections dialed so far
-// are closed.
+// New dials every member, publishes the cluster view to each — a
+// member's gate, which wires it into the subscription mesh — and, if
+// cfg.Joins is set, installs the joins. On error, connections dialed so
+// far are closed.
 func New(ctx context.Context, cfg Config) (*Cluster, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no addresses")
@@ -669,24 +670,18 @@ func (cl *Cluster) ScanBatch(ctx context.Context, ranges []keys.Range, limit int
 	return out, nil
 }
 
-// Install wires every member into the subscription mesh and installs
-// the joins on every member. Each member works out the base source
-// tables it loads from its peers from its own joins, and wires the ones
-// a join adds before installing it, so no member computes a join over
-// sources it does not fetch.
+// Install installs the joins on every member. Each member is already
+// in the subscription mesh — its gate, published by New, wired it — and
+// works out the base source tables it loads from its peers from its own
+// joins, wiring the ones a join adds before installing it, so no member
+// computes a join over sources it does not fetch.
 func (cl *Cluster) Install(ctx context.Context, text string) error {
 	if _, err := join.ParseAll(text); err != nil {
 		return err
 	}
 	cl.imu.Lock()
 	defer cl.imu.Unlock()
-	v := cl.v.Load()
-	for _, m := range v.Members() {
-		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgConnectPeers, Map: v.For(m.Addr).Wire()}); err != nil {
-			return fmt.Errorf("cluster: wiring %s: %w", m.Addr, err)
-		}
-	}
-	for _, m := range v.Members() {
+	for _, m := range cl.v.Load().Members() {
 		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgAddJoin, Text: text}); err != nil {
 			return fmt.Errorf("cluster: installing joins on %s: %w", m.Addr, err)
 		}

@@ -25,12 +25,20 @@ var testBounds = []string{"p|", "t|", "t|u5"}
 // compaction loops racing the workload — see durableServerConfig).
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
+	return startServersWithJoins(t, n, "")
+}
+
+// startServersWithJoins is startServers with each server's joins
+// configured at startup, as pequod-server -joins does.
+func startServersWithJoins(t *testing.T, n int, joins string) []string {
+	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		cfg := server.Config{Name: fmt.Sprintf("m%d", i), DataDir: testDataDir(t)}
 		if cfg.DataDir != "" {
 			cfg = durableServerConfig(cfg.Name, cfg.DataDir)
 		}
+		cfg.Joins = joins
 		s, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +188,44 @@ func TestJoinFreshnessAcrossMembers(t *testing.T) {
 	must(err)
 	if len(kvs) != 1 || kvs[0].Key != "z|u2|150|u8" {
 		t.Fatalf("archive = %v", kvs)
+	}
+}
+
+// timelineJoin is the Twip timeline: a user's timeline copies the
+// posts of every poster the user follows.
+const timelineJoin = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
+
+// TestGatedMemberLoadsItsSources: members started with their joins (as
+// pequod-server -joins starts them) under a coordinator that installs
+// none — every pequod-cli run with an address list — are wired into the
+// mesh by the view the coordinator publishes, a gate being a mesh. The
+// timeline member's read returns every row: a follow's posts homed on
+// each side of the p| bound, one of them (with two copies) also its
+// replica copy.
+func TestGatedMemberLoadsItsSources(t *testing.T) {
+	for _, copies := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", copies), func(t *testing.T) {
+			ctx := context.Background()
+			addrs := startServersWithJoins(t, 3, timelineJoin)
+			// Posters a..m on member 0, n.. and the follows on member 1,
+			// the timelines on member 2 (with two copies, also a copy of
+			// member 1's range).
+			cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"p|m", "t|"}, Replicas: copies})
+			for _, kv := range []core.KV{{Key: "s|u1|a", Value: "1"}, {Key: "s|u1|n", Value: "1"},
+				{Key: "p|a|100", Value: "from a"}, {Key: "p|n|200", Value: "from n"}} {
+				if err := cl.Put(ctx, kv.Key, kv.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			kvs, err := cl.Scan(ctx, "t|u1|", "t|u1}", 0)
+			want := []core.KV{{Key: "t|u1|100|a", Value: "from a"}, {Key: "t|u1|200|n", Value: "from n"}}
+			if err != nil || !reflect.DeepEqual(kvs, want) {
+				t.Fatalf("timeline = %v, %v; want %v", kvs, err, want)
+			}
+		})
 	}
 }
 

@@ -11,13 +11,13 @@
 // element before waiting on any, so a batch costs one network round trip
 // per server touched, not per element.
 //
-// Installing joins through the cluster also wires the mesh: every
-// member receives the join set, and each member is told (via the
-// ConnectPeers RPC) to remotely load and subscribe to the base source
-// tables it does not own, so computed ranges anywhere stay fresh as
-// base writes land at their home servers — the paper's cross-server
-// subscription and asynchronous update notification, eventually
-// consistent. Quiesce settles it.
+// Publishing the cluster view wires the mesh: a member's view (its gate)
+// makes it remotely load and subscribe to the base source tables of its
+// joins that it does not own, and every member receives the join set
+// Install sends, so computed ranges anywhere stay fresh as base writes
+// land at their home servers — the paper's cross-server subscription
+// and asynchronous update notification, eventually consistent. Quiesce
+// settles it.
 //
 // # Live re-partitioning
 //
@@ -36,12 +36,12 @@
 // # Elastic membership
 //
 // The member set is not static either (membership.go): AddServer
-// splices a fresh server into the mesh — one JoinCluster RPC wires its
-// gate, mesh connections, and join set, then an ordinary
+// splices a fresh server into the mesh — one JoinCluster RPC installs
+// its gate, which wires its mesh, and its join set, then an ordinary
 // extract/splice grants it a slice of the busiest member's range under
 // a *grown* map (partition.InsertBound) — and DrainServer streams every
 // range a member owns to its neighbors under successive *shrunk* maps
-// (partition.RemoveBound) before tearing its mesh wiring down. A
+// (partition.RemoveBound) before closing its mesh connections. A
 // neighbor dying mid-drain re-offers the range to the other neighbor,
 // and a transfer that cannot complete reverts, with the source's
 // retained-extraction buffer (internal/shard) as the backstop — no

@@ -74,8 +74,8 @@ func startServerDir(t *testing.T, name, dir string) (string, func()) {
 // restartServerDir restarts a member process: a fresh server recovers
 // from the data dir a previous server just closed, and rebinds the
 // address it just released. Recovery runs inside server.New — the
-// member replays its snapshot+log, re-installs its gate and joins, and
-// re-wires its mesh before the listener comes back.
+// member replays its snapshot+log and re-installs its joins and its
+// gate, which wires its mesh, before the listener comes back.
 func restartServerDir(t *testing.T, name, addr, dir string) func() {
 	t.Helper()
 	s, err := server.New(durableServerConfig(name, dir))
@@ -226,11 +226,11 @@ func TestClusterEqualsEmbeddedUnderWarmRestart(t *testing.T) {
 	}
 }
 
-// TestWarmRestartedComputeOwnerColdComputes pins the close-order
-// regression: Server.Close used to tear down the mesh and replica
-// manager BEFORE persisting the final meta, so a cleanly-closed
-// member's meta recorded HasMesh=false — and after a warm restart the
-// member had no loader for its join source tables. A base-table owner
+// TestWarmRestartedComputeOwnerColdComputes pins a restarted compute
+// owner's loader: Server.Close once tore down the mesh BEFORE persisting
+// the final meta, so a cleanly-closed member's meta recorded no mesh —
+// and after a warm restart the member had no loader for its join source
+// tables. Now the recovered gate implies the loader. A base-table owner
 // (what the equivalence test restarts) never notices, but a restarted
 // compute owner asked to materialize a timeline it had never computed
 // would pull nothing and silently serve the empty range forever. So:
@@ -269,7 +269,7 @@ func TestWarmRestartedComputeOwnerColdComputes(t *testing.T) {
 	// u7 follows u3; u3 posts. The timeline t|u7|... lives on member 3
 	// (≥ t|u5) and is deliberately never scanned before the restart, so
 	// materializing it afterwards is a genuinely cold computation that
-	// must pull s| and p| rows from member 1 through the rewired mesh.
+	// must pull s| and p| rows from member 1 through the recovered mesh.
 	if err := cl.Put(ctx, "s|u7|u3", "1"); err != nil {
 		t.Fatal(err)
 	}

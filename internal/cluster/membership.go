@@ -19,8 +19,8 @@ package cluster
 // A drain transfers once per owned range: a shrunk map merges the
 // departing member's range into a neighbor's, with the other neighbor
 // as the alternative destination should the first have died. When the
-// last range is out, a Drain RPC tears down the departed server's own
-// mesh wiring — its gate stays, so stale clients still get NotOwner
+// last range is out, a Drain RPC closes the departed server's own mesh
+// connections — its gate stays, so stale clients still get NotOwner
 // replies carrying the post-drain map.
 
 import (
@@ -189,7 +189,7 @@ func splitPoint(r keys.Range, sorted []string) (string, bool) {
 }
 
 // DrainServer streams every range the member at addr owns to its
-// neighbors, removes it from the map, and tears down its mesh wiring —
+// neighbors, removes it from the map, and closes its mesh connections —
 // live, under traffic. The drained server keeps running (and keeps
 // answering NotOwner with the post-drain map, so stale clients
 // re-route); re-adding it later is a fresh AddServer. Draining the last
@@ -231,7 +231,7 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	}
 	// The final publish already reached the drained member (it needs the
 	// post-drain map for NotOwner replies, and the publish confirms its
-	// retained extraction); now its own mesh wiring can go.
+	// retained extraction); now its own mesh connections can go.
 	if _, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgDrain}); err != nil {
 		return fmt.Errorf("cluster: tearing down %s's mesh: %w", addr, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pequod/internal/client"
 	"pequod/internal/core"
@@ -103,6 +104,59 @@ func TestAddServerGrowsMap(t *testing.T) {
 	if len(tl) != 1 || tl[0].Key != "t|u2|100|u8" {
 		t.Fatalf("timeline after join = %v", tl)
 	}
+}
+
+// TestReAddedMemberLoadsItsSources: a drained member keeps its gate and
+// its loader; AddServer re-adding the same process reopens the peer
+// connections the drain closed, so the timelines it serves again load
+// their sources from their homes and stay fresh: a follow whose posts it
+// never loaded computes cold, and posts written after the re-add reach
+// both timelines.
+func TestReAddedMemberLoadsItsSources(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addrs := startServers(t, 3)
+	// Posters a..m on member 0, n.. and the follows on member 1, the
+	// timelines on member 2; one copy, so every source is a mesh load.
+	cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"p|m", "t|"}, Replicas: 1, Joins: timelineJoin})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeline := func(user string, want ...string) {
+		t.Helper()
+		must(cl.Quiesce(ctx))
+		kvs, err := cl.Scan(ctx, "t|"+user+"|", "t|"+user+"}", 0)
+		must(err)
+		var got []string
+		for _, kv := range kvs {
+			got = append(got, kv.Key)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("timeline %s = %v, want %v", user, got, want)
+		}
+	}
+	must(cl.Put(ctx, "s|u1|a", "1"))
+	must(cl.Put(ctx, "s|u1|n", "1"))
+	must(cl.Put(ctx, "p|a|100", "x"))
+	must(cl.Put(ctx, "p|n|200", "x"))
+	timeline("u1", "t|u1|100|a", "t|u1|200|n")
+
+	must(cl.DrainServer(ctx, addrs[2]))
+	must(cl.Put(ctx, "p|a|300", "x"))
+	must(cl.Put(ctx, "s|u2|b", "1"))
+	must(cl.Put(ctx, "p|b|400", "x"))
+	must(cl.AddServerAt(ctx, addrs[2], cl.Map().Owner("t|"), "t|"))
+	if got := cl.Addrs()[cl.Map().Owner("t|u1|")]; got != addrs[2] {
+		t.Fatalf("t|u1| is served by %s after the re-add, want %s", got, addrs[2])
+	}
+	timeline("u2", "t|u2|400|b")
+	must(cl.Put(ctx, "p|a|500", "x"))
+	must(cl.Put(ctx, "p|b|600", "x"))
+	timeline("u1", "t|u1|100|a", "t|u1|200|n", "t|u1|300|a", "t|u1|500|a")
+	timeline("u2", "t|u2|400|b", "t|u2|600|b")
 }
 
 // TestAddServerAutoPick: AddServer without an explicit bound places the

@@ -161,7 +161,9 @@ func (e *Engine) LoadRows(kvs []KV) {
 // admits the hold's pushes. DropRange and clipPresence remove it as
 // they remove any record; a clipped record's sides stay held. Tables
 // that are not loader-backed need no record: their rows are never
-// evicted and Tracks admits them anyway.
+// evicted and Tracks admits them anyway. A member's tables become
+// loader-backed with its first gate, before any hold is granted, so no
+// hold lands ahead of its table's presence record.
 func (e *Engine) Hold(r keys.Range) {
 	e.DropRange(r)
 	for table, pt := range e.presence {

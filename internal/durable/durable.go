@@ -41,9 +41,9 @@
 //
 // Alongside log and snapshots sits meta.json (atomic tmp+rename): the
 // member's cluster position — partition map, peers, self set, installed
-// join text, mesh, replica copy count — persisted on every
-// membership event and on drain, so a restarted member re-gates and
-// re-wires itself before serving a single key. Rekey rewrites that
+// join text, replica copy count — persisted on every membership event
+// and on drain, so a restarted member re-gates itself, and so re-wires
+// its mesh, before serving a single key. Rekey rewrites that
 // identity in place, the first step of restoring a dead member's
 // lineage on a new address.
 package durable
@@ -555,10 +555,11 @@ func (s *Store) openSegment(idx int64) error {
 // only Joins. Epoch/Version/Bounds/Peers/Self mirror the gate map the
 // member last applied (Self empty but Peers set = drained: the member
 // keeps answering NotOwner with these bounds). ReplicaCopies is the
-// last published copy count and HasMesh the subscription mesh wiring;
-// the tables both cover are Joins' source tables, derived at recovery.
-// A file that still lists them (mesh_tables, replica_tables) loads: the
-// unknown keys are ignored.
+// last published copy count. The mesh is not recorded: a gated member
+// is meshed, and the tables its loader and its copies cover are Joins'
+// source tables, derived at recovery. A file that still records them
+// (has_mesh, mesh_tables, replica_tables) loads: the unknown keys are
+// ignored.
 type Meta struct {
 	Name          string   `json:"name,omitempty"`
 	ID            string   `json:"id,omitempty"`
@@ -569,7 +570,6 @@ type Meta struct {
 	Self          []int    `json:"self,omitempty"`
 	HasGate       bool     `json:"has_gate,omitempty"`
 	Joins         string   `json:"joins,omitempty"`
-	HasMesh       bool     `json:"has_mesh,omitempty"`
 	ReplicaCopies int      `json:"replica_copies,omitempty"`
 	SavedUnixNano int64    `json:"saved_unix_nano,omitempty"`
 }

@@ -194,7 +194,7 @@ func TestMetaRoundTrip(t *testing.T) {
 		Name: "m0", ID: "id0", Epoch: 3, Version: 7,
 		Bounds: []string{"m"}, Peers: []string{"a:1", "b:2"}, Self: []int{0},
 		HasGate: true, Joins: "t|<u> = check s|<u> copy p|<u>",
-		HasMesh: true, ReplicaCopies: 2,
+		ReplicaCopies: 2,
 	}
 	if err := s.SaveMeta(m); err != nil {
 		t.Fatalf("SaveMeta: %v", err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"pequod/internal/client"
 	"pequod/internal/keys"
 	"pequod/internal/partition"
+	"pequod/internal/rpc"
 	"pequod/internal/server"
 	"pequod/internal/twip"
 )
@@ -191,10 +193,11 @@ func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
 		return fail(err)
 	}
 	// Each compute server's gate is the view as that server holds it: it
-	// serves its users' timelines and loads its joins' sources, p| and
-	// s|, from the bases.
-	for i, s := range c.computeServers {
-		if err := s.ConnectMesh(c.view.For(computeAddrs[i])); err != nil {
+	// serves its users' timelines and, being gated, loads its joins'
+	// sources, p| and s|, from the bases.
+	for _, addr := range computeAddrs {
+		m := &rpc.Message{Type: rpc.MsgMapUpdate, Map: c.view.For(addr).Wire()}
+		if _, err := c.clients[addr].Do(context.TODO(), m); err != nil {
 			return fail(err)
 		}
 	}

@@ -21,12 +21,13 @@
 //     Count, Notify (server push), and the batch-friendly pipelining
 //     all of them share.
 //   - Control plane: AddJoin, SetSubtable, Stat, Quiesce, Ping (a
-//     push-delivery fence), ConnectPeers (mesh wiring), Command
-//     (baseline engines).
+//     push-delivery fence), Command (baseline engines).
 //   - Migration plane: ExtractRange, SpliceRange, and MapUpdate move a
 //     key range between servers and publish the versioned cluster
 //     partition map; JoinCluster wires a fresh member into the mesh and
-//     Drain tears a departing member's wiring down. Every map-bearing
+//     Drain tears a departing member's wiring down. A member's first
+//     view wires its mesh: a gated member loads its joins' sources from
+//     their homes, so no frame wires the mesh on its own. Every map-bearing
 //     message carries one partition.View as the tuple (epoch, version,
 //     bounds, peers, self) — Message.Map — so a membership change, which
 //     reshapes the map, travels with the transfer performing it.

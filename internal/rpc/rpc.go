@@ -15,21 +15,21 @@ type MsgType byte
 
 // Protocol message types.
 const (
-	MsgGet          MsgType = iota + 1 // Key -> Found/Value
-	MsgPut                             // Key, Value
-	MsgRemove                          // Key -> Found
-	MsgScan                            // Lo, Hi, Limit, SubscribeFlag -> KVs
-	MsgCount                           // Lo, Hi -> Count
-	MsgAddJoin                         // Text
-	MsgNotify                          // Changes (server push; no reply)
-	MsgStat                            // -> Value (JSON)
-	_                                  // 9: was Flush; number reserved
-	MsgSetSubtable                     // Table, Depth
-	MsgReply                           // Status, reply fields
-	MsgCommand                         // Args (generic command; baseline engines)
-	MsgQuiesce                         // settle replication (in-process + subscriptions)
-	MsgPing                            // drain this connection's pushes, then reply
-	MsgConnectPeers                    // Map (position-less): wire the §2.4 mesh
+	MsgGet         MsgType = iota + 1 // Key -> Found/Value
+	MsgPut                            // Key, Value
+	MsgRemove                         // Key -> Found
+	MsgScan                           // Lo, Hi, Limit, SubscribeFlag -> KVs
+	MsgCount                          // Lo, Hi -> Count
+	MsgAddJoin                        // Text
+	MsgNotify                         // Changes (server push; no reply)
+	MsgStat                           // -> Value (JSON)
+	_                                 // 9: was Flush; number reserved
+	MsgSetSubtable                    // Table, Depth
+	MsgReply                          // Status, reply fields
+	MsgCommand                        // Args (generic command; baseline engines)
+	MsgQuiesce                        // settle replication (in-process + subscriptions)
+	MsgPing                           // drain this connection's pushes, then reply
+	_                                 // 15: was ConnectPeers; number reserved
 
 	// Cluster-level live migration (server-to-server range transfer).
 	// Every map-bearing message carries the recipient's whole view (Map:
@@ -48,7 +48,7 @@ const (
 
 	// Elastic membership (server join/drain).
 	MsgJoinCluster // Map, Text: wire a fresh member into the mesh
-	MsgDrain       // tear down the recipient's mesh wiring after its last range left
+	MsgDrain       // close the recipient's mesh connections after its last range left
 	_              // 21: was Replicate; number reserved
 
 	// Durable store (warm restarts and last-resort recovery).
@@ -126,7 +126,7 @@ type Message struct {
 
 	// Map is the cluster view a control-plane frame carries: the view
 	// the message installs at its recipient (ExtractRange, SpliceRange,
-	// MapUpdate, JoinCluster; ConnectPeers sends it without a position),
+	// MapUpdate, JoinCluster),
 	// or the view the server holds (StatusNotOwner replies and the
 	// replies to MapUpdate and Drain, which have no self field). It stays
 	// the raw tuple here so a malformed one is answered with an error
@@ -199,13 +199,11 @@ func appendInts(b []byte, is []int) []byte {
 	return b
 }
 
-// appendView writes a view's wire tuple: position (unless the frame
-// type has none), bounds, peers, and — on requests — self.
-func appendView(b []byte, w partition.Wire, position, self bool) []byte {
-	if position {
-		b = binary.AppendUvarint(b, uint64(w.Epoch))
-		b = binary.AppendUvarint(b, uint64(w.Version))
-	}
+// appendView writes a view's wire tuple: position, bounds, peers, and
+// — on requests — self.
+func appendView(b []byte, w partition.Wire, self bool) []byte {
+	b = binary.AppendUvarint(b, uint64(w.Epoch))
+	b = binary.AppendUvarint(b, uint64(w.Version))
 	b = appendStrings(b, w.Bounds)
 	b = appendStrings(b, w.Peers)
 	if self {
@@ -260,10 +258,8 @@ func (m *Message) Encode(buf []byte) []byte {
 		for _, a := range m.Args {
 			buf = appendString(buf, a)
 		}
-	case MsgConnectPeers:
-		buf = appendView(buf, m.Map, false, true)
 	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
-		buf = appendView(buf, m.Map, true, true)
+		buf = appendView(buf, m.Map, true)
 		switch m.Type {
 		case MsgExtractRange:
 			buf = appendString(buf, m.Lo)
@@ -296,7 +292,7 @@ func (m *Message) Encode(buf []byte) []byte {
 		// Migration extensions: the server's view on NotOwner replies,
 		// the extracted warm coverage on ExtractRange replies. Empty
 		// (five bytes) on every other reply.
-		buf = appendView(buf, m.Map, true, false)
+		buf = appendView(buf, m.Map, false)
 		buf = appendWarm(buf, m.Warm)
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
@@ -375,17 +371,15 @@ func (d *decoder) strs() ([]string, error) {
 }
 
 // view decodes a view's wire tuple, the mirror of appendView.
-func (d *decoder) view(position, self bool) (w partition.Wire, err error) {
-	if position {
-		var e, v uint64
-		if e, err = d.uvarint(); err != nil {
-			return w, err
-		}
-		if v, err = d.uvarint(); err != nil {
-			return w, err
-		}
-		w.Epoch, w.Version = int64(e), int64(v)
+func (d *decoder) view(self bool) (w partition.Wire, err error) {
+	var e, v uint64
+	if e, err = d.uvarint(); err != nil {
+		return w, err
 	}
+	if v, err = d.uvarint(); err != nil {
+		return w, err
+	}
+	w.Epoch, w.Version = int64(e), int64(v)
 	if w.Bounds, err = d.strs(); err != nil {
 		return w, err
 	}
@@ -556,10 +550,8 @@ func Decode(payload []byte) (*Message, error) {
 		if depth, err = d.uvarint(); err == nil {
 			m.Depth = int(depth)
 		}
-	case MsgConnectPeers:
-		m.Map, err = d.view(false, true)
 	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
-		if m.Map, err = d.view(true, true); err != nil {
+		if m.Map, err = d.view(true); err != nil {
 			return nil, err
 		}
 		switch m.Type {
@@ -630,7 +622,7 @@ func Decode(payload []byte) (*Message, error) {
 		if m.KVs, err = d.kvs(); err != nil {
 			return nil, err
 		}
-		if m.Map, err = d.view(true, false); err != nil {
+		if m.Map, err = d.view(false); err != nil {
 			return nil, err
 		}
 		m.Warm, err = d.warm()

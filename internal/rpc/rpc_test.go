@@ -45,8 +45,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: MsgGet, Seq: 13, Key: "k", TimeoutMS: 1500},
 		{Type: MsgQuiesce, Seq: 14},
 		{Type: MsgPing, Seq: 15},
-		{Type: MsgConnectPeers, Seq: 16,
-			Map: partition.Wire{Bounds: []string{"p|n", "s|"}, Peers: []string{"a:1", "a:2", "a:1"}, Self: []int{1}}},
 		{Type: MsgReply, Seq: 11, Status: StatusOK, Found: true, Value: "v",
 			Count: 42, KVs: []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}},
 		{Type: MsgReply, Seq: 12, Status: StatusError, Err: "boom"},
@@ -141,9 +139,12 @@ func TestPipelinedFrames(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	// Unknown type.
-	if _, err := Decode([]byte{255, 0}); err == nil {
-		t.Error("unknown type accepted")
+	// Unknown types: past the last, and each reserved number (Flush,
+	// ConnectPeers, Replicate once).
+	for _, typ := range []byte{255, 9, 15, 21} {
+		if _, err := Decode([]byte{typ, 0, 0, 0}); err == nil {
+			t.Errorf("unknown type %d accepted", typ)
+		}
 	}
 	// Truncated payloads of every type must error, not panic.
 	full := (&Message{Type: MsgReply, Seq: 9, Status: StatusOK, Found: true,

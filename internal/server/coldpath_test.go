@@ -37,9 +37,7 @@ func coldPair(tb testing.TB) (home, compute *Server, hc, cc *client.Client) {
 	}
 	home, hc, haddr := start(Config{Name: "home"})
 	compute, cc, caddr := start(Config{Name: "compute", Joins: timelineJoin})
-	if err := compute.ConnectMesh(mustView(tb, partition.MustNew("t|"), []string{haddr, caddr}, 1)); err != nil {
-		tb.Fatal(err)
-	}
+	publish(tb, compute, mustView(tb, partition.MustNew("t|"), []string{haddr, caddr}, 1))
 	return home, compute, hc, cc
 }
 

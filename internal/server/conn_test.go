@@ -153,12 +153,7 @@ func TestParkedReadDoesNotHoldConnection(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 	v := at(t, 1, []string{"t"}, b.addr, addr)
 	b.views.Store(&[2]*partition.View{v, v})
-	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(addr).Wire()}); r.Status != rpc.StatusOK {
-		t.Fatal(r.Err)
-	}
-	if err := s.ConnectMesh(v.For(addr)); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, s, v.For(addr))
 
 	const deadline = 3 * time.Second
 	start := time.Now()
@@ -310,7 +305,8 @@ func TestProbeNotHeldByQuiesce(t *testing.T) {
 	s, c := startServer(t, Config{Name: "member", Joins: timelineJoin})
 	self := "member:1"
 	v := at(t, 1, []string{"m"}, ln.Addr().String(), self).For(self)
-	if err := s.ConnectMesh(v); err != nil {
+	publish(t, s, v)
+	if _, err := s.up.conn(ln.Addr().String()); err != nil { // as a mesh load dials it
 		t.Fatal(err)
 	}
 	quiesce := c.Send(context.Background(), &rpc.Message{Type: rpc.MsgQuiesce, TimeoutMS: 1500})

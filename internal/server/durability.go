@@ -2,8 +2,8 @@ package server
 
 // Durable store wiring: the write-behind hook that logs every
 // owner-authoritative base write, the periodic snapshot loop, the meta
-// persistence that lets a restarted member re-gate and re-wire itself,
-// and the recovery path New runs before serving. All of it is inert —
+// persistence that lets a restarted member re-gate itself, and the
+// recovery path New runs before serving. All of it is inert —
 // zero hot-path cost — unless Config.DataDir is set.
 //
 // Recovery ordering matters and is centralized here:
@@ -14,19 +14,20 @@ package server
 //     prefix rule, or the warm coverage is dropped).
 //  3. Re-install the persisted gate, so a restarted member — including
 //     a drained one — answers NotOwner with its last published bounds
-//     from the first byte it serves.
+//     from the first byte it serves. A gate is a mesh: the joins'
+//     source tables (installed in step 2) become loader-backed with it
+//     (wireLoader), whether or not their homes are up yet — loads dial
+//     lazily and fail until they are.
 //  4. Restore rows the member should still hold (its gate-owned ranges
 //     plus its derived replica-held ranges), quietly, BEFORE the write
 //     hook is set — restored rows must not be re-logged.
 //  5. Set the write hook; from here every write is durable again.
-//  6. Re-wire the mesh and the replica copy count from meta (the tables
-//     both cover are the joins' sources, installed in step 2); peers
-//     that are still down are retried in the background.
-//  7. Rebuild previously valid computed coverage — only once the mesh
-//     is wired, so coverage is never marked valid over partial sources.
+//  6. Re-apply the replica copy count from meta; the holds land in
+//     tables the loader already backs.
+//  7. Rebuild previously valid computed coverage over the loader-backed
+//     sources, so coverage is never marked valid over partial ones.
 
 import (
-	"context"
 	"errors"
 	"log"
 	"reflect"
@@ -117,7 +118,7 @@ func (s *Server) snapshotLoop(every time.Duration) {
 }
 
 // persistMeta saves the member's current cluster position — gate,
-// joins, mesh, replica copy count — to the durable store when it
+// joins, replica copy count — to the durable store when it
 // differs from the last one saved (a save is a rename and a directory
 // fsync; the failure detector's anti-entropy republishes an unchanged
 // map and count every tick). Called after every control-plane event that
@@ -144,9 +145,8 @@ func (s *Server) persistMeta() {
 }
 
 // buildMeta snapshots the member's cluster position. Close captures it
-// before tearing down the mesh and replica manager — persisting after
-// teardown would erase the mesh record and leave a restarted compute
-// member with no loader for its join sources.
+// before tearing down the replica manager — persisting after teardown
+// would erase the copy count.
 func (s *Server) buildMeta() *durable.Meta {
 	m := &durable.Meta{Name: s.name, ID: s.id, Joins: s.pool.InstalledText()}
 	if g := s.pool.Gate(); g != nil {
@@ -154,12 +154,6 @@ func (s *Server) buildMeta() *durable.Meta {
 		m.HasGate = true
 		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
-	s.mmu.Lock()
-	// A mesh recovered from disk and not dialed yet (retryMesh) is still
-	// this member's: saving "none" would leave a second restart with no
-	// loader for its join sources.
-	m.HasMesh = s.mesh != nil || s.rewire
-	s.mmu.Unlock()
 	s.rmu.Lock()
 	if st := s.repl; st != nil {
 		st.mu.Lock()
@@ -173,7 +167,7 @@ func (s *Server) buildMeta() *durable.Meta {
 // recoverDurable runs recovery steps 1-4 (see file comment): open the
 // store, replay, re-install joins and gate, restore rows quietly. It
 // returns the recovered meta (nil if none was ever saved) and the warm
-// coverage still to rebuild once the mesh is wired.
+// coverage still to rebuild once the replica copies are re-applied.
 func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, error) {
 	scrub := cfg.ScrubInterval
 	if scrub == 0 {
@@ -237,7 +231,8 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 
 	// Gate: re-install the last published map, so the member — drained
 	// members included (Self empty) — answers with current bounds from
-	// its first served byte.
+	// its first served byte, and wire the loader it implies before any
+	// replica hold or warm rebuild can reach the source tables.
 	var g *partition.View
 	if meta != nil && meta.HasGate {
 		w := partition.Wire{Epoch: meta.Epoch, Version: meta.Version, Bounds: meta.Bounds, Peers: meta.Peers, Self: meta.Self}
@@ -245,6 +240,7 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 			log.Printf("pequod server %s: recovered cluster map unusable (%v); starting ungated", s.name, err)
 		} else {
 			s.pool.ApplyMapUpdate(g)
+			s.wireLoader()
 		}
 	}
 
@@ -265,56 +261,19 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	return meta, warm, nil
 }
 
-// wireRecovered runs recovery steps 6-7: mesh, replica copies, and the
-// warm rebuild. The write hook is already set, so everything from
-// here is durable again. Mesh peers that have not come back yet (a
-// whole-cluster restart) are retried in the background; the warm
-// rebuild waits for the mesh, so coverage is never computed over
-// partial sources.
+// wireRecovered runs recovery steps 6-7: replica copies and the warm
+// rebuild. The write hook is already set, so everything from here is
+// durable again. Sources whose homes are still down (a whole-cluster
+// restart) load once they answer; until then a rebuild's loads fail and
+// the coverage recomputes on demand.
 func (s *Server) wireRecovered(meta *durable.Meta, warm []core.WarmRange) {
 	// A recovered gate came from meta, so g != nil implies meta != nil.
-	g := s.pool.Gate()
-	if g != nil && meta.ReplicaCopies > 1 {
+	if s.pool.Gate() != nil && meta.ReplicaCopies > 1 {
 		s.assignReplicas(meta.ReplicaCopies)
 		s.reshapeReplicas(false)
 	}
-	if g != nil && meta.HasMesh {
-		if err := s.ConnectMesh(g); err != nil {
-			log.Printf("pequod server %s: mesh rewire after restart: %v (retrying in background)", s.name, err)
-			ctx, cancel := context.WithCancel(context.Background())
-			s.rewireStop, s.rewireDone = cancel, make(chan struct{})
-			s.mmu.Lock()
-			s.rewire = true
-			s.mmu.Unlock()
-			go s.retryMesh(ctx, warm)
-			return
-		}
-	}
 	s.pool.RebuildWarm(warm)
 	s.recovery.RestoredWarm = len(warm)
-}
-
-// retryMesh keeps attempting the post-restart mesh rewire until it
-// lands or the server leaves the cluster (Close, Drain) — a
-// whole-cluster restart converges as soon as enough peers are back to
-// dial.
-func (s *Server) retryMesh(ctx context.Context, warm []core.WarmRange) {
-	defer close(s.rewireDone)
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if err := s.ConnectMesh(s.pool.Gate()); err != nil {
-			continue
-		}
-		s.pool.RebuildWarm(warm)
-		s.recovery.RestoredWarm = len(warm)
-		return
-	}
 }
 
 // recoveredKeyFilter decides which recovered rows a member restores

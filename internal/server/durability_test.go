@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -119,68 +119,6 @@ func TestWarmRestartRecoversRows(t *testing.T) {
 	}
 }
 
-// TestRetryMeshStopsAtTeardown: a durable member restarted while its
-// mesh peer is down keeps retrying the rewire in the background; leaving
-// the cluster — Close, or a Drain, after which the process keeps
-// running — must stop that goroutine and wait for it before the mesh is
-// torn down, so it can neither wire a mesh behind the teardown nor
-// rebuild warm coverage into a closed pool.
-func TestRetryMeshStopsAtTeardown(t *testing.T) {
-	for _, drain := range []bool{false, true} {
-		dir := t.TempDir()
-		peer, err := New(Config{Name: "peer"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		paddr, err := peer.Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(durableConfig("rm", dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := s.Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := mustView(t, partition.MustNew("m"), []string{addr, paddr}, 0)
-		s.pool.ApplyMapUpdate(v)
-		if err := s.ConnectMesh(v); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		peer.Close() // and never comes back
-
-		s2, err := New(durableConfig("rm2", dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.rewireDone == nil {
-			t.Fatal("restart with a dead peer left no rewire running")
-		}
-		if drain {
-			s2.handleDrain(&rpc.Message{})
-		} else {
-			s2.Close()
-		}
-		select {
-		case <-s2.rewireDone:
-		default:
-			t.Fatalf("drain=%v: teardown returned with the rewire still running", drain)
-		}
-		s2.mmu.Lock()
-		mesh := s2.mesh
-		s2.mmu.Unlock()
-		if mesh != nil {
-			t.Fatalf("drain=%v: a mesh exists after the teardown", drain)
-		}
-		if drain {
-			s2.Close()
-		}
-	}
-}
-
 // TestMemoryOnlyServerHasNoDurableState: without a data dir nothing
 // durable is wired — no stat block, and the snapshot RPC refuses.
 func TestMemoryOnlyServerHasNoDurableState(t *testing.T) {
@@ -256,13 +194,14 @@ func BenchmarkDurableWriteBehind(b *testing.B) {
 	}
 }
 
-// TestMetaKeepsMeshWhileRewirePending: a compute member restarted while
-// its peer is down cannot dial its mesh yet, but every meta.json it
-// saves meanwhile still names the mesh tables — so when it crashes again
-// before the rewire lands (a copy of the data dir taken mid-wait stands
-// in for the crash) and restarts with the peer back, its loaders are
-// wired and a cold timeline read fetches its sources.
-func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
+// TestRestartWithHomeDownBacksSources: a gate is a mesh, so a compute
+// member restarted while the home of its join sources is down backs
+// those tables with its loader before New returns — a timeline read
+// fails to load instead of computing over nothing — and leaves no
+// goroutine running once it closes. A second crash and restart, the
+// home still down, backs them too; once the home is back, a cold
+// timeline read loads through it.
+func TestRestartWithHomeDownBacksSources(t *testing.T) {
 	home := func(addr string) (*Server, string) {
 		t.Helper()
 		ln, err := net.Listen("tcp", addr)
@@ -278,8 +217,25 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 		h.pool.Put("p|bob|100", "Hi")
 		return h, ln.Addr().String()
 	}
-	timeline := func(s *Server) ([]core.KV, error) {
-		return scanPool(s, "t|ann|", "t|ann}", 5*time.Second)
+	timeline := func(s *Server, d time.Duration) ([]core.KV, error) {
+		return scanPool(s, "t|ann|", "t|ann}", d)
+	}
+	backed := func(s *Server) {
+		t.Helper()
+		var tracked []string
+		s.pool.Shard(0).WithEngine(func(e *core.Engine) {
+			for _, k := range []string{"s|ann|bob", "p|bob|100"} {
+				if e.Tracks(k) {
+					tracked = append(tracked, k)
+				}
+			}
+		})
+		if len(tracked) > 0 {
+			t.Fatalf("%v not loader-backed after the restart (want every join source backed)", tracked)
+		}
+		if kvs, err := timeline(s, 100*time.Millisecond); err == nil {
+			t.Fatalf("timeline with its home down = %v, want a failed load", kvs)
+		}
 	}
 	dir := t.TempDir()
 	cfg := durableConfig("compute", dir)
@@ -290,51 +246,41 @@ func TestMetaKeepsMeshWhileRewirePending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := mustView(t, partition.MustNew("t"), []string{haddr, "127.0.0.1:1"}, 1) // self owns the timelines
-	s.pool.ApplyMapUpdate(v)
-	if err := s.ConnectMesh(v); err != nil {
-		t.Fatal(err)
-	}
-	if kvs, err := timeline(s); err != nil || len(kvs) != 1 {
+	publish(t, s, mustView(t, partition.MustNew("t"), []string{haddr, "127.0.0.1:1"}, 1)) // self owns the timelines
+	if kvs, err := timeline(s, 5*time.Second); err != nil || len(kvs) != 1 {
 		t.Fatalf("timeline before any restart = %v, %v", kvs, err)
 	}
 	s.Close()
 	h.Close()
 
-	s2, err := New(cfg) // the home is down: the rewire keeps retrying
+	before := runtime.NumGoroutine()
+	s2, err := New(cfg) // the home is down
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.rewireDone == nil {
-		t.Fatal("restart with a dead peer left no rewire running")
-	}
-	s2.persistMeta() // as every advance and snapshot tick does during the wait
-	meta, ok, err := s2.dur.LoadMeta()
-	if err != nil || !ok || !meta.HasMesh || !reflect.DeepEqual(s2.pool.SourceTables(), []string{"s", "p"}) {
-		t.Fatalf("meta saved while the rewire is pending = %+v, %v; mesh tables %v", meta, err, s2.pool.SourceTables())
-	}
+	backed(s2)
 	crashed := t.TempDir()
 	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the restarted member closed, %d before it started", runtime.NumGoroutine(), before)
+		}
+	}
 
-	h, _ = home(haddr)
-	defer h.Close()
 	cfg.DataDir = crashed
-	s3, err := New(cfg)
+	s3, err := New(cfg) // the home is still down
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	s3.mmu.Lock()
-	wired := s3.mesh != nil
-	s3.mmu.Unlock()
-	if !wired || s3.rewireDone != nil {
-		t.Fatalf("restart with the peer back: mesh wired %v, rewire pending %v", wired, s3.rewireDone != nil)
-	}
-	if kvs, err := timeline(s3); err != nil || len(kvs) != 1 || kvs[0].Key != "t|ann|100|bob" || kvs[0].Value != "Hi" {
-		t.Fatalf("cold timeline read after the second restart = %v, %v", kvs, err)
+	backed(s3)
+	h, _ = home(haddr)
+	defer h.Close()
+	if kvs, err := timeline(s3, 5*time.Second); err != nil || len(kvs) != 1 || kvs[0].Key != "t|ann|100|bob" || kvs[0].Value != "Hi" {
+		t.Fatalf("cold timeline read once the home is back = %v, %v", kvs, err)
 	}
 }
 

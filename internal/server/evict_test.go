@@ -45,9 +45,7 @@ func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
 	}
 	caddr, _ := compute.Start()
 	defer compute.Close()
-	if err := compute.ConnectMesh(mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1)); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, compute, mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1))
 
 	hc, _ := client.Dial(haddr)
 	cc, _ := client.Dial(caddr)

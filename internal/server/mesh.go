@@ -9,10 +9,9 @@ package server
 // map routes to the range's current home with no second view to follow.
 // Which tables load remotely is the member's own joins' business too:
 // their base source tables (join.SourceTables, read off the pool), wired
-// when the mesh is and extended by every join install.
+// when the first gate is installed and extended by every join install.
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"pequod/internal/core"
 	"pequod/internal/join"
 	"pequod/internal/keys"
-	"pequod/internal/partition"
 	"pequod/internal/shard"
 )
 
@@ -121,18 +119,12 @@ func (s *Server) dropFedBy(addrs []string, spare []keys.Range) {
 	}
 }
 
-// leaveCluster tears down the mesh wiring and the replica machinery
-// (shutdown, drain), returning only once no watchdog pass, replica sync
-// or post-restart rewire that could still touch the pool — or wire a
-// mesh behind the teardown — on their behalf is running.
+// leaveCluster tears down the replica machinery and the peer
+// connections (shutdown, drain), returning only once no watchdog pass or
+// replica sync that could still touch the pool on their behalf is
+// running. The gate and the loader stay: a drained member re-added
+// through JoinCluster reopens its upstream and loads again.
 func (s *Server) leaveCluster() {
-	if s.rewireStop != nil {
-		s.rewireStop()
-		<-s.rewireDone
-	}
-	s.mmu.Lock()
-	s.mesh, s.rewire = nil, false
-	s.mmu.Unlock()
 	s.rmu.Lock()
 	repl := s.repl
 	s.repl = nil
@@ -150,67 +142,24 @@ func (s *Server) leaveCluster() {
 	s.wmu.Unlock()
 }
 
-// ConnectMesh wires this server to the home servers of its joins' base
-// source tables. A mesh implies a gate: v becomes the pool's gate when
-// it has none, and otherwise the gate stays the authority — a v older
-// than it is harmless (a stale caller), and a v at its position with
-// another shape is rejected, on the first wiring and on later ones
-// alike. Loads route by the gate, whose self set names the ranges this
-// server serves itself from direct writes instead of remote fetches.
-// Calling it again on a meshed member changes nothing: a join installed
-// later wires the source tables it adds itself (installJoins). If any
-// peer dial fails, the server is left unwired and a retry starts over;
-// the connections dialed so far stay in the server's upstream, which a
-// retry, a replica hold or a load reuses. Once the loader backs any
-// table, every replica hold lands again (reland): one that landed
-// first — a restart's, while a peer was down — has no residency record
-// in the tables the loader just made loader-backed.
-func (s *Server) ConnectMesh(v *partition.View) error {
+// wireLoader keeps the one wiring invariant: a member's join source
+// tables are loader-backed exactly when its pool has a gate — a gate is
+// a mesh. It runs when the first gate is installed (Server.advance, and
+// a restart applying its recovered gate), before any replica hold can
+// land in those tables; installJoins extends it with every source table
+// a join adds later. An ungated server stays loader-less. Loads dial
+// their homes lazily, over the upstream replica holds share.
+func (s *Server) wireLoader() {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
-	g, install := s.pool.Gate(), false
-	if g == nil {
-		g, install = v, true
-	} else if !g.Newer(v) && !v.Newer(g) {
-		if err := g.SameShape(v); err != nil {
-			return fmt.Errorf("pequod server: mesh view disagrees with the cluster map at e%d v%d: %w",
-				g.Map().Epoch(), g.Map().Version(), err)
-		}
-	}
-	if s.mesh != nil {
-		return nil
-	}
-	mesh := newRemoteLoader(s)
-	s.up.reopen()
-	// Eager dial so a bad member address fails the wiring visibly
-	// instead of surfacing later as load timeouts.
-	for o, a := range g.Addrs() {
-		if g.IsSelf(o) {
-			continue // no connection to ourselves
-		}
-		if _, err := s.up.conn(a); err != nil {
-			return fmt.Errorf("pequod server: mesh peer %s: %w", a, err)
-		}
-	}
-	if install {
-		s.pool.ApplyMapUpdate(g)
-	}
-	tables := s.pool.SourceTables()
-	mesh.sh.SetLoader(mesh, tables...)
-	s.mesh = mesh
-	s.rmu.Lock()
-	repl := s.repl
-	s.rmu.Unlock()
-	if repl != nil && len(tables) > 0 {
-		repl.reland()
-	}
-	return nil
+	s.pool.Shard(0).SetLoader(newRemoteLoader(s), s.pool.SourceTables()...)
 }
 
-// installJoins installs join set text on this member. A meshed member
-// first wires the base source tables the text adds to its mesh loader,
-// so no join computes over a source nobody fetches; when the source set
-// changed, every replica hold starts over on the new set (reshapeReplicas).
+// installJoins installs join set text on this member. A gated member
+// first makes the base source tables the text adds loader-backed, so no
+// join computes over a source nobody fetches; when the source set
+// changed, every replica hold starts over on the new set
+// (reshapeReplicas).
 func (s *Server) installJoins(text string) error {
 	s.mmu.Lock()
 	before := s.pool.SourceTables()
@@ -219,8 +168,8 @@ func (s *Server) installJoins(text string) error {
 		s.mmu.Unlock()
 		return err
 	}
-	if s.mesh != nil {
-		s.mesh.sh.SetLoader(s.mesh, join.SourceTables(all)...)
+	if s.pool.Gate() != nil {
+		s.pool.Shard(0).SetLoader(newRemoteLoader(s), join.SourceTables(all)...)
 	}
 	err = s.pool.InstallText(text)
 	s.mmu.Unlock()

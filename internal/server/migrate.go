@@ -7,12 +7,13 @@ package server
 //	ExtractRange  (at the source)       capture the range + flip ownership
 //	SpliceRange   (at the destination)  fence stale pushes + install
 //	MapUpdate     (at every member)     adopt the map and copies, reshape replicas
-//	JoinCluster   (at a fresh server)   wire mesh + joins + gate in one call
-//	Drain         (at a drained server) tear down its mesh wiring
+//	JoinCluster   (at a fresh server)   gate (so mesh) + joins in one call
+//	Drain         (at a drained server) tear down its peer connections
 //
 // Each moves the one cluster view a member holds, its pool's gate,
 // through Server.advance; the peer connections, the replica holds and
-// meta.json are derived from the gate and follow it there.
+// meta.json are derived from the gate and follow it there, and the
+// first gate wires the mesh loader (wireLoader).
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
 // rebalance / add / drain subcommands — drives them;
@@ -51,8 +52,6 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 		return rpc.ErrReply(m.Seq, err)
 	}
 	switch m.Type {
-	case rpc.MsgConnectPeers:
-		err = s.advance(func() error { return s.ConnectMesh(next) })
 	case rpc.MsgExtractRange:
 		return s.handleExtractRange(m, next)
 	case rpc.MsgSpliceRange:
@@ -70,16 +69,21 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 
 // advance is the one way this server's view — the pool's gate — moves.
 // apply runs the transition the message asks for: a gate swap (extract,
-// splice, map update), the mesh wiring, a join. If it took, what derives
-// from the gate follows it: the peer connections shrink to the gate's
+// splice, map update), a join. If it took, what derives from the gate
+// follows it: the first gate wires the mesh loader (wireLoader) before
+// any replica hold is granted, the peer connections shrink to the gate's
 // members, the replica holds are reshaped to its ring walk, and the
 // position is persisted when it changed. The gate is read under the
 // locks, so the last to run sees the newest gate.
 func (s *Server) advance(apply func() error) error {
+	gated := s.pool.Gate() != nil
 	if err := apply(); err != nil {
 		return err
 	}
 	if g := s.pool.Gate(); g != nil {
+		if !gated {
+			s.wireLoader()
+		}
 		want := make(map[string]bool)
 		for _, m := range g.Members() {
 			want[m.Addr] = !g.SelfAddr(m.Addr)
@@ -202,8 +206,8 @@ func (s *Server) gateReply(seq uint64) *rpc.Message {
 
 // joinCluster serves MsgJoinCluster at a fresh server: one call installs
 // the current cluster view as its gate (owning nothing yet, so it
-// answers NotOwner until a splice grants it a range), wires it into the
-// subscription mesh, and installs the cluster's join set. The
+// answers NotOwner until a splice grants it a range) — which wires the
+// mesh loader (advance) — and installs the cluster's join set. The
 // coordinator then grants it an initial slice through the ordinary
 // extract/splice/publish protocol — by the time any client routes to
 // the new member, it is gated, meshed, and computing.
@@ -212,9 +216,9 @@ func (s *Server) joinCluster(v *partition.View, text string) error {
 	// self set bounces with NotOwner instead of landing on an unwired
 	// server.
 	s.pool.ApplyMapUpdate(v)
-	if err := s.ConnectMesh(v); err != nil {
-		return err
-	}
+	// A drained member being re-added closed its upstream; its gate and
+	// loader survived the drain, so loads resume once it reopens.
+	s.up.reopen()
 	// Install the cluster's join set — idempotently, so a drained member
 	// re-joining with the joins already installed (or holding a prefix
 	// of a join set that grew since) does not fail on duplicates.
@@ -243,15 +247,21 @@ func (s *Server) extendJoins(text string) error {
 }
 
 // handleDrain serves MsgDrain at a member whose last range has moved
-// out: its mesh wiring (peer connections, remote loaders' feeds) is
-// torn down, while the gate — now owning nothing under the published
-// post-drain map — stays, so stale clients still get NotOwner replies
-// carrying that map and re-route instead of failing. The process keeps
-// running; re-adding it later goes through JoinCluster again.
+// out: its peer connections and their feeds are torn down, while the
+// gate — now owning nothing under the published post-drain map — stays,
+// so stale clients still get NotOwner replies carrying that map and
+// re-route instead of failing. The process keeps running; re-adding it
+// later goes through JoinCluster again.
 func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
 	// A drained member holds replicas for no one; re-adding it later
 	// gives it copies again with the grown map's publish.
 	s.leaveCluster()
+	// The subscriptions that kept its loaded sources and copies fresh
+	// closed with the connections: drop what they fed, so a re-added
+	// member loads it anew instead of computing over a stale copy.
+	if g := s.pool.Gate(); g != nil {
+		s.dropFedBy(g.Addrs(), nil)
+	}
 	// Persist the post-drain position: a restarted drained member must
 	// still answer NotOwner with the current bounds, not serve stale
 	// data it no longer owns.

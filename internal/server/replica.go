@@ -231,8 +231,7 @@ func (st *replicaState) startSyncs() {
 // home. Runs on its own goroutine, at most one per held entry (the
 // syncing flag), so a reshape that still sources the range from the
 // same home is adopted mid-sync rather than cancelling it; the range is
-// confirmed synced only once a full pass lands (land), and a copy
-// marked unsynced meanwhile (reland) lands again.
+// confirmed synced only once a full pass lands (land).
 func (st *replicaState) syncRange(h *replHold, r keys.Range) {
 	defer st.syncs.Done()
 	defer func() {
@@ -352,22 +351,6 @@ func (st *replicaState) resync(lost []string) []keys.Range {
 	st.mu.Unlock()
 	st.startSyncs()
 	return held
-}
-
-// reland marks every hold unsynced and syncs it again. A loader just
-// made tables loader-backed (ConnectMesh), and a copy that landed
-// before has no residency record in them: Tracks would drop its
-// pushes, and a join read would load over it as an evictable cache.
-// Landing again (Pool.Hold) records it. land sets h.synced under st.mu,
-// so a round that landed before the reland cannot mark its copy synced
-// after it.
-func (st *replicaState) reland() {
-	st.mu.Lock()
-	for _, h := range st.held {
-		h.synced = false
-	}
-	st.mu.Unlock()
-	st.startSyncs()
 }
 
 // snapshot reports the synced replica ranges (stats): copies actually

@@ -463,11 +463,11 @@ func TestHeldCopySurvivesEvictionAndFailover(t *testing.T) {
 }
 
 // TestHoldLandedBeforeTheMeshStaysResident: a restarted member's replica
-// hold can land before its mesh is wired — here a peer it loads from is
-// still down, so the rewire retries in the background. Once the mesh
-// wires, its loader makes the copied tables loader-backed, and the copy
-// is still the member's one copy: the home's pushes reach it, eviction
-// spares it, and a repair promotes it whole.
+// hold lands while a peer it loads from is still down. Its recovered
+// gate made the copied tables loader-backed before the hold was granted,
+// so the copy is the member's one copy: once the peer is back, the
+// home's pushes reach it, eviction spares it, and a repair promotes it
+// whole.
 func TestHoldLandedBeforeTheMeshStaysResident(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -516,23 +516,15 @@ func TestHoldLandedBeforeTheMeshStaysResident(t *testing.T) {
 
 	members[2].Close()
 	tm := restart(1)
-	meshed := func() bool {
-		tm.mmu.Lock()
-		defer tm.mmu.Unlock()
-		return tm.mesh != nil
-	}
 	for deadline := time.Now().Add(10 * time.Second); tm.repl.snapshot() != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the restarted member's hold never synced")
 		}
 	}
-	if meshed() {
-		t.Fatal("the mesh wired with a peer down; the test must land the hold first")
-	}
 	restart(2)
-	for deadline := time.Now().Add(10 * time.Second); !meshed() || tm.repl.snapshot() != 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); tm.repl.snapshot() != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("meshed %v, %d holds synced; want the mesh wired and the hold synced", meshed(), tm.repl.snapshot())
+			t.Fatalf("%d holds synced; want the hold synced", tm.repl.snapshot())
 		}
 	}
 	w.post(300)

@@ -15,7 +15,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"log"
@@ -51,8 +50,8 @@ type Config struct {
 	SubtableDepths map[string]int
 	// DataDir, if non-empty, enables the durable range store: base
 	// writes stream to a write-behind log under this directory,
-	// periodic snapshots truncate it, and a restart recovers rows, the
-	// cluster gate, and mesh wiring from disk before serving. Empty
+	// periodic snapshots truncate it, and a restart recovers rows and the
+	// cluster gate, with the mesh wiring it implies, before serving. Empty
 	// (the default) keeps the server purely in-memory with zero
 	// durability cost. See internal/durable and DESIGN.md §Durability.
 	DataDir string
@@ -104,12 +103,12 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 
-	// Distributed mode: the mesh loader installed by ConnectMesh or a
-	// JoinCluster RPC (guarded by mmu; see mesh.go). The cluster view it
+	// Distributed mode: mmu serializes the mesh loader's wiring — at the
+	// first gate, and at every join install — so no source table a join
+	// adds is left without it (see mesh.go). The cluster view the loader
 	// and the replicas route by is the pool's gate, the only one this
 	// server holds.
-	mmu  sync.Mutex
-	mesh *remoteLoader
+	mmu sync.Mutex
 
 	// up is the one connection and feed per peer that mesh loads and
 	// replica holds share (upstream.go), from New until Close.
@@ -135,14 +134,6 @@ type Server struct {
 	recovery *client.RecoveryStat
 	metaMu   sync.Mutex
 	saved    *durable.Meta
-
-	// The post-restart mesh rewire (retryMesh), when recovery had to
-	// leave one running: leaveCluster stops it and waits for it. rewire
-	// (guarded by mmu) marks it pending, so buildMeta keeps saving the
-	// mesh record until the mesh exists or the member leaves.
-	rewireStop context.CancelFunc
-	rewireDone chan struct{}
-	rewire     bool
 }
 
 // New creates a server.
@@ -180,8 +171,8 @@ func New(cfg Config) (*Server, error) {
 		return s, nil
 	}
 	// Durable mode: recover rows/gate/joins from disk quietly, then set
-	// the (logging) hook, then re-wire mesh and replicas — the ordering
-	// contract is documented in durability.go.
+	// the (logging) hook, then re-apply replicas — the ordering contract
+	// is documented in durability.go.
 	meta, warm, err := s.recoverDurable(cfg)
 	if err != nil {
 		pool.Close()
@@ -320,11 +311,9 @@ func (s *Server) Close() {
 	s.connWG.Wait()
 	if s.dur != nil {
 		// Stop the snapshot loop and persist the cluster position now,
-		// while the mesh and replica assignment are still live: the meta
-		// a warm restart rewires from must not record the teardown below
-		// — HasMesh=false would leave the restarted member's join sources
-		// loader-less (cold compute would silently serve empty ranges).
-		// A drained member's post-drain map is already saved.
+		// while the replica assignment is still live: the meta a warm
+		// restart recovers from must not record the teardown below. A
+		// drained member's post-drain map is already saved.
 		close(s.durStop)
 		<-s.durDone
 		s.persistMeta()
@@ -485,7 +474,7 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 	case rpc.MsgRebuildRange:
 		return s.handleRebuildRange(m)
 
-	case rpc.MsgConnectPeers, rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster:
+	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster:
 		return s.handleMapBearing(m, dl)
 	}
 	return rpc.ErrReply(m.Seq, errors.New("unknown request"))

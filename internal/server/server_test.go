@@ -260,9 +260,7 @@ func TestDistributedSubscriptions(t *testing.T) {
 	// The compute server's view adds one range, the timelines, which it
 	// serves itself.
 	bounds := append(pmap.Bounds(), "t|")
-	if err := compute.ConnectMesh(mustView(t, partition.MustNew(bounds...), append(addrs, caddr), 4)); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, compute, mustView(t, partition.MustNew(bounds...), append(addrs, caddr), 4))
 
 	h0, _ := client.Dial(addr0)
 	h1, _ := client.Dial(addr1)
@@ -341,9 +339,7 @@ func TestJoinInstallWiresMeshSources(t *testing.T) {
 	}
 	_, hc, haddr := start("home")
 	compute, cc, caddr := start("compute")
-	if err := compute.ConnectMesh(mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1)); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, compute, mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1))
 	hc.Put("s|ann|bob", "1")
 	hc.Put("p|bob|100", "Hi")
 	if err := addJoin(cc, timelineJoin); err != nil {
@@ -462,6 +458,13 @@ func replicate(tb testing.TB, s *Server, v *partition.View, copies int) {
 	if r := s.handle(nil, m); r.Status != rpc.StatusOK {
 		tb.Fatalf("MapUpdate: %s", r.Err)
 	}
+}
+
+// publish hands s the MapUpdate that installs view v, with no copy
+// count: the gate that, the first time, wires the member's mesh loader.
+func publish(tb testing.TB, s *Server, v *partition.View) {
+	tb.Helper()
+	replicate(tb, s, v, 0)
 }
 
 // TestOnePushPerConnection: a connection whose subscriptions overlap —

@@ -6,7 +6,7 @@ package server
 // copy, and a member keeps one copy of a home's rows: one connection
 // and one feed per peer address (the server's upstream), one keep rule
 // (Server.replicaKeep), one sink (Shard.ApplyBatch). Feeds exist only
-// on a gated member: a mesh implies a gate, and replica holds derive
+// on a gated member: a gate implies the mesh, and replica holds derive
 // from it. What differs is how a snapshot round lands: a mesh load
 // through Shard.LoadsDone, marking an evictable cache resident; a
 // replica hold through Pool.Hold, marking its copy resident for good.

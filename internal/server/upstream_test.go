@@ -265,20 +265,16 @@ var feedCases = []struct {
 }
 
 // TestFeedOrdering runs every case once per role whose rounds ride the
-// server's one upstream: a mesh load, its connection dialed eagerly by
-// ConnectMesh, and a replica hold, its connection dialed by the round
-// itself.
+// server's one upstream: a mesh load, on a member whose first gate came
+// through the MapUpdate handler and so wired its loader, and a replica
+// hold. Either way the round dials its connection itself.
 func TestFeedOrdering(t *testing.T) {
 	insts := []struct {
 		name string
-		wire func(t *testing.T, s *Server, home string) // before the round's conn
+		gate func(tb testing.TB, s *Server, v *partition.View) // the first gate
 	}{
-		{"mesh load", func(t *testing.T, s *Server, home string) {
-			if err := s.ConnectMesh(at(t, 1, nil, home)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"replica", func(*testing.T, *Server, string) {}},
+		{"mesh load", publish},
+		{"replica", func(_ testing.TB, s *Server, v *partition.View) { s.pool.ApplyMapUpdate(v) }},
 	}
 	for _, inst := range insts {
 		for _, tc := range feedCases {
@@ -292,13 +288,12 @@ func TestFeedOrdering(t *testing.T) {
 				s.up.apply = x.log.apply // before the dial: a feed binds its sink then
 				// Keep flips the way it does in a server: the gate moves to
 				// a newer map homing every key at addr.
-				var version int64
+				version := int64(1)
 				x.setHome = func(addr string) {
 					version++
 					s.pool.ApplyMapUpdate(at(t, version, nil, addr))
 				}
-				x.setHome(x.h.addr())
-				inst.wire(t, s, x.h.addr())
+				inst.gate(t, s, at(t, version, nil, x.h.addr()))
 				if x.p, err = s.up.conn(x.h.addr()); err != nil {
 					t.Fatal(err)
 				}

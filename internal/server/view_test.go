@@ -36,9 +36,7 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := mustView(t, partition.MustNew("m"), []string{addr, addr}, 0, 1)
-	if err := s.ConnectMesh(v); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, s, v)
 	replicate(t, s, v, 2)
 	gate := s.pool.Gate()
 
@@ -53,7 +51,6 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 		{Type: rpc.MsgSpliceRange, Lo: "a", Hi: "b", KVs: []rpc.KV{{Key: "a1", Value: "x"}}},
 		{Type: rpc.MsgMapUpdate, Limit: 3},
 		{Type: rpc.MsgJoinCluster, Text: timelineJoin},
-		{Type: rpc.MsgConnectPeers},
 	}
 	for name, w := range bad {
 		for _, f := range frames {
@@ -77,21 +74,21 @@ func TestMalformedViewChangesNothing(t *testing.T) {
 }
 
 // TestRecoverGoldenMeta: testdata/golden_meta.json is the meta.json a
-// member owning ranges 0 and 3 of four, meshed and holding replicas,
-// writes; testdata/meta_with_tables.json is the same position as the
-// commits before the table lists were dropped wrote it (mesh_tables and
-// replica_tables, first written before partition.View existed).
-// recoverDurable rebuilds the same gate and copy count from either, and
-// the same replicated tables from its joins, and what the server saves
-// back is the golden file but for its timestamp — the mesh record
-// included, though the files' peers are long gone and the rewire is
-// still retrying at Close.
+// member owning ranges 0 and 3 of four and holding replicas writes;
+// testdata/meta_with_mesh.json is the same position as the commits
+// before a gate implied the mesh wrote it (has_mesh), and
+// testdata/meta_with_tables.json as the commits before the table lists
+// were dropped wrote it (mesh_tables and replica_tables, first written
+// before partition.View existed). recoverDurable rebuilds the same gate
+// and copy count from each, and the same replicated tables from its
+// joins, and what the server saves back is the golden file but for its
+// timestamp, though the files' peers are long gone.
 func TestRecoverGoldenMeta(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden_meta.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range []string{"golden_meta.json", "meta_with_tables.json"} {
+	for _, in := range []string{"golden_meta.json", "meta_with_mesh.json", "meta_with_tables.json"} {
 		t.Run(in, func(t *testing.T) {
 			meta, err := os.ReadFile(filepath.Join("testdata", in))
 			if err != nil {
@@ -249,9 +246,7 @@ func TestAdoptLearnedView(t *testing.T) {
 				t.Fatal(err)
 			}
 			arm(second)
-			if err := s.ConnectMesh(mustView(t, partition.MustNew("t"), []string{home, second}, 1)); err != nil {
-				t.Fatal(err)
-			}
+			publish(t, s, mustView(t, partition.MustNew("t"), []string{home, second}, 1))
 			if _, err := scanPool(s, "t|ann|", "t|ann}", 200*time.Millisecond); err == nil {
 				t.Fatal("a timeline whose sources their home bounces was computed")
 			}
@@ -334,12 +329,7 @@ func TestExtractSourceLoadsFromNewHome(t *testing.T) {
 		s    *Server
 		addr string
 	}{{src, srcAddr}, {dst, dstAddr}} {
-		if r := m.s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.For(m.addr).Wire()}); r.Status != rpc.StatusOK {
-			t.Fatal(r.Err)
-		}
-		if err := m.s.ConnectMesh(v.For(m.addr)); err != nil {
-			t.Fatal(err)
-		}
+		publish(t, m.s, v.For(m.addr))
 	}
 	for _, kv := range [][2]string{{"s|ann|bob", "1"}, {"p|bob|100", "Hi"}} {
 		if err := src.pool.Put(kv[0], kv[1]); err != nil {
@@ -381,10 +371,8 @@ func TestAntiEntropyCatchesUpGate(t *testing.T) {
 	bounds := []string{"g", "m"}
 	v := at(t, 1, bounds, a.addr, b.addr, addr).For(addr)
 	next := at(t, 2, bounds, b.addr, b.addr, addr).For(addr) // [, g) moves from a to b
-	if r := s.handle(nil, &rpc.Message{Type: rpc.MsgMapUpdate, Map: v.Wire()}); r.Status != rpc.StatusOK {
-		t.Fatal(r.Err)
-	}
-	if err := s.ConnectMesh(v); err != nil {
+	publish(t, s, v)
+	if _, err := s.up.conn(a.addr); err != nil { // as a mesh load from a dials it
 		t.Fatal(err)
 	}
 	replicate(t, s, next, 2)

@@ -51,10 +51,12 @@ func (p *Pool) RestoreDurable(kvs []core.KV) int {
 
 // RebuildWarm eagerly re-derives previously valid computed coverage on a
 // member, so ranges that were hot before a restart come back hot. Call
-// it only once the member's sources are wired (joins installed, mesh
-// loaders connected): ensure() computes from whatever sources exist, and
-// coverage computed before a loader is attached would be marked valid
-// over partial data.
+// it only once the member's sources are wired (joins installed, and on a
+// gated member the loader that its gate implies registered): ensure()
+// computes from whatever sources exist, and coverage computed before a
+// loader is attached would be marked valid over partial data. A loader
+// whose homes are down fails the loads, and the coverage recomputes on
+// demand.
 func (p *Pool) RebuildWarm(ws []core.WarmRange) {
 	sh := p.member("RebuildWarm")
 	if len(ws) == 0 {
