@@ -36,12 +36,13 @@
 // # Elastic membership
 //
 // The member set is not static either (membership.go): AddServer
-// splices a fresh server into the mesh — one JoinCluster RPC installs
-// its gate, which wires its mesh, and its join set, then an ordinary
+// splices a fresh server into the mesh — one MapUpdate installs its
+// gate, which wires its mesh, and its join set, then an ordinary
 // extract/splice grants it a slice of the busiest member's range under
 // a *grown* map (partition.InsertBound) — and DrainServer streams every
 // range a member owns to its neighbors under successive *shrunk* maps
-// (partition.RemoveBound) before closing its mesh connections. A
+// (partition.RemoveBound); the last one names it for no range, which
+// closes its mesh connections. A
 // neighbor dying mid-drain re-offers the range to the other neighbor,
 // and a transfer that cannot complete reverts, with the source's
 // retained-extraction buffer (internal/shard) as the backstop — no

@@ -7,21 +7,22 @@ package cluster
 // *shape* (partition.InsertBound / RemoveBound) instead of moving a
 // bound.
 //
-// A join first wires the fresh server with one JoinCluster RPC — the
-// current map as its gate (owning nothing, so it answers NotOwner until
-// granted a range), the subscription mesh, the cluster's join set —
-// then transfers the upper slice of a donor's range, split at a bound
-// picked from its load samples (or given explicitly), under the grown
-// map. Every member's MapUpdate resizes its mesh to include the new
-// peer; clients that never heard of it learn its address from the
-// peers carried on NotOwner replies.
+// A join first wires the fresh server with one MapUpdate — the current
+// map as its gate (naming it for no range, so it answers NotOwner until
+// granted one, and holds no peer connection), which wires its loader,
+// and the cluster's join set — then transfers the upper slice of a
+// donor's range, split at a bound picked from its load samples (or
+// given explicitly), under the grown map. Every member's MapUpdate
+// resizes its mesh to include the new peer; clients that never heard of
+// it learn its address from the peers carried on NotOwner replies.
 //
 // A drain transfers once per owned range: a shrunk map merges the
 // departing member's range into a neighbor's, with the other neighbor
-// as the alternative destination should the first have died. When the
-// last range is out, a Drain RPC closes the departed server's own mesh
-// connections — its gate stays, so stale clients still get NotOwner
-// replies carrying the post-drain map.
+// as the alternative destination should the first have died. The last
+// extract is the teardown: its successor map names the departing
+// server for no range, so it closes its peer connections and drops
+// what they fed, and the last publish confirms it. Its gate stays, so
+// stale clients still get NotOwner replies carrying the post-drain map.
 
 import (
 	"context"
@@ -79,7 +80,7 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 		return fmt.Errorf("cluster: donor owner %d out of range [0,%d)", owner, v.Map().Servers())
 	}
 	donorA := v.Addrs()[owner]
-	// Validate the grant before touching the fresh server: JoinCluster
+	// Validate the grant before touching the fresh server: its first map
 	// gates and meshes it irreversibly, so a bad bound must fail here,
 	// not after.
 	if _, err := v.Map().InsertBound(owner, bound); err != nil {
@@ -90,7 +91,7 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 	// set comes from the donor (the cluster is the authority; this
 	// coordinator may never have installed anything itself).
 	if _, err := cl.do(ctx, addr, &rpc.Message{
-		Type: rpc.MsgJoinCluster, Map: v.For(addr).Wire(), Text: cl.joinText(ctx, donorA),
+		Type: rpc.MsgMapUpdate, Map: v.For(addr).Wire(), Text: cl.joinText(ctx, donorA),
 	}); err != nil {
 		return fmt.Errorf("cluster: joining %s: %w", addr, err)
 	}
@@ -189,11 +190,11 @@ func splitPoint(r keys.Range, sorted []string) (string, bool) {
 }
 
 // DrainServer streams every range the member at addr owns to its
-// neighbors, removes it from the map, and closes its mesh connections —
-// live, under traffic. The drained server keeps running (and keeps
-// answering NotOwner with the post-drain map, so stale clients
-// re-route); re-adding it later is a fresh AddServer. Draining the last
-// member is refused.
+// neighbors and removes it from the map — live, under traffic; the last
+// extract closes its mesh connections. The drained server keeps
+// running (and keeps answering NotOwner with the post-drain map, so
+// stale clients re-route); re-adding it later is a fresh AddServer.
+// Draining the last member is refused.
 func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 	cl.mvmu.Lock()
 	defer cl.mvmu.Unlock()
@@ -228,12 +229,6 @@ func (cl *Cluster) DrainServer(ctx context.Context, addr string) error {
 		if err != nil {
 			return err
 		}
-	}
-	// The final publish already reached the drained member (it needs the
-	// post-drain map for NotOwner replies, and the publish confirms its
-	// retained extraction); now its own mesh connections can go.
-	if _, err := cl.do(ctx, addr, &rpc.Message{Type: rpc.MsgDrain}); err != nil {
-		return fmt.Errorf("cluster: tearing down %s's mesh: %w", addr, err)
 	}
 	if pubErr != nil {
 		return fmt.Errorf("cluster: %s drained, but publishing the map did not reach every member (they converge at the next map-bearing frame): %w", addr, pubErr)

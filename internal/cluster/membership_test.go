@@ -107,11 +107,11 @@ func TestAddServerGrowsMap(t *testing.T) {
 }
 
 // TestReAddedMemberLoadsItsSources: a drained member keeps its gate and
-// its loader; AddServer re-adding the same process reopens the peer
-// connections the drain closed, so the timelines it serves again load
-// their sources from their homes and stay fresh: a follow whose posts it
-// never loaded computes cold, and posts written after the re-add reach
-// both timelines.
+// its loader, and holds nothing — not even after a stale coordinator
+// hands it a copy count; AddServer re-adding the same process names it
+// again, so the timelines it serves again load their sources from their
+// homes and stay fresh: a follow whose posts it never loaded computes
+// cold, and posts written after the re-add reach both timelines.
 func TestReAddedMemberLoadsItsSources(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -145,6 +145,10 @@ func TestReAddedMemberLoadsItsSources(t *testing.T) {
 	timeline("u1", "t|u1|100|a", "t|u1|200|n")
 
 	must(cl.DrainServer(ctx, addrs[2]))
+	// A second coordinator from the original bounds with two copies,
+	// listing the drained member first: its stale map reaches it before
+	// a reply teaches the coordinator the current one.
+	newCluster(t, Config{Addrs: []string{addrs[2], addrs[0], addrs[1]}, Bounds: []string{"p|m", "t|"}, Replicas: 2})
 	must(cl.Put(ctx, "p|a|300", "x"))
 	must(cl.Put(ctx, "s|u2|b", "1"))
 	must(cl.Put(ctx, "p|b|400", "x"))

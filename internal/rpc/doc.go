@@ -24,10 +24,13 @@
 //     push-delivery fence), Command (baseline engines).
 //   - Migration plane: ExtractRange, SpliceRange, and MapUpdate move a
 //     key range between servers and publish the versioned cluster
-//     partition map; JoinCluster wires a fresh member into the mesh and
-//     Drain tears a departing member's wiring down. A member's first
-//     view wires its mesh: a gated member loads its joins' sources from
-//     their homes, so no frame wires the mesh on its own. Every map-bearing
+//     partition map. A member's first view wires its mesh: a gated
+//     member loads its joins' sources from their homes, so no frame
+//     wires the mesh on its own. Joining and draining are map updates
+//     too: a joiner's first MapUpdate carries the cluster's join set,
+//     and a member a view names for no range — a joiner before its
+//     first splice, a member whose last range left — holds no peer
+//     connection, so no frame tears its wiring down. Every map-bearing
 //     message carries one partition.View as the tuple (epoch, version,
 //     bounds, peers, self) — Message.Map — so a membership change, which
 //     reshapes the map, travels with the transfer performing it.

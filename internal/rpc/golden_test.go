@@ -13,12 +13,15 @@ import (
 // TestGoldenFrames pins the wire. testdata/golden_frames.txt holds the
 // frames the commit before partition.View existed encoded — each
 // map-bearing request, a NotOwner reply and an ordinary reply — built
-// from that commit's five separate Message fields, except JoinCluster
-// and MapUpdate, re-pinned when the table lists left the wire and the
-// copy count moved onto MapUpdate. ConnectPeers' line left with the
-// frame: a member's gate implies its mesh. The same messages built from
-// views must encode to the same bytes, and those bytes must decode to
-// the same views.
+// from that commit's five separate Message fields, except the MapUpdate
+// lines: re-pinned when the table lists left the wire and the copy count
+// moved onto MapUpdate, and again when the join set moved onto it (one
+// empty Text byte). MapUpdateJoins is the JoinCluster line's view and
+// text on a MapUpdate, which replaced that frame, as it did Drain: a
+// member a view names for no range holds nothing. ConnectPeers' line
+// left with the frame: a member's gate implies its mesh. The same
+// messages built from views must encode to the same bytes, and those
+// bytes must decode to the same views.
 func TestGoldenFrames(t *testing.T) {
 	view := func(epoch, version int64, bounds, peers []string, self ...int) partition.Wire {
 		v, err := partition.Wire{Epoch: epoch, Version: version, Bounds: bounds, Peers: peers, Self: self}.View()
@@ -39,7 +42,7 @@ func TestGoldenFrames(t *testing.T) {
 			Map: view(5<<31, 4, []string{"m", "t|u3"}, three, 2), Lo: "t|u3", Hi: "t|u5",
 			KVs: []KV{{Key: "t|u4|1", Value: "x"}}, Warm: warm(0, "t|u3|", "t|u4|")},
 		"MapUpdate": {Type: MsgMapUpdate, Seq: 20, Map: view(1, 7, []string{"p|", "t|"}, three, 1), Limit: 2},
-		"JoinCluster": {Type: MsgJoinCluster, Seq: 23, Map: view(4, 9, []string{"p|", "t|"}, three),
+		"MapUpdateJoins": {Type: MsgMapUpdate, Seq: 23, Map: view(4, 9, []string{"p|", "t|"}, three),
 			Text: "t|<u> = copy p|<u>"},
 		"NotOwnerReply": NotOwnerReply(21, notOwner),
 		"OKReply": {Type: MsgReply, Seq: 11, Status: StatusOK, Found: true, Value: "v",

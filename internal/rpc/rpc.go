@@ -38,18 +38,19 @@ const (
 	// shifts owner indexes — travels with the transfer that performs it.
 	MsgExtractRange // Map, Lo, Hi -> KVs, Warm: extract + flip ownership at src
 	MsgSpliceRange  // Map, Lo, Hi, Src, KVs, Warm: install at dst
-	// MapUpdate publishes the new cluster map and, in Limit, the total
-	// copies of each range (0 = no change). Per-range replication
-	// (failover) needs nothing more: each member derives the ranges it
-	// holds from the ring order of member addresses and the tables to
-	// copy from its own joins, so the assignment can never disagree with
-	// the map it rides on.
-	MsgMapUpdate // Map, Limit (copies) -> Map (the recipient's)
-
-	// Elastic membership (server join/drain).
-	MsgJoinCluster // Map, Text: wire a fresh member into the mesh
-	MsgDrain       // close the recipient's mesh connections after its last range left
-	_              // 21: was Replicate; number reserved
+	// MapUpdate publishes the new cluster map, in Limit the total copies
+	// of each range (0 = no change) and in Text the cluster's join set
+	// ("" = no change; a joiner's first map carries it). Per-range
+	// replication (failover) needs nothing more: each member derives the
+	// ranges it holds from the ring order of member addresses and the
+	// tables to copy from its own joins, so the assignment can never
+	// disagree with the map it rides on. Membership needs nothing more
+	// either: a member the map names for no range — a joiner before its
+	// first splice, a drained member — holds no peer connection.
+	MsgMapUpdate // Map, Limit (copies), Text (joins) -> Map (the recipient's)
+	_            // 19: was JoinCluster; number reserved
+	_            // 20: was Drain; number reserved
+	_            // 21: was Replicate; number reserved
 
 	// Durable store (warm restarts and last-resort recovery).
 	MsgSnapshot     // force a durable snapshot now -> Count (rows captured)
@@ -126,9 +127,8 @@ type Message struct {
 
 	// Map is the cluster view a control-plane frame carries: the view
 	// the message installs at its recipient (ExtractRange, SpliceRange,
-	// MapUpdate, JoinCluster),
-	// or the view the server holds (StatusNotOwner replies and the
-	// replies to MapUpdate and Drain, which have no self field). It stays
+	// MapUpdate), or the view the server holds (StatusNotOwner replies
+	// and the replies to MapUpdate, which have no self field). It stays
 	// the raw tuple here so a malformed one is answered with an error
 	// reply rather than a dropped connection; Map.View validates.
 	Map partition.Wire
@@ -248,7 +248,7 @@ func (m *Message) Encode(buf []byte) []byte {
 			buf = appendString(buf, c.Key)
 			buf = appendString(buf, c.Value)
 		}
-	case MsgStat, MsgQuiesce, MsgPing, MsgDrain, MsgSnapshot:
+	case MsgStat, MsgQuiesce, MsgPing, MsgSnapshot:
 		// no payload
 	case MsgSetSubtable:
 		buf = appendString(buf, m.Table)
@@ -258,7 +258,7 @@ func (m *Message) Encode(buf []byte) []byte {
 		for _, a := range m.Args {
 			buf = appendString(buf, a)
 		}
-	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate:
 		buf = appendView(buf, m.Map, true)
 		switch m.Type {
 		case MsgExtractRange:
@@ -272,7 +272,6 @@ func (m *Message) Encode(buf []byte) []byte {
 			buf = appendWarm(buf, m.Warm)
 		case MsgMapUpdate:
 			buf = appendUvarint(buf, uint64(m.Limit))
-		case MsgJoinCluster:
 			buf = appendString(buf, m.Text)
 		}
 	case MsgRebuildRange:
@@ -540,7 +539,7 @@ func Decode(payload []byte) (*Message, error) {
 			}
 			m.Changes = append(m.Changes, Change{Op: ChangeOp(op), Key: k, Value: v})
 		}
-	case MsgStat, MsgQuiesce, MsgPing, MsgDrain, MsgSnapshot:
+	case MsgStat, MsgQuiesce, MsgPing, MsgSnapshot:
 		// no payload
 	case MsgSetSubtable:
 		if m.Table, err = d.str(); err != nil {
@@ -550,7 +549,7 @@ func Decode(payload []byte) (*Message, error) {
 		if depth, err = d.uvarint(); err == nil {
 			m.Depth = int(depth)
 		}
-	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate, MsgJoinCluster:
+	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate:
 		if m.Map, err = d.view(true); err != nil {
 			return nil, err
 		}
@@ -576,9 +575,10 @@ func Decode(payload []byte) (*Message, error) {
 			m.Warm, err = d.warm()
 		case MsgMapUpdate:
 			var lim uint64
-			lim, err = d.uvarint()
+			if lim, err = d.uvarint(); err != nil {
+				return nil, err
+			}
 			m.Limit = int(lim)
-		case MsgJoinCluster:
 			m.Text, err = d.str()
 		}
 	case MsgRebuildRange:

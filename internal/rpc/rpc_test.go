@@ -61,10 +61,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: MsgSpliceRange, Seq: 19, Map: partition.Wire{Version: 1}, Lo: "a", Hi: "b"},
 		{Type: MsgMapUpdate, Seq: 20,
 			Map: partition.Wire{Epoch: 1, Version: 7, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{1}}},
-		{Type: MsgJoinCluster, Seq: 23,
-			Map:  partition.Wire{Epoch: 4, Version: 9, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{2}},
+		{Type: MsgMapUpdate, Seq: 23,
+			Map:  partition.Wire{Epoch: 4, Version: 9, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}},
 			Text: "t|<u> = copy p|<u>"},
-		{Type: MsgDrain, Seq: 24},
 		{Type: MsgMapUpdate, Seq: 25,
 			Map:   partition.Wire{Epoch: 6, Version: 2, Bounds: []string{"p|", "t|"}, Peers: []string{"a:1", "a:2", "a:3"}, Self: []int{0, 2}},
 			Limit: 2},
@@ -140,8 +139,8 @@ func TestPipelinedFrames(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	// Unknown types: past the last, and each reserved number (Flush,
-	// ConnectPeers, Replicate once).
-	for _, typ := range []byte{255, 9, 15, 21} {
+	// ConnectPeers, JoinCluster, Drain, Replicate once).
+	for _, typ := range []byte{255, 9, 15, 19, 20, 21} {
 		if _, err := Decode([]byte{typ, 0, 0, 0}); err == nil {
 			t.Errorf("unknown type %d accepted", typ)
 		}

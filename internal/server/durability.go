@@ -10,8 +10,8 @@ package server
 //
 //  1. Replay snapshot+log into the recovered row set (durable.Recover).
 //  2. Re-install the persisted join set (the configured joins first;
-//     the recovered text must extend them, mirroring JoinCluster's
-//     prefix rule, or the warm coverage is dropped).
+//     the recovered text must extend them, as MapUpdate's join text
+//     must, or the warm coverage is dropped).
 //  3. Re-install the persisted gate, so a restarted member — including
 //     a drained one — answers NotOwner with its last published bounds
 //     from the first byte it serves. A gate is a mesh: the joins'
@@ -144,9 +144,7 @@ func (s *Server) persistMeta() {
 	s.saved = m
 }
 
-// buildMeta snapshots the member's cluster position. Close captures it
-// before tearing down the replica manager — persisting after teardown
-// would erase the copy count.
+// buildMeta snapshots the member's cluster position.
 func (s *Server) buildMeta() *durable.Meta {
 	m := &durable.Meta{Name: s.name, ID: s.id, Joins: s.pool.InstalledText()}
 	if g := s.pool.Gate(); g != nil {
@@ -154,13 +152,10 @@ func (s *Server) buildMeta() *durable.Meta {
 		m.HasGate = true
 		m.Epoch, m.Version, m.Bounds, m.Peers, m.Self = w.Epoch, w.Version, w.Bounds, w.Peers, w.Self
 	}
-	s.rmu.Lock()
-	if st := s.repl; st != nil {
-		st.mu.Lock()
-		m.ReplicaCopies = st.copies
-		st.mu.Unlock()
-	}
-	s.rmu.Unlock()
+	st := s.repl
+	st.mu.Lock()
+	m.ReplicaCopies = st.copies
+	st.mu.Unlock()
 	return m
 }
 
@@ -218,7 +213,7 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	warm := coreWarm(rec.Warm)
 
 	// Joins: the recovered set must equal or extend the configured one
-	// (the JoinCluster prefix rule); a conflicting set means the
+	// (the rule for MapUpdate's join text); a conflicting set means the
 	// operator reconfigured the server, so the configured joins win and
 	// the recovered computed coverage — indexed against the old set —
 	// is dropped. Rows are unaffected either way.

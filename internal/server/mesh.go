@@ -2,11 +2,11 @@ package server
 
 // The subscription mesh, member side (§2.4, §3.3): the remote loader
 // that fetches join-source ranges from their home servers over peer
-// connections, the wiring that installs it, the watchdog that
-// notices a peer process went away, and the teardown. Every routing
-// decision here reads the pool's gate — the one cluster view a member
-// holds — so a load started after an extract, a splice or a published
-// map routes to the range's current home with no second view to follow.
+// connections, the wiring that installs it, and the watchdog that
+// notices a peer process went away. Every routing decision here reads
+// the pool's gate — the one cluster view a member holds — so a load
+// started after an extract, a splice or a published map routes to the
+// range's current home with no second view to follow.
 // Which tables load remotely is the member's own joins' business too:
 // their base source tables (join.SourceTables, read off the pool), wired
 // when the first gate is installed and extended by every join install.
@@ -38,7 +38,8 @@ import (
 // fetched the load *fails* (Shard.LoadsDone's failed list) rather than
 // marking an absent range resident — blocked readers retry and re-route
 // instead of silently seeing a gap. Connections to members that left
-// are closed by the resize that follows the gate (Server.advance);
+// — to every member, once the gate names this one for no range — are
+// closed by the resize that follows the gate (Server.advance);
 // connections to fresh members dial on demand. The connections are the
 // server's one upstream, which its replica holds share: a range a hold
 // keeps is resident for good, so no load starts for it.
@@ -78,16 +79,8 @@ func (s *Server) watch() {
 // is dropped with eviction semantics, so the next read re-fetches from
 // (and re-subscribes at) whatever process answers at the address now.
 func (s *Server) watchPass() {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	lost := s.up.retireFailed()
-	s.rmu.Lock()
-	repl := s.repl
-	s.rmu.Unlock()
-	var held []keys.Range
-	if repl != nil {
-		held = repl.resync(lost)
-	}
+	held := s.repl.resync(lost)
 	if len(lost) > 0 {
 		s.dropFedBy(lost, held)
 	}
@@ -117,29 +110,6 @@ func (s *Server) dropFedBy(addrs []string, spare []keys.Range) {
 			s.pool.DropRangeAll(rr)
 		}
 	}
-}
-
-// leaveCluster tears down the replica machinery and the peer
-// connections (shutdown, drain), returning only once no watchdog pass or
-// replica sync that could still touch the pool on their behalf is
-// running. The gate and the loader stay: a drained member re-added
-// through JoinCluster reopens its upstream and loads again.
-func (s *Server) leaveCluster() {
-	s.rmu.Lock()
-	repl := s.repl
-	s.repl = nil
-	s.rmu.Unlock()
-	if repl != nil {
-		repl.stop()
-	}
-	// In-flight rounds fail with their connections, so the syncs waiting
-	// on them exit.
-	s.up.closeAll()
-	if repl != nil {
-		repl.syncs.Wait()
-	}
-	s.wmu.Lock() // wait out a pass that snapshotted them before the teardown
-	s.wmu.Unlock()
 }
 
 // wireLoader keeps the one wiring invariant: a member's join source
@@ -213,9 +183,15 @@ type fetchGroup struct {
 
 // fetch starts one batch of loads: pieces this server homes itself need
 // no fetch (only presence is missing), the rest go out grouped by home
-// connection.
+// connection. A member the gate names for no range fetches nothing —
+// it holds no peer connection (Server.advance) — so its loads fail,
+// a retry scheduled before its last range left included.
 func (l *remoteLoader) fetch(loads []core.Load, attempts int) {
 	v := l.s.pool.Gate()
+	if len(v.Self()) == 0 {
+		l.deliver(nil, nil, loads, 0)
+		return
+	}
 	mu := new(sync.Mutex)                  // guards the loadFetches: loads may span groups
 	groups := make(map[string]*fetchGroup) // by home address; nil = unreachable
 	var landed, failed []core.Load

@@ -6,14 +6,16 @@ package server
 //
 //	ExtractRange  (at the source)       capture the range + flip ownership
 //	SpliceRange   (at the destination)  fence stale pushes + install
-//	MapUpdate     (at every member)     adopt the map and copies, reshape replicas
-//	JoinCluster   (at a fresh server)   gate (so mesh) + joins in one call
-//	Drain         (at a drained server) tear down its peer connections
+//	MapUpdate     (at every member)     adopt the map, copies and joins, reshape replicas
 //
 // Each moves the one cluster view a member holds, its pool's gate,
 // through Server.advance; the peer connections, the replica holds and
 // meta.json are derived from the gate and follow it there, and the
-// first gate wires the mesh loader (wireLoader).
+// first gate wires the mesh loader (wireLoader). Joining and draining
+// are no frames of their own: a joiner's first MapUpdate carries the
+// cluster's join set and names it for no range, and a drained member's
+// last extract leaves it named for none — which holds no peer
+// connection, no fed row and no replica copy.
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
 // rebalance / add / drain subcommands — drives them;
@@ -56,8 +58,6 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 		return s.handleExtractRange(m, next)
 	case rpc.MsgSpliceRange:
 		err = s.handleSpliceRange(m, next, dl)
-	case rpc.MsgJoinCluster:
-		err = s.advance(func() error { return s.joinCluster(next, m.Text) })
 	default: // rpc.MsgMapUpdate
 		return s.handleMapUpdate(m, next, dl)
 	}
@@ -69,31 +69,42 @@ func (s *Server) handleMapBearing(m *rpc.Message, dl time.Time) *rpc.Message {
 
 // advance is the one way this server's view — the pool's gate — moves.
 // apply runs the transition the message asks for: a gate swap (extract,
-// splice, map update), a join. If it took, what derives from the gate
-// follows it: the first gate wires the mesh loader (wireLoader) before
-// any replica hold is granted, the peer connections shrink to the gate's
-// members, the replica holds are reshaped to its ring walk, and the
-// position is persisted when it changed. The gate is read under the
-// locks, so the last to run sees the newest gate.
+// splice, map update). If it took, what derives from the gate follows
+// it: the first gate wires the mesh loader (wireLoader) before any
+// replica hold is granted, the peer connections shrink to the gate's
+// members — to none when it names this member for no range — the
+// replica holds are reshaped to its ring walk, and the position is
+// persisted when it changed. The gate is read under the locks, so the
+// last to run sees the newest gate.
 func (s *Server) advance(apply func() error) error {
-	gated := s.pool.Gate() != nil
+	before := s.pool.Gate()
 	if err := apply(); err != nil {
 		return err
 	}
 	if g := s.pool.Gate(); g != nil {
-		if !gated {
+		if before == nil {
 			s.wireLoader()
 		}
-		want := make(map[string]bool)
-		for _, m := range g.Members() {
-			want[m.Addr] = !g.SelfAddr(m.Addr)
+		named := len(g.Self()) > 0
+		var want map[string]bool
+		if named {
+			want = make(map[string]bool)
+			for _, m := range g.Members() {
+				want[m.Addr] = !g.SelfAddr(m.Addr)
+			}
 		}
-		// Only close departed members' connections here; fresh members dial
-		// lazily on the load and sync paths. An eager dial would stall this
-		// server's quiesce/fence/map-update handling for the full connect
-		// timeout whenever a published view still names an unreachable
-		// address (a revert after a member died does exactly that).
+		// Only close connections here; fresh members dial lazily on the
+		// load and sync paths. An eager dial would stall this server's
+		// quiesce/fence/map-update handling for the full connect timeout
+		// whenever a published view still names an unreachable address (a
+		// revert after a member died does exactly that).
 		s.up.retain(want)
+		if !named && before != nil && len(before.Self()) > 0 {
+			// The subscriptions that kept its loaded sources fresh closed
+			// with the connections: drop what they fed, so a member named
+			// again loads it anew instead of computing over a stale copy.
+			s.dropFedBy(g.Addrs(), nil)
+		}
 	}
 	s.reshapeReplicas(false)
 	s.persistMeta()
@@ -161,8 +172,15 @@ func (s *Server) handleSpliceRange(m *rpc.Message, next *partition.View, dl time
 // age: placement derives from the gate, so an older view — a coordinator
 // started from the deployment's original bounds publishes the last map
 // it minted — still carries a current copy count. A member that missed a
-// publish converges at the coordinator's next anti-entropy round.
+// publish converges at the coordinator's next anti-entropy round. A
+// joiner's first map also carries the cluster's join set (Text),
+// installed first, so that gate wires the loader for its sources; it
+// too is taken whatever the view's age (extendJoins is idempotent), and
+// a conflicting one is refused before anything moves.
 func (s *Server) handleMapUpdate(m *rpc.Message, next *partition.View, dl time.Time) *rpc.Message {
+	if err := s.extendJoins(m.Text); err != nil {
+		return rpc.ErrReply(m.Seq, err)
+	}
 	if g := s.pool.Gate(); g != nil && next.Newer(g) {
 		// Fence before the drop: every change the old owners pushed for
 		// the departing ranges must be applied (or discarded as stale by
@@ -204,27 +222,6 @@ func (s *Server) gateReply(seq uint64) *rpc.Message {
 	return r
 }
 
-// joinCluster serves MsgJoinCluster at a fresh server: one call installs
-// the current cluster view as its gate (owning nothing yet, so it
-// answers NotOwner until a splice grants it a range) — which wires the
-// mesh loader (advance) — and installs the cluster's join set. The
-// coordinator then grants it an initial slice through the ordinary
-// extract/splice/publish protocol — by the time any client routes to
-// the new member, it is gated, meshed, and computing.
-func (s *Server) joinCluster(v *partition.View, text string) error {
-	// Gate first: from this point every operation outside the (empty)
-	// self set bounces with NotOwner instead of landing on an unwired
-	// server.
-	s.pool.ApplyMapUpdate(v)
-	// A drained member being re-added closed its upstream; its gate and
-	// loader survived the drain, so loads resume once it reopens.
-	s.up.reopen()
-	// Install the cluster's join set — idempotently, so a drained member
-	// re-joining with the joins already installed (or holding a prefix
-	// of a join set that grew since) does not fail on duplicates.
-	return s.extendJoins(text)
-}
-
 // errJoinConflict refuses a join set that neither equals nor extends the
 // one installed.
 var errJoinConflict = errors.New("pequod server: a conflicting join set is already installed")
@@ -233,9 +230,12 @@ var errJoinConflict = errors.New("pequod server: a conflicting join set is alrea
 // one, which it must equal or extend: a cluster's join set only grows,
 // appended to in install order.
 func (s *Server) extendJoins(text string) error {
+	if text == "" {
+		return nil
+	}
 	have := s.pool.InstalledText()
 	switch {
-	case text == "" || text == have:
+	case text == have:
 		return nil
 	case have == "":
 	case strings.HasPrefix(text, have+"\n"):
@@ -244,29 +244,6 @@ func (s *Server) extendJoins(text string) error {
 		return errJoinConflict
 	}
 	return s.installJoins(text)
-}
-
-// handleDrain serves MsgDrain at a member whose last range has moved
-// out: its peer connections and their feeds are torn down, while the
-// gate — now owning nothing under the published post-drain map — stays,
-// so stale clients still get NotOwner replies carrying that map and
-// re-route instead of failing. The process keeps running; re-adding it
-// later goes through JoinCluster again.
-func (s *Server) handleDrain(m *rpc.Message) *rpc.Message {
-	// A drained member holds replicas for no one; re-adding it later
-	// gives it copies again with the grown map's publish.
-	s.leaveCluster()
-	// The subscriptions that kept its loaded sources and copies fresh
-	// closed with the connections: drop what they fed, so a re-added
-	// member loads it anew instead of computing over a stale copy.
-	if g := s.pool.Gate(); g != nil {
-		s.dropFedBy(g.Addrs(), nil)
-	}
-	// Persist the post-drain position: a restarted drained member must
-	// still answer NotOwner with the current bounds, not serve stale
-	// data it no longer owns.
-	s.persistMeta()
-	return s.gateReply(m.Seq)
 }
 
 // fenceAddr fences this server's connection to the peer at addr, if

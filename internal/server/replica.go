@@ -57,16 +57,18 @@ import (
 )
 
 // replicaState is a member's replication bookkeeping: the copies per
-// range the coordinator last published and the ranges it holds. Where
-// the copies live is not stored: it is the gate's ring walk for copies
-// (heldRanges), reshaped after every gate move.
+// range the coordinator last published (0 until a map carries a count)
+// and the ranges it holds. Where the copies live is not stored: it is
+// the gate's ring walk for copies (heldRanges), reshaped after every
+// gate move, so an ungated member and one the gate names for no range
+// hold nothing.
 type replicaState struct {
 	s *Server
 
 	syncs sync.WaitGroup // in-flight syncRange goroutines
 
 	mu     sync.Mutex
-	closed bool                     // stop ran: no further syncs start
+	closed bool                     // stop ran (Close): no further syncs start
 	copies int                      // total copies per range, including the owner's
 	held   map[keys.Range]*replHold // assigned replica range -> sync state
 }
@@ -92,12 +94,6 @@ type replHold struct {
 // meta.json a restart recovers) carries. The holds follow from it and
 // the gate: Server.advance reshapes them next.
 func (s *Server) assignReplicas(copies int) {
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
-	if s.repl == nil {
-		s.up.reopen()
-		s.repl = &replicaState{s: s, held: make(map[keys.Range]*replHold)}
-	}
 	st := s.repl
 	st.mu.Lock()
 	st.copies = copies
@@ -138,12 +134,13 @@ func heldRanges(g *partition.View, copies int) map[keys.Range]string {
 func (s *Server) reshapeReplicas(regrant bool) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
-	st := s.repl
-	if st == nil {
-		return
+	g := s.pool.Gate()
+	if g == nil {
+		return // ungated: no hold, no feed
 	}
+	st := s.repl
 	st.mu.Lock()
-	desired := heldRanges(s.pool.Gate(), st.copies)
+	desired := heldRanges(g, st.copies)
 
 	// Stale copies to drop before any sync starts: ranges assigned away,
 	// and ranges newly granted — ghost rows from an earlier stint as
@@ -170,7 +167,7 @@ func (s *Server) reshapeReplicas(regrant bool) {
 	st.mu.Unlock()
 	if regrant {
 		s.up.retain(nil)
-		s.dropFedBy(s.pool.Gate().Addrs(), nil)
+		s.dropFedBy(g.Addrs(), nil)
 	}
 	for r := range drop {
 		s.pool.DropRangeAll(r) // sparing the pieces this member serves
@@ -367,8 +364,8 @@ func (st *replicaState) snapshot() int {
 	return n
 }
 
-// stop ends the replica machinery (server shutdown, drain): no sync
-// starts from here, and none in flight lands — every hold is gone.
+// stop ends the replica machinery at Close: no sync starts from here,
+// and none in flight lands — every hold is gone.
 func (st *replicaState) stop() {
 	st.mu.Lock()
 	st.closed = true

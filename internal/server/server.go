@@ -111,17 +111,14 @@ type Server struct {
 	mmu sync.Mutex
 
 	// up is the one connection and feed per peer that mesh loads and
-	// replica holds share (upstream.go), from New until Close.
-	up *upstream
-
-	// Replica assignment set by a MapUpdate carrying copies (guarded by
-	// rmu); nil until a coordinator publishes one. See replica.go.
+	// replica holds share (upstream.go), and repl the holds' bookkeeping
+	// (replica.go), both from New until Close. rmu serializes replica
+	// reshapes.
+	up   *upstream
 	rmu  sync.Mutex
 	repl *replicaState
 
-	// The watchdog goroutine (watch): wmu is held across each pass, so
-	// a teardown can wait out one in flight.
-	wmu       sync.Mutex
+	// The watchdog goroutine (watch), which Close stops and waits for.
 	watchStop chan struct{}
 	watchDone chan struct{}
 
@@ -156,6 +153,7 @@ func New(cfg Config) (*Server, error) {
 		s.id = cfg.Name
 	}
 	s.up = newUpstream(s.replicaKeep, pool.Shard(0).ApplyBatch)
+	s.repl = &replicaState{s: s, held: make(map[keys.Range]*replHold)}
 	for t, d := range cfg.SubtableDepths {
 		pool.SetSubtableDepth(t, d)
 	}
@@ -310,19 +308,21 @@ func (s *Server) Close() {
 	}
 	s.connWG.Wait()
 	if s.dur != nil {
-		// Stop the snapshot loop and persist the cluster position now,
-		// while the replica assignment is still live: the meta a warm
-		// restart recovers from must not record the teardown below. A
-		// drained member's post-drain map is already saved.
+		// Stop the snapshot loop and persist the cluster position one
+		// last time.
 		close(s.durStop)
 		<-s.durDone
 		s.persistMeta()
 	}
 	// The watchdog may be mid-pass against the pool, and replica syncs
-	// apply to it; both must be gone before pool.Close below.
+	// apply to it; both must be gone before pool.Close below. No sync
+	// starts once the holds stop, the ones in flight fail with their
+	// connections, and no connection dials again.
 	close(s.watchStop)
 	<-s.watchDone
-	s.leaveCluster()
+	s.repl.stop()
+	s.up.closeAll()
+	s.repl.syncs.Wait()
 	if s.dur != nil {
 		// Flush the tail of the log and let go of the directory.
 		if err := s.dur.Close(); err != nil {
@@ -369,16 +369,10 @@ func (s *Server) statJSON() string {
 	}
 	if g := s.pool.Gate(); g != nil {
 		w := g.Wire()
-		cs := &client.ClusterStat{
+		snap.Cluster = &client.ClusterStat{
 			Epoch: w.Epoch, Version: w.Version, Bounds: w.Bounds, Peers: w.Peers, Self: w.Self,
-			Retained: s.pool.RetainedStats().Entries,
+			Retained: s.pool.RetainedStats().Entries, Replicas: s.repl.snapshot(),
 		}
-		s.rmu.Lock()
-		if s.repl != nil {
-			cs.Replicas = s.repl.snapshot()
-		}
-		s.rmu.Unlock()
-		snap.Cluster = cs
 	}
 	if s.dur != nil {
 		snap.Durable = &client.DurableStat{
@@ -465,16 +459,13 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		}
 		return rpc.OKReply(m.Seq)
 
-	case rpc.MsgDrain:
-		return s.handleDrain(m)
-
 	case rpc.MsgSnapshot:
 		return s.handleSnapshot(m)
 
 	case rpc.MsgRebuildRange:
 		return s.handleRebuildRange(m)
 
-	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate, rpc.MsgJoinCluster:
+	case rpc.MsgExtractRange, rpc.MsgSpliceRange, rpc.MsgMapUpdate:
 		return s.handleMapBearing(m, dl)
 	}
 	return rpc.ErrReply(m.Seq, errors.New("unknown request"))
@@ -575,18 +566,12 @@ func (s *Server) quiesce(dl time.Time) error {
 			return errDrainDeadline
 		}
 	}
-	s.rmu.Lock()
-	repl := s.repl
-	s.rmu.Unlock()
-	if repl != nil {
-		// Fencing the homes makes the post-quiesce replica copies
-		// complete — every write acknowledged before the quiesce — the
-		// property failover promotion relies on. A sync still dialing its
-		// home has no connection to fence yet, so the running syncs land
-		// first.
-		if err := repl.awaitSyncs(dl); err != nil {
-			return err
-		}
+	// Fencing the homes makes the post-quiesce replica copies complete —
+	// every write acknowledged before the quiesce — the property failover
+	// promotion relies on. A sync still dialing its home has no
+	// connection to fence yet, so the running syncs land first.
+	if err := s.repl.awaitSyncs(dl); err != nil {
+		return err
 	}
 	return fence(s.up.conns(""), dl)
 }

@@ -6,12 +6,13 @@ package server
 // copy, and a member keeps one copy of a home's rows: one connection
 // and one feed per peer address (the server's upstream), one keep rule
 // (Server.replicaKeep), one sink (Shard.ApplyBatch). Feeds exist only
-// on a gated member: a gate implies the mesh, and replica holds derive
-// from it. What differs is how a snapshot round lands: a mesh load
-// through Shard.LoadsDone, marking an evictable cache resident; a
-// replica hold through Pool.Hold, marking its copy resident for good.
-// feed is the snapshot/push ordering, and peer.fetch the snapshot round
-// both share.
+// on a member its gate names for some range: a gate implies the mesh,
+// replica holds derive from it, and a member serving nothing has
+// nothing to keep fresh (Server.advance). What differs is how a
+// snapshot round lands: a mesh load through Shard.LoadsDone, marking an
+// evictable cache resident; a replica hold through Pool.Hold, marking
+// its copy resident for good. feed is the snapshot/push ordering, and
+// peer.fetch the snapshot round both share.
 
 import (
 	"errors"
@@ -33,7 +34,7 @@ type upstream struct {
 	mu     sync.Mutex
 	peers  map[string]*peer
 	lost   map[string]bool // addresses whose connection died, until retireFailed reports them
-	closed bool
+	closed bool            // closeAll ran (Close); never cleared
 }
 
 // peer is one cached connection and the feed ordering its pushes.
@@ -135,10 +136,9 @@ func (u *upstream) conns(addr string) []*client.Client {
 	return out
 }
 
-// closeAll closes every connection (server shutdown, drain) and
-// forgets the losses not yet reported, as nothing is fed any more:
-// later conn calls fail instead of redialing behind the teardown, until
-// reopen.
+// closeAll closes every connection at server shutdown and forgets the
+// losses not yet reported, as nothing is fed any more: later conn calls
+// fail instead of redialing behind the teardown.
 func (u *upstream) closeAll() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -147,14 +147,6 @@ func (u *upstream) closeAll() {
 		u.dropLocked(addr)
 	}
 	clear(u.lost)
-}
-
-// reopen lets conn dial again: a drained member wired back into a
-// cluster.
-func (u *upstream) reopen() {
-	u.mu.Lock()
-	u.closed = false
-	u.mu.Unlock()
 }
 
 // feed serializes one peer connection's subscription stream against the

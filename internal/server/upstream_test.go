@@ -542,18 +542,71 @@ func TestUpstreamRemembersLostPeers(t *testing.T) {
 	if _, err := up.conn(addr); !errors.Is(err, errUpstreamClosed) {
 		t.Fatalf("conn after closeAll: %v, want errUpstreamClosed", err)
 	}
-	up.reopen()
-	if p3, err := up.conn(addr); err != nil || p3 == p2 {
-		t.Fatalf("conn after reopen = %v, %v; want a new connection", p3, err)
-	}
 }
 
-// TestTeardownJoinsWatchdogAndSyncs closes (or drains) a replica holder
-// while its holds are being re-snapshotted over the one upstream over
-// and over: once the teardown returns, the watchdog and every sync
-// goroutine are gone, and nothing lands a replica snapshot (each drops
-// the old copy, then holds the new one) in the pool afterwards — the
-// engine's counters stand still.
+// TestUnnamedMemberHoldsNothing: a member a MapUpdate names for no
+// range — the view a drain's last extract leaves it — closes every peer
+// connection and drops every replica hold, and its loader dials nothing.
+// A stale MapUpdate carrying a copy count does not wire it back; a
+// MapUpdate naming it again lets it dial its homes.
+func TestUnnamedMemberHoldsNothing(t *testing.T) {
+	home := startHome(t)
+	home.s.pool.Put("b|1", "v")
+	s, err := New(Config{Name: "member"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := func(why string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.repl.snapshot() != 1 || len(s.up.conns(home.addr)) != 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the hold never synced over a connection to its home", why)
+			}
+		}
+	}
+	holdsNothing := func(why string) {
+		t.Helper()
+		s.watchPass() // a pass restarts any sync a hold still wants
+		if n, h := len(s.up.conns("")), holdCount(s); n != 0 || h != 0 {
+			t.Fatalf("%s: %d peer connections, %d holds; want none", why, n, h)
+		}
+	}
+	// This member owns everything from "m" and, with two copies, holds a
+	// copy of the home's range below it.
+	named := mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1)
+	replicate(t, s, named, 2)
+	synced("named")
+
+	publish(t, s, at(t, 1, nil, home.addr))
+	holdsNothing("named for no range")
+	newRemoteLoader(s).fetch([]core.Load{{Table: "b", R: keys.Range{Lo: "b|", Hi: "b}"}}}, loadAttempts)
+	holdsNothing("after a load")
+	replicate(t, s, named, 2)
+	holdsNothing("after a stale MapUpdate")
+
+	replicate(t, s, at(t, 2, []string{"m"}, home.addr, addr).For(addr), 2)
+	synced("named again")
+}
+
+// holdCount is the number of replica holds s keeps.
+func holdCount(s *Server) int {
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
+	return len(s.repl.held)
+}
+
+// TestTeardownJoinsWatchdogAndSyncs closes a replica holder — or drains
+// it, with a MapUpdate that names it for no range — while its holds are
+// being re-snapshotted over the one upstream over and over: once the
+// teardown returns, nothing lands a replica snapshot (each drops the old
+// copy, then holds the new one) in the pool afterwards — the engine's
+// counters stand still — and the member holds nothing; once Close
+// returns, the watchdog and every sync goroutine are gone.
 func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 	home := startHome(t)
 	for i := 0; i < 64; i++ {
@@ -571,7 +624,8 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		}
 		// Owner 0 (everything below "m") is the home; this member owns the
 		// rest and, with two copies, holds a replica of owner 0's range.
-		replicate(t, s, mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1), 2)
+		v := mustView(t, partition.MustNew("m"), []string{home.addr, addr}, 1)
+		replicate(t, s, v, 2)
 		st := s.repl
 		for deadline := time.Now().Add(5 * time.Second); st.snapshot() != 1; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -600,7 +654,9 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		}()
 		time.Sleep(time.Duration(1+round) * time.Millisecond)
 		if drain {
-			s.handleDrain(&rpc.Message{})
+			// The view a drain's last extract installs: this member's
+			// range merged into the home's, naming it for nothing.
+			publish(t, s, at(t, v.Map().Version()+1, nil, home.addr))
 		} else {
 			s.Close()
 		}
@@ -612,8 +668,8 @@ func TestTeardownJoinsWatchdogAndSyncs(t *testing.T) {
 		if after := s.pool.Stats(); after != before {
 			t.Fatalf("round %d: the pool moved after the teardown returned:\n  %+v\nthen\n  %+v", round, before, after)
 		}
-		if s.repl != nil {
-			t.Fatalf("round %d: replica state survived the teardown", round)
+		if n := holdCount(s); n != 0 {
+			t.Fatalf("round %d: %d replica holds survived the teardown", round, n)
 		}
 		if drain {
 			s.Close()

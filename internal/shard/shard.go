@@ -579,8 +579,8 @@ func (p *Pool) InstallText(text string) error {
 }
 
 // InstalledText returns the pool's installed join texts concatenated in
-// install order, newline-separated — the form a JoinCluster RPC ships
-// to a joining member, so a drained member re-joining the cluster can
+// install order, newline-separated — the form a joiner's first
+// MapUpdate ships it, so a drained member re-joining the cluster can
 // be recognized as already holding (a prefix of) the join set instead
 // of failing on a duplicate install.
 func (p *Pool) InstalledText() string {
