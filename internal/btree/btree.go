@@ -17,10 +17,20 @@
 //     marked dead, and a hint knows its tree, so a stale or foreign
 //     finger is detected and downgrades the operation to a descent.
 //
-//   - Split at the insertion point. A write that arrives through a valid
-//     hint, or at the very end of a leaf, splits a full leaf where the
-//     new key goes rather than in the middle, so append-mostly timelines
-//     (and sorted bulk loads) leave full leaves behind.
+//   - Spill, then split. A write that finds its leaf full first moves
+//     pairs into a sibling under the same parent that has room, and
+//     splits only when neither has (B*-tree redistribution), so rows
+//     written in no particular order — a first login's join execution,
+//     a subscribe's copy into the middle of a timeline — still leave
+//     leaves about 80 to 87 % full (TestRandomInsertsStayDense). A write
+//     through a valid hint is the next key of a run and keeps room right
+//     behind it: it moves the pairs behind it into the right sibling
+//     only when all of them fit there, spills left otherwise, and when
+//     it must split, splits where the new key goes. An append at the
+//     very end of a leaf never spills; it splits at the point. So
+//     append-mostly timelines (and sorted bulk loads) leave full leaves
+//     behind without shifting other timelines' rows on every append. A
+//     spill moves one fence and its separator; a leaf keeps its identity.
 //
 //   - No merging. Deletion never moves pairs between leaves; a leaf or
 //     interior node is unhooked when its last entry goes, and whichever
@@ -268,9 +278,13 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 			lf.insertAt(i, key, v)
 		} else {
 			if hinted {
-				t.descend(key, &p) // the split needs the way down to lf
+				t.descend(key, &p) // a spill or split needs the way down to lf
 			}
-			lf = t.split(lf, &p, i, hinted, key, v)
+			if to := t.spill(lf, &p, i, hinted, key, v); to != nil {
+				lf = to
+			} else {
+				lf = t.split(lf, &p, i, hinted, key, v)
+			}
 		}
 		t.size++
 		t.gen++
@@ -279,6 +293,80 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 		h.lf, h.t = lf, t
 	}
 	return old, existed, kept
+}
+
+// spill makes room in the full leaf lf, which p leads to, by moving
+// pairs into a sibling under the same parent, then puts the new pair at
+// its sorted slot i of lf into whichever of the two leaves owns key now,
+// and returns that leaf. It returns nil, having moved nothing, when no
+// sibling can take pairs, and for an append at the very end of lf: that
+// one splits at the point, and its run fills the new leaf.
+//
+// A write through a hint is the next key of a run — a timeline's newest
+// row, a join emitting one source's rows in order — and keeps room right
+// behind it, as a split at the point would give it: the pairs behind the
+// new key go to the right sibling only when all of them fit there, and
+// otherwise the leaf's head goes to the left sibling. Any other write
+// moves half the difference in free slots into whichever sibling has
+// more room, so both leaves keep a free slot.
+func (t *Tree[V]) spill(lf *leaf[V], p *path[V], i int, hinted bool, key string, v V) *leaf[V] {
+	if p.n == 0 || i == fanout {
+		return nil
+	}
+	in, at := p.in[p.n-1], p.at[p.n-1]
+	lroom, rroom := 0, 0
+	if at > 0 {
+		lroom = fanout - in.vals[at-1].lf.n
+	}
+	if at+1 < in.n {
+		rroom = fanout - in.vals[at+1].lf.n
+	}
+	switch {
+	case hinted && fanout-i <= rroom:
+		return spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], fanout-i, i, key, v)
+	case !hinted && rroom > 1 && rroom >= lroom:
+		return spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], rroom/2, i, key, v)
+	case lroom > 1:
+		return spillLeft(lf, in.vals[at-1].lf, &in.keys[at], lroom/2, i, key, v)
+	}
+	return nil
+}
+
+// spillRight moves the full leaf lf's last m pairs to the head of its
+// right sibling r, resets r's fence and sep, its separator, to match, and
+// puts (key, v), whose sorted slot in lf was i, into the leaf that owns it.
+func spillRight[V any](lf, r *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
+	cut := fanout - m
+	copy(r.keys[m:r.n+m], r.keys[:r.n])
+	copy(r.vals[m:r.n+m], r.vals[:r.n])
+	copy(r.keys[:m], lf.keys[cut:])
+	copy(r.vals[:m], lf.vals[cut:])
+	r.n += m
+	lf.removeRange(cut, fanout)
+	r.lo, *sep = r.keys[0], r.keys[0]
+	if i > cut {
+		r.insertAt(i-cut, key, v)
+		return r
+	}
+	lf.insertAt(i, key, v)
+	return lf
+}
+
+// spillLeft moves the full leaf lf's first m pairs to the tail of its
+// left sibling l, resets lf's fence and sep, its separator, to match, and
+// puts (key, v), whose sorted slot in lf was i, into the leaf that owns it.
+func spillLeft[V any](lf, l *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
+	copy(l.keys[l.n:], lf.keys[:m])
+	copy(l.vals[l.n:], lf.vals[:m])
+	l.n += m
+	lf.removeRange(0, m)
+	lf.lo, *sep = lf.keys[0], lf.keys[0]
+	if i <= m {
+		l.insertAt(l.n-m+i, key, v)
+		return l
+	}
+	lf.insertAt(i-m, key, v)
+	return lf
 }
 
 // split splits the full leaf lf, which p leads to, around the new pair

@@ -274,6 +274,213 @@ func TestInterleavedHintedAppendsPack(t *testing.T) {
 	}
 }
 
+// fill is the share of the tree's leaf slots that hold a pair.
+func fill(tr *Tree[int]) float64 {
+	leaves, _ := tr.Nodes()
+	return float64(tr.Len()) / float64(leaves*fanout)
+}
+
+// Inserts that land anywhere in the tree, not only at a leaf's end, keep
+// leaves dense: a full leaf spills into a sibling with room before it
+// splits. Every shape runs with Check after each insert, through hints
+// held across every spill and split.
+func TestRandomInsertsStayDense(t *testing.T) {
+	// timeline is "t|<user>|<time>|<poster>", the shape of a timeline row.
+	timeline := func(u, tm, p int) string { return fmt.Sprintf("t|u%03d|%06d|p%03d", u, tm, p) }
+	shapes := []struct {
+		name  string
+		floor float64
+		// rows lists the inserts in order, each with the hint (an index
+		// into a shared set, or -1 for none) it goes through.
+		rows func(rng *rand.Rand) (keys []string, hint []int)
+	}{
+		{"shuffled", 0.78, func(rng *rand.Rand) (ks []string, hs []int) {
+			for _, i := range rng.Perm(40 * fanout) {
+				ks, hs = append(ks, key(i)), append(hs, i%3-1)
+			}
+			return ks, hs
+		}},
+		// A first login's join execution writes a timeline followee by
+		// followee, each followee's rows ascending: runs that grow at
+		// random interior points of the timeline.
+		{"join execution", 0.75, func(rng *rand.Rand) (ks []string, hs []int) {
+			for u := 0; u < 8; u++ {
+				for p := 0; p < 12; p++ {
+					times := rng.Perm(1000)[:25]
+					sort.Ints(times)
+					for _, tm := range times {
+						ks, hs = append(ks, timeline(u, tm, p)), append(hs, u)
+					}
+				}
+			}
+			return ks, hs
+		}},
+		// A subscribe copies a followee's old posts into the middle of a
+		// timeline that already holds rows.
+		{"subscribe", 0.75, func(rng *rand.Rand) (ks []string, hs []int) {
+			for u := 0; u < 8; u++ {
+				for tm := 0; tm < 150; tm++ {
+					ks, hs = append(ks, timeline(u, 10*tm, 0)), append(hs, u)
+				}
+			}
+			for sub := 0; sub < 120; sub++ {
+				u, p, tm := rng.Intn(8), 1+rng.Intn(999), rng.Intn(1500)
+				for r := 0; r < 15; r++ {
+					ks, hs = append(ks, timeline(u, tm+7*r, p)), append(hs, 8+sub%2)
+				}
+			}
+			return ks, hs
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var tr Tree[int]
+			m := newModel()
+			hints := make([]Hint[int], 10)
+			ks, hs := sh.rows(rand.New(rand.NewSource(1)))
+			for n, k := range ks {
+				var h *Hint[int]
+				if hs[n] >= 0 {
+					h = &hints[hs[n]]
+				}
+				old, existed := tr.Set(k, n, h)
+				mold, mexisted := m.set(k, n)
+				if existed != mexisted || old != mold {
+					t.Fatalf("Set(%q) = %d, %v; model %d, %v", k, old, existed, mold, mexisted)
+				}
+				mustCheck(t, &tr, m, "Set "+k)
+			}
+			equalScan(t, &tr, m, "", "", "after the inserts")
+			if f := fill(&tr); f < sh.floor {
+				t.Fatalf("%d pairs fill their leaves to %.2f, want >= %.2f", tr.Len(), f, sh.floor)
+			} else {
+				t.Logf("%d pairs fill their leaves to %.2f", tr.Len(), f)
+			}
+		})
+	}
+}
+
+// TestSpillBoundaries inserts into the full middle one of three leaves
+// under one parent, with the room each row gives the siblings, and sees
+// where the pair lands and how many pairs left the middle leaf. A write
+// that descended spills half the difference in free slots towards the
+// sibling with more room (the right one on a tie). A write through a
+// covering hint moves the pairs behind it right only when they all fit,
+// and otherwise spills left. An append at a leaf's end never spills, and
+// with no sibling two slots short of full the leaf splits: in the
+// middle, or, for an append or a hinted write, at the new pair. Hints
+// held on all three leaves keep writing where a descent would.
+func TestSpillBoundaries(t *testing.T) {
+	const (
+		mid   = iota // the full leaf the pair was written to
+		left         // its left sibling
+		right        // its right sibling
+		fresh        // the leaf a split added
+	)
+	for _, c := range []struct {
+		name                string
+		hinted              bool
+		lroom, rroom, i, to int
+		moved               int // pairs the middle leaf gave up; -1 for a split
+	}{
+		{"right, last slot kept", false, 0, 10, fanout - 5, mid, 5}, // i == cut
+		{"right, first slot moved", false, 0, 10, fanout - 4, right, 5},
+		{"right, next to last slot", false, 0, 10, fanout - 1, right, 5},
+		{"right, smallest spill", false, 0, 2, fanout - 1, mid, 1},
+		{"right on a tie", false, 6, 6, fanout - 1, right, 3},
+		{"right has more", false, 4, 10, 1, mid, 5},
+		{"left, last slot moved", false, 10, 0, 5, left, 5}, // i == k
+		{"left, first slot kept", false, 10, 0, 6, mid, 5},
+		{"left, at the front", false, 10, 0, 1, left, 5},
+		{"left has more", false, 10, 4, fanout - 1, mid, 5},
+		{"no room: split in the middle", false, 1, 1, fanout/2 + 1, fresh, -1},
+		{"an append splits at the point, room or not", false, 10, 10, fanout, fresh, -1},
+		{"run: the pairs behind it fit right", true, 0, 10, fanout - 10, mid, 10},
+		{"run: all of them, into a full right", true, 0, 1, fanout - 1, mid, 1},
+		{"run: too many, so left", true, 10, 9, fanout - 10, mid, 5},
+		{"run: left, last slot moved", true, 10, 0, 5, left, 5},
+		{"run: at a leaf's end, split at the point", true, 10, 10, fanout, fresh, -1},
+		{"run: no room, split at the point", true, 1, 3, fanout / 2, mid, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Three full leaves of even keys under one root, then room
+			// made at the ends of the outer two.
+			var tr Tree[int]
+			m := newModel()
+			for j := 0; j < 3*fanout; j++ {
+				tr.Set(key(2*j), j, nil)
+				m.set(key(2*j), j)
+			}
+			for _, j := range append(seq(fanout-c.lroom, fanout), seq(3*fanout-c.rroom, 3*fanout)...) {
+				tr.Delete(key(2 * j))
+				m.deleteRange(key(2*j), key(2*j+1))
+			}
+			var hints [3]Hint[int]
+			for j := range hints {
+				k := key(2 * j * fanout)
+				tr.Set(k, m.vals[k], &hints[j])
+			}
+			l, lf, r := hints[0].lf, hints[1].lf, hints[2].lf
+			if tr.height != 2 || lf.n != fanout || lf.prev != l || lf.next != r {
+				t.Fatal("set-up is not three leaves under one root")
+			}
+			mustCheck(t, &tr, m, "set-up")
+			leaves, _ := tr.Nodes()
+
+			// The odd key that sorts into slot i of the middle leaf,
+			// written through a finger on it or through an unset one.
+			k, h := key(2*(fanout+c.i)-1), Hint[int]{}
+			if c.hinted {
+				h = hints[1]
+			}
+			tr.Set(k, -1, &h)
+			m.set(k, -1)
+			mustCheck(t, &tr, m, "after the insert")
+			got, ok := map[*leaf[int]]int{lf: mid, l: left, r: right}[h.lf]
+			if !ok {
+				got = fresh
+			}
+			now, _ := tr.Nodes()
+			if got != c.to || (now > leaves) != (c.moved < 0) {
+				t.Fatalf("the pair landed in leaf %d (0 middle, 1 left, 2 right, 3 new), want %d; %d leaves added", got, c.to, now-leaves)
+			}
+			if c.moved >= 0 && lf.n != fanout-c.moved+btoi(got == mid) {
+				t.Fatalf("the middle leaf holds %d pairs, want %d moved out", lf.n, c.moved)
+			}
+			// Every hint still writes where a descent looks, on both sides
+			// of both fences a spill can move.
+			for j := range hints {
+				for _, x := range append(seq(fanout-12, fanout+12), seq(2*fanout-12, 2*fanout+12)...) {
+					k := key(2*x + 1)
+					tr.Set(k, j, &hints[j])
+					m.set(k, j)
+					if v, ok := tr.Get(k); !ok || v != j {
+						t.Fatalf("%q written through hint %d is not where a descent looks", k, j)
+					}
+					mustCheck(t, &tr, m, fmt.Sprintf("%q through hint %d", k, j))
+				}
+			}
+			equalScan(t, &tr, m, "", "", "after the hinted writes")
+		})
+	}
+}
+
+// seq returns lo, lo+1, ..., hi-1.
+func seq(lo, hi int) []int {
+	var s []int
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func TestHintsSurviveSplitsAndFrees(t *testing.T) {
 	var tr Tree[int]
 	m := newModel()

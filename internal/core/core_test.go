@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -672,4 +673,46 @@ func TestWarmReadAllocatesNothing(t *testing.T) {
 			t.Errorf("warm %s allocates %v times", name, n)
 		}
 	}
+}
+
+// BenchmarkPostFanout times one post per iteration on timelines built the
+// way the live system builds them: 2 000 users following 40 posters each,
+// 10 posts per poster already written, and every timeline then computed
+// by a login's join execution, which writes it followee by followee. A
+// post fans out to about 40 of those timelines, each at its end.
+func BenchmarkPostFanout(b *testing.B) {
+	e := New(Options{})
+	if err := e.InstallText(timelineJoin); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const users, follows, posts = 2000, 40, 10
+	uid := func(u int) string { return fmt.Sprintf("u%06d", u) }
+	for u := 0; u < users; u++ {
+		for f := 0; f < follows; f++ {
+			e.Put("s|"+uid(u)+"|"+uid(rng.Intn(users)), "1")
+		}
+	}
+	at, body := 0, strings.Repeat("x", 64)
+	for n := 0; n < posts; n++ {
+		for p := 0; p < users; p++ {
+			at++
+			e.Put(fmt.Sprintf("p|%s|%010d", uid(p), at), body)
+		}
+	}
+	for u := 0; u < users; u++ {
+		e.Scan("t|"+uid(u)+"|", "t|"+uid(u)+"}", 0)
+	}
+	ks := make([]string, b.N)
+	for i := range ks {
+		at++
+		ks[i] = fmt.Sprintf("p|%s|%010d", uid(rng.Intn(users)), at)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, k := range ks {
+		e.Put(k, body)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.Store().Bytes())/float64(e.Store().Len()), "accountedB/row")
 }

@@ -17,25 +17,44 @@ import (
 // Computed timelines leave before fetched base ranges: with the limit
 // above the fetched base copy only timelines are evicted and nothing is
 // fetched twice; below it the base ranges go too and are fetched again.
+//
+// Both limits come from what an unlimited compute server holds after one
+// pass — the fetched base copy and everything — so each regime holds
+// whatever the store's node layout makes those two sizes.
 func TestComputeServerEvictionRefetches(t *testing.T) {
-	// Materialized state is ~700KB in all, the fetched base copy ~50KB.
+	var total, fetched int64
+	_, _, compute, pass := startComputeServer(t, 0)
+	pass()
+	compute.pool.Shard(0).WithEngine(func(e *core.Engine) {
+		total = e.Store().Bytes()
+		e.Store().RemoveRange("t|", "t}", nil) // a throwaway server: only the fetched copy stays
+		fetched = e.Store().Bytes()
+	})
+	t.Logf("one pass holds %d B, %d B of it the fetched base copy", total, fetched)
 	t.Run("limit above the fetched base copy", func(t *testing.T) {
-		runComputeServerEviction(t, 256<<10, false)
+		runComputeServerEviction(t, (fetched+total)/2, false)
 	})
 	t.Run("limit below the fetched base copy", func(t *testing.T) {
-		runComputeServerEviction(t, 24<<10, true)
+		runComputeServerEviction(t, fetched/2, true)
 	})
 }
 
-func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
+// startComputeServer starts a home server holding 30 users' subscriptions
+// and 10 posters' posts, and a compute server for t| with the given
+// memory limit (0 = none) fetching from it, and a client of each. pass
+// materializes every timeline through the compute server's client and
+// returns the compute server's stats. Everything closes when the test
+// ends.
+func startComputeServer(t *testing.T, limit int64) (hc, cc *client.Client, compute *Server, pass func() core.Stats) {
+	t.Helper()
 	home, err := New(Config{Name: "home"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	haddr, _ := home.Start()
-	defer home.Close()
+	t.Cleanup(home.Close)
 
-	compute, err := New(Config{
+	compute, err = New(Config{
 		Name:   "compute",
 		Joins:  timelineJoin,
 		Engine: core.Options{MemLimit: limit},
@@ -44,15 +63,14 @@ func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
 		t.Fatal(err)
 	}
 	caddr, _ := compute.Start()
-	defer compute.Close()
+	t.Cleanup(compute.Close)
 	publish(t, compute, mustView(t, partition.MustNew("t|"), []string{haddr, caddr}, 1))
 
-	hc, _ := client.Dial(haddr)
-	cc, _ := client.Dial(caddr)
-	defer hc.Close()
-	defer cc.Close()
+	hc, _ = client.Dial(haddr)
+	cc, _ = client.Dial(caddr)
+	t.Cleanup(func() { hc.Close() })
+	t.Cleanup(func() { cc.Close() })
 
-	// Enough users and posts to exceed the compute server's budget.
 	const users, posts = 30, 40
 	for u := 0; u < users; u++ {
 		for p := 0; p < 3; p++ {
@@ -69,8 +87,7 @@ func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
 		}
 	}
 
-	// Each pass materializes every timeline; the limit forces evictions.
-	pass := func() core.Stats {
+	pass = func() core.Stats {
 		t.Helper()
 		for u := 0; u < users; u++ {
 			pfx := fmt.Sprintf("t|u%02d|", u)
@@ -94,6 +111,11 @@ func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
 		}
 		return parsed.Stats
 	}
+	return hc, cc, compute, pass
+}
+
+func runComputeServerEviction(t *testing.T, limit int64, fetchedEvicted bool) {
+	hc, cc, _, pass := startComputeServer(t, limit)
 	first := pass()
 	if first.Evictions == 0 {
 		t.Fatalf("no evictions under a %d B limit: %+v", limit, first)

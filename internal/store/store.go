@@ -77,7 +77,7 @@ type tree = btree.Tree[*Value]
 // Hint is an output hint (§4.2): a finger on the leaf a join status
 // range last wrote to, enabling O(1) amortized inserts of the common
 // "immediately after the previous update" case. Hints stay usable across
-// splits and deletions because a leaf keeps its identity until it
+// splits, spills and deletions because a leaf keeps its identity until it
 // empties; a freed leaf, or one that no longer covers the key, simply
 // downgrades the hinted insert to a normal one.
 type Hint = btree.Hint[*Value]

@@ -311,6 +311,7 @@ func BenchmarkPutFlat(b *testing.B) {
 		ks[i] = fmt.Sprintf("t|u%05d|%09d", i%1000, i)
 	}
 	v := NewValue("value")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(ks[i], v)
@@ -325,6 +326,7 @@ func BenchmarkPutSubtables(b *testing.B) {
 		ks[i] = fmt.Sprintf("t|u%05d|%09d", i%1000, i)
 	}
 	v := NewValue("value")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(ks[i], v)
@@ -340,6 +342,7 @@ func BenchmarkGetSubtables(b *testing.B) {
 		ks[i] = fmt.Sprintf("t|u%05d|%09d", i%1000, i)
 		s.Put(ks[i], NewValue("value"))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(ks[i&(n-1)])

@@ -19,9 +19,12 @@ type twipShape struct {
 	share bool
 	// interleave inserts timeline rows in post order, each timeline
 	// through its own hint, as eager maintenance does; otherwise each
-	// timeline is inserted whole, in key order, as a first login's join
-	// execution does.
+	// timeline is inserted whole, in key order.
 	interleave bool
+	// shuffle inserts each whole timeline in a random order instead, as
+	// a first login's join execution (followee by followee) and a
+	// subscribe's copy into the middle of a timeline come close to.
+	shuffle bool
 	// subtables shards t| per user (§4.1).
 	subtables bool
 }
@@ -69,7 +72,11 @@ func (sh twipShape) build() *Store {
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(1))
 	for u, rows := range timelines {
+		if sh.shuffle {
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
 		for _, r := range rows {
 			s.PutHint(r.key, r.v, &hints[u])
 		}
@@ -88,6 +95,7 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		{users: 400, follows: 20, posts: 12, share: true, interleave: false},
 		{users: 400, follows: 20, posts: 12, share: false, interleave: true},
 		{users: 400, follows: 20, posts: 12, share: false, interleave: false},
+		{users: 400, follows: 20, posts: 12, share: true, shuffle: true},
 		{users: 400, follows: 20, posts: 12, share: true, interleave: true, subtables: true},
 		{users: 3000, follows: 10, posts: 1, share: true, interleave: true, subtables: true}, // ten-row timelines
 	} {
@@ -99,8 +107,8 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		heap, accounted := int64(m1.HeapAlloc)-int64(m0.HeapAlloc), s.Bytes()
 		rows := s.CountRange("t|", "t}")
-		t.Logf("%+v: %d rows (%d in timelines), heap %d B, accounted %d B (%+.1f%%), %.1f accounted B per row",
-			sh, s.Len(), rows, heap, accounted, 100*float64(accounted-heap)/float64(heap), float64(accounted)/float64(s.Len()))
+		t.Logf("%+v: %d rows (%d in timelines), heap %d B, accounted %d B (%+.1f%%), %.1f accounted B per row, t| leaves %.2f full",
+			sh, s.Len(), rows, heap, accounted, 100*float64(accounted-heap)/float64(heap), float64(accounted)/float64(s.Len()), fill(s.Table("t")))
 		if d := float64(accounted-heap) / float64(heap); d < -0.15 || d > 0.15 {
 			t.Errorf("%+v: Bytes() = %d but the rows hold %d B of heap (%+.1f%%)", sh, accounted, heap, 100*d)
 		}
@@ -109,6 +117,18 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		}
 		runtime.KeepAlive(s)
 	}
+}
+
+// fill is the share of t's leaf slots that hold a row; a leaf has room
+// for 61 (see leafBytes).
+func fill(t *Table) float64 {
+	rows, leaves := 0, 0
+	t.trees("", "", func(tr *tree) bool {
+		l, _ := tr.Nodes()
+		rows, leaves = rows+tr.Len(), leaves+l
+		return true
+	})
+	return float64(rows) / float64(61*leaves)
 }
 
 // The micro-benchmarks below run on the layout the live system has and
@@ -174,6 +194,28 @@ func BenchmarkPutHintAppend(b *testing.B) {
 	b.ResetTimer()
 	for i, k := range ks {
 		s.PutHint(k, v, &hints[i*7%users])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Bytes())/float64(max(s.Len(), 1)), "accountedB/row")
+}
+
+// BenchmarkPutShuffled inserts one row per iteration at a random place
+// in 2 000 timelines, without a hint: the order a first login's join
+// execution and a subscribe's copy write in, where a full leaf spills or
+// splits under the insert.
+func BenchmarkPutShuffled(b *testing.B) {
+	s := New()
+	const users = 2000
+	rng := rand.New(rand.NewSource(1))
+	ks := make([]string, b.N)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("t|%s|%010d|%s", uid(rng.Intn(users)), rng.Int63n(1e10), uid(i%users))
+	}
+	v := NewValue("tweet")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, k := range ks {
+		s.Put(k, v)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(s.Bytes())/float64(max(s.Len(), 1)), "accountedB/row")
