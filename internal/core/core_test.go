@@ -641,11 +641,26 @@ func TestUpdaterMergingStats(t *testing.T) {
 	if st.UpdatersMerged == 0 {
 		t.Fatalf("no updater merging: %+v", st)
 	}
+
+	// A re-ensure of a status installs its contexts again. Here a logged
+	// subscription u0's status already reflects — as a cold member's
+	// replica push of a row it had loaded is — re-runs the delta that
+	// installed u0's context on the merged p|bob| updater, which must
+	// still hold one context per follower.
+	js, _ := e.joins[0].status.at("t|u0|")
+	js.logs = append(js.logs, logEntry{srcIdx: 0, key: "s|u0|bob", op: OpPut, at: e.now()})
+	if got := scanKeys(t, e, "t|u0|", "t|u0}"); len(got) != 1 || e.Stats().LogsApplied != 1 {
+		t.Fatalf("u0's timeline after the re-ensure = %v, %+v", got, e.Stats())
+	}
+	if n := len(e.updaters.Find("p|bob|", "p|bob}").Val.contexts); n != 5 {
+		t.Fatalf("p|bob| updater holds %d contexts, want 5", n)
+	}
 }
 
 // TestWarmReadAllocatesNothing: a warm read of a join over base tables
 // builds no strings and lets nothing escape, so a ScanInto with room in
-// buf and a GetBounded of a prebuilt point allocate nothing.
+// buf and a GetBounded of a prebuilt point allocate nothing, and nor do
+// their clean twins, ScanClean and GetClean.
 func TestWarmReadAllocatesNothing(t *testing.T) {
 	e := newTwipEngine(t, Options{})
 	for f := 0; f < 8; f++ {
@@ -665,6 +680,17 @@ func TestWarmReadAllocatesNothing(t *testing.T) {
 		"get": func() {
 			if _, ok, _ := e.GetBounded(point, 0); !ok {
 				panic("warm get missed")
+			}
+		},
+		"clean check": func() {
+			var ok bool
+			if buf, ok = e.ScanClean("t|ann|0300", "t|ann}", 0, buf); !ok {
+				panic("warm check not clean")
+			}
+		},
+		"clean get": func() {
+			if _, found, ok := e.GetClean(point); !found || !ok {
+				panic("warm clean get missed")
 			}
 		},
 	}

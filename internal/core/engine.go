@@ -6,12 +6,15 @@
 // An Engine is single-writer, exactly like the paper's single-threaded
 // event-driven server; the network server serializes access to it, and
 // scale-out runs many engines partitioned by key range (§2.4, §5.5).
+// GetClean and ScanClean alone write nothing, so they may run beside
+// each other (clean.go).
 package core
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pequod/internal/interval"
@@ -156,6 +159,11 @@ type Engine struct {
 	statusLRU lruList[*JoinStatus] // computed: evicted first (evict.go)
 	presLRU   lruList[*presRange]  // fetched base ranges: evicted last
 	stats     Stats
+
+	// shared counts the reads GetClean and ScanClean served, which run
+	// beside each other under a shared lock (clean.go); Stats folds
+	// them in.
+	shared struct{ gets, scans, scannedKeys atomic.Int64 }
 }
 
 // New returns an engine over a fresh store.
@@ -174,8 +182,15 @@ func New(opts Options) *Engine {
 // Store exposes the underlying store (read-only use: stats, tests).
 func (e *Engine) Store() *store.Store { return e.s }
 
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats returns a snapshot of the engine counters, the shared reads'
+// folded in.
+func (e *Engine) Stats() Stats {
+	s := e.stats
+	s.Gets += e.shared.gets.Load()
+	s.Scans += e.shared.scans.Load()
+	s.ScannedKeys += e.shared.scannedKeys.Load()
+	return s
+}
 
 // SetChangeHook registers the cross-server subscription callback, invoked
 // for every store mutation (§2.4).
@@ -432,21 +447,32 @@ func (e *Engine) ScanInto(lo, hi string, limit int, buf []KV) (kvs []KV, pending
 // ScanIntoBounded is ScanInto with a staleness budget (see GetBounded).
 func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale time.Duration) (kvs []KV, pending int) {
 	e.stats.Scans++
-	kvs = buf[:0]
 	overlay, start, pending := e.ensureRangeBounded(keys.Range{Lo: lo, Hi: hi}, maxStale)
+	kvs, n := e.scanOut(lo, hi, limit, buf[:0], overlay, start)
+	e.stats.ScannedKeys += n
+	e.evictAfterRead(pending)
+	return kvs, pending
+}
+
+// scanOut appends up to limit (0 = all) pairs of [lo, hi) to kvs: the
+// store's contents merged with a pull-join overlay (usually there is
+// none), the store winning on duplicates. It is the copy-out of every
+// scan, exclusive (ScanIntoBounded) or shared (ScanClean), and reports
+// how many store keys it copied for the caller to count. It reads the
+// engine and writes nothing but kvs.
+func (e *Engine) scanOut(lo, hi string, limit int, kvs, overlay []KV, start *store.Hint) ([]KV, int64) {
 	if e.opts.DisableOutputHints {
 		start = nil // the §4.2 ablation: no finger for reads either
 	}
-
 	if len(overlay) > 1 {
 		// Each pull execution sorted its own segment; merge across joins.
 		sort.Slice(overlay, func(i, k int) bool { return overlay[i].Key < overlay[k].Key })
 	}
 
 	// Merge the store contents, a leaf-sized run at a time so the result
-	// makes room once, with the pull-join overlays (both sorted; usually
-	// there are none). The scan starts at the covering status's output
-	// hint when that leaf still holds lo.
+	// makes room once, with the overlays (both sorted). The scan starts at
+	// the covering status's output hint when that leaf still holds lo.
+	var scanned int64
 	oi := 0
 	full := func() bool { return limit > 0 && len(kvs) >= limit }
 	e.s.ScanRuns(lo, hi, start, func(ks []string, vs []*store.Value, rest int) bool {
@@ -467,7 +493,7 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 				oi++ // store wins on duplicates
 			}
 			kvs = append(kvs, KV{k, vs[i].String()})
-			e.stats.ScannedKeys++
+			scanned++
 			if full() {
 				return false
 			}
@@ -478,8 +504,7 @@ func (e *Engine) ScanIntoBounded(lo, hi string, limit int, buf []KV, maxStale ti
 		kvs = append(kvs, overlay[oi])
 		oi++
 	}
-	e.evictAfterRead(pending)
-	return kvs, pending
+	return kvs, scanned
 }
 
 // evictAfterRead enforces the memory limit once a read has completed. A

@@ -496,7 +496,7 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, le logEntry) bool {
 				// Merged updaters carry contexts for other tuples
 				// (e.g. other users following the same poster); only
 				// drop contexts consistent with the removed check key.
-				return bindingConsistent(mergeBinding(st.scanB, c.extra), bk)
+				return bindingConsistent(c.binding(st.scanB), bk)
 			})
 			if len(u.contexts) == 0 {
 				e.dropUpdater(u)

@@ -312,7 +312,7 @@ func (e *Engine) dropContextsWithin(st *JoinStatus, r keys.Range) {
 	for _, u := range st.updaters {
 		mine := 0
 		u.removeContextsMatching(st, func(c *updCtx) bool {
-			if r.ContainsRange(outAffectedRange(j, mergeBinding(st.scanB, c.extra), st.r)) {
+			if r.ContainsRange(outAffectedRange(j, c.binding(st.scanB), st.r)) {
 				return true
 			}
 			mine++
@@ -403,7 +403,7 @@ func (e *Engine) invalidateDependents(key string) {
 			continue // detached while this loop ran
 		}
 		src := js.ij.j.Sources[c.srcIdx]
-		b2, ok := src.Pat.Match(key, mergeBinding(js.scanB, c.extra))
+		b2, ok := src.Pat.Match(key, c.binding(js.scanB))
 		if !ok {
 			continue
 		}
@@ -428,7 +428,7 @@ func (e *Engine) invalidateRangeDependents(table string, r keys.Range) {
 	now := e.now()
 	for i := range hit {
 		if js := hit[i].js; js.valid {
-			e.markDirty(js, outAffectedRange(js.ij.j, mergeBinding(js.scanB, hit[i].extra), js.r), now)
+			e.markDirty(js, outAffectedRange(js.ij.j, hit[i].binding(js.scanB), js.r), now)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"pequod/internal/interval"
 	"pequod/internal/join"
 	"pequod/internal/keys"
@@ -12,12 +14,23 @@ import (
 // status range" (§3.2). The slot set is stored compressed: slots
 // derivable from the status's scan binding or from the matched source key
 // are omitted ("compressing or eliminating the context information stored
-// with updaters", §3.2).
+// with updaters", §3.2). What compression leaves is extra, nil when it
+// leaves nothing (every Twip context), so a context stays a few words
+// and a write's snapshot of its updaters' contexts copies little.
 type updCtx struct {
 	js     *JoinStatus
 	srcIdx int
-	extra  pattern.Binding
+	extra  *pattern.Binding
 	lazy   bool
+}
+
+// binding is the context's slot set: base, its status's scan binding,
+// with the compressed-away extra slots put back.
+func (c *updCtx) binding(base pattern.Binding) pattern.Binding {
+	if c.extra == nil {
+		return base
+	}
+	return mergeBinding(base, *c.extra)
 }
 
 // Updater links a range of source keys with one or more contexts.
@@ -77,13 +90,17 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 
 	// Context compression: drop slots recoverable from the status's scan
 	// binding or from any matched source key.
-	extra := b
 	derivable := st.scanB.Mask() | src.Pat.Slots()
 	compressed := pattern.Binding{}
 	for i := 0; i < pattern.MaxSlots; i++ {
-		if v, ok := extra.Get(i); ok && (derivable>>i)&1 == 0 {
+		if v, ok := b.Get(i); ok && (derivable>>i)&1 == 0 {
 			compressed = compressed.With(i, v)
 		}
+	}
+	var extra *pattern.Binding
+	if compressed.Mask() != 0 {
+		kept := compressed // a copy escapes; compressed stays on the stack
+		extra = &kept
 	}
 
 	var u *Updater
@@ -95,21 +112,23 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 		u.entry = e.updaters.Insert(cr.Lo, cr.Hi, u)
 		e.stats.UpdatersInstalled++
 	}
-	// Deduplicate identical contexts (re-ensures of the same status).
-	for i := range u.contexts {
-		c := &u.contexts[i]
-		if c.js == st && c.srcIdx == srcIdx && c.extra == compressed && c.lazy == lazy {
-			return
+	// A status has contexts only in the updaters it lists, so only a
+	// listed updater can already hold this one (a re-ensure of the same
+	// status): a merged updater's contexts for other statuses — one per
+	// follower of a poster — go unscanned.
+	listed := slices.Contains(st.updaters, u)
+	if listed {
+		for i := range u.contexts {
+			c := &u.contexts[i]
+			if c.js == st && c.srcIdx == srcIdx && c.lazy == lazy && c.binding(pattern.Binding{}) == compressed {
+				return
+			}
 		}
 	}
-	u.contexts = append(u.contexts, updCtx{js: st, srcIdx: srcIdx, extra: compressed, lazy: lazy})
-	// Track on the status for uninstallation; avoid duplicates.
-	for _, have := range st.updaters {
-		if have == u {
-			return
-		}
+	u.contexts = append(u.contexts, updCtx{js: st, srcIdx: srcIdx, extra: extra, lazy: lazy})
+	if !listed {
+		st.updaters = append(st.updaters, u) // for uninstallation
 	}
-	st.updaters = append(st.updaters, u)
 }
 
 // dropUpdater removes an updater with no live contexts. A status may
@@ -175,8 +194,7 @@ func (e *Engine) fireContext(c *updCtx, key string, old, new *store.Value) {
 		}
 		return
 	}
-	b := mergeBinding(js.scanB, c.extra)
-	b2, ok := src.Pat.Match(key, b)
+	b2, ok := src.Pat.Match(key, c.binding(js.scanB))
 	if !ok {
 		return
 	}

@@ -378,8 +378,8 @@ func (p *Pool) LoadInfo() LoadInfo {
 
 // sampleKeys snapshots the shard's ring of recently served keys.
 func (sh *Shard) sampleKeys() []string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.smu.Lock()
+	defer sh.smu.Unlock()
 	var out []string
 	for _, k := range sh.samples {
 		if k != "" {

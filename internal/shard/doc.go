@@ -7,6 +7,9 @@
 // Routing: Get/Put/Remove go to the shard owning the key
 // (partition.Map); a Scan or Count is gathered piece by piece, each
 // piece one locked step at its shard (DESIGN.md "A read, end to end").
+// A read with nothing to compute holds its shard's lock shared in an
+// ungated pool, so readers of one shard run side by side; everything
+// else, and every operation on a gated member, holds it exclusively.
 //
 // Joins are installed on every shard. Each shard computes the join
 // outputs it owns locally — cascaded source joins recursively, exactly

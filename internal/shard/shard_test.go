@@ -232,9 +232,23 @@ func TestBackfillTablePrefix(t *testing.T) {
 // TestConcurrentReadersWriters exercises the pool under the race
 // detector: concurrent writers mutating join sources on one shard while
 // readers run cross-shard scans, point gets, and counts against the
-// others.
+// others; then a warm-read-heavy phase, readers checking timelines the
+// first phase materialized beside one poster, so most reads take the
+// shared lock while writes and forwarded posts take it exclusively. It
+// runs once without a memory limit and once under one that evicts.
 func TestConcurrentReadersWriters(t *testing.T) {
-	p := newPool(t, Config{Bounds: testBounds})
+	for _, cfg := range []Config{
+		{Bounds: testBounds},
+		{Bounds: testBounds, Engine: core.Options{MemLimit: 512 << 10}},
+	} {
+		t.Run(fmt.Sprintf("MemLimit=%d", cfg.Engine.MemLimit), func(t *testing.T) {
+			concurrentReadersWriters(t, cfg)
+		})
+	}
+}
+
+func concurrentReadersWriters(t *testing.T, cfg Config) {
+	p := newPool(t, cfg)
 	if err := p.InstallText(timelineJoin); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +300,40 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	// Warm reads: each reader checks a few users' timelines, over and
+	// over, while one writer posts.
+	before := cleanReads(p)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < opsEach; i++ {
+			p.Put(fmt.Sprintf("p|u%d|%03d", rng.Intn(10), 100+rng.Intn(100)), "late tweet")
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			buf := make([]core.KV, 0, 64)
+			for i := 0; i < 4*opsEach; i++ {
+				u := fmt.Sprintf("u%d", g+4*rng.Intn(2)) // u0..u7, two per reader
+				if rng.Intn(4) == 0 {
+					p.Get(fmt.Sprintf("t|%s|%03d|%s", u, rng.Intn(200), u))
+					continue
+				}
+				buf = p.Scan("t|"+u+"|"+fmt.Sprintf("%03d", rng.Intn(200)), "t|"+u+"}", 0, buf, nil)
+			}
+		}(g)
+	}
+	wg.Wait()
 	p.Quiesce()
+	st := p.Stats()
+	if clean := cleanReads(p) - before; clean == 0 || (cfg.Engine.MemLimit > 0) != (st.Evictions > 0) {
+		t.Fatalf("warm phase: %d clean reads, %d evictions under MemLimit %d", clean, st.Evictions, cfg.Engine.MemLimit)
+	}
 
 	// After quiescing, the sharded answer matches a fresh single engine
 	// fed the final base state.

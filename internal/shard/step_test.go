@@ -101,7 +101,8 @@ func coldPool(t *testing.T, home []core.KV) (*Pool, *homeLoader, func()) {
 // happen to one attempt of a read — against each of the reads built on
 // it: a read that finds base data loading gets its restart context,
 // which resolves when the loads do (or are abandoned), and the retry
-// completes (or bounces).
+// completes (or bounces); and a read the shared attempt serves returns
+// what the exclusive step would have.
 func TestStepTable(t *testing.T) {
 	home := []core.KV{{Key: "s|ann|bob", Value: "1"}, {Key: "p|bob|100", Value: "Hi"}}
 	const bobs = "t|ann|100|bob"
@@ -190,6 +191,41 @@ func TestStepTable(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("the shared attempt changes no answer", func(t *testing.T) {
+		// Twin pools run the generated Twip workload, its interleaved
+		// reads included; the first takes the shared attempt, the second
+		// has it turned off. Every form then reads byte-equal, over every
+		// comparison range and at every key the ranges hold.
+		var twins [2]*Pool
+		for i := range twins {
+			twins[i] = newPool(t, Config{Bounds: testBounds})
+			twins[i].exclusiveReads = i == 1
+			if err := twins[i].InstallText(EquivJoins); err != nil {
+				t.Fatal(err)
+			}
+			applyOps(twins[i], GenTwipOps(1, 400, 10))
+			twins[i].Quiesce()
+		}
+		shared, excl := twins[0], twins[1]
+		for _, r := range EquivRanges(1, 10) {
+			for _, form := range []string{"Scan", "Count"} {
+				if got, want := readAs(t, shared, form, "", r[0], r[1]), readAs(t, excl, form, "", r[0], r[1]); got != want {
+					t.Fatalf("%s [%q, %q) = %s, exclusive step read %s", form, r[0], r[1], got, want)
+				}
+			}
+			for _, kv := range excl.Scan(r[0], r[1], 0, nil, nil) {
+				for _, key := range []string{kv.Key, kv.Key + "\x00"} {
+					if got, want := readAs(t, shared, "Get", key, "", ""), readAs(t, excl, "Get", key, "", ""); got != want {
+						t.Fatalf("Get %q = %s, exclusive step read %s", key, got, want)
+					}
+				}
+			}
+		}
+		if n, m := cleanReads(shared), cleanReads(excl); n == 0 || m != 0 {
+			t.Fatalf("clean reads: %d with the shared attempt, %d without; want some and none", n, m)
+		}
+	})
 }
 
 // TestGatherOverPool: what the split–gather–re-split helper promises
