@@ -20,17 +20,18 @@
 //   - Spill, then split. A write that finds its leaf full first moves
 //     pairs into a sibling under the same parent that has room, and
 //     splits only when neither has (B*-tree redistribution), so rows
-//     written in no particular order — a first login's join execution,
-//     a subscribe's copy into the middle of a timeline — still leave
-//     leaves about 80 to 87 % full (TestRandomInsertsStayDense). A write
-//     through a valid hint is the next key of a run and keeps room right
-//     behind it: it moves the pairs behind it into the right sibling
-//     only when all of them fit there, spills left otherwise, and when
-//     it must split, splits where the new key goes. An append at the
-//     very end of a leaf never spills; it splits at the point. So
-//     append-mostly timelines (and sorted bulk loads) leave full leaves
-//     behind without shifting other timelines' rows on every append. A
-//     spill moves one fence and its separator; a leaf keeps its identity.
+//     written in no particular order — a subscribe's copy into the
+//     middle of a timeline, base rows — still leave leaves about 80 to
+//     87 % full (TestRandomInsertsStayDense). A write through a valid
+//     hint is the next key of a run and keeps room right behind it: it
+//     moves the pairs behind it into the right sibling only when all of
+//     them fit there, spills left otherwise, and when it must split,
+//     splits where the new key goes. An append at the very end of a leaf
+//     never spills; it splits at the point. So append-mostly timelines,
+//     and a first login's rows, which a join execution writes in key
+//     order, leave full leaves behind without shifting other timelines'
+//     rows on every append. A spill moves one fence and its separator; a
+//     leaf keeps its identity.
 //
 //   - No merging. Deletion never moves pairs between leaves; a leaf or
 //     interior node is unhooked when its last entry goes, and whichever

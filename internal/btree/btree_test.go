@@ -300,9 +300,9 @@ func TestRandomInsertsStayDense(t *testing.T) {
 			}
 			return ks, hs
 		}},
-		// A first login's join execution writes a timeline followee by
-		// followee, each followee's rows ascending: runs that grow at
-		// random interior points of the timeline.
+		// A first login's join execution emits a timeline followee by
+		// followee, each followee's rows ascending: written as emitted,
+		// runs that grow at random interior points of the timeline.
 		{"join execution", 0.75, func(rng *rand.Rand) (ks []string, hs []int) {
 			for u := 0; u < 8; u++ {
 				for p := 0; p < 12; p++ {
@@ -311,6 +311,24 @@ func TestRandomInsertsStayDense(t *testing.T) {
 					for _, tm := range times {
 						ks, hs = append(ks, timeline(u, tm, p)), append(hs, u)
 					}
+				}
+			}
+			return ks, hs
+		}},
+		// The same executions written as they land, merged into key
+		// order; the users log in in no particular order, so each
+		// timeline goes in between timelines already there.
+		{"join execution, in key order", 0.88, func(rng *rand.Rand) (ks []string, hs []int) {
+			for i, u := range rng.Perm(40) {
+				var rows []string
+				for p := 0; p < 12; p++ {
+					for _, tm := range rng.Perm(1000)[:25] {
+						rows = append(rows, timeline(u, tm, p))
+					}
+				}
+				sort.Strings(rows)
+				for _, k := range rows {
+					ks, hs = append(ks, k), append(hs, i%10)
 				}
 			}
 			return ks, hs

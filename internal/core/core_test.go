@@ -701,38 +701,51 @@ func TestWarmReadAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkPostFanout times one post per iteration on timelines built the
-// way the live system builds them: 2 000 users following 40 posters each,
-// 10 posts per poster already written, and every timeline then computed
-// by a login's join execution, which writes it followee by followee. A
-// post fans out to about 40 of those timelines, each at its end.
-func BenchmarkPostFanout(b *testing.B) {
-	e := New(Options{})
+// twipFixture builds the engine BenchmarkPostFanout and
+// BenchmarkLoginExec run on: 2 000 users following 40 posters each
+// (drawn from rng) and 10 posts per poster already written, no timeline
+// computed yet. It returns the engine, the last post time and the body
+// every post carries.
+func twipFixture(b *testing.B, rng *rand.Rand) (e *Engine, at int, body string) {
+	e = New(Options{})
 	if err := e.InstallText(timelineJoin); err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	const users, follows, posts = 2000, 40, 10
-	uid := func(u int) string { return fmt.Sprintf("u%06d", u) }
-	for u := 0; u < users; u++ {
+	const follows, posts = 40, 10
+	for u := 0; u < fixtureUsers; u++ {
 		for f := 0; f < follows; f++ {
-			e.Put("s|"+uid(u)+"|"+uid(rng.Intn(users)), "1")
+			e.Put("s|"+uid(u)+"|"+uid(rng.Intn(fixtureUsers)), "1")
 		}
 	}
-	at, body := 0, strings.Repeat("x", 64)
+	body = strings.Repeat("x", 64)
 	for n := 0; n < posts; n++ {
-		for p := 0; p < users; p++ {
+		for p := 0; p < fixtureUsers; p++ {
 			at++
 			e.Put(fmt.Sprintf("p|%s|%010d", uid(p), at), body)
 		}
 	}
-	for u := 0; u < users; u++ {
+	return e, at, body
+}
+
+const fixtureUsers = 2000
+
+func uid(u int) string { return fmt.Sprintf("u%06d", u) }
+
+// BenchmarkPostFanout times one post per iteration on timelines built the
+// way the live system builds them: 2 000 users following 40 posters each,
+// 10 posts per poster already written, and every timeline then computed
+// by a login's join execution. A post fans out to about 40 of those
+// timelines, each at its end.
+func BenchmarkPostFanout(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	e, at, body := twipFixture(b, rng)
+	for u := 0; u < fixtureUsers; u++ {
 		e.Scan("t|"+uid(u)+"|", "t|"+uid(u)+"}", 0)
 	}
 	ks := make([]string, b.N)
 	for i := range ks {
 		at++
-		ks[i] = fmt.Sprintf("p|%s|%010d", uid(rng.Intn(users)), at)
+		ks[i] = fmt.Sprintf("p|%s|%010d", uid(rng.Intn(fixtureUsers)), at)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -741,4 +754,32 @@ func BenchmarkPostFanout(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.Store().Bytes())/float64(e.Store().Len()), "accountedB/row")
+}
+
+// BenchmarkLoginExec times one first login per iteration: the join
+// execution that materializes the timeline of a user following 40
+// posters with 10 posts each (about 400 rows, written followee by
+// followee), and the scan that copies it out. Every even user's timeline
+// is computed beforehand, so each login lands between neighbours, as in
+// a cache that holds some timelines; the odd users log in in turn, and
+// each timeline is dropped again outside the timer.
+func BenchmarkLoginExec(b *testing.B) {
+	e, _, _ := twipFixture(b, rand.New(rand.NewSource(1)))
+	for u := 0; u < fixtureUsers; u += 2 {
+		e.Scan("t|"+uid(u)+"|", "t|"+uid(u)+"}", 0)
+	}
+	var buf []KV
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := uid(1 + 2*(i%(fixtureUsers/2)))
+		r := keys.Range{Lo: "t|" + u + "|", Hi: "t|" + u + "}"}
+		buf, _ = e.ScanInto(r.Lo, r.Hi, 0, buf)
+		rows += len(buf)
+		b.StopTimer()
+		e.DropRange(r)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/login")
 }

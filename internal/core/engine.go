@@ -156,6 +156,13 @@ type Engine struct {
 
 	onChange func(Change)
 
+	// outBuf is the row buffer forward executions collect their output
+	// in (exec.land), kept between them.
+	outBuf *outRun
+	// emitOrder makes forward executions write each row as it is
+	// emitted instead of in key order: a test seam only.
+	emitOrder bool
+
 	statusLRU lruList[*JoinStatus] // computed: evicted first (evict.go)
 	presLRU   lruList[*presRange]  // fetched base ranges: evicted last
 	stats     Stats

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pequod/internal/keys"
+	"pequod/internal/pattern"
 	"pequod/internal/store"
 )
 
@@ -177,7 +178,7 @@ func evictKeyByKey(e *Engine, st *JoinStatus) {
 	e.detachStatus(st)
 	var doomed []string
 	e.s.Scan(st.r.Lo, st.r.Hi, func(k string, _ *store.Value) bool {
-		if _, ok := st.ij.j.Out.Match(k, st0); ok {
+		if _, ok := st.ij.j.Out.Match(k, pattern.Binding{}); ok {
 			doomed = append(doomed, k)
 		}
 		return true
@@ -286,7 +287,7 @@ func TestEvictedOutputsLeaveAsBefore(t *testing.T) {
 		for _, kv := range before {
 			if !stA.r.Contains(kv.Key) {
 				rest = append(rest, kv)
-			} else if _, ok := stA.ij.j.Out.Match(kv.Key, st0); ok {
+			} else if _, ok := stA.ij.j.Out.Match(kv.Key, pattern.Binding{}); ok {
 				want = append(want, Change{Op: OpRemove, Key: kv.Key, Value: kv.Value})
 			} else {
 				interleaved = true

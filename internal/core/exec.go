@@ -21,6 +21,10 @@ type exec struct {
 
 	overlay *[]KV // pull destination
 
+	// out collects a forward execution's rows for land to write in key
+	// order; nil writes each row as it is emitted.
+	out *outRun
+
 	// aggs accumulates aggregate groups during the run and is flushed at
 	// the end; non-aggregate joins leave it nil.
 	aggs map[string]*aggState
@@ -143,12 +147,43 @@ func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 		installUpd: ij.j.Maint == join.Push,
 		skipIdx:    -1,
 	}
-	if ij.j.IsAggregate() {
+	switch {
+	case ij.j.IsAggregate():
 		ex.aggs = make(map[string]*aggState)
+	case !e.opts.DisableOutputHints && !e.emitOrder:
+		ex.out = e.takeOut()
 	}
 	ex.run(0, b, nil)
 	ex.flushAggs()
+	ex.land()
 	return 0
+}
+
+// land writes the rows a forward execution collected through its output
+// hint (§4.2) in key order, each through applyValue, so the last emit of
+// a key wins and the rows fill the leaves they go to one after another.
+func (ex *exec) land() {
+	o := ex.out
+	if o == nil {
+		return
+	}
+	ks, vs := o.sorted()
+	for i, k := range ks {
+		ex.e.applyValue(k, vs[i], &ex.st.hint)
+	}
+	o.reset()
+	ex.e.outBuf = o
+}
+
+// takeOut returns the engine's row buffer for a forward execution, or
+// a new one when an execution further up the stack holds it.
+func (e *Engine) takeOut() *outRun {
+	o := e.outBuf
+	e.outBuf = nil
+	if o == nil {
+		o = &outRun{}
+	}
+	return o
 }
 
 // execPull computes a pull join over rr, appending to overlay (§3.4):
@@ -298,6 +333,10 @@ func (ex *exec) install(outKey string, val *store.Value) {
 	v := val
 	if ex.e.opts.DisableValueSharing {
 		v = store.NewValue(val.String())
+	}
+	if ex.out != nil {
+		ex.out.add(outKey, v)
+		return
 	}
 	ex.e.applyValue(outKey, v, &ex.st.hint)
 }

@@ -350,10 +350,9 @@ func (e *Engine) removeOutputsOp(ij *installedJoin, r keys.Range, op ChangeOp) {
 		e.notify(Change{Op: op, Key: k, Value: old.String()})
 		e.invalidateDependents(k)
 	}
-	mine := func(k string) bool { _, ok := ij.j.Out.Match(k, st0); return ok }
 	interleaved := false
 	e.s.Scan(r.Lo, r.Hi, func(k string, _ *store.Value) bool {
-		interleaved = !mine(k)
+		interleaved = !ij.j.Out.Matches(k)
 		return !interleaved
 	})
 	if !interleaved {
@@ -362,7 +361,7 @@ func (e *Engine) removeOutputsOp(ij *installedJoin, r keys.Range, op ChangeOp) {
 	}
 	var doomed []string
 	e.s.Scan(r.Lo, r.Hi, func(k string, _ *store.Value) bool {
-		if mine(k) {
+		if ij.j.Out.Matches(k) {
 			doomed = append(doomed, k)
 		}
 		return true
@@ -373,9 +372,6 @@ func (e *Engine) removeOutputsOp(ij *installedJoin, r keys.Range, op ChangeOp) {
 		}
 	}
 }
-
-// st0 is the empty binding shared by read-only matches.
-var st0 pattern.Binding
 
 // invalidateDependents marks the computed sub-intervals depending on key
 // dirty in every join status whose updaters cover it (transitive effects

@@ -216,8 +216,23 @@ func (b Binding) String(st *SlotTable) string {
 // Match tests key against the pattern under binding b. On success it
 // returns b extended with the slots bound by key. Literals must match
 // exactly; slots already bound in b must agree; fixed-width slots must
-// have exactly their declared width.
+// have exactly their declared width. The slots are bound in place, in
+// the copy of b Match was handed: a join's nested loop matches every
+// key it scans, and a Binding is too large to copy once per slot.
 func (p *Pattern) Match(key string, b Binding) (Binding, bool) {
+	ok := p.match(key, &b)
+	return b, ok
+}
+
+// Matches reports whether key has the pattern's shape — its literals,
+// its number of components and its slots' fixed widths — binding
+// nothing: Match under an empty binding, for callers that only need the
+// answer.
+func (p *Pattern) Matches(key string) bool { return p.match(key, nil) }
+
+// match is Match binding into *b, or only testing the shape when b is
+// nil. It leaves *b partly bound when the key does not match.
+func (p *Pattern) match(key string, b *Binding) bool {
 	rest := key
 	for i, seg := range p.segs {
 		var comp string
@@ -225,36 +240,39 @@ func (p *Pattern) Match(key string, b Binding) (Binding, bool) {
 			// Final segment consumes the remainder; a separator in it
 			// means the key has too many components.
 			if strings.IndexByte(rest, keys.Sep) >= 0 {
-				return b, false
+				return false
 			}
 			comp = rest
 			rest = ""
 		} else {
 			j := strings.IndexByte(rest, keys.Sep)
 			if j < 0 {
-				return b, false
+				return false
 			}
 			comp = rest[:j]
 			rest = rest[j+1:]
 		}
 		if seg.Slot < 0 {
 			if comp != seg.Literal {
-				return b, false
+				return false
 			}
 			continue
 		}
 		if w := p.widths[seg.Slot]; w != 0 && len(comp) != w {
-			return b, false
+			return false
 		}
-		if v, ok := b.Get(seg.Slot); ok {
-			if v != comp {
-				return b, false
+		switch {
+		case b == nil:
+		case b.mask&(1<<seg.Slot) != 0:
+			if b.vals[seg.Slot] != comp {
+				return false
 			}
-		} else {
-			b = b.With(seg.Slot, comp)
+		default:
+			b.vals[seg.Slot] = comp
+			b.mask |= 1 << seg.Slot
 		}
 	}
-	return b, true
+	return true
 }
 
 // BuildKey constructs the concrete key for b; ok is false if any slot in

@@ -109,6 +109,51 @@ func TestMatch(t *testing.T) {
 	}
 }
 
+// TestMatchesIsMatchUnbound: the shape test binds nothing and answers
+// as Match under an empty binding does, and Match leaves the binding it
+// was handed as it was.
+func TestMatchesIsMatchUnbound(t *testing.T) {
+	pats := []*Pattern{
+		mustParse(t, "t|<user>|<time>|<poster>", &SlotTable{}),
+		mustParse(t, "p|<poster>|<time:4>", &SlotTable{}),
+		mustParse(t, "page|<author>|<id>|k|<cid>|<commenter>", &SlotTable{}),
+	}
+	for _, k := range []string{
+		"t|ann|100|bob", "t|ann|100", "t|ann|100|bob|x", "t||100|", "s|ann|100|bob",
+		"p|bob|0100", "p|bob|100", "p|bob|0100|x", "p",
+		"page|bob|101|k|c1|liz", "page|bob|101|a|c1|liz", "",
+	} {
+		for _, p := range pats {
+			_, want := p.Match(k, Binding{})
+			if got := p.Matches(k); got != want {
+				t.Errorf("%s Matches(%q) = %v, Match says %v", p, k, got, want)
+			}
+		}
+	}
+	b := Binding{}.With(0, "ann")
+	if b2, ok := pats[0].Match("t|ann|100|bob", b); !ok || b.Has(1) || !b2.Has(1) {
+		t.Fatalf("Match bound into its argument: %v %v %v", ok, b.Has(1), b2.Has(1))
+	}
+}
+
+// BenchmarkMatch matches a timeline key under the binding a login's scan
+// derives (the user bound), as the join's nested loop and every updater
+// firing do.
+func BenchmarkMatch(b *testing.B) {
+	var st SlotTable
+	p, err := Parse("t|<user>|<time>|<poster>", &st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := Binding{}.With(0, "u000123")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := p.Match("t|u000123|0000012345|u001999", in); !ok {
+			b.Fatal("no match")
+		}
+	}
+}
+
 func TestMatchInterleavedTag(t *testing.T) {
 	var st SlotTable
 	p := mustParse(t, "page|<author>|<id>|k|<cid>|<commenter>", &st)
@@ -570,16 +615,6 @@ func TestPointRange(t *testing.T) {
 	r := PointRange("k")
 	if !r.Contains("k") || r.Contains("k\x00x") || r.Contains("j") {
 		t.Fatalf("PointRange = %v", r)
-	}
-}
-
-func BenchmarkMatch(b *testing.B) {
-	var st SlotTable
-	p, _ := Parse("t|<user>|<time>|<poster>", &st)
-	key := "t|u00012345|0000001234|u00099999"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Match(key, Binding{})
 	}
 }
 
