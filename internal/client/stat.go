@@ -9,9 +9,9 @@ import (
 // StatSnapshot is the stat RPC's reply, declared once: the server
 // marshals this type and every reader unmarshals it. Identity and
 // footprint, the engine counters, the cluster migrations the member
-// took part in, the cumulative load a cluster rebalancer polls to find
-// hot servers and pick split points, the installed join set (so a
-// coordinator that did not install the joins itself — a fresh
+// took part in, the client load it served (what a cluster rebalancer
+// polls to find hot servers and pick split points), the installed join
+// set (so a coordinator that did not install the joins itself — a fresh
 // pequod-cli run — can replay them onto a joining member), and on
 // cluster members the published map they serve under.
 type StatSnapshot struct {
@@ -22,13 +22,24 @@ type StatSnapshot struct {
 	Bytes     int64                `json:"bytes"`
 	Stats     core.Stats           `json:"stats"`
 	Rebalance shard.MigrationStats `json:"rebalance"`
-	Load      shard.LoadInfo       `json:"load"`
+	Load      ServedLoad           `json:"load"`
 	Joins     string               `json:"joins,omitempty"`
 	Staleness StaleStat            `json:"staleness"`
 	Loads     LoadStat             `json:"loads"`
 	NSubs     int64                `json:"nsubs"` // subscriptions held as a home: at most one per connection and range
 	Cluster   *ClusterStat         `json:"cluster,omitempty"`
 	Durable   *DurableStat         `json:"durable,omitempty"`
+}
+
+// ServedLoad is the client work a member answered: one unit per get,
+// write or removal, one plus the rows returned per scan or count, since
+// the server started (nothing resets it; pollers difference successive
+// readings), and a ring of the keys those requests named, most recent
+// 256, from which split points are picked. Peers' subscribing scans —
+// mesh loads and replica syncs — are not client work and count nowhere.
+type ServedLoad struct {
+	Units   int64    `json:"units"`
+	Samples []string `json:"samples"`
 }
 
 // StaleStat is a member's staleness debt: the deferred-maintenance

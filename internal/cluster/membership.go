@@ -36,12 +36,8 @@ import (
 	"pequod/internal/rpc"
 )
 
-// joinMinSamples is the fewest in-range load samples AddServer trusts
-// to pick a split bound before falling back to a key scan.
-const joinMinSamples = 8
-
 // joinScanLimit bounds the fallback scan used to pick a split bound
-// when the donor has too few load samples.
+// when the donor has too few load samples (partition.MinSamples).
 const joinScanLimit = 256
 
 // AddServer splices the server at addr into the cluster live: the new
@@ -114,9 +110,9 @@ func (cl *Cluster) addServerAt(ctx context.Context, addr string, owner int, boun
 
 // pickJoinSplit chooses the donor owner index and split bound for a
 // join: the busiest member's owner range with the most load samples,
-// split at the samples' median — so the new member lands where the load
-// is. A quiet cluster falls back to scanning the largest-looking range
-// for a middle key. Caller holds mvmu.
+// split at the samples' median (partition.SplitKey) — so the new member
+// lands where the load is. A quiet cluster falls back to scanning the
+// busiest members' ranges for their middle key. Caller holds mvmu.
 func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string, error) {
 	v := cl.v.Load()
 	loads, err := cl.MemberLoads(ctx)
@@ -125,26 +121,14 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 	}
 	sort.Slice(loads, func(i, j int) bool { return loads[i].Units > loads[j].Units })
 	for _, ml := range loads {
-		owners := v.OwnersOf(ml.Addr)
-		bestOwner, bestIn := -1, []string(nil)
-		for _, o := range owners {
-			or := v.Map().OwnerRange(o)
-			var in []string
-			for _, k := range ml.Samples {
-				if or.Contains(k) {
-					in = append(in, k)
-				}
-			}
-			if len(in) > len(bestIn) {
-				bestOwner, bestIn = o, in
+		bestOwner, bestKey, bestN := -1, "", 0
+		for _, o := range v.OwnersOf(ml.Addr) {
+			if k, n := partition.SplitKey(v.Map().OwnerRange(o), ml.Samples, 0.5); n > bestN {
+				bestOwner, bestKey, bestN = o, k, n
 			}
 		}
-		if bestOwner < 0 || len(bestIn) < joinMinSamples {
-			continue
-		}
-		sort.Strings(bestIn)
-		if b, ok := splitPoint(v.Map().OwnerRange(bestOwner), bestIn); ok {
-			return bestOwner, b, nil
+		if bestN >= partition.MinSamples {
+			return bestOwner, bestKey, nil
 		}
 	}
 	// Quiet cluster: scan each owner range (cheapest first attempt: the
@@ -160,33 +144,12 @@ func (cl *Cluster) pickJoinSplit(ctx context.Context, addr string) (int, string,
 			for _, kv := range m.KVs {
 				ks = append(ks, kv.Key)
 			}
-			if b, ok := splitPoint(or, ks); ok {
-				return o, b, nil
+			if k, n := partition.SplitKey(or, ks, 0.5); n > 0 {
+				return o, k, nil
 			}
 		}
 	}
 	return 0, "", fmt.Errorf("cluster: no key range with enough data to split for %s; use AddServerAt with an explicit bound", addr)
-}
-
-// splitPoint picks a key strictly inside r from the sorted candidates,
-// preferring the median.
-func splitPoint(r keys.Range, sorted []string) (string, bool) {
-	if len(sorted) == 0 {
-		return "", false
-	}
-	mid := len(sorted) / 2
-	for off := 0; off < len(sorted); off++ {
-		for _, i := range []int{mid - off, mid + off} {
-			if i < 0 || i >= len(sorted) {
-				continue
-			}
-			k := sorted[i]
-			if k > r.Lo && (r.Hi == "" || k < r.Hi) && k != "" {
-				return k, true
-			}
-		}
-	}
-	return "", false
 }
 
 // DrainServer streams every range the member at addr owns to its

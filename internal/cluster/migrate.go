@@ -273,7 +273,8 @@ func (cl *Cluster) publishTo(ctx context.Context, v *partition.View, targets []s
 }
 
 // MemberLoads polls every member's stat RPC and returns the per-member
-// cumulative load units and recent key samples — the cluster
+// client load (client.ServedLoad: cumulative units and recent key
+// samples of the client requests it answered) — the cluster
 // rebalancer's input, exported for tools and tests.
 func (cl *Cluster) MemberLoads(ctx context.Context) ([]MemberLoad, error) {
 	mbrs := cl.v.Load().Members()
@@ -314,12 +315,12 @@ type MemberLoad struct {
 	Samples []string
 }
 
-// HotShare returns the hottest member's share of the load units served
-// between two MemberLoads polls. Members are matched by address, so a
-// membership change between the polls is handled: a member absent from
-// before, or whose counter went down (a warm restart resets it), counts
-// from zero, and one present only in before is dropped. It is 0 when
-// nothing was served.
+// HotShare returns the hottest member's share of the client load units
+// served between two MemberLoads polls. Members are matched by address,
+// so a membership change between the polls is handled: a member absent
+// from before, or whose counter went down (a warm restart resets it),
+// counts from zero, and one present only in before is dropped. It is 0
+// when nothing was served.
 func HotShare(before, after []MemberLoad) float64 {
 	prev := make(map[string]int64, len(before))
 	for _, l := range before {

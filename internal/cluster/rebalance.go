@@ -3,14 +3,14 @@ package cluster
 // Client-driven cluster rebalancing: the one balancing policy
 // (partition.Balancer), applied across servers — the only load mover,
 // since an embedded Cache's shard bounds are fixed. The cluster client
-// polls every member's stat RPC for its cumulative load units and recent
-// key samples, and when the policy finds one server persistently hot
-// migrates a slice of its range — through MoveBound's live transfer
-// protocol — to the cooler server on the other side of a partition
-// bound. No server-side coordinator exists: any client (or the
-// pequod-cli rebalance subcommand) drives it one RebalanceTick at a
-// time, and concurrent coordinators serialize through map version
-// conflicts.
+// polls every member's stat RPC for the client load it served
+// (cumulative units and recent key samples), and when the policy finds
+// one server persistently hot migrates a slice of its range — through
+// MoveBound's live transfer protocol — to the cooler server on the
+// other side of a partition bound. No server-side coordinator exists:
+// any client (or the pequod-cli rebalance subcommand) drives it one
+// RebalanceTick at a time, and concurrent coordinators serialize
+// through map version conflicts.
 
 import (
 	"context"

@@ -39,8 +39,10 @@ type Report struct {
 // the scheduled arrival time, not the dequeue time, so queueing delay
 // is charged to the operation (no coordinated omission). Members is the
 // cluster's member count at the phase's end; HotShare is the hottest
-// member's share of the load units served during the phase, from the
-// member loads polled at its two boundaries (0 when a poll failed).
+// member's share of the client load units served during the phase (a
+// member counts only client requests, not peers' mesh loads or replica
+// syncs), from the member loads polled at its two boundaries (0 when a
+// poll failed).
 type PhaseReport struct {
 	Name         string  `json:"name"`
 	Event        string  `json:"event,omitempty"`

@@ -386,9 +386,9 @@ func (r *Runner) runPhases(ctx context.Context) error {
 	return nil
 }
 
-// pollLoads reads every member's cumulative load units. A failed poll
-// is logged and returns nil, leaving the hot share of the phases on
-// either side at 0; it never fails the run.
+// pollLoads reads every member's cumulative client load units. A
+// failed poll is logged and returns nil, leaving the hot share of the
+// phases on either side at 0; it never fails the run.
 func (r *Runner) pollLoads(ctx context.Context) []cluster.MemberLoad {
 	loads, err := r.cl.MemberLoads(ctx)
 	if err != nil {

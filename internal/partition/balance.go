@@ -1,6 +1,10 @@
 package partition
 
-import "sort"
+import (
+	"sort"
+
+	"pequod/internal/keys"
+)
 
 const (
 	// ratio is how far above the mean per-owner load the hottest owner
@@ -20,9 +24,31 @@ const (
 	// that costs more than the imbalance it chases.
 	hotPersist      = 2
 	cooldownSamples = 5
-	// minSamples is the fewest in-range key samples a bound pick trusts.
-	minSamples = 16
+	// MinSamples is the fewest in-range key samples a split pick trusts
+	// (SplitKey's n): the balancer's, and a joining server's before it
+	// falls back to a key scan.
+	MinSamples = 16
 )
+
+// SplitKey picks a split point for r from candidate keys: of those
+// strictly inside r (above r.Lo, and below r.Hi when r is bounded) —
+// the keys a bound splitting r could sit on — the one at quantile q of
+// their sorted order (0 ≤ q < 1; 0.5 is the median). n counts them;
+// key is valid when n > 0, and callers that split load by its samples
+// trust it only when n reaches MinSamples. cands is not modified.
+func SplitKey(r keys.Range, cands []string, q float64) (key string, n int) {
+	var in []string
+	for _, k := range cands {
+		if k > r.Lo && (r.Hi == "" || k < r.Hi) {
+			in = append(in, k)
+		}
+	}
+	if len(in) == 0 {
+		return "", 0
+	}
+	sort.Strings(in)
+	return in[min(int(float64(len(in))*q), len(in)-1)], len(in)
+}
 
 // Balancer is the rebalancing policy: fed each member's cumulative load
 // once per sample, it keeps an EWMA of the per-sample deltas and, when
@@ -125,27 +151,15 @@ func (b *Balancer) Decide(m *Map, owners []string, units map[string]int64, sampl
 	// Shed enough to meet the neighbor halfway: the load-weighted
 	// quantile of the hot range's key samples.
 	frac := (b.ewma[hot] - b.ewma[nb]) / (2 * b.ewma[hot])
-	hr := m.OwnerRange(hotOwner)
-	var in []string
-	for _, k := range samples(hot) {
-		if hr.Contains(k) {
-			in = append(in, k)
-		}
-	}
-	if len(in) < minSamples {
-		return 0, "", false
-	}
-	sort.Strings(in)
 	if hotOwner == i {
 		// Hot side is left of the bound: lower it to the (1-frac)
 		// quantile, shedding the top slice rightward.
 		frac = 1 - frac
 	}
-	key = in[min(int(float64(len(in))*frac), len(in)-1)]
-	// The quantile can land on the current bound (a previous move's
-	// split point) or collide with a neighbor; a dry run against the map
-	// turns that into "no move this sample" instead of an error.
-	if _, err := m.MoveBound(i, key); err != nil {
+	// A key strictly inside the hot range lies strictly between bound i's
+	// neighbors and off bound i itself, so the move always applies.
+	key, in := SplitKey(m.OwnerRange(hotOwner), samples(hot), frac)
+	if in < MinSamples {
 		return 0, "", false
 	}
 	return i, key, true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -180,11 +181,12 @@ func TestParkedReadDoesNotHoldConnection(t *testing.T) {
 // TestWarmReadPassesParkedRead: a warm read pipelined behind a parked
 // one on the same connection gets its reply first, well before the
 // parked one's deadline; the parked one's continuation answers once its
-// loads land.
+// loads land. The member's load counts each read once, when it is
+// answered: the attempt that parked counts nothing.
 func TestWarmReadPassesParkedRead(t *testing.T) {
 	for _, cold := range coldReads {
 		t.Run(cold.name, func(t *testing.T) {
-			_, c, ld := heldMember(t)
+			s, c, ld := heldMember(t)
 			m := cold.m
 			m.TimeoutMS = 3000
 			parked := c.Send(context.Background(), &m)
@@ -198,16 +200,21 @@ func TestWarmReadPassesParkedRead(t *testing.T) {
 				t.Fatal("the cold read was answered with its loads held")
 			default:
 			}
+			if l := s.load.snapshot(); l.Units != 1 || !slices.Equal(l.Samples, []string{"x|1"}) {
+				t.Fatalf("load with the cold read parked = %+v, want the warm Get's alone", l)
+			}
 			ld.release()
 			r := reply(t, parked, 5*time.Second)
 			if r.Status != rpc.StatusOK {
 				t.Fatalf("parked read = %+v", r)
 			}
+			units, key := int64(1+1+1), m.Lo // the warm Get, then a read of one row
 			switch m.Type {
 			case rpc.MsgGet:
 				if !r.Found || r.Value != "Hi" {
 					t.Fatalf("parked Get = %+v", r)
 				}
+				units, key = 1+1, m.Key
 			case rpc.MsgScan:
 				if len(r.KVs) != 1 {
 					t.Fatalf("parked Scan = %+v", r)
@@ -216,6 +223,9 @@ func TestWarmReadPassesParkedRead(t *testing.T) {
 				if r.Count != 1 {
 					t.Fatalf("parked Count = %+v", r)
 				}
+			}
+			if l := s.load.snapshot(); l.Units != units || !slices.Equal(l.Samples, []string{"x|1", key}) {
+				t.Fatalf("load after the parked read = %+v, want %d units from x|1 and %q", l, units, key)
 			}
 		})
 	}

@@ -97,6 +97,8 @@ type Server struct {
 	pushes uint64
 	nsubs  atomic.Int64 // == subs.Len(); lock-free no-subscriber fast path
 
+	load served // the client requests answered (stat `load`)
+
 	ln     net.Listener
 	connWG sync.WaitGroup // serve goroutines and their continuations (conn.later)
 	cmu    sync.Mutex
@@ -131,6 +133,47 @@ type Server struct {
 	recovery *client.RecoveryStat
 	metaMu   sync.Mutex
 	saved    *durable.Meta
+}
+
+// served counts the client requests a server answers, for the cluster
+// rebalancer and pequod-load's hot_share, which poll it as the stat
+// reply's `load` block: units is cumulative work — one per get, write
+// or removal, one plus the rows returned per scan or count — and
+// samples is a ring of the keys those requests named, so a quantile of
+// it splits work, not key count. Peers' subscribing scans (mesh loads,
+// replica syncs) are not counted: they are this cluster's own traffic,
+// and counting them made a member that homes popular source rows look
+// hot for work no client asked of it.
+type served struct {
+	mu      sync.Mutex
+	units   int64
+	samples [loadSampleRing]string
+	pos     int
+}
+
+// loadSampleRing is the key-sample capacity (a power of two).
+const loadSampleRing = 256
+
+// record notes one answered client request.
+func (l *served) record(key string, units int64) {
+	l.mu.Lock()
+	l.units += units
+	l.samples[l.pos&(loadSampleRing-1)] = key
+	l.pos++
+	l.mu.Unlock()
+}
+
+// snapshot is the stat reply's load block.
+func (l *served) snapshot() client.ServedLoad {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := client.ServedLoad{Units: l.units}
+	for _, k := range l.samples {
+		if k != "" {
+			out.Samples = append(out.Samples, k)
+		}
+	}
+	return out
 }
 
 // New creates a server.
@@ -354,7 +397,7 @@ func (s *Server) statJSON() string {
 	snap := client.StatSnapshot{
 		Name: s.name, ID: s.id, Shards: s.pool.NumShards(), Entries: s.pool.Len(),
 		Bytes: s.pool.Bytes(), Stats: st,
-		Rebalance: s.pool.MigrationStats(), Load: s.pool.LoadInfo(),
+		Rebalance: s.pool.MigrationStats(), Load: s.load.snapshot(),
 		Staleness: client.StaleStat{
 			DebtSpans:  spans,
 			DebtOldUS:  oldest.Microseconds(),
@@ -412,6 +455,7 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		if err := s.pool.Put(m.Key, m.Value); err != nil {
 			return errReply(m.Seq, err)
 		}
+		s.load.record(m.Key, 1)
 		return rpc.OKReply(m.Seq)
 
 	case rpc.MsgRemove:
@@ -419,6 +463,7 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		if err != nil {
 			return errReply(m.Seq, err)
 		}
+		s.load.record(m.Key, 1)
 		r := rpc.OKReply(m.Seq)
 		r.Found = found
 		return r
@@ -474,12 +519,15 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 // read makes a Get, Scan or Count request's one attempt at the pool:
 // its reply, or — when base data it needs is still loading — nil and
 // the restart context to retry on. buf lends a scan its result capacity.
+// The attempt that completes a client read counts its load.
 func (s *Server) read(cn *conn, m *rpc.Message, buf []core.KV) (*rpc.Message, *core.LoadWait) {
 	maxStale := time.Duration(m.StaleMS) * time.Millisecond // 0 = fully fresh
 	r := rpc.OKReply(m.Seq)
+	key, units := m.Lo, int64(1)
 	var err error
 	switch m.Type {
 	case rpc.MsgGet:
+		key = m.Key
 		r.Value, r.Found, err = s.pool.GetBounded(m.Key, maxStale)
 	case rpc.MsgScan:
 		var sub func(int, keys.Range)
@@ -487,12 +535,17 @@ func (s *Server) read(cn *conn, m *rpc.Message, buf []core.KV) (*rpc.Message, *c
 			sub = func(_ int, r keys.Range) { s.subscribe(cn, r) }
 		}
 		r.KVs, err = s.pool.ScanBounded(m.Lo, m.Hi, m.Limit, buf, sub, maxStale)
+		units += int64(len(r.KVs))
 	default: // MsgCount
 		var n int
 		n, err = s.pool.CountBounded(m.Lo, m.Hi, maxStale)
 		r.Count = int64(n)
+		units += r.Count
 	}
 	if err == nil {
+		if !m.SubscribeFlag {
+			s.load.record(key, units)
+		}
 		return r, nil
 	}
 	if lp, ok := err.(*shard.LoadPending); ok {

@@ -358,37 +358,6 @@ func (p *Pool) reconcileRetained(sh *Shard, ng *partition.View) {
 	sh.mu.Unlock()
 }
 
-// LoadInfo snapshots the pool's cumulative served load and recent key
-// samples — the raw material a cluster-level rebalancer polls through
-// the stat RPC to find hot servers and pick split points.
-type LoadInfo struct {
-	Units   int64    `json:"units"`   // ops + rows served since start
-	Samples []string `json:"samples"` // recently served keys (ring snapshot)
-}
-
-// LoadInfo returns the pool's current load snapshot.
-func (p *Pool) LoadInfo() LoadInfo {
-	var li LoadInfo
-	for _, sh := range p.shards {
-		li.Units += sh.unitsTotal.Load()
-		li.Samples = append(li.Samples, sh.sampleKeys()...)
-	}
-	return li
-}
-
-// sampleKeys snapshots the shard's ring of recently served keys.
-func (sh *Shard) sampleKeys() []string {
-	sh.smu.Lock()
-	defer sh.smu.Unlock()
-	var out []string
-	for _, k := range sh.samples {
-		if k != "" {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // MigrationStats counts the cluster migrations a member took part in:
 // extractions it served as the source, splices it took as the
 // destination, and what moved through them.

@@ -125,29 +125,6 @@ type Shard struct {
 	busy    bool      // applier is mid-batch
 	batchAt time.Time // oldest stamp of the in-flight batch (valid while busy)
 	closed  bool
-
-	// Load accounting for the cluster rebalancer (LoadInfo): unitsTotal
-	// counts work served (one per op plus one per row scanned) since the
-	// pool started — nothing resets it; the balancer differences
-	// successive readings; samples is a ring of recently served keys
-	// (guarded by smu: reads sharing mu record side by side) from which
-	// boundary moves pick their split points.
-	unitsTotal atomic.Int64
-	smu        sync.Mutex
-	samples    [loadSampleRing]string
-	samplePos  int
-}
-
-// loadSampleRing is the per-shard key-sample capacity (a power of two).
-const loadSampleRing = 256
-
-// record notes one served operation for load accounting.
-func (sh *Shard) record(key string, units int64) {
-	sh.unitsTotal.Add(units)
-	sh.smu.Lock()
-	sh.samples[sh.samplePos&(loadSampleRing-1)] = key
-	sh.samplePos++
-	sh.smu.Unlock()
 }
 
 // New builds a pool. Shards and Bounds must agree (n shards need n-1
@@ -407,7 +384,6 @@ func (p *Pool) Put(key, value string) error {
 		return err
 	}
 	sh.e.Put(key, value)
-	sh.record(key, 1)
 	sh.mu.Unlock()
 	return nil
 }
@@ -419,7 +395,6 @@ func (p *Pool) Remove(key string) (bool, error) {
 		return false, err
 	}
 	found := sh.e.Remove(key)
-	sh.record(key, 1)
 	sh.mu.Unlock()
 	return found, nil
 }
@@ -428,24 +403,29 @@ func (p *Pool) Remove(key string) (bool, error) {
 // "A read, end to end"). In an ungated pool (an embedded Cache's) it
 // first offers the read to clean, under the shard's lock held shared:
 // clean serves the read when it has nothing to compute — the engine's
-// GetClean or ScanClean, which change nothing — and readers of one
-// shard then run side by side. Otherwise, and always on a gated member
-// (whose connection serves its frames in order, so sharing buys it no
-// parallel reads while its feed writer pays for the read lock), the
-// read takes the exclusive step: under owner's lock, [lo, hi) must be
-// this process's (else NotOwner carrying the gate); then the engine
-// call op runs with the staleness budget, cut to zero when the shard's
-// forwarded-write queue already lags past it, and either completes
-// (units of work are recorded) or reports loads in flight, which step
-// returns as *LoadPending for the caller to retry on. A nil clean (a
-// subscribing scan) goes straight to the exclusive step. The shard
-// needs no ownership check: the pool's map never changes.
+// GetClean or ScanClean, which change nothing and need no budget — and
+// readers of one shard then run side by side. Otherwise, and always on
+// a gated member (whose connection serves its frames in order, so
+// sharing buys it no parallel reads while its feed writer pays for the
+// read lock), the read takes the exclusive step: under owner's lock,
+// [lo, hi) must be this process's (else NotOwner carrying the gate);
+// then the engine call op runs with the staleness budget, cut to zero
+// when the shard's forwarded-write queue already lags past it, and
+// either completes or reports loads in flight, which step returns as
+// *LoadPending for the caller to retry on. A nil clean (a subscribing
+// scan) goes straight to the exclusive step. The shard needs no
+// ownership check: the pool's map never changes.
 func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration,
-	clean func(e *core.Engine) (units int64, ok bool),
-	op func(e *core.Engine, budget time.Duration) (units int64, pending int)) error {
+	clean func(e *core.Engine) bool,
+	op func(e *core.Engine, budget time.Duration) (pending int)) error {
 	sh := p.shards[owner]
-	if clean != nil && !p.exclusiveReads && p.gate.Load() == nil && sh.readShared(lo, clean) {
-		return nil
+	if clean != nil && !p.exclusiveReads && p.gate.Load() == nil {
+		sh.mu.RLock()
+		ok := clean(sh.e)
+		sh.mu.RUnlock()
+		if ok {
+			return nil
+		}
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -456,25 +436,10 @@ func (p *Pool) step(owner int, lo, hi string, maxStale time.Duration,
 	if budget > 0 && sh.Lag(time.Now()) > budget {
 		budget = 0 // queue already over budget: fresh fallback
 	}
-	units, pending := op(sh.e, budget)
-	if pending > 0 {
+	if op(sh.e, budget) > 0 {
 		return &LoadPending{W: sh.e.LoadWait()}
 	}
-	sh.record(lo, units)
 	return nil
-}
-
-// readShared is step's shared attempt: clean runs under the read lock
-// and reports whether it served the read. A clean read has nothing
-// stale to serve, so it needs no budget.
-func (sh *Shard) readShared(lo string, clean func(e *core.Engine) (units int64, ok bool)) bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	units, ok := clean(sh.e)
-	if ok {
-		sh.record(lo, units)
-	}
-	return ok
 }
 
 // Get returns the value under key from its owning shard: GetBounded
@@ -489,14 +454,12 @@ func (p *Pool) Get(key string) (string, bool) {
 // one step at the key's shard.
 func (p *Pool) GetBounded(key string, maxStale time.Duration) (v string, ok bool, err error) {
 	point := keys.Range{Lo: key, Hi: key + "\x00"}
-	err = p.step(p.pmap.Owner(key), point.Lo, point.Hi, maxStale, func(e *core.Engine) (int64, bool) {
-		var clean bool
+	err = p.step(p.pmap.Owner(key), point.Lo, point.Hi, maxStale, func(e *core.Engine) (clean bool) {
 		v, ok, clean = e.GetClean(point)
-		return 1, clean
-	}, func(e *core.Engine, budget time.Duration) (int64, int) {
-		var pending int
+		return clean
+	}, func(e *core.Engine, budget time.Duration) (pending int) {
 		v, ok, pending = e.GetBounded(point, budget)
-		return 1, pending
+		return pending
 	})
 	if err != nil {
 		return "", false, err
@@ -527,21 +490,19 @@ func (p *Pool) ScanBounded(lo, hi string, limit int, buf []core.KV, sub func(sha
 	}
 	return partition.Gather(p.Map, keys.Range{Lo: lo, Hi: hi}, limit, sub != nil, buf,
 		func(pc partition.Shard, limit int, buf []core.KV) ([]core.KV, error) {
-			var clean func(e *core.Engine) (int64, bool)
+			var clean func(e *core.Engine) bool
 			if sub == nil {
-				clean = func(e *core.Engine) (int64, bool) {
-					var ok bool
+				clean = func(e *core.Engine) (ok bool) {
 					buf, ok = e.ScanClean(pc.R.Lo, pc.R.Hi, limit, buf)
-					return 1 + int64(len(buf)), ok
+					return ok
 				}
 			}
-			err := p.step(pc.Owner, pc.R.Lo, pc.R.Hi, maxStale, clean, func(e *core.Engine, budget time.Duration) (int64, int) {
-				var pending int
+			err := p.step(pc.Owner, pc.R.Lo, pc.R.Hi, maxStale, clean, func(e *core.Engine, budget time.Duration) (pending int) {
 				buf, pending = e.ScanIntoBounded(pc.R.Lo, pc.R.Hi, limit, buf, budget)
 				if pending == 0 && sub != nil {
 					sub(pc.Owner, pc.R)
 				}
-				return 1 + int64(len(buf)), pending
+				return pending
 			})
 			return buf, err
 		},
