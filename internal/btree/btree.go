@@ -2,12 +2,22 @@
 // (§4): every key-value pair lives in a leaf, leaves are chained in key
 // order, and interior nodes hold separators only. A timeline scan
 // therefore walks a few arrays instead of chasing one pointer per row,
-// and the garbage collector marks one object per leaf instead of one per
+// and the garbage collector marks two objects per leaf instead of one per
 // row. The same tree orders a store's tables and subtables and, probed
 // from the floor (AscendFloor), indexes the engine's disjoint ranges:
 // join statuses and presence records.
 //
-// Four properties are load-bearing for Pequod:
+// Five properties are load-bearing for Pequod:
+//
+//   - Packed leaves. A leaf keeps its keys' bytes in one byte arena,
+//     addressed by a 16-bit offset and an 8-bit length per slot, beside
+//     an array of values: two objects per leaf, not one per key. Arena
+//     bytes are written once and never again: a new key goes past the
+//     end of the arena whatever its slot, a removed one leaves its bytes
+//     behind, and only moving to a new arena, when the old one is full
+//     or mostly removed keys, drops them. So a scan hands out keys that
+//     are views of the arena, copying nothing, and they stay valid for
+//     as long as anyone holds them.
 //
 //   - Leaf fingers. A Hint remembers the leaf its last write landed in
 //     (the paper's output hints, §4.2). The next write through the hint,
@@ -40,43 +50,46 @@
 //     the store's accounting charges whole leaves, so that cost is seen.
 //
 //   - Range cuts. DeleteRange descends once and removes whole leaves at
-//     a time, the shape eviction and invalidation have.
+//     a time, the shape eviction and invalidation have. A cut that takes
+//     a leaf's head moves the leaf's fence up to its new first key, so
+//     the vacated range goes to the leaf before it, where rows written
+//     back into the range land beside the hint that wrote them.
 //
-// A Tree is not safe for concurrent use.
+// A Tree is not safe for concurrent writes; any number of readers may
+// use it at once.
 package btree
 
+import (
+	"encoding/binary"
+	"slices"
+	"strings"
+	"unsafe"
+)
+
 // fanout is the capacity of a leaf in pairs and of an interior node in
-// children. With 8-byte values a 61-pair leaf is 1512 bytes and a
-// 61-child interior node 1960; with the 8-byte header Go puts in front of
-// large pointerful objects they fill the 1536 and 2048 allocation size
-// classes. BenchmarkScanInterleaved and BenchmarkPutHintAppend in
-// internal/store chose it over 29 (768 B leaves) and 40 (1024 B).
-const fanout = 61
+// children. A leaf of 8-byte values is 760 bytes, which with the 8-byte
+// header Go puts in front of large pointerful objects fills the 768
+// allocation size class (its arena is a separate object); a 62-child
+// interior node is 1992 bytes and fits the 2048 class.
+// BenchmarkScanInterleaved and BenchmarkPutHintAppend in internal/store
+// chose a fanout in this range over 29 and 40.
+const fanout = 62
 
 // maxHeight bounds the depth of a tree: even half-full nodes would hold
 // 30^12 pairs.
 const maxHeight = 12
 
-// node is the sorted array both kinds of tree node are made of: a leaf is
-// a node of values, an interior node a node of children.
+// maxKeyBytes bounds the arena bytes of a leaf holding two keys or
+// more: the offsets that address the arena are 16 bits wide. A leaf of
+// one key may hold a key of any length; a write that would break the
+// bound gives the new key a leaf of its own (see grow).
+const maxKeyBytes = 1<<16 - 1
+
+// node is the sorted array an interior node is made of.
 type node[T any] struct {
 	n    int
 	keys [fanout]string
 	vals [fanout]T
-}
-
-// lowerBound returns the first slot whose key is >= key, or n.
-func (nd *node[T]) lowerBound(key string) int {
-	lo, hi := 0, nd.n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if nd.keys[m] < key {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 func (nd *node[T]) insertAt(i int, k string, v T) {
@@ -98,12 +111,11 @@ func (nd *node[T]) removeRange(i, j int) {
 
 // splitInsert makes room in the full node nd by moving its tail to the
 // empty node right, then puts (k, v) at its sorted slot i of the old
-// node. The cut is in the middle, except that it is at i when atPoint is
-// set or i is the very end: the pairs before the new key stay packed and
-// the next key of an ascending run finds room right behind it.
-func (nd *node[T]) splitInsert(right *node[T], i int, atPoint bool, k string, v T) (inRight bool) {
+// node. The cut is in the middle, except that an append at the very end
+// leaves nd full and starts right with the new child.
+func (nd *node[T]) splitInsert(right *node[T], i int, k string, v T) {
 	cut := fanout / 2
-	if atPoint || i == fanout {
+	if i == fanout {
 		cut = i
 	}
 	right.n = copy(right.keys[:], nd.keys[cut:])
@@ -113,25 +125,115 @@ func (nd *node[T]) splitInsert(right *node[T], i int, atPoint bool, k string, v 
 	nd.n = cut
 	if i > cut || cut == fanout {
 		right.insertAt(i-cut, k, v)
-		return true
+		return
 	}
 	nd.insertAt(i, k, v)
-	return false
 }
 
 // leaf holds pairs. lo is its lower fence: the leaf owns the keys in
 // [lo, next.lo), whether or not it currently holds any of them. A leaf in
 // the chain is never empty.
+//
+// Key i is arena[offs[i]:offs[i]+lens[i]]. A key of longLen bytes or
+// more has lens[i] == longLen and its entry in the arena starts with
+// its length as a uvarint. Entries sit in the order they were written,
+// not in slot order, and garbage counts the bytes of entries whose keys
+// have left the leaf. The bytes below len(arena) are never written
+// again: keys handed out are views of them. A scan reads offsets and
+// lengths from the leaf and touches no key bytes.
 type leaf[V any] struct {
-	node[V]
+	n, garbage int
 	lo         string
 	prev, next *leaf[V]
+	arena      []byte
+	offs       [fanout]uint16
+	lens       [fanout]uint8
 	dead       bool
+	vals       [fanout]V
+}
+
+// longLen marks a key too long for its length to fit a slot's byte.
+const longLen = 0xff
+
+// view returns b as a string without copying. b must never be written
+// again.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// entry returns key i's entry in the arena.
+func (lf *leaf[V]) entry(i int) []byte {
+	a := lf.arena[lf.offs[i]:]
+	n, h := int(lf.lens[i]), 0
+	if n == longLen {
+		u, w := binary.Uvarint(a)
+		n, h = int(u), w
+	}
+	return a[:h+n]
+}
+
+// key returns key i, a view of the arena.
+func (lf *leaf[V]) key(i int) string { return keyAt(lf.arena, lf.offs[i], lf.lens[i]) }
+
+// keyAt returns the key whose entry is at arena[at:] with slot length
+// n, a view of the arena.
+func keyAt(arena []byte, at uint16, n uint8) string {
+	a := arena[at:]
+	if n < longLen {
+		return view(a[:n])
+	}
+	u, h := binary.Uvarint(a)
+	return view(a[h : h+int(u)])
+}
+
+// entrySize is the arena bytes an entry for key takes.
+func entrySize(key string) int {
+	n := len(key)
+	if n < longLen {
+		return n
+	}
+	h := 1
+	for u := n; u >= 0x80; u >>= 7 {
+		h++
+	}
+	return h + n
+}
+
+// live is the arena bytes of the leaf's own keys.
+func (lf *leaf[V]) live() int { return len(lf.arena) - lf.garbage }
+
+// fits reports whether the leaf can take key without its keys' bytes
+// outgrowing what its offsets address.
+func (lf *leaf[V]) fits(key string) bool {
+	return lf.n == 0 || lf.live()+entrySize(key) <= maxKeyBytes
+}
+
+// search returns the first slot whose key is >= key, or n, and whether
+// that key is key itself.
+func (lf *leaf[V]) search(key string) (int, bool) {
+	lo, hi := 0, lf.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if lf.key(m) < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < lf.n && lf.key(lo) == key
 }
 
 // covers reports whether a write of key belongs in lf.
 func (lf *leaf[V]) covers(key string) bool {
 	return !lf.dead && lf.lo <= key && (lf.next == nil || key < lf.next.lo)
+}
+
+// end returns where a scan bounded by hi stops in lf, and whether lf is
+// the last leaf it visits: one comparison for every leaf but the last.
+func (lf *leaf[V]) end(hi string) (int, bool) {
+	if hi != "" && lf.key(lf.n-1) >= hi {
+		i, _ := lf.search(hi)
+		return i, true
+	}
+	return lf.n, false
 }
 
 // kid is a child pointer: lf at the bottom interior level, in above it.
@@ -177,6 +279,7 @@ type Tree[V any] struct {
 	first  *leaf[V]
 
 	size, leaves, inners int
+	arenas               int // the capacity of every live leaf's arena
 
 	// gen counts changes to the key set, so a scan whose callback wrote
 	// to the tree can find its place again.
@@ -211,6 +314,105 @@ func (t *Tree[V]) Len() int { return t.size }
 // the owner's memory accounting.
 func (t *Tree[V]) Nodes() (leaves, inners int) { return t.leaves, t.inners }
 
+// ArenaBytes returns what the leaves' key arenas occupy: each one's
+// capacity, which is its allocation size class.
+func (t *Tree[V]) ArenaBytes() int { return t.arenas }
+
+// setArena gives lf the arena a, counting the change in capacity.
+func (t *Tree[V]) setArena(lf *leaf[V], a []byte) {
+	t.arenas += cap(a) - cap(lf.arena)
+	lf.arena = a
+}
+
+// compact moves lf's entries, in slot order and without garbage, to a
+// new arena with room for extra more bytes, rounded up to its
+// allocation size class.
+func (t *Tree[V]) compact(lf *leaf[V], extra int) {
+	var a []byte
+	if size := lf.live() + extra; size > 0 {
+		a = slices.Grow(a, size)
+	}
+	for i := 0; i < lf.n; i++ {
+		e := lf.entry(i)
+		lf.offs[i] = uint16(len(a))
+		a = append(a, e...)
+	}
+	t.setArena(lf, a)
+	lf.garbage = 0
+}
+
+// reserve makes room for b more bytes at the end of lf's arena, where
+// 16-bit offsets still address them. When it has none, the entries move
+// to a new arena with a quarter more room than they need, so a leaf
+// filled one key at a time copies its arena a handful of times.
+func (t *Tree[V]) reserve(lf *leaf[V], b int) {
+	if n := len(lf.arena) + b; n > cap(lf.arena) || n > maxKeyBytes {
+		need := lf.live() + b
+		t.compact(lf, b+need/4)
+	}
+}
+
+// fit gives back the room removals left in lf's arena once it is more
+// than reserve would have made: the entries move to an arena of the
+// smallest size class that holds them. Removed rows thereby leave the
+// heap, and the accounting that charges arenas at their capacity, with
+// them.
+func (t *Tree[V]) fit(lf *leaf[V]) {
+	if n := lf.live(); cap(lf.arena) > n+n/4+16 {
+		t.compact(lf, 0)
+	}
+}
+
+// insertAt puts (key, v) at slot i of lf, which covers key, has a free
+// slot and fits it, writing the key's entry past the end of the arena.
+func (t *Tree[V]) insertAt(lf *leaf[V], i int, key string, v V) {
+	t.reserve(lf, entrySize(key))
+	at, n := len(lf.arena), uint8(min(len(key), longLen))
+	if n == longLen {
+		lf.arena = binary.AppendUvarint(lf.arena, uint64(len(key)))
+	}
+	lf.arena = append(lf.arena, key...)
+	copy(lf.offs[i+1:lf.n+1], lf.offs[i:lf.n])
+	copy(lf.lens[i+1:lf.n+1], lf.lens[i:lf.n])
+	copy(lf.vals[i+1:lf.n+1], lf.vals[i:lf.n])
+	lf.offs[i], lf.lens[i], lf.vals[i] = uint16(at), n, v
+	lf.n++
+}
+
+// removeRange deletes slots [i, j), leaving their entries behind as
+// garbage and clearing the vacated values so they pin nothing.
+func (lf *leaf[V]) removeRange(i, j int) {
+	for x := i; x < j; x++ {
+		lf.garbage += len(lf.entry(x))
+	}
+	copy(lf.offs[i:], lf.offs[j:lf.n])
+	copy(lf.lens[i:], lf.lens[j:lf.n])
+	m := i + copy(lf.vals[i:], lf.vals[j:lf.n])
+	clear(lf.vals[m:lf.n])
+	lf.n = m
+}
+
+// pour inserts src's pairs [a, b) at slot at of dst, writing their
+// entries past the end of dst's arena, which must fit them. src keeps
+// them.
+func (t *Tree[V]) pour(dst *leaf[V], at int, src *leaf[V], a, b int) {
+	m, size := b-a, 0
+	for x := a; x < b; x++ {
+		size += len(src.entry(x))
+	}
+	t.reserve(dst, size)
+	copy(dst.offs[at+m:dst.n+m], dst.offs[at:dst.n])
+	copy(dst.lens[at+m:dst.n+m], dst.lens[at:dst.n])
+	copy(dst.vals[at+m:dst.n+m], dst.vals[at:dst.n])
+	copy(dst.lens[at:], src.lens[a:b])
+	for x := a; x < b; x++ {
+		dst.offs[at+x-a] = uint16(len(dst.arena))
+		dst.arena = append(dst.arena, src.entry(x)...)
+	}
+	copy(dst.vals[at:], src.vals[a:b])
+	dst.n += m
+}
+
 // path records the interior nodes a descent went through, root first,
 // and the child taken at each.
 type path[V any] struct {
@@ -236,7 +438,7 @@ func (t *Tree[V]) descend(key string, p *path[V]) *leaf[V] {
 
 // Get returns the value stored under key.
 func (t *Tree[V]) Get(key string) (v V, ok bool) {
-	if lf, i := t.seek(key); lf != nil && i < lf.n && lf.keys[i] == key {
+	if lf, i, found := t.seek(key); found {
 		return lf.vals[i], true
 	}
 	return v, false
@@ -256,6 +458,8 @@ func (t *Tree[V]) Set(key string, v V, h *Hint[V]) (old V, existed bool) {
 // write costs a lookup and nothing more. The hint moves as for Set, to
 // the leaf holding key, where the next key of a run goes. A nil same
 // never keeps.
+//
+// A key the leaf cannot fit (maxKeyBytes) gets a leaf of its own.
 func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) bool) (old V, existed, kept bool) {
 	var p path[V]
 	lf := h.leafFor(t, key)
@@ -268,24 +472,20 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 	default:
 		lf = t.descend(key, &p)
 	}
-	i := lf.lowerBound(key)
-	if i < lf.n && lf.keys[i] == key {
+	i, found := lf.search(key)
+	if found {
 		old, existed = lf.vals[i], true
 		if kept = same != nil && same(old, v); !kept {
 			lf.vals[i] = v
 		}
 	} else {
-		if lf.n < fanout {
-			lf.insertAt(i, key, v)
+		if lf.n < fanout && lf.fits(key) {
+			t.insertAt(lf, i, key, v)
 		} else {
 			if hinted {
 				t.descend(key, &p) // a spill or split needs the way down to lf
 			}
-			if to := t.spill(lf, &p, i, hinted, key, v); to != nil {
-				lf = to
-			} else {
-				lf = t.split(lf, &p, i, hinted, key, v)
-			}
+			lf = t.grow(lf, &p, i, hinted, key, v)
 		}
 		t.size++
 		t.gen++
@@ -294,6 +494,30 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 		h.lf, h.t = lf, t
 	}
 	return old, existed, kept
+}
+
+// grow puts (key, v) at its sorted slot i of lf, which p leads to and
+// which has no room for it, and returns the leaf it went to: a sibling
+// takes pairs from lf, or lf splits. A key lf cannot fit at all goes at
+// an end of a leaf of its own: when it falls between two of lf's keys,
+// lf is cut there first.
+func (t *Tree[V]) grow(lf *leaf[V], p *path[V], i int, hinted bool, key string, v V) *leaf[V] {
+	if lf.fits(key) {
+		if to := t.spill(lf, p, i, hinted, key, v); to != nil {
+			return to
+		}
+		return t.splitInsert(lf, p, i, hinted, key, v)
+	}
+	if i > 0 && i < lf.n {
+		t.split(lf, p, i, strings.Clone(lf.key(i)), 0)
+		if lf.fits(key) {
+			t.insertAt(lf, i, key, v)
+			return lf
+		}
+		p.n = 0
+		t.descend(key, p) // the split may have moved lf in the tree
+	}
+	return t.splitInsert(lf, p, i, true, key, v)
 }
 
 // spill makes room in the full leaf lf, which p leads to, by moving
@@ -309,26 +533,33 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 // new key go to the right sibling only when all of them fit there, and
 // otherwise the leaf's head goes to the left sibling. Any other write
 // moves half the difference in free slots into whichever sibling has
-// more room, so both leaves keep a free slot.
+// more room, so both leaves keep a free slot. A sibling that could not
+// fit all of lf's keys and key has no room.
 func (t *Tree[V]) spill(lf *leaf[V], p *path[V], i int, hinted bool, key string, v V) *leaf[V] {
 	if p.n == 0 || i == fanout {
 		return nil
 	}
 	in, at := p.in[p.n-1], p.at[p.n-1]
+	room := func(s *leaf[V]) int {
+		if s.live()+lf.live()+entrySize(key) > maxKeyBytes {
+			return 0
+		}
+		return fanout - s.n
+	}
 	lroom, rroom := 0, 0
 	if at > 0 {
-		lroom = fanout - in.vals[at-1].lf.n
+		lroom = room(in.vals[at-1].lf)
 	}
 	if at+1 < in.n {
-		rroom = fanout - in.vals[at+1].lf.n
+		rroom = room(in.vals[at+1].lf)
 	}
 	switch {
 	case hinted && fanout-i <= rroom:
-		return spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], fanout-i, i, key, v)
+		return t.spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], fanout-i, i, key, v)
 	case !hinted && rroom > 1 && rroom >= lroom:
-		return spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], rroom/2, i, key, v)
+		return t.spillRight(lf, in.vals[at+1].lf, &in.keys[at+1], rroom/2, i, key, v)
 	case lroom > 1:
-		return spillLeft(lf, in.vals[at-1].lf, &in.keys[at], lroom/2, i, key, v)
+		return t.spillLeft(lf, in.vals[at-1].lf, &in.keys[at], lroom/2, i, key, v)
 	}
 	return nil
 }
@@ -336,66 +567,95 @@ func (t *Tree[V]) spill(lf *leaf[V], p *path[V], i int, hinted bool, key string,
 // spillRight moves the full leaf lf's last m pairs to the head of its
 // right sibling r, resets r's fence and sep, its separator, to match, and
 // puts (key, v), whose sorted slot in lf was i, into the leaf that owns it.
-func spillRight[V any](lf, r *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
+func (t *Tree[V]) spillRight(lf, r *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
 	cut := fanout - m
-	copy(r.keys[m:r.n+m], r.keys[:r.n])
-	copy(r.vals[m:r.n+m], r.vals[:r.n])
-	copy(r.keys[:m], lf.keys[cut:])
-	copy(r.vals[:m], lf.vals[cut:])
-	r.n += m
+	r.lo = strings.Clone(lf.key(cut))
+	*sep = r.lo
+	t.pour(r, 0, lf, cut, fanout)
 	lf.removeRange(cut, fanout)
-	r.lo, *sep = r.keys[0], r.keys[0]
 	if i > cut {
-		r.insertAt(i-cut, key, v)
+		t.insertAt(r, i-cut, key, v)
 		return r
 	}
-	lf.insertAt(i, key, v)
+	t.insertAt(lf, i, key, v)
 	return lf
 }
 
 // spillLeft moves the full leaf lf's first m pairs to the tail of its
 // left sibling l, resets lf's fence and sep, its separator, to match, and
 // puts (key, v), whose sorted slot in lf was i, into the leaf that owns it.
-func spillLeft[V any](lf, l *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
-	copy(l.keys[l.n:], lf.keys[:m])
-	copy(l.vals[l.n:], lf.vals[:m])
-	l.n += m
+func (t *Tree[V]) spillLeft(lf, l *leaf[V], sep *string, m, i int, key string, v V) *leaf[V] {
+	lf.lo = strings.Clone(lf.key(m))
+	*sep = lf.lo
+	t.pour(l, l.n, lf, 0, m)
 	lf.removeRange(0, m)
-	lf.lo, *sep = lf.keys[0], lf.keys[0]
 	if i <= m {
-		l.insertAt(l.n-m+i, key, v)
+		t.insertAt(l, l.n-m+i, key, v)
 		return l
 	}
-	lf.insertAt(i-m, key, v)
+	t.insertAt(lf, i-m, key, v)
 	return lf
 }
 
-// split splits the full leaf lf, which p leads to, around the new pair
-// and returns the leaf the pair went to.
-func (t *Tree[V]) split(lf *leaf[V], p *path[V], i int, atPoint bool, key string, v V) *leaf[V] {
-	right := &leaf[V]{prev: lf, next: lf.next}
-	t.leaves++
-	target := lf
-	if lf.splitInsert(&right.node, i, atPoint, key, v) {
-		target = right
+// splitInsert splits lf, which p leads to, around the new pair at its
+// sorted slot i and returns the leaf the pair went to. The cut is in the
+// middle, except that it is at i when atPoint is set or i is the very
+// end: the pairs before the new key stay packed and the next key of an
+// ascending run finds room right behind it.
+func (t *Tree[V]) splitInsert(lf *leaf[V], p *path[V], i int, atPoint bool, key string, v V) *leaf[V] {
+	n := lf.n
+	cut := n / 2
+	if atPoint || i == n {
+		cut = i
 	}
-	right.lo = right.keys[0]
+	if cut == n {
+		// The key after a full run: the next keys of the run will fill
+		// the new leaf as they filled lf, so it gets as much room.
+		right := t.split(lf, p, cut, strings.Clone(key), min(lf.live(), 4<<10)+entrySize(key))
+		t.insertAt(right, 0, key, v)
+		return right
+	}
+	right := t.split(lf, p, cut, strings.Clone(lf.key(cut)), 0)
+	if i > cut {
+		t.insertAt(right, i-cut, key, v)
+		return right
+	}
+	t.insertAt(lf, i, key, v)
+	return lf
+}
+
+// split moves lf's pairs from slot cut on to a new leaf right after it,
+// with fence lo and arena room for extra more bytes, hangs the new leaf
+// beside lf in its parent, which p leads to, splitting full ancestors,
+// and returns it.
+func (t *Tree[V]) split(lf *leaf[V], p *path[V], cut int, lo string, extra int) *leaf[V] {
+	right := &leaf[V]{lo: lo, prev: lf, next: lf.next}
+	t.leaves++
 	if lf.next != nil {
 		lf.next.prev = right
 	}
 	lf.next = right
+	size := extra
+	for x := cut; x < lf.n; x++ {
+		size += len(lf.entry(x))
+	}
+	if size > 0 {
+		t.setArena(right, slices.Grow([]byte(nil), size))
+	}
+	t.pour(right, 0, lf, cut, lf.n)
+	lf.removeRange(cut, lf.n)
+	t.fit(lf)
 
-	// Hang right beside lf in its parent, splitting full ancestors.
 	sep, k := right.lo, kid[V]{lf: right}
 	for level := p.n - 1; level >= 0; level-- {
 		in, at := p.in[level], p.at[level]+1
 		if in.n < fanout {
 			in.insertAt(at, sep, k)
-			return target
+			return right
 		}
 		r := &inner[V]{}
 		t.inners++
-		in.splitInsert(&r.node, at, false, sep, k)
+		in.splitInsert(&r.node, at, sep, k)
 		sep, k = r.keys[0], kid[V]{in: r}
 	}
 	root := &inner[V]{}
@@ -405,7 +665,7 @@ func (t *Tree[V]) split(lf *leaf[V], p *path[V], i int, atPoint bool, key string
 	root.keys[1], root.vals[1] = sep, k
 	t.root = kid[V]{in: root}
 	t.height++
-	return target
+	return right
 }
 
 // freeLeaf takes an emptied leaf out of the chain and marks it dead for
@@ -419,7 +679,8 @@ func (t *Tree[V]) freeLeaf(lf *leaf[V]) {
 	if lf.next != nil {
 		lf.next.prev = lf.prev
 	}
-	lf.prev, lf.next, lf.dead = nil, nil, true
+	t.setArena(lf, nil)
+	lf.prev, lf.next, lf.dead, lf.garbage = nil, nil, true, 0
 	t.leaves--
 }
 
@@ -444,7 +705,7 @@ func (t *Tree[V]) dropKids(in *inner[V], h, i, j int, fence string) {
 // stay as short as the surviving pairs allow.
 func (t *Tree[V]) shrink() {
 	if t.leaves == 0 {
-		t.root, t.height, t.inners = kid[V]{}, 0, 0
+		t.root, t.first, t.height, t.inners = kid[V]{}, nil, 0, 0
 		return
 	}
 	for t.height > 1 && t.root.in.n == 1 {
@@ -461,8 +722,8 @@ func (t *Tree[V]) Delete(key string) (old V, ok bool) {
 	}
 	var p path[V]
 	lf := t.descend(key, &p)
-	i := lf.lowerBound(key)
-	if i == lf.n || lf.keys[i] != key {
+	i, found := lf.search(key)
+	if !found {
 		return old, false
 	}
 	old = lf.vals[i]
@@ -470,15 +731,17 @@ func (t *Tree[V]) Delete(key string) (old V, ok bool) {
 	t.size--
 	t.gen++
 	if lf.n > 0 {
+		t.fit(lf)
 		return old, true
 	}
+	fence := lf.lo
 	t.freeLeaf(lf)
 	// Unhook lf from its parent, and every ancestor that empties with
 	// it from its own. Each emptied ancestor held lf alone, so wherever
 	// the climb removes a first child, lf's fence is that node's.
 	for level := p.n - 1; level >= 0; level-- {
 		in := p.in[level]
-		t.dropKids(in, t.height-level, p.at[level], p.at[level]+1, lf.lo)
+		t.dropKids(in, t.height-level, p.at[level], p.at[level]+1, fence)
 		if in.n > 0 {
 			break
 		}
@@ -490,16 +753,37 @@ func (t *Tree[V]) Delete(key string) (old V, ok bool) {
 
 // DeleteRange removes every key in [lo, hi) (hi == "" means unbounded),
 // calling fn (if non-nil) for each removed pair in ascending order, and
-// returns how many it removed. fn must not use the tree.
+// returns how many it removed. The keys fn is given are views of the
+// leaves' arenas, as a scan's are. fn must not use the tree.
+//
+// When the cut takes the head of the leaf that now holds hi, that leaf's
+// fence, and the separator routing to it, move up to its new first key:
+// the vacated range goes to the leaf before, whose chain link already
+// reaches it, so rows written back into the range through a hint on that
+// leaf stay there.
 func (t *Tree[V]) DeleteRange(lo, hi string, fn func(k string, v V)) int {
 	if t.height == 0 || (hi != "" && hi <= lo) {
 		return 0
 	}
 	n := t.cut(t.root, t.height, "", lo, hi, fn)
-	if n > 0 {
-		t.size -= n
-		t.gen++
-		t.shrink()
+	if n == 0 {
+		return 0
+	}
+	t.size -= n
+	t.gen++
+	if t.shrink(); t.height == 0 || hi == "" {
+		return n
+	}
+	var p path[V]
+	lf := t.descend(hi, &p)
+	if lf != t.first && lf.lo >= lo && lf.lo < lf.key(0) {
+		lf.lo = strings.Clone(lf.key(0))
+		for level := p.n - 1; ; level-- {
+			if at := p.at[level]; at > 0 {
+				p.in[level].keys[at] = lf.lo
+				break
+			}
+		}
 	}
 	return n
 }
@@ -510,17 +794,19 @@ func (t *Tree[V]) DeleteRange(lo, hi string, fn func(k string, v V)) int {
 func (t *Tree[V]) cut(k kid[V], h int, fence, lo, hi string, fn func(k string, v V)) int {
 	if h == 1 {
 		lf := k.lf
-		i, j := lf.lowerBound(lo), lf.n
-		if hi != "" && lf.keys[j-1] >= hi {
-			j = lf.lowerBound(hi)
+		i, _ := lf.search(lo)
+		j, _ := lf.end(hi)
+		if j <= i {
+			return 0
 		}
 		if fn != nil {
 			for x := i; x < j; x++ {
-				fn(lf.keys[x], lf.vals[x])
+				fn(lf.key(x), lf.vals[x])
 			}
 		}
-		lf.removeRange(i, j)
-		if lf.n == 0 {
+		if lf.removeRange(i, j); lf.n > 0 {
+			t.fit(lf)
+		} else {
 			t.freeLeaf(lf)
 		}
 		return j - i
@@ -557,30 +843,25 @@ func (t *Tree[V]) cut(k kid[V], h int, fence, lo, hi string, fn func(k string, v
 }
 
 // seek returns the position of the first key >= key: a leaf and a slot
-// in it, which is the leaf's n when that key starts the next leaf.
-func (t *Tree[V]) seek(key string) (*leaf[V], int) {
+// in it, which is the leaf's n when that key starts the next leaf, and
+// whether the key there is key itself.
+func (t *Tree[V]) seek(key string) (*leaf[V], int, bool) {
 	if t.height == 0 {
-		return nil, 0
+		return nil, 0, false
 	}
 	lf := t.descend(key, nil)
-	return lf, lf.lowerBound(key)
-}
-
-// end returns where a scan bounded by hi stops in lf, and whether lf is
-// the last leaf it visits: one comparison for every leaf but the last.
-func (lf *leaf[V]) end(hi string) (int, bool) {
-	if hi != "" && lf.keys[lf.n-1] >= hi {
-		return lf.lowerBound(hi), true
-	}
-	return lf.n, false
+	i, found := lf.search(key)
+	return lf, i, found
 }
 
 // Ascend calls fn for every pair with lo <= key < hi in ascending order
 // (hi == "" means unbounded) and reports whether it ran to the end; fn
 // returning false stops it. fn may write to the tree: the scan then
-// continues from the first key after the one fn was given.
+// continues from the first key after the one fn was given. Keys are
+// views of the leaves' arenas, whose bytes are never written again: fn
+// may keep them, and a key kept holds its arena alive.
 func (t *Tree[V]) Ascend(lo, hi string, fn func(k string, v V) bool) bool {
-	lf, i := t.seek(lo)
+	lf, i, _ := t.seek(lo)
 	return t.ascend(lf, i, hi, fn)
 }
 
@@ -589,9 +870,9 @@ func (t *Tree[V]) Ascend(lo, hi string, fn func(k string, v V) bool) bool {
 // ranges keyed by where they start, that is the one range starting
 // outside [lo, hi) that can still reach into it.
 func (t *Tree[V]) AscendFloor(lo, hi string, fn func(k string, v V) bool) bool {
-	lf, i := t.seek(lo)
+	lf, i, found := t.seek(lo)
 	switch {
-	case lf == nil || (i < lf.n && lf.keys[i] == lo):
+	case lf == nil || found:
 	case i > 0:
 		i--
 	case lf.prev != nil:
@@ -601,20 +882,21 @@ func (t *Tree[V]) AscendFloor(lo, hi string, fn func(k string, v V) bool) bool {
 	return t.ascend(lf, i, hi, fn)
 }
 
-// ascend is the scan both Ascends run, from slot i of lf.
+// ascend is the scan every Ascend runs, from slot i of lf.
 func (t *Tree[V]) ascend(lf *leaf[V], i int, hi string, fn func(k string, v V) bool) bool {
 	gen := t.gen
 scan:
 	for lf != nil {
 		end, last := lf.end(hi)
 		for ; i < end; i++ {
-			k := lf.keys[i]
+			k := lf.key(i)
 			if !fn(k, lf.vals[i]) {
 				return false
 			}
 			if t.gen != gen {
 				gen = t.gen
-				if lf, i = t.seek(k); lf != nil && i < lf.n && lf.keys[i] == k {
+				var found bool
+				if lf, i, found = t.seek(k); found {
 					i++
 				}
 				continue scan
@@ -628,23 +910,40 @@ scan:
 	return true
 }
 
+// Keys is the keys of one leaf's share of a run scan, without copying:
+// At returns views of the leaf's arena, which the caller may keep. The
+// Keys value itself aliases the leaf and is valid only until the
+// callback it was handed to returns.
+type Keys struct {
+	arena []byte
+	offs  []uint16
+	lens  []uint8
+}
+
+// Len returns the number of keys in the run.
+func (k Keys) Len() int { return len(k.offs) }
+
+// At returns key i of the run.
+func (k Keys) At(i int) string { return keyAt(k.arena, k.offs[i], k.lens[i]) }
+
 // AscendRuns is Ascend a leaf at a time: fn receives the keys and values
-// of each leaf's share of [lo, hi) as parallel slices into the leaf, and
-// rest, the number of pairs of the range that follow the run, so a
-// caller copying the range out can make room once. fn must not keep or
-// modify the slices, nor write to the tree.
+// of each leaf's share of [lo, hi), and rest, the number of pairs of the
+// range that follow the run, so a caller copying the range out can make
+// room once. Keys and values alias the leaf: fn must not keep or modify
+// the value slice or the Keys value, nor write to the tree; the keys
+// themselves it may keep.
 //
 // A non-nil h is where the scan may start: when its leaf is a live leaf
 // of t covering lo, the scan begins there instead of descending from the
 // root. Any other hint is ignored, so a hint can never change what the
 // scan returns, only how it finds its first key. The hint is not moved.
-func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys []string, vals []V, rest int) bool) bool {
+func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys Keys, vals []V, rest int) bool) bool {
 	var i int
 	lf := h.leafFor(t, lo)
 	if lf != nil {
-		i = lf.lowerBound(lo)
+		i, _ = lf.search(lo)
 	} else {
-		lf, i = t.seek(lo)
+		lf, i, _ = t.seek(lo)
 	}
 	rest := 0
 	for l, from := lf, i; l != nil; l, from = l.next, 0 {
@@ -657,7 +956,8 @@ func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys []string, v
 	for ; rest > 0; lf, i = lf.next, 0 {
 		if end, _ := lf.end(hi); i < end {
 			rest -= end - i
-			if !fn(lf.keys[i:end], lf.vals[i:end], rest) {
+			ks := Keys{arena: lf.arena, offs: lf.offs[i:end], lens: lf.lens[i:end]}
+			if !fn(ks, lf.vals[i:end], rest) {
 				return false
 			}
 		}

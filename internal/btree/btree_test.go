@@ -69,7 +69,8 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 		got = append(got, k)
 		return true
 	})
-	tr.AscendRuns(lo, hi, nil, func(ks []string, vs []int, rest int) bool {
+	tr.AscendRuns(lo, hi, nil, func(run Keys, vs []int, rest int) bool {
+		ks := run.all()
 		if len(ks) == 0 || len(ks) != len(vs) || len(runs)+len(ks)+rest != len(want) {
 			t.Fatalf("%s: run of %d keys, %d values, %d to follow %d of %d", when, len(ks), len(vs), rest, len(runs), len(want))
 		}
@@ -107,6 +108,15 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 
 func key(i int) string { return fmt.Sprintf("k%06d", i) }
 
+// all returns the keys of a run as a slice.
+func (k Keys) all() []string {
+	ks := make([]string, k.Len())
+	for i := range ks {
+		ks[i] = k.At(i)
+	}
+	return ks
+}
+
 // hintUse classifies a hint a scan is handed: which of the ways it can
 // be unusable, if any.
 type hintUse int
@@ -140,7 +150,8 @@ func equalHintedScan(t testing.TB, tr *Tree[int], m *model, lo, hi string, h *Hi
 	i, j := m.rng(lo, hi)
 	want := m.keys[i:j]
 	var got []string
-	tr.AscendRuns(lo, hi, h, func(ks []string, vs []int, rest int) bool {
+	tr.AscendRuns(lo, hi, h, func(run Keys, vs []int, rest int) bool {
+		ks := run.all()
 		for x, k := range ks {
 			if mv, ok := m.vals[k]; !ok || vs[x] != mv {
 				t.Fatalf("%s: hinted scan [%q,%q) gives %q = %d, model %d, %v", when, lo, hi, k, vs[x], mv, ok)
@@ -213,7 +224,7 @@ func TestSetGetDelete(t *testing.T) {
 		t.Fatalf("early stop visited %d", n)
 	}
 	n = 0
-	if tr.AscendRuns("", "", nil, func([]string, []int, int) bool { n++; return false }) || n != 1 {
+	if tr.AscendRuns("", "", nil, func(Keys, []int, int) bool { n++; return false }) || n != 1 {
 		t.Fatalf("early stop visited %d runs", n)
 	}
 	for _, i := range rand.New(rand.NewSource(2)).Perm(5000) {
@@ -590,6 +601,46 @@ func TestFencesAfterFrees(t *testing.T) {
 	}
 }
 
+// A cut that takes the head of a leaf moves that leaf's fence, and the
+// separator routing to it, up to its new first key: the vacated range
+// goes to the leaf before, so a hinted run written back into it — a
+// timeline computed again after its eviction — stays in the hinted leaf
+// from its first key to its last instead of descending at a stale fence.
+func TestCutTakesLeafHead(t *testing.T) {
+	var tr Tree[int]
+	m := newModel()
+	row := func(u, i int) string { return fmt.Sprintf("t|u%03d|%06d", u, i) }
+	var h Hint[int]
+	for u := 0; u < 10; u++ { // sorted: full leaves, which straddle timelines
+		for i := 0; i < 200; i++ {
+			tr.Set(row(u, i), i, &h)
+			m.set(row(u, i), i)
+		}
+	}
+	lo, hi := "t|u005|", "t|u005}"
+	head := tr.descend(row(6, 0), nil)
+	if head.lo < lo || head.lo >= hi {
+		t.Fatalf("set-up: the leaf holding u006's first row starts at %q, not inside u005's rows", head.lo)
+	}
+	m.deleteRange(lo, hi)
+	tr.DeleteRange(lo, hi, nil)
+	mustCheck(t, &tr, m, "after the cut")
+	if head.dead || head.lo != row(6, 0) {
+		t.Fatalf("the leaf whose head went has fence %q, want %q", head.lo, row(6, 0))
+	}
+	var w Hint[int]
+	for i := 0; i < 200; i++ {
+		k := row(5, i)
+		if i > 0 && !w.lf.covers(k) {
+			t.Fatalf("row %d of the rewritten timeline is outside the hinted leaf [%q, %q)", i, w.lf.lo, w.lf.next.lo)
+		}
+		tr.Set(k, i, &w)
+		m.set(k, i)
+	}
+	mustCheck(t, &tr, m, "after the rewrite")
+	equalScan(t, &tr, m, "", "", "after the rewrite")
+}
+
 func TestDeleteRangeShapes(t *testing.T) {
 	build := func(n int) (*Tree[int], *model) {
 		tr, m := &Tree[int]{}, newModel()
@@ -691,7 +742,7 @@ func TestSetUnless(t *testing.T) {
 	if l, in := tr.Nodes(); tr.gen != gen || tr.Len() != n || l != leaves || in != inners {
 		t.Fatalf("a kept write changed the tree: gen %d → %d, %d pairs, %d/%d nodes", gen, tr.gen, tr.Len(), l, in)
 	}
-	if !h.lf.covers(key(n-1)) || h.lf.keys[h.lf.lowerBound(key(n-1))] != key(n-1) {
+	if _, found := h.lf.search(key(n - 1)); !h.lf.covers(key(n-1)) || !found {
 		t.Fatalf("the hint stayed on leaf %q, not the one holding the key", h.lf.lo)
 	}
 	if _, _, kept := tr.SetUnless(key(3), -3, nil, sameInt); kept {
@@ -855,11 +906,13 @@ func TestCheckCatchesDamage(t *testing.T) {
 	damage := map[string]func(tr *Tree[int]){
 		"size":        func(tr *Tree[int]) { tr.size++ },
 		"leaf count":  func(tr *Tree[int]) { tr.leaves++ },
-		"order":       func(tr *Tree[int]) { lf := second(tr); lf.keys[1], lf.keys[2] = lf.keys[2], lf.keys[1] },
+		"arena count": func(tr *Tree[int]) { tr.arenas++ },
+		"order":       func(tr *Tree[int]) { lf := second(tr); lf.offs[1], lf.offs[2] = lf.offs[2], lf.offs[1] },
 		"fence":       func(tr *Tree[int]) { second(tr).lo += "x" },
-		"key below":   func(tr *Tree[int]) { lf := second(tr); lf.keys[0] = tr.first.keys[3] },
+		"key below":   func(tr *Tree[int]) { lf := second(tr); lf.arena[lf.offs[0]+1] = 0 },
 		"dead":        func(tr *Tree[int]) { second(tr).dead = true },
-		"stale slot":  func(tr *Tree[int]) { lf := second(tr); lf.n--; lf.keys[lf.n-1] = lf.keys[lf.n]; tr.size-- },
+		"offsets":     func(tr *Tree[int]) { lf := second(tr); lf.offs[2] = lf.offs[1] },
+		"garbage":     func(tr *Tree[int]) { second(tr).garbage++ },
 		"back link":   func(tr *Tree[int]) { second(tr).prev = nil },
 		"chain skips": func(tr *Tree[int]) { tr.first.next = second(tr).next },
 		"chain too far": func(tr *Tree[int]) {
@@ -869,7 +922,7 @@ func TestCheckCatchesDamage(t *testing.T) {
 			}
 			l.next = &leaf[int]{}
 		},
-		"above fence": func(tr *Tree[int]) { lf := tr.first; lf.keys[lf.n-1] = second(tr).keys[0] + "x" },
+		"above fence": func(tr *Tree[int]) { lf := tr.first; lf.arena[lf.offs[lf.n-1]+1] = 0xff },
 		"lone root":   func(tr *Tree[int]) { tr.root.in.n = 1 },
 		"bad child":   func(tr *Tree[int]) { tr.root.in.vals[0].in.vals[0].in = &inner[int]{} },
 		"bad inner":   func(tr *Tree[int]) { tr.root.in.vals[0].lf = tr.first },
@@ -888,9 +941,10 @@ func TestCheckCatchesDamage(t *testing.T) {
 }
 
 // TestNodeSizeClasses pins what internal/store charges per node: the heap
-// spends exactly the allocation size classes named there on a leaf of
-// pointer values and on an interior node, and one more pair would push a
-// leaf into the next class.
+// spends exactly the allocation size classes named there on a packed
+// leaf of pointer values (its arena is charged apart, at its own
+// capacity) and on an interior node, and one more pair would push a leaf
+// into the next class.
 func TestNodeSizeClasses(t *testing.T) {
 	const n = 1000
 	leaves, inners := make([]*leaf[*int], n), make([]*inner[*int], n)
@@ -904,14 +958,14 @@ func TestNodeSizeClasses(t *testing.T) {
 		inners[i] = &inner[*int]{}
 	}
 	runtime.ReadMemStats(&m2)
-	if got := (m1.TotalAlloc - m0.TotalAlloc) / n; got != 1536 {
-		t.Errorf("the heap spends %d bytes on a leaf, want 1536", got)
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / n; got != 768 {
+		t.Errorf("the heap spends %d bytes on a leaf, want 768", got)
 	}
 	if got := (m2.TotalAlloc - m1.TotalAlloc) / n; got != 2048 {
 		t.Errorf("the heap spends %d bytes on an interior node, want 2048", got)
 	}
-	const header, pair = 8, 24 // Go's header on large pointerful objects; string + pointer
-	if size := unsafe.Sizeof(leaf[*int]{}); size+header+pair <= 1536 {
+	const header, pair = 8, 11 // Go's header on large pointerful objects; pointer, offset, length
+	if size := unsafe.Sizeof(leaf[*int]{}); size+header+pair <= 768 {
 		t.Errorf("a leaf is %d bytes: its size class has room for a larger fanout", size)
 	}
 	runtime.KeepAlive(leaves)

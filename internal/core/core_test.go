@@ -437,7 +437,9 @@ func TestCycleRejected(t *testing.T) {
 }
 
 func TestEviction(t *testing.T) {
-	e := New(Options{MemLimit: 40 * 1024})
+	// The twenty timelines take about 35 kB materialized (51 kB before
+	// leaves packed their keys), so the limit sits a third below that.
+	e := New(Options{MemLimit: 24 * 1024})
 	if err := e.InstallText(timelineJoin); err != nil {
 		t.Fatal(err)
 	}
@@ -657,6 +659,36 @@ func TestUpdaterMergingStats(t *testing.T) {
 	}
 }
 
+// TestCoverWalkAllocatesNothing: the probes a read makes of a cover — the
+// record holding a key, and the walk over the records overlapping a
+// range, gaps included — read the records' ranges and build no key.
+func TestCoverWalkAllocatesNothing(t *testing.T) {
+	var c cover[*presRange]
+	for i := 0; i < 500; i++ {
+		c.add(&presRange{r: keys.Range{Lo: fmt.Sprintf("p|u%04d|", 2*i), Hi: fmt.Sprintf("p|u%04d}", 2*i)}})
+	}
+	seen, gaps := 0, 0
+	reads := map[string]func(){
+		"at": func() {
+			if _, ok := c.at("p|u0250|x"); !ok {
+				panic("no record holds the key")
+			}
+		},
+		"walk": func() {
+			seen, gaps = 0, 0
+			c.walk(keys.Range{Lo: "p|u0100|5", Hi: "p|u0300|"}, func(*presRange) bool { seen++; return true }, func(keys.Range) { gaps++ })
+		},
+	}
+	for name, read := range reads {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("cover %s allocates %v times", name, n)
+		}
+	}
+	if seen != 100 || gaps != 100 {
+		t.Fatalf("the walk saw %d records and %d gaps, want 100 of each", seen, gaps)
+	}
+}
+
 // TestWarmReadAllocatesNothing: a warm read of a join over base tables
 // builds no strings and lets nothing escape, so a ScanInto with room in
 // buf and a GetBounded of a prebuilt point allocate nothing, and nor do
@@ -747,6 +779,7 @@ func BenchmarkPostFanout(b *testing.B) {
 		at++
 		ks[i] = fmt.Sprintf("p|%s|%010d", uid(rng.Intn(fixtureUsers)), at)
 	}
+	leaves, _ := e.Store().Nodes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, k := range ks {
@@ -754,6 +787,8 @@ func BenchmarkPostFanout(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.Store().Bytes())/float64(e.Store().Len()), "accountedB/row")
+	after, _ := e.Store().Nodes()
+	b.ReportMetric(float64(after-leaves)/float64(b.N), "leaves/post")
 }
 
 // BenchmarkLoginExec times one first login per iteration: the join

@@ -482,13 +482,14 @@ func (e *Engine) scanOut(lo, hi string, limit int, kvs, overlay []KV, start *sto
 	var scanned int64
 	oi := 0
 	full := func() bool { return limit > 0 && len(kvs) >= limit }
-	e.s.ScanRuns(lo, hi, start, func(ks []string, vs []*store.Value, rest int) bool {
-		room := len(ks) + rest
+	e.s.ScanRuns(lo, hi, start, func(ks store.Keys, vs []*store.Value, rest int) bool {
+		room := ks.Len() + rest
 		if limit > 0 {
 			room = min(room, limit-len(kvs))
 		}
 		kvs = slices.Grow(kvs, room)
-		for i, k := range ks {
+		for i := range vs {
+			k := ks.At(i)
 			for oi < len(overlay) && overlay[oi].Key < k {
 				kvs = append(kvs, overlay[oi])
 				oi++

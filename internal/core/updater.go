@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 
 	"pequod/internal/interval"
 	"pequod/internal/join"
@@ -89,12 +90,15 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 	}
 
 	// Context compression: drop slots recoverable from the status's scan
-	// binding or from any matched source key.
+	// binding or from any matched source key. A slot kept is cloned: it
+	// may be part of a key a scan handed out, a view that holds a whole
+	// leaf's arena alive (btree.Tree.Ascend), and the context outlives
+	// the scan.
 	derivable := st.scanB.Mask() | src.Pat.Slots()
 	compressed := pattern.Binding{}
 	for i := 0; i < pattern.MaxSlots; i++ {
 		if v, ok := b.Get(i); ok && (derivable>>i)&1 == 0 {
-			compressed = compressed.With(i, v)
+			compressed = compressed.With(i, strings.Clone(v))
 		}
 	}
 	var extra *pattern.Binding

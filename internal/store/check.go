@@ -32,7 +32,6 @@ func (s *Store) Check() error {
 					err = fmt.Errorf("key %q is filed in the wrong tree", k)
 				}
 				entries++
-				bytes += allocSize(len(k))
 				refs[v]++
 				return err == nil
 			})

@@ -249,7 +249,8 @@ func equalStoreScan(t testing.TB, s *Store, m *storeModel, lo, hi string, step i
 		got = append(got, k)
 		return true
 	})
-	s.ScanRuns(lo, hi, nil, func(ks []string, vs []*Value, _ int) bool {
+	s.ScanRuns(lo, hi, nil, func(run Keys, vs []*Value, _ int) bool {
+		ks := runKeys(run)
 		for x, k := range ks {
 			if vs[x] != m.vals[k] {
 				t.Fatalf("step %d: run gives %q the wrong value", step, k)
@@ -273,13 +274,23 @@ func equalStoreScan(t testing.TB, s *Store, m *storeModel, lo, hi string, step i
 	}
 }
 
+// runKeys returns the keys of a run as a slice.
+func runKeys(run Keys) []string {
+	ks := make([]string, run.Len())
+	for i := range ks {
+		ks[i] = run.At(i)
+	}
+	return ks
+}
+
 // equalHintedScan checks ScanRuns from h against the model.
 func equalHintedScan(t testing.TB, s *Store, m *storeModel, lo, hi string, h *Hint, step int) {
 	t.Helper()
 	i, j := m.rng(lo, hi)
 	want := m.keys[i:j]
 	var got []string
-	s.ScanRuns(lo, hi, h, func(ks []string, vs []*Value, _ int) bool {
+	s.ScanRuns(lo, hi, h, func(run Keys, vs []*Value, _ int) bool {
+		ks := runKeys(run)
 		for x, k := range ks {
 			if vs[x] != m.vals[k] {
 				t.Fatalf("step %d: hinted run gives %q the wrong value", step, k)

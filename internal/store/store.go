@@ -29,18 +29,20 @@ import (
 
 // Memory accounting charges what the Go heap holds for the rows: every
 // B+tree node at its allocation size class whether full or not, each
-// key's bytes, and each distinct value once. TestAccountingMatchesHeap
-// holds Bytes() to within 15 % of measured heap growth for Twip-shaped
-// rows, and btree.TestNodeSizeClasses pins the two node constants to
-// what the allocator hands out.
+// leaf's key arena at its capacity, which is its size class (keys are
+// not objects of their own: a leaf packs them), and each distinct value
+// once. TestAccountingMatchesHeap holds Bytes() to within 15 % of
+// measured heap growth for Twip-shaped rows, and
+// btree.TestNodeSizeClasses pins the two node constants to what the
+// allocator hands out.
 const (
-	leafBytes        = 1536 // btree leaf: 61 × (string header + *Value) + fence, links, count
-	innerBytes       = 2048 // btree interior node: 61 × (separator + child) + count
+	leafBytes        = 768  // packed btree leaf: 62 × (*Value + 16-bit offset + 8-bit length) + fence, arena header, links, counts
+	innerBytes       = 2048 // btree interior node: 62 × (separator + child) + count
 	valueOverhead    = 24   // Value struct: string header + refcount
 	subtableOverhead = 168  // subtable struct (80) + its slot in the order tree (24 in a full leaf, ~40 typical) + hash index slot (~48)
 )
 
-// allocSize is what the heap spends on an n-byte key or value payload:
+// allocSize is what the heap spends on an n-byte value payload:
 // Go's size classes step by 8 up to 32 bytes and by 16 up to 256. Beyond
 // that they step wider and this under-counts by a few percent.
 func allocSize(n int) int64 {
@@ -73,6 +75,9 @@ func (v *Value) Refs() int { return int(v.refs) }
 
 // tree is the row container under a table or subtable.
 type tree = btree.Tree[*Value]
+
+// Keys is one run of a ScanRuns scan's keys (btree.Keys).
+type Keys = btree.Keys
 
 // Hint is an output hint (§4.2): a finger on the leaf a join status
 // range last wrote to, enabling O(1) amortized inserts of the common
@@ -146,10 +151,10 @@ func (t *Table) footprint() int64 {
 	return b
 }
 
-// nodeBytes is the heap a tree's nodes occupy.
+// nodeBytes is the heap a tree's nodes and key arenas occupy.
 func nodeBytes(tr *tree) int64 {
 	leaves, inners := tr.Nodes()
-	return int64(leaves)*leafBytes + int64(inners)*innerBytes
+	return int64(leaves)*leafBytes + int64(inners)*innerBytes + int64(tr.ArenaBytes())
 }
 
 // Store is the full layered store. It is not safe for concurrent use; the
@@ -291,7 +296,7 @@ func (s *Store) PutHint(key string, v *Value, h *Hint) (old *Value, changed bool
 	}
 	if !existed {
 		s.entries++
-		s.bytes += allocSize(len(key)) + nodeBytes(tr) - nodes
+		s.bytes += nodeBytes(tr) - nodes
 	}
 	s.retain(v)
 	if existed {
@@ -315,7 +320,7 @@ func (s *Store) Remove(key string) (*Value, bool) {
 		return nil, false
 	}
 	s.entries--
-	s.bytes -= allocSize(len(key)) + nodes - nodeBytes(tr)
+	s.bytes -= nodes - nodeBytes(tr)
 	s.release(v)
 	return v, true
 }
@@ -329,15 +334,19 @@ func (s *Store) trees(lo, hi string, fn func(tr *tree) bool) {
 // Scan calls fn for every key in [lo, hi) in ascending order (hi == ""
 // means unbounded), stopping early if fn returns false. fn may write to
 // the store; keys it adds behind the scan's position are not visited.
+// Keys are views of the packed leaves' arenas (btree.Tree.Ascend): fn
+// may keep them, and a key kept holds its leaf's arena alive.
 func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
 	s.trees(lo, hi, func(tr *tree) bool { return tr.Ascend(lo, hi, fn) })
 }
 
 // ScanRuns is Scan a leaf at a time: fn receives consecutive runs of
-// [lo, hi) as parallel key and value slices, and how many pairs of the
-// range follow the run in the same table or subtable, so a caller
-// copying the range out can make room once. The slices alias the store:
-// fn must neither keep nor modify them, nor write to the store.
+// [lo, hi) as their keys and a parallel value slice, and how many pairs
+// of the range follow the run in the same table or subtable, so a
+// caller copying the range out can make room once. The value slice and
+// the Keys value alias the store: fn must neither keep nor modify them,
+// nor write to the store. The keys Keys.At returns are views of the
+// leaves' arenas, which fn may keep.
 //
 // h, if non-nil, is an output hint to start the scan from (§4.2): a join
 // status's hint sits on the leaf its newest rows went to, which is where
@@ -345,7 +354,7 @@ func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
 // [lo, hi) — a table without subtables, or a range inside one subtable —
 // and its leaf is a live leaf of that tree covering lo; otherwise the
 // scan descends as it would without one.
-func (s *Store) ScanRuns(lo, hi string, h *Hint, fn func(keys []string, vals []*Value, rest int) bool) {
+func (s *Store) ScanRuns(lo, hi string, h *Hint, fn func(keys Keys, vals []*Value, rest int) bool) {
 	if h != nil {
 		if tr := s.holder(lo, hi); tr != nil {
 			tr.AscendRuns(lo, hi, h, fn)
@@ -373,20 +382,20 @@ func (s *Store) holder(lo, hi string) *tree {
 // CountRange returns the number of keys in [lo, hi).
 func (s *Store) CountRange(lo, hi string) int {
 	c := 0
-	s.ScanRuns(lo, hi, nil, func(ks []string, _ []*Value, _ int) bool { c += len(ks); return true })
+	s.ScanRuns(lo, hi, nil, func(ks Keys, _ []*Value, _ int) bool { c += ks.Len(); return true })
 	return c
 }
 
 // RemoveRange deletes every key in [lo, hi), invoking fn (if non-nil) for
 // each removed pair in key order, and returns the number removed. It is
 // one cut through each tree the range touches, whole leaves at a time:
-// the eviction and invalidation path. fn must not use the store.
+// the eviction and invalidation path. fn must not use the store; the
+// keys it is given are views, as Scan's are.
 func (s *Store) RemoveRange(lo, hi string, fn func(k string, v *Value)) int {
 	n := 0
 	s.trees(lo, hi, func(tr *tree) bool {
 		nodes := nodeBytes(tr)
 		n += tr.DeleteRange(lo, hi, func(k string, v *Value) {
-			s.bytes -= allocSize(len(k))
 			s.release(v)
 			if fn != nil {
 				fn(k, v)
@@ -405,6 +414,19 @@ func (s *Store) Len() int { return s.entries }
 // Bytes returns the store's memory footprint, counting shared value
 // payloads once (§4.3).
 func (s *Store) Bytes() int64 { return s.bytes }
+
+// Nodes returns how many B+tree leaves and interior nodes hold the
+// store's rows.
+func (s *Store) Nodes() (leaves, inners int) {
+	for _, t := range s.tables {
+		t.trees("", "", func(tr *tree) bool {
+			l, in := tr.Nodes()
+			leaves, inners = leaves+l, inners+in
+			return true
+		})
+	}
+	return leaves, inners
+}
 
 // SubtableCount reports the number of subtables in a table (0 if the
 // table has no boundary configured or doesn't exist); used by the §4.1

@@ -282,6 +282,45 @@ func TestRemoveRange(t *testing.T) {
 	}
 }
 
+// TestScanAllocations pins what a read of packed leaves allocates:
+// nothing. A count builds no key, and a run scan hands out keys that
+// are views of the leaves' arenas, so a range of 4 leaves and one of
+// about 50 cost the same zero allocations.
+func TestScanAllocations(t *testing.T) {
+	s := New()
+	v := NewValue("tweet")
+	var h Hint
+	for i := 0; i < 3000; i++ {
+		s.PutHint(fmt.Sprintf("t|%s|%010d|%s", uid(7), i, uid(i%40)), v, &h)
+		s.Put(fmt.Sprintf("s|%s|%s", uid(i), uid(7)), v)
+	}
+	if leaves, _ := s.Nodes(); leaves < 90 {
+		t.Fatalf("%d leaves hold the rows", leaves)
+	}
+	lo, hi := "t|"+uid(7)+"|", "t|"+uid(7)+"}"
+	rows := 0
+	count := func() { rows = s.CountRange("p|", "t}") }
+	scan := func(lo, hi string) func() {
+		return func() {
+			rows = 0
+			s.ScanRuns(lo, hi, nil, func(ks Keys, _ []*Value, _ int) bool { rows += ks.Len(); return true })
+		}
+	}
+	for _, c := range []struct {
+		name string
+		read func()
+		rows int
+	}{
+		{"count", count, 6000},
+		{"scan of 200 rows in 4 leaves", scan(lo+fmt.Sprintf("%010d", 1000), lo+fmt.Sprintf("%010d", 1200)), 200},
+		{"scan of 3000 rows in about 50 leaves", scan(lo, hi), 3000},
+	} {
+		if n := testing.AllocsPerRun(100, c.read); n != 0 || rows != c.rows {
+			t.Errorf("%s: %d rows, %v allocations per read, want %d and none", c.name, rows, n, c.rows)
+		}
+	}
+}
+
 func TestTablesIteration(t *testing.T) {
 	s := New()
 	s.Put("b|1", NewValue(""))
