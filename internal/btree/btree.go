@@ -20,12 +20,14 @@
 //     as long as anyone holds them.
 //
 //   - Leaf fingers. A Hint remembers the leaf its last write landed in
-//     (the paper's output hints, §4.2). The next write through the hint,
-//     or a run scan started from it, skips the descent when that leaf
-//     still covers its key, which two comparisons against the leaf's
-//     fences decide. A leaf is freed only when it empties and is then
-//     marked dead, and a hint knows its tree, so a stale or foreign
-//     finger is detected and downgrades the operation to a descent.
+//     (the paper's output hints, §4.2), and the slot. The next write
+//     through the hint, or a run scan started from it, skips the descent
+//     when that leaf still covers its key, which two comparisons against
+//     the leaf's fences decide, and a write whose key goes right after
+//     the remembered slot skips the search too. A leaf is freed only
+//     when it empties and is then marked dead, and a hint knows its
+//     tree, so a stale or foreign finger is detected and downgrades the
+//     operation to a descent.
 //
 //   - Spill, then split. A write that finds its leaf full first moves
 //     pairs into a sibling under the same parent that has room, and
@@ -67,12 +69,12 @@ import (
 )
 
 // fanout is the capacity of a leaf in pairs and of an interior node in
-// children. A leaf of 8-byte values is 760 bytes, which with the 8-byte
-// header Go puts in front of large pointerful objects fills the 768
-// allocation size class (its arena is a separate object); a 62-child
-// interior node is 1992 bytes and fits the 2048 class.
-// BenchmarkScanInterleaved and BenchmarkPutHintAppend in internal/store
-// chose a fanout in this range over 29 and 40.
+// children. 62 is what fills the size classes: a leaf of 8-byte values
+// is 760 bytes, which with the 8-byte header Go puts in front of large
+// pointerful objects fills the 768 allocation size class (its arena is
+// a separate object), and a 62-child interior node is 1992 bytes and
+// fits the 2048 class. No benchmark has chosen it over another fanout
+// for this layout (ROADMAP item 4).
 const fanout = 62
 
 // maxHeight bounds the depth of a tree: even half-full nodes would hold
@@ -136,10 +138,10 @@ func (nd *node[T]) splitInsert(right *node[T], i int, k string, v T) {
 //
 // Key i is arena[offs[i]:offs[i]+lens[i]]. A key of longLen bytes or
 // more has lens[i] == longLen and its entry in the arena starts with
-// its length as a uvarint. Entries sit in the order they were written,
-// not in slot order, and garbage counts the bytes of entries whose keys
-// have left the leaf. The bytes below len(arena) are never written
-// again: keys handed out are views of them. A scan reads offsets and
+// its length, longHead bytes little-endian. Entries sit in the order
+// they were written, not in slot order, and garbage counts the bytes of
+// entries whose keys have left the leaf. The bytes below len(arena) are
+// never written again: keys handed out are views of them. A scan reads offsets and
 // lengths from the leaf and touches no key bytes.
 type leaf[V any] struct {
 	n, garbage int
@@ -152,8 +154,12 @@ type leaf[V any] struct {
 	vals       [fanout]V
 }
 
-// longLen marks a key too long for its length to fit a slot's byte.
-const longLen = 0xff
+// longLen marks a key too long for its length to fit a slot's byte,
+// and longHead is the length such a key's entry starts with.
+const (
+	longLen  = 0xff
+	longHead = 4
+)
 
 // view returns b as a string without copying. b must never be written
 // again.
@@ -162,39 +168,32 @@ func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 // entry returns key i's entry in the arena.
 func (lf *leaf[V]) entry(i int) []byte {
 	a := lf.arena[lf.offs[i]:]
-	n, h := int(lf.lens[i]), 0
-	if n == longLen {
-		u, w := binary.Uvarint(a)
-		n, h = int(u), w
+	if n := lf.lens[i]; n < longLen {
+		return a[:n]
 	}
-	return a[:h+n]
+	return a[:longHead+binary.LittleEndian.Uint32(a)]
 }
 
 // key returns key i, a view of the arena.
 func (lf *leaf[V]) key(i int) string { return keyAt(lf.arena, lf.offs[i], lf.lens[i]) }
 
 // keyAt returns the key whose entry is at arena[at:] with slot length
-// n, a view of the arena.
+// n, a view of the arena. It takes no call, so it inlines into every
+// search and scan.
 func keyAt(arena []byte, at uint16, n uint8) string {
 	a := arena[at:]
-	if n < longLen {
-		return view(a[:n])
+	if n == longLen {
+		return view(a[longHead:][:binary.LittleEndian.Uint32(a)])
 	}
-	u, h := binary.Uvarint(a)
-	return view(a[h : h+int(u)])
+	return view(a[:n])
 }
 
 // entrySize is the arena bytes an entry for key takes.
 func entrySize(key string) int {
-	n := len(key)
-	if n < longLen {
+	if n := len(key); n < longLen {
 		return n
 	}
-	h := 1
-	for u := n; u >= 0x80; u >>= 7 {
-		h++
-	}
-	return h + n
+	return longHead + len(key)
 }
 
 // live is the arena bytes of the leaf's own keys.
@@ -293,6 +292,7 @@ type Tree[V any] struct {
 type Hint[V any] struct {
 	lf *leaf[V]
 	t  *Tree[V]
+	i  int // the slot the last write took, if it is still that write's
 }
 
 // Valid reports whether the hint points at a live leaf.
@@ -332,23 +332,34 @@ func (t *Tree[V]) compact(lf *leaf[V], extra int) {
 	if size := lf.live() + extra; size > 0 {
 		a = slices.Grow(a, size)
 	}
-	for i := 0; i < lf.n; i++ {
-		e := lf.entry(i)
-		lf.offs[i] = uint16(len(a))
-		a = append(a, e...)
+	if lf.garbage == 0 {
+		a = append(a, lf.arena...) // one copy, and the offsets hold
+	} else {
+		for i := 0; i < lf.n; i++ {
+			e := lf.entry(i)
+			lf.offs[i] = uint16(len(a))
+			a = append(a, e...)
+		}
 	}
 	t.setArena(lf, a)
 	lf.garbage = 0
 }
 
 // reserve makes room for b more bytes at the end of lf's arena, where
-// 16-bit offsets still address them. When it has none, the entries move
-// to a new arena with a quarter more room than they need, so a leaf
-// filled one key at a time copies its arena a handful of times.
+// 16-bit offsets still address them. When it has none, or when a quarter
+// of it is garbage that pairs moving out left behind, the entries move
+// to a new arena with room for the leaf's free slots at its keys'
+// average length, but at most as much again as they take: a leaf filled
+// one key at a time copies its arena a few times, and one that filled
+// up and spilled once copies it once more before it is full again.
 func (t *Tree[V]) reserve(lf *leaf[V], b int) {
-	if n := len(lf.arena) + b; n > cap(lf.arena) || n > maxKeyBytes {
-		need := lf.live() + b
-		t.compact(lf, b+need/4)
+	live := lf.live()
+	if n := len(lf.arena) + b; n > cap(lf.arena) || n > maxKeyBytes || lf.garbage > live/4 {
+		room := live + b
+		if lf.n > 0 {
+			room = min(room, (fanout-lf.n-1)*live/lf.n)
+		}
+		t.compact(lf, b+room)
 	}
 }
 
@@ -369,7 +380,7 @@ func (t *Tree[V]) insertAt(lf *leaf[V], i int, key string, v V) {
 	t.reserve(lf, entrySize(key))
 	at, n := len(lf.arena), uint8(min(len(key), longLen))
 	if n == longLen {
-		lf.arena = binary.AppendUvarint(lf.arena, uint64(len(key)))
+		lf.arena = binary.LittleEndian.AppendUint32(lf.arena, uint32(len(key)))
 	}
 	lf.arena = append(lf.arena, key...)
 	copy(lf.offs[i+1:lf.n+1], lf.offs[i:lf.n])
@@ -396,11 +407,8 @@ func (lf *leaf[V]) removeRange(i, j int) {
 // entries past the end of dst's arena, which must fit them. src keeps
 // them.
 func (t *Tree[V]) pour(dst *leaf[V], at int, src *leaf[V], a, b int) {
-	m, size := b-a, 0
-	for x := a; x < b; x++ {
-		size += len(src.entry(x))
-	}
-	t.reserve(dst, size)
+	m := b - a
+	t.reserve(dst, src.span(a, b))
 	copy(dst.offs[at+m:dst.n+m], dst.offs[at:dst.n])
 	copy(dst.lens[at+m:dst.n+m], dst.lens[at:dst.n])
 	copy(dst.vals[at+m:dst.n+m], dst.vals[at:dst.n])
@@ -411,6 +419,15 @@ func (t *Tree[V]) pour(dst *leaf[V], at int, src *leaf[V], a, b int) {
 	}
 	copy(dst.vals[at:], src.vals[a:b])
 	dst.n += m
+}
+
+// span returns the arena bytes the entries of slots [a, b) take.
+func (lf *leaf[V]) span(a, b int) int {
+	size := 0
+	for x := a; x < b; x++ {
+		size += len(lf.entry(x))
+	}
+	return size
 }
 
 // path records the interior nodes a descent went through, root first,
@@ -472,7 +489,13 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 	default:
 		lf = t.descend(key, &p)
 	}
-	i, found := lf.search(key)
+	var i int
+	var found bool
+	if hinted && lf.follows(h.i, key) {
+		i = h.i + 1 // the next key of a run: no search
+	} else {
+		i, found = lf.search(key)
+	}
 	if found {
 		old, existed = lf.vals[i], true
 		if kept = same != nil && same(old, v); !kept {
@@ -486,14 +509,22 @@ func (t *Tree[V]) SetUnless(key string, v V, h *Hint[V], same func(old, v V) boo
 				t.descend(key, &p) // a spill or split needs the way down to lf
 			}
 			lf = t.grow(lf, &p, i, hinted, key, v)
+			i = -1 // somewhere in lf; the next write searches
 		}
 		t.size++
 		t.gen++
 	}
 	if h != nil {
-		h.lf, h.t = lf, t
+		h.lf, h.t, h.i = lf, t, i
 	}
 	return old, existed, kept
+}
+
+// follows reports whether key goes right after slot i: key i is below
+// it and key i+1, if any, above. The slot a hint remembers may have
+// moved since, and then the test fails and the write searches.
+func (lf *leaf[V]) follows(i int, key string) bool {
+	return i >= 0 && i < lf.n && lf.key(i) < key && (i+1 == lf.n || key < lf.key(i+1))
 }
 
 // grow puts (key, v) at its sorted slot i of lf, which p leads to and
@@ -575,6 +606,7 @@ func (t *Tree[V]) spillRight(lf, r *leaf[V], sep *string, m, i int, key string, 
 	lf.removeRange(cut, fanout)
 	if i > cut {
 		t.insertAt(r, i-cut, key, v)
+		t.fit(lf)
 		return r
 	}
 	t.insertAt(lf, i, key, v)
@@ -591,6 +623,7 @@ func (t *Tree[V]) spillLeft(lf, l *leaf[V], sep *string, m, i int, key string, v
 	lf.removeRange(0, m)
 	if i <= m {
 		t.insertAt(l, l.n-m+i, key, v)
+		t.fit(lf)
 		return l
 	}
 	t.insertAt(lf, i-m, key, v)
@@ -608,26 +641,36 @@ func (t *Tree[V]) splitInsert(lf *leaf[V], p *path[V], i int, atPoint bool, key 
 	if atPoint || i == n {
 		cut = i
 	}
-	if cut == n {
-		// The key after a full run: the next keys of the run will fill
-		// the new leaf as they filled lf, so it gets as much room.
-		right := t.split(lf, p, cut, strings.Clone(key), min(lf.live(), 4<<10)+entrySize(key))
-		t.insertAt(right, 0, key, v)
-		return right
+	var right *leaf[V]
+	switch {
+	case cut == n:
+		// The key after a full run. The run may go on at once, as a
+		// first login's does, or one key per post, as a timeline's
+		// newest rows do: the new leaf gets room for a quarter of lf's
+		// keys, and grows as reserve grows it.
+		right = t.split(lf, p, cut, strings.Clone(key), entrySize(key)+min(lf.live(), 4<<10)/4)
+		i = 0
+	case i > cut:
+		moved := lf.span(cut, n)
+		right = t.split(lf, p, cut, strings.Clone(lf.key(cut)), entrySize(key)+moved/4)
+		i -= cut
+	default:
+		// The key stays in lf, whose next write compacts the garbage
+		// the moved pairs left and makes room with it.
+		t.split(lf, p, cut, strings.Clone(lf.key(cut)), 0)
+		t.insertAt(lf, i, key, v)
+		return lf
 	}
-	right := t.split(lf, p, cut, strings.Clone(lf.key(cut)), 0)
-	if i > cut {
-		t.insertAt(right, i-cut, key, v)
-		return right
-	}
-	t.insertAt(lf, i, key, v)
-	return lf
+	t.insertAt(right, i, key, v)
+	t.fit(lf)
+	return right
 }
 
 // split moves lf's pairs from slot cut on to a new leaf right after it,
 // with fence lo and arena room for extra more bytes, hangs the new leaf
 // beside lf in its parent, which p leads to, splitting full ancestors,
-// and returns it.
+// and returns it. The moved pairs' entries stay in lf's arena as
+// garbage; the caller writes to lf next or fits it.
 func (t *Tree[V]) split(lf *leaf[V], p *path[V], cut int, lo string, extra int) *leaf[V] {
 	right := &leaf[V]{lo: lo, prev: lf, next: lf.next}
 	t.leaves++
@@ -635,16 +678,11 @@ func (t *Tree[V]) split(lf *leaf[V], p *path[V], cut int, lo string, extra int) 
 		lf.next.prev = right
 	}
 	lf.next = right
-	size := extra
-	for x := cut; x < lf.n; x++ {
-		size += len(lf.entry(x))
-	}
-	if size > 0 {
+	if size := extra + lf.span(cut, lf.n); size > 0 {
 		t.setArena(right, slices.Grow([]byte(nil), size))
 	}
 	t.pour(right, 0, lf, cut, lf.n)
 	lf.removeRange(cut, lf.n)
-	t.fit(lf)
 
 	sep, k := right.lo, kid[V]{lf: right}
 	for level := p.n - 1; level >= 0; level-- {

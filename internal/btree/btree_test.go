@@ -560,6 +560,38 @@ func TestHintsSurviveSplitsAndFrees(t *testing.T) {
 	}
 }
 
+// TestHintSlotGoesStale writes runs through a hint whose remembered slot
+// other writes have moved: keys inserted before it, after it, and on it,
+// and the slot's own key deleted. A write that no longer goes right
+// after the slot must search, and every key must land in order.
+func TestHintSlotGoesStale(t *testing.T) {
+	var tr Tree[int]
+	m := newModel()
+	set := func(k string, h *Hint[int]) {
+		t.Helper()
+		tr.Set(k, 1, h)
+		m.set(k, 1)
+		mustCheck(t, &tr, m, "Set "+k)
+	}
+	var h Hint[int]
+	for i := 100; i < 120; i += 2 {
+		set(key(i), &h) // h remembers the slot of key(118)
+	}
+	set(key(1), nil)   // shifts every slot up by one
+	set(key(119), &h)  // right after the old slot's key, which moved
+	set(key(119), &h)  // an overwrite through the hint
+	set(key(200), nil) // after the run
+	set(key(121), &h)  // between the slot and key(200)
+	set(key(99), &h)   // before the remembered slot
+	if _, ok := tr.Delete(key(99)); !ok {
+		t.Fatal("Delete lost key(99)")
+	}
+	m.deleteRange(key(99), key(99)+"\x00")
+	set(key(98), &h) // the remembered slot's key is gone
+	set(key(122), &h)
+	equalScan(t, &tr, m, "", "", "end")
+}
+
 // When a first child goes, the leaf after the gap takes over its fence;
 // when any other goes, the leaf before the gap extends over it. Fingers
 // on either neighbour must agree with a descent about who owns a key in

@@ -115,11 +115,10 @@ func checkArena[V any](lf *leaf[V]) error {
 	live := 0
 	for i := range spans {
 		at, n, h := int(lf.offs[i]), int(lf.lens[i]), 0
-		if at < len(lf.arena) && n == longLen {
-			u, w := binary.Uvarint(lf.arena[at:])
-			n, h = int(u), w
+		if n == longLen && at+longHead <= len(lf.arena) {
+			n, h = int(binary.LittleEndian.Uint32(lf.arena[at:])), longHead
 		}
-		if at >= len(lf.arena) && n > 0 || h < 0 || at+h+n > len(lf.arena) {
+		if at >= len(lf.arena) && n > 0 || at+h+n > len(lf.arena) {
 			return fmt.Errorf("leaf %q: the entry of slot %d at %d runs past the arena's %d bytes", lf.lo, i, at, len(lf.arena))
 		}
 		spans[i] = span{at, at + h + n}
