@@ -461,6 +461,17 @@ func (t *Tree[V]) Get(key string) (v V, ok bool) {
 	return v, false
 }
 
+// Ref returns where the value stored under key is kept, or nil when key
+// is not in the tree: a caller may replace the value through it in the
+// same descent that found it, as Set would. It is valid until the next
+// write to the tree.
+func (t *Tree[V]) Ref(key string) *V {
+	if lf, i, found := t.seek(key); found {
+		return &lf.vals[i]
+	}
+	return nil
+}
+
 // Set stores v under key and returns the value it replaced, if any. With
 // a non-nil hint it first tries the hinted leaf and leaves the hint on
 // the leaf written.
@@ -983,16 +994,23 @@ func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys Keys, vals 
 	} else {
 		lf, i, _ = t.seek(lo)
 	}
-	rest := 0
+	// Count the run first, keeping where it stops in its last leaf: every
+	// leaf before that one is read to its end.
+	rest, stop, stopAt := 0, (*leaf[V])(nil), 0
 	for l, from := lf, i; l != nil; l, from = l.next, 0 {
 		end, last := l.end(hi)
 		rest += max(end-from, 0)
 		if last {
+			stop, stopAt = l, end
 			break
 		}
 	}
 	for ; rest > 0; lf, i = lf.next, 0 {
-		if end, _ := lf.end(hi); i < end {
+		end := lf.n
+		if lf == stop {
+			end = stopAt
+		}
+		if i < end {
 			rest -= end - i
 			ks := Keys{arena: lf.arena, offs: lf.offs[i:end], lens: lf.lens[i:end]}
 			if !fn(ks, lf.vals[i:end], rest) {

@@ -171,8 +171,8 @@ func equalHintedScan(t testing.TB, tr *Tree[int], m *model, lo, hi string, h *Hi
 
 func TestEmptyTree(t *testing.T) {
 	var tr Tree[int]
-	if _, ok := tr.Get("a"); ok {
-		t.Fatal("Get on an empty tree")
+	if _, ok := tr.Get("a"); ok || tr.Ref("a") != nil {
+		t.Fatal("Get or Ref on an empty tree")
 	}
 	if _, ok := tr.Delete("a"); ok {
 		t.Fatal("Delete on an empty tree")
@@ -208,6 +208,15 @@ func TestSetGetDelete(t *testing.T) {
 	m.set(key(7), -7)
 	if v, ok := tr.Get(key(7)); !ok || v != -7 {
 		t.Fatalf("Get after replace: %d, %v", v, ok)
+	}
+	if p := tr.Ref(key(8)); p == nil || *p != 8 {
+		t.Fatalf("Ref(%s) = %v", key(8), p)
+	} else {
+		*p = -8 // a replace through the reference
+	}
+	m.set(key(8), -8)
+	if v, ok := tr.Get(key(8)); !ok || v != -8 || tr.Ref("k0000080") != nil {
+		t.Fatalf("Get after a replace through Ref: %d, %v; or Ref of an absent key", v, ok)
 	}
 	if _, ok := tr.Get("k0000070"); ok {
 		t.Fatal("Get of an absent key between two present ones")

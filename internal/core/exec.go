@@ -524,11 +524,12 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, le logEntry) bool {
 		// check key implies — the same formula installation used.
 		vs := j.Sources[j.ValueSource]
 		rmRange := pattern.ContainingRange(vs.Pat, j.Out, bk, st.r)
-		for _, u := range st.updaters {
-			if !rmRange.ContainsRange(u.entry.Range()) {
+		for i := range st.updaters {
+			s := &st.updaters[i]
+			if !rmRange.ContainsRange(s.u.entry.Range()) {
 				continue
 			}
-			u.removeContextsMatching(st, func(c *updCtx) bool {
+			s.n -= s.u.removeContextsMatching(st, func(c *updCtx) bool {
 				if c.srcIdx != j.ValueSource {
 					return false
 				}
@@ -537,9 +538,7 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, le logEntry) bool {
 				// drop contexts consistent with the removed check key.
 				return bindingConsistent(c.binding(st.scanB), bk)
 			})
-			if len(u.contexts) == 0 {
-				e.dropUpdater(u)
-			}
+			e.settle(s.u)
 		}
 	}
 	return true

@@ -132,7 +132,11 @@ func runTwipSoakJoin(t *testing.T, seed int64, opts Options, steps int, joinSpec
 			got, _ := e.Scan(lo, hi, 0)
 			compareKVs(t, step, got, m.timeline(lo, hi))
 		}
+		if step%100 == 0 {
+			checkUpdaters(t, e)
+		}
 	}
+	checkUpdaters(t, e)
 	// Final full-table check.
 	got, _ := e.Scan("t|", "t}", 0)
 	compareKVs(t, steps, got, m.timeline("t|", "t}"))

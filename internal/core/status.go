@@ -46,9 +46,9 @@ type JoinStatus struct {
 	// hint is the output hint (§4.2).
 	hint store.Hint
 
-	// updaters lists the updaters carrying contexts for this status, so
-	// invalidation can uninstall them.
-	updaters []*Updater
+	// updaters lists the updaters carrying contexts for this status, and
+	// how many each carries, so invalidation can uninstall them.
+	updaters []stake
 
 	lru lruEntry[*JoinStatus]
 }
@@ -215,16 +215,17 @@ func (e *Engine) invalidateStatus(st *JoinStatus) {
 // without touching output data.
 func (e *Engine) detachStatus(st *JoinStatus) {
 	st.ij.status.drop(st)
-	for _, u := range st.updaters {
-		u.removeContextsOf(st)
-		if len(u.contexts) == 0 {
-			e.dropUpdater(u)
-		}
+	st.valid = false // its contexts are dead from here on
+	for _, s := range st.updaters {
+		s.u.live -= s.n
+		e.settle(s.u)
 	}
 	st.updaters = nil
-	st.valid = false
 	st.logs = nil
 	st.dirty = nil
+	// Its dead contexts keep st reachable until their updaters settle:
+	// let go of the output leaf the hint holds, which an eviction frees.
+	st.hint = store.Hint{}
 	e.statusLRU.remove(&st.lru)
 }
 
@@ -309,25 +310,16 @@ func (e *Engine) recomputeSpan(st *JoinStatus, r keys.Range) (pending int) {
 func (e *Engine) dropContextsWithin(st *JoinStatus, r keys.Range) {
 	j := st.ij.j
 	kept := st.updaters[:0]
-	for _, u := range st.updaters {
-		mine := 0
-		u.removeContextsMatching(st, func(c *updCtx) bool {
-			if r.ContainsRange(outAffectedRange(j, c.binding(st.scanB), st.r)) {
-				return true
-			}
-			mine++
-			return false
+	for _, s := range st.updaters {
+		s.n -= s.u.removeContextsMatching(st, func(c *updCtx) bool {
+			return r.ContainsRange(outAffectedRange(j, c.binding(st.scanB), st.r))
 		})
-		if mine > 0 {
-			kept = append(kept, u)
+		if s.n > 0 {
+			kept = append(kept, s)
 		}
-		if len(u.contexts) == 0 {
-			e.dropUpdater(u)
-		}
+		e.settle(s.u)
 	}
-	for i := len(kept); i < len(st.updaters); i++ {
-		st.updaters[i] = nil
-	}
+	clear(st.updaters[len(kept):])
 	st.updaters = kept
 }
 

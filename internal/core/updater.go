@@ -39,20 +39,30 @@ func (c *updCtx) binding(base pattern.Binding) pattern.Binding {
 // single Updater by appending contexts — the paper's updater-merging
 // optimization. A source range lies inside its table, so the range alone
 // names the updater.
+//
+// A status that detaches leaves its contexts in place: firing skips
+// them (!js.valid), and the updater counts only the live ones, so a
+// detach costs O(1) per updater instead of a scan of every follower's
+// context. The updater leaves the index when its last live context goes,
+// and sheds its dead contexts once they outnumber the live ones (settle).
 type Updater struct {
 	entry    *interval.Entry[*Updater]
 	contexts []updCtx
+	live     int // contexts whose status is still attached
 }
 
-func (u *Updater) removeContextsOf(js *JoinStatus) {
-	u.removeContextsMatching(js, func(*updCtx) bool { return true })
+// stake is an updater a status has contexts in, and how many.
+type stake struct {
+	u *Updater
+	n int
 }
 
-// removeContextsMatching removes js's contexts that pred accepts. A
-// removed context is replaced by the last one (an updater's context order
-// carries no meaning), so a detach moves at most one context per removal
-// instead of copying every survivor.
-func (u *Updater) removeContextsMatching(js *JoinStatus, pred func(*updCtx) bool) {
+// removeContextsMatching removes js's contexts that pred accepts and
+// returns how many it removed. js must be attached. A removed context is
+// replaced by the last one (an updater's context order carries no
+// meaning), so a removal moves at most one context instead of copying
+// every survivor.
+func (u *Updater) removeContextsMatching(js *JoinStatus, pred func(*updCtx) bool) (removed int) {
 	cs := u.contexts
 	for i := 0; i < len(cs); {
 		if c := &cs[i]; c.js == js && pred(c) {
@@ -60,11 +70,28 @@ func (u *Updater) removeContextsMatching(js *JoinStatus, pred func(*updCtx) bool
 			cs[i] = cs[last]
 			cs[last] = updCtx{} // drop the pointers it held
 			cs = cs[:last]
+			removed++
 			continue
 		}
 		i++
 	}
 	u.contexts = cs
+	u.live -= removed
+	return removed
+}
+
+// settle drops u from the index once it has no live context, and
+// otherwise sheds its detached statuses' contexts once they outnumber
+// the live ones, so dead contexts never more than double what a write
+// to u's range snapshots.
+func (e *Engine) settle(u *Updater) {
+	switch {
+	case u.live == 0:
+		e.updaters.Delete(u.entry) // a no-op for an updater dropped before
+		u.contexts = nil
+	case len(u.contexts) > 2*u.live:
+		u.contexts = slices.DeleteFunc(u.contexts, func(c updCtx) bool { return !c.js.valid })
+	}
 }
 
 // installUpdater attaches an updater covering cr for source srcIdx of
@@ -107,37 +134,35 @@ func (e *Engine) installUpdater(st *JoinStatus, srcIdx int, b pattern.Binding, c
 		extra = &kept
 	}
 
-	var u *Updater
-	if en := e.updaters.Find(cr.Lo, cr.Hi); en != nil {
-		u = en.Val
-		e.stats.UpdatersMerged++
-	} else {
-		u = &Updater{}
-		u.entry = e.updaters.Insert(cr.Lo, cr.Hi, u)
+	en, added := e.updaters.FindOrInsert(cr.Lo, cr.Hi)
+	if added {
+		en.Val = &Updater{entry: en}
 		e.stats.UpdatersInstalled++
+	} else {
+		e.stats.UpdatersMerged++
 	}
+	u := en.Val
 	// A status has contexts only in the updaters it lists, so only a
 	// listed updater can already hold this one (a re-ensure of the same
 	// status): a merged updater's contexts for other statuses — one per
 	// follower of a poster — go unscanned.
-	listed := slices.Contains(st.updaters, u)
-	if listed {
-		for i := range u.contexts {
-			c := &u.contexts[i]
+	i := slices.IndexFunc(st.updaters, func(s stake) bool { return s.u == u })
+	if i >= 0 && st.updaters[i].n > 0 {
+		for k := range u.contexts {
+			c := &u.contexts[k]
 			if c.js == st && c.srcIdx == srcIdx && c.lazy == lazy && c.binding(pattern.Binding{}) == compressed {
 				return
 			}
 		}
 	}
-	u.contexts = append(u.contexts, updCtx{js: st, srcIdx: srcIdx, extra: extra, lazy: lazy})
-	if !listed {
-		st.updaters = append(st.updaters, u) // for uninstallation
+	if i < 0 {
+		i = len(st.updaters)
+		st.updaters = append(st.updaters, stake{u: u}) // for uninstallation
 	}
+	u.contexts = append(u.contexts, updCtx{js: st, srcIdx: srcIdx, extra: extra, lazy: lazy})
+	u.live++
+	st.updaters[i].n++
 }
-
-// dropUpdater removes an updater with no live contexts. A status may
-// still list an updater dropped earlier; dropping it again is a no-op.
-func (e *Engine) dropUpdater(u *Updater) { e.updaters.Delete(u.entry) }
 
 // fireUpdaters runs incremental maintenance for a modification of key:
 // "Whenever Pequod modifies its store, it finds all updaters applicable

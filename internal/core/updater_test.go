@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pequod/internal/interval"
+	"pequod/internal/keys"
 )
 
 // The join sets of the Twip and Newp applications, as twip.Joins,
@@ -74,6 +75,45 @@ func newpSession(e *Engine, rng *rand.Rand) {
 	}
 }
 
+// checkUpdaters holds the updater bookkeeping to what a recount finds:
+// every indexed updater has a live context and counts exactly the
+// contexts of attached statuses, at least half its contexts are live,
+// and every attached status's stakes count its own contexts, each in an
+// updater that is still indexed.
+func checkUpdaters(t testing.TB, e *Engine) {
+	t.Helper()
+	indexed := map[*Updater]bool{}
+	e.updaters.Overlap("", "", func(en *interval.Entry[*Updater]) bool {
+		u, live := en.Val, 0
+		indexed[u] = true
+		for _, c := range u.contexts {
+			if c.js.valid {
+				live++
+			}
+		}
+		if u.entry != en || u.live != live || live == 0 || len(u.contexts) > 2*live {
+			t.Fatalf("updater %s counts %d live of %d contexts; a recount finds %d", en.Range(), u.live, len(u.contexts), live)
+		}
+		return true
+	})
+	for _, ij := range e.joins {
+		ij.status.all(func(st *JoinStatus) {
+			for _, s := range st.updaters {
+				n := 0
+				for _, c := range s.u.contexts {
+					if c.js == st {
+						n++
+					}
+				}
+				if !st.valid || s.n != n || n > 0 && !indexed[s.u] {
+					t.Fatalf("status %s (valid %v) holds %d contexts in updater %s, counts %d; indexed %v",
+						st.r, st.valid, n, s.u.entry.Range(), s.n, indexed[s.u])
+				}
+			}
+		})
+	}
+}
+
 // TestUpdaterIndexDoesNoWastedWork runs the Twip, celebrity-Twip and
 // Newp join sets at test scale and counts the updater entries a stab
 // opens whose range does not hold the key: the index must waste none.
@@ -93,6 +133,7 @@ func TestUpdaterIndexDoesNoWastedWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.run(e, rand.New(rand.NewSource(1)))
+			checkUpdaters(t, e)
 			sizes, err := e.updaters.Check()
 			if err != nil {
 				t.Fatal(err)
@@ -112,4 +153,60 @@ func TestUpdaterIndexDoesNoWastedWork(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkBoundedCheck times bounded checks — timeline scans from a
+// lower bound T — on dropped timelines, as a cache that evicts serves
+// them. 2 000 users each follow 4 of 20 shared posters, and the even
+// users' timelines are resident, each computed from its own T, so each
+// poster's bucket in the updater index holds about 180 ranges
+// [p|poster|T, p|poster}). Each timed check of an odd user installs its
+// 4 updaters among them; the timeline is dropped again outside the
+// timer, deleting them. It reports the entries each exact lookup of the
+// index (find, insert or delete) examines.
+func BenchmarkBoundedCheck(b *testing.B) {
+	const users, posters, follows, posts = 2000, 20, 4, 50
+	e := New(Options{})
+	if err := e.InstallText(timelineJoin); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	poster := func(p int) string { return fmt.Sprintf("q%03d", p) }
+	for u := 0; u < users; u++ {
+		for _, p := range rng.Perm(posters)[:follows] {
+			e.Put("s|"+uid(u)+"|"+poster(p), "1")
+		}
+	}
+	at := 0
+	for n := 0; n < posts; n++ {
+		for p := 0; p < posters; p++ {
+			at++
+			e.Put(fmt.Sprintf("p|%s|%010d", poster(p), at), "a tweet of ordinary length, more or less")
+		}
+	}
+	check := func(u int) keys.Range {
+		return keys.Range{Lo: fmt.Sprintf("t|%s|%010d", uid(u), rng.Intn(at)), Hi: "t|" + uid(u) + "}"}
+	}
+	var buf []KV
+	for u := 0; u < users; u += 2 {
+		r := check(u)
+		buf, _ = e.ScanInto(r.Lo, r.Hi, 0, buf)
+	}
+	rs := make([]keys.Range, users/2)
+	for i := range rs {
+		rs[i] = check(2*i + 1)
+	}
+	ops, examined := e.updaters.Exact()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rs[i%len(rs)]
+		buf, _ = e.ScanInto(r.Lo, r.Hi, 0, buf)
+		b.StopTimer()
+		e.DropRange(r)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	o, x := e.updaters.Exact()
+	b.ReportMetric(float64(x-examined)/float64(o-ops), "examined/lookup")
 }

@@ -2,6 +2,8 @@ package interval
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -131,6 +133,85 @@ func TestKeysContainingZeroBytes(t *testing.T) {
 	}
 	if _, err := tr.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckCatchesHiOrder damages a bucket's order where only Hi
+// tells it: two entries with one Lo and unequal Hi, swapped.
+func TestCheckCatchesHiOrder(t *testing.T) {
+	tr := New[int]()
+	tr.Insert("p|u|5", "p|u}", 1)
+	tr.Insert("p|u|5", "p|u|9", 2)
+	tr.Insert("p|u|3", "p|u}", 3)
+	if _, err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	es, _ := tr.buckets.Get("p|u|")
+	if es[1].hi != "p|u|9" || es[2].hi != "p|u}" {
+		t.Fatalf("bucket holds %v, want [p|u|5, p|u|9) before [p|u|5, p|u})", es)
+	}
+	es[1], es[2] = es[2], es[1]
+	if _, err := tr.Check(); err == nil {
+		t.Fatal("Check passed a bucket with [p|u|5, p|u}) before [p|u|5, p|u|9)")
+	}
+}
+
+// TestExactOpsAreLogarithmic fills one bucket with 4 096 ranges
+// [p|u|T, p|u}) — a bounded check's updaters on one poster, one per
+// lower bound T — in random order, and holds every Insert, Find,
+// FindOrInsert and Delete on it to between one and 2·log2(n)+2 entries
+// examined. A walk of the bucket examines thousands; one that does not
+// count what it examines examines none.
+func TestExactOpsAreLogarithmic(t *testing.T) {
+	const n = 4096
+	bound := 2*bits.Len(n-1) + 2
+	lo := func(at int) string { return fmt.Sprintf("p|u|%010d", at) }
+	tr := New[int]()
+	one := func(what string, at int, op func()) {
+		t.Helper()
+		ops, examined := tr.Exact()
+		least := min(tr.Len(), 1) // an empty bucket has nothing to examine
+		op()
+		if o, x := tr.Exact(); o != ops+1 || x-examined < least || x-examined > bound {
+			t.Fatalf("%s(%s) examined %d entries in %d operations, want 1 operation of %d..%d", what, lo(at), x-examined, o-ops, least, bound)
+		}
+	}
+	es := make([]*Entry[int], n)
+	rng := rand.New(rand.NewSource(1))
+	for _, at := range rng.Perm(n) {
+		one("Insert", at, func() { es[at] = tr.Insert(lo(2*at), "p|u}", at) })
+	}
+	if sizes, err := tr.Check(); err != nil || !maps.Equal(sizes, map[int]int{n: 1}) {
+		t.Fatalf("buckets by length %v, want one of %d: %v", sizes, n, err)
+	}
+	for i := 0; i < 256; i++ {
+		at := rng.Intn(n)
+		one("Find", at, func() {
+			if e := tr.Find(lo(2*at), "p|u}"); e != es[at] {
+				t.Fatalf("Find(%s) = %v", lo(2*at), e)
+			}
+		})
+		one("Find", at, func() {
+			if e := tr.Find(lo(2*at+1), "p|u}"); e != nil {
+				t.Fatalf("Find(%s) = %v, want none", lo(2*at+1), e)
+			}
+		})
+		one("FindOrInsert", at, func() {
+			if e, added := tr.FindOrInsert(lo(2*at), "p|u}"); added || e != es[at] {
+				t.Fatalf("FindOrInsert(%s) = %v, %v", lo(2*at), e, added)
+			}
+		})
+		one("Delete", at, func() { tr.Delete(es[at]) })
+		one("FindOrInsert", at, func() {
+			e, added := tr.FindOrInsert(lo(2*at), "p|u}")
+			if !added {
+				t.Fatalf("FindOrInsert(%s) found a deleted range", lo(2*at))
+			}
+			e.Val, es[at] = at, e
+		})
+	}
+	if _, err := tr.Check(); err != nil || tr.Len() != n {
+		t.Fatalf("Len %d: %v", tr.Len(), err)
 	}
 }
 
@@ -308,7 +389,7 @@ func runIntervalOps(t testing.TB, data []byte) {
 			if want := m.overlap(q); !slices.Equal(sorted(got), want) {
 				t.Fatalf("step %d: Overlap(%s) = %v, model %v", step, q, got, want)
 			}
-		case 7:
+		case 7: // an exact find, then (on an odd byte) a find-or-insert
 			q := rng()
 			var want *Entry[int]
 			for _, e := range m.entries {
@@ -317,8 +398,20 @@ func runIntervalOps(t testing.TB, data []byte) {
 					break
 				}
 			}
-			if got := tr.Find(q.Lo, q.Hi); (got == nil) != (want == nil) || got != nil && got.Range() != q {
-				t.Fatalf("step %d: Find(%s) = %v, model %v", step, q, got, want)
+			if got := tr.Find(q.Lo, q.Hi); got != want {
+				t.Fatalf("step %d: Find(%s) = %v, model's first %v", step, q, got, want)
+			}
+			if next()%2 == 0 {
+				break
+			}
+			got, added := tr.FindOrInsert(q.Lo, q.Hi)
+			if added != (want == nil) || !added && got != want || got.Range() != q {
+				t.Fatalf("step %d: FindOrInsert(%s) = %v, %v; model's first %v", step, q, got, added, want)
+			}
+			if added {
+				got.Val = step
+				m.entries = append(m.entries, got)
+				m.ranges[got] = q
 			}
 		}
 		if _, err := tr.Check(); err != nil {
@@ -357,9 +450,29 @@ func FuzzIntervalOps(f *testing.F) {
 		// An unbounded range, a cross-table one, and stabs in other tables.
 		{0, 3, 5, 1, 5, 8, 1, 5, 13, 2, 4, 2, 4, 14, 0, 3},
 	}
+	// Long runs in bucket p|u1|: ranges [p|u1|c, p|u1}) for every
+	// component c of the alphabet, the whole prefix [p|u1|, p|u1}) (the
+	// same Lo as c = ""), the point [p|u1|, p|u1|\x00) (the same Lo, a
+	// lower Hi), ranges inside the bucket and live duplicates; then finds,
+	// finds-or-inserts, deletes and stabs among them.
+	var runs []byte
+	for i := byte(0); i < 48; i++ {
+		runs = append(runs,
+			0, 2, 8, 1, i%10, 1, // [p|u1|c, p|u1})
+			0, 0, 8, 1, 0, 1, // [p|u1|, p|u1})
+			0, 1, 68, 1, // [p|u1|, p|u1|\x00)
+			0, 5, 8, 1, i%10, 8, 1, (i+3)%10, // [p|u1|c, p|u1|c') or empty
+			1, 4, i) // a live duplicate
+	}
+	for i := byte(0); i < 24; i++ {
+		runs = append(runs,
+			7, 2, 8, 1, i%10, 1, 1, // found, or inserted
+			3, 5*i, 1, // a delete
+			4, 8, 1, i%10) // a stab inside the bucket
+	}
 	random := make([]byte, 600)
 	rand.New(rand.NewSource(7)).Read(random)
-	for _, s := range append(seeds, random) {
+	for _, s := range append(seeds, runs, random) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -370,9 +483,12 @@ func FuzzIntervalOps(f *testing.F) {
 	})
 }
 
-// twipShaped builds the updater set a Twip engine holds: a subscription
-// range [s|u|, s|u}) per follower and a post range [p|u|0000000000,
-// p|u}) per poster, each alone in its bucket.
+// twipShaped builds the updater set of a Twip engine whose timelines are
+// all read from time 0: a subscription range [s|u|, s|u}) per follower
+// and a post range [p|u|0000000000, p|u}) per poster, each alone in its
+// bucket. Timelines read from later times add a range per lower bound
+// to their posters' buckets (BenchmarkFindDeepBucket), and a stab of a
+// post opens all of them.
 func twipShaped() *Tree[int] {
 	tr := New[int]()
 	for u := 0; u < 1918; u++ {
@@ -410,4 +526,28 @@ func BenchmarkStab(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFindDeepBucket finds ranges in one bucket of 1 000
+// [p|u|T, p|u}): the updaters of one poster read by bounded checks from
+// 1 000 lower bounds T. It reports the entries each Find examines.
+func BenchmarkFindDeepBucket(b *testing.B) {
+	const n = 1000
+	tr := New[int]()
+	los := make([]string, n)
+	for i := range los {
+		los[i] = fmt.Sprintf("p|u|%010d", i*7919%n)
+		tr.Insert(los[i], "p|u}", i)
+	}
+	ops, examined := tr.Exact()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tr.Find(los[i%n], "p|u}") == nil {
+			b.Fatal("a range went missing")
+		}
+	}
+	b.StopTimer()
+	o, x := tr.Exact()
+	b.ReportMetric(float64(x-examined)/float64(o-ops), "examined/find")
 }
