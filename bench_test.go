@@ -144,21 +144,6 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSubtables regenerates the §4.1 measurement (paper:
-// 1.55x faster, 1.17x memory with subtables).
-func BenchmarkAblationSubtables(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationSubtables(benchScale, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(rows[0].Runtime.Seconds()/rows[1].Runtime.Seconds(), "speedup_x")
-			b.ReportMetric(float64(rows[1].Bytes)/float64(rows[0].Bytes), "memratio_x")
-		}
-	}
-}
-
 // BenchmarkAblationOutputHints regenerates the §4.2 measurement (paper:
 // 1.11x faster with output hints).
 func BenchmarkAblationOutputHints(b *testing.B) {
@@ -200,7 +185,6 @@ func BenchmarkEmbeddedOps(b *testing.B) {
 		if err := c.Install(ctx, "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>"); err != nil {
 			b.Fatal(err)
 		}
-		c.SetSubtableDepth("t", 2)
 		for u := 0; u < 100; u++ {
 			for p := 0; p < 20; p++ {
 				c.Put(ctx, fmt.Sprintf("s|u%07d|u%07d", u, (u+p+1)%100), "1")

@@ -3,8 +3,7 @@
 // Usage:
 //
 //	pequod-server [-addr :7744] [-name pequod] [-id node-a]
-//	              [-joins file.pql] [-subtable t=2]...
-//	              [-mem bytes] [-no-hints] [-no-sharing]
+//	              [-joins file.pql] [-mem bytes]
 //	              [-data-dir dir] [-sync-interval 25ms] [-snapshot-interval 30s]
 //	              [-scrub-interval 1m] [-compact-interval 10s]
 //
@@ -13,11 +12,7 @@
 // between them (see below). -name labels the server in stats; -id sets
 // its durable member identity (shown by `pequod-cli health` and the
 // stat RPC, so operators can tell a restarted member from a fresh one;
-// defaults to the name); -mem sets the §2.5 eviction threshold;
-// -no-hints and -no-sharing disable the §4.2/§4.3 optimizations
-// (ablations). Output hints both place a join's writes and start a warm
-// scan of its status at the leaf it last wrote, so -no-hints turns off
-// both.
+// defaults to the name); -mem sets the §2.5 eviction threshold.
 //
 // -data-dir enables the durable range store: base writes stream to a
 // write-behind log under the directory (fsynced in batches every
@@ -53,30 +48,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"pequod/internal/core"
 	"pequod/internal/join"
 	"pequod/internal/server"
 )
-
-type subtableFlags map[string]int
-
-func (s subtableFlags) String() string { return fmt.Sprint(map[string]int(s)) }
-
-func (s subtableFlags) Set(v string) error {
-	parts := strings.SplitN(v, "=", 2)
-	if len(parts) != 2 {
-		return fmt.Errorf("want table=depth, got %q", v)
-	}
-	d, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return err
-	}
-	s[parts[0]] = d
-	return nil
-}
 
 func main() {
 	log.SetPrefix("pequod-server: ")
@@ -85,8 +61,6 @@ func main() {
 	addr := flag.String("addr", ":7744", "listen address")
 	joinsFile := flag.String("joins", "", "file of cache-join specifications to install at startup")
 	memLimit := flag.Int64("mem", 0, "eviction threshold in bytes (0 = never evict)")
-	noHints := flag.Bool("no-hints", false, "disable output hints (§4.2), for writes and for warm scan starts")
-	noSharing := flag.Bool("no-sharing", false, "disable value sharing (§4.3)")
 	name := flag.String("name", "pequod", "server name for stats")
 	id := flag.String("id", "", "durable member identity, stable across restarts and address changes (default: the name)")
 	dataDir := flag.String("data-dir", "", "durable range store directory (empty = in-memory only)")
@@ -94,8 +68,6 @@ func main() {
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "durable snapshot interval (0 = default 30s; needs -data-dir)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "durable lineage CRC scrub interval (0 = default 1m, negative = off; needs -data-dir)")
 	compactInterval := flag.Duration("compact-interval", 0, "durable log compaction interval (0 = default 10s, negative = off; needs -data-dir)")
-	subtables := subtableFlags{}
-	flag.Var(subtables, "subtable", "subtable boundary, table=depth (repeatable, §4.1)")
 	flag.Parse()
 
 	joins := ""
@@ -111,15 +83,10 @@ func main() {
 		log.Fatal("-sync-interval, -snapshot-interval, -scrub-interval, and -compact-interval tune the durable store; pass -data-dir to enable it")
 	}
 	s, err := server.New(server.Config{
-		Name: *name,
-		ID:   *id,
-		Engine: core.Options{
-			DisableOutputHints:  *noHints,
-			DisableValueSharing: *noSharing,
-			MemLimit:            *memLimit,
-		},
+		Name:             *name,
+		ID:               *id,
+		Engine:           core.Options{MemLimit: *memLimit},
 		Joins:            joins,
-		SubtableDepths:   subtables,
 		DataDir:          *dataDir,
 		SyncInterval:     *syncInterval,
 		SnapshotInterval: *snapshotInterval,

@@ -78,9 +78,6 @@ func main() {
 	}
 	if *fig == "ablations" || *fig == "all" {
 		runFig("Ablations (§4)", func() error {
-			if _, err := experiments.AblationSubtables(sc, out); err != nil {
-				return err
-			}
 			if _, err := experiments.AblationOutputHints(sc, out); err != nil {
 				return err
 			}

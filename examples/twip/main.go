@@ -28,7 +28,6 @@ func main() {
 		  t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>;
 		  t|<user>|<time>|<poster> = pull copy ct|<time>|<poster> check s|<user>|<poster>
 		`,
-		SubtableDepths: map[string]int{"t": 2}, // §4.1: timelines are natural boundaries
 	})
 	if err != nil {
 		log.Fatal(err)

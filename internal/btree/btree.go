@@ -3,7 +3,7 @@
 // order, and interior nodes hold separators only. A timeline scan
 // therefore walks a few arrays instead of chasing one pointer per row,
 // and the garbage collector marks two objects per leaf instead of one per
-// row. The same tree orders a store's tables and subtables and, probed
+// row. One tree holds all of a store's rows, and the same structure, probed
 // from the floor (AscendFloor), indexes the engine's disjoint ranges:
 // join statuses and presence records.
 //

@@ -548,12 +548,6 @@ func (c *Client) StatSnapshot(ctx context.Context) (*StatSnapshot, error) {
 	return &s, nil
 }
 
-// SetSubtableDepth configures a table's subtable boundary (§4.1).
-func (c *Client) SetSubtableDepth(table string, depth int) error {
-	m, err := c.call(&rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}).Wait()
-	return replyErr(m, err)
-}
-
 // Quiesce blocks until replication visible to the server has settled:
 // its in-process shard forwarding, its outbound subscription pushes, and
 // — by pinging each of its upstream peers — the subscription pushes in

@@ -762,13 +762,3 @@ func (cl *Cluster) Quiesce(ctx context.Context) error {
 	}
 	return nil
 }
-
-// SetSubtableDepth marks a §4.1 natural key boundary on every member.
-func (cl *Cluster) SetSubtableDepth(ctx context.Context, table string, depth int) error {
-	for _, m := range cl.v.Load().Members() {
-		if _, err := cl.do(ctx, m.Addr, &rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth}); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -139,30 +139,6 @@ func TestValueSharingRefcountsAcrossTimelines(t *testing.T) {
 	}
 }
 
-func TestSubtablesWithJoins(t *testing.T) {
-	// Subtable boundaries on the output table must be transparent to
-	// join execution and maintenance.
-	e := newTwipEngine(t, Options{})
-	e.SetSubtableDepth("t", 2)
-	for u := 0; u < 4; u++ {
-		e.Put(fmt.Sprintf("s|u%d|bob", u), "1")
-	}
-	for i := 0; i < 10; i++ {
-		e.Put(fmt.Sprintf("p|bob|%03d", i), "x")
-	}
-	// Cross-subtable scan over all users' timelines.
-	got := scanKeys(t, e, "t|", "t}")
-	if len(got) != 40 {
-		t.Fatalf("cross-subtable join scan = %d", len(got))
-	}
-	// Incremental maintenance still lands in the right subtables.
-	e.Put("p|bob|500", "new")
-	got = scanKeys(t, e, "t|", "t}")
-	if len(got) != 44 {
-		t.Fatalf("after post = %d", len(got))
-	}
-}
-
 func TestStatsProgression(t *testing.T) {
 	e := newTwipEngine(t, Options{})
 	e.Put("s|ann|bob", "1")

@@ -216,11 +216,6 @@ func (e *Engine) SetLoader(l BaseLoader, tables ...string) {
 	e.markJoins()
 }
 
-// SetSubtableDepth forwards to the store (§4.1).
-func (e *Engine) SetSubtableDepth(table string, depth int) {
-	e.s.SetSubtableDepth(table, depth)
-}
-
 // installedJoin is a join plus its runtime bookkeeping.
 type installedJoin struct {
 	j *join.Join

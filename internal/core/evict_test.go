@@ -45,8 +45,11 @@ func evictOne(e *Engine) {
 func TestEvictionOrder(t *testing.T) {
 	// Three timelines read in order, each over its own follow list and
 	// poster: statuses ann, bob, cat; presence ranges s|x| and p|px| each.
+	// All 27 rows fit one leaf, so an eviction frees accounted bytes only
+	// through its rows' values: timelines get copies, not the posts'
+	// shared values, and evictOne then takes exactly one range.
 	setup := func(t *testing.T) *coldRig {
-		r := newColdRig(t, Options{}, timelineJoin)
+		r := newColdRig(t, Options{DisableValueSharing: true}, timelineJoin)
 		for _, u := range []string{"ann", "bob", "cat"} {
 			r.put("s|"+u+"|p"+u, "1")
 			for i := 0; i < 4; i++ {

@@ -16,12 +16,11 @@ import (
 // ranges the stream reads (first logins) and drops (so they are computed
 // again).
 type landCase struct {
-	name   string
-	joins  string
-	opts   Options
-	depths map[string]int
-	key    func(r *rand.Rand) string
-	reads  []keys.Range
+	name  string
+	joins string
+	opts  Options
+	key   func(r *rand.Rand) string
+	reads []keys.Range
 	// evicts: the engine evicts, and what it evicts depends on Bytes(),
 	// which key order changes, so only what reads return must agree.
 	evicts bool
@@ -54,7 +53,6 @@ func timelines(tbl string) []keys.Range {
 
 var landCases = []landCase{
 	{name: "twip", joins: timelineJoin, key: twipKey(400), reads: timelines("t")},
-	{name: "twip, subtables", joins: timelineJoin, depths: map[string]int{"t": 2}, key: twipKey(400), reads: timelines("t")},
 	{
 		name:  "aggregate",
 		joins: "karma|<author> = count vote|<author>|<id>|<voter>",
@@ -92,9 +90,6 @@ func landEngine(t *testing.T, c landCase, emitOrder bool) (*Engine, *[]Change) {
 	t.Helper()
 	e := New(c.opts)
 	e.emitOrder = emitOrder
-	for tbl, d := range c.depths {
-		e.SetSubtableDepth(tbl, d)
-	}
 	if err := e.InstallText(c.joins); err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +101,10 @@ func landEngine(t *testing.T, c landCase, emitOrder bool) (*Engine, *[]Change) {
 // TestKeyOrderLandingEqualsEmitOrder: a forward execution's rows
 // written in key order leave the engine as writing them as they are
 // emitted does — store rows, Len(), the changes notified for each key in
-// the order given, and every Stats counter — for Twip with and without
-// subtables, an aggregate join, a join whose output drops a slot and so
-// emits a key twice, an engine under a memory limit, and a cascade whose
-// timelines are two other joins' source. The stream mixes base writes,
+// the order given, and every Stats counter — for Twip, an aggregate
+// join, a join whose output drops a slot and so emits a key twice, an
+// engine under a memory limit, and a cascade whose timelines are two
+// other joins' source. The stream mixes base writes,
 // first logins, and drops of computed ranges that make the next read
 // execute again, and every read must return the same rows. Bytes() may
 // differ: rows written in key order fill their leaves fuller. So under a

@@ -21,16 +21,10 @@ type AblationRow struct {
 // the given options, returning runtime and store bytes. mix selects the
 // operation blend: the insert-path optimizations (§4.2) are measured
 // under a write-heavy mix so maintenance work dominates the runtime.
-func runTwipEmbedded(sc Scale, opts core.Options, subtables bool, mix twip.Mix) (AblationRow, error) {
+func runTwipEmbedded(sc Scale, opts core.Options, mix twip.Mix) (AblationRow, error) {
 	e := core.New(opts)
 	if err := e.InstallText(twip.Joins); err != nil {
 		return AblationRow{}, err
-	}
-	if subtables {
-		// "Twip scans mostly lie within a timeline range" (§4.1): the
-		// developer marks the user boundary in the t table.
-		e.SetSubtableDepth("t", 2)
-		e.SetSubtableDepth("p", 2)
 	}
 	g := twip.Generate(sc.Users, sc.Edges, sc.seedAt(42))
 	for u := 0; u < g.Users; u++ {
@@ -68,28 +62,14 @@ func runTwipEmbedded(sc Scale, opts core.Options, subtables bool, mix twip.Mix) 
 	return AblationRow{Runtime: time.Since(start), Bytes: e.Store().Bytes()}, nil
 }
 
-// AblationSubtables reproduces the §4.1 measurement: "The use of
-// subtables improves the runtime of our Twip benchmark by a factor of
-// 1.55x, but increases memory consumption by a factor of 1.17x."
-func AblationSubtables(sc Scale, out io.Writer) ([]AblationRow, error) {
-	return runAblation(sc, out, "subtables (§4.1)",
-		[]ablationCase{
-			{"without subtables", core.Options{}, false},
-			{"with subtables", core.Options{}, true},
-		})
-}
-
 // AblationOutputHints reproduces §4.2: output hints "improve performance
 // by a factor of 1.11x" by avoiding tree lookups on in-order inserts.
-// Measured under a write-heavy mix, where the insert path dominates, and
-// on flat tables: subtables shrink each timeline tree to a handful of
-// nodes, which makes the O(log n) lookup the hint avoids nearly free —
-// the optimizations overlap, and hints matter most where trees are deep.
+// Measured under a write-heavy mix, where the insert path dominates.
 func AblationOutputHints(sc Scale, out io.Writer) ([]AblationRow, error) {
 	return runAblationMix(sc, out, "output hints (§4.2)",
 		[]ablationCase{
-			{"without output hints", core.Options{DisableOutputHints: true}, false},
-			{"with output hints", core.Options{}, false},
+			{"without output hints", core.Options{DisableOutputHints: true}},
+			{"with output hints", core.Options{}},
 		}, writeHeavyMix)
 }
 
@@ -99,15 +79,14 @@ func AblationOutputHints(sc Scale, out io.Writer) ([]AblationRow, error) {
 func AblationValueSharing(sc Scale, out io.Writer) ([]AblationRow, error) {
 	return runAblation(sc, out, "value sharing (§4.3)",
 		[]ablationCase{
-			{"without value sharing", core.Options{DisableValueSharing: true}, true},
-			{"with value sharing", core.Options{}, true},
+			{"without value sharing", core.Options{DisableValueSharing: true}},
+			{"with value sharing", core.Options{}},
 		})
 }
 
 type ablationCase struct {
-	name      string
-	opts      core.Options
-	subtables bool
+	name string
+	opts core.Options
 }
 
 // writeHeavyMix emphasizes the insert/maintenance path for the §4.2
@@ -126,7 +105,7 @@ func runAblationMix(sc Scale, out io.Writer, title string, cases []ablationCase,
 		// scheduler/GC noise larger than some of the §4 effects.
 		var row AblationRow
 		for rep := 0; rep < 3; rep++ {
-			r, err := runTwipEmbedded(sc, c.opts, c.subtables, mix)
+			r, err := runTwipEmbedded(sc, c.opts, mix)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", c.name, err)
 			}

@@ -53,7 +53,6 @@ func Celebrity(sc Scale, out io.Writer) ([]CelebrityRow, error) {
 		if err := e.InstallText(joins); err != nil {
 			return CelebrityRow{}, err
 		}
-		e.SetSubtableDepth("t", 2)
 		for u := 0; u < g.Users; u++ {
 			uid := twip.UserID(int32(u))
 			for _, p := range g.Following[u] {

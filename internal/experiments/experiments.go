@@ -107,15 +107,13 @@ func (c *cluster) Close() {
 	}
 }
 
-// startPequodCluster boots n Pequod servers with the given joins and
-// subtable config.
-func startPequodCluster(n int, joins string, depths map[string]int, opts server.Config) (*cluster, error) {
+// startPequodCluster boots n Pequod servers with the given joins.
+func startPequodCluster(n int, joins string, opts server.Config) (*cluster, error) {
 	cl := &cluster{}
 	for i := 0; i < n; i++ {
 		cfg := opts
 		cfg.Name = fmt.Sprintf("pequod%d", i)
 		cfg.Joins = joins
-		cfg.SubtableDepths = depths
 		s, err := server.New(cfg)
 		if err != nil {
 			cl.Close()

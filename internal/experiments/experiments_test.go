@@ -156,9 +156,6 @@ func TestAblations(t *testing.T) {
 	if _, err := AblationOutputHints(Tiny, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AblationSubtables(Tiny, io.Discard); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestScaleByName(t *testing.T) {

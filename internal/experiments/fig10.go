@@ -178,11 +178,7 @@ func startFig10(users, nBase, nCompute int) (*fig10Cluster, error) {
 		c.baseServers, baseAddrs = append(c.baseServers, s), append(baseAddrs, addr)
 	}
 	for i := 0; i < nCompute; i++ {
-		s, addr, err := start(server.Config{
-			Name:           fmt.Sprintf("compute%d", i),
-			Joins:          twip.Joins,
-			SubtableDepths: map[string]int{"t": 2},
-		})
+		s, addr, err := start(server.Config{Name: fmt.Sprintf("compute%d", i), Joins: twip.Joins})
 		if err != nil {
 			return fail(err)
 		}

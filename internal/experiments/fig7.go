@@ -39,8 +39,7 @@ func Fig7(sc Scale, out io.Writer) ([]Fig7Row, error) {
 	var clusterClients []*client.Client // set by each setup for RPC counting
 	systems := []sys{
 		{"Pequod", func() (twip.Backend, func(), error) {
-			cl, err := startPequodCluster(sc.Servers, twip.Joins,
-				map[string]int{"t": 2}, pequodServerDefaults())
+			cl, err := startPequodCluster(sc.Servers, twip.Joins, pequodServerDefaults())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -56,7 +55,7 @@ func Fig7(sc Scale, out io.Writer) ([]Fig7Row, error) {
 			return &twip.RedisBackend{Clients: cl.clients}, cl.Close, nil
 		}},
 		{"Client Pequod", func() (twip.Backend, func(), error) {
-			cl, err := startPequodCluster(sc.Servers, "", nil, pequodServerDefaults())
+			cl, err := startPequodCluster(sc.Servers, "", pequodServerDefaults())
 			if err != nil {
 				return nil, nil, err
 			}

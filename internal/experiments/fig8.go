@@ -78,8 +78,6 @@ func runFig8(g *twip.Graph, sc Scale, postBase, activePct int, pull, full bool) 
 	if err := e.InstallText(joins); err != nil {
 		return 0, 0, err
 	}
-	e.SetSubtableDepth("t", 2)
-
 	// Subscription graph (base data).
 	for u := 0; u < g.Users; u++ {
 		uid := twip.UserID(int32(u))

@@ -41,7 +41,7 @@ func Fig9(sc Scale, voteRates []int, out io.Writer) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for _, s := range strategies {
 		for _, vr := range voteRates {
-			cl, err := startPequodCluster(1, s.joins, nil, pequodServerDefaults())
+			cl, err := startPequodCluster(1, s.joins, pequodServerDefaults())
 			if err != nil {
 				return nil, err
 			}

@@ -91,7 +91,6 @@ func warmShardPool(g *twip.Graph, posts []twip.Op, n int) (*shard.Pool, error) {
 		p.Close()
 		return nil, err
 	}
-	p.SetSubtableDepth("t", 2)
 	for u, following := range g.Following {
 		uid := twip.UserID(int32(u))
 		for _, poster := range following {

@@ -224,8 +224,8 @@ func TestPlacement(t *testing.T) {
 		{"p|u|0000000000", "p|u}", "p|u|"},
 		{"p|u|7", "p|u|7\x00", "p|u|7"},    // a point
 		{"p|u|", "p|u|\x00", "p|u|"},       // a point on a prefix
-		{"p|u|1", "p|u|2", "p|u|"},         // inside one subtable
-		{"p|u|1", "p|v", "p|"},             // across subtables
+		{"p|u|1", "p|u|2", "p|u|"},         // inside one user's rows
+		{"p|u|1", "p|v", "p|"},             // across users
 		{"p|", "p}", "p|"},                 // the whole table
 		{"p|u|1", "", ""},                  // unbounded
 		{"p|u|1", "s|", ""},                // across tables

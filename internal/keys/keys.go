@@ -51,28 +51,13 @@ func Split(key string) []string {
 	return strings.Split(key, SepString)
 }
 
-// Table returns the first component of key — the logical table name the
-// store's first tree layer separates on. Table("p|bob|100") == "p".
+// Table returns the first component of key — the logical table name
+// joins, presence ranges and replication go by. Table("p|bob|100") == "p".
 func Table(key string) string {
 	if i := strings.IndexByte(key, Sep); i >= 0 {
 		return key[:i]
 	}
 	return key
-}
-
-// Prefix returns the first n components of key joined with a trailing Sep,
-// suitable as a subtable boundary prefix. If key has fewer than n
-// components, Prefix returns key itself.
-func Prefix(key string, n int) string {
-	idx := 0
-	for i := 0; i < n; i++ {
-		j := strings.IndexByte(key[idx:], Sep)
-		if j < 0 {
-			return key
-		}
-		idx += j + 1
-	}
-	return key[:idx]
 }
 
 // Range is a half-open lexicographic key interval [Lo, Hi). An empty Hi

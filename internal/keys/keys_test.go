@@ -65,24 +65,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestPrefix(t *testing.T) {
-	cases := []struct {
-		key  string
-		n    int
-		want string
-	}{
-		{"t|ann|100|bob", 1, "t|"},
-		{"t|ann|100|bob", 2, "t|ann|"},
-		{"t|ann|100|bob", 3, "t|ann|100|"},
-		{"t|ann", 3, "t|ann"},
-	}
-	for _, c := range cases {
-		if got := Prefix(c.key, c.n); got != c.want {
-			t.Errorf("Prefix(%q, %d) = %q, want %q", c.key, c.n, got, c.want)
-		}
-	}
-}
-
 func TestRangeContains(t *testing.T) {
 	r := Range{"t|ann|", "t|ann}"}
 	for _, k := range []string{"t|ann|", "t|ann|100", "t|ann|zzz"} {

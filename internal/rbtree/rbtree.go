@@ -1,7 +1,6 @@
 // Package rbtree is the red-black tree the benchmark's rbtree.* rungs
 // time (benchmark/layers.go). Nothing in the running system uses it: rows,
-// table and subtable order, join statuses and presence ranges live in
-// internal/btree, and overlapping ranges in internal/interval's buckets
+// join statuses and presence ranges live in internal/btree, and overlapping ranges in internal/interval's buckets
 // over it. It keeps insertion, lookup and the invariant check its test
 // runs, and goes with the rungs.
 //

@@ -20,7 +20,7 @@
 //   - Data plane: Get, Put, Remove, Scan (optionally subscribing),
 //     Count, Notify (server push), and the batch-friendly pipelining
 //     all of them share.
-//   - Control plane: AddJoin, SetSubtable, Stat, Quiesce, Ping (a
+//   - Control plane: AddJoin, Stat, Quiesce, Ping (a
 //     push-delivery fence), Command (baseline engines).
 //   - Migration plane: ExtractRange, SpliceRange, and MapUpdate move a
 //     key range between servers and publish the versioned cluster

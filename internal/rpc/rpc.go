@@ -15,21 +15,21 @@ type MsgType byte
 
 // Protocol message types.
 const (
-	MsgGet         MsgType = iota + 1 // Key -> Found/Value
-	MsgPut                            // Key, Value
-	MsgRemove                         // Key -> Found
-	MsgScan                           // Lo, Hi, Limit, SubscribeFlag -> KVs
-	MsgCount                          // Lo, Hi -> Count
-	MsgAddJoin                        // Text
-	MsgNotify                         // Changes (server push; no reply)
-	MsgStat                           // -> Value (JSON)
-	_                                 // 9: was Flush; number reserved
-	MsgSetSubtable                    // Table, Depth
-	MsgReply                          // Status, reply fields
-	MsgCommand                        // Args (generic command; baseline engines)
-	MsgQuiesce                        // settle replication (in-process + subscriptions)
-	MsgPing                           // drain this connection's pushes, then reply
-	_                                 // 15: was ConnectPeers; number reserved
+	MsgGet     MsgType = iota + 1 // Key -> Found/Value
+	MsgPut                        // Key, Value
+	MsgRemove                     // Key -> Found
+	MsgScan                       // Lo, Hi, Limit, SubscribeFlag -> KVs
+	MsgCount                      // Lo, Hi -> Count
+	MsgAddJoin                    // Text
+	MsgNotify                     // Changes (server push; no reply)
+	MsgStat                       // -> Value (JSON)
+	_                             // 9: was Flush; number reserved
+	_                             // 10: was a §4.1 table boundary setting; number reserved
+	MsgReply                      // Status, reply fields
+	MsgCommand                    // Args (generic command; baseline engines)
+	MsgQuiesce                    // settle replication (in-process + subscriptions)
+	MsgPing                       // drain this connection's pushes, then reply
+	_                             // 15: was ConnectPeers; number reserved
 
 	// Cluster-level live migration (server-to-server range transfer).
 	// Every map-bearing message carries the recipient's whole view (Map:
@@ -120,8 +120,6 @@ type Message struct {
 	Limit         int
 	SubscribeFlag bool
 	Text          string
-	Table         string
-	Depth         int
 	Changes       []Change
 	Args          []string // MsgCommand
 
@@ -250,9 +248,6 @@ func (m *Message) Encode(buf []byte) []byte {
 		}
 	case MsgStat, MsgQuiesce, MsgPing, MsgSnapshot:
 		// no payload
-	case MsgSetSubtable:
-		buf = appendString(buf, m.Table)
-		buf = appendUvarint(buf, uint64(m.Depth))
 	case MsgCommand:
 		buf = appendUvarint(buf, uint64(len(m.Args)))
 		for _, a := range m.Args {
@@ -541,14 +536,6 @@ func Decode(payload []byte) (*Message, error) {
 		}
 	case MsgStat, MsgQuiesce, MsgPing, MsgSnapshot:
 		// no payload
-	case MsgSetSubtable:
-		if m.Table, err = d.str(); err != nil {
-			return nil, err
-		}
-		var depth uint64
-		if depth, err = d.uvarint(); err == nil {
-			m.Depth = int(depth)
-		}
 	case MsgExtractRange, MsgSpliceRange, MsgMapUpdate:
 		if m.Map, err = d.view(true); err != nil {
 			return nil, err

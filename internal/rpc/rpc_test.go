@@ -41,7 +41,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{Op: ChangeRemove, Key: "k2", Value: ""},
 		}},
 		{Type: MsgStat, Seq: 8},
-		{Type: MsgSetSubtable, Seq: 10, Table: "t", Depth: 2},
 		{Type: MsgGet, Seq: 13, Key: "k", TimeoutMS: 1500},
 		{Type: MsgQuiesce, Seq: 14},
 		{Type: MsgPing, Seq: 15},
@@ -138,9 +137,10 @@ func TestPipelinedFrames(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	// Unknown types: past the last, and each reserved number (Flush,
-	// ConnectPeers, JoinCluster, Drain, Replicate once).
-	for _, typ := range []byte{255, 9, 15, 19, 20, 21} {
+	// Unknown types: past the last, and each reserved number (Flush, the
+	// §4.1 table boundary setting, ConnectPeers, JoinCluster, Drain,
+	// Replicate once).
+	for _, typ := range []byte{255, 9, 10, 15, 19, 20, 21} {
 		if _, err := Decode([]byte{typ, 0, 0, 0}); err == nil {
 			t.Errorf("unknown type %d accepted", typ)
 		}

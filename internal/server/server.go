@@ -46,8 +46,6 @@ type Config struct {
 	Engine core.Options
 	// Joins, if non-empty, is installed at startup.
 	Joins string
-	// SubtableDepths configures §4.1 boundaries at startup.
-	SubtableDepths map[string]int
 	// DataDir, if non-empty, enables the durable range store: base
 	// writes stream to a write-behind log under this directory,
 	// periodic snapshots truncate it, and a restart recovers rows and the
@@ -197,9 +195,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.up = newUpstream(s.replicaKeep, pool.Shard(0).ApplyBatch)
 	s.repl = &replicaState{s: s, held: make(map[keys.Range]*replHold)}
-	for t, d := range cfg.SubtableDepths {
-		pool.SetSubtableDepth(t, d)
-	}
 	if cfg.Joins != "" {
 		if err := pool.InstallText(cfg.Joins); err != nil {
 			pool.Close()
@@ -479,10 +474,6 @@ func (s *Server) handle(cn *conn, m *rpc.Message) *rpc.Message {
 		r := rpc.OKReply(m.Seq)
 		r.Value = s.statJSON()
 		return r
-
-	case rpc.MsgSetSubtable:
-		s.pool.SetSubtableDepth(m.Table, m.Depth)
-		return rpc.OKReply(m.Seq)
 
 	case rpc.MsgQuiesce:
 		// It may wait out peer fences and replica syncs: a continuation

@@ -52,7 +52,7 @@ func addJoin(c *client.Client, text string) error {
 // shard.
 func TestServerIsOneEngine(t *testing.T) {
 	s, c := startServer(t, Config{
-		Name: "one", Joins: timelineJoin, SubtableDepths: map[string]int{"t": 2},
+		Name: "one", Joins: timelineJoin,
 		DataDir: t.TempDir(), ScrubInterval: -1, CompactInterval: -1,
 	})
 	if n := s.Pool().NumShards(); n != 1 {
@@ -128,19 +128,13 @@ func TestJoinOverRPC(t *testing.T) {
 	}
 }
 
-func TestConfiguredJoinsAndSubtables(t *testing.T) {
-	_, c := startServer(t, Config{
-		Joins:          timelineJoin,
-		SubtableDepths: map[string]int{"t": 2},
-	})
+func TestConfiguredJoins(t *testing.T) {
+	_, c := startServer(t, Config{Joins: timelineJoin})
 	c.Put("s|ann|bob", "1")
 	c.Put("p|bob|100", "Hi")
 	kvs, _ := c.Scan("t|ann|", "t|ann}", 0)
 	if len(kvs) != 1 {
 		t.Fatalf("timeline = %v", kvs)
-	}
-	if err := c.SetSubtableDepth("p", 2); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -646,15 +646,6 @@ func (p *Pool) backfill(table string) {
 	}
 }
 
-// SetSubtableDepth marks a §4.1 boundary on every shard.
-func (p *Pool) SetSubtableDepth(table string, depth int) {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.e.SetSubtableDepth(table, depth)
-		sh.mu.Unlock()
-	}
-}
-
 // Stats sums the engine counters across shards.
 func (p *Pool) Stats() core.Stats {
 	var total core.Stats

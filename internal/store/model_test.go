@@ -50,14 +50,17 @@ func (m *storeModel) removeRange(lo, hi string) []string {
 	return gone
 }
 
-var opTables = [...]string{"p", "s", "t"}
+// opTables holds "p" and "page": a table name that is a proper prefix of
+// another, so the store's order across tables is held to byte order,
+// where "page|1" sorts before "p|1".
+var opTables = [...]string{"p", "s", "t", "page"}
 
 // runStoreOps interprets data as a stream of store operations, applies
 // each to a Store and to the model, and after every one checks the
 // store's structure and counters (Store.Check) and its size; reads and
-// floor probes compare contents. Four hints are used and reused throughout, whatever
-// has happened to the leaves they point at: splits, the leaf's deletion,
-// a re-shard of its table.
+// floor probes compare contents. Four hints are used and reused
+// throughout, whatever has happened to the leaves they point at: splits,
+// the leaf's deletion, writes and scans in another table.
 func runStoreOps(t testing.TB, data []byte) {
 	s := New()
 	m := &storeModel{vals: map[string]*Value{}}
@@ -74,13 +77,13 @@ func runStoreOps(t testing.TB, data []byte) {
 		return int(b)
 	}
 	// An existing key more often than not, so removals and replacements
-	// hit; otherwise one of 3 tables × 4 users × 65 536 sequence numbers.
+	// hit; otherwise one of 4 tables × 4 users × 65 536 sequence numbers.
 	pick := func() string {
 		a, seq := next(), next()<<8|next()
 		if a&1 == 1 && len(m.keys) > 0 {
 			return m.keys[seq%len(m.keys)]
 		}
-		return fmt.Sprintf("%s|u%d|%05d", opTables[(a>>1)%3], (a>>3)%4, seq)
+		return fmt.Sprintf("%s|u%d|%05d", opTables[(a>>1)%4], (a>>3)%4, seq)
 	}
 	value := func(step int) *Value {
 		if b := next(); b%3 > 0 {
@@ -100,7 +103,7 @@ func runStoreOps(t testing.TB, data []byte) {
 	}
 
 	for step := 0; len(data) > 0; step++ {
-		switch op := next() % 18; op {
+		switch op := next() % 16; op {
 		case 0, 1:
 			put(step, pick(), value(step), nil)
 		case 2, 3:
@@ -146,43 +149,26 @@ func runStoreOps(t testing.TB, data []byte) {
 				lo, hi = hi, lo
 			}
 			equalStoreScan(t, s, m, lo, hi, step)
-		case 13: // the floor probe, on the tree that would hold k
+		case 13: // the floor probe: the last key at or below k, else the first above
 			k := pick()
-			tr := s.lookup(k)
-			if tr == nil {
-				break
-			}
-			// It starts at the tree's last key at or below k, else at its
-			// first above.
 			want := ""
-			for _, mk := range m.keys {
-				if s.lookup(mk) != tr {
-					continue
-				}
-				if mk > k {
-					if want == "" {
-						want = mk
-					}
-					break
-				}
-				want = mk
+			if i := sort.SearchStrings(m.keys, k); i < len(m.keys) && m.keys[i] == k {
+				want = k
+			} else if i > 0 {
+				want = m.keys[i-1]
+			} else if len(m.keys) > 0 {
+				want = m.keys[0]
 			}
 			got := ""
-			tr.AscendFloor(k, "", func(fk string, _ *Value) bool { got = fk; return false })
+			s.tree.AscendFloor(k, "", func(fk string, _ *Value) bool { got = fk; return false })
 			if got != want {
 				t.Fatalf("step %d: floor probe at %q starts at %q, model %q", step, k, got, want)
 			}
 		case 14:
-			s.SetSubtableDepth(opTables[next()%3], next()%4)
-		case 15:
-			// A table that does not exist yet, configured ahead.
-			s.SetSubtableDepth("zz", next()%3)
-			put(step, fmt.Sprintf("zz|%d|%d", next()%3, next()), value(step), &hints[0])
-		case 16:
-			// A scan started from a hint — live or freed, in this table or
-			// subtable or a neighbour, covering lo or not — or from a
-			// finger into another store, to the end of lo's user or to
-			// another key: the same rows as a descent.
+			// A scan started from a hint — live or freed, in lo's timeline
+			// or a neighbouring one or another table, covering lo or not —
+			// or from a finger into another store, to the end of lo's user
+			// or to another key: the same rows as a descent.
 			lo := pick()
 			hi := keys.PrefixEnd(lo[:strings.LastIndexByte(lo, '|')+1])
 			if b := next(); b%2 == 0 {
@@ -197,7 +183,7 @@ func runStoreOps(t testing.TB, data []byte) {
 				other.PutHint(lo, NewValue("elsewhere"), h)
 			}
 			equalHintedScan(t, s, m, lo, hi, h, step)
-		case 17:
+		case 15:
 			// An equal value re-put — the value itself or a copy of it —
 			// leaves the stored *Value, its references and Bytes() alone.
 			k := pick()
@@ -306,7 +292,7 @@ func equalHintedScan(t testing.TB, s *Store, m *storeModel, lo, hi string, h *Hi
 
 // TestStoreOpsAgainstModel is the property test: long pseudo-random
 // operation streams, each behind a preamble of bursts into one table so
-// that its tree is three levels deep when the removals start to bite.
+// that the tree is three levels deep when the removals start to bite.
 func TestStoreOpsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -329,20 +315,24 @@ func FuzzStoreOps(f *testing.F) {
 		append(append(burst(1, 255), burst(1, 255)...), 2, 4, 0, 7, 0, 1),
 		// ...across the deletion of its leaf (RemoveRange to the end of the store).
 		append(burst(2, 200), 9, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 9, 0, 2),
-		// ...across a re-shard of its table and back.
-		append(append(burst(3, 90), 14, 2, 2, 2, 4, 0, 8, 0, 3), 14, 2, 0, 2, 4, 0, 8, 0, 3),
-		// Per-key subtables, a cross-table range cut, a configured-ahead table.
-		{14, 2, 3, 4, 4, 0, 1, 0, 0, 40, 15, 1, 2, 3, 0, 10, 0, 0, 0, 5, 255, 255, 0, 12, 0, 0, 0, 5, 255, 255},
+		// ...across a burst into another table (page|u0|), then a write
+		// back into t|u0| and scans from it: in its timeline, and from
+		// page|u0| to t|u0|, across tables.
+		append(burst(3, 90), 4, 6, 0, 7, 1, 3, 60, 2, 4, 0, 8, 0, 3, 14, 4, 0, 7, 1, 3, 14, 6, 0, 7, 0, 4, 0, 9, 3),
+		// Neighbouring tables page|u1| and p|u1|, a range cut across them,
+		// a scan, and a scan from a page| hint to t|.
+		{4, 14, 0, 1, 0, 0, 40, 4, 8, 0, 1, 1, 1, 40, 0, 4, 0, 3, 0, 10, 8, 0, 20, 14, 0, 30, 1,
+			12, 0, 0, 0, 5, 255, 255, 14, 14, 0, 1, 0, 4, 0, 9, 0},
 		// Scans from a hint: one on the leaf holding lo, one behind it, a
 		// finger into another store, and none.
-		append(burst(1, 255), 16, 5, 0, 250, 1, 1, 16, 4, 0, 7, 1, 1, 16, 5, 0, 250, 1, 4, 16, 5, 0, 3, 0, 5, 0, 200, 5),
+		append(burst(1, 255), 14, 5, 0, 250, 1, 1, 14, 4, 0, 7, 1, 1, 14, 5, 0, 250, 1, 4, 14, 5, 0, 3, 0, 5, 0, 200, 5),
 		// ...from a hint whose leaf was freed.
-		append(append(burst(2, 200), 9, 0, 0, 0, 0, 0, 0, 0), 4, 4, 0, 9, 1, 0, 40, 16, 5, 0, 20, 1, 2),
-		// ...from a hint in the neighbouring subtable (t|u0| beside t|u1|).
-		append(append([]byte{14, 2, 2}, burst(3, 120)...), 4, 10, 0, 5, 1, 0, 100, 16, 10, 0, 0, 1, 3, 16, 11, 0, 151, 1, 3),
+		append(append(burst(2, 200), 9, 0, 0, 0, 0, 0, 0, 0), 4, 4, 0, 9, 1, 0, 40, 14, 5, 0, 20, 1, 2),
+		// ...from a hint in the neighbouring timeline (t|u0| beside t|u1|).
+		append(burst(3, 120), 4, 12, 0, 5, 1, 0, 100, 14, 12, 0, 0, 1, 3, 14, 13, 0, 151, 1, 3),
 		// ...from a live hint covering lo, over a range that reaches past
-		// its tree (s|u0| rows, then t|u0| rows).
-		append(append([]byte{4, 2, 0, 7, 1, 1, 100}, burst(2, 50)...), 16, 3, 0, 95, 0, 4, 0, 9, 1),
+		// its table (s|u0| rows, then t|u0| rows).
+		append(append([]byte{4, 2, 0, 7, 1, 1, 100}, burst(2, 50)...), 14, 3, 0, 95, 0, 4, 0, 9, 1),
 	}
 	rng := rand.New(rand.NewSource(7))
 	random := make([]byte, 600)

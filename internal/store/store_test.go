@@ -90,72 +90,6 @@ func TestScanBounds(t *testing.T) {
 	}
 }
 
-func TestSubtables(t *testing.T) {
-	s := New()
-	s.SetSubtableDepth("t", 2) // shard timelines per user
-	users := []string{"ann", "bob", "liz"}
-	for _, u := range users {
-		for i := 0; i < 20; i++ {
-			s.Put(fmt.Sprintf("t|%s|%03d", u, i), NewValue("x"))
-		}
-	}
-	if got := s.SubtableCount("t"); got != 3 {
-		t.Fatalf("SubtableCount = %d", got)
-	}
-	// Point ops work through the hash index.
-	if v, ok := s.Get("t|bob|007"); !ok || v.String() != "x" {
-		t.Fatal("get in subtable")
-	}
-	// In-subtable scan.
-	if c := s.CountRange("t|bob|", "t|bob}"); c != 20 {
-		t.Fatalf("subtable scan count = %d", c)
-	}
-	// Cross-subtable scan preserves global order.
-	var got []string
-	s.Scan("t|ann|018", "t|liz|002", func(k string, v *Value) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []string{"t|ann|018", "t|ann|019"}
-	for i := 0; i < 20; i++ {
-		want = append(want, fmt.Sprintf("t|bob|%03d", i))
-	}
-	want = append(want, "t|liz|000", "t|liz|001")
-	if len(got) != len(want) {
-		t.Fatalf("cross-subtable scan: %d keys, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cross-subtable order at %d: got %q want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSubtableResharding(t *testing.T) {
-	s := New()
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("t|u%02d|%03d", i%5, i), NewValue("v"))
-	}
-	before := s.Len()
-	s.SetSubtableDepth("t", 2)
-	if s.Len() != before {
-		t.Fatal("reshard changed length")
-	}
-	if s.SubtableCount("t") != 5 {
-		t.Fatalf("SubtableCount = %d", s.SubtableCount("t"))
-	}
-	if c := s.CountRange("t|", "t}"); c != before {
-		t.Fatalf("count after reshard = %d", c)
-	}
-	// Reshard back to flat.
-	s.SetSubtableDepth("t", 0)
-	if c := s.CountRange("t|", "t}"); c != before {
-		t.Fatalf("count after unshard = %d", c)
-	}
-	// Setting the same depth is a no-op.
-	s.SetSubtableDepth("t", 0)
-}
-
 func TestValueSharingAccounting(t *testing.T) {
 	s := New()
 	v := NewValue("a-tweet-of-some-length")
@@ -245,17 +179,23 @@ func TestPutHint(t *testing.T) {
 	if _, ok := s.Get("t|ann|9999"); !ok {
 		t.Fatal("hinted put after unrelated write")
 	}
-	// Hint crossing subtables must not corrupt the trees.
+	// A hint on a p| leaf used for t| writes: each write lands where a
+	// descent puts it, and the hint follows it across the tables.
 	s2 := New()
-	s2.SetSubtableDepth("t", 2)
 	h2 := &Hint{}
+	for i := 0; i < 200; i++ {
+		s2.PutHint(fmt.Sprintf("p|bob|%03d", i), NewValue("v"), h2)
+	}
 	for _, u := range []string{"ann", "bob", "cat"} {
 		for i := 0; i < 100; i++ {
 			s2.PutHint(fmt.Sprintf("t|%s|%03d", u, i), NewValue("v"), h2)
 		}
 	}
-	if c := s2.CountRange("t|", "t}"); c != 300 {
-		t.Fatalf("subtable hinted count = %d", c)
+	if c, p := s2.CountRange("t|", "t}"), s2.CountRange("p|", "p}"); c != 300 || p != 200 {
+		t.Fatalf("hinted counts: %d t| rows, %d p| rows", c, p)
+	}
+	if err := s2.Check(); err != nil {
+		t.Fatal(err)
 	}
 	// Removal kills the hint; next hinted put falls back cleanly.
 	s2.RemoveRange("t|cat|", "t|cat}", nil)
@@ -335,12 +275,6 @@ func TestTablesIteration(t *testing.T) {
 	if !slices.Equal(names, []string{"a", "b", "c"}) {
 		t.Fatalf("tables scanned = %v", names)
 	}
-	if tb := s.Table("b"); tb == nil || tb.Len() != 1 {
-		t.Fatal("Table lookup")
-	}
-	if s.Table("zzz") != nil {
-		t.Fatal("absent table")
-	}
 }
 
 func BenchmarkPutFlat(b *testing.B) {
@@ -354,36 +288,5 @@ func BenchmarkPutFlat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(ks[i], v)
-	}
-}
-
-func BenchmarkPutSubtables(b *testing.B) {
-	s := New()
-	s.SetSubtableDepth("t", 2)
-	ks := make([]string, b.N)
-	for i := range ks {
-		ks[i] = fmt.Sprintf("t|u%05d|%09d", i%1000, i)
-	}
-	v := NewValue("value")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Put(ks[i], v)
-	}
-}
-
-func BenchmarkGetSubtables(b *testing.B) {
-	s := New()
-	s.SetSubtableDepth("t", 2)
-	const n = 1 << 16
-	ks := make([]string, n)
-	for i := 0; i < n; i++ {
-		ks[i] = fmt.Sprintf("t|u%05d|%09d", i%1000, i)
-		s.Put(ks[i], NewValue("value"))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Get(ks[i&(n-1)])
 	}
 }

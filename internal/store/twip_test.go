@@ -25,8 +25,6 @@ type twipShape struct {
 	// a first login's join execution (followee by followee) and a
 	// subscribe's copy into the middle of a timeline come close to.
 	shuffle bool
-	// subtables shards t| per user (§4.1).
-	subtables bool
 	// scatter replaces each timeline key with "t|" and 28 random
 	// letters, so neighbouring keys share no prefix beyond a letter or
 	// two: the worst case for packed leaves.
@@ -39,9 +37,6 @@ func uid(u int) string { return fmt.Sprintf("u%07d", u) }
 // caller measuring heap growth around build sees what the rows cost.
 func (sh twipShape) build() *Store {
 	s := New()
-	if sh.subtables {
-		s.SetSubtableDepth("t", 2)
-	}
 	followers := make([][]int, sh.users)
 	for u := 0; u < sh.users; u++ {
 		for f := 1; f <= sh.follows; f++ {
@@ -111,9 +106,8 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		{users: 400, follows: 20, posts: 12, share: false, interleave: true},
 		{users: 400, follows: 20, posts: 12, share: false, interleave: false},
 		{users: 400, follows: 20, posts: 12, share: true, shuffle: true},
-		{users: 400, follows: 20, posts: 12, share: true, interleave: true, subtables: true},
-		{users: 3000, follows: 10, posts: 1, share: true, interleave: true, subtables: true}, // ten-row timelines
-		{users: 400, follows: 20, posts: 12, share: true, scatter: true},                     // keys that share no prefix
+		{users: 3000, follows: 10, posts: 1, share: true, interleave: true}, // ten-row timelines
+		{users: 400, follows: 20, posts: 12, share: true, scatter: true},    // keys that share no prefix
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
@@ -123,8 +117,9 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		heap, accounted := int64(m1.HeapAlloc)-int64(m0.HeapAlloc), s.Bytes()
 		rows := s.CountRange("t|", "t}")
-		t.Logf("%+v: %d rows (%d in timelines), heap %d B, accounted %d B (%+.1f%%), %.1f accounted B per row, t| leaves %.2f full",
-			sh, s.Len(), rows, heap, accounted, 100*float64(accounted-heap)/float64(heap), float64(accounted)/float64(s.Len()), fill(s.Table("t")))
+		leaves, _ := s.Nodes()
+		t.Logf("%+v: %d rows (%d in timelines), heap %d B, accounted %d B (%+.1f%%), %.1f accounted B per row, leaves %.2f full",
+			sh, s.Len(), rows, heap, accounted, 100*float64(accounted-heap)/float64(heap), float64(accounted)/float64(s.Len()), float64(s.Len())/float64(62*leaves))
 		if d := float64(accounted-heap) / float64(heap); d < -0.15 || d > 0.15 {
 			t.Errorf("%+v: Bytes() = %d but the rows hold %d B of heap (%+.1f%%)", sh, accounted, heap, 100*d)
 		}
@@ -133,18 +128,6 @@ func TestAccountingMatchesHeap(t *testing.T) {
 		}
 		runtime.KeepAlive(s)
 	}
-}
-
-// fill is the share of t's leaf slots that hold a row; a leaf has room
-// for 62 (see leafBytes).
-func fill(t *Table) float64 {
-	rows, leaves := 0, 0
-	t.trees("", "", func(tr *tree) bool {
-		l, _ := tr.Nodes()
-		rows, leaves = rows+tr.Len(), leaves+l
-		return true
-	})
-	return float64(rows) / float64(62*leaves)
 }
 
 // The micro-benchmarks below run on the layout the live system has and

@@ -289,11 +289,6 @@ func (c *Cache) ScanBatch(ctx context.Context, ranges []Range, limit int) ([][]K
 	return out, nil
 }
 
-// SetSubtableDepth marks a natural key boundary for a table (§4.1).
-func (c *Cache) SetSubtableDepth(table string, depth int) {
-	c.p.SetSubtableDepth(table, depth)
-}
-
 // Stats snapshots the engine counters, summed across shards.
 func (c *Cache) Stats(ctx context.Context) (Stats, error) {
 	if err := ctx.Err(); err != nil {
@@ -476,12 +471,6 @@ func (c *Client) Stat(ctx context.Context) (string, error) {
 		return "", err
 	}
 	return m.Value, nil
-}
-
-// SetSubtableDepth configures a table's subtable boundary (§4.1).
-func (c *Client) SetSubtableDepth(ctx context.Context, table string, depth int) error {
-	_, err := c.raw.Do(ctx, &rpc.Message{Type: rpc.MsgSetSubtable, Table: table, Depth: depth})
-	return err
 }
 
 // Quiesce blocks until replication visible to the server has settled;
