@@ -72,17 +72,10 @@ type Admin interface {
 	// Memory-only members (no data dir) fail theirs; the joined error
 	// names them while the rest still snapshot.
 	Snapshot(ctx context.Context) error
-	// RebalancerStats snapshots the cluster rebalancer's activity and
-	// the live map.
-	RebalancerStats() ClusterRebalancerStats
 }
 
 // MemberHealth is one member's row in an Admin.Health report.
 type MemberHealth = cluster.MemberHealth
-
-// ClusterRebalancerStats snapshots the cluster rebalancer's activity;
-// see Admin.RebalancerStats.
-type ClusterRebalancerStats = cluster.RebalancerStats
 
 // RekeyDataDir rewrites the meta.json identity of a dead member's data
 // dir so a server started over it at newAddr recovers the lineage as

@@ -2,7 +2,7 @@
 // speaks the unified Store API: point it at one server (-addr) or at a
 // partitioned cluster (-addrs with -bounds), and the same commands work
 // against either. Cluster mode additionally drives live re-partitioning
-// (the move and rebalance subcommands).
+// (the move, add and drain subcommands).
 //
 // Usage:
 //
@@ -47,9 +47,6 @@
 //	move IDX BOUND           live-migrate: move partition bound IDX to
 //	                         BOUND, transferring the implied key range
 //	                         between the servers on either side
-//	rebalance [DUR]          watch per-server load and migrate hot
-//	                         ranges for DUR (default 30s), one decision
-//	                         per second, printing each move
 //	add ADDR [OWNER BOUND]   join the server at ADDR to the cluster
 //	                         live: wire it into the mesh, grant it an
 //	                         initial slice (owner OWNER's range split
@@ -133,7 +130,6 @@ commands (single-server mode only):
 
 commands (cluster mode only):
   move IDX BOUND           live-migrate bound IDX to BOUND
-  rebalance [DUR]          auto-migrate hot ranges for DUR (default 30s)
   add ADDR [OWNER BOUND]   join the server at ADDR live (see docs/OPERATIONS.md)
   drain ADDR               drain the member at ADDR live, then remove it
   health                   probe every member: liveness, ID, ranges, replicas,
@@ -298,9 +294,9 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		}
 		fmt.Println(raw)
 	case "move":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("move needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "move")
+		if err != nil {
+			return err
 		}
 		if len(args) != 3 {
 			return fmt.Errorf("move IDX BOUND")
@@ -312,12 +308,12 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		if err := adm.MoveBound(ctx, idx, args[2]); err != nil {
 			return err
 		}
-		st := adm.RebalancerStats()
-		fmt.Printf("moved bound %d to %q (map v%d: %q)\n", idx, args[2], st.Version, st.Bounds)
+		m := adm.Map()
+		fmt.Printf("moved bound %d to %q (map v%d: %q)\n", idx, args[2], m.Version(), m.Bounds())
 	case "add":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("add needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "add")
+		if err != nil {
+			return err
 		}
 		switch len(args) {
 		case 2:
@@ -335,13 +331,13 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		default:
 			return fmt.Errorf("add ADDR [OWNER BOUND]")
 		}
-		st := adm.RebalancerStats()
+		m := adm.Map()
 		fmt.Printf("added %s (map e%d v%d: %d members, bounds %q)\n",
-			args[1], st.Epoch, st.Version, adm.Members(), st.Bounds)
+			args[1], m.Epoch(), m.Version(), adm.Members(), m.Bounds())
 	case "drain":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("drain needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "drain")
+		if err != nil {
+			return err
 		}
 		if len(args) != 2 {
 			return fmt.Errorf("drain ADDR")
@@ -349,13 +345,13 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		if err := adm.DrainServer(ctx, args[1]); err != nil {
 			return err
 		}
-		st := adm.RebalancerStats()
+		m := adm.Map()
 		fmt.Printf("drained %s (map e%d v%d: %d members, bounds %q); the process can be stopped\n",
-			args[1], st.Epoch, st.Version, adm.Members(), st.Bounds)
+			args[1], m.Epoch(), m.Version(), adm.Members(), m.Bounds())
 	case "health":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("health needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "health")
+		if err != nil {
+			return err
 		}
 		if len(args) != 1 {
 			return fmt.Errorf("health")
@@ -405,9 +401,9 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 			return fmt.Errorf("%d member(s) report durable lineage damage; see the scrub triage row in docs/OPERATIONS.md", damaged)
 		}
 	case "repair":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("repair needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "repair")
+		if err != nil {
+			return err
 		}
 		if len(args) != 1 {
 			return fmt.Errorf("repair")
@@ -416,17 +412,17 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		if err != nil {
 			return err
 		}
-		st := adm.RebalancerStats()
+		m := adm.Map()
 		if len(repaired) == 0 {
-			fmt.Printf("all members healthy; nothing to repair (map e%d v%d)\n", st.Epoch, st.Version)
+			fmt.Printf("all members healthy; nothing to repair (map e%d v%d)\n", m.Epoch(), m.Version())
 		} else {
 			fmt.Printf("repaired %s out of the map (map e%d v%d: %d members remain)\n",
-				strings.Join(repaired, ","), st.Epoch, st.Version, adm.Members())
+				strings.Join(repaired, ","), m.Epoch(), m.Version(), adm.Members())
 		}
 	case "restore":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("restore OLD NEW needs cluster mode (-addrs with -bounds); restore -from DIR NEW needs no connection")
+		adm, err := asCluster(c, "restore OLD NEW")
+		if err != nil {
+			return fmt.Errorf("%w; restore -from DIR NEW needs no connection", err)
 		}
 		if len(args) != 3 {
 			return fmt.Errorf("restore OLD NEW (or restore -from DIR NEW for the offline re-key step)")
@@ -434,13 +430,13 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 		if err := adm.Restore(ctx, args[1], args[2]); err != nil {
 			return err
 		}
-		st := adm.RebalancerStats()
+		m := adm.Map()
 		fmt.Printf("restored %s as %s (map e%d v%d: %d members, bounds %q)\n",
-			args[1], args[2], st.Epoch, st.Version, adm.Members(), st.Bounds)
+			args[1], args[2], m.Epoch(), m.Version(), adm.Members(), m.Bounds())
 	case "snapshot":
-		adm, ok := c.(pequod.Admin)
-		if !ok {
-			return fmt.Errorf("snapshot needs cluster mode (-addrs with -bounds)")
+		adm, err := asCluster(c, "snapshot")
+		if err != nil {
+			return err
 		}
 		if len(args) != 1 {
 			return fmt.Errorf("snapshot")
@@ -449,52 +445,20 @@ func run(ctx context.Context, c pequod.Store, args []string) error {
 			return err
 		}
 		fmt.Printf("snapshot written at all %d members; restart replay starts from here\n", adm.Members())
-	case "rebalance":
-		cl, ok := c.(*pequod.Cluster)
-		if !ok {
-			return fmt.Errorf("rebalance needs cluster mode (-addrs with -bounds)")
-		}
-		dur := 30 * time.Second
-		if len(args) > 2 {
-			return fmt.Errorf("rebalance [DUR]")
-		}
-		if len(args) == 2 {
-			var err error
-			if dur, err = time.ParseDuration(args[1]); err != nil {
-				return err
-			}
-		}
-		return rebalance(cl, dur)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 	return nil
 }
 
-// rebalance drives one load-sampling/migration decision per second for
-// dur, printing each executed move. Each tick gets its own deadline so
-// a long watch is not cut short by the -timeout connection budget.
-func rebalance(cl *pequod.Cluster, dur time.Duration) error {
-	deadline := time.Now().Add(dur)
-	for {
-		tctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		moved, err := cl.RebalanceTick(tctx)
-		cancel()
-		if err != nil {
-			return err
-		}
-		if moved {
-			st := cl.RebalancerStats()
-			fmt.Printf("migration %d: map v%d, bounds %q, loads %.0f\n",
-				st.Migrations, st.Version, st.Bounds, st.Loads)
-		}
-		if !time.Now().Add(time.Second).Before(deadline) {
-			st := cl.RebalancerStats()
-			fmt.Printf("done: %d migrations, map v%d\n", st.Migrations, st.Version)
-			return nil
-		}
-		time.Sleep(time.Second)
+// asCluster returns c as a cluster, or the error for a cluster-mode
+// command run against a single server.
+func asCluster(c pequod.Store, cmd string) (*pequod.Cluster, error) {
+	cl, ok := c.(*pequod.Cluster)
+	if !ok {
+		return nil, fmt.Errorf("%s needs cluster mode (-addrs with -bounds)", cmd)
 	}
+	return cl, nil
 }
 
 func printScan(ctx context.Context, c pequod.Store, lo, hi string, limit int) error {

@@ -32,7 +32,7 @@
 // recovery triage.
 //
 // Cluster deployments need no flags here: a pequod cluster client (or
-// pequod-cli -addrs ... add/drain/move/rebalance) publishes the cluster
+// pequod-cli -addrs ... add/drain/move) publishes the cluster
 // partition map to each member, adds and drains members, and drives
 // server-to-server live migration over the wire; the stat RPC's cluster
 // block shows this member's current map and owned ranges.

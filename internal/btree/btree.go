@@ -978,15 +978,16 @@ func (k Keys) At(i int) string { return keyAt(k.arena, k.offs[i], k.lens[i]) }
 // AscendRuns is Ascend a leaf at a time: fn receives the keys and values
 // of each leaf's share of [lo, hi), and rest, the number of pairs of the
 // range that follow the run, so a caller copying the range out can make
-// room once. Keys and values alias the leaf: fn must not keep or modify
-// the value slice or the Keys value, nor write to the tree; the keys
-// themselves it may keep.
+// room once. A limit > 0 makes the range its first limit pairs: the scan
+// counts, and visits, no leaf past them. Keys and values alias the leaf:
+// fn must not keep or modify the value slice or the Keys value, nor
+// write to the tree; the keys themselves it may keep.
 //
 // A non-nil h is where the scan may start: when its leaf is a live leaf
 // of t covering lo, the scan begins there instead of descending from the
 // root. Any other hint is ignored, so a hint can never change what the
 // scan returns, only how it finds its first key. The hint is not moved.
-func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys Keys, vals []V, rest int) bool) bool {
+func (t *Tree[V]) AscendRuns(lo, hi string, limit int, h *Hint[V], fn func(keys Keys, vals []V, rest int) bool) bool {
 	var i int
 	lf := h.leafFor(t, lo)
 	if lf != nil {
@@ -999,6 +1000,9 @@ func (t *Tree[V]) AscendRuns(lo, hi string, h *Hint[V], fn func(keys Keys, vals 
 	rest, stop, stopAt := 0, (*leaf[V])(nil), 0
 	for l, from := lf, i; l != nil; l, from = l.next, 0 {
 		end, last := l.end(hi)
+		if limit > 0 && rest+end-from >= limit {
+			end, last = from+limit-rest, true
+		}
 		rest += max(end-from, 0)
 		if last {
 			stop, stopAt = l, end

@@ -69,7 +69,7 @@ func equalScan(t testing.TB, tr *Tree[int], m *model, lo, hi, when string) {
 		got = append(got, k)
 		return true
 	})
-	tr.AscendRuns(lo, hi, nil, func(run Keys, vs []int, rest int) bool {
+	tr.AscendRuns(lo, hi, 0, nil, func(run Keys, vs []int, rest int) bool {
 		ks := run.all()
 		if len(ks) == 0 || len(ks) != len(vs) || len(runs)+len(ks)+rest != len(want) {
 			t.Fatalf("%s: run of %d keys, %d values, %d to follow %d of %d", when, len(ks), len(vs), rest, len(runs), len(want))
@@ -150,7 +150,7 @@ func equalHintedScan(t testing.TB, tr *Tree[int], m *model, lo, hi string, h *Hi
 	i, j := m.rng(lo, hi)
 	want := m.keys[i:j]
 	var got []string
-	tr.AscendRuns(lo, hi, h, func(run Keys, vs []int, rest int) bool {
+	tr.AscendRuns(lo, hi, 0, h, func(run Keys, vs []int, rest int) bool {
 		ks := run.all()
 		for x, k := range ks {
 			if mv, ok := m.vals[k]; !ok || vs[x] != mv {
@@ -233,7 +233,7 @@ func TestSetGetDelete(t *testing.T) {
 		t.Fatalf("early stop visited %d", n)
 	}
 	n = 0
-	if tr.AscendRuns("", "", nil, func(Keys, []int, int) bool { n++; return false }) || n != 1 {
+	if tr.AscendRuns("", "", 0, nil, func(Keys, []int, int) bool { n++; return false }) || n != 1 {
 		t.Fatalf("early stop visited %d runs", n)
 	}
 	for _, i := range rand.New(rand.NewSource(2)).Perm(5000) {
@@ -270,6 +270,55 @@ func TestAppendsKeepLeavesFull(t *testing.T) {
 		if err := tr.Check(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAscendRunsLimit: a run scan with a limit is its range's first
+// limit pairs, each run reporting exactly the pairs of them still to
+// come, and it reads no leaf past the last of them — its count stops
+// there too, so a limited scan of a long range costs O(limit) leaves.
+// The leaf chain is cut just past that leaf, onto an empty leaf: a
+// bounded scan that reads it panics (end reads slot -1), and an
+// unbounded one counting past the limit reports too many to follow.
+func TestAscendRunsLimit(t *testing.T) {
+	var tr Tree[int]
+	const n, from = 40 * fanout, 5
+	for i := 0; i < n; i++ {
+		tr.Set(key(i), i, nil)
+	}
+	for _, hi := range []int{-1, n, from + fanout + 3} {
+		hk, size := "", n-from
+		if hi >= 0 {
+			hk, size = key(hi), hi-from
+		}
+		for _, limit := range []int{1, fanout - 5, fanout, 3*fanout + 7} {
+			want := min(limit, size)
+			last, _, _ := tr.seek(key(from + want - 1))
+			next := last.next
+			last.next = &leaf[int]{}
+			var got []string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("[%q, %q) limit %d: read a leaf past its first %d pairs: %v", key(from), hk, limit, want, r)
+					}
+				}()
+				tr.AscendRuns(key(from), hk, limit, nil, func(run Keys, _ []int, rest int) bool {
+					got = append(got, run.all()...)
+					if len(got)+rest != want {
+						t.Errorf("[%q, %q) limit %d: %d delivered, %d to follow, want %d in all", key(from), hk, limit, len(got), rest, want)
+					}
+					return true
+				})
+			}()
+			last.next = next
+			if len(got) != want || got[0] != key(from) || got[want-1] != key(from+want-1) {
+				t.Errorf("[%q, %q) limit %d: got %d pairs, want %d from %q", key(from), hk, limit, len(got), want, key(from))
+			}
+		}
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

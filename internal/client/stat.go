@@ -9,8 +9,8 @@ import (
 // StatSnapshot is the stat RPC's reply, declared once: the server
 // marshals this type and every reader unmarshals it. Identity and
 // footprint, the engine counters, the cluster migrations the member
-// took part in, the client load it served (what a cluster rebalancer
-// polls to find hot servers and pick split points), the installed join
+// took part in, the client load it served (what a joining server's split
+// pick and pequod-load's hot share poll), the installed join
 // set (so a coordinator that did not install the joins itself — a fresh
 // pequod-cli run — can replay them onto a joining member), and on
 // cluster members the published map they serve under.

@@ -110,9 +110,6 @@ type Cluster struct {
 	// this client.
 	mvmu sync.Mutex
 
-	// reb is the client-driven cluster rebalancer (rebalance.go).
-	reb rebState
-
 	// copies is the configured total copies per range (owner included);
 	// <= 1 disables replication.
 	copies int

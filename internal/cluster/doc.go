@@ -28,10 +28,10 @@
 // server answers NotOwner, carrying its view, when a range has moved;
 // the cluster client adopts it if newer and retries, so concurrent
 // callers — even other, stale clients — see no lost writes, gaps, or
-// duplicates. A client-driven
-// rebalancer (rebalance.go) polls per-server load through the stat RPC
-// and moves hot ranges to cooler neighbors, under the policy the
-// in-process shard rebalancer runs (partition.Balancer).
+// duplicates. Nothing moves a bound by itself: an operator does
+// (pequod-cli move), or a membership change below does. MemberLoads
+// polls the client load each member served through the stat RPC, for
+// AddServer's split pick and pequod-load's hot share.
 //
 // # Elastic membership
 //

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -575,5 +576,57 @@ func TestRepairRespreadsReplicas(t *testing.T) {
 			t.Fatalf("replicas never re-spread after repair: held = %d", heldReplicas())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestClusterSnapshot: Snapshot writes a snapshot at every durable
+// member and joins one error per member that cannot, naming only the
+// memory-only member; the durable member's Health row then shows the
+// snapshot it wrote.
+func TestClusterSnapshot(t *testing.T) {
+	ctx := context.Background()
+	dcfg := durableServerConfig("d0", t.TempDir())
+	dcfg.SnapshotInterval = time.Hour // only Snapshot writes one
+	var addrs []string
+	for _, cfg := range []server.Config{dcfg, {Name: "m1"}} {
+		s, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		addrs = append(addrs, addr)
+	}
+	durableAddr, memAddr := addrs[0], addrs[1]
+	cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"m"}})
+	for _, k := range []string{"a|1", "z|1"} {
+		if err := cl.Put(ctx, k, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := func(addr string) MemberHealth {
+		for _, h := range cl.Health(ctx) {
+			if h.Addr == addr {
+				return h
+			}
+		}
+		t.Fatalf("no health row for %s", addr)
+		return MemberHealth{}
+	}
+	if h := row(durableAddr); !h.Durable || h.SnapshotAgeMS >= 0 {
+		t.Fatalf("durable member before Snapshot: %+v, want durable with no snapshot yet", h)
+	}
+	err := cl.Snapshot(ctx)
+	if err == nil || !strings.Contains(err.Error(), memAddr) || strings.Contains(err.Error(), durableAddr) {
+		t.Fatalf("Snapshot error = %v, want one naming %s only", err, memAddr)
+	}
+	if h := row(durableAddr); !h.Durable || h.SnapshotAgeMS < 0 {
+		t.Fatalf("durable member after Snapshot: %+v, want a snapshot age of 0 or more", h)
+	}
+	if h := row(memAddr); !h.Alive || h.Durable {
+		t.Fatalf("memory-only member after Snapshot: %+v", h)
 	}
 }

@@ -44,8 +44,9 @@ const joinScanLimit = 256
 // member is wired into the subscription mesh and granted an initial
 // slice — the upper half of the busiest member's hottest range, split
 // at the median of its load samples (falling back to a key scan when
-// the cluster is quiet). Further rebalancing is the rebalancer's job;
-// the join only has to give the new member a non-empty range to serve.
+// the cluster is quiet). Giving it more is an operator's move
+// (MoveBound); the join only has to give the new member a non-empty
+// range to serve.
 // Use AddServerAt to control the donor and bound explicitly.
 func (cl *Cluster) AddServer(ctx context.Context, addr string) error {
 	cl.mvmu.Lock()

@@ -274,8 +274,8 @@ func (cl *Cluster) publishTo(ctx context.Context, v *partition.View, targets []s
 
 // MemberLoads polls every member's stat RPC and returns the per-member
 // client load (client.ServedLoad: cumulative units and recent key
-// samples of the client requests it answered) — the cluster
-// rebalancer's input, exported for tools and tests.
+// samples of the client requests it answered): AddServer's split pick
+// reads the samples and pequod-load's hot_share the units.
 func (cl *Cluster) MemberLoads(ctx context.Context) ([]MemberLoad, error) {
 	mbrs := cl.v.Load().Members()
 	out := make([]MemberLoad, len(mbrs))

@@ -217,82 +217,6 @@ func TestClusterEqualsEmbeddedUnderMigration(t *testing.T) {
 	}
 }
 
-// TestClusterRebalancerCoolsHotServer: with every real key crammed onto
-// one member, skewed reads pin that server — it serves at least 95% of
-// the load; rebalance ticks must move ranges to its neighbor until it
-// serves at most 85%, without losing or changing a row.
-func TestClusterRebalancerCoolsHotServer(t *testing.T) {
-	ctx := context.Background()
-	addrs := startServers(t, 2)
-	// Everything real lives above "b|": member 1 serves it all.
-	cl := newCluster(t, Config{Addrs: addrs, Bounds: []string{"b|"}})
-	const rows = 400
-	var pairs []core.KV
-	var ks []string
-	for i := 0; i < rows; i++ {
-		k := fmt.Sprintf("e|k%04d", i)
-		pairs = append(pairs, core.KV{Key: k, Value: "v"})
-		ks = append(ks, k)
-	}
-	if err := cl.PutBatch(ctx, pairs); err != nil {
-		t.Fatal(err)
-	}
-
-	drive := func() {
-		if _, err := cl.GetBatch(ctx, ks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// hotShare is the hottest member's share of one drive's load.
-	hotShare := func() float64 {
-		before, err := cl.MemberLoads(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive()
-		after, err := cl.MemberLoads(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return HotShare(before, after)
-	}
-	hot := hotShare()
-	if hot < 0.95 {
-		t.Fatalf("hot share before rebalancing = %.3f, want >= 0.95 (not hot to begin with)", hot)
-	}
-	moved := 0
-	for tick := 0; tick < 40 && moved == 0; tick++ {
-		drive()
-		ok, err := cl.RebalanceTick(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("rebalancer never migrated a range off the hot server")
-	}
-	st := cl.RebalancerStats()
-	if st.Migrations == 0 || st.Version == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	cooled := hotShare()
-	if cooled > 0.85 {
-		t.Fatalf("hot share after rebalancing = %.3f, want <= 0.85 (hot server did not cool off)", cooled)
-	}
-	t.Logf("hot share %.3f before rebalancing, %.3f after", hot, cooled)
-	// The moves lost and changed no row.
-	got, err := cl.Scan(ctx, "", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, pairs) {
-		t.Fatalf("scan after rebalance = %d rows, want the %d written", len(got), rows)
-	}
-}
-
 // TestHotShare: members are matched by address across the two polls,
 // so a membership change or a warm restart between them neither
 // misattributes load nor counts it negative.

@@ -477,7 +477,7 @@ func (e *Engine) scanOut(lo, hi string, limit int, kvs, overlay []KV, start *sto
 	var scanned int64
 	oi := 0
 	full := func() bool { return limit > 0 && len(kvs) >= limit }
-	e.s.ScanRuns(lo, hi, start, func(ks store.Keys, vs []*store.Value, rest int) bool {
+	e.s.ScanRuns(lo, hi, limit, start, func(ks store.Keys, vs []*store.Value, rest int) bool {
 		room := ks.Len() + rest
 		if limit > 0 {
 			room = min(room, limit-len(kvs))

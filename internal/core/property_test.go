@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pequod/internal/keys"
+	"pequod/internal/pattern"
 )
 
 // These tests check the system's central theorem: after ANY interleaving
@@ -215,6 +218,83 @@ func TestAggregatePushEqualsRecompute(t *testing.T) {
 			got, _ := e.Scan("karma|", "karma}", 0)
 			compareKVs(t, step, got, expected())
 		}
+	}
+	for _, op := range []string{"count", "sum", "min", "max"} {
+		t.Run("check "+op, func(t *testing.T) { aggregateOverCheck(t, op) })
+	}
+}
+
+// aggregateOverCheck is TestAggregatePushEqualsRecompute for an
+// aggregate with a check source, k|<a> = check m|<a> <op> v|<a>|<id>:
+// an eager delta of the value source must fold in only while m|<a>
+// holds. Fresh reads after random writes to both tables equal a
+// recompute. Then m|<a> goes and new v rows arrive: the removal waits
+// in the check source's lazy log, so a read with an hour's budget may
+// serve the value from before it, or nothing — never one folding in
+// rows the removal had already excluded.
+func aggregateOverCheck(t *testing.T, op string) {
+	rng := rand.New(rand.NewSource(29))
+	e := New(Options{})
+	if err := e.InstallText("k|<a> = check m|<a> " + op + " v|<a>|<id>"); err != nil {
+		t.Fatal(err)
+	}
+	authors := []string{"a", "b", "c"}
+	marks := map[string]bool{}
+	vals := map[string]map[string]int{} // author -> id -> value
+	for _, a := range authors {
+		vals[a] = map[string]int{}
+	}
+	want := func(a string) string {
+		if !marks[a] || len(vals[a]) == 0 {
+			return ""
+		}
+		n, sum, lo, hi := 0, 0, math.MaxInt, 0
+		for _, v := range vals[a] {
+			n, sum, lo, hi = n+1, sum+v, min(lo, v), max(hi, v)
+		}
+		return fmt.Sprint(map[string]int{"count": n, "sum": sum, "min": lo, "max": hi}[op])
+	}
+	read := func(step int, a string) string {
+		got, _, _ := e.Get("k|" + a)
+		if w := want(a); got != w {
+			t.Fatalf("step %d: k|%s = %q, want %q", step, a, got, w)
+		}
+		return got
+	}
+	for step := 0; step < 3000; step++ {
+		a := authors[rng.Intn(len(authors))]
+		id := fmt.Sprintf("%02d", rng.Intn(8))
+		switch rng.Intn(10) {
+		case 0:
+			e.Put("m|"+a, "1")
+			marks[a] = true
+		case 1:
+			e.Remove("m|" + a)
+			delete(marks, a)
+		case 2, 3, 4:
+			v := 2 + rng.Intn(40)
+			e.Put(keys.Join("v", a, id), fmt.Sprint(v))
+			vals[a][id] = v
+		case 5:
+			e.Remove(keys.Join("v", a, id))
+			delete(vals[a], id)
+		default:
+			read(step, a)
+		}
+	}
+	for _, a := range authors {
+		e.Put("m|"+a, "1")
+		e.Put(keys.Join("v", a, "00"), "5")
+		marks[a], vals[a]["00"] = true, 5
+		before := read(-1, a)
+		e.Remove("m|" + a)
+		e.Put(keys.Join("v", a, "new1"), "1")
+		e.Put(keys.Join("v", a, "new2"), "100")
+		if got, ok, _ := e.GetBounded(pattern.PointRange("k|"+a), time.Hour); ok && got != before {
+			t.Fatalf("k|%s within an hour's budget = %q, want %q from before m|%s went, or nothing", a, got, before, a)
+		}
+		delete(marks, a)
+		read(-1, a)
 	}
 }
 

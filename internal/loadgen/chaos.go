@@ -228,7 +228,7 @@ func (r *Runner) eventDrain(ctx context.Context) error {
 
 // eventRebalance migrates a slice of the timeline keyspace between
 // neighbors by moving the highest t|u bound — the same ExtractRange/
-// SpliceRange/MapUpdate path the load-aware rebalancer drives.
+// SpliceRange/MapUpdate path an operator's pequod-cli move drives.
 func (r *Runner) eventRebalance(ctx context.Context) error {
 	bounds := r.cl.Map().Bounds()
 	for i := len(bounds) - 1; i >= 0; i-- {

@@ -31,7 +31,7 @@
 //     -out writes it as JSON). Member loads (the client requests
 //     each member answered) polled at each phase boundary give every
 //     phase its member count and hot share, so elasticity and
-//     rebalancing are measured here, under the checker.
+//     bound moves are measured here, under the checker.
 //
 // cmd/pequod-load is the CLI; TestOpenLoopUnderChaos runs the whole
 // scenario scaled down under the race detector in CI.

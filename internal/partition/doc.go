@@ -7,8 +7,8 @@
 // The central type is Map: an immutable assignment of contiguous key
 // ranges to owner indexes (shards in a pool, servers in a cluster),
 // carrying an (epoch, version) position in a total order. A pool's Map
-// is fixed when the pool is built; a cluster's changes. Rebalancing
-// never mutates a Map; it derives a successor through MoveBound — or,
+// is fixed when the pool is built; a cluster's changes. A move never
+// mutates a Map; it derives a successor through MoveBound — or,
 // for membership changes, InsertBound (a joining server splits an
 // owner's range) and RemoveBound (a draining server's range merges into
 // a neighbor's) — one version higher, and publishes it atomically.
@@ -47,11 +47,10 @@
 // indexes shift — and ReplicaAddrs / ReplicaHolds the replica placement
 // both the coordinator and the members derive from it.
 //
-// # Balancing
+// # Split points
 //
-// Which bound to move, and when, is decided in one place (balance.go):
-// Balancer is the load-aware rebalancing policy — EWMA over cumulative
-// per-member load, idle floor, hot-streak and cooldown hysteresis,
-// coolest-neighbor choice, load-weighted quantile split — that the
-// cluster client runs, executing the named move with Cluster.MoveBound.
+// No policy here moves a bound on its own: an operator does
+// (Cluster.MoveBound), or a membership change does. SplitKey picks
+// where a joining server's grant splits a donor's range — the median of
+// the keys its clients recently named, trusted from MinSamples of them.
 package partition

@@ -14,7 +14,7 @@ import (
 // bounds[n-1] = +infinity. A Map with no bounds assigns everything to
 // server 0.
 //
-// A Map is immutable. Rebalancing produces successor Maps through
+// A Map is immutable. A bound move produces successor Maps through
 // MoveBound (and membership changes through InsertBound/RemoveBound),
 // each carrying a version one higher than its parent, so a member or
 // client holding an old Map can detect that ownership has moved on (a
@@ -70,7 +70,7 @@ func NewEpochVersioned(epoch, version int64, bounds ...string) (*Map, error) {
 // Servers returns the number of servers the map distributes over.
 func (m *Map) Servers() int { return len(m.bounds) + 1 }
 
-// Version returns the map's rebalance generation: 0 for a Map built by
+// Version returns the map's generation: 0 for a Map built by
 // New, incremented by every successor (MoveBound, InsertBound,
 // RemoveBound).
 func (m *Map) Version() int64 { return m.version }
@@ -106,8 +106,8 @@ func (m *Map) NewerThan(epoch, version int64) bool {
 // range).
 func (m *Map) Bound(i int) string { return m.bounds[i] }
 
-// MoveBound returns a successor Map with bounds[i] moved to bound — the
-// rebalancer's primitive. Lowering the bound shifts [bound, old) from
+// MoveBound returns a successor Map with bounds[i] moved to bound — what
+// an operator's move runs. Lowering the bound shifts [bound, old) from
 // server i to server i+1; raising it shifts [old, bound) from server i+1
 // to server i. The new bound must stay strictly between its neighbors so
 // every server keeps a non-empty range; a bound equal to the current one
@@ -202,6 +202,30 @@ func (m *Map) OwnerRange(o int) keys.Range {
 		r.Hi = m.bounds[o]
 	}
 	return r
+}
+
+// MinSamples is the fewest in-range key samples a joining server's
+// split pick trusts (SplitKey's n) before it falls back to a key scan.
+const MinSamples = 16
+
+// SplitKey picks a split point for r from candidate keys: of those
+// strictly inside r (above r.Lo, and below r.Hi when r is bounded) —
+// the keys a bound splitting r could sit on — the one at quantile q of
+// their sorted order (0 ≤ q < 1; 0.5 is the median). n counts them;
+// key is valid when n > 0, and callers that split load by its samples
+// trust it only when n reaches MinSamples. cands is not modified.
+func SplitKey(r keys.Range, cands []string, q float64) (key string, n int) {
+	var in []string
+	for _, k := range cands {
+		if k > r.Lo && (r.Hi == "" || k < r.Hi) {
+			in = append(in, k)
+		}
+	}
+	if len(in) == 0 {
+		return "", 0
+	}
+	sort.Strings(in)
+	return in[min(int(float64(len(in))*q), len(in)-1)], len(in)
 }
 
 // Owner returns the home server index for key: the number of bounds at

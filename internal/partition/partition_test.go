@@ -303,3 +303,56 @@ func TestGather(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitKey: only keys strictly inside the range are candidates —
+// never its low bound, its high bound or beyond — and the quantile
+// indexes their sorted order. Whatever the candidates, a key it names
+// moves either bound of the range it split.
+func TestSplitKey(t *testing.T) {
+	r := keys.Range{Lo: "g", Hi: "p"}
+	cands := []string{"z", "h03", "g", "h01", "a", "p", "h02", "h00"}
+	for _, tc := range []struct {
+		q    float64
+		want string
+	}{{0, "h00"}, {0.5, "h02"}, {0.99, "h03"}, {1, "h03"}} {
+		if k, n := SplitKey(r, cands, tc.q); k != tc.want || n != 4 {
+			t.Errorf("SplitKey(q=%v) = %q, %d; want %q, 4", tc.q, k, n, tc.want)
+		}
+	}
+	if cands[0] != "z" {
+		t.Errorf("SplitKey reordered its candidates: %q", cands)
+	}
+	if k, n := SplitKey(r, []string{"g", "p", "q"}, 0.5); n != 0 || k != "" {
+		t.Errorf("SplitKey with none inside = %q, %d", k, n)
+	}
+	if k, n := SplitKey(keys.Range{Lo: "m"}, []string{"m", "z"}, 0.5); k != "z" || n != 1 {
+		t.Errorf("SplitKey of an unbounded range = %q, %d; want z, 1", k, n)
+	}
+	m := MustNew("g", "p")
+	for o := 0; o < m.Servers(); o++ {
+		or := m.OwnerRange(o)
+		for q := 0.0; q < 1; q += 0.125 {
+			k, n := SplitKey(or, append(keyRun("h", 40), "g", "p", "a", "z"), q)
+			if n == 0 {
+				continue
+			}
+			for _, i := range []int{o - 1, o} {
+				if i < 0 || i >= len(m.Bounds()) {
+					continue
+				}
+				if _, err := m.MoveBound(i, k); err != nil {
+					t.Errorf("owner %d's split key %q does not move bound %d: %v", o, k, i, err)
+				}
+			}
+		}
+	}
+}
+
+// keyRun returns n keys prefix00, prefix01, ...
+func keyRun(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%02d", prefix, i)
+	}
+	return out
+}

@@ -18,7 +18,7 @@ package server
 // connection, no fed row and no replica copy.
 //
 // The coordinator — pequod's cluster client, or the pequod-cli move /
-// rebalance / add / drain subcommands — drives them;
+// add / drain subcommands — drives them;
 // internal/cluster/migrate.go tells the protocol and DESIGN.md "Moving a
 // range" what each layer adds. This layer adds the network-level
 // fences: before the destination splices, and before a member drops a

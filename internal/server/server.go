@@ -6,7 +6,7 @@
 // Concurrency model: a server is one single-writer engine, like the
 // paper's event-driven server (internal/shard's one-engine pool holds
 // its lock and cluster gate). More cores means more servers, which the
-// cluster adds, drains and rebalances live (§2.4, Fig 10). Each
+// cluster adds, drains and moves bounds between live (§2.4, Fig 10). Each
 // connection's goroutine serves its frames in arrival order (conn.go);
 // a read that finds base data loading never holds it — the read's
 // continuation waits on its restart context (§3.3) and answers by Seq.
@@ -133,15 +133,15 @@ type Server struct {
 	saved    *durable.Meta
 }
 
-// served counts the client requests a server answers, for the cluster
-// rebalancer and pequod-load's hot_share, which poll it as the stat
-// reply's `load` block: units is cumulative work — one per get, write
-// or removal, one plus the rows returned per scan or count — and
-// samples is a ring of the keys those requests named, so a quantile of
-// it splits work, not key count. Peers' subscribing scans (mesh loads,
-// replica syncs) are not counted: they are this cluster's own traffic,
-// and counting them made a member that homes popular source rows look
-// hot for work no client asked of it.
+// served counts the client requests a server answers, for a joining
+// server's split pick (cluster.AddServer) and pequod-load's hot_share,
+// which poll it as the stat reply's `load` block: units is cumulative
+// work — one per get, write or removal, one plus the rows returned per
+// scan or count — and samples is a ring of the keys those requests
+// named, so a quantile of it splits work, not key count. Peers'
+// subscribing scans (mesh loads, replica syncs) are not counted: they
+// are this cluster's own traffic, and counting them made a member that
+// homes popular source rows look hot for work no client asked of it.
 type served struct {
 	mu      sync.Mutex
 	units   int64

@@ -31,8 +31,8 @@
 //     at New, so a key's shard, looked up before its lock is taken, is
 //     still its owner once the lock is held (Pool.step, lockOwner).
 //   - A server member is one engine: more cores means more members,
-//     which the cluster adds, drains and rebalances live — the only
-//     place load moves. Only a member has a cluster gate
+//     which the cluster adds, drains and moves bounds between live —
+//     the only place load moves. Only a member has a cluster gate
 //     (clustergate.go: the cluster's partition.View, checked under the
 //     shard lock, makes server-to-server migration loss-free — DESIGN.md
 //     "The versioned cluster map and the ownership gate"), §3.3

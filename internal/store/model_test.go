@@ -235,7 +235,7 @@ func equalStoreScan(t testing.TB, s *Store, m *storeModel, lo, hi string, step i
 		got = append(got, k)
 		return true
 	})
-	s.ScanRuns(lo, hi, nil, func(run Keys, vs []*Value, _ int) bool {
+	s.ScanRuns(lo, hi, 0, nil, func(run Keys, vs []*Value, _ int) bool {
 		ks := runKeys(run)
 		for x, k := range ks {
 			if vs[x] != m.vals[k] {
@@ -275,7 +275,7 @@ func equalHintedScan(t testing.TB, s *Store, m *storeModel, lo, hi string, h *Hi
 	i, j := m.rng(lo, hi)
 	want := m.keys[i:j]
 	var got []string
-	s.ScanRuns(lo, hi, h, func(run Keys, vs []*Value, _ int) bool {
+	s.ScanRuns(lo, hi, 0, h, func(run Keys, vs []*Value, _ int) bool {
 		ks := runKeys(run)
 		for x, k := range ks {
 			if vs[x] != m.vals[k] {

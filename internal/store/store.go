@@ -167,7 +167,8 @@ func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
 // ScanRuns is Scan a leaf at a time: fn receives consecutive runs of
 // [lo, hi) as their keys and a parallel value slice, and how many pairs
 // of the range follow the run, so a caller copying the range out can
-// make room once. The value slice and the Keys value alias the store: fn
+// make room once. A limit > 0 stops the scan, and its count, after the
+// first limit pairs. The value slice and the Keys value alias the store: fn
 // must neither keep nor modify them, nor write to the store. The keys
 // Keys.At returns are views of the leaves' arenas, which fn may keep.
 //
@@ -176,15 +177,15 @@ func (s *Store) Scan(lo, hi string, fn func(k string, v *Value) bool) {
 // a timeline check starts. It is used only when its leaf is a live leaf
 // of this store covering lo; otherwise the scan descends as it would
 // without one.
-func (s *Store) ScanRuns(lo, hi string, h *Hint, fn func(keys Keys, vals []*Value, rest int) bool) {
-	s.tree.AscendRuns(lo, hi, h, fn)
+func (s *Store) ScanRuns(lo, hi string, limit int, h *Hint, fn func(keys Keys, vals []*Value, rest int) bool) {
+	s.tree.AscendRuns(lo, hi, limit, h, fn)
 }
 
 // CountRange returns the number of keys in [lo, hi): the first run and
 // the pairs that follow it.
 func (s *Store) CountRange(lo, hi string) int {
 	c := 0
-	s.ScanRuns(lo, hi, nil, func(ks Keys, _ []*Value, rest int) bool { c = ks.Len() + rest; return false })
+	s.ScanRuns(lo, hi, 0, nil, func(ks Keys, _ []*Value, rest int) bool { c = ks.Len() + rest; return false })
 	return c
 }
 

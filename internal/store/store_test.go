@@ -243,7 +243,7 @@ func TestScanAllocations(t *testing.T) {
 	scan := func(lo, hi string) func() {
 		return func() {
 			rows = 0
-			s.ScanRuns(lo, hi, nil, func(ks Keys, _ []*Value, _ int) bool { rows += ks.Len(); return true })
+			s.ScanRuns(lo, hi, 0, nil, func(ks Keys, _ []*Value, _ int) bool { rows += ks.Len(); return true })
 		}
 	}
 	for _, c := range []struct {

@@ -32,19 +32,20 @@
 //     base-data subscriptions with asynchronous update notification
 //     (eventually consistent; Quiesce settles it). The partition is
 //     live: Cluster.MoveBound migrates a key range between servers
-//     without downtime, and Cluster.RebalanceTick samples per-server
-//     load and moves a hot range itself — servers publish a versioned
-//     cluster map and re-validate ownership per request, so clients
-//     (even stale ones) re-route and retry instead of losing writes.
+//     without downtime, and AddServer/DrainServer grow and shrink the
+//     member set — servers publish a versioned cluster map and
+//     re-validate ownership per request, so clients (even stale ones)
+//     re-route and retry instead of losing writes. A bound moves only
+//     when an operator or a membership change moves it.
 //
 // # Concurrency
 //
 // Each core engine is single-writer, like the paper's event-driven
 // server. A Server is one engine: to use more cores, run more servers
-// and join them into a Cluster, which adds, drains and rebalances them
-// live. A Cache may be many engines partitioned by key range (§2.4,
-// §5.5 scaled down into one process): pass WithShards / WithBounds to
-// NewCache. Its bounds are fixed at NewCache — moving load between
+// and join them into a Cluster, which adds and drains them and moves
+// their bounds live. A Cache may be many engines partitioned by key
+// range (§2.4, §5.5 scaled down into one process): pass WithShards /
+// WithBounds to NewCache. Its bounds are fixed at NewCache — moving load between
 // partitions is what servers in a Cluster do. Operations lock only the
 // shard owning their key, and cross-shard scans fan out concurrently,
 // so read throughput scales with shards on a multi-core machine, as

@@ -270,7 +270,7 @@ func usageCommands(path string) (map[string]bool, error) {
 // cliMentions extracts the subcommand of every `pequod-cli ...`
 // invocation in the document (prose and code blocks alike): tokens
 // after "pequod-cli", skipping flags and their values, until the first
-// command-shaped word. Slash-joined mentions ("move/rebalance") yield
+// command-shaped word. Slash-joined mentions ("add/drain") yield
 // each part.
 func cliMentions(doc string) []string {
 	var out []string
