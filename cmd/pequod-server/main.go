@@ -5,7 +5,7 @@
 //	pequod-server [-addr :7744] [-name pequod] [-id node-a]
 //	              [-joins file.pql] [-mem bytes]
 //	              [-data-dir dir] [-sync-interval 25ms] [-snapshot-interval 30s]
-//	              [-scrub-interval 1m] [-compact-interval 10s]
+//	              [-scrub-interval 1m]
 //
 // A server is one single-writer engine, as in the paper: to use more
 // cores, run more servers and let a cluster client partition the keys
@@ -21,15 +21,12 @@
 // member's rows and cluster position — its gate, which wires its mesh —
 // from disk before it serves — warm restarts, and the last-resort rebuild source for
 // `pequod-cli` repairs when no live replica holder survives. Without
-// the flag the server is purely in-memory, exactly as before. Two
-// background loops ride along: a CRC scrub over the committed lineage
-// (every -scrub-interval) that surfaces mid-lineage corruption through
-// stats and `pequod-cli health` while replicas that could repair it
-// still exist, and log compaction (every -compact-interval) that
-// rewrites sealed segments dominated by dead overwrites so restart
-// replay tracks live data rather than write volume. A negative
-// interval disables its loop. See docs/OPERATIONS.md for sizing and
-// recovery triage.
+// the flag the server is purely in-memory, exactly as before. Restart
+// replay is bounded by the snapshot interval alone. A background CRC
+// scrub over the committed lineage (every -scrub-interval; negative
+// disables it) surfaces mid-lineage corruption through stats and
+// `pequod-cli health` while replicas that could repair it still exist.
+// See docs/OPERATIONS.md for sizing and recovery triage.
 //
 // Cluster deployments need no flags here: a pequod cluster client (or
 // pequod-cli -addrs ... add/drain/move) publishes the cluster
@@ -67,7 +64,6 @@ func main() {
 	syncInterval := flag.Duration("sync-interval", 0, "write-behind log fsync batching interval (0 = default 25ms; needs -data-dir)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "durable snapshot interval (0 = default 30s; needs -data-dir)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "durable lineage CRC scrub interval (0 = default 1m, negative = off; needs -data-dir)")
-	compactInterval := flag.Duration("compact-interval", 0, "durable log compaction interval (0 = default 10s, negative = off; needs -data-dir)")
 	flag.Parse()
 
 	joins := ""
@@ -79,8 +75,8 @@ func main() {
 		joins = string(data)
 	}
 
-	if *dataDir == "" && (*syncInterval != 0 || *snapshotInterval != 0 || *scrubInterval != 0 || *compactInterval != 0) {
-		log.Fatal("-sync-interval, -snapshot-interval, -scrub-interval, and -compact-interval tune the durable store; pass -data-dir to enable it")
+	if *dataDir == "" && (*syncInterval != 0 || *snapshotInterval != 0 || *scrubInterval != 0) {
+		log.Fatal("-sync-interval, -snapshot-interval, and -scrub-interval tune the durable store; pass -data-dir to enable it")
 	}
 	s, err := server.New(server.Config{
 		Name:             *name,
@@ -91,7 +87,6 @@ func main() {
 		SyncInterval:     *syncInterval,
 		SnapshotInterval: *snapshotInterval,
 		ScrubInterval:    *scrubInterval,
-		CompactInterval:  *compactInterval,
 	})
 	if err != nil {
 		log.Fatal(err)

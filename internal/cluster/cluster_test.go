@@ -21,8 +21,8 @@ var testBounds = []string{"p|", "t|", "t|u5"}
 // startServers launches n single-shard servers and returns their
 // addresses. With PEQUOD_TEST_DATADIR set each server persists to its
 // own temp dir, re-running the whole suite with durability on (and,
-// with PEQUOD_TEST_SCRUB also set, with the lineage scrub and
-// compaction loops racing the workload — see durableServerConfig).
+// with PEQUOD_TEST_SCRUB also set, with the lineage scrub racing the
+// workload — see durableServerConfig).
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	return startServersWithJoins(t, n, "")

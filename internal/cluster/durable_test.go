@@ -35,9 +35,9 @@ func testDataDir(t *testing.T) string {
 // snapshots frequent enough that a mid-workload restart exercises
 // snapshot+log replay rather than log-only replay. With
 // PEQUOD_TEST_SCRUB set (the CI knob), the background lineage scrub
-// and log compaction loops run at test cadence under the whole suite,
-// so the maintenance work races real snapshots, flushes, restarts, and
-// migrations rather than only its own unit tests.
+// runs at test cadence under the whole suite, so it races real
+// snapshots, flushes, restarts, and migrations rather than only its own
+// unit tests.
 func durableServerConfig(name, dir string) server.Config {
 	cfg := server.Config{
 		Name:             name,
@@ -47,11 +47,9 @@ func durableServerConfig(name, dir string) server.Config {
 	}
 	if os.Getenv("PEQUOD_TEST_SCRUB") != "" {
 		cfg.ScrubInterval = 25 * time.Millisecond
-		cfg.CompactInterval = 25 * time.Millisecond
 	} else {
 		// Off by default: unit cadences keep the suite deterministic.
 		cfg.ScrubInterval = -1
-		cfg.CompactInterval = -1
 	}
 	return cfg
 }

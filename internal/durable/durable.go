@@ -33,11 +33,11 @@
 // a trailing commit marker, so a crash mid-snapshot leaves the previous
 // snapshot+segments lineage intact; only a committed snapshot prunes.
 //
-// Between snapshots, compaction (compact.go) rewrites sealed segments
-// whose live-record ratio dropped below a threshold, and a scrub loop
-// (scrub.go) CRC-walks the committed lineage so mid-lineage damage is
-// noticed while the replica copies that could repair it still exist —
-// not at the restart that needed the bytes.
+// A restart therefore replays only the writes since the newest
+// snapshot, never uptime. A scrub loop (scrub.go) CRC-walks the
+// committed lineage so mid-lineage damage is noticed while the replica
+// copies that could repair it still exist — not at the restart that
+// needed the bytes.
 //
 // Alongside log and snapshots sits meta.json (atomic tmp+rename): the
 // member's cluster position — partition map, peers, self set, installed
@@ -92,9 +92,6 @@ type Options struct {
 	// ScrubEvery paces the background CRC scrub over committed segments
 	// and snapshots (0 = no scrubbing). See Scrub.
 	ScrubEvery time.Duration
-	// CompactEvery paces background log compaction (0 = no compaction).
-	// See Compact.
-	CompactEvery time.Duration
 
 	// wrapSeg, when non-nil (fault-injection tests), wraps every segment
 	// file the store opens for appending.
@@ -144,7 +141,7 @@ type Store struct {
 
 	metaMu sync.Mutex // serializes SaveMeta (fixed tmp path + rename)
 
-	snapMu   sync.Mutex // serializes snapshots and compaction
+	snapMu   sync.Mutex // serializes snapshots and ReadRange's replay
 	snapIdx  int64      // newest committed snapshot index (0 = none)
 	lastSnap time.Time  // commit time of that snapshot
 
@@ -154,19 +151,15 @@ type Store struct {
 	pendingN  int64      // records currently held for flush retry
 	rotations int64      // segments rotated away after failed writes
 
-	// maintMu guards the scrub and compaction bookkeeping (scrub.go,
-	// compact.go).
+	// maintMu guards the scrub's bookkeeping and damage sets (scrub.go).
 	maintMu      sync.Mutex
 	scrubRuns    int64
-	lastScrub    time.Time
 	corruptSegs  map[int64]bool
 	corruptSnaps map[int64]bool
-	compactions  int64
-	reclaimed    int64
 
 	stop      chan struct{}
 	done      chan struct{}
-	mdone     chan struct{} // nil when no maintenance loop runs
+	mdone     chan struct{} // nil when no scrub loop runs
 	closeOnce sync.Once
 }
 
@@ -178,8 +171,8 @@ func Open(dir string, syncEvery time.Duration) (*Store, error) {
 	return OpenWith(dir, Options{SyncEvery: syncEvery})
 }
 
-// OpenWith is Open with the full option set (scrub and compaction
-// cadence, fault-injection hooks).
+// OpenWith is Open with the full option set (scrub cadence,
+// fault-injection hooks).
 func OpenWith(dir string, opts Options) (*Store, error) {
 	syncEvery := opts.SyncEvery
 	if syncEvery <= 0 {
@@ -188,10 +181,10 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", dir, err)
 	}
-	// A crash mid-snapshot, mid-meta-save, or mid-compaction leaves a
-	// *.tmp behind; the committed lineage never references one, so clear
-	// them here rather than letting them accumulate (Snapshot's prune
-	// only removes committed names).
+	// A crash mid-snapshot or mid-meta-save leaves a *.tmp behind; the
+	// committed lineage never references one, so clear them here rather
+	// than letting them accumulate (Snapshot's prune only removes
+	// committed names).
 	if ents, err := os.ReadDir(dir); err == nil {
 		for _, e := range ents {
 			if strings.HasSuffix(e.Name(), ".tmp") {
@@ -229,9 +222,9 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	go s.flushLoop()
-	if opts.ScrubEvery > 0 || opts.CompactEvery > 0 {
+	if opts.ScrubEvery > 0 {
 		s.mdone = make(chan struct{})
-		go s.maintainLoop(opts.ScrubEvery, opts.CompactEvery)
+		go s.scrubLoop(opts.ScrubEvery)
 	}
 	return s, nil
 }
@@ -422,30 +415,19 @@ func (s *Store) Close() error {
 	return err
 }
 
-// maintainLoop drives the background scrub and compaction at their
-// configured cadences until Close. Both are best-effort: failures are
-// surfaced through Stats, never fatal — the store keeps logging.
-func (s *Store) maintainLoop(scrubEvery, compactEvery time.Duration) {
+// scrubLoop runs the background scrub every interval until Close. It
+// is best-effort: damage and failures are surfaced through Stats, never
+// fatal — the store keeps logging.
+func (s *Store) scrubLoop(every time.Duration) {
 	defer close(s.mdone)
-	var scrubC, compactC <-chan time.Time
-	if scrubEvery > 0 {
-		t := time.NewTicker(scrubEvery)
-		defer t.Stop()
-		scrubC = t.C
-	}
-	if compactEvery > 0 {
-		t := time.NewTicker(compactEvery)
-		defer t.Stop()
-		compactC = t.C
-	}
+	t := time.NewTicker(every)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-scrubC:
+		case <-t.C:
 			s.Scrub() //nolint:errcheck // surfaced via Stats
-		case <-compactC:
-			s.Compact() //nolint:errcheck // surfaced via Stats
 		}
 	}
 }
@@ -476,11 +458,6 @@ type Stats struct {
 	ScrubRuns        int64   `json:"scrub_runs,omitempty"`
 	CorruptSegments  []int64 `json:"corrupt_segments,omitempty"`
 	CorruptSnapshots []int64 `json:"corrupt_snapshots,omitempty"`
-
-	// Compactions counts sealed segments rewritten below the live-record
-	// threshold; ReclaimedBytes the dead bytes dropped doing it.
-	Compactions    int64 `json:"compactions,omitempty"`
-	ReclaimedBytes int64 `json:"reclaimed_bytes,omitempty"`
 }
 
 // Stats reports the store's current durability state.
@@ -508,8 +485,6 @@ func (s *Store) Stats() Stats {
 	st.ScrubRuns = s.scrubRuns
 	st.CorruptSegments = sortedKeys(s.corruptSegs)
 	st.CorruptSnapshots = sortedKeys(s.corruptSnaps)
-	st.Compactions = s.compactions
-	st.ReclaimedBytes = s.reclaimed
 	s.maintMu.Unlock()
 	return st
 }

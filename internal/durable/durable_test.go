@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -385,5 +386,46 @@ func TestOpenRemovesAndIgnoresStrayTmpFiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.KVs, []KV{{"k", "v"}}) {
 		t.Fatalf("recovered %v, want the pre-crash row", rec.KVs)
+	}
+}
+
+// buildReplayDir seeds a lineage of segs segments, each with recs
+// records, for replay benchmarks.
+func buildReplayDir(b *testing.B, segs, recs int) string {
+	b.Helper()
+	dir := b.TempDir()
+	for g := 0; g < segs; g++ {
+		s, err := Open(dir, time.Hour)
+		if err != nil {
+			b.Fatalf("Open: %v", err)
+		}
+		for i := 0; i < recs; i++ {
+			s.Append(OpPut, fmt.Sprintf("t|%06d", (g*recs+i)%(segs*recs/2)), "value-payload-of-plausible-row-size-000000")
+		}
+		if err := s.Sync(); err != nil {
+			b.Fatalf("Sync: %v", err)
+		}
+		s.Close()
+	}
+	return dir
+}
+
+// BenchmarkReplay times Recover over 16 segments of 4 000 records each.
+func BenchmarkReplay(b *testing.B) {
+	dir := buildReplayDir(b, 16, 4000)
+	s, err := Open(dir, time.Hour)
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := s.Recover()
+		if err != nil {
+			b.Fatalf("Recover: %v", err)
+		}
+		if rec.LogRecords == 0 {
+			b.Fatal("replayed nothing")
+		}
 	}
 }

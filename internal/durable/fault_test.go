@@ -382,29 +382,3 @@ func TestScrubDamageClearsWhenFilePruned(t *testing.T) {
 		t.Fatalf("stats = %+v, want damage cleared once the lineage no longer includes the file", st)
 	}
 }
-
-// A crash between writing a rewrite's tmp file and the rename leaves a
-// *.tmp stray; Open must discard it and replay the original intact.
-func TestCompactionCrashLeavesLineageIntact(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Append(OpPut, "k", "v1")
-	s.Append(OpPut, "k", "v2")
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	s.Close()
-	// Simulated crash point: the tmp exists (fully written or torn —
-	// either way it is not part of the lineage), the rename never
-	// happened.
-	if err := os.WriteFile(segPath(dir, 1)+".tmp", []byte("torn rewrite"), 0o644); err != nil {
-		t.Fatalf("plant tmp: %v", err)
-	}
-	rec := recovered(t, dir)
-	if !reflect.DeepEqual(rec.KVs, []KV{{"k", "v2"}}) {
-		t.Fatalf("recovered %v, want the original segment to win over the abandoned rewrite", rec.KVs)
-	}
-	if _, err := os.Stat(segPath(dir, 1) + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("stray rewrite tmp not cleaned at Open (stat err=%v)", err)
-	}
-}

@@ -10,7 +10,6 @@ package durable
 import (
 	"fmt"
 	"os"
-	"time"
 )
 
 // Scrub runs one synchronous scrub pass: every sealed segment (index
@@ -79,7 +78,6 @@ func (s *Store) Scrub() error {
 	}
 	s.maintMu.Lock()
 	s.scrubRuns++
-	s.lastScrub = time.Now()
 	// Merge rather than replace: a damaged file pruned by a later
 	// snapshot drops out of the set (the bytes it lost are gone either
 	// way, but the lineage no longer depends on them), while damage in

@@ -9,12 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -164,92 +161,14 @@ type Recovered struct {
 	CorruptSnapshots []int64
 }
 
-// replayWorkers is the default parallelism for segment parsing during
-// Recover: one goroutine per CPU, capped — parsing is CPU-bound (CRC +
-// framing) and a restart replaying a big lineage should not serialize
-// it behind one core.
-func replayWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// parsedSeg is one segment parsed off disk, before folding.
-type parsedSeg struct {
-	recs  []segRec
-	bytes int64
-	size  int64
-	clean bool
-	err   error
-}
-
-type segRec struct {
-	op         byte
-	key, value string
-}
-
-// parseSegments reads and CRC-checks the given segments concurrently
-// (workers goroutines), returning results in input order. Parsing is
-// the expensive half of replay and is independent per segment; only
-// the fold into final state (last-record-wins) is order-dependent, and
-// the caller does that serially over the ordered results.
-func parseSegments(dir string, segs []int64, workers int) []parsedSeg {
-	out := make([]parsedSeg, len(segs))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(segs) {
-					return
-				}
-				data, err := os.ReadFile(segPath(dir, segs[i]))
-				if err != nil {
-					if os.IsNotExist(err) {
-						out[i].clean = true
-						continue
-					}
-					out[i].err = fmt.Errorf("durable: read segment %d: %w", segs[i], err)
-					continue
-				}
-				recs := make([]segRec, 0, len(data)/32)
-				_, off, clean := scanRecords(data, func(op byte, k, v string) {
-					recs = append(recs, segRec{op: op, key: k, value: v})
-				})
-				out[i] = parsedSeg{recs: recs, bytes: int64(off), size: int64(len(data)), clean: clean}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // Recover replays the newest committed snapshot plus every log segment
 // at or after it, returning the collapsed final state. Call it once,
 // right after Open, before the member starts writing. A store with no
-// history returns an empty result, not an error. Segments are parsed
-// in parallel; the expected crash tail on the previous run's final
-// segment is truncated away so the file is clean for every later
-// generation and for the scrub.
+// history returns an empty result, not an error. Each segment is read
+// in order and folded straight into the state; the expected crash tail
+// on the previous run's final segment is truncated away so the file is
+// clean for every later generation and for the scrub.
 func (s *Store) Recover() (*Recovered, error) {
-	return s.recover(replayWorkers())
-}
-
-func (s *Store) recover(workers int) (*Recovered, error) {
 	segs, snaps, err := scanDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -294,27 +213,32 @@ func (s *Store) recover(workers int) (*Recovered, error) {
 	}
 	sortInt64(rec.CorruptSnapshots)
 
-	replay := segs[:0:0]
-	for _, idx := range segs {
-		if rec.SnapshotIndex > 0 && idx < rec.SnapshotIndex {
-			continue // truncated by the snapshot
-		}
-		replay = append(replay, idx)
-	}
-
 	s.fmu.Lock()
 	cur := s.segIdx
 	s.fmu.Unlock()
-	parsed := parseSegments(s.dir, replay, workers)
-	for i, ps := range parsed {
-		idx := replay[i]
-		if ps.err != nil {
-			return nil, ps.err
+	for _, idx := range segs {
+		if idx < rec.SnapshotIndex {
+			continue // truncated by the snapshot
+		}
+		n, off, clean := 0, 0, true
+		data, err := os.ReadFile(segPath(s.dir, idx))
+		switch {
+		case err == nil:
+			n, off, clean = scanRecords(data, func(op byte, k, v string) {
+				switch op {
+				case OpPut:
+					state[k] = v
+				case OpRemove:
+					delete(state, k)
+				}
+			})
+		case !os.IsNotExist(err):
+			return nil, fmt.Errorf("durable: read segment %d: %w", idx, err)
 		}
 		rec.LogSegments++
-		rec.LogRecords += len(ps.recs)
-		rec.Segments = append(rec.Segments, SegmentReplay{Index: idx, Records: len(ps.recs), Bytes: ps.bytes, Clean: ps.clean})
-		if !ps.clean {
+		rec.LogRecords += n
+		rec.Segments = append(rec.Segments, SegmentReplay{Index: idx, Records: n, Bytes: int64(off), Clean: clean})
+		if !clean {
 			switch {
 			case idx == s.crashSeg || idx >= cur:
 				// The segment that was newest at the last crash (or is
@@ -324,18 +248,10 @@ func (s *Store) recover(workers int) (*Recovered, error) {
 				// suffix, and never the live segment.
 				rec.Torn = true
 				if idx < cur {
-					os.Truncate(segPath(s.dir, idx), ps.bytes) //nolint:errcheck // best effort; scrub re-reports
+					os.Truncate(segPath(s.dir, idx), int64(off)) //nolint:errcheck // best effort; scrub re-reports
 				}
 			default:
 				rec.CorruptSegments = append(rec.CorruptSegments, idx)
-			}
-		}
-		for _, r := range ps.recs {
-			switch r.op {
-			case OpPut:
-				state[r.key] = r.value
-			case OpRemove:
-				delete(state, r.key)
 			}
 		}
 	}

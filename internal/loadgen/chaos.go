@@ -49,7 +49,6 @@ func (r *Runner) serverConfig(name string) (server.Config, error) {
 		cfg.SyncInterval = 2 * time.Millisecond
 		cfg.SnapshotInterval = 100 * time.Millisecond
 		cfg.ScrubInterval = -1
-		cfg.CompactInterval = -1
 	}
 	return cfg, nil
 }

@@ -45,13 +45,9 @@ import (
 // config leaves it zero.
 const DefaultSnapshotInterval = 30 * time.Second
 
-// DefaultScrubInterval and DefaultCompactInterval pace the durable
-// store's background lineage scrub and log compaction when the config
-// leaves them zero; a negative config value disables the loop.
-const (
-	DefaultScrubInterval   = time.Minute
-	DefaultCompactInterval = 10 * time.Second
-)
+// DefaultScrubInterval paces the durable store's background lineage
+// scrub when the config leaves it zero; a negative value disables it.
+const DefaultScrubInterval = time.Minute
 
 // durableHook is the pool change hook with durability on: log the
 // change (write-behind — enqueue only, the engine's lock is held), then
@@ -168,14 +164,9 @@ func (s *Server) recoverDurable(cfg Config) (*durable.Meta, []core.WarmRange, er
 	if scrub == 0 {
 		scrub = DefaultScrubInterval
 	}
-	compact := cfg.CompactInterval
-	if compact == 0 {
-		compact = DefaultCompactInterval
-	}
 	st, err := durable.OpenWith(cfg.DataDir, durable.Options{
-		SyncEvery:    cfg.SyncInterval,
-		ScrubEvery:   max(scrub, 0),
-		CompactEvery: max(compact, 0),
+		SyncEvery:  cfg.SyncInterval,
+		ScrubEvery: max(scrub, 0),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -119,6 +119,73 @@ func TestWarmRestartRecoversRows(t *testing.T) {
 	}
 }
 
+// TestWarmRestartReplaysOnlySinceSnapshot pins the one bound on restart
+// replay: a restart reads the rows the snapshot holds from the snapshot
+// and replays only the writes made since it. Two restarts with no
+// snapshot between them replay every write since it — the first run's
+// and the second's — and never the rows written before it.
+func TestWarmRestartReplaysOnlySinceSnapshot(t *testing.T) {
+	ctx := context.Background()
+	const base, since, later = 50, 7, 5
+	dir := t.TempDir()
+	// run starts a server generation on dir, lets write drive it, and
+	// closes it, returning its recovery stat and the posts it ended with.
+	run := func(name string, write func(c *client.Client)) (*client.RecoveryStat, int64) {
+		t.Helper()
+		s, err := New(durableConfig(name, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		write(c)
+		n, err := c.Count("p|", "p}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.recovery, n
+	}
+	put := func(c *client.Client, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := c.Put(fmt.Sprintf("p|bob|%03d", i), "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// since writes after the snapshot: six puts and one remove.
+	run("g1", func(c *client.Client) {
+		put(c, 0, base)
+		if n, err := c.SnapshotNow(ctx); err != nil || n != base {
+			t.Fatalf("SnapshotNow = %d, %v; want %d rows", n, err, base)
+		}
+		put(c, base, base+since-1)
+		if had, err := c.Remove("p|bob|000"); err != nil || !had {
+			t.Fatalf("Remove = %v, %v", had, err)
+		}
+	})
+	rec, _ := run("g2", func(c *client.Client) { put(c, 100, 100+later) })
+	if rec.SnapshotRows != base || rec.LogRecords != since {
+		t.Fatalf("first restart recovery = %+v, want %d snapshot rows and %d log records", rec, base, since)
+	}
+	rec, n := run("g3", func(*client.Client) {})
+	if rec.SnapshotRows != base || rec.LogRecords != since+later {
+		t.Fatalf("second restart recovery = %+v, want %d snapshot rows and %d log records", rec, base, since+later)
+	}
+	if want := int64(base + since - 2 + later); n != want {
+		t.Fatalf("posts after two restarts = %d, want %d", n, want)
+	}
+}
+
 // TestMemoryOnlyServerHasNoDurableState: without a data dir nothing
 // durable is wired — no stat block, and the snapshot RPC refuses.
 func TestMemoryOnlyServerHasNoDurableState(t *testing.T) {

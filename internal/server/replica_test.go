@@ -218,7 +218,7 @@ func TestReplicatedBaseWriteFansOutOnce(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		cfg := durableConfig(fmt.Sprintf("m%d", i), t.TempDir())
-		cfg.ScrubInterval, cfg.CompactInterval = -1, -1
+		cfg.ScrubInterval = -1
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -66,10 +66,10 @@ type Config struct {
 	// The scrub surfaces mid-lineage corruption through stats and
 	// health while replicas that could repair it still exist.
 	ScrubInterval time.Duration
-	// CompactInterval paces durable log compaction between snapshots
-	// (default DefaultCompactInterval; negative disables): sealed
-	// segments dominated by dead overwrites are rewritten without them,
-	// bounding restart replay on write-heavy ranges.
+	// CompactInterval is no longer read: snapshots alone bound restart
+	// replay.
+	//
+	// Deprecated: ignored.
 	CompactInterval time.Duration
 }
 

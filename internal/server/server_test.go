@@ -53,7 +53,7 @@ func addJoin(c *client.Client, text string) error {
 func TestServerIsOneEngine(t *testing.T) {
 	s, c := startServer(t, Config{
 		Name: "one", Joins: timelineJoin,
-		DataDir: t.TempDir(), ScrubInterval: -1, CompactInterval: -1,
+		DataDir: t.TempDir(), ScrubInterval: -1,
 	})
 	if n := s.Pool().NumShards(); n != 1 {
 		t.Fatalf("server pool has %d engines, want 1", n)
